@@ -16,15 +16,14 @@ the common :class:`~repro.exec.base.ExecutionBackend` interface:
     The trace-once/replay-many fast path for bulk-synchronous launches
     whose µthreads are structurally identical (the common case for the
     paper's kernels: every body µthread runs the same code over a different
-    pool slice).  One representative µthread is interpreted to capture the
-    dynamic instruction trace; the remaining µthreads are then executed
-    *functionally* in one numpy-vectorized sweep (registers become arrays
-    over the launch), and *timing* is replayed analytically: the *trace's*
-    per-FU instruction counts bound issue throughput, and the launch's
-    sector-unique address stream is fed through the existing memory-side
-    L2 / banked-DRAM virtual-time models.  Results in memory are identical
-    to the interpreter's; launch runtime is a throughput/latency roofline
-    rather than an event-by-event schedule (see ``docs`` below).
+    pool slice).  All µthreads execute *functionally* in one
+    numpy-vectorized walk (registers become arrays over the launch) that
+    records the dynamic trace, and *timing* is replayed analytically: the
+    trace's per-FU instruction counts bound issue throughput, and the
+    launch's sector-unique address stream is fed through the existing
+    memory-side L2 / banked-DRAM virtual-time models.  Results in memory
+    are identical to the interpreter's; launch runtime is a
+    throughput/latency roofline rather than an event-by-event schedule.
 
 Backend selection
 -----------------
@@ -39,19 +38,22 @@ Backend selection
   ``repro.experiments.common.EXPERIMENT_BACKEND``; since the SIMT engine
   the microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
   granularity ablation) run unpinned on it as well.
-* Inside the batched backend, launches route per class: bulk
+* Inside the batched backend, launches route by *shape* alone — no
+  environment variable reroutes a shape to a different engine: bulk
   branch-uniform launches take the launch-uniform trace/replay walk;
   initializer/finalizer phases, atomics (AMO/VAMO), indexed
   gathers/scatters, scratchpad state, µthread-divergent branches and
   sub-threshold launch sizes run on the masked **SIMT engine**
   (:mod:`repro.exec.simt`: active-mask stack with post-dominator
-  reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows).
+  reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows),
+  and single-body launches no wider than the device on the **point
+  engine** (:mod:`repro.exec.point`).  Both vectorized walks execute
+  instructions through :class:`repro.isa.vectorops.LaneISA`.
   Only translation faults, read-after-write races through memory,
   order-sensitive atomic contention and unsupported instructions still
   fall back to the interpreter — counted in ``exec.batched_fallbacks``
   and attributed in ``exec.fallback_reason.<class>``; engine launches
   land in ``exec.batched_launches`` / ``exec.simt_launches``.
-  ``REPRO_SIMT=0`` disables the SIMT tier (pre-SIMT fallback classes).
 * Repeated launches of the same shape skip tracing entirely through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
   ``exec.trace_cache_misses``; disable with ``REPRO_TRACE_CACHE=0``) —

@@ -3,23 +3,24 @@
 The paper's kernels launch thousands of *structurally identical* µthreads:
 every body µthread runs the same code over a different stride-sized pool
 slice, and one launch is bulk-synchronous (§III-E/G).  This backend
-exploits that regularity with two vectorized engines:
+exploits that regularity with two vectorized walks over one lane-ISA
+implementation (:class:`repro.isa.vectorops.LaneISA`):
 
 * **Launch-uniform walk** (this module): registers become arrays over the
-  whole launch (``x2`` is the vector ``[0, stride, 2*stride, ...]``), each
-  decoded instruction executes once for all µthreads, and control flow
-  follows the (verified) launch-uniform branch outcomes.  Memory results
-  are identical to the interpreter's — stores are buffered during the walk
-  and committed only when it succeeds.
+  whole launch (``x2`` is the vector ``[0, stride, 2*stride, ...]``) while
+  launch-uniform values stay 0-d, each decoded instruction executes once
+  for all µthreads, and control flow follows the (verified)
+  launch-uniform branch outcomes.  Memory results are identical to the
+  interpreter's — stores are buffered during the walk and committed only
+  when it succeeds.
 
-* **Masked SIMT walk** (:mod:`repro.exec.simt`): the formerly-fallback
-  launch classes — initializer/finalizer phases, atomics, indexed
-  gathers/scatters, scratchpad state, µthread-divergent branches,
-  sub-threshold launch sizes — execute as numpy lanes under an
-  active-mask stack with reconvergence at immediate post-dominators,
-  deterministic lane-ordered AMO grouping and per-unit scratchpad
-  shadows.  Only translation faults and genuine read-after-write races
-  through memory still reach the interpreter.
+* **Masked SIMT walk** (:mod:`repro.exec.simt`): initializer/finalizer
+  phases, atomics, indexed gathers/scatters, scratchpad state,
+  µthread-divergent branches and sub-threshold launch sizes execute as
+  per-lane numpy arrays under an active-mask stack with reconvergence at
+  immediate post-dominators, deterministic lane-ordered AMO grouping and
+  per-unit scratchpad shadows.  Launches no wider than the device run on
+  the point engine (:mod:`repro.exec.point`) instead.
 
 * **Timing** is replayed analytically from the recorded dynamic trace: the
   per-FU instruction counts bound per-sub-core issue throughput, a
@@ -39,25 +40,25 @@ exploits that regularity with two vectorized engines:
   launches cache their trace aggregates; SIMT launches additionally cache
   the recorded *mask schedule*, verified lane-for-lane on every replay.
 
+Engine choice is a function of the launch's shape only (sections, op
+classes, µthread count — see ``BatchedBackend._classify``); there is no
+switch that reroutes a shape to a different engine.
+
 Automatic fallback
 ------------------
 
 ``register_execution`` falls back to the inherited interpreter path (per
 launch, counted in ``exec.batched_fallbacks`` and attributed under
-``exec.fallback_reason.<class>``) only when neither engine can reproduce
+``exec.fallback_reason.<class>``) only when neither walk can reproduce
 the interpreter's bytes: translation faults, read-after-write through
 memory (a load overlapping a buffered store, or cross-lane races the
 SIMT hazard detector refuses to order), order-sensitive atomic
-contention, trace-cap blowouts, and unsupported instructions.  Set
-``REPRO_SIMT=0`` to disable the SIMT engine and restore the pre-SIMT
-fallback classes (phases / atomics / gathers / divergence / scratchpad /
-small launches go back to the interpreter).
+contention, trace-cap blowouts, and unsupported instructions.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from repro.exec.point import attempt_point
 from repro.exec.simt import (
     MAX_TRACE_STEPS,
     LaunchFallback,
+    LaunchTail,
     SimtPlan,
     Translator,
     merge_streams,
@@ -82,7 +84,6 @@ from repro.exec.trace_cache import (
 )
 from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
-from repro.isa.registers import to_signed64
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
 from repro.ndp.generator import (
@@ -96,7 +97,7 @@ from repro.ndp.unit import CROSSBAR_NS
 
 #: Launches smaller than this skip the launch-uniform walk: tracing cannot
 #: be amortized and latency effects dominate short launches, which the
-#: masked engine (or, with ``REPRO_SIMT=0``, the interpreter) handles.
+#: masked and point engines handle.
 MIN_BATCH_UTHREADS = 64
 
 _ZERO_X = np.zeros((), dtype=np.int64)
@@ -147,47 +148,44 @@ class _StoreLog:
 # ---------------------------------------------------------------------------
 
 
-class _MemStep:
-    """One memory instruction of the trace, as executed by all µthreads."""
-
-    __slots__ = ("is_spad", "size", "is_write", "paddrs", "vaddrs")
-
-    def __init__(self, is_spad: bool, size: int, is_write: bool,
-                 paddrs: np.ndarray | None,
-                 vaddrs: np.ndarray | None = None) -> None:
-        self.is_spad = is_spad
-        self.size = size
-        self.is_write = is_write
-        self.paddrs = paddrs
-        self.vaddrs = vaddrs
-
-
 class _Done(Exception):
     """Internal control-flow signal: the walk reached ``ret``."""
 
 
-class _BatchReplay:
+class _BatchReplay(vo.LaneISA):
     """Vectorized lockstep execution of one launch's body µthreads.
+
+    Registers keep the launch-uniform representation the walk's speed
+    rests on — a value every µthread agrees on stays 0-d (``(vl,)`` for
+    vectors) and only per-µthread values are ``(n,)`` / ``(n, vl)`` — so
+    ``_lanes`` is ``()`` and the inherited
+    :class:`~repro.isa.vectorops.LaneISA` executors never widen a
+    uniform operand.
 
     With a cached :class:`TraceEntry` the walk becomes a *replay*: the
     functional numpy execution still runs in full (memory contents may
     have changed since the trace), but every memory step's freshly
     computed address vector is verified against the recorded one and the
     recorded translation reused — any divergence raises
-    :class:`StaleTrace` so the caller can retrace from scratch.
+    :class:`StaleTrace` so the caller can retrace from scratch.  Either
+    way ``entry`` holds the launch's timing profile once ``run`` returns.
     """
+
+    engine = "batched"
+    entry_type = TraceEntry
 
     def __init__(self, device, execution: KernelExecution,
                  entry: TraceEntry | None = None) -> None:
         instance = execution.instance
         self.device = device
+        self.execution = execution
         self.n = instance.num_body_uthreads
         self.program = instance.kernel.program.bodies[0]
         self.trace: list[Instruction] = []
-        self.mem_steps: list[_MemStep] = []
+        self.steps: list[CachedStep] = []
         self.log = _StoreLog()
         self.translator = Translator(device.page_table(instance.asid))
-        self._entry = entry
+        self.entry = entry
         self._mem_i = 0
         self._executed = 0
         spad = device.units[execution.unit_base].scratchpad
@@ -208,31 +206,26 @@ class _BatchReplay:
         self.xr[3] = np.asarray(execution.args_vaddr, dtype=np.int64)
         self.fr: list[np.ndarray] = [_ZERO_F] * 32
         self.vr: list[np.ndarray | None] = [None] * 32
-        self.vl: int | None = None
+        self.vl = -1                                  # -1 = VLMAX sentinel
         self.sew = 64
 
-    # -- register plumbing ------------------------------------------------
+    # -- register plumbing (the walk is maskless: ``m`` is always None) ----
 
-    def _wx(self, idx: int, val) -> None:
+    def _wx(self, idx: int, val, m=None) -> None:
         if idx:
             self.xr[idx] = np.asarray(val).astype(np.int64)
 
-    def _wf(self, idx: int, val) -> None:
+    def _wf(self, idx: int, val, m=None) -> None:
         self.fr[idx] = np.asarray(val, dtype=np.float64)
 
-    def _read_v(self, idx: int, count: int) -> np.ndarray:
-        arr = self.vr[idx]
-        if arr is None or arr.shape[-1] == 0:
-            return np.zeros((count,), dtype=np.uint64)
-        k = arr.shape[-1]
-        if k < count:
-            pad = np.zeros(arr.shape[:-1] + (count - k,), dtype=np.uint64)
-            arr = np.concatenate([arr, pad], axis=-1)
-        return arr[..., :count]
+    def _wv(self, idx: int, val: np.ndarray, m=None) -> None:
+        self.vr[idx] = val
 
-    def _eff_vl(self, sew: int) -> int:
-        limit = vlmax(sew)
-        return limit if self.vl is None else min(self.vl, limit)
+    def _cur_vl(self, m=None) -> int:
+        return self.vl
+
+    def _cur_sew(self, m=None) -> int:
+        return self.sew
 
     def _uniform_int(self, arr: np.ndarray, what: str,
                      slug: str = "divergent") -> int:
@@ -259,10 +252,10 @@ class _BatchReplay:
 
     def _next_cached_step(self, is_spad: bool, size: int,
                           is_write: bool) -> CachedStep:
-        entry = self._entry
-        if self._mem_i >= len(entry.steps):
+        steps = self.entry.steps
+        if self._mem_i >= len(steps):
             raise StaleTrace("more memory steps than the cached trace")
-        step = entry.steps[self._mem_i]
+        step = steps[self._mem_i]
         self._mem_i += 1
         if (step.is_spad != is_spad or step.size != size
                 or step.is_write != is_write):
@@ -280,10 +273,10 @@ class _BatchReplay:
                 # is not representative), so hand the launch back
                 raise _Fallback("scratchpad load outside the argument block",
                                 "scratchpad")
-            if self._entry is not None:
+            if self.entry is not None:
                 self._next_cached_step(True, size, False)
             else:
-                self.mem_steps.append(_MemStep(True, size, False, None))
+                self.steps.append(CachedStep(True, size, False))
             # stat-free view: a mid-walk fallback must leave no counters
             # behind (the interpreter re-run charges them itself)
             view = self._spad.view()
@@ -291,7 +284,7 @@ class _BatchReplay:
             if addr.ndim == 0:
                 return view[int(offs):int(offs) + size].copy()
             return view[offs[:, None] + np.arange(size)]
-        if self._entry is not None:
+        if self.entry is not None:
             step = self._next_cached_step(False, size, False)
             if not np.array_equal(addr, step.vaddrs):
                 raise StaleTrace("load addresses diverged from cached trace")
@@ -303,7 +296,8 @@ class _BatchReplay:
             if self.log.overlaps(lo, hi):
                 raise _Fallback(
                     "load overlaps a buffered store (RAW via memory)", "raw")
-            self.mem_steps.append(_MemStep(False, size, False, paddrs, addr))
+            self.steps.append(CachedStep(False, size, False,
+                                         vaddrs=addr, paddrs=paddrs))
         return self.device.physical.gather_rows(paddrs, size)
 
     def _store(self, addr, data: np.ndarray) -> None:
@@ -312,7 +306,7 @@ class _BatchReplay:
         if self._classify(addr):
             raise _Fallback("scratchpad store in kernel body", "scratchpad")
         size = data.shape[-1]
-        if self._entry is not None:
+        if self.entry is not None:
             step = self._next_cached_step(False, size, True)
             if not np.array_equal(addr, step.vaddrs):
                 raise StaleTrace("store addresses diverged from cached trace")
@@ -321,7 +315,8 @@ class _BatchReplay:
             paddrs = np.broadcast_to(
                 np.atleast_1d(self.translator.translate(addr)), (self.n,)
             )
-            self.mem_steps.append(_MemStep(False, size, True, paddrs, addr))
+            self.steps.append(CachedStep(False, size, True,
+                                         vaddrs=addr, paddrs=paddrs))
         rows = np.broadcast_to(
             data if data.ndim == 2 else data[None, :], (self.n, size)
         )
@@ -336,7 +331,7 @@ class _BatchReplay:
         instructions = self.program.instructions
         count = len(instructions)
         pc = 0
-        record = self._entry is None
+        record = self.entry is None
         with np.errstate(all="ignore"):
             try:
                 while pc < count:
@@ -351,17 +346,48 @@ class _BatchReplay:
                 pass
             except UnsupportedVectorOp as exc:
                 raise _Fallback(str(exc)) from None
-        if not record and (self._executed != self._entry.trace_len
-                           or self._mem_i != len(self._entry.steps)):
+        if record:
+            self.entry = self._build_entry()
+        elif (self._executed != self.entry.trace_len
+                or self._mem_i != len(self.entry.steps)):
             raise StaleTrace("control flow diverged from cached trace")
         return self
+
+    def _build_entry(self) -> TraceEntry:
+        """Derive the reusable launch profile from the completed walk."""
+        sector_bytes = self.device.config.l2.sector_bytes
+        fu_counts: dict[FUnit, int] = {}
+        latency_cycles = 0
+        for inst in self.trace:
+            fu_counts[inst.unit] = fu_counts.get(inst.unit, 0) + 1
+            latency_cycles += inst.latency_cycles
+        streams: list[tuple[np.ndarray, bool]] = []
+        for step in self.steps:
+            if not step.is_spad:
+                sectors = step_sectors(step.paddrs, step.size, sector_bytes)
+                step.sector_count = len(sectors)
+                streams.append((sectors, step.is_write))
+        merged_addrs, merged_writes = merge_streams(streams)
+        page_count = int(
+            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
+        ) if merged_addrs.size else 0
+        return TraceEntry(
+            translation_version=self.device.translation_version,
+            trace_len=len(self.trace),
+            latency_cycles=latency_cycles,
+            fu_counts=fu_counts,
+            steps=self.steps,
+            merged_addrs=merged_addrs,
+            merged_writes=merged_writes,
+            page_count=page_count,
+        )
 
     def _step(self, inst: Instruction, pc: int) -> int:
         op = inst.op_class
         if op is OpClass.ALU:
-            self._exec_alu(inst)
+            self._exec_alu(inst, None)
         elif op is OpClass.VALU_OP:
-            self._exec_valu(inst)
+            self._exec_valu(inst, None)
         elif op is OpClass.BRANCH:
             return self._exec_branch(inst, pc)
         elif op is OpClass.LOAD:
@@ -373,7 +399,7 @@ class _BatchReplay:
         elif op is OpClass.VSTORE:
             self._exec_vstore(inst)
         elif op is OpClass.VRED:
-            self._exec_vred(inst)
+            self._exec_vred(inst, None)
         elif op is OpClass.VSET:
             self._exec_vset(inst)
         elif op is OpClass.FENCE:
@@ -386,73 +412,10 @@ class _BatchReplay:
 
     # -- scalar -----------------------------------------------------------
 
-    def _exec_alu(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        xr, fr = self.xr, self.fr
-        if m in vo.INT_BINOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[m](
-                np.asarray(xr[inst.rs1]), np.asarray(xr[inst.rs2])))
-        elif m in vo.INT_IMMOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[vo.INT_IMMOPS[m]](
-                np.asarray(xr[inst.rs1]), np.int64(inst.imm)))
-        elif m in ("addw", "mulw"):
-            base = vo.INT_BINOPS["add" if m == "addw" else "mul"]
-            res = base(np.asarray(xr[inst.rs1]), np.asarray(xr[inst.rs2]))
-            self._wx(inst.rd, res.astype(np.int32))
-        elif m == "li":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm)))
-        elif m == "lui":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)))
-        elif m == "mv":
-            self._wx(inst.rd, xr[inst.rs1])
-        elif m == "neg":
-            self._wx(inst.rd, -np.asarray(xr[inst.rs1]))
-        elif m == "seqz":
-            self._wx(inst.rd, (np.asarray(xr[inst.rs1]) == 0).astype(np.int64))
-        elif m == "snez":
-            self._wx(inst.rd, (np.asarray(xr[inst.rs1]) != 0).astype(np.int64))
-        elif m in vo.FP_BINOPS:
-            self._wf(inst.rd, vo.FP_BINOPS[m](
-                np.asarray(fr[inst.rs1]), np.asarray(fr[inst.rs2])))
-        elif m in vo.FP_COMPARES:
-            self._wx(inst.rd, vo.FP_COMPARES[m](
-                np.asarray(fr[inst.rs1]), np.asarray(fr[inst.rs2])))
-        elif m == "fmadd.d":
-            self._wf(inst.rd,
-                     np.asarray(fr[inst.rs1]) * np.asarray(fr[inst.rs2])
-                     + np.asarray(fr[inst.rs3]))
-        elif m == "fsqrt.d":
-            val = np.asarray(fr[inst.rs1])
-            if np.any(val < 0):
-                raise _Fallback("fsqrt of negative value")
-            self._wf(inst.rd, np.sqrt(val))
-        elif m == "fmv.d":
-            self._wf(inst.rd, fr[inst.rs1])
-        elif m == "fmv.x.d":
-            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
-            self._wx(inst.rd, bits.view(np.int64))
-        elif m == "fmv.d.x":
-            bits = np.ascontiguousarray(self.xr[inst.rs1], dtype=np.int64)
-            self._wf(inst.rd, bits.view(np.float64))
-        elif m in ("fcvt.d.l", "fcvt.s.l"):
-            self._wf(inst.rd, np.asarray(xr[inst.rs1]).astype(np.float64))
-        elif m == "fcvt.l.d":
-            self._wx(inst.rd, np.trunc(np.asarray(fr[inst.rs1])).astype(np.int64))
-        else:
-            raise _Fallback(f"unsupported mnemonic {m}")
-
     def _exec_branch(self, inst: Instruction, pc: int) -> int:
-        m = inst.mnemonic
-        if m == "j":
+        if inst.mnemonic == "j":
             return inst.target
-        if m in vo.BRANCHES:
-            cond = vo.BRANCHES[m](np.asarray(self.xr[inst.rs1]),
-                                  np.asarray(self.xr[inst.rs2]))
-        elif m in vo.BRANCHES_Z:
-            cond = vo.BRANCHES_Z[m](np.asarray(self.xr[inst.rs1]))
-        else:
-            raise _Fallback(f"unsupported branch {m}")
-        taken = bool(self._uniform_int(np.asarray(cond), "branch"))
+        taken = self._uniform_int(self._branch_cond(inst), "branch")
         return inst.target if taken else pc + 1
 
     def _exec_load(self, inst: Instruction) -> None:
@@ -496,7 +459,7 @@ class _BatchReplay:
 
     def _exec_vload(self, inst: Instruction) -> None:
         sew = inst.size * 8
-        vl = self._eff_vl(sew)
+        vl = self._eff_vl(None, sew)
         if vl == 0:
             self.vr[inst.rd] = np.zeros((0,), dtype=np.uint64)
             return
@@ -508,7 +471,7 @@ class _BatchReplay:
 
     def _exec_vstore(self, inst: Instruction) -> None:
         sew = inst.size * 8
-        vl = self._eff_vl(sew)
+        vl = self._eff_vl(None, sew)
         if vl == 0:
             return
         addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
@@ -516,150 +479,79 @@ class _BatchReplay:
         raw = vo.to_le_bytes(values, inst.size)
         self._store(addr, raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
 
-    def _exec_valu(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        sew = self.sew
-        vl = self._eff_vl(sew)
+    # -- timing -----------------------------------------------------------
 
-        if m in vo.V_INT_BINOPS:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(vo.V_INT_BINOPS[m](a, b), sew)
-        elif m in vo.V_INT_SCALAR:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.xr[inst.rs2]))
-            self.vr[inst.rd] = vo.to_pattern(vo.V_INT_SCALAR[m](a, s), sew)
-        elif m in vo.V_INT_IMM:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(
-                vo.V_INT_IMM[m](a, np.int64(inst.imm)), sew)
-        elif m == "vmacc.vv":
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            d = vo.sign_extend(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(d + a * b, sew)
-        elif m in vo.V_FP_BINOPS:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(vo.V_FP_BINOPS[m](a, b), sew)
-        elif m in vo.V_FP_SCALAR:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            self.vr[inst.rd] = vo.float_to_bits(vo.V_FP_SCALAR[m](a, s), sew)
-        elif m == "vfmacc.vf":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(d + a * s, sew)
-        elif m == "vfmacc.vv":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(d + a * b, sew)
-        elif m in vo.V_INT_COMPARES:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.xr[inst.rs2]))
-            self.vr[inst.rd] = vo.V_INT_COMPARES[m](a, s).astype(np.uint64)
-        elif m in vo.V_FP_COMPARES:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            self.vr[inst.rd] = vo.V_FP_COMPARES[m](a, s).astype(np.uint64)
-        elif m in ("vmand.mm", "vmor.mm"):
-            a = self._read_v(inst.rs1, vl) != 0
-            b = self._read_v(inst.rs2, vl) != 0
-            out = (a & b) if m == "vmand.mm" else (a | b)
-            self.vr[inst.rd] = out.astype(np.uint64)
-        elif m == "vmerge.vxm":
-            a = self._read_v(inst.rs1, vl)
-            s = vo.to_pattern(vo.per_thread(np.asarray(self.xr[inst.rs2])), sew)
-            mask = self._read_v(0, vl) != 0
-            self.vr[inst.rd] = np.where(mask, s, a)
-        elif m == "vmerge.vim":
-            a = self._read_v(inst.rs1, vl)
-            mask = self._read_v(0, vl) != 0
-            self.vr[inst.rd] = np.where(
-                mask, vo.to_pattern(np.int64(inst.imm), sew), a)
-        elif m == "vmv.v.i":
-            self.vr[inst.rd] = np.full(
-                (vl,), vo.to_pattern(np.int64(inst.imm), sew), dtype=np.uint64)
-        elif m == "vmv.v.x":
-            self.vr[inst.rd] = self._splat(
-                vo.to_pattern(np.asarray(self.xr[inst.rs1]), sew), vl)
-        elif m == "vmv.v.v":
-            self.vr[inst.rd] = self._read_v(inst.rs1, vl).copy()
-        elif m == "vid.v":
-            self.vr[inst.rd] = np.arange(vl, dtype=np.uint64)
-        elif m == "vfmv.v.f":
-            self.vr[inst.rd] = self._splat(
-                vo.float_to_bits(self.fr[inst.rs1], sew), vl)
-        elif m == "vmv.x.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wx(inst.rd, np.int64(0))
+    def schedule(self, now_ns: float, cached: bool) -> None:
+        """Charge the launch analytically and schedule its completion."""
+        device = self.device
+        cfg = device.config.ndp
+        stats = device.stats
+        execution = self.execution
+        entry = self.entry
+        n = self.n
+        trace_len = entry.trace_len
+        fu_counts = entry.fu_counts
+        period = cfg.clock.period_ns
+        start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
+        tail = LaunchTail(device, execution, "exec.batched", start,
+                          uthreads=n, trace_cache="hit" if cached else "miss")
+        num_units = execution.num_units
+
+        # --- issue-throughput bound (per sub-core, FGMT hides latency) ---
+        per_unit = math.ceil(n / num_units)
+        per_subcore = per_unit / cfg.subcores_per_unit
+        fu_width = tail.fu_width
+        compute_ns = trace_len * per_subcore * period / cfg.issue_width
+        for fu, fu_count in fu_counts.items():
+            compute_ns = max(
+                compute_ns, fu_count * per_subcore * period / fu_width.get(fu, 1)
+            )
+        # Occupy the sub-cores' dispatch/FU issue servers with the whole
+        # launch in one bulk charge, so interpreter-path launches running
+        # concurrently observe this launch's issue pressure.
+        dispatch_ops = math.ceil(trace_len * per_subcore)
+        fu_ops = [(fu, math.ceil(c * per_subcore))
+                  for fu, c in fu_counts.items()]
+        for unit in tail.units:
+            for subcore in unit.subcores:
+                subcore.dispatch.service_batch(start, dispatch_ops)
+                subcore.instructions_issued += dispatch_ops
+                for fu, ops in fu_ops:
+                    subcore.units[fu].service_batch(start, ops)
+
+        # --- traffic stats + latency floor (serial thread latency x
+        # occupancy waves) from the launch's step profile -----------------
+        dram = (device.dram if execution.partition is None
+                else execution.partition.dram)
+        dram_lat = dram.typical_random_latency_ns()
+        l1_hit = device.config.ndp.l1d.hit_latency_ns
+        l2_hit = device.config.l2.hit_latency_ns
+        thread_lat = entry.latency_cycles * period
+        for step in entry.steps:
+            if step.is_spad:
+                stats.add("ndp.spad_traffic_bytes", step.size * n)
+                thread_lat += tail.units[0].scratchpad.latency_ns
+                continue
+            stats.add("ndp.global_traffic_bytes", step.size * n)
+            stats.add("ndp.global_accesses", n)
+            if step.is_write:
+                # posted write-through: the thread continues after L1
+                thread_lat += l1_hit
+            elif step.sector_count * 8 <= n:
+                # many threads share these sectors (e.g. gemv's activation
+                # vector): all but the first hit their unit's L1, so the
+                # typical thread's critical path pays a hit, not DRAM
+                thread_lat += l1_hit
             else:
-                self._wx(inst.rd, vo.sign_extend(values[..., 0], sew))
-        elif m == "vmv.s.x":
-            cur = self.vr[inst.rd]
-            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
-            arr = self._read_v(inst.rd, k)
-            s = vo.to_pattern(np.asarray(self.xr[inst.rs1]), sew)
-            if s.ndim == 1 and arr.ndim == 1:
-                arr = np.broadcast_to(arr, (self.n, k))
-            arr = arr.copy()
-            arr[..., 0] = s
-            self.vr[inst.rd] = arr
-        elif m == "vfmv.f.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wf(inst.rd, 0.0)
-            else:
-                self._wf(inst.rd, vo.bits_to_float(values[..., 0], sew))
-        else:
-            raise _Fallback(f"unsupported vector mnemonic {m}")
+                thread_lat += 2 * CROSSBAR_NS + l2_hit + dram_lat
+        slots_per_unit = tail.slots_per_unit
+        waves = math.ceil(per_unit / slots_per_unit)
+        window = max(compute_ns, thread_lat * waves)
 
-    def _splat(self, val: np.ndarray, vl: int) -> np.ndarray:
-        v = np.asarray(val, dtype=np.uint64)
-        if v.ndim == 0:
-            return np.full((vl,), v, dtype=np.uint64)
-        return np.repeat(v[:, None], vl, axis=1)
-
-    def _exec_vred(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        sew = self.sew
-        vl = self._eff_vl(sew)
-        va = self._read_v(inst.rs1, vl)
-        seed = self._read_v(inst.rs2, max(vl, 1))[..., 0]
-
-        # Element accumulation is an *ordered* loop over the (tiny) vl so
-        # float rounding matches the scalar executor exactly.
-        if m == "vredsum.vs":
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = acc + vs[..., j]
-            result = vo.to_pattern(acc, sew)
-        elif m in ("vredmax.vs", "vredmin.vs"):
-            op = np.maximum if m == "vredmax.vs" else np.minimum
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = op(acc, vs[..., j])
-            result = vo.to_pattern(acc, sew)
-        elif m == "vfredusum.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = acc + vs[..., j]
-            result = vo.float_to_bits(acc, sew)
-        elif m == "vfredmax.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = np.maximum(acc, vs[..., j])
-            result = vo.float_to_bits(acc, sew)
-        else:
-            raise _Fallback(f"unsupported reduction {m}")
-        self.vr[inst.rd] = np.asarray(result, dtype=np.uint64)[..., None]
+        # --- memory-system bound: sector stream through the real L2/DRAM -
+        ratio = min(per_unit, slots_per_unit) / slots_per_unit
+        completion = tail.pace(start, window, n, ratio, entry)
+        tail.schedule(completion, n * trace_len, n)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +562,12 @@ class _BatchReplay:
 class BatchedBackend(InterpreterBackend):
     """Batched fast path with automatic per-launch engine routing.
 
-    Launch execution is three-tier: the launch-uniform *trace/replay*
-    walk for bulk branch-uniform launches, the masked *SIMT* engine
-    (:mod:`repro.exec.simt`) for the formerly-fallback classes, and the
-    inherited per-µthread interpreter for the residue (translation
-    faults, RAW through memory) — attributed per class in
+    Launch execution is tiered by launch *shape*: the launch-uniform
+    trace/replay walk for bulk branch-uniform launches, the masked SIMT
+    walk (:mod:`repro.exec.simt`) or — for launches no wider than the
+    device — the point engine (:mod:`repro.exec.point`) for every other
+    class, and the inherited per-µthread interpreter for the residue
+    (translation faults, RAW through memory) — attributed per class in
     ``exec.fallback_reason.<slug>`` counters.
     """
 
@@ -683,74 +576,51 @@ class BatchedBackend(InterpreterBackend):
     def __init__(self, device) -> None:
         super().__init__(device)
         self.trace_cache = TraceCache.from_env()
-        self.simt_enabled = os.environ.get("REPRO_SIMT", "1") != "0"
-        self.point_enabled = os.environ.get("REPRO_POINT", "1") != "0"
 
     # ------------------------------------------------------------------
 
-    def _classify(self, execution: KernelExecution) -> tuple[str, str | None]:
-        """Static routing: (engine, reason-slug).
-
-        ``uniform`` launches try the launch-uniform walk first; ``simt``
-        launches go straight to the masked engine; with ``REPRO_SIMT=0``
-        every non-uniform class routes to the interpreter, restoring the
-        pre-SIMT behaviour.
-        """
+    def _classify(self, execution: KernelExecution) -> str | None:
+        """Static routing: why the launch needs per-lane (masked or point)
+        execution, or None when the launch-uniform walk may try it."""
         program = execution.instance.kernel.program
-        reason = None
         if (program.initializer is not None or program.finalizer is not None
                 or len(program.bodies) != 1):
-            reason = "phases"
-        else:
-            for inst in program.bodies[0].instructions:
-                slug = _UNBATCHABLE.get(inst.op_class)
-                if slug is not None:
-                    reason = slug
-                    break
-            else:
-                if execution.instance.num_body_uthreads < MIN_BATCH_UTHREADS:
-                    reason = "small"
-        if reason is None:
-            return "uniform", None
-        return ("simt" if self.simt_enabled else "interpreter"), reason
+            return "phases"
+        for inst in program.bodies[0].instructions:
+            slug = _UNBATCHABLE.get(inst.op_class)
+            if slug is not None:
+                return slug
+        if execution.instance.num_body_uthreads < MIN_BATCH_UTHREADS:
+            return "small"
+        return None
 
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:
         device = self.device
-        cache = self.trace_cache
-        route, why = self._classify(execution)
+        why = self._classify(execution)
+        key = trace_key(execution) if self.trace_cache.enabled else None
         failure: LaunchFallback | None = None
-        if route == "interpreter":
-            failure = LaunchFallback(f"routed to interpreter ({why})", why)
-        key = trace_key(execution) if cache.enabled else None
-
-        if route == "uniform":
-            entry = (cache.lookup(key, device.translation_version)
-                     if cache.enabled else None)
-            if isinstance(entry, SimtTraceEntry):
-                # this shape degraded to the SIMT engine on a prior launch
-                route = "simt"
-            else:
-                failure = self._attempt_uniform(execution, key, entry, now_ns)
-                if failure is None:
-                    return
-                if failure.slug in _RETRY_SIMT_SLUGS and self.simt_enabled:
-                    route, failure = "simt", None
-
-        if route == "simt" and failure is None:
+        if why is None:
+            failure = self._attempt(_BatchReplay, execution, key, now_ns)
+        if why is not None or (failure is not None
+                               and failure.slug in _RETRY_SIMT_SLUGS):
             # Point tier: launches no wider than the device (one µthread
             # per unit) execute as a synchronous per-lane walk with
             # verified symbolic replay — the masked engine's per-launch
             # numpy setup costs more than such launches' entire work.
-            # ``REPRO_POINT=0`` restores the masked-engine behaviour.
-            if (self.point_enabled and why != "phases"
-                    and execution.instance.num_body_uthreads
+            if (why != "phases" and execution.instance.num_body_uthreads
                     <= execution.num_units):
                 attempt_point(self, execution, now_ns)
-                return
-            failure = self._attempt_simt(execution, key, now_ns)
-            if failure is None:
-                return
+                failure = None
+            else:
+                failure = self._attempt(SimtPlan, execution, key, now_ns)
+        if failure is None:
+            # Take ownership of every µthread: a concurrent interpreter
+            # refill (e.g. from a fallback launch) must not re-execute
+            # this launch.
+            execution.consume_plan()
+            self._active.append(execution)
+            return
 
         device.stats.add("exec.batched_fallbacks")
         device.stats.add(f"exec.fallback_reason.{failure.slug}")
@@ -763,241 +633,50 @@ class BatchedBackend(InterpreterBackend):
 
     # ------------------------------------------------------------------
 
-    def _attempt_uniform(self, execution: KernelExecution, key,
-                         entry: TraceEntry | None,
-                         now_ns: float) -> LaunchFallback | None:
-        """Launch-uniform tier; returns the fallback on failure."""
-        device = self.device
-        cache = self.trace_cache
-        plan = None
-        cached = False
-        if entry is not None:
-            try:
-                plan = _BatchReplay(device, execution, entry=entry).run()
-                device.stats.add("exec.trace_cache_hits")
-                device.stats.add("exec.trace_cache_hits_batched")
-                cached = True
-            except (StaleTrace, LaunchFallback, UnsupportedVectorOp):
-                # behaviour diverged from the recorded trace (data-
-                # dependent control flow or addressing): retrace
-                cache.invalidate(key)
-                plan = None
-                entry = None
-        if plan is None:
-            try:
-                plan = _BatchReplay(device, execution).run()
-            except LaunchFallback as exc:
-                return exc
-            entry = self._build_entry(plan)
-            if cache.enabled:
-                device.stats.add("exec.trace_cache_misses")
-                cache.store(key, entry)
-        device.stats.add("exec.batched_launches")
-        plan.commit()
-        # Take ownership of every µthread: a concurrent interpreter refill
-        # (e.g. from a fallback launch) must not re-execute this launch.
-        execution.consume_plan()
-        self._active.append(execution)
-        self._schedule_completion(execution, plan.n, entry, now_ns, cached)
-        return None
+    def _attempt(self, plan_cls, execution: KernelExecution, key,
+                 now_ns: float) -> LaunchFallback | None:
+        """One vectorized tier, for either walk (``plan_cls`` is
+        :class:`_BatchReplay` or :class:`~repro.exec.simt.SimtPlan`).
 
-    def _attempt_simt(self, execution: KernelExecution, key,
-                      now_ns: float) -> LaunchFallback | None:
-        """Masked SIMT tier; returns the fallback on failure."""
+        Cache lookup -> verified replay (a stale recording is invalidated
+        and the launch retraced) -> store -> commit -> schedule; returns
+        the fallback when the walk cannot run the launch.
+        """
         device = self.device
         cache = self.trace_cache
+        stats = device.stats
         entry = (cache.lookup(key, device.translation_version)
                  if cache.enabled else None)
-        if not isinstance(entry, SimtTraceEntry):
+        if not isinstance(entry, plan_cls.entry_type):
+            if isinstance(entry, SimtTraceEntry):
+                # this shape degraded to the masked walk on a prior launch
+                return LaunchFallback("shape is cached by the masked walk",
+                                      "divergent")
             entry = None
         plan = None
-        cached = False
         if entry is not None:
             try:
-                plan = SimtPlan(device, execution, entry=entry).run()
-                device.stats.add("exec.trace_cache_hits")
-                device.stats.add("exec.trace_cache_hits_simt")
-                cached = True
+                plan = plan_cls(device, execution, entry=entry).run()
             except (StaleTrace, LaunchFallback):
-                # mask schedule or addressing diverged: retrace from scratch
+                # behaviour diverged from the recording (data-dependent
+                # control flow, addressing or mask schedule): retrace
                 cache.invalidate(key)
-                plan = None
-        if plan is None:
+        cached = plan is not None
+        if cached:
+            stats.add("exec.trace_cache_hits")
+            stats.add(f"exec.trace_cache_hits_{plan_cls.engine}")
+        else:
             try:
-                plan = SimtPlan(device, execution).run()
+                plan = plan_cls(device, execution).run()
             except LaunchFallback as exc:
                 return exc
             if cache.enabled:
-                device.stats.add("exec.trace_cache_misses")
-                cache.store(key, SimtTraceEntry(
-                    translation_version=device.translation_version,
-                    profiles=plan.profiles,
-                ))
+                stats.add("exec.trace_cache_misses")
+                cache.store(key, plan.entry)
         plan.commit()
-        device.stats.add("exec.simt_launches")
-        execution.consume_plan()
-        self._active.append(execution)
-        plan.cache_hit = cached
-        plan.schedule(now_ns)
+        stats.add(f"exec.{plan_cls.engine}_launches")
+        plan.schedule(now_ns, cached)
         return None
-
-    # ------------------------------------------------------------------
-
-    def _build_entry(self, plan: _BatchReplay) -> TraceEntry:
-        """Derive the reusable launch profile from a completed full walk."""
-        sector_bytes = self.device.config.l2.sector_bytes
-        fu_counts: dict[FUnit, int] = {}
-        latency_cycles = 0
-        for inst in plan.trace:
-            fu_counts[inst.unit] = fu_counts.get(inst.unit, 0) + 1
-            latency_cycles += inst.latency_cycles
-        steps: list[CachedStep] = []
-        streams: list[tuple[np.ndarray, bool]] = []
-        for ms in plan.mem_steps:
-            if ms.is_spad:
-                steps.append(CachedStep(True, ms.size, ms.is_write))
-                continue
-            sectors = step_sectors(ms.paddrs, ms.size, sector_bytes)
-            streams.append((sectors, ms.is_write))
-            steps.append(CachedStep(False, ms.size, ms.is_write,
-                                    vaddrs=ms.vaddrs, paddrs=ms.paddrs,
-                                    sector_count=len(sectors)))
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(
-            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
-        return TraceEntry(
-            translation_version=self.device.translation_version,
-            trace_len=len(plan.trace),
-            latency_cycles=latency_cycles,
-            fu_counts=fu_counts,
-            steps=steps,
-            merged_addrs=merged_addrs,
-            merged_writes=merged_writes,
-            page_count=page_count,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _schedule_completion(self, execution: KernelExecution, n: int,
-                             entry: TraceEntry, now_ns: float,
-                             cached: bool = False) -> None:
-        device = self.device
-        cfg = device.config.ndp
-        stats = device.stats
-        trace_len = entry.trace_len
-        fu_counts = entry.fu_counts
-        period = cfg.clock.period_ns
-        start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
-        # A partition-bound launch only sees (and only charges) its own
-        # unit window and its private L2/DRAM slice.
-        num_units = execution.num_units
-        units = device.units[execution.unit_base:
-                             execution.unit_base + num_units]
-
-        # --- issue-throughput bound (per sub-core, FGMT hides latency) ---
-        per_unit = math.ceil(n / num_units)
-        per_subcore = per_unit / cfg.subcores_per_unit
-        fu_width = {
-            FUnit.SALU: cfg.scalar_alus_per_subcore,
-            FUnit.VALU: cfg.vector_alus_per_subcore,
-        }
-        compute_ns = trace_len * per_subcore * period / cfg.issue_width
-        for fu, fu_count in fu_counts.items():
-            compute_ns = max(
-                compute_ns, fu_count * per_subcore * period / fu_width.get(fu, 1)
-            )
-        # Occupy the sub-cores' dispatch/FU issue servers with the whole
-        # launch in one bulk charge, so interpreter-path launches running
-        # concurrently observe this launch's issue pressure.
-        dispatch_ops = math.ceil(trace_len * per_subcore)
-        fu_ops = [(fu, math.ceil(c * per_subcore))
-                  for fu, c in fu_counts.items()]
-        for unit in units:
-            for subcore in unit.subcores:
-                subcore.dispatch.service_batch(start, dispatch_ops)
-                subcore.instructions_issued += dispatch_ops
-                for fu, ops in fu_ops:
-                    subcore.units[fu].service_batch(start, ops)
-
-        # --- traffic stats from the launch's step profile ----------------
-        for step in entry.steps:
-            if step.is_spad:
-                stats.add("ndp.spad_traffic_bytes", step.size * n)
-            else:
-                stats.add("ndp.global_traffic_bytes", step.size * n)
-                stats.add("ndp.global_accesses", n)
-
-        # --- latency floor: serial thread latency x occupancy waves ------
-        unit0 = units[0]
-        dram = (device.dram if execution.partition is None
-                else execution.partition.dram)
-        dram_lat = dram.typical_random_latency_ns()
-        l1_hit = device.config.ndp.l1d.hit_latency_ns
-        l2_hit = device.config.l2.hit_latency_ns
-        thread_lat = entry.latency_cycles * period
-        for step in entry.steps:
-            if step.is_spad:
-                thread_lat += unit0.scratchpad.latency_ns
-            elif step.is_write:
-                # posted write-through: the thread continues after L1
-                thread_lat += l1_hit
-            elif step.sector_count * 8 <= n:
-                # many threads share these sectors (e.g. gemv's activation
-                # vector): all but the first hit their unit's L1, so the
-                # typical thread's critical path pays a hit, not DRAM
-                thread_lat += l1_hit
-            else:
-                thread_lat += 2 * CROSSBAR_NS + l2_hit + dram_lat
-        slots_per_unit = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
-        waves = math.ceil(per_unit / slots_per_unit)
-        window = max(compute_ns, thread_lat * waves)
-
-        # --- memory-system bound: sector stream through the real L2/DRAM -
-        completion = start + window
-        merged = entry.merged_addrs.size
-        mem_done = None
-        if merged:
-            # Every participating unit takes one on-chip TLB fill per page
-            # it touches; the pre-warmed DRAM-TLB serves them without DRAM
-            # traffic (§III-H), so only the stat is charged.
-            stats.add("ndp.tlb_fill", entry.page_count * min(num_units, n))
-            dt = window / merged
-            arrivals = start + dt * np.arange(merged)
-            mem_done = device.l2_dram_access_batch(
-                entry.merged_addrs, arrivals, entry.merged_writes,
-                partition=execution.partition,
-            )
-            completion = max(completion, mem_done)
-
-        # --- bookkeeping + completion event ------------------------------
-        instance = execution.instance
-        stats.add("ndp.instructions", n * trace_len)
-        stats.add("ndp.uthreads_spawned", n)
-        stats.add("ndp.uthreads_finished", n)
-        ratio = min(per_unit, slots_per_unit) / slots_per_unit
-        for unit in units:
-            unit.occupancy.sampler.record(start, ratio)
-
-        if obs_tracer.ENABLED:
-            tracer = obs_tracer.tracer_of(device.sim)
-            span = tracer.record(
-                "exec.batched", start, completion, pid=device.trace_pid,
-                instance=instance.instance_id, uthreads=n,
-                trace_cache="hit" if cached else "miss")
-            if mem_done is not None:
-                tracer.record("mem.charge", start, mem_done, parent=span,
-                              pid=device.trace_pid, sectors=merged)
-
-        def finish() -> None:
-            now = device.sim.now
-            instance.instructions += n * trace_len
-            instance.uthreads_done = instance.uthreads_total
-            for unit in units:
-                unit.occupancy.sampler.record(now, 0.0)
-            execution.finish_now(now)
-
-        device.sim.schedule_at(completion, finish)
 
 
 register_backend(BatchedBackend.name, BatchedBackend)

@@ -56,9 +56,8 @@ system; traffic counters (``ndp.global_traffic_bytes`` etc.) are
 tallied exactly on every replay.  Cross-launch issue pressure is still
 applied as one bulk ``service_batch`` charge per lane.
 
-``REPRO_POINT=0`` disables this engine (small launches go back to the
-masked SIMT path); ``REPRO_TRACE_CACHE_GENERALIZE=0`` keeps the engine
-but pins exact-value cache keys.
+The engine is selected from the launch shape alone (single body section,
+no wider than the device — see ``BatchedBackend.register_execution``).
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ from repro.isa.registers import (
 from repro.errors import TranslationFault
 from repro.mem.scratchpad import _apply_amo
 from repro.ndp.generator import SPAWN_LATENCY_NS
+from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
-from repro.obs import tracer as obs_tracer
 
 _MASK64 = (1 << 64) - 1
 _F32 = struct.Struct("<f")
@@ -1010,7 +1009,8 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     """Run a point launch through walk/replay; always succeeds.
 
     The caller has already checked eligibility (single body, no phases,
-    n <= number of units).  Commits are immediate and interpreter-
+    n <= number of units) and takes ownership of the execution's
+    µthreads afterwards.  Commits are immediate and interpreter-
     equivalent, so there is no fallback: translation faults propagate
     exactly as the interpreter's would.
     """
@@ -1028,7 +1028,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     n = instance.num_body_uthreads
     tv = device.translation_version
 
-    key = point_key(execution, cache.generalize) if cache.enabled else None
+    key = point_key(execution) if cache.enabled else None
     family = cache.lookup_point(key, tv) if cache.enabled else None
     identity = (instance.pool_base, instance.offset_bias, instance.args)
 
@@ -1054,7 +1054,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
             except _PathMismatch:
                 pass
             except StaleTrace:
-                cache.invalidate_point(key)
+                cache.invalidate(key)
                 family = None
             else:
                 hits += 1
@@ -1084,9 +1084,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                 server.service_batch(t0, count)
         lane_done.append(done_t)
 
-    stats.add("ndp.instructions", total_inst)
-    stats.add("ndp.uthreads_spawned", n)
-    stats.add("ndp.uthreads_finished", n)
     stats.add("exec.simt_launches")
     stats.add("exec.point_launches")
     if hits:
@@ -1097,28 +1094,11 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     if misses:
         stats.add("exec.trace_cache_misses", misses)
 
-    slots = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
-    ratio = min((n + num_units - 1) // num_units, slots) / slots
-    for unit in exec_units:
-        unit.occupancy.sampler.record(t0, ratio)
-
     completion = max(lane_done) if lane_done else t0
     instance.lane_complete_ns = list(lane_done)
-    if obs_tracer.ENABLED:
-        obs_tracer.tracer_of(device.sim).record(
-            "exec.point", t0, completion, pid=device.trace_pid,
-            instance=instance.instance_id, lanes=n,
-            cache_hits=hits, cache_misses=misses,
-            generalized_hits=gen_hits)
-
-    def finish() -> None:
-        now = device.sim.now
-        instance.instructions += total_inst
-        instance.uthreads_done = instance.uthreads_total
-        for unit in exec_units:
-            unit.occupancy.sampler.record(now, 0.0)
-        execution.finish_now(now)
-
-    execution.consume_plan()
-    backend._active.append(execution)
-    device.sim.schedule_at(completion, finish)
+    tail = LaunchTail(device, execution, "exec.point", t0, lanes=n,
+                      cache_hits=hits, cache_misses=misses,
+                      generalized_hits=gen_hits)
+    slots = tail.slots_per_unit
+    tail.occupy(t0, min((n + num_units - 1) // num_units, slots) / slots)
+    tail.schedule(completion, total_inst, n)

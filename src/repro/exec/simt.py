@@ -47,15 +47,14 @@ L2/DRAM servers via the bulk charge APIs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import TranslationFault
+from repro.exec.trace_cache import SimtTraceEntry, StaleTrace
 from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
-from repro.isa.registers import to_signed64
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
 from repro.mem.physical import PAGE_SIZE
@@ -90,10 +89,6 @@ class LaunchFallback(Exception):
     def __init__(self, message: str, slug: str = "unsupported") -> None:
         super().__init__(message)
         self.slug = slug
-
-
-class _Done(Exception):
-    """Internal control-flow signal: every lane retired."""
 
 
 class Translator:
@@ -183,6 +178,101 @@ def merge_streams(
     ])
     order = np.argsort(positions, kind="stable")
     return addrs[order].astype(np.int64), writes[order]
+
+
+class LaunchTail:
+    """The launch-completion tail every fast engine shares.
+
+    An engine sizes each phase's *window* with its own roofline and hands
+    it to :meth:`pace`, which feeds the phase's merged sector stream
+    through the device's real L2/DRAM servers at a uniform rate across
+    that window; :meth:`schedule` then books the launch counters and the
+    completion event.  Spans: one ``span_name`` launch span from
+    ``start_ns``, optional per-phase spans, and a ``mem.charge`` child
+    per paced stream.
+    """
+
+    def __init__(self, device, execution: KernelExecution, span_name: str,
+                 start_ns: float, **span_args) -> None:
+        self.device = device
+        self.execution = execution
+        # A partition-bound launch only sees (and only charges) its own
+        # unit window and its private L2/DRAM slice.
+        self.units = device.units[execution.unit_base:
+                                  execution.unit_base + execution.num_units]
+        cfg = device.config.ndp
+        self.slots_per_unit = (cfg.subcores_per_unit
+                               * cfg.uthread_slots_per_subcore)
+        #: issue servers per sub-core by functional unit (any other: one)
+        self.fu_width = {FUnit.SALU: cfg.scalar_alus_per_subcore,
+                         FUnit.VALU: cfg.vector_alus_per_subcore}
+        self.tracer = self.span = None
+        if obs_tracer.ENABLED:
+            self.tracer = obs_tracer.tracer_of(device.sim)
+            self.span = self.tracer.begin(
+                span_name, start_ns, pid=device.trace_pid,
+                instance=execution.instance.instance_id, **span_args)
+
+    def occupy(self, at_ns: float, ratio: float) -> None:
+        for unit in self.units:
+            unit.occupancy.sampler.record(at_ns, ratio)
+
+    def pace(self, start: float, window: float, lanes: int, ratio: float,
+             profile, phase_span: str | None = None) -> float:
+        """Charge one phase's sector stream (``profile``: a
+        :class:`TraceEntry` or :class:`SimtPhaseProfile`); returns the
+        phase completion."""
+        device = self.device
+        completion = start + window
+        merged = profile.merged_addrs.size
+        mem_done = None
+        if merged:
+            # Every participating unit takes one on-chip TLB fill per page
+            # it touches; the pre-warmed DRAM-TLB serves them without DRAM
+            # traffic (§III-H), so only the stat is charged.
+            device.stats.add("ndp.tlb_fill",
+                             profile.page_count * min(len(self.units), lanes))
+            dt = window / merged
+            arrivals = start + dt * np.arange(merged)
+            mem_done = device.l2_dram_access_batch(
+                profile.merged_addrs, arrivals, profile.merged_writes,
+                partition=self.execution.partition,
+            )
+            completion = max(completion, mem_done)
+        if self.tracer is not None:
+            parent = self.span
+            if phase_span is not None:
+                parent = self.tracer.record(
+                    phase_span, start, completion, parent=parent,
+                    pid=device.trace_pid, lanes=lanes)
+            if mem_done is not None:
+                self.tracer.record("mem.charge", start, mem_done,
+                                   parent=parent, pid=device.trace_pid,
+                                   sectors=merged)
+        self.occupy(start, ratio)
+        return completion
+
+    def schedule(self, completion: float, instructions: int,
+                 lanes: int) -> None:
+        """Book the launch's counters and its completion event."""
+        device = self.device
+        execution = self.execution
+        instance = execution.instance
+        stats = device.stats
+        stats.add("ndp.instructions", instructions)
+        stats.add("ndp.uthreads_spawned", lanes)
+        stats.add("ndp.uthreads_finished", lanes)
+        if self.tracer is not None:
+            self.tracer.end(self.span, completion)
+
+        def finish() -> None:
+            now = device.sim.now
+            instance.instructions += instructions
+            instance.uthreads_done = instance.uthreads_total
+            self.occupy(now, 0.0)
+            execution.finish_now(now)
+
+        device.sim.schedule_at(completion, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +575,13 @@ class _StackEntry:
 # ---------------------------------------------------------------------------
 
 
-class _PhaseWalk:
-    """Masked lockstep execution of one phase's µthreads."""
+class _PhaseWalk(vo.LaneISA):
+    """Masked lockstep execution of one phase's µthreads.
+
+    Every register is held per lane — ``(n,)`` scalars, ``(n, k)``
+    vectors — and written under the active mask; the instruction
+    semantics themselves are :class:`~repro.isa.vectorops.LaneISA`'s.
+    """
 
     def __init__(self, plan: "SimtPlan", kind: Phase, program, n: int,
                  x1: np.ndarray, x2: np.ndarray, unit_of_lane: np.ndarray,
@@ -494,6 +589,7 @@ class _PhaseWalk:
         self.plan = plan
         self.program = program
         self.n = n
+        self._lanes = (n,)
         self.unit_of_lane = unit_of_lane
         self._verify = profile
         self._step_i = 0
@@ -553,16 +649,6 @@ class _PhaseWalk:
         v = np.broadcast_to(np.asarray(val, dtype=np.float64), (self.n,))
         self.fr[idx] = v.copy() if m is None else np.where(m, v, self.fr[idx])
 
-    def _read_v(self, idx: int, count: int) -> np.ndarray:
-        arr = self.vr[idx]
-        if arr is None or arr.shape[-1] == 0:
-            return np.zeros((self.n, count), dtype=np.uint64)
-        k = arr.shape[-1]
-        if k < count:
-            pad = np.zeros((self.n, count - k), dtype=np.uint64)
-            arr = np.concatenate([arr, pad], axis=-1)
-        return arr[:, :count]
-
     def _wv(self, idx: int, val: np.ndarray, m: np.ndarray | None) -> None:
         v = np.asarray(val, dtype=np.uint64)
         if v.ndim == 1:
@@ -590,10 +676,8 @@ class _PhaseWalk:
             raise LaunchFallback(f"µthread-divergent {what}", slug)
         return int(first)
 
-    def _eff_vl(self, m: np.ndarray | None, sew_bits: int) -> int:
-        limit = vlmax(sew_bits)
-        v = self._uniform(self.vl, m, "vector length")
-        return limit if v < 0 else min(v, limit)
+    def _cur_vl(self, m: np.ndarray | None) -> int:
+        return self._uniform(self.vl, m, "vector length")
 
     def _cur_sew(self, m: np.ndarray | None) -> int:
         return self._uniform(self.sew, m, "vector SEW")
@@ -621,8 +705,6 @@ class _PhaseWalk:
     def _verify_step(self, op: str, size: int, lanes: np.ndarray,
                      vaddrs: np.ndarray, spad: np.ndarray | None,
                      amo_op: str | None, amo_float: bool) -> SimtStep:
-        from repro.exec.trace_cache import StaleTrace
-
         profile = self._verify
         if self._step_i >= len(profile.steps):
             raise StaleTrace("more memory steps than the cached trace")
@@ -1003,8 +1085,6 @@ class _PhaseWalk:
     # -- main walk ---------------------------------------------------------
 
     def run(self) -> SimtPhaseProfile:
-        from repro.exec.trace_cache import StaleTrace
-
         instructions = self.program.instructions
         count = len(instructions)
         ipdom = immediate_postdominators(self.program)
@@ -1060,18 +1140,11 @@ class _PhaseWalk:
     def _branch(self, inst: Instruction, top: _StackEntry, mask: np.ndarray,
                 m: np.ndarray | None, stack: list[_StackEntry],
                 ipdom: list[int]) -> None:
-        mnemonic = inst.mnemonic
         pc = top.next_pc
-        if mnemonic == "j":
+        if inst.mnemonic == "j":
             top.next_pc = inst.target
             return
-        if mnemonic in vo.BRANCHES:
-            cond = vo.BRANCHES[mnemonic](self.xr[inst.rs1], self.xr[inst.rs2])
-        elif mnemonic in vo.BRANCHES_Z:
-            cond = vo.BRANCHES_Z[mnemonic](self.xr[inst.rs1])
-        else:
-            raise LaunchFallback(f"unsupported branch {mnemonic}")
-        taken = np.asarray(cond, dtype=bool) & mask
+        taken = np.asarray(self._branch_cond(inst), dtype=bool) & mask
         n_taken = int(taken.sum())
         if n_taken == int(mask.sum()):
             top.next_pc = inst.target
@@ -1119,59 +1192,6 @@ class _PhaseWalk:
             raise LaunchFallback(f"unsupported op class {op.value}")
 
     # -- scalar ------------------------------------------------------------
-
-    def _exec_alu(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        xr, fr = self.xr, self.fr
-        if mn in vo.INT_BINOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[mn](xr[inst.rs1], xr[inst.rs2]), m)
-        elif mn in vo.INT_IMMOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[vo.INT_IMMOPS[mn]](
-                xr[inst.rs1], np.int64(inst.imm)), m)
-        elif mn in ("addw", "mulw"):
-            base = vo.INT_BINOPS["add" if mn == "addw" else "mul"]
-            self._wx(inst.rd,
-                     base(xr[inst.rs1], xr[inst.rs2]).astype(np.int32), m)
-        elif mn == "li":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm)), m)
-        elif mn == "lui":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)), m)
-        elif mn == "mv":
-            self._wx(inst.rd, xr[inst.rs1], m)
-        elif mn == "neg":
-            self._wx(inst.rd, -xr[inst.rs1], m)
-        elif mn == "seqz":
-            self._wx(inst.rd, (xr[inst.rs1] == 0).astype(np.int64), m)
-        elif mn == "snez":
-            self._wx(inst.rd, (xr[inst.rs1] != 0).astype(np.int64), m)
-        elif mn in vo.FP_BINOPS:
-            self._wf(inst.rd, vo.FP_BINOPS[mn](fr[inst.rs1], fr[inst.rs2]), m)
-        elif mn in vo.FP_COMPARES:
-            self._wx(inst.rd,
-                     vo.FP_COMPARES[mn](fr[inst.rs1], fr[inst.rs2]), m)
-        elif mn == "fmadd.d":
-            self._wf(inst.rd,
-                     fr[inst.rs1] * fr[inst.rs2] + fr[inst.rs3], m)
-        elif mn == "fsqrt.d":
-            val = fr[inst.rs1]
-            check = val if m is None else val[m]
-            if np.any(check < 0):
-                raise LaunchFallback("fsqrt of negative value")
-            self._wf(inst.rd, np.sqrt(np.abs(val)), m)
-        elif mn == "fmv.d":
-            self._wf(inst.rd, fr[inst.rs1], m)
-        elif mn == "fmv.x.d":
-            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
-            self._wx(inst.rd, bits.view(np.int64), m)
-        elif mn == "fmv.d.x":
-            bits = np.ascontiguousarray(xr[inst.rs1], dtype=np.int64)
-            self._wf(inst.rd, bits.view(np.float64), m)
-        elif mn in ("fcvt.d.l", "fcvt.s.l"):
-            self._wf(inst.rd, xr[inst.rs1].astype(np.float64), m)
-        elif mn == "fcvt.l.d":
-            self._wx(inst.rd, np.trunc(fr[inst.rs1]).astype(np.int64), m)
-        else:
-            raise LaunchFallback(f"unsupported mnemonic {mn}")
 
     def _active(self, mask: np.ndarray) -> np.ndarray:
         return np.nonzero(mask)[0]
@@ -1337,147 +1357,6 @@ class _PhaseWalk:
         self._amo(flat_lanes, addrs, values.reshape(-1), "add", inst.size,
                   False)
 
-    def _exec_valu(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        sew = self._cur_sew(m)
-        vl = self._eff_vl(m, sew)
-
-        if mn in vo.V_INT_BINOPS:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(vo.V_INT_BINOPS[mn](a, b), sew), m)
-        elif mn in vo.V_INT_SCALAR:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.xr[inst.rs2])
-            self._wv(inst.rd, vo.to_pattern(vo.V_INT_SCALAR[mn](a, s), sew), m)
-        elif mn in vo.V_INT_IMM:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(
-                vo.V_INT_IMM[mn](a, np.int64(inst.imm)), sew), m)
-        elif mn == "vmacc.vv":
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            d = vo.sign_extend(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(d + a * b, sew), m)
-        elif mn in vo.V_FP_BINOPS:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(
-                vo.V_FP_BINOPS[mn](a, b), sew), m)
-        elif mn in vo.V_FP_SCALAR:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            self._wv(inst.rd, vo.float_to_bits(
-                vo.V_FP_SCALAR[mn](a, s), sew), m)
-        elif mn == "vfmacc.vf":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(d + a * s, sew), m)
-        elif mn == "vfmacc.vv":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(d + a * b, sew), m)
-        elif mn in vo.V_INT_COMPARES:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.xr[inst.rs2])
-            self._wv(inst.rd,
-                     vo.V_INT_COMPARES[mn](a, s).astype(np.uint64), m)
-        elif mn in vo.V_FP_COMPARES:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            self._wv(inst.rd,
-                     vo.V_FP_COMPARES[mn](a, s).astype(np.uint64), m)
-        elif mn in ("vmand.mm", "vmor.mm"):
-            a = self._read_v(inst.rs1, vl) != 0
-            b = self._read_v(inst.rs2, vl) != 0
-            out = (a & b) if mn == "vmand.mm" else (a | b)
-            self._wv(inst.rd, out.astype(np.uint64), m)
-        elif mn == "vmerge.vxm":
-            a = self._read_v(inst.rs1, vl)
-            s = vo.to_pattern(vo.per_thread(self.xr[inst.rs2]), sew)
-            vmask = self._read_v(0, vl) != 0
-            self._wv(inst.rd, np.where(vmask, s, a), m)
-        elif mn == "vmerge.vim":
-            a = self._read_v(inst.rs1, vl)
-            vmask = self._read_v(0, vl) != 0
-            self._wv(inst.rd, np.where(
-                vmask, vo.to_pattern(np.int64(inst.imm), sew), a), m)
-        elif mn == "vmv.v.i":
-            self._wv(inst.rd, np.full(
-                (self.n, vl), vo.to_pattern(np.int64(inst.imm), sew),
-                dtype=np.uint64), m)
-        elif mn == "vmv.v.x":
-            s = vo.to_pattern(self.xr[inst.rs1], sew)
-            self._wv(inst.rd, np.repeat(s[:, None], max(vl, 1), axis=1), m)
-        elif mn == "vmv.v.v":
-            self._wv(inst.rd, self._read_v(inst.rs1, vl).copy(), m)
-        elif mn == "vid.v":
-            self._wv(inst.rd, np.broadcast_to(
-                np.arange(vl, dtype=np.uint64), (self.n, vl)), m)
-        elif mn == "vfmv.v.f":
-            s = vo.float_to_bits(self.fr[inst.rs1], sew)
-            self._wv(inst.rd, np.repeat(s[:, None], max(vl, 1), axis=1), m)
-        elif mn == "vmv.x.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wx(inst.rd, np.int64(0), m)
-            else:
-                self._wx(inst.rd, vo.sign_extend(values[:, 0], sew), m)
-        elif mn == "vmv.s.x":
-            cur = self.vr[inst.rd]
-            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
-            arr = self._read_v(inst.rd, k).copy()
-            arr[:, 0] = vo.to_pattern(self.xr[inst.rs1], sew)
-            self._wv(inst.rd, arr, m)
-        elif mn == "vfmv.f.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wf(inst.rd, 0.0, m)
-            else:
-                self._wf(inst.rd, vo.bits_to_float(values[:, 0], sew), m)
-        else:
-            raise LaunchFallback(f"unsupported vector mnemonic {mn}")
-
-    def _exec_vred(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        sew = self._cur_sew(m)
-        vl = self._eff_vl(m, sew)
-        va = self._read_v(inst.rs1, vl)
-        seed = self._read_v(inst.rs2, max(vl, 1))[:, 0]
-
-        # Element accumulation is an *ordered* loop over the (tiny) vl so
-        # float rounding matches the scalar executor exactly.
-        if mn == "vredsum.vs":
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = acc + vs[:, j]
-            result = vo.to_pattern(acc, sew)
-        elif mn in ("vredmax.vs", "vredmin.vs"):
-            fold = np.maximum if mn == "vredmax.vs" else np.minimum
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = fold(acc, vs[:, j])
-            result = vo.to_pattern(acc, sew)
-        elif mn == "vfredusum.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = acc + vs[:, j]
-            result = vo.float_to_bits(acc, sew)
-        elif mn == "vfredmax.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = np.maximum(acc, vs[:, j])
-            result = vo.float_to_bits(acc, sew)
-        else:
-            raise LaunchFallback(f"unsupported reduction {mn}")
-        self._wv(inst.rd, np.asarray(result, dtype=np.uint64)[:, None], m)
-
     # -- profile -----------------------------------------------------------
 
     def _build_profile(self) -> SimtPhaseProfile:
@@ -1527,11 +1406,16 @@ class SimtPlan:
     phase's buffered global stores commit at its barrier (with undo
     records), scratchpad effects accumulate on per-unit shadows, and a
     fallback or stale-trace abort anywhere rolls the whole launch back so
-    the interpreter re-executes it from pristine state.
+    the interpreter re-executes it from pristine state.  With a cached
+    :class:`SimtTraceEntry` the walk is a verified replay; either way
+    ``entry`` holds the launch's cacheable schedule once ``run`` returns.
     """
 
+    engine = "simt"
+    entry_type = SimtTraceEntry
+
     def __init__(self, device, execution: KernelExecution,
-                 entry=None) -> None:
+                 entry: SimtTraceEntry | None = None) -> None:
         self.device = device
         self.execution = execution
         self.entry = entry
@@ -1540,7 +1424,6 @@ class SimtPlan:
         self.spad_shadows: dict[int, np.ndarray] = {}
         self.undo: list[tuple[np.ndarray, np.ndarray]] = []
         self.profiles: list[SimtPhaseProfile] = []
-        self._committed = False
 
     # -- scratchpad shadows ------------------------------------------------
 
@@ -1603,7 +1486,6 @@ class SimtPlan:
                     executed.append((kind, section, n, x1, x2, unit_of_lane))
             if (entry_profiles is not None
                     and len(entry_profiles) != len(executed)):
-                from repro.exec.trace_cache import StaleTrace
                 raise StaleTrace("phase count diverged from cached trace")
             for i, (kind, section, n, x1, x2, unit_of_lane) in enumerate(
                     executed):
@@ -1617,6 +1499,10 @@ class SimtPlan:
         except BaseException:
             self.rollback()
             raise
+        if self.entry is None:
+            self.entry = SimtTraceEntry(
+                translation_version=self.device.translation_version,
+                profiles=self.profiles)
         return self
 
     def _commit_stores(self, walk: _PhaseWalk) -> None:
@@ -1656,40 +1542,26 @@ class SimtPlan:
             if profile.atomics:
                 stats.add("ndp.global_atomics", profile.atomics)
         self.undo.clear()
-        self._committed = True
 
     # -- timing -------------------------------------------------------------
 
-    def schedule(self, now_ns: float) -> None:
+    def schedule(self, now_ns: float, cached: bool) -> None:
         """Charge the launch analytically and schedule its completion."""
         device = self.device
         cfg = device.config.ndp
         stats = device.stats
         period = cfg.clock.period_ns
         num_units = self.execution.num_units
-        units = device.units[self.execution.unit_base:
-                             self.execution.unit_base + num_units]
         subcores = cfg.subcores_per_unit
-        slots_per_unit = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
-        granularity = units[0].occupancy.subcores[0].spawn_granularity
-        fu_width = {
-            FUnit.SALU: cfg.scalar_alus_per_subcore,
-            FUnit.VALU: cfg.vector_alus_per_subcore,
-        }
-        execution = self.execution
         t = max(now_ns, device.sim.now)
+        tail = LaunchTail(device, self.execution, "exec.simt",
+                          t + SPAWN_LATENCY_NS, phases=len(self.profiles),
+                          trace_cache="hit" if cached else "miss")
+        units, fu_width = tail.units, tail.fu_width
+        slots_per_unit = tail.slots_per_unit
+        granularity = units[0].occupancy.subcores[0].spawn_granularity
         total_instructions = 0
         total_lanes = 0
-        tracer = None
-        launch_span = None
-        if obs_tracer.ENABLED:
-            tracer = obs_tracer.tracer_of(device.sim)
-            launch_span = tracer.begin(
-                "exec.simt", t + SPAWN_LATENCY_NS, pid=device.trace_pid,
-                instance=execution.instance.instance_id,
-                phases=len(self.profiles),
-                trace_cache="hit" if getattr(self, "cache_hit", False)
-                else "miss")
 
         for profile in self.profiles:
             start = t + SPAWN_LATENCY_NS
@@ -1725,15 +1597,12 @@ class SimtPlan:
                             subcore.units[fu].service_batch(start, f_ops)
                     sub_i += 1
 
-            # --- traffic + footprint stats -------------------------------
+            # --- traffic stats -------------------------------------------
             if profile.global_bytes:
                 stats.add("ndp.global_traffic_bytes", profile.global_bytes)
                 stats.add("ndp.global_accesses", profile.global_accesses)
             if profile.spad_bytes:
                 stats.add("ndp.spad_traffic_bytes", profile.spad_bytes)
-            if profile.merged_addrs.size:
-                stats.add("ndp.tlb_fill",
-                          profile.page_count * min(num_units, n))
 
             # --- latency floor: per-unit chunked-wave model --------------
             lat = profile.lat_cycles * period + profile.mem_lat
@@ -1742,52 +1611,13 @@ class SimtPlan:
             window = max(compute_ns, floor, period)
 
             # --- memory-system bound: sector stream through L2/DRAM ------
-            completion = start + window
-            merged = profile.merged_addrs.size
-            mem_done = None
-            if merged:
-                dt = window / merged
-                arrivals = start + dt * np.arange(merged)
-                mem_done = device.l2_dram_access_batch(
-                    profile.merged_addrs, arrivals, profile.merged_writes,
-                    partition=execution.partition,
-                )
-                completion = max(completion, mem_done)
-
-            if tracer is not None:
-                phase_span = tracer.record(
-                    "exec.simt.phase", start, completion,
-                    parent=launch_span, pid=device.trace_pid, lanes=n)
-                if mem_done is not None:
-                    tracer.record("mem.charge", start, mem_done,
-                                  parent=phase_span, pid=device.trace_pid,
-                                  sectors=merged)
-
             ratio = min(int(profile.unit_of_lane.size and np.bincount(
                 profile.unit_of_lane, minlength=num_units).max()),
                 slots_per_unit) / slots_per_unit
-            for unit in units:
-                unit.occupancy.sampler.record(start, ratio)
-            t = completion
+            t = tail.pace(start, window, n, ratio, profile,
+                          phase_span="exec.simt.phase")
 
-        if tracer is not None:
-            tracer.end(launch_span, t)
-        stats.add("ndp.instructions", total_instructions)
-        stats.add("ndp.uthreads_spawned", total_lanes)
-        stats.add("ndp.uthreads_finished", total_lanes)
-
-        instance = execution.instance
-        done_instructions = total_instructions
-
-        def finish() -> None:
-            now = device.sim.now
-            instance.instructions += done_instructions
-            instance.uthreads_done = instance.uthreads_total
-            for unit in units:
-                unit.occupancy.sampler.record(now, 0.0)
-            execution.finish_now(now)
-
-        device.sim.schedule_at(t, finish)
+        tail.schedule(t, total_instructions, total_lanes)
 
 
 def _latency_floor(lat: np.ndarray, unit_of_lane: np.ndarray,

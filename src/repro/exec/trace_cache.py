@@ -31,8 +31,9 @@ invalidates the entry and falls back to a full trace, so the cache can
 change wall-clock time but never results.
 
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely (every launch takes
-the full trace path); ``REPRO_TRACE_CACHE_CAPACITY`` bounds the number of
-retained entries (LRU, default 64).
+the full trace path); ``REPRO_TRACE_CACHE_CAPACITY`` (int >= 1) bounds
+the number of retained entries (LRU, default 64).  Both are validated at
+construction (:meth:`TraceCache.from_env`).
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
 :class:`PointPathEntry` *families*: one cache slot per **structural** key
@@ -42,9 +43,6 @@ the recorded path carries symbolic address/branch expressions that are
 re-evaluated against the live launch, so a KVS GET for key A replays a
 path recorded for key B as long as both walks take the same branches
 (``exec.trace_cache_hits_generalized`` counts such hits).
-``REPRO_TRACE_CACHE_GENERALIZE=0`` restores exact-value keys (pool base,
-bound, bias and argument bytes all pinned), the pre-generalization
-behaviour.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.isa.encoding import FUnit
 
 #: Default number of cached launch shapes kept per device.
@@ -71,25 +70,31 @@ class StaleTrace(Exception):
 
 
 def kernel_code_hash(program) -> int:
-    """Structural hash of one kernel body's decoded instructions.
+    """Structural hash of a kernel's decoded instructions, every section.
 
-    Memoized on the program object: cluster runtimes re-register the same
-    kernel source per logical launch, producing fresh ``Program`` objects
-    with identical instruction streams, so the hash must follow content,
-    not identity.
+    A cached entry holds the profile of *every* executed phase, so the
+    initializer, each body and the finalizer all belong in the hash (with
+    their roles: ``None`` marks an absent section).  Memoized on the
+    :class:`~repro.isa.assembler.KernelProgram`: cluster runtimes
+    re-register the same kernel source per logical launch, producing fresh
+    program objects with identical instruction streams, so the hash must
+    follow content, not identity.
     """
     cached = getattr(program, "_trace_code_hash", None)
     if cached is not None:
         return cached
-    digest = hash(tuple(
-        (inst.mnemonic, inst.rd, inst.rs1, inst.rs2, inst.rs3, inst.imm,
-         inst.target, inst.size)
-        for inst in program.instructions
-    ))
-    try:
-        program._trace_code_hash = digest
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+
+    def section(part):
+        return None if part is None else tuple(
+            (inst.mnemonic, inst.rd, inst.rs1, inst.rs2, inst.rs3, inst.imm,
+             inst.target, inst.size)
+            for inst in part.instructions
+        )
+
+    program._trace_code_hash = digest = hash((
+        section(program.initializer),
+        tuple(section(body) for body in program.bodies),
+        section(program.finalizer)))
     return digest
 
 
@@ -102,7 +107,7 @@ def trace_key(execution) -> tuple:
     """
     instance = execution.instance
     return (
-        kernel_code_hash(instance.kernel.program.bodies[0]),
+        kernel_code_hash(instance.kernel.program),
         instance.pool_base,
         instance.pool_bound,
         instance.uthread_stride,
@@ -112,26 +117,19 @@ def trace_key(execution) -> tuple:
     )
 
 
-def point_key(execution, generalize: bool = True) -> tuple:
+def point_key(execution) -> tuple:
     """Structural cache key for a point launch (n <= lane width).
 
-    With ``generalize`` the key is value-free: code hash, stride, ASID
-    and argument-block *length* only.  Pool base, offset bias and the
-    argument bytes are excluded because the cached path stores them
-    symbolically (see :mod:`repro.exec.point`) and re-resolves them
-    against the live launch; relational branch guards + verified load
-    bytes ensure a path only replays when it reproduces the launch's
-    exact control flow.  Without ``generalize`` every value is pinned,
-    restoring exact-key (pre-generalization) matching.
+    The key is value-free: code hash, stride, ASID and argument-block
+    *length* only.  Pool base, offset bias and the argument bytes are
+    excluded because the cached path stores them symbolically (see
+    :mod:`repro.exec.point`) and re-resolves them against the live
+    launch; relational branch guards + verified load bytes ensure a path
+    only replays when it reproduces the launch's exact control flow.
     """
     instance = execution.instance
-    code = kernel_code_hash(instance.kernel.program.bodies[0])
-    if not generalize:
-        return ("point", code, instance.pool_base, instance.pool_bound,
-                instance.uthread_stride, instance.offset_bias,
-                instance.asid, instance.args)
-    return ("point", code, instance.uthread_stride, instance.asid,
-            len(instance.args))
+    return ("point", kernel_code_hash(instance.kernel.program),
+            instance.uthread_stride, instance.asid, len(instance.args))
 
 
 @dataclass
@@ -325,89 +323,87 @@ class TraceCache:
     """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
 
     def __init__(self, enabled: bool = True,
-                 capacity: int = DEFAULT_CAPACITY,
-                 generalize: bool = True) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self.generalize = generalize
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
 
     @classmethod
     def from_env(cls) -> "TraceCache":
-        enabled = os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
-        capacity = int(os.environ.get("REPRO_TRACE_CACHE_CAPACITY",
-                                      DEFAULT_CAPACITY))
-        generalize = os.environ.get("REPRO_TRACE_CACHE_GENERALIZE",
-                                    "1") != "0"
-        return cls(enabled=enabled, capacity=capacity, generalize=generalize)
+        """Build from ``REPRO_TRACE_CACHE`` / ``REPRO_TRACE_CACHE_CAPACITY``."""
+        raw = os.environ.get("REPRO_TRACE_CACHE", "1")
+        if raw not in ("0", "1"):
+            raise ConfigError(
+                f"REPRO_TRACE_CACHE must be '0' or '1', got {raw!r} "
+                f"(from REPRO_TRACE_CACHE environment variable)"
+            )
+        capacity = DEFAULT_CAPACITY
+        raw_capacity = os.environ.get("REPRO_TRACE_CACHE_CAPACITY")
+        if raw_capacity is not None:
+            if not raw_capacity.isdigit() or int(raw_capacity) < 1:
+                raise ConfigError(
+                    f"REPRO_TRACE_CACHE_CAPACITY must be an integer >= 1, "
+                    f"got {raw_capacity!r} (from REPRO_TRACE_CACHE_CAPACITY "
+                    f"environment variable)"
+                )
+            capacity = int(raw_capacity)
+        return cls(enabled=raw == "1", capacity=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple, translation_version: int) -> TraceEntry | None:
-        """Return a fresh entry or None; stale entries are dropped here."""
+    def _fresh(self, key: tuple, translation_version: int):
+        """The slot's content, touched as most recent — or None after
+        dropping it because the memory layout changed under it."""
         if not self.enabled:
             return None
         entry = self._entries.get(key)
         if entry is None:
             return None
         if entry.translation_version != translation_version:
-            # memory layout changed under the trace: invalidate
             del self._entries[key]
             return None
         self._entries.move_to_end(key)
         return entry
 
-    def store(self, key: tuple, entry: TraceEntry) -> None:
-        if not self.enabled:
-            return
+    def _put(self, key: tuple, entry) -> None:
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def lookup(self, key: tuple, translation_version: int) -> TraceEntry | None:
+        """Return a fresh entry or None; stale entries are dropped here."""
+        return self._fresh(key, translation_version)
+
+    def store(self, key: tuple, entry: TraceEntry) -> None:
+        if self.enabled:
+            self._put(key, entry)
+
     def invalidate(self, key: tuple) -> None:
+        """Drop a slot: a stale trace, or a whole point family (stale
+        verified bytes somewhere in it)."""
         self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()
 
-    # -- point-launch path families -----------------------------------
+    # -- point-launch path families (structural keys: disjoint slots) ---
 
     def lookup_point(self, key: tuple,
                      translation_version: int) -> PointFamily | None:
         """Fresh path-trie family for a structural point key, or None."""
-        if not self.enabled:
-            return None
-        family = self._entries.get(key)
-        if not isinstance(family, PointFamily):
-            return None
-        if family.translation_version != translation_version:
-            # memory layout changed under the recorded paths: invalidate
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return family
+        return self._fresh(key, translation_version)
 
     def store_point(self, key: tuple, translation_version: int,
                     entry: PointPathEntry) -> None:
         if not self.enabled:
             return
-        family = self._entries.get(key)
-        if (not isinstance(family, PointFamily)
-                or family.translation_version != translation_version):
+        family = self._fresh(key, translation_version)
+        if family is None:
             family = PointFamily(translation_version=translation_version)
         if not family.insert(entry.steps, entry):
             # structural conflict: restart the family with the fresh path
             family = PointFamily(translation_version=translation_version)
             family.insert(entry.steps, entry)
-        self._entries[key] = family
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def invalidate_point(self, key: tuple) -> None:
-        """Drop a whole family (stale verified bytes somewhere in it)."""
-        family = self._entries.get(key)
-        if isinstance(family, PointFamily):
-            del self._entries[key]
+        self._put(key, family)

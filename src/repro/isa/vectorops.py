@@ -1,11 +1,11 @@
 """Vectorizable per-op semantics shared by the numpy execution engines.
 
 The scalar executor (:mod:`repro.isa.executor`) defines what every
-mnemonic *means* one µthread at a time.  The two vectorized engines — the
-launch-uniform batched walk (:mod:`repro.exec.batched`) and the masked
-SIMT walk (:mod:`repro.exec.simt`) — need the same semantics over numpy
-*lane arrays*.  This module is the single home for those array-level
-primitives so the engines cannot drift apart:
+mnemonic *means* one µthread at a time.  The two vectorized walks — the
+launch-uniform walk (:mod:`repro.exec.batched`) and the masked SIMT walk
+(:mod:`repro.exec.simt`) — need the same semantics over numpy *lane
+arrays*.  This module is the single home for them so the walks cannot
+drift apart:
 
 * bit-pattern helpers (sign extension, IEEE-754 reinterpretation,
   little-endian byte (de)serialization) that operate on uint64 element
@@ -16,10 +16,13 @@ primitives so the engines cannot drift apart:
   zero, INT64_MIN / -1) and ``mulhu``'s 128-bit upper half,
 * the memory-op metadata (access sizes, AMO op/width/float tables)
   re-exported from the scalar executor so there is exactly one source of
-  truth for what ``amoadd.w`` or ``fld`` does.
+  truth for what ``amoadd.w`` or ``fld`` does,
+* :class:`LaneISA` — the register-to-register instructions (scalar ALU,
+  vector ALU, reductions) dispatched over those tables, written once
+  against the register-file primitives each walk supplies.
 
-Everything here is stateless and mask-agnostic: callers decide which
-lanes participate and how results merge into register state.
+The helpers and tables are stateless and mask-agnostic: callers decide
+which lanes participate and how results merge into register state.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from repro.isa.executor import (  # noqa: F401  (re-exports)
     LOAD_UNSIGNED,
     STORES,
 )
+from repro.isa.registers import to_signed64
+from repro.isa.vector import vlmax
 
 
 class UnsupportedVectorOp(Exception):
@@ -291,3 +296,258 @@ V_FP_COMPARES = {
     "vmfgt.vf": lambda a, s: a > s,
     "vmfge.vf": lambda a, s: a >= s,
 }
+
+#: ``.vs`` reductions: mnemonic -> (ordered fold, operands are floats)
+V_REDUCTIONS = {
+    "vredsum.vs": (np.add, False),
+    "vredmax.vs": (np.maximum, False),
+    "vredmin.vs": (np.minimum, False),
+    "vfredusum.vs": (np.add, True),
+    "vfredmax.vs": (np.maximum, True),
+}
+
+
+# ---------------------------------------------------------------------------
+# the register-to-register lane ISA, written once for both walks
+# ---------------------------------------------------------------------------
+
+
+class LaneISA:
+    """Scalar-ALU, vector-ALU and reduction semantics over lane arrays.
+
+    Both vectorized walks inherit these three executors; a walk supplies
+    only its register representation:
+
+    * ``xr`` / ``fr`` / ``vr`` register files (``vr`` entries are uint64
+      element matrices whose last axis is the element index, or None),
+    * ``_wx/_wf/_wv(rd, val, m)`` — write a result under the active-lane
+      mask ``m`` (None = every lane),
+    * ``_cur_sew(m)`` / ``_cur_vl(m)`` — the vector configuration the
+      active lanes agree on (``vl < 0`` = never set, i.e. VLMAX),
+    * ``_lanes`` — the leading shape of a freshly materialised vector
+      register: ``(n,)`` when every value is held per lane, ``()`` when
+      launch-uniform values stay 0-d / ``(vl,)``.
+
+    Everything else is shape-generic numpy (``...`` indexing,
+    broadcasting), so a launch-uniform operand is never widened to
+    ``(n,)`` here.  Unsupported operations raise
+    :class:`UnsupportedVectorOp`, which the walks turn into their
+    per-launch interpreter fallback.
+    """
+
+    _lanes: tuple = ()
+
+    def _eff_vl(self, m, sew: int) -> int:
+        limit = vlmax(sew)
+        vl = self._cur_vl(m)
+        return limit if vl < 0 else min(vl, limit)
+
+    def _read_v(self, idx: int, count: int) -> np.ndarray:
+        """First ``count`` elements of ``v[idx]``, zero-filled if shorter."""
+        arr = self.vr[idx]
+        if arr is None or arr.shape[-1] == 0:
+            return np.zeros(self._lanes + (count,), dtype=np.uint64)
+        k = arr.shape[-1]
+        if k < count:
+            pad = np.zeros(arr.shape[:-1] + (count - k,), dtype=np.uint64)
+            arr = np.concatenate([arr, pad], axis=-1)
+        return arr[..., :count]
+
+    @staticmethod
+    def _splat(val, vl: int) -> np.ndarray:
+        """Repeat a per-lane (or launch-uniform) scalar ``vl`` times."""
+        v = np.asarray(val, dtype=np.uint64)
+        return np.repeat(v[..., None], vl, axis=-1)
+
+    # -- scalar ------------------------------------------------------------
+
+    def _branch_cond(self, inst) -> np.ndarray:
+        """Per-lane (or launch-uniform) outcome of a conditional branch."""
+        mn = inst.mnemonic
+        if mn in BRANCHES:
+            return BRANCHES[mn](self.xr[inst.rs1], self.xr[inst.rs2])
+        if mn in BRANCHES_Z:
+            return BRANCHES_Z[mn](self.xr[inst.rs1])
+        raise UnsupportedVectorOp(f"unsupported branch {mn}")
+
+    def _exec_alu(self, inst, m) -> None:
+        mn = inst.mnemonic
+        xr, fr = self.xr, self.fr
+        if mn in INT_BINOPS:
+            self._wx(inst.rd, INT_BINOPS[mn](xr[inst.rs1], xr[inst.rs2]), m)
+        elif mn in INT_IMMOPS:
+            self._wx(inst.rd, INT_BINOPS[INT_IMMOPS[mn]](
+                xr[inst.rs1], np.int64(inst.imm)), m)
+        elif mn in ("addw", "mulw"):
+            base = INT_BINOPS["add" if mn == "addw" else "mul"]
+            self._wx(inst.rd,
+                     base(xr[inst.rs1], xr[inst.rs2]).astype(np.int32), m)
+        elif mn == "li":
+            self._wx(inst.rd, np.int64(to_signed64(inst.imm)), m)
+        elif mn == "lui":
+            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)), m)
+        elif mn == "mv":
+            self._wx(inst.rd, xr[inst.rs1], m)
+        elif mn == "neg":
+            self._wx(inst.rd, -xr[inst.rs1], m)
+        elif mn == "seqz":
+            self._wx(inst.rd, (xr[inst.rs1] == 0).astype(np.int64), m)
+        elif mn == "snez":
+            self._wx(inst.rd, (xr[inst.rs1] != 0).astype(np.int64), m)
+        elif mn in FP_BINOPS:
+            self._wf(inst.rd, FP_BINOPS[mn](fr[inst.rs1], fr[inst.rs2]), m)
+        elif mn in FP_COMPARES:
+            self._wx(inst.rd, FP_COMPARES[mn](fr[inst.rs1], fr[inst.rs2]), m)
+        elif mn == "fmadd.d":
+            self._wf(inst.rd,
+                     fr[inst.rs1] * fr[inst.rs2] + fr[inst.rs3], m)
+        elif mn == "fsqrt.d":
+            val = fr[inst.rs1]
+            if np.any((val if m is None else val[m]) < 0):
+                raise UnsupportedVectorOp("fsqrt of negative value")
+            # |val|: inactive lanes may be negative, and sqrt(-0.0) must
+            # be +0.0 like the scalar executor's ``value ** 0.5``
+            self._wf(inst.rd, np.sqrt(np.abs(val)), m)
+        elif mn == "fmv.d":
+            self._wf(inst.rd, fr[inst.rs1], m)
+        elif mn == "fmv.x.d":
+            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
+            self._wx(inst.rd, bits.view(np.int64), m)
+        elif mn == "fmv.d.x":
+            bits = np.ascontiguousarray(xr[inst.rs1], dtype=np.int64)
+            self._wf(inst.rd, bits.view(np.float64), m)
+        elif mn in ("fcvt.d.l", "fcvt.s.l"):
+            self._wf(inst.rd, xr[inst.rs1].astype(np.float64), m)
+        elif mn == "fcvt.l.d":
+            self._wx(inst.rd, np.trunc(fr[inst.rs1]).astype(np.int64), m)
+        else:
+            raise UnsupportedVectorOp(f"unsupported mnemonic {mn}")
+
+    # -- vector ------------------------------------------------------------
+
+    def _exec_valu(self, inst, m) -> None:
+        mn = inst.mnemonic
+        sew = self._cur_sew(m)
+        vl = self._eff_vl(m, sew)
+        xr, fr = self.xr, self.fr
+        rv = self._read_v
+
+        if mn in V_INT_BINOPS:
+            a = sign_extend(rv(inst.rs1, vl), sew)
+            b = sign_extend(rv(inst.rs2, vl), sew)
+            self._wv(inst.rd, to_pattern(V_INT_BINOPS[mn](a, b), sew), m)
+        elif mn in V_INT_SCALAR:
+            a = sign_extend(rv(inst.rs1, vl), sew)
+            s = per_thread(xr[inst.rs2])
+            self._wv(inst.rd, to_pattern(V_INT_SCALAR[mn](a, s), sew), m)
+        elif mn in V_INT_IMM:
+            a = sign_extend(rv(inst.rs1, vl), sew)
+            self._wv(inst.rd, to_pattern(
+                V_INT_IMM[mn](a, np.int64(inst.imm)), sew), m)
+        elif mn == "vmacc.vv":
+            a = sign_extend(rv(inst.rs1, vl), sew)
+            b = sign_extend(rv(inst.rs2, vl), sew)
+            d = sign_extend(rv(inst.rd, vl), sew)
+            self._wv(inst.rd, to_pattern(d + a * b, sew), m)
+        elif mn in V_FP_BINOPS:
+            a = bits_to_float(rv(inst.rs1, vl), sew)
+            b = bits_to_float(rv(inst.rs2, vl), sew)
+            self._wv(inst.rd, float_to_bits(V_FP_BINOPS[mn](a, b), sew), m)
+        elif mn in V_FP_SCALAR:
+            a = bits_to_float(rv(inst.rs1, vl), sew)
+            s = per_thread(fr[inst.rs2])
+            self._wv(inst.rd, float_to_bits(V_FP_SCALAR[mn](a, s), sew), m)
+        elif mn == "vfmacc.vf":
+            a = bits_to_float(rv(inst.rs1, vl), sew)
+            s = per_thread(fr[inst.rs2])
+            d = bits_to_float(rv(inst.rd, vl), sew)
+            self._wv(inst.rd, float_to_bits(d + a * s, sew), m)
+        elif mn == "vfmacc.vv":
+            a = bits_to_float(rv(inst.rs1, vl), sew)
+            b = bits_to_float(rv(inst.rs2, vl), sew)
+            d = bits_to_float(rv(inst.rd, vl), sew)
+            self._wv(inst.rd, float_to_bits(d + a * b, sew), m)
+        elif mn in V_INT_COMPARES:
+            a = sign_extend(rv(inst.rs1, vl), sew)
+            s = per_thread(xr[inst.rs2])
+            self._wv(inst.rd, V_INT_COMPARES[mn](a, s).astype(np.uint64), m)
+        elif mn in V_FP_COMPARES:
+            a = bits_to_float(rv(inst.rs1, vl), sew)
+            s = per_thread(fr[inst.rs2])
+            self._wv(inst.rd, V_FP_COMPARES[mn](a, s).astype(np.uint64), m)
+        elif mn in ("vmand.mm", "vmor.mm"):
+            a = rv(inst.rs1, vl) != 0
+            b = rv(inst.rs2, vl) != 0
+            out = (a & b) if mn == "vmand.mm" else (a | b)
+            self._wv(inst.rd, out.astype(np.uint64), m)
+        elif mn == "vmerge.vxm":
+            s = to_pattern(per_thread(xr[inst.rs2]), sew)
+            self._wv(inst.rd,
+                     np.where(rv(0, vl) != 0, s, rv(inst.rs1, vl)), m)
+        elif mn == "vmerge.vim":
+            s = to_pattern(np.int64(inst.imm), sew)
+            self._wv(inst.rd,
+                     np.where(rv(0, vl) != 0, s, rv(inst.rs1, vl)), m)
+        elif mn == "vmv.v.i":
+            self._wv(inst.rd, np.full(
+                self._lanes + (vl,), to_pattern(np.int64(inst.imm), sew),
+                dtype=np.uint64), m)
+        elif mn == "vmv.v.x":
+            self._wv(inst.rd,
+                     self._splat(to_pattern(xr[inst.rs1], sew), vl), m)
+        elif mn == "vfmv.v.f":
+            self._wv(inst.rd,
+                     self._splat(float_to_bits(fr[inst.rs1], sew), vl), m)
+        elif mn == "vmv.v.v":
+            self._wv(inst.rd, rv(inst.rs1, vl).copy(), m)
+        elif mn == "vid.v":
+            self._wv(inst.rd, np.broadcast_to(
+                np.arange(vl, dtype=np.uint64), self._lanes + (vl,)), m)
+        elif mn == "vmv.x.s":
+            values = self.vr[inst.rs1]
+            if values is None or values.shape[-1] == 0:
+                self._wx(inst.rd, np.int64(0), m)
+            else:
+                self._wx(inst.rd, sign_extend(values[..., 0], sew), m)
+        elif mn == "vfmv.f.s":
+            values = self.vr[inst.rs1]
+            if values is None or values.shape[-1] == 0:
+                self._wf(inst.rd, 0.0, m)
+            else:
+                self._wf(inst.rd, bits_to_float(values[..., 0], sew), m)
+        elif mn == "vmv.s.x":
+            cur = self.vr[inst.rd]
+            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
+            s = to_pattern(xr[inst.rs1], sew)
+            arr = rv(inst.rd, k)
+            # a per-lane scalar widens a launch-uniform register
+            arr = np.broadcast_to(arr, np.broadcast_shapes(
+                arr.shape[:-1], np.shape(s)) + (k,)).copy()
+            arr[..., 0] = s
+            self._wv(inst.rd, arr, m)
+        else:
+            raise UnsupportedVectorOp(f"unsupported vector mnemonic {mn}")
+
+    def _exec_vred(self, inst, m) -> None:
+        mn = inst.mnemonic
+        if mn not in V_REDUCTIONS:
+            raise UnsupportedVectorOp(f"unsupported reduction {mn}")
+        fold, is_float = V_REDUCTIONS[mn]
+        sew = self._cur_sew(m)
+        vl = self._eff_vl(m, sew)
+        va = self._read_v(inst.rs1, vl)
+        seed = self._read_v(inst.rs2, max(vl, 1))[..., 0]
+        if is_float:
+            seed, vs = bits_to_float(seed, sew), bits_to_float(va, sew)
+        else:
+            seed, vs = sign_extend(seed, sew), sign_extend(va, sew)
+        # Accumulate exactly like the scalar executor so float rounding
+        # matches it bit for bit: an *ordered* loop over the (tiny) vl,
+        # and for sums ``seed + sum(elements)`` — the seed joins last.
+        acc = np.zeros_like(seed) if fold is np.add else seed
+        for j in range(vl):
+            acc = fold(acc, vs[..., j])
+        if fold is np.add:
+            acc = seed + acc
+        result = float_to_bits(acc, sew) if is_float else to_pattern(acc, sew)
+        self._wv(inst.rd, np.asarray(result, dtype=np.uint64)[..., None], m)

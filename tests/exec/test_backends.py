@@ -271,21 +271,6 @@ class TestSimtRouting:
         assert platform.stats.get(
             "exec.fallback_reason.divergent", 0.0) == 0
 
-    def test_simt_escape_hatch_restores_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMT", "0")
-        platform = make_platform(backend="batched")
-        runtime = platform.runtime
-        n = 2048
-        values = np.arange(n, dtype=np.int64)
-        addr = runtime.alloc_array(values)
-        out = runtime.alloc(8)
-        runtime.run_kernel(REDUCE_SUM_I64, addr, addr + n * 8,
-                           args=pack_args(out), scratchpad_bytes=64)
-        assert runtime.read_array(out, np.int64, 1)[0] == values.sum()
-        assert _batched_stats(platform) == (0, 1)
-        assert platform.stats.get("exec.simt_launches") == 0
-        assert platform.stats.get("exec.fallback_reason.phases") == 1
-
 
 class TestFallback:
     def test_contended_amo_old_value_falls_back(self):

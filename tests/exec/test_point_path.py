@@ -1,13 +1,12 @@
-"""Point-engine path cache: generalized keys, hatches, staleness, pins.
+"""Point-engine path cache: generalized keys, staleness, pins.
 
 The point engine (`repro/exec/point.py`) records one decision-trie of
 taint-traced paths per *structural* launch key and replays arbitrary
 same-shape launches against it.  These tests pin the behaviors the
 serving-layer speedup rests on: value-generalized keys actually hit
-across distinct requests, both escape hatches restore the prior
-behavior, a verified-load mismatch invalidates the family instead of
-replaying stale bytes, and the hit/miss counts on the canonical KVS_B
-trace stay exactly where the PR left them.
+across distinct requests, a verified-load mismatch invalidates the
+family instead of replaying stale bytes, and the hit/miss counts on the
+canonical KVS_B trace stay exactly where the PR left them.
 """
 
 import numpy as np
@@ -50,23 +49,6 @@ class TestGeneralizedKeys:
         assert counters["trace_cache_hits_point"] > 0
         assert counters["trace_cache_hits_generalized"] > 0
         assert counters["trace_cache_hits_simt"] == 0
-
-    def test_generalize_hatch_restores_exact_keys(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_GENERALIZE", "0")
-        platform = make_platform(backend="batched")
-        result = _run_kvs(platform)
-        counters = _counters(platform)
-        assert result.correct
-        assert counters["trace_cache_hits_generalized"] == 0
-
-    def test_point_hatch_restores_masked_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POINT", "0")
-        platform = make_platform(backend="batched")
-        result = _run_kvs(platform)
-        counters = _counters(platform)
-        assert result.correct
-        assert counters["point_launches"] == 0
-        assert counters["trace_cache_hits_point"] == 0
 
 
 class TestRegressionPins:

@@ -1,4 +1,4 @@
-"""Cross-launch trace cache: hits, misses, invalidation, escape hatch.
+"""Cross-launch trace cache: hits, misses, invalidation, env knobs.
 
 The cache may only ever change wall-clock time.  Every test therefore
 checks functional outputs alongside the hit/miss counters, and the
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.config import NDPConfig, SystemConfig
+from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD
@@ -108,6 +109,31 @@ class TestInvalidation:
         assert np.array_equal(runtime.read_array(addr_d, np.int64, N),
                               expected)
 
+    def test_kernels_differing_only_in_finalizer_do_not_collide(self):
+        # a SIMT entry caches the profile of *every* phase and a verified
+        # replay reuses its fu_counts/lat_cycles: two kernels that share
+        # body 0 and step counts but differ in their finalizer's
+        # instruction mix must not hit each other's entry
+        def kernel(op):
+            return (".body\n    ld x4, 0(x1)\n    ret\n.final\n"
+                    + f"    {op} x5, x5, x6\n" * 40 + "    ret\n")
+
+        def warm_runtime_ns(ops):
+            platform = make_platform(backend="batched")
+            runtime = platform.runtime
+            pool = runtime.alloc(N)
+            for op in ops:
+                kid = runtime.register_kernel(kernel(op))
+                for _ in range(2):
+                    instance = _launch(runtime, kid, pool, N, b"")
+            return instance.runtime_ns, _cache_stats(platform)
+
+        alone_ns, alone_stats = warm_runtime_ns(["mul"])
+        after_add_ns, after_add_stats = warm_runtime_ns(["add", "mul"])
+        assert alone_stats == (1, 1)
+        assert after_add_stats == (2, 2)
+        assert after_add_ns == alone_ns
+
     def test_changed_timing_config_uses_cold_cache(self):
         # a different NDPConfig builds a different device, so its cache
         # starts cold; outputs must match the default config bit for bit
@@ -201,24 +227,6 @@ class TestBypass:
         assert platform.stats.get("exec.batched_fallbacks") == 0
         assert platform.stats.get("exec.simt_launches") == 2
 
-    def test_interpreter_fallbacks_bypass_cache(self, monkeypatch):
-        # with the SIMT engine disabled the old fallback classes return
-        # to the interpreter and never touch the trace cache
-        monkeypatch.setenv("REPRO_SIMT", "0")
-        platform = make_platform(backend="batched")
-        runtime = platform.runtime
-        n = 2048
-        values = np.arange(n, dtype=np.int64)
-        addr = runtime.alloc_array(values)
-        out = runtime.alloc(8)
-        kid = runtime.register_kernel(REDUCE_SUM_I64, scratchpad_bytes=64)
-        for _ in range(2):
-            runtime.launch_kernel(kid, addr, addr + n * 8,
-                                  args=pack_args(out))
-        assert runtime.read_array(out, np.int64, 1)[0] == 2 * values.sum()
-        assert _cache_stats(platform) == (0, 0)
-        assert platform.stats.get("exec.batched_fallbacks") == 2
-
     def test_env_var_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         platform = make_platform(backend="batched")
@@ -239,3 +247,18 @@ class TestBypass:
             args = pack_args(addr_b, addr_c)
             _launch(runtime, kid, addr_a, a.nbytes - 32 * offset, args)
         assert len(platform.device.backend.trace_cache) == 2
+
+
+class TestEnvValidation:
+    @pytest.mark.parametrize("value", ["yes", "2", ""])
+    def test_bad_enable_flag_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", value)
+        with pytest.raises(ConfigError, match="REPRO_TRACE_CACHE must be"):
+            make_platform(backend="batched")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_capacity_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAPACITY", value)
+        with pytest.raises(ConfigError,
+                           match="REPRO_TRACE_CACHE_CAPACITY must be"):
+            make_platform(backend="batched")
