@@ -25,6 +25,10 @@ noise slack.  Finally, ``tracing_point.off_wall_seconds`` gets a *tight*
 1.05x factor: tracing disabled (``REPRO_TRACE=0``, the default) must
 cost nothing, so even a small regression on that field fails CI.
 
+A wall-clock field missing from *either* file is a failure, not a skip:
+a budget that silently stops comparing protects nothing.  A PR that adds
+or renames a smoke point regenerates the committed baseline with it.
+
 Usage::
 
     python benchmarks/check_budget.py committed.json fresh.json
@@ -93,17 +97,27 @@ def _dig(payload: dict, dotted: str):
     return node
 
 
+def _missing(field: str, base, now) -> str | None:
+    """The failure for a wall field one of the two files lacks."""
+    if base is not None and now is not None:
+        return None
+    where = " and ".join(name for name, value in
+                         (("committed baseline", base), ("fresh run", now))
+                         if value is None)
+    return (f"{field}: missing from the {where} (regenerate the committed "
+            f"BENCH_smoke.json with benchmarks/smoke.py)")
+
+
 def check(committed: dict, fresh: dict, factor: float) -> list[str]:
     """Returns a list of human-readable budget violations."""
     failures = []
     for field in TRACKED_FIELDS:
         base = _dig(committed, field)
         now = _dig(fresh, field)
-        if base is None or now is None:
-            # a point only one side knows about is not a regression
-            # (e.g. comparing across a PR that adds a new smoke point)
-            continue
-        if now > base * factor + ABS_SLACK_SECONDS:
+        missing = _missing(field, base, now)
+        if missing:
+            failures.append(missing)
+        elif now > base * factor + ABS_SLACK_SECONDS:
             failures.append(
                 f"{field}: {now:.3f}s vs committed {base:.3f}s "
                 f"(> {factor:.1f}x + {ABS_SLACK_SECONDS:.1f}s budget)"
@@ -127,9 +141,10 @@ def check(committed: dict, fresh: dict, factor: float) -> list[str]:
     for field, tight in TIGHT_FACTOR_FIELDS.items():
         base = _dig(committed, field)
         now = _dig(fresh, field)
-        if base is None or now is None:
-            continue
-        if now > base * tight + ABS_SLACK_SECONDS:
+        missing = _missing(field, base, now)
+        if missing:
+            failures.append(missing)
+        elif now > base * tight + ABS_SLACK_SECONDS:
             failures.append(
                 f"{field}: {now:.3f}s vs committed {base:.3f}s "
                 f"(> {tight:.2f}x + {ABS_SLACK_SECONDS:.1f}s tracing-off "

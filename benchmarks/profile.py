@@ -74,14 +74,17 @@ def run_cluster() -> None:
 
 def run_traffic() -> None:
     from repro.cluster import make_cluster_platform
-    from repro.cluster.driver import StreamSpec, TrafficDriver
+    from repro.serve import (ArrivalSpec, BatchPolicy, ServingEngine,
+                             TenantSpec)
 
     platform = make_cluster_platform(num_devices=2, placement="interleaved",
                                      backend="batched")
-    driver = TrafficDriver(platform, [
-        StreamSpec("profile", "vecadd", rate_rps=2e5, requests=100),
-    ])
-    driver.run()
+    ServingEngine(platform, [
+        TenantSpec("profile", "vecadd",
+                   arrivals=ArrivalSpec("poisson", rate_rps=2e5,
+                                        requests=100)),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
+        monitoring=False).run()
 
 
 def run_fig10a() -> None:

@@ -42,7 +42,6 @@ from repro import obs
 from repro.cluster import make_cluster_platform
 from repro.obs.incidents import grade_against_plan
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS
-from repro.cluster.driver import StreamSpec, TrafficDriver
 from repro.experiments.fig05 import run_fig5
 from repro.experiments.partitioning import (
     PARTITION_SPEC,
@@ -330,11 +329,14 @@ def bench_traffic_point(requests: int = TRAFFIC_SMOKE_REQUESTS) -> dict:
     """
     plat = make_cluster_platform(num_devices=2, placement="interleaved",
                                  backend="batched")
-    driver = TrafficDriver(plat, [
-        StreamSpec("smoke", "vecadd", rate_rps=2e5, requests=requests),
-    ])
+    engine = ServingEngine(plat, [
+        TenantSpec("smoke", "vecadd",
+                   arrivals=ArrivalSpec("poisson", rate_rps=2e5,
+                                        requests=requests)),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
+        monitoring=False)
     start = time.perf_counter()
-    report = driver.run()
+    report = engine.run()
     wall = time.perf_counter() - start
     return {
         "requests": requests,

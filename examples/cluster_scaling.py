@@ -12,8 +12,9 @@ several expanders and launching one kernel per device (Fig 12b).  The
 3. one logical ``run_kernel`` is split by the fan-out scheduler into
    per-device sub-launches (locality follows the shards; off-owner chunks
    pay P2P through the switch);
-4. the multi-tenant traffic driver replays open-loop request streams and
-   reports p50/p95/p99 latency plus aggregate throughput.
+4. the serving engine replays open-loop tenant streams (here FIFO, one
+   request per launch) and reports p50/p95/p99 latency plus aggregate
+   throughput.
 
 Run:  PYTHONPATH=src python examples/cluster_scaling.py
 """
@@ -21,9 +22,9 @@ Run:  PYTHONPATH=src python examples/cluster_scaling.py
 import numpy as np
 
 from repro.cluster import make_cluster_platform
-from repro.cluster.driver import StreamSpec, TrafficDriver
 from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
+from repro.serve import ArrivalSpec, BatchPolicy, ServingEngine, TenantSpec
 
 N = 1 << 17          # elements per vector (1 MiB)
 
@@ -55,15 +56,15 @@ def main() -> None:
 
     print("\nmulti-tenant open-loop traffic on 4 devices:")
     platform = make_cluster_platform(num_devices=4, backend="batched")
-    driver = TrafficDriver(platform, [
-        StreamSpec("kv-tenant", "kvstore", rate_rps=2e6, requests=200,
-                   size=1024),
-        StreamSpec("olap-tenant", "olap", rate_rps=5e5, requests=16,
-                   size=1 << 14),
-        StreamSpec("batch-tenant", "vecadd", rate_rps=5e5, requests=16,
-                   size=1 << 13),
-    ])
-    report = driver.run()
+    report = ServingEngine(platform, [
+        TenantSpec("kv-tenant", "kvstore", size=1024,
+                   arrivals=ArrivalSpec(rate_rps=2e6, requests=200)),
+        TenantSpec("olap-tenant", "olap", size=1 << 14,
+                   arrivals=ArrivalSpec(rate_rps=5e5, requests=16)),
+        TenantSpec("batch-tenant", "vecadd", size=1 << 13,
+                   arrivals=ArrivalSpec(rate_rps=5e5, requests=16)),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
+        monitoring=False).run()
     print(report.render())
     assert report.correct
 

@@ -10,8 +10,11 @@ Wires N :class:`~repro.ndp.device.M2NDPDevice` expanders behind one
   sub-launches;
 - :mod:`repro.cluster.runtime` — the :class:`ClusterRuntime` facade
   mirroring ``M2NDPRuntime`` so workloads run unmodified on 1..N devices;
-- :mod:`repro.cluster.driver` — a multi-tenant open-loop traffic driver
-  reporting p50/p95/p99 latency and aggregate throughput.
+- :mod:`repro.cluster.partitions` — the per-device hardware partition map
+  (always >= 1 partition; unset = the one-partition map).
+
+Request traffic against a cluster is driven by :mod:`repro.serve`, which
+is built on this package (never the other way round).
 """
 
 from repro.cluster.placement import (

@@ -22,8 +22,10 @@ The map is resolved once at platform construction (``REPRO_PARTITIONS``
 or ``make_cluster_platform(partitions=...)``) and threaded everywhere a
 resource decision happens: device timing models, launch queues, shard
 placement, fan-out scheduling, fault scoping and the serving tier's
-admission caps.  An unresolved spec (``None`` — the default) leaves the
-device unpartitioned and byte-identical to pre-partitioning behavior.
+admission caps.  Every device is partitioned: an unset spec resolves to
+the one-partition map (``SPX_SPEC`` — MI300's default SPX mode *is* a
+partition, the single one), whose partition owns every unit, channel
+and L2 set and whose timing models are the device's own.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from repro.errors import ConfigError
 #: Shown by validation errors, mirroring REPRO_EXEC_BACKEND's pattern.
 PARTITION_SPEC_EXAMPLES = ('"rt:1,batch:3"', '"rt,batch"',
                            '"rt:2,batch:5,spare:1"')
+
+#: What an unset spec resolves to: one partition owning the whole device.
+SPX_SPEC = "spx"
 
 #: Conventional name of a hot-spare partition: partition-scoped failure
 #: recovery prefers it as the fail-over target when present.
@@ -175,17 +180,9 @@ class PartitionMap:
     def index_of(self, name: str) -> int:
         return self.share(name).index
 
-    def by_index(self, index: int) -> PartitionShare:
-        if not 0 <= index < len(self.shares):
-            raise ConfigError(
-                f"partition index {index} out of range "
-                f"(device has {len(self.shares)} partitions)"
-            )
-        return self.shares[index]
-
     @property
     def default(self) -> PartitionShare:
-        """Where untagged launches land on a partitioned device."""
+        """Where untagged launches land."""
         return self.shares[0]
 
     def spare_for(self, victim: str) -> PartitionShare | None:
@@ -225,15 +222,14 @@ class PartitionMap:
 
 def resolve_partitions(spec: str | None, config,
                        source: str = "REPRO_PARTITIONS"
-                       ) -> PartitionMap | None:
+                       ) -> PartitionMap:
     """Resolve a partition spec against a :class:`SystemConfig`.
 
-    Returns ``None`` for an unset spec (the unpartitioned default).
+    An unset (``None`` / empty) spec resolves to the one-partition map.
     Raises :class:`ConfigError` when the spec is malformed or asks for
     more partitions than the device has units / channels to give.
     """
-    if not spec:
-        return None
+    spec = spec or SPX_SPEC
     entries = parse_partition_spec(spec, source)
     ndp, dram, l2 = config.ndp, config.cxl_dram, config.l2
     n = len(entries)

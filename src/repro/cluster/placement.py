@@ -63,7 +63,7 @@ class ShardMap:
     #: Empty for a healthy cluster, so ownership arithmetic stays as-is.
     remap: dict[int, int] = field(default_factory=dict, compare=False)
     #: Hardware partition this allocation (and every launch over it) is
-    #: pinned to, uniformly on all devices.  ``None`` = unpartitioned.
+    #: pinned to, uniformly on all devices.  ``None`` = unpinned.
     partition: str | None = None
     #: Partition failover (victim -> survivor), installed by recovery via
     #: :meth:`move_partition`; mutates-in-frozen exactly like ``remap``.

@@ -122,8 +122,8 @@ def resolve_partition_source(explicit: str | None,
     """Explicit argument > REPRO_PARTITIONS env > config default.
 
     Returns ``(spec, source)`` so validation errors can name where the
-    offending spec came from.  An empty string means "unpartitioned",
-    same as unset — so ``REPRO_PARTITIONS=""`` switches partitioning off.
+    offending spec came from.  An empty string is the same as unset —
+    ``REPRO_PARTITIONS=""`` selects the one-partition map.
     """
     if explicit is not None:
         return explicit or None, "partitions argument"
@@ -281,9 +281,8 @@ class ClusterRuntime:
             partitions, self.cluster_config.partitions
         )
         #: Resolved :class:`PartitionMap` applied uniformly to every
-        #: device, or None — the unpartitioned default, in which all
-        #: partition branches below are dead code.
-        self.partitions: PartitionMap | None = resolve_partitions(
+        #: device; an unset spec is the one-partition map.
+        self.partitions: PartitionMap = resolve_partitions(
             spec, self.system, source=spec_source
         )
         n = self.cluster_config.num_devices
@@ -374,12 +373,6 @@ class ClusterRuntime:
               shard_bytes: int | None = None,
               partition: str | None = None) -> int:
         if partition is not None:
-            if self.partitions is None:
-                raise ConfigError(
-                    f"cannot pin allocation to partition {partition!r}: "
-                    f"cluster is unpartitioned (set REPRO_PARTITIONS or "
-                    f"make_cluster_platform(partitions=...))"
-                )
             self.partitions.share(partition)      # validates the name
         return self.allocator.alloc(size, align, placement, shard_bytes,
                                     partition=partition).base
@@ -482,13 +475,8 @@ class ClusterRuntime:
         if on_complete is not None:
             handle.on_complete(on_complete)
         if self.faults is not None:
-            # untagged launches physically run in the default partition,
-            # so partition-scoped faults must see them there
-            part_name = shard.active_partition if shard is not None else None
-            if part_name is None and self.partitions is not None:
-                part_name = self.partitions.default.name
             hit = self.faults.poison_hit(pool_base, pool_bound,
-                                         partition=part_name)
+                                         self._partition_of(plan[0]))
             if hit is not None:
                 # CXL data poison: µthreads sweeping the range would fault;
                 # the launch completes exceptionally without issuing subs
@@ -537,20 +525,20 @@ class ClusterRuntime:
             self.sim.schedule_at(deadline, watchdog)
         return handle
 
+    def _partition_of(self, sub: SubLaunch) -> str:
+        """Where a sub-launch physically runs — its allocation's pin, else
+        the default partition — so partition-scoped faults see it there."""
+        return sub.partition or self.partitions.default.name
+
     def _issue_sub(self, handle: ClusterLaunchHandle, kids: list[int],
                    queue: list[SubLaunch], index: int, args: bytes,
                    stride: int, at_ns: float, order: dict[int, int],
                    trace_parent: int | None = None) -> None:
         sub = queue[index]
-        # effective partition: an untagged launch on a partitioned device
-        # runs in the default partition (partition-scoped faults included)
-        eff_part = sub.partition
-        if eff_part is None and self.partitions is not None:
-            eff_part = self.partitions.default.name
         if self.faults is not None:
             # a stall window holds issue to the device until it clears
             at_ns = self.faults.delay_issue(sub.device, at_ns,
-                                            partition=eff_part)
+                                            self._partition_of(sub))
         tracer = obs_tracer.tracer_of(self.sim) if obs_tracer.ENABLED \
             else None
         sub_lane = None
@@ -567,8 +555,9 @@ class ClusterRuntime:
                 tracer.record("cxl.p2p", at_ns, done, parent=trace_parent,
                               pid=1 + sub.device, tid=sub_lane,
                               owner=owner, bytes=nbytes)
-        # the M2func fan-out write itself crosses the switch (a
-        # partition-tagged launch carries one extra header word)
+        # the M2func fan-out write itself crosses the switch (a launch
+        # over a pinned allocation carries the partition tag: one extra
+        # header word)
         part_index = (None if sub.partition is None
                       else self.partitions.index_of(sub.partition))
         wire_bytes = LAUNCH_WIRE_BYTES + (0 if part_index is None else 8)
@@ -600,7 +589,7 @@ class ClusterRuntime:
         )
         if self.faults is not None:
             self.faults.note_sub_issued(sub.device, handle, sub_handle,
-                                        partition=eff_part)
+                                        self._partition_of(sub))
         sub_handle.call.on_done(self._make_error_check(handle, sub))
         if tracer is not None:
             # the M2func read resolves the device-side instance id after

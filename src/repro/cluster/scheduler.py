@@ -62,7 +62,8 @@ class SubLaunch:
     remote: dict[int, int] = field(default_factory=dict)   # owner -> bytes
     #: Hardware partition the sub-launch binds to on its device (copied
     #: from the pool shard's active partition at plan time; None =
-    #: unpartitioned).
+    #: unpinned: the launch goes out untagged and runs in the default
+    #: partition).
     partition: str | None = None
 
     @property

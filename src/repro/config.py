@@ -301,7 +301,8 @@ class ClusterConfig:
     shard_bytes: int = 0
     scheduler: str = "locality"
     #: Hardware partition spec applied to every device ("rt:1,batch:3"),
-    #: or None for monolithic devices; see repro.cluster.partitions.
+    #: or None / "" = unset: the one-partition map; see
+    #: repro.cluster.partitions.
     partitions: str | None = None
     #: Root seed for every per-stream random generator (traffic arrivals,
     #: tenant data) so cluster traffic and serving runs are reproducible
@@ -323,7 +324,7 @@ class ClusterConfig:
             )
         validate_scheduler_name(self.scheduler,
                                 source="ClusterConfig.scheduler")
-        if self.partitions is not None:
+        if self.partitions:
             from repro.cluster.partitions import parse_partition_spec
             parse_partition_spec(self.partitions,
                                  source="ClusterConfig.partitions")

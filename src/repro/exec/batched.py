@@ -521,9 +521,7 @@ class _BatchReplay(vo.LaneISA):
 
         # --- traffic stats + latency floor (serial thread latency x
         # occupancy waves) from the launch's step profile -----------------
-        dram = (device.dram if execution.partition is None
-                else execution.partition.dram)
-        dram_lat = dram.typical_random_latency_ns()
+        dram_lat = execution.partition.dram.typical_random_latency_ns()
         l1_hit = device.config.ndp.l1d.hit_latency_ns
         l2_hit = device.config.l2.hit_latency_ns
         thread_lat = entry.latency_cycles * period

@@ -196,8 +196,8 @@ class LaunchTail:
                  start_ns: float, **span_args) -> None:
         self.device = device
         self.execution = execution
-        # A partition-bound launch only sees (and only charges) its own
-        # unit window and its private L2/DRAM slice.
+        # A launch only sees (and only charges) its partition's unit
+        # window and L2/DRAM.
         self.units = device.units[execution.unit_base:
                                   execution.unit_base + execution.num_units]
         cfg = device.config.ndp
@@ -631,9 +631,8 @@ class _PhaseWalk(vo.LaneISA):
         self._period = cfg.ndp.clock.period_ns
         self._l1_hit = cfg.ndp.l1d.hit_latency_ns
         self._l2_hit = cfg.l2.hit_latency_ns
-        dram = (device.dram if plan.execution.partition is None
-                else plan.execution.partition.dram)
-        self._dram_lat = dram.typical_random_latency_ns()
+        self._dram_lat = (
+            plan.execution.partition.dram.typical_random_latency_ns())
         self._sector_bytes = cfg.l2.sector_bytes
 
     # -- register plumbing -------------------------------------------------

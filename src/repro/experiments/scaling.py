@@ -4,8 +4,9 @@ Where :mod:`repro.experiments.fig12` models multi-device scaling
 *analytically* (shrink the per-device workload, add an all-reduce term),
 this experiment actually instantiates N :class:`M2NDPDevice` expanders
 behind a :class:`CXLSwitch` via :class:`~repro.cluster.ClusterRuntime` and
-drives them with the multi-tenant open-loop
-:class:`~repro.cluster.driver.TrafficDriver`:
+drives them with open-loop tenants on the
+:class:`~repro.serve.ServingEngine` (FIFO, one request per launch — the
+cluster's raw capacity, no batching or QoS in the way):
 
 * :func:`run_scaling` sweeps 1/2/4/8 devices under saturating vecadd and
   OLAP-scan streams and reports aggregate throughput speedups — the repro
@@ -17,10 +18,10 @@ drives them with the multi-tenant open-loop
 from __future__ import annotations
 
 from repro.cluster import make_cluster_platform
-from repro.cluster.driver import StreamSpec, TrafficDriver
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.scheduler import SCHEDULERS
 from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.serve import ArrivalSpec, BatchPolicy, ServingEngine, TenantSpec
 from repro.workloads.base import scale
 
 #: Offered per-stream load (requests/s) that keeps every device count
@@ -35,18 +36,17 @@ def _drive(num_devices: int, placement: str, scheduler: str,
         num_devices=num_devices, placement=placement, scheduler=scheduler,
         backend=backend,
     )
-    driver = TrafficDriver(platform, [
-        StreamSpec("vecadd", "vecadd", rate_rps=SATURATING_RPS,
-                   requests=requests, size=vec_elements),
-        StreamSpec("olap", "olap", rate_rps=SATURATING_RPS,
-                   requests=requests, size=olap_rows),
-    ])
-    report = driver.run()
-    by_name = {s.name: s for s in report.streams}
+    arrivals = ArrivalSpec("poisson", rate_rps=SATURATING_RPS,
+                           requests=requests)
+    report = ServingEngine(platform, [
+        TenantSpec("vecadd", "vecadd", arrivals=arrivals, size=vec_elements),
+        TenantSpec("olap", "olap", arrivals=arrivals, size=olap_rows),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
+        monitoring=False).run()
     return {
         "correct": report.correct,
-        "vec_rps": by_name["vecadd"].throughput_rps,
-        "olap_rps": by_name["olap"].throughput_rps,
+        "vec_rps": report.tenant("vecadd").throughput_rps,
+        "olap_rps": report.tenant("olap").throughput_rps,
         "agg_rps": report.throughput_rps,
         "p50_ns": report.p50_ns,
         "p95_ns": report.p95_ns,

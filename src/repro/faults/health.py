@@ -44,8 +44,7 @@ class HealthMonitor:
         #: (when_ns, device, old, new) transition log for reports/tests.
         self.transitions: list[tuple[float, int, str, str]] = []
         #: Per-(device, partition) states; absent keys are UP.  Populated
-        #: only by partition-scoped faults, so unpartitioned runs never
-        #: touch it.
+        #: only by partition-scoped faults.
         self.partition_states: dict[tuple[int, str], str] = {}
         #: (when_ns, device, partition, old, new) partition transitions.
         self.partition_transitions: list[

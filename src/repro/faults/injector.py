@@ -50,18 +50,9 @@ class FaultInjector:
         if heartbeat_ns <= 0:
             raise ConfigError("heartbeat_ns must be positive")
         plan.validate_against(runtime.num_devices)
-        pmap = getattr(runtime, "partitions", None)
         for event in plan.events:
-            if event.partition is None:
-                continue
-            if pmap is None:
-                raise ConfigError(
-                    f"fault {event.kind} is scoped to partition "
-                    f"{event.partition!r} but the cluster is unpartitioned "
-                    f"(set REPRO_PARTITIONS or "
-                    f"make_cluster_platform(partitions=...))"
-                )
-            pmap.share(event.partition)       # validates the name
+            if event.partition is not None:
+                runtime.partitions.share(event.partition)   # validates it
         self.runtime = runtime
         self.plan = plan
         self.heartbeat_ns = heartbeat_ns
@@ -85,7 +76,7 @@ class FaultInjector:
         #: (handle, partition) so a detected failure can fail them typed
         #: — and a partition-scoped failure only the ones in its blast
         #: radius.
-        self._live: dict[int, dict[int, tuple[object, str | None]]] = {
+        self._live: dict[int, dict[int, tuple[object, str]]] = {
             d: {} for d in range(runtime.num_devices)
         }
         self._armed = False
@@ -342,7 +333,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def note_sub_issued(self, device: int, handle, sub_handle,
-                        partition: str | None = None) -> None:
+                        partition: str) -> None:
         """Track an in-flight sub-launch so a kill can fail it typed —
         and a partition-scoped kill only the ones in its blast radius."""
         self._live[device][id(sub_handle)] = (handle, partition)
@@ -356,28 +347,25 @@ class FaultInjector:
             self.stats.add("fault.lost_completions")
             return True
         entry = self._live[device].get(id(sub_handle))
-        if (entry is not None and entry[1] is not None
-                and (device, entry[1]) in self._part_killed):
+        if entry is not None and (device, entry[1]) in self._part_killed:
             self.stats.add("fault.lost_completions")
             return True
         self._live[device].pop(id(sub_handle), None)
         return False
 
     def delay_issue(self, device: int, ready_ns: float,
-                    partition: str | None = None) -> float:
+                    partition: str) -> float:
         """Hold sub-launch issue while the device — or the target
         partition — is in a stall window."""
-        until = self._stall_until[device]
-        if partition is not None:
-            until = max(until,
-                        self._part_stall_until.get((device, partition), 0.0))
+        until = max(self._stall_until[device],
+                    self._part_stall_until.get((device, partition), 0.0))
         if ready_ns < until:
             self.stats.add("fault.stall_delays")
             return until
         return ready_ns
 
     def poison_hit(self, lo: int, hi: int,
-                   partition: str | None = None) -> tuple[int, int] | None:
+                   partition: str) -> tuple[int, int] | None:
         """First poisoned range intersecting [lo, hi), or None.
 
         ``partition`` is the partition the launch would run in;

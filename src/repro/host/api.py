@@ -293,8 +293,9 @@ class M2NDPRuntime:
         every body µthread's ``x2`` so a sub-launch over a slice of a larger
         logical pool computes the same offsets a whole-pool launch would.
         ``partition`` (hardware-partitioning extension, see
-        :mod:`repro.cluster.partitions`) binds the launch to one partition
-        of a partitioned device.  With both left at their defaults the
+        :mod:`repro.cluster.partitions`) tags the launch with the index of
+        the partition it is pinned to; untagged launches run in the
+        device's default partition.  With both left at their defaults the
         payload is byte-identical to the plain Table II call.
         """
         flags = LAUNCH_FLAG_SYNC if sync else 0

@@ -25,7 +25,6 @@ offset 4<<5           ndpShootdownTlbEntry(asid, vpn)   [privileged]
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,7 +64,8 @@ def decode_func(offset: int) -> int:
 #: software partitioning turned into a protocol field, see repro.cluster)
 #: and the partition bit binds the launch to one hardware partition (one
 #: extra u64 — the partition index — follows the offset bias when both
-#: flags are set; see repro.cluster.partitions).
+#: flags are set; see repro.cluster.partitions).  Untagged launches run
+#: in partition 0.
 LAUNCH_FLAG_SYNC = 1 << 0
 LAUNCH_FLAG_OFFSET_BIAS = 1 << 1
 LAUNCH_FLAG_PARTITION = 1 << 2
@@ -118,14 +118,10 @@ class NDPController:
         self.queue_capacity = queue_capacity
         self.kernels: dict[int, KernelDescriptor] = {}
         self.instances: dict[int, KernelInstance] = {}
+        #: Started executions by instance id; the launch queue and the
+        #: running count they are admitted against live on each
+        #: :class:`~repro.ndp.device.DevicePartition`.
         self.active: dict[int, KernelExecution] = {}
-        self.queue: deque[KernelInstance] = deque()
-        # Per-partition concurrency: on a partitioned device every
-        # partition runs its own launch queue with its own
-        # max_concurrent_kernels budget, so a saturated (or killed)
-        # partition can never head-of-line-block another's launches.
-        self._part_active: dict[int, int] = {}
-        self._part_queues: dict[int, deque[KernelInstance]] = {}
         self._next_kernel_id = 1
         self._next_instance_id = 1
         self._process_state: dict[int, _ProcessState] = {}
@@ -240,32 +236,25 @@ class NDPController:
             except ProtocolError:
                 return ERR_BAD_ARGS
             args_at = 56
-        partition: int | None = None
+        # Every launch belongs to exactly one partition; untagged launches
+        # land in the default (first).
+        partition = 0
         if flags & LAUNCH_FLAG_PARTITION:
             try:
                 (partition,) = _read_u64s(data[args_at:], 1)
             except ProtocolError:
                 return ERR_BAD_ARGS
             args_at += 8
-        partitions = self.device.partitions
-        if partitions is not None:
-            # Every launch on a partitioned device belongs to exactly one
-            # partition; untagged launches land in the default (first).
-            if partition is None:
-                partition = 0
-            elif not 0 <= partition < len(partitions):
+            if partition >= len(self.device.partitions):
                 return ERR_BAD_ARGS
-        elif partition is not None:
-            return ERR_BAD_ARGS     # partition tag on a monolithic device
+        part = self.device.partitions[partition]
         kernel = self.kernels.get(kernel_id)
         if kernel is None:
             return ERR_UNKNOWN_KERNEL
         args = data[args_at:args_at + arg_bytes]
         if len(args) < arg_bytes:
             return ERR_BAD_ARGS
-        queue = (self.queue if partition is None
-                 else self._part_queues.setdefault(partition, deque()))
-        if len(queue) >= self.queue_capacity:
+        if len(part.queue) >= self.queue_capacity:
             return ERR_QUEUE_FULL
         instance = KernelInstance(
             instance_id=self._next_instance_id,
@@ -284,13 +273,10 @@ class NDPController:
         self.instances[instance.instance_id] = instance
         state = self._process_state.setdefault(asid, _ProcessState())
         state.last_launched = instance.instance_id
-        max_active = self.device.config.ndp.max_concurrent_kernels
-        running = (len(self.active) if partition is None
-                   else self._part_active.get(partition, 0))
-        if running < max_active:
+        if part.running < self.device.config.ndp.max_concurrent_kernels:
             self._start_instance(instance, now_ns)
         else:
-            queue.append(instance)
+            part.queue.append(instance)
         return instance.instance_id
 
     def _poll(self, data: bytes) -> int:
@@ -308,11 +294,11 @@ class NDPController:
             asid, vpn = _read_u64s(data, 2)
         except ProtocolError:
             return ERR_BAD_ARGS
-        hit = self.device.dram_tlb.shootdown(asid, vpn)
+        self.device.dram_tlb.shootdown(asid, vpn)
         for unit in self.device.units:
-            hit = unit.dtlb.shootdown(asid, vpn) or hit
-            hit = unit.itlb.shootdown(asid, vpn) or hit
-        return 0 if hit else 0  # idempotent success either way
+            unit.dtlb.shootdown(asid, vpn)
+            unit.itlb.shootdown(asid, vpn)
+        return 0    # idempotent success whether or not an entry was cached
 
     # ------------------------------------------------------------------
     # kernel lifecycle
@@ -320,31 +306,25 @@ class NDPController:
 
     def _start_instance(self, instance: KernelInstance, now_ns: float) -> None:
         ndp = self.device.config.ndp
-        part = (None if instance.partition is None
-                else self.device.partitions[instance.partition])
+        part = self.device.partitions[instance.partition]
         execution = KernelExecution(
             instance=instance,
-            num_units=ndp.num_units if part is None else part.num_units,
+            num_units=part.num_units,
             slots_per_unit=ndp.subcores_per_unit * ndp.uthread_slots_per_subcore,
             vector_bytes=ndp.vector_bytes,
             scratchpad_bytes=ndp.scratchpad_bytes,
             max_concurrent_kernels=ndp.max_concurrent_kernels,
             on_complete=self._on_kernel_complete,
-            unit_base=0 if part is None else part.unit_base,
+            unit_base=part.unit_base,
             partition=part,
         )
         self.active[instance.instance_id] = execution
-        if instance.partition is not None:
-            self._part_active[instance.partition] = (
-                self._part_active.get(instance.partition, 0) + 1
-            )
+        part.running += 1
         # Kernel arguments are placed in each unit's scratchpad (§III-G);
-        # a partition-bound launch only touches *its* units' scratchpads.
+        # a launch only touches *its* partition's units' scratchpads.
         if instance.args:
-            units = (self.device.units if part is None else
-                     self.device.units[part.unit_base:
-                                       part.unit_base + part.num_units])
-            for unit in units:
+            for unit in self.device.units[part.unit_base:
+                                          part.unit_base + part.num_units]:
                 unit.scratchpad.write(execution.args_vaddr, instance.args)
         execution.start(now_ns)
         self.device.register_execution(execution, now_ns)
@@ -352,20 +332,15 @@ class NDPController:
     def _on_kernel_complete(self, execution: KernelExecution,
                             now_ns: float) -> None:
         instance = execution.instance
+        part = execution.partition
         self.active.pop(instance.instance_id, None)
         self.device.unregister_execution(execution)
         self.device.stats.add("ndp.kernels_completed")
-        if instance.partition is not None:
-            part = self.device.partitions[instance.partition]
-            self._part_active[instance.partition] -= 1
+        part.running -= 1
+        if part.private:
             self.device.stats.add(f"partition.{part.name}.kernels_completed")
         for callback in self._completion_waiters.pop(instance.instance_id, []):
             callback(now_ns)
         max_active = self.device.config.ndp.max_concurrent_kernels
-        if instance.partition is None:
-            if self.queue and len(self.active) < max_active:
-                self._start_instance(self.queue.popleft(), now_ns)
-            return
-        queue = self._part_queues.get(instance.partition)
-        if queue and self._part_active.get(instance.partition, 0) < max_active:
-            self._start_instance(queue.popleft(), now_ns)
+        if part.queue and part.running < max_active:
+            self._start_instance(part.queue.popleft(), now_ns)

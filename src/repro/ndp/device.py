@@ -7,11 +7,16 @@ NDP units.  Kernel launches are *executed* by a pluggable backend from
 constructor argument): the per-instruction interpreter or the batched
 trace-replay fast path.  The device itself only provides the shared
 memory-system services and the host-facing CXL.mem entry points.
+
+Every device is split into >= 1 hardware :class:`DevicePartition`
+(:mod:`repro.cluster.partitions`): by default the one partition that is
+the whole device, sharing the device's own L2/DRAM models.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import replace as _dc_replace
 from functools import partial
 
@@ -44,25 +49,38 @@ _AMO_FLT = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
 
 
 class DevicePartition:
-    """One hardware partition's private timing models on one device.
+    """One hardware partition's timing models and launch state on a device.
 
-    Each partition owns its *own* memory-side L2 (sized to its set share)
-    and its *own* banked DRAM model (its channel share), so a launch bound
-    to one partition cannot evict another partition's cache lines or queue
-    behind its DRAM accesses — timing isolation by construction rather
-    than by masking inside shared structures.  The functional byte store
-    stays device-wide: partitions are a bandwidth/capacity carve-up, not
-    an address-space split.
+    On a device carved into several partitions each one owns its *own*
+    memory-side L2 (sized to its set share) and its *own* banked DRAM
+    model (its channel share), so a launch bound to one partition cannot
+    evict another partition's cache lines or queue behind its DRAM
+    accesses — timing isolation by construction rather than by masking
+    inside shared structures.  The single partition of the one-partition
+    map owns everything, so its models *are* the device's (``private`` is
+    False): host packet traffic and NDP traffic share one cache.  The
+    functional byte store stays device-wide: partitions are a
+    bandwidth/capacity carve-up, not an address-space split.
+
+    Every partition runs its own launch queue with its own
+    ``max_concurrent_kernels`` budget, so a saturated (or killed)
+    partition can never head-of-line-block another's launches.
     """
 
-    def __init__(self, share, dram: DRAMModel, l2: SectorCache) -> None:
+    def __init__(self, share, dram: DRAMModel, l2: SectorCache,
+                 private: bool) -> None:
         self.share = share
         self.dram = dram
         self.l2 = l2
+        #: owns timing models (and ``partition.<name>.*`` counters) of its
+        #: own rather than aliasing the device's
+        self.private = private
         self.name = share.name
         self.index = share.index
         self.unit_base = share.unit_base
         self.num_units = share.num_units
+        self.queue: deque = deque()     # KernelInstances waiting to start
+        self.running = 0                # started, not yet completed
 
 
 class M2NDPDevice:
@@ -112,11 +130,16 @@ class M2NDPDevice:
         self.backend = make_backend(
             backend if backend is not None else self.config.ndp.backend, self
         )
-        #: Hardware partitions (repro.cluster.partitions).  ``None`` — the
-        #: default — leaves the device monolithic and byte-identical to
-        #: pre-partitioning behavior.
-        self.partitions: list[DevicePartition] | None = None
-        self.partition_map = None
+        #: Hardware partitions, always >= 1: a device starts as the
+        #: one-partition map and a cluster re-carves it at construction.
+        self.partitions: list[DevicePartition]
+        # lazy import: ``cluster`` is built on ``ndp``, not vice versa
+        from repro.cluster.partitions import resolve_partitions
+        self.configure_partitions(resolve_partitions(None, self.config))
+        #: The whole-device partition host CXL.mem packets charge (its
+        #: models are ``self.l2`` / ``self.dram``); a carved device keeps
+        #: it beside its private partitions.
+        self.host_partition = self.partitions[0]
         # DRAM-TLB region lives at the top of device memory.
         self._dram_tlb_base = (
             self.config.cxl_dram.capacity_bytes - self.dram_tlb.region_bytes
@@ -130,22 +153,23 @@ class M2NDPDevice:
         """Carve the device into the partitions of a resolved
         :class:`~repro.cluster.partitions.PartitionMap`.
 
-        Must be called before traffic: each partition gets private L2 and
-        DRAM timing models sized to its share, and the partition's NDP
-        units are tagged so their whole memory path charges those models.
+        Must be called before traffic.  A map of several partitions gives
+        each private L2 and DRAM timing models sized to its share; the
+        one-partition map aliases the device's own.  Either way every NDP
+        unit is tagged so its whole memory path charges its partition's
+        models.
         """
-        if pmap is None:
-            return
-        parts: list[DevicePartition] = []
         l2_cfg, dram_cfg = self.config.l2, self.config.cxl_dram
+        private = len(pmap) > 1
+        self.partitions = []
         for share in pmap:
-            part = DevicePartition(
-                share,
-                DRAMModel(
+            dram, l2 = self.dram, self.l2
+            if private:
+                dram = DRAMModel(
                     _dc_replace(dram_cfg, channels=share.channels),
                     self.stats, f"cxl_dram.{share.name}",
-                ),
-                SectorCache(
+                )
+                l2 = SectorCache(
                     _dc_replace(
                         l2_cfg,
                         size_bytes=share.l2_sets * l2_cfg.ways
@@ -153,18 +177,11 @@ class M2NDPDevice:
                     ),
                     self.stats, f"l2.{share.name}",
                     write_allocate=True, write_back=True,
-                ),
-            )
-            parts.append(part)
+                )
+            part = DevicePartition(share, dram, l2, private)
+            self.partitions.append(part)
             for u in share.units:
                 self.units[u].partition = part
-        self.partitions = parts
-        self.partition_map = pmap
-
-    def partition_by_index(self, index: int) -> DevicePartition | None:
-        if self.partitions is None or not 0 <= index < len(self.partitions):
-            return None
-        return self.partitions[index]
 
     # ------------------------------------------------------------------
     # memory-system services shared by the units
@@ -200,19 +217,14 @@ class M2NDPDevice:
         return old
 
     def l2_dram_access(self, paddr: int, size: int, now_ns: float,
-                       is_write: bool, allocate: bool = True,
-                       partition: DevicePartition | None = None) -> float:
-        """Timed access through the memory-side L2 into DRAM.
+                       is_write: bool, partition: DevicePartition) -> float:
+        """Timed access through ``partition``'s L2 into its DRAM.
 
         Reads of lines the host may hold dirty first pay an HDM-DB
         back-invalidation round trip (Fig 13b); the BI blocks only the
-        requesting µthread, so FGMT hides most of it.  ``partition``
-        routes the access through that partition's private L2/DRAM slice
-        instead of the device-wide models (host packet traffic and
-        unpartitioned devices stay on the shared path).
+        requesting µthread, so FGMT hides most of it.
         """
-        l2 = self.l2 if partition is None else partition.l2
-        dram = self.dram if partition is None else partition.dram
+        l2, dram = partition.l2, partition.dram
         if not is_write and self.coherence.dirty_fraction > 0.0:
             now_ns = self.coherence.access(paddr, size, now_ns)
         result = l2.access(paddr, size, is_write)
@@ -228,8 +240,7 @@ class M2NDPDevice:
         return completion
 
     def l2_dram_access_batch(self, sector_addrs, arrivals_ns, is_write,
-                             partition: DevicePartition | None = None
-                             ) -> float:
+                             partition: DevicePartition) -> float:
         """Bulk counterpart of :meth:`l2_dram_access` for a sector stream.
 
         One vectorized pass charges HDM back-invalidation (reads of
@@ -239,8 +250,7 @@ class M2NDPDevice:
         completion among hits and fills (evicted-line writebacks are
         charged but, as in the scalar path, never block the launch).
         """
-        l2 = self.l2 if partition is None else partition.l2
-        dram = self.dram if partition is None else partition.dram
+        l2, dram = partition.l2, partition.dram
         sector_bytes = self.config.l2.sector_bytes
         arrivals = np.asarray(arrivals_ns, dtype=np.float64)
         if not sector_addrs.size:
@@ -300,7 +310,7 @@ class M2NDPDevice:
         else:
             self.physical.write_bytes(addr, data)
             self.l2_dram_access(addr, len(data), arrival + DEVICE_PORT_NS,
-                                is_write=True)
+                                is_write=True, partition=self.host_partition)
         ack = CXLPacket(PacketType.MEM_WR_ACK, addr, 0)
         return self.link.send_to_host(arrival + DEVICE_PORT_NS, ack)
 
@@ -321,7 +331,8 @@ class M2NDPDevice:
             return
         data = self.physical.read_bytes(addr, size)
         ready = self.l2_dram_access(addr, size, arrival + DEVICE_PORT_NS,
-                                    is_write=False)
+                                    is_write=False,
+                                    partition=self.host_partition)
         self._respond(data, ready, addr, callback)
 
     def _defer_read(self, response: ReadResponse, addr: int, size: int,

@@ -20,13 +20,16 @@ hundreds of thousands of µthreads costs O(units) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError
 from repro.isa.assembler import Program
 from repro.mem.scratchpad import SCRATCHPAD_VBASE
 from repro.ndp.kernel import KernelInstance, KernelStatus
 from repro.ndp.uthread import Phase
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.ndp.device import DevicePartition
 
 #: Scratchpad bytes reserved per concurrent kernel instance for arguments.
 ARG_SLOT_BYTES = 64
@@ -118,8 +121,8 @@ class KernelExecution:
         scratchpad_bytes: int,
         max_concurrent_kernels: int,
         on_complete: Callable[["KernelExecution", float], None],
-        unit_base: int = 0,
-        partition=None,
+        unit_base: int,
+        partition: DevicePartition,
     ) -> None:
         self.instance = instance
         self.num_units = num_units
@@ -131,7 +134,7 @@ class KernelExecution:
         #: and the interleave math use) run 0..num_units-1 while the
         #: spawn/fill machinery addresses physical units by global index.
         self.unit_base = unit_base
-        #: The resolved DevicePartition (or None), for backends that
+        #: The DevicePartition the launch runs in, for backends that
         #: charge the memory system directly.
         self.partition = partition
         self.on_complete = on_complete

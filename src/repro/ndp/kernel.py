@@ -93,11 +93,10 @@ class KernelInstance:
     #: sub-range's offset within that pool so kernels indexing companion
     #: arrays with x2 (e.g. VectorAdd's B/C) stay correct when split.
     offset_bias: int = 0
-    #: Hardware partition index this launch is bound to (``None`` on an
-    #: unpartitioned device).  Set from the ``LAUNCH_FLAG_PARTITION``
-    #: extension word; on a partitioned device untagged launches land in
-    #: the default (first) partition.
-    partition: int | None = None
+    #: Hardware partition index this launch is bound to: the
+    #: ``LAUNCH_FLAG_PARTITION`` extension word, or the default (first)
+    #: partition for an untagged launch.
+    partition: int = 0
     status: KernelStatus = KernelStatus.PENDING
     launch_ns: float = 0.0
     start_ns: float | None = None

@@ -17,6 +17,8 @@ I/D TLBs.  It provides two views of memory:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.config import NDPConfig
 from repro.errors import MemoryError_
 from repro.isa.executor import MemAccess
@@ -26,6 +28,9 @@ from repro.ndp.occupancy import UnitOccupancy
 from repro.ndp.subcore import SubCore
 from repro.ndp.tlb import ATS_LATENCY_NS, PAGE_SHIFT, TLB
 from repro.sim.stats import StatsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.ndp.device import DevicePartition
 
 #: On-chip crossbar hop between an NDP unit and the memory-side L2 (§III-E).
 CROSSBAR_NS = 2.0
@@ -105,11 +110,10 @@ class NDPUnit:
         )
         self.dtlb = TLB(config.dtlb_entries)
         self.itlb = TLB(config.itlb_entries)
-        #: The hardware partition this unit belongs to (``None`` on an
-        #: unpartitioned device); set by ``device.configure_partitions``.
-        #: Routes every global access through the partition's private
-        #: L2/DRAM slice.
-        self.partition = None
+        #: The hardware partition this unit belongs to, bound by
+        #: ``device.configure_partitions``: every global access goes
+        #: through that partition's L2/DRAM.
+        self.partition: DevicePartition
         self._memories: dict[int, UnitMemory] = {}
         # hot-path constants (avoid property/object churn per access)
         self._period_ns = config.clock.period_ns
@@ -162,7 +166,7 @@ class NDPUnit:
             # Global atomics execute at the memory-side L2 (§III-E/F).
             return self.device.l2_dram_access(
                 paddr, access.size, ready + CROSSBAR_NS, is_write=True,
-                allocate=True, partition=self.partition,
+                partition=self.partition,
             ) + ATOMIC_OP_NS
 
         l1_result = self.l1d.access(paddr, access.size, access.is_write)
@@ -173,7 +177,7 @@ class NDPUnit:
             for sector_addr, sector_size in l1_result.missing_sectors:
                 self.device.l2_dram_access(
                     sector_addr, sector_size, l1_done + CROSSBAR_NS,
-                    is_write=True, allocate=True, partition=self.partition,
+                    is_write=True, partition=self.partition,
                 )
             return l1_done
 
@@ -183,7 +187,7 @@ class NDPUnit:
         for sector_addr, sector_size in l1_result.missing_sectors:
             done = self.device.l2_dram_access(
                 sector_addr, sector_size, l1_done + CROSSBAR_NS,
-                is_write=False, allocate=True, partition=self.partition,
+                is_write=False, partition=self.partition,
             )
             completion = max(completion, done + CROSSBAR_NS)
         return completion

@@ -156,8 +156,7 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
     view); keys are deterministically sorted so manifests diff cleanly.
     ``partitions`` takes the cluster's
     :class:`~repro.cluster.partitions.PartitionMap` (or an
-    already-described dict); unpartitioned runs pass None and the key is
-    absent, keeping their manifests byte-identical.
+    already-described dict); the key is absent when none is given.
     """
     env = {key: value for key, value in sorted(os.environ.items())
            if key.startswith("REPRO_")}
@@ -171,7 +170,7 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
         "counters": stats.snapshot() if stats is not None else {},
         "span_aggregates": tracer.aggregates() if tracer is not None else {},
     }
-    if partitions is not None:
+    if partitions:
         manifest["partitions"] = (partitions.describe()
                                   if hasattr(partitions, "describe")
                                   else partitions)

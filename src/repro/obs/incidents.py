@@ -179,8 +179,7 @@ class IncidentReporter:
         }
         part_radius = _partition_blast_radius(ring)
         if part_radius:
-            # absent (not empty) on unpartitioned runs: pre-partitioning
-            # bundles stay byte-identical
+            # absent (not empty) when no event was partition-scoped
             bundle["partition_blast_radius"] = part_radius
         if self.monitor is not None:
             bundle["alerts"] = [a.to_dict() for a in self.monitor.alerts]

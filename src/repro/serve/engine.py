@@ -269,13 +269,11 @@ class ServingEngine:
                      self.runtime.scheduler.num_routable)
         return usable * self.inflight_per_device
 
-    def _partition_capacity(self, partition: str | None) -> int:
+    def _partition_capacity(self, partition: str) -> int:
         """In-flight cap for launches pinned to one hardware partition:
         the cluster-wide budget scaled by the partition's sub-core share
         (floor 1, so a tiny partition still makes progress)."""
         pmap = self.runtime.partitions
-        if pmap is None or partition is None:
-            return self.capacity
         share = pmap.share(partition)
         return max(1, round(self.capacity * share.num_units
                             / pmap.total_units))

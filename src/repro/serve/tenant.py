@@ -5,11 +5,10 @@ what work each request does (``kind``), how requests arrive
 (:class:`~repro.serve.arrivals.ArrivalSpec`), the latency class and WFQ
 weight, the SLO, and the admission limits.  :class:`TenantWorkload`
 materializes the tenant's data in cluster HDM and turns (slice-range)
-requests into concrete kernel launches, mirroring the per-kind setup the
-single-purpose traffic driver uses — but exposing *range* launches so the
+requests into concrete kernel launches — *range* launches, so the
 dynamic batcher can fuse contiguous slices into one launch.
 
-Request kinds (same trio as the cluster traffic driver):
+Request kinds:
 
 ``vecadd``  bandwidth-bound batched vector jobs; slices of C = A + B.
 ``olap``    column-scan analytics; slices of a predicate mask sweep.
@@ -29,11 +28,12 @@ Request kinds (same trio as the cluster traffic driver):
             different kernels), which the batcher enforces via each
             request's ``batch_key``.
 
-Tenants on a partitioned cluster may pin to one hardware partition
-(``TenantSpec.partition``): every allocation — and therefore every
-launch — lands inside that partition's sub-cores, L2 slices and DRAM
-channels, so a noisy neighbour in another partition cannot touch this
-tenant's timing.
+A tenant may pin to one hardware partition (``TenantSpec.partition``):
+every allocation — and therefore every launch — lands inside that
+partition's sub-cores, L2 slices and DRAM channels, so a noisy neighbour
+in another partition cannot touch this tenant's timing.  Unpinned
+tenants (``None``) run in the cluster's default partition — on the
+one-partition map, the whole device.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TenantSpec:
     slices: int = 8
     placement: str | None = None
     #: Pin every allocation (and therefore every launch) to one hardware
-    #: partition of a partitioned cluster.  None = unpinned.
+    #: partition.  None = unpinned.
     partition: str | None = None
     #: kvstore only: fraction of requests that are GETs (the rest are
     #: SETs that overwrite existing keys in place).
@@ -309,9 +309,13 @@ class TenantWorkload:
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        self._scatter_enabled = (
-            os.environ.get("REPRO_SERVE_SCATTER_BATCH", "1") != "0"
-        )
+        raw = os.environ.get("REPRO_SERVE_SCATTER_BATCH", "1")
+        if raw not in ("0", "1"):
+            raise ConfigError(
+                f"REPRO_SERVE_SCATTER_BATCH must be '0' or '1', got {raw!r} "
+                f"(from REPRO_SERVE_SCATTER_BATCH environment variable)"
+            )
+        self._scatter_enabled = raw == "1"
         if self._scatter_enabled:
             self.scatter_kid = self.runtime.register_kernel(
                 KVS_GET_SCATTER, name=f"{self.spec.name}.get_scatter"

@@ -35,7 +35,7 @@ HOST_HASH_NS = 150.0
 
 
 def hash_key(k0: int, k1: int, k2: int, buckets: int) -> int:
-    """The host-side key hash (also used by cluster serving drivers)."""
+    """The host-side key hash (also used by the serving tier)."""
     h = (k0 * 0x9E3779B97F4A7C15 + k1 * 0xC2B2AE3D27D4EB4F + k2) & (
         0xFFFFFFFFFFFFFFFF
     )
@@ -135,7 +135,7 @@ def setup_table(runtime: M2NDPRuntime, data: KVStoreData,
 
     ``placement`` (cluster runtimes only) shards or replicates the table
     across the expanders; the single-device runtime ignores it.
-    ``partition`` (partitioned clusters only) pins every launch against
+    ``partition`` (cluster runtimes only) pins every launch against
     the table to one hardware partition.
     """
     device = runtime.device

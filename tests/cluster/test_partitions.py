@@ -21,6 +21,8 @@ from repro.config import ClusterConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
+from repro.ndp.controller import ERR_BAD_ARGS
+from repro.serve import ArrivalSpec, ServingEngine, TenantSpec
 
 import numpy as np
 
@@ -64,9 +66,18 @@ class TestSpecParsing:
         assert platform.runtime.partitions.names == ("a", "b")
 
     def test_empty_env_disables(self, monkeypatch):
+        """Unset / empty = the one-partition map owning the whole device."""
         monkeypatch.setenv("REPRO_PARTITIONS", "")
         platform = make_cluster_platform(num_devices=1)
-        assert platform.runtime.partitions is None
+        pmap = platform.runtime.partitions
+        assert len(pmap) == 1
+        only = pmap.default
+        assert (only.num_units, only.channels, only.l2_sets) == (
+            pmap.total_units, pmap.total_channels, pmap.total_l2_sets)
+        device = platform.device
+        assert len(device.partitions) == 1
+        assert device.partitions[0].l2 is device.l2
+        assert device.partitions[0].dram is device.dram
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARTITIONS", "a:1,b:1")
@@ -242,6 +253,59 @@ class TestPlacementIsolation:
             outs.append(bytes(runtime.physical.read_bytes(addr_c, a.nbytes)))
         assert outs[0] == outs[1]
         assert outs[0] == (np.arange(1 << 10, dtype=np.int64) * 4).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the unpartitioned device is the one-partition map
+# ---------------------------------------------------------------------------
+
+class TestOnePartitionMap:
+    def _launch(self, platform, tag):
+        """Launch VECADD on device 0 with a raw partition tag; returns the
+        M2func return value (instance id, or a negative ERR code)."""
+        n = 256
+        a = np.arange(n, dtype=np.int64)
+        cluster = platform.runtime
+        addr_a = cluster.alloc_array(a)
+        addr_b = cluster.alloc_array(a)
+        addr_c = cluster.alloc(a.nbytes)
+        kid = cluster.register_kernel(VECADD, name="abi")
+        handle = cluster.runtimes[0].launch_async(
+            kid, addr_a, addr_a + a.nbytes,
+            args=pack_args(addr_b, addr_c), partition=tag)
+        cluster.wait_all()
+        return handle.call.value
+
+    @pytest.mark.parametrize("tag", [None, 0])
+    def test_default_device_accepts_untagged_and_tag_zero(self, tag):
+        platform = make_cluster_platform(num_devices=1)
+        assert self._launch(platform, tag) > 0
+        assert platform.stats.get("ndp.kernels_completed") == 1
+
+    def test_default_device_rejects_tag_one(self):
+        platform = make_cluster_platform(num_devices=1)
+        assert self._launch(platform, 1) == ERR_BAD_ARGS
+
+    def test_one_entry_spec_equals_the_default(self):
+        """``partitions="solo"`` is the unpartitioned device under another
+        name: same timing, same bytes, same counters (no ``l2.solo`` /
+        ``partition.solo.*`` beside the device-wide pair)."""
+        def run(spec):
+            platform = make_cluster_platform(num_devices=2, partitions=spec)
+            engine = ServingEngine(platform, [
+                TenantSpec("scan", "olap", size=1 << 12, slices=4,
+                           arrivals=ArrivalSpec(rate_rps=2e5, requests=12)),
+                TenantSpec("kv", "kvstore",
+                           arrivals=ArrivalSpec(rate_rps=2e6, requests=40)),
+            ], monitoring=False)
+            report = engine.run()
+            assert report.correct
+            runtimes_ns = [inst.runtime_ns for device in platform.devices
+                           for inst in device.controller.instances.values()]
+            return (runtimes_ns, report.span_ns,
+                    engine.result_snapshots(), platform.stats.snapshot())
+
+        assert run("solo") == run(None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ def make_execution(source: str, pool_span: int, stride: int = 32,
         vector_bytes=32, scratchpad_bytes=128 * 1024,
         max_concurrent_kernels=48,
         on_complete=on_complete or (lambda ex, t: None),
+        # no device here: the generator itself never reads the partition
+        unit_base=0, partition=None,
     )
     execution.start(0.0)
     return execution

@@ -71,6 +71,14 @@ class TestScatterDifferential:
         assert first.aggregate.samples == second.aggregate.samples
         assert first.p95_ns == second.p95_ns
 
+    @pytest.mark.parametrize("raw", ["false", "off", "no", "2", ""])
+    def test_knob_accepts_only_0_or_1(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", raw)
+        platform = make_cluster_platform(num_devices=1, backend="batched")
+        with pytest.raises(ConfigError) as err:
+            ServingEngine(platform, [TenantSpec("kv", "kvstore")])
+        assert "REPRO_SERVE_SCATTER_BATCH" in str(err.value)
+
 
 class TestContiguityGuard:
     def test_take_rejects_gapped_slice_run(self, monkeypatch):

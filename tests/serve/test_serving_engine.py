@@ -181,6 +181,43 @@ class TestBatchingEquivalence:
         assert report.mean_batch > 1.0
 
 
+class TestRawClusterCapacity:
+    """FIFO, one request per launch: the engine as a plain open-loop
+    driver of the cluster (what the scaling experiments measure)."""
+
+    @staticmethod
+    def _run(num_devices, tenants):
+        platform = make_cluster_platform(num_devices=num_devices,
+                                         placement="interleaved",
+                                         backend="batched")
+        report = ServingEngine(
+            platform, tenants, scheduler="fifo",
+            batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
+            monitoring=False).run()
+        assert report.correct
+        return report
+
+    def test_four_devices_at_least_3x(self):
+        saturating = ArrivalSpec("poisson", rate_rps=1e7, requests=8)
+        tenants = [TenantSpec("vec", "vecadd", arrivals=saturating,
+                              size=1 << 16, slices=8),
+                   TenantSpec("olap", "olap", arrivals=saturating,
+                              size=1 << 16, slices=8)]
+        one, four = self._run(1, tenants), self._run(4, tenants)
+        for name in ("vec", "olap"):
+            assert (four.tenant(name).throughput_rps
+                    / one.tenant(name).throughput_rps) >= 3.0
+
+    def test_open_loop_backlog_raises_latency(self):
+        # same work at 1000x the arrival rate: queueing must show in p95
+        def run(rate):
+            return self._run(1, [TenantSpec(
+                "scan", "olap", size=1 << 15, slices=4,
+                arrivals=ArrivalSpec("poisson", rate_rps=rate, requests=16),
+            )])
+        assert run(1e7).p95_ns > 2 * run(1e4).p95_ns
+
+
 class TestClosedLoop:
     def test_closed_loop_serves_full_budget(self):
         platform = make_cluster_platform(num_devices=1, backend="batched")
