@@ -37,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -161,8 +162,18 @@ def main(argv: list[str]) -> int:
         committed = json.load(fh)
     with open(argv[1]) as fh:
         fresh = json.load(fh)
-    factor = float(os.environ.get("REPRO_BENCH_BUDGET_FACTOR",
-                                  DEFAULT_FACTOR))
+    # parsed here, not in repro.knobs: CI runs this script without src/
+    # on its path, so it must not import the package
+    raw = os.environ.get("REPRO_BENCH_BUDGET_FACTOR", DEFAULT_FACTOR)
+    try:
+        factor = float(raw)
+    except ValueError:
+        factor = math.nan
+    if not (math.isfinite(factor) and factor > 0):
+        print(f"REPRO_BENCH_BUDGET_FACTOR must be a finite number > 0, "
+              f"got {raw!r} (from REPRO_BENCH_BUDGET_FACTOR environment "
+              f"variable)")
+        return 2
     failures = check(committed, fresh, factor)
     for field in TRACKED_FIELDS:
         base, now = _dig(committed, field), _dig(fresh, field)

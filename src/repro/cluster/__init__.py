@@ -29,7 +29,6 @@ from repro.cluster.runtime import (
     ClusterPlatform,
     ClusterRuntime,
     make_cluster_platform,
-    resolve_launch_timeout,
 )
 from repro.cluster.scheduler import (
     MAX_SUBLAUNCHES,
@@ -52,5 +51,4 @@ __all__ = [
     "SubLaunch",
     "auto_shard_bytes",
     "make_cluster_platform",
-    "resolve_launch_timeout",
 ]

@@ -22,28 +22,22 @@ unmodified on 1..N devices.  The moving parts:
 * Completion is aggregated: a :class:`ClusterLaunchHandle` finishes when
   the slowest sub-launch does.
 
-Selection precedence for the execution backend and scheduler policy
-mirrors ``make_platform``: explicit argument > environment variable
-(``REPRO_EXEC_BACKEND`` / ``REPRO_CLUSTER_SCHEDULER``, validated at
-construction) > config default.
+The execution backend, scheduler policy, partition spec and launch
+timeout are knobs (:mod:`repro.knobs`, README "Knobs"): explicit argument
+> environment variable > config default, validated at construction.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from repro import knobs
 from repro.cluster.partitions import PartitionMap, resolve_partitions
 from repro.cluster.placement import ClusterAllocator, ShardMap
-from repro.cluster.scheduler import (
-    LaunchScheduler,
-    SubLaunch,
-    validate_scheduler_name,
-)
+from repro.cluster.scheduler import LaunchScheduler, SubLaunch
 from repro.config import ClusterConfig, SystemConfig, default_system
 from repro.cxl.switch import CXLSwitch
 from repro.errors import (
@@ -53,7 +47,6 @@ from repro.errors import (
     PoisonError,
     SimulationError,
 )
-from repro.exec.base import validate_backend_name
 from repro.host.api import LaunchHandle, M2NDPRuntime
 from repro.isa.assembler import KernelProgram, assemble_kernel
 from repro.obs import tracer as obs_tracer
@@ -71,66 +64,6 @@ CLUSTER_BASE_ASID = 0x10
 #: M2func launch payload: 6-word header + bias word + argument bytes; used
 #: to charge the fan-out write through the switch's host path.
 LAUNCH_WIRE_BYTES = 56
-
-
-def resolve_launch_timeout(explicit: float | None) -> float:
-    """Explicit argument > REPRO_LAUNCH_TIMEOUT_NS env > 0 (disabled).
-
-    A positive value arms a per-launch watchdog: a launch still pending
-    that many simulated ns after issue fails with a typed
-    :class:`~repro.errors.LaunchFailed` (reason ``timeout``) instead of
-    deadlocking the event loop on a stuck device.
-    """
-    def check(value: float, source: str) -> float:
-        if not math.isfinite(value) or value < 0:
-            raise ConfigError(
-                f"launch timeout must be finite and >= 0 "
-                f"(from {source}), got {value}"
-            )
-        return value
-
-    if explicit is not None:
-        return check(float(explicit), "launch_timeout_ns argument")
-    env = os.environ.get("REPRO_LAUNCH_TIMEOUT_NS")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_LAUNCH_TIMEOUT_NS must be a number, got {env!r}"
-            ) from None
-        return check(value, "REPRO_LAUNCH_TIMEOUT_NS environment variable")
-    return 0.0
-
-
-def resolve_scheduler_policy(explicit: str | None,
-                             config_default: str) -> str:
-    """Explicit argument > REPRO_CLUSTER_SCHEDULER env > config default."""
-    if explicit is not None:
-        return validate_scheduler_name(explicit, source="scheduler argument")
-    env = os.environ.get("REPRO_CLUSTER_SCHEDULER")
-    if env is not None:
-        return validate_scheduler_name(
-            env, source="REPRO_CLUSTER_SCHEDULER environment variable"
-        )
-    return config_default
-
-
-def resolve_partition_source(explicit: str | None,
-                             config_default: str | None,
-                             ) -> tuple[str | None, str]:
-    """Explicit argument > REPRO_PARTITIONS env > config default.
-
-    Returns ``(spec, source)`` so validation errors can name where the
-    offending spec came from.  An empty string is the same as unset —
-    ``REPRO_PARTITIONS=""`` selects the one-partition map.
-    """
-    if explicit is not None:
-        return explicit or None, "partitions argument"
-    env = os.environ.get("REPRO_PARTITIONS")
-    if env is not None:
-        return env or None, "REPRO_PARTITIONS environment variable"
-    return config_default, "ClusterConfig.partitions"
 
 
 @dataclass
@@ -268,22 +201,16 @@ class ClusterRuntime:
         self.sim = sim if sim is not None else Simulator()
         self.system = system if system is not None else default_system()
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
-        if backend is None:
-            backend = os.environ.get("REPRO_EXEC_BACKEND")
-            if backend is not None:
-                validate_backend_name(
-                    backend, source="REPRO_EXEC_BACKEND environment variable"
-                )
-        policy = resolve_scheduler_policy(
-            scheduler, self.cluster_config.scheduler
-        )
-        spec, spec_source = resolve_partition_source(
-            partitions, self.cluster_config.partitions
-        )
+        policy = knobs.resolve("REPRO_CLUSTER_SCHEDULER", scheduler,
+                               fallback=self.cluster_config.scheduler,
+                               arg="scheduler")
         #: Resolved :class:`PartitionMap` applied uniformly to every
-        #: device; an unset spec is the one-partition map.
+        #: device; an unset or empty spec is the one-partition map.
         self.partitions: PartitionMap = resolve_partitions(
-            spec, self.system, source=spec_source
+            knobs.resolve("REPRO_PARTITIONS", partitions,
+                          fallback=self.cluster_config.partitions,
+                          arg="partitions"),
+            self.system,
         )
         n = self.cluster_config.num_devices
 
@@ -311,7 +238,13 @@ class ClusterRuntime:
             default_shard_bytes=self.cluster_config.shard_bytes,
         )
         self.scheduler = LaunchScheduler(policy, n)
-        self.launch_timeout_ns = resolve_launch_timeout(launch_timeout_ns)
+        #: A positive value arms a per-launch watchdog: a launch still
+        #: pending that many simulated ns after issue fails with a typed
+        #: :class:`~repro.errors.LaunchFailed` (reason ``timeout``)
+        #: instead of deadlocking the event loop on a stuck device.
+        self.launch_timeout_ns = knobs.resolve(
+            "REPRO_LAUNCH_TIMEOUT_NS", launch_timeout_ns,
+            arg="launch_timeout_ns")
         #: Armed FaultInjector, or None — the healthy-cluster default, in
         #: which every fault hook below short-circuits.
         self.faults = None
@@ -750,9 +683,8 @@ def make_cluster_platform(num_devices: int = 2,
     Keyword conveniences (``placement`` / ``scheduler`` / ``shard_bytes``)
     override the corresponding :class:`ClusterConfig` fields; a full
     ``cluster`` config wins over ``num_devices``.  ``partitions`` is a
-    hardware partition spec (``"rt:1,batch:3"``) applied to every device;
-    selection precedence matches the other knobs (argument >
-    ``REPRO_PARTITIONS`` > config default, validated at construction).
+    hardware partition spec (``"rt:1,batch:3"``) applied to every device,
+    resolved like every knob (README "Knobs").
     """
     if cluster is None:
         cluster = ClusterConfig(

@@ -29,8 +29,8 @@ Backend selection
 -----------------
 
 * ``NDPConfig.backend`` (default ``"interpreter"``) picks the device-wide
-  default; the ``REPRO_EXEC_BACKEND`` environment variable overrides that
-  default, and an explicit ``backend=`` argument to
+  default; the ``REPRO_EXEC_BACKEND`` knob (:mod:`repro.knobs`, README
+  "Knobs") overrides it, and an explicit ``backend=`` argument to
   :func:`repro.workloads.base.make_platform` or ``M2NDPDevice`` always
   wins (experiments pinned to the interpreter must not be overridden from
   the environment).
@@ -56,7 +56,7 @@ Backend selection
   land in ``exec.batched_launches`` / ``exec.simt_launches``.
 * Repeated launches of the same shape skip tracing entirely through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
-  ``exec.trace_cache_misses``; disable with ``REPRO_TRACE_CACHE=0``) —
+  ``exec.trace_cache_misses``; the ``REPRO_TRACE_CACHE`` knob) —
   including divergent/atomic SIMT traces, which are verified against
   their recorded mask schedule on every replay.
 """

@@ -68,21 +68,6 @@ def backend_names() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def validate_backend_name(name: str, source: str = "backend") -> str:
-    """Check ``name`` against the registry, naming the offending source.
-
-    Platform constructors call this on environment-provided values
-    (``REPRO_EXEC_BACKEND``) so a typo fails fast with the valid choices
-    instead of surfacing deep inside backend lookup at device build time.
-    """
-    if name not in backend_names():
-        raise ConfigError(
-            f"unknown execution backend {name!r} (from {source}); "
-            f"choose from {backend_names()}"
-        )
-    return name
-
-
 def make_backend(name: str, device) -> ExecutionBackend:
     """Instantiate the backend ``name`` for ``device``."""
     _ensure_builtins_registered()

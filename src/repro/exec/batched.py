@@ -573,7 +573,7 @@ class BatchedBackend(InterpreterBackend):
 
     def __init__(self, device) -> None:
         super().__init__(device)
-        self.trace_cache = TraceCache.from_env()
+        self.trace_cache = TraceCache()
 
     # ------------------------------------------------------------------
 

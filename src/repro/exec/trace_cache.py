@@ -30,10 +30,10 @@ masks, a remapped page (the device's ``translation_version``) —
 invalidates the entry and falls back to a full trace, so the cache can
 change wall-clock time but never results.
 
-``REPRO_TRACE_CACHE=0`` disables the cache entirely (every launch takes
-the full trace path); ``REPRO_TRACE_CACHE_CAPACITY`` (int >= 1) bounds
-the number of retained entries (LRU, default 64).  Both are validated at
-construction (:meth:`TraceCache.from_env`).
+``REPRO_TRACE_CACHE`` switches the cache off (every launch then takes
+the full trace path) and ``REPRO_TRACE_CACHE_CAPACITY`` bounds the number
+of retained entries (LRU); see :mod:`repro.knobs` and the README "Knobs"
+table.
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
 :class:`PointPathEntry` *families*: one cache slot per **structural** key
@@ -47,17 +47,13 @@ path recorded for key B as long as both walks take the same branches
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro import knobs
 from repro.isa.encoding import FUnit
-
-#: Default number of cached launch shapes kept per device.
-DEFAULT_CAPACITY = 64
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
@@ -320,34 +316,13 @@ class SimtTraceEntry:
 
 
 class TraceCache:
-    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
+    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape,
+    switched and sized by the ``REPRO_TRACE_CACHE*`` knobs."""
 
-    def __init__(self, enabled: bool = True,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.enabled: bool = knobs.resolve("REPRO_TRACE_CACHE")
+        self.capacity: int = knobs.resolve("REPRO_TRACE_CACHE_CAPACITY")
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
-
-    @classmethod
-    def from_env(cls) -> "TraceCache":
-        """Build from ``REPRO_TRACE_CACHE`` / ``REPRO_TRACE_CACHE_CAPACITY``."""
-        raw = os.environ.get("REPRO_TRACE_CACHE", "1")
-        if raw not in ("0", "1"):
-            raise ConfigError(
-                f"REPRO_TRACE_CACHE must be '0' or '1', got {raw!r} "
-                f"(from REPRO_TRACE_CACHE environment variable)"
-            )
-        capacity = DEFAULT_CAPACITY
-        raw_capacity = os.environ.get("REPRO_TRACE_CACHE_CAPACITY")
-        if raw_capacity is not None:
-            if not raw_capacity.isdigit() or int(raw_capacity) < 1:
-                raise ConfigError(
-                    f"REPRO_TRACE_CACHE_CAPACITY must be an integer >= 1, "
-                    f"got {raw_capacity!r} (from REPRO_TRACE_CACHE_CAPACITY "
-                    f"environment variable)"
-                )
-            capacity = int(raw_capacity)
-        return cls(enabled=raw == "1", capacity=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -8,8 +8,9 @@ one place).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from repro import knobs
 
 #: Execution backend used by the figure reproductions (see repro.exec).
 #: Experiments default to the batched trace-replay fast path — launches it
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 #: back to the interpreter per launch, so results stay correct everywhere.
 #: The microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
 #: granularity) pin the interpreter explicitly and ignore this default.
-#: Override with the REPRO_EXPERIMENT_BACKEND env var.
-EXPERIMENT_BACKEND = os.environ.get("REPRO_EXPERIMENT_BACKEND", "batched")
+#: Override with the REPRO_EXPERIMENT_BACKEND env var (README "Knobs").
+EXPERIMENT_BACKEND = knobs.resolve("REPRO_EXPERIMENT_BACKEND")
 
 
 @dataclass

@@ -3,10 +3,11 @@
 Owns the physical memory (HDM), the banked LPDDR5 DRAM model, the
 memory-side L2, the CXL link + packet filter, the NDP controller and the 32
 NDP units.  Kernel launches are *executed* by a pluggable backend from
-:mod:`repro.exec` (selected via ``NDPConfig.backend`` or the ``backend``
-constructor argument): the per-instruction interpreter or the batched
-trace-replay fast path.  The device itself only provides the shared
-memory-system services and the host-facing CXL.mem entry points.
+:mod:`repro.exec` (the ``backend`` constructor argument, else the
+``REPRO_EXEC_BACKEND`` knob, else ``NDPConfig.backend``): the
+per-instruction interpreter or the batched trace-replay fast path.  The
+device itself only provides the shared memory-system services and the
+host-facing CXL.mem entry points.
 
 Every device is split into >= 1 hardware :class:`DevicePartition`
 (:mod:`repro.cluster.partitions`): by default the one partition that is
@@ -22,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from repro import knobs
 from repro.config import SystemConfig
 from repro.cxl.hdm import HDMCoherence
 from repro.cxl.link import CXLLink
@@ -128,7 +130,9 @@ class M2NDPDevice:
             for i in range(self.config.ndp.num_units)
         ]
         self.backend = make_backend(
-            backend if backend is not None else self.config.ndp.backend, self
+            knobs.resolve("REPRO_EXEC_BACKEND", backend,
+                          fallback=self.config.ndp.backend, arg="backend"),
+            self,
         )
         #: Hardware partitions, always >= 1: a device starts as the
         #: one-partition map and a cluster re-carves it at construction.

@@ -34,13 +34,8 @@ from repro.obs.monitor import (
     SLOMonitor,
     SLObjective,
     default_objectives,
-    resolve_monitoring,
 )
-from repro.obs.recorder import (
-    EventRecord,
-    FlightRecorder,
-    resolve_recorder_capacity,
-)
+from repro.obs.recorder import EventRecord, FlightRecorder
 from repro.obs.timeline import UtilizationSampler
 from repro.obs.tracer import (
     HOST_PID,
@@ -65,8 +60,6 @@ __all__ = [
     "UtilizationSampler",
     "default_objectives",
     "enabled",
-    "resolve_monitoring",
-    "resolve_recorder_capacity",
     "run_manifest",
     "set_enabled",
     "to_chrome_trace",

@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 
+from repro import knobs
 from repro.obs.tracer import HOST_PID, Span, Tracer
 
 #: Manifest schema tag (bump on incompatible layout changes).
@@ -157,9 +158,10 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
     ``partitions`` takes the cluster's
     :class:`~repro.cluster.partitions.PartitionMap` (or an
     already-described dict); the key is absent when none is given.
+    ``env_unknown`` lists set ``REPRO_*`` variables that no knob reads
+    (a typo is otherwise silent); absent when there are none.
     """
-    env = {key: value for key, value in sorted(os.environ.items())
-           if key.startswith("REPRO_")}
+    env, unknown = knobs.environment()
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "python": sys.version.split()[0],
@@ -170,6 +172,8 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
         "counters": stats.snapshot() if stats is not None else {},
         "span_aggregates": tracer.aggregates() if tracer is not None else {},
     }
+    if unknown:
+        manifest["env_unknown"] = unknown
     if partitions:
         manifest["partitions"] = (partitions.describe()
                                   if hasattr(partitions, "describe")

@@ -27,18 +27,17 @@ injector surface as typed ``device_down`` / ``device_degraded`` /
 ``poison`` alerts on the next monitor beat, so a kill alerts even when
 retries keep the burn rate under threshold.
 
-Knobs: ``REPRO_MONITOR`` (0/1, default 1 — always-on) gates the whole
-monitoring stack at the serving engine; ``REPRO_MONITOR_BURN`` (float
-> 0, default 2.0) sets the default burn threshold baked into
-:func:`default_objectives`.
+Knobs (:mod:`repro.knobs`, README "Knobs"): ``REPRO_MONITOR`` gates the
+whole monitoring stack at the serving engine; ``REPRO_MONITOR_BURN`` sets
+the default burn threshold baked into :func:`default_objectives`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
+from repro import knobs
 from repro.errors import ConfigError
 from repro.sim.stats import StatsRegistry, percentile
 
@@ -48,7 +47,7 @@ DEFAULT_FAST_WINDOW_NS = 5_000.0
 DEFAULT_SLOW_WINDOW_NS = 60_000.0
 
 #: Default burn threshold: budget spent at >= 2x the sustainable rate.
-DEFAULT_BURN_THRESHOLD = 2.0
+DEFAULT_BURN_THRESHOLD = knobs.KNOBS["REPRO_MONITOR_BURN"].default
 
 #: Default monitor evaluation cadence (matches the fault injector's
 #: heartbeat, so an alert lands at most one beat after a detection).
@@ -63,43 +62,6 @@ _FAULT_ALERTS = {
     "fault.partition_detect": ("partition_down", "page"),
     "fault.partition_stall": ("partition_degraded", "ticket"),
 }
-
-
-def resolve_monitoring(explicit: bool | None) -> bool:
-    """Explicit argument > REPRO_MONITOR env > default (on)."""
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_MONITOR", "1")
-    if raw not in ("0", "1"):
-        raise ConfigError(
-            f"REPRO_MONITOR must be '0' or '1', got {raw!r} "
-            f"(from REPRO_MONITOR environment variable)"
-        )
-    return raw == "1"
-
-
-def resolve_burn_threshold(explicit: float | None) -> float:
-    """Explicit argument > REPRO_MONITOR_BURN env > default (2.0)."""
-    def check(value: float, source: str) -> float:
-        if not math.isfinite(value) or value <= 0:
-            raise ConfigError(
-                f"burn threshold must be finite and > 0 (from {source}), "
-                f"got {value}"
-            )
-        return value
-
-    if explicit is not None:
-        return check(float(explicit), "burn_threshold argument")
-    env = os.environ.get("REPRO_MONITOR_BURN")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_MONITOR_BURN must be a number, got {env!r}"
-            ) from None
-        return check(value, "REPRO_MONITOR_BURN environment variable")
-    return DEFAULT_BURN_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -367,6 +329,7 @@ def default_objectives(tenant_names, *,
                        burn_threshold: float | None = None
                        ) -> dict[str, SLObjective]:
     """One default objective per tenant (attainment-only, env threshold)."""
-    threshold = resolve_burn_threshold(burn_threshold)
+    threshold = knobs.resolve("REPRO_MONITOR_BURN", burn_threshold,
+                              arg="burn_threshold")
     return {name: SLObjective(burn_threshold=threshold)
             for name in tenant_names}

@@ -16,47 +16,15 @@ When an incident fires, :class:`~repro.obs.incidents.IncidentReporter`
 snapshots the ring into the bundle — the "what happened just before"
 context a final report cannot reconstruct.
 
-``REPRO_RECORDER_CAPACITY`` (int >= 1, default 256) sizes the ring;
-the explicit constructor argument wins, matching every other
-``REPRO_*`` knob.
+``REPRO_RECORDER_CAPACITY`` sizes the ring (:mod:`repro.knobs`, README
+"Knobs"); the explicit constructor argument wins.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
-from repro.errors import ConfigError
-
-#: Default ring capacity: enough to hold the full fault->detect->recover
-#: neighborhood of an incident on a small cluster without growing the
-#: per-record cost of a long healthy run.
-DEFAULT_RECORDER_CAPACITY = 256
-
-
-def resolve_recorder_capacity(explicit: int | None) -> int:
-    """Explicit argument > REPRO_RECORDER_CAPACITY env > default (256)."""
-    def check(value: int, source: str) -> int:
-        if value < 1:
-            raise ConfigError(
-                f"recorder capacity must be >= 1 (from {source}), "
-                f"got {value}"
-            )
-        return value
-
-    if explicit is not None:
-        return check(int(explicit), "recorder_capacity argument")
-    env = os.environ.get("REPRO_RECORDER_CAPACITY")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_RECORDER_CAPACITY must be an integer, got {env!r}"
-            ) from None
-        return check(value, "REPRO_RECORDER_CAPACITY environment variable")
-    return DEFAULT_RECORDER_CAPACITY
-
+from repro import knobs
 
 class EventRecord:
     """One ring entry.  Slotted: the recorder holds thousands of these."""
@@ -93,7 +61,8 @@ class FlightRecorder:
     """Bounded ring of :class:`EventRecord` (oldest evicted first)."""
 
     def __init__(self, capacity: int | None = None) -> None:
-        self.capacity = resolve_recorder_capacity(capacity)
+        self.capacity = knobs.resolve("REPRO_RECORDER_CAPACITY", capacity,
+                                      arg="capacity")
         self._ring: deque[EventRecord] = deque(maxlen=self.capacity)
         self._seq = 0
         #: Records evicted to make room (ring was full when they aged out).

@@ -32,38 +32,25 @@ swim-lanes in one pass at export time.
 
 Overhead discipline: tracing is **off by default** (``REPRO_TRACE=0``).
 Instrumented hot paths guard every span with ``if tracer_mod.ENABLED:``
-— a module-attribute load and branch, nothing else.  ``REPRO_TRACE``
-accepts only ``0`` or ``1``; anything else raises
-:class:`~repro.errors.ConfigError` at import, matching the other
-``REPRO_*`` knobs.
+— a module-attribute load and branch, nothing else.  ``REPRO_TRACE`` is
+resolved once, at import (:mod:`repro.knobs`, README "Knobs").
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-from repro.errors import ConfigError
+from repro import knobs
 
 #: pid of the serving/cluster host process in exported traces; devices
 #: are pid ``1 + device_index`` (``M2NDPDevice.trace_pid``).
 HOST_PID = 0
 
 
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_TRACE", "0")
-    if raw not in ("0", "1"):
-        raise ConfigError(
-            f"REPRO_TRACE must be '0' or '1', got {raw!r} "
-            f"(from REPRO_TRACE environment variable)"
-        )
-    return raw == "1"
-
-
 #: Module-level enabled flag.  Hot paths read this attribute directly;
 #: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, tests,
 #: the smoke benchmark's on/off passes).
-ENABLED: bool = _env_enabled()
+ENABLED: bool = knobs.resolve("REPRO_TRACE")
 
 
 def enabled() -> bool:

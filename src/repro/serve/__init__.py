@@ -47,8 +47,6 @@ from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.engine import (
     HOST_DISPATCH_NS,
     ServingEngine,
-    resolve_batch_policy,
-    resolve_serve_scheduler,
     serve,
 )
 from repro.serve.qos import (
@@ -103,8 +101,6 @@ __all__ = [
     "TokenBucket",
     "TraceArrivals",
     "make_arrival_process",
-    "resolve_batch_policy",
-    "resolve_serve_scheduler",
     "serve",
     "stream_rng",
     "validate_serve_scheduler",

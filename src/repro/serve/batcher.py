@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.knobs import KNOBS
 from repro.serve.qos import Request, RequestQueue
 
 
@@ -46,14 +47,14 @@ from repro.serve.qos import Request, RequestQueue
 class BatchPolicy:
     """Max-batch / max-wait coalescing knobs (``max_batch=1`` disables)."""
 
-    max_batch: int = 8
-    max_wait_ns: float = 2_000.0
+    max_batch: int = KNOBS["REPRO_SERVE_MAX_BATCH"].default
+    max_wait_ns: float = KNOBS["REPRO_SERVE_MAX_WAIT_NS"].default
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ConfigError("max_batch must be >= 1")
-        if self.max_wait_ns < 0:
-            raise ConfigError("max_wait_ns must be >= 0")
+        KNOBS["REPRO_SERVE_MAX_BATCH"].accept(self.max_batch,
+                                              "max_batch argument")
+        KNOBS["REPRO_SERVE_MAX_WAIT_NS"].accept(self.max_wait_ns,
+                                                "max_wait_ns argument")
 
     @property
     def enabled(self) -> bool:

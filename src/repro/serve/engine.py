@@ -21,20 +21,16 @@ Event flow, all in simulated time on the cluster's shared simulator:
    distributions, SLO attainment, shed counts and windowed throughput
    into the cluster's :class:`~repro.sim.stats.StatsRegistry`.
 
-Environment knobs (validated at construction, explicit arguments win):
-``REPRO_SERVE_SCHEDULER`` (``fifo``/``wfq``), ``REPRO_SERVE_MAX_BATCH``
-(int >= 1; 1 disables batching) and ``REPRO_SERVE_MAX_WAIT_NS`` (float
->= 0).  ``REPRO_SERVE_SCATTER_BATCH=0`` disables scatter batching of
-point-lookup tenants (see :mod:`repro.serve.batcher`); it is read by
-the tenant workload, not here.
+The scheduler, batch policy and monitoring switch are knobs
+(:mod:`repro.knobs`, README "Knobs"), resolved at construction.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
+from repro import knobs
 from repro.cluster.runtime import ClusterPlatform
 from repro.errors import ConfigError, DeviceUnavailable, PoisonError
 from repro.faults.health import DRAINING, UP
@@ -44,7 +40,6 @@ from repro.obs.monitor import (
     DEFAULT_MONITOR_INTERVAL_NS,
     SLOMonitor,
     default_objectives,
-    resolve_monitoring,
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import UtilizationSampler
@@ -52,12 +47,7 @@ from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.arrivals import make_arrival_process, stream_rng
 from repro.serve.autoscaler import AutoscalePolicy, Autoscaler
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
-from repro.serve.qos import (
-    QoSScheduler,
-    Request,
-    RequestQueue,
-    validate_serve_scheduler,
-)
+from repro.serve.qos import QoSScheduler, Request, RequestQueue
 from repro.serve.stats import ServingReport, ServingStats
 from repro.serve.tenant import TenantSpec, TenantWorkload
 
@@ -67,42 +57,6 @@ HOST_DISPATCH_NS = 150.0
 
 #: Default concurrent launches per active device.
 DEFAULT_INFLIGHT_PER_DEVICE = 4
-
-
-def resolve_serve_scheduler(explicit: str | None) -> str:
-    """Explicit argument > REPRO_SERVE_SCHEDULER env > default (wfq)."""
-    if explicit is not None:
-        return validate_serve_scheduler(explicit, source="scheduler argument")
-    env = os.environ.get("REPRO_SERVE_SCHEDULER")
-    if env is not None:
-        return validate_serve_scheduler(
-            env, source="REPRO_SERVE_SCHEDULER environment variable"
-        )
-    return "wfq"
-
-
-def resolve_batch_policy(explicit: BatchPolicy | None) -> BatchPolicy:
-    """Explicit policy > REPRO_SERVE_MAX_BATCH / _MAX_WAIT_NS env > default."""
-    if explicit is not None:
-        return explicit
-    kwargs = {}
-    raw = os.environ.get("REPRO_SERVE_MAX_BATCH")
-    if raw is not None:
-        try:
-            kwargs["max_batch"] = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SERVE_MAX_BATCH must be an integer, got {raw!r}"
-            ) from None
-    raw = os.environ.get("REPRO_SERVE_MAX_WAIT_NS")
-    if raw is not None:
-        try:
-            kwargs["max_wait_ns"] = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SERVE_MAX_WAIT_NS must be a number, got {raw!r}"
-            ) from None
-    return BatchPolicy(**kwargs)
 
 
 class _TenantState:
@@ -160,13 +114,19 @@ class ServingEngine:
         self.runtime = platform.runtime
         seed = self.runtime.cluster_config.seed
 
-        policy = resolve_serve_scheduler(scheduler)
+        policy = knobs.resolve("REPRO_SERVE_SCHEDULER", scheduler,
+                               arg="scheduler")
         scheduler_kwargs = {"policy": policy,
                             "weights": {s.name: s.weight for s in tenants}}
         if starvation_ns is not None:
             scheduler_kwargs["starvation_ns"] = starvation_ns
         self.scheduler = QoSScheduler(**scheduler_kwargs)
-        self.batcher = DynamicBatcher(resolve_batch_policy(batch))
+        if batch is None:
+            batch = BatchPolicy(
+                max_batch=knobs.resolve("REPRO_SERVE_MAX_BATCH"),
+                max_wait_ns=knobs.resolve("REPRO_SERVE_MAX_WAIT_NS"),
+            )
+        self.batcher = DynamicBatcher(batch)
         self.autoscale_policy = (autoscale if autoscale is not None
                                  else AutoscalePolicy())
         self.autoscaler = Autoscaler(self.autoscale_policy,
@@ -205,7 +165,8 @@ class ServingEngine:
                                   if monitor_interval_ns is not None
                                   else DEFAULT_MONITOR_INTERVAL_NS)
         self._monitor_scheduled = False
-        self.monitoring = resolve_monitoring(monitoring)
+        self.monitoring = knobs.resolve("REPRO_MONITOR", monitoring,
+                                        arg="monitoring")
         self.recorder: FlightRecorder | None = None
         self.monitor: SLOMonitor | None = None
         self.reporter: IncidentReporter | None = None

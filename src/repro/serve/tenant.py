@@ -39,12 +39,12 @@ one-partition map, the whole device.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import knobs
 from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.kvstore import (
@@ -309,13 +309,7 @@ class TenantWorkload:
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        raw = os.environ.get("REPRO_SERVE_SCATTER_BATCH", "1")
-        if raw not in ("0", "1"):
-            raise ConfigError(
-                f"REPRO_SERVE_SCATTER_BATCH must be '0' or '1', got {raw!r} "
-                f"(from REPRO_SERVE_SCATTER_BATCH environment variable)"
-            )
-        self._scatter_enabled = raw == "1"
+        self._scatter_enabled = knobs.resolve("REPRO_SERVE_SCATTER_BATCH")
         if self._scatter_enabled:
             self.scatter_kid = self.runtime.register_kernel(
                 KVS_GET_SCATTER, name=f"{self.spec.name}.get_scatter"

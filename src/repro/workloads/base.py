@@ -9,13 +9,11 @@ scale used for every number).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.config import SystemConfig, default_system
-from repro.exec.base import validate_backend_name
 from repro.host.api import M2NDPRuntime
 from repro.ndp.device import M2NDPDevice
 from repro.sim.engine import Simulator
@@ -47,21 +45,13 @@ def make_platform(system: SystemConfig | None = None,
     """Build a fresh simulator/device/runtime bundle.
 
     ``backend`` selects the µthread execution backend ("interpreter" or
-    "batched", see :mod:`repro.exec`).  ``None`` uses the
-    ``REPRO_EXEC_BACKEND`` environment variable if set, else the system
-    config's default.  An explicit ``backend`` argument always wins: some
-    experiments pin the interpreter for correctness (Fig 6 occupancy,
-    Fig 12a spawn granularity) and must not be overridden from the
-    environment.  To flip the experiment drivers' default, use
-    ``REPRO_EXPERIMENT_BACKEND`` (see ``repro.experiments.common``).
+    "batched", see :mod:`repro.exec`); ``None`` leaves the choice to the
+    device, which resolves the ``REPRO_EXEC_BACKEND`` knob (README
+    "Knobs").  An explicit ``backend`` argument always wins: an experiment
+    that pins the interpreter for correctness must not be overridden from
+    the environment.
     """
     system = system if system is not None else default_system()
-    if backend is None:
-        backend = os.environ.get("REPRO_EXEC_BACKEND")
-        if backend is not None:
-            validate_backend_name(
-                backend, source="REPRO_EXEC_BACKEND environment variable"
-            )
     sim = Simulator()
     device = M2NDPDevice(
         sim,

@@ -17,6 +17,8 @@ from repro.kernels.gemv import GEMV_F32
 from repro.kernels.olap import EVAL_RANGE_I32, MASK_AND
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD, VECADD_F32
+from repro.ndp.device import M2NDPDevice
+from repro.sim.engine import Simulator
 from repro.workloads import olap
 from repro.workloads.base import make_platform
 
@@ -61,6 +63,17 @@ class TestSelection:
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "batched")
         platform = make_platform(backend="interpreter")
         assert not isinstance(platform.device.backend, BatchedBackend)
+
+    def test_bare_device_honours_env_var(self, monkeypatch):
+        # the README precedence holds where the backend is made, not only
+        # in the platform factories that used to read the variable
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "batched")
+        assert isinstance(M2NDPDevice(Simulator()).backend, BatchedBackend)
+        pinned = M2NDPDevice(Simulator(), backend="interpreter")
+        assert not isinstance(pinned.backend, BatchedBackend)
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "jit")
+        with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
+            M2NDPDevice(Simulator())
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import make_cluster_platform
 from repro.cluster.placement import ShardMap
-from repro.cluster.runtime import resolve_launch_timeout
+from repro.cluster.runtime import ClusterRuntime
 from repro.errors import (
     ConfigError,
     DeviceUnavailable,
@@ -209,17 +209,18 @@ class TestStallFlapPoison:
 
 class TestLaunchTimeout:
     def test_resolver_precedence(self, monkeypatch):
-        assert resolve_launch_timeout(None) == 0.0
+        assert ClusterRuntime().launch_timeout_ns == 0.0
         monkeypatch.setenv("REPRO_LAUNCH_TIMEOUT_NS", "2500")
-        assert resolve_launch_timeout(None) == 2500.0
-        assert resolve_launch_timeout(100.0) == 100.0   # explicit wins
+        assert ClusterRuntime().launch_timeout_ns == 2500.0
+        # explicit wins
+        assert ClusterRuntime(launch_timeout_ns=100.0).launch_timeout_ns == 100.0
 
     def test_resolver_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_LAUNCH_TIMEOUT_NS", "soon")
         with pytest.raises(ConfigError, match="REPRO_LAUNCH_TIMEOUT_NS"):
-            resolve_launch_timeout(None)
-        with pytest.raises(ConfigError):
-            resolve_launch_timeout(-5.0)
+            ClusterRuntime()
+        with pytest.raises(ConfigError, match="launch_timeout_ns argument"):
+            ClusterRuntime(launch_timeout_ns=-5.0)
 
     def test_watchdog_fails_slow_launch(self):
         platform = make_cluster_platform(num_devices=4, backend="batched")

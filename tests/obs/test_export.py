@@ -125,6 +125,17 @@ class TestManifest:
         assert manifest["env"]["REPRO_TRACE"] == "1"
         assert "serve.request" in manifest["span_aggregates"]
 
+    def test_unregistered_repro_variables_are_recorded(self, monkeypatch):
+        assert "env_unknown" not in run_manifest()
+        monkeypatch.setenv("REPRO_SERVE_MAXBATCH", "4")      # typo'd knob
+        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
+        monkeypatch.setenv("REPRO_BENCH_BUDGET_FACTOR", "3")  # tool's own
+        manifest = run_manifest()
+        assert manifest["env_unknown"] == ["REPRO_SERVE_MAXBATCH"]
+        assert list(manifest["env"]) == [
+            "REPRO_BENCH_BUDGET_FACTOR", "REPRO_SERVE_MAXBATCH",
+            "REPRO_SERVE_MAX_BATCH"]
+
     def test_write_manifest_is_stable_json(self, tmp_path):
         path = str(tmp_path / "m.json")
         write_manifest(path, seed=1)

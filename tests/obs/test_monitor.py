@@ -13,8 +13,6 @@ from repro.obs.monitor import (
     SLObjective,
     SLOMonitor,
     default_objectives,
-    resolve_burn_threshold,
-    resolve_monitoring,
 )
 from repro.obs.recorder import FlightRecorder
 from repro.sim.stats import StatsRegistry
@@ -223,34 +221,13 @@ class TestValidation:
             SLOMonitor(registry, {"t": SLObjective()},
                        fast_window_ns=0.0)
 
-    def test_resolve_monitoring_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MONITOR", raising=False)
-        assert resolve_monitoring(None) is True
-        monkeypatch.setenv("REPRO_MONITOR", "0")
-        assert resolve_monitoring(None) is False
-        assert resolve_monitoring(True) is True     # explicit wins
-        monkeypatch.setenv("REPRO_MONITOR", "yes")
-        with pytest.raises(ConfigError, match="REPRO_MONITOR"):
-            resolve_monitoring(None)
-
-    def test_resolve_burn_threshold_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MONITOR_BURN", raising=False)
-        assert resolve_burn_threshold(None) == DEFAULT_BURN_THRESHOLD
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "3.5")
-        assert resolve_burn_threshold(None) == 3.5
-        assert resolve_burn_threshold(1.5) == 1.5   # explicit wins
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "fast")
-        with pytest.raises(ConfigError, match="REPRO_MONITOR_BURN"):
-            resolve_burn_threshold(None)
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "-1")
-        with pytest.raises(ConfigError, match="> 0"):
-            resolve_burn_threshold(None)
-
     def test_default_objectives_inherit_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_MONITOR_BURN", "4.0")
         slos = default_objectives(["a", "b"])
         assert set(slos) == {"a", "b"}
         assert all(o.burn_threshold == 4.0 for o in slos.values())
+        explicit = default_objectives(["a"], burn_threshold=1.5)
+        assert explicit["a"].burn_threshold == 1.5
 
     def test_alert_to_dict_shapes(self):
         burn = Alert("burn_rate", 10.0, "page", tenant="t",

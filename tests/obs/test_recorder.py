@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.recorder import (
-    DEFAULT_RECORDER_CAPACITY,
-    FlightRecorder,
-    resolve_recorder_capacity,
-)
+from repro.obs.recorder import FlightRecorder
 
 
 class TestRingBuffer:
@@ -64,21 +60,21 @@ class TestRingBuffer:
 
 class TestCapacityKnob:
     def test_default(self):
-        assert resolve_recorder_capacity(None) == DEFAULT_RECORDER_CAPACITY
+        assert FlightRecorder().capacity == 256
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "32")
-        assert resolve_recorder_capacity(64) == 64
-        assert resolve_recorder_capacity(None) == 32
+        assert FlightRecorder(64).capacity == 64
+        assert FlightRecorder().capacity == 32
 
     def test_rejects_non_integer_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "many")
         with pytest.raises(ConfigError, match="integer"):
-            resolve_recorder_capacity(None)
+            FlightRecorder()
 
     def test_rejects_non_positive(self, monkeypatch):
         with pytest.raises(ConfigError, match=">= 1"):
-            resolve_recorder_capacity(0)
+            FlightRecorder(0)
         monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "-3")
         with pytest.raises(ConfigError, match=">= 1"):
-            resolve_recorder_capacity(None)
+            FlightRecorder()

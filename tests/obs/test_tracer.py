@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import HOST_PID, NULL_TRACER, Tracer, tracer_of
 from repro.sim.engine import Simulator
@@ -121,17 +120,6 @@ class TestLanesAndStitching:
 
 
 class TestEnabledFlag:
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "yes")
-        with pytest.raises(ConfigError):
-            obs_tracer._env_enabled()
-
-    def test_env_accepts_zero_and_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert obs_tracer._env_enabled() is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert obs_tracer._env_enabled() is True
-
     def test_tracer_of_null_when_disabled(self, restore_enabled):
         obs_tracer.set_enabled(False)
         assert tracer_of(Simulator()) is NULL_TRACER

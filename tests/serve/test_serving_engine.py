@@ -12,8 +12,6 @@ from repro.serve import (
     BatchPolicy,
     ServingEngine,
     TenantSpec,
-    resolve_batch_policy,
-    resolve_serve_scheduler,
 )
 from repro.serve.autoscaler import Autoscaler
 
@@ -279,25 +277,40 @@ class TestAutoscaler:
 
 
 class TestEnvKnobs:
+    @staticmethod
+    def _engine(**kwargs):
+        platform = make_cluster_platform(num_devices=1, backend="batched")
+        return ServingEngine(platform, [TenantSpec("t", "vecadd")], **kwargs)
+
     def test_scheduler_env_resolved_and_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "fifo")
-        assert resolve_serve_scheduler(None) == "fifo"
-        assert resolve_serve_scheduler("wfq") == "wfq"   # explicit wins
+        assert self._engine().scheduler.policy == "fifo"
+        # explicit wins
+        assert self._engine(scheduler="wfq").scheduler.policy == "wfq"
         monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "lottery")
-        with pytest.raises(ConfigError):
-            resolve_serve_scheduler(None)
+        with pytest.raises(ConfigError, match="REPRO_SERVE_SCHEDULER"):
+            self._engine()
 
     def test_batch_env_resolved_and_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
         monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_NS", "1500")
-        policy = resolve_batch_policy(None)
+        policy = self._engine().batcher.policy
         assert policy.max_batch == 4 and policy.max_wait_ns == 1500.0
+        explicit = BatchPolicy(max_batch=2, max_wait_ns=0.0)
+        assert self._engine(batch=explicit).batcher.policy is explicit
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "many")
-        with pytest.raises(ConfigError):
-            resolve_batch_policy(None)
+        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
+            self._engine()
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "0")
-        with pytest.raises(ConfigError):
-            resolve_batch_policy(None)
+        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
+            self._engine()
+
+    def test_batch_policy_rejects_non_finite_wait(self):
+        for wait in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ConfigError, match="max_wait_ns argument"):
+                BatchPolicy(max_wait_ns=wait)
+        with pytest.raises(ConfigError, match="max_batch argument"):
+            BatchPolicy(max_batch=0)
 
     def test_tenant_validation(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ nothing (the committed baseline once lacked ``partition_point`` and both
 of its budgets silently never ran)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,16 @@ def test_field_missing_from_either_file_fails(field):
 def test_regression_still_fails():
     failures = check_budget.check(_payload(1.0), _payload(10.0), 2.0)
     assert len(failures) == len(ALL_FIELDS)
+
+
+@pytest.mark.parametrize("raw", ["fast", "nan", "inf", "0", "-2", ""])
+def test_bad_budget_factor_exits_2_naming_the_variable(
+        raw, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(_payload()))
+    monkeypatch.setenv("REPRO_BENCH_BUDGET_FACTOR", raw)
+    assert check_budget.main([str(path), str(path)]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("REPRO_BENCH_BUDGET_FACTOR must be")
+    monkeypatch.setenv("REPRO_BENCH_BUDGET_FACTOR", "3")
+    assert check_budget.main([str(path), str(path)]) == 0
