@@ -48,7 +48,9 @@ Backend selection
   reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows),
   and single-body launches no wider than the device on the **point
   engine** (:mod:`repro.exec.point`).  Both vectorized walks execute
-  instructions through :class:`repro.isa.vectorops.LaneISA`.
+  instructions — loads and stores included — through
+  :class:`repro.isa.vectorops.LaneISA` and record, verify and profile
+  their memory steps through one :class:`~repro.exec.trace_cache.StepLog`.
   Only translation faults, read-after-write races through memory,
   order-sensitive atomic contention and unsupported instructions still
   fall back to the interpreter — counted in ``exec.batched_fallbacks``
@@ -66,7 +68,6 @@ from repro.exec.interpreter import InterpreterBackend
 from repro.exec.batched import BatchedBackend
 from repro.exec.simt import LaunchFallback, SimtPlan
 from repro.exec.trace_cache import (
-    SimtTraceEntry,
     TraceCache,
     TraceEntry,
     trace_key,
@@ -78,7 +79,6 @@ __all__ = [
     "BatchedBackend",
     "LaunchFallback",
     "SimtPlan",
-    "SimtTraceEntry",
     "TraceCache",
     "TraceEntry",
     "make_backend",

@@ -4,7 +4,10 @@ The paper's kernels launch thousands of *structurally identical* µthreads:
 every body µthread runs the same code over a different stride-sized pool
 slice, and one launch is bulk-synchronous (§III-E/G).  This backend
 exploits that regularity with two vectorized walks over one lane-ISA
-implementation (:class:`repro.isa.vectorops.LaneISA`):
+implementation (:class:`repro.isa.vectorops.LaneISA`, loads and stores
+included) and one memory-step record/verify/profile path
+(:class:`repro.exec.trace_cache.StepLog`); a walk owns its registers, its
+``_load``/``_store``, ``vset``, branches and its timing roofline:
 
 * **Launch-uniform walk** (this module): registers become arrays over the
   whole launch (``x2`` is the vector ``[0, stride, 2*stride, ...]``) while
@@ -36,9 +39,10 @@ implementation (:class:`repro.isa.vectorops.LaneISA`):
 
 * **Repeats are nearly free**: every traced launch is recorded in the
   cross-launch :mod:`~repro.exec.trace_cache` keyed by (kernel code hash,
-  pool region, stride, offset bias, ASID, argument bytes).  Uniform
-  launches cache their trace aggregates; SIMT launches additionally cache
-  the recorded *mask schedule*, verified lane-for-lane on every replay.
+  pool region, stride, offset bias, ASID, argument bytes) as one
+  ``TraceEntry`` of per-phase profiles; every memory step of a replay is
+  verified against the recording — addresses on the uniform walk, plus
+  lanes and scratchpad routing (the *mask schedule*) on the masked one.
 
 Engine choice is a function of the launch's shape only (sections, op
 classes, µthread count — see ``BatchedBackend._classify``); there is no
@@ -71,13 +75,11 @@ from repro.exec.simt import (
     LaunchTail,
     SimtPlan,
     Translator,
-    merge_streams,
-    step_sectors,
 )
 from repro.exec.trace_cache import (
-    CachedStep,
-    SimtTraceEntry,
+    PhaseProfile,
     StaleTrace,
+    StepLog,
     TraceCache,
     TraceEntry,
     trace_key,
@@ -92,7 +94,6 @@ from repro.ndp.generator import (
     KernelExecution,
 )
 from repro.obs import tracer as obs_tracer
-from repro.ndp.tlb import PAGE_SHIFT
 from repro.ndp.unit import CROSSBAR_NS
 
 #: Launches smaller than this skip the launch-uniform walk: tracing cannot
@@ -118,38 +119,8 @@ _Fallback = LaunchFallback
 
 
 # ---------------------------------------------------------------------------
-# buffered store log
-# ---------------------------------------------------------------------------
-
-
-class _StoreLog:
-    """Stores buffered during the walk, committed only on success."""
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[np.ndarray, np.ndarray]] = []
-        self._bounds: list[tuple[int, int]] = []
-
-    def log(self, paddrs: np.ndarray, data: np.ndarray) -> None:
-        self._entries.append((paddrs, data))
-        self._bounds.append(
-            (int(paddrs.min()), int(paddrs.max()) + data.shape[-1])
-        )
-
-    def overlaps(self, lo: int, hi: int) -> bool:
-        return any(e_lo < hi and lo < e_hi for e_lo, e_hi in self._bounds)
-
-    def commit(self, physical) -> None:
-        for paddrs, data in self._entries:
-            physical.scatter_rows(paddrs, data)
-
-
-# ---------------------------------------------------------------------------
 # vectorized launch-uniform functional walk
 # ---------------------------------------------------------------------------
-
-
-class _Done(Exception):
-    """Internal control-flow signal: the walk reached ``ret``."""
 
 
 class _BatchReplay(vo.LaneISA):
@@ -164,15 +135,15 @@ class _BatchReplay(vo.LaneISA):
 
     With a cached :class:`TraceEntry` the walk becomes a *replay*: the
     functional numpy execution still runs in full (memory contents may
-    have changed since the trace), but every memory step's freshly
-    computed address vector is verified against the recorded one and the
-    recorded translation reused — any divergence raises
-    :class:`StaleTrace` so the caller can retrace from scratch.  Either
-    way ``entry`` holds the launch's timing profile once ``run`` returns.
+    have changed since the trace), but its :class:`StepLog` verifies
+    every memory step's freshly computed address vector against the
+    recorded one and hands back the recorded translation — any divergence
+    raises :class:`StaleTrace` so the caller can retrace from scratch.
+    Either way ``entry`` holds the launch's timing profile once ``run``
+    returns.
     """
 
     engine = "batched"
-    entry_type = TraceEntry
 
     def __init__(self, device, execution: KernelExecution,
                  entry: TraceEntry | None = None) -> None:
@@ -181,12 +152,14 @@ class _BatchReplay(vo.LaneISA):
         self.execution = execution
         self.n = instance.num_body_uthreads
         self.program = instance.kernel.program.bodies[0]
-        self.trace: list[Instruction] = []
-        self.steps: list[CachedStep] = []
-        self.log = _StoreLog()
+        self._fu_counts: dict[FUnit, int] = {}
+        self._lat_cycles = 0
+        self.memlog = StepLog(
+            None if entry is None else entry.profiles[0].steps)
+        #: [lo, hi) physical span of each buffered store: no load may overlap
+        self._store_spans: list[tuple[int, int]] = []
         self.translator = Translator(device.page_table(instance.asid))
         self.entry = entry
-        self._mem_i = 0
         self._executed = 0
         spad = device.units[execution.unit_base].scratchpad
         self._spad = spad
@@ -250,33 +223,18 @@ class _BatchReplay(vo.LaneISA):
                             "scratchpad")
         return False
 
-    def _next_cached_step(self, is_spad: bool, size: int,
-                          is_write: bool) -> CachedStep:
-        steps = self.entry.steps
-        if self._mem_i >= len(steps):
-            raise StaleTrace("more memory steps than the cached trace")
-        step = steps[self._mem_i]
-        self._mem_i += 1
-        if (step.is_spad != is_spad or step.size != size
-                or step.is_write != is_write):
-            raise StaleTrace("memory step shape diverged from cached trace")
-        return step
-
-    def _load(self, addr, size: int) -> np.ndarray:
+    def _load(self, lanes, addr, size: int) -> np.ndarray:
         """Load ``size`` bytes per µthread; returns (..., size) uint8."""
         addr = np.asarray(addr, dtype=np.int64)
         if self._classify(addr):
-            lo = int(addr.min()) if addr.ndim else int(addr)
-            hi = (int(addr.max()) if addr.ndim else int(addr)) + size
-            if lo < self._args_lo or hi > self._args_hi:
+            if (int(addr.min()) < self._args_lo
+                    or int(addr.max()) + size > self._args_hi):
                 # outside the argument block: per-unit state (unit 0's copy
                 # is not representative), so hand the launch back
                 raise _Fallback("scratchpad load outside the argument block",
                                 "scratchpad")
-            if self.entry is not None:
-                self._next_cached_step(True, size, False)
-            else:
-                self.steps.append(CachedStep(True, size, False))
+            # the block's slot rotates per instance: addresses not compared
+            self.memlog.step("load", size, None, spad=True)
             # stat-free view: a mid-walk fallback must leave no counters
             # behind (the interpreter re-run charges them itself)
             view = self._spad.view()
@@ -284,46 +242,41 @@ class _BatchReplay(vo.LaneISA):
             if addr.ndim == 0:
                 return view[int(offs):int(offs) + size].copy()
             return view[offs[:, None] + np.arange(size)]
-        if self.entry is not None:
-            step = self._next_cached_step(False, size, False)
-            if not np.array_equal(addr, step.vaddrs):
-                raise StaleTrace("load addresses diverged from cached trace")
-            paddrs = step.paddrs
-        else:
+
+        def translate() -> np.ndarray:
             paddrs = self.translator.translate(addr)
-            lo = int(paddrs.min()) if paddrs.ndim else int(paddrs)
-            hi = (int(paddrs.max()) if paddrs.ndim else int(paddrs)) + size
-            if self.log.overlaps(lo, hi):
+            lo, hi = int(paddrs.min()), int(paddrs.max()) + size
+            if any(s_lo < hi and lo < s_hi
+                   for s_lo, s_hi in self._store_spans):
                 raise _Fallback(
                     "load overlaps a buffered store (RAW via memory)", "raw")
-            self.steps.append(CachedStep(False, size, False,
-                                         vaddrs=addr, paddrs=paddrs))
+            return paddrs
+
+        paddrs = self.memlog.step("load", size, addr, translate).paddrs
         return self.device.physical.gather_rows(paddrs, size)
 
-    def _store(self, addr, data: np.ndarray) -> None:
+    def _store(self, lanes, addr, data: np.ndarray) -> None:
         """Buffer a store of (..., size) uint8 rows at per-µthread addrs."""
         addr = np.asarray(addr, dtype=np.int64)
         if self._classify(addr):
             raise _Fallback("scratchpad store in kernel body", "scratchpad")
         size = data.shape[-1]
-        if self.entry is not None:
-            step = self._next_cached_step(False, size, True)
-            if not np.array_equal(addr, step.vaddrs):
-                raise StaleTrace("store addresses diverged from cached trace")
-            paddrs = step.paddrs
-        else:
+
+        def translate() -> np.ndarray:
             paddrs = np.broadcast_to(
-                np.atleast_1d(self.translator.translate(addr)), (self.n,)
-            )
-            self.steps.append(CachedStep(False, size, True,
-                                         vaddrs=addr, paddrs=paddrs))
+                np.atleast_1d(self.translator.translate(addr)), (self.n,))
+            self._store_spans.append(
+                (int(paddrs.min()), int(paddrs.max()) + size))
+            return paddrs
+
+        paddrs = self.memlog.step("store", size, addr, translate).paddrs
         rows = np.broadcast_to(
             data if data.ndim == 2 else data[None, :], (self.n, size)
         )
-        self.log.log(paddrs, np.ascontiguousarray(rows))
+        self.memlog.stores.append((paddrs, np.ascontiguousarray(rows)))
 
     def commit(self) -> None:
-        self.log.commit(self.device.physical)
+        self.memlog.commit(self.device.physical)
 
     # -- main walk --------------------------------------------------------
 
@@ -340,77 +293,43 @@ class _BatchReplay(vo.LaneISA):
                     inst = instructions[pc]
                     self._executed += 1
                     if record:
-                        self.trace.append(inst)
-                    pc = self._step(inst, pc)
-            except _Done:
-                pass
+                        self._fu_counts[inst.unit] = (
+                            self._fu_counts.get(inst.unit, 0) + 1)
+                        self._lat_cycles += inst.latency_cycles
+                    op = inst.op_class
+                    if op is OpClass.RET:
+                        break
+                    if op is OpClass.BRANCH:
+                        pc = self._exec_branch(inst, pc)
+                    else:
+                        self._step(inst, None, None)
+                        pc += 1
             except UnsupportedVectorOp as exc:
                 raise _Fallback(str(exc)) from None
+        self.memlog.finish()
         if record:
             self.entry = self._build_entry()
-        elif (self._executed != self.entry.trace_len
-                or self._mem_i != len(self.entry.steps)):
+        elif self._executed != self.entry.profiles[0].instr_steps:
             raise StaleTrace("control flow diverged from cached trace")
         return self
 
     def _build_entry(self) -> TraceEntry:
         """Derive the reusable launch profile from the completed walk."""
-        sector_bytes = self.device.config.l2.sector_bytes
-        fu_counts: dict[FUnit, int] = {}
-        latency_cycles = 0
-        for inst in self.trace:
-            fu_counts[inst.unit] = fu_counts.get(inst.unit, 0) + 1
-            latency_cycles += inst.latency_cycles
-        streams: list[tuple[np.ndarray, bool]] = []
-        for step in self.steps:
-            if not step.is_spad:
-                sectors = step_sectors(step.paddrs, step.size, sector_bytes)
-                step.sector_count = len(sectors)
-                streams.append((sectors, step.is_write))
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(
-            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
-        return TraceEntry(
-            translation_version=self.device.translation_version,
-            trace_len=len(self.trace),
-            latency_cycles=latency_cycles,
-            fu_counts=fu_counts,
-            steps=self.steps,
-            merged_addrs=merged_addrs,
-            merged_writes=merged_writes,
-            page_count=page_count,
-        )
+        merged_addrs, merged_writes, page_count = (
+            self.memlog.sector_profile(self.device.config.l2.sector_bytes))
+        return TraceEntry(self.device.translation_version, self.engine, [
+            PhaseProfile(
+                n=self.n,
+                steps=self.memlog.steps,
+                instr_steps=self._executed,
+                fu_counts=self._fu_counts,
+                lat_cycles=self._lat_cycles,
+                merged_addrs=merged_addrs,
+                merged_writes=merged_writes,
+                page_count=page_count,
+            )])
 
-    def _step(self, inst: Instruction, pc: int) -> int:
-        op = inst.op_class
-        if op is OpClass.ALU:
-            self._exec_alu(inst, None)
-        elif op is OpClass.VALU_OP:
-            self._exec_valu(inst, None)
-        elif op is OpClass.BRANCH:
-            return self._exec_branch(inst, pc)
-        elif op is OpClass.LOAD:
-            self._exec_load(inst)
-        elif op is OpClass.STORE:
-            self._exec_store(inst)
-        elif op is OpClass.VLOAD:
-            self._exec_vload(inst)
-        elif op is OpClass.VSTORE:
-            self._exec_vstore(inst)
-        elif op is OpClass.VRED:
-            self._exec_vred(inst, None)
-        elif op is OpClass.VSET:
-            self._exec_vset(inst)
-        elif op is OpClass.FENCE:
-            pass
-        elif op is OpClass.RET:
-            raise _Done
-        else:
-            raise _Fallback(f"unsupported op class {op.value}")
-        return pc + 1
-
-    # -- scalar -----------------------------------------------------------
+    # -- control flow and vector configuration (per walk) -------------------
 
     def _exec_branch(self, inst: Instruction, pc: int) -> int:
         if inst.mnemonic == "j":
@@ -418,35 +337,7 @@ class _BatchReplay(vo.LaneISA):
         taken = self._uniform_int(self._branch_cond(inst), "branch")
         return inst.target if taken else pc + 1
 
-    def _exec_load(self, inst: Instruction) -> None:
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        m = inst.mnemonic
-        if m in vo.FP_LOADS:
-            size = vo.FP_LOADS[m]
-            bits = vo.from_le_bytes(self._load(addr, size))
-            self._wf(inst.rd, vo.bits_to_float(bits, size * 8))
-            return
-        size = vo.LOAD_SIGNED.get(m) or vo.LOAD_UNSIGNED[m]
-        value = vo.from_le_bytes(self._load(addr, size))
-        if m in vo.LOAD_SIGNED:
-            self._wx(inst.rd, vo.sign_extend(value, size * 8))
-        else:
-            self._wx(inst.rd, value.astype(np.int64))
-
-    def _exec_store(self, inst: Instruction) -> None:
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        m = inst.mnemonic
-        if m in vo.FP_STORES:
-            size = vo.FP_STORES[m]
-            bits = vo.float_to_bits(self.fr[inst.rs2], size * 8)
-        else:
-            size = vo.STORES[m]
-            bits = np.asarray(self.xr[inst.rs2]).astype(np.uint64)
-        self._store(addr, vo.to_le_bytes(bits, size))
-
-    # -- vector -----------------------------------------------------------
-
-    def _exec_vset(self, inst: Instruction) -> None:
+    def _exec_vset(self, inst: Instruction, m=None) -> None:
         sew = inst.imm
         requested = self._uniform_int(np.asarray(self.xr[inst.rs1]),
                                       "vsetvli AVL", "vconfig")
@@ -457,28 +348,6 @@ class _BatchReplay(vo.LaneISA):
         self.vl = vl
         self._wx(inst.rd, np.int64(vl))
 
-    def _exec_vload(self, inst: Instruction) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(None, sew)
-        if vl == 0:
-            self.vr[inst.rd] = np.zeros((0,), dtype=np.uint64)
-            return
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        raw = self._load(addr, vl * inst.size)
-        self.vr[inst.rd] = vo.from_le_bytes(
-            raw.reshape(raw.shape[:-1] + (vl, inst.size))
-        )
-
-    def _exec_vstore(self, inst: Instruction) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(None, sew)
-        if vl == 0:
-            return
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        values = vo.to_pattern(self._read_v(inst.rd, vl).astype(np.int64), sew)
-        raw = vo.to_le_bytes(values, inst.size)
-        self._store(addr, raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
-
     # -- timing -----------------------------------------------------------
 
     def schedule(self, now_ns: float, cached: bool) -> None:
@@ -487,10 +356,10 @@ class _BatchReplay(vo.LaneISA):
         cfg = device.config.ndp
         stats = device.stats
         execution = self.execution
-        entry = self.entry
+        profile = self.entry.profiles[0]
         n = self.n
-        trace_len = entry.trace_len
-        fu_counts = entry.fu_counts
+        trace_len = profile.instr_steps
+        fu_counts = profile.fu_counts
         period = cfg.clock.period_ns
         start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
         tail = LaunchTail(device, execution, "exec.batched", start,
@@ -524,15 +393,15 @@ class _BatchReplay(vo.LaneISA):
         dram_lat = execution.partition.dram.typical_random_latency_ns()
         l1_hit = device.config.ndp.l1d.hit_latency_ns
         l2_hit = device.config.l2.hit_latency_ns
-        thread_lat = entry.latency_cycles * period
-        for step in entry.steps:
-            if step.is_spad:
+        thread_lat = profile.lat_cycles * period
+        for step in profile.steps:
+            if step.spad is not None:
                 stats.add("ndp.spad_traffic_bytes", step.size * n)
                 thread_lat += tail.units[0].scratchpad.latency_ns
                 continue
             stats.add("ndp.global_traffic_bytes", step.size * n)
             stats.add("ndp.global_accesses", n)
-            if step.is_write:
+            if step.op == "store":
                 # posted write-through: the thread continues after L1
                 thread_lat += l1_hit
             elif step.sector_count * 8 <= n:
@@ -548,7 +417,7 @@ class _BatchReplay(vo.LaneISA):
 
         # --- memory-system bound: sector stream through the real L2/DRAM -
         ratio = min(per_unit, slots_per_unit) / slots_per_unit
-        completion = tail.pace(start, window, n, ratio, entry)
+        completion = tail.pace(start, window, n, ratio, profile)
         tail.schedule(completion, n * trace_len, n)
 
 
@@ -645,8 +514,8 @@ class BatchedBackend(InterpreterBackend):
         stats = device.stats
         entry = (cache.lookup(key, device.translation_version)
                  if cache.enabled else None)
-        if not isinstance(entry, plan_cls.entry_type):
-            if isinstance(entry, SimtTraceEntry):
+        if entry is not None and entry.engine != plan_cls.engine:
+            if entry.engine == SimtPlan.engine:
                 # this shape degraded to the masked walk on a prior launch
                 return LaunchFallback("shape is cached by the masked walk",
                                       "divergent")

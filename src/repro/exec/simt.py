@@ -34,8 +34,8 @@ Functional guarantees
 * **Determinism.**  Given the same launch, the engine always applies AMOs
   in the same lane order and produces the same ``runtime_ns`` — cached
   replays verify the recorded mask schedule and address vectors step by
-  step (:class:`~repro.exec.trace_cache.SimtTraceEntry`) and retrace on
-  any divergence, so the trace cache can never change results.
+  step (:class:`~repro.exec.trace_cache.StepLog`) and retrace on any
+  divergence, so the trace cache can never change results.
 
 Timing is analytic, like the batched tier: per-FU issue pressure from the
 lane-weighted dynamic trace, a latency floor from a per-unit
@@ -47,12 +47,17 @@ L2/DRAM servers via the bulk charge APIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TranslationFault
-from repro.exec.trace_cache import SimtTraceEntry, StaleTrace
+from repro.exec.trace_cache import (
+    PhaseProfile,
+    StaleTrace,
+    StepLog,
+    TraceEntry,
+)
 from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
 from repro.isa.vector import vlmax
@@ -125,61 +130,6 @@ class Translator:
         return (ppns[idx] << np.int64(PAGE_SHIFT)) | (vaddrs & _PAGE_MASK)
 
 
-# ---------------------------------------------------------------------------
-# shared stream helpers (used by both vectorized engines)
-# ---------------------------------------------------------------------------
-
-
-def step_sectors(paddrs: np.ndarray, size: int, sector_bytes: int) -> np.ndarray:
-    """Unique sector addresses touched by one trace step, ascending.
-
-    Reads are deduped (every unit's L1/the shared L2 would absorb the
-    repeats); write-through writes are coalesced per sector — both are
-    timing-neutral for the hit path, which carries no bandwidth charge.
-    """
-    p = np.atleast_1d(paddrs).astype(np.int64)
-    first = p // sector_bytes
-    last = (p + size - 1) // sector_bytes
-    span = int((last - first).max()) + 1
-    if span == 1:
-        sectors = first
-    else:
-        grid = first[:, None] + np.arange(span)
-        sectors = grid[grid <= last[:, None]]
-    return np.unique(sectors) * sector_bytes
-
-
-def merge_streams(
-    streams: list[tuple[np.ndarray, bool]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Proportionally interleave the per-step sector streams.
-
-    All µthreads progress through the trace roughly together (they are
-    spawned together and FGMT round-robins them), so at any instant the
-    launch's memory traffic mixes *every* step's stream — e.g. column
-    reads interleave with mask writes.  Merging each stream at its own
-    uniform rate reproduces that mix (and its DRAM bank behaviour)
-    instead of an artificially bank-friendly step-by-step sweep.
-    Returns (addresses, is_write) arrays ready for the bulk charge.
-    """
-    if not streams:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    if len(streams) == 1:
-        sectors, is_write = streams[0]
-        return (np.asarray(sectors, dtype=np.int64),
-                np.full(len(sectors), is_write, dtype=bool))
-    positions = np.concatenate([
-        (np.arange(len(sectors)) + 0.5) / max(len(sectors), 1)
-        for sectors, _ in streams
-    ])
-    addrs = np.concatenate([sectors for sectors, _ in streams])
-    writes = np.concatenate([
-        np.full(len(sectors), is_write) for sectors, is_write in streams
-    ])
-    order = np.argsort(positions, kind="stable")
-    return addrs[order].astype(np.int64), writes[order]
-
-
 class LaunchTail:
     """The launch-completion tail every fast engine shares.
 
@@ -220,8 +170,8 @@ class LaunchTail:
     def pace(self, start: float, window: float, lanes: int, ratio: float,
              profile, phase_span: str | None = None) -> float:
         """Charge one phase's sector stream (``profile``: a
-        :class:`TraceEntry` or :class:`SimtPhaseProfile`); returns the
-        phase completion."""
+        :class:`~repro.exec.trace_cache.PhaseProfile`); returns the phase
+        completion."""
         device = self.device
         completion = start + window
         merged = profile.merged_addrs.size
@@ -506,59 +456,6 @@ class _PhaseHazards:
 
 
 # ---------------------------------------------------------------------------
-# recorded memory steps + phase profiles (also the trace-cache payload)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimtStep:
-    """One memory instruction of the walk, flattened per element access.
-
-    ``lanes``/``vaddrs`` are lane-major (element-minor) — the engine's
-    canonical AMO application order and the *mask schedule* a cached
-    replay verifies against.
-    """
-
-    op: str                     # "load" | "store" | "amo"
-    size: int                   # bytes per element access
-    lanes: np.ndarray           # (e,) lane id of each element access
-    vaddrs: np.ndarray          # (e,) start vaddr of each element access
-    spad: np.ndarray | None     # (e,) bool scratchpad routing; None = global
-    paddrs: np.ndarray | None = None   # translated global element addresses
-    sector_count: int = 0
-    amo_op: str | None = None
-    amo_float: bool = False
-
-
-@dataclass
-class SimtPhaseProfile:
-    """Everything reusable about one phase of a traced SIMT launch."""
-
-    kind: str
-    n: int
-    unit_of_lane: np.ndarray
-    steps: list[SimtStep] = field(default_factory=list)
-    instr_steps: int = 0
-    lane_instructions: int = 0
-    fu_counts: dict[FUnit, int] = field(default_factory=dict)
-    lat_cycles: np.ndarray | None = None
-    mem_lat: np.ndarray | None = None
-    merged_addrs: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    merged_writes: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=bool))
-    page_count: int = 0
-    global_bytes: int = 0
-    global_accesses: int = 0
-    spad_bytes: int = 0
-    atomics: int = 0
-    #: per-unit functional scratchpad counter deltas:
-    #: unit -> (reads, writes, atomics, bytes)
-    spad_counters: dict[int, tuple[int, int, int, int]] = field(
-        default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
 # SIMT stack entry
 # ---------------------------------------------------------------------------
 
@@ -583,20 +480,19 @@ class _PhaseWalk(vo.LaneISA):
     semantics themselves are :class:`~repro.isa.vectorops.LaneISA`'s.
     """
 
-    def __init__(self, plan: "SimtPlan", kind: Phase, program, n: int,
+    def __init__(self, plan: "SimtPlan", program, n: int,
                  x1: np.ndarray, x2: np.ndarray, unit_of_lane: np.ndarray,
-                 profile: SimtPhaseProfile | None) -> None:
+                 profile: PhaseProfile | None) -> None:
         self.plan = plan
         self.program = program
         self.n = n
         self._lanes = (n,)
         self.unit_of_lane = unit_of_lane
         self._verify = profile
-        self._step_i = 0
+        self.memlog = StepLog(None if profile is None else profile.steps)
         self._executed = 0
         self._lane_instructions = 0
         self._fu_counts: dict[FUnit, int] = {}
-        self._steps: list[SimtStep] = []
         self._lat_cycles = np.zeros(n, dtype=np.int64)
         self._mem_lat = np.zeros(n, dtype=np.float64)
         self._spad_counters: dict[int, list[int]] = {}
@@ -604,10 +500,8 @@ class _PhaseWalk(vo.LaneISA):
         self._global_accesses = 0
         self._spad_bytes = 0
         self._atomics = 0
-        self.kind = kind
         self.hazards_global = _PhaseHazards(n == 1)
         self.hazards_spad = _PhaseHazards(n == 1)
-        self.store_log: list[tuple[np.ndarray, np.ndarray]] = []
         self._seen_sectors: np.ndarray | None = None
 
         self.xr: list[np.ndarray] = [np.zeros(n, dtype=np.int64)] * 32
@@ -701,60 +595,39 @@ class _PhaseWalk(vo.LaneISA):
         out[in_args] = vaddrs[in_args] - self._args_lo - np.int64(1 << 40)
         return out
 
-    def _verify_step(self, op: str, size: int, lanes: np.ndarray,
-                     vaddrs: np.ndarray, spad: np.ndarray | None,
-                     amo_op: str | None, amo_float: bool) -> SimtStep:
-        profile = self._verify
-        if self._step_i >= len(profile.steps):
-            raise StaleTrace("more memory steps than the cached trace")
-        step = profile.steps[self._step_i]
-        self._step_i += 1
-        same_spad = (
-            (step.spad is None and spad is None)
-            or (step.spad is not None and spad is not None
-                and np.array_equal(step.spad, spad))
-        )
-        if (step.op != op or step.size != size or step.amo_op != amo_op
-                or step.amo_float != amo_float or not same_spad
-                or not np.array_equal(step.lanes, lanes)
-                or not np.array_equal(step.vaddrs, vaddrs)):
-            raise StaleTrace("memory step diverged from cached trace")
-        return step
-
-    def _record_step(self, op: str, size: int, lanes: np.ndarray,
-                     vaddrs: np.ndarray, spad: np.ndarray | None,
-                     global_vaddrs: np.ndarray,
-                     amo_op: str | None = None,
-                     amo_float: bool = False) -> tuple[SimtStep, np.ndarray]:
-        """Record (or verify) one memory step; returns it + global paddrs."""
-        vaddrs = self._normalize_vaddrs(vaddrs)
-        if self._verify is not None:
-            step = self._verify_step(op, size, lanes, vaddrs, spad,
-                                     amo_op, amo_float)
-            paddrs = step.paddrs if step.paddrs is not None else np.empty(
-                0, dtype=np.int64)
-            return step, paddrs
-        if global_vaddrs.size:
-            paddrs = np.atleast_1d(
-                self.plan.translator.translate(global_vaddrs))
+    def _mem_step(self, op: str, size: int, lanes: np.ndarray,
+                  addrs: np.ndarray, amo_op: str | None = None,
+                  amo_float: bool = False):
+        """Split one access vector into scratchpad and global elements,
+        then record it (translating the global ones) or verify it against
+        the cached phase; returns the step plus each side's selectors."""
+        spad = (addrs >= self._spad_lo) & (addrs < self._spad_hi)
+        if spad.any():
+            s_sel, g_sel = np.nonzero(spad)[0], np.nonzero(~spad)[0]
         else:
-            paddrs = np.empty(0, dtype=np.int64)
-        step = SimtStep(op=op, size=size, lanes=lanes, vaddrs=vaddrs,
-                        spad=spad, paddrs=paddrs, amo_op=amo_op,
-                        amo_float=amo_float)
-        self._steps.append(step)
-        return step, paddrs
+            spad = None
+            s_sel, g_sel = np.empty(0, dtype=np.int64), np.arange(addrs.size)
 
-    def _sector_novelty(self, step: SimtStep) -> float:
-        """Record the step's sectors; returns the first-touch fraction.
+        def translate() -> np.ndarray:
+            if not g_sel.size:
+                return np.empty(0, dtype=np.int64)
+            return np.atleast_1d(
+                self.plan.translator.translate(addrs[g_sel]))
+
+        step = self.memlog.step(
+            op, size, self._normalize_vaddrs(addrs), translate, lanes=lanes,
+            spad=spad, amo_op=amo_op, amo_float=amo_float)
+        return step, s_sel, g_sel
+
+    def _sector_novelty(self) -> float:
+        """First-touch fraction of the just-recorded step's sectors.
 
         Only a step's *first-touch* sectors pay the DRAM round trip in
         the per-lane latency estimate — re-walked data (a pointer-chased
         contribution array, re-read partials) sits in the memory-side L2
         by then, exactly as the interpreter's timed path observes.
         """
-        sectors = step_sectors(step.paddrs, step.size, self._sector_bytes)
-        step.sector_count = int(sectors.size)
+        sectors = self.memlog.sectors(self._sector_bytes)
         if self._seen_sectors is None:
             self._seen_sectors = sectors
             return 1.0
@@ -765,27 +638,26 @@ class _PhaseWalk(vo.LaneISA):
                                             sectors[fresh])
         return new / sectors.size
 
-    def _bump_spad(self, units: np.ndarray, what: int, count_each: int,
-                   bytes_each: int) -> None:
-        """Accumulate per-unit scratchpad counter deltas (flushed on
-        success only).  ``what``: 0=reads, 1=writes, 2=atomics."""
-        uniq, counts = np.unique(units, return_counts=True)
-        for u, c in zip(uniq, counts):
-            row = self._spad_counters.setdefault(int(u), [0, 0, 0, 0])
-            row[what] += int(c) * count_each
-            row[3] += int(c) * count_each * bytes_each
-
-    def _spad_offsets(self, vaddrs: np.ndarray, size: int) -> np.ndarray:
-        offs = vaddrs - np.int64(self._spad_lo)
+    def _spad_elems(self, lanes: np.ndarray, addrs: np.ndarray, size: int,
+                    what: int, bytes_each: int):
+        """Window offsets and hazard-log keys of a step's scratchpad
+        elements, charging what each such access pays: per-unit counter
+        deltas (flushed on success only; ``what``: 0=reads, 1=writes,
+        2=atomics), traffic bytes and — when tracing — the latency."""
+        offs = addrs - np.int64(self._spad_lo)
         if (offs < 0).any() or (offs + size > self._spad_size).any():
             raise LaunchFallback("scratchpad access outside window",
                                  "scratchpad")
-        return offs
-
-    def _spad_synthetic(self, lanes: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        """Disambiguate per-unit scratchpad intervals for hazard logs."""
-        units = self.unit_of_lane[lanes].astype(np.int64)
-        return units * np.int64(self._spad_size) + offs
+        units = self.unit_of_lane[lanes]
+        for u, c in zip(*np.unique(units, return_counts=True)):
+            row = self._spad_counters.setdefault(int(u), [0, 0, 0, 0])
+            row[what] += int(c)
+            row[3] += int(c) * bytes_each
+        self._spad_bytes += int(lanes.size) * size
+        if self._verify is None:
+            self._mem_lat_add(lanes, self._spad_latency)
+        # scratchpads are per unit: the hazard logs see disjoint intervals
+        return offs, units.astype(np.int64) * np.int64(self._spad_size) + offs
 
     def _spad_gather(self, lanes: np.ndarray, offs: np.ndarray,
                      size: int) -> np.ndarray:
@@ -827,36 +699,19 @@ class _PhaseWalk(vo.LaneISA):
         if not same.all():
             raise LaunchFallback("cross-lane conflicting stores", "raw")
 
-    def _route_spad(self, addrs: np.ndarray):
-        """Split one access vector into scratchpad and global elements.
-
-        Returns ``(spad_field, s_sel, g_sel)``: the per-element routing
-        vector cached-trace verification compares (``None`` when fully
-        global) plus the element selectors for each side.
-        """
-        in_spad = (addrs >= self._spad_lo) & (addrs < self._spad_hi)
-        if not in_spad.any():
-            return None, np.empty(0, dtype=np.int64), np.arange(addrs.size)
-        return (in_spad, np.nonzero(in_spad)[0], np.nonzero(~in_spad)[0])
-
     def _load(self, lanes: np.ndarray, addrs: np.ndarray,
               size: int) -> np.ndarray:
         """Load ``size`` bytes per (lane, addr) element; (e, size) uint8."""
-        spad_field, s_sel, g_sel = self._route_spad(addrs)
-        step, paddrs = self._record_step(
-            "load", size, lanes, addrs, spad_field, addrs[g_sel])
+        step, s_sel, g_sel = self._mem_step("load", size, lanes, addrs)
+        paddrs = step.paddrs
         out = np.empty((addrs.size, size), dtype=np.uint8)
         if s_sel.size:
-            offs = self._spad_offsets(addrs[s_sel], size)
-            syn = self._spad_synthetic(lanes[s_sel], offs)
+            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
+                                         0, size)
             if self._verify is None:
                 self.hazards_spad.check_load(syn, syn + size)
                 self.hazards_spad.loads.add(syn, syn + size)
             out[s_sel] = self._spad_gather(lanes[s_sel], offs, size)
-            self._bump_spad(self.unit_of_lane[lanes[s_sel]], 0, 1, size)
-            self._spad_bytes += int(s_sel.size) * size
-            if self._verify is None:
-                self._mem_lat_add(lanes[s_sel], self._spad_latency)
         if g_sel.size:
             out[g_sel] = self.plan.device.physical.gather_rows(paddrs, size)
             self._global_bytes += int(g_sel.size) * size
@@ -864,7 +719,7 @@ class _PhaseWalk(vo.LaneISA):
             if self._verify is None:
                 self.hazards_global.check_load(paddrs, paddrs + size)
                 self.hazards_global.loads.add(paddrs, paddrs + size)
-                frac = self._sector_novelty(step)
+                frac = self._sector_novelty()
                 hot = step.sector_count * 8 <= g_sel.size
                 self._mem_lat_add(
                     lanes[g_sel],
@@ -876,12 +731,11 @@ class _PhaseWalk(vo.LaneISA):
     def _store(self, lanes: np.ndarray, addrs: np.ndarray,
                rows: np.ndarray) -> None:
         size = rows.shape[-1]
-        spad_field, s_sel, g_sel = self._route_spad(addrs)
-        step, paddrs = self._record_step(
-            "store", size, lanes, addrs, spad_field, addrs[g_sel])
+        step, s_sel, g_sel = self._mem_step("store", size, lanes, addrs)
+        paddrs = step.paddrs
         if s_sel.size:
-            offs = self._spad_offsets(addrs[s_sel], size)
-            syn = self._spad_synthetic(lanes[s_sel], offs)
+            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
+                                         1, size)
             self._check_intra_store(lanes[s_sel], syn, size, rows[s_sel])
             if self._verify is None:
                 self.hazards_spad.check_store(syn, syn + size)
@@ -890,10 +744,6 @@ class _PhaseWalk(vo.LaneISA):
             # same-lane reads are program order, cross-lane reads are
             # hazard-checked above
             self._spad_scatter(lanes[s_sel], offs, rows[s_sel])
-            self._bump_spad(self.unit_of_lane[lanes[s_sel]], 1, 1, size)
-            self._spad_bytes += int(s_sel.size) * size
-            if self._verify is None:
-                self._mem_lat_add(lanes[s_sel], self._spad_latency)
         if g_sel.size:
             # the data-dependent half of the conflict rule is re-checked
             # even on cached replays (addresses are verified, data is not)
@@ -901,9 +751,9 @@ class _PhaseWalk(vo.LaneISA):
             if self._verify is None:
                 self.hazards_global.check_store(paddrs, paddrs + size)
                 self.hazards_global.stores.add(paddrs, paddrs + size)
-                self._sector_novelty(step)
+                self._sector_novelty()
                 self._mem_lat_add(lanes[g_sel], self._l1_hit)
-            self.store_log.append(
+            self.memlog.stores.append(
                 (paddrs, np.ascontiguousarray(rows[g_sel])))
             self._global_bytes += int(g_sel.size) * size
             self._global_accesses += int(g_sel.size)
@@ -918,17 +768,16 @@ class _PhaseWalk(vo.LaneISA):
         interpreter's scheduling, so the step is treated as
         order-sensitive (fallback on any contention or overlap).
         """
-        spad_field, s_sel, g_sel = self._route_spad(addrs)
-        step, paddrs = self._record_step(
-            "amo", size, lanes, addrs, spad_field, addrs[g_sel],
-            amo_op=op, amo_float=is_float)
+        step, s_sel, g_sel = self._mem_step(
+            "amo", size, lanes, addrs, amo_op=op, amo_float=is_float)
+        paddrs = step.paddrs
         sensitive = is_float or op == "swap" or consumed
         amo_key = (op, size)
         olds = (np.empty(addrs.size, dtype=np.float64) if is_float
                 else np.empty(addrs.size, dtype=np.int64))
         if s_sel.size:
-            offs = self._spad_offsets(addrs[s_sel], size)
-            syn = self._spad_synthetic(lanes[s_sel], offs)
+            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
+                                         2, 2 * size)
             if self._verify is None:
                 self.hazards_spad.check_amo(syn, syn + size, amo_key,
                                             sensitive)
@@ -937,10 +786,6 @@ class _PhaseWalk(vo.LaneISA):
             olds[s_sel] = self._apply_amo_grouped(
                 syn, np.asarray(operands)[s_sel], op, size, is_float,
                 sensitive, spad_lanes=lanes[s_sel], spad_offs=offs)
-            self._bump_spad(self.unit_of_lane[lanes[s_sel]], 2, 1, 2 * size)
-            self._spad_bytes += int(s_sel.size) * size
-            if self._verify is None:
-                self._mem_lat_add(lanes[s_sel], self._spad_latency)
         if g_sel.size:
             if self._verify is None:
                 self.hazards_global.check_amo(paddrs, paddrs + size,
@@ -954,7 +799,7 @@ class _PhaseWalk(vo.LaneISA):
             self._global_bytes += int(g_sel.size) * size
             self._global_accesses += int(g_sel.size)
             if self._verify is None:
-                frac = self._sector_novelty(step)
+                frac = self._sector_novelty()
                 self._mem_lat_add(
                     lanes[g_sel],
                     2 * CROSSBAR_NS + self._l2_hit + ATOMIC_OP_NS
@@ -994,7 +839,7 @@ class _PhaseWalk(vo.LaneISA):
         # read the current values
         if spad_lanes is None:
             rows = self.plan.device.physical.gather_rows(uniq, size)
-            self.plan.push_undo(uniq.copy(), rows.copy())
+            self.plan.undo.append((uniq.copy(), rows.copy()))
         else:
             sl = spad_lanes[order][start_idx]
             so = spad_offs[order][start_idx]
@@ -1033,15 +878,9 @@ class _PhaseWalk(vo.LaneISA):
                     val = nxt[0]
                 finals[g] = val
         # write the new values back
-        if is_float:
-            if size == 4:
-                out_rows = np.ascontiguousarray(
-                    finals.astype(np.float32)).view(np.uint8).reshape(-1, 4)
-            else:
-                out_rows = np.ascontiguousarray(finals).view(
-                    np.uint8).reshape(-1, 8)
-        else:
-            out_rows = vo.to_le_bytes(vo.to_pattern(finals, sew), size)
+        out_rows = vo.to_le_bytes(
+            vo.float_to_bits(finals, sew) if is_float
+            else vo.to_pattern(finals, sew), size)
         if spad_lanes is None:
             self.plan.device.physical.scatter_rows(uniq, out_rows)
         else:
@@ -1083,7 +922,7 @@ class _PhaseWalk(vo.LaneISA):
 
     # -- main walk ---------------------------------------------------------
 
-    def run(self) -> SimtPhaseProfile:
+    def run(self) -> PhaseProfile:
         instructions = self.program.instructions
         count = len(instructions)
         ipdom = immediate_postdominators(self.program)
@@ -1127,11 +966,11 @@ class _PhaseWalk(vo.LaneISA):
             except UnsupportedVectorOp as exc:
                 raise LaunchFallback(str(exc)) from None
 
+        self.memlog.finish()
         profile = self._verify
         if profile is not None:
             if (self._executed != profile.instr_steps
-                    or self._lane_instructions != profile.lane_instructions
-                    or self._step_i != len(profile.steps)):
+                    or self._lane_instructions != profile.lane_instructions):
                 raise StaleTrace("control flow diverged from cached trace")
             return profile
         return self._build_profile()
@@ -1160,74 +999,18 @@ class _PhaseWalk(vo.LaneISA):
 
     def _step(self, inst: Instruction, m: np.ndarray | None,
               mask: np.ndarray) -> None:
-        op = inst.op_class
-        if op is OpClass.ALU:
-            self._exec_alu(inst, m)
-        elif op is OpClass.VALU_OP:
-            self._exec_valu(inst, m)
-        elif op is OpClass.LOAD:
-            self._exec_load(inst, m, mask)
-        elif op is OpClass.STORE:
-            self._exec_store(inst, m, mask)
-        elif op is OpClass.AMO:
-            self._exec_amo(inst, m, mask)
-        elif op is OpClass.VLOAD:
-            self._exec_vload(inst, m, mask)
-        elif op is OpClass.VSTORE:
-            self._exec_vstore(inst, m, mask)
-        elif op is OpClass.VGATHER:
-            self._exec_vgather(inst, m, mask)
-        elif op is OpClass.VSCATTER:
-            self._exec_vscatter(inst, m, mask)
-        elif op is OpClass.VAMO:
-            self._exec_vamo(inst, m, mask)
-        elif op is OpClass.VRED:
-            self._exec_vred(inst, m)
-        elif op is OpClass.VSET:
-            self._exec_vset(inst, m)
-        elif op is OpClass.FENCE:
-            pass
-        else:
-            raise LaunchFallback(f"unsupported op class {op.value}")
+        execute = self._INDEXED.get(inst.op_class, vo.LaneISA._step)
+        execute(self, inst, m, mask)
 
     # -- scalar ------------------------------------------------------------
 
     def _active(self, mask: np.ndarray) -> np.ndarray:
         return np.nonzero(mask)[0]
 
-    def _exec_load(self, inst: Instruction, m: np.ndarray | None,
-                   mask: np.ndarray) -> None:
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        mn = inst.mnemonic
-        if mn in vo.FP_LOADS:
-            size = vo.FP_LOADS[mn]
-            bits = vo.from_le_bytes(self._load(lanes, addrs, size))
-            vals = np.zeros(self.n, dtype=np.float64)
-            vals[lanes] = vo.bits_to_float(bits, size * 8)
-            self._wf(inst.rd, vals, m)
-            return
-        size = vo.LOAD_SIGNED.get(mn) or vo.LOAD_UNSIGNED[mn]
-        value = vo.from_le_bytes(self._load(lanes, addrs, size))
-        out = np.zeros(self.n, dtype=np.int64)
-        if mn in vo.LOAD_SIGNED:
-            out[lanes] = vo.sign_extend(value, size * 8)
-        else:
-            out[lanes] = value.astype(np.int64)
-        self._wx(inst.rd, out, m)
-
-    def _exec_store(self, inst: Instruction, m: np.ndarray | None,
-                    mask: np.ndarray) -> None:
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        mn = inst.mnemonic
-        if mn in vo.FP_STORES:
-            size = vo.FP_STORES[mn]
-            bits = vo.float_to_bits(self.fr[inst.rs2][lanes], size * 8)
-        else:
-            size = vo.STORES[mn]
-            bits = self.xr[inst.rs2][lanes].astype(np.uint64)
-        self._store(lanes, addrs, vo.to_le_bytes(bits, size))
+    def _spread(self, vals: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n,) + vals.shape[1:], dtype=vals.dtype)
+        out[lanes] = vals
+        return out
 
     def _exec_amo(self, inst: Instruction, m: np.ndarray | None,
                   mask: np.ndarray) -> None:
@@ -1247,18 +1030,14 @@ class _PhaseWalk(vo.LaneISA):
             operands = self.fr[inst.rs2][lanes]
             olds = self._amo(lanes, addrs, operands, op, size, True,
                              consumed)
-            vals = np.zeros(self.n, dtype=np.float64)
-            vals[lanes] = olds
-            self._wf(inst.rd, vals, m)
+            self._wf(inst.rd, self._spread(olds, lanes), m)
         else:
             operands = self.xr[inst.rs2][lanes]
             if size == 4:
                 operands = vo.sign_extend(vo.to_pattern(operands, 32), 32)
             olds = self._amo(lanes, addrs, operands, op, size, False,
                              consumed)
-            out = np.zeros(self.n, dtype=np.int64)
-            out[lanes] = olds
-            self._wx(inst.rd, out, m)
+            self._wx(inst.rd, self._spread(olds, lanes), m)
 
     # -- vector ------------------------------------------------------------
 
@@ -1276,34 +1055,6 @@ class _PhaseWalk(vo.LaneISA):
             self.vl = np.where(m, vl, self.vl)
             self.sew = np.where(m, np.int64(sew), self.sew)
         self._wx(inst.rd, vl, m)
-
-    def _exec_vload(self, inst: Instruction, m: np.ndarray | None,
-                    mask: np.ndarray) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(m, sew)
-        if vl == 0:
-            self._wv(inst.rd, np.zeros((self.n, 0), dtype=np.uint64), m)
-            return
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        raw = self._load(lanes, addrs, vl * inst.size)
-        elems = vo.from_le_bytes(raw.reshape(lanes.size, vl, inst.size))
-        out = self._read_v(inst.rd, vl).copy()
-        out[lanes] = elems
-        self._wv(inst.rd, out, m)
-
-    def _exec_vstore(self, inst: Instruction, m: np.ndarray | None,
-                     mask: np.ndarray) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(m, sew)
-        if vl == 0:
-            return
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        values = vo.to_pattern(
-            self._read_v(inst.rd, vl)[lanes].astype(np.int64), sew)
-        raw = vo.to_le_bytes(values, inst.size)
-        self._store(lanes, addrs, raw.reshape(lanes.size, vl * inst.size))
 
     def _flatten_indexed(self, inst: Instruction, mask: np.ndarray,
                          vl: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1327,9 +1078,7 @@ class _PhaseWalk(vo.LaneISA):
         flat_lanes, addrs = self._flatten_indexed(inst, mask, vl)
         raw = self._load(flat_lanes, addrs, inst.size)
         elems = vo.from_le_bytes(raw).reshape(lanes.size, vl)
-        out = self._read_v(inst.rd, vl).copy()
-        out[lanes] = elems
-        self._wv(inst.rd, out, m)
+        self._wv(inst.rd, self._spread(elems, lanes), m)
 
     def _exec_vscatter(self, inst: Instruction, m: np.ndarray | None,
                        mask: np.ndarray) -> None:
@@ -1356,24 +1105,19 @@ class _PhaseWalk(vo.LaneISA):
         self._amo(flat_lanes, addrs, values.reshape(-1), "add", inst.size,
                   False)
 
+    #: op classes only this walk executes (per-lane addressing / atomics)
+    _INDEXED = {OpClass.AMO: _exec_amo, OpClass.VGATHER: _exec_vgather,
+                OpClass.VSCATTER: _exec_vscatter, OpClass.VAMO: _exec_vamo}
+
     # -- profile -----------------------------------------------------------
 
-    def _build_profile(self) -> SimtPhaseProfile:
-        streams: list[tuple[np.ndarray, bool]] = []
-        for step in self._steps:
-            if step.paddrs is not None and step.paddrs.size:
-                sectors = step_sectors(step.paddrs, step.size,
-                                       self._sector_bytes)
-                streams.append((sectors, step.op in ("store", "amo")))
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(np.unique(
-            merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
-        return SimtPhaseProfile(
-            kind=self.kind.value,
+    def _build_profile(self) -> PhaseProfile:
+        merged_addrs, merged_writes, page_count = (
+            self.memlog.sector_profile(self._sector_bytes))
+        return PhaseProfile(
             n=self.n,
             unit_of_lane=self.unit_of_lane,
-            steps=self._steps,
+            steps=self.memlog.steps,
             instr_steps=self._executed,
             lane_instructions=self._lane_instructions,
             fu_counts=self._fu_counts,
@@ -1406,15 +1150,14 @@ class SimtPlan:
     records), scratchpad effects accumulate on per-unit shadows, and a
     fallback or stale-trace abort anywhere rolls the whole launch back so
     the interpreter re-executes it from pristine state.  With a cached
-    :class:`SimtTraceEntry` the walk is a verified replay; either way
+    :class:`TraceEntry` the walk is a verified replay; either way
     ``entry`` holds the launch's cacheable schedule once ``run`` returns.
     """
 
     engine = "simt"
-    entry_type = SimtTraceEntry
 
     def __init__(self, device, execution: KernelExecution,
-                 entry: SimtTraceEntry | None = None) -> None:
+                 entry: TraceEntry | None = None) -> None:
         self.device = device
         self.execution = execution
         self.entry = entry
@@ -1422,7 +1165,7 @@ class SimtPlan:
             device.page_table(execution.instance.asid))
         self.spad_shadows: dict[int, np.ndarray] = {}
         self.undo: list[tuple[np.ndarray, np.ndarray]] = []
-        self.profiles: list[SimtPhaseProfile] = []
+        self.profiles: list[PhaseProfile] = []
 
     # -- scratchpad shadows ------------------------------------------------
 
@@ -1438,9 +1181,6 @@ class SimtPlan:
         shadow = real.copy()
         self.spad_shadows[unit] = shadow
         return shadow
-
-    def push_undo(self, paddrs: np.ndarray, rows: np.ndarray) -> None:
-        self.undo.append((paddrs, rows))
 
     # -- lane layouts (mirror repro.ndp.generator._PhasePlan) ---------------
 
@@ -1482,35 +1222,26 @@ class SimtPlan:
             for kind, section in phases:
                 n, x1, x2, unit_of_lane = self._phase_lanes(kind)
                 if n:
-                    executed.append((kind, section, n, x1, x2, unit_of_lane))
+                    executed.append((section, n, x1, x2, unit_of_lane))
             if (entry_profiles is not None
                     and len(entry_profiles) != len(executed)):
                 raise StaleTrace("phase count diverged from cached trace")
-            for i, (kind, section, n, x1, x2, unit_of_lane) in enumerate(
-                    executed):
+            for i, (section, n, x1, x2, unit_of_lane) in enumerate(executed):
                 walk = _PhaseWalk(
-                    self, kind, section, n, x1, x2, unit_of_lane,
+                    self, section, n, x1, x2, unit_of_lane,
                     entry_profiles[i] if entry_profiles is not None else None,
                 )
                 profile = walk.run()
-                self._commit_stores(walk)
+                # phase barrier: land buffered global stores, keeping undo
+                walk.memlog.commit(self.device.physical, self.undo)
                 self.profiles.append(profile)
         except BaseException:
             self.rollback()
             raise
         if self.entry is None:
-            self.entry = SimtTraceEntry(
-                translation_version=self.device.translation_version,
-                profiles=self.profiles)
+            self.entry = TraceEntry(self.device.translation_version,
+                                    self.engine, self.profiles)
         return self
-
-    def _commit_stores(self, walk: _PhaseWalk) -> None:
-        """Phase barrier: land buffered global stores, keeping undo."""
-        physical = self.device.physical
-        for paddrs, rows in walk.store_log:
-            old = physical.gather_rows(paddrs, rows.shape[-1])
-            self.push_undo(paddrs, old)
-            physical.scatter_rows(paddrs, rows)
 
     def rollback(self) -> None:
         """Restore every byte the aborted walk changed (reverse order)."""

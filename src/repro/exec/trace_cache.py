@@ -17,17 +17,21 @@ argument bytes) and the device's translation state:
   page footprint.
 
 A cache hit re-runs only the numpy functional replay (data may have
-changed — outputs must stay byte-identical) and verifies each step's
-address vector against the cached one; the sector derivation, stream
-merge and trace bookkeeping are skipped, and the timing fill-in charges
-the cached stream through the live L2/DRAM servers.  Launch-uniform
-walks cache :class:`TraceEntry`; masked SIMT launches (divergent /
-atomic / phased kernels, which used to bypass the cache entirely via
-interpreter fallback) cache :class:`SimtTraceEntry`, whose per-phase
-profiles include every memory step's recorded *mask schedule*.  Any
-divergence — different addresses, different control flow or active-lane
-masks, a remapped page (the device's ``translation_version``) —
-invalidates the entry and falls back to a full trace, so the cache can
+changed — outputs must stay byte-identical) and verifies each memory
+step against the cached one; the sector derivation, stream merge and
+trace bookkeeping are skipped, and the timing fill-in charges the cached
+stream through the live L2/DRAM servers.  Both vectorized walks share
+the payload and the verification, all defined here: one
+:class:`MemStep` record per memory instruction, one :class:`StepLog`
+that records or verifies them (and raises every memory-step
+:class:`StaleTrace`), one :class:`PhaseProfile` per executed phase and
+one :class:`TraceEntry` tagged with the recording walk.  The walks
+differ only in what they put in a step: the launch-uniform walk its
+compact address forms, the masked walk (divergent / atomic / phased
+kernels) the per-element *mask schedule* — lanes, addresses and
+scratchpad routing.  Any divergence — different addresses, control flow
+or active lanes, a remapped page (the device's ``translation_version``)
+— invalidates the entry and falls back to a full trace, so the cache can
 change wall-clock time but never results.
 
 ``REPRO_TRACE_CACHE`` switches the cache off (every launch then takes
@@ -54,6 +58,7 @@ import numpy as np
 
 from repro import knobs
 from repro.isa.encoding import FUnit
+from repro.ndp.tlb import PAGE_SHIFT
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
@@ -265,54 +270,232 @@ class PointFamily:
                 return True
 
 
-@dataclass
-class CachedStep:
-    """One recorded memory step of the trace (all µthreads at once)."""
+# ---------------------------------------------------------------------------
+# recorded memory steps: one record, one log, one sector profile
+# ---------------------------------------------------------------------------
 
-    is_spad: bool
-    size: int
-    is_write: bool
-    #: virtual / physical start-address vectors of the step (global steps
-    #: only); the replay verifies its freshly computed addresses against
-    #: ``vaddrs`` and reuses ``paddrs``, skipping translation
-    vaddrs: np.ndarray | None = None
+
+@dataclass
+class MemStep:
+    """One memory instruction of a vectorized walk, all its lanes at once.
+
+    The launch-uniform walk records the compact forms (``lanes`` None,
+    addresses 0-d when every µthread agrees on them); the masked walk
+    records one entry per element access, lane-major — its canonical AMO
+    application order and the *mask schedule* a replay verifies.
+    """
+
+    op: str                     # "load" | "store" | "amo"
+    size: int                   # bytes per (element) access
+    #: start vaddrs the replay compares (None: not compared — the uniform
+    #: walk's argument-block read, whose slot rotates per instance)
+    vaddrs: np.ndarray | None
+    #: translated addresses of the global accesses, reused by the replay
     paddrs: np.ndarray | None = None
+    #: lane id of each element access; None = every lane in launch order
+    lanes: np.ndarray | None = None
+    #: scratchpad routing: None = all global, True = the argument-block
+    #: read, bool array = per element
+    spad: np.ndarray | bool | None = None
     #: unique sectors this step contributes to the timing stream
     sector_count: int = 0
+    amo_op: str | None = None
+    amo_float: bool = False
+
+
+def _same(recorded, observed) -> bool:
+    if recorded is None or observed is None or recorded is observed:
+        return recorded is observed
+    return np.array_equal(recorded, observed)
+
+
+def step_sectors(paddrs: np.ndarray, size: int, sector_bytes: int) -> np.ndarray:
+    """Unique sector addresses touched by one trace step, ascending.
+
+    Reads are deduped (every unit's L1/the shared L2 would absorb the
+    repeats); write-through writes are coalesced per sector — both are
+    timing-neutral for the hit path, which carries no bandwidth charge.
+    """
+    p = np.atleast_1d(paddrs).astype(np.int64)
+    first = p // sector_bytes
+    last = (p + size - 1) // sector_bytes
+    span = int((last - first).max()) + 1
+    if span == 1:
+        sectors = first
+    else:
+        grid = first[:, None] + np.arange(span)
+        sectors = grid[grid <= last[:, None]]
+    return np.unique(sectors) * sector_bytes
+
+
+def merge_streams(
+    streams: list[tuple[np.ndarray, bool]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Proportionally interleave the per-step sector streams.
+
+    All µthreads progress through the trace roughly together (they are
+    spawned together and FGMT round-robins them), so at any instant the
+    launch's memory traffic mixes *every* step's stream — e.g. column
+    reads interleave with mask writes.  Merging each stream at its own
+    uniform rate reproduces that mix (and its DRAM bank behaviour)
+    instead of an artificially bank-friendly step-by-step sweep.
+    Returns (addresses, is_write) arrays ready for the bulk charge.
+    """
+    if not streams:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    if len(streams) == 1:
+        sectors, is_write = streams[0]
+        return (np.asarray(sectors, dtype=np.int64),
+                np.full(len(sectors), is_write, dtype=bool))
+    positions = np.concatenate([
+        (np.arange(len(sectors)) + 0.5) / max(len(sectors), 1)
+        for sectors, _ in streams
+    ])
+    addrs = np.concatenate([sectors for sectors, _ in streams])
+    writes = np.concatenate([
+        np.full(len(sectors), is_write) for sectors, is_write in streams
+    ])
+    order = np.argsort(positions, kind="stable")
+    return addrs[order].astype(np.int64), writes[order]
+
+
+class StepLog:
+    """The memory side of one walk: its steps and its buffered stores.
+
+    Without a recording the log *records*: :meth:`step` asks the caller's
+    ``translate`` for the physical addresses and appends a
+    :class:`MemStep`.  Given a recording it *verifies*: the walk's
+    freshly computed step must equal the recorded one field for field —
+    any difference raises :class:`StaleTrace` — and the recorded step
+    (with its translation) is handed back, so ``translate`` is never
+    called.  Every memory-step ``StaleTrace`` of both walks is raised
+    here.  Either way the walk appends its global stores to ``stores``
+    and they land in :meth:`commit`, once the walk (or phase) succeeded.
+    """
+
+    def __init__(self, recorded: list[MemStep] | None = None) -> None:
+        self.replaying = recorded is not None
+        self.steps: list[MemStep] = recorded if self.replaying else []
+        #: buffered global stores: (paddrs, byte rows)
+        self.stores: list[tuple[np.ndarray, np.ndarray]] = []
+        self._cursor = 0
+        #: sectors of recorded steps by index, each derived at most once
+        self._sectors: dict[int, np.ndarray] = {}
+
+    def step(self, op: str, size: int, vaddrs, translate=None, *,
+             lanes=None, spad=None, amo_op: str | None = None,
+             amo_float: bool = False) -> MemStep:
+        """Record the walk's next memory step, or verify it against the
+        recording; returns the step whose ``paddrs`` the walk uses."""
+        if not self.replaying:
+            step = MemStep(op, size, vaddrs,
+                           None if translate is None else translate(),
+                           lanes, spad, amo_op=amo_op, amo_float=amo_float)
+            self.steps.append(step)
+            return step
+        if self._cursor >= len(self.steps):
+            raise StaleTrace("more memory steps than the cached trace")
+        step = self.steps[self._cursor]
+        self._cursor += 1
+        if (step.op != op or step.size != size or step.amo_op != amo_op
+                or step.amo_float != amo_float):
+            raise StaleTrace("memory step shape diverged from cached trace")
+        if not _same(step.spad, spad):
+            raise StaleTrace("scratchpad routing diverged from cached trace")
+        if not _same(step.lanes, lanes):
+            raise StaleTrace("active lanes diverged from cached trace")
+        if not _same(step.vaddrs, vaddrs):
+            raise StaleTrace(f"{op} addresses diverged from cached trace")
+        return step
+
+    def finish(self) -> None:
+        """End of walk: a replay must have consumed the whole recording."""
+        if self.replaying and self._cursor != len(self.steps):
+            raise StaleTrace("fewer memory steps than the cached trace")
+
+    def commit(self, physical, undo: list | None = None) -> None:
+        """Land the buffered stores, saving the old bytes in ``undo``."""
+        for paddrs, rows in self.stores:
+            if undo is not None:
+                undo.append(
+                    (paddrs, physical.gather_rows(paddrs, rows.shape[-1])))
+            physical.scatter_rows(paddrs, rows)
+
+    def sectors(self, sector_bytes: int, index: int = -1) -> np.ndarray:
+        """Unique sectors of recorded global step ``index`` (default: the
+        one just recorded); fills its ``sector_count``."""
+        index %= len(self.steps)
+        sectors = self._sectors.get(index)
+        if sectors is None:
+            step = self.steps[index]
+            sectors = self._sectors[index] = step_sectors(
+                step.paddrs, step.size, sector_bytes)
+            step.sector_count = int(sectors.size)
+        return sectors
+
+    def sector_profile(self, sector_bytes: int):
+        """``(merged_addrs, merged_writes, page_count)`` of the recorded
+        steps' global accesses — the stream the timing fill-in charges."""
+        streams = [
+            (self.sectors(sector_bytes, i), step.op != "load")
+            for i, step in enumerate(self.steps)
+            if step.paddrs is not None and step.paddrs.size
+        ]
+        merged_addrs, merged_writes = merge_streams(streams)
+        page_count = int(
+            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
+        ) if merged_addrs.size else 0
+        return merged_addrs, merged_writes, page_count
 
 
 @dataclass
-class TraceEntry:
-    """Everything reusable about one traced launch-uniform launch."""
+class PhaseProfile:
+    """Everything reusable about one executed phase of a traced launch.
 
-    translation_version: int
-    trace_len: int
-    latency_cycles: int
-    fu_counts: dict[FUnit, int]
-    steps: list[CachedStep] = field(default_factory=list)
+    The launch-uniform walk fills the first block only, with its compact
+    forms: ``fu_counts`` per µthread (every µthread runs every
+    instruction; its roofline multiplies by ``n`` itself) and
+    ``lat_cycles`` one number.  The masked walk counts ``fu_counts`` over
+    active lanes, keeps ``lat_cycles`` per lane and adds the rest.
+    """
+
+    n: int
+    steps: list[MemStep] = field(default_factory=list)
+    instr_steps: int = 0
+    fu_counts: dict[FUnit, int] = field(default_factory=dict)
+    lat_cycles: np.ndarray | int = 0
     merged_addrs: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     merged_writes: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=bool))
     page_count: int = 0
+    # -- masked walk only --------------------------------------------------
+    unit_of_lane: np.ndarray | None = None
+    lane_instructions: int = 0
+    mem_lat: np.ndarray | None = None
+    global_bytes: int = 0
+    global_accesses: int = 0
+    spad_bytes: int = 0
+    atomics: int = 0
+    #: per-unit functional scratchpad counter deltas:
+    #: unit -> (reads, writes, atomics, bytes)
+    spad_counters: dict[int, tuple[int, int, int, int]] = field(
+        default_factory=dict)
 
 
 @dataclass
-class SimtTraceEntry:
-    """Cached schedule of a masked SIMT launch (divergent / atomic / phased).
+class TraceEntry:
+    """Cached schedule of one traced launch: a profile per executed phase.
 
-    ``profiles`` holds one :class:`~repro.exec.simt.SimtPhaseProfile` per
-    executed phase — including every memory step's **mask schedule** (the
-    per-element active-lane vector) and address vectors.  A hit re-runs the
-    functional walk and verifies each step's lanes and addresses against
-    the recording; any divergence (a chain grew, a branch flipped, a page
-    remapped) raises :class:`StaleTrace` and the launch retraces from
-    scratch, so caching divergent and atomic traces can change wall-clock
-    time but never results or ``runtime_ns``.
+    ``engine`` names the walk that recorded it (``"batched"``: the
+    launch-uniform walk, always one body phase; ``"simt"``: the masked
+    walk); a hit is replayed by that walk and verified step by step
+    through :class:`StepLog`.
     """
 
     translation_version: int
-    profiles: list = field(default_factory=list)
+    engine: str
+    profiles: list[PhaseProfile] = field(default_factory=list)
 
 
 class TraceCache:

@@ -59,17 +59,17 @@ class FaultInjector:
         self.stats = runtime.stats
         self.health = HealthMonitor(runtime.num_devices, stats=self.stats)
         self.epoch_ns = runtime.sim.now
-        #: Devices that have physically died (completions lost), keyed
+        # Every fault table is keyed by its scope, (device, partition):
+        # partition None is the whole device.
+        #: Scopes that have physically died (completions lost), keyed
         #: before the host *detects* the death at a heartbeat boundary.
-        self._killed = [False] * runtime.num_devices
-        self._detected = [False] * runtime.num_devices
-        #: Partition-scoped deaths/detections: (device, partition name).
-        self._part_killed: set[tuple[int, str]] = set()
-        self._part_detected: set[tuple[int, str]] = set()
-        #: Per-device stall-window end (issue to the device is held).
-        self._stall_until = [0.0] * runtime.num_devices
-        #: Per-(device, partition) stall-window end.
-        self._part_stall_until: dict[tuple[int, str], float] = {}
+        self._killed: set[tuple[int, str | None]] = set()
+        self._detected: set[tuple[int, str | None]] = set()
+        #: Stall-window end per scope (issue into the scope is held).
+        self._stall_until: dict[tuple[int, str | None], float] = {}
+        #: End of the last open degradation window (stall or link flap)
+        #: per scope: the scope is UP again when *that* one closes.
+        self._degraded_until: dict[tuple[int, str | None], float] = {}
         #: Poisoned address ranges: (base, size, partition-or-None).
         self._poison: list[tuple[int, int, str | None]] = []
         #: In-flight sub-launches per device: id(sub_handle) ->
@@ -114,83 +114,72 @@ class FaultInjector:
 
     def _on_device_fail(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
-        device = event.device
+        device, partition = event.device, event.partition
         # the host notices at the next heartbeat boundary after the death
         beats = int((now - self.epoch_ns) // self.heartbeat_ns) + 1
         detect_at = self.epoch_ns + beats * self.heartbeat_ns
-        if event.partition is not None:
-            # blast radius: one partition's units stop answering; the
-            # rest of the device (other partitions' private L2/DRAM
-            # models) never sees the fault
-            self._part_killed.add((device, event.partition))
+        # blast radius of a partition-scoped kill: one partition's units
+        # stop answering; the rest of the device (other partitions'
+        # private L2/DRAM models) never sees the fault
+        self._killed.add((device, partition))
+        if partition is None:
+            self.stats.add("fault.device_kills")
+            detect = (lambda: self._detect(device))
+        else:
             self.stats.add("fault.partition_kills")
-            self._instant("fault.partition_kill", now, pid=1 + device,
-                          device=device, partition=event.partition)
-            self._record("fault.partition_kill", now, device=device,
-                         partition=event.partition)
-            self.runtime.sim.schedule_at(
-                detect_at,
-                (lambda d=device, p=event.partition:
-                 self._detect_partition(d, p))
-            )
-            return
-        self._killed[device] = True
-        self.stats.add("fault.device_kills")
-        self._instant("fault.kill", now, pid=1 + device, device=device)
-        self._record("fault.kill", now, device=device)
-        self.runtime.sim.schedule_at(
-            detect_at, (lambda d=device: self._detect(d))
-        )
+            detect = (lambda: self._detect_partition(device, partition))
+        kind = f"fault.{_scoped(partition)}kill"
+        self._instant(kind, now, pid=1 + device, device=device,
+                      **_scope(partition))
+        self._record(kind, now, device=device, **_scope(partition))
+        self.runtime.sim.schedule_at(detect_at, detect)
+
+    def _mark(self, device: int, partition: str | None, state: str,
+              when: float) -> bool:
+        if partition is None:
+            return self.health.mark(device, state, when)
+        return self.health.mark_partition(device, partition, state, when)
+
+    def _degrade(self, device: int, partition: str | None,
+                 until: float) -> None:
+        """Open a degradation window: DEGRADED now, UP again at ``until``
+        unless a longer stall/flap window of the scope is still open."""
+        key = (device, partition)
+        self._degraded_until[key] = max(self._degraded_until.get(key, 0.0),
+                                        until)
+        self._mark(device, partition, DEGRADED, self.runtime.sim.now)
+
+        def recover() -> None:
+            now = self.runtime.sim.now
+            # a scope killed inside the window stays DOWN: no recovery row
+            if (self._degraded_until[key] <= until
+                    and self._mark(device, partition, UP, now)):
+                self._record(
+                    "recovery.partition_up" if partition is not None
+                    else "recovery.device_up",
+                    now, device=device, **_scope(partition))
+
+        self.runtime.sim.schedule_at(until, recover)
 
     def _on_device_stall(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
-        device = event.device
+        device, partition = event.device, event.partition
         until = now + event.duration_ns
-        if event.partition is not None:
-            key = (device, event.partition)
-            self._part_stall_until[key] = max(
-                self._part_stall_until.get(key, 0.0), until)
-            self.stats.add("fault.partition_stall_windows")
-            self.health.mark_partition(device, event.partition, DEGRADED,
-                                       now)
-            self._instant("fault.partition_stall", now, pid=1 + device,
-                          device=device, partition=event.partition,
-                          duration_ns=event.duration_ns)
-            self._record("fault.partition_stall", now, device=device,
-                         partition=event.partition,
-                         duration_ns=event.duration_ns)
-
-            def recover_part(k=key, u=until) -> None:
-                if self._part_stall_until.get(k, 0.0) <= u:
-                    now_ns = self.runtime.sim.now
-                    self.health.mark_partition(k[0], k[1], UP, now_ns)
-                    self._record("recovery.partition_up", now_ns,
-                                 device=k[0], partition=k[1])
-
-            self.runtime.sim.schedule_at(until, recover_part)
-            return
-        self._stall_until[device] = max(self._stall_until[device], until)
-        self.stats.add("fault.stall_windows")
-        self.health.mark(device, DEGRADED, now)
-        self._instant("fault.stall", now, pid=1 + device, device=device,
-                      duration_ns=event.duration_ns)
-        self._record("fault.stall", now, device=device,
+        key = (device, partition)
+        self._stall_until[key] = max(self._stall_until.get(key, 0.0), until)
+        self.stats.add(f"fault.{_scoped(partition)}stall_windows")
+        kind = f"fault.{_scoped(partition)}stall"
+        self._instant(kind, now, pid=1 + device, device=device,
+                      **_scope(partition), duration_ns=event.duration_ns)
+        self._record(kind, now, device=device, **_scope(partition),
                      duration_ns=event.duration_ns)
-
-        def recover(d=device, u=until) -> None:
-            if self._stall_until[d] <= u:
-                now_ns = self.runtime.sim.now
-                self.health.mark(d, UP, now_ns)
-                self._record("recovery.device_up", now_ns, device=d)
-
-        self.runtime.sim.schedule_at(until, recover)
+        self._degrade(device, partition, until)
 
     def _on_link_flap(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
         device = event.device
         until = now + event.duration_ns
         self.stats.add("fault.link_flaps")
-        self.health.mark(device, DEGRADED, now)
         self.runtime.switch.start_flap(device, until, event.extra_ns)
         link = getattr(self.runtime.devices[device], "link", None)
         if link is not None:
@@ -199,13 +188,7 @@ class FaultInjector:
                       duration_ns=event.duration_ns)
         self._record("fault.link_flap", now, device=device,
                      duration_ns=event.duration_ns)
-
-        def recover(d=device) -> None:
-            now_ns = self.runtime.sim.now
-            self.health.mark(d, UP, now_ns)
-            self._record("recovery.device_up", now_ns, device=d)
-
-        self.runtime.sim.schedule_at(until, recover)
+        self._degrade(device, None, until)
 
     def _on_poison(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
@@ -221,9 +204,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _detect(self, device: int) -> None:
-        if self._detected[device]:
+        if (device, None) in self._detected:
             return
-        self._detected[device] = True
+        self._detected.add((device, None))
         now = self.runtime.sim.now
         self.stats.add("fault.detections")
         self.health.mark(device, DOWN, now)
@@ -253,9 +236,9 @@ class FaultInjector:
         were never touched, so their results are byte-identical to a
         fault-free run by construction.
         """
-        if (device, partition) in self._part_detected:
+        if (device, partition) in self._detected:
             return
-        self._part_detected.add((device, partition))
+        self._detected.add((device, partition))
         now = self.runtime.sim.now
         self.stats.add("fault.detections")
         self.stats.add("fault.partition_detections")
@@ -343,11 +326,9 @@ class FaultInjector:
         the partition the sub-launch ran in — died before the host could
         observe it); the handle then stays pending until :meth:`_detect`
         / :meth:`_detect_partition` fails it."""
-        if self._killed[device]:
-            self.stats.add("fault.lost_completions")
-            return True
         entry = self._live[device].get(id(sub_handle))
-        if entry is not None and (device, entry[1]) in self._part_killed:
+        if ((device, None) in self._killed
+                or entry is not None and (device, entry[1]) in self._killed):
             self.stats.add("fault.lost_completions")
             return True
         self._live[device].pop(id(sub_handle), None)
@@ -357,8 +338,8 @@ class FaultInjector:
                     partition: str) -> float:
         """Hold sub-launch issue while the device — or the target
         partition — is in a stall window."""
-        until = max(self._stall_until[device],
-                    self._part_stall_until.get((device, partition), 0.0))
+        until = max(self._stall_until.get((device, None), 0.0),
+                    self._stall_until.get((device, partition), 0.0))
         if ready_ns < until:
             self.stats.add("fault.stall_delays")
             return until
@@ -406,6 +387,16 @@ class FaultInjector:
                     self.health.partition_states.items())
             }
         return snap
+
+
+def _scoped(partition: str | None) -> str:
+    """Name infix of partition-scoped counters / instants / ring kinds."""
+    return "" if partition is None else "partition_"
+
+
+def _scope(partition: str | None) -> dict:
+    """Detail fields naming a fault's scope (none for a whole device)."""
+    return {} if partition is None else {"partition": partition}
 
 
 def make_poison_failure(base: int, size: int, pool_base: int) -> PoisonError:

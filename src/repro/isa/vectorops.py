@@ -17,9 +17,10 @@ drift apart:
 * the memory-op metadata (access sizes, AMO op/width/float tables)
   re-exported from the scalar executor so there is exactly one source of
   truth for what ``amoadd.w`` or ``fld`` does,
-* :class:`LaneISA` — the register-to-register instructions (scalar ALU,
-  vector ALU, reductions) dispatched over those tables, written once
-  against the register-file primitives each walk supplies.
+* :class:`LaneISA` — the op-class dispatch, the register-to-register
+  instructions (scalar ALU, vector ALU, reductions) and the scalar /
+  unit-stride vector loads and stores, written once against the
+  register-file and memory primitives each walk supplies.
 
 The helpers and tables are stateless and mask-agnostic: callers decide
 which lanes participate and how results merge into register state.
@@ -31,6 +32,7 @@ import numpy as np
 
 # One source of truth for memory-op metadata: the scalar executor's
 # tables, re-exported under their public names.
+from repro.isa.encoding import OpClass
 from repro.isa.executor import (  # noqa: F401  (re-exports)
     AMO_OPS,
     FP_LOADS,
@@ -313,10 +315,11 @@ V_REDUCTIONS = {
 
 
 class LaneISA:
-    """Scalar-ALU, vector-ALU and reduction semantics over lane arrays.
+    """Scalar-ALU, vector-ALU, reduction and load/store semantics over
+    lane arrays, behind one op-class dispatch (:meth:`_step`).
 
-    Both vectorized walks inherit these three executors; a walk supplies
-    only its register representation:
+    Both vectorized walks inherit these executors; a walk supplies its
+    register representation and its memory:
 
     * ``xr`` / ``fr`` / ``vr`` register files (``vr`` entries are uint64
       element matrices whose last axis is the element index, or None),
@@ -326,7 +329,14 @@ class LaneISA:
       active lanes agree on (``vl < 0`` = never set, i.e. VLMAX),
     * ``_lanes`` — the leading shape of a freshly materialised vector
       register: ``(n,)`` when every value is held per lane, ``()`` when
-      launch-uniform values stay 0-d / ``(vl,)``.
+      launch-uniform values stay 0-d / ``(vl,)``,
+    * ``_load(lanes, addrs, size)`` / ``_store(lanes, addrs, rows)`` —
+      little-endian byte rows in and out of memory, and ``_exec_vset``,
+    * ``_active(mask)`` / ``_spread(vals, lanes)`` — which lanes a memory
+      instruction runs for and how their results lie back over all
+      lanes.  The defaults select everything (``...``), so the maskless
+      walk's addresses and data keep their 0-d / ``(n,)`` forms; the
+      masked walk overrides them with ``np.nonzero(mask)`` / a scatter.
 
     Everything else is shape-generic numpy (``...`` indexing,
     broadcasting), so a launch-uniform operand is never widened to
@@ -336,6 +346,38 @@ class LaneISA:
     """
 
     _lanes: tuple = ()
+
+    def _active(self, mask):
+        """Index selecting the lanes a memory instruction runs for."""
+        return ...
+
+    def _spread(self, vals: np.ndarray, lanes) -> np.ndarray:
+        """Lay the selected lanes' results back over every lane."""
+        return vals
+
+    def _step(self, inst, m, mask) -> None:
+        """Execute one non-control-flow instruction for the active lanes
+        (``m``: write mask or None; ``mask``: what ``_active`` selects
+        from)."""
+        op = inst.op_class
+        if op is OpClass.ALU:
+            self._exec_alu(inst, m)
+        elif op is OpClass.VALU_OP:
+            self._exec_valu(inst, m)
+        elif op is OpClass.LOAD:
+            self._exec_load(inst, m, mask)
+        elif op is OpClass.STORE:
+            self._exec_store(inst, m, mask)
+        elif op is OpClass.VLOAD:
+            self._exec_vload(inst, m, mask)
+        elif op is OpClass.VSTORE:
+            self._exec_vstore(inst, m, mask)
+        elif op is OpClass.VRED:
+            self._exec_vred(inst, m)
+        elif op is OpClass.VSET:
+            self._exec_vset(inst, m)
+        elif op is not OpClass.FENCE:
+            raise UnsupportedVectorOp(f"unsupported op class {op.value}")
 
     def _eff_vl(self, m, sew: int) -> int:
         limit = vlmax(sew)
@@ -423,7 +465,60 @@ class LaneISA:
         else:
             raise UnsupportedVectorOp(f"unsupported mnemonic {mn}")
 
+    def _exec_load(self, inst, m, mask) -> None:
+        lanes = self._active(mask)
+        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+        mn = inst.mnemonic
+        if mn in FP_LOADS:
+            size = FP_LOADS[mn]
+            bits = from_le_bytes(self._load(lanes, addrs, size))
+            self._wf(inst.rd,
+                     self._spread(bits_to_float(bits, size * 8), lanes), m)
+            return
+        size = LOAD_SIGNED.get(mn) or LOAD_UNSIGNED[mn]
+        value = from_le_bytes(self._load(lanes, addrs, size))
+        value = (sign_extend(value, size * 8) if mn in LOAD_SIGNED
+                 else value.astype(np.int64))
+        self._wx(inst.rd, self._spread(value, lanes), m)
+
+    def _exec_store(self, inst, m, mask) -> None:
+        lanes = self._active(mask)
+        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+        mn = inst.mnemonic
+        if mn in FP_STORES:
+            size = FP_STORES[mn]
+            bits = float_to_bits(self.fr[inst.rs2][lanes], size * 8)
+        else:
+            size = STORES[mn]
+            bits = self.xr[inst.rs2][lanes].astype(np.uint64)
+        self._store(lanes, addrs, to_le_bytes(bits, size))
+
     # -- vector ------------------------------------------------------------
+
+    def _exec_vload(self, inst, m, mask) -> None:
+        vl = self._eff_vl(m, inst.size * 8)
+        if vl == 0:
+            self._wv(inst.rd,
+                     np.zeros(self._lanes + (0,), dtype=np.uint64), m)
+            return
+        lanes = self._active(mask)
+        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+        raw = self._load(lanes, addrs, vl * inst.size)
+        elems = from_le_bytes(raw.reshape(raw.shape[:-1] + (vl, inst.size)))
+        self._wv(inst.rd, self._spread(elems, lanes), m)
+
+    def _exec_vstore(self, inst, m, mask) -> None:
+        sew = inst.size * 8
+        vl = self._eff_vl(m, sew)
+        if vl == 0:
+            return
+        lanes = self._active(mask)
+        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+        values = to_pattern(
+            self._read_v(inst.rd, vl)[lanes].astype(np.int64), sew)
+        raw = to_le_bytes(values, inst.size)
+        self._store(lanes, addrs,
+                    raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
 
     def _exec_valu(self, inst, m) -> None:
         mn = inst.mnemonic

@@ -1,6 +1,7 @@
 """Per-mnemonic differential for the single lane-ISA implementation.
 
-Both vectorized walks execute register-to-register instructions through
+Both vectorized walks execute register-to-register instructions and
+scalar / unit-stride vector loads and stores through
 :class:`repro.isa.vectorops.LaneISA`.  For every mnemonic that class
 dispatches on, a minimal kernel runs on the interpreter and on the
 batched backend at n = 64 (launch-uniform walk) and n = 48 (masked walk)
@@ -22,8 +23,19 @@ OUT_STRIDE = 128      # bytes of output per µthread (four result slots)
 _UNWRITTEN = 0xA5     # fill byte of the output buffer before the launch
 
 #: (mnemonics, instruction lines using ``{m}``, result registers, data kind).
-#: Inputs: x7/x8, f1/f2, v1/v2 are per-µthread, x9/f9 launch-uniform.
+#: Inputs: x7/x8, f1/f2, v1/v2 are per-µthread, x9/f9 launch-uniform;
+#: x1 is the µthread's input slice, x3 the argument block (launch-uniform
+#: addresses; its word at 32 is negative) and x6 its output slice.
 _GROUPS = [
+    # sign vs zero extension, from per-µthread and launch-uniform addresses
+    (list(vo.LOAD_SIGNED) + list(vo.LOAD_UNSIGNED),
+     ["{m} x10, 8(x1)", "{m} x11, 32(x3)"], ["x10", "x11"], "int"),
+    (list(vo.STORES), ["{m} x7, 0(x6)", "{m} x9, 8(x6)"], [], "int"),
+    # FP bit casts: f32 widens on load and narrows on store
+    (["fld"], ["{m} f3, 8(x1)", "{m} f4, 24(x3)"], ["f3", "f4"], "float"),
+    (["flw"], ["{m} f3, 4(x1)", "{m} f4, 28(x3)", "fsw f3, 96(x6)"],
+     ["f3", "f4"], "float32"),
+    (list(vo.FP_STORES), ["{m} f1, 0(x6)", "{m} f9, 8(x6)"], [], "float"),
     (list(vo.INT_BINOPS) + ["addw", "mulw"],
      ["{m} x10, x7, x8", "{m} x11, x7, x9"], ["x10", "x11"], "int"),
     (list(vo.INT_IMMOPS), ["{m} x10, x7, 5", "{m} x11, x9, 5"],
@@ -89,7 +101,8 @@ _CASES = [
 
 def _kernel(mnemonic, lines, outs, kind, sew):
     wide = sew == 64
-    fload = "fld" if wide or kind != "vfloat" else "flw"
+    narrow = kind == "float32" or (kind == "vfloat" and not wide)
+    fload = "flw" if narrow else "fld"
     vle, vse = f"vle{sew}.v", f"vse{sew}.v"
     body = [
         ".body",
@@ -115,8 +128,9 @@ def _kernel(mnemonic, lines, outs, kind, sew):
 
 def _inputs(kind, sew, n, seed):
     gen = np.random.default_rng(seed)
-    if kind in ("float", "vfloat"):
-        dtype = np.float64 if sew == 64 or kind == "float" else np.float32
+    if kind in ("float", "float32", "vfloat"):
+        narrow = kind == "float32" or (kind == "vfloat" and sew == 32)
+        dtype = np.float32 if narrow else np.float64
         count = n * STRIDE // np.dtype(dtype).itemsize
         return [gen.normal(0.0, 1000.0, count).astype(dtype)
                 for _ in range(2)]
@@ -137,25 +151,70 @@ def _run(backend, source, kind, sew, n):
     addr_b = runtime.alloc_array(b)
     addr_out = runtime.alloc_array(
         np.full(n * OUT_STRIDE, _UNWRITTEN, dtype=np.uint8))
-    args = pack_args(addr_b, addr_out, 3) + np.float64(1.5).tobytes()
+    args = (pack_args(addr_b, addr_out, 3) + np.float64(1.5).tobytes()
+            + pack_args(-3))
     runtime.run_kernel(source, addr_a, addr_a + n * STRIDE, args=args)
     out = runtime.read_array(addr_out, np.uint8, n * OUT_STRIDE)
     return out, platform.stats
 
 
-@pytest.mark.parametrize("mnemonic, lines, outs, kind, sew", _CASES)
-def test_walks_match_interpreter(mnemonic, lines, outs, kind, sew):
-    source = _kernel(mnemonic, lines, outs, kind, sew)
-    for n, took, other in (
-            (64, "exec.batched_launches", "exec.simt_launches"),
-            (48, "exec.simt_launches", "exec.batched_launches")):
+_WALKS = ((64, "exec.batched_launches"), (48, "exec.simt_launches"))
+
+
+def _both_walks(source, kind, sew, sizes=_WALKS):
+    """Yield (n, input a, output rows) per walk, checked byte for byte
+    against the interpreter and for the walk that must have run."""
+    for n, took in sizes:
         expected, _ = _run("interpreter", source, kind, sew, n)
         produced, stats = _run("batched", source, kind, sew, n)
         assert np.array_equal(produced, expected), f"n={n}"
-        assert (expected != _UNWRITTEN).any(), "kernel stored nothing"
         assert stats.get(took) == 1
-        assert stats.get(other) == 0
+        assert sum(stats.get(walk) for _, walk in _WALKS) == 1
         assert stats.get("exec.batched_fallbacks") == 0
+        a = _inputs(kind, sew, n, seed=n)[0]
+        yield n, a.view(np.uint8).reshape(n, STRIDE), produced.reshape(
+            n, OUT_STRIDE)
+
+
+@pytest.mark.parametrize("mnemonic, lines, outs, kind, sew", _CASES)
+def test_walks_match_interpreter(mnemonic, lines, outs, kind, sew):
+    source = _kernel(mnemonic, lines, outs, kind, sew)
+    for _n, _a, out in _both_walks(source, kind, sew):
+        assert (out != _UNWRITTEN).any(), "kernel stored nothing"
+
+
+@pytest.mark.parametrize("sew", [8, 16, 32, 64])
+def test_unit_stride_vector_memory_honours_vl(sew):
+    """``vl == 0`` moves nothing; ``vl < VLMAX`` moves exactly ``vl``
+    elements and leaves the bytes past them alone."""
+    size = sew // 8
+    source = _kernel("", [
+        "li   x12, 0", f"vsetvli x13, x12, e{sew}",
+        f"vle{sew}.v v3, (x1)", f"vse{sew}.v v3, (x6)",
+        "li   x12, 3", f"vsetvli x13, x12, e{sew}",
+        f"vle{sew}.v v4, (x1)", "addi x15, x6, 32", f"vse{sew}.v v4, (x15)",
+        "sd   x13, 64(x6)",
+    ], [], "int", 64)
+    for n, a, out in _both_walks(source, "int", 64):
+        assert (out[:, :32] == _UNWRITTEN).all()
+        assert np.array_equal(out[:, 32:32 + 3 * size], a[:, :3 * size])
+        assert (out[:, 32 + 3 * size:64] == _UNWRITTEN).all()
+        assert (out[:, 64:72].view(np.int64) == 3).all()
+
+
+def test_masked_stores_leave_inactive_lanes_untouched():
+    source = _kernel("", [
+        "andi x10, x7, 1", "beqz x10, skip",       # per-µthread predicate
+        "sd   x7, 0(x6)", "fsd  f1, 8(x6)",
+        "addi x15, x6, 32", "vse64.v v1, (x15)",
+        "skip:",
+    ], [], "vint", 64)
+    simt = "exec.simt_launches"     # divergent: the masked walk at any n
+    for n, a, out in _both_walks(source, "vint", 64, ((64, simt), (48, simt))):
+        active = (a[:, 0] & 1).astype(bool)
+        assert active.any() and not active.all()
+        assert (out[~active] == _UNWRITTEN).all()
+        assert np.array_equal(out[active, 32:64], a[active])
 
 
 def test_every_dispatched_table_is_covered():
@@ -163,5 +222,6 @@ def test_every_dispatched_table_is_covered():
     for table in (vo.INT_BINOPS, vo.INT_IMMOPS, vo.FP_BINOPS,
                   vo.FP_COMPARES, vo.V_INT_BINOPS, vo.V_INT_SCALAR,
                   vo.V_INT_IMM, vo.V_FP_BINOPS, vo.V_FP_SCALAR,
-                  vo.V_INT_COMPARES, vo.V_FP_COMPARES):
+                  vo.V_INT_COMPARES, vo.V_FP_COMPARES, vo.LOAD_SIGNED,
+                  vo.LOAD_UNSIGNED, vo.STORES, vo.FP_LOADS, vo.FP_STORES):
         assert set(table) <= covered

@@ -10,6 +10,7 @@ import pytest
 
 from repro.config import NDPConfig, SystemConfig
 from repro.errors import ConfigError
+from repro.exec.trace_cache import StaleTrace, StepLog
 from repro.host.api import pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD
@@ -206,6 +207,143 @@ class TestInvalidation:
         # the flipped branch is a retrace, not a hit
         assert _cache_stats(platform) == (0, 2)
 
+
+#: Two launches of one masked-walk kernel whose *data* changes in
+#: between: (kernel, lanes' data before, after).  Both keep the key, the
+#: step count and the active-lane count; only the verified step differs.
+_GATHER = """
+.body
+    ld   x20, 0(x3)          // per-lane data: four table byte offsets
+    ld   x21, 8(x3)          // table
+    li   x4, 4
+    vsetvli x0, x4, e64
+    add  x5, x20, x2
+    vle64.v v1, (x5)
+    vluxei64.v v2, (x21), v1 // gather addresses come from memory
+    vse64.v v2, (x1)
+    ret
+"""
+_PREDICATED = """
+.body
+    ld   x20, 0(x3)          // per-lane data: word 0 is the predicate
+    add  x5, x20, x2
+    ld   x6, 0(x5)
+    beqz x6, skip            // divergent: the store's lanes come from memory
+    ld   x21, 8(x3)
+    ld   x7, 8(x21)
+    sd   x7, 0(x1)
+skip:
+    ret
+"""
+_LANES = 256
+_OFFSETS = (np.arange(_LANES * 4, dtype=np.int64) * 7 % 512) * 8
+_PREDICATES = np.repeat(np.arange(_LANES, dtype=np.int64) % 2, 4)
+_STALE_CASES = [
+    pytest.param(_GATHER, _OFFSETS, _OFFSETS[::-1].copy(),
+                 id="gather-indices-permuted"),
+    pytest.param(_PREDICATED, _PREDICATES, 1 - _PREDICATES,
+                 id="lane-predicates-flipped"),
+]
+
+
+class TestMaskedStaleReplay:
+    @staticmethod
+    def _two_launches(backend, source, before, after):
+        platform = make_platform(backend=backend)
+        runtime = platform.runtime
+        data = runtime.alloc_array(before)
+        table = runtime.alloc_array(np.arange(512, dtype=np.int64) * 3 + 1)
+        out = runtime.alloc_array(np.full(_LANES * 4, -1, dtype=np.int64))
+        kid = runtime.register_kernel(source)
+        for lane_data in (before, after):
+            platform.device.physical.store_array(data, lane_data)
+            runtime.launch_kernel(kid, out, out + _LANES * 32,
+                                  args=pack_args(data, table))
+        return platform, runtime.read_array(out, np.int64, _LANES * 4)
+
+    @pytest.mark.parametrize("source, before, after", _STALE_CASES)
+    def test_stale_schedule_retraces(self, source, before, after):
+        _, expected = self._two_launches("interpreter", source, before, after)
+        platform, produced = self._two_launches("batched", source, before,
+                                                after)
+        assert np.array_equal(produced, expected)
+        assert _cache_stats(platform) == (0, 2)
+        assert platform.stats.get("exec.simt_launches") == 2
+        assert platform.stats.get("exec.batched_fallbacks") == 0
+
+
+def _global_step(**changed):
+    """The uniform walk's form: every lane, compact addresses."""
+    return {"op": "load", "size": 8, "vaddrs": np.array([64, 72]), **changed}
+
+
+def _masked_step(**changed):
+    """The masked walk's form: per-element lanes and routing."""
+    return {"op": "amo", "size": 4, "vaddrs": np.array([64, 96]),
+            "lanes": np.array([0, 2]), "spad": np.array([False, True]),
+            "amo_op": "add", **changed}
+
+
+_PADDRS = np.array([4160, 4168])
+
+
+class TestStepLog:
+    """The one record / verify implementation both walks call."""
+
+    @staticmethod
+    def _recording():
+        log = StepLog()
+        log.step(**_global_step(), translate=lambda: _PADDRS)
+        log.step(**_masked_step(), translate=lambda: _PADDRS[:1])
+        return log.steps
+
+    @staticmethod
+    def _never():
+        raise AssertionError("a replay must not translate")
+
+    def test_identical_steps_reuse_the_recorded_translation(self):
+        recorded = self._recording()
+        log = StepLog(recorded)
+        first = log.step(**_global_step(), translate=self._never)
+        second = log.step(**_masked_step(), translate=self._never)
+        log.finish()
+        assert first is recorded[0] and second is recorded[1]
+        assert first.paddrs is _PADDRS
+        assert log.steps is recorded and len(recorded) == 2
+
+    @pytest.mark.parametrize("make, changed, message", [
+        (_global_step, {"op": "store"}, "step shape"),
+        (_global_step, {"size": 4}, "step shape"),
+        (_masked_step, {"amo_op": "min"}, "step shape"),
+        (_masked_step, {"amo_float": True}, "step shape"),
+        (_global_step, {"vaddrs": np.array([64, 80])}, "addresses"),
+        (_global_step, {"vaddrs": np.array(64)}, "addresses"),
+        (_global_step, {"vaddrs": None}, "addresses"),
+        (_masked_step, {"lanes": np.array([0, 1])}, "active lanes"),
+        (_masked_step, {"lanes": None}, "active lanes"),
+        (_masked_step, {"spad": np.array([True, True])}, "routing"),
+        (_masked_step, {"spad": None}, "routing"),
+        (_global_step, {"spad": True}, "routing"),
+    ])
+    def test_any_changed_field_is_stale(self, make, changed, message):
+        log = StepLog(self._recording())
+        if make is _masked_step:
+            log.step(**_global_step())
+        with pytest.raises(StaleTrace, match=message):
+            log.step(**make(**changed), translate=self._never)
+
+    def test_extra_step_is_stale(self):
+        log = StepLog(self._recording())
+        log.step(**_global_step())
+        log.step(**_masked_step())
+        with pytest.raises(StaleTrace, match="more memory steps"):
+            log.step(**_global_step(), translate=self._never)
+
+    def test_missing_step_is_stale_at_end_of_walk(self):
+        log = StepLog(self._recording())
+        log.step(**_global_step())
+        with pytest.raises(StaleTrace, match="fewer memory steps"):
+            log.finish()
 
 class TestBypass:
     def test_simt_kernels_cache_their_mask_schedule(self):

@@ -15,6 +15,7 @@ from repro.errors import (
 )
 from repro.faults import (
     DEFAULT_HEARTBEAT_NS,
+    DEGRADED,
     DOWN,
     UP,
     FaultEvent,
@@ -23,6 +24,7 @@ from repro.faults import (
 )
 from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
+from repro.obs.recorder import FlightRecorder
 
 N = 4096
 
@@ -205,6 +207,57 @@ class TestStallFlapPoison:
         assert got_instance is not None
         got = runtime.read_array(addr_c, np.int64, N)
         assert np.array_equal(got, a + b)
+
+
+class TestDegradationWindows:
+    """Health transitions and recorder rows of stall / flap windows that
+    overlap each other or a kill (device 1, times in ns)."""
+
+    @staticmethod
+    def _run(events):
+        platform = make_cluster_platform(num_devices=4, backend="batched")
+        runtime = platform.runtime
+        runtime.recorder = FlightRecorder()
+        injector = runtime.arm_faults(FaultPlan(events=tuple(events)))
+        runtime.sim.run()
+        transitions = [(t, new) for t, dev, _old, new
+                       in injector.health.transitions if dev == 1]
+        ups = [row.t_ns for row in runtime.recorder.events(
+            kinds=("recovery.device_up",)) if row.device == 1]
+        return injector, transitions, ups
+
+    def test_device_killed_inside_a_stall_never_recovers(self):
+        injector, transitions, ups = self._run([
+            FaultEvent("device_stall", at_ns=1_000.0, device=1,
+                       duration_ns=30_000.0),
+            FaultEvent("device_fail", at_ns=8_000.0, device=1),
+        ])
+        assert transitions == [(1_000.0, DEGRADED), (10_000.0, DOWN)]
+        assert injector.health.state(1) == DOWN
+        assert ups == []            # the 31 us window end is not a recovery
+
+    @pytest.mark.parametrize("outer, inner", [
+        ("device_stall", "link_flap"), ("link_flap", "device_stall")])
+    def test_up_only_when_the_last_window_closes(self, outer, inner):
+        injector, transitions, ups = self._run([
+            FaultEvent(outer, at_ns=1_000.0, device=1, duration_ns=20_000.0),
+            FaultEvent(inner, at_ns=2_000.0, device=1, duration_ns=3_000.0),
+        ])
+        assert transitions == [(1_000.0, DEGRADED), (21_000.0, UP)]
+        assert ups == [21_000.0]
+        # only stall windows hold issue, each until its own end
+        held_until = 21_000.0 if outer == "device_stall" else 5_000.0
+        assert injector.delay_issue(1, 2_500.0, "spx") == held_until
+
+    def test_disjoint_windows_each_recover(self):
+        _, transitions, ups = self._run([
+            FaultEvent("device_stall", at_ns=1_000.0, device=1,
+                       duration_ns=2_000.0),
+            FaultEvent("link_flap", at_ns=5_000.0, device=1,
+                       duration_ns=2_000.0),
+        ])
+        assert [new for _, new in transitions] == [DEGRADED, UP, DEGRADED, UP]
+        assert ups == [3_000.0, 7_000.0]
 
 
 class TestLaunchTimeout:

@@ -200,7 +200,7 @@ class TestPartitionStallAndPoison:
         assert platform.stats.get("fault.partition_stall_windows") == 1
         # the victim partition's issue path is delayed; the other is not
         assert injector.delay_issue(0, 10.0, partition="rt") == 10.0
-        injector._part_stall_until[(0, "batch")] = 1_000.0
+        injector._stall_until[(0, "batch")] = 1_000.0
         assert injector.delay_issue(0, 10.0, partition="batch") == 1_000.0
 
     def test_stall_marks_degraded_then_up(self):

@@ -10,10 +10,12 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.faults.injector import DEFAULT_HEARTBEAT_NS
 from repro.obs.incidents import (
     INCIDENT_SCHEMA,
+    correlate,
     grade_against_plan,
     main as incidents_main,
     render_bundle,
 )
+from repro.obs.recorder import FlightRecorder
 from repro.serve import ArrivalSpec, RetryPolicy, ServingEngine, TenantSpec
 
 KILL_MID_TRAFFIC = FaultPlan(events=(
@@ -116,6 +118,37 @@ class TestIncidentBundles:
         assert "incident #" in text
         assert "fault correlation" in text
         assert "device=1" in text
+
+
+class TestDegradationMTTR:
+    def test_mttr_comes_from_real_recoveries_only(self):
+        """A stall's MTTR is the time to the device's actual return to
+        UP: the end of the *last* overlapping window, and nothing at all
+        for a device that died inside the window."""
+        platform = make_cluster_platform(num_devices=4, backend="batched")
+        runtime = platform.runtime
+        runtime.recorder = FlightRecorder()
+        injector = runtime.arm_faults(FaultPlan(events=(
+            FaultEvent("device_stall", at_ns=1_000.0, device=1,
+                       duration_ns=20_000.0),
+            FaultEvent("link_flap", at_ns=2_000.0, device=1,
+                       duration_ns=3_000.0),
+            FaultEvent("device_stall", at_ns=1_000.0, device=2,
+                       duration_ns=30_000.0),
+            FaultEvent("device_fail", at_ns=8_000.0, device=2),
+        )))
+        runtime.sim.run()
+        rows = {(row["kind"], row["device"]): row for row in correlate(
+            injector, runtime.recorder.snapshot(), [])}
+        stall, flap = rows["device_stall", 1], rows["link_flap", 1]
+        doomed, kill = rows["device_stall", 2], rows["device_fail", 2]
+        assert (stall["recovered_ns"], stall["mttr_ns"]) == (21_000.0,
+                                                             20_000.0)
+        assert (flap["recovered_ns"], flap["mttr_ns"]) == (21_000.0,
+                                                           19_000.0)
+        assert doomed["detected_ns"] == 1_000.0
+        assert doomed["recovered_ns"] is None and doomed["mttr_ns"] is None
+        assert kill["detected_ns"] == 10_000.0
 
 
 class TestObservationOnly:
