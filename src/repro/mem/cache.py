@@ -19,14 +19,6 @@ from repro.sim.stats import StatsRegistry
 
 
 @dataclass
-class _Line:
-    tag: int
-    valid_sectors: int = 0          # bitmask over sectors in the line
-    dirty_sectors: int = 0
-    lru_stamp: int = 0
-
-
-@dataclass
 class AccessResult:
     """Outcome of a cache lookup.
 
@@ -61,7 +53,18 @@ class BatchAccessResult:
 
 
 class SectorCache:
-    """LRU set-associative sector cache."""
+    """LRU set-associative sector cache.
+
+    State is four ``[num_sets, ways]`` arrays: ``_tag`` holds ``tag + 1``
+    (0 marks a free way, so a zeroed cache is empty), ``_valid`` /
+    ``_dirty`` are per-line sector bitmasks in the narrowest unsigned
+    dtype that holds ``sectors_per_line`` bits, and ``_stamp`` is the LRU
+    clock value of the line's last touch (0 on a free way; stamps of
+    occupied ways are unique).  A way's position carries no meaning.  The
+    arrays are allocated, zeroed, on the first access, so a cache nothing
+    uses costs nothing.  :meth:`access` and :meth:`access_batch` are two
+    entry points over this one state.
+    """
 
     def __init__(
         self,
@@ -76,26 +79,31 @@ class SectorCache:
         self.prefix = stats_prefix
         self.write_allocate = write_allocate
         self.write_back = write_back
-        # tag -> line per set: O(1) lookup, LRU via stamps on eviction only
-        self._sets: list[dict[int, _Line]] = [
-            {} for _ in range(config.num_sets)
-        ]
-        self._stamp = 0
         self.sectors_per_line = config.line_bytes // config.sector_bytes
+        self._num_sets = config.num_sets
+        self._bits = np.left_shift(
+            1, np.arange(self.sectors_per_line, dtype=np.uint64)
+        ).astype(np.min_scalar_type((1 << self.sectors_per_line) - 1))
+        # counter names, bound once: the scalar path runs per sector
+        self._read_hits = f"{stats_prefix}.read_hits"
+        self._write_hits = f"{stats_prefix}.write_hits"
+        self._read_misses = f"{stats_prefix}.read_misses"
+        self._write_misses = f"{stats_prefix}.write_misses"
+        self._evictions = f"{stats_prefix}.evictions"
+        self._writebacks = f"{stats_prefix}.writebacks"
+        self._clock = 0
+        # allocated on first access: the batched engines never touch the
+        # per-unit L1s, and 32 of them per device are not free
+        self._tag = self._valid = self._dirty = self._stamp = None
+
+    def _allocate(self) -> None:
+        shape = (self._num_sets, self.config.ways)
+        self._tag = np.zeros(shape, dtype=np.int64)
+        self._valid = np.zeros(shape, dtype=self._bits.dtype)
+        self._dirty = np.zeros(shape, dtype=self._bits.dtype)
+        self._stamp = np.zeros(shape, dtype=np.int64)
 
     # ------------------------------------------------------------------
-
-    def _locate(self, addr: int) -> tuple[int, int, int]:
-        """Return (set_index, tag, sector_index) for a byte address."""
-        line_id = addr // self.config.line_bytes
-        set_index = line_id % self.config.num_sets
-        tag = line_id // self.config.num_sets
-        sector_index = (addr % self.config.line_bytes) // self.config.sector_bytes
-        return set_index, tag, sector_index
-
-    def _touch(self, line: _Line) -> None:
-        self._stamp += 1
-        line.lru_stamp = self._stamp
 
     def _sectors_touched(self, addr: int, size: int) -> list[int]:
         """Sector-aligned addresses covered by [addr, addr+size)."""
@@ -104,69 +112,72 @@ class SectorCache:
         last = ((addr + max(size, 1) - 1) // sector) * sector
         return list(range(first, last + sector, sector))
 
-    def _allocate_line(self, set_index: int, tag: int, result: AccessResult) -> _Line:
-        ways = self._sets[set_index]
-        if len(ways) >= self.config.ways:
-            victim = min(ways.values(), key=lambda line: line.lru_stamp)
-            if self.write_back and victim.dirty_sectors:
-                self._emit_writebacks(set_index, victim, result)
-            del ways[victim.tag]
-            self.stats.add(f"{self.prefix}.evictions")
-        line = _Line(tag=tag)
-        ways[tag] = line
-        return line
-
-    def _emit_writebacks(self, set_index: int, line: _Line, result: AccessResult) -> None:
-        line_addr = (line.tag * self.config.num_sets + set_index) * self.config.line_bytes
-        for idx in range(self.sectors_per_line):
-            if line.dirty_sectors & (1 << idx):
-                result.writebacks.append(
-                    (line_addr + idx * self.config.sector_bytes, self.config.sector_bytes)
-                )
-        self.stats.add(f"{self.prefix}.writebacks")
-
-    # ------------------------------------------------------------------
-
     def access(self, addr: int, size: int, is_write: bool) -> AccessResult:
         """Look up every sector in [addr, addr+size); fill misses."""
+        if self._tag is None:
+            self._allocate()
         result = AccessResult()
         for sector_addr in self._sectors_touched(addr, size):
             self._access_sector(sector_addr, is_write, result)
         return result
 
     def _access_sector(self, sector_addr: int, is_write: bool, result: AccessResult) -> None:
-        set_index, tag, sector_index = self._locate(sector_addr)
-        line = self._sets[set_index].get(tag)
-        bit = 1 << sector_index
-        kind = "write" if is_write else "read"
+        sector_bytes = self.config.sector_bytes
+        line_id, offset = divmod(sector_addr, self.config.line_bytes)
+        tag, s = divmod(line_id, self._num_sets)
+        bit = 1 << (offset // sector_bytes)
+        # one row as native ints: list scans beat numpy calls at <= 16 ways
+        tags = self._tag[s].tolist()
+        if tag + 1 in tags:
+            way = tags.index(tag + 1)
+            valid = self._valid.item(s, way)
+        else:
+            way, valid = -1, 0
 
-        if line is not None and line.valid_sectors & bit:
-            self.stats.add(f"{self.prefix}.{kind}_hits")
+        if valid & bit:
+            self.stats.add(self._write_hits if is_write else self._read_hits)
             result.hit_sectors += 1
-            self._touch(line)
+            self._clock += 1
+            self._stamp[s, way] = self._clock
             if is_write:
                 if self.write_back:
-                    line.dirty_sectors |= bit
+                    self._dirty[s, way] |= bit
                 else:
                     # write-through: data goes to next level as well
-                    result.missing_sectors.append(
-                        (sector_addr, self.config.sector_bytes)
-                    )
+                    result.missing_sectors.append((sector_addr, sector_bytes))
             return
 
-        self.stats.add(f"{self.prefix}.{kind}_misses")
+        self.stats.add(self._write_misses if is_write else self._read_misses)
         if is_write and not self.write_allocate:
             # no-write-allocate: forward the write, do not install the line
-            result.missing_sectors.append((sector_addr, self.config.sector_bytes))
+            result.missing_sectors.append((sector_addr, sector_bytes))
             return
 
-        if line is None:
-            line = self._allocate_line(set_index, tag, result)
-        line.valid_sectors |= bit
+        if way < 0:
+            if 0 in tags:
+                way = tags.index(0)
+            else:
+                # the scalar LRU rule: a full set evicts its oldest stamp
+                way = int(self._stamp[s].argmin())
+                dirty = self._dirty.item(s, way)
+                if self.write_back and dirty:
+                    line_addr = ((tags[way] - 1) * self._num_sets + s) \
+                        * self.config.line_bytes
+                    result.writebacks.extend(
+                        (line_addr + idx * sector_bytes, sector_bytes)
+                        for idx in range(self.sectors_per_line)
+                        if dirty & (1 << idx)
+                    )
+                    self.stats.add(self._writebacks)
+                self.stats.add(self._evictions)
+                self._dirty[s, way] = 0
+            self._tag[s, way] = tag + 1
+        self._valid[s, way] = valid | bit
         if is_write and self.write_back:
-            line.dirty_sectors |= bit
-        self._touch(line)
-        result.missing_sectors.append((sector_addr, self.config.sector_bytes))
+            self._dirty[s, way] |= bit
+        self._clock += 1
+        self._stamp[s, way] = self._clock
+        result.missing_sectors.append((sector_addr, sector_bytes))
 
     # ------------------------------------------------------------------
 
@@ -174,75 +185,78 @@ class SectorCache:
                      is_write: np.ndarray) -> "BatchAccessResult":
         """Vectorized hit/miss classification of an ordered sector stream.
 
-        Each element is one sector-aligned, sector-sized access.  The
-        classification, install, dirty and eviction behaviour mirrors
-        calling :meth:`access` per element, computed with numpy index
-        arrays plus one small Python pass over the *unique lines* (not the
-        accesses).  Two deliberate approximations for streams whose
-        footprint exceeds the cache (documented because the sequential
-        path would differ slightly):
+        Each element is one sector-aligned, sector-sized access.  All work
+        is index arithmetic over the state arrays — no Python step per
+        line, set or access.  The specification:
 
-        * a line touched earlier in the batch is assumed still resident
-          when re-touched later (re-touches refresh LRU recency, so the
-          sequential LRU keeps them in all but adversarial patterns);
-        * when one batch pushes a set past its associativity several
-          times over, victims are retired in recency order (pre-batch LRU
-          stamps first, then batch order) rather than interleaved
-          access-by-access.
+        * a sector hits if it was valid before the batch or appeared
+          earlier in it; *a line touched earlier in the batch is assumed
+          still resident when re-touched later* (re-touches refresh LRU
+          recency, so the sequential LRU keeps them in all but adversarial
+          patterns);
+        * lines resident before the batch are merged and re-stamped with
+          their last touch first; the batch's new lines then allocate in
+          first-touch order, set by set.  A set's free ways go first;
+          after that the new line of rank ``free + j`` evicts victim
+          ``j`` of *one* victim order — the set's ways by ascending
+          stamp (lines untouched by the batch by their old stamp, then
+          re-touched ones by last touch; stamps are unique), followed by
+          the set's earliest new lines, installed and evicted within the
+          batch.  So when one batch pushes a set past its associativity
+          several times over, *victims retire in recency order* rather
+          than interleaved access-by-access;
+        * a victim's dirty sectors write back at the stream position of
+          the allocation that evicted it.
 
-        Only meaningful for write-allocate write-back caches (the
-        memory-side L2); other configurations keep the scalar path.
+        The two emphasised rules are where a footprint larger than the
+        cache can differ slightly from calling :meth:`access` per element;
+        below capacity the two paths agree exactly.  Only meaningful for
+        write-allocate write-back caches (the memory-side L2); other
+        configurations keep the scalar path.
         """
         if not (self.write_allocate and self.write_back):
             raise NotImplementedError(
                 "access_batch models write-allocate/write-back caches only"
             )
+        if self._tag is None:
+            self._allocate()
         n = int(sector_addrs.size)
+        wb_idx = np.empty(0, dtype=np.int64)
+        wb_addrs = np.empty(0, dtype=np.int64)
         if n == 0:
             return BatchAccessResult(
                 hit_mask=np.empty(0, dtype=bool),
                 fill_idx=np.empty(0, dtype=np.int64),
-                wb_idx=np.empty(0, dtype=np.int64),
-                wb_addrs=np.empty(0, dtype=np.int64),
+                wb_idx=wb_idx, wb_addrs=wb_addrs,
             )
         cfg = self.config
         spl = self.sectors_per_line
+        ways = cfg.ways
         sector_ids = sector_addrs // cfg.sector_bytes
         line_ids = sector_ids // spl
-        sector_idx = sector_ids - line_ids * spl
-        bit = (np.int64(1) << sector_idx)
+        bit = self._bits[sector_ids - line_ids * spl]
 
         _, sec_first = np.unique(sector_ids, return_index=True)
         first_mask = np.zeros(n, dtype=bool)
         first_mask[sec_first] = True
 
         uniq_lines, line_inv = np.unique(line_ids, return_inverse=True)
-        m = len(uniq_lines)
-        sets_arr = uniq_lines % cfg.num_sets
-        tags_arr = uniq_lines // cfg.num_sets
-        # one Python pass over the unique lines; .tolist() gives native
-        # ints (numpy scalars hash an order of magnitude slower)
-        sets_list = sets_arr.tolist()
-        tags_list = tags_arr.tolist()
-        all_sets = self._sets
-        lines = [all_sets[s].get(t) for s, t in zip(sets_list, tags_list)]
-        resident = np.fromiter((ln is not None for ln in lines), bool, m)
-        valid_pre = np.fromiter(
-            (ln.valid_sectors if ln is not None else 0 for ln in lines),
-            np.int64, m,
-        )
-        hit = (~first_mask) | (
-            resident[line_inv] & ((valid_pre[line_inv] & bit) != 0)
-        )
+        sets = uniq_lines % self._num_sets
+        tags = uniq_lines // self._num_sets + 1
+        match = self._tag[sets] == tags[:, None]
+        resident = match.any(axis=1)
+        way = match.argmax(axis=1)              # meaningful where resident
+        valid_pre = np.where(resident, self._valid[sets, way], 0)
+        hit = (~first_mask) | ((valid_pre[line_inv] & bit) != 0)
         w = np.asarray(is_write, dtype=bool)
         for name, count in (
-            ("read_hits", int(np.count_nonzero(hit & ~w))),
-            ("write_hits", int(np.count_nonzero(hit & w))),
-            ("read_misses", int(np.count_nonzero(~hit & ~w))),
-            ("write_misses", int(np.count_nonzero(~hit & w))),
+            (self._read_hits, int(np.count_nonzero(hit & ~w))),
+            (self._write_hits, int(np.count_nonzero(hit & w))),
+            (self._read_misses, int(np.count_nonzero(~hit & ~w))),
+            (self._write_misses, int(np.count_nonzero(~hit & w))),
         ):
             if count:
-                self.stats.add(f"{self.prefix}.{name}", count)
+                self.stats.add(name, count)
 
         # per-line aggregates over the batch
         order = np.argsort(line_inv, kind="stable")
@@ -251,147 +265,88 @@ class SectorCache:
         )
         positions = np.arange(n, dtype=np.int64)[order]
         valid_or = np.bitwise_or.reduceat(bit[order], seg_starts)
-        dirty_or = np.bitwise_or.reduceat(
-            np.where(w, bit, np.int64(0))[order], seg_starts
-        )
+        dirty_or = np.bitwise_or.reduceat((bit * w)[order], seg_starts)
         first_occ = np.minimum.reduceat(positions, seg_starts)
-        last_occ = np.maximum.reduceat(positions, seg_starts)
+        stamp = np.maximum.reduceat(positions, seg_starts) \
+            + (self._clock + 1)
+        self._clock += n
 
-        base_stamp = self._stamp
-        self._stamp += n
-        wb_idx: list[int] = []
-        wb_addrs: list[int] = []
-        transient: set[int] = set()
-        new_mask = ~resident
-        if new_mask.any():
-            self._evict_for_batch(
-                sets_arr, tags_arr, resident, first_occ, last_occ,
-                dirty_or, new_mask, wb_idx, wb_addrs, transient,
-            )
-        valid_list = valid_or.tolist()
-        dirty_list = dirty_or.tolist()
-        stamp_list = (last_occ + (base_stamp + 1)).tolist()
-        for i in range(m):
-            if i in transient:
-                continue
-            line = lines[i]
-            if line is None:
-                line = _Line(tag=tags_list[i])
-                all_sets[sets_list[i]][line.tag] = line
-            line.valid_sectors |= valid_list[i]
-            line.dirty_sectors |= dirty_list[i]
-            line.lru_stamp = stamp_list[i]
+        old = np.flatnonzero(resident)
+        old_at = (sets[old], way[old])
+        self._valid[old_at] |= valid_or[old]
+        self._dirty[old_at] |= dirty_or[old]
+        self._stamp[old_at] = stamp[old]
 
-        return BatchAccessResult(
-            hit_mask=hit,
-            fill_idx=np.flatnonzero(~hit),
-            wb_idx=np.asarray(wb_idx, dtype=np.int64),
-            wb_addrs=np.asarray(wb_addrs, dtype=np.int64),
-        )
+        new = np.flatnonzero(~resident)
+        if new.size:
+            # new lines grouped by set, in first-touch order within a set
+            new = new[np.lexsort((first_occ[new], sets[new]))]
+            new_sets = sets[new]
+            boundary = np.diff(new_sets, prepend=new_sets[0] - 1) != 0
+            starts = np.flatnonzero(boundary)
+            group = np.cumsum(boundary) - 1
+            rank = np.arange(new.size) - starts[group]
+            group_sets = new_sets[starts]
+            count = np.diff(starts, append=new.size)
+            free = ways - np.count_nonzero(self._tag[group_sets], axis=1)
+            # the batch LRU rule: free ways (stamp 0) first, then victims
+            by_age = np.argsort(self._stamp[group_sets], axis=1,
+                                kind="stable")
 
-    def _evict_for_batch(self, sets_arr, tags_arr, resident, first_occ,
-                         last_occ, dirty_or, new_mask, wb_idx, wb_addrs,
-                         transient) -> None:
-        """Retire LRU victims for every set a batch pushes past capacity.
+            evictor = np.flatnonzero(rank >= free[group])
+            if evictor.size:
+                # rank < ways evicts the way at that position of by_age;
+                # rank >= ways evicts the new line `ways` ranks earlier
+                from_way = rank[evictor] < ways
+                ev = evictor[from_way]
+                victim_at = (new_sets[ev], by_age[group[ev], rank[ev]])
+                earlier = new[evictor[~from_way] - ways]
+                victim_tag = np.empty(evictor.size, dtype=np.int64)
+                victim_tag[from_way] = self._tag[victim_at]
+                victim_tag[~from_way] = tags[earlier]      # both: tag + 1
+                victim_dirty = np.empty(evictor.size, dtype=bit.dtype)
+                victim_dirty[from_way] = self._dirty[victim_at]
+                victim_dirty[~from_way] = dirty_or[earlier]
+                self.stats.add(self._evictions, int(evictor.size))
+                rows, sector = np.nonzero(victim_dirty[:, None] & self._bits)
+                if rows.size:
+                    self.stats.add(self._writebacks,
+                                   int(np.count_nonzero(victim_dirty)))
+                    victim_line = (victim_tag - 1) * self._num_sets \
+                        + new_sets[evictor]
+                    wb_idx = first_occ[new[evictor]][rows]
+                    wb_addrs = victim_line[rows] * cfg.line_bytes \
+                        + sector * cfg.sector_bytes
 
-        Victim ``j`` (0-based, after the set's free ways are consumed) is
-        evicted by the ``j``-th over-capacity allocation, so its dirty
-        sectors write back at that allocation's position in the stream —
-        the same interleaving the sequential path produces.  New lines
-        are grouped per set with one lexsort up front; the Python loop
-        below runs only over sets that actually overflow.
-        """
-        cfg = self.config
-        new_idx = np.flatnonzero(new_mask)
-        order = np.lexsort((first_occ[new_idx], sets_arr[new_idx]))
-        new_sorted = new_idx[order]
-        s_sorted = sets_arr[new_sorted]
-        bounds = np.flatnonzero(
-            np.diff(s_sorted, prepend=s_sorted[0] - 1)
-        ).tolist() + [len(s_sorted)]
-        touched_by_set: dict[int, list[int]] | None = None
-        evictions = 0
-        writebacks = 0
-        for bi in range(len(bounds) - 1):
-            lo, hi = bounds[bi], bounds[bi + 1]
-            s = int(s_sorted[lo])
-            ways = self._sets[s]
-            free = cfg.ways - len(ways)
-            n_evict = (hi - lo) - free
-            if n_evict <= 0:
-                continue
-            sel = new_sorted[lo:hi]           # ordered by first occurrence
-            alloc_ks = first_occ[sel[free:]].tolist()
-            if touched_by_set is None:
-                # built once, lazily: resident lines re-touched this
-                # batch, grouped by set in last-touch order
-                touched_by_set = {}
-                res_idx = np.flatnonzero(resident)
-                res_order = np.lexsort((last_occ[res_idx],
-                                        sets_arr[res_idx]))
-                for i in res_idx[res_order].tolist():
-                    touched_by_set.setdefault(int(sets_arr[i]), []).append(i)
-            touched = touched_by_set.get(s, [])
-            touched_tags = {int(tags_arr[i]) for i in touched}
-            victims: list[tuple[object, int | None]] = [
-                (ln, None) for ln in sorted(
-                    (ln for t, ln in ways.items() if t not in touched_tags),
-                    key=lambda ln: ln.lru_stamp,
-                )
-            ]
-            if n_evict > len(victims):
-                # deep overflow: resident lines re-touched this batch go
-                # next (ordered by their last touch), then the earliest
-                # batch lines themselves (installed, then evicted)
-                victims.extend((ways[int(tags_arr[i])], i) for i in touched)
-            if n_evict > len(victims):
-                for i in sel[:n_evict - len(victims)].tolist():
-                    victims.append((None, i))
-            for j, (line, uniq_i) in enumerate(victims[:n_evict]):
-                k = alloc_ks[j]
-                if uniq_i is not None:
-                    transient.add(uniq_i)
-                dirty = 0
-                if line is not None:
-                    dirty = line.dirty_sectors
-                    line_addr = (line.tag * cfg.num_sets + s) \
-                        * cfg.line_bytes
-                    del ways[line.tag]
-                if uniq_i is not None:
-                    dirty |= int(dirty_or[uniq_i])
-                    line_addr = (int(tags_arr[uniq_i]) * cfg.num_sets
-                                 + s) * cfg.line_bytes
-                evictions += 1
-                if dirty:
-                    writebacks += 1
-                    for idx in range(self.sectors_per_line):
-                        if dirty & (1 << idx):
-                            wb_idx.append(k)
-                            wb_addrs.append(
-                                line_addr + idx * cfg.sector_bytes
-                            )
-        if evictions:
-            self.stats.add(f"{self.prefix}.evictions", evictions)
-        if writebacks:
-            self.stats.add(f"{self.prefix}.writebacks", writebacks)
+            # survivors (a set's last `ways` new lines) take the freed ways
+            skipped = np.maximum(count - ways, 0)[group]
+            keep = np.flatnonzero(rank >= skipped)
+            keep_at = (new_sets[keep],
+                       by_age[group[keep], rank[keep] - skipped[keep]])
+            kept = new[keep]
+            self._tag[keep_at] = tags[kept]
+            self._valid[keep_at] = valid_or[kept]
+            self._dirty[keep_at] = dirty_or[kept]
+            self._stamp[keep_at] = stamp[kept]
+
+        return BatchAccessResult(hit_mask=hit, fill_idx=np.flatnonzero(~hit),
+                                 wb_idx=wb_idx, wb_addrs=wb_addrs)
 
     # ------------------------------------------------------------------
 
     def invalidate_all(self) -> int:
         """Drop every line (instruction-cache flush on unregister, §III-F)."""
-        dropped = sum(len(ways) for ways in self._sets)
-        self._sets = [{} for _ in range(self.config.num_sets)]
+        dropped = self.resident_lines()
+        self._tag = self._valid = self._dirty = self._stamp = None
         return dropped
 
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return 0 if self._tag is None else int(np.count_nonzero(self._tag))
 
     def hit_rate(self) -> float:
-        hits = self.stats.get(f"{self.prefix}.read_hits") + self.stats.get(
-            f"{self.prefix}.write_hits"
-        )
-        misses = self.stats.get(f"{self.prefix}.read_misses") + self.stats.get(
-            f"{self.prefix}.write_misses"
-        )
+        hits = self.stats.get(self._read_hits) \
+            + self.stats.get(self._write_hits)
+        misses = self.stats.get(self._read_misses) \
+            + self.stats.get(self._write_misses)
         total = hits + misses
         return hits / total if total else 0.0

@@ -17,8 +17,6 @@ full random-access latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.config import DRAMConfig
@@ -27,15 +25,15 @@ from repro.sim.engine import BandwidthServer, segmented_queue_finish
 from repro.sim.stats import StatsRegistry
 
 
-@dataclass
-class _Bank:
-    open_row: int | None = None
-    ready_ns: float = 0.0          # earliest time the bank accepts a command
-    last_activate_ns: float = field(default=-1e18)
-
-
 class DRAMModel:
-    """Timing model for one DRAM subsystem (all channels of one device)."""
+    """Timing model for one DRAM subsystem (all channels of one device).
+
+    Bank state is three flat arrays indexed by ``channel *
+    banks_per_channel + bank``: ``_open_row`` (-1 = precharged),
+    ``_ready_ns`` (earliest time the bank accepts a command) and
+    ``_last_activate_ns``.  :meth:`access` and :meth:`access_batch` read
+    and write the same arrays.
+    """
 
     def __init__(
         self,
@@ -47,14 +45,22 @@ class DRAMModel:
         self.layout = AddressLayout(config)
         self.stats = stats if stats is not None else StatsRegistry()
         self.prefix = stats_prefix
-        self._banks = [
-            [_Bank() for _ in range(config.banks_per_channel)]
-            for _ in range(config.channels)
-        ]
+        banks = config.channels * config.banks_per_channel
+        self._open_row = np.empty(banks, dtype=np.int64)
+        self._ready_ns = np.empty(banks, dtype=np.float64)
+        self._last_activate_ns = np.empty(banks, dtype=np.float64)
         self._buses = [
             BandwidthServer(config.channel_bw_bytes_per_ns)
             for _ in range(config.channels)
         ]
+        # counter names, bound once: _burst runs per scalar burst
+        self._row_hits = f"{stats_prefix}.row_hits"
+        self._row_misses = f"{stats_prefix}.row_misses"
+        self._row_conflicts = f"{stats_prefix}.row_conflicts"
+        self._reads = f"{stats_prefix}.reads"
+        self._writes = f"{stats_prefix}.writes"
+        self._bytes = f"{stats_prefix}.bytes"
+        self.reset()
 
     # ------------------------------------------------------------------
 
@@ -71,31 +77,32 @@ class DRAMModel:
 
     def _burst(self, addr: int, size: int, now_ns: float, is_write: bool) -> float:
         coords = self.layout.coordinates(addr)
-        bank = self._banks[coords.channel][coords.bank]
+        bank = coords.channel * self.config.banks_per_channel + coords.bank
         bus = self._buses[coords.channel]
         timing = self.config.timing
 
-        start = max(now_ns, bank.ready_ns)
-        if bank.open_row == coords.row:
+        start = max(now_ns, self._ready_ns.item(bank))
+        open_row = self._open_row.item(bank)
+        if open_row == coords.row:
             cas_done = start + timing.row_hit_ns
-            self.stats.add(f"{self.prefix}.row_hits")
+            self.stats.add(self._row_hits)
         else:
-            if bank.open_row is None:
-                activate = max(start, bank.last_activate_ns + timing.t_rc_ns)
-                self.stats.add(f"{self.prefix}.row_misses")
+            gate = self._last_activate_ns.item(bank) + timing.t_rc_ns
+            if open_row < 0:
+                activate = max(start, gate)
+                self.stats.add(self._row_misses)
             else:
                 precharged = start + timing.row_conflict_extra_ns
-                activate = max(precharged, bank.last_activate_ns + timing.t_rc_ns)
-                self.stats.add(f"{self.prefix}.row_conflicts")
-            bank.last_activate_ns = activate
-            bank.open_row = coords.row
+                activate = max(precharged, gate)
+                self.stats.add(self._row_conflicts)
+            self._last_activate_ns[bank] = activate
+            self._open_row[bank] = coords.row
             cas_done = activate + timing.row_miss_ns
         finish = bus.transfer(cas_done, size)
-        bank.ready_ns = cas_done  # bank can pipeline the next CAS once issued
+        self._ready_ns[bank] = cas_done  # the next CAS can pipeline behind it
 
-        kind = "writes" if is_write else "reads"
-        self.stats.add(f"{self.prefix}.{kind}")
-        self.stats.add(f"{self.prefix}.bytes", size)
+        self.stats.add(self._writes if is_write else self._reads)
+        self.stats.add(self._bytes, size)
         return finish
 
     # ------------------------------------------------------------------
@@ -139,21 +146,14 @@ class DRAMModel:
         marker[starts] = 1
         seg_of = np.cumsum(marker) - 1
         touched = g_s[starts]
-        banks = [self._banks[int(g) // self.config.banks_per_channel]
-                 [int(g) % self.config.banks_per_channel] for g in touched]
 
         # row classification along each bank's access chain
         prev_row = np.empty(n, dtype=np.int64)
         prev_row[1:] = row_s[:-1]
-        open_rows = np.array(
-            [-1 if b.open_row is None else b.open_row for b in banks],
-            dtype=np.int64,
-        )
-        closed0 = np.array([b.open_row is None for b in banks])
-        prev_row[starts] = open_rows
+        prev_row[starts] = self._open_row[touched]
         hit = row_s == prev_row
         closed = np.zeros(n, dtype=bool)
-        closed[starts] = closed0
+        closed[starts] = prev_row[starts] < 0
         conflict = ~hit & ~closed
         miss_type = ~hit
 
@@ -165,28 +165,23 @@ class DRAMModel:
         b = a.copy()
         np.maximum(b, timing.t_rc_ns, out=b, where=miss_type & prev_miss)
 
-        init = np.empty(len(touched), dtype=np.float64)
-        for i, bk in enumerate(banks):
-            init[i] = bk.ready_ns
-            first = starts[i]
-            if miss_type[first]:
-                gated = bk.last_activate_ns + timing.t_rc_ns \
-                    + timing.row_miss_ns - b[first]
-                if gated > init[i]:
-                    init[i] = gated
+        # a bank whose chain opens with an activate is tRC-gated by its
+        # last activate before the batch
+        init = self._ready_ns[touched]
+        gated = self._last_activate_ns[touched] + timing.t_rc_ns \
+            + timing.row_miss_ns - b[starts]
+        np.maximum(init, gated, out=init, where=miss_type[starts])
         cas_s = segmented_queue_finish(t_s + a, b, seg_of, init)
 
         # write final bank state back (last access / last activate per bank)
         ends = np.append(starts[1:], n) - 1
         act_idx = np.where(miss_type, np.arange(n), -1)
         last_act = np.maximum.reduceat(act_idx, starts)
-        for i, bk in enumerate(banks):
-            bk.open_row = int(row_s[ends[i]])
-            bk.ready_ns = float(cas_s[ends[i]])
-            if last_act[i] >= 0:
-                bk.last_activate_ns = float(
-                    cas_s[last_act[i]] - timing.row_miss_ns
-                )
+        self._open_row[touched] = row_s[ends]
+        self._ready_ns[touched] = cas_s[ends]
+        activated = last_act >= 0
+        self._last_activate_ns[touched[activated]] = \
+            cas_s[last_act[activated]] - timing.row_miss_ns
 
         # channel data buses, in original stream order
         cas = np.empty(n, dtype=np.float64)
@@ -198,15 +193,15 @@ class DRAMModel:
 
         writes = int(np.count_nonzero(is_write))
         for name, count in (
-            ("row_hits", int(np.count_nonzero(hit))),
-            ("row_misses", int(np.count_nonzero(closed))),
-            ("row_conflicts", int(np.count_nonzero(conflict))),
-            ("writes", writes),
-            ("reads", n - writes),
-            ("bytes", n * grain),
+            (self._row_hits, int(np.count_nonzero(hit))),
+            (self._row_misses, int(np.count_nonzero(closed))),
+            (self._row_conflicts, int(np.count_nonzero(conflict))),
+            (self._writes, writes),
+            (self._reads, n - writes),
+            (self._bytes, n * grain),
         ):
             if count:
-                self.stats.add(f"{self.prefix}.{name}", count)
+                self.stats.add(name, count)
         return finish
 
     # ------------------------------------------------------------------
@@ -216,7 +211,7 @@ class DRAMModel:
         return self.config.total_bw_bytes_per_ns
 
     def bytes_accessed(self) -> float:
-        return self.stats.get(f"{self.prefix}.bytes")
+        return self.stats.get(self._bytes)
 
     def achieved_bandwidth(self, elapsed_ns: float) -> float:
         """Average bytes/ns moved over ``elapsed_ns``."""
@@ -235,10 +230,8 @@ class DRAMModel:
         return self.config.timing.row_miss_ns + burst_ns
 
     def reset(self) -> None:
-        for channel in self._banks:
-            for bank in channel:
-                bank.open_row = None
-                bank.ready_ns = 0.0
-                bank.last_activate_ns = -1e18
+        self._open_row.fill(-1)
+        self._ready_ns.fill(0.0)
+        self._last_activate_ns.fill(-1e18)
         for bus in self._buses:
             bus.reset()

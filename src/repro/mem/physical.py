@@ -185,18 +185,32 @@ class PhysicalMemory:
 
     # -- vectorized row access (batched execution backend) --------------------
 
+    @staticmethod
+    def _is_run(paddrs: np.ndarray, size: int) -> bool:
+        """True when the rows are one ascending run of adjacent bytes
+        (``paddrs[i + 1] == paddrs[i] + size``) — what a streaming kernel
+        produces; indexed gathers (SPMV, DLRM) are the other case."""
+        return paddrs.shape[0] > 0 and bool(
+            (paddrs[1:] - paddrs[:-1] == size).all())
+
     def gather_rows(self, paddrs: np.ndarray, size: int) -> np.ndarray:
         """Read ``size`` bytes at each physical address; (n, size) uint8.
 
-        Rows are grouped by backing page so one numpy fancy-index serves
-        every same-page row; page-crossing rows fall back to
-        :meth:`read_bytes`.  Unwritten pages read as zeros.
+        A contiguous run (:meth:`_is_run`) is one :meth:`read_bytes` —
+        O(pages) slice copies and no index array.  Otherwise rows are
+        grouped by backing page so one numpy fancy-index serves every
+        same-page row; page-crossing rows fall back to :meth:`read_bytes`.
+        Unwritten pages read as zeros.
         """
         if paddrs.ndim == 0:
             return np.frombuffer(
                 self.read_bytes(int(paddrs), size), dtype=np.uint8
             ).copy()
         n = paddrs.shape[0]
+        if self._is_run(paddrs, size):
+            return np.frombuffer(
+                self.read_bytes(int(paddrs[0]), n * size), dtype=np.uint8
+            ).reshape(n, size).copy()
         out = np.zeros((n, size), dtype=np.uint8)
         offsets = paddrs % PAGE_SIZE
         crossing = offsets + size > PAGE_SIZE
@@ -227,8 +241,15 @@ class PhysicalMemory:
         return out
 
     def scatter_rows(self, paddrs: np.ndarray, data: np.ndarray) -> None:
-        """Write each (paddr, row-of-bytes) pair; later rows win on overlap."""
+        """Write each (paddr, row-of-bytes) pair; later rows win on overlap.
+
+        A contiguous run (:meth:`_is_run`, which cannot overlap) is one
+        :meth:`write_bytes`; anything else takes the page-grouped path.
+        """
         size = data.shape[-1]
+        if self._is_run(paddrs, size):
+            self.write_bytes(int(paddrs[0]), data.tobytes())
+            return
         offsets = paddrs % PAGE_SIZE
         crossing = offsets + size > PAGE_SIZE
         rows = np.nonzero(~crossing)[0]

@@ -9,10 +9,12 @@ the servers.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, lpddr5_cxl_dram, memory_side_l2_config
 from repro.mem.cache import SectorCache
 from repro.mem.dram import DRAMModel
+from repro.mem.physical import PAGE_SIZE, PhysicalMemory
 from repro.sim.engine import BandwidthServer, IssueServer, virtual_queue_finish
 from repro.sim.stats import StatsRegistry
 
@@ -97,6 +99,69 @@ class TestSectorCacheBatch:
             cache.access_batch(np.zeros(1, dtype=np.int64),
                                np.zeros(1, dtype=bool))
 
+    # 4 sets x 4 ways, and a footprint of 16 lines: no set ever overflows,
+    # which is where the batch path is specified to equal the scalar one
+    _CHUNKS = st.lists(
+        st.tuples(st.booleans(),
+                  st.lists(st.tuples(st.integers(0, 63), st.booleans()),
+                           min_size=1, max_size=40)),
+        min_size=1, max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_CHUNKS)
+    def test_any_interleaving_of_entry_points_matches_scalar(self, chunks):
+        cfg = CacheConfig("t", 4 * 4 * 128, 4, 128, 32, 1.0)
+        ref, mixed, s_ref, s_mixed = _cache_pair(cfg)
+        for use_batch, accesses in chunks:
+            addrs = np.array([sid * 32 for sid, _ in accesses], dtype=np.int64)
+            writes = np.array([w for _, w in accesses], dtype=bool)
+            fills_ref, wb_ref = _drive_scalar(ref, addrs, writes)
+            if use_batch:
+                res = mixed.access_batch(addrs, writes)
+                fills, wbs = addrs[res.fill_idx].tolist(), list(
+                    zip(res.wb_idx.tolist(), res.wb_addrs.tolist()))
+            else:
+                fills, wbs = _drive_scalar(mixed, addrs, writes)
+            assert fills == fills_ref
+            assert wbs == wb_ref == []
+            assert s_mixed.counters("l2") == s_ref.counters("l2")
+            assert mixed.resident_lines() == ref.resident_lines()
+
+    def test_invalidate_all_after_batch(self):
+        cache, _, stats, _ = _cache_pair(memory_side_l2_config())
+        addrs = (np.arange(400) * 32).astype(np.int64)
+        cache.access_batch(addrs, np.ones(400, dtype=bool))
+        assert cache.invalidate_all() == 100
+        assert cache.resident_lines() == 0
+        # dirty state went with the lines: a re-read misses, nothing
+        # writes back, and the scalar entry point sees the same empty cache
+        res = cache.access_batch(addrs[:200], np.zeros(200, dtype=bool))
+        assert not res.hit_mask.any() and res.wb_addrs.size == 0
+        assert not cache.access(int(addrs[200]), 32, False).full_hit
+        assert stats.get("l2.evictions") == 0
+
+    def test_sixteen_sectors_per_line(self):
+        # 512 B lines: the sector masks need more than eight bits
+        cfg = CacheConfig("w", 2 * 2 * 512, 2, 512, 32, 1.0)
+        c1, c2, s1, s2 = _cache_pair(cfg)
+        # dirty sectors 0 and 15 of line 0, then lines 2 and 4 of the same
+        # set: line 2 takes the free way, line 4 evicts line 0
+        addrs = np.array([0, 15 * 32, 2 * 512, 4 * 512 + 9 * 32],
+                         dtype=np.int64)
+        writes = np.array([True, True, False, False])
+        fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
+        first = c2.access_batch(addrs[:2], writes[:2])
+        second = c2.access_batch(addrs[2:], writes[2:])
+        assert wb_ref == [(3, 0), (3, 15 * 32)]
+        assert first.wb_addrs.size == 0
+        assert (second.wb_idx + 2).tolist() == [3, 3]
+        assert second.wb_addrs.tolist() == [0, 15 * 32]
+        assert s1.counters("l2") == s2.counters("l2")
+        # sector 9 of line 4 is resident on both, sector 15 is not
+        for cache in (c1, c2):
+            assert cache.access(4 * 512 + 9 * 32, 32, False).full_hit
+            assert not cache.access(4 * 512 + 15 * 32, 32, False).full_hit
+
 
 class TestDRAMBatch:
     def test_matches_scalar_reference(self):
@@ -114,21 +179,84 @@ class TestDRAMBatch:
         got = d2.access_batch(addrs, 32, arrivals, writes)
         assert got == pytest.approx(ref, rel=1e-9)
         assert s1.counters("dram") == s2.counters("dram")
-        for ch in range(cfg.channels):
-            for bk in range(cfg.banks_per_channel):
-                b1, b2 = d1._banks[ch][bk], d2._banks[ch][bk]
-                assert b1.open_row == b2.open_row
-                assert b1.ready_ns == pytest.approx(b2.ready_ns, abs=1e-6)
+        assert d1._open_row.tolist() == d2._open_row.tolist()
+        assert d1._ready_ns == pytest.approx(d2._ready_ns, abs=1e-6)
+        assert d1._last_activate_ns == pytest.approx(d2._last_activate_ns,
+                                                     abs=1e-6)
+
+    @staticmethod
+    def _row_counters(d):
+        return tuple(d.stats.get(f"dram.{name}")
+                     for name in ("row_hits", "row_misses", "row_conflicts"))
 
     def test_state_carries_into_scalar_path(self):
-        cfg = lpddr5_cxl_dram()
-        d = DRAMModel(cfg, StatsRegistry())
+        d = DRAMModel(lpddr5_cxl_dram(), StatsRegistry())
         addrs = (np.arange(256) * 32).astype(np.int64)
         d.access_batch(addrs, 32, np.full(256, 10.0), np.zeros(256, bool))
         # the same sector again, later: its row must still be open
-        before = d.stats.get("dram.row_hits") if hasattr(d, "stats") else 0
+        hits, misses, conflicts = self._row_counters(d)
         d.access(int(addrs[0]), 32, 1e6, False)
-        assert d.stats.get("dram.row_hits") >= before
+        assert self._row_counters(d) == (hits + 1, misses, conflicts)
+
+    def test_scalar_state_carries_into_batch_path(self):
+        d = DRAMModel(lpddr5_cxl_dram(), StatsRegistry())
+        d.access(0, 32, 10.0, False)
+        assert self._row_counters(d) == (0, 1, 0)
+        # a batch to the row the scalar access opened is one more hit
+        d.access_batch(np.zeros(1, dtype=np.int64), 32,
+                       np.array([1e6]), np.zeros(1, bool))
+        assert self._row_counters(d) == (1, 1, 0)
+
+
+class TestPhysicalRowRuns:
+    """A contiguous run of rows is copied as slices; every other address
+    pattern takes the page-grouped index path.  Same bytes either way."""
+
+    # (first address, rows, row size): crossing pages, starting mid-page,
+    # a single row, a single row that crosses a page
+    RUNS = [(PAGE_SIZE - 96, 300, 32), (1000, 64, 8), (5 * PAGE_SIZE, 1, 64),
+            (PAGE_SIZE - 8, 1, 32), (3 * PAGE_SIZE + 40, 200, 24)]
+
+    @pytest.mark.parametrize("base,n,size", RUNS)
+    def test_gather_run_matches_generic_path(self, base, n, size):
+        mem = PhysicalMemory()
+        gen = np.random.default_rng(n)
+        # written only in the middle: both ends of the run are pages that
+        # were never written and read as zeros
+        image = np.zeros(n * size, dtype=np.uint8)
+        lo, hi = (n * size) // 4, (3 * n * size) // 4
+        image[lo:hi] = gen.integers(1, 256, hi - lo)
+        mem.write_bytes(base + lo, image[lo:hi].tobytes())
+        pages = mem.resident_bytes
+        paddrs = base + np.arange(n, dtype=np.int64) * size
+        run = mem.gather_rows(paddrs, size)
+        assert run.tobytes() == image.tobytes() \
+            == mem.read_bytes(base, n * size)
+        assert run.flags.writeable
+        generic = mem.gather_rows(paddrs[::-1], size)   # not a run
+        assert np.array_equal(generic[::-1], run)
+        assert mem.resident_bytes == pages              # reads create nothing
+
+    @pytest.mark.parametrize("base,n,size", RUNS)
+    def test_scatter_run_matches_generic_path(self, base, n, size):
+        rows = np.random.default_rng(n).integers(
+            0, 256, (n, size)).astype(np.uint8)
+        paddrs = base + np.arange(n, dtype=np.int64) * size
+        run, generic = PhysicalMemory(), PhysicalMemory()
+        run.scatter_rows(paddrs, rows)
+        generic.scatter_rows(paddrs[::-1], rows[::-1])  # not a run
+        assert run.read_bytes(base, n * size) == rows.tobytes() \
+            == generic.read_bytes(base, n * size)
+        # never-written pages were created, the same ones on both paths
+        assert run.resident_bytes == generic.resident_bytes > 0
+
+    def test_later_rows_win_off_the_run_path(self):
+        mem = PhysicalMemory()
+        rows = np.arange(24, dtype=np.uint8).reshape(3, 8)
+        # rows 0 and 1 overlap by four bytes; row 2 rewrites row 0's start
+        mem.scatter_rows(np.array([100, 104, 100], dtype=np.int64), rows)
+        assert mem.read_bytes(100, 12) == bytes(
+            [16, 17, 18, 19, 20, 21, 22, 23, 12, 13, 14, 15])
 
 
 class TestCoherenceBatch:
