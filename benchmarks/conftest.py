@@ -1,14 +1,13 @@
 """Benchmark harness configuration.
 
 Each benchmark reproduces one paper figure/table: it runs the experiment
-once (simulations are deterministic — statistical repetition adds nothing),
-prints the regenerated rows next to the paper's reference values, and
-reports wall time through pytest-benchmark.
+once (simulations are deterministic — statistical repetition adds nothing)
+and prints the regenerated rows next to the paper's reference values.
 
 Everything in this directory is marked ``slow`` (see ``pytest.ini``): the
 tier-1 default run deselects it.  Run with::
 
-    pytest -m slow benchmarks/ --benchmark-only
+    pytest -m slow benchmarks/
 """
 
 import pathlib
@@ -26,13 +25,12 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture
-def once(benchmark, capsys):
-    """Run an experiment once under pytest-benchmark and emit its table
-    (outside pytest's capture, so it lands in the bench log)."""
+def once(capsys):
+    """Run an experiment once and emit its table (outside pytest's
+    capture, so it lands in the bench log)."""
 
     def runner(fn, *args, **kwargs):
-        result = benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                    rounds=1, iterations=1)
+        result = fn(*args, **kwargs)
         with capsys.disabled():
             print()
             print(result.render())

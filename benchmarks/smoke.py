@@ -1,27 +1,22 @@
-"""Smoke benchmark: fast perf-trajectory tracking for CI.
+"""Smoke benchmark: a deterministic golden of the paper's sim-time claims.
 
-Runs the Fig 5 offload-timeline model, one Fig 10a OLAP point (TPC-H
-Q6, "small" scale) on *both* execution backends, one Fig 6-class HISTO
-point (vector atomics + init/final phases + scratchpad — a guaranteed
-interpreter fallback before the SIMT engine, now its bulk-lane
-showcase), one Fig 10b-class KVStore point (fine-grained one-µthread
-divergent chain walks served through the serving engine: scatter
-batching + the point engine's trie replay vs the unbatched
-interpreter, gated >5x and byte-identical), one
-cluster point (2-device interleaved vecadd vs 1 device), one
-repeated-launch traffic point (100 open-loop vecadd requests through the
-cluster — the trace cache's home turf), and one serving point (two
-tenants through the SLO-aware serving engine, dynamic batching vs
-unbatched FIFO), then writes ``BENCH_smoke.json`` with simulated
-results, wall-clock times, trace-cache hit/miss counters and the
-``exec.fallback_reason.<class>`` attribution, plus
-``BENCH_serving_tenants.json`` with the per-tenant latency summary CI
-uploads as an artifact.  CI runs this on every push so the
-interpreter/batched performance gap, the scale-out speedup, the
-batching gains, the SIMT coverage (the HISTO and KVStore points gate on
-``batched_fallbacks == 0``), and any regression in them are recorded
-from PR to PR; ``benchmarks/check_budget.py`` turns wall-clock
-regressions and fallback reappearances into CI failures.
+Runs the eleven small points of the ``POINTS`` table and writes every
+simulated result, counter and byte-identity verdict to
+``BENCH_smoke.json``.  The host clock is never read, so that file is a
+pure function of the code and the committed copy is a **golden**: CI
+regenerates it in place and ``git diff --exit-code BENCH_smoke.json`` is
+the whole comparison (``git log -p BENCH_smoke.json`` is the sim-side
+history).  A change that moves a field on purpose commits the
+regenerated file.  Host time is m2bench's (``python3 bench/run.py``).
+
+The golden pins values; the ``GATES`` table states the claims a
+regenerated golden must still meet.  Every row is evaluated and printed
+as the run summary, and all failing rows are listed before the non-zero
+exit.
+
+The tracing and monitoring points also leave ``serving.trace.json`` /
+``serving.manifest.json`` and ``incidents/`` in the working directory
+for CI's artifact uploads.
 
 Usage::
 
@@ -31,10 +26,9 @@ Usage::
 from __future__ import annotations
 
 import json
+import operator
 import os
-import platform as platform_mod
 import sys
-import time
 
 import numpy as np
 
@@ -97,81 +91,62 @@ SERVING_SMOKE_ELEMENTS = 1 << 10  # per slice
 
 
 def bench_fig5() -> dict:
-    start = time.perf_counter()
     result = run_fig5()
-    wall = time.perf_counter() - start
-    return {
-        "rows": result.rows,
-        "notes": result.notes,
-        "wall_seconds": wall,
-    }
+    return {"rows": result.rows, "notes": result.notes}
 
 
-def _exec_profile(plat) -> dict:
-    """Engine attribution for one run: launches per tier + fallback reasons."""
+def _exec_profile(counters: dict) -> dict:
+    """Engine attribution from a dict of ``exec.*`` counters (a whole
+    run's, or one pass's deltas): launches per tier + fallback reasons."""
     prefix = "exec.fallback_reason."
     return {
-        "batched_launches": plat.stats.get("exec.batched_launches"),
-        "simt_launches": plat.stats.get("exec.simt_launches"),
-        "batched_fallbacks": plat.stats.get("exec.batched_fallbacks"),
+        "batched_launches": counters.get("exec.batched_launches", 0.0),
+        "simt_launches": counters.get("exec.simt_launches", 0.0),
+        "batched_fallbacks": counters.get("exec.batched_fallbacks", 0.0),
         "fallback_reasons": {
             key[len(prefix):]: value
-            for key, value in plat.stats.counters(prefix).items()
+            for key, value in counters.items() if key.startswith(prefix)
         },
     }
 
 
-def bench_fig10a_point(query: str = SMOKE_QUERY,
-                       scale_name: str = SMOKE_SCALE) -> dict:
-    preset = scale(scale_name)
-    out: dict = {"query": query, "scale": scale_name, "rows": preset.rows}
+def bench_fig10a_point() -> dict:
+    preset = scale(SMOKE_SCALE)
+    out: dict = {"query": SMOKE_QUERY, "scale": SMOKE_SCALE,
+                 "rows": preset.rows}
     for backend in ("interpreter", "batched"):
-        data = olap.generate(query, preset.rows)
+        data = olap.generate(SMOKE_QUERY, preset.rows)
         plat = make_platform(backend=backend)
-        start = time.perf_counter()
         run = olap.run_ndp_evaluate(plat, data)
-        wall = time.perf_counter() - start
         out[backend] = {
-            "wall_seconds": wall,
             "runtime_ns": run.runtime_ns,
             "correct": run.correct,
             "dram_bytes": run.dram_bytes,
-            **_exec_profile(plat),
+            **_exec_profile(plat.stats.counters("exec.")),
         }
-    out["batched_wall_speedup"] = (
-        out["interpreter"]["wall_seconds"] / out["batched"]["wall_seconds"]
-    )
     out["batched_runtime_ratio"] = (
         out["batched"]["runtime_ns"] / out["interpreter"]["runtime_ns"]
     )
     return out
 
 
-def bench_fig06_point(elements: int = FIG06_SMOKE_ELEMENTS,
-                      nbins: int = FIG06_SMOKE_BINS) -> dict:
+def bench_fig06_point() -> dict:
     """HISTO on both backends: the previously-fallback atomic point.
 
     Before the SIMT engine this kernel (vector atomics, scratchpad
     partials, init/final phases) fell back to the interpreter on every
-    launch; the point records the wall-clock cliff the masked engine
-    removes and gates on the fallback count staying zero.
+    launch; the point gates on the fallback count staying zero.
     """
-    out: dict = {"elements": elements, "nbins": nbins}
-    data = histogram.generate(elements, nbins)
+    out: dict = {"elements": FIG06_SMOKE_ELEMENTS, "nbins": FIG06_SMOKE_BINS}
+    data = histogram.generate(FIG06_SMOKE_ELEMENTS, FIG06_SMOKE_BINS)
     for backend in ("interpreter", "batched"):
         plat = make_platform(backend=backend)
-        start = time.perf_counter()
         run = histogram.run_ndp(plat, data)
-        wall = time.perf_counter() - start
         out[backend] = {
-            "wall_seconds": wall,
             "runtime_ns": run.runtime_ns,
             "correct": run.correct,
-            **_exec_profile(plat),
+            **_exec_profile(plat.stats.counters("exec.")),
         }
-    out["simt_wall_speedup"] = (
-        out["interpreter"]["wall_seconds"] / out["batched"]["wall_seconds"]
-    )
     out["simt_runtime_ratio"] = (
         out["batched"]["runtime_ns"] / out["interpreter"]["runtime_ns"]
     )
@@ -188,15 +163,15 @@ _KVS_CACHE_COUNTERS = (
 )
 
 
-def _run_kvstore_serving(backend: str, max_batch: int, scatter: str,
-                         items: int, requests: int) -> tuple:
-    """One steady-state KVStore serving run: warm pass, then timed pass.
+def _run_kvstore_serving(backend: str, max_batch: int,
+                         scatter: str) -> tuple:
+    """One steady-state KVStore serving run: warm pass, then measured pass.
 
     The warm pass populates the trace cache with the (value-generalized)
-    point-path families; the timed pass measures the serving wall-clock
-    a long-running tenant actually sees.  The interpreter baseline runs
-    the same two-pass protocol for fairness (warming buys it nothing —
-    it has no cache to warm).
+    point-path families; the measured pass is what a long-running tenant
+    sees.  The interpreter baseline runs the same two-pass protocol (it
+    has no cache to warm).  Returns the measured pass's report, its
+    ``exec.*`` counter deltas and its result snapshots.
     """
     previous = os.environ.get("REPRO_SERVE_SCATTER_BATCH")
     os.environ["REPRO_SERVE_SCATTER_BATCH"] = scatter
@@ -208,8 +183,8 @@ def _run_kvstore_serving(backend: str, max_batch: int, scatter: str,
                 "kv", "kvstore",
                 arrivals=ArrivalSpec("poisson",
                                      rate_rps=KVSTORE_SMOKE_RATE_RPS,
-                                     requests=requests),
-                size=items,
+                                     requests=KVSTORE_SMOKE_REQUESTS),
+                size=KVSTORE_SMOKE_ITEMS,
             )]
             return ServingEngine(
                 plat, tenants, batch=BatchPolicy(max_batch=max_batch),
@@ -217,24 +192,13 @@ def _run_kvstore_serving(backend: str, max_batch: int, scatter: str,
             )
 
         make_engine().run()
-        before = {key: plat.stats.get(key) for key in _KVS_CACHE_COUNTERS}
-        # two timed passes, best-of: wall-clock noise on a loaded CI
-        # machine easily exceeds the gate margin on a single ~30 ms run
-        wall = None
-        for _ in range(2):
-            engine = make_engine()
-            start = time.perf_counter()
-            report = engine.run()
-            elapsed = time.perf_counter() - start
-            if wall is None:
-                # cache counters are the delta over the first timed pass
-                cache = {key.removeprefix("exec."):
-                         plat.stats.get(key) - before[key]
-                         for key in _KVS_CACHE_COUNTERS}
-                wall = elapsed
-            else:
-                wall = min(wall, elapsed)
-        return plat, report, wall, cache, engine.result_snapshots()
+        before = plat.stats.counters("exec.")
+        engine = make_engine()
+        report = engine.run()
+        counters = {key: value - before.get(key, 0.0)
+                    for key, value in plat.stats.counters("exec.").items()
+                    if value != before.get(key, 0.0)}
+        return report, counters, engine.result_snapshots()
     finally:
         if previous is None:
             os.environ.pop("REPRO_SERVE_SCATTER_BATCH", None)
@@ -242,8 +206,7 @@ def _run_kvstore_serving(backend: str, max_batch: int, scatter: str,
             os.environ["REPRO_SERVE_SCATTER_BATCH"] = previous
 
 
-def bench_kvstore_point(items: int = KVSTORE_SMOKE_ITEMS,
-                        requests: int = KVSTORE_SMOKE_REQUESTS) -> dict:
+def bench_kvstore_point() -> dict:
     """Fig 10b-class KVStore GETs through the serving engine, both tiers.
 
     Every request is a one-µthread divergent chain walk — the launch
@@ -251,9 +214,10 @@ def bench_kvstore_point(items: int = KVSTORE_SMOKE_ITEMS,
     small-launch cliff).  The batched tier serves it through scatter
     batching + the point engine's trie replay; the interpreter tier is
     the unbatched per-request baseline.  Counters are deltas over the
-    timed (steady-state) pass only.
+    measured (steady-state) pass only.
     """
-    out: dict = {"items": items, "requests": requests,
+    out: dict = {"items": KVSTORE_SMOKE_ITEMS,
+                 "requests": KVSTORE_SMOKE_REQUESTS,
                  "rate_rps": KVSTORE_SMOKE_RATE_RPS,
                  "max_batch": KVSTORE_SMOKE_MAX_BATCH,
                  "inflight_per_device": KVSTORE_SMOKE_INFLIGHT}
@@ -261,31 +225,30 @@ def bench_kvstore_point(items: int = KVSTORE_SMOKE_ITEMS,
     for label, backend, max_batch, scatter in (
             ("interpreter", "interpreter", 1, "0"),
             ("batched", "batched", KVSTORE_SMOKE_MAX_BATCH, "1")):
-        plat, report, wall, cache, snaps = _run_kvstore_serving(
-            backend, max_batch, scatter, items, requests)
+        report, counters, snaps = _run_kvstore_serving(
+            backend, max_batch, scatter)
         snapshots[label] = snaps
         out[label] = {
-            "wall_seconds": wall,
             "p95_ns": report.p95_ns,
             "served": report.served,
             "correct": report.correct,
             "launches": report.launches,
             "mean_batch": report.mean_batch,
-            **cache,
-            **_exec_profile(plat),
+            **{key.removeprefix("exec."): counters.get(key, 0.0)
+               for key in _KVS_CACHE_COUNTERS},
+            **_exec_profile(counters),
         }
     out["results_identical"] = (
         snapshots["interpreter"] == snapshots["batched"])
-    out["serving_speedup"] = (
-        out["interpreter"]["wall_seconds"] / out["batched"]["wall_seconds"])
     out["p95_ratio"] = (
         out["batched"]["p95_ns"] / out["interpreter"]["p95_ns"]
     )
     return out
 
 
-def bench_cluster_point(elements: int = CLUSTER_SMOKE_ELEMENTS) -> dict:
+def bench_cluster_point() -> dict:
     """2-device interleaved vecadd through ClusterRuntime vs 1 device."""
+    elements = CLUSTER_SMOKE_ELEMENTS
     a = (np.arange(elements) * 3).astype(np.int64)
     b = a[::-1].copy()
     out: dict = {"elements": elements, "placement": "interleaved",
@@ -298,18 +261,15 @@ def bench_cluster_point(elements: int = CLUSTER_SMOKE_ELEMENTS) -> dict:
         addr_a = runtime.alloc_array(a)
         addr_b = runtime.alloc_array(b)
         addr_c = runtime.alloc(a.nbytes)
-        start = time.perf_counter()
         instance = runtime.run_kernel(
             VECADD, addr_a, addr_a + a.nbytes, args=pack_args(addr_b, addr_c)
         )
-        wall = time.perf_counter() - start
         correct = bool(np.array_equal(
             runtime.read_array(addr_c, np.int64, elements), a + b
         ))
         out[label] = {
             "devices": devices,
             "runtime_ns": instance.runtime_ns,
-            "wall_seconds": wall,
             "correct": correct,
             "sub_launches": plat.stats.get("cluster.sub_launches"),
             "switch_p2p_bytes": plat.stats.get("switch.p2p_bytes"),
@@ -320,27 +280,24 @@ def bench_cluster_point(elements: int = CLUSTER_SMOKE_ELEMENTS) -> dict:
     return out
 
 
-def bench_traffic_point(requests: int = TRAFFIC_SMOKE_REQUESTS) -> dict:
+def bench_traffic_point() -> dict:
     """Repeated-launch point: 100 open-loop vecadd requests, 2 devices.
 
     Requests cycle through 8 working-set slices, so after the first pass
-    every launch shape is already traced — the wall-clock of this point
-    tracks the trace cache's replay path.
+    every launch shape is already traced and replays from the trace
+    cache.
     """
     plat = make_cluster_platform(num_devices=2, placement="interleaved",
                                  backend="batched")
     engine = ServingEngine(plat, [
         TenantSpec("smoke", "vecadd",
                    arrivals=ArrivalSpec("poisson", rate_rps=2e5,
-                                        requests=requests)),
+                                        requests=TRAFFIC_SMOKE_REQUESTS)),
     ], scheduler="fifo", batch=BatchPolicy(max_batch=1, max_wait_ns=0.0),
         monitoring=False)
-    start = time.perf_counter()
     report = engine.run()
-    wall = time.perf_counter() - start
     return {
-        "requests": requests,
-        "wall_seconds": wall,
+        "requests": TRAFFIC_SMOKE_REQUESTS,
         "served": report.served,
         "correct": report.correct,
         "p50_ns": report.p50_ns,
@@ -370,10 +327,8 @@ def _run_serving(scheduler: str, max_batch: int) -> tuple:
         # measures this mode instead of averaging the whole run
         stats_window_ns=5_000.0,
     )
-    start = time.perf_counter()
     report = engine.run()
-    wall = time.perf_counter() - start
-    return engine, report, wall, engine.result_snapshots()
+    return engine, report, engine.result_snapshots()
 
 
 def bench_serving_point() -> dict:
@@ -381,7 +336,7 @@ def bench_serving_point() -> dict:
 
     The batched run must beat the unbatched baseline on throughput *and*
     trace-cache hit rate while producing byte-identical tenant results —
-    the acceptance gates below enforce all three.
+    ``GATES`` enforces all three.
     """
     out: dict = {
         "requests_per_tenant": SERVING_SMOKE_REQUESTS,
@@ -391,12 +346,11 @@ def bench_serving_point() -> dict:
     snapshots = {}
     for label, scheduler, max_batch in (("unbatched", "fifo", 1),
                                         ("batched", "wfq", 8)):
-        _engine, report, wall, snaps = _run_serving(scheduler, max_batch)
+        _engine, report, snaps = _run_serving(scheduler, max_batch)
         snapshots[label] = snaps
         out[label] = {
             "scheduler": scheduler,
             "max_batch": max_batch,
-            "wall_seconds": wall,
             "served": report.served,
             "correct": report.correct,
             "launches": report.launches,
@@ -443,10 +397,7 @@ def _run_resilience(retries: int, plan, **engine_kwargs) -> tuple:
                           jitter_ns=200.0),
     )
     engine = ServingEngine(platform, [spec], **engine_kwargs)
-    start = time.perf_counter()
-    report = engine.run()
-    wall = time.perf_counter() - start
-    return platform, engine, report, wall
+    return platform, engine, engine.run()
 
 
 def bench_resilience_point() -> dict:
@@ -461,14 +412,11 @@ def bench_resilience_point() -> dict:
         FaultEvent("device_fail", at_ns=3_000.0, device=1),
     ))
     out: dict = {"requests": RESILIENCE_SMOKE_REQUESTS}
-    wall_total = 0.0
     for label, retries, plan in (("no_retry", 0, kill),
                                  ("retry", 3, kill)):
-        platform, _, report, wall = _run_resilience(retries, plan)
-        wall_total += wall
+        platform, _, report = _run_resilience(retries, plan)
         tenant = report.tenant("scan")
         out[label] = {
-            "wall_seconds": wall,
             "offered": tenant.offered,
             "served": tenant.served,
             "failed": tenant.failed,
@@ -484,11 +432,9 @@ def bench_resilience_point() -> dict:
     identity = {}
     for label, plan in (("zero_fault", FaultPlan.none()),
                         ("disabled", None)):
-        platform, engine, report, wall = _run_resilience(0, plan)
-        wall_total += wall
+        platform, engine, report = _run_resilience(0, plan)
         identity[label] = (engine.result_snapshots(),
                            report.aggregate.samples, platform.sim.now)
-    out["wall_seconds"] = wall_total
     out["zero_fault_identical"] = (identity["zero_fault"]
                                    == identity["disabled"])
     return out
@@ -519,11 +465,11 @@ def bench_obs_point() -> dict:
     prior = obs.enabled()
     try:
         obs.set_enabled(False)
-        _e0, report_off, off_wall, snaps_off = _run_serving("wfq", 8)
+        _e0, report_off, snaps_off = _run_serving("wfq", 8)
         sig_off = _serving_signature(report_off)
 
         obs.set_enabled(True)
-        engine, report_on, on_wall, snaps_on = _run_serving("wfq", 8)
+        engine, report_on, snaps_on = _run_serving("wfq", 8)
         sig_on = _serving_signature(report_on)
         plat = engine.platform
         tracer = obs.tracer_of(plat.sim)
@@ -566,9 +512,6 @@ def bench_obs_point() -> dict:
     finally:
         obs.set_enabled(prior)
     return {
-        "off_wall_seconds": off_wall,
-        "on_wall_seconds": on_wall,
-        "overhead_ratio": on_wall / off_wall if off_wall else 0.0,
         "span_coverage": coverage,
         "traced_launches": traced,
         "untraced_launches": untraced,
@@ -592,9 +535,9 @@ def bench_monitoring_point() -> dict:
         FaultEvent("device_fail", at_ns=3_000.0, device=1),
     ))
     os.makedirs("incidents", exist_ok=True)
-    _, engine_off, report_off, off_wall = _run_resilience(
+    _, engine_off, report_off = _run_resilience(
         3, kill, monitoring=False)
-    platform, engine_on, report_on, on_wall = _run_resilience(
+    platform, engine_on, report_on = _run_resilience(
         3, kill, monitoring=True, incident_dir="incidents")
     grade = grade_against_plan(platform.runtime.faults,
                                engine_on.monitor.alerts)
@@ -606,9 +549,6 @@ def bench_monitoring_point() -> dict:
                 and t["fault.kill"] <= t["fault.detect"]):
             timeline_coherent = True
     return {
-        "off_wall_seconds": off_wall,
-        "on_wall_seconds": on_wall,
-        "overhead_ratio": on_wall / off_wall if off_wall else 0.0,
         "results_identical": (
             engine_off.result_snapshots() == engine_on.result_snapshots()
             and _serving_signature(report_off)
@@ -634,294 +574,171 @@ def bench_partition_point() -> dict:
     tenant must come through byte-identical, every fault alerted, and
     the blast radius confined to the killed partition).
     """
-    start = time.perf_counter()
-    isolation = run_partitioning()
-    isolation_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    containment = run_partitioning_containment()
-    containment_wall = time.perf_counter() - start
-    modes = {row["mode"]: row for row in isolation.rows}
-    chaos = containment.rows[0]
+    modes = {row["mode"]: row for row in run_partitioning().rows}
     return {
         "spec": PARTITION_SPEC,
-        "wall_seconds": isolation_wall + containment_wall,
-        "isolation_wall_seconds": isolation_wall,
-        "containment_wall_seconds": containment_wall,
         "shared": modes["shared"],
         "partitioned": modes["partitioned"],
-        "containment": chaos,
+        "containment": run_partitioning_containment().rows[0],
         "shared_penalty": modes["shared"]["rt_p99_vs_solo"],
         "partitioned_penalty": modes["partitioned"]["rt_p99_vs_solo"],
     }
 
 
+#: The golden's top-level keys, in run order.
+POINTS = (
+    ("fig5", bench_fig5),
+    ("fig10a_point", bench_fig10a_point),
+    ("fig06_point", bench_fig06_point),
+    ("kvstore_point", bench_kvstore_point),
+    ("cluster_point", bench_cluster_point),
+    ("traffic_point", bench_traffic_point),
+    ("serving_point", bench_serving_point),
+    ("resilience_point", bench_resilience_point),
+    ("tracing_point", bench_obs_point),
+    ("monitoring_point", bench_monitoring_point),
+    ("partition_point", bench_partition_point),
+)
+
+RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le,
+             ">": operator.gt}
+
+#: The claims a regenerated golden must still meet, one row each:
+#: ``(dotted path, relation, bound, claim)``.  A ``str`` bound is a second
+#: dotted path into the same payload.  The golden pins every value
+#: exactly; a row here is what may *not* move even in a PR that commits
+#: a new golden.
+GATES = (
+    ("fig10a_point.interpreter.correct", "==", True, "matches the reference"),
+    ("fig10a_point.batched.correct", "==", True, "matches the reference"),
+    ("fig06_point.interpreter.correct", "==", True, "matches the reference"),
+    ("fig06_point.batched.correct", "==", True, "matches the reference"),
+    ("fig06_point.batched.batched_fallbacks", "==", 0,
+     "HISTO (vector atomics, phases, scratchpad) never falls back to the "
+     "interpreter; fig06_point.batched.fallback_reasons names the cause"),
+    ("kvstore_point.interpreter.correct", "==", True, "matches the reference"),
+    ("kvstore_point.batched.correct", "==", True, "matches the reference"),
+    ("kvstore_point.results_identical", "==", True,
+     "scatter-batched serving leaves per-request results byte-identical"),
+    ("kvstore_point.batched.batched_fallbacks", "==", 0,
+     "one-µthread divergent GETs never fall back to the interpreter; "
+     "kvstore_point.batched.fallback_reasons names the cause"),
+    ("kvstore_point.batched.trace_cache_hits", ">", 0,
+     "steady-state GETs hit the point engine's value-generalized cache"),
+    ("cluster_point.x1.correct", "==", True, "matches the reference"),
+    ("cluster_point.x2.correct", "==", True, "matches the reference"),
+    ("cluster_point.cluster_speedup", ">=", 1.2,
+     "a bandwidth-bound launch scales out across 2 devices"),
+    ("traffic_point.correct", "==", True, "matches the reference"),
+    ("traffic_point.trace_cache_hits", ">",
+     "traffic_point.trace_cache_misses",
+     "repeated launch shapes replay from the trace cache"),
+    ("serving_point.unbatched.correct", "==", True, "matches the reference"),
+    ("serving_point.batched.correct", "==", True, "matches the reference"),
+    ("serving_point.results_identical", "==", True,
+     "dynamic batching leaves per-request results byte-identical"),
+    ("serving_point.throughput_gain", ">=", 1.1,
+     "dynamic batching beats unbatched FIFO on sim-time throughput"),
+    ("serving_point.hit_rate_gain", ">=", 0.2,
+     "fusing slices collapses the shape population: the trace-cache hit "
+     "rate rises"),
+    ("resilience_point.no_retry.correct", "==", True, "matches the reference"),
+    ("resilience_point.retry.correct", "==", True, "matches the reference"),
+    ("resilience_point.no_retry.accounting_ok", "==", True,
+     "offered == served + shed + expired + failed without retries"),
+    ("resilience_point.retry.accounting_ok", "==", True,
+     "offered == served + shed + expired + failed with retries"),
+    ("resilience_point.retry.slo_attainment", ">=", 0.9,
+     "deadline-aware retries hold the SLO floor under a 1-of-4 kill"),
+    ("resilience_point.retry.slo_attainment", ">",
+     "resilience_point.no_retry.slo_attainment",
+     "retries recover requests the no-retry baseline strands"),
+    ("resilience_point.zero_fault_identical", "==", True,
+     "an armed zero-fault plan changes neither results nor timing (fault "
+     "hooks are free when idle)"),
+    ("tracing_point.results_identical", "==", True,
+     "REPRO_TRACE=1 changes neither serving results nor sim timings"),
+    ("tracing_point.span_coverage", ">=", 0.9,
+     "exec spans cover the traced launches' runtime"),
+    ("monitoring_point.results_identical", "==", True,
+     "the SLO monitor observes, never steers: results and timings are "
+     "identical with it on"),
+    ("monitoring_point.recall", ">=", 1.0,
+     "every injected fault is alerted"),
+    ("monitoring_point.max_mtta_ns", "<=", DEFAULT_MONITOR_INTERVAL_NS,
+     "the alert lands within one monitor beat of heartbeat detection"),
+    ("monitoring_point.incidents", ">=", 1,
+     "a device kill writes an incident bundle"),
+    ("monitoring_point.timeline_coherent", "==", True,
+     "some bundle's timeline orders the kill before its detection"),
+    ("partition_point.shared.correct", "==", True, "matches the reference"),
+    ("partition_point.partitioned.correct", "==", True, "matches the reference"),
+    ("partition_point.containment.correct", "==", True, "matches the reference"),
+    ("partition_point.partitioned_penalty", "<=", 1.10,
+     "a partitioned interactive tenant's p99 stays within 10% of its "
+     "solo run under an adversarial neighbour"),
+    ("partition_point.shared_penalty", ">",
+     "partition_point.partitioned_penalty",
+     "the shared cluster shows the noisy-neighbour penalty partitions "
+     "avoid (the point still exercises isolation)"),
+    ("partition_point.containment.rt_bytes_identical", "==", True,
+     "a partition-scoped kill leaves another partition's result bytes "
+     "untouched"),
+    ("partition_point.containment.rt_accounted", "==", True,
+     "the interactive tenant's accounting identity survives the kill"),
+    ("partition_point.containment.noisy_accounted", "==", True,
+     "the killed partition's tenant's accounting identity survives"),
+    ("partition_point.containment.alert_recall", ">=", 1.0,
+     "monitoring alerts the partition kill"),
+)
+
+
+def _dig(payload: dict, dotted: str):
+    """The value at ``dotted``; KeyError / TypeError when it is absent."""
+    node = payload
+    for part in dotted.split("."):
+        node = node[part]
+    return node
+
+
+def check_gate(payload: dict, gate: tuple) -> tuple[bool, str]:
+    """Whether one ``GATES`` row holds on ``payload``, and its summary line."""
+    path, relation, bound, claim = gate
+    try:
+        value = _dig(payload, path)
+        limit = _dig(payload, bound) if isinstance(bound, str) else bound
+    except (KeyError, TypeError):
+        return False, f"{path} {relation} {bound}: field missing — {claim}"
+    against = f"{limit} ({bound})" if isinstance(bound, str) else limit
+    return (RELATIONS[relation](value, limit),
+            f"{path}: {value} {relation} {against} — {claim}")
+
+
+def check_blast_radius(payload: dict) -> tuple[bool, str]:
+    """The one gate that is not a relation on a leaf: every key of the
+    partition kill's blast radius is the killed ``dev*.batch`` partition."""
+    blast = payload["partition_point"]["containment"]["blast_radius"]
+    confined = blast != "none" and all(
+        key.split(":")[0].endswith(".batch") for key in blast.split(","))
+    return confined, (f"partition_point.containment.blast_radius: {blast!r} "
+                      f"names only dev*.batch — a partition kill's blast "
+                      f"radius stays inside the killed partition")
+
+
 def main(out_path: str = "BENCH_smoke.json") -> dict:
-    payload = {
-        "python": platform_mod.python_version(),
-        "fig5": bench_fig5(),
-        "fig10a_point": bench_fig10a_point(),
-        "fig06_point": bench_fig06_point(),
-        "kvstore_point": bench_kvstore_point(),
-        "cluster_point": bench_cluster_point(),
-        "traffic_point": bench_traffic_point(),
-        "serving_point": bench_serving_point(),
-        "resilience_point": bench_resilience_point(),
-        "tracing_point": bench_obs_point(),
-        "monitoring_point": bench_monitoring_point(),
-        "partition_point": bench_partition_point(),
-    }
-    point = payload["fig10a_point"]
+    payload = {name: point() for name, point in POINTS}
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    fig06 = payload["fig06_point"]
-    kvs = payload["kvstore_point"]
-    cluster = payload["cluster_point"]
-    traffic = payload["traffic_point"]
-    serving = payload["serving_point"]
-    # per-tenant latency summary, uploaded as its own CI artifact
-    tenant_summary = {
-        mode: payload["serving_point"][mode]["tenants"]
-        for mode in ("unbatched", "batched")
-    }
-    with open("BENCH_serving_tenants.json", "w") as fh:
-        json.dump(tenant_summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out_path} and BENCH_serving_tenants.json")
-    print(f"  fig10a {point['query']}@{point['scale']}: "
-          f"interpreter {point['interpreter']['wall_seconds']:.2f}s, "
-          f"batched {point['batched']['wall_seconds']:.2f}s "
-          f"({point['batched_wall_speedup']:.1f}x wall, "
-          f"sim-time ratio {point['batched_runtime_ratio']:.2f})")
-    print(f"  fig06 histo{fig06['nbins']} ({fig06['elements']} elems): "
-          f"interpreter {fig06['interpreter']['wall_seconds']:.2f}s, "
-          f"SIMT {fig06['batched']['wall_seconds']:.2f}s "
-          f"({fig06['simt_wall_speedup']:.1f}x wall, sim-time ratio "
-          f"{fig06['simt_runtime_ratio']:.2f}, "
-          f"{fig06['batched']['batched_fallbacks']:.0f} fallbacks)")
-    print(f"  kvstore serving {kvs['requests']} reqs: "
-          f"interpreter {kvs['interpreter']['wall_seconds']*1e3:.0f}ms, "
-          f"scatter {kvs['batched']['wall_seconds']*1e3:.0f}ms "
-          f"({kvs['serving_speedup']:.1f}x wall, p95 ratio "
-          f"{kvs['p95_ratio']:.2f}, mean batch "
-          f"{kvs['batched']['mean_batch']:.1f}, cache "
-          f"{kvs['batched']['trace_cache_hits']:.0f} hits / "
-          f"{kvs['batched']['trace_cache_hits_generalized']:.0f} gen / "
-          f"{kvs['batched']['trace_cache_misses']:.0f} misses, "
-          f"identical: {kvs['results_identical']})")
-    print(f"  cluster vecadd {cluster['elements']} elems: "
-          f"2-device speedup {cluster['cluster_speedup']:.2f}x "
-          f"({cluster['x2']['sub_launches']:.0f} sub-launches)")
-    print(f"  traffic {traffic['requests']} requests: "
-          f"{traffic['wall_seconds']:.2f}s wall, "
-          f"p95 {traffic['p95_ns']:.0f} ns, trace cache "
-          f"{traffic['trace_cache_hits']:.0f} hits / "
-          f"{traffic['trace_cache_misses']:.0f} misses")
-    print(f"  serving 2x{serving['requests_per_tenant']} requests: "
-          f"batching {serving['throughput_gain']:.2f}x throughput, "
-          f"cache hit rate "
-          f"{serving['unbatched']['trace_cache_hit_rate']:.2f} -> "
-          f"{serving['batched']['trace_cache_hit_rate']:.2f}, "
-          f"results identical: {serving['results_identical']}")
-    resilience = payload["resilience_point"]
-    print(f"  resilience {resilience['requests']} requests, 1-of-4 kill: "
-          f"no-retry slo {resilience['no_retry']['slo_attainment']:.2f} "
-          f"({resilience['no_retry']['failed']} failed) -> retry slo "
-          f"{resilience['retry']['slo_attainment']:.2f} "
-          f"({resilience['retry']['retried']} retried), zero-fault "
-          f"identical: {resilience['zero_fault_identical']}")
-    tracing = payload["tracing_point"]
-    print(f"  tracing: off {tracing['off_wall_seconds']:.2f}s, "
-          f"on {tracing['on_wall_seconds']:.2f}s "
-          f"({tracing['overhead_ratio']:.2f}x), span coverage "
-          f"{tracing['span_coverage']:.1%} over "
-          f"{tracing['traced_launches']} launches / "
-          f"{tracing['spans']} spans, "
-          f"identical: {tracing['results_identical']}")
-    monitoring = payload["monitoring_point"]
-    print(f"  monitoring: off {monitoring['off_wall_seconds']:.2f}s, "
-          f"on {monitoring['on_wall_seconds']:.2f}s "
-          f"({monitoring['overhead_ratio']:.2f}x), recall "
-          f"{monitoring['recall']:.2f} / precision "
-          f"{monitoring['precision']:.2f}, MTTD "
-          f"{monitoring['mean_mttd_ns']:.0f} ns, "
-          f"{monitoring['incidents']} incidents, "
-          f"identical: {monitoring['results_identical']}")
-    partition = payload["partition_point"]
-    print(f"  partitioning {partition['spec']!r}: noisy-neighbour p99 "
-          f"penalty shared {partition['shared_penalty']:.2f}x vs "
-          f"partitioned {partition['partitioned_penalty']:.2f}x; "
-          f"partition kill contained: "
-          f"{partition['containment']['rt_bytes_identical']} "
-          f"(blast {partition['containment']['blast_radius']}, "
-          f"per-partition kernels "
-          f"{partition['containment']['partition_kernels']})")
-    if not (point["interpreter"]["correct"] and point["batched"]["correct"]):
-        raise SystemExit("smoke benchmark produced incorrect results")
-    if not (fig06["interpreter"]["correct"] and fig06["batched"]["correct"]):
-        raise SystemExit("fig06 smoke point produced incorrect results")
-    if fig06["batched"]["batched_fallbacks"] != 0:
-        raise SystemExit(
-            f"fig06 smoke point fell back to the interpreter "
-            f"({fig06['batched']['fallback_reasons']})"
-        )
-    if fig06["simt_wall_speedup"] < 5.0:
-        raise SystemExit(
-            f"SIMT engine lost its wall-clock edge on the atomic point "
-            f"({fig06['simt_wall_speedup']:.1f}x, floor 5x)"
-        )
-    if not (kvs["interpreter"]["correct"] and kvs["batched"]["correct"]):
-        raise SystemExit("kvstore smoke point produced incorrect results")
-    if not kvs["results_identical"]:
-        raise SystemExit(
-            "scatter-batched kvstore serving changed per-request results"
-        )
-    if kvs["batched"]["batched_fallbacks"] != 0:
-        raise SystemExit(
-            f"kvstore smoke point fell back to the interpreter "
-            f"({kvs['batched']['fallback_reasons']})"
-        )
-    if kvs["serving_speedup"] < 5.0:
-        raise SystemExit(
-            f"kvstore serving lost its wall-clock edge over the "
-            f"interpreter ({kvs['serving_speedup']:.1f}x, floor 5x)"
-        )
-    if kvs["p95_ratio"] > 1.18:
-        raise SystemExit(
-            f"kvstore serving p95 drifted from the interpreter's "
-            f"({kvs['p95_ratio']:.2f}, ceiling 1.18)"
-        )
-    if kvs["batched"]["trace_cache_hits"] <= 0:
-        raise SystemExit(
-            "kvstore serving stopped hitting the point trace cache"
-        )
-    if not (cluster["x1"]["correct"] and cluster["x2"]["correct"]):
-        raise SystemExit("cluster smoke point produced incorrect results")
-    if not traffic["correct"]:
-        raise SystemExit("traffic smoke point produced incorrect results")
-    if cluster["cluster_speedup"] < 1.2:
-        raise SystemExit(
-            f"cluster smoke point lost its scale-out speedup "
-            f"({cluster['cluster_speedup']:.2f}x)"
-        )
-    if traffic["trace_cache_hits"] <= traffic["trace_cache_misses"]:
-        raise SystemExit(
-            "traffic smoke point stopped hitting the trace cache "
-            f"({traffic['trace_cache_hits']:.0f} hits / "
-            f"{traffic['trace_cache_misses']:.0f} misses)"
-        )
-    if not (serving["unbatched"]["correct"] and serving["batched"]["correct"]):
-        raise SystemExit("serving smoke point produced incorrect results")
-    if not serving["results_identical"]:
-        raise SystemExit(
-            "dynamic batching changed per-request results in the serving "
-            "smoke point"
-        )
-    if serving["throughput_gain"] < 1.1:
-        raise SystemExit(
-            f"dynamic batching lost its throughput edge "
-            f"({serving['throughput_gain']:.2f}x)"
-        )
-    if serving["hit_rate_gain"] < 0.2:
-        raise SystemExit(
-            f"dynamic batching lost its trace-cache hit-rate edge "
-            f"(+{serving['hit_rate_gain']:.2f})"
-        )
-    if not (resilience["no_retry"]["correct"]
-            and resilience["retry"]["correct"]):
-        raise SystemExit("resilience smoke point produced incorrect results")
-    if not (resilience["no_retry"]["accounting_ok"]
-            and resilience["retry"]["accounting_ok"]):
-        raise SystemExit(
-            "resilience smoke point broke the serving accounting identity "
-            "(offered != served + shed + expired + failed)"
-        )
-    if resilience["retry"]["slo_attainment"] < 0.9:
-        raise SystemExit(
-            f"retries stopped holding the SLO floor under a device kill "
-            f"({resilience['retry']['slo_attainment']:.2f}, floor 0.9)"
-        )
-    if (resilience["retry"]["slo_attainment"]
-            <= resilience["no_retry"]["slo_attainment"]):
-        raise SystemExit(
-            "deadline-aware retries lost their edge over the no-retry "
-            "baseline under a mid-traffic device kill"
-        )
-    if not resilience["zero_fault_identical"]:
-        raise SystemExit(
-            "arming a zero-fault plan changed serving results or timing "
-            "(fault hooks are supposed to be free when idle)"
-        )
-    if not tracing["results_identical"]:
-        raise SystemExit(
-            "enabling REPRO_TRACE changed serving results or sim timings"
-        )
-    if tracing["span_coverage"] < 0.9:
-        raise SystemExit(
-            f"exec spans cover only {tracing['span_coverage']:.1%} of "
-            f"traced launch runtime (floor 90%)"
-        )
-    if not monitoring["results_identical"]:
-        raise SystemExit(
-            "enabling the SLO monitor changed serving results or timings "
-            "(monitoring is supposed to observe, never steer)"
-        )
-    if monitoring["recall"] < 1.0:
-        raise SystemExit(
-            f"monitoring missed an injected fault (recall "
-            f"{monitoring['recall']:.2f}, floor 1.0)"
-        )
-    if monitoring["max_mtta_ns"] > DEFAULT_MONITOR_INTERVAL_NS:
-        raise SystemExit(
-            f"alert lagged detection by {monitoring['max_mtta_ns']:.0f} ns "
-            f"(ceiling: one monitor beat, "
-            f"{DEFAULT_MONITOR_INTERVAL_NS:.0f} ns)"
-        )
-    if monitoring["incidents"] < 1 or not monitoring["timeline_coherent"]:
-        raise SystemExit(
-            "device kill produced no coherent incident bundle "
-            "(kill <= detect ordering missing from every timeline)"
-        )
-    if not (partition["shared"]["correct"]
-            and partition["partitioned"]["correct"]
-            and partition["containment"]["correct"]):
-        raise SystemExit("partition smoke point produced incorrect results")
-    if partition["partitioned_penalty"] > 1.10:
-        raise SystemExit(
-            f"partitioned interactive p99 drifted "
-            f"{partition['partitioned_penalty']:.2f}x from its solo run "
-            f"under an adversarial tenant (ceiling 1.10x — partitions "
-            f"stopped isolating)"
-        )
-    if partition["shared_penalty"] <= partition["partitioned_penalty"]:
-        raise SystemExit(
-            "the shared cluster no longer shows a noisy-neighbour "
-            "penalty the partitioned one avoids — the smoke point "
-            "stopped exercising isolation"
-        )
-    if not partition["containment"]["rt_bytes_identical"]:
-        raise SystemExit(
-            "a partition-scoped kill perturbed another partition's "
-            "result bytes (containment broken)"
-        )
-    if not (partition["containment"]["rt_accounted"]
-            and partition["containment"]["noisy_accounted"]):
-        raise SystemExit(
-            "partition kill broke the serving accounting identity"
-        )
-    if partition["containment"]["alert_recall"] < 1.0:
-        raise SystemExit(
-            f"monitoring missed the partition kill (recall "
-            f"{partition['containment']['alert_recall']:.2f}, floor 1.0)"
-        )
-    blast_keys = partition["containment"]["blast_radius"]
-    if blast_keys == "none" or any(
-            not key.split(":")[0].endswith(".batch")
-            for key in blast_keys.split(",")):
-        raise SystemExit(
-            f"partition-kill blast radius escaped the killed partition "
-            f"({blast_keys!r}; only dev*.batch may appear)"
-        )
+    print(f"wrote {out_path}")
+    results = [check_gate(payload, gate) for gate in GATES]
+    results.append(check_blast_radius(payload))
+    for holds, line in results:
+        print(f"  {'ok  ' if holds else 'FAIL'} {line}")
+    failures = [line for holds, line in results if not holds]
+    if failures:
+        raise SystemExit(f"{len(failures)} of {len(results)} smoke gates "
+                         f"failed:\n  " + "\n  ".join(failures))
     return payload
 
 

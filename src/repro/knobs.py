@@ -31,10 +31,6 @@ from repro.errors import ConfigError
 README_BEGIN = "<!-- knobs:begin -->"
 README_END = "<!-- knobs:end -->"
 
-#: Read outside ``src/repro`` (``benchmarks/check_budget.py`` runs without
-#: the package on its path), so set-but-unregistered reporting skips them.
-TOOL_KNOBS = frozenset({"REPRO_BENCH_BUDGET_FACTOR"})
-
 
 def _flag(raw) -> bool:
     return {"0": False, "1": True}[raw] if isinstance(raw, str) else bool(raw)
@@ -188,8 +184,7 @@ def environment() -> tuple[dict[str, str], list[str]]:
     that nothing reads (a typo'd knob is otherwise ignored silently)."""
     env = {key: value for key, value in sorted(os.environ.items())
            if key.startswith("REPRO_")}
-    return env, [key for key in env
-                 if key not in KNOBS and key not in TOOL_KNOBS]
+    return env, [key for key in env if key not in KNOBS]
 
 
 def readme_table() -> str:

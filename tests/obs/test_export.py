@@ -129,12 +129,10 @@ class TestManifest:
         assert "env_unknown" not in run_manifest()
         monkeypatch.setenv("REPRO_SERVE_MAXBATCH", "4")      # typo'd knob
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
-        monkeypatch.setenv("REPRO_BENCH_BUDGET_FACTOR", "3")  # tool's own
         manifest = run_manifest()
         assert manifest["env_unknown"] == ["REPRO_SERVE_MAXBATCH"]
         assert list(manifest["env"]) == [
-            "REPRO_BENCH_BUDGET_FACTOR", "REPRO_SERVE_MAXBATCH",
-            "REPRO_SERVE_MAX_BATCH"]
+            "REPRO_SERVE_MAXBATCH", "REPRO_SERVE_MAX_BATCH"]
 
     def test_write_manifest_is_stable_json(self, tmp_path):
         path = str(tmp_path / "m.json")

@@ -27,7 +27,7 @@ def test_every_repro_name_in_the_code_is_a_declared_knob():
     for tree in ("src/repro", "benchmarks", "examples"):
         for path in (ROOT / tree).rglob("*.py"):
             mentioned |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-    assert mentioned <= set(knobs.KNOBS) | knobs.TOOL_KNOBS
+    assert mentioned <= set(knobs.KNOBS)
     assert set(knobs.KNOBS) <= mentioned
 
 

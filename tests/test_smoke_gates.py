@@ -1,0 +1,154 @@
+"""``benchmarks/smoke.py``'s gate table against the committed golden.
+
+No simulation runs here: the module is imported by path for its
+``GATES`` rows and checkers, and ``main`` is only ever driven with stub
+points.  The golden itself is compared by CI (`git diff --exit-code
+BENCH_smoke.json` after regenerating it)."""
+
+import copy
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "smoke", ROOT / "benchmarks/smoke.py")
+smoke = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(smoke)
+
+GOLDEN = json.loads((ROOT / "BENCH_smoke.json").read_text())
+
+
+def _set(payload: dict, dotted: str, value) -> None:
+    *parents, leaf = dotted.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+
+
+def _doctored(leaves: dict) -> dict:
+    payload = copy.deepcopy(GOLDEN)
+    for dotted, value in leaves.items():
+        _set(payload, dotted, value)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "gate", smoke.GATES, ids=[f"{g[0]}{g[1]}{g[2]}" for g in smoke.GATES])
+def test_gate(gate):
+    """The row's path(s) resolve in the committed golden and it holds."""
+    holds, line = smoke.check_gate(GOLDEN, gate)
+    assert "field missing" not in line
+    assert holds, line
+    assert gate[0] in line and gate[3] in line
+
+
+def test_golden_has_exactly_the_points_of_the_table():
+    assert sorted(GOLDEN) == sorted(name for name, _ in smoke.POINTS)
+
+
+def _failing(payload: dict) -> dict:
+    """(path, relation) -> summary line of every row that does not hold."""
+    results = [(gate, *smoke.check_gate(payload, gate))
+               for gate in smoke.GATES]
+    return {gate[:2]: line for gate, holds, line in results if not holds}
+
+
+#: One doctored leaf per relation kind, and one whose bound is a path.
+BROKEN = [
+    ("==", "kvstore_point.batched.batched_fallbacks", 2.0),
+    (">=", "cluster_point.cluster_speedup", 1.19),
+    ("<=", "monitoring_point.max_mtta_ns", 5000.5),
+    (">", "kvstore_point.batched.trace_cache_hits", 0.0),
+    (">", "traffic_point.trace_cache_hits", 8.0),
+]
+
+
+@pytest.mark.parametrize("relation, path, broken", BROKEN)
+def test_each_relation_kind_fails_on_a_doctored_leaf(relation, path, broken):
+    assert list(_failing(_doctored({path: broken}))) == [(path, relation)]
+
+
+def test_the_doctored_leaves_cover_every_relation_kind():
+    assert {relation for relation, _, _ in BROKEN} == set(smoke.RELATIONS)
+
+
+def test_a_missing_field_fails_its_row_instead_of_raising():
+    payload = copy.deepcopy(GOLDEN)
+    del payload["serving_point"]["throughput_gain"]
+    del payload["partition_point"]
+    failing = _failing(payload)
+    assert ("serving_point.throughput_gain", ">=") in failing
+    assert all("field missing" in line for line in failing.values())
+    assert sum(path.startswith("partition_point.")
+               for path, _ in failing) == 9
+
+
+@pytest.mark.parametrize("blast, confined", [
+    ("dev0.batch:5", True),
+    ("dev0.batch:5,dev1.batch:2", True),
+    ("none", False),
+    ("dev0.batch:5,dev0.rt:1", False),
+])
+def test_blast_radius_check(blast, confined):
+    payload = _doctored({"partition_point.containment.blast_radius": blast})
+    holds, line = smoke.check_blast_radius(payload)
+    assert holds is confined and repr(blast) in line
+
+
+def test_main_lists_every_failing_row_not_just_the_first(
+        tmp_path, monkeypatch, capsys):
+    doctored = _doctored({
+        "fig06_point.batched.batched_fallbacks": 1.0,
+        "serving_point.throughput_gain": 1.0,
+        "partition_point.containment.blast_radius": "dev0.batch:5,dev0.rt:1",
+    })
+    monkeypatch.setattr(smoke, "POINTS", tuple(
+        (name, lambda value=value: value) for name, value in doctored.items()))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        smoke.main(str(out))
+    message = str(exit_info.value)
+    assert message.startswith("3 of ")
+    for path in ("fig06_point.batched.batched_fallbacks",
+                 "serving_point.throughput_gain",
+                 "partition_point.containment.blast_radius"):
+        assert path in message
+    # the payload is written before gating, and the summary has every row
+    assert json.loads(out.read_text()) == doctored
+    summary = capsys.readouterr().out
+    assert summary.count("\n  FAIL ") == 3
+    assert summary.count("\n  ok   ") == len(smoke.GATES) + 1 - 3
+
+
+def test_main_passes_on_the_golden_and_writes_it_back_byte_for_byte(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(smoke, "POINTS", tuple(
+        (name, lambda name=name: GOLDEN[name]) for name, _ in smoke.POINTS))
+    out = tmp_path / "bench.json"
+    assert smoke.main(str(out)) == GOLDEN
+    assert out.read_text() == (ROOT / "BENCH_smoke.json").read_text()
+
+
+def _keys(node: dict):
+    """Every key of the nested dicts (a list, like Fig 5's rows with
+    their sim-time ``overhead_ns`` column, is a leaf)."""
+    for key, value in node.items():
+        yield key
+        if isinstance(value, dict):
+            yield from _keys(value)
+
+
+def test_golden_holds_no_host_dependent_field():
+    assert [key for key in _keys(GOLDEN)
+            if re.search(r"wall|overhead|python", key)] == []
+
+
+def test_smoke_never_reads_the_host_clock():
+    source = (ROOT / "benchmarks/smoke.py").read_text()
+    assert not re.search(r"^\s*(import time|from time\b)|perf_counter|"
+                         r"platform\.python_version", source, re.M)
