@@ -85,7 +85,7 @@ from repro.exec.trace_cache import (
     trace_key,
 )
 from repro.isa import vectorops as vo
-from repro.isa.encoding import FUnit, Instruction, OpClass
+from repro.isa.encoding import Instruction, OpClass
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
 from repro.ndp.generator import (
@@ -93,6 +93,7 @@ from repro.ndp.generator import (
     SPAWN_LATENCY_NS,
     KernelExecution,
 )
+from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS
 from repro.obs import tracer as obs_tracer
 from repro.ndp.unit import CROSSBAR_NS
 
@@ -152,7 +153,7 @@ class _BatchReplay(vo.LaneISA):
         self.execution = execution
         self.n = instance.num_body_uthreads
         self.program = instance.kernel.program.bodies[0]
-        self._fu_counts: dict[FUnit, int] = {}
+        self._ops = [0] * ISSUE_COLUMNS     # instruction mix, per µthread
         self._lat_cycles = 0
         self.memlog = StepLog(
             None if entry is None else entry.profiles[0].steps)
@@ -162,7 +163,6 @@ class _BatchReplay(vo.LaneISA):
         self.entry = entry
         self._executed = 0
         spad = device.units[execution.unit_base].scratchpad
-        self._spad = spad
         self._spad_lo = spad.base_vaddr
         self._spad_hi = spad.base_vaddr + spad.size_bytes
         # Scratchpad contents are per unit; only the argument block is
@@ -237,7 +237,7 @@ class _BatchReplay(vo.LaneISA):
             self.memlog.step("load", size, None, spad=True)
             # stat-free view: a mid-walk fallback must leave no counters
             # behind (the interpreter re-run charges them itself)
-            view = self._spad.view()
+            view = self.device.scratchpads[self.execution.unit_base]
             offs = addr - self._spad_lo
             if addr.ndim == 0:
                 return view[int(offs):int(offs) + size].copy()
@@ -293,8 +293,8 @@ class _BatchReplay(vo.LaneISA):
                     inst = instructions[pc]
                     self._executed += 1
                     if record:
-                        self._fu_counts[inst.unit] = (
-                            self._fu_counts.get(inst.unit, 0) + 1)
+                        self._ops[0] += 1
+                        self._ops[FU_COLUMN[inst.unit]] += 1
                         self._lat_cycles += inst.latency_cycles
                     op = inst.op_class
                     if op is OpClass.RET:
@@ -322,7 +322,7 @@ class _BatchReplay(vo.LaneISA):
                 n=self.n,
                 steps=self.memlog.steps,
                 instr_steps=self._executed,
-                fu_counts=self._fu_counts,
+                ops=np.array(self._ops),
                 lat_cycles=self._lat_cycles,
                 merged_addrs=merged_addrs,
                 merged_writes=merged_writes,
@@ -359,7 +359,6 @@ class _BatchReplay(vo.LaneISA):
         profile = self.entry.profiles[0]
         n = self.n
         trace_len = profile.instr_steps
-        fu_counts = profile.fu_counts
         period = cfg.clock.period_ns
         start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
         tail = LaunchTail(device, execution, "exec.batched", start,
@@ -369,24 +368,13 @@ class _BatchReplay(vo.LaneISA):
         # --- issue-throughput bound (per sub-core, FGMT hides latency) ---
         per_unit = math.ceil(n / num_units)
         per_subcore = per_unit / cfg.subcores_per_unit
-        fu_width = tail.fu_width
-        compute_ns = trace_len * per_subcore * period / cfg.issue_width
-        for fu, fu_count in fu_counts.items():
-            compute_ns = max(
-                compute_ns, fu_count * per_subcore * period / fu_width.get(fu, 1)
-            )
-        # Occupy the sub-cores' dispatch/FU issue servers with the whole
+        bank = device.issue_bank
+        ops = profile.ops * per_subcore
+        compute_ns = float((ops * period / bank.widths).max())
+        # Occupy the sub-cores' dispatch/FU issue resources with the whole
         # launch in one bulk charge, so interpreter-path launches running
         # concurrently observe this launch's issue pressure.
-        dispatch_ops = math.ceil(trace_len * per_subcore)
-        fu_ops = [(fu, math.ceil(c * per_subcore))
-                  for fu, c in fu_counts.items()]
-        for unit in tail.units:
-            for subcore in unit.subcores:
-                subcore.dispatch.service_batch(start, dispatch_ops)
-                subcore.instructions_issued += dispatch_ops
-                for fu, ops in fu_ops:
-                    subcore.units[fu].service_batch(start, ops)
+        bank.charge(execution.unit_base, num_units, start, np.ceil(ops))
 
         # --- traffic stats + latency floor (serial thread latency x
         # occupancy waves) from the launch's step profile -----------------
@@ -411,7 +399,7 @@ class _BatchReplay(vo.LaneISA):
                 thread_lat += l1_hit
             else:
                 thread_lat += 2 * CROSSBAR_NS + l2_hit + dram_lat
-        slots_per_unit = tail.slots_per_unit
+        slots_per_unit = execution.slots_per_unit
         waves = math.ceil(per_unit / slots_per_unit)
         window = max(compute_ns, thread_lat * waves)
 

@@ -54,7 +54,8 @@ apply the recorded deltas instead of re-walking the L1/L2/DRAM servers
 ``_REFRESH_PERIOD``-th replay so hit latencies track the warm memory
 system; traffic counters (``ndp.global_traffic_bytes`` etc.) are
 tallied exactly on every replay.  Cross-launch issue pressure is still
-applied as one bulk ``service_batch`` charge per lane.
+applied as one scalar ``SubCore.service_batch`` charge per lane, on the
+lane's row of the device's issue bank.
 
 The engine is selected from the launch shape alone (single body section,
 no wider than the device — see ``BatchedBackend.register_execution``).
@@ -86,6 +87,7 @@ from repro.isa.registers import (
 from repro.errors import TranslationFault
 from repro.mem.scratchpad import _apply_amo
 from repro.ndp.generator import SPAWN_LATENCY_NS
+from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS
 from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
 
@@ -355,8 +357,7 @@ class _LaneWalk:
         self.regs.write_x(3, execution.args_vaddr)
         self.mem = _RecordingMemory(unit.memory_for(instance.asid))
         self.taint = _Taint() if cache_enabled else None
-        self.trace_len = 0
-        self.fu_counts: dict = {}
+        self.ops = [0] * ISSUE_COLUMNS      # instruction mix of the lane
         self.lat: list[float] = []
 
     def run(self, t0: float) -> tuple[float, "PointPathEntry | None"]:
@@ -371,8 +372,8 @@ class _LaneWalk:
         while pc < count:
             inst = instructions[pc]
             cyc += inst.latency_cycles
-            self.trace_len += 1
-            self.fu_counts[inst.unit] = self.fu_counts.get(inst.unit, 0) + 1
+            self.ops[0] += 1
+            self.ops[FU_COLUMN[inst.unit]] += 1
             mem.events.clear()
             result = execute(inst, regs, mem)
             if taint is not None and taint.ok:
@@ -398,8 +399,7 @@ class _LaneWalk:
                     translation_version=self.device.translation_version,
                     steps=steps,
                     tail_cycles=cyc,
-                    trace_len=self.trace_len,
-                    fu_counts=self.fu_counts,
+                    ops=self.ops,
                     exemplar=(0, 0, b""),    # filled by the caller
                     lat=self.lat,
                     lat_sum=sum(self.lat),
@@ -1045,8 +1045,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
             "x3": execution.args_vaddr,
         }
         done_t = None
-        lane_len = 0
-        lane_fu: dict = {}
         if family is not None:
             try:
                 done_t, entry = _replay_lane(unit, family, live, t0, asid,
@@ -1060,28 +1058,22 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                 hits += 1
                 if identity != entry.exemplar:
                     gen_hits += 1
-                lane_len, lane_fu = entry.trace_len, entry.fu_counts
+                lane_ops = entry.ops
         if done_t is None:
             walk = _LaneWalk(device, unit, execution,
                              mapped=live["x1"], offset=live["x2"],
                              cache_enabled=cache.enabled)
             done_t, entry = walk.run(t0)
-            lane_len, lane_fu = walk.trace_len, walk.fu_counts
+            lane_ops = walk.ops
             if cache.enabled:
                 misses += 1
                 if entry is not None:
                     entry.exemplar = identity
                     cache.store_point(key, tv, entry)
                     family = cache.lookup_point(key, tv)
-        total_inst += lane_len
-        # bulk issue pressure on the lane's sub-core (no per-inst servers)
-        subcore = unit.subcores[0]
-        subcore.dispatch.service_batch(t0, lane_len)
-        subcore.instructions_issued += lane_len
-        for fu, count in lane_fu.items():
-            server = subcore.units.get(fu)
-            if server is not None:
-                server.service_batch(t0, count)
+        total_inst += lane_ops[0]
+        # bulk issue pressure on the lane's sub-core (no per-inst charges)
+        unit.subcores[0].service_batch(t0, lane_ops)
         lane_done.append(done_t)
 
     stats.add("exec.simt_launches")
@@ -1099,6 +1091,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     tail = LaunchTail(device, execution, "exec.point", t0, lanes=n,
                       cache_hits=hits, cache_misses=misses,
                       generalized_hits=gen_hits)
-    slots = tail.slots_per_unit
+    slots = execution.slots_per_unit
     tail.occupy(t0, min((n + num_units - 1) // num_units, slots) / slots)
     tail.schedule(completion, total_inst, n)

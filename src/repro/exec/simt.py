@@ -59,7 +59,7 @@ from repro.exec.trace_cache import (
     TraceEntry,
 )
 from repro.isa import vectorops as vo
-from repro.isa.encoding import FUnit, Instruction, OpClass
+from repro.isa.encoding import Instruction, OpClass
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
 from repro.mem.physical import PAGE_SIZE
@@ -68,6 +68,7 @@ from repro.ndp.generator import (
     SPAWN_LATENCY_NS,
     KernelExecution,
 )
+from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS
 from repro.ndp.tlb import PAGE_SHIFT
 from repro.ndp.unit import ATOMIC_OP_NS, CROSSBAR_NS
 from repro.ndp.uthread import Phase
@@ -150,12 +151,6 @@ class LaunchTail:
         # window and L2/DRAM.
         self.units = device.units[execution.unit_base:
                                   execution.unit_base + execution.num_units]
-        cfg = device.config.ndp
-        self.slots_per_unit = (cfg.subcores_per_unit
-                               * cfg.uthread_slots_per_subcore)
-        #: issue servers per sub-core by functional unit (any other: one)
-        self.fu_width = {FUnit.SALU: cfg.scalar_alus_per_subcore,
-                         FUnit.VALU: cfg.vector_alus_per_subcore}
         self.tracer = self.span = None
         if obs_tracer.ENABLED:
             self.tracer = obs_tracer.tracer_of(device.sim)
@@ -164,8 +159,15 @@ class LaunchTail:
                 instance=execution.instance.instance_id, **span_args)
 
     def occupy(self, at_ns: float, ratio: float) -> None:
+        """``IntervalSampler.record`` on every unit of the window; the
+        samplers its monotonic clamp leaves alone share one point tuple."""
+        point = (at_ns, ratio)
         for unit in self.units:
-            unit.occupancy.sampler.record(at_ns, ratio)
+            points = unit.occupancy.sampler.points
+            if points and at_ns < points[-1][0]:
+                points.append((points[-1][0], ratio))
+            else:
+                points.append(point)
 
     def pace(self, start: float, window: float, lanes: int, ratio: float,
              profile, phase_span: str | None = None) -> float:
@@ -492,7 +494,7 @@ class _PhaseWalk(vo.LaneISA):
         self.memlog = StepLog(None if profile is None else profile.steps)
         self._executed = 0
         self._lane_instructions = 0
-        self._fu_counts: dict[FUnit, int] = {}
+        self._ops = [0] * ISSUE_COLUMNS     # instruction mix, over lanes
         self._lat_cycles = np.zeros(n, dtype=np.int64)
         self._mem_lat = np.zeros(n, dtype=np.float64)
         self._spad_counters: dict[int, list[int]] = {}
@@ -949,8 +951,8 @@ class _PhaseWalk(vo.LaneISA):
                     self._lane_instructions += active
                     inst = instructions[top.next_pc]
                     if self._verify is None:
-                        self._fu_counts[inst.unit] = (
-                            self._fu_counts.get(inst.unit, 0) + active)
+                        self._ops[0] += active
+                        self._ops[FU_COLUMN[inst.unit]] += active
                         self._lat_cycles[mask] += inst.latency_cycles
                     m = None if active == self.n else mask
                     op = inst.op_class
@@ -1120,7 +1122,7 @@ class _PhaseWalk(vo.LaneISA):
             steps=self.memlog.steps,
             instr_steps=self._executed,
             lane_instructions=self._lane_instructions,
-            fu_counts=self._fu_counts,
+            ops=np.array(self._ops),
             lat_cycles=self._lat_cycles,
             mem_lat=self._mem_lat,
             merged_addrs=merged_addrs,
@@ -1174,8 +1176,7 @@ class SimtPlan:
         shadow = self.spad_shadows.get(unit)
         if shadow is not None:
             return shadow
-        real = self.device.units[
-            self.execution.unit_base + unit].scratchpad.view()
+        real = self.device.scratchpads[self.execution.unit_base + unit]
         if not write:
             return real
         shadow = real.copy()
@@ -1256,7 +1257,7 @@ class SimtPlan:
         stats = self.device.stats
         unit_base = self.execution.unit_base
         for unit, shadow in self.spad_shadows.items():
-            self.device.units[unit_base + unit].scratchpad.view()[:] = shadow
+            self.device.scratchpads[unit_base + unit] = shadow
         for profile in self.profiles:
             for unit, (reads, writes, atomics, bytes_) in (
                     profile.spad_counters.items()):
@@ -1287,9 +1288,9 @@ class SimtPlan:
         tail = LaunchTail(device, self.execution, "exec.simt",
                           t + SPAWN_LATENCY_NS, phases=len(self.profiles),
                           trace_cache="hit" if cached else "miss")
-        units, fu_width = tail.units, tail.fu_width
-        slots_per_unit = tail.slots_per_unit
-        granularity = units[0].occupancy.subcores[0].spawn_granularity
+        bank = device.issue_bank
+        slots_per_unit = self.execution.slots_per_unit
+        granularity = tail.units[0].occupancy.subcores[0].spawn_granularity
         total_instructions = 0
         total_lanes = 0
 
@@ -1306,26 +1307,13 @@ class SimtPlan:
             # sub-core, which would charge a one-µthread kvstore launch
             # ~128x its real instruction count.
             n_sub = num_units * subcores
-            per_subcore = profile.lane_instructions / n_sub
-            compute_ns = per_subcore * period / cfg.issue_width
-            d_base, d_rem = divmod(profile.lane_instructions, n_sub)
-            fu_split = {}
-            for fu, count in profile.fu_counts.items():
-                compute_ns = max(compute_ns,
-                                 count / n_sub * period / fu_width.get(fu, 1))
-                fu_split[fu] = divmod(count, n_sub)
-            sub_i = 0
-            for unit in units:
-                for subcore in unit.subcores:
-                    ops = d_base + (1 if sub_i < d_rem else 0)
-                    if ops:
-                        subcore.dispatch.service_batch(start, ops)
-                        subcore.instructions_issued += ops
-                    for fu, (f_base, f_rem) in fu_split.items():
-                        f_ops = f_base + (1 if sub_i < f_rem else 0)
-                        if f_ops:
-                            subcore.units[fu].service_batch(start, f_ops)
-                    sub_i += 1
+            compute_ns = float(
+                (profile.ops / n_sub * period / bank.widths).max())
+            base, rem = np.divmod(profile.ops, n_sub)
+            bank.charge(
+                self.execution.unit_base, num_units, start,
+                (base + (np.arange(n_sub)[:, None] < rem)).reshape(
+                    num_units, subcores, -1))
 
             # --- traffic stats -------------------------------------------
             if profile.global_bytes:

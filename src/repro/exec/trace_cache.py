@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import knobs
-from repro.isa.encoding import FUnit
 from repro.ndp.tlb import PAGE_SHIFT
 
 #: Distinct control-flow paths retained per point-launch family (one
@@ -148,8 +147,9 @@ class PointPathEntry:
     translation_version: int
     steps: list
     tail_cycles: int
-    trace_len: int
-    fu_counts: dict
+    #: instructions on the path, as a row of the issue bank
+    #: (``repro.ndp.subcore.FU_COLUMN``: dispatched, then per functional unit)
+    ops: list
     #: (pool_base, offset_bias, args) of the recording launch — a hit
     #: from any other launch is a *generalized* hit.
     exemplar: tuple
@@ -452,17 +452,19 @@ class StepLog:
 class PhaseProfile:
     """Everything reusable about one executed phase of a traced launch.
 
-    The launch-uniform walk fills the first block only, with its compact
-    forms: ``fu_counts`` per µthread (every µthread runs every
+    ``ops`` is the phase's instruction count as a row of the issue bank
+    (``repro.ndp.subcore.FU_COLUMN``: dispatched, then per functional
+    unit).  The launch-uniform walk fills the first block only, with its
+    compact forms: ``ops`` per µthread (every µthread runs every
     instruction; its roofline multiplies by ``n`` itself) and
-    ``lat_cycles`` one number.  The masked walk counts ``fu_counts`` over
-    active lanes, keeps ``lat_cycles`` per lane and adds the rest.
+    ``lat_cycles`` one number.  The masked walk counts ``ops`` over active
+    lanes, keeps ``lat_cycles`` per lane and adds the rest.
     """
 
     n: int
+    ops: np.ndarray
     steps: list[MemStep] = field(default_factory=list)
     instr_steps: int = 0
-    fu_counts: dict[FUnit, int] = field(default_factory=dict)
     lat_cycles: np.ndarray | int = 0
     merged_addrs: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))

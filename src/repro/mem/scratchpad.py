@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.errors import MemoryError_
 from repro.sim.stats import StatsRegistry
 
@@ -33,13 +35,21 @@ class Scratchpad:
         stats: StatsRegistry | None = None,
         stats_prefix: str = "scratchpad",
         base_vaddr: int = SCRATCHPAD_VBASE,
+        row: np.ndarray | None = None,
     ) -> None:
         self.size_bytes = size_bytes
         self.latency_ns = latency_ns
         self.base_vaddr = base_vaddr
         self.stats = stats if stats is not None else StatsRegistry()
-        self.prefix = stats_prefix
-        self._data = bytearray(size_bytes)
+        self._reads = f"{stats_prefix}.reads"
+        self._writes = f"{stats_prefix}.writes"
+        self._atomics = f"{stats_prefix}.atomics"
+        self._bytes = f"{stats_prefix}.bytes"
+        #: the bytes: ``row`` of the device's ``[num_units, size_bytes]``
+        #: array (bulk access goes there, see :func:`write_rows`), else a
+        #: row of its own; ``np.zeros`` pages materialize on first write
+        self._data = memoryview(
+            row if row is not None else np.zeros(size_bytes, np.uint8))
 
     # ------------------------------------------------------------------
 
@@ -59,14 +69,14 @@ class Scratchpad:
 
     def read(self, vaddr: int, size: int) -> bytes:
         offset = self._offset(vaddr, size)
-        self.stats.add(f"{self.prefix}.reads")
-        self.stats.add(f"{self.prefix}.bytes", size)
+        self.stats.add(self._reads)
+        self.stats.add(self._bytes, size)
         return bytes(self._data[offset:offset + size])
 
     def write(self, vaddr: int, data: bytes) -> None:
         offset = self._offset(vaddr, len(data))
-        self.stats.add(f"{self.prefix}.writes")
-        self.stats.add(f"{self.prefix}.bytes", len(data))
+        self.stats.add(self._writes)
+        self.stats.add(self._bytes, len(data))
         self._data[offset:offset + len(data)] = data
 
     # ------------------------------------------------------------------
@@ -81,22 +91,29 @@ class Scratchpad:
         old = struct.unpack_from(fmt, self._data, offset)[0]
         new = _apply_amo(op, old, operand)
         struct.pack_into(fmt, self._data, offset, new)
-        self.stats.add(f"{self.prefix}.atomics")
-        self.stats.add(f"{self.prefix}.bytes", 2 * size)
+        self.stats.add(self._atomics)
+        self.stats.add(self._bytes, 2 * size)
         return old
-
-    def view(self):
-        """Writable uint8 numpy view of the scratchpad contents (the batched
-        execution backend gathers argument blocks through this)."""
-        import numpy as np
-
-        return np.frombuffer(self._data, dtype=np.uint8)
 
     # ------------------------------------------------------------------
 
     def clear(self) -> None:
-        """Zero the scratchpad (done between kernel instances)."""
-        self._data = bytearray(self.size_bytes)
+        """Zero the scratchpad in place (no caller in ``src/``: kernel
+        instances share it, each in its own argument slot)."""
+        self._data[:] = bytes(self.size_bytes)
+
+
+def write_rows(scratchpads: list[Scratchpad], rows: np.ndarray, vaddr: int,
+               data: bytes) -> None:
+    """:meth:`Scratchpad.write` on every one of ``scratchpads``, whose bytes
+    are the rows of ``rows``, as one 2-D assignment (a launch's argument
+    block lands in its whole unit window this way)."""
+    size = len(data)
+    offset = scratchpads[0]._offset(vaddr, size)
+    rows[:, offset:offset + size] = np.frombuffer(data, np.uint8)
+    for spad in scratchpads:
+        spad.stats.add(spad._writes)
+        spad.stats.add(spad._bytes, size)
 
 
 def _apply_amo(op: str, old, operand):

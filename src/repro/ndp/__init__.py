@@ -17,7 +17,7 @@ from repro.ndp.kernel import (
     KernelStatus,
 )
 from repro.ndp.occupancy import SlotAllocation, SubcoreOccupancy, UnitOccupancy
-from repro.ndp.subcore import SubCore
+from repro.ndp.subcore import IssueBank, SubCore
 from repro.ndp.tlb import DRAMTLB, PAGE_SIZE, PageTable, TLB, Translation
 from repro.ndp.unit import NDPUnit, UnitMemory
 from repro.ndp.uthread import Phase, UThread
@@ -31,6 +31,7 @@ __all__ = [
     "ERR_GENERIC",
     "ERR_QUEUE_FULL",
     "ERR_UNKNOWN_KERNEL",
+    "IssueBank",
     "KernelDescriptor",
     "KernelExecution",
     "KernelInstance",

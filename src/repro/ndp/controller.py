@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro.cxl.packet_filter import FilterEntry
 from repro.errors import ProtocolError
+from repro.mem.scratchpad import write_rows
 from repro.ndp.generator import KernelExecution
 from repro.ndp.kernel import KernelDescriptor, KernelInstance, KernelStatus
 
@@ -323,9 +324,10 @@ class NDPController:
         # Kernel arguments are placed in each unit's scratchpad (§III-G);
         # a launch only touches *its* partition's units' scratchpads.
         if instance.args:
-            for unit in self.device.units[part.unit_base:
-                                          part.unit_base + part.num_units]:
-                unit.scratchpad.write(execution.args_vaddr, instance.args)
+            window = slice(part.unit_base, part.unit_base + part.num_units)
+            write_rows([unit.scratchpad for unit in self.device.units[window]],
+                       self.device.scratchpads[window],
+                       execution.args_vaddr, instance.args)
         execution.start(now_ns)
         self.device.register_execution(execution, now_ns)
 

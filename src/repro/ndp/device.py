@@ -38,6 +38,7 @@ from repro.mem.physical import PhysicalMemory
 from repro.mem.scratchpad import _apply_amo
 from repro.ndp.controller import NDPController, ReadResponse
 from repro.ndp.generator import KernelExecution
+from repro.ndp.subcore import IssueBank
 from repro.ndp.tlb import DRAM_TLB_ENTRY_BYTES, DRAMTLB, PageTable
 from repro.ndp.unit import NDPUnit
 from repro.sim.engine import Simulator
@@ -125,6 +126,12 @@ class M2NDPDevice:
         #: (pid 0 is the host), ClusterRuntime renumbers to 1 + index.
         self.trace_pid = 1
         self.controller = NDPController(self, queue_capacity=queue_capacity)
+        #: issue-stage virtual times of every unit's sub-cores, one array
+        self.issue_bank = IssueBank(self.config.ndp)
+        #: every unit's scratchpad bytes, one row each
+        self.scratchpads = np.zeros(
+            (self.config.ndp.num_units, self.config.ndp.scratchpad_bytes),
+            dtype=np.uint8)
         self.units = [
             NDPUnit(i, self.config.ndp, self, self.stats, spawn_granularity)
             for i in range(self.config.ndp.num_units)

@@ -88,7 +88,8 @@ class NDPUnit:
         self.config = config
         self.device = device
         self.stats = stats
-        self.subcores = [SubCore(config) for _ in range(config.subcores_per_unit)]
+        self.subcores = [SubCore(device.issue_bank, index, s)
+                         for s in range(config.subcores_per_unit)]
         self.occupancy = UnitOccupancy(
             num_subcores=config.subcores_per_unit,
             slots_per_subcore=config.uthread_slots_per_subcore,
@@ -100,6 +101,7 @@ class NDPUnit:
             latency_ns=config.l1d.hit_latency_ns,
             stats=stats,
             stats_prefix=f"unit{index}.spad",
+            row=device.scratchpads[index],
         )
         self.l1d = SectorCache(
             config.l1d,

@@ -201,9 +201,9 @@ class IssueServer:
 
         Bulk analogue of ``count`` back-to-back :meth:`issue` calls (their
         virtual-time advance telescopes to one multiply); returns the time
-        the last operation clears the resource.  Used by the batched
-        execution backend to occupy sub-core dispatch/FU servers with a
-        whole launch's instruction stream in O(1).
+        the last operation clears the resource.  The per-resource
+        reference for :meth:`repro.ndp.subcore.IssueBank.charge`, which
+        occupies a device's sub-cores with a whole launch this way.
         """
         if count <= 0:
             return max(arrival_ns, self._virtual_time)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -347,13 +348,16 @@ class IntervalSampler:
         """Average value over [start, end] treating points as a step function."""
         if end_ns <= start_ns:
             raise ValueError("end must be after start")
+        # points are time-ordered: skip straight to the first one inside
+        # the window (a monitored run asks once per window, so a scan from
+        # point 0 would be quadratic in launches)
+        points = self.points
+        first = bisect_left(points, (start_ns,))
         area = 0.0
-        current = 0.0
+        current = points[first - 1][1] if first else 0.0
         prev_t = start_ns
-        for t, v in self.points:
-            if t < start_ns:
-                current = v
-                continue
+        for index in range(first, len(points)):
+            t, v = points[index]
             if t > end_ns:
                 break
             area += current * (t - prev_t)

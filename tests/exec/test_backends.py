@@ -12,6 +12,7 @@ import pytest
 from repro.config import NDPConfig, SystemConfig, default_system
 from repro.errors import ConfigError
 from repro.exec import BatchedBackend, InterpreterBackend, make_backend
+from repro.exec.simt import LaunchTail
 from repro.host.api import pack_args
 from repro.kernels.gemv import GEMV_F32
 from repro.kernels.olap import EVAL_RANGE_I32, MASK_AND
@@ -388,10 +389,68 @@ class TestConcurrentLaunches:
             sync=False,
         )
         runtime.wait_all()
-        assert handle_big.complete_ns is not None
-        assert handle_small.complete_ns is not None
+        # The interpreter launch issues behind the batched launch's bulk
+        # sub-core charge — the one place that charge is observable (the
+        # raw launch completes at 455.375 without it).
+        assert handle_big.complete_ns == 788.1092122395858
+        assert handle_small.complete_ns == 463.25
         assert np.array_equal(runtime.read_array(addr_c, np.int64, n), 2 * a)
         expected_threads = n * 8 // 32 + 48
         assert platform.stats.get("ndp.uthreads_spawned") == expected_threads
         assert platform.stats.get("ndp.uthreads_finished") == expected_threads
         assert _batched_stats(platform) == (1, 1)
+
+    def test_occupancy_samples_equal_a_record_per_unit(self, monkeypatch):
+        # LaunchTail.occupy shares one point tuple across its unit window;
+        # every unit's series must read back as if each sampler had
+        # ``record``ed for itself — including the monotonic clamp, hit
+        # when a launch starts before a multi-phase launch's (future)
+        # phase samples.
+        def run(platform):
+            runtime = platform.runtime
+            n = 4096
+            a = np.arange(n, dtype=np.int64)
+            addr_a = runtime.alloc_array(a)
+            addr_b = runtime.alloc_array(a)
+            addr_c = runtime.alloc(n * 8)
+            addr_d = runtime.alloc(48 * 32)
+            out = runtime.alloc(8)
+            big = runtime.register_kernel(VECADD, name="big")
+            raw = runtime.register_kernel(RAW_KERNEL, name="raw")
+            red = runtime.register_kernel(REDUCE_SUM_I64, scratchpad_bytes=64,
+                                          name="reduce")
+            for _ in range(2):
+                runtime.launch_async(red, addr_a, addr_a + n * 8,
+                                     args=pack_args(out), sync=False)
+                runtime.launch_async(raw, addr_a, addr_a + 48 * 32,
+                                     args=pack_args(addr_d), sync=False)
+                runtime.launch_async(big, addr_a, addr_a + n * 8,
+                                     args=pack_args(addr_b, addr_c),
+                                     sync=False)
+                runtime.wait_all()
+            stats = platform.stats
+            assert stats.get("exec.simt_launches") == 2        # masked
+            assert stats.get("exec.fallback_reason.raw") == 2  # interpreter
+            assert stats.get("exec.batched_launches") == 2     # uniform
+            return [unit.occupancy.sampler.points
+                    for unit in platform.device.units]
+
+        shared = run(make_platform(backend="batched"))
+
+        clamped = 0
+
+        def occupy(tail, at_ns, ratio):
+            nonlocal clamped
+            for unit in tail.units:
+                sampler = unit.occupancy.sampler
+                clamped += bool(sampler.points
+                                and at_ns < sampler.points[-1][0])
+                sampler.record(at_ns, ratio)
+
+        monkeypatch.setattr(LaunchTail, "occupy", occupy)
+        reference = run(make_platform(backend="batched"))
+        assert clamped
+        assert shared == reference
+        assert shared[0][-1] is shared[-1][-1]
+        assert reference[0][-1] is not reference[-1][-1]
+

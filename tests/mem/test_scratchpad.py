@@ -1,9 +1,11 @@
 """Tests for the NDP-unit scratchpad."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MemoryError_
-from repro.mem.scratchpad import SCRATCHPAD_VBASE, Scratchpad
+from repro.mem.scratchpad import SCRATCHPAD_VBASE, Scratchpad, write_rows
+from repro.sim.stats import StatsRegistry
 
 
 @pytest.fixture
@@ -32,6 +34,31 @@ class TestReadWrite:
         spad.write(SCRATCHPAD_VBASE, b"\xff" * 8)
         spad.clear()
         assert spad.read(SCRATCHPAD_VBASE, 8) == b"\0" * 8
+
+    def test_clear_keeps_the_row_it_was_given(self):
+        rows = np.zeros((2, 256), dtype=np.uint8)
+        spad = Scratchpad(size_bytes=256, row=rows[1])
+        spad.write(SCRATCHPAD_VBASE + 8, b"\xff" * 8)
+        assert rows[1, 8:16].tolist() == [0xFF] * 8 and not rows[0].any()
+        spad.clear()
+        assert not rows.any()
+        spad.amo("add", SCRATCHPAD_VBASE, 7, size=8)    # still the same bytes
+        assert rows[1, 0] == 7
+
+    def test_write_rows_is_a_write_on_each(self):
+        rows = np.zeros((3, 256), dtype=np.uint8)
+        stats = StatsRegistry()
+        spads = [Scratchpad(256, stats=stats, stats_prefix=f"u{i}", row=rows[i])
+                 for i in range(3)]
+        write_rows(spads[1:], rows[1:], SCRATCHPAD_VBASE + 192, b"abcdefgh")
+        assert not rows[0].any()
+        for i in (1, 2):
+            assert spads[i].read(SCRATCHPAD_VBASE + 192, 8) == b"abcdefgh"
+            assert stats.get(f"u{i}.writes") == 1
+            assert stats.get(f"u{i}.bytes") == 16       # the write + the read
+        assert stats.get("u0.writes") == 0
+        with pytest.raises(MemoryError_):
+            write_rows(spads, rows, SCRATCHPAD_VBASE + 250, b"abcdefgh")
 
     def test_traffic_stats(self, spad):
         spad.write(SCRATCHPAD_VBASE, b"12345678")

@@ -1,7 +1,7 @@
 """Tests for statistics helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.stats import (
     Distribution,
@@ -224,6 +224,35 @@ class TestIntervalSampler:
         sampler.record(5.0, 1.0)
         sampler.record(3.0, 2.0)   # clamped to 5.0
         assert sampler.points[-1][0] == 5.0
+
+    @given(
+        times=st.lists(st.floats(0.0, 100.0), max_size=40),
+        window=st.tuples(st.floats(-5.0, 105.0), st.floats(0.01, 50.0)),
+        on_a_point=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_time_weighted_mean_equals_the_full_scan(self, times, window,
+                                                     on_a_point):
+        sampler = IntervalSampler()
+        for i, t in enumerate(times):
+            sampler.record(t, (i * 7 % 5) / 4)         # clamps into order
+        start, span = window
+        if on_a_point and sampler.points:   # the ``t == start`` boundary
+            start = sampler.points[len(sampler.points) // 2][0]
+        end = start + span
+
+        # the scan from point 0 that the bisected start replaced
+        area, current, prev_t = 0.0, 0.0, start
+        for t, v in sampler.points:
+            if t < start:
+                current = v
+                continue
+            if t > end:
+                break
+            area += current * (t - prev_t)
+            prev_t, current = t, v
+        area += current * (end - prev_t)
+        assert sampler.time_weighted_mean(start, end) == area / (end - start)
 
     def test_series_validation(self):
         sampler = IntervalSampler()
