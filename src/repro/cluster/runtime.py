@@ -86,38 +86,33 @@ class ClusterLaunchHandle:
     def finished(self) -> bool:
         return self.complete_ns is not None
 
-    @property
-    def num_sublaunches(self) -> int:
-        return len(self.plan)
-
     def on_complete(self, callback) -> None:
         if self.finished:
             callback(self)
         else:
             self._callbacks.append(callback)
 
-    def _fail(self, when_ns: float, exc: Exception) -> None:
-        """Complete the handle exceptionally (fault, watchdog, poison)."""
-        if self.finished:
-            return
-        self.failure = exc
+    def _finish(self, when_ns: float) -> None:
         self.complete_ns = when_ns
         for callback in self._callbacks:
             callback(self)
         self._callbacks.clear()
+
+    def _fail(self, when_ns: float, exc: Exception) -> None:
+        """Complete the handle exceptionally (fault, watchdog, poison)."""
+        if not self.finished:
+            self.failure = exc
+            self._finish(when_ns)
 
     def _sub_finished(self, when_ns: float) -> None:
         if self.finished:
             return      # already failed; straggler completions are no-ops
         self._pending -= 1
         if self._pending == 0:
-            self.complete_ns = max(
+            self._finish(max(
                 (h.complete_ns or when_ns) for h in self.subs
                 if h is not None
-            )
-            for callback in self._callbacks:
-                callback(self)
-            self._callbacks.clear()
+            ))
 
 
 @dataclass
@@ -163,13 +158,9 @@ class _AggregateStats:
         self._registries = registries
 
     def get(self, name: str, default: float = 0.0) -> float:
-        found = False
-        total = 0.0
-        for reg in self._registries:
-            if name in reg._counters:
-                found = True
-                total += reg._counters[name]
-        return total if found else default
+        values = [reg._counters[name] for reg in self._registries
+                  if name in reg._counters]
+        return sum(values, 0.0) if values else default
 
     def counters(self, prefix: str = "") -> dict[str, float]:
         merged: dict[str, float] = {}
@@ -395,9 +386,9 @@ class ClusterRuntime:
         start = at_ns if at_ns is not None else max(self.now, self.sim.now)
         handle = ClusterLaunchHandle(plan=plan, issued_ns=start,
                                      _pending=len(plan))
+        tracer = obs_tracer.tracer_of(self.sim)
         launch_span = None
-        if obs_tracer.ENABLED:
-            tracer = obs_tracer.tracer_of(self.sim)
+        if tracer is not None:
             launch_span = tracer.begin(
                 "cluster.launch", start, parent=trace_parent,
                 sub_launches=len(plan),
@@ -427,19 +418,19 @@ class ClusterRuntime:
         # behind the app's back.  Stateless body-only kernels issue all
         # their sub-launches at once; different devices always run in
         # parallel.
+        # Each queue entry carries its sub-launch's plan index — the slot
+        # of ``handle.subs`` its device-side handle lands in.
         handle.subs = [None] * len(plan)
-        order = {id(sub): i for i, sub in enumerate(plan)}
         if self._serialize_per_device.get(kernel_id, True):
-            queues: dict[int, list[SubLaunch]] = {}
-            for sub in plan:
-                queues.setdefault(sub.device, []).append(sub)
-            for device_queue in queues.values():
-                self._issue_sub(handle, kids, device_queue, 0, args, stride,
-                                start, order, launch_span)
+            per_device: dict[int, list[tuple[int, SubLaunch]]] = {}
+            for slot, sub in enumerate(plan):
+                per_device.setdefault(sub.device, []).append((slot, sub))
+            queues = list(per_device.values())
         else:
-            for sub in plan:
-                self._issue_sub(handle, kids, [sub], 0, args, stride,
-                                start, order, launch_span)
+            queues = [[entry] for entry in enumerate(plan)]
+        for queue in queues:
+            self._issue_sub(handle, kids, queue, 0, args, stride, start,
+                            tracer, launch_span)
         if self.launch_timeout_ns > 0:
             deadline = start + self.launch_timeout_ns
 
@@ -464,16 +455,17 @@ class ClusterRuntime:
         return sub.partition or self.partitions.default.name
 
     def _issue_sub(self, handle: ClusterLaunchHandle, kids: list[int],
-                   queue: list[SubLaunch], index: int, args: bytes,
-                   stride: int, at_ns: float, order: dict[int, int],
-                   trace_parent: int | None = None) -> None:
-        sub = queue[index]
+                   queue: list[tuple[int, SubLaunch]], index: int,
+                   args: bytes, stride: int, at_ns: float,
+                   tracer: obs_tracer.Tracer | None,
+                   trace_parent: int | None) -> None:
+        """Issue ``queue[index]``; its completion issues ``queue[index + 1]``
+        (a one-entry queue is the unchained case)."""
+        slot, sub = queue[index]
         if self.faults is not None:
             # a stall window holds issue to the device until it clears
             at_ns = self.faults.delay_issue(sub.device, at_ns,
                                             self._partition_of(sub))
-        tracer = obs_tracer.tracer_of(self.sim) if obs_tracer.ENABLED \
-            else None
         sub_lane = None
         if tracer is not None:
             # switch-charge spans live on the sub-launch's device lane so
@@ -512,36 +504,8 @@ class ClusterRuntime:
                 "cluster.sub_launch", ready, parent=trace_parent,
                 pid=1 + sub.device, tid=sub_lane,
                 base=sub.base, bound=sub.bound)
-        sub_handle = self.runtimes[sub.device].launch_async(
-            kids[sub.device], sub.base, sub.bound, args=args,
-            sync=False, stride=stride, at_ns=ready,
-            offset_bias=sub.offset_bias, partition=part_index,
-            on_complete=self._make_sub_done(handle, kids, queue, index, args,
-                                            stride, order, trace_parent,
-                                            sub_span),
-        )
-        if self.faults is not None:
-            self.faults.note_sub_issued(sub.device, handle, sub_handle,
-                                        self._partition_of(sub))
-        sub_handle.call.on_done(self._make_error_check(handle, sub))
-        if tracer is not None:
-            # the M2func read resolves the device-side instance id after
-            # the backend may already have recorded its exec span; adopt
-            # those spans under this sub-launch once the id is known
-            def link(call, _pid=1 + sub.device, _span=sub_span,
-                     _lane=sub_lane, _tracer=tracer):
-                if call.value is not None and call.value >= 0:
-                    _tracer.link_instance(_pid, call.value, _span, _lane)
-            sub_handle.call.on_done(link)
-        handle.subs[order[id(sub)]] = sub_handle
 
-    def _make_sub_done(self, handle: ClusterLaunchHandle, kids: list[int],
-                       queue: list[SubLaunch], index: int, args: bytes,
-                       stride: int, order: dict[int, int],
-                       trace_parent: int | None = None,
-                       sub_span: int | None = None):
         def sub_done(sub_handle: LaunchHandle) -> None:
-            sub = queue[index]
             if self.faults is not None and self.faults.note_sub_completion(
                     sub.device, sub_handle):
                 # completion lost: the device died first; the injector
@@ -549,21 +513,39 @@ class ClusterRuntime:
                 return
             self.scheduler.note_complete(sub.device)
             when = sub_handle.complete_ns or self.sim.now
-            if sub_span is not None and obs_tracer.ENABLED:
-                obs_tracer.tracer_of(self.sim).end(sub_span, when)
+            if tracer is not None:
+                tracer.end(sub_span, when)
             if index + 1 < len(queue) and not handle.finished:
                 self._issue_sub(handle, kids, queue, index + 1, args,
-                                stride, when, order, trace_parent)
+                                stride, when, tracer, trace_parent)
             handle._sub_finished(when)
-        return sub_done
 
-    def _make_error_check(self, handle: ClusterLaunchHandle, sub: SubLaunch):
-        def check(call) -> None:
-            if call.value is not None and call.value < 0:
+        def acknowledged(call) -> None:
+            if call.value is None:
+                return
+            if call.value < 0:
                 handle.error = call.value
                 self.scheduler.note_complete(sub.device)
                 handle._sub_finished(call.done_ns or self.sim.now)
-        return check
+            elif tracer is not None:
+                # the M2func read resolves the device-side instance id
+                # after the backend may already have recorded its exec
+                # span; adopt those spans under this sub-launch once the
+                # id is known
+                tracer.link_instance(1 + sub.device, call.value, sub_span,
+                                     sub_lane)
+
+        sub_handle = self.runtimes[sub.device].launch_async(
+            kids[sub.device], sub.base, sub.bound, args=args,
+            sync=False, stride=stride, at_ns=ready,
+            offset_bias=sub.offset_bias, partition=part_index,
+            on_complete=sub_done,
+        )
+        if self.faults is not None:
+            self.faults.note_sub_issued(sub.device, handle, sub_handle,
+                                        self._partition_of(sub))
+        sub_handle.call.on_done(acknowledged)
+        handle.subs[slot] = sub_handle
 
     def launch_kernel(self, kernel_id: int, pool_base: int, pool_bound: int,
                       args: bytes = b"", sync: bool = True,

@@ -479,8 +479,9 @@ class BatchedBackend(InterpreterBackend):
 
         device.stats.add("exec.batched_fallbacks")
         device.stats.add(f"exec.fallback_reason.{failure.slug}")
-        if obs_tracer.ENABLED:
-            obs_tracer.tracer_of(device.sim).instant(
+        tracer = obs_tracer.tracer_of(device.sim)
+        if tracer is not None:
+            tracer.instant(
                 "exec.fallback", max(now_ns, device.sim.now),
                 pid=device.trace_pid, reason=failure.slug,
                 instance=execution.instance.instance_id)

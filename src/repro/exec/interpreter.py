@@ -49,8 +49,8 @@ class InterpreterBackend(ExecutionBackend):
 
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:
-        if obs_tracer.ENABLED:
-            tracer = obs_tracer.tracer_of(self.device.sim)
+        tracer = obs_tracer.tracer_of(self.device.sim)
+        if tracer is not None:
             span = tracer.begin(
                 "exec.interpreter", max(now_ns, self.device.sim.now),
                 pid=self.device.trace_pid,

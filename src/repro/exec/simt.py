@@ -151,9 +151,9 @@ class LaunchTail:
         # window and L2/DRAM.
         self.units = device.units[execution.unit_base:
                                   execution.unit_base + execution.num_units]
-        self.tracer = self.span = None
-        if obs_tracer.ENABLED:
-            self.tracer = obs_tracer.tracer_of(device.sim)
+        self.tracer = obs_tracer.tracer_of(device.sim)
+        self.span = None
+        if self.tracer is not None:
             self.span = self.tracer.begin(
                 span_name, start_ns, pid=device.trace_pid,
                 instance=execution.instance.instance_id, **span_args)

@@ -102,8 +102,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _instant(self, name: str, when: float, **args) -> None:
-        if obs_tracer.ENABLED:
-            obs_tracer.tracer_of(self.runtime.sim).instant(name, when, **args)
+        tracer = obs_tracer.tracer_of(self.runtime.sim)
+        if tracer is not None:
+            tracer.instant(name, when, **args)
 
     def _record(self, kind: str, when: float, device: int | None = None,
                 **detail) -> None:
@@ -279,8 +280,7 @@ class FaultInjector:
     def _recover_shards(self, device: int, now: float) -> None:
         """Fail over / re-materialize every allocation the device owned."""
         survivor = self._next_survivor(device)
-        tracer = obs_tracer.tracer_of(self.runtime.sim) \
-            if obs_tracer.ENABLED else None
+        tracer = obs_tracer.tracer_of(self.runtime.sim)
         for shard in self.runtime.allocator.maps:
             if shard.placement == "replicated":
                 # any survivor already holds the bytes: immediate failover

@@ -122,14 +122,11 @@ class HDMAllocator:
         self.device.dram_tlb.warm_range(self.asid, addr, size, table)
         return addr
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor - HDM_HEAP_BASE
-
 
 def pack_args(*values: int) -> bytes:
     """Pack kernel arguments as little-endian u64 words."""
-    return b"".join(struct.pack("<Q", v & 0xFFFFFFFFFFFFFFFF) for v in values)
+    return struct.pack(f"<{len(values)}Q",
+                       *[v & 0xFFFFFFFFFFFFFFFF for v in values])
 
 
 class M2NDPRuntime:
@@ -270,16 +267,10 @@ class M2NDPRuntime:
         """
         handle = self.launch_async(kernel_id, pool_base, pool_bound, args,
                                    sync=sync, stride=stride)
-        self._await(handle.call)
-        if handle.call.value is not None and handle.call.value < 0:
-            raise LaunchError(
-                f"ndpLaunchKernel failed with {handle.call.value}",
-                handle.call.value,
-            )
-        handle.instance_id = handle.call.value
-        if sync:
-            handle.complete_ns = handle.call.done_ns
-        return handle
+        value = self._await(handle.call)
+        if value < 0:
+            raise LaunchError(f"ndpLaunchKernel failed with {value}", value)
+        return handle             # filled in by launch_async's callbacks
 
     def launch_async(self, kernel_id: int, pool_base: int, pool_bound: int,
                      args: bytes = b"", sync: bool = False, stride: int = 32,
@@ -318,20 +309,20 @@ class M2NDPRuntime:
         call.on_done(lambda _c: self._free_launch_slots.append(slot))
         handle = LaunchHandle(call=call)
 
+        def kernel_done(when_ns: float) -> None:
+            handle.complete_ns = when_ns
+            if on_complete is not None:
+                on_complete(handle)
+
         def on_value(resolved: M2Call) -> None:
             if resolved.value is None or resolved.value < 0:
                 return
             handle.instance_id = resolved.value
             if sync:
-                handle.complete_ns = resolved.done_ns
-                if on_complete is not None:
-                    on_complete(handle)
+                # the return-value read only responded once the kernel
+                # had finished
+                kernel_done(resolved.done_ns)
             else:
-                def kernel_done(when_ns: float) -> None:
-                    handle.complete_ns = when_ns
-                    if on_complete is not None:
-                        on_complete(handle)
-
                 self.device.controller.add_completion_waiter(
                     handle.instance_id, kernel_done
                 )

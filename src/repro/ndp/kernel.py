@@ -105,6 +105,10 @@ class KernelInstance:
     uthreads_total: int = 0
     uthreads_done: int = 0
     instructions: int = 0
+    #: Per-µthread completion times in pool order, filled by the point
+    #: engine (``exec/point.py``), which times each lane on its own; None
+    #: from every backend that only times the launch as a whole.
+    lane_complete_ns: list[float] | None = None
 
     def __post_init__(self) -> None:
         if self.pool_bound < self.pool_base:

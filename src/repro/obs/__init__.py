@@ -39,7 +39,6 @@ from repro.obs.recorder import EventRecord, FlightRecorder
 from repro.obs.timeline import UtilizationSampler
 from repro.obs.tracer import (
     HOST_PID,
-    NULL_TRACER,
     Span,
     Tracer,
     enabled,
@@ -52,7 +51,6 @@ __all__ = [
     "EventRecord",
     "FlightRecorder",
     "HOST_PID",
-    "NULL_TRACER",
     "SLOMonitor",
     "SLObjective",
     "Span",

@@ -173,8 +173,11 @@ class SLOMonitor:
         self.recorder = recorder
         self._timeline = registry.timeline("serve.", start_ns=start_ns)
         self._windows: list[_Window] = []
-        #: Per-tenant watermark into the latency distribution's samples.
-        self._lat_seen: dict[str, int] = {t: 0 for t in objectives}
+        #: Per-tenant watermark into the latency distribution's samples,
+        #: starting at what the registry already holds: like the counter
+        #: timeline above, the monitor sees only what lands after it.
+        self._lat_seen: dict[str, int] = {
+            t: len(self._latencies(t)) for t in objectives}
         #: Recorder sequence watermark (fault events already alerted).
         self._rec_seen = 0
         #: (kind, tenant) -> active, for transition-edge alerting.
@@ -184,6 +187,14 @@ class SLOMonitor:
         self.clears: list[tuple[str, str, float]] = []
 
     # ------------------------------------------------------------------
+
+    def _latencies(self, tenant: str) -> list[float]:
+        """Every latency the registry holds for ``tenant``, oldest first."""
+        try:
+            return self.registry.distribution(
+                f"serve.{tenant}.latency_ns").samples
+        except KeyError:
+            return []                 # nothing served yet
 
     def burn_state(self, tenant: str) -> tuple[float, float, bool]:
         """(fast_burn, slow_burn, active) as of the last evaluate."""
@@ -263,15 +274,11 @@ class SLOMonitor:
         window = self._timeline.mark(now_ns)
         samples: dict[str, list[float]] = {}
         for tenant in self.objectives:
-            name = f"serve.{tenant}.latency_ns"
-            try:
-                dist = self.registry.distribution(name)
-            except KeyError:
-                continue
+            stored = self._latencies(tenant)
             seen = self._lat_seen[tenant]
-            if dist.count > seen:
-                samples[tenant] = dist.samples[seen:]
-                self._lat_seen[tenant] = dist.count
+            if len(stored) > seen:
+                samples[tenant] = stored[seen:]
+                self._lat_seen[tenant] = len(stored)
         self._windows.append(_Window(window.start_ns, window.end_ns,
                                      window.deltas, samples))
         horizon_lo = now_ns - self.slow_window_ns

@@ -30,10 +30,13 @@ may have recorded the execution's span.  Both sides therefore meet on a
 ``instance=...``, and :meth:`Tracer.finalize` resolves parents and
 swim-lanes in one pass at export time.
 
-Overhead discipline: tracing is **off by default** (``REPRO_TRACE=0``).
-Instrumented hot paths guard every span with ``if tracer_mod.ENABLED:``
-— a module-attribute load and branch, nothing else.  ``REPRO_TRACE`` is
-resolved once, at import (:mod:`repro.knobs`, README "Knobs").
+Overhead discipline: tracing is **off by default** (``REPRO_TRACE=0``)
+and "off" has exactly one representation: :func:`tracer_of` returns
+``None``.  Instrumented code resolves ``tracer = tracer_of(sim)`` once
+per run / launch and guards every span with ``if tracer is not None:`` —
+a local load and branch, nothing else; nothing outside this module reads
+``ENABLED``.  ``REPRO_TRACE`` is resolved once, at import
+(:mod:`repro.knobs`, README "Knobs").
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro import knobs
 HOST_PID = 0
 
 
-#: Module-level enabled flag.  Hot paths read this attribute directly;
+#: Module-level enabled flag, read by :func:`tracer_of` only;
 #: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, tests,
 #: the smoke benchmark's on/off passes).
 ENABLED: bool = knobs.resolve("REPRO_TRACE")
@@ -245,40 +248,11 @@ class Tracer:
         return {name: out[name] for name in sorted(out)}
 
 
-class _NullTracer:
-    """Inert stand-in so call sites can be unconditional in cold paths."""
-
-    def begin(self, *a, **k) -> None:
-        return None
-
-    def end(self, *a, **k) -> None:
-        return None
-
-    def record(self, *a, **k) -> None:
-        return None
-
-    def instant(self, *a, **k) -> None:
-        return None
-
-    def alloc_tid(self, pid: int) -> int:
-        return 0
-
-    def link_instance(self, *a, **k) -> None:
-        return None
-
-
-NULL_TRACER = _NullTracer()
-
-
-def tracer_of(sim) -> Tracer:
-    """The simulator's tracer, created on first use.
-
-    Returns :data:`NULL_TRACER` while tracing is disabled so callers can
-    hold one reference; hot paths should still branch on ``ENABLED``
-    before touching the tracer at all.
-    """
+def tracer_of(sim) -> Tracer | None:
+    """The simulator's tracer (created on first use), or ``None`` while
+    tracing is disabled — the one representation of "tracing off"."""
     if not ENABLED:
-        return NULL_TRACER
+        return None
     tracer = getattr(sim, "_obs_tracer", None)
     if tracer is None:
         tracer = sim._obs_tracer = Tracer()

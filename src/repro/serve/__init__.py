@@ -12,9 +12,12 @@ executable: a production-style serving frontend on top of
   deadline-aware ordering and batch-class starvation protection;
 - :mod:`repro.serve.admission` — token-bucket rate limits and
   queue-depth shedding with full shed accounting;
+- :mod:`repro.serve.tenant` — tenant contracts and the table of tenant
+  kinds (slice sweep: ``vecadd`` / ``olap``; point store: ``kvstore``),
+  each naming the one ``fuse`` mode its requests batch under;
 - :mod:`repro.serve.batcher` — dynamic max-batch/max-wait coalescing of
-  contiguous-slice requests into single cluster launches (maximizing
-  trace-cache hits);
+  queue-head runs into single cluster launches, one rule per ``fuse``
+  mode (maximizing trace-cache hits);
 - :mod:`repro.serve.autoscaler` — utilization-targeted growth/shrink of
   the active device set;
 - :mod:`repro.serve.stats` — per-tenant p50/p95/p99, SLO attainment,

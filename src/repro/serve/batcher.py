@@ -1,12 +1,17 @@
 """Dynamic batching: coalesce compatible requests into one cluster launch.
 
-The M2NDP kernels the serving tiers run (VectorAdd, OLAP column scans)
-compute every derived address as ``argument_base + f(x2)`` with ``x2``
-relative to the launch's pool base, so two requests over *adjacent*
-working-set slices are exactly equivalent to one launch spanning both
-slices whose arguments point at the first slice — merged launches are
-byte-identical to dispatching the requests one by one.  The batcher
-exploits that under a classic **max-batch / max-wait** policy:
+How a tenant's requests may share a launch is one value, the workload's
+``fuse`` mode (:mod:`repro.serve.tenant`), and every method here takes
+it; the rule that grows a queue-head run under each mode is written once
+(:func:`_fusable`).
+
+``"slices"`` — the M2NDP kernels the slice-sweep tiers run (VectorAdd,
+OLAP column scans) compute every derived address as ``argument_base +
+f(x2)`` with ``x2`` relative to the launch's pool base, so two requests
+over *adjacent* working-set slices are exactly equivalent to one launch
+spanning both slices whose arguments point at the first slice — merged
+launches are byte-identical to dispatching the requests one by one.  The
+batcher exploits that under a classic **max-batch / max-wait** policy:
 
 * up to ``max_batch`` queue-head requests whose slice ranges chain
   contiguously (or duplicate a slice already in the run — idempotent
@@ -22,16 +27,18 @@ few wide ones, which is precisely what the cross-launch trace cache
 slices than the cache holds thrashes it unbatched, and hits on every
 launch once batched (measured by the serving smoke point).
 
-Point-lookup workloads (KVStore GETs — one µthread walking one bucket
-chain, every request a different pool region and key) can never merge by
-slice contiguity.  They batch through the **scatter** mode instead: up
-to ``max_batch`` arbitrary queue-head requests fuse into one wide launch
-over a staging ring of per-request descriptors (see
-:meth:`repro.serve.tenant.TenantWorkload.plan`), one µthread per
-request.  Scatter batches never hold the queue head — they take whatever
-has accumulated, so an idle system still dispatches single requests at
-the lowest possible latency and a loaded one amortizes the launch
-machinery across the batch.
+``"scatter"`` — point-lookup workloads (KVStore GETs — one µthread
+walking one bucket chain, every request a different pool region and key)
+can never merge by slice contiguity.  Up to ``max_batch`` queue-head
+requests with the head's ``batch_key`` fuse into one wide launch over a
+staging ring of per-request descriptors (see
+:mod:`repro.serve.tenant`), one µthread per request.  Scatter batches
+never hold the queue head — they take whatever has accumulated, so an
+idle system still dispatches single requests at the lowest possible
+latency and a loaded one amortizes the launch machinery across the
+batch.
+
+``"single"`` — nothing fuses: every run is the head request alone.
 """
 
 from __future__ import annotations
@@ -56,18 +63,14 @@ class BatchPolicy:
         KNOBS["REPRO_SERVE_MAX_WAIT_NS"].accept(self.max_wait_ns,
                                                 "max_wait_ns argument")
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_batch > 1
-
 
 @dataclass
 class Batch:
     """One dispatchable unit: requests covering slices [slice_lo, slice_hi).
 
-    ``scatter`` marks a gather-batch of independent point requests (the
-    slice range is then merely the covering interval of the members'
-    identity slices, not a contiguous merged run).
+    ``scatter`` marks a fused run of two or more independent point
+    requests (the slice range is then merely the covering interval of the
+    members' identity slices, not a contiguous merged run).
     """
 
     tenant: str
@@ -81,95 +84,86 @@ class Batch:
         return len(self.requests)
 
 
+def _fusable(head: list[Request], fuse: str) -> tuple[int, int, int]:
+    """``(count, lo, hi)``: the longest prefix of ``head`` that fuses under
+    ``fuse`` and the slice range it covers.
+
+    ``"slices"`` runs chain contiguously or duplicate a slice already
+    covered; ``"scatter"`` runs share the head's ``batch_key`` (different
+    keys are different kernels) and cover their members' identity slices.
+    """
+    lo, hi = head[0].slice_lo, head[0].slice_hi
+    count = 1
+    if fuse == "scatter":
+        key = head[0].batch_key
+        for request in head[1:]:
+            if request.batch_key != key:
+                break
+            count += 1
+        run = head[:count]
+        return (count, min(r.slice_lo for r in run),
+                max(r.slice_hi for r in run))
+    for request in head[1:]:
+        if request.slice_lo == hi:                          # extends the run
+            hi = request.slice_hi
+        elif not (lo <= request.slice_lo and request.slice_hi <= hi):
+            break                                           # not a duplicate
+        count += 1
+    return count, lo, hi
+
+
 class DynamicBatcher:
-    """Forms batches from a tenant's queue head (see module docstring)."""
+    """Forms batches from a tenant's queue head (see module docstring).
+
+    ``fuse`` is the tenant workload's fusion mode
+    (:attr:`repro.serve.tenant.TenantWorkload.fuse`).
+    """
 
     def __init__(self, policy: BatchPolicy) -> None:
         self.policy = policy
 
     def preview(self, queue: RequestQueue, tenant: str,
-                batchable: bool, scatter: bool = False) -> list[Request]:
-        """The mergeable head run that :meth:`take` would dispatch now."""
-        if scatter and self.policy.enabled:
-            head = queue.head_run(tenant, self.policy.max_batch)
-            if not head:
-                return []
-            # op-homogeneous fusion: stop at the first request whose
-            # batch_key differs from the head's (different kernel)
-            run = []
-            for request in head:
-                if request.batch_key != head[0].batch_key:
-                    break
-                run.append(request)
-            return run
-        limit = self.policy.max_batch if batchable else 1
-        head = queue.head_run(tenant, limit)
-        if not head:
-            return []
-        run = [head[0]]
-        lo, hi = head[0].slice_lo, head[0].slice_hi
-        for request in head[1:]:
-            if request.slice_lo == hi:                      # extends the run
-                hi = request.slice_hi
-            elif lo <= request.slice_lo and request.slice_hi <= hi:
-                pass                                        # duplicate slice
-            else:
-                break
-            run.append(request)
-        return run
+                fuse: str) -> list[Request]:
+        """The fusable head run that :meth:`take` would dispatch now."""
+        head = queue.head_run(
+            tenant, 1 if fuse == "single" else self.policy.max_batch)
+        return head[:_fusable(head, fuse)[0]] if head else []
 
-    def should_hold(self, queue: RequestQueue, tenant: str, batchable: bool,
-                    now_ns: float, more_arrivals: bool,
-                    scatter: bool = False) -> float | None:
+    def should_hold(self, queue: RequestQueue, tenant: str, fuse: str,
+                    now_ns: float, more_arrivals: bool) -> float | None:
         """Hold the tenant's head for batchmates?  Returns the flush time.
 
         ``None`` means dispatch now: batching disabled, the run is already
         full, the head has aged ``max_wait_ns``, or the stream has no
-        future arrivals that could ever join the batch.  Scatter batches
-        never hold — they fuse whatever has already queued.
+        future arrivals that could ever join the batch.  Only ``"slices"``
+        runs hold — scatter batches fuse whatever has already queued.
         """
-        if scatter:
+        if not (fuse == "slices" and self.policy.max_batch > 1
+                and self.policy.max_wait_ns and more_arrivals):
             return None
-        if not (self.policy.enabled and batchable and self.policy.max_wait_ns):
-            return None
-        if not more_arrivals:
-            return None
-        run = self.preview(queue, tenant, batchable)
+        run = self.preview(queue, tenant, fuse)
         if not run or len(run) >= self.policy.max_batch:
             return None
         flush_at = run[0].arrival_ns + self.policy.max_wait_ns
         return flush_at if flush_at > now_ns else None
 
-    def take(self, queue: RequestQueue, tenant: str,
-             batchable: bool, scatter: bool = False) -> Batch:
+    def take(self, queue: RequestQueue, tenant: str, fuse: str) -> Batch:
         """Remove and return the head batch for ``tenant``."""
-        run = self.preview(queue, tenant, batchable, scatter)
+        run = self.preview(queue, tenant, fuse)
         if not run:
             raise ConfigError(f"no queued requests for tenant {tenant!r}")
         taken = queue.pop_run(tenant, len(run))
-        scatter = scatter and self.policy.enabled and len(taken) > 1
-        if not scatter:
-            # A merged run must genuinely chain contiguously (or duplicate
-            # covered slices): a covering [min, max) range over a run with
-            # gaps would launch over slices no request asked for.
-            lo, hi = taken[0].slice_lo, taken[0].slice_hi
-            for request in taken[1:]:
-                if request.slice_lo == hi:
-                    hi = request.slice_hi
-                elif lo <= request.slice_lo and request.slice_hi <= hi:
-                    pass
-                else:
-                    raise ConfigError(
-                        f"batch for tenant {tenant!r} is not contiguous: "
-                        f"slice [{request.slice_lo}, {request.slice_hi}) "
-                        f"does not extend or duplicate [{lo}, {hi})"
-                    )
-            return Batch(tenant=tenant, requests=taken,
-                         slice_lo=lo, slice_hi=hi)
-        return Batch(
-            tenant=tenant,
-            requests=taken,
-            slice_lo=min(r.slice_lo for r in taken),
-            slice_hi=max(r.slice_hi for r in taken),
-            scatter=True,
-        )
+        # A merged run must genuinely chain contiguously (or duplicate
+        # covered slices): a covering [min, max) range over a run with
+        # gaps would launch over slices no request asked for.
+        count, lo, hi = _fusable(taken, fuse)
+        if count < len(taken):
+            stray = taken[count]
+            raise ConfigError(
+                f"batch for tenant {tenant!r} is not contiguous: slice "
+                f"[{stray.slice_lo}, {stray.slice_hi}) (key "
+                f"{stray.batch_key}) does not fuse with [{lo}, {hi}) under "
+                f"{fuse!r}"
+            )
+        return Batch(tenant=tenant, requests=taken, slice_lo=lo, slice_hi=hi,
+                     scatter=fuse == "scatter" and len(taken) > 1)

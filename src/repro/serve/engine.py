@@ -11,15 +11,24 @@ Event flow, all in simulated time on the cluster's shared simulator:
    (deadline-aware EDF order) and the :class:`QoSScheduler` picks the
    next tenant to serve (weighted-fair with latency-class priority and
    batch-class aging; plain FIFO as the baseline).
-4. **Batching** — the :class:`DynamicBatcher` fuses contiguous-slice
-   requests into one cluster launch under max-batch/max-wait, holding a
-   lone head briefly when batchmates may still arrive.
+4. **Batching** — the :class:`DynamicBatcher` fuses a run of queue-head
+   requests into one cluster launch under the tenant workload's ``fuse``
+   mode (``"slices"`` / ``"scatter"`` / ``"single"``; the engine never
+   asks what kind a tenant is), holding a lone ``"slices"`` head briefly
+   when batchmates may still arrive.
 5. **Dispatch** — at most ``active_devices x inflight_per_device``
    launches are in flight; the :class:`Autoscaler` hook moves the active
-   device count against windowed utilization.
+   device count against windowed utilization.  Every launch is a race
+   among its issued copies — one, unless a hedge timer enters a
+   duplicate — and ends in one place (``_complete``), whether it was
+   served, failed, or could not be routed at all.
 6. **Accounting** — :class:`ServingStats` streams per-tenant latency
    distributions, SLO attainment, shed counts and windowed throughput
    into the cluster's :class:`~repro.sim.stats.StatsRegistry`.
+
+Tracing follows :mod:`repro.obs.tracer`'s one off-discipline: the engine
+resolves ``tracer_of(sim)`` once in :meth:`ServingEngine.run` and every
+span site tests ``self._tracer is not None``.
 
 The scheduler, batch policy and monitoring switch are knobs
 (:mod:`repro.knobs`, README "Knobs"), resolved at construction.
@@ -28,7 +37,8 @@ The scheduler, batch policy and monitoring switch are knobs
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections import defaultdict
+from dataclasses import dataclass
 
 from repro import knobs
 from repro.cluster.runtime import ClusterPlatform
@@ -47,9 +57,14 @@ from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.arrivals import make_arrival_process, stream_rng
 from repro.serve.autoscaler import AutoscalePolicy, Autoscaler
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
-from repro.serve.qos import QoSScheduler, Request, RequestQueue
+from repro.serve.qos import (
+    DEFAULT_STARVATION_NS,
+    QoSScheduler,
+    Request,
+    RequestQueue,
+)
 from repro.serve.stats import ServingReport, ServingStats
-from repro.serve.tenant import TenantSpec, TenantWorkload
+from repro.serve.tenant import LaunchPlan, TenantSpec, TenantWorkload
 
 #: Host-side per-launch compute (request parsing, dispatch) — paid once
 #: per *launch*, so batching amortizes it across the batch.
@@ -82,6 +97,19 @@ class _TenantState:
         return self.issued < self.spec.total_requests
 
 
+@dataclass
+class _Launch:
+    """One dispatched batch, from ``_dispatch`` to ``_complete``."""
+
+    state: _TenantState
+    requests: list[Request]
+    plan: LaunchPlan
+    #: Hardware partition whose in-flight share the launch occupies
+    #: (None: unpinned, counted but never capped).
+    partition: str | None
+    span: int | None = None       # ``serve.launch`` trace span
+
+
 class ServingEngine:
     """Runs tenant traffic against a :class:`ClusterRuntime` to completion."""
 
@@ -91,15 +119,15 @@ class ServingEngine:
         tenants: list[TenantSpec],
         scheduler: str | None = None,
         batch: BatchPolicy | None = None,
-        autoscale: AutoscalePolicy | None = None,
+        autoscale: AutoscalePolicy = AutoscalePolicy(),
         inflight_per_device: int = DEFAULT_INFLIGHT_PER_DEVICE,
-        starvation_ns: float | None = None,
+        starvation_ns: float = DEFAULT_STARVATION_NS,
         stats_window_ns: float | None = None,
         monitoring: bool | None = None,
         objectives: dict | None = None,
         incident_dir: str | None = None,
         recorder_capacity: int | None = None,
-        monitor_interval_ns: float | None = None,
+        monitor_interval_ns: float = DEFAULT_MONITOR_INTERVAL_NS,
     ) -> None:
         if not tenants:
             raise ConfigError("serving engine needs at least one tenant")
@@ -114,31 +142,28 @@ class ServingEngine:
         self.runtime = platform.runtime
         seed = self.runtime.cluster_config.seed
 
-        policy = knobs.resolve("REPRO_SERVE_SCHEDULER", scheduler,
-                               arg="scheduler")
-        scheduler_kwargs = {"policy": policy,
-                            "weights": {s.name: s.weight for s in tenants}}
-        if starvation_ns is not None:
-            scheduler_kwargs["starvation_ns"] = starvation_ns
-        self.scheduler = QoSScheduler(**scheduler_kwargs)
+        self.scheduler = QoSScheduler(
+            policy=knobs.resolve("REPRO_SERVE_SCHEDULER", scheduler,
+                                 arg="scheduler"),
+            weights={s.name: s.weight for s in tenants},
+            starvation_ns=starvation_ns,
+        )
         if batch is None:
             batch = BatchPolicy(
                 max_batch=knobs.resolve("REPRO_SERVE_MAX_BATCH"),
                 max_wait_ns=knobs.resolve("REPRO_SERVE_MAX_WAIT_NS"),
             )
         self.batcher = DynamicBatcher(batch)
-        self.autoscale_policy = (autoscale if autoscale is not None
-                                 else AutoscalePolicy())
-        self.autoscaler = Autoscaler(self.autoscale_policy,
-                                     self.runtime.num_devices)
+        self.autoscaler = Autoscaler(autoscale, self.runtime.num_devices)
         # the engine runs one periodic tick driving both the utilization
         # observations and the stats-timeline windows; stats_window_ns
         # overrides its cadence (e.g. windows finer than the run span)
         # without having to touch the autoscale policy
-        if stats_window_ns is not None and stats_window_ns <= 0:
+        if stats_window_ns is None:
+            stats_window_ns = autoscale.interval_ns
+        if stats_window_ns <= 0:
             raise ConfigError("stats_window_ns must be positive")
-        self._tick_interval = (stats_window_ns if stats_window_ns is not None
-                               else self.autoscale_policy.interval_ns)
+        self._tick_interval = stats_window_ns
         self.inflight_per_device = inflight_per_device
         self.admission = AdmissionController()
         for spec in tenants:
@@ -159,11 +184,9 @@ class ServingEngine:
         # beats — byte-identical to the unmonitored engine).  The
         # monitor only reads counters, so enabling it never changes
         # workload results.
-        if monitor_interval_ns is not None and monitor_interval_ns <= 0:
+        if monitor_interval_ns <= 0:
             raise ConfigError("monitor_interval_ns must be positive")
-        self._monitor_interval = (monitor_interval_ns
-                                  if monitor_interval_ns is not None
-                                  else DEFAULT_MONITOR_INTERVAL_NS)
+        self._monitor_interval = monitor_interval_ns
         self._monitor_scheduled = False
         self.monitoring = knobs.resolve("REPRO_MONITOR", monitoring,
                                         arg="monitoring")
@@ -172,7 +195,7 @@ class ServingEngine:
         self.reporter: IncidentReporter | None = None
         if self.monitoring:
             self.recorder = FlightRecorder(recorder_capacity)
-            slos = default_objectives([spec.name for spec in tenants])
+            slos = default_objectives(names)
             if objectives:
                 unknown = set(objectives) - set(slos)
                 if unknown:
@@ -192,21 +215,23 @@ class ServingEngine:
 
         self._seq = 0                 # global admission order
         self._inflight = 0
-        #: In-flight launches per hardware partition (pinned tenants
-        #: only); caps each partition at its unit-proportional share of
-        #: the cluster-wide in-flight budget.
-        self._inflight_parts: dict[str, int] = {}
+        #: In-flight launches per hardware partition; caps each partition
+        #: at its unit-proportional share of the cluster-wide in-flight
+        #: budget.  Unpinned launches count under None, which has no cap.
+        self._inflight_parts: dict[str | None, int] = defaultdict(int)
         self._busy_integral = 0.0     # inflight x time, for utilization
         self._last_busy_ns = 0.0
         self._last_tick_ns = 0.0
         self._tick_scheduled = False
         self._flush_at: dict[str, float] = {}
-        #: Devices quiescing (no new routing, in-flight work finishing)
-        #: and devices fully quiesced.  Only devices *this engine* drained
-        #: live here — fault-detected DOWN devices are the injector's.
-        self._draining: set[int] = set()
-        self._drained: set[int] = set()
+        #: Devices *this engine* took out of routing -> fully quiesced
+        #: yet?  (False while their in-flight work finishes.)
+        #: Fault-detected DOWN devices are the injector's, never here.
+        self._drains: dict[int, bool] = {}
         self._ran = False
+        #: Resolved once in :meth:`run`; None = tracing off (and then no
+        #: utilization sampler either).
+        self._tracer: obs_tracer.Tracer | None = None
         self._util: UtilizationSampler | None = None
         # the platform's counters are cumulative; report this run's delta
         self._cache_base = (
@@ -243,6 +268,11 @@ class ServingEngine:
         self._busy_integral += self._inflight * (now_ns - self._last_busy_ns)
         self._last_busy_ns = now_ns
 
+    def _record(self, kind: str, when: float, **detail) -> None:
+        """Land an event in the flight recorder (monitoring on only)."""
+        if self.recorder is not None:
+            self.recorder.record(kind, when, **detail)
+
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
@@ -255,7 +285,8 @@ class ServingEngine:
         epoch = self.sim.now
         self._last_busy_ns = epoch
         self._last_tick_ns = epoch
-        if obs_tracer.ENABLED:
+        self._tracer = obs_tracer.tracer_of(self.sim)
+        if self._tracer is not None:
             self._util = UtilizationSampler(self.platform.devices,
                                             start_ns=epoch)
         self.stats.start(epoch)
@@ -275,16 +306,14 @@ class ServingEngine:
         index = state.issued
         state.issued += 1
         self.stats.offered(spec.name, now)
-        tracer = obs_tracer.tracer_of(self.sim) if obs_tracer.ENABLED \
-            else None
+        verdict = self.admission.admit(spec.name, now,
+                                       self.queue.depth(spec.name))
+        tracer = self._tracer
         root = None
         if tracer is not None:
             root = tracer.begin(
                 "serve.request", now, tid=tracer.alloc_tid(0),
                 tenant=spec.name, index=index, qos=spec.qos_class)
-        verdict = self.admission.admit(spec.name, now,
-                                       self.queue.depth(spec.name))
-        if tracer is not None:
             tracer.instant("serve.admission", now, parent=root,
                            verdict=verdict)
         if verdict != ADMIT:
@@ -324,26 +353,21 @@ class ServingEngine:
             if not self.queue.depth(tenant):
                 continue
             part = state.workload.active_partition
-            if (part is not None
-                    and self._inflight_parts.get(part, 0)
+            if (part is not None and self._inflight_parts[part]
                     >= self._partition_capacity(part)):
                 continue              # partition's in-flight share is full
+            head = self.queue.peek(tenant)
             flush_at = self.batcher.should_hold(
-                self.queue, tenant, state.workload.batchable, now,
+                self.queue, tenant, state.workload.fuse, now,
                 more_arrivals=state.more_arrivals,
-                scatter=state.workload.scatter_batchable,
             )
             if flush_at is not None:
-                if obs_tracer.ENABLED:
-                    head = self.queue.peek(tenant)
-                    if (head.trace_hold is None
-                            and head.trace_queue is not None):
-                        head.trace_hold = obs_tracer.tracer_of(
-                            self.sim).begin("serve.batch_wait", now,
-                                            parent=head.trace_queue)
+                if self._tracer is not None and head.trace_hold is None:
+                    head.trace_hold = self._tracer.begin(
+                        "serve.batch_wait", now, parent=head.trace_queue)
                 self._schedule_flush(tenant, flush_at)
                 continue
-            heads[tenant] = self.queue.peek(tenant)
+            heads[tenant] = head
         return heads
 
     def _expire_heads(self, state: _TenantState, now: float) -> None:
@@ -354,11 +378,10 @@ class ServingEngine:
         while (self.queue.depth(tenant)
                and self.queue.peek(tenant).deadline_ns < now):
             request = self.queue.pop(tenant)
-            if obs_tracer.ENABLED and request.trace_root is not None:
-                tracer = obs_tracer.tracer_of(self.sim)
-                tracer.end(request.trace_hold, now)
-                tracer.end(request.trace_queue, now)
-                tracer.end(request.trace_root, now, outcome="expired")
+            if self._tracer is not None:
+                self._tracer.end(request.trace_hold, now)
+                self._tracer.end(request.trace_queue, now)
+                self._tracer.end(request.trace_root, now, outcome="expired")
             self.stats.expired(tenant)
             self._feedback(state, now)
 
@@ -371,184 +394,159 @@ class ServingEngine:
             tenant = self.scheduler.pick(heads, now)
             state = self.tenants[tenant]
             batch = self.batcher.take(self.queue, tenant,
-                                      state.workload.batchable,
-                                      scatter=state.workload.scatter_batchable)
+                                      state.workload.fuse)
             self.scheduler.charge(tenant, float(batch.size))
-            plan = state.workload.plan(batch.requests)
-            self.stats.launched(tenant, batch.size)
-            if self.recorder is not None:
-                self.recorder.record("serve.launch", now, tenant=tenant,
-                                     batch=batch.size)
-            self._charge_busy(now)
-            self._inflight += 1
-            partition = state.workload.active_partition
-            if partition is not None:
-                self._inflight_parts[partition] = (
-                    self._inflight_parts.get(partition, 0) + 1
-                )
-            launch_span = None
-            if obs_tracer.ENABLED:
-                tracer = obs_tracer.tracer_of(self.sim)
-                for request in batch.requests:
-                    tracer.end(request.trace_hold, now)
-                    tracer.end(request.trace_queue, now)
-                    request.trace_inflight = tracer.begin(
-                        "serve.inflight", now, parent=request.trace_root)
-                # the launch subtree hangs off the batch head's request
-                # on its own swim-lane (it can outlive the head's root)
-                launch_span = tracer.begin(
-                    "serve.launch", now, tid=tracer.alloc_tid(0),
-                    parent=batch.requests[0].trace_root,
-                    tenant=tenant, batch=batch.size)
-            try:
-                self._dispatch(state, plan, batch.requests, now, launch_span,
-                               partition)
-            except DeviceUnavailable as exc:
-                # every device is DOWN or draining: fail the batch through
-                # the retry machinery rather than crashing the run loop
-                self._charge_busy(now)
-                self._inflight -= 1
-                if partition is not None:
-                    self._inflight_parts[partition] -= 1
-                if obs_tracer.ENABLED:
-                    obs_tracer.tracer_of(self.sim).end(
-                        launch_span, now, outcome="unroutable")
-                self._handle_failure(state, batch.requests, exc, now)
+            self._dispatch(state, batch.requests, now)
 
-    def _dispatch(self, state: _TenantState, plan, requests: list[Request],
-                  now: float, launch_span: int | None,
-                  partition: str | None = None) -> None:
-        """Issue the cluster launch, optionally racing a hedged duplicate.
+    def _dispatch(self, state: _TenantState, requests: list[Request],
+                  now: float) -> None:
+        """Launch one batch; every way it can end goes through ``settle``.
 
-        Hedging applies only to ``hedgeable`` workloads (replicated
-        idempotent point lookups): if the primary launch has not finished
-        ``hedge_delay_ns`` after dispatch, a duplicate of the same plan is
-        issued and the first success wins.  The completion callback fires
-        exactly once; a failed copy defers to an outstanding sibling.
+        A launch is a race among its issued copies, settled by the first
+        success or the last failure.  Ordinarily the race has one
+        entrant.  A ``hedgeable`` workload (replicated idempotent point
+        lookups) with ``hedge_delay_ns > 0`` arms a timer that enters a
+        duplicate of the same plan if the primary has not finished by
+        then; a failed copy defers to an outstanding sibling, and
+        :meth:`_complete` runs exactly once.
         """
         spec = state.spec
-        done_cb = self._make_done(state, requests, plan, launch_span,
-                                  partition)
-        if spec.hedge_delay_ns <= 0 or not state.workload.hedgeable:
-            self.runtime.launch_async(
+        workload = state.workload
+        plan = workload.plan(requests)
+        launch = _Launch(state, requests, plan, workload.active_partition)
+        self.stats.launched(spec.name, len(requests))
+        self._record("serve.launch", now, tenant=spec.name,
+                     batch=len(requests))
+        self._charge_busy(now)
+        self._inflight += 1
+        self._inflight_parts[launch.partition] += 1
+        tracer = self._tracer
+        if tracer is not None:
+            for request in requests:
+                tracer.end(request.trace_hold, now)
+                tracer.end(request.trace_queue, now)
+                request.trace_inflight = tracer.begin(
+                    "serve.inflight", now, parent=request.trace_root)
+            # the launch subtree hangs off the batch head's request
+            # on its own swim-lane (it can outlive the head's root)
+            launch.span = tracer.begin(
+                "serve.launch", now, tid=tracer.alloc_tid(0),
+                parent=requests[0].trace_root,
+                tenant=spec.name, batch=len(requests))
+        pending = 0
+        settled = False
+
+        def issue(at_ns: float, hedged: bool):
+            nonlocal pending
+            handle = self.runtime.launch_async(
                 plan.kernel_id, plan.base, plan.bound, args=plan.args,
-                stride=plan.stride, at_ns=now + HOST_DISPATCH_NS,
-                on_complete=done_cb, trace_parent=launch_span,
+                stride=plan.stride, at_ns=at_ns,
+                on_complete=(lambda h: settle(h, hedged)),
+                trace_parent=launch.span,
             )
-            return
-        race = {"settled": False, "pending": 1}
+            pending += 1
+            return handle
 
         def settle(handle, hedged: bool) -> None:
-            race["pending"] -= 1
-            if race["settled"]:
-                return
-            failure = getattr(handle, "failure", None)
-            if failure is not None and race["pending"] > 0:
-                return                # the sibling copy may still win
-            race["settled"] = True
-            if hedged and failure is None:
+            nonlocal pending, settled
+            pending -= 1
+            failed = handle.failure is not None
+            if settled or (failed and pending > 0):
+                return                # decided, or a sibling may still win
+            settled = True
+            if hedged and not failed:
                 self.stats.hedged_won(spec.name)
-            done_cb(handle)
+            self._complete(launch, handle.complete_ns, handle.failure, handle)
+            self._check_drains(handle.complete_ns)
+            self._pump()
 
-        primary = self.runtime.launch_async(
-            plan.kernel_id, plan.base, plan.bound, args=plan.args,
-            stride=plan.stride, at_ns=now + HOST_DISPATCH_NS,
-            on_complete=(lambda h: settle(h, False)),
-            trace_parent=launch_span,
-        )
+        try:
+            primary = issue(now + HOST_DISPATCH_NS, False)
+        except DeviceUnavailable as exc:
+            # every device is DOWN or draining: fail the batch through
+            # the retry machinery rather than crashing the run loop
+            self._complete(launch, now, exc, outcome="unroutable")
+            return
+        if spec.hedge_delay_ns <= 0 or not workload.hedgeable:
+            return
 
         def maybe_hedge() -> None:
-            if race["settled"] or primary.finished:
+            if settled or primary.finished:
                 return
             try:
-                self.runtime.launch_async(
-                    plan.kernel_id, plan.base, plan.bound, args=plan.args,
-                    stride=plan.stride, at_ns=self.sim.now,
-                    on_complete=(lambda h: settle(h, True)),
-                    trace_parent=launch_span,
-                )
+                issue(self.sim.now, True)
             except DeviceUnavailable:
                 return                # nowhere to hedge to; primary stands
-            race["pending"] += 1
             self.stats.hedged(spec.name)
 
         self.sim.schedule_at(now + HOST_DISPATCH_NS + spec.hedge_delay_ns,
                              maybe_hedge)
 
-    def _lane_completions(self, handle, plan, count: int) -> list[float] | None:
-        """Per-request completion times of a scatter batch, lane order.
+    def _lane_completions(self, handle, plan: LaunchPlan, count: int,
+                          when: float) -> list[float]:
+        """Per-request completion times of a batch, request order.
 
-        Each fused lane walks one staging-ring descriptor, so request i's
-        completion is the finish time of the lane over descriptor i —
-        reconstructed across sub-launches via each instance's pool base.
-        Falls back to ``None`` (uniform batch completion) when the
-        backend doesn't expose per-lane times (e.g. the interpreter).
+        Each fused lane of a scatter batch walks one staging-ring
+        descriptor, so request i's completion is the finish time of the
+        lane over descriptor i — reconstructed across sub-launches via
+        each instance's pool base.  Every other batch — and a scatter
+        batch on a backend that doesn't expose per-lane times (the
+        interpreter) — completes uniformly at ``when``.
         """
+        uniform = [when] * count
+        if not plan.scatter:
+            return uniform
         times: list[float | None] = [None] * count
         for instance in self.runtime.instances_of(handle).instances:
-            lanes = getattr(instance, "lane_complete_ns", None)
+            lanes = instance.lane_complete_ns
             if lanes is None:
-                return None
+                return uniform
             first = (instance.pool_base - plan.base) // plan.stride
             if first < 0 or first + len(lanes) > count:
-                return None
-            for offset, lane_ns in enumerate(lanes):
-                times[first + offset] = lane_ns
-        if any(t is None for t in times):
-            return None
-        return times
+                return uniform
+            times[first:first + len(lanes)] = lanes
+        return uniform if any(t is None for t in times) else times
 
-    def _make_done(self, state: _TenantState, requests: list[Request],
-                   plan, launch_span: int | None = None,
-                   partition: str | None = None) -> Callable:
-        def done(handle) -> None:
-            when = handle.complete_ns if handle.complete_ns is not None \
-                else self.sim.now
-            self._charge_busy(when)
-            self._inflight -= 1
-            if partition is not None:
-                self._inflight_parts[partition] -= 1
-            tracer = obs_tracer.tracer_of(self.sim) if obs_tracer.ENABLED \
-                else None
-            failure = getattr(handle, "failure", None)
-            if failure is not None:
-                if tracer is not None:
-                    tracer.end(launch_span, when, outcome="failed")
-                self._handle_failure(state, requests, failure, when)
-                self._check_drains(when)
-                self._pump()
-                return
-            if tracer is not None:
-                tracer.end(launch_span, when)
-            state.workload.note_served(requests)
-            lane_times = (self._lane_completions(handle, plan, len(requests))
-                          if plan.scatter else None)
-            latencies: list[float] = []
-            completions: list[float] = []
-            within_slo: list[bool] = []
-            for i, request in enumerate(requests):
-                done_ns = lane_times[i] if lane_times is not None else when
-                request.complete_ns = done_ns
-                latencies.append(done_ns - request.arrival_ns)
-                completions.append(done_ns)
-                within_slo.append(done_ns <= request.deadline_ns)
-                if tracer is not None:
-                    tracer.end(request.trace_inflight, done_ns)
-                    tracer.end(request.trace_root, done_ns, outcome="served")
-            self.stats.served_batch(state.spec.name, latencies, completions,
-                                    within_slo)
-            for done_ns in completions:
-                self._feedback(state, done_ns)
-            self._check_drains(when)
-            self._pump()
-        return done
+    def _complete(self, launch: _Launch, when: float,
+                  failure: Exception | None, handle=None,
+                  outcome: str = "failed") -> None:
+        """The one end of a launch: give its in-flight slot back, then
+        either route the batch through the retry policy (``failure``) or
+        land every request's completion."""
+        self._charge_busy(when)
+        self._inflight -= 1
+        self._inflight_parts[launch.partition] -= 1
+        if failure is not None:
+            self._handle_failure(launch, failure, when, outcome)
+            return
+        state, requests = launch.state, launch.requests
+        state.workload.note_served(requests)
+        done_times = self._lane_completions(handle, launch.plan,
+                                            len(requests), when)
+        for request, done_ns in zip(requests, done_times):
+            request.complete_ns = done_ns
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.end(launch.span, when)
+            for request in requests:
+                tracer.end(request.trace_inflight, request.complete_ns)
+                tracer.end(request.trace_root, request.complete_ns,
+                           outcome="served")
+        self.stats.served_batch(
+            state.spec.name,
+            [r.complete_ns - r.arrival_ns for r in requests],
+            done_times,
+            [r.complete_ns <= r.deadline_ns for r in requests],
+        )
+        for done_ns in done_times:
+            self._feedback(state, done_ns)
 
     # ------------------------------------------------------------------
     # failure handling (retries + terminal accounting)
     # ------------------------------------------------------------------
 
-    def _handle_failure(self, state: _TenantState, requests: list[Request],
-                        failure: Exception, when: float) -> None:
+    def _handle_failure(self, launch: _Launch, failure: Exception,
+                        when: float, outcome: str) -> None:
         """Route a failed batch through the tenant's retry policy.
 
         Each request independently either re-queues after a backoff
@@ -557,15 +555,18 @@ class ServingEngine:
         Poison is never retried: the corrupted range persists, so a
         retry would deterministically hit it again.
         """
+        state, requests = launch.state, launch.requests
         spec = state.spec
         policy = spec.retry
         retryable = not isinstance(failure, PoisonError)
-        tracer = obs_tracer.tracer_of(self.sim) if obs_tracer.ENABLED \
-            else None
-        for request in requests:
-            if tracer is not None:
+        cause = type(failure).__name__
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.end(launch.span, when, outcome=outcome)
+            for request in requests:
                 tracer.end(request.trace_inflight, when)
                 request.trace_inflight = None
+        for request in requests:
             fire = None
             if retryable and request.attempts < policy.max_retries:
                 delay = policy.delay_ns(request.attempts, state.retry_rng)
@@ -575,27 +576,21 @@ class ServingEngine:
                     fire = candidate
             if fire is None:
                 self.stats.failed(spec.name)
-                if self.recorder is not None:
-                    self.recorder.record("serve.failed", when,
-                                         tenant=spec.name,
-                                         index=request.index,
-                                         cause=type(failure).__name__)
+                self._record("serve.failed", when, tenant=spec.name,
+                             index=request.index, cause=cause)
                 if tracer is not None:
                     tracer.end(request.trace_root, when, outcome="failed")
                 self._feedback(state, when)
                 continue
             request.attempts += 1
             self.stats.retried(spec.name)
-            if self.recorder is not None:
-                self.recorder.record("serve.retry", when, tenant=spec.name,
-                                     index=request.index,
-                                     attempt=request.attempts,
-                                     cause=type(failure).__name__)
+            self._record("serve.retry", when, tenant=spec.name,
+                         index=request.index, attempt=request.attempts,
+                         cause=cause)
             if tracer is not None:
                 tracer.instant(
                     "serve.retry", when, parent=request.trace_root,
-                    attempt=request.attempts,
-                    cause=type(failure).__name__)
+                    attempt=request.attempts, cause=cause)
             self.sim.schedule_at(fire,
                                  (lambda r=request: self._requeue(r)))
         if self.reporter is not None:
@@ -605,11 +600,10 @@ class ServingEngine:
     def _requeue(self, request: Request) -> None:
         """Put a retried request back in its tenant's queue (EDF keeps
         its original absolute deadline, so it sorts ahead of newer work)."""
-        now = self.sim.now
         request.trace_hold = None
-        if obs_tracer.ENABLED and request.trace_root is not None:
-            request.trace_queue = obs_tracer.tracer_of(self.sim).begin(
-                "serve.queue", now, parent=request.trace_root,
+        if self._tracer is not None:
+            request.trace_queue = self._tracer.begin(
+                "serve.queue", self.sim.now, parent=request.trace_root,
                 attempt=request.attempts)
         self.queue.push(request)
         self._ensure_tick()
@@ -627,46 +621,40 @@ class ServingEngine:
         self.sim.schedule_at(float(at_ns),
                              (lambda: self._start_drain(device)))
 
+    def _mark_health(self, device: int, status: str) -> None:
+        """Mirror a drain transition into the fault plan's health view."""
+        if self.runtime.faults is not None:
+            self.runtime.faults.health.mark(device, status, self.sim.now)
+
     def _start_drain(self, device: int) -> None:
         now = self.sim.now
-        if device in self._draining or device in self._drained:
+        if device in self._drains:
             return
         if not self.runtime.scheduler.set_routable(device, False):
             return                    # already unroutable (e.g. DOWN)
-        self._draining.add(device)
+        self._drains[device] = False
         self.runtime.stats.add("recovery.drains_started")
-        if self.runtime.faults is not None:
-            self.runtime.faults.health.mark(device, DRAINING, now)
-        if obs_tracer.ENABLED:
-            obs_tracer.tracer_of(self.sim).instant(
-                "recovery.drain_start", now, device=device)
+        self._mark_health(device, DRAINING)
+        if self._tracer is not None:
+            self._tracer.instant("recovery.drain_start", now, device=device)
         self._check_drains(now)
 
     def _undrain(self, device: int) -> None:
-        if device in self._draining:
-            self._draining.discard(device)
-        elif device in self._drained:
-            self._drained.discard(device)
-        else:
-            return
+        del self._drains[device]
         self.runtime.scheduler.set_routable(device, True)
-        if self.runtime.faults is not None:
-            self.runtime.faults.health.mark(device, UP, self.sim.now)
+        self._mark_health(device, UP)
         self.runtime.stats.add("recovery.undrains")
 
     def _check_drains(self, now: float) -> None:
         """Promote draining devices with no in-flight work to drained."""
-        if not self._draining:
-            return
-        outstanding = self.runtime.scheduler.outstanding
-        for device in sorted(self._draining):
-            if outstanding[device] == 0:
-                self._draining.discard(device)
-                self._drained.add(device)
+        for device, quiesced in sorted(self._drains.items()):
+            if (not quiesced
+                    and self.runtime.scheduler.outstanding[device] == 0):
+                self._drains[device] = True
                 self.runtime.stats.add("recovery.drains_completed")
-                if obs_tracer.ENABLED:
-                    obs_tracer.tracer_of(self.sim).instant(
-                        "recovery.drain_complete", now, device=device)
+                if self._tracer is not None:
+                    self._tracer.instant("recovery.drain_complete", now,
+                                         device=device)
 
     def _sync_autoscale_drain(self, now: float) -> None:
         """Align drained devices with the autoscaler's active count.
@@ -678,7 +666,7 @@ class ServingEngine:
         """
         scheduler = self.runtime.scheduler
         want = self.runtime.num_devices - self.autoscaler.active
-        have = len(self._draining) + len(self._drained)
+        have = len(self._drains)
         while have < want:
             candidates = [d for d in range(self.runtime.num_devices)
                           if scheduler.routable[d]]
@@ -686,9 +674,8 @@ class ServingEngine:
                 break                 # never drain the last routable device
             self._start_drain(candidates[-1])
             have += 1
-        while have > want and (self._draining or self._drained):
-            pool = self._draining | self._drained
-            self._undrain(min(pool))
+        while have > want and self._drains:
+            self._undrain(min(self._drains))
             have -= 1
 
     def _feedback(self, state: _TenantState, when: float) -> None:
@@ -701,7 +688,8 @@ class ServingEngine:
             )
 
     # ------------------------------------------------------------------
-    # timers (batch flush + autoscale / stats windows)
+    # timers (batch flush + the two heartbeats: autoscale / stats windows
+    # and the read-only monitor, which cannot change workload results)
     # ------------------------------------------------------------------
 
     def _schedule_flush(self, tenant: str, flush_at: float) -> None:
@@ -717,11 +705,26 @@ class ServingEngine:
         self.sim.schedule_at(flush_at, flush)
 
     def _ensure_tick(self) -> None:
-        self._ensure_monitor()
-        if self._tick_scheduled:
-            return
-        self._tick_scheduled = True
-        self.sim.schedule(self._tick_interval, self._tick)
+        """Arm whichever heartbeat is not already scheduled."""
+        if self.monitor is not None and not self._monitor_scheduled:
+            self._monitor_scheduled = True
+            self.sim.schedule(self._monitor_interval, self._monitor_beat)
+        if not self._tick_scheduled:
+            self._tick_scheduled = True
+            self.sim.schedule(self._tick_interval, self._tick)
+
+    def _rearm(self) -> None:
+        """Keep the heartbeats going exactly while work remains (queued,
+        in flight or still to arrive); then the chains lapse so the run
+        drains on schedule, and the next arrival or retry re-arms them."""
+        if self.queue.total or self._inflight or any(
+                s.more_arrivals for s in self.tenants.values()):
+            self._ensure_tick()
+
+    def _mark_windows(self, now: float) -> None:
+        self.stats.mark_window(now)
+        if self._util is not None:
+            self._util.mark(now)
 
     def _tick(self) -> None:
         now = self.sim.now
@@ -735,38 +738,18 @@ class ServingEngine:
                        if self.capacity and span > 0 else 0.0)
         self._busy_integral = 0.0
         self.autoscaler.observe(now, min(utilization, 1.0))
-        if self.autoscale_policy.enabled and self.autoscale_policy.drain:
+        if self.autoscaler.policy.enabled and self.autoscaler.policy.drain:
             self._sync_autoscale_drain(now)
         self._check_drains(now)
-        self.stats.mark_window(now)
-        if self._util is not None:
-            self._util.mark(now)
+        self._mark_windows(now)
         self._tick_scheduled = False
-        if self.queue.total or self._inflight or any(
-                s.more_arrivals for s in self.tenants.values()):
-            self._ensure_tick()
+        self._rearm()
         self._pump()
 
-    # ------------------------------------------------------------------
-    # monitoring heartbeat (read-only: cannot change workload results)
-    # ------------------------------------------------------------------
-
-    def _ensure_monitor(self) -> None:
-        if self.monitor is None or self._monitor_scheduled:
-            return
-        self._monitor_scheduled = True
-        self.sim.schedule(self._monitor_interval, self._monitor_beat)
-
     def _monitor_beat(self) -> None:
-        now = self.sim.now
         self._monitor_scheduled = False
-        self._evaluate_monitor(now)
-        # re-arm on the tick chain's liveness condition: beats continue
-        # exactly while work remains, then the chain lapses so the run
-        # drains on schedule
-        if self.queue.total or self._inflight or any(
-                s.more_arrivals for s in self.tenants.values()):
-            self._ensure_monitor()
+        self._evaluate_monitor(self.sim.now)
+        self._rearm()
 
     def _evaluate_monitor(self, now: float) -> None:
         for alert in self.monitor.evaluate(now):
@@ -787,25 +770,20 @@ class ServingEngine:
             raise ConfigError(
                 "serving run drained with work still queued or in flight"
             )
-        self.stats.mark_window(now)
-        if self._util is not None:
-            self._util.mark(now)
+        self._mark_windows(now)
         if self.monitor is not None:
             # close the monitor's final window so tail outcomes (the
             # last completions, a detection on the run's final beat)
             # still alert before the report is built
             self._evaluate_monitor(now)
         cluster_stats = self.platform.stats
-        reports = []
-        for state in self.tenants.values():
-            report = self.stats.reports[state.spec.name]
-            report.correct = state.workload.verify()
-            reports.append(report)
+        for name, state in self.tenants.items():
+            self.stats.reports[name].correct = state.workload.verify()
         span = max(
             self.stats.last_completion_ns - self.stats.first_arrival_ns, 0.0
         ) if self.stats.aggregate.count else 0.0
         return ServingReport(
-            tenants=reports,
+            tenants=list(self.stats.reports.values()),
             span_ns=span,
             aggregate=self.stats.aggregate,
             timeline=self.stats.timeline,

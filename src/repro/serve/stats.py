@@ -2,9 +2,14 @@
 
 Every terminal request outcome lands in exactly one per-tenant counter
 (``serve.<tenant>.served`` / ``.shed_rate_limit`` / ``.shed_queue_full``
-/ ``.expired``), latencies stream into per-tenant distributions, and a
-:class:`~repro.sim.stats.Timeline` over the ``serve.`` prefix captures
-windowed throughput without hand-rolled interval math.  The final
+/ ``.expired``), and a :class:`~repro.sim.stats.Timeline` over the
+``serve.`` prefix captures windowed throughput without hand-rolled
+interval math.  A served latency is recorded in two places: the tenant's
+registry distribution ``serve.<tenant>.latency_ns`` — the one per-tenant
+store, which the ``SLOMonitor`` reads and of which
+:attr:`TenantReport.latencies` is this run's window — and
+:attr:`ServingStats.aggregate`, the cross-tenant stream in completion
+order.  The final
 :class:`ServingReport` renders the table serving papers print: p50/p95/
 p99, SLO attainment, goodput, shed counts — per tenant and aggregate.
 """
@@ -19,8 +24,32 @@ from repro.serve.tenant import TenantSpec
 from repro.sim.stats import Distribution, StatsRegistry, Timeline
 
 
+class _Rates:
+    """Rates derived from ``served`` / ``offered`` / ``slo_met`` /
+    ``launches`` / ``span_ns`` — one tenant's or the whole run's."""
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.served / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
+
+    @property
+    def goodput_rps(self) -> float:
+        """Completions *within the SLO* per second of the span."""
+        return self.slo_met / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of *offered* requests served within the SLO (sheds and
+        expiries count against attainment — they are broken promises)."""
+        return self.slo_met / self.offered if self.offered else 0.0
+
+    @property
+    def mean_batch(self) -> float:
+        return self.served / self.launches if self.launches else 0.0
+
+
 @dataclass
-class TenantReport:
+class TenantReport(_Rates):
     """End-of-run accounting for one tenant."""
 
     name: str
@@ -40,17 +69,35 @@ class TenantReport:
     hedged: int = 0
     hedged_won: int = 0
     failed: int = 0
-    latencies: Distribution = field(default_factory=Distribution)
     completion_times: list[float] = field(default_factory=list)
     correct: bool = True
     first_arrival_ns: float = math.inf
     last_completion_ns: float = 0.0
-    _summary_cache: tuple | None = field(default=None, repr=False,
-                                         compare=False)
+    #: Where this tenant's latencies are kept: the registry's
+    #: ``serve.<name>.latency_ns`` distribution once
+    #: :meth:`ServingStats.start` binds it (a private one for a
+    #: standalone report), and this run's window ``[_base, _end)`` of its
+    #: samples — open-ended until a ``ServingStats`` counts into it, so a
+    #: finished report stays put when a later engine on the same platform
+    #: appends to the same distribution.
+    _store: Distribution = field(default_factory=Distribution, repr=False,
+                                 compare=False)
+    _base: int = field(default=0, repr=False, compare=False)
+    _end: float = field(default=math.inf, repr=False, compare=False)
 
     @property
     def served(self) -> int:
-        return self.latencies.count
+        return min(self._store.count, self._end) - self._base
+
+    @property
+    def latencies(self) -> Distribution:
+        """This run's latencies in completion order: its window of the
+        store — the store itself while the window spans it (the one
+        engine of a platform), so nothing is copied."""
+        lo, hi = self._base, self._base + self.served
+        if (lo, hi) == (0, self._store.count):
+            return self._store
+        return Distribution(self._store.samples[lo:hi])
 
     @property
     def shed(self) -> int:
@@ -75,47 +122,16 @@ class TenantReport:
     def span_ns(self) -> float:
         return max(self.last_completion_ns - self.first_arrival_ns, 0.0)
 
-    @property
-    def throughput_rps(self) -> float:
-        return self.served / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        """Completions *within the SLO* per second of the tenant's span."""
-        return self.slo_met / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of *offered* requests served within the SLO (sheds and
-        expiries count against attainment — they are broken promises)."""
-        return self.slo_met / self.offered if self.offered else 0.0
-
-    @property
-    def mean_batch(self) -> float:
-        return self.served / self.launches if self.launches else 0.0
-
     def latency_summary(self) -> tuple[float, float, float]:
-        """(p50, p95, p99) from one vectorized percentile pass.
-
-        The per-request latency list is sorted once and all three
-        quantiles interpolate from that sort
-        (:meth:`~repro.sim.stats.Distribution.percentiles`) instead of
-        one Python sort per quantile; memoized per served count since
-        reports query the quantiles repeatedly while rendering.
-        """
-        cached = self._summary_cache
-        if cached is None or cached[0] != self.latencies.count:
-            if self.latencies.count:
-                p50, p95, p99 = self.latencies.percentiles(
-                    (50.0, 95.0, 99.0))
-            else:
-                # a tenant that served nothing (all shed, all failed, or
-                # simply zero requests) reports zero latency, not a
-                # ValueError out of an empty percentile
-                p50 = p95 = p99 = 0.0
-            cached = (self.latencies.count, (p50, p95, p99))
-            self._summary_cache = cached
-        return cached[1]
+        """(p50, p95, p99) from one vectorized percentile pass over the
+        distribution's cached sort
+        (:meth:`~repro.sim.stats.Distribution.percentiles`)."""
+        if not self.served:
+            # a tenant that served nothing (all shed, all failed, or
+            # simply zero requests) reports zero latency, not a
+            # ValueError out of an empty percentile
+            return (0.0, 0.0, 0.0)
+        return tuple(self.latencies.percentiles((50.0, 95.0, 99.0)))
 
     @property
     def p50_ns(self) -> float:
@@ -156,6 +172,11 @@ class ServingStats:
         registration) advances the simulator before serving starts, and
         that dead time must not dilute the first window's rates."""
         self.timeline = self.registry.timeline("serve.", start_ns=epoch_ns)
+        for name, report in self.reports.items():
+            key = f"serve.{name}.latency_ns"
+            self.registry.observe_many(key, ())       # create if absent
+            report._store = self.registry.distribution(key)
+            report._base = report._end = report._store.count
 
     def mark_window(self, now_ns: float) -> None:
         if self.timeline is None:
@@ -209,44 +230,28 @@ class ServingStats:
         self.reports[tenant].failed += count
         self._bump(tenant, "failed", float(count))
 
-    def served(self, tenant: str, latency_ns: float, complete_ns: float,
-               within_slo: bool) -> None:
-        report = self.reports[tenant]
-        report.latencies.add(latency_ns)
-        report.completion_times.append(complete_ns)
-        report.last_completion_ns = max(report.last_completion_ns,
-                                        complete_ns)
-        self.last_completion_ns = max(self.last_completion_ns, complete_ns)
-        self.aggregate.add(latency_ns)
-        self._bump(tenant, "served")
-        self.registry.observe(f"serve.{tenant}.latency_ns", latency_ns)
-        if within_slo:
-            report.slo_met += 1
-        else:
-            self._bump(tenant, "slo_violations")
-
     def served_batch(self, tenant: str, latencies: list[float],
                      complete_ns_list: list[float],
                      within_slo: list[bool]) -> None:
-        """Land a whole batch's completions in one pass.
+        """Land a whole batch's completions, in list order.
 
-        Equivalent to calling :meth:`served` per request in list order —
-        same counters, same distribution contents — but the latency
-        distributions ingest via
-        :meth:`~repro.sim.stats.Distribution.add_many`, so a scatter
-        batch costs three bulk appends instead of a Python loop.
+        A latency is kept twice: in the tenant's registry distribution
+        (which the report's ``latencies`` and the ``SLOMonitor`` both
+        read) and in :attr:`aggregate`, the one cross-tenant stream in
+        completion order.  Splitting a batch over several calls is
+        equivalent to one call.
         """
         if not latencies:
             return
         report = self.reports[tenant]
-        report.latencies.add_many(latencies)
+        report._store.add_many(latencies)
+        report._end = report._store.count
         report.completion_times.extend(complete_ns_list)
         peak = max(complete_ns_list)
         report.last_completion_ns = max(report.last_completion_ns, peak)
         self.last_completion_ns = max(self.last_completion_ns, peak)
         self.aggregate.add_many(latencies)
         self._bump(tenant, "served", float(len(latencies)))
-        self.registry.observe_many(f"serve.{tenant}.latency_ns", latencies)
         met = sum(1 for ok in within_slo if ok)
         report.slo_met += met
         violations = len(within_slo) - met
@@ -254,7 +259,7 @@ class ServingStats:
             self._bump(tenant, "slo_violations", float(violations))
 
 @dataclass
-class ServingReport:
+class ServingReport(_Rates):
     """Whole-run summary across all tenants."""
 
     tenants: list[TenantReport]
@@ -284,23 +289,8 @@ class ServingReport:
         return all(t.correct for t in self.tenants)
 
     @property
-    def throughput_rps(self) -> float:
-        return self.served / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        total_met = sum(t.slo_met for t in self.tenants)
-        return total_met / (self.span_ns * 1e-9) if self.span_ns > 0 else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        offered = self.offered
-        return (sum(t.slo_met for t in self.tenants) / offered
-                if offered else 0.0)
-
-    @property
-    def mean_batch(self) -> float:
-        return self.served / self.launches if self.launches else 0.0
+    def slo_met(self) -> int:
+        return sum(t.slo_met for t in self.tenants)
 
     @property
     def trace_cache_hit_rate(self) -> float:

@@ -3,30 +3,44 @@
 A :class:`TenantSpec` is the serving contract for one client population:
 what work each request does (``kind``), how requests arrive
 (:class:`~repro.serve.arrivals.ArrivalSpec`), the latency class and WFQ
-weight, the SLO, and the admission limits.  :class:`TenantWorkload`
-materializes the tenant's data in cluster HDM and turns (slice-range)
-requests into concrete kernel launches — *range* launches, so the
-dynamic batcher can fuse contiguous slices into one launch.
+weight, the SLO, and the admission limits.  :class:`TenantWorkload` is
+the one object the engine talks to: a facade over the tenant's **kind
+object**, which materializes the tenant's data in cluster HDM and turns
+batches of requests into concrete kernel launches.  A kind is one row of
+the table at the bottom of this module; nothing outside that table asks
+which kind a tenant is.
 
-Request kinds:
+Every kind answers the same contract — ``slice_of`` / ``batch_group``
+(how a request is labelled for the batcher), ``plan`` (a batch's
+launch), ``note_served`` / ``verify`` / ``result_snapshot`` (post-run
+checking) — and names the one way its requests fuse, the workload's
+``fuse`` value:
 
-``vecadd``  bandwidth-bound batched vector jobs; slices of C = A + B.
-``olap``    column-scan analytics; slices of a predicate mask sweep.
-``kvstore`` point GETs/SETs against a replicated hash table (one
-            µthread per request; ``get_fraction`` sets the mix).
-            Contiguous-slice merging never applies (every request walks
-            its own bucket into its own slot), but with **scatter
-            batching** (``REPRO_SERVE_SCATTER_BATCH``, default on)
-            multiple same-op requests fuse into one wide launch: the
-            host writes one descriptor per request (bucket pointer, key
-            words, slot pointer — SETs add a preallocated node pointer)
-            into a 64 B-stride staging ring and launches
-            ``KVS_GET_SCATTER`` / ``KVS_SET_SCATTER`` over the ring, one
-            µthread per descriptor — byte-identical results to unbatched
-            dispatch, one launch's worth of machinery for the whole
-            batch.  Batches never mix GETs and SETs (the two ops run
-            different kernels), which the batcher enforces via each
-            request's ``batch_key``.
+``"slices"``   requests over adjacent working-set slices merge into one
+               *range* launch (see :mod:`repro.serve.batcher`).
+``"scatter"``  independent point requests fuse through a staging ring of
+               per-request descriptors, one µthread per descriptor.
+``"single"``   never fused: one launch per request.
+
+Two kinds exist:
+
+**Slice sweep** (``vecadd``, ``olap``) — every request sweeps one of
+``slices`` equal slices of the tenant's arrays; always ``"slices"``.
+The two differ only by their :class:`_Sweep` row (kernel, input arrays,
+result element type, constant arguments, numpy oracle): ``vecadd`` is
+the bandwidth-bound C = A + B, ``olap`` a column-scan predicate mask.
+
+**Point store** (``kvstore``) — point GETs/SETs against a replicated
+hash table, one µthread per request (``get_fraction`` sets the mix).
+Slices never merge (every request walks its own bucket into its own
+slot), so it fuses by ``"scatter"`` (``REPRO_SERVE_SCATTER_BATCH``,
+default on; ``"single"`` when off): the host writes one descriptor per
+request (bucket pointer, key words, slot pointer — SETs add a
+preallocated node pointer) into a 64 B-stride staging ring and launches
+``KVS_GET_SCATTER`` / ``KVS_SET_SCATTER`` over the ring — byte-identical
+results to unbatched dispatch, one launch's worth of machinery for the
+whole batch.  Batches never mix GETs and SETs (the two ops run different
+kernels), which the batcher enforces via each request's ``batch_key``.
 
 A tenant may pin to one hardware partition (``TenantSpec.partition``):
 every allocation — and therefore every launch — lands inside that
@@ -41,6 +55,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -56,15 +72,9 @@ from repro.kernels.kvstore import (
 from repro.kernels.olap import EVAL_RANGE_I32
 from repro.kernels.vecadd import VECADD
 from repro.serve.arrivals import ArrivalSpec, stream_rng
-from repro.serve.qos import QOS_CLASSES, Request, validate_qos_class
+from repro.serve.qos import Request, validate_qos_class
 from repro.serve.resilience import RetryPolicy
 from repro.workloads import kvstore
-
-#: Request kinds the serving tiers implement.
-SERVE_KINDS = ("vecadd", "olap", "kvstore")
-
-#: Default per-request size per kind (elements / rows / table items).
-DEFAULT_SIZES = {"vecadd": 1 << 14, "olap": 1 << 15, "kvstore": 1 << 10}
 
 
 @dataclass(frozen=True)
@@ -105,11 +115,7 @@ class TenantSpec:
     hedge_delay_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SERVE_KINDS:
-            raise ConfigError(
-                f"unknown tenant kind {self.kind!r}; "
-                f"choose from {list(SERVE_KINDS)}"
-            )
+        row = self._row               # raises on an unknown kind
         validate_qos_class(self.qos_class,
                            source=f"tenant {self.name!r} qos_class")
         if self.weight <= 0:
@@ -131,15 +137,27 @@ class TenantSpec:
                 f"tenant {self.name!r}: get_fraction must be in [0, 1], "
                 f"got {self.get_fraction}"
             )
-        if self.get_fraction < 1.0 and self.kind != "kvstore":
+        if self.get_fraction < 1.0 and not row.mixes_ops:
             raise ConfigError(
                 f"tenant {self.name!r}: get_fraction applies to kvstore "
                 f"tenants only"
             )
 
     @property
+    def _row(self) -> "_Kind":
+        """This tenant's row of the kind table — the one place a kind
+        name is looked up."""
+        try:
+            return _KINDS[self.kind]
+        except KeyError:
+            raise ConfigError(
+                f"unknown tenant kind {self.kind!r}; "
+                f"choose from {list(_KINDS)}"
+            ) from None
+
+    @property
     def effective_size(self) -> int:
-        return self.size if self.size else DEFAULT_SIZES[self.kind]
+        return self.size if self.size else self._row.default_size
 
     @property
     def total_requests(self) -> int:
@@ -149,6 +167,16 @@ class TenantSpec:
 #: Per-request staging-ring entry stride for scatter batches (the 40 B
 #: descriptor padded to its own cache sector so lanes never share one).
 SCATTER_ENTRY_BYTES = 64
+
+#: A point-store request's kernel words — bucket pointer, key words, for
+#: a SET its prewritten node, then the result slot — as a ring entry, by
+#: ``is_get``.  (An unbatched launch passes all but the slot as its
+#: arguments and runs over the slot itself.)
+_ENTRY = {True: struct.Struct(f"<{kvstore.KEY_WORDS + 2}Q"),
+          False: struct.Struct(f"<{kvstore.KEY_WORDS + 3}Q")}
+
+#: Result slot per point-store request (value @0, status @64).
+_SLOT_BYTES = 128
 
 
 @dataclass
@@ -168,229 +196,316 @@ class LaunchPlan:
     scatter: bool = False
 
 
-class TenantWorkload:
-    """Data + request factories for one tenant on a cluster runtime."""
+def _alloc_kw(spec: TenantSpec, default_placement: str | None = None) -> dict:
+    """Where the tenant's allocations go (None: the cluster's default)."""
+    return {"placement": spec.placement or default_placement,
+            "partition": spec.partition}
 
-    def __init__(self, platform, spec: TenantSpec, seed: int) -> None:
-        self.spec = spec
-        self.runtime = platform.runtime
-        self.gen = stream_rng(seed, spec.name)
+
+# ---------------------------------------------------------------------------
+# kind: slice sweep (vecadd, olap)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What tells one slice-sweep kind from another."""
+
+    kernel: str
+    label: str                    # kernel name suffix
+    #: ``(gen, total elements) -> input arrays``: the first is the launch
+    #: pool, the rest ride along as per-slice argument pointers.
+    inputs: Callable
+    out_dtype: type               # result element type
+    consts: tuple[int, ...]       # trailing kernel arguments
+    oracle: Callable              # ``(*inputs) -> expected result``
+
+
+def _vecadd_inputs(gen, total: int) -> list[np.ndarray]:
+    a = np.arange(total, dtype=np.int64) * int(gen.integers(1, 9))
+    return [a, a[::-1].copy()]
+
+
+def _olap_inputs(gen, total: int) -> list[np.ndarray]:
+    return [gen.integers(0, 1000, total).astype(np.int32)]
+
+
+_VECADD = _Sweep(VECADD, "vecadd", _vecadd_inputs, np.int64, (),
+                 lambda a, b: a + b)
+_OLAP = _Sweep(EVAL_RANGE_I32, "scan", _olap_inputs, np.uint8, (100, 900),
+               lambda column: (column >= 100) & (column < 900))
+
+
+class _SliceSweep:
+    """Requests sweep one of ``spec.slices`` equal slices of the tenant's
+    arrays; a batch over adjacent slices is one launch over their union
+    whose argument pointers address the first slice."""
+
+    fuse = "slices"
+    hedgeable = False
+
+    def __init__(self, sweep: _Sweep, runtime, spec: TenantSpec, gen) -> None:
+        self.sweep = sweep
+        self.runtime = runtime
+        self.slices = spec.slices
+        self.n = spec.effective_size
+        total = self.n * spec.slices
+        kw = _alloc_kw(spec)
+        self.inputs = sweep.inputs(gen, total)
+        out_item = np.dtype(sweep.out_dtype).itemsize
+        #: Every swept array — inputs, then the result region — and the
+        #: bytes one slice spans in each.
+        self.addrs = [runtime.alloc_array(array, **kw)
+                      for array in self.inputs]
+        self.addrs.append(runtime.alloc(total * out_item, **kw))
+        self._steps = [self.n * array.itemsize for array in self.inputs]
+        self._steps.append(self.n * out_item)
+        self.kid = runtime.register_kernel(
+            sweep.kernel, name=f"{spec.name}.{sweep.label}"
+        )
+        self.anchor_addr = self.addrs[0]
         self._touched: set[int] = set()
-        getattr(self, f"_setup_{spec.kind}")()
-        # Pinned tenants resolve their partition through one anchor shard
-        # so a partition failover (ShardMap remap) is visible to the
-        # engine's per-partition capacity accounting.
-        self._anchor_shard = None
-        if spec.partition is not None:
-            anchor_addr = {
-                "vecadd": lambda: self.addr_a,
-                "olap": lambda: self.addr_col,
-                "kvstore": lambda: self.table.buckets_addr,
-            }[spec.kind]()
-            self._anchor_shard = self.runtime.shard_map(anchor_addr)
-
-    @property
-    def active_partition(self) -> str | None:
-        """The partition this tenant's launches currently land in, after
-        any fault-driven remap; None when unpinned."""
-        if self._anchor_shard is None:
-            return None
-        return self._anchor_shard.active_partition
-
-    # -- batching contract --------------------------------------------------
-
-    @property
-    def batchable(self) -> bool:
-        """Contiguous slice ranges merge into one launch (not KVStore)."""
-        return self.spec.kind != "kvstore"
-
-    @property
-    def scatter_batchable(self) -> bool:
-        """Independent point requests fuse via the staging ring."""
-        return self.spec.kind == "kvstore" and self._scatter_enabled
-
-    @property
-    def hedgeable(self) -> bool:
-        """Point reads over replicated data may be hedged: any device can
-        serve them, and the result-slot writes are idempotent, so racing
-        a duplicate launch is safe."""
-        return (self.spec.kind == "kvstore"
-                and (self.spec.placement or "replicated") == "replicated")
 
     def slice_of(self, index: int) -> tuple[int, int]:
-        """Working-set slice range request ``index`` covers."""
-        if self.spec.kind == "kvstore":
-            return (index, index + 1)     # identity: one slot per request
-        s = index % self.spec.slices
+        s = index % self.slices
         return (s, s + 1)
 
     def batch_group(self, index: int) -> int:
-        """Fusion group for request ``index``: requests in different
-        groups must never share a scatter batch (GETs and SETs run
-        different kernels)."""
-        if self.spec.kind != "kvstore":
-            return 0
-        return 0 if self.data.requests[index].is_get else 1
+        return 0
 
-    # -- per-kind data setup ------------------------------------------------
-
-    def _alloc_kw(self, default_placement: str | None = None) -> dict:
-        placement = self.spec.placement or default_placement
-        kw = {"placement": placement} if placement else {}
-        if self.spec.partition is not None:
-            kw["partition"] = self.spec.partition
-        return kw
-
-    def _setup_vecadd(self) -> None:
-        n = self.spec.effective_size
-        total = n * self.spec.slices
-        self.a = (np.arange(total, dtype=np.int64)
-                  * int(self.gen.integers(1, 9)))
-        self.b = self.a[::-1].copy()
-        kw = self._alloc_kw()
-        self.addr_a = self.runtime.alloc_array(self.a, **kw)
-        self.addr_b = self.runtime.alloc_array(self.b, **kw)
-        self.addr_c = self.runtime.alloc(self.a.nbytes, **kw)
-        self.kid = self.runtime.register_kernel(
-            VECADD, name=f"{self.spec.name}.vecadd"
+    def plan(self, requests: list[Request]) -> LaunchPlan:
+        lo = min(r.slice_lo for r in requests)
+        hi = max(r.slice_hi for r in requests)
+        starts = [addr + lo * step
+                  for addr, step in zip(self.addrs, self._steps)]
+        return LaunchPlan(
+            self.kid, starts[0], self.addrs[0] + hi * self._steps[0],
+            pack_args(*starts[1:], *self.sweep.consts),
         )
 
-    def _setup_olap(self) -> None:
-        rows = self.spec.effective_size
-        total = rows * self.spec.slices
-        self.lo, self.hi = 100, 900
-        self.column = self.gen.integers(0, 1000, total).astype(np.int32)
-        kw = self._alloc_kw()
-        self.addr_col = self.runtime.alloc_array(self.column, **kw)
-        self.addr_mask = self.runtime.alloc(total, **kw)
-        self.kid = self.runtime.register_kernel(
-            EVAL_RANGE_I32, name=f"{self.spec.name}.scan"
+    def note_served(self, requests: list[Request]) -> None:
+        for request in requests:
+            self._touched.update(range(request.slice_lo, request.slice_hi))
+
+    def verify(self) -> bool:
+        n = self.n
+        expected = self.sweep.oracle(*self.inputs)
+        produced = self.runtime.read_array(
+            self.addrs[-1], self.sweep.out_dtype, n * self.slices
+        ).astype(expected.dtype)
+        return all(
+            np.array_equal(produced[s * n:(s + 1) * n],
+                           expected[s * n:(s + 1) * n])
+            for s in self._touched
         )
 
-    def _setup_kvstore(self) -> None:
+    def result_snapshot(self) -> bytes:
+        return bytes(self.runtime.physical.read_bytes(
+            self.addrs[-1], self._steps[-1] * self.slices))
+
+
+# ---------------------------------------------------------------------------
+# kind: point store (kvstore)
+# ---------------------------------------------------------------------------
+
+class _PointStore:
+    """One µthread per request — alone over its result slot, or
+    scatter-batched over a run of staging-ring descriptors."""
+
+    def __init__(self, runtime, spec: TenantSpec, gen) -> None:
+        self.runtime = runtime
         # Read-mostly tables replicate by default so any expander serves
         # a GET without a switch hop.
-        kw = self._alloc_kw("replicated")
-        frac = self.spec.get_fraction
-        requests = self.spec.total_requests
+        kw = _alloc_kw(spec, "replicated")
+        #: Point reads over replicated data may be hedged: any device can
+        #: serve them, and the result-slot writes are idempotent, so
+        #: racing a duplicate launch is safe.
+        self.hedgeable = kw["placement"] == "replicated"
+        frac = spec.get_fraction
+        self.num_requests = spec.total_requests
         self.data = kvstore.generate(
-            self.spec.effective_size, requests,
+            spec.effective_size, self.num_requests,
             get_fraction=frac,
             mix_name="GET" if frac >= 1.0 else f"GET{round(frac * 100)}",
-            salt=int(self.gen.integers(0, 1 << 16)),
+            salt=int(gen.integers(0, 1 << 16)),
         )
         set_indices = [i for i, r in enumerate(self.data.requests)
                        if not r.is_get]
         self.table = kvstore.setup_table(
-            self.runtime, self.data,
+            runtime, self.data,
             spare_nodes=max(1, len(set_indices)),
-            placement=kw.get("placement"), partition=kw.get("partition"),
+            **kw,
         )
+        self.anchor_addr = self.table.buckets_addr
         # one result slot per request; slots are verified post-run
-        self.slots_addr = self.runtime.alloc(requests * 128, align=128, **kw)
-        self.kid = self.runtime.register_kernel(
-            KVS_GET, name=f"{self.spec.name}.get"
-        )
-        self._checks: list[tuple[int, int]] = []
-        self._set_checks: list[int] = []
+        self.slots_addr = runtime.alloc(self.num_requests * _SLOT_BYTES,
+                                        align=128, **kw)
+        #: (is_get, scattered) -> kernel id
+        self.kids = {(True, False): runtime.register_kernel(
+            KVS_GET, name=f"{spec.name}.get")}
+        #: (result slot, value a GET must have fetched | None for a SET)
+        self._checks: list[tuple[int, int | None]] = []
         # SETs overwrite existing keys: each SET's node (key + canonical
         # value) is host-prewritten once at setup, so re-planning a retry
         # or replaying a hedge writes identical bytes.
         self._set_node: dict[int, int] = {}
         if set_indices:
-            self.set_kid = self.runtime.register_kernel(
-                KVS_SET, name=f"{self.spec.name}.set"
-            )
+            self.kids[False, False] = runtime.register_kernel(
+                KVS_SET, name=f"{spec.name}.set")
             for ordinal, i in enumerate(set_indices):
                 node = self.table.spare_addr + ordinal * kvstore.NODE_BYTES
-                kvstore._prewrite_node(self.runtime, node,
-                                       self.data.requests[i])
+                kvstore._prewrite_node(runtime, node, self.data.requests[i])
                 self._set_node[i] = node
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        self._scatter_enabled = knobs.resolve("REPRO_SERVE_SCATTER_BATCH")
-        if self._scatter_enabled:
-            self.scatter_kid = self.runtime.register_kernel(
-                KVS_GET_SCATTER, name=f"{self.spec.name}.get_scatter"
-            )
+        self.fuse = ("scatter" if knobs.resolve("REPRO_SERVE_SCATTER_BATCH")
+                     else "single")
+        if self.fuse == "scatter":
+            self.kids[True, True] = runtime.register_kernel(
+                KVS_GET_SCATTER, name=f"{spec.name}.get_scatter")
             if set_indices:
-                self.set_scatter_kid = self.runtime.register_kernel(
-                    KVS_SET_SCATTER, name=f"{self.spec.name}.set_scatter"
-                )
+                self.kids[False, True] = runtime.register_kernel(
+                    KVS_SET_SCATTER, name=f"{spec.name}.set_scatter")
             # retried requests are re-planned into fresh ring entries, so
             # the ring is sized for the worst-case attempt count
-            entries = requests * (1 + self.spec.retry.max_retries)
-            self.staging_addr = self.runtime.alloc(
+            entries = self.num_requests * (1 + spec.retry.max_retries)
+            self.staging_addr = runtime.alloc(
                 entries * SCATTER_ENTRY_BYTES, align=128, **kw
             )
             self._staging_cursor = 0
 
-    # -- launch construction ------------------------------------------------
+    def slice_of(self, index: int) -> tuple[int, int]:
+        return (index, index + 1)         # identity: one slot per request
+
+    def batch_group(self, index: int) -> int:
+        return 0 if self.data.requests[index].is_get else 1
 
     def plan(self, requests: list[Request]) -> LaunchPlan:
-        """One launch covering a batch's merged slice range.
+        # Batches are op-homogeneous (batch_group): GETs and SETs never
+        # share a launch.
+        data = self.data
+        is_get = data.requests[requests[0].index].is_get
+        buckets_addr = self.table.buckets_addr
+        entries = []
+        for request in requests:
+            req = data.requests[request.index]
+            words = [buckets_addr + 8 * kvstore.hash_key(*req.key,
+                                                         data.buckets),
+                     *req.key]
+            if not is_get:
+                words.append(self._set_node[request.index])
+            words.append(self.slots_addr + request.index * _SLOT_BYTES)
+            entries.append(words)
+        if len(entries) == 1:
+            *words, slot = entries[0]
+            return LaunchPlan(self.kids[is_get, False], slot, slot + 32,
+                              pack_args(*words))
+        base = (self.staging_addr
+                + self._staging_cursor * SCATTER_ENTRY_BYTES)
+        write, pack = self.runtime.physical.write_bytes, _ENTRY[is_get].pack
+        for i, words in enumerate(entries):
+            write(base + i * SCATTER_ENTRY_BYTES, pack(*words))
+        self._staging_cursor += len(entries)
+        return LaunchPlan(
+            self.kids[is_get, True], base,
+            base + len(entries) * SCATTER_ENTRY_BYTES,
+            args=b"", stride=SCATTER_ENTRY_BYTES, scatter=True,
+        )
+
+    def note_served(self, requests: list[Request]) -> None:
+        for request in requests:
+            req = self.data.requests[request.index]
+            self._checks.append(
+                (self.slots_addr + request.index * _SLOT_BYTES,
+                 req.value_seed if req.is_get else None))
+
+    def verify(self) -> bool:
+        # Every slot must report status 1: "found" for a GET, which must
+        # also have fetched its value, and "updated" for a SET — every
+        # serving SET targets an existing key, so an "inserted" (2) would
+        # mean an order-dependent chain mutation and a broken
+        # byte-identity guarantee.
+        physical = self.runtime.physical
+        return all(
+            physical.read_u64(slot + 64) == 1
+            and (seed is None or physical.read_u64(slot) == seed)
+            for slot, seed in self._checks
+        )
+
+    def result_snapshot(self) -> bytes:
+        return bytes(self.runtime.physical.read_bytes(
+            self.slots_addr, self.num_requests * _SLOT_BYTES))
+
+
+# ---------------------------------------------------------------------------
+# the kind table and the facade over it
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """One tenant kind: a fourth kind is one more row of ``_KINDS``."""
+
+    #: ``(runtime, spec, gen) -> kind object`` (the contract in the
+    #: module docstring).
+    build: Callable
+    #: Default per-request size (elements / rows / table items).
+    default_size: int
+    #: ``TenantSpec.get_fraction`` applies (requests come in two ops).
+    mixes_ops: bool = False
+
+
+_KINDS = {
+    "vecadd": _Kind(partial(_SliceSweep, _VECADD), 1 << 14),
+    "olap": _Kind(partial(_SliceSweep, _OLAP), 1 << 15),
+    "kvstore": _Kind(_PointStore, 1 << 10, mixes_ops=True),
+}
+
+#: Request kinds the serving tiers implement.
+SERVE_KINDS = tuple(_KINDS)
+
+
+class TenantWorkload:
+    """Data + request factories for one tenant on a cluster runtime: the
+    engine-facing facade over the tenant's kind object (``impl``)."""
+
+    def __init__(self, platform, spec: TenantSpec, seed: int) -> None:
+        self.spec = spec
+        self.runtime = platform.runtime
+        self.impl = spec._row.build(self.runtime, spec,
+                                   stream_rng(seed, spec.name))
+        #: How this tenant's requests fuse: "slices" | "scatter" | "single".
+        self.fuse: str = self.impl.fuse
+        #: Racing a duplicate launch is safe (idempotent replicated reads).
+        self.hedgeable: bool = self.impl.hedgeable
+        # The tenant's partition is read through one anchor shard so a
+        # partition failover (ShardMap remap) is visible to the engine's
+        # per-partition capacity accounting.
+        self._anchor_shard = self.runtime.shard_map(self.impl.anchor_addr)
+
+    @property
+    def active_partition(self) -> str | None:
+        """The partition this tenant's launches currently land in, after
+        any fault-driven remap; None when unpinned."""
+        return self._anchor_shard.active_partition
+
+    def slice_of(self, index: int) -> tuple[int, int]:
+        """Working-set slice range request ``index`` covers."""
+        return self.impl.slice_of(index)
+
+    def batch_group(self, index: int) -> int:
+        """Fusion group for request ``index``: requests in different
+        groups must never share a scatter batch (GETs and SETs run
+        different kernels)."""
+        return self.impl.batch_group(index)
+
+    def plan(self, requests: list[Request]) -> LaunchPlan:
+        """One launch covering a batch.
 
         Planning is side-effect free on the verification state: launches
         can fail (faults) and be re-planned on retry, so what-was-served
         bookkeeping happens in :meth:`note_served` on the success path.
         """
-        spec = self.spec
-        lo = min(r.slice_lo for r in requests)
-        hi = max(r.slice_hi for r in requests)
-        if spec.kind == "vecadd":
-            off = lo * spec.effective_size * 8
-            base = self.addr_a + off
-            bound = self.addr_a + hi * spec.effective_size * 8
-            return LaunchPlan(self.kid, base, bound,
-                              pack_args(self.addr_b + off, self.addr_c + off))
-        if spec.kind == "olap":
-            rows = spec.effective_size
-            base = self.addr_col + lo * rows * 4
-            bound = self.addr_col + hi * rows * 4
-            return LaunchPlan(
-                self.kid, base, bound,
-                pack_args(self.addr_mask + lo * rows, self.lo, self.hi),
-            )
-        # kvstore: one µthread per request — alone over its result slot,
-        # or scatter-batched over a run of staging-ring descriptors.
-        # Batches are op-homogeneous (batch_group): GETs and SETs never
-        # share a launch.
-        is_get = self.data.requests[requests[0].index].is_get
-        if len(requests) == 1:
-            (request,) = requests
-            req = self.data.requests[request.index]
-            bucket_ptr = self.table.buckets_addr + 8 * kvstore.hash_key(
-                *req.key, self.data.buckets
-            )
-            slot = self.slots_addr + request.index * 128
-            if is_get:
-                return LaunchPlan(self.kid, slot, slot + 32,
-                                  pack_args(bucket_ptr, *req.key))
-            node = self._set_node[request.index]
-            return LaunchPlan(self.set_kid, slot, slot + 32,
-                              pack_args(bucket_ptr, *req.key, node))
-        base = (self.staging_addr
-                + self._staging_cursor * SCATTER_ENTRY_BYTES)
-        physical = self.runtime.physical
-        for i, request in enumerate(requests):
-            req = self.data.requests[request.index]
-            bucket_ptr = self.table.buckets_addr + 8 * kvstore.hash_key(
-                *req.key, self.data.buckets
-            )
-            slot = self.slots_addr + request.index * 128
-            if is_get:
-                entry = struct.pack("<5Q", bucket_ptr, *req.key, slot)
-            else:
-                entry = struct.pack("<6Q", bucket_ptr, *req.key,
-                                    self._set_node[request.index], slot)
-            physical.write_bytes(base + i * SCATTER_ENTRY_BYTES, entry)
-        self._staging_cursor += len(requests)
-        return LaunchPlan(
-            self.scatter_kid if is_get else self.set_scatter_kid, base,
-            base + len(requests) * SCATTER_ENTRY_BYTES,
-            args=b"", stride=SCATTER_ENTRY_BYTES, scatter=True,
-        )
+        return self.impl.plan(requests)
 
     def note_served(self, requests: list[Request]) -> None:
         """Record a successfully served batch for post-run verification.
@@ -399,56 +514,11 @@ class TenantWorkload:
         requests whose every launch attempt failed must not be verified —
         their slices/slots were legitimately never produced.
         """
-        spec = self.spec
-        if spec.kind == "kvstore":
-            for request in requests:
-                req = self.data.requests[request.index]
-                slot = self.slots_addr + request.index * 128
-                if req.is_get:
-                    self._checks.append((slot, req.value_seed))
-                else:
-                    self._set_checks.append(slot)
-            return
-        for request in requests:
-            self._touched.update(range(request.slice_lo, request.slice_hi))
-
-    # -- post-run verification ----------------------------------------------
+        self.impl.note_served(requests)
 
     def verify(self) -> bool:
-        spec = self.spec
-        if spec.kind == "vecadd":
-            n = spec.effective_size
-            produced = self.runtime.read_array(self.addr_c, np.int64,
-                                               len(self.a))
-            expected = self.a + self.b
-            return all(
-                np.array_equal(produced[s * n:(s + 1) * n],
-                               expected[s * n:(s + 1) * n])
-                for s in self._touched
-            )
-        if spec.kind == "olap":
-            rows = spec.effective_size
-            produced = self.runtime.read_array(
-                self.addr_mask, np.uint8, len(self.column)
-            ).astype(bool)
-            expected = (self.column >= self.lo) & (self.column < self.hi)
-            return all(
-                np.array_equal(produced[s * rows:(s + 1) * rows],
-                               expected[s * rows:(s + 1) * rows])
-                for s in self._touched
-            )
-        physical = self.runtime.physical
-        for slot, seed in self._checks:
-            if (physical.read_u64(slot + 64) != 1
-                    or physical.read_u64(slot) != seed):
-                return False
-        # Every serving SET targets an existing key, so it must report
-        # "updated" (1) — an "inserted" (2) would mean an order-dependent
-        # chain mutation and a broken byte-identity guarantee.
-        for slot in self._set_checks:
-            if physical.read_u64(slot + 64) != 1:
-                return False
-        return True
+        """Every served request's result matches the kind's oracle."""
+        return self.impl.verify()
 
     def result_snapshot(self) -> bytes:
         """Raw bytes of the tenant's result region.
@@ -457,12 +527,4 @@ class TenantWorkload:
         snapshots regardless of scheduling or batching — the smoke point's
         per-request-identity check.
         """
-        physical = self.runtime.physical
-        spec = self.spec
-        if spec.kind == "vecadd":
-            return bytes(physical.read_bytes(self.addr_c, self.a.nbytes))
-        if spec.kind == "olap":
-            return bytes(physical.read_bytes(self.addr_mask, len(self.column)))
-        return bytes(
-            physical.read_bytes(self.slots_addr, spec.total_requests * 128)
-        )
+        return self.impl.result_snapshot()

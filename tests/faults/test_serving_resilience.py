@@ -100,10 +100,10 @@ class TestFailureAccounting:
         spec = _scan_tenant(retries=3, requests=8)
         engine = ServingEngine(platform, [spec])
         # poison the tenant's data region before traffic starts
-        workload = engine.tenants["scan"].workload
+        sweep = engine.tenants["scan"].workload.impl
         runtime.arm_faults(FaultPlan(events=(
-            FaultEvent("poison", at_ns=0.0, base=workload.addr_col,
-                       size=workload.column.nbytes),
+            FaultEvent("poison", at_ns=0.0, base=sweep.addrs[0],
+                       size=sweep.inputs[0].nbytes),
         )))
         report = engine.run()
         tenant = report.tenant("scan")

@@ -242,3 +242,45 @@ class TestValidation:
             "kind": "device_down", "at_ns": 20.0, "severity": "page",
             "device": 1, "value": 15.0, "detail": "fault.detect at 15 ns",
         }
+
+
+class TestReusedPlatform:
+    """A second engine on one platform shares the registry — and the
+    tenant's latency distribution — with the first."""
+
+    def _two_runs(self, ceiling_ns, incident_dir):
+        from repro.cluster import make_cluster_platform
+        from repro.serve import (ArrivalSpec, BatchPolicy, ServingEngine,
+                                 TenantSpec)
+
+        incident_dir.mkdir()      # the slow run rightly alerts: bundles
+        platform = make_cluster_platform(num_devices=1, backend="batched")
+
+        def run(requests, rate_rps):
+            spec = TenantSpec(
+                "t", "vecadd", size=256, slices=4,
+                arrivals=ArrivalSpec("poisson", rate_rps=rate_rps,
+                                     requests=requests))
+            engine = ServingEngine(
+                platform, [spec], monitoring=True, inflight_per_device=1,
+                batch=BatchPolicy(max_batch=1),
+                objectives={"t": SLObjective(p99_ceiling_ns=ceiling_ns)},
+                incident_dir=str(incident_dir))
+            return engine, engine.run()
+
+        _, slow = run(40, 1e9)            # one burst: requests queue up
+        engine, fast = run(8, 1e4)        # sparse: served on arrival
+        return slow, engine, fast
+
+    def test_first_window_holds_only_this_runs_latencies(self, tmp_path):
+        slow, _, fast = self._two_runs(math.inf, tmp_path / "dry")
+        slow_lat, fast_lat = slow.aggregate.samples, fast.aggregate.samples
+        assert (len(slow_lat), len(fast_lat)) == (40, 8)
+        # the runs are deterministic, so a ceiling picked from the dry
+        # run separates the same two populations in the monitored run
+        ceiling = 2.0 * max(fast_lat)
+        assert sorted(slow_lat)[len(slow_lat) // 2] > ceiling
+
+        _, engine, fast_again = self._two_runs(ceiling, tmp_path / "real")
+        assert fast_again.aggregate.samples == fast_lat
+        assert [a for a in engine.monitor.alerts if a.kind == "p99"] == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import tracer as obs_tracer
-from repro.obs.tracer import HOST_PID, NULL_TRACER, Tracer, tracer_of
+from repro.obs.tracer import HOST_PID, Tracer, tracer_of
 from repro.sim.engine import Simulator
 
 
@@ -122,14 +122,9 @@ class TestLanesAndStitching:
 class TestEnabledFlag:
     def test_tracer_of_null_when_disabled(self, restore_enabled):
         obs_tracer.set_enabled(False)
-        assert tracer_of(Simulator()) is NULL_TRACER
+        assert tracer_of(Simulator()) is None
 
     def test_tracer_of_caches_per_sim(self, restore_enabled):
         obs_tracer.set_enabled(True)
         sim = Simulator()
         assert tracer_of(sim) is tracer_of(sim)
-
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.begin("x", 0.0) is None
-        NULL_TRACER.end(None, 1.0)
-        assert NULL_TRACER.alloc_tid(0) == 0

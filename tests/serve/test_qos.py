@@ -121,7 +121,7 @@ class TestDynamicBatcher:
     def test_contiguous_run_merges(self):
         queue = self._queue_with([(0, 1), (1, 2), (2, 3)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_ns=0.0))
-        batch = batcher.take(queue, "t", batchable=True)
+        batch = batcher.take(queue, "t", fuse="slices")
         assert batch.size == 3
         assert (batch.slice_lo, batch.slice_hi) == (0, 3)
         assert queue.depth("t") == 0
@@ -129,44 +129,44 @@ class TestDynamicBatcher:
     def test_duplicate_slice_absorbed(self):
         queue = self._queue_with([(0, 1), (0, 1), (1, 2)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_ns=0.0))
-        batch = batcher.take(queue, "t", batchable=True)
+        batch = batcher.take(queue, "t", fuse="slices")
         assert batch.size == 3
         assert (batch.slice_lo, batch.slice_hi) == (0, 2)
 
     def test_gap_stops_the_run(self):
         queue = self._queue_with([(0, 1), (5, 6), (1, 2)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_ns=0.0))
-        batch = batcher.take(queue, "t", batchable=True)
+        batch = batcher.take(queue, "t", fuse="slices")
         assert batch.size == 1
         assert queue.depth("t") == 2
 
     def test_max_batch_respected(self):
         queue = self._queue_with([(i, i + 1) for i in range(10)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_ns=0.0))
-        assert batcher.take(queue, "t", batchable=True).size == 4
+        assert batcher.take(queue, "t", fuse="slices").size == 4
 
     def test_unbatchable_always_single(self):
         queue = self._queue_with([(0, 1), (1, 2)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_ns=0.0))
-        assert batcher.take(queue, "t", batchable=False).size == 1
+        assert batcher.take(queue, "t", fuse="single").size == 1
 
     def test_hold_waits_for_batchmates(self):
         queue = self._queue_with([(0, 1)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_ns=500.0))
-        flush_at = batcher.should_hold(queue, "t", batchable=True,
+        flush_at = batcher.should_hold(queue, "t", fuse="slices",
                                        now_ns=100.0, more_arrivals=True)
         assert flush_at == 500.0      # head arrived at 0.0
 
     def test_no_hold_when_stream_exhausted(self):
         queue = self._queue_with([(0, 1)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_ns=500.0))
-        assert batcher.should_hold(queue, "t", batchable=True,
+        assert batcher.should_hold(queue, "t", fuse="slices",
                                    now_ns=100.0, more_arrivals=False) is None
 
     def test_no_hold_when_full(self):
         queue = self._queue_with([(i, i + 1) for i in range(4)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_ns=500.0))
-        assert batcher.should_hold(queue, "t", batchable=True,
+        assert batcher.should_hold(queue, "t", fuse="slices",
                                    now_ns=100.0, more_arrivals=True) is None
 
     def test_bad_policy_rejected(self):

@@ -96,7 +96,7 @@ class TestContiguityGuard:
         monkeypatch.setattr(batcher, "preview",
                             lambda *a, **k: list(gapped))
         with pytest.raises(ConfigError, match="not contiguous"):
-            batcher.take(queue, "t", batchable=True)
+            batcher.take(queue, "t", fuse="slices")
 
     def test_take_accepts_contiguous_and_duplicate_slices(self):
         batcher = DynamicBatcher(BatchPolicy(max_batch=4))
@@ -107,7 +107,7 @@ class TestContiguityGuard:
             Request("t", 2, 2, 0.0, "interactive", float("inf"), 0, 2),
         ):
             queue.push(req)
-        batch = batcher.take(queue, "t", batchable=True)
+        batch = batcher.take(queue, "t", fuse="slices")
         assert batch.size == 3
         assert (batch.slice_lo, batch.slice_hi) == (0, 3)
         assert not batch.scatter

@@ -101,7 +101,7 @@ class TestOpHomogeneousBatches:
         # before the SET even though max_batch has room
         for index, key in enumerate((0, 0, 1, 0)):
             queue.push(self._req(index, key))
-        head = batcher.preview(queue, "t", batchable=True, scatter=True)
+        head = batcher.preview(queue, "t", fuse="scatter")
         assert [r.index for r in head] == [0, 1]
         assert all(r.batch_key == 0 for r in head)
 
@@ -110,7 +110,7 @@ class TestOpHomogeneousBatches:
         queue = RequestQueue()
         for index in range(4):
             queue.push(self._req(index, 1))
-        head = batcher.preview(queue, "t", batchable=True, scatter=True)
+        head = batcher.preview(queue, "t", fuse="scatter")
         assert len(head) == 4
         assert all(r.batch_key == 1 for r in head)
 
