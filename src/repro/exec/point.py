@@ -27,17 +27,22 @@ trace cache (see :func:`repro.exec.trace_cache.point_key` and
 of guard outcomes share trie nodes, so a replay resolves each shared
 step exactly once and each guard's *live* outcome selects the subtree —
 one linear pass per lane, no per-path retry loop.  Replay runs in two
-phases: phase A resolves every spec against the **live** launch (its
-``x1``/``x2``/``x3``, its argument block, current memory contents
-through an overlay store buffer), follows guards on live values, and
-compares verified-load bytes; phase B commits the stores and AMOs and
-charges timing.  Reaching a guard outcome with no recorded subtree
-means the live launch takes a path never walked before — the replay
-aborts cleanly and a fresh walk records it into the trie; a
+phases.  Phase A is **compiled**: :func:`compile_family` walks the trie
+once and emits one straight-line Python function per family — an access
+is a literal line, a guard a nested ``if`` whose unrecorded outcome
+raises, verified bytes are compared against constants bound by
+reference, a read behind the path's own stores is forwarded from them —
+that resolves every spec against the **live** launch (its
+``x1``/``x2``/``x3``, its argument block, current memory contents) and
+mutates nothing.  Any change to a leaf drops the function
+(``PointFamily.insert``) and the next replay compiles again;
+``print(family.source)`` shows the text.  Phase B commits the stores
+and AMOs and charges timing.  Reaching a guard outcome with no recorded
+subtree means the live launch takes a path never walked before — the
+replay aborts cleanly and a fresh walk records it into the trie; a
 verified-byte mismatch means the recorded data went stale — the family
-is invalidated and retraced
-(:class:`~repro.exec.trace_cache.StaleTrace`).  Either way results are
-byte-identical to the interpreter by construction.
+is invalidated and retraced (:class:`~repro.exec.trace_cache.StaleTrace`).
+Either way results are byte-identical to the interpreter by construction.
 
 Because guards are relational (``bne x10, x5`` replays as "are the live
 node-key bytes equal to the live argument-key bytes?"), one cached GET
@@ -63,11 +68,12 @@ no wider than the device — see ``BatchedBackend.register_execution``).
 
 from __future__ import annotations
 
+import linecache
 import struct
+import zlib
 
 from repro.isa.executor import (
     _BRANCHES,
-    _BRANCHES_Z,
     _V_FP_COMPARES,
     _V_FP_SCALAR,
     _V_INT_COMPARES,
@@ -80,7 +86,6 @@ from repro.isa.executor import (
 from repro.isa.encoding import OpClass
 from repro.isa.registers import (
     UThreadRegisters,
-    to_signed32,
     to_signed64,
     to_unsigned64,
 )
@@ -189,41 +194,6 @@ class _RecordingMemory:
         old = self.real.amo(op, vaddr, operand, size, is_float)
         self.events.append(("amo", vaddr, size, old, op, operand, is_float))
         return old
-
-
-class _Overlay:
-    """Phase-A store buffer: reads see live memory + buffered writes.
-
-    ``cache`` memoizes raw memory reads across the *failed* path
-    attempts of one lane (phase A never mutates memory, so a re-read of
-    the same location by the next candidate path is identical) — it must
-    not outlive the lane's commit.
-    """
-
-    __slots__ = ("mem", "cache", "writes")
-
-    def __init__(self, mem, cache: dict) -> None:
-        self.mem = mem
-        self.cache = cache
-        self.writes: list[tuple[int, bytes]] = []
-
-    def read(self, vaddr: int, size: int) -> bytes:
-        raw = self.cache.get((vaddr, size))
-        if raw is None:
-            raw = self.mem.load(vaddr, size)
-            self.cache[(vaddr, size)] = raw
-        merged = None
-        for base, data in self.writes:
-            lo = max(base, vaddr)
-            hi = min(base + len(data), vaddr + size)
-            if lo < hi:
-                if merged is None:
-                    merged = bytearray(raw)
-                merged[lo - vaddr:hi - vaddr] = data[lo - base:hi - base]
-        return bytes(merged) if merged is not None else raw
-
-    def write(self, vaddr: int, data: bytes) -> None:
-        self.writes.append((vaddr, data))
 
 
 # ---------------------------------------------------------------------------
@@ -826,148 +796,228 @@ _RECORDERS = {
 
 
 # ---------------------------------------------------------------------------
-# verified replay (hit path)
+# verified replay (hit path): the family's trie, compiled
 # ---------------------------------------------------------------------------
 
+_SIGNED = "(({} + 0x8000000000000000) & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000"
+_SIGNED32 = "(({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+_UNSIGNED = "({}) & 0xFFFFFFFFFFFFFFFF"
 
-def _replay_lane(unit, family, live, t0: float, asid: int, period: float,
-                 read_cache: dict) -> tuple[float, PointPathEntry]:
-    """Replay one lane against a family's path trie in a single pass.
+#: guard mnemonic -> (comparison, signed operands); equality reads the
+#: same either way and takes the cheaper unsigned form
+_GUARD_OPS = {
+    "beq": ("==", False), "bne": ("!=", False), "blt": ("<", True),
+    "bge": (">=", True), "bltu": ("<", False), "bgeu": (">=", False),
+    "beqz": ("==", False), "bnez": ("!=", False), "blez": ("<=", True),
+    "bgez": (">=", True), "bltz": ("<", True), "bgtz": (">", True),
+}
 
-    ``live`` maps base token -> live value ('x1', 'x2', 'x3').  The trie
-    walk resolves each shared step exactly once: a guard's live outcome
-    selects the child subtree, so candidate paths are never retried
-    individually.  Raises :class:`_PathMismatch` when an outcome has no
-    recorded subtree (a control path never walked before) and
-    :class:`StaleTrace` when verified bytes changed (invalidate the
-    family + retrace).  On success the stores/AMOs are committed, timing
-    is charged, and (completion_ns, matched path entry) returned.
+
+def _forward(raw: bytes, vaddr: int, base: int, data: bytes) -> bytes:
+    """``raw`` (read at ``vaddr``) as a read behind the path's own earlier
+    write of ``data`` at ``base`` sees it: store-buffer forwarding."""
+    lo, hi = max(base, vaddr), min(base + len(data), vaddr + len(raw))
+    if lo >= hi:
+        return raw
+    return raw[:lo - vaddr] + data[lo - base:hi - base] + raw[hi - vaddr:]
+
+
+def _amo_bytes(op: str, old_raw: bytes, operand, is_float: bool) -> bytes:
+    """The bytes an AMO leaves behind, for later reads on the same path."""
+    size = len(old_raw)
+    old = ((_F32 if size == 4 else _F64).unpack(old_raw)[0] if is_float
+           else int.from_bytes(old_raw, "little", signed=True))
+    return _pack_amo_old(_apply_amo(op, old, operand), size, is_float)
+
+
+class _FamilyCompiler:
+    """Emits one family's trie as a straight-line Python function.
+
+    The text holds only the trie's ints and what its mnemonics select
+    (addresses, sizes, coefficients, cycle counts, comparison operators);
+    verified bytes, store literals, AMO operands and the leaf entries are
+    bound by reference through the function's namespace.
+    """
+
+    def __init__(self) -> None:
+        self.lines = ["def replay(load, x1, x2, x3, spad_lo, spad_hi, refresh):",
+                      "    c = []; tl = []; sb = gb = gc = 0"]
+        self.namespace = {"StaleTrace": StaleTrace, "MemAccess": MemAccess,
+                          "PathMismatch": _PathMismatch, "forward": _forward,
+                          "amo_bytes": _amo_bytes}
+        self.serial = 0                  # one number per emitted access
+        # what is known at this point of the path being emitted
+        self.signed: dict[int, bool] = {}    # load k -> its value is signed
+        self.values: set[int] = set()        # loads whose int ``v{k}`` exists
+        self.writes: list[tuple] = []        # (address, data) names, in order
+        self.pre = 0                         # instruction cycles so far
+
+    def bind(self, obj) -> str:
+        name = f"K{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def lin(self, spec, depth: int) -> str:
+        """Expression for an affine spec; converts the loads it reads."""
+        if isinstance(spec, int):
+            return str(spec)
+        terms = [str(spec[1])] if spec[1] else []
+        for tok, coef in spec[2]:
+            if isinstance(tok, tuple):
+                k = int(tok[1])
+                if k not in self.values:
+                    self.values.add(k)
+                    self.emit(depth, f"v{k} = int.from_bytes(r{k}, 'little', "
+                                     f"signed={self.signed[k]})")
+                tok = f"v{k}"
+            elif tok not in ("x1", "x2", "x3"):
+                raise ValueError(f"unknown base token {tok!r}")
+            terms.append(tok if coef == 1 else f"{int(coef)} * {tok}")
+        return " + ".join(terms)
+
+    def read(self, k: int, signed: bool, addr: str, size: int, verify,
+             what: str, depth: int) -> None:
+        self.signed[k] = signed
+        self.emit(depth, f"r{k} = load({addr}, {size})")
+        for base, data in self.writes:
+            self.emit(depth, f"r{k} = forward(r{k}, {addr}, {base}, {data})")
+        if verify is not None:
+            self.emit(depth, f"if r{k} != {self.bind(verify)}: "
+                             f"raise StaleTrace('point path {what} went stale')")
+
+    def access(self, access: tuple, depth: int) -> str:
+        """One memory access; returns its refresh ``MemAccess`` event."""
+        kind, spec, size = access[0], access[1], int(access[2])
+        self.serial += 1
+        addr, data = f"a{self.serial}", f"d{self.serial}"
+        self.emit(depth, f"{addr} = " + (
+            str(to_unsigned64(spec)) if isinstance(spec, int)
+            else _UNSIGNED.format(self.lin(spec, depth))))
+        self.emit(depth, f"if spad_lo <= {addr} < spad_hi: sb += {size}")
+        self.emit(depth, f"else: gb += {size}; gc += 1")
+        if kind == "ld":
+            self.read(int(access[3]), bool(access[4]), addr, size, access[5],
+                      "data", depth)
+            return f"MemAccess({addr}, {size}, False)"
+        if kind == "st":
+            value = access[3]
+            if value[0] == "lit":
+                data = self.bind(value[1])
+            elif value[0] == "pass":
+                data = f"r{int(value[1])}"
+            else:                        # scalar store: at most 8 bytes
+                width = int(value[2])
+                self.emit(depth, f"{data} = (({self.lin(value[1], depth)}) & "
+                                 f"{(1 << (8 * width)) - 1})"
+                                 f".to_bytes({width}, 'little')")
+            self.emit(depth, f"c.append(('st', {addr}, {data}))")
+            self.writes.append((addr, data))
+            return f"MemAccess({addr}, {size}, True)"
+        _, _, _, k, op, is_float, operand, verify = access
+        k, op, is_float = int(k), self.bind(op), bool(is_float)
+        self.read(k, _AMO_SIGNED, addr, size, verify, "AMO old", depth)
+        if operand[0] == "lit":
+            value = self.bind(operand[1])
+        else:
+            value = f"o{self.serial}"
+            wrap = _SIGNED32 if size == 4 else _SIGNED
+            self.emit(depth, f"{value} = "
+                             + wrap.format(self.lin(operand[1], depth)))
+        self.emit(depth, f"c.append(('amo', {addr}, {size}, {op}, {value}, "
+                         f"{is_float}))")
+        self.emit(depth, f"{data} = amo_bytes({op}, r{k}, {value}, {is_float})")
+        self.writes.append((addr, data))
+        return f"MemAccess({addr}, {size}, True, True)"
+
+    def operand(self, spec: tuple, signed: bool, depth: int) -> str:
+        if spec[0] == "lit":
+            return str(to_signed64(spec[1]) if signed
+                       else to_unsigned64(spec[1]))
+        return "(" + (_SIGNED if signed else _UNSIGNED).format(
+            self.lin(spec[1], depth)) + ")"
+
+    def node(self, node, depth: int) -> None:
+        """A subtree: flat along one-outcome guards, nested at two-way ones."""
+        while True:
+            for _, pre, accesses in node.mems:
+                events = [self.access(access, depth) for access in accesses]
+                self.pre += pre
+                self.emit(depth, f"if refresh: tl.append(({int(pre)}, "
+                                 f"({', '.join(events)},)))")
+            if node.guard is None:
+                self.emit(depth, "raise PathMismatch" if node.entry is None
+                          else f"return {self.bind(node.entry)}, {self.pre}, "
+                               f"c, sb, gb, gc, tl")
+                return
+            m, a, b = node.guard
+            compare, signed = _GUARD_OPS[m]
+            test = (f"{self.operand(a, signed, depth)} {compare} "
+                    + ("0" if b is None else self.operand(b, signed, depth)))
+            taken, fallen = node.children.get(True), node.children.get(False)
+            if taken is not None and fallen is not None:
+                here = (dict(self.signed), set(self.values),
+                        list(self.writes), self.pre)
+                self.emit(depth, f"if {test}:")
+                self.node(taken, depth + 1)
+                self.signed, self.values, self.writes, self.pre = here
+                self.emit(depth, "else:")
+                self.node(fallen, depth + 1)
+                return
+            # one recorded outcome: the other is a path never walked
+            self.emit(depth, f"if {test}: raise PathMismatch" if taken is None
+                      else f"if not ({test}): raise PathMismatch")
+            node = taken if taken is not None else fallen
+
+
+def compile_family(family):
+    """Generate, compile and install ``family.replay`` from its trie.
+
+    ``replay(load, x1, x2, x3, spad_lo, spad_hi, refresh)`` is phase A and
+    returns the matched leaf's ``(entry, pre_cycles, commits, spad_bytes,
+    global_bytes, global_accesses, timeline)``.  The text stays on the
+    family under a file name of its own (kernel, leaves, text checksum):
+    :mod:`linecache` serves it to tracebacks, and ``pstats``, which keys
+    rows by file name, keeps families apart in a profile.
+    """
+    compiler = _FamilyCompiler()
+    compiler.node(family.root, 1)
+    source = "\n".join(compiler.lines) + "\n"
+    filename = (f"<point-family:{to_unsigned64(family.code_hash):x}:"
+                f"{family.leaves}:{zlib.crc32(source.encode()):08x}>")
+    exec(compile(source, filename, "exec"), compiler.namespace)
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    family.source = source
+    family.compiles += 1
+    family.replay = compiler.namespace["replay"]
+    return family.replay
+
+
+def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
+                 asid: int, period: float) -> tuple[float, PointPathEntry]:
+    """Replay one lane (live registers ``x1``/``x2``/``x3``) through the
+    family's compiled trie.
+
+    Raises :class:`_PathMismatch` when a guard outcome has no recorded
+    subtree (a control path never walked before) or the replay touches an
+    unmapped page, and :class:`StaleTrace` when verified bytes changed
+    (invalidate the family + retrace) — both before anything is committed
+    or charged.  On success the stores/AMOs are committed, timing is
+    charged, and (completion_ns, matched path entry) returned.
     """
     memory = unit.memory_for(asid)
-    overlay = _Overlay(memory, read_cache)
-    loads: dict[int, tuple[bytes, bool]] = {}
-    lvals: dict[int, int] = {}           # memoized load-value integers
     # a refresh replay rebuilds MemAccess events and charges them live,
     # re-recording the matched path's latency profile; the replays in
     # between apply the recorded deltas and only tally traffic counters
     refresh = family.replays % _REFRESH_PERIOD == 0
-    spad_lo, spad_hi = unit._spad_base, unit._spad_end
-    spad_bytes = glob_bytes = glob_count = 0
-
-    def resolve(spec) -> int:
-        if isinstance(spec, int):
-            return spec
-        total = spec[1]
-        for tok, coef in spec[2]:
-            if isinstance(tok, tuple):
-                k = tok[1]
-                value = lvals.get(k)
-                if value is None:
-                    raw, signed = loads[k]
-                    value = lvals[k] = int.from_bytes(raw, "little",
-                                                      signed=signed)
-                total += coef * value
-            else:
-                total += coef * live[tok]
-        return total
-
-    # -- phase A: resolve, guard, verify (zero mutation, zero charges) --
-    timeline: list[tuple[int, tuple]] = []
-    pre_total = 0
-    commits: list[tuple] = []
-    node = family.root
+    replay = family.replay or compile_family(family)
     try:
-        while True:
-            for step in node.mems:
-                _, pre, accesses = step
-                events = [] if refresh else None
-                for access in accesses:
-                    akind = access[0]
-                    addr = to_unsigned64(resolve(access[1]))
-                    size = access[2]
-                    if spad_lo <= addr < spad_hi:
-                        spad_bytes += size
-                    else:
-                        glob_bytes += size
-                        glob_count += 1
-                    if akind == "ld":
-                        raw = overlay.read(addr, size)
-                        if access[5] is not None and raw != access[5]:
-                            raise StaleTrace("point path data went stale")
-                        loads[access[3]] = (raw, access[4])
-                        if refresh:
-                            events.append(MemAccess(addr, size,
-                                                    is_write=False))
-                    elif akind == "st":
-                        spec = access[3]
-                        if spec[0] == "lit":
-                            raw = spec[1]
-                        elif spec[0] == "pass":
-                            raw = loads[spec[1]][0]
-                        else:
-                            value = to_signed64(resolve(spec[1]))
-                            raw = ((value & ((1 << (8 * spec[2])) - 1))
-                                   .to_bytes(spec[2], "little"))
-                        overlay.write(addr, raw)
-                        commits.append(("st", addr, raw))
-                        if refresh:
-                            events.append(MemAccess(addr, size,
-                                                    is_write=True))
-                    else:                # amo
-                        _, _, _, k, op, is_float, op_spec, verify = access
-                        old_raw = overlay.read(addr, size)
-                        if verify is not None and old_raw != verify:
-                            raise StaleTrace("point path AMO old went stale")
-                        loads[k] = (old_raw, _AMO_SIGNED)
-                        if op_spec[0] == "lit":
-                            operand = op_spec[1]
-                        else:
-                            operand = to_signed64(resolve(op_spec[1]))
-                            if size == 4:
-                                operand = to_signed32(operand)
-                        commits.append(("amo", addr, size, op, operand,
-                                        is_float))
-                        # keep the overlay coherent for later reads
-                        if is_float:
-                            packer = _F32 if size == 4 else _F64
-                            old = packer.unpack(old_raw)[0]
-                            new = _apply_amo(op, old, operand)
-                            overlay.write(addr, packer.pack(new))
-                        else:
-                            old = int.from_bytes(old_raw, "little",
-                                                 signed=True)
-                            new = _apply_amo(op, old, operand)
-                            bits = new & ((1 << (8 * size)) - 1)
-                            overlay.write(addr,
-                                          bits.to_bytes(size, "little"))
-                        if refresh:
-                            events.append(MemAccess(addr, size,
-                                                    is_write=True,
-                                                    is_amo=True))
-                if refresh:
-                    timeline.append((pre, tuple(events)))
-                else:
-                    pre_total += pre
-            guard = node.guard
-            if guard is not None:
-                m, a, b = guard
-                av = (a[1] if a[0] == "lit"
-                      else to_signed64(resolve(a[1])))
-                if b is None:
-                    outcome = _BRANCHES_Z[m](av)
-                else:
-                    bv = (b[1] if b[0] == "lit"
-                          else to_signed64(resolve(b[1])))
-                    outcome = _BRANCHES[m](av, bv)
-                child = node.children.get(outcome)
-                if child is None:
-                    raise _PathMismatch  # unrecorded control path
-                node = child
-            else:
-                entry = node.entry
-                if entry is None:
-                    raise _PathMismatch  # empty family
-                break
+        (entry, pre_total, commits, spad_bytes, glob_bytes, glob_count,
+         timeline) = replay(memory.load, x1, x2, x3, unit._spad_base,
+                            unit._spad_end, refresh)
     except TranslationFault:
         raise _PathMismatch from None
 
@@ -1039,16 +1089,14 @@ def attempt_point(backend, execution, now_ns: float) -> None:
 
     for lane in range(n):
         unit = exec_units[lane % num_units]
-        live = {
-            "x1": instance.pool_base + lane * stride,
-            "x2": instance.offset_bias + lane * stride,
-            "x3": execution.args_vaddr,
-        }
+        x1 = instance.pool_base + lane * stride
+        x2 = instance.offset_bias + lane * stride
         done_t = None
         if family is not None:
             try:
-                done_t, entry = _replay_lane(unit, family, live, t0, asid,
-                                             period, {})
+                done_t, entry = _replay_lane(unit, family, x1, x2,
+                                             execution.args_vaddr, t0, asid,
+                                             period)
             except _PathMismatch:
                 pass
             except StaleTrace:
@@ -1060,8 +1108,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                     gen_hits += 1
                 lane_ops = entry.ops
         if done_t is None:
-            walk = _LaneWalk(device, unit, execution,
-                             mapped=live["x1"], offset=live["x2"],
+            walk = _LaneWalk(device, unit, execution, mapped=x1, offset=x2,
                              cache_enabled=cache.enabled)
             done_t, entry = walk.run(t0)
             lane_ops = walk.ops

@@ -163,18 +163,6 @@ class PointPathEntry:
     #: successful replays so far (observability: per-path popularity)
     replays: int = 0
 
-    @property
-    def verify_bytes(self) -> int:
-        """Total load bytes the replay re-checks (observability)."""
-        total = 0
-        for step in self.steps:
-            if step[0] != "mem":
-                continue
-            for access in step[2]:
-                if access[0] == "ld" and access[5] is not None:
-                    total += len(access[5])
-        return total
-
 
 class PointTrieNode:
     """One node of a point family's control-flow decision trie.
@@ -184,9 +172,10 @@ class PointTrieNode:
     carries the run of memory steps every path through it shares
     (``mems``), then either branches on one relational guard
     (``guard`` + ``children`` keyed by outcome) or terminates a path
-    (``entry``).  Replay walks the trie once — shared prefixes are
-    resolved exactly once per lane, and reaching an outcome with no
-    child is a clean miss (a control path never yet recorded).
+    (``entry``).  The replay compiled from the trie
+    (:func:`repro.exec.point.compile_family`) resolves a shared prefix
+    exactly once per lane, and reaching an outcome with no child is a
+    clean miss (a control path never yet recorded).
     """
 
     __slots__ = ("mems", "guard", "children", "entry")
@@ -216,13 +205,27 @@ def _build_trie(steps: list, i: int, entry: PointPathEntry) -> PointTrieNode:
 
 @dataclass
 class PointFamily:
-    """All cached paths of one structural point key (one LRU slot)."""
+    """All cached paths of one structural point key (one LRU slot).
+
+    Replays run ``replay``, the straight-line function
+    :func:`repro.exec.point.compile_family` generates from the trie: a
+    leaf change (:meth:`insert`) drops it, the next replay compiles again,
+    and a stale or remapped family is dropped whole by the cache.
+    ``print(family.source)`` shows the text; tracebacks and profiles name
+    it by the family's own ``<point-family:…>`` file name.
+    """
 
     translation_version: int
+    #: the structural key's kernel code hash (names the generated code)
+    code_hash: int = 0
     root: PointTrieNode = field(default_factory=PointTrieNode)
     leaves: int = 0
     #: successful replays across the family (drives latency refresh)
     replays: int = 0
+    #: compiled trie, its text, and how often it was (re)generated
+    replay: object = None
+    source: str = ""
+    compiles: int = 0
 
     def insert(self, steps: list, entry: PointPathEntry) -> bool:
         """Merge one recorded path into the trie.
@@ -235,6 +238,7 @@ class PointFamily:
         """
         if self.leaves >= MAX_POINT_PATHS:
             return True                  # full: keep the established paths
+        self.replay = None               # a leaf changes: compiled lazily
         node = self.root
         i = 0
         while True:
@@ -560,10 +564,8 @@ class TraceCache:
         if not self.enabled:
             return
         family = self._fresh(key, translation_version)
-        if family is None:
-            family = PointFamily(translation_version=translation_version)
-        if not family.insert(entry.steps, entry):
-            # structural conflict: restart the family with the fresh path
-            family = PointFamily(translation_version=translation_version)
+        if family is None or not family.insert(entry.steps, entry):
+            # first path, or a structural conflict: start the family afresh
+            family = PointFamily(translation_version, code_hash=key[1])
             family.insert(entry.steps, entry)
         self._put(key, family)

@@ -84,15 +84,14 @@ class Batch:
         return len(self.requests)
 
 
-def _fusable(head: list[Request], fuse: str) -> tuple[int, int, int]:
-    """``(count, lo, hi)``: the longest prefix of ``head`` that fuses under
-    ``fuse`` and the slice range it covers.
+def _fusable(head: list[Request], fuse: str) -> int:
+    """Length of the longest prefix of ``head`` that fuses under ``fuse``.
 
     ``"slices"`` runs chain contiguously or duplicate a slice already
     covered; ``"scatter"`` runs share the head's ``batch_key`` (different
-    keys are different kernels) and cover their members' identity slices.
+    keys are different kernels).  Either way the run covers exactly
+    ``[min slice_lo, max slice_hi)`` of its members.
     """
-    lo, hi = head[0].slice_lo, head[0].slice_hi
     count = 1
     if fuse == "scatter":
         key = head[0].batch_key
@@ -100,16 +99,15 @@ def _fusable(head: list[Request], fuse: str) -> tuple[int, int, int]:
             if request.batch_key != key:
                 break
             count += 1
-        run = head[:count]
-        return (count, min(r.slice_lo for r in run),
-                max(r.slice_hi for r in run))
+        return count
+    lo, hi = head[0].slice_lo, head[0].slice_hi
     for request in head[1:]:
         if request.slice_lo == hi:                          # extends the run
             hi = request.slice_hi
         elif not (lo <= request.slice_lo and request.slice_hi <= hi):
             break                                           # not a duplicate
         count += 1
-    return count, lo, hi
+    return count
 
 
 class DynamicBatcher:
@@ -122,12 +120,14 @@ class DynamicBatcher:
     def __init__(self, policy: BatchPolicy) -> None:
         self.policy = policy
 
+    def _limit(self, fuse: str) -> int:
+        return 1 if fuse == "single" else self.policy.max_batch
+
     def preview(self, queue: RequestQueue, tenant: str,
                 fuse: str) -> list[Request]:
         """The fusable head run that :meth:`take` would dispatch now."""
-        head = queue.head_run(
-            tenant, 1 if fuse == "single" else self.policy.max_batch)
-        return head[:_fusable(head, fuse)[0]] if head else []
+        head = queue.head_run(tenant, self._limit(fuse))
+        return head[:_fusable(head, fuse)] if head else []
 
     def should_hold(self, queue: RequestQueue, tenant: str, fuse: str,
                     now_ns: float, more_arrivals: bool) -> float | None:
@@ -148,22 +148,13 @@ class DynamicBatcher:
         return flush_at if flush_at > now_ns else None
 
     def take(self, queue: RequestQueue, tenant: str, fuse: str) -> Batch:
-        """Remove and return the head batch for ``tenant``."""
-        run = self.preview(queue, tenant, fuse)
-        if not run:
+        """Remove and return the head batch for ``tenant``: what
+        :meth:`preview` shows, in one extraction from the queue."""
+        if not queue.depth(tenant):
             raise ConfigError(f"no queued requests for tenant {tenant!r}")
-        taken = queue.pop_run(tenant, len(run))
-        # A merged run must genuinely chain contiguously (or duplicate
-        # covered slices): a covering [min, max) range over a run with
-        # gaps would launch over slices no request asked for.
-        count, lo, hi = _fusable(taken, fuse)
-        if count < len(taken):
-            stray = taken[count]
-            raise ConfigError(
-                f"batch for tenant {tenant!r} is not contiguous: slice "
-                f"[{stray.slice_lo}, {stray.slice_hi}) (key "
-                f"{stray.batch_key}) does not fuse with [{lo}, {hi}) under "
-                f"{fuse!r}"
-            )
-        return Batch(tenant=tenant, requests=taken, slice_lo=lo, slice_hi=hi,
+        taken = queue.take_run(tenant, self._limit(fuse),
+                               lambda head: _fusable(head, fuse))
+        return Batch(tenant=tenant, requests=taken,
+                     slice_lo=min(r.slice_lo for r in taken),
+                     slice_hi=max(r.slice_hi for r in taken),
                      scatter=fuse == "scatter" and len(taken) > 1)

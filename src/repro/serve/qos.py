@@ -133,15 +133,34 @@ class RequestQueue:
 
     def head_run(self, tenant: str, limit: int) -> list[Request]:
         """The first ``limit`` requests in dispatch order (not removed)."""
-        heap = self._heaps.get(tenant, ())
+        heap = self._heaps.get(tenant)
         if not heap:
             return []
-        return [entry[-1] for entry in heapq.nsmallest(limit, heap)]
+        if limit == 1:
+            return [heap[0][-1]]
+        if limit >= len(heap):
+            return [entry[-1] for entry in sorted(heap)]
+        head = [heapq.heappop(heap) for _ in range(limit)]
+        for entry in head:
+            heapq.heappush(heap, entry)
+        return [entry[-1] for entry in head]
 
-    def pop_run(self, tenant: str, count: int) -> list[Request]:
-        """Remove and return the first ``count`` requests in dispatch order."""
+    def take_run(self, tenant: str, limit: int, prefix) -> list[Request]:
+        """Remove and return the first ``prefix(head)`` of the first ``limit``
+        requests in dispatch order, in O(limit · log depth): the entries not
+        taken go back (``seq`` makes keys unique, so what remains pops in
+        the same order), and a ``limit`` covering the queue is a plain sort.
+        """
         heap = self._heaps[tenant]
-        return [heapq.heappop(heap)[-1] for _ in range(min(count, len(heap)))]
+        if limit >= len(heap):
+            head = sorted(heap)
+            heap.clear()
+        else:
+            head = [heapq.heappop(heap) for _ in range(limit)]
+        count = prefix([entry[-1] for entry in head])
+        for entry in head[count:]:
+            heapq.heappush(heap, entry)
+        return [entry[-1] for entry in head[:count]]
 
 
 @dataclass

@@ -6,16 +6,22 @@ costs the host is (nearly) the same on a 4-unit and a 32-unit device.  This
 guard counts Python-level calls instead of reading the host clock: a
 per-unit x per-sub-core Python loop on the launch path (640 calls a launch
 at 32 units before the issue bank; ratio 2.65) cannot return unnoticed.
+The same counting guards the point engine's cached lane (last test).
 """
 
 import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.config import default_system
+from repro.exec import batched
+from repro.exec.point import attempt_point
 from repro.host.api import pack_args
+from repro.host.offload import make_offload_path
 from repro.kernels.vecadd import VECADD
+from repro.workloads import kvstore
 from repro.workloads.base import make_platform
 
 LAUNCHES = 10
@@ -63,3 +69,58 @@ def test_cached_launch_calls_do_not_scale_with_units():
     small = _calls_over_cached_launches(4)
     large = _calls_over_cached_launches(32)
     assert large <= 1.35 * small, (small, large)
+
+
+def _calls_per_cached_get_lane() -> float:
+    """Python-level calls inside ``attempt_point`` per replayed GET lane.
+
+    A GET-only zipfian trace against a 512-item store; the first 100
+    launches warm the family, then every launch whose lane replays is
+    counted (``call`` + ``c_call`` events between entering and leaving
+    ``attempt_point``: the replay, its loads, the commit, the timing and
+    the launch tail).
+    """
+    platform = make_platform(backend="batched")
+    data = kvstore.generate(512, 400, 1.0, "GETS")
+    stats = platform.stats
+    launches = calls = lanes = 0
+
+    def count(_frame, event, _arg) -> None:
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    def counted(backend, execution, now_ns):
+        nonlocal launches, calls, lanes
+        launches += 1
+        if launches <= 100:
+            return attempt_point(backend, execution, now_ns)
+        hits, before = stats.get("exec.trace_cache_hits_point"), calls
+        sys.setprofile(count)
+        try:
+            attempt_point(backend, execution, now_ns)
+        finally:
+            sys.setprofile(None)
+        if stats.get("exec.trace_cache_hits_point") == hits + 1:
+            lanes += 1
+        else:
+            calls = before               # a walk: not what is guarded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batched, "attempt_point", counted)
+        result = kvstore.run_ndp(platform, data, make_offload_path("m2func"))
+    assert result.correct and lanes >= 250
+    return calls / lanes
+
+
+def test_cached_get_lane_stays_compiled():
+    """A cached GET lane must not be interpreted access by access.
+
+    The parent (32e0b06) walked the trie with a ``resolve`` closure, an
+    overlay read and a string dispatch per access: 407.7 calls per cached
+    GET lane, counted exactly this way.  The compiled replay makes 253.2
+    (0.62x; what is left is the ``load -> translate -> read_bytes`` chain
+    of its ~14 loads and the launch tail); anything above 0.7x of the
+    parent's number means a per-access dispatch is back.
+    """
+    assert _calls_per_cached_get_lane() <= 0.7 * 407.7

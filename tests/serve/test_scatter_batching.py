@@ -81,10 +81,11 @@ class TestScatterDifferential:
 
 
 class TestContiguityGuard:
-    def test_take_rejects_gapped_slice_run(self, monkeypatch):
+    def test_take_rejects_gapped_slice_run(self):
         # the slice-merged mode launches over [lo, hi); a gapped run would
-        # compute slices nobody asked for.  preview() stops at gaps, so
-        # force one through to prove take() still refuses it.
+        # compute slices nobody asked for.  take() decides the fusable
+        # prefix on the very entries it extracts, so a gap ends the batch
+        # and the covering range is exactly what its members asked for.
         batcher = DynamicBatcher(BatchPolicy(max_batch=4))
         queue = RequestQueue()
         gapped = [
@@ -93,9 +94,12 @@ class TestContiguityGuard:
         ]
         for request in gapped:
             queue.push(request)
-        monkeypatch.setattr(batcher, "preview",
-                            lambda *a, **k: list(gapped))
-        with pytest.raises(ConfigError, match="not contiguous"):
+        for request in gapped:
+            batch = batcher.take(queue, "t", fuse="slices")
+            assert batch.requests == [request]
+            assert (batch.slice_lo, batch.slice_hi) == (request.slice_lo,
+                                                        request.slice_hi)
+        with pytest.raises(ConfigError, match="no queued requests"):
             batcher.take(queue, "t", fuse="slices")
 
     def test_take_accepts_contiguous_and_duplicate_slices(self):
