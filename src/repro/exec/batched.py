@@ -30,9 +30,9 @@ included) and one memory-step record/verify/profile path
   per-thread latency estimate bounds the wave depth, and the launch's
   sector-unique global address stream is paced through the device's *real*
   memory-side L2 and banked-DRAM virtual-time models via the bulk charge
-  APIs (``SectorCache.access_batch``, ``DRAMModel.access_batch``,
-  ``BandwidthServer.charge_batch``), so bandwidth saturation, row locality
-  and HDM back-invalidation still come from the existing servers.  Launch
+  APIs (``SectorCache.access_batch``, ``DRAMModel.access_batch``), so
+  bandwidth saturation, row locality and HDM back-invalidation still come
+  from the existing servers.  Launch
   runtime is a roofline ``max(issue throughput, memory system, latency x
   waves)`` rather than an event-by-event FGMT schedule; it tracks the
   interpreter closely but is not bit-identical.
@@ -315,8 +315,6 @@ class _BatchReplay(vo.LaneISA):
 
     def _build_entry(self) -> TraceEntry:
         """Derive the reusable launch profile from the completed walk."""
-        merged_addrs, merged_writes, page_count = (
-            self.memlog.sector_profile(self.device.config.l2.sector_bytes))
         return TraceEntry(self.device.translation_version, self.engine, [
             PhaseProfile(
                 n=self.n,
@@ -324,9 +322,7 @@ class _BatchReplay(vo.LaneISA):
                 instr_steps=self._executed,
                 ops=np.array(self._ops),
                 lat_cycles=self._lat_cycles,
-                merged_addrs=merged_addrs,
-                merged_writes=merged_writes,
-                page_count=page_count,
+                stream=self.memlog.sector_profile(self.device.config.l2),
             )])
 
     # -- control flow and vector configuration (per walk) -------------------

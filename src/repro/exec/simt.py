@@ -176,20 +176,19 @@ class LaunchTail:
         completion."""
         device = self.device
         completion = start + window
-        merged = profile.merged_addrs.size
+        stream = profile.stream
+        merged = stream.addrs.size
         mem_done = None
         if merged:
             # Every participating unit takes one on-chip TLB fill per page
             # it touches; the pre-warmed DRAM-TLB serves them without DRAM
             # traffic (§III-H), so only the stat is charged.
             device.stats.add("ndp.tlb_fill",
-                             profile.page_count * min(len(self.units), lanes))
+                             stream.page_count * min(len(self.units), lanes))
             dt = window / merged
             arrivals = start + dt * np.arange(merged)
             mem_done = device.l2_dram_access_batch(
-                profile.merged_addrs, arrivals, profile.merged_writes,
-                partition=self.execution.partition,
-            )
+                stream, arrivals, partition=self.execution.partition)
             completion = max(completion, mem_done)
         if self.tracer is not None:
             parent = self.span
@@ -529,7 +528,7 @@ class _PhaseWalk(vo.LaneISA):
         self._l2_hit = cfg.l2.hit_latency_ns
         self._dram_lat = (
             plan.execution.partition.dram.typical_random_latency_ns())
-        self._sector_bytes = cfg.l2.sector_bytes
+        self._l2_config = cfg.l2
 
     # -- register plumbing -------------------------------------------------
 
@@ -629,7 +628,7 @@ class _PhaseWalk(vo.LaneISA):
         contribution array, re-read partials) sits in the memory-side L2
         by then, exactly as the interpreter's timed path observes.
         """
-        sectors = self.memlog.sectors(self._sector_bytes)
+        sectors = self.memlog.sectors(self._l2_config.sector_bytes)
         if self._seen_sectors is None:
             self._seen_sectors = sectors
             return 1.0
@@ -1114,8 +1113,6 @@ class _PhaseWalk(vo.LaneISA):
     # -- profile -----------------------------------------------------------
 
     def _build_profile(self) -> PhaseProfile:
-        merged_addrs, merged_writes, page_count = (
-            self.memlog.sector_profile(self._sector_bytes))
         return PhaseProfile(
             n=self.n,
             unit_of_lane=self.unit_of_lane,
@@ -1125,9 +1122,7 @@ class _PhaseWalk(vo.LaneISA):
             ops=np.array(self._ops),
             lat_cycles=self._lat_cycles,
             mem_lat=self._mem_lat,
-            merged_addrs=merged_addrs,
-            merged_writes=merged_writes,
-            page_count=page_count,
+            stream=self.memlog.sector_profile(self._l2_config),
             global_bytes=self._global_bytes,
             global_accesses=self._global_accesses,
             spad_bytes=self._spad_bytes,

@@ -13,8 +13,9 @@ argument bytes) and the device's translation state:
 
 * the dynamic trace aggregates (per-FU instruction counts, latency sum),
 * each memory step's translated address vector, and
-* the launch's deduplicated, proportionally merged sector stream plus
-  page footprint.
+* the launch's deduplicated, proportionally merged sector stream — a
+  :class:`~repro.mem.cache.SectorStream`, which also keeps everything
+  about the stream the L2 would otherwise re-derive on every charge.
 
 A cache hit re-runs only the numpy functional replay (data may have
 changed — outputs must stay byte-identical) and verifies each memory
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import knobs
-from repro.ndp.tlb import PAGE_SHIFT
+from repro.mem.cache import SectorStream
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
@@ -329,7 +330,10 @@ def step_sectors(paddrs: np.ndarray, size: int, sector_bytes: int) -> np.ndarray
     else:
         grid = first[:, None] + np.arange(span)
         sectors = grid[grid <= last[:, None]]
-    return np.unique(sectors) * sector_bytes
+    # a contiguous run of rows (a streaming step) is ascending already
+    if not (sectors[1:] > sectors[:-1]).all():
+        sectors = np.unique(sectors)
+    return sectors * sector_bytes
 
 
 def merge_streams(
@@ -437,19 +441,15 @@ class StepLog:
             step.sector_count = int(sectors.size)
         return sectors
 
-    def sector_profile(self, sector_bytes: int):
-        """``(merged_addrs, merged_writes, page_count)`` of the recorded
-        steps' global accesses — the stream the timing fill-in charges."""
+    def sector_profile(self, l2_config) -> SectorStream:
+        """The recorded steps' global accesses, merged: the stream the
+        timing fill-in charges through a device's ``l2_config`` caches."""
         streams = [
-            (self.sectors(sector_bytes, i), step.op != "load")
+            (self.sectors(l2_config.sector_bytes, i), step.op != "load")
             for i, step in enumerate(self.steps)
             if step.paddrs is not None and step.paddrs.size
         ]
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(
-            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
-        return merged_addrs, merged_writes, page_count
+        return SectorStream(*merge_streams(streams), l2_config)
 
 
 @dataclass
@@ -467,14 +467,10 @@ class PhaseProfile:
 
     n: int
     ops: np.ndarray
+    stream: SectorStream        # merged sectors, charged on every (re)play
     steps: list[MemStep] = field(default_factory=list)
     instr_steps: int = 0
     lat_cycles: np.ndarray | int = 0
-    merged_addrs: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    merged_writes: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=bool))
-    page_count: int = 0
     # -- masked walk only --------------------------------------------------
     unit_of_lane: np.ndarray | None = None
     lane_instructions: int = 0

@@ -1,6 +1,6 @@
 """Memory substrate: physical store, address layout, DRAM timing, caches."""
 
-from repro.mem.cache import AccessResult, SectorCache
+from repro.mem.cache import AccessResult, SectorCache, SectorStream
 from repro.mem.dram import DRAMModel
 from repro.mem.layout import INTERLEAVE_GRANULE, AddressLayout, DRAMCoordinates
 from repro.mem.physical import PAGE_SIZE, PhysicalMemory
@@ -16,5 +16,6 @@ __all__ = [
     "PhysicalMemory",
     "SCRATCHPAD_VBASE",
     "SectorCache",
+    "SectorStream",
     "Scratchpad",
 ]

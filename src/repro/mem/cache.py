@@ -11,10 +11,12 @@ write-back L2 that also performs global atomics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.config import CacheConfig
+from repro.mem.physical import PAGE_SIZE
 from repro.sim.stats import StatsRegistry
 
 
@@ -52,6 +54,92 @@ class BatchAccessResult:
     wb_addrs: np.ndarray
 
 
+def _sector_bits(sectors_per_line: int) -> np.ndarray:
+    """``1 << i`` per sector of a line, in the narrowest unsigned dtype."""
+    return np.left_shift(
+        1, np.arange(sectors_per_line, dtype=np.uint64)
+    ).astype(np.min_scalar_type((1 << sectors_per_line) - 1))
+
+
+class SectorStream:
+    """An ordered stream of sector accesses and everything about it that
+    no cache state can change.
+
+    ``addrs[i]`` is a sector-aligned address, ``writes[i]`` whether access
+    ``i`` writes it; ``config`` gives the sector and line sizes of the
+    caches it is charged to.  A stream is immutable and outlives any cache
+    state — no fill, eviction or ``invalidate_all`` invalidates it — so
+    the trace cache keeps one per traced phase and charges it on every
+    replay.  Both derivations are lazy and done once: :attr:`touches`, and
+    :meth:`placement` per *set count* (one trace-cache entry is replayed
+    on every partition of its device; their L2s differ in nothing else).
+    Index arrays take the narrowest signed dtype: beside its own 9 B an
+    access retains 4-6 B, a line 6-10 B + 12-14 B per placement.
+    """
+
+    def __init__(self, addrs: np.ndarray, writes: np.ndarray,
+                 config: CacheConfig) -> None:
+        self.addrs = np.asarray(addrs, dtype=np.int64)
+        self.writes = np.asarray(writes, dtype=bool)
+        self.sector_bytes = config.sector_bytes
+        self.line_bytes = config.line_bytes
+        self._placements: dict[int, tuple] = {}
+
+    @cached_property
+    def page_count(self) -> int:
+        """Distinct pages the stream touches."""
+        return int(np.unique(self.addrs // PAGE_SIZE).size)
+
+    @cached_property
+    def touches(self) -> tuple:
+        """In this order — per access: ``bit`` (the sector's bit in its
+        line), ``repeat`` (an earlier access touched the sector),
+        ``line_inv`` (its line, numbered by ascending address); the
+        ``write_count``; per line: ``valid_or`` / ``dirty_or`` (sectors
+        touched / written), ``first_occ`` / ``last_touch`` (positions)."""
+        n = self.addrs.size
+        spl = self.line_bytes // self.sector_bytes
+        sector_ids = self.addrs // self.sector_bytes
+        bit = _sector_bits(spl)[sector_ids % spl]
+        # one stable sort groups the accesses by sector, and so by line:
+        # a sector's first access is the head of its group
+        order = np.argsort(sector_ids, kind="stable")
+        by_sector = sector_ids[order]
+        by_line = by_sector // spl
+        new_sector = np.ones(n, dtype=bool)
+        np.not_equal(by_sector[1:], by_sector[:-1], out=new_sector[1:])
+        new_line = np.ones(n, dtype=bool)
+        np.not_equal(by_line[1:], by_line[:-1], out=new_line[1:])
+        starts = np.flatnonzero(new_line)
+        repeat = np.ones(n, dtype=bool)
+        repeat[order[new_sector]] = False
+        line_inv = np.empty(n, dtype=np.min_scalar_type(-starts.size))
+        line_inv[order] = np.cumsum(new_line) - 1
+        position = order.astype(np.min_scalar_type(-n))
+        bit_by_line = bit[order]
+        return (bit, repeat, line_inv, int(np.count_nonzero(self.writes)),
+                np.bitwise_or.reduceat(bit_by_line, starts),
+                np.bitwise_or.reduceat(bit_by_line * self.writes[order],
+                                       starts),
+                np.minimum.reduceat(position, starts),
+                np.maximum.reduceat(position, starts))
+
+    def placement(self, num_sets: int) -> tuple:
+        """``(sets, tags, set_order)`` of the stream's lines among
+        ``num_sets`` sets: each line's set and ``tag + 1``, and all lines
+        by (set, first touch).  First touches are unique, so a subset
+        taken in this order is in the order sorting the subset gives."""
+        placed = self._placements.get(num_sets)
+        if placed is None:
+            *_, first_occ, _ = self.touches
+            lines = self.addrs[first_occ] // self.line_bytes
+            sets = (lines % num_sets).astype(np.min_scalar_type(-num_sets))
+            placed = self._placements[num_sets] = (
+                sets, lines // num_sets + 1,
+                np.lexsort((first_occ, sets)).astype(first_occ.dtype))
+        return placed
+
+
 class SectorCache:
     """LRU set-associative sector cache.
 
@@ -81,9 +169,7 @@ class SectorCache:
         self.write_back = write_back
         self.sectors_per_line = config.line_bytes // config.sector_bytes
         self._num_sets = config.num_sets
-        self._bits = np.left_shift(
-            1, np.arange(self.sectors_per_line, dtype=np.uint64)
-        ).astype(np.min_scalar_type((1 << self.sectors_per_line) - 1))
+        self._bits = _sector_bits(self.sectors_per_line)
         # counter names, bound once: the scalar path runs per sector
         self._read_hits = f"{stats_prefix}.read_hits"
         self._write_hits = f"{stats_prefix}.write_hits"
@@ -181,13 +267,15 @@ class SectorCache:
 
     # ------------------------------------------------------------------
 
-    def access_batch(self, sector_addrs: np.ndarray,
-                     is_write: np.ndarray) -> "BatchAccessResult":
+    def access_batch(self, stream: SectorStream) -> BatchAccessResult:
         """Vectorized hit/miss classification of an ordered sector stream.
 
-        Each element is one sector-aligned, sector-sized access.  All work
-        is index arithmetic over the state arrays — no Python step per
-        line, set or access.  The specification:
+        Each element is one sector-aligned, sector-sized access.  What
+        no cache state can change is the :class:`SectorStream`'s, derived
+        once however often it is charged; left here are the tag match,
+        the hit mask, two counts, the state writes and the eviction ranks:
+        index arithmetic over the state arrays, no Python step per line,
+        set or access, no sort over the stream.  The specification:
 
         * a sector hits if it was valid before the batch or appeared
           earlier in it; *a line touched earlier in the batch is assumed
@@ -218,57 +306,36 @@ class SectorCache:
             raise NotImplementedError(
                 "access_batch models write-allocate/write-back caches only"
             )
+        cfg = self.config
+        if (stream.sector_bytes, stream.line_bytes) != (
+                cfg.sector_bytes, cfg.line_bytes):
+            raise ValueError("stream derived for another line geometry")
         if self._tag is None:
             self._allocate()
-        n = int(sector_addrs.size)
-        wb_idx = np.empty(0, dtype=np.int64)
-        wb_addrs = np.empty(0, dtype=np.int64)
-        if n == 0:
-            return BatchAccessResult(
-                hit_mask=np.empty(0, dtype=bool),
-                fill_idx=np.empty(0, dtype=np.int64),
-                wb_idx=wb_idx, wb_addrs=wb_addrs,
-            )
-        cfg = self.config
-        spl = self.sectors_per_line
+        n = stream.addrs.size
+        wb_idx = wb_addrs = np.empty(0, dtype=np.int64)
         ways = cfg.ways
-        sector_ids = sector_addrs // cfg.sector_bytes
-        line_ids = sector_ids // spl
-        bit = self._bits[sector_ids - line_ids * spl]
+        sets, tags, set_order = stream.placement(self._num_sets)
+        (bit, repeat, line_inv, write_count,
+         valid_or, dirty_or, first_occ, last_touch) = stream.touches
 
-        _, sec_first = np.unique(sector_ids, return_index=True)
-        first_mask = np.zeros(n, dtype=bool)
-        first_mask[sec_first] = True
-
-        uniq_lines, line_inv = np.unique(line_ids, return_inverse=True)
-        sets = uniq_lines % self._num_sets
-        tags = uniq_lines // self._num_sets + 1
         match = self._tag[sets] == tags[:, None]
         resident = match.any(axis=1)
         way = match.argmax(axis=1)              # meaningful where resident
         valid_pre = np.where(resident, self._valid[sets, way], 0)
-        hit = (~first_mask) | ((valid_pre[line_inv] & bit) != 0)
-        w = np.asarray(is_write, dtype=bool)
+        hit = repeat | ((valid_pre[line_inv] & bit) != 0)
+        hits = int(np.count_nonzero(hit))
+        write_hits = int(np.count_nonzero(hit & stream.writes))
         for name, count in (
-            (self._read_hits, int(np.count_nonzero(hit & ~w))),
-            (self._write_hits, int(np.count_nonzero(hit & w))),
-            (self._read_misses, int(np.count_nonzero(~hit & ~w))),
-            (self._write_misses, int(np.count_nonzero(~hit & w))),
+            (self._read_hits, hits - write_hits),
+            (self._write_hits, write_hits),
+            (self._read_misses, n - write_count - hits + write_hits),
+            (self._write_misses, write_count - write_hits),
         ):
             if count:
                 self.stats.add(name, count)
 
-        # per-line aggregates over the batch
-        order = np.argsort(line_inv, kind="stable")
-        seg_starts = np.flatnonzero(
-            np.diff(line_inv[order], prepend=np.int64(-1))
-        )
-        positions = np.arange(n, dtype=np.int64)[order]
-        valid_or = np.bitwise_or.reduceat(bit[order], seg_starts)
-        dirty_or = np.bitwise_or.reduceat((bit * w)[order], seg_starts)
-        first_occ = np.minimum.reduceat(positions, seg_starts)
-        stamp = np.maximum.reduceat(positions, seg_starts) \
-            + (self._clock + 1)
+        stamp = np.add(last_touch, self._clock + 1, dtype=np.int64)
         self._clock += n
 
         old = np.flatnonzero(resident)
@@ -277,12 +344,11 @@ class SectorCache:
         self._dirty[old_at] |= dirty_or[old]
         self._stamp[old_at] = stamp[old]
 
-        new = np.flatnonzero(~resident)
-        if new.size:
+        if old.size < sets.size:
             # new lines grouped by set, in first-touch order within a set
-            new = new[np.lexsort((first_occ[new], sets[new]))]
+            new = set_order[~resident[set_order]]
             new_sets = sets[new]
-            boundary = np.diff(new_sets, prepend=new_sets[0] - 1) != 0
+            boundary = np.concatenate(([True], new_sets[1:] != new_sets[:-1]))
             starts = np.flatnonzero(boundary)
             group = np.cumsum(boundary) - 1
             rank = np.arange(new.size) - starts[group]
@@ -304,7 +370,7 @@ class SectorCache:
                 victim_tag = np.empty(evictor.size, dtype=np.int64)
                 victim_tag[from_way] = self._tag[victim_at]
                 victim_tag[~from_way] = tags[earlier]      # both: tag + 1
-                victim_dirty = np.empty(evictor.size, dtype=bit.dtype)
+                victim_dirty = np.empty(evictor.size, dtype=self._bits.dtype)
                 victim_dirty[from_way] = self._dirty[victim_at]
                 victim_dirty[~from_way] = dirty_or[earlier]
                 self.stats.add(self._evictions, int(evictor.size))
@@ -314,7 +380,7 @@ class SectorCache:
                                    int(np.count_nonzero(victim_dirty)))
                     victim_line = (victim_tag - 1) * self._num_sets \
                         + new_sets[evictor]
-                    wb_idx = first_occ[new[evictor]][rows]
+                    wb_idx = first_occ[new[evictor]][rows].astype(np.int64)
                     wb_addrs = victim_line[rows] * cfg.line_bytes \
                         + sector * cfg.sector_bytes
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DRAMConfig
+from repro.errors import SimulationError
 from repro.mem.layout import AddressLayout
-from repro.sim.engine import BandwidthServer, segmented_queue_finish
+from repro.sim.engine import segmented_queue_finish, virtual_queues_finish
 from repro.sim.stats import StatsRegistry
 
 
@@ -31,8 +32,9 @@ class DRAMModel:
     Bank state is three flat arrays indexed by ``channel *
     banks_per_channel + bank``: ``_open_row`` (-1 = precharged),
     ``_ready_ns`` (earliest time the bank accepts a command) and
-    ``_last_activate_ns``.  :meth:`access` and :meth:`access_batch` read
-    and write the same arrays.
+    ``_last_activate_ns``; the channel data buses are a fourth,
+    ``_bus_busy_until[channel]``.  :meth:`access` and :meth:`access_batch`
+    read and write the same arrays.
     """
 
     def __init__(
@@ -49,10 +51,9 @@ class DRAMModel:
         self._open_row = np.empty(banks, dtype=np.int64)
         self._ready_ns = np.empty(banks, dtype=np.float64)
         self._last_activate_ns = np.empty(banks, dtype=np.float64)
-        self._buses = [
-            BandwidthServer(config.channel_bw_bytes_per_ns)
-            for _ in range(config.channels)
-        ]
+        if config.channel_bw_bytes_per_ns <= 0:
+            raise SimulationError("DRAM channels need positive bandwidth")
+        self._bus_busy_until = np.empty(config.channels, dtype=np.float64)
         # counter names, bound once: _burst runs per scalar burst
         self._row_hits = f"{stats_prefix}.row_hits"
         self._row_misses = f"{stats_prefix}.row_misses"
@@ -78,7 +79,6 @@ class DRAMModel:
     def _burst(self, addr: int, size: int, now_ns: float, is_write: bool) -> float:
         coords = self.layout.coordinates(addr)
         bank = coords.channel * self.config.banks_per_channel + coords.bank
-        bus = self._buses[coords.channel]
         timing = self.config.timing
 
         start = max(now_ns, self._ready_ns.item(bank))
@@ -98,7 +98,10 @@ class DRAMModel:
             self._last_activate_ns[bank] = activate
             self._open_row[bank] = coords.row
             cas_done = activate + timing.row_miss_ns
-        finish = bus.transfer(cas_done, size)
+        busy = self._bus_busy_until.item(coords.channel)
+        finish = (cas_done if cas_done > busy else busy) \
+            + size / self.config.channel_bw_bytes_per_ns
+        self._bus_busy_until[coords.channel] = finish
         self._ready_ns[bank] = cas_done  # the next CAS can pipeline behind it
 
         self.stats.add(self._writes if is_write else self._reads)
@@ -116,7 +119,10 @@ class DRAMModel:
         stream order — same row hit/miss/conflict classification (the
         per-bank open-row chain), the same bank CAS pipelining and channel
         data-bus occupancy, and the same stats — solved with segmented
-        max-plus recurrences instead of a Python loop per burst.  Each
+        max-plus recurrences instead of a Python loop per burst, bank or
+        channel (the buses: one :func:`~repro.sim.engine.virtual_queues_finish`
+        pass, its padded array at worst ``channels x n`` floats — 4 MB when
+        16 384 bursts all pick one of 32 channels).  Each
         access must fit one device burst (``addr % granularity + size <=
         granularity``), which holds for the sector streams the batched
         execution backend charges.  The one approximation: the tRC
@@ -137,7 +143,9 @@ class DRAMModel:
         channel, bank, row = self.layout.coordinates_batch(bursts)
         gid = channel * self.config.banks_per_channel + bank
 
-        order = np.argsort(gid, kind="stable")
+        # numpy sorts keys of <= 16 bits by radix
+        order = np.argsort(gid.astype(
+            np.min_scalar_type(self._open_row.size - 1)), kind="stable")
         g_s = gid[order]
         row_s = row[order]
         t_s = np.asarray(arrivals_ns, dtype=np.float64)[order]
@@ -186,10 +194,9 @@ class DRAMModel:
         # channel data buses, in original stream order
         cas = np.empty(n, dtype=np.float64)
         cas[order] = cas_s
-        finish = np.empty(n, dtype=np.float64)
-        for ch in np.unique(channel):
-            mask = channel == ch
-            finish[mask] = self._buses[int(ch)].charge_batch(cas[mask], grain)
+        finish = virtual_queues_finish(
+            cas, grain / self.config.channel_bw_bytes_per_ns, channel,
+            self._bus_busy_until)
 
         writes = int(np.count_nonzero(is_write))
         for name, count in (
@@ -233,5 +240,4 @@ class DRAMModel:
         self._open_row.fill(-1)
         self._ready_ns.fill(0.0)
         self._last_activate_ns.fill(-1e18)
-        for bus in self._buses:
-            bus.reset()
+        self._bus_busy_until.fill(0.0)

@@ -250,9 +250,10 @@ class M2NDPDevice:
             )
         return completion
 
-    def l2_dram_access_batch(self, sector_addrs, arrivals_ns, is_write,
+    def l2_dram_access_batch(self, stream, arrivals_ns,
                              partition: DevicePartition) -> float:
-        """Bulk counterpart of :meth:`l2_dram_access` for a sector stream.
+        """Bulk counterpart of :meth:`l2_dram_access` for a sector stream
+        (a :class:`~repro.mem.cache.SectorStream`, one arrival per access).
 
         One vectorized pass charges HDM back-invalidation (reads of
         host-dirty lines), the memory-side L2 and the banked DRAM for a
@@ -263,17 +264,18 @@ class M2NDPDevice:
         """
         l2, dram = partition.l2, partition.dram
         sector_bytes = self.config.l2.sector_bytes
+        sector_addrs, is_write = stream.addrs, stream.writes
         arrivals = np.asarray(arrivals_ns, dtype=np.float64)
         if not sector_addrs.size:
             return self.sim.now
         if self.coherence.dirty_fraction > 0.0:
-            reads = ~np.asarray(is_write, dtype=bool)
+            reads = ~is_write
             if reads.any():
                 arrivals = arrivals.copy()
                 arrivals[reads] = self.coherence.access_batch(
                     sector_addrs[reads], sector_bytes, arrivals[reads]
                 )
-        result = l2.access_batch(sector_addrs, is_write)
+        result = l2.access_batch(stream)
         done = arrivals + self.config.l2.hit_latency_ns
         completion = float(done.max())
         n_wb = result.wb_idx.size
@@ -287,8 +289,7 @@ class M2NDPDevice:
             times = np.concatenate([done[result.wb_idx],
                                     done[result.fill_idx]])
             writes = np.concatenate([
-                np.ones(n_wb, dtype=bool),
-                np.asarray(is_write, dtype=bool)[result.fill_idx],
+                np.ones(n_wb, dtype=bool), is_write[result.fill_idx],
             ])
             order = np.argsort(keys, kind="stable")
             finishes = dram.access_batch(

@@ -47,6 +47,43 @@ def virtual_queue_finish(arrivals: np.ndarray, costs: np.ndarray,
     return cum + np.maximum(np.maximum.accumulate(slack), busy_until)
 
 
+def virtual_queues_finish(arrivals: np.ndarray, cost: float,
+                          server: np.ndarray,
+                          busy_until: np.ndarray) -> np.ndarray:
+    """:func:`virtual_queue_finish` for many servers in one pass.
+
+    Arrival ``i`` joins the FIFO of server ``server[i]`` (array order is
+    arrival order), every transfer costs ``cost``, and ``busy_until[s]``
+    is server ``s``'s state: read, and advanced in place for the servers
+    the batch uses.  Element for element the float operations of one
+    :func:`virtual_queue_finish` (equivalently one
+    :meth:`BandwidthServer.charge_batch`) per server: a stable sort by
+    server — on keys narrowed to the server count, which numpy sorts by
+    radix — gives each arrival its rank in its queue, and the queues are
+    the rows of one ``-inf``-padded ``[servers, longest queue]`` array so
+    every running max is one accumulate.  That array is the worst case:
+    ``servers x n`` floats when every arrival picks one server.
+    """
+    n = arrivals.size
+    servers = busy_until.size
+    order = np.argsort(server.astype(np.min_scalar_type(servers - 1)),
+                       kind="stable")
+    queue = server[order]
+    queued = np.bincount(queue, minlength=servers)
+    first = np.cumsum(queued) - queued
+    rank = np.arange(n) - first[queue]
+    cum = (rank + 1) * cost
+    slack = np.full((servers, int(queued.max())), -np.inf)
+    slack[queue, rank] = arrivals[order] - (cum - cost)
+    running = np.maximum.accumulate(slack, axis=1)[queue, rank]
+    finish_sorted = cum + np.maximum(running, busy_until[queue])
+    used = np.flatnonzero(queued)
+    busy_until[used] = finish_sorted[(first + queued - 1)[used]]
+    finish = np.empty(n, dtype=np.float64)
+    finish[order] = finish_sorted
+    return finish
+
+
 def segmented_queue_finish(arrivals_plus_service: np.ndarray,
                            chain_costs: np.ndarray,
                            segment_ids: np.ndarray,

@@ -6,7 +6,8 @@ costs the host is (nearly) the same on a 4-unit and a 32-unit device.  This
 guard counts Python-level calls instead of reading the host clock: a
 per-unit x per-sub-core Python loop on the launch path (640 calls a launch
 at 32 units before the issue bank; ratio 2.65) cannot return unnoticed.
-The same counting guards the point engine's cached lane (last test).
+The same counting guards a cached launch's memory charge and the point
+engine's cached lane (last two tests).
 """
 
 import sys
@@ -21,6 +22,7 @@ from repro.exec.point import attempt_point
 from repro.host.api import pack_args
 from repro.host.offload import make_offload_path
 from repro.kernels.vecadd import VECADD
+from repro.ndp.device import M2NDPDevice
 from repro.workloads import kvstore
 from repro.workloads.base import make_platform
 
@@ -69,6 +71,73 @@ def test_cached_launch_calls_do_not_scale_with_units():
     small = _calls_over_cached_launches(4)
     large = _calls_over_cached_launches(32)
     assert large <= 1.35 * small, (small, large)
+
+
+def _calls_inside_memory_charge() -> tuple[int, int]:
+    """``call`` + ``c_call`` events between entering and leaving
+    ``l2_dram_access_batch`` for one cached VECADD launch whose stream
+    hits the L2 everywhere, and for one that fills all of it from DRAM."""
+    platform = make_platform(backend="batched")
+    runtime = platform.runtime
+    a = np.arange(N, dtype=np.int64)
+    addr_a = runtime.alloc_array(a)
+    addr_b = runtime.alloc_array(a)
+    addr_c = runtime.alloc(a.nbytes)
+    kid = runtime.register_kernel(VECADD, name="vecadd")
+    counts: list[int] = []
+    charge = M2NDPDevice.l2_dram_access_batch
+
+    def counted(device, *args, **kwargs):
+        calls = 0
+
+        def count(_frame, event, _arg) -> None:
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            return charge(device, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+            counts.append(calls)
+
+    def launch() -> None:
+        runtime.launch_async(kid, addr_a, addr_a + a.nbytes,
+                             args=pack_args(addr_b, addr_c), sync=False)
+        runtime.wait_all()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M2NDPDevice, "l2_dram_access_batch", counted)
+        launch()                        # traces and fills the L2
+        launch()
+        misses = platform.stats.get("l2.read_misses")
+        launch()                        # replays, all hits
+        assert platform.stats.get("l2.read_misses") == misses
+        platform.device.l2.invalidate_all()
+        launch()                        # replays, all misses
+    stats = platform.stats
+    assert stats.get("exec.trace_cache_hits") == 3
+    assert stats.get("l2.read_misses") == 2 * misses
+    return counts[2], counts[3]
+
+
+def test_cached_memory_charge_derives_nothing_per_replay():
+    """A replay's memory charge is the state-dependent half only.
+
+    What a cached launch's sector stream is — its line sort, first
+    touches, per-line masks, set placement — is derived once per trace
+    (``SectorStream``); the parent (d497f10) re-derived it in every
+    ``access_batch``: 138 calls inside ``l2_dram_access_batch`` for an
+    all-hit launch, counted exactly this way, against 48 now.  A launch
+    that fills its whole stream from DRAM makes 327 (parent 769, of which
+    a ``charge_batch`` per DRAM channel: the buses are one pass now).
+    Above 70 / 420 a per-replay re-derivation or a per-channel Python
+    loop is back.
+    """
+    all_hit, all_fill = _calls_inside_memory_charge()
+    assert all_hit <= 70, all_hit
+    assert all_fill <= 420, all_fill
 
 
 def _calls_per_cached_get_lane() -> float:

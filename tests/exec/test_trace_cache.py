@@ -8,6 +8,7 @@ timing test pins the cached path's ``runtime_ns`` to the uncached one.
 import numpy as np
 import pytest
 
+from repro.cluster import make_cluster_platform
 from repro.config import NDPConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.exec.trace_cache import StaleTrace, StepLog
@@ -83,6 +84,51 @@ class TestHitsAndMisses:
         assert _cache_stats(platform) == (1, 1)
         assert np.array_equal(runtime.read_array(addr_c, np.int64, N),
                               a + b2)
+
+
+class TestOneEntrySeveralCaches:
+    """``trace_key`` does not bind the partition: on a carved device one
+    cached entry — and its one sector stream — is replayed under every
+    partition's L2, and these differ in their set count.  A stream that
+    remembered the sets and tags of the first cache it was charged to
+    would be silently wrong in the second."""
+
+    @staticmethod
+    def _runtimes(order, cache: str, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", cache)
+        platform = make_cluster_platform(num_devices=1, partitions="a:1,b:3",
+                                         backend="batched")
+        cluster = platform.runtime
+        runtime = cluster.runtimes[0]
+        device = runtime.device
+        assert [p.l2.config.num_sets for p in device.partitions] == [513, 1535]
+        n = 8192
+        a = np.arange(n, dtype=np.int64)
+        addr_a = cluster.alloc_array(a)
+        addr_b = cluster.alloc_array(a)
+        addr_c = cluster.alloc(a.nbytes)
+        kid = cluster.register_kernel(VECADD, name="vecadd")
+        runtimes = []
+        for partition in order:
+            handle = runtime.launch_async(
+                kid, addr_a, addr_a + a.nbytes,
+                args=pack_args(addr_b, addr_c), partition=partition,
+                at_ns=cluster.now)
+            cluster.wait_all()
+            runtimes.append(
+                device.controller.instances[handle.call.value].runtime_ns)
+        assert np.array_equal(cluster.read_array(addr_c, np.int64, n), 2 * a)
+        return runtimes, device.stats.get("exec.trace_cache_hits_batched")
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_hit_in_the_other_partition_is_charged_to_its_l2(
+            self, order, monkeypatch):
+        cached, hits = self._runtimes(order, "1", monkeypatch)
+        uncached, no_hits = self._runtimes(order, "0", monkeypatch)
+        assert (hits, no_hits) == (1, 0)
+        assert cached == uncached
+        if order == (0, 1):
+            assert cached == [1857.54296875, 824.0154622395839]
 
 
 class TestInvalidation:

@@ -7,15 +7,20 @@ DRAM model (timing to FP noise), and identical virtual-time evolution for
 the servers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, lpddr5_cxl_dram, memory_side_l2_config
-from repro.mem.cache import SectorCache
+from repro.errors import SimulationError
+from repro.mem import dram as dram_module
+from repro.mem.cache import SectorCache, SectorStream
 from repro.mem.dram import DRAMModel
 from repro.mem.physical import PAGE_SIZE, PhysicalMemory
-from repro.sim.engine import BandwidthServer, IssueServer, virtual_queue_finish
+from repro.sim.engine import (BandwidthServer, IssueServer,
+                              virtual_queue_finish, virtual_queues_finish)
 from repro.sim.stats import StatsRegistry
 
 
@@ -43,7 +48,7 @@ class TestSectorCacheBatch:
         writes = np.zeros(5000, dtype=bool)
         writes[::3] = True
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
-        res = c2.access_batch(addrs, writes)
+        res = c2.access_batch(SectorStream(addrs, writes, cfg))
         assert addrs[res.fill_idx].tolist() == fills_ref
         assert wb_ref == []
         assert res.wb_addrs.size == 0
@@ -56,7 +61,7 @@ class TestSectorCacheBatch:
         addrs = (gen.integers(0, 2000, 8000) * 32).astype(np.int64)
         writes = gen.random(8000) < 0.4
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
-        res = c2.access_batch(addrs, writes)
+        res = c2.access_batch(SectorStream(addrs, writes, cfg))
         assert addrs[res.fill_idx].tolist() == fills_ref
         assert s1.counters("l2") == s2.counters("l2")
         assert c1.resident_lines() == c2.resident_lines()
@@ -68,7 +73,7 @@ class TestSectorCacheBatch:
         writes = np.zeros(4000, dtype=bool)
         writes[1::2] = True
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
-        res = c2.access_batch(addrs, writes)
+        res = c2.access_batch(SectorStream(addrs, writes, small))
         assert addrs[res.fill_idx].tolist() == fills_ref
         # writeback events match as (position, sector) multisets: the
         # batch path groups victims per set before emitting
@@ -83,10 +88,11 @@ class TestSectorCacheBatch:
         addrs = (np.arange(3000) * 32).astype(np.int64)
         reads = np.zeros(3000, dtype=bool)
         _drive_scalar(c1, addrs, reads)
-        c2.access_batch(addrs, reads)
+        stream = SectorStream(addrs, reads, cfg)
+        c2.access_batch(stream)
         # second pass re-reads everything: all hits on both paths
         fills_ref, _ = _drive_scalar(c1, addrs, reads)
-        res = c2.access_batch(addrs, reads)
+        res = c2.access_batch(stream)
         assert fills_ref == []
         assert res.fill_idx.size == 0
         assert s1.counters("l2") == s2.counters("l2")
@@ -96,8 +102,8 @@ class TestSectorCacheBatch:
         cache = SectorCache(cfg, StatsRegistry(), "l1",
                             write_allocate=False, write_back=False)
         with pytest.raises(NotImplementedError):
-            cache.access_batch(np.zeros(1, dtype=np.int64),
-                               np.zeros(1, dtype=bool))
+            cache.access_batch(SectorStream(
+                np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), cfg))
 
     # 4 sets x 4 ways, and a footprint of 16 lines: no set ever overflows,
     # which is where the batch path is specified to equal the scalar one
@@ -117,7 +123,7 @@ class TestSectorCacheBatch:
             writes = np.array([w for _, w in accesses], dtype=bool)
             fills_ref, wb_ref = _drive_scalar(ref, addrs, writes)
             if use_batch:
-                res = mixed.access_batch(addrs, writes)
+                res = mixed.access_batch(SectorStream(addrs, writes, cfg))
                 fills, wbs = addrs[res.fill_idx].tolist(), list(
                     zip(res.wb_idx.tolist(), res.wb_addrs.tolist()))
             else:
@@ -127,15 +133,90 @@ class TestSectorCacheBatch:
             assert s_mixed.counters("l2") == s_ref.counters("l2")
             assert mixed.resident_lines() == ref.resident_lines()
 
+    # a stream over 32 lines of the same 16-line cache: sets overflow and
+    # dirty victims write back.  Between its charges the state evolves
+    # under other streams and scalar accesses
+    _ACCESSES = st.lists(st.tuples(st.integers(0, 127), st.booleans()),
+                         min_size=1, max_size=60)
+    _EVOLUTIONS = st.lists(
+        st.lists(st.tuples(st.booleans(), _ACCESSES), max_size=3),
+        min_size=2, max_size=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ACCESSES, _EVOLUTIONS)
+    def test_reused_stream_equals_fresh_stream_per_call(self, accesses,
+                                                        evolutions):
+        cfg = CacheConfig("t", 4 * 4 * 128, 4, 128, 32, 1.0)
+        fresh, reused, s_fresh, s_reused = _cache_pair(cfg)
+
+        def arrays(pairs):
+            return (np.array([sid * 32 for sid, _ in pairs], dtype=np.int64),
+                    np.array([w for _, w in pairs], dtype=bool))
+
+        stream = SectorStream(*arrays(accesses), cfg)
+        for interlude in evolutions:
+            for use_batch, other in interlude:
+                for cache in (fresh, reused):
+                    if use_batch:
+                        cache.access_batch(SectorStream(*arrays(other), cfg))
+                    else:
+                        _drive_scalar(cache, *arrays(other))
+            want = fresh.access_batch(SectorStream(*arrays(accesses), cfg))
+            got = reused.access_batch(stream)
+            for field in ("hit_mask", "fill_idx", "wb_idx", "wb_addrs"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), field
+            assert s_reused.counters("l2") == s_fresh.counters("l2")
+            for state in ("_tag", "_valid", "_dirty", "_stamp"):
+                assert np.array_equal(getattr(reused, state),
+                                      getattr(fresh, state)), state
+
+    def test_one_stream_charges_caches_of_different_set_counts(self):
+        # placement is memoized per set count, nothing else about a cache
+        narrow = CacheConfig("n", 4 * 4 * 128, 4, 128, 32, 1.0)
+        wide = CacheConfig("w", 16 * 4 * 128, 4, 128, 32, 1.0)
+        gen = np.random.default_rng(5)
+        addrs = (gen.integers(0, 256, 300) * 32).astype(np.int64)
+        writes = gen.random(300) < 0.5
+        stream = SectorStream(addrs, writes, narrow)
+        for cfg in (narrow, wide, narrow, wide):
+            want, got, s_want, s_got = _cache_pair(cfg)
+            for _ in range(2):
+                ref = want.access_batch(SectorStream(addrs, writes, cfg))
+                res = got.access_batch(stream)
+                assert np.array_equal(res.hit_mask, ref.hit_mask)
+                assert res.wb_addrs.tolist() == ref.wb_addrs.tolist()
+            assert s_got.counters("l2") == s_want.counters("l2")
+
+    def test_rejects_a_stream_of_another_line_geometry(self):
+        cfg = memory_side_l2_config()
+        cache, _, _, _ = _cache_pair(cfg)
+        wide = CacheConfig("w", 2 * 2 * 512, 2, 512, 32, 1.0)
+        stream = SectorStream(np.zeros(1, dtype=np.int64),
+                              np.zeros(1, dtype=bool), wide)
+        with pytest.raises(ValueError, match="another line geometry"):
+            cache.access_batch(stream)
+
+    def test_empty_stream_is_no_special_case(self):
+        cfg = memory_side_l2_config()
+        cache, _, stats, _ = _cache_pair(cfg)
+        res = cache.access_batch(SectorStream(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), cfg))
+        assert [a.size for a in (res.hit_mask, res.fill_idx, res.wb_idx,
+                                 res.wb_addrs)] == [0, 0, 0, 0]
+        assert stats.counters("l2") == {} and cache.resident_lines() == 0
+
     def test_invalidate_all_after_batch(self):
-        cache, _, stats, _ = _cache_pair(memory_side_l2_config())
+        cfg = memory_side_l2_config()
+        cache, _, stats, _ = _cache_pair(cfg)
         addrs = (np.arange(400) * 32).astype(np.int64)
-        cache.access_batch(addrs, np.ones(400, dtype=bool))
+        cache.access_batch(SectorStream(addrs, np.ones(400, dtype=bool), cfg))
         assert cache.invalidate_all() == 100
         assert cache.resident_lines() == 0
         # dirty state went with the lines: a re-read misses, nothing
         # writes back, and the scalar entry point sees the same empty cache
-        res = cache.access_batch(addrs[:200], np.zeros(200, dtype=bool))
+        res = cache.access_batch(
+            SectorStream(addrs[:200], np.zeros(200, dtype=bool), cfg))
         assert not res.hit_mask.any() and res.wb_addrs.size == 0
         assert not cache.access(int(addrs[200]), 32, False).full_hit
         assert stats.get("l2.evictions") == 0
@@ -150,8 +231,8 @@ class TestSectorCacheBatch:
                          dtype=np.int64)
         writes = np.array([True, True, False, False])
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
-        first = c2.access_batch(addrs[:2], writes[:2])
-        second = c2.access_batch(addrs[2:], writes[2:])
+        first = c2.access_batch(SectorStream(addrs[:2], writes[:2], cfg))
+        second = c2.access_batch(SectorStream(addrs[2:], writes[2:], cfg))
         assert wb_ref == [(3, 0), (3, 15 * 32)]
         assert first.wb_addrs.size == 0
         assert (second.wb_idx + 2).tolist() == [3, 3]
@@ -206,6 +287,104 @@ class TestDRAMBatch:
         d.access_batch(np.zeros(1, dtype=np.int64), 32,
                        np.array([1e6]), np.zeros(1, bool))
         assert self._row_counters(d) == (1, 1, 0)
+
+
+def _server_per_queue(arrivals, cost, server, busy_until):
+    """The reference for ``virtual_queues_finish``: one ``BandwidthServer``
+    per server, charged server by server (the parent's DRAM buses)."""
+    finish = np.empty(arrivals.size, dtype=np.float64)
+    for s in np.unique(server):
+        one = BandwidthServer(1.0)
+        one.transfer(float(busy_until[s]), 0)
+        mask = server == s
+        finish[mask] = one.charge_batch(arrivals[mask], cost)
+        busy_until[s] = one.occupancy_end()
+    return finish
+
+
+class TestManyQueuesOnePass:
+    SERVERS = 32
+    COST = 32 / 12.8                    # one LPDDR5 burst on its channel bus
+
+    @staticmethod
+    def _grid():
+        gen = np.random.default_rng(9)
+        servers = TestManyQueuesOnePass.SERVERS
+        return {
+            "spread": gen.integers(0, servers, 3000),
+            "one-server": np.full(2000, 7),
+            "one-arrival": np.array([servers - 1]),
+            "two-servers": np.where(gen.random(500) < 0.9, 0, 31),
+            "in-order": np.arange(4 * servers) % servers,
+        }
+
+    @pytest.mark.parametrize("pattern", ["spread", "one-server",
+                                         "one-arrival", "two-servers",
+                                         "in-order"])
+    @pytest.mark.parametrize("busy", ["idle", "busy"])
+    def test_equals_a_bandwidth_server_per_queue(self, pattern, busy):
+        server = self._grid()[pattern].astype(np.int64)
+        gen = np.random.default_rng(server.size)
+        # arrivals dense enough to queue and sparse enough to drain
+        arrivals = np.cumsum(gen.uniform(0.0, 0.4, server.size)) \
+            + gen.uniform(0.0, 40.0, server.size)
+        got_busy = gen.uniform(0.0, 200.0, self.SERVERS) \
+            if busy == "busy" else np.zeros(self.SERVERS)
+        want_busy, before = got_busy.copy(), got_busy.copy()
+        for _ in range(2):              # the second batch queues on the first
+            got = virtual_queues_finish(arrivals, self.COST, server, got_busy)
+            want = _server_per_queue(arrivals, self.COST, server, want_busy)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_busy, want_busy)
+        untouched = np.setdiff1d(np.arange(self.SERVERS), server)
+        assert np.array_equal(got_busy[untouched], before[untouched])
+
+    def test_dram_scalar_and_batch_interleaved_share_the_bus_state(
+            self, monkeypatch):
+        # every batch's bus pass is checked against the per-channel servers
+        # and every scalar burst against a `BandwidthServer` of its own
+        # (`_ready_ns` holds the burst's CAS time)
+        cfg = lpddr5_cxl_dram()
+        model = DRAMModel(cfg, StatsRegistry())
+        passes = []
+
+        def checked(arrivals, cost, server, busy_until):
+            want_busy = busy_until.copy()
+            want = _server_per_queue(arrivals, cost, server, want_busy)
+            got = virtual_queues_finish(arrivals, cost, server, busy_until)
+            assert busy_until is model._bus_busy_until
+            assert np.array_equal(got, want)
+            assert np.array_equal(busy_until, want_busy)
+            passes.append(arrivals.size)
+            return got
+
+        monkeypatch.setattr(dram_module, "virtual_queues_finish", checked)
+        gen = np.random.default_rng(4)
+        now = 0.0
+        for chunk in range(12):
+            n = int(gen.integers(1, 200))
+            addrs = (gen.integers(0, (1 << 20) // 32, n) * 32).astype(np.int64)
+            arrivals = now + np.cumsum(gen.uniform(0.0, 2.0, n))
+            now = float(arrivals[-1])
+            writes = gen.random(n) < 0.3
+            if chunk % 2:
+                model.access_batch(addrs, 32, arrivals, writes)
+                continue
+            for a, t, w in zip(addrs.tolist(), arrivals.tolist(),
+                               writes.tolist()):
+                coords = model.layout.coordinates(a)
+                bus = BandwidthServer(cfg.channel_bw_bytes_per_ns)
+                bus.transfer(float(model._bus_busy_until[coords.channel]), 0)
+                finish = model.access(a, 32, t, w)
+                bank = coords.channel * cfg.banks_per_channel + coords.bank
+                assert bus.transfer(float(model._ready_ns[bank]), 32) == finish
+                assert model._bus_busy_until[coords.channel] \
+                    == bus.occupancy_end()
+        assert len(passes) == 6
+
+    def test_dram_rejects_non_positive_bandwidth(self):
+        with pytest.raises(SimulationError, match="positive bandwidth"):
+            DRAMModel(replace(lpddr5_cxl_dram(), channel_bw_bytes_per_ns=0.0))
 
 
 class TestPhysicalRowRuns:
@@ -293,7 +472,11 @@ class TestServerBatch:
         got = b.charge_batch(arrivals, sizes)
         assert got == pytest.approx(np.array(ref), rel=1e-12)
         assert a.bytes_transferred == b.bytes_transferred
-        assert a.occupancy_end() == pytest.approx(b.occupancy_end())
+        # a cumsum against a chain of adds: equal to the last digit or so,
+        # not bit for bit (4274.655673334288 vs ...287 on this stream)
+        assert a.occupancy_end() == pytest.approx(b.occupancy_end(),
+                                                  rel=1e-12)
+        assert b.occupancy_end() == got[-1]
 
     def test_issue_service_batch_matches_issue_loop(self):
         a, b = IssueServer(4, 0.5), IssueServer(4, 0.5)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig
-from repro.mem.cache import SectorCache
+from repro.mem.cache import SectorCache, SectorStream
 from repro.sim.stats import StatsRegistry
 
 SECTOR = 32
@@ -73,7 +73,7 @@ def _digest(seed, ways, sets, multiple, pattern):
         ids, cursor = _stream(gen, pattern, footprint, n, cursor)
         addrs = (ids * SECTOR).astype(np.int64)
         writes = gen.random(n) < 0.4
-        res = cache.access_batch(addrs, writes)
+        res = cache.access_batch(SectorStream(addrs, writes, cfg))
         order = np.argsort(res.wb_idx, kind="stable")
         for arr in (res.hit_mask.astype(np.uint8),
                     res.fill_idx.astype(np.int64),
@@ -90,8 +90,8 @@ def _digest(seed, ways, sets, multiple, pattern):
         sha.update(repr(sorted(stats.counters("l2").items())).encode())
         sha.update(repr(cache.resident_lines()).encode())
     probe = (gen.integers(0, footprint, 4 * sets * ways) * SECTOR)
-    res = cache.access_batch(probe.astype(np.int64),
-                             np.zeros(probe.size, dtype=bool))
+    res = cache.access_batch(SectorStream(
+        probe, np.zeros(probe.size, dtype=bool), cfg))
     sha.update(res.hit_mask.astype(np.uint8).tobytes())
     return sha.hexdigest()
 

@@ -7,8 +7,11 @@ the parent tree and in this one, alternating which goes first, and prints
 each side's `units_per_wall_s` readings, median and quartiles, the pairs the
 change won and the ROADMAP rule for a claimed gain: >= 10 pairs, >= 9/10 won,
 medians apart by more than the parent's quartile distance, `sim_digest_pass1`
-equal on every reading.  Exit 1 on unequal digests or a failed run, else 0
-(a gain not shown is a verdict, not an error).  `--quick`: CI self-test size.
+equal on every reading.  What a gain may have been bought with is read from
+the same runs: each side's median `setup_s` and `peak_rss_mb`, and whether the
+change's is inside the `BENCHMARK.json` bound.  Exit 1 on unequal digests or a
+failed run, else 0 (a gain not shown, or a cost over its bound, is a verdict,
+not an error).  `--quick`: CI self-test size.
 """
 import argparse
 import json
@@ -19,9 +22,11 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+RATE = "units_per_wall_s"
+COSTS = ("setup_s", "peak_rss_mb")      # lower is better, bounded
 
 
-def reading(tree: Path, args, out: Path) -> tuple[float, str]:
+def reading(tree: Path, args, out: Path) -> tuple[dict[str, float], str]:
     size = ["--quick"] if args.quick else ["--seconds", "20"]
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload,
@@ -33,7 +38,7 @@ def reading(tree: Path, args, out: Path) -> tuple[float, str]:
     if line["failed"]:
         sys.exit(f"{line['failed']} failed operations in {tree}")
     entry = json.loads(out.read_text())["workloads"][args.workload]
-    return (line["metrics"]["units_per_wall_s"]["value"],
+    return ({name: line["metrics"][name]["value"] for name in (RATE, *COSTS)},
             entry["sim_digest_pass1"])
 
 
@@ -47,17 +52,19 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": HERE}
-    rates = {side: [] for side in trees}
+    readings = {side: [] for side in trees}
     digests = set()
     with tempfile.TemporaryDirectory() as scratch:
         for pair in range(args.pairs):
             for side in sorted(trees, reverse=bool(pair % 2)):
-                rate, digest = reading(trees[side], args,
-                                       Path(scratch, f"{side}.json"))
-                rates[side].append(rate)
+                metrics, digest = reading(trees[side], args,
+                                          Path(scratch, f"{side}.json"))
+                readings[side].append(metrics)
                 digests.add(digest)
-            print(f"pair {pair + 1}: parent {rates['parent'][-1]:.4g}  "
-                  f"change {rates['change'][-1]:.4g}", flush=True)
+            print(f"pair {pair + 1}: parent {readings['parent'][-1][RATE]:.4g}"
+                  f"  change {readings['change'][-1][RATE]:.4g}", flush=True)
+    rates = {side: [metrics[RATE] for metrics in taken]
+             for side, taken in readings.items()}
     quartiles = {side: (statistics.quantiles(values, n=4, method="inclusive")
                         if args.pairs > 1 else values * 3)
                  for side, values in rates.items()}
@@ -72,6 +79,15 @@ def main() -> int:
     print(f"wins {wins}/{args.pairs}  ratio {c_median / p_median:.2f}x  "
           f"digests {'equal' if same else 'DIFFER'}  "
           f"gain {'holds' if gain else 'not shown'}")
+    bounds = {metric["name"]: metric["bound"] for metric in json.loads(
+        (HERE / "BENCHMARK.json").read_text())["end_to_end"]}
+    for name in COSTS:
+        parent, change = (statistics.median(m[name] for m in readings[side])
+                          for side in ("parent", "change"))
+        inside = change <= parent * (1 + bounds[name])
+        print(f"{name}: parent {parent:.4g}  change {change:.4g}  "
+              f"{change / parent - 1:+.1%} (bound +{bounds[name]:.0%}: "
+              f"{'inside' if inside else 'OVER'})")
     return 0 if same else 1
 
 
