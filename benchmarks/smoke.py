@@ -1,6 +1,6 @@
 """Smoke benchmark: a deterministic golden of the paper's sim-time claims.
 
-Runs the eleven small points of the ``POINTS`` table and writes every
+Runs the ten small points of the ``POINTS`` table and writes every
 simulated result, counter and byte-identity verdict to
 ``BENCH_smoke.json``.  The host clock is never read, so that file is a
 pure function of the code and the committed copy is a **golden**: CI
@@ -10,9 +10,10 @@ history).  A change that moves a field on purpose commits the
 regenerated file.  Host time is m2bench's (``python3 bench/run.py``).
 
 The golden pins values; the ``GATES`` table states the claims a
-regenerated golden must still meet.  Every row is evaluated and printed
-as the run summary, and all failing rows are listed before the non-zero
-exit.
+regenerated golden must still meet (``gates.py``: every row is evaluated
+and printed as the run summary, all failing rows are listed before the
+non-zero exit).  The paper's figures are ``figures.py``'s, against
+``FIDELITY.json``.
 
 The tracing and monitoring points also leave ``serving.trace.json`` /
 ``serving.manifest.json`` and ``incidents/`` in the working directory
@@ -25,18 +26,16 @@ Usage::
 
 from __future__ import annotations
 
-import json
-import operator
 import os
 import sys
 
 import numpy as np
+from gates import write_and_gate
 
 from repro import obs
 from repro.cluster import make_cluster_platform
 from repro.obs.incidents import grade_against_plan
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS
-from repro.experiments.fig05 import run_fig5
 from repro.experiments.partitioning import (
     PARTITION_SPEC,
     run_partitioning,
@@ -88,11 +87,6 @@ TRAFFIC_SMOKE_REQUESTS = 100
 SERVING_SMOKE_REQUESTS = 192      # per tenant (2 cycles over the slices)
 SERVING_SMOKE_SLICES = 96
 SERVING_SMOKE_ELEMENTS = 1 << 10  # per slice
-
-
-def bench_fig5() -> dict:
-    result = run_fig5()
-    return {"rows": result.rows, "notes": result.notes}
 
 
 def _exec_profile(counters: dict) -> dict:
@@ -587,7 +581,6 @@ def bench_partition_point() -> dict:
 
 #: The golden's top-level keys, in run order.
 POINTS = (
-    ("fig5", bench_fig5),
     ("fig10a_point", bench_fig10a_point),
     ("fig06_point", bench_fig06_point),
     ("kvstore_point", bench_kvstore_point),
@@ -600,14 +593,8 @@ POINTS = (
     ("partition_point", bench_partition_point),
 )
 
-RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le,
-             ">": operator.gt}
-
-#: The claims a regenerated golden must still meet, one row each:
-#: ``(dotted path, relation, bound, claim)``.  A ``str`` bound is a second
-#: dotted path into the same payload.  The golden pins every value
-#: exactly; a row here is what may *not* move even in a PR that commits
-#: a new golden.
+#: The claims a regenerated golden must still meet (rows as ``gates.py``
+#: defines them).
 GATES = (
     ("fig10a_point.interpreter.correct", "==", True, "matches the reference"),
     ("fig10a_point.batched.correct", "==", True, "matches the reference"),
@@ -693,27 +680,6 @@ GATES = (
 )
 
 
-def _dig(payload: dict, dotted: str):
-    """The value at ``dotted``; KeyError / TypeError when it is absent."""
-    node = payload
-    for part in dotted.split("."):
-        node = node[part]
-    return node
-
-
-def check_gate(payload: dict, gate: tuple) -> tuple[bool, str]:
-    """Whether one ``GATES`` row holds on ``payload``, and its summary line."""
-    path, relation, bound, claim = gate
-    try:
-        value = _dig(payload, path)
-        limit = _dig(payload, bound) if isinstance(bound, str) else bound
-    except (KeyError, TypeError):
-        return False, f"{path} {relation} {bound}: field missing — {claim}"
-    against = f"{limit} ({bound})" if isinstance(bound, str) else limit
-    return (RELATIONS[relation](value, limit),
-            f"{path}: {value} {relation} {against} — {claim}")
-
-
 def check_blast_radius(payload: dict) -> tuple[bool, str]:
     """The one gate that is not a relation on a leaf: every key of the
     partition kill's blast radius is the killed ``dev*.batch`` partition."""
@@ -726,20 +692,8 @@ def check_blast_radius(payload: dict) -> tuple[bool, str]:
 
 
 def main(out_path: str = "BENCH_smoke.json") -> dict:
-    payload = {name: point() for name, point in POINTS}
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out_path}")
-    results = [check_gate(payload, gate) for gate in GATES]
-    results.append(check_blast_radius(payload))
-    for holds, line in results:
-        print(f"  {'ok  ' if holds else 'FAIL'} {line}")
-    failures = [line for holds, line in results if not holds]
-    if failures:
-        raise SystemExit(f"{len(failures)} of {len(results)} smoke gates "
-                         f"failed:\n  " + "\n  ".join(failures))
-    return payload
+    return write_and_gate({name: point() for name, point in POINTS},
+                          out_path, GATES, (check_blast_radius,))
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ Two scaling modes from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import CXLConfig
 from repro.errors import ConfigError
 from repro.sim.engine import BandwidthServer
@@ -26,12 +24,6 @@ from repro.sim.stats import StatsRegistry
 #: memory access approaches 300 ns LtU, i.e. the switch adds ~70 ns each way
 #: on top of the direct path's ~35 ns).
 SWITCH_HOP_NS = 70.0
-
-
-@dataclass(frozen=True)
-class SwitchPort:
-    index: int
-    bw_bytes_per_ns: float
 
 
 class CXLSwitch:
@@ -96,9 +88,6 @@ class CXLSwitch:
         self._flaps[port] = (until_ns, extra_ns)
         self.stats.add(f"{self.prefix}.link_flaps")
 
-    def end_flap(self, port: int) -> None:
-        self._flaps.pop(port, None)
-
     def _flap_penalty(self, now_ns: float, port: int) -> float:
         entry = self._flaps.get(port)
         if entry is None:
@@ -111,10 +100,6 @@ class CXLSwitch:
         return extra_ns
 
     # ------------------------------------------------------------------
-
-    def aggregate_downstream_bw(self) -> float:
-        """Peak bytes/ns an in-switch NDP block can pull from all memories."""
-        return sum(p.bytes_per_ns for p in self.downstream)
 
     def in_switch_ndp_bandwidth(self, num_memories: int) -> float:
         """Effective bandwidth for M2NDP-in-switch over ``num_memories``

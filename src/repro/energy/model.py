@@ -4,7 +4,8 @@ Energy = dynamic (per-event costs times the simulator's event counts) plus
 static power integrated over runtime, including the idle host during NDP —
 the paper's accounting.  Constants follow the paper's cited sources where
 given (8 pJ/bit CXL link energy [38]) and CACTI/DSENT-class estimates at
-7 nm elsewhere; EXPERIMENTS.md records the resulting Fig 15 shapes.
+7 nm elsewhere; FIDELITY.json's ``fig15-*`` rows record the resulting
+Fig 15 shapes against the paper's.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Experiment drivers: one module per paper figure/table.
 
-``EXPERIMENTS`` maps experiment ids to zero-argument callables returning
-:class:`~repro.experiments.common.ExperimentResult`; benchmarks and the
+``EXPERIMENTS`` maps experiment ids to callables (every argument
+defaulted) returning an
+:class:`~repro.experiments.common.ExperimentResult` whose
+``experiment_id`` is that id; ``benchmarks/figures.py`` and the
 ``examples/reproduce_figure.py`` script both dispatch through it.
 """
 
@@ -22,7 +24,7 @@ from repro.experiments.fig13 import (
     run_fig13b,
 )
 from repro.experiments.fig14 import run_fig14a, run_fig14b
-from repro.experiments.fig15 import run_fig15_gpu, run_fig15_olap
+from repro.experiments.fig15 import run_area, run_fig15_gpu, run_fig15_olap
 from repro.experiments.partitioning import (
     run_partitioning,
     run_partitioning_containment,
@@ -55,6 +57,7 @@ EXPERIMENTS = {
     "fig14b": run_fig14b,
     "fig15-olap": run_fig15_olap,
     "fig15-gpu": run_fig15_gpu,
+    "area": run_area,
     "instr-savings": static_instruction_savings,
     "partitioning": run_partitioning,
     "partitioning-containment": run_partitioning_containment,

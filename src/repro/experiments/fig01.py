@@ -15,10 +15,11 @@ def run_fig1a() -> ExperimentResult:
     )
     for row in fig1a_table():
         result.add(**row)
-    result.notes = (
-        f"max slowdown {max_slowdown():.1f}x (paper: up to 9.9x), "
-        f"avg {mean_slowdown():.1f}x (paper: 6.3x)"
-    )
+    result.headline = {
+        "max_slowdown": max_slowdown(),
+        "avg_slowdown": mean_slowdown(),
+        "min_slowdown": min(result.column("slowdown")),
+    }
     return result
 
 
@@ -41,5 +42,5 @@ def run_fig1b(scale_name: str = "small",
         label = "local" if ltu == 75.0 else "cxl"
         result.add(memory=f"{label}_LtU_{int(ltu)}ns", p95_ns=p95,
                    normalized=p95 / local)
-    result.notes = "paper: 1.0 / 2.2 / 7.4 normalized P95"
+        result.headline[f"p95_ratio_{int(ltu)}"] = p95 / local
     return result

@@ -55,16 +55,14 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
         result.add(time_frac=idx / max(steps - 1, 1), ndp_ratio=ratio)
     for name, mean in means.items():
         result.add(config=name, mean_active_ratio=mean)
-    gains = {
-        tb: means["ndp_unit"] / means[f"sm_tb{tb}"] - 1.0
-        for tb in (32, 64, 128) if means[f"sm_tb{tb}"] > 0
+    gains = [means["ndp_unit"] / means[f"sm_tb{tb}"] - 1.0
+             for tb in (32, 64, 128)]
+    result.headline = {
+        "active_ratio_gain_min": min(gains),
+        "active_ratio_gain_max": max(gains),
+        "ndp_active_ratio": means["ndp_unit"],
+        "correct": ndp_run.correct,
     }
-    result.notes = (
-        f"NDP active-ratio gain vs SM: "
-        + ", ".join(f"TB{tb}: {g:+.1%}" for tb, g in gains.items())
-        + " (paper: +15.9% to +50.9%); correctness: "
-        + str(ndp_run.correct)
-    )
     return result
 
 
@@ -112,8 +110,9 @@ def run_fig6b(scale_name: str = "small", nbins: int = 256,
         normalized_global=ndp_global / gpu_global,
         normalized_spad=ndp_spad / gpu_shared,
     )
-    result.notes = (
-        "paper: global 0.90, scratchpad 0.44 normalized; correctness: "
-        + str(run.correct)
-    )
+    result.headline = {
+        "global_traffic_ratio": ndp_global / gpu_global,
+        "spad_traffic_ratio": ndp_spad / gpu_shared,
+        "correct": run.correct,
+    }
     return result

@@ -38,7 +38,6 @@ def run_fig10a(scale_name: str = "small") -> ExperimentResult:
     result = ExperimentResult(
         "fig10a", "OLAP Evaluate speedups over host CPU baseline"
     )
-    speedups = {"cpu_ndp": [], "m2ndp": [], "ideal": []}
     for query in ("q14", "q6", "q1_1", "q1_2", "q1_3"):
         data = olap.generate(query, preset.rows)
         platform = make_platform(backend=EXPERIMENT_BACKEND)
@@ -57,13 +56,21 @@ def run_fig10a(scale_name: str = "small") -> ExperimentResult:
         phases = olap.full_query_phases_ns(data, ndp.runtime_ns, base)
         row["norm_runtime"] = phases["total"] / phases["baseline_total"]
         result.add(**row)
-        for key in speedups:
-            speedups[key].append(row[key])
-    result.notes = (
-        "GMEAN evaluate speedups: "
-        + ", ".join(f"{k}={geometric_mean(v):.1f}x" for k, v in speedups.items())
-        + " (paper: cpu_ndp=55x, m2ndp=73.4x, ideal=81x)"
-    )
+    cpu_ndp, m2ndp, ideal = (geometric_mean(result.column(key))
+                             for key in ("cpu_ndp", "m2ndp", "ideal"))
+    result.headline = {
+        "evaluate_speedup_gmean": m2ndp,
+        "evaluate_speedup_max": max(result.column("m2ndp")),
+        "cpu_ndp_gmean": cpu_ndp,
+        "ideal_gmean": ideal,
+        "cpu_ndp_gap": m2ndp / cpu_ndp,
+        "ideal_gap": ideal / m2ndp,
+        "dram_bw_utilization": (
+            sum(result.column("bw_gbps")) / len(result.rows)
+            / default_system().cxl_dram.total_bw_bytes_per_ns),
+        "norm_runtime_max": max(result.column("norm_runtime")),
+        "correct": all(result.column("correct")),
+    }
     return result
 
 
@@ -90,10 +97,16 @@ def run_fig10b(scale_name: str = "small",
             if mech == "m2func":
                 row["correct"] = run.correct
         result.add(**row)
-    result.notes = (
-        "paper: M2func improves P95 by 1.38x avg; CXL.io paths degrade it "
-        "(0.29x-0.59x)"
-    )
+    m2func, rb, dr = (result.column(f"{mech}_improvement")
+                      for mech in ("m2func", "cxl_io_rb", "cxl_io_dr"))
+    result.headline = {
+        "p95_improvement": sum(m2func) / len(m2func),
+        "vs_cxl_io_rb": sum(m / r for m, r in zip(m2func, rb)) / len(rb),
+        "m2func_improvement_min": min(m2func),
+        "cxl_io_rb_improvement_max": max(rb),
+        "m2func_over_dr_min": min(m / d for m, d in zip(m2func, dr)),
+        "correct": all(result.column("correct")),
+    }
     return result
 
 
@@ -194,12 +207,9 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
     return cases
 
 
-def run_fig10c(scale_name: str = "small",
-               configs: tuple[str, ...] | None = None) -> ExperimentResult:
+def run_fig10c(scale_name: str = "small") -> ExperimentResult:
     system = default_system()
     gpu_configs = _gpu_configs(system)
-    if configs is not None:
-        gpu_configs = {k: v for k, v in gpu_configs.items() if k in configs}
     nsu = NSUModel()
 
     table = SpeedupTable("fig10c")
@@ -233,9 +243,11 @@ def run_fig10c(scale_name: str = "small",
         cells.update(row.speedups())
         result.add(**cells)
     gmeans = {cfg: table.gmean(cfg) for cfg in table.configs()}
-    result.add(workload="GMEAN", **gmeans)
-    result.notes = (
-        "paper GMEANs: iso_flops=3.25, 4x=5.12, 16x=5.11, iso_area=4.49, "
-        f"m2ndp=6.35, nsu=0.97; all NDP runs correct: {correctness}"
+    result.headline = {f"{cfg}_gmean": value for cfg, value in gmeans.items()}
+    result.headline.update(
+        m2ndp_max=max(result.column("m2ndp")),
+        iso_flops_over_16x=gmeans["gpu_ndp_iso_flops"] / gmeans["gpu_ndp_16x"],
+        correct=correctness,
     )
+    result.add(workload="GMEAN", **gmeans)
     return result

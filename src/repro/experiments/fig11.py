@@ -2,7 +2,7 @@
 
 (a) P95 latency-throughput curves for KVS_A under the three offload
 mechanisms: the direct-MMIO register pair serializes kernels and saturates
-orders of magnitude earlier (the paper's 47.3x throughput gap).
+orders of magnitude earlier.
 
 (b) M2func's benefit with CXL.mem latency *equal* to CXL.io (600 ns both):
 the advantage that remains is purely fewer round trips and concurrency.
@@ -35,10 +35,15 @@ def run_fig11a(scale_name: str = "small",
             row[f"{mech}_p95_us"] = run.p95_ns / 1e3
             row[f"{mech}_mrps"] = run.throughput_rps(elapsed) / 1e6
         result.add(**row)
+    heavy = max(result.rows, key=lambda row: row["offered_mrps"])
+    result.headline = {
+        "kvs_throughput_gain": heavy["m2func_mrps"] / heavy["cxl_io_dr_mrps"],
+        "heavy_dr_over_m2func_p95": (heavy["cxl_io_dr_p95_us"]
+                                     / heavy["m2func_p95_us"]),
+    }
     result.notes = (
-        "paper: CXL.io_DR saturates ~47x earlier than M2func; "
-        "ring buffer adds ~4 us to every request"
-    )
+        "kvs_throughput_gain is read at the sweep's highest offered load; "
+        "M2func is not saturated there, so it is a lower bound")
     return result
 
 
@@ -64,9 +69,7 @@ def run_fig11b(kernel_runtimes_ns: dict[str, float] | None = None,
         result.add(workload=name,
                    vs_rb=rb / m2,
                    vs_dr=dr / m2)
-    result.notes = (
-        "paper: up to 1.63x latency gain for fine-grained kernels, ~1.0 for "
-        "coarse ones; throughput gains (47.3x KVS, 4.58x DLRM-B4) come from "
-        "concurrency and are shown in fig11a"
-    )
+        result.headline[f"vs_rb_{name}"] = rb / m2
+    result.headline["latency_gain_max"] = max(result.column("vs_rb"))
+    result.notes = "latency only: the throughput gains are fig11a's"
     return result

@@ -1,4 +1,5 @@
-"""Fig 15: energy and performance-per-energy, normalized to the baselines.
+"""Fig 15: energy and performance-per-energy, normalized to the baselines;
+§IV-F: hardware cost.
 
 OLAP queries compare M2NDP against the host CPU; GPU workloads against the
 host GPU and GPU-NDP(Iso-Area).  Dynamic energy comes from simulator event
@@ -6,6 +7,7 @@ counts, static energy from runtime (§IV-A energy methodology)."""
 
 from __future__ import annotations
 
+from repro.area import model as area
 from repro.config import GPU_NDP_ISO_AREA_SMS
 from repro.energy.model import EnergyModel
 from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
@@ -45,7 +47,16 @@ def run_fig15_olap(scale_name: str = "small") -> ExperimentResult:
                 / base_energy.perf_per_energy(base_ns)
             ),
         )
-    result.notes = "paper: up to 87.9% (avg 83.9%) energy reduction for OLAP"
+    reductions = result.column("energy_reduction")
+    gains = result.column("perf_per_energy_gain")
+    result.headline = {
+        "energy_reduction_olap": sum(reductions) / len(reductions),
+        "energy_reduction_olap_max": max(reductions),
+        "energy_reduction_olap_min": min(reductions),
+        "perf_per_energy_max": max(gains),
+        "perf_per_energy_avg": sum(gains) / len(gains),
+        "perf_per_energy_min": min(gains),
+    }
     return result
 
 
@@ -77,10 +88,15 @@ def run_fig15_gpu(scale_name: str = "small",
         base_energy = model.host_gpu_run(bytes_moved, instructions, base_ns)
         iso_energy = model.gpu_ndp_run(bytes_moved, instructions, iso_ns,
                                        GPU_NDP_ISO_AREA_SMS)
-        # fresh platform stats were consumed by run_ndp; rebuild an
-        # equivalent NDP energy from the result's counters
-        ndp_stats_proxy = _NDPStatsProxy(ndp)
-        ndp_energy = model.ndp_run(ndp_stats_proxy, ndp.runtime_ns)
+        # the platform's stats went with run_ndp's platform; the energy
+        # model reads the same counters off the result
+        ndp_energy = model.ndp_run({
+            "ndp.instructions": float(ndp.instructions),
+            "cxl_dram.bytes": float(ndp.dram_bytes),
+            "ndp.spad_traffic_bytes": float(ndp.extras.get("spad_bytes", 0.0)),
+            "cxl.down_bytes": 0.0,
+            "cxl.up_bytes": 0.0,
+        }, ndp.runtime_ns)
 
         result.add(
             workload=case.name,
@@ -90,25 +106,30 @@ def run_fig15_gpu(scale_name: str = "small",
             reduction_vs_baseline=1.0 - ndp_energy.total_j / base_energy.total_j,
             reduction_vs_iso_area=1.0 - ndp_energy.total_j / iso_energy.total_j,
         )
-    result.notes = (
-        "paper: 78.2% avg reduction vs GPU baseline, 31.4% avg vs "
-        "GPU-NDP(Iso-Area); perf/energy up to 106x (avg 32x)"
-    )
+    vs_base = result.column("reduction_vs_baseline")
+    vs_iso = result.column("reduction_vs_iso_area")
+    result.headline = {
+        "energy_reduction_gpu": sum(vs_base) / len(vs_base),
+        "energy_reduction_gpu_min": min(vs_base),
+        "energy_reduction_vs_iso_area": sum(vs_iso) / len(vs_iso),
+    }
     return result
 
 
-class _NDPStatsProxy:
-    """Adapter: exposes an NDPRunResult's counters with the StatsRegistry
-    interface the energy model expects."""
-
-    def __init__(self, run) -> None:
-        self._map = {
-            "ndp.instructions": float(run.instructions),
-            "cxl_dram.bytes": float(run.dram_bytes),
-            "ndp.spad_traffic_bytes": float(run.extras.get("spad_bytes", 0.0)),
-            "cxl.down_bytes": 0.0,
-            "cxl.up_bytes": 0.0,
-        }
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        return self._map.get(name, default)
+def run_area() -> ExperimentResult:
+    """§IV-F hardware cost: the area model against the paper's table."""
+    result = ExperimentResult("area", "Hardware cost (§IV-F)")
+    result.headline = {
+        "ndp_unit_mm2": area.ndp_unit_area().total_mm2,
+        "total_mm2": area.m2ndp_total_area(),
+        "iso_area_sms": area.iso_area_sm_count(),
+        "rf_reduction": area.register_file_reduction_vs_sm(),
+        "alu_reduction": area.alu_area_reduction_vs_sm(),
+    }
+    cards = result.scorecard()
+    for card in cards:
+        result.add(metric=card["key"], measured=card["reproduced"],
+                   paper=card["paper"])
+    result.headline["ratio_error_max"] = max(
+        abs(card["ratio"] - 1.0) for card in cards)
+    return result

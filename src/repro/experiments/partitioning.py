@@ -113,6 +113,7 @@ def run_partitioning(requests: int = 48,
             noisy_p99_ns=noisy.p99_ns if noisy.served else 0.0,
             correct=rt.correct and noisy.correct,
         )
+    result.headline = {"correct": all(result.column("correct"))}
     result.notes = (
         "rt_p99_vs_solo is the noisy-neighbour penalty; the partitioned "
         "row must stay near 1.0 while the shared row degrades"
@@ -134,7 +135,7 @@ def run_partitioning_containment(requests: int = 48,
     fail over to the ``spare`` partition.
     """
     result = ExperimentResult(
-        "partitioning_containment",
+        "partitioning-containment",
         f"Partition-scoped kill on {num_devices} devices "
         f"({PARTITION_SPEC!r}, {backend} backend)",
     )
@@ -183,6 +184,7 @@ def run_partitioning_containment(requests: int = 48,
         partition_kernels=partition_kernels,
         correct=rt.correct,
     )
+    result.headline = {"correct": rt.correct}
     result.notes = (
         "rt_bytes_identical gates the containment guarantee: a kill "
         "scoped to dev0.batch may not perturb one byte of the rt "

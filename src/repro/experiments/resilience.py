@@ -102,6 +102,19 @@ def run_resilience(requests: int = 24,
                     accounted=tenant.accounting_ok,
                     correct=tenant.correct,
                 )
+    pairs = list(zip(result.rows[0::2], result.rows[1::2]))  # (no-retry, retry3)
+    result.headline = {
+        "accounted": all(result.column("accounted")),
+        "correct": all(result.column("correct")),
+        "healthy_failed_max": max(row["failed"] for row in result.rows
+                                  if row["chaos"] == "healthy"),
+        "healthy_retry_identical": all(
+            (a["served"], a["p99_ns"]) == (b["served"], b["p99_ns"])
+            for a, b in pairs if a["chaos"] == "healthy"),
+        "retry_slo_gain_min": min(
+            b["slo_att"] - a["slo_att"]
+            for a, b in pairs if a["chaos"] != "healthy"),
+    }
     result.notes = (
         "replicated + deadline-aware retries is the resilient point: "
         "fail-over without re-copy, stranded launches replayed in budget"
@@ -125,7 +138,7 @@ def run_resilience_monitoring(requests: int = 24,
     bundles' fault correlation.
     """
     result = ExperimentResult(
-        "resilience_monitoring",
+        "resilience-monitoring",
         f"Alert quality vs the armed fault schedule on {num_devices} "
         f"devices ({backend} backend)",
     )
@@ -158,6 +171,11 @@ def run_resilience_monitoring(requests: int = 24,
             max_mtta_ns=grade["max_mtta_ns"],
             mean_mttr_ns=sum(mttr) / len(mttr) if mttr else 0.0,
         )
+    result.headline = {
+        "recall_min": min(result.column("recall")),
+        "healthy_alerts": result.rows[0]["alerts"],
+        "max_mtta_ns": max(result.column("max_mtta_ns")),
+    }
     result.notes = (
         "recall 1.0 = every injected fault alerted; MTTA is bounded by "
         "one monitor beat past heartbeat detection; healthy rows must "
@@ -172,7 +190,7 @@ def run_resilience_hedged(requests: int = 40,
                           ) -> ExperimentResult:
     """Hedged replicated point lookups against stalled devices."""
     result = ExperimentResult(
-        "resilience_hedged",
+        "resilience-hedged",
         f"Hedged kvstore lookups on {num_devices} devices under stalls",
     )
     stall = FaultPlan(events=(
@@ -205,6 +223,11 @@ def run_resilience_hedged(requests: int = 40,
             slo_att=tenant.slo_attainment,
             correct=tenant.correct,
         )
+    result.headline = {
+        "correct": all(result.column("correct")),
+        "unhedged_hedges": result.rows[0]["hedged"],
+        "hedged_won_max": max(result.column("hedged_won")),
+    }
     result.notes = (
         "hedge_delay 0 disables hedging; a tight delay trades duplicate "
         "launches for tail latency while stalled devices drag primaries"

@@ -104,6 +104,7 @@ def run_serving(requests: int = 48,
                 correct=report.correct,
             )
             result.rows[-1]["cache_hit_rate"] = report.trace_cache_hit_rate
+    result.headline = {"correct": all(result.column("correct"))}
     result.notes = (
         "wfq + batching is the production point: fair shares under "
         "overload, amortized launches, trace-cache hits on repeat shapes"
@@ -116,7 +117,7 @@ def run_serving_autoscale(requests: int = 96,
                           backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
     """Autoscaler reaction to a bursty tenant: active devices over time."""
     result = ExperimentResult(
-        "serving_autoscale",
+        "serving-autoscale",
         f"Autoscaler on {num_devices} devices under bursty load",
     )
     platform = make_cluster_platform(num_devices=num_devices, backend=backend)
@@ -141,6 +142,8 @@ def run_serving_autoscale(requests: int = 96,
     report = engine.run()
     for when, active in report.active_device_series:
         result.add(t_ns=when, active_devices=active)
+    result.headline = {"scale_ups": report.scale_ups,
+                       "correct": report.correct}
     result.notes = (
         f"{report.scale_ups} scale-ups / {report.scale_downs} scale-downs; "
         f"p99 {report.p99_ns:,.0f} ns over {report.served} served"

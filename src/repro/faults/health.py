@@ -63,10 +63,6 @@ class HealthMonitor:
             return DOWN
         return self.partition_states.get((device, partition), UP)
 
-    def is_partition_routable(self, device: int, partition: str) -> bool:
-        return (self.is_routable(device)
-                and self.partition_state(device, partition) in (UP, DEGRADED))
-
     def mark_partition(self, device: int, partition: str, new_state: str,
                        when_ns: float) -> bool:
         """Transition one partition; same DOWN-is-terminal rule as devices."""

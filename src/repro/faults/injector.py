@@ -32,7 +32,7 @@ and ``runtime_ns`` are byte-identical to a run without the module.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, LaunchFailed, PoisonError
+from repro.errors import ConfigError, LaunchFailed
 from repro.faults.health import DEGRADED, DOWN, UP, HealthMonitor
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import tracer as obs_tracer
@@ -397,8 +397,3 @@ def _scoped(partition: str | None) -> str:
 def _scope(partition: str | None) -> dict:
     """Detail fields naming a fault's scope (none for a whole device)."""
     return {} if partition is None else {"partition": partition}
-
-
-def make_poison_failure(base: int, size: int, pool_base: int) -> PoisonError:
-    """The typed fault a launch over a poisoned range completes with."""
-    return PoisonError(base, size, addr=max(base, pool_base))

@@ -26,7 +26,7 @@ internal DRAM latency, no link in the path (§IV-A).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.config import CPUConfig, CXLConfig
@@ -43,11 +43,6 @@ class MemoryTarget:
     name: str
     load_to_use_ns: float
     bandwidth_bytes_per_ns: float     # ceiling (link or DRAM)
-
-    @classmethod
-    def local_dram(cls, bandwidth: float = 409.6,
-                   latency_ns: float = 75.0) -> "MemoryTarget":
-        return cls("local", latency_ns, bandwidth)
 
     @classmethod
     def cxl(cls, config: CXLConfig | None = None) -> "MemoryTarget":
@@ -92,14 +87,6 @@ class HostCPUModel:
                          compute_ns: float = 0.0) -> float:
         """Serialized dependent accesses (hash-bucket walks)."""
         return depth * memory.load_to_use_ns + compute_ns
-
-
-@dataclass(order=True)
-class _PoolJob:
-    start_ns: float
-    seq: int
-    service_ns: float = field(compare=False)
-    callback: Callable[[float], None] = field(compare=False)
 
 
 class CoreRequestPool:

@@ -87,21 +87,12 @@ class UThreadRegisters:
         self.vl: int | None = None
         self.sew: int = 64
 
-    def read_x(self, idx: int) -> int:
-        return self.x[idx]
-
     def write_x(self, idx: int, value: int) -> None:
         if idx != 0:
             self.x[idx] = to_signed64(value)
 
-    def read_f(self, idx: int) -> float:
-        return self.f[idx]
-
     def write_f(self, idx: int, value: float) -> None:
         self.f[idx] = float(value)
-
-    def read_v(self, idx: int) -> list:
-        return self.v[idx]
 
     def write_v(self, idx: int, values: list) -> None:
         self.v[idx] = values

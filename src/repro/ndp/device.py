@@ -385,9 +385,6 @@ class M2NDPDevice:
     # introspection helpers for experiments
     # ------------------------------------------------------------------
 
-    def dram_utilization(self, elapsed_ns: float) -> float:
-        return self.dram.utilization(elapsed_ns)
-
     def total_active_ratio_series(self, start_ns: float, end_ns: float,
                                   steps: int = 50) -> list[tuple[float, float]]:
         """Device-wide Fig 6a series: mean of per-unit active ratios."""

@@ -50,10 +50,6 @@ class SubcoreOccupancy:
     def active(self) -> int:
         return self._active
 
-    @property
-    def rf_free_bytes(self) -> int:
-        return self.rf_capacity_bytes - self._rf_used
-
     def can_allocate(self, rf_bytes: int) -> bool:
         return bool(self._free_slots) and self._rf_used + rf_bytes <= self.rf_capacity_bytes
 

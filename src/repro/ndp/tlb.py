@@ -115,12 +115,6 @@ class TLB:
         """Invalidate one mapping (ndpShootdownTlbEntry, Table II)."""
         return self._entries.pop((asid, vpn), None) is not None
 
-    def flush_asid(self, asid: int) -> int:
-        victims = [k for k in self._entries if k[0] == asid]
-        for key in victims:
-            del self._entries[key]
-        return len(victims)
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

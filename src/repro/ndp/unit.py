@@ -209,8 +209,3 @@ class NDPUnit:
                 completion = done
             element_issue += self._period_ns
         return completion
-
-    # ------------------------------------------------------------------
-
-    def reset_caches(self) -> None:
-        self.l1d.invalidate_all()

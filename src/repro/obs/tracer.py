@@ -222,12 +222,6 @@ class Tracer:
         self.finalize()
         return [s for s in self.spans.values() if s.parent_id is None]
 
-    def children_of(self, span_id: int) -> list[Span]:
-        self.finalize()
-        return sorted((s for s in self.spans.values()
-                       if s.parent_id == span_id),
-                      key=lambda s: (s.start_ns, s.span_id))
-
     def aggregates(self) -> dict[str, dict[str, float]]:
         """Per-name count / total / self-time rollup (for manifests)."""
         spans = self.finalize()

@@ -3,8 +3,8 @@
 Provides the platform bundle (simulator + device + runtime), deterministic
 RNG seeding, and the scale presets: tests run ``tiny``, benchmarks default
 to ``small``, and ``paper`` matches Table V input sizes (hours of pure-
-Python simulation — available, not default; EXPERIMENTS.md records the
-scale used for every number).
+Python simulation — available, not default; FIDELITY.json is recorded at
+``small``).
 """
 
 from __future__ import annotations

@@ -1,33 +1,71 @@
-"""Smoke + shape tests for the cheap experiment drivers (the expensive
-ones are exercised by benchmarks/)."""
+"""Smoke + shape tests for the cheap experiment drivers (every driver is
+run by ``benchmarks/figures.py``; its golden, ``FIDELITY.json``, is read
+here)."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import EXPERIMENTS, PAPER_REFERENCE
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import TOLERANCE, ExperimentResult
 from repro.experiments.fig05 import run_fig5
 from repro.experiments.fig11 import run_fig11b
 from repro.experiments.fig12 import _inflate_addressing, static_instruction_savings
 from repro.experiments.fig14 import run_fig14b
 
 
+ROOT = Path(__file__).resolve().parent.parent.parent
+FIDELITY = json.loads((ROOT / "FIDELITY.json").read_text())
+
+#: Drivers that simulate nothing or next to nothing (< 0.2 s together).
+CHEAP = ("fig1a", "fig5", "fig11b", "fig14b", "area", "instr-savings")
+
+
 class TestRegistry:
     def test_every_figure_has_a_driver(self):
-        expected = {"fig1a", "fig1b", "fig5", "fig6a", "fig6b", "fig10a",
-                    "fig10b", "fig10c", "fig11a", "fig11b", "fig12a",
-                    "fig12b", "fig13a-freq", "fig13a-ltu", "fig13b",
-                    "fig14a", "fig14b", "fig15-olap", "fig15-gpu",
-                    "instr-savings", "resilience", "resilience-hedged",
-                    "scaling", "scaling-policies",
-                    "serving", "serving-autoscale"}
-        assert expected <= set(EXPERIMENTS)
+        """One id per experiment: registry key == ``figures.POINTS`` key
+        (the golden's) == result id == reference key."""
+        assert set(FIDELITY) - {"summary"} == set(EXPERIMENTS)
+        assert set(PAPER_REFERENCE) <= set(EXPERIMENTS)
+        for exp_id in CHEAP:
+            assert EXPERIMENTS[exp_id]().experiment_id == exp_id
 
     def test_paper_reference_covers_headlines(self):
-        assert PAPER_REFERENCE["fig10c"]["m2ndp_gmean"] == 6.35
-        assert PAPER_REFERENCE["fig10a"]["evaluate_speedup_max"] == 128.0
+        for exp_id, reference in PAPER_REFERENCE.items():
+            assert all(type(value) is float for value in reference.values())
+            assert set(FIDELITY[exp_id]["headline"]) >= set(reference)
+
+    def test_headlines_do_not_depend_on_the_hash_seed(self):
+        script = ("import json; from repro.experiments import EXPERIMENTS; "
+                  "print(json.dumps([EXPERIMENTS[i]().headline for i in "
+                  "('fig5', 'instr-savings', 'fig14b')], sort_keys=True))")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={"PYTHONPATH": str(ROOT / "src"),
+                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "4242")]
+        assert outputs[0] == outputs[1] and "comm_reduction_min" in outputs[0]
 
 
 class TestExperimentResult:
+    def test_scorecard_tolerance_boundary(self, monkeypatch):
+        assert TOLERANCE == 0.25
+        monkeypatch.setitem(PAPER_REFERENCE, "x", {"k": 4.0})
+        result = ExperimentResult("x", "t")
+        holds = {}
+        for reproduced in (3.0, 5.0, 2.9996, 5.0004, 0.0):
+            result.headline = {"k": reproduced, "derived": 1.0}
+            (card,) = result.scorecard()
+            holds[card["ratio"]] = card.pop("holds")
+            assert card == {"key": "k", "paper": 4.0, "ratio": reproduced / 4.0,
+                            "reproduced": reproduced}
+        assert holds == {0.75: True, 1.25: True, 0.7499: False,
+                         1.2501: False, 0.0: False}
+        assert ExperimentResult("serving", "t").scorecard() == []
+
     def test_render_contains_rows(self):
         result = ExperimentResult("x", "title")
         result.add(a=1, b=2.5)
@@ -44,8 +82,12 @@ class TestExperimentResult:
 class TestFig5Driver:
     def test_paper_reductions(self):
         result = run_fig5()
-        assert "33%-75%" in result.notes
-        assert "17%-37%" in result.notes
+        assert [card["key"] for card in result.scorecard()] == [
+            "comm_reduction_min", "comm_reduction_max",
+            "m2func_reduction_vs_rb_min", "m2func_reduction_vs_rb_max"]
+        for card in result.scorecard():
+            assert card["reproduced"] == pytest.approx(card["paper"], abs=5e-3)
+        assert "holds" in result.render() and "MISS" not in result.render()
 
     def test_custom_latencies(self):
         result = run_fig5(kernel_ns=1000.0, x_ns=100.0, y_ns=100.0)
