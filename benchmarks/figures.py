@@ -207,6 +207,30 @@ GATES = tuple(
     ("resilience-monitoring.headline.max_mtta_ns", "<=",
      DEFAULT_MONITOR_INTERVAL_NS,
      "an alert lands within one monitor beat of heartbeat detection"),
+    ("partitioning.headline.shared_correct", "==", True,
+     "both tenants match the reference on the shared cluster"),
+    ("partitioning.headline.partitioned_correct", "==", True,
+     "and on the partitioned one"),
+    ("partitioning-containment.headline.rt_correct", "==", True,
+     "the interactive tenant matches the reference through the kill"),
+    ("partitioning.headline.partitioned_rt_p99_vs_solo", "<=", 1.10,
+     "a partitioned interactive tenant's p99 stays within 10% of its "
+     "solo run under an adversarial neighbour"),
+    ("partitioning.headline.shared_rt_p99_vs_solo", ">",
+     "partitioning.headline.partitioned_rt_p99_vs_solo",
+     "the shared cluster shows the noisy-neighbour penalty partitions "
+     "avoid (the point still exercises isolation)"),
+    ("partitioning-containment.headline.rt_bytes_identical", "==", True,
+     "a partition-scoped kill leaves another partition's result bytes "
+     "untouched"),
+    ("partitioning-containment.headline.rt_accounted", "==", True,
+     "the interactive tenant's accounting identity survives the kill"),
+    ("partitioning-containment.headline.noisy_accounted", "==", True,
+     "the killed partition's tenant's accounting identity survives"),
+    ("partitioning-containment.headline.alert_recall", ">=", 1.0,
+     "monitoring alerts the partition kill"),
+    ("partitioning-containment.headline.blast_radius_confined", "==", True,
+     "a partition kill's blast radius stays inside the killed partition"),
     ("summary.hold", ">=", 26,
      "a golden refresh may not lose fidelity: scorecard rows that hold"),
 )

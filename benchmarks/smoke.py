@@ -1,6 +1,6 @@
 """Smoke benchmark: a deterministic golden of the paper's sim-time claims.
 
-Runs the ten small points of the ``POINTS`` table and writes every
+Runs the nine small points of the ``POINTS`` table and writes every
 simulated result, counter and byte-identity verdict to
 ``BENCH_smoke.json``.  The host clock is never read, so that file is a
 pure function of the code and the committed copy is a **golden**: CI
@@ -13,7 +13,8 @@ The golden pins values; the ``GATES`` table states the claims a
 regenerated golden must still meet (``gates.py``: every row is evaluated
 and printed as the run summary, all failing rows are listed before the
 non-zero exit).  The paper's figures are ``figures.py``'s, against
-``FIDELITY.json``.
+``FIDELITY.json`` — and so are the partitioning claims (noisy-neighbour
+isolation, partition-kill containment), whose drivers it already runs.
 
 The tracing and monitoring points also leave ``serving.trace.json`` /
 ``serving.manifest.json`` and ``incidents/`` in the working directory
@@ -36,11 +37,6 @@ from repro import obs
 from repro.cluster import make_cluster_platform
 from repro.obs.incidents import grade_against_plan
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS
-from repro.experiments.partitioning import (
-    PARTITION_SPEC,
-    run_partitioning,
-    run_partitioning_containment,
-)
 from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
 from repro.faults import FaultEvent, FaultPlan
@@ -558,27 +554,6 @@ def bench_monitoring_point() -> dict:
     }
 
 
-def bench_partition_point() -> dict:
-    """Hardware partitioning: noisy-neighbour isolation + blast radius.
-
-    Two sweeps on the same seeds: shared vs partitioned serving under an
-    adversarial batch tenant (the partitioned interactive p99 must stay
-    within 10% of its solo run while the shared one degrades), then a
-    partition-scoped kill of the adversary's partition (the interactive
-    tenant must come through byte-identical, every fault alerted, and
-    the blast radius confined to the killed partition).
-    """
-    modes = {row["mode"]: row for row in run_partitioning().rows}
-    return {
-        "spec": PARTITION_SPEC,
-        "shared": modes["shared"],
-        "partitioned": modes["partitioned"],
-        "containment": run_partitioning_containment().rows[0],
-        "shared_penalty": modes["shared"]["rt_p99_vs_solo"],
-        "partitioned_penalty": modes["partitioned"]["rt_p99_vs_solo"],
-    }
-
-
 #: The golden's top-level keys, in run order.
 POINTS = (
     ("fig10a_point", bench_fig10a_point),
@@ -590,7 +565,6 @@ POINTS = (
     ("resilience_point", bench_resilience_point),
     ("tracing_point", bench_obs_point),
     ("monitoring_point", bench_monitoring_point),
-    ("partition_point", bench_partition_point),
 )
 
 #: The claims a regenerated golden must still meet (rows as ``gates.py``
@@ -658,42 +632,12 @@ GATES = (
      "a device kill writes an incident bundle"),
     ("monitoring_point.timeline_coherent", "==", True,
      "some bundle's timeline orders the kill before its detection"),
-    ("partition_point.shared.correct", "==", True, "matches the reference"),
-    ("partition_point.partitioned.correct", "==", True, "matches the reference"),
-    ("partition_point.containment.correct", "==", True, "matches the reference"),
-    ("partition_point.partitioned_penalty", "<=", 1.10,
-     "a partitioned interactive tenant's p99 stays within 10% of its "
-     "solo run under an adversarial neighbour"),
-    ("partition_point.shared_penalty", ">",
-     "partition_point.partitioned_penalty",
-     "the shared cluster shows the noisy-neighbour penalty partitions "
-     "avoid (the point still exercises isolation)"),
-    ("partition_point.containment.rt_bytes_identical", "==", True,
-     "a partition-scoped kill leaves another partition's result bytes "
-     "untouched"),
-    ("partition_point.containment.rt_accounted", "==", True,
-     "the interactive tenant's accounting identity survives the kill"),
-    ("partition_point.containment.noisy_accounted", "==", True,
-     "the killed partition's tenant's accounting identity survives"),
-    ("partition_point.containment.alert_recall", ">=", 1.0,
-     "monitoring alerts the partition kill"),
 )
-
-
-def check_blast_radius(payload: dict) -> tuple[bool, str]:
-    """The one gate that is not a relation on a leaf: every key of the
-    partition kill's blast radius is the killed ``dev*.batch`` partition."""
-    blast = payload["partition_point"]["containment"]["blast_radius"]
-    confined = blast != "none" and all(
-        key.split(":")[0].endswith(".batch") for key in blast.split(","))
-    return confined, (f"partition_point.containment.blast_radius: {blast!r} "
-                      f"names only dev*.batch — a partition kill's blast "
-                      f"radius stays inside the killed partition")
 
 
 def main(out_path: str = "BENCH_smoke.json") -> dict:
     return write_and_gate({name: point() for name, point in POINTS},
-                          out_path, GATES, (check_blast_radius,))
+                          out_path, GATES)
 
 
 if __name__ == "__main__":

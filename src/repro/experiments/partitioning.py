@@ -11,10 +11,11 @@ VectorAdd tenant (large launches, no rate limit) in two hardware modes:
 
 Each mode also runs *solo* (the interactive tenant alone) so the sweep
 reports the noisy-neighbour penalty as ``p99(with adversary) /
-p99(solo)`` per mode.  Expected shape (gated by the smoke point): the
-shared penalty is measurably above 1 while the partitioned penalty stays
-within a few percent — the adversary physically cannot touch the ``rt``
-partition's units, cache slices or channels.
+p99(solo)`` per mode.  Expected shape (gated by
+``benchmarks/figures.py``): the shared penalty is measurably above 1
+while the partitioned penalty stays within a few percent — the adversary
+physically cannot touch the ``rt`` partition's units, cache slices or
+channels.
 
 The chaos rows arm a **partition-scoped** kill of the adversary's
 partition mid-traffic: detection fails only that partition's in-flight
@@ -30,7 +31,7 @@ from __future__ import annotations
 from repro.cluster import make_cluster_platform
 from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
 from repro.faults import FaultEvent, FaultPlan
-from repro.obs.incidents import grade_against_plan
+from repro.obs.incidents import blast_radius, by_partition, grade_against_plan
 from repro.serve import ArrivalSpec, RetryPolicy, ServingEngine, TenantSpec
 
 #: Partition spec under test: interactive slice, adversary slice, and a
@@ -76,6 +77,15 @@ def _run(tenants, num_devices: int, backend: str,
     return platform, engine, injector, report
 
 
+def blast_radius_confined(ring: list[dict], partition: str) -> bool:
+    """Whether the partition-attributed events of ``ring`` all name
+    ``dev*.<partition>`` (and some do): a fault scoped to that partition
+    stayed inside it."""
+    radius = blast_radius(ring, by_partition)
+    return bool(radius) and all(key.endswith(f".{partition}")
+                                for key in radius)
+
+
 def run_partitioning(requests: int = 48,
                      adversary_requests: int = 24,
                      num_devices: int = 2,
@@ -114,6 +124,10 @@ def run_partitioning(requests: int = 48,
             correct=rt.correct and noisy.correct,
         )
     result.headline = {"correct": all(result.column("correct"))}
+    for row in result.rows:
+        result.headline.update({f"{row['mode']}_{key}": value
+                                for key, value in row.items()
+                                if key != "mode"})
     result.notes = (
         "rt_p99_vs_solo is the noisy-neighbour penalty; the partitioned "
         "row must stay near 1.0 while the shared row degrades"
@@ -159,13 +173,9 @@ def run_partitioning_containment(requests: int = 48,
     noisy = report.tenant("noisy")
     stats = platform.stats
     grade = grade_against_plan(injector, engine.monitor.alerts)
-    blast: dict[str, int] = {}
-    for bundle in engine.reporter.bundles:
-        for key, kinds in bundle.get("partition_blast_radius", {}).items():
-            blast[key] = max(blast.get(key, 0), sum(kinds.values()))
-    partition_kernels = ",".join(
-        f"{name}:{int(stats.get(f'partition.{name}.kernels_completed'))}"
-        for name in platform.runtime.partitions.names)
+    # every ring row the incident bundles froze
+    frozen = [row for bundle in engine.reporter.bundles
+              for row in bundle["ring"]]
     result.add(
         fault="partition_kill(dev0.batch)",
         rt_served=rt.served,
@@ -179,12 +189,15 @@ def run_partitioning_containment(requests: int = 48,
         partition_detections=int(stats.get("fault.partition_detections")),
         failovers=int(stats.get("recovery.partition_failovers")),
         alert_recall=grade["recall"],
-        blast_radius=",".join(f"{k}:{v}" for k, v in sorted(blast.items()))
-        or "none",
-        partition_kernels=partition_kernels,
-        correct=rt.correct,
+        blast_radius_confined=blast_radius_confined(frozen, "batch"),
+        **{f"{name}_kernels":
+           int(stats.get(f"partition.{name}.kernels_completed"))
+           for name in platform.runtime.partitions.names},
+        rt_correct=rt.correct,
     )
-    result.headline = {"correct": rt.correct}
+    result.headline = {key: value for key, value in result.rows[0].items()
+                       if key != "fault"}
+    result.headline["correct"] = rt.correct
     result.notes = (
         "rt_bytes_identical gates the containment guarantee: a kill "
         "scoped to dev0.batch may not perturb one byte of the rt "

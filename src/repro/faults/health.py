@@ -1,4 +1,4 @@
-"""Device health states and the monitor that tracks them.
+"""Device and partition health states and the monitor that tracks them.
 
 Health is the *host's* view of each expander, driven by heartbeats and
 launch outcomes rather than by the fault plan directly: a killed device
@@ -16,9 +16,10 @@ States:
               work finishes.
 ``DOWN``      failed and detected; never routed to, shards failed over.
 
-Transitions are recorded as ``fault.health_transitions`` counter bumps
-and, when tracing is enabled, ``fault.health`` instants on the device's
-trace lane.
+A scope is a whole device or one hardware partition of it.  Every
+transition lands in :attr:`HealthMonitor.transitions` and bumps two
+counters: ``fault.health_transitions`` and ``fault.health_to_<state>``
+for a device, the same names under ``fault.partition_`` for a partition.
 """
 
 from __future__ import annotations
@@ -35,79 +36,65 @@ HEALTH_STATES = (UP, DEGRADED, DRAINING, DOWN)
 
 
 class HealthMonitor:
-    """Per-device health state machine with counter-backed transitions."""
+    """Per-scope health state machine with counter-backed transitions."""
 
     def __init__(self, num_devices: int,
                  stats: StatsRegistry | None = None) -> None:
-        self.states = [UP] * num_devices
+        #: (device, partition) -> state; partition None is the whole
+        #: device.  A partition key exists once a partition-scoped fault
+        #: has touched it; absent keys are UP.
+        self.states: dict[tuple[int, str | None], str] = {
+            (device, None): UP for device in range(num_devices)}
         self.stats = stats
-        #: (when_ns, device, old, new) transition log for reports/tests.
-        self.transitions: list[tuple[float, int, str, str]] = []
-        #: Per-(device, partition) states; absent keys are UP.  Populated
-        #: only by partition-scoped faults.
-        self.partition_states: dict[tuple[int, str], str] = {}
-        #: (when_ns, device, partition, old, new) partition transitions.
-        self.partition_transitions: list[
-            tuple[float, int, str, str, str]] = []
+        #: (when_ns, device, partition, old, new) transition log.
+        self.transitions: list[
+            tuple[float, int, str | None, str, str]] = []
 
-    def state(self, device: int) -> str:
-        return self.states[device]
-
-    def partition_state(self, device: int, partition: str) -> str:
-        """Health of one hardware partition on ``device``.
+    def state(self, device: int, partition: str | None = None) -> str:
+        """Health of ``device``, or of one partition on it.
 
         A partition is only as healthy as its device: a DOWN device
         reports every partition DOWN.
         """
-        if self.states[device] == DOWN:
-            return DOWN
-        return self.partition_states.get((device, partition), UP)
-
-    def mark_partition(self, device: int, partition: str, new_state: str,
-                       when_ns: float) -> bool:
-        """Transition one partition; same DOWN-is-terminal rule as devices."""
-        old = self.partition_states.get((device, partition), UP)
-        if old == new_state or old == DOWN:
-            return False
-        self.partition_states[(device, partition)] = new_state
-        self.partition_transitions.append(
-            (when_ns, device, partition, old, new_state))
-        if self.stats is not None:
-            self.stats.add("fault.partition_transitions")
-            self.stats.add(f"fault.partition_to_{new_state}")
-        return True
+        whole = self.states[(device, None)]
+        if partition is None or whole == DOWN:
+            return whole
+        return self.states.get((device, partition), UP)
 
     def is_routable(self, device: int) -> bool:
-        return self.states[device] in (UP, DEGRADED)
+        return self.states[(device, None)] in (UP, DEGRADED)
 
-    @property
-    def routable_devices(self) -> list[int]:
-        return [d for d, s in enumerate(self.states) if s in (UP, DEGRADED)]
-
-    @property
-    def down_devices(self) -> list[int]:
-        return [d for d, s in enumerate(self.states) if s == DOWN]
-
-    def mark(self, device: int, new_state: str, when_ns: float) -> bool:
-        """Transition ``device`` to ``new_state``; returns True on change.
+    def mark(self, device: int, new_state: str, when_ns: float,
+             partition: str | None = None) -> bool:
+        """Transition one scope to ``new_state``; returns True on change.
 
         DOWN is terminal: a dead device never recovers within a run (a
         replacement would be a *new* device in a longer-horizon model).
         """
-        old = self.states[device]
+        key = (device, partition)
+        old = self.states.get(key, UP)
         if old == new_state or old == DOWN:
             return False
-        self.states[device] = new_state
-        self.transitions.append((when_ns, device, old, new_state))
+        self.states[key] = new_state
+        self.transitions.append((when_ns, device, partition, old, new_state))
         if self.stats is not None:
-            self.stats.add("fault.health_transitions")
-            self.stats.add(f"fault.health_to_{new_state}")
+            scope = "health_" if partition is None else "partition_"
+            self.stats.add(f"fault.{scope}transitions")
+            self.stats.add(f"fault.{scope}to_{new_state}")
         return True
 
+    def partitions(self) -> dict[str, str]:
+        """``"dev<d>.<partition>" -> state`` of every partition a fault
+        has touched, in (device, partition) order."""
+        return {f"dev{device}.{partition}": state
+                for (device, partition), state in sorted(
+                    (key, state) for key, state in self.states.items()
+                    if key[1] is not None)}
+
     def render(self) -> str:
-        parts = [f"dev{d}:{s}" for d, s in enumerate(self.states)]
-        parts.extend(
-            f"dev{d}.{name}:{s}"
-            for (d, name), s in sorted(self.partition_states.items())
-        )
+        parts = [f"dev{device}:{state}"
+                 for (device, partition), state in self.states.items()
+                 if partition is None]
+        parts.extend(f"{scope}:{state}"
+                     for scope, state in self.partitions().items())
         return " ".join(parts)

@@ -19,11 +19,16 @@ and, on detecting a device failure:
    functional store, with the copy charged over the switch's host port
    (``recovery.recopy_bytes``).
 
+A partition-scoped kill runs the same steps inside one partition: the
+device stays routable, only the partition's in-flight work fails, and
+its pinned allocations fail over to a spare partition.
+
 Detection is heartbeat-quantized: a device killed at *t* is noticed at
 the next heartbeat boundary after *t* (``heartbeat_ns`` granularity),
 which is when all of the above runs.  Everything is observable as
-``fault.*`` / ``recovery.*`` counters and, under ``REPRO_TRACE=1``, as
-trace instants and recovery spans.
+``fault.*`` / ``recovery.*`` counters, flight-recorder rows and, under
+``REPRO_TRACE=1``, trace instants and recovery spans, named by the
+fault's :data:`~repro.faults.plan.LIFECYCLE` row.
 
 Arming a zero-fault plan is a strict behavioral no-op: no simulator
 events are scheduled and every runtime hook short-circuits, so results
@@ -101,192 +106,135 @@ class FaultInjector:
     # event handlers
     # ------------------------------------------------------------------
 
-    def _instant(self, name: str, when: float, **args) -> None:
+    def _emit(self, kind: str, device: int, **detail) -> None:
+        """One stage of a fault's life: a trace instant on the device's
+        lane and a row in the always-on flight recorder, if armed."""
+        now = self.runtime.sim.now
         tracer = obs_tracer.tracer_of(self.runtime.sim)
         if tracer is not None:
-            tracer.instant(name, when, **args)
-
-    def _record(self, kind: str, when: float, device: int | None = None,
-                **detail) -> None:
-        """Land the event in the always-on flight recorder, if armed."""
+            tracer.instant(kind, now, pid=1 + device, device=device, **detail)
         recorder = self.runtime.recorder
         if recorder is not None:
-            recorder.record(kind, when, device=device, **detail)
+            recorder.record(kind, now, device=device, **detail)
+
+    def _inject(self, event: FaultEvent, **detail) -> None:
+        """Count and emit a firing fault under its lifecycle row."""
+        lifecycle = event.lifecycle
+        self.stats.add(lifecycle.counter)
+        self._emit(lifecycle.inject, event.device,
+                   **{**_scope(event.partition), **detail})
 
     def _on_device_fail(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
-        device, partition = event.device, event.partition
         # the host notices at the next heartbeat boundary after the death
         beats = int((now - self.epoch_ns) // self.heartbeat_ns) + 1
         detect_at = self.epoch_ns + beats * self.heartbeat_ns
         # blast radius of a partition-scoped kill: one partition's units
         # stop answering; the rest of the device (other partitions'
         # private L2/DRAM models) never sees the fault
-        self._killed.add((device, partition))
-        if partition is None:
-            self.stats.add("fault.device_kills")
-            detect = (lambda: self._detect(device))
-        else:
-            self.stats.add("fault.partition_kills")
-            detect = (lambda: self._detect_partition(device, partition))
-        kind = f"fault.{_scoped(partition)}kill"
-        self._instant(kind, now, pid=1 + device, device=device,
-                      **_scope(partition))
-        self._record(kind, now, device=device, **_scope(partition))
-        self.runtime.sim.schedule_at(detect_at, detect)
+        self._killed.add((event.device, event.partition))
+        self._inject(event)
+        self.runtime.sim.schedule_at(detect_at,
+                                     lambda: self._detect(event))
 
-    def _mark(self, device: int, partition: str | None, state: str,
-              when: float) -> bool:
-        if partition is None:
-            return self.health.mark(device, state, when)
-        return self.health.mark_partition(device, partition, state, when)
-
-    def _degrade(self, device: int, partition: str | None,
-                 until: float) -> None:
-        """Open a degradation window: DEGRADED now, UP again at ``until``
+    def _degrade(self, event: FaultEvent) -> None:
+        """Open a degradation window: DEGRADED now, UP again at its end
         unless a longer stall/flap window of the scope is still open."""
+        device, partition = event.device, event.partition
         key = (device, partition)
+        until = self.runtime.sim.now + event.duration_ns
         self._degraded_until[key] = max(self._degraded_until.get(key, 0.0),
                                         until)
-        self._mark(device, partition, DEGRADED, self.runtime.sim.now)
+        self.health.mark(device, DEGRADED, self.runtime.sim.now, partition)
+        up_kind, = event.lifecycle.recovery
 
         def recover() -> None:
-            now = self.runtime.sim.now
             # a scope killed inside the window stays DOWN: no recovery row
-            if (self._degraded_until[key] <= until
-                    and self._mark(device, partition, UP, now)):
-                self._record(
-                    "recovery.partition_up" if partition is not None
-                    else "recovery.device_up",
-                    now, device=device, **_scope(partition))
+            if (self._degraded_until[key] <= until and self.health.mark(
+                    device, UP, self.runtime.sim.now, partition)):
+                self._emit(up_kind, device, **_scope(partition))
 
         self.runtime.sim.schedule_at(until, recover)
 
     def _on_device_stall(self, event: FaultEvent) -> None:
-        now = self.runtime.sim.now
-        device, partition = event.device, event.partition
-        until = now + event.duration_ns
-        key = (device, partition)
-        self._stall_until[key] = max(self._stall_until.get(key, 0.0), until)
-        self.stats.add(f"fault.{_scoped(partition)}stall_windows")
-        kind = f"fault.{_scoped(partition)}stall"
-        self._instant(kind, now, pid=1 + device, device=device,
-                      **_scope(partition), duration_ns=event.duration_ns)
-        self._record(kind, now, device=device, **_scope(partition),
-                     duration_ns=event.duration_ns)
-        self._degrade(device, partition, until)
+        key = (event.device, event.partition)
+        self._stall_until[key] = max(self._stall_until.get(key, 0.0),
+                                     self.runtime.sim.now + event.duration_ns)
+        self._inject(event, duration_ns=event.duration_ns)
+        self._degrade(event)
 
     def _on_link_flap(self, event: FaultEvent) -> None:
-        now = self.runtime.sim.now
-        device = event.device
-        until = now + event.duration_ns
-        self.stats.add("fault.link_flaps")
-        self.runtime.switch.start_flap(device, until, event.extra_ns)
-        link = getattr(self.runtime.devices[device], "link", None)
-        if link is not None:
-            link.start_flap(until, event.extra_ns)
-        self._instant("fault.link_flap", now, pid=1 + device, device=device,
-                      duration_ns=event.duration_ns)
-        self._record("fault.link_flap", now, device=device,
-                     duration_ns=event.duration_ns)
-        self._degrade(device, None, until)
+        until = self.runtime.sim.now + event.duration_ns
+        self.runtime.switch.start_flap(event.device, until, event.extra_ns)
+        self.runtime.devices[event.device].link.start_flap(until,
+                                                           event.extra_ns)
+        self._inject(event, duration_ns=event.duration_ns)
+        self._degrade(event)
 
     def _on_poison(self, event: FaultEvent) -> None:
-        now = self.runtime.sim.now
         self._poison.append((event.base, event.size, event.partition))
-        self.stats.add("fault.poison_ranges")
-        self._instant("fault.poison", now, base=event.base, size=event.size)
-        self._record("fault.poison", now, device=event.device,
-                     base=event.base, size=event.size,
+        # poison rows name their scope even when it is the whole device
+        self._inject(event, base=event.base, size=event.size,
                      partition=event.partition)
 
     # ------------------------------------------------------------------
     # detection & recovery
     # ------------------------------------------------------------------
 
-    def _detect(self, device: int) -> None:
-        if (device, None) in self._detected:
-            return
-        self._detected.add((device, None))
-        now = self.runtime.sim.now
-        self.stats.add("fault.detections")
-        self.health.mark(device, DOWN, now)
-        self.runtime.scheduler.set_routable(device, False)
-        self._instant("fault.detect", now, pid=1 + device, device=device)
-        self._record("fault.detect", now, device=device)
-        # fail every in-flight sub-launch stranded on the dead device
-        stranded = list(self._live[device].values())
-        self._live[device].clear()
-        for handle, _part in stranded:
-            self.runtime.scheduler.note_complete(device)
-            self.stats.add("recovery.failed_launches")
-            handle._fail(now, LaunchFailed(
-                f"device {device} failed with the launch in flight",
-                device=device, reason="device_failure",
-            ))
-        self._recover_shards(device, now)
-        if self.runtime.incidents is not None:
-            self.runtime.incidents.on_fault_detected(device, now)
+    def _detect(self, event: FaultEvent) -> None:
+        """Heartbeat detection of a dead scope (device or partition):
+        mark it DOWN, fail the in-flight sub-launches inside its blast
+        radius, recover what it held.
 
-    def _detect_partition(self, device: int, partition: str) -> None:
-        """Heartbeat detection of a partition-scoped failure.
-
-        The device stays routable — the blast radius is one partition:
-        only launches bound to it are failed, and only allocations
-        pinned to it move.  Surviving partitions' private timing models
-        were never touched, so their results are byte-identical to a
-        fault-free run by construction.
+        A dead partition's device stays routable and only launches bound
+        to the partition fail; surviving partitions' private timing
+        models were never touched, so their results are byte-identical
+        to a fault-free run by construction.
         """
+        device, partition = event.device, event.partition
         if (device, partition) in self._detected:
             return
         self._detected.add((device, partition))
         now = self.runtime.sim.now
         self.stats.add("fault.detections")
-        self.stats.add("fault.partition_detections")
-        self.health.mark_partition(device, partition, DOWN, now)
-        self._instant("fault.partition_detect", now, pid=1 + device,
-                      device=device, partition=partition)
-        self._record("fault.partition_detect", now, device=device,
-                     partition=partition)
-        # fail only the in-flight sub-launches inside the blast radius
-        stranded = [(key, handle)
-                    for key, (handle, part) in self._live[device].items()
-                    if part == partition]
+        self.health.mark(device, DOWN, now, partition)
+        if partition is None:
+            self.runtime.scheduler.set_routable(device, False)
+            where = f"device {device}"
+        else:
+            self.stats.add("fault.partition_detections")
+            where = f"partition {partition!r} on device {device}"
+        self._emit(event.lifecycle.detect, device, **_scope(partition))
+        live = self._live[device]
+        stranded = [(key, handle) for key, (handle, part) in live.items()
+                    if partition in (None, part)]
         for key, handle in stranded:
-            del self._live[device][key]
+            del live[key]
             self.runtime.scheduler.note_complete(device)
             self.stats.add("recovery.failed_launches")
             handle._fail(now, LaunchFailed(
-                f"partition {partition!r} on device {device} failed "
-                f"with the launch in flight",
-                device=device, reason="partition_failure",
+                f"{where} failed with the launch in flight",
+                device=device, reason=f"{event.scope}_failure",
             ))
-        # fail pinned allocations over to spare-partition capacity.  The
-        # pin is uniform across devices, so the move is cluster-wide:
-        # future launches must avoid the dead partition everywhere.
-        spare = self.runtime.partitions.spare_for(partition)
-        if spare is not None:
-            for shard in self.runtime.allocator.maps:
-                if (shard.active_partition == partition
-                        and shard.move_partition(spare.name)):
-                    self.stats.add("recovery.partition_failovers")
-                    self._record("recovery.partition_remap", now,
-                                 device=device, partition=partition,
-                                 survivor=spare.name)
+        if partition is None:
+            self._recover_shards(event, now)
+        else:
+            self._recover_pins(event)
         if self.runtime.incidents is not None:
-            self.runtime.incidents.on_fault_detected(
-                device, now, partition=partition)
+            self.runtime.incidents.on_fault_detected(device, now,
+                                                     partition=partition)
 
-    def _recover_shards(self, device: int, now: float) -> None:
-        """Fail over / re-materialize every allocation the device owned."""
+    def _recover_shards(self, event: FaultEvent, now: float) -> None:
+        """Fail over / re-materialize every allocation a dead device owned."""
+        device = event.device
+        failover, remap = event.lifecycle.recovery
         survivor = self._next_survivor(device)
         tracer = obs_tracer.tracer_of(self.runtime.sim)
         for shard in self.runtime.allocator.maps:
             if shard.placement == "replicated":
                 # any survivor already holds the bytes: immediate failover
                 self.stats.add("recovery.failovers")
-                self._record("recovery.failover", now, device=device,
-                             survivor=survivor)
+                self._emit(failover, device, survivor=survivor)
                 continue
             moved = shard.fail_over(device, survivor)
             if not moved:
@@ -296,12 +244,28 @@ class FaultInjector:
             done = self.runtime.switch.host_to_device(now, survivor, moved)
             self.stats.add("recovery.remapped_shards")
             self.stats.add("recovery.recopy_bytes", moved)
-            self._record("recovery.remap", now, device=device,
-                         survivor=survivor, bytes=moved, done_ns=done)
+            self._emit(remap, device, survivor=survivor, bytes=moved,
+                       done_ns=done)
             if tracer is not None:
                 tracer.record("recovery.recopy", now, done,
                               pid=1 + survivor, device=survivor,
                               bytes=moved, failed_device=device)
+
+    def _recover_pins(self, event: FaultEvent) -> None:
+        """Fail allocations pinned to a dead partition over to spare
+        capacity.  The pin is uniform across devices, so the move is
+        cluster-wide: future launches avoid the dead partition everywhere."""
+        partition = event.partition
+        spare = self.runtime.partitions.spare_for(partition)
+        if spare is None:
+            return
+        remap_kind, = event.lifecycle.recovery
+        for shard in self.runtime.allocator.maps:
+            if (shard.active_partition == partition
+                    and shard.move_partition(spare.name)):
+                self.stats.add("recovery.partition_failovers")
+                self._emit(remap_kind, event.device, partition=partition,
+                           survivor=spare.name)
 
     def _next_survivor(self, failed: int) -> int:
         n = self.runtime.num_devices
@@ -325,7 +289,7 @@ class FaultInjector:
         """Returns True when the completion is *lost* (the device — or
         the partition the sub-launch ran in — died before the host could
         observe it); the handle then stays pending until :meth:`_detect`
-        / :meth:`_detect_partition` fails it."""
+        fails it."""
         entry = self._live[device].get(id(sub_handle))
         if ((device, None) in self._killed
                 or entry is not None and (device, entry[1]) in self._killed):
@@ -372,7 +336,8 @@ class FaultInjector:
     def snapshot(self) -> dict:
         """Deterministic summary for manifests / reports."""
         snap = {
-            "health": list(self.health.states),
+            "health": [self.health.state(device)
+                       for device in range(self.runtime.num_devices)],
             "events": len(self.plan.events),
             "counters": {
                 key: value for key, value in sorted(
@@ -380,18 +345,10 @@ class FaultInjector:
                 )
             },
         }
-        if self.health.partition_states:
-            snap["partition_health"] = {
-                f"dev{d}.{name}": state
-                for (d, name), state in sorted(
-                    self.health.partition_states.items())
-            }
+        partitions = self.health.partitions()
+        if partitions:
+            snap["partition_health"] = partitions
         return snap
-
-
-def _scoped(partition: str | None) -> str:
-    """Name infix of partition-scoped counters / instants / ring kinds."""
-    return "" if partition is None else "partition_"
 
 
 def _scope(partition: str | None) -> dict:

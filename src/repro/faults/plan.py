@@ -25,17 +25,75 @@ Event kinds, mirroring the failure modes CXL's RAS machinery exists for:
     ``[base, base + size)`` is marked poisoned at ``at_ns``: launches
     whose pool region (or remote prefetch) touches the range fault with
     a typed :class:`~repro.errors.PoisonError`.
+
+Every kind but ``link_flap`` can be scoped to one hardware partition
+(``FaultEvent.partition``).  What a fault is called at each stage of its
+life — injected, detected, alerted, recovered — is one :class:`Lifecycle`
+row of :data:`LIFECYCLE` per (kind, scope); the injector, the health
+view, the SLO monitor and the incident reporter all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+
+@dataclass(frozen=True)
+class Lifecycle:
+    """What one (fault kind, scope) is called at each stage of its life."""
+
+    #: Counter the injection bumps.
+    counter: str
+    #: Ring-record / trace-instant kind of the injection.
+    inject: str
+    #: Ring kind marking the host's detection (the injection itself for
+    #: faults that manifest synchronously).
+    detect: str
+    #: Typed alert the SLO monitor raises for a ``detect`` record, and its
+    #: severity (``page`` | ``ticket``).
+    alert: str
+    severity: str
+    #: Ring kinds of the recovery actions (none: not recovered in a run).
+    recovery: tuple[str, ...] = ()
+    #: MTTR runs to the ``"first"`` or the ``"last"`` recovery record.
+    mttr_to: str = "first"
+
+
+#: A whole device's degradation window (stall or link flap).
+_DEVICE_DEGRADED = dict(alert="device_degraded", severity="ticket",
+                        recovery=("recovery.device_up",))
+_POISON = Lifecycle("fault.poison_ranges", "fault.poison", "fault.poison",
+                    "poison", "page")
+
+#: (fault kind, scope) -> its lifecycle; scope is ``"device"`` or
+#: ``"partition"`` (see :attr:`FaultEvent.scope`).
+LIFECYCLE = {
+    ("device_fail", "device"): Lifecycle(
+        "fault.device_kills", "fault.kill", "fault.detect", "device_down",
+        "page", ("recovery.failover", "recovery.remap"), mttr_to="last"),
+    ("device_fail", "partition"): Lifecycle(
+        "fault.partition_kills", "fault.partition_kill",
+        "fault.partition_detect", "partition_down", "page",
+        ("recovery.partition_remap",), mttr_to="last"),
+    ("device_stall", "device"): Lifecycle(
+        "fault.stall_windows", "fault.stall", "fault.stall",
+        **_DEVICE_DEGRADED),
+    ("device_stall", "partition"): Lifecycle(
+        "fault.partition_stall_windows",
+        "fault.partition_stall", "fault.partition_stall",
+        "partition_degraded", "ticket", ("recovery.partition_up",)),
+    ("link_flap", "device"): Lifecycle(
+        "fault.link_flaps", "fault.link_flap", "fault.link_flap",
+        **_DEVICE_DEGRADED),
+    ("poison", "device"): _POISON,
+    ("poison", "partition"): _POISON,
+}
+
 #: Valid fault-event kinds.
-FAULT_KINDS = ("device_fail", "device_stall", "link_flap", "poison")
+FAULT_KINDS = tuple(dict.fromkeys(kind for kind, _ in LIFECYCLE))
 
 #: Default extra latency charged per packet retried through a flapping
 #: link (a handful of CRC retries at link latency each).
@@ -66,10 +124,10 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; "
                 f"choose from {list(FAULT_KINDS)}"
             )
-        if self.partition is not None and self.kind == "link_flap":
+        if (self.kind, self.scope) not in LIFECYCLE:
             raise ConfigError(
-                "link_flap cannot be partition-scoped: the switch port is "
-                "shared by every partition on the device"
+                f"{self.kind} cannot be {self.scope}-scoped: it hits a "
+                f"resource every partition on the device shares"
             )
         if not math.isfinite(self.at_ns) or self.at_ns < 0:
             raise ConfigError(
@@ -86,6 +144,15 @@ class FaultEvent:
     def until_ns(self) -> float:
         """End of the fault's window (== ``at_ns`` for instant faults)."""
         return self.at_ns + self.duration_ns
+
+    @property
+    def scope(self) -> str:
+        """``"partition"`` when partition-scoped, else ``"device"``."""
+        return "device" if self.partition is None else "partition"
+
+    @property
+    def lifecycle(self) -> Lifecycle:
+        return LIFECYCLE[(self.kind, self.scope)]
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ device — the :class:`IncidentReporter` freezes the moment: it snapshots
 the :class:`~repro.obs.recorder.FlightRecorder` ring and the cluster's
 counter registry into a JSON *incident bundle* (``incident-<seq>.json``)
 holding the trigger, the fault -> detect -> recover timeline
-reconstructed from the ring, the per-tenant blast radius, and — when a
-:class:`~repro.faults.plan.FaultPlan` is armed — a correlation table
-grading each planned fault with its detection latency (MTTD) and
-recovery time (MTTR).  Chaos experiments therefore self-grade: the
-bundle says which injected faults were caught, how fast, and what they
-cost each tenant.
+reconstructed from the ring, the per-tenant (and per-partition) blast
+radius, and — when a :class:`~repro.faults.plan.FaultPlan` is armed — a
+correlation table grading each planned fault with its detection latency
+(MTTD) and recovery time (MTTR).  What counts as a fault's injection,
+detection, alert and recovery is its
+:data:`~repro.faults.plan.LIFECYCLE` row.  Chaos experiments therefore
+self-grade: the bundle says which injected faults were caught, how fast,
+and what they cost each tenant.
 
 Bundles contain only simulated timestamps and deterministic counters —
 no wall clock, no hostnames — so identical runs produce byte-identical
@@ -30,6 +32,8 @@ import json
 import os
 import sys
 
+from repro.faults.plan import LIFECYCLE
+
 #: Bundle schema tag (bump on breaking layout changes).
 INCIDENT_SCHEMA = "repro-incident-v1"
 
@@ -37,58 +41,12 @@ INCIDENT_SCHEMA = "repro-incident-v1"
 #: heartbeat, so cascading symptoms of one fault share one bundle.
 DEFAULT_COOLDOWN_NS = 5_000.0
 
-#: Ring-event kinds that make up the incident timeline.
-_TIMELINE_KINDS = (
-    "fault.kill", "fault.stall", "fault.link_flap", "fault.poison",
-    "fault.detect", "fault.timeout",
-    "fault.partition_kill", "fault.partition_stall",
-    "fault.partition_detect",
-    "recovery.failover", "recovery.remap", "recovery.device_up",
-    "recovery.partition_remap", "recovery.partition_up",
-    "serve.retry", "serve.failed", "alert",
-)
-
-#: Plan-event kind -> ring kind marking the host's *detection* of it.
-_DETECT_KINDS = {
-    "device_fail": "fault.detect",
-    "device_stall": "fault.stall",
-    "link_flap": "fault.link_flap",
-    "poison": "fault.poison",
-}
-
-#: Plan-event kind -> alert kinds that count as catching it.
-_ALERT_KINDS = {
-    "device_fail": ("device_down",),
-    "device_stall": ("device_degraded",),
-    "link_flap": ("device_degraded",),
-    "poison": ("poison",),
-}
-
-#: Partition-scoped variants: the blast radius (and thus the alert) is
-#: one partition, not the device.
-_PARTITION_DETECT_KINDS = {
-    "device_fail": "fault.partition_detect",
-    "device_stall": "fault.partition_stall",
-    "poison": "fault.poison",
-}
-
-_PARTITION_ALERT_KINDS = {
-    "device_fail": ("partition_down",),
-    "device_stall": ("partition_degraded",),
-    "poison": ("poison",),
-}
-
-
-def _event_detect_kind(event) -> str:
-    if getattr(event, "partition", None) is not None:
-        return _PARTITION_DETECT_KINDS[event.kind]
-    return _DETECT_KINDS[event.kind]
-
-
-def _event_alert_kinds(event) -> tuple[str, ...]:
-    if getattr(event, "partition", None) is not None:
-        return _PARTITION_ALERT_KINDS[event.kind]
-    return _ALERT_KINDS[event.kind]
+#: Ring-event kinds that make up the incident timeline: every stage of
+#: every fault's lifecycle, plus the symptoms it causes.
+_TIMELINE_KINDS = frozenset(
+    kind for lifecycle in LIFECYCLE.values()
+    for kind in (lifecycle.inject, lifecycle.detect, *lifecycle.recovery)
+) | {"fault.timeout", "serve.retry", "serve.failed", "alert"}
 
 #: Symptom alerts: attributable to *any* recent fault, not one kind.
 _SYMPTOM_ALERTS = ("burn_rate", "p99")
@@ -172,12 +130,12 @@ class IncidentReporter:
             "at_ns": now_ns,
             "trigger": trigger,
             "timeline": timeline,
-            "blast_radius": _blast_radius(ring),
+            "blast_radius": blast_radius(ring, by_tenant),
             "ring": ring,
             "ring_dropped": self.recorder.dropped,
             "counters": self.runtime.stats.snapshot(),
         }
-        part_radius = _partition_blast_radius(ring)
+        part_radius = blast_radius(ring, by_partition)
         if part_radius:
             # absent (not empty) when no event was partition-scoped
             bundle["partition_blast_radius"] = part_radius
@@ -191,39 +149,54 @@ class IncidentReporter:
         return bundle
 
 
-def _blast_radius(ring: list[dict]) -> dict:
-    """Per-tenant counts of tenant-attributed ring events by kind."""
+def blast_radius(ring: list[dict], key) -> dict:
+    """Counts of ring events by kind, grouped by ``key(row)``; rows it
+    maps to None are not attributed to any group."""
     radius: dict[str, dict[str, int]] = {}
     for row in ring:
-        tenant = row.get("tenant")
-        if tenant is None:
+        group = key(row)
+        if group is None:
             continue
-        per = radius.setdefault(tenant, {})
+        per = radius.setdefault(group, {})
         per[row["kind"]] = per.get(row["kind"], 0) + 1
-    return {tenant: dict(sorted(per.items()))
-            for tenant, per in sorted(radius.items())}
+    return {group: dict(sorted(per.items()))
+            for group, per in sorted(radius.items())}
 
 
-def _partition_blast_radius(ring: list[dict]) -> dict:
-    """Per-partition counts of partition-attributed events by kind:
-    ``"dev<d>.<partition>" -> {kind: count}`` — the containment story of
-    a partition-scoped fault at a glance."""
-    radius: dict[str, dict[str, int]] = {}
-    for row in ring:
-        partition = row.get("detail", {}).get("partition")
-        if partition is None:
-            continue
-        device = row.get("device")
-        key = f"dev{device}.{partition}" if device is not None else partition
-        per = radius.setdefault(key, {})
-        per[row["kind"]] = per.get(row["kind"], 0) + 1
-    return {key: dict(sorted(per.items()))
-            for key, per in sorted(radius.items())}
+def by_tenant(row: dict) -> str | None:
+    """The tenant a ring row is attributed to, if any."""
+    return row.get("tenant")
+
+
+def by_partition(row: dict) -> str | None:
+    """``"dev<d>.<partition>"`` of a partition-attributed row — the
+    containment story of a partition-scoped fault at a glance."""
+    partition = row.get("detail", {}).get("partition")
+    if partition is None or row.get("device") is None:
+        return partition
+    return f"dev{row['device']}.{partition}"
 
 
 # ---------------------------------------------------------------------------
 # plan correlation / self-grading
 # ---------------------------------------------------------------------------
+
+def _catches(alert, event, injected: float) -> bool:
+    """Whether ``alert`` is the typed alert of ``event``'s lifecycle row,
+    on its device, at or after its injection."""
+    return (alert.kind == event.lifecycle.alert
+            and alert.device == event.device and alert.at_ns >= injected)
+
+
+def _rows(ring: list[dict], event, kinds, since: float) -> list[dict]:
+    """Ring rows of ``kinds`` on ``event``'s device (and partition, when
+    it is partition-scoped) at or after ``since``."""
+    return [row for row in ring
+            if row["kind"] in kinds and row.get("device") == event.device
+            and (event.partition is None
+                 or row.get("detail", {}).get("partition") == event.partition)
+            and row["t_ns"] >= since]
+
 
 def correlate(injector, ring: list[dict], alerts) -> list[dict]:
     """Per planned fault: when it was detected, alerted and recovered.
@@ -231,75 +204,32 @@ def correlate(injector, ring: list[dict], alerts) -> list[dict]:
     ``mttd_ns`` is host detection latency (ring detection record minus
     injection — heartbeat-quantized for kills, 0 for faults the injector
     manifests synchronously); ``mtta_ns`` is the extra beat until the
-    monitor alerted; ``mttr_ns`` spans detection to the last recovery
-    action (re-copy completion for sharded placements, 0 for pure
-    fail-over, stall/flap window end for degradations).
+    monitor alerted; ``mttr_ns`` spans detection to the first or last
+    recovery record, as the fault's lifecycle row says (re-copy
+    completion for sharded placements, 0 for pure fail-over, stall/flap
+    window end for degradations).
     """
     rows = []
     for event in injector.plan.events:
+        lifecycle = event.lifecycle
         injected = injector.epoch_ns + event.at_ns
-        detect_kind = _event_detect_kind(event)
-        scoped = getattr(event, "partition", None)
-
-        def matches_scope(row, _scoped=scoped):
-            return (_scoped is None
-                    or row.get("detail", {}).get("partition") == _scoped)
-
-        detected = None
-        for row in ring:
-            if (row["kind"] == detect_kind
-                    and row.get("device") == event.device
-                    and matches_scope(row)
-                    and row["t_ns"] >= injected):
-                detected = row["t_ns"]
-                break
+        detected = next((row["t_ns"] for row in _rows(
+            ring, event, (lifecycle.detect,), injected)), None)
         recovered = None
         if detected is not None:
-            if event.kind == "device_fail" and scoped is not None:
-                for row in ring:
-                    if (row["kind"] == "recovery.partition_remap"
-                            and row.get("device") == event.device
-                            and matches_scope(row)
-                            and row["t_ns"] >= detected):
-                        recovered = max(recovered or detected, row["t_ns"])
-            elif event.kind == "device_fail":
-                for row in ring:
-                    if (row["kind"] in ("recovery.failover",
-                                        "recovery.remap")
-                            and row.get("device") == event.device
-                            and row["t_ns"] >= detected):
-                        done = row.get("detail", {}).get("done_ns",
-                                                         row["t_ns"])
-                        recovered = max(recovered or detected, done)
-            elif event.kind == "device_stall" and scoped is not None:
-                for row in ring:
-                    if (row["kind"] == "recovery.partition_up"
-                            and row.get("device") == event.device
-                            and matches_scope(row)
-                            and row["t_ns"] >= detected):
-                        recovered = row["t_ns"]
-                        break
-            elif event.kind in ("device_stall", "link_flap"):
-                for row in ring:
-                    if (row["kind"] == "recovery.device_up"
-                            and row.get("device") == event.device
-                            and row["t_ns"] >= detected):
-                        recovered = row["t_ns"]
-                        break
-        alerted = None
-        for alert in alerts:
-            kind = alert.kind if hasattr(alert, "kind") else alert["kind"]
-            at = alert.at_ns if hasattr(alert, "at_ns") else alert["at_ns"]
-            device = (alert.device if hasattr(alert, "device")
-                      else alert.get("device"))
-            if (kind in _event_alert_kinds(event)
-                    and device == event.device and at >= injected):
-                alerted = at
-                break
+            ends = [row.get("detail", {}).get("done_ns", row["t_ns"])
+                    for row in _rows(ring, event, lifecycle.recovery,
+                                     detected)]
+            if ends:
+                recovered = (ends[0] if lifecycle.mttr_to == "first"
+                             else max(detected, *ends))
+        alerted = next((alert.at_ns for alert in alerts
+                        if _catches(alert, event, injected)), None)
         rows.append({
             "kind": event.kind,
             "device": event.device,
-            **({"partition": scoped} if scoped is not None else {}),
+            **({"partition": event.partition}
+               if event.partition is not None else {}),
             "injected_ns": injected,
             "detected_ns": detected,
             "mttd_ns": (detected - injected if detected is not None
@@ -334,13 +264,8 @@ def grade_against_plan(injector, alerts, *,
     mtta: list[float] = []
     for event in events:
         injected = epoch + event.at_ns
-        first = None
-        for alert in alerts:
-            if (alert.kind in _event_alert_kinds(event)
-                    and alert.device == event.device
-                    and alert.at_ns >= injected):
-                first = alert
-                break
+        first = next((alert for alert in alerts
+                      if _catches(alert, event, injected)), None)
         if first is not None:
             caught += 1
             mttd.append(first.at_ns - injected)
@@ -358,12 +283,7 @@ def grade_against_plan(injector, alerts, *,
                 for e in events
             )
         else:
-            ok = any(
-                alert.kind in _event_alert_kinds(e)
-                and alert.device == e.device
-                and alert.at_ns >= epoch + e.at_ns
-                for e in events
-            )
+            ok = any(_catches(alert, e, epoch + e.at_ns) for e in events)
         if ok:
             matched += 1
     return {

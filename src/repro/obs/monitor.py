@@ -22,10 +22,10 @@ the same 1:12 ratio) because the serving runs themselves span tens of
 microseconds of simulated time; both are constructor arguments.
 
 Availability alerting rides the :class:`~repro.obs.recorder.
-FlightRecorder`: fault *detections* and degradations recorded by the
-injector surface as typed ``device_down`` / ``device_degraded`` /
-``poison`` alerts on the next monitor beat, so a kill alerts even when
-retries keep the burn rate under threshold.
+FlightRecorder`: every fault *detection* the injector records surfaces
+on the next monitor beat as the typed alert its
+:data:`~repro.faults.plan.LIFECYCLE` row names, so a kill alerts even
+when retries keep the burn rate under threshold.
 
 Knobs (:mod:`repro.knobs`, README "Knobs"): ``REPRO_MONITOR`` gates the
 whole monitoring stack at the serving engine; ``REPRO_MONITOR_BURN`` sets
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from repro import knobs
 from repro.errors import ConfigError
+from repro.faults.plan import LIFECYCLE
 from repro.sim.stats import StatsRegistry, percentile
 
 #: Sliding-window spans (simulated ns).  The SRE fast/slow pair at the
@@ -53,15 +54,9 @@ DEFAULT_BURN_THRESHOLD = knobs.KNOBS["REPRO_MONITOR_BURN"].default
 #: heartbeat, so an alert lands at most one beat after a detection).
 DEFAULT_MONITOR_INTERVAL_NS = 5_000.0
 
-#: Recorder event kind -> (alert kind, severity) for availability alerts.
-_FAULT_ALERTS = {
-    "fault.detect": ("device_down", "page"),
-    "fault.stall": ("device_degraded", "ticket"),
-    "fault.link_flap": ("device_degraded", "ticket"),
-    "fault.poison": ("poison", "page"),
-    "fault.partition_detect": ("partition_down", "page"),
-    "fault.partition_stall": ("partition_degraded", "ticket"),
-}
+#: Detection ring kind -> (alert kind, severity) for availability alerts.
+_DETECTION_ALERTS = {lifecycle.detect: (lifecycle.alert, lifecycle.severity)
+                     for lifecycle in LIFECYCLE.values()}
 
 
 @dataclass(frozen=True)
@@ -318,8 +313,8 @@ class SLOMonitor:
 
         if self.recorder is not None:
             for record in self.recorder.events(
-                    kinds=tuple(_FAULT_ALERTS), since_seq=self._rec_seen):
-                kind, severity = _FAULT_ALERTS[record.kind]
+                    kinds=tuple(_DETECTION_ALERTS), since_seq=self._rec_seen):
+                kind, severity = _DETECTION_ALERTS[record.kind]
                 where = record.detail.get("partition")
                 suffix = f" partition={where}" if where else ""
                 alert = Alert(kind, now_ns, severity, device=record.device,

@@ -72,7 +72,7 @@ class TestKillAndRecovery:
         runtime.sim.run()
         assert faults.health.state(2) == DOWN
         transition = [t for t in faults.health.transitions
-                      if t[1] == 2 and t[3] == DOWN][0]
+                      if t[1] == 2 and t[4] == DOWN][0]
         assert transition[0] == faults.epoch_ns + DEFAULT_HEARTBEAT_NS
 
     def test_post_kill_launch_avoids_dead_device(self):
@@ -220,7 +220,7 @@ class TestDegradationWindows:
         runtime.recorder = FlightRecorder()
         injector = runtime.arm_faults(FaultPlan(events=tuple(events)))
         runtime.sim.run()
-        transitions = [(t, new) for t, dev, _old, new
+        transitions = [(t, new) for t, dev, _part, _old, new
                        in injector.health.transitions if dev == 1]
         ups = [row.t_ns for row in runtime.recorder.events(
             kinds=("recovery.device_up",)) if row.device == 1]
@@ -293,8 +293,7 @@ class TestHealthMonitor:
         assert health.mark(0, DOWN, 10.0)
         assert not health.mark(0, UP, 20.0)
         assert health.state(0) == DOWN
-        assert health.routable_devices == [1]
-        assert health.down_devices == [0]
+        assert health.is_routable(1) and not health.is_routable(0)
 
     def test_render_lists_states(self):
         health = HealthMonitor(2)

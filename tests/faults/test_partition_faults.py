@@ -105,8 +105,8 @@ class TestPartitionKill:
         runtime = platform.runtime
         runtime.sim.run()
         health = injector.health
-        assert health.partition_state(0, "batch") == DOWN
-        assert health.partition_state(0, "rt") == UP
+        assert health.state(0, "batch") == DOWN
+        assert health.state(0, "rt") == UP
         assert health.state(0) == UP
         assert runtime.scheduler.routable[0]
         stats = platform.stats
@@ -120,7 +120,7 @@ class TestPartitionKill:
                         partition="batch")]
         )
         platform.runtime.sim.run()
-        transition = [t for t in injector.health.partition_transitions
+        transition = [t for t in injector.health.transitions
                       if t[1] == 0 and t[2] == "batch" and t[4] == DOWN][0]
         assert transition[0] == injector.epoch_ns + DEFAULT_HEARTBEAT_NS
 
@@ -196,7 +196,7 @@ class TestPartitionStallAndPoison:
         )
         runtime = platform.runtime
         runtime.sim.run()
-        assert injector.health.partition_state(0, "batch") == UP  # recovered
+        assert injector.health.state(0, "batch") == UP  # recovered
         assert platform.stats.get("fault.partition_stall_windows") == 1
         # the victim partition's issue path is delayed; the other is not
         assert injector.delay_issue(0, 10.0, partition="rt") == 10.0
@@ -210,7 +210,7 @@ class TestPartitionStallAndPoison:
             num_devices=1,
         )
         platform.runtime.sim.run()
-        states = [t[4] for t in injector.health.partition_transitions
+        states = [t[4] for t in injector.health.transitions
                   if t[2] == "batch"]
         assert states == [DEGRADED, UP]
 
@@ -246,9 +246,9 @@ class TestPartitionHealth:
         platform.runtime.sim.run()
         health = injector.health
         assert health.state(1) == DOWN
-        assert health.partition_state(1, "rt") == DOWN
-        assert health.partition_state(1, "batch") == DOWN
-        assert health.partition_state(0, "rt") == UP
+        assert health.state(1, "rt") == DOWN
+        assert health.state(1, "batch") == DOWN
+        assert health.state(0, "rt") == UP
 
     def test_render_includes_partition_states(self):
         platform, injector = _armed(

@@ -2,7 +2,7 @@
 against their committed goldens.
 
 No simulation runs here: the scripts are imported for their ``GATES``
-rows and checkers, and ``main`` is only ever driven with stub points.
+rows, and ``main`` is only ever driven with stub points.
 The goldens themselves are compared by CI (`git diff --exit-code
 BENCH_smoke.json` / `FIDELITY.json` after regenerating them); the two
 share no top-level key, so one merged payload serves both tables."""
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.partitioning import blast_radius_confined
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -96,12 +97,12 @@ def test_the_doctored_leaves_cover_every_relation_kind():
 def test_a_missing_field_fails_its_row_instead_of_raising():
     payload = copy.deepcopy(GOLDEN)
     del payload["serving_point"]["throughput_gain"]
-    del payload["partition_point"]
+    del payload["partitioning-containment"]
     failing = _failing(payload)
     assert ("serving_point.throughput_gain", ">=") in failing
     assert all("field missing" in line for line in failing.values())
-    assert sum(path.startswith("partition_point.")
-               for path, _ in failing) == 9
+    assert sum(path.startswith("partitioning-containment.")
+               for path, _ in failing) == 7
 
 
 @pytest.mark.parametrize("blast, confined", [
@@ -111,9 +112,15 @@ def test_a_missing_field_fails_its_row_instead_of_raising():
     ("dev0.batch:5,dev0.rt:1", False),
 ])
 def test_blast_radius_check(blast, confined):
-    payload = _doctored({"partition_point.containment.blast_radius": blast})
-    holds, line = smoke.check_blast_radius(payload)
-    assert holds is confined and repr(blast) in line
+    """``dev<d>.<partition>:<events>`` groups, as ring rows; a
+    tenant-attributed row belongs to no partition."""
+    ring = [{"kind": "serve.launch", "tenant": "rt"}]
+    for group in blast.split(",") if blast != "none" else ():
+        scope, events = group.split(":")
+        device, partition = scope.split(".")
+        ring += [{"kind": "fault.partition_kill", "device": int(device[3:]),
+                  "detail": {"partition": partition}}] * int(events)
+    assert blast_radius_confined(ring, "batch") is confined
 
 
 def test_main_lists_every_failing_row_not_just_the_first(
@@ -121,7 +128,7 @@ def test_main_lists_every_failing_row_not_just_the_first(
     doctored = _doctored({
         "fig06_point.batched.batched_fallbacks": 1.0,
         "serving_point.throughput_gain": 1.0,
-        "partition_point.containment.blast_radius": "dev0.batch:5,dev0.rt:1",
+        "monitoring_point.recall": 0.5,
     })
     doctored = {name: doctored[name] for name in BENCH}
     monkeypatch.setattr(smoke, "POINTS", tuple(
@@ -133,13 +140,13 @@ def test_main_lists_every_failing_row_not_just_the_first(
     assert message.startswith("3 of ")
     for path in ("fig06_point.batched.batched_fallbacks",
                  "serving_point.throughput_gain",
-                 "partition_point.containment.blast_radius"):
+                 "monitoring_point.recall"):
         assert path in message
     # the payload is written before gating, and the summary has every row
     assert json.loads(out.read_text()) == doctored
     summary = capsys.readouterr().out
     assert summary.count("\n  FAIL ") == 3
-    assert summary.count("\n  ok   ") == len(smoke.GATES) + 1 - 3
+    assert summary.count("\n  ok   ") == len(smoke.GATES) - 3
 
 
 def test_main_passes_on_the_golden_and_writes_it_back_byte_for_byte(
