@@ -47,6 +47,7 @@ POINTS = {
     "resilience": {}, "resilience-hedged": {}, "resilience-monitoring": {},
     "scaling": {"scale_name": "small", "requests": 8},
     "scaling-policies": {}, "serving": {}, "serving-autoscale": {},
+    "engines": {},
 }
 
 #: The drivers that check their kernels' results against numpy.
@@ -54,15 +55,29 @@ _VERIFIED = (
     "fig6a", "fig6b", "fig10a", "fig10b", "fig10c", "fig12a", "fig13a-ltu",
     "fig13b", "partitioning", "partitioning-containment", "resilience",
     "resilience-hedged", "scaling", "scaling-policies", "serving",
-    "serving-autoscale",
+    "serving-autoscale", "engines",
 )
+
+#: The ``engines`` ratchet: each kernel's sim-time error against the
+#: interpreter, bounded at its reading rounded up to two significant
+#: figures.  A fidelity fix lowers the bound it beats.
+ENGINE_ERR_BOUNDS = {
+    "olap_q6": 0.11, "olap_q14": 0.025, "olap_q1_1": 0.25,
+    "histo4096": 0.58, "histo256": 0.58, "spmv": 7.2, "pagerank": 0.39,
+    "dlrm": 20.0, "sssp": 0.26, "vecadd": 0.34, "gemv": 0.0084,
+}
 
 #: The claims a regenerated golden must still meet (rows as ``gates.py``
 #: defines them).
 GATES = tuple(
     (f"{exp_id}.headline.correct", "==", True, "matches the reference")
     for exp_id in _VERIFIED
-) + (
+) + tuple(row for kernel, bound in ENGINE_ERR_BOUNDS.items() for row in (
+    (f"engines.headline.{kernel}_err", "<=", bound,
+     "the engine stays this close to the interpreter in sim time"),
+    (f"engines.headline.{kernel}_fallbacks", "==", 0,
+     "no launch falls back to the interpreter at probe size"),
+)) + (
     ("fig1a.headline.max_slowdown", ">", 8.0,
      "CXL placement costs the worst workload most of an order of magnitude"),
     ("fig1a.headline.min_slowdown", ">", 1.0,
@@ -196,6 +211,8 @@ GATES = tuple(
      "and never enters the retry path: both policies serve identically"),
     ("resilience.headline.retry_slo_gain_min", ">", 0.0,
      "under faults deadline-aware retries beat no-retry in every cell"),
+    ("resilience.headline.retry_slo_min", ">=", 0.9,
+     "and hold the SLO floor in every fault cell"),
     ("resilience-hedged.headline.unhedged_hedges", "==", 0,
      "hedge_delay 0 disables hedging"),
     ("resilience-hedged.headline.hedged_won_max", ">=", 1,
@@ -231,6 +248,8 @@ GATES = tuple(
      "monitoring alerts the partition kill"),
     ("partitioning-containment.headline.blast_radius_confined", "==", True,
      "a partition kill's blast radius stays inside the killed partition"),
+    ("engines.headline.agreement", ">=", 0.63,
+     "the engines' mean min/max runtime against the interpreter's"),
     ("summary.hold", ">=", 26,
      "a golden refresh may not lose fidelity: scorecard rows that hold"),
 )

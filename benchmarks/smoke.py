@@ -1,6 +1,6 @@
 """Smoke benchmark: a deterministic golden of the paper's sim-time claims.
 
-Runs the nine small points of the ``POINTS`` table and writes every
+Runs the six small points of the ``POINTS`` table and writes every
 simulated result, counter and byte-identity verdict to
 ``BENCH_smoke.json``.  The host clock is never read, so that file is a
 pure function of the code and the committed copy is a **golden**: CI
@@ -13,8 +13,10 @@ The golden pins values; the ``GATES`` table states the claims a
 regenerated golden must still meet (``gates.py``: every row is evaluated
 and printed as the run summary, all failing rows are listed before the
 non-zero exit).  The paper's figures are ``figures.py``'s, against
-``FIDELITY.json`` — and so are the partitioning claims (noisy-neighbour
-isolation, partition-kill containment), whose drivers it already runs.
+``FIDELITY.json`` — and so are the claims whose drivers it already runs:
+the engines' sim-time error against the interpreter (``engines``), the
+partitioning claims (noisy-neighbour isolation, partition-kill
+containment) and recovery under a device kill (``resilience``).
 
 The tracing and monitoring points also leave ``serving.trace.json`` /
 ``serving.manifest.json`` and ``incidents/`` in the working directory
@@ -47,17 +49,6 @@ from repro.serve import (
     ServingEngine,
     TenantSpec,
 )
-from repro.workloads import histogram, olap
-from repro.workloads.base import make_platform, scale
-
-SMOKE_QUERY = "q6"
-SMOKE_SCALE = "small"
-
-#: Fig 6-class smoke point: HISTO4096 input size.  Big enough that the
-#: interpreter pays seconds while the SIMT engine stays ~100 ms, small
-#: enough for every CI run.
-FIG06_SMOKE_ELEMENTS = 1 << 16
-FIG06_SMOKE_BINS = 4096
 
 #: Fig 10b-class smoke point: fine-grained KVStore GETs through the
 #: serving engine.  The load knobs are chosen so real scatter batches
@@ -86,8 +77,7 @@ SERVING_SMOKE_ELEMENTS = 1 << 10  # per slice
 
 
 def _exec_profile(counters: dict) -> dict:
-    """Engine attribution from a dict of ``exec.*`` counters (a whole
-    run's, or one pass's deltas): launches per tier + fallback reasons."""
+    """Launches per tier and fallback reasons from ``exec.*`` deltas."""
     prefix = "exec.fallback_reason."
     return {
         "batched_launches": counters.get("exec.batched_launches", 0.0),
@@ -98,49 +88,6 @@ def _exec_profile(counters: dict) -> dict:
             for key, value in counters.items() if key.startswith(prefix)
         },
     }
-
-
-def bench_fig10a_point() -> dict:
-    preset = scale(SMOKE_SCALE)
-    out: dict = {"query": SMOKE_QUERY, "scale": SMOKE_SCALE,
-                 "rows": preset.rows}
-    for backend in ("interpreter", "batched"):
-        data = olap.generate(SMOKE_QUERY, preset.rows)
-        plat = make_platform(backend=backend)
-        run = olap.run_ndp_evaluate(plat, data)
-        out[backend] = {
-            "runtime_ns": run.runtime_ns,
-            "correct": run.correct,
-            "dram_bytes": run.dram_bytes,
-            **_exec_profile(plat.stats.counters("exec.")),
-        }
-    out["batched_runtime_ratio"] = (
-        out["batched"]["runtime_ns"] / out["interpreter"]["runtime_ns"]
-    )
-    return out
-
-
-def bench_fig06_point() -> dict:
-    """HISTO on both backends: the previously-fallback atomic point.
-
-    Before the SIMT engine this kernel (vector atomics, scratchpad
-    partials, init/final phases) fell back to the interpreter on every
-    launch; the point gates on the fallback count staying zero.
-    """
-    out: dict = {"elements": FIG06_SMOKE_ELEMENTS, "nbins": FIG06_SMOKE_BINS}
-    data = histogram.generate(FIG06_SMOKE_ELEMENTS, FIG06_SMOKE_BINS)
-    for backend in ("interpreter", "batched"):
-        plat = make_platform(backend=backend)
-        run = histogram.run_ndp(plat, data)
-        out[backend] = {
-            "runtime_ns": run.runtime_ns,
-            "correct": run.correct,
-            **_exec_profile(plat.stats.counters("exec.")),
-        }
-    out["simt_runtime_ratio"] = (
-        out["batched"]["runtime_ns"] / out["interpreter"]["runtime_ns"]
-    )
-    return out
 
 
 _KVS_CACHE_COUNTERS = (
@@ -373,61 +320,21 @@ def bench_serving_point() -> dict:
 RESILIENCE_SMOKE_REQUESTS = 16
 
 
-def _run_resilience(retries: int, plan, **engine_kwargs) -> tuple:
+def _run_kill(**engine_kwargs) -> tuple:
     platform = make_cluster_platform(num_devices=4, backend="batched")
-    if plan is not None:
-        platform.runtime.arm_faults(plan)
+    platform.runtime.arm_faults(FaultPlan(events=(
+        FaultEvent("device_fail", at_ns=3_000.0, device=1),
+    )))
     spec = TenantSpec(
         "scan", "olap",
         arrivals=ArrivalSpec("poisson", rate_rps=2e6,
                              requests=RESILIENCE_SMOKE_REQUESTS),
         qos_class="interactive", slo_ns=5_000_000.0, size=1 << 17,
         slices=4, placement="replicated",
-        retry=RetryPolicy(max_retries=retries, backoff_ns=500.0,
-                          jitter_ns=200.0),
+        retry=RetryPolicy(max_retries=3, backoff_ns=500.0, jitter_ns=200.0),
     )
     engine = ServingEngine(platform, [spec], **engine_kwargs)
     return platform, engine, engine.run()
-
-
-def bench_resilience_point() -> dict:
-    """Kill 1 of 4 devices mid-traffic; recovery must hold the SLO floor.
-
-    Three runs on the same seed: no-retry under the kill (the chaos
-    baseline), deadline-aware retries under the kill (must recover every
-    stranded request), and a zero-fault plan (must be byte-identical to
-    running with no fault injector armed at all).
-    """
-    kill = FaultPlan(events=(
-        FaultEvent("device_fail", at_ns=3_000.0, device=1),
-    ))
-    out: dict = {"requests": RESILIENCE_SMOKE_REQUESTS}
-    for label, retries, plan in (("no_retry", 0, kill),
-                                 ("retry", 3, kill)):
-        platform, _, report = _run_resilience(retries, plan)
-        tenant = report.tenant("scan")
-        out[label] = {
-            "offered": tenant.offered,
-            "served": tenant.served,
-            "failed": tenant.failed,
-            "retried": tenant.retried,
-            "slo_attainment": tenant.slo_attainment,
-            "accounting_ok": tenant.accounting_ok,
-            "correct": tenant.correct,
-            "device_kills": platform.stats.get("fault.device_kills"),
-            "lost_completions": platform.stats.get(
-                "fault.lost_completions"),
-            "failovers": platform.stats.get("recovery.failovers"),
-        }
-    identity = {}
-    for label, plan in (("zero_fault", FaultPlan.none()),
-                        ("disabled", None)):
-        platform, engine, report = _run_resilience(0, plan)
-        identity[label] = (engine.result_snapshots(),
-                           report.aggregate.samples, platform.sim.now)
-    out["zero_fault_identical"] = (identity["zero_fault"]
-                                   == identity["disabled"])
-    return out
 
 
 def _serving_signature(report) -> dict:
@@ -513,22 +420,18 @@ def bench_obs_point() -> dict:
 def bench_monitoring_point() -> dict:
     """Always-on monitoring must observe without perturbing.
 
-    Re-runs the resilience kill point twice on the same seed —
-    monitoring off, then on with an incident directory — and gates that
-    (a) results and latency streams are byte-identical, (b) every
-    injected fault is alerted (recall 1.0), (c) the alert lands within
-    one monitor beat of heartbeat detection, and (d) at least one
-    coherent incident bundle is written.  Bundles land in
-    ``incidents/`` for the CI artifact upload.
+    Runs a 1-of-4 device kill under a retrying scan tenant twice on the
+    same seed — monitoring off, then on with an incident directory — and
+    gates that (a) results and latency streams are byte-identical, (b)
+    every injected fault is alerted (recall 1.0), (c) the alert lands
+    within one monitor beat of heartbeat detection, and (d) at least one
+    coherent incident bundle is written.  Bundles land in ``incidents/``
+    for the CI artifact upload.
     """
-    kill = FaultPlan(events=(
-        FaultEvent("device_fail", at_ns=3_000.0, device=1),
-    ))
     os.makedirs("incidents", exist_ok=True)
-    _, engine_off, report_off = _run_resilience(
-        3, kill, monitoring=False)
-    platform, engine_on, report_on = _run_resilience(
-        3, kill, monitoring=True, incident_dir="incidents")
+    _, engine_off, report_off = _run_kill(monitoring=False)
+    platform, engine_on, report_on = _run_kill(monitoring=True,
+                                               incident_dir="incidents")
     grade = grade_against_plan(platform.runtime.faults,
                                engine_on.monitor.alerts)
     bundles = engine_on.reporter.bundles
@@ -556,13 +459,10 @@ def bench_monitoring_point() -> dict:
 
 #: The golden's top-level keys, in run order.
 POINTS = (
-    ("fig10a_point", bench_fig10a_point),
-    ("fig06_point", bench_fig06_point),
     ("kvstore_point", bench_kvstore_point),
     ("cluster_point", bench_cluster_point),
     ("traffic_point", bench_traffic_point),
     ("serving_point", bench_serving_point),
-    ("resilience_point", bench_resilience_point),
     ("tracing_point", bench_obs_point),
     ("monitoring_point", bench_monitoring_point),
 )
@@ -570,13 +470,6 @@ POINTS = (
 #: The claims a regenerated golden must still meet (rows as ``gates.py``
 #: defines them).
 GATES = (
-    ("fig10a_point.interpreter.correct", "==", True, "matches the reference"),
-    ("fig10a_point.batched.correct", "==", True, "matches the reference"),
-    ("fig06_point.interpreter.correct", "==", True, "matches the reference"),
-    ("fig06_point.batched.correct", "==", True, "matches the reference"),
-    ("fig06_point.batched.batched_fallbacks", "==", 0,
-     "HISTO (vector atomics, phases, scratchpad) never falls back to the "
-     "interpreter; fig06_point.batched.fallback_reasons names the cause"),
     ("kvstore_point.interpreter.correct", "==", True, "matches the reference"),
     ("kvstore_point.batched.correct", "==", True, "matches the reference"),
     ("kvstore_point.results_identical", "==", True,
@@ -603,20 +496,6 @@ GATES = (
     ("serving_point.hit_rate_gain", ">=", 0.2,
      "fusing slices collapses the shape population: the trace-cache hit "
      "rate rises"),
-    ("resilience_point.no_retry.correct", "==", True, "matches the reference"),
-    ("resilience_point.retry.correct", "==", True, "matches the reference"),
-    ("resilience_point.no_retry.accounting_ok", "==", True,
-     "offered == served + shed + expired + failed without retries"),
-    ("resilience_point.retry.accounting_ok", "==", True,
-     "offered == served + shed + expired + failed with retries"),
-    ("resilience_point.retry.slo_attainment", ">=", 0.9,
-     "deadline-aware retries hold the SLO floor under a 1-of-4 kill"),
-    ("resilience_point.retry.slo_attainment", ">",
-     "resilience_point.no_retry.slo_attainment",
-     "retries recover requests the no-retry baseline strands"),
-    ("resilience_point.zero_fault_identical", "==", True,
-     "an armed zero-fault plan changes neither results nor timing (fault "
-     "hooks are free when idle)"),
     ("tracing_point.results_identical", "==", True,
      "REPRO_TRACE=1 changes neither serving results nor sim timings"),
     ("tracing_point.span_coverage", ">=", 0.9,

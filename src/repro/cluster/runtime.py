@@ -180,16 +180,14 @@ class ClusterRuntime:
 
     def __init__(
         self,
-        sim: Simulator | None = None,
         system: SystemConfig | None = None,
         cluster: ClusterConfig | None = None,
         backend: str | None = None,
         scheduler: str | None = None,
-        base_asid: int = CLUSTER_BASE_ASID,
         launch_timeout_ns: float | None = None,
         partitions: str | None = None,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.system = system if system is not None else default_system()
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
         policy = knobs.resolve("REPRO_CLUSTER_SCHEDULER", scheduler,
@@ -219,7 +217,7 @@ class ClusterRuntime:
             device.trace_pid = 1 + i
             device.configure_partitions(self.partitions)
         self.runtimes = [
-            M2NDPRuntime(device, asid=base_asid + i)
+            M2NDPRuntime(device, asid=CLUSTER_BASE_ASID + i)
             for i, device in enumerate(self.devices)
         ]
         self.allocator = ClusterAllocator(

@@ -1,4 +1,4 @@
-"""The execution-backend interface and registry.
+"""The execution-backend interface and the table of backends.
 
 A backend owns the *launch execution engine* of one
 :class:`~repro.ndp.device.M2NDPDevice`: the NDP controller hands it
@@ -13,7 +13,7 @@ only through :class:`ExecutionBackend`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 
@@ -48,32 +48,22 @@ class ExecutionBackend:
         raise NotImplementedError
 
 
-#: Backend registry: name -> factory(device) -> ExecutionBackend.
-_BACKENDS: dict[str, Callable[[object], ExecutionBackend]] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[[object], ExecutionBackend]) -> None:
-    _BACKENDS[name] = factory
-
-
-def _ensure_builtins_registered() -> None:
-    # Import for the side effect of registering the built-in backends
-    # (kept lazy to avoid a cycle with repro.ndp.device / repro.config).
-    from repro.exec import interpreter, batched  # noqa: F401
+def _backends() -> dict[str, type[ExecutionBackend]]:
+    # imported here: the backends import repro.ndp, which imports this module
+    from repro.exec.batched import BatchedBackend
+    from repro.exec.interpreter import InterpreterBackend
+    return {"interpreter": InterpreterBackend, "batched": BatchedBackend}
 
 
 def backend_names() -> list[str]:
-    _ensure_builtins_registered()
-    return sorted(_BACKENDS)
+    return sorted(_backends())
 
 
 def make_backend(name: str, device) -> ExecutionBackend:
     """Instantiate the backend ``name`` for ``device``."""
-    _ensure_builtins_registered()
-    factory = _BACKENDS.get(name)
-    if factory is None:
+    backend = _backends().get(name)
+    if backend is None:
         raise ConfigError(
             f"unknown execution backend {name!r}; choose from {backend_names()}"
         )
-    return factory(device)
+    return backend(device)

@@ -66,7 +66,6 @@ import math
 
 import numpy as np
 
-from repro.exec.base import register_backend
 from repro.exec.interpreter import InterpreterBackend
 from repro.exec.point import attempt_point
 from repro.exec.simt import (
@@ -529,6 +528,3 @@ class BatchedBackend(InterpreterBackend):
         stats.add(f"exec.{plan_cls.engine}_launches")
         plan.schedule(now_ns, cached)
         return None
-
-
-register_backend(BatchedBackend.name, BatchedBackend)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.exec.base import ExecutionBackend, register_backend
+from repro.exec.base import ExecutionBackend
 from repro.isa.executor import execute
 from repro.ndp.generator import SPAWN_LATENCY_NS, KernelExecution
 from repro.ndp.uthread import UThread
@@ -171,6 +171,3 @@ class InterpreterBackend(ExecutionBackend):
             self.fill_all_units(now)
         else:
             self._fill_unit(unit, now)
-
-
-register_backend(InterpreterBackend.name, InterpreterBackend)

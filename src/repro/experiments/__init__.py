@@ -8,6 +8,7 @@ defaulted) returning an
 """
 
 from repro.experiments.common import PAPER_REFERENCE, ExperimentResult
+from repro.experiments.engines import run_engines
 from repro.experiments.fig01 import run_fig1a, run_fig1b
 from repro.experiments.fig05 import run_fig5
 from repro.experiments.fig06 import run_fig6a, run_fig6b
@@ -68,6 +69,7 @@ EXPERIMENTS = {
     "scaling-policies": run_policy_matrix,
     "serving": run_serving,
     "serving-autoscale": run_serving_autoscale,
+    "engines": run_engines,
 }
 
 __all__ = [

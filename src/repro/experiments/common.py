@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 
 from repro import knobs
 
-#: Execution backend used by the figure reproductions (see repro.exec).
-#: Experiments default to the batched trace-replay fast path — launches it
-#: cannot replay (atomics, gathers, multi-phase kernels) automatically fall
-#: back to the interpreter per launch, so results stay correct everywhere.
-#: The microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
-#: granularity) pin the interpreter explicitly and ignore this default.
-#: Override with the REPRO_EXPERIMENT_BACKEND env var (README "Knobs").
+#: Execution backend of the figure reproductions (see repro.exec): the
+#: batched engines, which hand a launch they cannot replay to the
+#: interpreter.  ``REPRO_EXPERIMENT_BACKEND`` overrides it (README
+#: "Knobs"); only the ``engines`` driver pins backends, both of them.
 EXPERIMENT_BACKEND = knobs.resolve("REPRO_EXPERIMENT_BACKEND")
 
 

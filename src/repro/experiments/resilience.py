@@ -114,6 +114,8 @@ def run_resilience(requests: int = 24,
         "retry_slo_gain_min": min(
             b["slo_att"] - a["slo_att"]
             for a, b in pairs if a["chaos"] != "healthy"),
+        "retry_slo_min": min(b["slo_att"] for a, b in pairs
+                             if a["chaos"] != "healthy"),
     }
     result.notes = (
         "replicated + deadline-aware retries is the resilient point: "

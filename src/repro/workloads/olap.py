@@ -13,7 +13,8 @@ final mask against a numpy reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class OLAPData:
 def generate(query_name: str, rows: int, salt: int = 0) -> OLAPData:
     """Synthesize columns so each predicate sees realistic selectivity."""
     query = QUERIES[query_name]
-    gen = rng(salt + hash(query_name) % 1000)
+    gen = rng(salt + zlib.crc32(query_name.encode()))  # hash() is per-process
     columns: dict[str, np.ndarray] = {}
     mask = np.ones(rows, dtype=bool)
     for pred in query.predicates:

@@ -1,9 +1,10 @@
 """Execution-backend tests: selection, cross-equivalence, fallback.
 
 The batched backend must produce *byte-identical* functional results to
-the interpreter on the replayable kernels (vecadd, gemv, the OLAP filter),
-stay within the documented tolerance on launch timing, and silently fall
-back to the interpreter on everything it cannot replay.
+the interpreter on the replayable kernels (vecadd, gemv, the OLAP filter)
+and silently fall back to the interpreter on everything it cannot replay.
+How far its launch timing is from the interpreter's is the ``engines``
+experiment's headline, gated per kernel in ``FIDELITY.json``.
 """
 
 import numpy as np
@@ -22,11 +23,6 @@ from repro.ndp.device import M2NDPDevice
 from repro.sim.engine import Simulator
 from repro.workloads import olap
 from repro.workloads.base import make_platform
-
-#: Relative tolerance on launch runtime between backends: the batched
-#: path's roofline timing tracks the interpreter's event-driven schedule
-#: but is not bit-identical (see repro/exec docstring).
-TIMING_RTOL = 0.45
 
 
 def _platforms():
@@ -104,24 +100,23 @@ class TestVecaddEquivalence:
         addr_a = runtime.alloc_array(a)
         addr_b = runtime.alloc_array(b)
         addr_c = runtime.alloc(a.nbytes)
-        instance = runtime.run_kernel(
+        runtime.run_kernel(
             source, addr_a, addr_a + a.nbytes, args=pack_args(addr_b, addr_c)
         )
-        return runtime.read_array(addr_c, dtype, n), instance.runtime_ns
+        return runtime.read_array(addr_c, dtype, n)
 
     def test_int64_rows_match(self):
         interp, batched = _platforms()
-        out_i, ns_i = self._run(interp, VECADD, np.int64, 7)
-        out_b, ns_b = self._run(batched, VECADD, np.int64, 7)
+        out_i = self._run(interp, VECADD, np.int64, 7)
+        out_b = self._run(batched, VECADD, np.int64, 7)
         assert np.array_equal(out_i, out_b)
         assert out_i[5] == 5 * 7 + (self.N - 6) * 7
-        assert ns_b == pytest.approx(ns_i, rel=TIMING_RTOL)
         assert _batched_stats(batched) == (1, 0)
 
     def test_f32_bitwise_match(self):
         interp, batched = _platforms()
-        out_i, _ = self._run(interp, VECADD_F32, np.float32, 0.25)
-        out_b, _ = self._run(batched, VECADD_F32, np.float32, 0.25)
+        out_i = self._run(interp, VECADD_F32, np.float32, 0.25)
+        out_b = self._run(batched, VECADD_F32, np.float32, 0.25)
         assert np.array_equal(out_i.view(np.uint32), out_b.view(np.uint32))
 
     def test_dram_traffic_matches(self):
@@ -145,20 +140,19 @@ class TestGemvEquivalence:
         w_addr = runtime.alloc_array(weights)
         x_addr = runtime.alloc_array(x)
         out_addr = runtime.alloc(rows * 4)
-        instance = runtime.run_kernel(
+        runtime.run_kernel(
             GEMV_F32, out_addr, out_addr + rows * 4,
             args=pack_args(w_addr, x_addr, dim), stride=4,
         )
-        return runtime.read_array(out_addr, np.float32, rows), instance.runtime_ns
+        return runtime.read_array(out_addr, np.float32, rows)
 
-    def test_bitwise_outputs_and_timing(self):
+    def test_bitwise_outputs(self):
         interp, batched = _platforms()
-        out_i, ns_i = self._run(interp)
-        out_b, ns_b = self._run(batched)
+        out_i = self._run(interp)
+        out_b = self._run(batched)
         # The batched reduction accumulates in the scalar executor's exact
         # element order, so even float results are bit-identical.
         assert np.array_equal(out_i.view(np.uint32), out_b.view(np.uint32))
-        assert ns_b == pytest.approx(ns_i, rel=TIMING_RTOL)
         assert _batched_stats(batched) == (1, 0)
 
 
@@ -176,8 +170,6 @@ class TestOlapEquivalence:
         run_b, platform_b = results["batched"]
         assert run_i.correct and run_b.correct
         assert run_i.dram_bytes == run_b.dram_bytes
-        assert run_b.runtime_ns == pytest.approx(run_i.runtime_ns,
-                                                 rel=TIMING_RTOL)
         launches, fallbacks = _batched_stats(platform_b)
         assert launches == run_b.instance_count
         assert fallbacks == 0

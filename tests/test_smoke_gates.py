@@ -81,6 +81,7 @@ BROKEN = [
     ("==", "resilience.headline.healthy_retry_identical", False),
     (">=", "summary.hold", 25),
     ("<=", "area.headline.ratio_error_max", 0.1201),
+    ("<=", "engines.headline.dlrm_err", 20.5),
     (">", "fig13a-ltu.headline.gmean_4xltu", 161.0),
 ]
 
@@ -92,6 +93,16 @@ def test_each_relation_kind_fails_on_a_doctored_leaf(relation, path, broken):
 
 def test_the_doctored_leaves_cover_every_relation_kind():
     assert {relation for relation, _, _ in BROKEN} == set(gates.RELATIONS)
+
+
+def test_every_engine_error_has_a_ratchet_row():
+    """A kernel cannot join the ``engines`` driver without a bound."""
+    errors = {key for key in FIDELITY["engines"]["headline"]
+              if key.endswith("_err")}
+    bounded = {path.removeprefix("engines.headline.")
+               for path, relation, _, _ in figures.GATES
+               if path.startswith("engines.headline.") and relation == "<="}
+    assert errors and errors <= bounded
 
 
 def test_a_missing_field_fails_its_row_instead_of_raising():
@@ -126,7 +137,7 @@ def test_blast_radius_check(blast, confined):
 def test_main_lists_every_failing_row_not_just_the_first(
         tmp_path, monkeypatch, capsys):
     doctored = _doctored({
-        "fig06_point.batched.batched_fallbacks": 1.0,
+        "cluster_point.cluster_speedup": 1.0,
         "serving_point.throughput_gain": 1.0,
         "monitoring_point.recall": 0.5,
     })
@@ -138,7 +149,7 @@ def test_main_lists_every_failing_row_not_just_the_first(
         smoke.main(str(out))
     message = str(exit_info.value)
     assert message.startswith("3 of ")
-    for path in ("fig06_point.batched.batched_fallbacks",
+    for path in ("cluster_point.cluster_speedup",
                  "serving_point.throughput_gain",
                  "monitoring_point.recall"):
         assert path in message

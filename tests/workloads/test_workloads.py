@@ -1,6 +1,10 @@
 """End-to-end workload correctness at tiny scale: every Table V workload
 produces numerically correct results through the full NDP stack."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,19 @@ class TestOLAP:
         data = olap.generate(query, rows=TINY.rows)
         result = olap.run_ndp_evaluate(platform, data)
         assert result.correct
+
+    def test_columns_do_not_depend_on_the_hash_seed(self):
+        script = ("import hashlib; from repro.workloads import olap; "
+                  "data = olap.generate('q6', 4096); print(hashlib.sha256("
+                  "b''.join(c.tobytes() for c in data.columns.values()))"
+                  ".hexdigest())")
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={"PYTHONPATH": str(src),
+                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "4242")]
+        assert outputs[0] == outputs[1] and len(outputs[0].strip()) == 64
 
     def test_selectivity_reasonable(self):
         data = olap.generate("q6", rows=TINY.rows)
