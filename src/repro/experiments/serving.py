@@ -17,6 +17,8 @@ and the trace-cache hit rate at a small p50 cost for the batched tenant.
 
 from __future__ import annotations
 
+import json
+
 from repro import obs
 from repro.cluster import make_cluster_platform
 from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
@@ -159,8 +161,8 @@ def run_serving_traced(prefix: str = "serving",
 
     Enables tracing for the duration of the run, writes
     ``<prefix>.trace.json`` (Chrome trace-event / Perfetto) and
-    ``<prefix>.manifest.json`` next to the working directory's BENCH
-    files, prints the bottleneck report, and returns both paths.
+    ``<prefix>.manifest.json`` (with the resolved partition map), prints
+    the bottleneck report, and returns both paths.
     """
     was_enabled = obs.enabled()
     obs.set_enabled(True)
@@ -181,6 +183,7 @@ def run_serving_traced(prefix: str = "serving",
             manifest_path, tracer=tracer, stats=platform.stats,
             config=platform.system,
             seed=platform.runtime.cluster_config.seed,
+            partitions=platform.runtime.partitions,
             extra={
                 "experiment": "serving_traced",
                 "num_devices": num_devices,
@@ -195,7 +198,6 @@ def run_serving_traced(prefix: str = "serving",
     print(report.render())
     print()
     with open(trace_path) as fh:
-        import json
         events = json.load(fh)["traceEvents"]
     print(render(build_report(parse_events(events))))
     print()

@@ -1,11 +1,11 @@
 """Fault plans: deterministic scripts of what breaks, where, and when.
 
 A :class:`FaultPlan` is an immutable schedule of :class:`FaultEvent`\\ s
-in simulated time.  Plans are either written by hand (tests, smoke
-points: "kill device 2 at t=50 µs") or generated from the cluster's
-seeded RNG streams (:func:`generate_fault_plan`), so a fault campaign is
-reproducible bit-for-bit from ``ClusterConfig.seed`` exactly like
-arrivals and tenant data are.
+in simulated time.  Plans are either written by hand (tests, the
+resilience drivers: "kill device 2 at t=50 µs") or generated from the
+cluster's seeded RNG streams (:func:`generate_fault_plan`), so a fault
+campaign is reproducible bit-for-bit from ``ClusterConfig.seed``
+exactly like arrivals and tenant data are.
 
 Event kinds, mirroring the failure modes CXL's RAS machinery exists for:
 

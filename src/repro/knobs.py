@@ -135,9 +135,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_SERVE_MAX_WAIT_NS", "float", "a finite number >= 0",
          2000.0, _at_least(0),
          "How long a forming batch may hold for more requests."),
-    Knob("REPRO_SERVE_SCATTER_BATCH", "flag", _FLAG, True, None,
-         "`0` disables scatter-batching point requests into one wide "
-         "launch."),
     Knob("REPRO_LAUNCH_TIMEOUT_NS", "float", "a finite number >= 0", 0.0,
          _at_least(0),
          "Cluster launch watchdog: launches unfinished after this many "

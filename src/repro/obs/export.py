@@ -156,8 +156,8 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
     :class:`~repro.sim.stats.StatsRegistry` or the cluster's aggregate
     view); keys are deterministically sorted so manifests diff cleanly.
     ``partitions`` takes the cluster's
-    :class:`~repro.cluster.partitions.PartitionMap` (or an
-    already-described dict); the key is absent when none is given.
+    :class:`~repro.cluster.partitions.PartitionMap`; the key is absent
+    when none is given.
     ``env_unknown`` lists set ``REPRO_*`` variables that no knob reads
     (a typo is otherwise silent); absent when there are none.
     """
@@ -175,9 +175,7 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
     if unknown:
         manifest["env_unknown"] = unknown
     if partitions:
-        manifest["partitions"] = (partitions.describe()
-                                  if hasattr(partitions, "describe")
-                                  else partitions)
+        manifest["partitions"] = partitions.describe()
     if extra:
         manifest.update(extra)
     return manifest

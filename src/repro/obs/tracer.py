@@ -51,8 +51,8 @@ HOST_PID = 0
 
 
 #: Module-level enabled flag, read by :func:`tracer_of` only;
-#: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, tests,
-#: the smoke benchmark's on/off passes).
+#: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, the
+#: tests' on/off passes).
 ENABLED: bool = knobs.resolve("REPRO_TRACE")
 
 

@@ -13,8 +13,8 @@ Event flow, all in simulated time on the cluster's shared simulator:
    batch-class aging; plain FIFO as the baseline).
 4. **Batching** — the :class:`DynamicBatcher` fuses a run of queue-head
    requests into one cluster launch under the tenant workload's ``fuse``
-   mode (``"slices"`` / ``"scatter"`` / ``"single"``; the engine never
-   asks what kind a tenant is), holding a lone ``"slices"`` head briefly
+   mode (``"slices"`` / ``"scatter"``; the engine never asks what kind
+   a tenant is), holding a lone ``"slices"`` head briefly
    when batchmates may still arrive.
 5. **Dispatch** — at most ``active_devices x inflight_per_device``
    launches are in flight; the :class:`Autoscaler` hook moves the active

@@ -20,7 +20,6 @@ checking) — and names the one way its requests fuse, the workload's
                *range* launch (see :mod:`repro.serve.batcher`).
 ``"scatter"``  independent point requests fuse through a staging ring of
                per-request descriptors, one µthread per descriptor.
-``"single"``   never fused: one launch per request.
 
 Two kinds exist:
 
@@ -33,14 +32,15 @@ the bandwidth-bound C = A + B, ``olap`` a column-scan predicate mask.
 **Point store** (``kvstore``) — point GETs/SETs against a replicated
 hash table, one µthread per request (``get_fraction`` sets the mix).
 Slices never merge (every request walks its own bucket into its own
-slot), so it fuses by ``"scatter"`` (``REPRO_SERVE_SCATTER_BATCH``,
-default on; ``"single"`` when off): the host writes one descriptor per
+slot), so it fuses by ``"scatter"``: the host writes one descriptor per
 request (bucket pointer, key words, slot pointer — SETs add a
 preallocated node pointer) into a 64 B-stride staging ring and launches
 ``KVS_GET_SCATTER`` / ``KVS_SET_SCATTER`` over the ring — byte-identical
 results to unbatched dispatch, one launch's worth of machinery for the
-whole batch.  Batches never mix GETs and SETs (the two ops run different
-kernels), which the batcher enforces via each request's ``batch_key``.
+whole batch.  A one-request batch (every batch under ``max_batch=1``)
+is the plain ``KVS_GET`` / ``KVS_SET`` launch over its result slot.  Batches
+never mix GETs and SETs (the two ops run different kernels), which the
+batcher enforces via each request's ``batch_key``.
 
 A tenant may pin to one hardware partition (``TenantSpec.partition``):
 every allocation — and therefore every launch — lands inside that
@@ -60,7 +60,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import knobs
 from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.kvstore import (
@@ -311,6 +310,8 @@ class _PointStore:
     """One µthread per request — alone over its result slot, or
     scatter-batched over a run of staging-ring descriptors."""
 
+    fuse = "scatter"
+
     def __init__(self, runtime, spec: TenantSpec, gen) -> None:
         self.runtime = runtime
         # Read-mostly tables replicate by default so any expander serves
@@ -358,21 +359,18 @@ class _PointStore:
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        self.fuse = ("scatter" if knobs.resolve("REPRO_SERVE_SCATTER_BATCH")
-                     else "single")
-        if self.fuse == "scatter":
-            self.kids[True, True] = runtime.register_kernel(
-                KVS_GET_SCATTER, name=f"{spec.name}.get_scatter")
-            if set_indices:
-                self.kids[False, True] = runtime.register_kernel(
-                    KVS_SET_SCATTER, name=f"{spec.name}.set_scatter")
-            # retried requests are re-planned into fresh ring entries, so
-            # the ring is sized for the worst-case attempt count
-            entries = self.num_requests * (1 + spec.retry.max_retries)
-            self.staging_addr = runtime.alloc(
-                entries * SCATTER_ENTRY_BYTES, align=128, **kw
-            )
-            self._staging_cursor = 0
+        self.kids[True, True] = runtime.register_kernel(
+            KVS_GET_SCATTER, name=f"{spec.name}.get_scatter")
+        if set_indices:
+            self.kids[False, True] = runtime.register_kernel(
+                KVS_SET_SCATTER, name=f"{spec.name}.set_scatter")
+        # retried requests are re-planned into fresh ring entries, so the
+        # ring is sized for the worst-case attempt count
+        entries = self.num_requests * (1 + spec.retry.max_retries)
+        self.staging_addr = runtime.alloc(
+            entries * SCATTER_ENTRY_BYTES, align=128, **kw
+        )
+        self._staging_cursor = 0
 
     def slice_of(self, index: int) -> tuple[int, int]:
         return (index, index + 1)         # identity: one slot per request
@@ -473,7 +471,7 @@ class TenantWorkload:
         self.runtime = platform.runtime
         self.impl = spec._row.build(self.runtime, spec,
                                    stream_rng(seed, spec.name))
-        #: How this tenant's requests fuse: "slices" | "scatter" | "single".
+        #: How this tenant's requests fuse: "slices" | "scatter".
         self.fuse: str = self.impl.fuse
         #: Racing a duplicate launch is safe (idempotent replicated reads).
         self.hedgeable: bool = self.impl.hedgeable
@@ -524,7 +522,8 @@ class TenantWorkload:
         """Raw bytes of the tenant's result region.
 
         Two runs that served the same requests must produce identical
-        snapshots regardless of scheduling or batching — the smoke point's
-        per-request-identity check.
+        snapshots regardless of scheduling or batching — the
+        per-request-identity check of the batching and scatter
+        differential tests (``tests/serve``).
         """
         return self.impl.result_snapshot()

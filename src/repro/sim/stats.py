@@ -224,7 +224,7 @@ class StatsRegistry:
 
         Call :meth:`Timeline.mark` at window boundaries; each mark closes
         a window holding the counter *deltas* accumulated since the
-        previous mark.  Serving reports and the smoke benchmark use this
+        previous mark.  Serving reports and the SLO monitor use this
         instead of hand-rolling snapshot/subtract interval math.
         """
         return Timeline(self, prefix, start_ns)

@@ -159,3 +159,11 @@ class TestServingDriver:
         # batching actually batched the batchable tenants somewhere
         assert any(r["mean_batch"] > 1.0 for r in tenant_rows
                    if r["max_batch"] == 8)
+
+    def test_traced_run_manifest_records_the_partition_map(self, tmp_path):
+        from repro.experiments.serving import run_serving_traced
+
+        _, manifest_path = run_serving_traced(
+            prefix=str(tmp_path / "serving"), requests=8)
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert "partitions" in manifest

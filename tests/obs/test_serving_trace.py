@@ -111,6 +111,25 @@ class TestRequestTree:
             # adoption also inherits the sub-launch's swim-lane
             assert span.tid == parent.tid
 
+    def test_exec_spans_cover_the_traced_launches_runtime(self, traced_run):
+        platform, _, _, tracer = traced_run
+        exec_ns: dict[tuple[int, int], float] = {}
+        for span in tracer.finalize():
+            if span.name in EXEC_SPANS and span.instance_key is not None:
+                exec_ns[span.instance_key] = (
+                    exec_ns.get(span.instance_key, 0.0) + span.duration_ns)
+        covered = runtime = 0.0
+        for device in platform.devices:
+            for iid, inst in device.controller.instances.items():
+                spanned = exec_ns.get((device.trace_pid, iid))
+                if (spanned is None or inst.start_ns is None
+                        or inst.complete_ns is None):
+                    continue
+                covered += min(spanned, inst.runtime_ns)
+                runtime += inst.runtime_ns
+        assert runtime > 0
+        assert covered / runtime >= 0.9
+
     def test_utilization_sampler_ran(self, traced_run):
         _, engine, _, _ = traced_run
         assert engine._util is not None

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.serve import BatchPolicy, DynamicBatcher, Request, RequestQueue
 
-FUSE_MODES = ("slices", "scatter", "single")
+FUSE_MODES = ("slices", "scatter")
 
 #: (slice_lo, width, batch_key) per queued request, FIFO order
 _requests = st.lists(
@@ -34,7 +34,7 @@ def test_take_drains_the_queue_in_previewed_runs(rows, fuse, max_batch):
         run = batcher.preview(queue, "t", fuse)
         batch = batcher.take(queue, "t", fuse)
         assert batch.requests == run
-        assert 1 <= batch.size <= (1 if fuse == "single" else max_batch)
+        assert 1 <= batch.size <= max_batch
         assert batch.scatter == (fuse == "scatter" and batch.size > 1)
         taken.extend(batch.requests)
 

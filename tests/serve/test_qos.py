@@ -98,7 +98,7 @@ class TestHeadExtraction:
             assert popped == [r.seq for r in order]
 
     @settings(max_examples=150, deadline=None)
-    @given(_pushes, st.sampled_from(("slices", "scatter", "single")),
+    @given(_pushes, st.sampled_from(("slices", "scatter")),
            st.sampled_from((1, 2, MAX_BATCH, 64)))
     def test_take_returns_what_preview_showed(self, rows, fuse, max_batch):
         batcher = DynamicBatcher(BatchPolicy(max_batch=max_batch,
@@ -253,11 +253,6 @@ class TestDynamicBatcher:
         queue = self._queue_with([(i, i + 1) for i in range(10)])
         batcher = DynamicBatcher(BatchPolicy(max_batch=4, max_wait_ns=0.0))
         assert batcher.take(queue, "t", fuse="slices").size == 4
-
-    def test_unbatchable_always_single(self):
-        queue = self._queue_with([(0, 1), (1, 2)])
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8, max_wait_ns=0.0))
-        assert batcher.take(queue, "t", fuse="single").size == 1
 
     def test_hold_waits_for_batchmates(self):
         queue = self._queue_with([(0, 1)])

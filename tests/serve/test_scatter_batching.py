@@ -3,9 +3,10 @@
 Scatter batching fuses arbitrary same-kernel point requests (KVStore
 GETs) into one wide launch over a staging ring.  The whole optimization
 is only admissible if it is invisible to everything but the clock:
-these tests diff the scatter path against scatter-off and against the
-unbatched interpreter tier across a grid of load points, and pin the
-batcher's contiguity guard for the classic slice-merged mode.
+these tests diff the scatter path against unbatched dispatch
+(``max_batch=1``: every launch the plain ``KVS_GET``) on the batched and
+the interpreter tier across a grid of load points, and pin the batcher's
+contiguity guard for the classic slice-merged mode.
 """
 
 import pytest
@@ -17,9 +18,7 @@ from repro.serve.batcher import DynamicBatcher
 from repro.serve.qos import Request, RequestQueue
 
 
-def _run_kv(backend, scatter, monkeypatch, *, rate_rps, requests, max_batch,
-            items=256):
-    monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", "1" if scatter else "0")
+def _run_kv(backend, *, rate_rps, requests, max_batch, items=256):
     platform = make_cluster_platform(num_devices=1, backend=backend)
     tenants = [
         TenantSpec("kv", "kvstore",
@@ -30,7 +29,7 @@ def _run_kv(backend, scatter, monkeypatch, *, rate_rps, requests, max_batch,
     engine = ServingEngine(platform, tenants,
                            batch=BatchPolicy(max_batch=max_batch))
     report = engine.run()
-    return report, engine.result_snapshots()
+    return platform, report, engine.result_snapshots()
 
 
 class TestScatterDifferential:
@@ -40,13 +39,13 @@ class TestScatterDifferential:
         (2e7, 32, 16),      # max_batch above what load can fill
     ])
     def test_scatter_is_invisible_except_for_launches(
-            self, monkeypatch, rate_rps, requests, max_batch):
-        kwargs = dict(rate_rps=rate_rps, requests=requests,
-                      max_batch=max_batch)
-        on, snap_on = _run_kv("batched", True, monkeypatch, **kwargs)
-        off, snap_off = _run_kv("batched", False, monkeypatch, **kwargs)
-        interp, snap_interp = _run_kv("interpreter", False, monkeypatch,
-                                      **kwargs)
+            self, rate_rps, requests, max_batch):
+        kwargs = dict(rate_rps=rate_rps, requests=requests)
+        platform, on, snap_on = _run_kv("batched", max_batch=max_batch,
+                                        **kwargs)
+        _, off, snap_off = _run_kv("batched", max_batch=1, **kwargs)
+        _, interp, snap_interp = _run_kv("interpreter", max_batch=1,
+                                         **kwargs)
 
         for report in (on, off, interp):
             assert report.correct
@@ -61,23 +60,17 @@ class TestScatterDifferential:
         if rate_rps >= 4e7:
             assert on.launches < off.launches
             assert on.mean_batch > 1.0
+        # one-µthread divergent GETs never fall back to the interpreter
+        assert platform.stats.get("exec.batched_fallbacks") == 0
 
-    def test_scatter_runs_are_deterministic(self, monkeypatch):
+    def test_scatter_runs_are_deterministic(self):
         kwargs = dict(rate_rps=4e7, requests=30, max_batch=8)
-        first, snap_a = _run_kv("batched", True, monkeypatch, **kwargs)
-        second, snap_b = _run_kv("batched", True, monkeypatch, **kwargs)
+        _, first, snap_a = _run_kv("batched", **kwargs)
+        _, second, snap_b = _run_kv("batched", **kwargs)
         assert snap_a == snap_b
         assert first.launches == second.launches
         assert first.aggregate.samples == second.aggregate.samples
         assert first.p95_ns == second.p95_ns
-
-    @pytest.mark.parametrize("raw", ["false", "off", "no", "2", ""])
-    def test_knob_accepts_only_0_or_1(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", raw)
-        platform = make_cluster_platform(num_devices=1, backend="batched")
-        with pytest.raises(ConfigError) as err:
-            ServingEngine(platform, [TenantSpec("kv", "kvstore")])
-        assert "REPRO_SERVE_SCATTER_BATCH" in str(err.value)
 
 
 class TestContiguityGuard:

@@ -18,10 +18,8 @@ from repro.serve.batcher import DynamicBatcher
 from repro.serve.qos import Request, RequestQueue
 
 
-def _run_mixed(backend, scatter, monkeypatch, *, rate_rps, requests,
-               max_batch, get_fraction, items=256, partitions=None,
-               partition=None):
-    monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", "1" if scatter else "0")
+def _run_mixed(backend, *, rate_rps, requests, max_batch, get_fraction,
+               items=256, partitions=None, partition=None):
     platform = make_cluster_platform(num_devices=1, backend=backend,
                                      partitions=partitions)
     tenants = [
@@ -44,14 +42,13 @@ class TestScatterSetDifferential:
         (4e7, 32, 8, 0.0),       # all-SET stream
     ])
     def test_scatter_sets_are_invisible_except_for_launches(
-            self, monkeypatch, rate_rps, requests, max_batch, get_fraction):
+            self, rate_rps, requests, max_batch, get_fraction):
         kwargs = dict(rate_rps=rate_rps, requests=requests,
-                      max_batch=max_batch, get_fraction=get_fraction)
-        _, on, snap_on = _run_mixed("batched", True, monkeypatch, **kwargs)
-        _, off, snap_off = _run_mixed("batched", False, monkeypatch,
-                                      **kwargs)
-        _, interp, snap_interp = _run_mixed("interpreter", False,
-                                            monkeypatch, **kwargs)
+                      get_fraction=get_fraction)
+        _, on, snap_on = _run_mixed("batched", max_batch=max_batch, **kwargs)
+        _, off, snap_off = _run_mixed("batched", max_batch=1, **kwargs)
+        _, interp, snap_interp = _run_mixed("interpreter", max_batch=1,
+                                            **kwargs)
 
         for report in (on, off, interp):
             assert report.correct
@@ -66,24 +63,22 @@ class TestScatterSetDifferential:
             assert on.launches < off.launches
             assert on.mean_batch > 1.0
 
-    def test_mixed_scatter_runs_are_deterministic(self, monkeypatch):
+    def test_mixed_scatter_runs_are_deterministic(self):
         kwargs = dict(rate_rps=4e7, requests=30, max_batch=8,
                       get_fraction=0.5)
-        _, first, snap_a = _run_mixed("batched", True, monkeypatch, **kwargs)
-        _, second, snap_b = _run_mixed("batched", True, monkeypatch,
-                                       **kwargs)
+        _, first, snap_a = _run_mixed("batched", **kwargs)
+        _, second, snap_b = _run_mixed("batched", **kwargs)
         assert snap_a == snap_b
         assert first.launches == second.launches
         assert first.p95_ns == second.p95_ns
 
-    def test_mixed_scatter_on_partitioned_cluster(self, monkeypatch):
+    def test_mixed_scatter_on_partitioned_cluster(self):
         """Pinned mixed GET/SET traffic completes entirely in its
         partition (the staging ring is partition-local too)."""
         kwargs = dict(rate_rps=4e7, requests=24, max_batch=8,
                       get_fraction=0.5, partitions="rt:1,batch:1",
                       partition="rt")
-        platform, report, _ = _run_mixed("batched", True, monkeypatch,
-                                         **kwargs)
+        platform, report, _ = _run_mixed("batched", **kwargs)
         assert report.correct
         assert platform.stats.get("partition.rt.kernels_completed") > 0
         assert platform.stats.get("partition.batch.kernels_completed") == 0

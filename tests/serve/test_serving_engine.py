@@ -121,48 +121,39 @@ class TestServingRun:
 
 class TestBatchingEquivalence:
     def test_identical_results_and_fewer_launches(self):
-        def run(max_batch):
+        """Two tenants x 96 one-slice launch shapes overflow the 64-entry
+        trace-cache LRU unbatched; fusing 8 slices per launch collapses
+        the shape population, so batched wfq beats unbatched fifo on
+        throughput and hit rate with byte-identical results."""
+        def run(scheduler, max_batch):
             platform = make_cluster_platform(num_devices=2,
+                                             placement="interleaved",
                                              backend="batched")
             tenants = [
-                TenantSpec("t", "vecadd",
+                TenantSpec(name, "vecadd",
                            arrivals=ArrivalSpec("poisson", rate_rps=1e7,
-                                                requests=48),
-                           size=1 << 10, slices=8),
+                                                requests=192),
+                           size=1 << 10, slices=96)
+                for name in ("web", "analytics")
             ]
             engine = ServingEngine(
-                platform, tenants,
+                platform, tenants, scheduler=scheduler,
                 batch=BatchPolicy(max_batch=max_batch, max_wait_ns=2_000.0),
             )
             report = engine.run()
             return report, engine.result_snapshots()
 
-        unbatched, snap_u = run(1)
-        batched, snap_b = run(8)
+        unbatched, snap_u = run("fifo", 1)
+        batched, snap_b = run("wfq", 8)
         assert unbatched.correct and batched.correct
         assert snap_u == snap_b
         assert batched.launches < unbatched.launches
         assert batched.mean_batch > 1.5
+        assert batched.throughput_rps / unbatched.throughput_rps >= 1.1
+        assert (batched.trace_cache_hit_rate
+                - unbatched.trace_cache_hit_rate) >= 0.2
 
-    def test_kvstore_never_batches_with_scatter_disabled(self, monkeypatch):
-        # the pre-scatter behavior: point lookups can't merge by slice
-        # contiguity, so every request is its own launch
-        monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", "0")
-        platform = make_cluster_platform(num_devices=1, backend="batched")
-        tenants = [
-            TenantSpec("kv", "kvstore",
-                       arrivals=ArrivalSpec("poisson", rate_rps=1e7,
-                                            requests=20),
-                       size=256),
-        ]
-        report = ServingEngine(
-            platform, tenants, batch=BatchPolicy(max_batch=8),
-        ).run()
-        assert report.correct
-        assert report.launches == 20
-
-    def test_kvstore_scatter_batching_fuses_requests(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", "1")
+    def test_kvstore_scatter_batching_fuses_requests(self):
         platform = make_cluster_platform(num_devices=1, backend="batched")
         tenants = [
             TenantSpec("kv", "kvstore",

@@ -91,10 +91,3 @@ def test_snapshot_identical_batched_and_unbatched(kind):
     assert single.launches == REQUESTS
     assert fused.launches < REQUESTS      # the kind's fuse mode engaged
     assert fused_bytes == single_bytes
-
-
-def test_scatter_knob_off_makes_point_kind_single(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_SCATTER_BATCH", "0")
-    platform = make_cluster_platform(num_devices=2, backend="batched")
-    workload = TenantWorkload(platform, _spec("kvstore"), seed=7)
-    assert workload.fuse == "single"

@@ -30,7 +30,6 @@ TABLE = [
     ("REPRO_SERVE_SCHEDULER", "fifo", "fifo", ("lottery",)),
     ("REPRO_SERVE_MAX_BATCH", "4", 4, ("many", "0", "-1", "4.0")),
     ("REPRO_SERVE_MAX_WAIT_NS", "1500", 1500.0, ("soon", "nan", "inf", "-1")),
-    ("REPRO_SERVE_SCATTER_BATCH", "0", False, ("false", "off", "no", "")),
     ("REPRO_LAUNCH_TIMEOUT_NS", "2500", 2500.0, ("soon", "-5", "nan", "inf")),
     ("REPRO_TRACE", "1", True, ("yes", "")),
     ("REPRO_MONITOR", "0", False, ("yes",)),
