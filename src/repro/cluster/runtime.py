@@ -237,12 +237,10 @@ class ClusterRuntime:
         #: Armed FaultInjector, or None — the healthy-cluster default, in
         #: which every fault hook below short-circuits.
         self.faults = None
-        #: Always-on monitoring attachments (see ``repro.obs``): a
-        #: FlightRecorder and an IncidentReporter, or None when
-        #: monitoring is off.  Hot paths guard with one attribute check,
-        #: the same discipline as ``self.faults``.
-        self.recorder = None
-        self.incidents = None
+        #: The serving engine's :class:`~repro.obs.monitor.Monitoring`,
+        #: or None when monitoring is off.  Hot paths guard with one
+        #: attribute check, the same discipline as ``self.faults``.
+        self.monitoring = None
         self._kernels: dict[int, list[int]] = {}
         self._serialize_per_device: dict[int, bool] = {}
         #: source -> assembled program: serving loops re-register the same
@@ -436,8 +434,8 @@ class ClusterRuntime:
                 if handle.finished:
                     return
                 self.stats.add("fault.launch_timeouts")
-                if self.recorder is not None:
-                    self.recorder.record("fault.timeout", deadline)
+                if self.monitoring is not None:
+                    self.monitoring.record("fault.timeout", deadline)
                 handle._fail(deadline, LaunchFailed(
                     f"cluster launch still pending "
                     f"{self.launch_timeout_ns:g} ns after issue",
@@ -490,9 +488,9 @@ class ClusterRuntime:
         )
         self.scheduler.note_issued(sub.device)
         self.stats.add("cluster.sub_launches")
-        if self.recorder is not None:
-            self.recorder.record("sched.issue", ready, device=sub.device,
-                                 base=sub.base, bound=sub.bound)
+        if self.monitoring is not None:
+            self.monitoring.record("sched.issue", ready, device=sub.device,
+                                   base=sub.base, bound=sub.bound)
         sub_span = None
         if tracer is not None:
             tracer.record("cxl.fanout", pre_fanout, ready,

@@ -36,9 +36,9 @@ or active lanes, a remapped page (the device's ``translation_version``)
 change wall-clock time but never results.
 
 ``REPRO_TRACE_CACHE`` switches the cache off (every launch then takes
-the full trace path) and ``REPRO_TRACE_CACHE_CAPACITY`` bounds the number
-of retained entries (LRU); see :mod:`repro.knobs` and the README "Knobs"
-table.
+the full trace path; see :mod:`repro.knobs` and the README "Knobs"
+table) and :data:`TRACE_CACHE_CAPACITY` bounds the number of retained
+entries (LRU).
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
 :class:`PointPathEntry` *families*: one cache slot per **structural** key
@@ -59,6 +59,9 @@ import numpy as np
 
 from repro import knobs
 from repro.mem.cache import SectorStream
+
+#: LRU bound on retained entries per device.
+TRACE_CACHE_CAPACITY = 64
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
@@ -502,11 +505,11 @@ class TraceEntry:
 
 class TraceCache:
     """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape,
-    switched and sized by the ``REPRO_TRACE_CACHE*`` knobs."""
+    switched by the ``REPRO_TRACE_CACHE`` knob."""
 
     def __init__(self) -> None:
         self.enabled: bool = knobs.resolve("REPRO_TRACE_CACHE")
-        self.capacity: int = knobs.resolve("REPRO_TRACE_CACHE_CAPACITY")
+        self.capacity = TRACE_CACHE_CAPACITY
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
 
     def __len__(self) -> int:

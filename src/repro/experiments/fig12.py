@@ -16,9 +16,9 @@ import re
 from repro.cxl.switch import CXLSwitch
 from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
 from repro.host.offload import CXL_IO_ONE_WAY_NS
-from repro.kernels import dlrm as dlrm_kernels
-from repro.kernels import graph as graph_kernels
-from repro.kernels import histogram as histogram_kernels
+from repro.kernels.dlrm import DLRM_SLS
+from repro.kernels.graph import PAGERANK_ITER
+from repro.kernels.histogram import HISTOGRAM
 from repro.workloads import dlrm, graph, histogram, llm
 from repro.workloads.base import make_platform, scale
 
@@ -44,36 +44,32 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
         "fig12a", "Ablation: runtime normalized to full M2NDP"
     )
 
-    # workload -> (kernel source name, the modules binding it, run)
+    # workload -> (kernel source, run(platform, kernel source))
     cases = {
-        "HISTO4096": ("HISTOGRAM", (histogram_kernels, histogram),
-                      lambda p: histogram.run_ndp(p, histogram.generate(
-                          preset.elements // 2, 4096))),
-        "DLRM-B32": ("DLRM_SLS", (dlrm_kernels, dlrm),
-                     lambda p: dlrm.run_ndp(p, dlrm.generate(
-                         preset.dlrm_rows, batch=32, dim=128, lookups=24))),
-        "PGRANK": ("PAGERANK_ITER", (graph_kernels, graph),
-                   lambda p: graph.run_ndp_pagerank(p, graph.generate(
-                       preset.nodes // 2, preset.avg_degree), iterations=1)),
+        "HISTO4096": (HISTOGRAM,
+                      lambda p, k: histogram.run_ndp(p, histogram.generate(
+                          preset.elements // 2, 4096), kernel=k)),
+        "DLRM-B32": (DLRM_SLS,
+                     lambda p, k: dlrm.run_ndp(p, dlrm.generate(
+                         preset.dlrm_rows, batch=32, dim=128, lookups=24),
+                         kernel=k)),
+        "PGRANK": (PAGERANK_ITER,
+                   lambda p, k: graph.run_ndp_pagerank(p, graph.generate(
+                       preset.nodes // 2, preset.avg_degree), iterations=1,
+                       kernel=k)),
     }
     # Unpinned since the SIMT engine: its chunked-wave latency floor
     # models spawn granularity (a coarse group's slots free only when the
     # slowest lane finishes) and the addressing ablation inflates the
     # traced instruction stream, so both effects survive on the
     # experiment default backend.
-    for workload, (name, modules, run) in cases.items():
-        base = run(make_platform(backend=EXPERIMENT_BACKEND))
+    for workload, (kernel, run) in cases.items():
+        base = run(make_platform(backend=EXPERIMENT_BACKEND), kernel)
         coarse = run(make_platform(spawn_granularity=16,
-                                   backend=EXPERIMENT_BACKEND))
+                                   backend=EXPERIMENT_BACKEND), kernel)
         # w/o addr opt: the same run with the kernel source inflated
-        original = getattr(modules[0], name)
-        for module in modules:
-            setattr(module, name, _inflate_addressing(original))
-        try:
-            no_addr = run(make_platform(backend=EXPERIMENT_BACKEND))
-        finally:
-            for module in modules:
-                setattr(module, name, original)
+        no_addr = run(make_platform(backend=EXPERIMENT_BACKEND),
+                      _inflate_addressing(kernel))
         # w/o M2func: same kernel, launched through the ring buffer — adds
         # the Fig 5b pre/post overheads to every launch.
         rb_overhead = 8 * CXL_IO_ONE_WAY_NS

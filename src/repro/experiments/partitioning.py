@@ -64,11 +64,10 @@ def _adversary(requests: int, partition: str | None) -> TenantSpec:
     )
 
 
-def _run(tenants, num_devices: int, backend: str,
-         partitions: str | None, plan: FaultPlan | None = None,
-         monitoring: bool | None = None):
+def _run(tenants, num_devices: int, partitions: str | None,
+         plan: FaultPlan | None = None, monitoring: bool | None = None):
     platform = make_cluster_platform(num_devices=num_devices,
-                                     backend=backend,
+                                     backend=EXPERIMENT_BACKEND,
                                      partitions=partitions)
     injector = (platform.runtime.arm_faults(plan)
                 if plan is not None else None)
@@ -88,26 +87,24 @@ def blast_radius_confined(ring: list[dict], partition: str) -> bool:
 
 def run_partitioning(requests: int = 48,
                      adversary_requests: int = 24,
-                     num_devices: int = 2,
-                     backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                     num_devices: int = 2) -> ExperimentResult:
     """Shared vs partitioned serving under an adversarial batch tenant."""
     result = ExperimentResult(
         "partitioning",
         f"Hardware partitioning vs shared on {num_devices} devices "
-        f"({PARTITION_SPEC!r}, {backend} backend)",
+        f"({PARTITION_SPEC!r}, {EXPERIMENT_BACKEND} backend)",
     )
     for mode, spec in (("shared", None), ("partitioned", PARTITION_SPEC)):
         rt_pin = "rt" if spec else None
         noisy_pin = "batch" if spec else None
         _, _, _, solo = _run(
-            [_interactive(requests, rt_pin)],
-            num_devices, backend, spec,
+            [_interactive(requests, rt_pin)], num_devices, spec,
         )
         solo_p99 = solo.tenant("rt").p99_ns
         platform, _, _, report = _run(
             [_interactive(requests, rt_pin),
              _adversary(adversary_requests, noisy_pin)],
-            num_devices, backend, spec,
+            num_devices, spec,
         )
         rt = report.tenant("rt")
         noisy = report.tenant("noisy")
@@ -137,9 +134,7 @@ def run_partitioning(requests: int = 48,
 
 def run_partitioning_containment(requests: int = 48,
                                  adversary_requests: int = 24,
-                                 num_devices: int = 2,
-                                 backend: str = EXPERIMENT_BACKEND
-                                 ) -> ExperimentResult:
+                                 num_devices: int = 2) -> ExperimentResult:
     """Partition-scoped kill: blast radius, fail-over and containment.
 
     The adversary's ``batch`` partition on device 0 is killed
@@ -151,12 +146,12 @@ def run_partitioning_containment(requests: int = 48,
     result = ExperimentResult(
         "partitioning-containment",
         f"Partition-scoped kill on {num_devices} devices "
-        f"({PARTITION_SPEC!r}, {backend} backend)",
+        f"({PARTITION_SPEC!r}, {EXPERIMENT_BACKEND} backend)",
     )
     tenants = lambda: [_interactive(requests, "rt"),
                        _adversary(adversary_requests, "batch")]
     _, baseline_engine, _, baseline = _run(
-        tenants(), num_devices, backend, PARTITION_SPEC,
+        tenants(), num_devices, PARTITION_SPEC,
     )
     baseline_rt_bytes = baseline_engine.result_snapshots()["rt"]
 
@@ -166,15 +161,15 @@ def run_partitioning_containment(requests: int = 48,
                    partition="batch"),
     ))
     platform, engine, injector, report = _run(
-        tenants(), num_devices, backend, PARTITION_SPEC,
+        tenants(), num_devices, PARTITION_SPEC,
         plan=plan, monitoring=True,
     )
     rt = report.tenant("rt")
     noisy = report.tenant("noisy")
     stats = platform.stats
-    grade = grade_against_plan(injector, engine.monitor.alerts)
+    grade = grade_against_plan(injector, engine.monitoring.monitor.alerts)
     # every ring row the incident bundles froze
-    frozen = [row for bundle in engine.reporter.bundles
+    frozen = [row for bundle in engine.monitoring.reporter.bundles
               for row in bundle["ring"]]
     result.add(
         fault="partition_kill(dev0.batch)",

@@ -63,20 +63,19 @@ def _tenant(placement: str, retry: RetryPolicy,
 
 
 def run_resilience(requests: int = 24,
-                   num_devices: int = 4,
-                   backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                   num_devices: int = 4) -> ExperimentResult:
     """Chaos level x placement x retry sweep on one OLAP tenant."""
     result = ExperimentResult(
         "resilience",
         f"Fault injection on {num_devices} devices "
-        f"(chaos x placement x retry, {backend} backend)",
+        f"(chaos x placement x retry, {EXPERIMENT_BACKEND} backend)",
     )
     horizon_ns = requests / 2e6 * 1e9       # expected traffic span
     for chaos, plan in _chaos_plans(horizon_ns).items():
         for placement in ("replicated", "blocked"):
             for policy_name, policy in RETRY_POLICIES.items():
-                platform = make_cluster_platform(num_devices=num_devices,
-                                                 backend=backend)
+                platform = make_cluster_platform(
+                    num_devices=num_devices, backend=EXPERIMENT_BACKEND)
                 platform.runtime.arm_faults(plan)
                 engine = ServingEngine(
                     platform,
@@ -125,9 +124,7 @@ def run_resilience(requests: int = 24,
 
 
 def run_resilience_monitoring(requests: int = 24,
-                              num_devices: int = 4,
-                              backend: str = EXPERIMENT_BACKEND
-                              ) -> ExperimentResult:
+                              num_devices: int = 4) -> ExperimentResult:
     """Chaos sweep with the monitoring stack grading itself.
 
     Same tenant and chaos levels as :func:`run_resilience` (replicated
@@ -142,12 +139,12 @@ def run_resilience_monitoring(requests: int = 24,
     result = ExperimentResult(
         "resilience-monitoring",
         f"Alert quality vs the armed fault schedule on {num_devices} "
-        f"devices ({backend} backend)",
+        f"devices ({EXPERIMENT_BACKEND} backend)",
     )
     horizon_ns = requests / 2e6 * 1e9
     for chaos, plan in _chaos_plans(horizon_ns).items():
         platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=backend)
+                                         backend=EXPERIMENT_BACKEND)
         injector = platform.runtime.arm_faults(plan)
         engine = ServingEngine(
             platform,
@@ -156,9 +153,10 @@ def run_resilience_monitoring(requests: int = 24,
         )
         report = engine.run()
         tenant = report.tenant("scan")
-        grade = grade_against_plan(injector, engine.monitor.alerts)
+        monitoring = engine.monitoring
+        grade = grade_against_plan(injector, monitoring.monitor.alerts)
         mttr = [row["mttr_ns"]
-                for bundle in engine.reporter.bundles
+                for bundle in monitoring.reporter.bundles
                 for row in bundle.get("correlation", ())
                 if row["mttr_ns"] is not None]
         result.add(
@@ -166,7 +164,7 @@ def run_resilience_monitoring(requests: int = 24,
             served=tenant.served,
             slo_att=tenant.slo_attainment,
             alerts=grade["alerts"],
-            incidents=len(engine.reporter.bundles),
+            incidents=len(monitoring.reporter.bundles),
             recall=grade["recall"],
             precision=grade["precision"],
             mean_mttd_ns=grade["mean_mttd_ns"],
@@ -187,9 +185,7 @@ def run_resilience_monitoring(requests: int = 24,
 
 
 def run_resilience_hedged(requests: int = 40,
-                          num_devices: int = 4,
-                          backend: str = EXPERIMENT_BACKEND
-                          ) -> ExperimentResult:
+                          num_devices: int = 4) -> ExperimentResult:
     """Hedged replicated point lookups against stalled devices."""
     result = ExperimentResult(
         "resilience-hedged",
@@ -203,7 +199,7 @@ def run_resilience_hedged(requests: int = 40,
     ))
     for hedge_delay in (0.0, 1_000.0, 4_000.0):
         platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=backend)
+                                         backend=EXPERIMENT_BACKEND)
         platform.runtime.arm_faults(stall)
         spec = TenantSpec(
             "kv", "kvstore",

@@ -30,11 +30,10 @@ SATURATING_RPS = 1e7
 
 
 def _drive(num_devices: int, placement: str, scheduler: str,
-           vec_elements: int, olap_rows: int, requests: int,
-           backend: str) -> dict:
+           vec_elements: int, olap_rows: int, requests: int) -> dict:
     platform = make_cluster_platform(
         num_devices=num_devices, placement=placement, scheduler=scheduler,
-        backend=backend,
+        backend=EXPERIMENT_BACKEND,
     )
     arrivals = ArrivalSpec("poisson", rate_rps=SATURATING_RPS,
                            requests=requests)
@@ -60,8 +59,7 @@ def run_scaling(scale_name: str = "tiny",
                 device_counts: tuple[int, ...] = (1, 2, 4, 8),
                 placement: str = "interleaved",
                 scheduler: str = "locality",
-                requests: int = 16,
-                backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                requests: int = 16) -> ExperimentResult:
     """Aggregate-throughput scaling of the real cluster subsystem."""
     preset = scale(scale_name)
     result = ExperimentResult(
@@ -73,7 +71,7 @@ def run_scaling(scale_name: str = "tiny",
     baseline: dict | None = None
     for n in device_counts:
         row = _drive(n, placement, scheduler, vec_elements, olap_rows,
-                     requests, backend)
+                     requests)
         if baseline is None:
             baseline = row
         agg_speedup = row["agg_rps"] / baseline["agg_rps"]
@@ -102,8 +100,7 @@ def run_scaling(scale_name: str = "tiny",
 
 def run_policy_matrix(num_devices: int = 4,
                       scale_name: str = "tiny",
-                      requests: int = 12,
-                      backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                      requests: int = 12) -> ExperimentResult:
     """Placement x scheduler cross: throughput and switch P2P traffic."""
     preset = scale(scale_name)
     result = ExperimentResult(
@@ -113,7 +110,7 @@ def run_policy_matrix(num_devices: int = 4,
     for placement in PLACEMENTS:
         for scheduler in SCHEDULERS:
             row = _drive(num_devices, placement, scheduler,
-                         preset.elements, preset.rows, requests, backend)
+                         preset.elements, preset.rows, requests)
             result.add(
                 placement=placement,
                 scheduler=scheduler,

@@ -58,18 +58,17 @@ def default_tenants(requests: int = 48) -> list[TenantSpec]:
 
 
 def run_serving(requests: int = 48,
-                num_devices: int = 2,
-                backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                num_devices: int = 2) -> ExperimentResult:
     """Scheduler x batching sweep over the default tenant mix."""
     result = ExperimentResult(
         "serving",
         f"SLO-aware serving on {num_devices} devices "
-        f"(scheduler x batching, {backend} backend)",
+        f"(scheduler x batching, {EXPERIMENT_BACKEND} backend)",
     )
     for scheduler in ("fifo", "wfq"):
         for max_batch in (1, 8):
             platform = make_cluster_platform(num_devices=num_devices,
-                                             backend=backend)
+                                             backend=EXPERIMENT_BACKEND)
             engine = ServingEngine(
                 platform, default_tenants(requests),
                 scheduler=scheduler,
@@ -115,14 +114,14 @@ def run_serving(requests: int = 48,
 
 
 def run_serving_autoscale(requests: int = 96,
-                          num_devices: int = 4,
-                          backend: str = EXPERIMENT_BACKEND) -> ExperimentResult:
+                          num_devices: int = 4) -> ExperimentResult:
     """Autoscaler reaction to a bursty tenant: active devices over time."""
     result = ExperimentResult(
         "serving-autoscale",
         f"Autoscaler on {num_devices} devices under bursty load",
     )
-    platform = make_cluster_platform(num_devices=num_devices, backend=backend)
+    platform = make_cluster_platform(num_devices=num_devices,
+                                     backend=EXPERIMENT_BACKEND)
     engine = ServingEngine(
         platform,
         [
@@ -155,8 +154,7 @@ def run_serving_autoscale(requests: int = 96,
 
 def run_serving_traced(prefix: str = "serving",
                        requests: int = 48,
-                       num_devices: int = 2,
-                       backend: str = EXPERIMENT_BACKEND) -> tuple[str, str]:
+                       num_devices: int = 2) -> tuple[str, str]:
     """One traced wfq+batching serving run; exports trace + manifest.
 
     Enables tracing for the duration of the run, writes
@@ -168,7 +166,7 @@ def run_serving_traced(prefix: str = "serving",
     obs.set_enabled(True)
     try:
         platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=backend)
+                                         backend=EXPERIMENT_BACKEND)
         engine = ServingEngine(
             platform, default_tenants(requests), scheduler="wfq",
             batch=BatchPolicy(max_batch=8, max_wait_ns=2_000.0),
@@ -187,7 +185,7 @@ def run_serving_traced(prefix: str = "serving",
             extra={
                 "experiment": "serving_traced",
                 "num_devices": num_devices,
-                "backend": backend,
+                "backend": EXPERIMENT_BACKEND,
                 "served": report.served,
                 "span_ns": report.span_ns,
                 "utilization": engine._util.summary(),

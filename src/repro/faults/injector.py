@@ -113,9 +113,9 @@ class FaultInjector:
         tracer = obs_tracer.tracer_of(self.runtime.sim)
         if tracer is not None:
             tracer.instant(kind, now, pid=1 + device, device=device, **detail)
-        recorder = self.runtime.recorder
-        if recorder is not None:
-            recorder.record(kind, now, device=device, **detail)
+        monitoring = self.runtime.monitoring
+        if monitoring is not None:
+            monitoring.record(kind, now, device=device, **detail)
 
     def _inject(self, event: FaultEvent, **detail) -> None:
         """Count and emit a firing fault under its lifecycle row."""
@@ -220,9 +220,9 @@ class FaultInjector:
             self._recover_shards(event, now)
         else:
             self._recover_pins(event)
-        if self.runtime.incidents is not None:
-            self.runtime.incidents.on_fault_detected(device, now,
-                                                     partition=partition)
+        if self.runtime.monitoring is not None:
+            self.runtime.monitoring.fault_detected(device, now,
+                                                   partition=partition)
 
     def _recover_shards(self, event: FaultEvent, now: float) -> None:
         """Fail over / re-materialize every allocation a dead device owned."""

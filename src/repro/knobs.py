@@ -96,8 +96,8 @@ def _serve_schedulers() -> Sequence[str]:
     return SERVE_SCHEDULERS
 
 
-def _at_least(low: float, strict: bool = False) -> Callable[[float], bool]:
-    return lambda v: math.isfinite(v) and (v > low if strict else v >= low)
+def _at_least(low: float) -> Callable[[float], bool]:
+    return lambda v: math.isfinite(v) and v >= low
 
 
 _FLAG = "'0' or '1'"
@@ -113,8 +113,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_TRACE_CACHE", "flag", _FLAG, True, None,
          "`0` disables the cross-launch trace cache; every launch pays "
          "the trace tier."),
-    Knob("REPRO_TRACE_CACHE_CAPACITY", "int", "an integer >= 1", 64,
-         _at_least(1), "LRU bound on retained trace-cache entries."),
     Knob("REPRO_CLUSTER_SCHEDULER", "choice", _cluster_schedulers, None,
          None, "Cluster fan-out placement policy for sub-launches (config "
          "default: `ClusterConfig.scheduler`, `locality`)."),
@@ -146,17 +144,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_MONITOR", "flag", _FLAG, True, None,
          "`0` disables the always-on monitoring stack (SLO monitor, "
          "flight recorder, incident reporter) entirely."),
-    # 256 holds the fault -> detect -> recover neighbourhood of an
-    # incident on a small cluster without growing a long healthy run
-    Knob("REPRO_RECORDER_CAPACITY", "int", "an integer >= 1", 256,
-         _at_least(1),
-         "Flight-recorder ring size: how many recent events an incident "
-         "bundle can replay."),
-    Knob("REPRO_MONITOR_BURN", "float", "a finite number > 0", 2.0,
-         _at_least(0, strict=True),
-         "Default burn-rate threshold baked into `default_objectives` "
-         "(alert when budget burns >= this multiple of sustainable in "
-         "both windows)."),
 )}
 
 

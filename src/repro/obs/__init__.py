@@ -16,9 +16,10 @@ model).  Off by default — set ``REPRO_TRACE=1`` (or call
 Then ``python -m repro.obs.report run.trace.json`` for the bottleneck
 breakdown, or load the trace in https://ui.perfetto.dev.
 
-Always-on monitoring lives beside tracing: ``repro.obs.monitor`` (SLO
-burn-rate alerting), ``repro.obs.recorder`` (flight-recorder ring) and
-``repro.obs.incidents`` (incident bundles; also the
+Always-on monitoring lives beside tracing as one
+:class:`~repro.obs.monitor.Monitoring` object: ``repro.obs.monitor``
+(SLO burn-rate alerting), ``repro.obs.recorder`` (flight-recorder ring)
+and ``repro.obs.incidents`` (incident bundles; also the
 ``python -m repro.obs.incidents`` renderer — imported directly, not
 re-exported here, so running it as a module stays warning-free).
 """
@@ -31,6 +32,7 @@ from repro.obs.export import (
 )
 from repro.obs.monitor import (
     Alert,
+    Monitoring,
     SLOMonitor,
     SLObjective,
     default_objectives,
@@ -51,6 +53,7 @@ __all__ = [
     "EventRecord",
     "FlightRecorder",
     "HOST_PID",
+    "Monitoring",
     "SLOMonitor",
     "SLObjective",
     "Span",

@@ -55,7 +55,7 @@ _SYMPTOM_ALERTS = ("burn_rate", "p99")
 class IncidentReporter:
     """Builds (and optionally writes) incident bundles on triggers."""
 
-    def __init__(self, runtime, recorder, monitor=None,
+    def __init__(self, runtime, recorder, monitor,
                  out_dir: str | None = None,
                  cooldown_ns: float = DEFAULT_COOLDOWN_NS) -> None:
         self.runtime = runtime
@@ -134,17 +134,15 @@ class IncidentReporter:
             "ring": ring,
             "ring_dropped": self.recorder.dropped,
             "counters": self.runtime.stats.snapshot(),
+            "alerts": [alert.to_dict() for alert in self.monitor.alerts],
         }
         part_radius = blast_radius(ring, by_partition)
         if part_radius:
             # absent (not empty) when no event was partition-scoped
             bundle["partition_blast_radius"] = part_radius
-        if self.monitor is not None:
-            bundle["alerts"] = [a.to_dict() for a in self.monitor.alerts]
         if self.runtime.faults is not None:
-            alerts = self.monitor.alerts if self.monitor is not None else []
             bundle["correlation"] = correlate(self.runtime.faults, ring,
-                                              alerts)
+                                              self.monitor.alerts)
         self._seq += 1
         return bundle
 

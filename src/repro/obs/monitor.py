@@ -27,9 +27,11 @@ on the next monitor beat as the typed alert its
 :data:`~repro.faults.plan.LIFECYCLE` row names, so a kill alerts even
 when retries keep the burn rate under threshold.
 
-Knobs (:mod:`repro.knobs`, README "Knobs"): ``REPRO_MONITOR`` gates the
-whole monitoring stack at the serving engine; ``REPRO_MONITOR_BURN`` sets
-the default burn threshold baked into :func:`default_objectives`.
+The monitor is one of three parts of :class:`Monitoring`, the one
+object a serving engine, its cluster runtime and the fault injector hold
+(``engine.monitoring`` / ``runtime.monitoring``; None when
+``REPRO_MONITOR=0``, :mod:`repro.knobs`): a flight recorder, this
+monitor reading it, and an incident reporter snapshotting both.
 """
 
 from __future__ import annotations
@@ -37,18 +39,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro import knobs
 from repro.errors import ConfigError
 from repro.faults.plan import LIFECYCLE
-from repro.sim.stats import StatsRegistry, percentile
+from repro.obs.recorder import FlightRecorder
+from repro.sim.stats import Distribution, StatsRegistry
 
 #: Sliding-window spans (simulated ns).  The SRE fast/slow pair at the
 #: simulator's microsecond scale; ratio 1:12 like 5 min : 1 h.
 DEFAULT_FAST_WINDOW_NS = 5_000.0
 DEFAULT_SLOW_WINDOW_NS = 60_000.0
 
-#: Default burn threshold: budget spent at >= 2x the sustainable rate.
-DEFAULT_BURN_THRESHOLD = knobs.KNOBS["REPRO_MONITOR_BURN"].default
+#: Default burn threshold: alert when the budget burns at >= 2x the
+#: sustainable rate in both windows.
+DEFAULT_BURN_THRESHOLD = 2.0
 
 #: Default monitor evaluation cadence (matches the fault injector's
 #: heartbeat, so an alert lands at most one beat after a detection).
@@ -150,10 +153,11 @@ class SLOMonitor:
     """
 
     def __init__(self, registry: StatsRegistry,
-                 objectives: dict[str, SLObjective], *,
+                 objectives: dict[str, SLObjective],
+                 recorder: FlightRecorder, *,
                  fast_window_ns: float = DEFAULT_FAST_WINDOW_NS,
                  slow_window_ns: float = DEFAULT_SLOW_WINDOW_NS,
-                 recorder=None, start_ns: float = 0.0) -> None:
+                 start_ns: float = 0.0) -> None:
         if fast_window_ns <= 0 or slow_window_ns <= 0:
             raise ConfigError("monitor windows must be positive")
         if fast_window_ns > slow_window_ns:
@@ -301,7 +305,7 @@ class SLOMonitor:
             if math.isfinite(objective.p99_ceiling_ns):
                 window_samples = self._horizon_samples(
                     tenant, self.fast_window_ns, now_ns)
-                p99 = (percentile(window_samples, 99.0)
+                p99 = (Distribution(window_samples).percentile(99.0)
                        if window_samples else 0.0)
                 self._transition(
                     "p99", tenant, p99 > objective.p99_ceiling_ns,
@@ -311,27 +315,68 @@ class SLOMonitor:
                         detail=f"windowed p99 {v:.0f} ns over ceiling "
                                f"{objective.p99_ceiling_ns:.0f} ns"))
 
-        if self.recorder is not None:
-            for record in self.recorder.events(
-                    kinds=tuple(_DETECTION_ALERTS), since_seq=self._rec_seen):
-                kind, severity = _DETECTION_ALERTS[record.kind]
-                where = record.detail.get("partition")
-                suffix = f" partition={where}" if where else ""
-                alert = Alert(kind, now_ns, severity, device=record.device,
-                              value=record.t_ns,
-                              detail=f"{record.kind} at "
-                                     f"{record.t_ns:.0f} ns{suffix}")
-                self.alerts.append(alert)
-                fired.append(alert)
-            self._rec_seen = self.recorder.next_seq
+        for record in self.recorder.events(
+                kinds=tuple(_DETECTION_ALERTS), since_seq=self._rec_seen):
+            kind, severity = _DETECTION_ALERTS[record.kind]
+            where = record.detail.get("partition")
+            suffix = f" partition={where}" if where else ""
+            alert = Alert(kind, now_ns, severity, device=record.device,
+                          value=record.t_ns,
+                          detail=f"{record.kind} at "
+                                 f"{record.t_ns:.0f} ns{suffix}")
+            self.alerts.append(alert)
+            fired.append(alert)
+        self._rec_seen = self.recorder.next_seq
         return fired
 
 
-def default_objectives(tenant_names, *,
-                       burn_threshold: float | None = None
-                       ) -> dict[str, SLObjective]:
-    """One default objective per tenant (attainment-only, env threshold)."""
-    threshold = knobs.resolve("REPRO_MONITOR_BURN", burn_threshold,
-                              arg="burn_threshold")
-    return {name: SLObjective(burn_threshold=threshold)
-            for name in tenant_names}
+def default_objectives(tenant_names) -> dict[str, SLObjective]:
+    """One default objective per tenant (attainment-only)."""
+    return {name: SLObjective() for name in tenant_names}
+
+
+class Monitoring:
+    """The monitoring stack, built, held and switched as one object.
+
+    Owns a :class:`FlightRecorder`, an :class:`SLOMonitor` reading it and
+    an :class:`IncidentReporter` snapshotting both, plus the hooks their
+    callers use: :attr:`record` (the ring's bound ``record``, so a hot
+    path pays one call), :meth:`beat`, :attr:`launch_failed` and
+    :attr:`fault_detected`.  ``objectives`` overrides the default
+    objective of the tenants it names; the monitor's first window starts
+    at the runtime's current sim time.
+    """
+
+    def __init__(self, runtime, tenant_names,
+                 objectives: dict[str, SLObjective] | None = None,
+                 incident_dir: str | None = None) -> None:
+        # lazy: ``repro.obs`` imports this module, and importing the
+        # renderer with the package would make ``python -m
+        # repro.obs.incidents`` warn that it was already imported
+        from repro.obs.incidents import IncidentReporter
+
+        slos = default_objectives(tenant_names)
+        if objectives:
+            unknown = set(objectives) - set(slos)
+            if unknown:
+                raise ConfigError(
+                    f"objectives for unknown tenants: {sorted(unknown)}")
+            slos.update(objectives)
+        self.recorder = FlightRecorder()
+        self.monitor = SLOMonitor(runtime.stats, slos, self.recorder,
+                                  start_ns=runtime.sim.now)
+        self.reporter = IncidentReporter(runtime, self.recorder,
+                                         self.monitor, out_dir=incident_dir)
+        self.record = self.recorder.record
+        self.launch_failed = self.reporter.on_launch_failed
+        self.fault_detected = self.reporter.on_fault_detected
+
+    def beat(self, now_ns: float) -> None:
+        """Evaluate the objectives; each newly fired alert lands in the
+        ring first, so the bundle the reporter then snapshots already
+        shows it in the timeline."""
+        for alert in self.monitor.evaluate(now_ns):
+            self.record("alert", now_ns, device=alert.device,
+                        tenant=alert.tenant, alert=alert.kind,
+                        severity=alert.severity)
+            self.reporter.on_alert(alert, now_ns)

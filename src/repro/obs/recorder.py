@@ -7,24 +7,28 @@ failures, per-device scheduler issue decisions, fault injections,
 detections and recovery actions — in a fixed-size
 :class:`collections.deque`, so memory stays bounded no matter how long
 the run and the hot path costs one attribute check when monitoring is
-off (``runtime.recorder is None``) and one ``deque.append`` when it is
+off (``runtime.monitoring is None``) and one ``deque.append`` when it is
 on.  No wall clock is ever read: records carry simulated timestamps
 and a monotone sequence number, so the ring's contents are
 byte-identical across identical runs.
 
-When an incident fires, :class:`~repro.obs.incidents.IncidentReporter`
-snapshots the ring into the bundle — the "what happened just before"
-context a final report cannot reconstruct.
-
-``REPRO_RECORDER_CAPACITY`` sizes the ring (:mod:`repro.knobs`, README
-"Knobs"); the explicit constructor argument wins.
+The recorder is one of the three parts of
+:class:`~repro.obs.monitor.Monitoring`; when an incident fires, its
+:class:`~repro.obs.incidents.IncidentReporter` snapshots the ring into
+the bundle — the "what happened just before" context a final report
+cannot reconstruct.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro import knobs
+from repro.errors import ConfigError
+
+#: Ring size: 256 holds the fault -> detect -> recover neighbourhood of
+#: an incident on a small cluster without growing a long healthy run.
+RECORDER_CAPACITY = 256
+
 
 class EventRecord:
     """One ring entry.  Slotted: the recorder holds thousands of these."""
@@ -60,10 +64,11 @@ class EventRecord:
 class FlightRecorder:
     """Bounded ring of :class:`EventRecord` (oldest evicted first)."""
 
-    def __init__(self, capacity: int | None = None) -> None:
-        self.capacity = knobs.resolve("REPRO_RECORDER_CAPACITY", capacity,
-                                      arg="capacity")
-        self._ring: deque[EventRecord] = deque(maxlen=self.capacity)
+    def __init__(self, capacity: int = RECORDER_CAPACITY) -> None:
+        if capacity < 1:
+            raise ConfigError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._ring: deque[EventRecord] = deque(maxlen=capacity)
         self._seq = 0
         #: Records evicted to make room (ring was full when they aged out).
         self.dropped = 0

@@ -45,13 +45,7 @@ from repro.cluster.runtime import ClusterPlatform
 from repro.errors import ConfigError, DeviceUnavailable, PoisonError
 from repro.faults.health import DRAINING, UP
 from repro.obs import tracer as obs_tracer
-from repro.obs.incidents import IncidentReporter
-from repro.obs.monitor import (
-    DEFAULT_MONITOR_INTERVAL_NS,
-    SLOMonitor,
-    default_objectives,
-)
-from repro.obs.recorder import FlightRecorder
+from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS, Monitoring
 from repro.obs.timeline import UtilizationSampler
 from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.arrivals import make_arrival_process, stream_rng
@@ -126,8 +120,6 @@ class ServingEngine:
         monitoring: bool | None = None,
         objectives: dict | None = None,
         incident_dir: str | None = None,
-        recorder_capacity: int | None = None,
-        monitor_interval_ns: float = DEFAULT_MONITOR_INTERVAL_NS,
     ) -> None:
         if not tenants:
             raise ConfigError("serving engine needs at least one tenant")
@@ -180,38 +172,17 @@ class ServingEngine:
                         for spec in tenants}
 
         # Always-on monitoring stack (REPRO_MONITOR=0 disables it, and
-        # then *nothing* below exists: no recorder appends, no monitor
-        # beats — byte-identical to the unmonitored engine).  The
-        # monitor only reads counters, so enabling it never changes
-        # workload results.
-        if monitor_interval_ns <= 0:
-            raise ConfigError("monitor_interval_ns must be positive")
-        self._monitor_interval = monitor_interval_ns
+        # then *nothing* of it exists: no ring appends, no monitor beats —
+        # byte-identical to the unmonitored engine).  The monitor only
+        # reads counters, so enabling it never changes workload results.
+        # The runtime gets this engine's stack or None, never the stack
+        # of an engine that ran before on the same platform.
         self._monitor_scheduled = False
-        self.monitoring = knobs.resolve("REPRO_MONITOR", monitoring,
-                                        arg="monitoring")
-        self.recorder: FlightRecorder | None = None
-        self.monitor: SLOMonitor | None = None
-        self.reporter: IncidentReporter | None = None
-        if self.monitoring:
-            self.recorder = FlightRecorder(recorder_capacity)
-            slos = default_objectives(names)
-            if objectives:
-                unknown = set(objectives) - set(slos)
-                if unknown:
-                    raise ConfigError(
-                        f"objectives for unknown tenants: {sorted(unknown)}"
-                    )
-                slos.update(objectives)
-            self.monitor = SLOMonitor(self.runtime.stats, slos,
-                                      recorder=self.recorder,
-                                      start_ns=self.sim.now)
-            self.reporter = IncidentReporter(
-                self.runtime, self.recorder, monitor=self.monitor,
-                out_dir=incident_dir,
-            )
-            self.runtime.recorder = self.recorder
-            self.runtime.incidents = self.reporter
+        self.monitoring: Monitoring | None = None
+        if knobs.resolve("REPRO_MONITOR", monitoring, arg="monitoring"):
+            self.monitoring = Monitoring(self.runtime, names, objectives,
+                                         incident_dir)
+        self.runtime.monitoring = self.monitoring
 
         self._seq = 0                 # global admission order
         self._inflight = 0
@@ -270,8 +241,8 @@ class ServingEngine:
 
     def _record(self, kind: str, when: float, **detail) -> None:
         """Land an event in the flight recorder (monitoring on only)."""
-        if self.recorder is not None:
-            self.recorder.record(kind, when, **detail)
+        if self.monitoring is not None:
+            self.monitoring.record(kind, when, **detail)
 
     # ------------------------------------------------------------------
     # run loop
@@ -593,9 +564,9 @@ class ServingEngine:
                     attempt=request.attempts, cause=cause)
             self.sim.schedule_at(fire,
                                  (lambda r=request: self._requeue(r)))
-        if self.reporter is not None:
-            self.reporter.on_launch_failed(failure, when, tenant=spec.name,
-                                           requests=len(requests))
+        if self.monitoring is not None:
+            self.monitoring.launch_failed(failure, when, tenant=spec.name,
+                                          requests=len(requests))
 
     def _requeue(self, request: Request) -> None:
         """Put a retried request back in its tenant's queue (EDF keeps
@@ -706,9 +677,10 @@ class ServingEngine:
 
     def _ensure_tick(self) -> None:
         """Arm whichever heartbeat is not already scheduled."""
-        if self.monitor is not None and not self._monitor_scheduled:
+        if self.monitoring is not None and not self._monitor_scheduled:
             self._monitor_scheduled = True
-            self.sim.schedule(self._monitor_interval, self._monitor_beat)
+            self.sim.schedule(DEFAULT_MONITOR_INTERVAL_NS,
+                              self._monitor_beat)
         if not self._tick_scheduled:
             self._tick_scheduled = True
             self.sim.schedule(self._tick_interval, self._tick)
@@ -748,17 +720,8 @@ class ServingEngine:
 
     def _monitor_beat(self) -> None:
         self._monitor_scheduled = False
-        self._evaluate_monitor(self.sim.now)
+        self.monitoring.beat(self.sim.now)
         self._rearm()
-
-    def _evaluate_monitor(self, now: float) -> None:
-        for alert in self.monitor.evaluate(now):
-            # the alert lands in the ring first so the bundle the
-            # reporter snapshots already shows it in the timeline
-            self.recorder.record("alert", now, device=alert.device,
-                                 tenant=alert.tenant, alert=alert.kind,
-                                 severity=alert.severity)
-            self.reporter.on_alert(alert, now)
 
     # ------------------------------------------------------------------
     # wrap-up
@@ -771,11 +734,11 @@ class ServingEngine:
                 "serving run drained with work still queued or in flight"
             )
         self._mark_windows(now)
-        if self.monitor is not None:
+        if self.monitoring is not None:
             # close the monitor's final window so tail outcomes (the
             # last completions, a detection on the run's final beat)
             # still alert before the report is built
-            self._evaluate_monitor(now)
+            self.monitoring.beat(now)
         cluster_stats = self.platform.stats
         for name, state in self.tenants.items():
             self.stats.reports[name].correct = state.workload.verify()

@@ -7,7 +7,6 @@ from repro.sim.stats import (
     IntervalSampler,
     StatsRegistry,
     geometric_mean,
-    percentile,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "Simulator",
     "StatsRegistry",
     "geometric_mean",
-    "percentile",
 ]

@@ -1,4 +1,4 @@
-"""Statistics collection: counters, distributions and percentile helpers.
+"""Statistics collection: counters, distributions and their percentiles.
 
 The paper reports P95 latencies (KVStore), bandwidth utilization, active
 context ratios over time, and traffic breakdowns.  :class:`StatsRegistry`
@@ -15,31 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    """Linear-interpolated percentile of ``samples`` (pct in [0, 100]).
-
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 50)
-    2.5
-    """
-    if not samples:
-        raise ValueError("percentile of empty sample set")
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile must be within [0, 100], got {pct}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    value = ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-    # FP rounding of the interpolation must not escape the bracketing
-    # samples (e.g. -53*(0.92) + -53*0.08 can land below -53).
-    return min(max(value, ordered[lo]), ordered[hi])
 
 
 def geometric_mean(values: list[float]) -> float:
@@ -112,9 +87,12 @@ class Distribution:
     def percentiles(self, pcts) -> list[float]:
         """All requested percentiles from one vectorized interpolation.
 
-        Matches :func:`percentile` exactly: linear interpolation at rank
-        ``pct/100 * (n-1)``, clamped to the bracketing samples so FP
-        rounding cannot escape them.
+        Linear interpolation at rank ``pct/100 * (n-1)``, clamped to the
+        bracketing samples so FP rounding cannot escape them (e.g.
+        -53*0.92 + -53*0.08 can land below -53).
+
+        >>> Distribution([1.0, 2.0, 3.0, 4.0]).percentile(50)
+        2.5
         """
         if not self.samples:
             raise ValueError("percentile of empty sample set")

@@ -56,7 +56,8 @@ def generate(n_rows: int, batch: int, dim: int = 64,
                     lookups=lookups, reference=reference)
 
 
-def run_ndp(platform: Platform, data: DLRMData) -> NDPRunResult:
+def run_ndp(platform: Platform, data: DLRMData,
+            kernel: str = DLRM_SLS) -> NDPRunResult:
     runtime = platform.runtime
     table_addr = runtime.alloc_array(data.table)
     idx_addr = runtime.alloc_array(data.indices)
@@ -64,7 +65,7 @@ def run_ndp(platform: Platform, data: DLRMData) -> NDPRunResult:
     start_bytes = platform.stats.get("cxl_dram.bytes")
 
     instance = runtime.run_kernel(
-        DLRM_SLS,
+        kernel,
         out_addr,
         out_addr + data.batch * data.row_bytes,   # pool = output vectors
         args=pack_args(idx_addr, table_addr, data.lookups, data.row_bytes),

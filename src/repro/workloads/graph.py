@@ -77,7 +77,8 @@ def reference_pagerank_iter(data: GraphData, rank: np.ndarray) -> np.ndarray:
 
 
 def run_ndp_pagerank(platform: Platform, data: GraphData,
-                     iterations: int = 1) -> NDPRunResult:
+                     iterations: int = 1,
+                     kernel: str = PAGERANK_ITER) -> NDPRunResult:
     runtime = platform.runtime
     csr = data.in_csr
     n = data.n_nodes
@@ -100,7 +101,7 @@ def run_ndp_pagerank(platform: Platform, data: GraphData,
     src_addr, dst_addr = rank_addr, out_addr
     for _ in range(iterations):
         instance = runtime.run_kernel(
-            PAGERANK_ITER,
+            kernel,
             rp_addr,
             rp_addr + n * 8,
             args=pack_args(ci_addr, src_addr, contrib_addr, deg_addr,

@@ -40,14 +40,15 @@ def generate(elements: int, nbins: int, salt: int = 0) -> HistogramData:
                          reference=reference.astype(np.int64))
 
 
-def run_ndp(platform: Platform, data: HistogramData) -> NDPRunResult:
+def run_ndp(platform: Platform, data: HistogramData,
+            kernel: str = HISTOGRAM) -> NDPRunResult:
     runtime = platform.runtime
     input_addr = runtime.alloc_array(data.values)
     bins_addr = runtime.alloc(data.nbins * 4)
     start_bytes = platform.stats.get("cxl_dram.bytes")
 
     instance = runtime.run_kernel(
-        HISTOGRAM,
+        kernel,
         input_addr,
         input_addr + data.values.nbytes,
         args=pack_args(data.nbins, bins_addr),

@@ -24,7 +24,7 @@ from repro.faults import (
 )
 from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
-from repro.obs.recorder import FlightRecorder
+from repro.obs.monitor import Monitoring
 
 N = 4096
 
@@ -217,12 +217,12 @@ class TestDegradationWindows:
     def _run(events):
         platform = make_cluster_platform(num_devices=4, backend="batched")
         runtime = platform.runtime
-        runtime.recorder = FlightRecorder()
+        runtime.monitoring = Monitoring(runtime, [])
         injector = runtime.arm_faults(FaultPlan(events=tuple(events)))
         runtime.sim.run()
         transitions = [(t, new) for t, dev, _part, _old, new
                        in injector.health.transitions if dev == 1]
-        ups = [row.t_ns for row in runtime.recorder.events(
+        ups = [row.t_ns for row in runtime.monitoring.recorder.events(
             kinds=("recovery.device_up",)) if row.device == 1]
         return injector, transitions, ups
 

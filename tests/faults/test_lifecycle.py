@@ -16,8 +16,7 @@ from repro.cluster import make_cluster_platform
 from repro.faults import DEFAULT_HEARTBEAT_NS, FaultEvent, FaultPlan
 from repro.faults.plan import LIFECYCLE
 from repro.obs.incidents import correlate
-from repro.obs.monitor import SLOMonitor
-from repro.obs.recorder import FlightRecorder
+from repro.obs.monitor import Monitoring
 
 AT = 1_000.0
 WINDOW = 4_000.0
@@ -55,7 +54,7 @@ def test_lifecycle_row(kind, partition, detect, detected, alert, severity,
     platform = make_cluster_platform(num_devices=2, backend="batched",
                                      partitions="rt:1,batch:2,spare:1")
     runtime = platform.runtime
-    runtime.recorder = FlightRecorder()
+    runtime.monitoring = Monitoring(runtime, [])
     data = np.arange(4096, dtype=np.int64)
     # replicated shards fail over in place, then blocked ones are
     # re-copied off a dead device (MTTR runs to the last); batch-pinned
@@ -69,14 +68,14 @@ def test_lifecycle_row(kind, partition, detect, detected, alert, severity,
         size=64 if kind == "poison" else 0),)))
     runtime.sim.run()
     epoch = injector.epoch_ns
-    ring = runtime.recorder.snapshot()
+    ring = runtime.monitoring.recorder.snapshot()
 
     found = [row for row in ring if row["kind"] == detect]
     assert [(row["t_ns"], row["device"]) for row in found] == [
         (epoch + detected, DEVICE)]
     assert found[0].get("detail", {}).get("partition") == partition
 
-    monitor = SLOMonitor(runtime.stats, {}, recorder=runtime.recorder)
+    monitor = runtime.monitoring.monitor
     now = runtime.sim.now
     assert [(a.kind, a.severity, a.device, a.value)
             for a in monitor.evaluate(now)] == [

@@ -318,13 +318,13 @@ class TestServingContainment:
                         partition="batch")],
             monitoring=True,
         )
-        assert engine.reporter.bundles
+        assert engine.monitoring.reporter.bundles
         radius = {}
-        for bundle in engine.reporter.bundles:
+        for bundle in engine.monitoring.reporter.bundles:
             radius.update(bundle.get("partition_blast_radius", {}))
         assert set(radius) == {"dev0.batch"}
         from repro.obs.incidents import grade_against_plan
-        grade = grade_against_plan(injector, engine.monitor.alerts)
+        grade = grade_against_plan(injector, engine.monitoring.monitor.alerts)
         assert grade["recall"] == 1.0
 
     def test_unpartitioned_bundles_lack_blast_radius_key(self):
@@ -339,5 +339,5 @@ class TestServingContainment:
         )]
         engine = ServingEngine(platform, tenants, monitoring=True)
         engine.run()
-        for bundle in engine.reporter.bundles:
+        for bundle in engine.monitoring.reporter.bundles:
             assert "partition_blast_radius" not in bundle

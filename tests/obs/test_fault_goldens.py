@@ -167,10 +167,11 @@ def _digests(scenario: str) -> dict:
     runtime = platform.runtime
     injector = runtime.arm_faults(plan(runtime))
     engine.run()
-    alerts = engine.monitor.alerts
-    ring = engine.recorder.snapshot()
+    monitoring = engine.monitoring
+    alerts = monitoring.monitor.alerts
+    ring = monitoring.recorder.snapshot()
     parts = {
-        "bundles": engine.reporter.bundles,
+        "bundles": monitoring.reporter.bundles,
         "ring": [ring, [alert.to_dict() for alert in alerts]],
         "correlate": correlate(injector, ring, alerts),
         "grade": grade_against_plan(injector, alerts),

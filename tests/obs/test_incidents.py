@@ -15,7 +15,8 @@ from repro.obs.incidents import (
     main as incidents_main,
     render_bundle,
 )
-from repro.obs.recorder import FlightRecorder
+from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS, Monitoring
+from repro.obs.recorder import RECORDER_CAPACITY
 from repro.serve import ArrivalSpec, RetryPolicy, ServingEngine, TenantSpec
 
 KILL_MID_TRAFFIC = FaultPlan(events=(
@@ -47,10 +48,10 @@ class TestIncidentBundles:
     def test_device_kill_produces_coherent_bundle(self):
         _, injector, engine, report = _kill_run()
         assert report.tenant("scan").served == 16
-        assert len(engine.reporter.bundles) >= 1
-        sources = {b["trigger"]["source"] for b in engine.reporter.bundles}
+        assert len(engine.monitoring.reporter.bundles) >= 1
+        sources = {b["trigger"]["source"] for b in engine.monitoring.reporter.bundles}
         assert "fault_detected" in sources or "alert" in sources
-        bundle = engine.reporter.bundles[-1]   # fullest ring snapshot
+        bundle = engine.monitoring.reporter.bundles[-1]   # fullest ring snapshot
         assert bundle["schema"] == INCIDENT_SCHEMA
         kinds = [row["kind"] for row in bundle["timeline"]]
         assert "fault.kill" in kinds
@@ -65,7 +66,7 @@ class TestIncidentBundles:
 
     def test_correlation_grades_the_armed_plan(self):
         _, injector, engine, _ = _kill_run()
-        rows = engine.reporter.bundles[-1].get("correlation")
+        rows = engine.monitoring.reporter.bundles[-1].get("correlation")
         assert rows is not None and len(rows) == 1
         row = rows[0]
         assert row["kind"] == "device_fail" and row["device"] == 1
@@ -78,28 +79,28 @@ class TestIncidentBundles:
 
     def test_grade_recall_one_and_mtta_within_a_beat(self):
         _, injector, engine, _ = _kill_run()
-        grade = grade_against_plan(injector, engine.monitor.alerts)
+        grade = grade_against_plan(injector, engine.monitoring.monitor.alerts)
         assert grade["events"] == 1
         assert grade["recall"] == 1.0
         assert grade["precision"] == 1.0
-        assert grade["max_mtta_ns"] <= engine._monitor_interval
+        assert grade["max_mtta_ns"] <= DEFAULT_MONITOR_INTERVAL_NS
         assert grade["mean_mttd_ns"] > 0.0
 
     def test_healthy_run_is_silent(self):
         _, injector, engine, _ = _kill_run(plan=FaultPlan.none())
-        assert engine.monitor.alerts == []
-        assert engine.reporter.bundles == []
-        grade = grade_against_plan(injector, engine.monitor.alerts)
+        assert engine.monitoring.monitor.alerts == []
+        assert engine.monitoring.reporter.bundles == []
+        grade = grade_against_plan(injector, engine.monitoring.monitor.alerts)
         assert grade["recall"] == 1.0 and grade["precision"] == 1.0
 
     def test_bundles_written_to_incident_dir(self, tmp_path):
         _, _, engine, _ = _kill_run(incident_dir=str(tmp_path))
-        paths = engine.reporter.paths
-        assert len(paths) == len(engine.reporter.bundles)
+        paths = engine.monitoring.reporter.paths
+        assert len(paths) == len(engine.monitoring.reporter.bundles)
         with open(paths[0]) as fh:
             on_disk = json.load(fh)
         assert on_disk["schema"] == INCIDENT_SCHEMA
-        assert on_disk["seq"] == engine.reporter.bundles[0]["seq"]
+        assert on_disk["seq"] == engine.monitoring.reporter.bundles[0]["seq"]
         # bundles are wall-clock free: every timestamp is simulated ns
         assert "wall" not in json.dumps(on_disk)
 
@@ -107,14 +108,14 @@ class TestIncidentBundles:
         _, _, engine, _ = _kill_run()
         # one kill must not fan out into one bundle per symptom; the
         # cooldown caps distinct trigger keys, not repeated firings
-        triggers = [b["trigger"]["source"] for b in engine.reporter.bundles]
+        triggers = [b["trigger"]["source"] for b in engine.monitoring.reporter.bundles]
         assert len(triggers) == len(set(
             (b["trigger"]["source"], b["trigger"].get("kind"),
-             b["trigger"].get("device")) for b in engine.reporter.bundles))
+             b["trigger"].get("device")) for b in engine.monitoring.reporter.bundles))
 
     def test_render_bundle_mentions_trigger_and_correlation(self):
         _, _, engine, _ = _kill_run()
-        text = render_bundle(engine.reporter.bundles[-1])
+        text = render_bundle(engine.monitoring.reporter.bundles[-1])
         assert "incident #" in text
         assert "fault correlation" in text
         assert "device=1" in text
@@ -127,7 +128,7 @@ class TestDegradationMTTR:
         for a device that died inside the window."""
         platform = make_cluster_platform(num_devices=4, backend="batched")
         runtime = platform.runtime
-        runtime.recorder = FlightRecorder()
+        runtime.monitoring = Monitoring(runtime, [])
         injector = runtime.arm_faults(FaultPlan(events=(
             FaultEvent("device_stall", at_ns=1_000.0, device=1,
                        duration_ns=20_000.0),
@@ -139,7 +140,7 @@ class TestDegradationMTTR:
         )))
         runtime.sim.run()
         rows = {(row["kind"], row["device"]): row for row in correlate(
-            injector, runtime.recorder.snapshot(), [])}
+            injector, runtime.monitoring.recorder.snapshot(), [])}
         stall, flap = rows["device_stall", 1], rows["link_flap", 1]
         doomed, kill = rows["device_stall", 2], rows["device_fail", 2]
         assert (stall["recovered_ns"], stall["mttr_ns"]) == (21_000.0,
@@ -169,18 +170,29 @@ class TestObservationOnly:
         monkeypatch.setenv("REPRO_MONITOR", "0")
         platform = make_cluster_platform(num_devices=4, backend="batched")
         engine = ServingEngine(platform, [_scan_tenant()])
-        assert engine.recorder is None
-        assert engine.monitor is None
-        assert engine.reporter is None
-        assert platform.runtime.recorder is None
-        assert platform.runtime.incidents is None
+        assert engine.monitoring is None
+        assert platform.runtime.monitoring is None
         report = engine.run()
         assert report.tenant("scan").served == 16
+
+    def test_unmonitored_engine_detaches_the_previous_engines_stack(self):
+        """An engine run with monitoring off must not write into the ring
+        of a monitored engine that ran before it on the same platform."""
+        platform = make_cluster_platform(num_devices=4, backend="batched")
+        first = ServingEngine(platform, [_scan_tenant()], monitoring=True)
+        first.run()
+        ring = first.monitoring.recorder
+        seen = ring.next_seq
+        assert seen > 0
+        second = ServingEngine(platform, [_scan_tenant()], monitoring=False)
+        assert platform.runtime.monitoring is None
+        assert second.run().tenant("scan").served == 16
+        assert ring.next_seq == seen
 
     def test_identical_runs_identical_bundles(self):
         def bundles():
             _, _, engine, _ = _kill_run()
-            return json.dumps(engine.reporter.bundles, sort_keys=True)
+            return json.dumps(engine.monitoring.reporter.bundles, sort_keys=True)
         assert bundles() == bundles()
 
 
@@ -193,27 +205,22 @@ class TestEngineKnobs:
             ServingEngine(platform, [_scan_tenant()], monitoring=True,
                           objectives={"ghost": SLObjective()})
 
-    def test_monitor_interval_must_be_positive(self):
-        from repro.errors import ConfigError
-        platform = make_cluster_platform(num_devices=4, backend="batched")
-        with pytest.raises(ConfigError, match="monitor_interval_ns"):
-            ServingEngine(platform, [_scan_tenant()],
-                          monitor_interval_ns=0.0)
-
     def test_recorder_capacity_bounds_engine_ring(self):
         platform = make_cluster_platform(num_devices=4, backend="batched")
         platform.runtime.arm_faults(KILL_MID_TRAFFIC)
-        engine = ServingEngine(platform, [_scan_tenant()], monitoring=True,
-                               recorder_capacity=8)
+        engine = ServingEngine(platform, [_scan_tenant(requests=192)],
+                               monitoring=True)
         engine.run()
-        assert len(engine.recorder) <= 8
-        assert engine.recorder.dropped > 0
+        ring = engine.monitoring.recorder
+        assert ring.capacity == RECORDER_CAPACITY
+        assert len(ring) == RECORDER_CAPACITY
+        assert ring.dropped == ring.next_seq - RECORDER_CAPACITY > 0
 
 
 class TestIncidentsCLI:
     def test_renders_bundle_file(self, tmp_path, capsys):
         _, _, engine, _ = _kill_run(incident_dir=str(tmp_path))
-        assert incidents_main([engine.reporter.paths[0]]) == 0
+        assert incidents_main([engine.monitoring.reporter.paths[0]]) == 0
         out = capsys.readouterr().out
         assert "incident #0" in out
 

@@ -25,10 +25,12 @@ SLOW_NS = 6_000.0
 def _monitor(objective=None, recorder=None, **kwargs):
     registry = StatsRegistry()
     objectives = {"t": objective or SLObjective()}
-    monitor = SLOMonitor(registry, objectives,
+    if recorder is None:
+        recorder = FlightRecorder()
+    monitor = SLOMonitor(registry, objectives, recorder,
                          fast_window_ns=kwargs.pop("fast", FAST_NS),
                          slow_window_ns=kwargs.pop("slow", SLOW_NS),
-                         recorder=recorder, **kwargs)
+                         **kwargs)
     return registry, monitor
 
 
@@ -215,19 +217,17 @@ class TestValidation:
     def test_monitor_rejects_inverted_windows(self):
         registry = StatsRegistry()
         with pytest.raises(ConfigError, match="must not exceed"):
-            SLOMonitor(registry, {"t": SLObjective()},
+            SLOMonitor(registry, {"t": SLObjective()}, FlightRecorder(),
                        fast_window_ns=10_000.0, slow_window_ns=5_000.0)
         with pytest.raises(ConfigError, match="positive"):
-            SLOMonitor(registry, {"t": SLObjective()},
+            SLOMonitor(registry, {"t": SLObjective()}, FlightRecorder(),
                        fast_window_ns=0.0)
 
-    def test_default_objectives_inherit_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "4.0")
+    def test_default_objectives_inherit_threshold(self):
         slos = default_objectives(["a", "b"])
         assert set(slos) == {"a", "b"}
-        assert all(o.burn_threshold == 4.0 for o in slos.values())
-        explicit = default_objectives(["a"], burn_threshold=1.5)
-        assert explicit["a"].burn_threshold == 1.5
+        assert all(o == SLObjective() for o in slos.values())
+        assert DEFAULT_BURN_THRESHOLD == SLObjective().burn_threshold == 2.0
 
     def test_alert_to_dict_shapes(self):
         burn = Alert("burn_rate", 10.0, "page", tenant="t",
@@ -283,4 +283,5 @@ class TestReusedPlatform:
 
         _, engine, fast_again = self._two_runs(ceiling, tmp_path / "real")
         assert fast_again.aggregate.samples == fast_lat
-        assert [a for a in engine.monitor.alerts if a.kind == "p99"] == []
+        assert [a for a in engine.monitoring.monitor.alerts
+                if a.kind == "p99"] == []

@@ -1,9 +1,9 @@
-"""FlightRecorder: bounded memory, eviction order, knob validation."""
+"""FlightRecorder: bounded memory, eviction order, capacity validation."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import RECORDER_CAPACITY, FlightRecorder
 
 
 class TestRingBuffer:
@@ -60,21 +60,9 @@ class TestRingBuffer:
 
 class TestCapacityKnob:
     def test_default(self):
-        assert FlightRecorder().capacity == 256
+        assert FlightRecorder().capacity == RECORDER_CAPACITY == 256
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "32")
-        assert FlightRecorder(64).capacity == 64
-        assert FlightRecorder().capacity == 32
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "many")
-        with pytest.raises(ConfigError, match="integer"):
-            FlightRecorder()
-
-    def test_rejects_non_positive(self, monkeypatch):
-        with pytest.raises(ConfigError, match=">= 1"):
-            FlightRecorder(0)
-        monkeypatch.setenv("REPRO_RECORDER_CAPACITY", "-3")
-        with pytest.raises(ConfigError, match=">= 1"):
-            FlightRecorder()
+    def test_rejects_non_positive(self):
+        for capacity in (0, -3):
+            with pytest.raises(ConfigError, match=">= 1"):
+                FlightRecorder(capacity)

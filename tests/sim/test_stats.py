@@ -8,11 +8,16 @@ from repro.sim.stats import (
     IntervalSampler,
     StatsRegistry,
     geometric_mean,
-    percentile,
 )
 
 
+def percentile(samples: list[float], pct: float) -> float:
+    return Distribution(list(samples)).percentile(pct)
+
+
 class TestPercentile:
+    """``Distribution.percentile``: the one percentile implementation."""
+
     def test_median_of_four(self):
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
 

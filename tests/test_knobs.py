@@ -23,18 +23,15 @@ TABLE = [
     ("REPRO_EXEC_BACKEND", "batched", "batched", ("jit", "Batched", "")),
     ("REPRO_EXPERIMENT_BACKEND", "interpreter", "interpreter", ("batchd",)),
     ("REPRO_TRACE_CACHE", "0", False, ("yes", "2", "true", "")),
-    ("REPRO_TRACE_CACHE_CAPACITY", "2", 2,
-     ("abc", "0", "-3", "2.5", "٣", " 7", "1_0")),
     ("REPRO_CLUSTER_SCHEDULER", "round_robin", "round_robin", ("fifo",)),
     ("REPRO_PARTITIONS", "rt:1,batch:3", "rt:1,batch:3", ()),
     ("REPRO_SERVE_SCHEDULER", "fifo", "fifo", ("lottery",)),
-    ("REPRO_SERVE_MAX_BATCH", "4", 4, ("many", "0", "-1", "4.0")),
+    ("REPRO_SERVE_MAX_BATCH", "4", 4,
+     ("many", "0", "-1", "4.0", "٣", " 7", "1_0")),
     ("REPRO_SERVE_MAX_WAIT_NS", "1500", 1500.0, ("soon", "nan", "inf", "-1")),
     ("REPRO_LAUNCH_TIMEOUT_NS", "2500", 2500.0, ("soon", "-5", "nan", "inf")),
     ("REPRO_TRACE", "1", True, ("yes", "")),
     ("REPRO_MONITOR", "0", False, ("yes",)),
-    ("REPRO_RECORDER_CAPACITY", "32", 32, ("many", "0", "-3")),
-    ("REPRO_MONITOR_BURN", "3.5", 3.5, ("fast", "-1", "0", "inf")),
 ]
 BAD = [(name, bad) for name, _, _, bads in TABLE for bad in bads]
 
@@ -97,9 +94,7 @@ def test_explicit_value_goes_through_the_same_check(monkeypatch, name, bad):
     ("REPRO_SERVE_MAX_WAIT_NS", math.inf),
     ("REPRO_SERVE_MAX_BATCH", 0),
     ("REPRO_LAUNCH_TIMEOUT_NS", -5.0),
-    ("REPRO_RECORDER_CAPACITY", 0),
-    ("REPRO_MONITOR_BURN", 0.0),
-    ("REPRO_TRACE_CACHE_CAPACITY", object()),           # not a number at all
+    ("REPRO_SERVE_MAX_BATCH", object()),                # not a number at all
 ])
 def test_typed_explicit_values_are_checked_too(name, value):
     with pytest.raises(ConfigError, match=name):
