@@ -22,9 +22,11 @@ unmodified on 1..N devices.  The moving parts:
 * Completion is aggregated: a :class:`ClusterLaunchHandle` finishes when
   the slowest sub-launch does.
 
-The execution backend, scheduler policy, partition spec and launch
-timeout are knobs (:mod:`repro.knobs`, README "Knobs"): explicit argument
-> environment variable > config default, validated at construction.
+The execution backend, scheduler policy and partition spec are knobs
+(:mod:`repro.knobs`, README "Knobs"): explicit argument > environment
+variable > config default, validated at construction.  The launch timeout
+knob is read from the environment only; a caller that needs another value
+assigns the ``launch_timeout_ns`` attribute.
 """
 
 from __future__ import annotations
@@ -184,7 +186,6 @@ class ClusterRuntime:
         cluster: ClusterConfig | None = None,
         backend: str | None = None,
         scheduler: str | None = None,
-        launch_timeout_ns: float | None = None,
         partitions: str | None = None,
     ) -> None:
         self.sim = Simulator()
@@ -231,9 +232,7 @@ class ClusterRuntime:
         #: pending that many simulated ns after issue fails with a typed
         #: :class:`~repro.errors.LaunchFailed` (reason ``timeout``)
         #: instead of deadlocking the event loop on a stuck device.
-        self.launch_timeout_ns = knobs.resolve(
-            "REPRO_LAUNCH_TIMEOUT_NS", launch_timeout_ns,
-            arg="launch_timeout_ns")
+        self.launch_timeout_ns = knobs.resolve("REPRO_LAUNCH_TIMEOUT_NS")
         #: Armed FaultInjector, or None — the healthy-cluster default, in
         #: which every fault hook below short-circuits.
         self.faults = None

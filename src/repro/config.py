@@ -241,23 +241,12 @@ class NDPConfig:
     itlb_entries: int = 256
     dtlb_entries: int = 256
     l1d: CacheConfig = field(default_factory=ndp_l1d_config)
-    #: µthread execution backend: "interpreter" (bit-exact per-instruction
-    #: reference path) or "batched" (trace-once/replay-many fast path with
-    #: automatic per-launch fallback; see repro.exec).
-    backend: str = "interpreter"
 
     def __post_init__(self) -> None:
         if self.num_units <= 0 or self.subcores_per_unit <= 0:
             raise ConfigError("NDP unit/sub-core counts must be positive")
         if self.vector_bits % 64 != 0:
             raise ConfigError("vector width must be a multiple of 64 bits")
-        from repro.exec.base import backend_names  # lazy: avoids a cycle
-
-        if self.backend not in backend_names():
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"choose from {backend_names()}"
-            )
 
     @property
     def vector_bytes(self) -> int:

@@ -3,13 +3,7 @@
 from repro.cxl.hdm import HDMCoherence
 from repro.cxl.link import CXLLink
 from repro.cxl.packet_filter import ENTRY_BYTES, FilterEntry, PacketFilter
-from repro.cxl.protocol import (
-    HEADER_BYTES,
-    CXLPacket,
-    LoadToUseProfile,
-    PacketType,
-    PortLatencyBreakdown,
-)
+from repro.cxl.protocol import HEADER_BYTES, CXLPacket, PacketType
 from repro.cxl.switch import SWITCH_HOP_NS, CXLSwitch
 
 __all__ = [
@@ -20,9 +14,7 @@ __all__ = [
     "FilterEntry",
     "HDMCoherence",
     "HEADER_BYTES",
-    "LoadToUseProfile",
     "PacketFilter",
     "PacketType",
-    "PortLatencyBreakdown",
     "SWITCH_HOP_NS",
 ]

@@ -1,6 +1,8 @@
-"""CXL.mem protocol: packet types and the Fig 2 latency breakdown.
+"""CXL.mem protocol: packet types and their wire sizes.
 
-Only the subset of CXL.mem needed by M2NDP is modeled:
+The link's latency — Fig 2's port-to-port round trip and the load-to-use
+profile Fig 13a stretches — is :class:`repro.config.CXLConfig`.  Only the
+subset of CXL.mem needed by M2NDP is modeled:
 
 * ``MEM_RD`` / ``MEM_RD_RESP`` — 64 B cacheline reads (M2S Req / S2M DRS),
 * ``MEM_WR`` / ``MEM_WR_ACK``  — writes with data (M2S RwD / S2M NDR),
@@ -15,7 +17,7 @@ request is a function call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class PacketType(enum.Enum):
@@ -55,66 +57,3 @@ class CXLPacket:
         if self.ptype == PacketType.MEM_WR:
             return HEADER_BYTES + max(payload, self.size)
         return HEADER_BYTES + max(payload, self.size)  # read response carries data
-
-
-@dataclass(frozen=True)
-class PortLatencyBreakdown:
-    """Round-trip CXL.mem port latency components (ns), from Fig 2.
-
-    The figure reports 52–70 ns total for the CXL.mem round trip through
-    transaction layer, link layer, ARB/MUX, logical PHY and wires.  We carry
-    typical (midpoint) values and expose the total for the link model.
-    """
-
-    tl_processing_ns: float = 15.0     # TL queues + processing (10-20)
-    ll_crc_replay_ns: float = 23.0     # flit pack/unpack, CRC, credits (21-25)
-    arb_mux_ns: float = 17.0           # arbiter / mux (15-19)
-    phy_logical_ns: float = 4.0        # logical PHY (4)
-    wire_ns: float = 2.0               # physical wires (2)
-
-    @property
-    def round_trip_ns(self) -> float:
-        return (
-            self.tl_processing_ns
-            + self.ll_crc_replay_ns
-            + self.arb_mux_ns
-            + self.phy_logical_ns
-            + self.wire_ns
-        )
-
-    @property
-    def one_way_ns(self) -> float:
-        return self.round_trip_ns / 2.0
-
-
-@dataclass
-class LoadToUseProfile:
-    """Decomposition of CXL memory load-to-use latency (§II-B).
-
-    ``LtU = host_path + link round trip + device_path`` where host_path is
-    the host cache-miss pipeline and device_path is controller + DRAM.  The
-    150 ns default matches the paper's measured systems; the 300/600 ns
-    profiles (Fig 13a's 2xLtU/4xLtU) stretch the link portion.
-    """
-
-    load_to_use_ns: float = 150.0
-    port: PortLatencyBreakdown = field(default_factory=PortLatencyBreakdown)
-    device_dram_ns: float = 45.0
-
-    @property
-    def link_round_trip_ns(self) -> float:
-        # Fig 2's port round trip plus retimer/board wires; what is left of
-        # LtU after the host and DRAM portions.
-        return self.load_to_use_ns - self.host_path_ns - self.device_dram_ns
-
-    @property
-    def host_path_ns(self) -> float:
-        return 35.0
-
-    def scaled(self, factor: float) -> "LoadToUseProfile":
-        """Profile with ``factor``-times total LtU (Fig 13a's 2xLtU/4xLtU)."""
-        return LoadToUseProfile(
-            load_to_use_ns=self.load_to_use_ns * factor,
-            port=self.port,
-            device_dram_ns=self.device_dram_ns,
-        )

@@ -1,18 +1,19 @@
-"""Pluggable µthread execution backends.
+"""µthread execution backends.
 
 The device models in :mod:`repro.ndp` describe *what* the M2NDP hardware
 is — units, sub-cores, caches, the DRAM system.  This package decides *how*
-a kernel launch is executed against those models.  Two backends implement
-the common :class:`~repro.exec.base.ExecutionBackend` interface:
+a kernel launch is executed against those models.  There are two
+backends; the second extends the first:
 
 ``interpreter``
-    The reference path: every instruction of every µthread is functionally
-    executed and individually charged to the sub-core issue servers, TLBs,
-    caches and DRAM banks.  Cycle-level FGMT behaviour (context occupancy,
-    spawn granularity, atomics interleaving) is bit-exact; cost is
-    O(µthreads x instructions) Python work per launch.
+    The reference path (:class:`~repro.exec.interpreter.InterpreterBackend`,
+    also the backend interface): every instruction of every µthread is
+    functionally executed and individually charged to the sub-core issue
+    servers, TLBs, caches and DRAM banks.  Cycle-level FGMT behaviour
+    (context occupancy, spawn granularity, atomics interleaving) is
+    bit-exact; cost is O(µthreads x instructions) Python work per launch.
 
-``batched``
+``batched`` (the default)
     The trace-once/replay-many fast path for bulk-synchronous launches
     whose µthreads are structurally identical (the common case for the
     paper's kernels: every body µthread runs the same code over a different
@@ -28,16 +29,13 @@ the common :class:`~repro.exec.base.ExecutionBackend` interface:
 Backend selection
 -----------------
 
-* ``NDPConfig.backend`` (default ``"interpreter"``) picks the device-wide
-  default; the ``REPRO_EXEC_BACKEND`` knob (:mod:`repro.knobs`, README
-  "Knobs") overrides it, and an explicit ``backend=`` argument to
-  :func:`repro.workloads.base.make_platform` or ``M2NDPDevice`` always
-  wins (experiments pinned to the interpreter must not be overridden from
-  the environment).
-* Experiments default to ``batched`` via
-  ``repro.experiments.common.EXPERIMENT_BACKEND``; since the SIMT engine
-  the microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
-  granularity ablation) run unpinned on it as well.
+* The backend is resolved in one place, ``M2NDPDevice``: an explicit
+  ``backend=`` argument (to the device,
+  :func:`repro.workloads.base.make_platform` or
+  :func:`repro.cluster.make_cluster_platform`) > the
+  ``REPRO_EXEC_BACKEND`` knob (:mod:`repro.knobs`, README "Knobs") > its
+  declared default, ``batched``.  Every figure driver runs the default; the ``engines``
+  driver pins both backends, so the environment cannot move it.
 * Inside the batched backend, launches route by *shape* alone — no
   environment variable reroutes a shape to a different engine: bulk
   branch-uniform launches take the launch-uniform trace/replay walk;
@@ -58,12 +56,12 @@ Backend selection
   land in ``exec.batched_launches`` / ``exec.simt_launches``.
 * Repeated launches of the same shape skip tracing entirely through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
-  ``exec.trace_cache_misses``; the ``REPRO_TRACE_CACHE`` knob) —
-  including divergent/atomic SIMT traces, which are verified against
-  their recorded mask schedule on every replay.
+  ``exec.trace_cache_misses``) — including divergent/atomic SIMT traces,
+  which are verified against their recorded mask schedule on every
+  replay.
 """
 
-from repro.exec.base import ExecutionBackend, make_backend
+from repro.exec.base import make_backend
 from repro.exec.interpreter import InterpreterBackend
 from repro.exec.batched import BatchedBackend
 from repro.exec.simt import LaunchFallback, SimtPlan
@@ -74,7 +72,6 @@ from repro.exec.trace_cache import (
 )
 
 __all__ = [
-    "ExecutionBackend",
     "InterpreterBackend",
     "BatchedBackend",
     "LaunchFallback",

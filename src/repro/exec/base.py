@@ -1,4 +1,4 @@
-"""The execution-backend interface and the table of backends.
+"""The table of execution backends.
 
 A backend owns the *launch execution engine* of one
 :class:`~repro.ndp.device.M2NDPDevice`: the NDP controller hands it
@@ -6,9 +6,11 @@ A backend owns the *launch execution engine* of one
 responsible for spawning/running µthreads against the device's timing
 models and for signalling completion through the execution's callbacks.
 
-The device constructs its backend from ``NDPConfig.backend`` (see
-:func:`make_backend`); everything else in the system talks to the backend
-only through :class:`ExecutionBackend`.
+:class:`~repro.exec.interpreter.InterpreterBackend` is the base class and
+the reference; :class:`~repro.exec.batched.BatchedBackend` extends it and
+falls back to it per launch.  The device constructs its backend with
+:func:`make_backend` from the ``REPRO_EXEC_BACKEND`` knob (explicit
+``backend=`` > environment > the declared default, ``batched``).
 """
 
 from __future__ import annotations
@@ -18,37 +20,10 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.ndp.generator import KernelExecution
+    from repro.exec.interpreter import InterpreterBackend
 
 
-class ExecutionBackend:
-    """Abstract launch execution engine for one M2NDP device."""
-
-    name = "abstract"
-
-    def __init__(self, device) -> None:
-        self.device = device
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks called by the device / controller
-    # ------------------------------------------------------------------
-
-    def register_execution(self, execution: "KernelExecution",
-                           now_ns: float) -> None:
-        """A kernel instance started; begin executing its µthreads."""
-        raise NotImplementedError
-
-    def unregister_execution(self, execution: "KernelExecution") -> None:
-        """A kernel instance completed; drop any engine state for it."""
-        raise NotImplementedError
-
-    @property
-    def active_executions(self) -> list:
-        """Kernel executions currently being driven by this backend."""
-        raise NotImplementedError
-
-
-def _backends() -> dict[str, type[ExecutionBackend]]:
+def _backends() -> dict[str, type["InterpreterBackend"]]:
     # imported here: the backends import repro.ndp, which imports this module
     from repro.exec.batched import BatchedBackend
     from repro.exec.interpreter import InterpreterBackend
@@ -59,7 +34,7 @@ def backend_names() -> list[str]:
     return sorted(_backends())
 
 
-def make_backend(name: str, device) -> ExecutionBackend:
+def make_backend(name: str, device) -> "InterpreterBackend":
     """Instantiate the backend ``name`` for ``device``."""
     backend = _backends().get(name)
     if backend is None:

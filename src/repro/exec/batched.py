@@ -448,7 +448,7 @@ class BatchedBackend(InterpreterBackend):
                            now_ns: float) -> None:
         device = self.device
         why = self._classify(execution)
-        key = trace_key(execution) if self.trace_cache.enabled else None
+        key = trace_key(execution)
         failure: LaunchFallback | None = None
         if why is None:
             failure = self._attempt(_BatchReplay, execution, key, now_ns)
@@ -496,8 +496,7 @@ class BatchedBackend(InterpreterBackend):
         device = self.device
         cache = self.trace_cache
         stats = device.stats
-        entry = (cache.lookup(key, device.translation_version)
-                 if cache.enabled else None)
+        entry = cache.lookup(key, device.translation_version)
         if entry is not None and entry.engine != plan_cls.engine:
             if entry.engine == SimtPlan.engine:
                 # this shape degraded to the masked walk on a prior launch
@@ -521,9 +520,8 @@ class BatchedBackend(InterpreterBackend):
                 plan = plan_cls(device, execution).run()
             except LaunchFallback as exc:
                 return exc
-            if cache.enabled:
-                stats.add("exec.trace_cache_misses")
-                cache.store(key, plan.entry)
+            stats.add("exec.trace_cache_misses")
+            cache.store(key, plan.entry)
         plan.commit()
         stats.add(f"exec.{plan_cls.engine}_launches")
         plan.schedule(now_ns, cached)

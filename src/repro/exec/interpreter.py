@@ -7,16 +7,16 @@ scheduled at its next ready time.  Short accesses (scratchpad / L1 hits)
 continue inline, so the event count is proportional to DRAM accesses, not
 instructions — that is what makes a pure-Python cycle-level model feasible.
 
-This engine lived on :class:`~repro.ndp.device.M2NDPDevice` before the
-backend split; the behaviour (and therefore every timing result) is
-unchanged.
+:class:`InterpreterBackend` is also the backend interface: the device and
+controller call ``register_execution`` / ``unregister_execution`` /
+``active_executions``, and :class:`~repro.exec.batched.BatchedBackend`
+overrides ``register_execution`` and falls back to this one.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from repro.exec.base import ExecutionBackend
 from repro.isa.executor import execute
 from repro.ndp.generator import SPAWN_LATENCY_NS, KernelExecution
 from repro.ndp.uthread import UThread
@@ -29,26 +29,28 @@ BURST_CAP = 256
 INLINE_WINDOW_NS = 8.0
 
 
-class InterpreterBackend(ExecutionBackend):
+class InterpreterBackend:
     """Per-instruction functional + timed execution of every µthread."""
 
     name = "interpreter"
 
     def __init__(self, device) -> None:
-        super().__init__(device)
+        self.device = device
         self._active: list[KernelExecution] = []
         self._fill_cursor = 0
 
     # ------------------------------------------------------------------
-    # ExecutionBackend interface
+    # backend interface
     # ------------------------------------------------------------------
 
     @property
     def active_executions(self) -> list[KernelExecution]:
+        """Kernel executions currently being driven by this backend."""
         return self._active
 
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:
+        """A kernel instance started; begin executing its µthreads."""
         tracer = obs_tracer.tracer_of(self.device.sim)
         if tracer is not None:
             span = tracer.begin(
@@ -69,6 +71,7 @@ class InterpreterBackend(ExecutionBackend):
         self.fill_all_units(max(now_ns, self.device.sim.now))
 
     def unregister_execution(self, execution: KernelExecution) -> None:
+        """A kernel instance completed; drop any engine state for it."""
         if execution in self._active:
             self._active.remove(execution)
 

@@ -103,7 +103,6 @@ from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS
 from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
 
-_MASK64 = (1 << 64) - 1
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
 
@@ -318,8 +317,8 @@ def _mix_result(sets):
 class _LaneWalk:
     """Execute one lane synchronously, recording a cacheable path."""
 
-    def __init__(self, device, unit, execution, mapped: int, offset: int,
-                 cache_enabled: bool) -> None:
+    def __init__(self, device, unit, execution, mapped: int,
+                 offset: int) -> None:
         instance = execution.instance
         self.device = device
         self.unit = unit
@@ -331,7 +330,7 @@ class _LaneWalk:
         self.regs.write_x(2, offset)
         self.regs.write_x(3, execution.args_vaddr)
         self.mem = _RecordingMemory(unit.memory_for(instance.asid))
-        self.taint = _Taint() if cache_enabled else None
+        self.taint = _Taint()
         self.ops = [0] * ISSUE_COLUMNS      # instruction mix of the lane
         self.lat: list[float] = []
 
@@ -351,7 +350,7 @@ class _LaneWalk:
             self.ops[FU_COLUMN[inst.unit]] += 1
             mem.events.clear()
             result = execute(inst, regs, mem)
-            if taint is not None and taint.ok:
+            if taint.ok:
                 if not self._record(inst, result, cyc):
                     taint.ok = False
             if result.accesses:
@@ -359,14 +358,14 @@ class _LaneWalk:
                 cyc = 0
                 issue = t
                 t = self.unit.timed_accesses(result.accesses, t, self.asid)
-                if taint is not None and taint.ok:
+                if taint.ok:
                     self.lat.append(t - issue)
             if result.done:
                 break
             pc = result.jump_to if result.jump_to is not None else pc + 1
         t += cyc * period
         entry = None
-        if taint is not None and taint.ok:
+        if taint.ok:
             steps = self._freeze_steps()
             mem_steps = sum(1 for s in steps if s[0] == "mem")
             if mem_steps == len(self.lat):
@@ -680,57 +679,6 @@ def _rec_vstore(walk: _LaneWalk, inst, result, pre) -> bool:
     return True
 
 
-def _rec_indexed(walk: _LaneWalk, inst, result, pre) -> bool:
-    """vgather / vscatter / vamo: per-element events off one base."""
-    taint = walk.taint
-    if inst.rd in (inst.rs1, inst.rs2) and inst.op_class is OpClass.VGATHER:
-        return False                     # base/offsets clobbered mid-decode
-    base_t = taint.x[inst.rs1]
-    if base_t is None:
-        return False
-    offs = taint._v_mix(inst.rs2)
-    if offs is None:
-        return False
-    taint.promote(offs)
-    live_base = to_unsigned64(walk.regs.x[inst.rs1])
-    if not _is_lin(base_t):
-        taint.promote(base_t[1])
-        base_t = live_base
-    accesses = []
-    ks = set()
-    if inst.op_class is OpClass.VGATHER:
-        for _, vaddr, size, raw in walk.mem.events:
-            addr = _lin_add(base_t, (vaddr - live_base) & _MASK64)
-            k = len(taint.loads)
-            taint.loads.append([size, False, raw, False])
-            ks.add(k)
-            accesses.append(("ld", addr, size, k, False))
-        taint.v[inst.rd] = frozenset(ks)
-    elif inst.op_class is OpClass.VSCATTER:
-        vt = taint._v_mix(inst.rd)
-        if vt is None:
-            return False
-        taint.promote(vt)
-        for _, vaddr, size, raw in walk.mem.events:
-            addr = _lin_add(base_t, (vaddr - live_base) & _MASK64)
-            accesses.append(("st", addr, size, ("lit", raw)))
-    else:                                # VAMO
-        vt = taint._v_mix(inst.rd)
-        if vt is None:
-            return False
-        taint.promote(vt)
-        for _, vaddr, size, old, op, operand, is_float in walk.mem.events:
-            addr = _lin_add(base_t, (vaddr - live_base) & _MASK64)
-            k = len(taint.loads)
-            taint.loads.append([size, _AMO_SIGNED,
-                                _pack_amo_old(old, size, is_float), False])
-            accesses.append(("amo", addr, size, k, op, is_float,
-                             ("lit", operand)))
-    if accesses:
-        taint.steps.append(("mem", pre, tuple(accesses)))
-    return True
-
-
 def _rec_valu(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     m = inst.mnemonic
@@ -770,17 +718,12 @@ def _rec_valu(walk: _LaneWalk, inst, result, pre) -> bool:
     return True
 
 
-def _rec_vred(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    ks = _mix_result((taint._v_mix(inst.rs1), taint._v_mix(inst.rs2)))
-    taint.v[inst.rd] = _VCONST if ks == frozenset() else ks
-    return True
-
-
 def _rec_nop(walk, inst, result, pre) -> bool:
     return True
 
 
+#: An op class without a recorder (indexed gathers/scatters, vector AMOs,
+#: reductions) leaves its lane walking uncached.
 _RECORDERS = {
     OpClass.ALU: _rec_alu,
     OpClass.BRANCH: _rec_branch,
@@ -790,11 +733,7 @@ _RECORDERS = {
     OpClass.VSET: _rec_vset,
     OpClass.VLOAD: _rec_vload,
     OpClass.VSTORE: _rec_vstore,
-    OpClass.VGATHER: _rec_indexed,
-    OpClass.VSCATTER: _rec_indexed,
-    OpClass.VAMO: _rec_indexed,
     OpClass.VALU_OP: _rec_valu,
-    OpClass.VRED: _rec_vred,
     OpClass.FENCE: _rec_nop,
     OpClass.RET: _rec_nop,
 }
@@ -1083,8 +1022,8 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     n = instance.num_body_uthreads
     tv = device.translation_version
 
-    key = point_key(execution) if cache.enabled else None
-    family = cache.lookup_point(key, tv) if cache.enabled else None
+    key = point_key(execution)
+    family = cache.lookup_point(key, tv)
     identity = (instance.pool_base, instance.offset_bias, instance.args)
 
     t0 = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
@@ -1113,16 +1052,14 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                     gen_hits += 1
                 lane_ops = entry.ops
         if done_t is None:
-            walk = _LaneWalk(device, unit, execution, mapped=x1, offset=x2,
-                             cache_enabled=cache.enabled)
+            walk = _LaneWalk(device, unit, execution, mapped=x1, offset=x2)
             done_t, entry = walk.run(t0)
             lane_ops = walk.ops
-            if cache.enabled:
-                misses += 1
-                if entry is not None:
-                    entry.exemplar = identity
-                    cache.store_point(key, tv, entry)
-                    family = cache.lookup_point(key, tv)
+            misses += 1
+            if entry is not None:
+                entry.exemplar = identity
+                cache.store_point(key, tv, entry)
+                family = cache.lookup_point(key, tv)
         total_inst += lane_ops[0]
         # bulk issue pressure on the lane's sub-core (no per-inst charges)
         unit.subcores[0].service_batch(t0, lane_ops)

@@ -258,10 +258,7 @@ def x_read_counts(program) -> dict[int, int]:
         for reg in regs:
             if reg:
                 counts[reg] = counts.get(reg, 0) + 1
-    try:
-        program._x_read_counts = counts
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+    program._x_read_counts = counts
     return counts
 
 
@@ -325,10 +322,7 @@ def immediate_postdominators(program) -> list[int]:
             if size > best_size:
                 best, best_size = idx, size
         ipdom.append(best)
-    try:
-        program._simt_ipdom = ipdom
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+    program._simt_ipdom = ipdom
     return ipdom
 
 

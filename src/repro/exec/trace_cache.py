@@ -35,10 +35,10 @@ or active lanes, a remapped page (the device's ``translation_version``)
 — invalidates the entry and falls back to a full trace, so the cache can
 change wall-clock time but never results.
 
-``REPRO_TRACE_CACHE`` switches the cache off (every launch then takes
-the full trace path; see :mod:`repro.knobs` and the README "Knobs"
-table) and :data:`TRACE_CACHE_CAPACITY` bounds the number of retained
-entries (LRU).
+:data:`TRACE_CACHE_CAPACITY` bounds the number of retained entries
+(LRU).  A cache whose ``capacity`` is 0 evicts every entry as it is
+stored, so every launch takes the full trace path: that is the uncached
+reference the tests compare a hit against.
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
 :class:`PointPathEntry` *families*: one cache slot per **structural** key
@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import knobs
 from repro.mem.cache import SectorStream
 
 #: LRU bound on retained entries per device.
@@ -504,11 +503,9 @@ class TraceEntry:
 
 
 class TraceCache:
-    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape,
-    switched by the ``REPRO_TRACE_CACHE`` knob."""
+    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
 
     def __init__(self) -> None:
-        self.enabled: bool = knobs.resolve("REPRO_TRACE_CACHE")
         self.capacity = TRACE_CACHE_CAPACITY
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
 
@@ -518,8 +515,6 @@ class TraceCache:
     def _fresh(self, key: tuple, translation_version: int):
         """The slot's content, touched as most recent — or None after
         dropping it because the memory layout changed under it."""
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -540,8 +535,7 @@ class TraceCache:
         return self._fresh(key, translation_version)
 
     def store(self, key: tuple, entry: TraceEntry) -> None:
-        if self.enabled:
-            self._put(key, entry)
+        self._put(key, entry)
 
     def invalidate(self, key: tuple) -> None:
         """Drop a slot: a stale trace, or a whole point family (stale
@@ -560,8 +554,6 @@ class TraceCache:
 
     def store_point(self, key: tuple, translation_version: int,
                     entry: PointPathEntry) -> None:
-        if not self.enabled:
-            return
         family = self._fresh(key, translation_version)
         if family is None or not family.insert(entry.steps, entry):
             # first path, or a structural conflict: start the family afresh

@@ -11,15 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import knobs
-
-#: Execution backend of the figure reproductions (see repro.exec): the
-#: batched engines, which hand a launch they cannot replay to the
-#: interpreter.  ``REPRO_EXPERIMENT_BACKEND`` overrides it (README
-#: "Knobs"); only the ``engines`` driver pins backends, both of them.
-EXPERIMENT_BACKEND = knobs.resolve("REPRO_EXPERIMENT_BACKEND")
-
-
 #: Headline numbers from the paper, keyed by experiment id then by the
 #: ``ExperimentResult.headline`` key the driver reports them under.
 PAPER_REFERENCE = {

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from repro.analysis.roofline import fig1a_table, max_slowdown, mean_slowdown
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.workloads import kvstore
 from repro.workloads.base import make_platform, scale
 
@@ -34,7 +34,7 @@ def run_fig1b(scale_name: str = "small",
     )
     p95_by_ltu: dict[float, float] = {}
     for ltu in (75.0, 150.0, 600.0):
-        platform = make_platform(backend=EXPERIMENT_BACKEND)
+        platform = make_platform()
         run = kvstore.run_baseline(platform, data, ltu_ns=ltu)
         p95_by_ltu[ltu] = run.p95_ns
     local = p95_by_ltu[75.0]

@@ -12,7 +12,7 @@ threadblock and merges each through global memory.
 from __future__ import annotations
 
 from repro.config import GPU_NDP_ISO_AREA_SMS
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.host.gpu import make_gpu_ndp
 from repro.workloads import graph, histogram
 from repro.workloads.base import make_platform, scale
@@ -26,8 +26,8 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
     # M2NDP: run one PageRank iteration, sample per-unit occupancy.
     # Unpinned since the SIMT engine: the masked walk records per-phase
     # occupancy ratios into the same samplers the per-µthread engine
-    # feeds, so the figure runs on the experiment default backend.
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    # feeds, so the figure runs on the default backend.
+    platform = make_platform()
     ndp_run = graph.run_ndp_pagerank(platform, data, iterations=1)
     end = max(platform.sim.now, 1.0)
     ndp_series = platform.device.total_active_ratio_series(0.0, end, steps)
@@ -79,7 +79,7 @@ def run_fig6b(scale_name: str = "small", nbins: int = 256,
     """HISTO global/scratchpad traffic: M2NDP vs GPU-NDP(Iso-Area)."""
     preset = scale(scale_name)
     data = histogram.generate(preset.elements, nbins)
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    platform = make_platform()
     run = histogram.run_ndp(platform, data)
 
     elements = preset.elements

@@ -18,7 +18,7 @@ from repro.config import (
     GPU_NDP_ISO_AREA_SMS,
     GPU_NDP_ISO_FLOPS_SMS,
 )
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.host.gpu import GPUDevice, GPUKernelSpec, make_gpu_baseline, make_gpu_ndp
 from repro.host.nsu import NSUModel, NSUWorkload
 from repro.host.offload import make_offload_path
@@ -40,7 +40,7 @@ def run_fig10a(scale_name: str = "small") -> ExperimentResult:
     )
     for query in ("q14", "q6", "q1_1", "q1_2", "q1_3"):
         data = olap.generate(query, preset.rows)
-        platform = make_platform(backend=EXPERIMENT_BACKEND)
+        platform = make_platform()
         ndp = olap.run_ndp_evaluate(platform, data)
         base = olap.baseline_evaluate_ns(data)
         cpu_ndp = olap.cpu_ndp_evaluate_ns(data)
@@ -87,11 +87,11 @@ def run_fig10b(scale_name: str = "small",
     for maker, mix in ((kvstore.kvs_a, "KVS_A"), (kvstore.kvs_b, "KVS_B")):
         data = maker(preset.kv_items, preset.kv_requests,
                      interarrival_ns=interarrival_ns)
-        base_platform = make_platform(backend=EXPERIMENT_BACKEND)
+        base_platform = make_platform()
         base = kvstore.run_baseline(base_platform, data)
         row = {"mix": mix, "baseline_p95_ns": base.p95_ns}
         for mech in ("cxl_io_dr", "cxl_io_rb", "m2func"):
-            platform = make_platform(backend=EXPERIMENT_BACKEND)
+            platform = make_platform()
             run = kvstore.run_ndp(platform, data, make_offload_path(mech))
             row[f"{mech}_improvement"] = base.p95_ns / run.p95_ns
             if mech == "m2func":
@@ -157,14 +157,14 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
         data = histogram.generate(preset.elements, nbins)
         cases.append(GPUWorkloadCase(
             name=f"HISTO{nbins}",
-            run_ndp=(lambda d=data: histogram.run_ndp(make_platform(backend=EXPERIMENT_BACKEND), d)),
+            run_ndp=(lambda d=data: histogram.run_ndp(make_platform(), d)),
             gpu_specs=(lambda d=data: [histogram.gpu_spec(d)]),
         ))
 
     spmv_data = spmv.generate(preset.nodes, preset.avg_degree)
     cases.append(GPUWorkloadCase(
         name="SPMV",
-        run_ndp=(lambda d=spmv_data: spmv.run_ndp(make_platform(backend=EXPERIMENT_BACKEND), d)),
+        run_ndp=(lambda d=spmv_data: spmv.run_ndp(make_platform(), d)),
         gpu_specs=(lambda d=spmv_data: [spmv.gpu_spec(d)]),
     ))
 
@@ -172,7 +172,7 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
     cases.append(GPUWorkloadCase(
         name="PGRANK",
         run_ndp=(lambda d=graph_data: graph.run_ndp_pagerank(
-            make_platform(backend=EXPERIMENT_BACKEND), d, iterations=1)),
+            make_platform(), d, iterations=1)),
         gpu_specs=(lambda d=graph_data: [graph.gpu_spec_pagerank(d)]),
     ))
     # SSSP converges over many sweeps; a smaller graph keeps total work
@@ -181,7 +181,7 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
     sssp_data = graph.generate(max(preset.nodes // 4, 128), preset.avg_degree)
     cases.append(GPUWorkloadCase(
         name="SSSP",
-        run_ndp=(lambda d=sssp_data: graph.run_ndp_sssp(make_platform(backend=EXPERIMENT_BACKEND), d)),
+        run_ndp=(lambda d=sssp_data: graph.run_ndp_sssp(make_platform(), d)),
         gpu_specs=(lambda d=sssp_data: [graph.gpu_spec_sssp(d)]),
     ))
 
@@ -190,7 +190,7 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
                              lookups=40)
         cases.append(GPUWorkloadCase(
             name=f"DLRM-B{batch}",
-            run_ndp=(lambda d=data: dlrm.run_ndp(make_platform(backend=EXPERIMENT_BACKEND), d)),
+            run_ndp=(lambda d=data: dlrm.run_ndp(make_platform(), d)),
             gpu_specs=(lambda d=data: [dlrm.gpu_spec(d)]),
         ))
 
@@ -200,7 +200,7 @@ def build_cases(scale_name: str = "small") -> list[GPUWorkloadCase]:
                             sim_layers=preset.llm_layers)
         cases.append(GPUWorkloadCase(
             name=model.name,
-            run_ndp=(lambda d=data: llm.run_ndp(make_platform(backend=EXPERIMENT_BACKEND), d)),
+            run_ndp=(lambda d=data: llm.run_ndp(make_platform(), d)),
             gpu_specs=(lambda d=data: [llm.gpu_spec(d)]),
         ))
 

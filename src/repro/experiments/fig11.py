@@ -10,7 +10,7 @@ the advantage that remains is purely fewer round trips and concurrency.
 
 from __future__ import annotations
 
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.host.offload import make_offload_path, timeline
 from repro.workloads import kvstore
 from repro.workloads.base import make_platform, scale
@@ -29,7 +29,7 @@ def run_fig11a(scale_name: str = "small",
                              interarrival_ns=interarrival)
         row = {"offered_mrps": 1e3 / interarrival}
         for mech in ("m2func", "cxl_io_rb", "cxl_io_dr"):
-            platform = make_platform(queue_capacity=1 << 16, backend=EXPERIMENT_BACKEND)
+            platform = make_platform(queue_capacity=1 << 16)
             run = kvstore.run_ndp(platform, data, make_offload_path(mech))
             elapsed = platform.sim.now
             row[f"{mech}_p95_us"] = run.p95_ns / 1e3

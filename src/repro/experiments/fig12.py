@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from repro.cxl.switch import CXLSwitch
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.host.offload import CXL_IO_ONE_WAY_NS
 from repro.kernels.dlrm import DLRM_SLS
 from repro.kernels.graph import PAGERANK_ITER
@@ -61,15 +61,13 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
     # Unpinned since the SIMT engine: its chunked-wave latency floor
     # models spawn granularity (a coarse group's slots free only when the
     # slowest lane finishes) and the addressing ablation inflates the
-    # traced instruction stream, so both effects survive on the
-    # experiment default backend.
+    # traced instruction stream, so both effects survive on the default
+    # backend.
     for workload, (kernel, run) in cases.items():
-        base = run(make_platform(backend=EXPERIMENT_BACKEND), kernel)
-        coarse = run(make_platform(spawn_granularity=16,
-                                   backend=EXPERIMENT_BACKEND), kernel)
+        base = run(make_platform(), kernel)
+        coarse = run(make_platform(spawn_granularity=16), kernel)
         # w/o addr opt: the same run with the kernel source inflated
-        no_addr = run(make_platform(backend=EXPERIMENT_BACKEND),
-                      _inflate_addressing(kernel))
+        no_addr = run(make_platform(), _inflate_addressing(kernel))
         # w/o M2func: same kernel, launched through the ring buffer — adds
         # the Fig 5b pre/post overheads to every launch.
         rb_overhead = 8 * CXL_IO_ONE_WAY_NS
@@ -89,7 +87,7 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
         "the analytic backend's deterministic per-lane latencies compress "
         "the fine-grained ablation toward 1.0, and its roofline hides most "
         "of the addressing ablation's extra ALU work behind the memory "
-        "bound — run with REPRO_EXPERIMENT_BACKEND=interpreter for the "
+        "bound — run with REPRO_EXEC_BACKEND=interpreter for the "
         "event-driven spread"
     )
     return result
@@ -164,7 +162,7 @@ def run_fig12b(scale_name: str = "small") -> ExperimentResult:
 
 def _partitioned_run(kind: str, data, fraction: float) -> float:
     """Run one device's share of the partitioned workload."""
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    platform = make_platform()
     if kind == "dlrm":
         batch = max(1, int(data.batch * fraction))
         part = dlrm.generate(data.table.shape[0], batch=batch,

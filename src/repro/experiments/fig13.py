@@ -12,7 +12,7 @@ even at 80 % dirty.
 
 from __future__ import annotations
 
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.workloads import dlrm, histogram
 from repro.config import default_system
 from repro.workloads.base import make_platform, scale
@@ -27,8 +27,7 @@ def run_fig13a_frequency(scale_name: str = "small") -> ExperimentResult:
     )
     runtimes: dict[float, float] = {}
     for freq in (1.0, 2.0, 3.0):
-        platform = make_platform(default_system().with_ndp_freq(freq),
-                                 backend=EXPERIMENT_BACKEND)
+        platform = make_platform(default_system().with_ndp_freq(freq))
         run = histogram.run_ndp(platform, data)
         runtimes[freq] = run.runtime_ns
     for freq, ns in runtimes.items():
@@ -51,7 +50,7 @@ def run_fig13a_ltu(scale_name: str = "small") -> ExperimentResult:
     )
     for factor, ltu in ((1, 150.0), (2, 300.0), (4, 600.0)):
         system = default_system().with_ltu(ltu)
-        platform = make_platform(system, backend=EXPERIMENT_BACKEND)
+        platform = make_platform(system)
         run = olap.run_ndp_evaluate(platform, data)
         baseline = olap.baseline_evaluate_ns(data, ltu_ns=ltu)
         result.add(ltu_factor=f"{factor}x", ltu_ns=ltu,
@@ -80,7 +79,7 @@ def run_fig13b(scale_name: str = "small",
     )
     baseline_ns = None
     for fraction in dirty_fractions:
-        platform = make_platform(dirty_fraction=fraction, backend=EXPERIMENT_BACKEND)
+        platform = make_platform(dirty_fraction=fraction)
         run = dlrm.run_ndp(platform, data)
         if baseline_ns is None:
             baseline_ns = run.runtime_ns

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.config import CXLConfig
 from repro.cxl.switch import CXLSwitch
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.host.dsa import ALL_PES
 from repro.workloads import dlrm, llm, olap
 from repro.workloads.base import make_platform, scale
@@ -26,19 +26,19 @@ def run_fig14a(scale_name: str = "small") -> ExperimentResult:
     domains = {}
 
     olap_data = olap.generate("q6", preset.rows * 2)
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    platform = make_platform()
     ndp = olap.run_ndp_evaluate(platform, olap_data)
     domains["olap"] = (ndp.runtime_ns, ndp.dram_bytes)
 
     dlrm_data = dlrm.generate(preset.dlrm_rows, batch=256, dim=128,
                               lookups=40)
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    platform = make_platform()
     ndp = dlrm.run_ndp(platform, dlrm_data)
     domains["dlrm"] = (ndp.runtime_ns, ndp.dram_bytes)
 
     llm_data = llm.generate(llm.OPT_2_7B, sim_hidden=preset.llm_hidden,
                             sim_layers=preset.llm_layers)
-    platform = make_platform(backend=EXPERIMENT_BACKEND)
+    platform = make_platform()
     ndp = llm.run_ndp(platform, llm_data)
     domains["opt"] = (ndp.runtime_ns, ndp.dram_bytes)
 

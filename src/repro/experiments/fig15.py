@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.area import model as area
 from repro.config import GPU_NDP_ISO_AREA_SMS
 from repro.energy.model import EnergyModel
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.experiments.fig10 import _gpu_configs, _run_gpu, build_cases
 from repro.workloads import olap
 from repro.config import default_system
@@ -26,7 +26,7 @@ def run_fig15_olap(scale_name: str = "small") -> ExperimentResult:
     )
     for query in ("q6", "q1_3"):
         data = olap.generate(query, preset.rows)
-        platform = make_platform(backend=EXPERIMENT_BACKEND)
+        platform = make_platform()
         ndp = olap.run_ndp_evaluate(platform, data)
         base_ns = olap.baseline_evaluate_ns(data)
         bytes_moved = data.rows * data.query.bytes_per_row

@@ -29,7 +29,7 @@ radius records.
 from __future__ import annotations
 
 from repro.cluster import make_cluster_platform
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs.incidents import blast_radius, by_partition, grade_against_plan
 from repro.serve import ArrivalSpec, RetryPolicy, ServingEngine, TenantSpec
@@ -67,7 +67,6 @@ def _adversary(requests: int, partition: str | None) -> TenantSpec:
 def _run(tenants, num_devices: int, partitions: str | None,
          plan: FaultPlan | None = None, monitoring: bool | None = None):
     platform = make_cluster_platform(num_devices=num_devices,
-                                     backend=EXPERIMENT_BACKEND,
                                      partitions=partitions)
     injector = (platform.runtime.arm_faults(plan)
                 if plan is not None else None)
@@ -92,7 +91,7 @@ def run_partitioning(requests: int = 48,
     result = ExperimentResult(
         "partitioning",
         f"Hardware partitioning vs shared on {num_devices} devices "
-        f"({PARTITION_SPEC!r}, {EXPERIMENT_BACKEND} backend)",
+        f"({PARTITION_SPEC!r})",
     )
     for mode, spec in (("shared", None), ("partitioned", PARTITION_SPEC)):
         rt_pin = "rt" if spec else None
@@ -111,13 +110,12 @@ def run_partitioning(requests: int = 48,
         result.add(
             mode=mode,
             rt_solo_p99_ns=solo_p99,
-            rt_p99_ns=rt.p99_ns if rt.served else 0.0,
-            rt_p99_vs_solo=(rt.p99_ns / solo_p99
-                            if rt.served and solo_p99 else 0.0),
+            rt_p99_ns=rt.p99_ns,
+            rt_p99_vs_solo=rt.p99_ns / solo_p99 if solo_p99 else 0.0,
             rt_slo_att=rt.slo_attainment,
             rt_served=rt.served,
             noisy_served=noisy.served,
-            noisy_p99_ns=noisy.p99_ns if noisy.served else 0.0,
+            noisy_p99_ns=noisy.p99_ns,
             correct=rt.correct and noisy.correct,
         )
     result.headline = {"correct": all(result.column("correct"))}
@@ -146,7 +144,7 @@ def run_partitioning_containment(requests: int = 48,
     result = ExperimentResult(
         "partitioning-containment",
         f"Partition-scoped kill on {num_devices} devices "
-        f"({PARTITION_SPEC!r}, {EXPERIMENT_BACKEND} backend)",
+        f"({PARTITION_SPEC!r})",
     )
     tenants = lambda: [_interactive(requests, "rt"),
                        _adversary(adversary_requests, "batch")]

@@ -19,7 +19,7 @@ fault injector armed at all.
 from __future__ import annotations
 
 from repro.cluster import make_cluster_platform
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs.incidents import grade_against_plan
 from repro.serve import ArrivalSpec, RetryPolicy, ServingEngine, TenantSpec
@@ -68,14 +68,13 @@ def run_resilience(requests: int = 24,
     result = ExperimentResult(
         "resilience",
         f"Fault injection on {num_devices} devices "
-        f"(chaos x placement x retry, {EXPERIMENT_BACKEND} backend)",
+        "(chaos x placement x retry)",
     )
     horizon_ns = requests / 2e6 * 1e9       # expected traffic span
     for chaos, plan in _chaos_plans(horizon_ns).items():
         for placement in ("replicated", "blocked"):
             for policy_name, policy in RETRY_POLICIES.items():
-                platform = make_cluster_platform(
-                    num_devices=num_devices, backend=EXPERIMENT_BACKEND)
+                platform = make_cluster_platform(num_devices=num_devices)
                 platform.runtime.arm_faults(plan)
                 engine = ServingEngine(
                     platform,
@@ -93,7 +92,7 @@ def run_resilience(requests: int = 24,
                     retried=tenant.retried,
                     slo_att=tenant.slo_attainment,
                     goodput_rps=tenant.goodput_rps,
-                    p99_ns=tenant.p99_ns if tenant.served else 0.0,
+                    p99_ns=tenant.p99_ns,
                     kills=int(stats.get("fault.device_kills")),
                     lost=int(stats.get("fault.lost_completions")),
                     failovers=int(stats.get("recovery.failovers")),
@@ -138,13 +137,11 @@ def run_resilience_monitoring(requests: int = 24,
     """
     result = ExperimentResult(
         "resilience-monitoring",
-        f"Alert quality vs the armed fault schedule on {num_devices} "
-        f"devices ({EXPERIMENT_BACKEND} backend)",
+        f"Alert quality vs the armed fault schedule on {num_devices} devices",
     )
     horizon_ns = requests / 2e6 * 1e9
     for chaos, plan in _chaos_plans(horizon_ns).items():
-        platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=EXPERIMENT_BACKEND)
+        platform = make_cluster_platform(num_devices=num_devices)
         injector = platform.runtime.arm_faults(plan)
         engine = ServingEngine(
             platform,
@@ -198,8 +195,7 @@ def run_resilience_hedged(requests: int = 40,
                    duration_ns=50_000.0),
     ))
     for hedge_delay in (0.0, 1_000.0, 4_000.0):
-        platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=EXPERIMENT_BACKEND)
+        platform = make_cluster_platform(num_devices=num_devices)
         platform.runtime.arm_faults(stall)
         spec = TenantSpec(
             "kv", "kvstore",
@@ -217,7 +213,7 @@ def run_resilience_hedged(requests: int = 40,
             served=tenant.served,
             hedged=tenant.hedged,
             hedged_won=tenant.hedged_won,
-            p99_ns=tenant.p99_ns if tenant.served else 0.0,
+            p99_ns=tenant.p99_ns,
             slo_att=tenant.slo_attainment,
             correct=tenant.correct,
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.cluster import make_cluster_platform
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.scheduler import SCHEDULERS
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.serve import ArrivalSpec, BatchPolicy, ServingEngine, TenantSpec
 from repro.workloads.base import scale
 
@@ -33,7 +33,6 @@ def _drive(num_devices: int, placement: str, scheduler: str,
            vec_elements: int, olap_rows: int, requests: int) -> dict:
     platform = make_cluster_platform(
         num_devices=num_devices, placement=placement, scheduler=scheduler,
-        backend=EXPERIMENT_BACKEND,
     )
     arrivals = ArrivalSpec("poisson", rate_rps=SATURATING_RPS,
                            requests=requests)

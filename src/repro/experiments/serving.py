@@ -21,7 +21,7 @@ import json
 
 from repro import obs
 from repro.cluster import make_cluster_platform
-from repro.experiments.common import EXPERIMENT_BACKEND, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.obs.report import build_report, parse_events, render
 from repro.serve import (
     ArrivalSpec,
@@ -62,13 +62,11 @@ def run_serving(requests: int = 48,
     """Scheduler x batching sweep over the default tenant mix."""
     result = ExperimentResult(
         "serving",
-        f"SLO-aware serving on {num_devices} devices "
-        f"(scheduler x batching, {EXPERIMENT_BACKEND} backend)",
+        f"SLO-aware serving on {num_devices} devices (scheduler x batching)",
     )
     for scheduler in ("fifo", "wfq"):
         for max_batch in (1, 8):
-            platform = make_cluster_platform(num_devices=num_devices,
-                                             backend=EXPERIMENT_BACKEND)
+            platform = make_cluster_platform(num_devices=num_devices)
             engine = ServingEngine(
                 platform, default_tenants(requests),
                 scheduler=scheduler,
@@ -83,8 +81,8 @@ def run_serving(requests: int = 48,
                     qos=tenant.qos_class,
                     served=tenant.served,
                     shed=tenant.shed,
-                    p50_ns=tenant.p50_ns if tenant.served else 0.0,
-                    p99_ns=tenant.p99_ns if tenant.served else 0.0,
+                    p50_ns=tenant.p50_ns,
+                    p99_ns=tenant.p99_ns,
                     slo_att=tenant.slo_attainment,
                     goodput_rps=tenant.goodput_rps,
                     mean_batch=tenant.mean_batch,
@@ -120,8 +118,7 @@ def run_serving_autoscale(requests: int = 96,
         "serving-autoscale",
         f"Autoscaler on {num_devices} devices under bursty load",
     )
-    platform = make_cluster_platform(num_devices=num_devices,
-                                     backend=EXPERIMENT_BACKEND)
+    platform = make_cluster_platform(num_devices=num_devices)
     engine = ServingEngine(
         platform,
         [
@@ -165,8 +162,7 @@ def run_serving_traced(prefix: str = "serving",
     was_enabled = obs.enabled()
     obs.set_enabled(True)
     try:
-        platform = make_cluster_platform(num_devices=num_devices,
-                                         backend=EXPERIMENT_BACKEND)
+        platform = make_cluster_platform(num_devices=num_devices)
         engine = ServingEngine(
             platform, default_tenants(requests), scheduler="wfq",
             batch=BatchPolicy(max_batch=8, max_wait_ns=2_000.0),
@@ -185,7 +181,7 @@ def run_serving_traced(prefix: str = "serving",
             extra={
                 "experiment": "serving_traced",
                 "num_devices": num_devices,
-                "backend": EXPERIMENT_BACKEND,
+                "backend": platform.device.backend.name,
                 "served": report.served,
                 "span_ns": report.span_ns,
                 "utilization": engine._util.summary(),

@@ -9,8 +9,8 @@ accepted values, the offending value and where it came from.  Explicit
 arguments go through the same check as environment strings.
 
 It imports nothing from ``repro`` but :mod:`repro.errors`, so any module
-may resolve a knob at import (``obs.tracer`` and ``experiments.common``
-do); choice sets owned by other modules are looked up when first needed.
+may resolve a knob at import (``obs.tracer`` does); choice sets owned by
+other modules are looked up when first needed.
 
 ``python -m repro.knobs`` prints the README "Knobs" table generated from
 the declarations; ``--check README.md`` exits 1 when the block between
@@ -103,16 +103,10 @@ def _at_least(low: float) -> Callable[[float], bool]:
 _FLAG = "'0' or '1'"
 
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("REPRO_EXEC_BACKEND", "choice", _backends, None, None,
+    Knob("REPRO_EXEC_BACKEND", "choice", _backends, "batched", None,
          "Execution backend of every `M2NDPDevice` built without an "
-         "explicit `backend=` (config default: `NDPConfig.backend`, "
-         "`interpreter`)."),
-    Knob("REPRO_EXPERIMENT_BACKEND", "choice", _backends, "batched", None,
-         "Default backend for the figure drivers and experiments only; "
-         "read once, at `import repro.experiments.common`."),
-    Knob("REPRO_TRACE_CACHE", "flag", _FLAG, True, None,
-         "`0` disables the cross-launch trace cache; every launch pays "
-         "the trace tier."),
+         "explicit `backend=`; `interpreter` is the per-instruction "
+         "reference."),
     Knob("REPRO_CLUSTER_SCHEDULER", "choice", _cluster_schedulers, None,
          None, "Cluster fan-out placement policy for sub-launches (config "
          "default: `ClusterConfig.scheduler`, `locality`)."),

@@ -2,12 +2,12 @@
 
 Owns the physical memory (HDM), the banked LPDDR5 DRAM model, the
 memory-side L2, the CXL link + packet filter, the NDP controller and the 32
-NDP units.  Kernel launches are *executed* by a pluggable backend from
+NDP units.  Kernel launches are *executed* by a backend from
 :mod:`repro.exec` (the ``backend`` constructor argument, else the
-``REPRO_EXEC_BACKEND`` knob, else ``NDPConfig.backend``): the
-per-instruction interpreter or the batched trace-replay fast path.  The
-device itself only provides the shared memory-system services and the
-host-facing CXL.mem entry points.
+``REPRO_EXEC_BACKEND`` knob, else its declared default ``batched``): the
+batched engines or the per-instruction interpreter they fall back to and
+are measured against.  The device itself only provides the shared
+memory-system services and the host-facing CXL.mem entry points.
 
 Every device is split into >= 1 hardware :class:`DevicePartition`
 (:mod:`repro.cluster.partitions`): by default the one partition that is
@@ -137,10 +137,7 @@ class M2NDPDevice:
             for i in range(self.config.ndp.num_units)
         ]
         self.backend = make_backend(
-            knobs.resolve("REPRO_EXEC_BACKEND", backend,
-                          fallback=self.config.ndp.backend, arg="backend"),
-            self,
-        )
+            knobs.resolve("REPRO_EXEC_BACKEND", backend, arg="backend"), self)
         #: Hardware partitions, always >= 1: a device starts as the
         #: one-partition map and a cluster re-carves it at construction.
         self.partitions: list[DevicePartition]
@@ -367,7 +364,7 @@ class M2NDPDevice:
         self.sim.schedule_at(at_host, partial(callback, data, at_host))
 
     # ------------------------------------------------------------------
-    # µthread execution (delegated to the pluggable backend)
+    # µthread execution (delegated to the backend)
     # ------------------------------------------------------------------
 
     @property

@@ -57,7 +57,7 @@ class UtilizationSampler:
                 continue
             window = timeline.mark(now_ns)
             span = window.span_ns
-            pid = getattr(device, "trace_pid", 1)
+            pid = device.trace_pid
             deltas = window.deltas
 
             hits = deltas.get("l2.read_hits", 0.0) \

@@ -18,9 +18,8 @@ timestamps — the tracer never reads the wall clock — and form a tree:
 Because completion happens in scheduled callbacks — not on a call stack —
 the API is explicit begin/end with span ids rather than a context
 manager: :meth:`Tracer.begin` returns an id, :meth:`Tracer.end` closes
-it, and :meth:`Tracer.record` logs an already-bounded span.  The
-synchronous form :meth:`Tracer.span` (a context manager) exists for
-straight-line sections.
+it, and :meth:`Tracer.record` logs an already-bounded span.  A span's
+parent is always passed explicitly.
 
 Cross-device stitching: a cluster sub-launch only learns its device-side
 kernel instance id when the M2func read resolves, *after* the backend
@@ -40,8 +39,6 @@ a local load and branch, nothing else; nothing outside this module reads
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro import knobs
 
@@ -106,7 +103,6 @@ class Tracer:
         #: (pid, instance_id) -> (parent span id, tid) registered by the
         #: cluster runtime once a sub-launch's instance id resolves.
         self._instance_links: dict[tuple[int, int], tuple[int, int]] = {}
-        self._ctx_stack: list[int] = []
         self._finalized = False
 
     # -- recording ------------------------------------------------------
@@ -115,8 +111,6 @@ class Tracer:
               pid: int = HOST_PID, tid: int | None = None,
               instance: int | None = None, **args) -> int:
         """Open a span; returns its id (pass to :meth:`end`)."""
-        if parent is None and self._ctx_stack:
-            parent = self._ctx_stack[-1]
         span_id = self._next_id
         self._next_id += 1
         key = (pid, instance) if instance is not None else None
@@ -148,24 +142,6 @@ class Tracer:
                 pid: int = HOST_PID, tid: int | None = None, **args) -> int:
         """Zero-duration marker (cache hits, admission verdicts)."""
         return self.record(name, at_ns, at_ns, parent, pid, tid, **args)
-
-    @contextmanager
-    def span(self, name: str, start_ns: float, end_ns_fn=None,
-             parent: int | None = None, pid: int = HOST_PID,
-             tid: int | None = None, **args):
-        """Synchronous form: spans begun inside nest under this one.
-
-        ``end_ns_fn`` (e.g. ``lambda: sim.now``) supplies the close time;
-        it defaults to the start time (duration comes from the children).
-        """
-        span_id = self.begin(name, start_ns, parent, pid, tid, **args)
-        self._ctx_stack.append(span_id)
-        try:
-            yield span_id
-        finally:
-            self._ctx_stack.pop()
-            self.end(span_id,
-                     end_ns_fn() if end_ns_fn is not None else start_ns)
 
     # -- swim-lanes and cross-device stitching --------------------------
 
@@ -217,10 +193,6 @@ class Tracer:
         return ordered
 
     # -- views -----------------------------------------------------------
-
-    def roots(self) -> list[Span]:
-        self.finalize()
-        return [s for s in self.spans.values() if s.parent_id is None]
 
     def aggregates(self) -> dict[str, dict[str, float]]:
         """Per-name count / total / self-time rollup (for manifests)."""

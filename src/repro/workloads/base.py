@@ -44,12 +44,12 @@ def make_platform(system: SystemConfig | None = None,
                   backend: str | None = None) -> Platform:
     """Build a fresh simulator/device/runtime bundle.
 
-    ``backend`` selects the µthread execution backend ("interpreter" or
-    "batched", see :mod:`repro.exec`); ``None`` leaves the choice to the
-    device, which resolves the ``REPRO_EXEC_BACKEND`` knob (README
-    "Knobs").  An explicit ``backend`` argument always wins: an experiment
-    that pins the interpreter for correctness must not be overridden from
-    the environment.
+    ``backend`` selects the µthread execution backend ("batched" or
+    "interpreter", see :mod:`repro.exec`); ``None`` leaves the choice to
+    the device, which resolves the ``REPRO_EXEC_BACKEND`` knob (README
+    "Knobs", default ``batched``).  An explicit ``backend`` argument always
+    wins: a caller that pins a backend, as the ``engines`` driver pins
+    both, must not be overridden from the environment.
     """
     system = system if system is not None else default_system()
     sim = Simulator()

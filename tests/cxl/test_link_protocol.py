@@ -4,36 +4,20 @@ import pytest
 
 from repro.config import CXLConfig
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import (
-    HEADER_BYTES,
-    CXLPacket,
-    LoadToUseProfile,
-    PacketType,
-    PortLatencyBreakdown,
-)
+from repro.cxl.protocol import HEADER_BYTES, CXLPacket, PacketType
 from repro.errors import ConfigError
 
 
 class TestPortLatency:
     def test_round_trip_in_paper_range(self):
-        breakdown = PortLatencyBreakdown()
-        assert 52.0 <= breakdown.round_trip_ns <= 70.0
+        # Fig 2: 52-70 ns for the CXL.mem port-to-port round trip
+        assert 52.0 <= CXLConfig().port_to_port_round_trip_ns <= 70.0
 
     def test_one_way_is_half(self):
-        breakdown = PortLatencyBreakdown()
-        assert breakdown.one_way_ns == pytest.approx(breakdown.round_trip_ns / 2)
-
-
-class TestLoadToUse:
-    def test_default_decomposition(self):
-        profile = LoadToUseProfile()
-        total = (profile.host_path_ns + profile.link_round_trip_ns
-                 + profile.device_dram_ns)
-        assert total == pytest.approx(profile.load_to_use_ns)
-
-    def test_scaled_profiles(self):
-        assert LoadToUseProfile().scaled(2.0).load_to_use_ns == 300.0
-        assert LoadToUseProfile().scaled(4.0).load_to_use_ns == 600.0
+        # also on Fig 13a's stretched link, whose round trip absorbs the LtU
+        for config in (CXLConfig(), CXLConfig().with_load_to_use(600.0)):
+            assert config.one_way_ns == pytest.approx(
+                config.port_to_port_round_trip_ns / 2)
 
 
 class TestPacketWireBytes:

@@ -10,7 +10,7 @@ experiment's headline, gated per kernel in ``FIDELITY.json``.
 import numpy as np
 import pytest
 
-from repro.config import NDPConfig, SystemConfig, default_system
+from repro.cluster import make_cluster_platform
 from repro.errors import ConfigError
 from repro.exec import BatchedBackend, InterpreterBackend, make_backend
 from repro.exec.simt import LaunchTail
@@ -35,39 +35,37 @@ def _batched_stats(platform):
 
 
 class TestSelection:
-    def test_default_is_interpreter(self):
-        platform = make_platform()
-        assert isinstance(platform.device.backend, InterpreterBackend)
-        assert not isinstance(platform.device.backend, BatchedBackend)
+    def test_default_is_batched(self):
+        assert isinstance(make_platform().device.backend, BatchedBackend)
+        assert isinstance(make_cluster_platform().device.backend,
+                          BatchedBackend)
+        assert isinstance(M2NDPDevice(Simulator()).backend, BatchedBackend)
 
     def test_batched_selected_by_name(self):
         platform = make_platform(backend="batched")
         assert isinstance(platform.device.backend, BatchedBackend)
 
-    def test_config_default_backend(self):
-        system = SystemConfig(ndp=NDPConfig(backend="batched"))
-        platform = make_platform(system)
-        assert isinstance(platform.device.backend, BatchedBackend)
-
     def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "batched")
-        platform = make_platform()
-        assert isinstance(platform.device.backend, BatchedBackend)
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
+        for platform in (make_platform(), make_cluster_platform()):
+            assert not isinstance(platform.device.backend, BatchedBackend)
+            assert isinstance(platform.device.backend, InterpreterBackend)
 
     def test_explicit_backend_beats_env_var(self, monkeypatch):
-        # Experiments pin the interpreter for correctness (Fig 6 / Fig
-        # 12a); the environment must not silently override those pins.
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "batched")
-        platform = make_platform(backend="interpreter")
-        assert not isinstance(platform.device.backend, BatchedBackend)
+        # The engines driver pins both backends; the environment must not
+        # silently override those pins.
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
+        platform = make_platform(backend="batched")
+        assert isinstance(platform.device.backend, BatchedBackend)
 
     def test_bare_device_honours_env_var(self, monkeypatch):
         # the README precedence holds where the backend is made, not only
-        # in the platform factories that used to read the variable
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "batched")
-        assert isinstance(M2NDPDevice(Simulator()).backend, BatchedBackend)
-        pinned = M2NDPDevice(Simulator(), backend="interpreter")
-        assert not isinstance(pinned.backend, BatchedBackend)
+        # in the platform factories
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
+        bare = M2NDPDevice(Simulator())
+        assert not isinstance(bare.backend, BatchedBackend)
+        pinned = M2NDPDevice(Simulator(), backend="batched")
+        assert isinstance(pinned.backend, BatchedBackend)
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "jit")
         with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
             M2NDPDevice(Simulator())
@@ -75,10 +73,6 @@ class TestSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             make_platform(backend="jit")
-
-    def test_unknown_config_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            NDPConfig(backend="jit")
 
     def test_registry_rejects_unknown(self):
         with pytest.raises(ConfigError):

@@ -176,8 +176,11 @@ def build_kernel(seed: int) -> str:
     return "\n".join(body)
 
 
-def _run(backend: str, seed: int, launches: int = 1):
+def _run(backend: str, seed: int, launches: int = 1,
+         cache_capacity: int | None = None):
     platform = make_platform(backend=backend)
+    if cache_capacity is not None:
+        platform.device.backend.trace_cache.capacity = cache_capacity
     runtime = platform.runtime
     rng = np.random.default_rng(2000 + seed)
     table = rng.integers(0, 8, 256).astype(np.int64)
@@ -227,14 +230,13 @@ def test_runtime_ns_deterministic_across_runs(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_cached_replay_is_timing_and_byte_identical(seed, monkeypatch):
-    results = {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", mode)
-        platform, ns, mem = _run("batched", seed, launches=2)
-        results[mode] = (ns, mem, platform)
-    (ns_cached, mem_cached, plat_cached) = results["1"]
-    (ns_uncached, mem_uncached, _) = results["0"]
+def test_cached_replay_is_timing_and_byte_identical(seed):
+    plat_cached, ns_cached, mem_cached = _run("batched", seed, launches=2)
+    # capacity 0: every entry is evicted as it is stored, so both launches
+    # trace afresh
+    plat_uncached, ns_uncached, mem_uncached = _run(
+        "batched", seed, launches=2, cache_capacity=0)
+    assert plat_uncached.stats.get("exec.trace_cache_hits") == 0
     assert mem_cached == mem_uncached
     # the cached second launch replays the recorded mask schedule; its
     # timing charge is byte-identical to a fresh trace of the same state

@@ -1,8 +1,9 @@
-"""Cross-launch trace cache: hits, misses, invalidation, env knobs.
+"""Cross-launch trace cache: hits, misses, invalidation, capacity.
 
 The cache may only ever change wall-clock time.  Every test therefore
 checks functional outputs alongside the hit/miss counters, and the
-timing test pins the cached path's ``runtime_ns`` to the uncached one.
+timing test pins the cached path's ``runtime_ns`` to the uncached one:
+a cache of ``capacity`` 0, which keeps no entry and so never hits.
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from repro.cluster import make_cluster_platform
 from repro.config import NDPConfig, SystemConfig
-from repro.errors import ConfigError
 from repro.exec.trace_cache import StaleTrace, StepLog
 from repro.host.api import pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
@@ -23,6 +23,13 @@ N = 4096
 def _cache_stats(platform):
     return (platform.stats.get("exec.trace_cache_hits"),
             platform.stats.get("exec.trace_cache_misses"))
+
+
+def _uncached(platform):
+    """``platform`` with every device's trace cache holding no entry."""
+    for device in getattr(platform, "devices", [platform.device]):
+        device.backend.trace_cache.capacity = 0
+    return platform
 
 
 def _setup_vecadd(platform, n=N, mult=3):
@@ -54,20 +61,23 @@ class TestHitsAndMisses:
         assert _cache_stats(platform) == (2, 1)
         assert np.array_equal(runtime.read_array(addr_c, np.int64, N), a + b)
 
-    def test_cached_runtime_matches_uncached(self, monkeypatch):
+    def test_cached_runtime_matches_uncached(self):
         results = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_CACHE", mode)
+        for cached in (True, False):
             platform = make_platform(backend="batched")
+            if not cached:
+                _uncached(platform)
             runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(
                 platform)
             args = pack_args(addr_b, addr_c)
             _launch(runtime, kid, addr_a, a.nbytes, args)
             second = _launch(runtime, kid, addr_a, a.nbytes, args)
-            results[mode] = (second.runtime_ns,
-                             runtime.read_array(addr_c, np.int64, N))
-        cached_ns, cached_out = results["1"]
-        uncached_ns, uncached_out = results["0"]
+            results[cached] = (second.runtime_ns,
+                               runtime.read_array(addr_c, np.int64, N),
+                               _cache_stats(platform)[0])
+        cached_ns, cached_out, hits = results[True]
+        uncached_ns, uncached_out, no_hits = results[False]
+        assert (hits, no_hits) == (1, 0)
         assert np.array_equal(cached_out, uncached_out)
         assert cached_ns == pytest.approx(uncached_ns, rel=0.02)
 
@@ -94,10 +104,11 @@ class TestOneEntrySeveralCaches:
     would be silently wrong in the second."""
 
     @staticmethod
-    def _runtimes(order, cache: str, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", cache)
+    def _runtimes(order, cached: bool):
         platform = make_cluster_platform(num_devices=1, partitions="a:1,b:3",
                                          backend="batched")
+        if not cached:
+            _uncached(platform)
         cluster = platform.runtime
         runtime = cluster.runtimes[0]
         device = runtime.device
@@ -121,10 +132,9 @@ class TestOneEntrySeveralCaches:
         return runtimes, device.stats.get("exec.trace_cache_hits_batched")
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_hit_in_the_other_partition_is_charged_to_its_l2(
-            self, order, monkeypatch):
-        cached, hits = self._runtimes(order, "1", monkeypatch)
-        uncached, no_hits = self._runtimes(order, "0", monkeypatch)
+    def test_hit_in_the_other_partition_is_charged_to_its_l2(self, order):
+        cached, hits = self._runtimes(order, cached=True)
+        uncached, no_hits = self._runtimes(order, cached=False)
         assert (hits, no_hits) == (1, 0)
         assert cached == uncached
         if order == (0, 1):
@@ -187,8 +197,7 @@ class TestInvalidation:
         outputs = {}
         for label, system in (
             ("default", None),
-            ("slow", SystemConfig(ndp=NDPConfig(freq_ghz=1.0,
-                                                backend="batched"))),
+            ("slow", SystemConfig(ndp=NDPConfig(freq_ghz=1.0))),
         ):
             platform = make_platform(system, backend="batched")
             runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(
@@ -411,15 +420,15 @@ class TestBypass:
         assert platform.stats.get("exec.batched_fallbacks") == 0
         assert platform.stats.get("exec.simt_launches") == 2
 
-    def test_env_var_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        platform = make_platform(backend="batched")
+    def test_capacity_zero_disables_cache(self):
+        # every entry is evicted as it is stored: each launch retraces
+        platform = _uncached(make_platform(backend="batched"))
         runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(platform)
         args = pack_args(addr_b, addr_c)
         for _ in range(3):
             _launch(runtime, kid, addr_a, a.nbytes, args)
-        assert not platform.device.backend.trace_cache.enabled
-        assert _cache_stats(platform) == (0, 0)
+        assert len(platform.device.backend.trace_cache) == 0
+        assert _cache_stats(platform) == (0, 3)
         assert platform.stats.get("exec.batched_launches") == 3
         assert np.array_equal(runtime.read_array(addr_c, np.int64, N), a + b)
 
@@ -431,11 +440,3 @@ class TestBypass:
             args = pack_args(addr_b, addr_c)
             _launch(runtime, kid, addr_a, a.nbytes - 32 * offset, args)
         assert len(platform.device.backend.trace_cache) == 2
-
-
-class TestEnvValidation:
-    @pytest.mark.parametrize("value", ["yes", "2", ""])
-    def test_bad_enable_flag_is_a_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", value)
-        with pytest.raises(ConfigError, match="REPRO_TRACE_CACHE must be"):
-            make_platform(backend="batched")

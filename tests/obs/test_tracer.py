@@ -52,15 +52,6 @@ class TestSpanLifecycle:
         first = tracer.finalize()
         assert tracer.finalize() == first
 
-    def test_context_manager_nests(self):
-        tracer = Tracer()
-        with tracer.span("outer", 0.0, end_ns_fn=lambda: 10.0) as outer:
-            inner = tracer.begin("inner", 2.0)
-            tracer.end(inner, 4.0)
-        spans = {s.name: s for s in tracer.finalize()}
-        assert spans["inner"].parent_id == outer
-        assert spans["outer"].end_ns == 10.0
-
 
 class TestLanesAndStitching:
     def test_alloc_tid_is_per_pid(self):

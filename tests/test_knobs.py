@@ -20,9 +20,8 @@ from repro.errors import ConfigError
 
 #: (name, good raw string, what it resolves to, raw strings that must fail)
 TABLE = [
-    ("REPRO_EXEC_BACKEND", "batched", "batched", ("jit", "Batched", "")),
-    ("REPRO_EXPERIMENT_BACKEND", "interpreter", "interpreter", ("batchd",)),
-    ("REPRO_TRACE_CACHE", "0", False, ("yes", "2", "true", "")),
+    ("REPRO_EXEC_BACKEND", "interpreter", "interpreter",
+     ("jit", "Batched", "")),
     ("REPRO_CLUSTER_SCHEDULER", "round_robin", "round_robin", ("fifo",)),
     ("REPRO_PARTITIONS", "rt:1,batch:3", "rt:1,batch:3", ()),
     ("REPRO_SERVE_SCHEDULER", "fifo", "fifo", ("lottery",)),
@@ -116,15 +115,12 @@ def _python(code: str, **env: str) -> subprocess.CompletedProcess:
 
 
 def test_import_time_knobs_are_read_at_import():
-    done = _python(
-        "import repro.obs.tracer as t, repro.experiments.common as c;"
-        "print(t.ENABLED, c.EXPERIMENT_BACKEND)",
-        REPRO_TRACE="1", REPRO_EXPERIMENT_BACKEND="interpreter")
-    assert done.stdout.split() == ["True", "interpreter"], done.stderr
-    bad = _python("import repro.experiments.common",
-                  REPRO_EXPERIMENT_BACKEND="batchd")
+    done = _python("import repro.obs.tracer as t; print(t.ENABLED)",
+                   REPRO_TRACE="1")
+    assert done.stdout.split() == ["True"], done.stderr
+    bad = _python("import repro.obs.tracer", REPRO_TRACE="yes")
     assert bad.returncode != 0
-    assert "ConfigError: REPRO_EXPERIMENT_BACKEND must be" in bad.stderr
+    assert "ConfigError: REPRO_TRACE must be" in bad.stderr
 
 
 def test_knobs_imports_nothing_from_repro_but_errors():

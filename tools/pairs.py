@@ -9,12 +9,15 @@ change won and the ROADMAP rule for a claimed gain: >= 10 pairs, >= 9/10 won,
 medians apart by more than the parent's quartile distance, `sim_digest_pass1`
 equal on every reading.  What a gain may have been bought with is read from
 the same runs: each side's median `setup_s` and `peak_rss_mb`, and whether the
-change's is inside the `BENCHMARK.json` bound.  Exit 1 on unequal digests or a
-failed run, else 0 (a gain not shown, or a cost over its bound, is a verdict,
-not an error).  `--quick`: CI self-test size.
+change's is inside the `BENCHMARK.json` bound.  Both trees are byte-compiled
+first, so neither side's `setup_s` pays for stale or missing `.pyc` files.
+Exit 1 on unequal digests or a failed run, else 0 (a gain not shown, or a
+cost over its bound, is a verdict, not an error).  `--quick`: CI self-test
+size.
 """
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -24,6 +27,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 RATE = "units_per_wall_s"
 COSTS = ("setup_s", "peak_rss_mb")      # lower is better, bounded
+
+
+def compile_tree(tree: Path) -> None:
+    """Write fresh `.pyc` files for `src` and `bench` (a shell exporting
+    PYTHONDONTWRITEBYTECODE would otherwise leave a clone without them)."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                   cwd=tree, env=env, check=True)
 
 
 def reading(tree: Path, args, out: Path) -> tuple[dict[str, float], str]:
@@ -52,6 +64,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": HERE}
+    for tree in trees.values():
+        compile_tree(tree)
     readings = {side: [] for side in trees}
     digests = set()
     with tempfile.TemporaryDirectory() as scratch:
