@@ -6,6 +6,10 @@ a long memory access, finishes, or hits the burst cap; then an event is
 scheduled at its next ready time.  Short accesses (scratchpad / L1 hits)
 continue inline, so the event count is proportional to DRAM accesses, not
 instructions — that is what makes a pure-Python cycle-level model feasible.
+A thread steps through its program's decoded form
+(:func:`repro.isa.executor.decode`, bound once per program): per
+instruction it issues on a known FU column and runs a bound handler, with
+no dispatch on the instruction.
 
 :class:`InterpreterBackend` is also the backend interface: the device and
 controller call ``register_execution`` / ``unregister_execution`` /
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.isa.executor import execute
+from repro.isa.executor import decode
 from repro.ndp.generator import SPAWN_LATENCY_NS, KernelExecution
 from repro.ndp.uthread import UThread
 from repro.obs import tracer as obs_tracer
@@ -124,32 +128,40 @@ class InterpreterBackend:
                     execution: KernelExecution) -> None:
         device = self.device
         unit = device.units[thread.unit_index]
-        subcore = unit.subcores[thread.allocation.subcore_index]
-        memory = unit.memory_for(thread.instance.asid)
-        instructions = thread.program.instructions
-        count = len(instructions)
-        t = thread.ready_ns
+        issue = unit.subcores[thread.allocation.subcore_index].issue
         asid = thread.instance.asid
+        memory = unit.memory_for(asid)
+        code = decode(thread.program)
+        count = len(code)
+        regs = thread.regs
+        t = thread.ready_ns
+        # pc and the instruction count live in locals; they are written
+        # back to the thread whenever it yields or finishes
+        pc = thread.pc
+        executed = thread.instructions_executed
 
         for _ in range(BURST_CAP):
-            if thread.pc >= count:
+            if pc >= count:
+                thread.pc, thread.instructions_executed = pc, executed
                 self._finish_thread(thread, execution, unit, t)
                 return
-            inst = instructions[thread.pc]
-            start, exec_done = subcore.issue(inst, t)
-            result = execute(inst, thread.regs, memory)
-            thread.instructions_executed += 1
+            run, column, cycles = code[pc]
+            exec_done = issue(column, cycles, t)[1]
+            result = run(regs, memory)
+            executed += 1
 
             if result.done:
+                thread.pc, thread.instructions_executed = pc, executed
                 self._finish_thread(thread, execution, unit, exec_done)
                 return
-            thread.pc = result.jump_to if result.jump_to is not None else thread.pc + 1
+            pc = result.jump_to if result.jump_to is not None else pc + 1
 
             if result.accesses:
                 completion = unit.timed_accesses(result.accesses, exec_done, asid)
                 if completion - exec_done <= INLINE_WINDOW_NS:
                     t = completion
                     continue
+                thread.pc, thread.instructions_executed = pc, executed
                 thread.ready_ns = completion
                 device.sim.schedule_at(
                     completion, partial(self._run_thread, thread, execution)
@@ -157,6 +169,7 @@ class InterpreterBackend:
                 return
             t = exec_done
 
+        thread.pc, thread.instructions_executed = pc, executed
         thread.ready_ns = t
         device.sim.schedule_at(t, partial(self._run_thread, thread, execution))
 

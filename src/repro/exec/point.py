@@ -6,8 +6,8 @@ each a single bucket-chain walk — and exactly where the bulk engines
 fall off a cliff: per-launch numpy setup (mask stacks, shadow arrays,
 fresh register files) costs orders of magnitude more than the handful of
 instructions the kernel runs.  This module executes such launches as a
-plain synchronous per-lane walk (reusing the scalar
-:func:`repro.isa.executor.execute`, committing memory immediately like
+plain synchronous per-lane walk (stepping through the scalar executor's
+:func:`repro.isa.executor.decode`, committing memory immediately like
 the interpreter) while *taint-tracing* every value it computes:
 
 * plain ``int``  — a value reproducible from the kernel code alone;
@@ -88,7 +88,7 @@ from repro.isa.executor import (
     FP_LOADS,
     LOAD_SIGNED,
     MemAccess,
-    execute,
+    decode,
 )
 from repro.isa.encoding import OpClass
 from repro.isa.registers import (
@@ -99,7 +99,7 @@ from repro.isa.registers import (
 from repro.errors import TranslationFault
 from repro.mem.scratchpad import _apply_amo
 from repro.ndp.generator import SPAWN_LATENCY_NS
-from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS
+from repro.ndp.subcore import ISSUE_COLUMNS
 from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
 
@@ -337,21 +337,22 @@ class _LaneWalk:
     def run(self, t0: float) -> tuple[float, "PointPathEntry | None"]:
         """Walk the body; returns (completion_ns, cacheable entry)."""
         instructions = self.program.instructions
-        count = len(instructions)
-        regs, mem, taint = self.regs, self.mem, self.taint
+        code = decode(self.program)
+        count = len(code)
+        regs, mem, taint, ops = self.regs, self.mem, self.taint, self.ops
         period = self.period
         t = t0
         cyc = 0
         pc = 0
         while pc < count:
-            inst = instructions[pc]
-            cyc += inst.latency_cycles
-            self.ops[0] += 1
-            self.ops[FU_COLUMN[inst.unit]] += 1
+            run, column, cycles = code[pc]
+            cyc += cycles
+            ops[0] += 1
+            ops[column] += 1
             mem.events.clear()
-            result = execute(inst, regs, mem)
+            result = run(regs, mem)
             if taint.ok:
-                if not self._record(inst, result, cyc):
+                if not self._record(instructions[pc], result, cyc):
                     taint.ok = False
             if result.accesses:
                 t += cyc * period

@@ -497,7 +497,7 @@ class _PhaseWalk(vo.LaneISA):
         self._atomics = 0
         self.hazards_global = _PhaseHazards(n == 1)
         self.hazards_spad = _PhaseHazards(n == 1)
-        self._seen_sectors: np.ndarray | None = None
+        self._seen_sectors: set[int] = set()     # first-touch set
 
         self.xr: list[np.ndarray] = [np.zeros(n, dtype=np.int64)] * 32
         self.xr[1] = np.asarray(x1, dtype=np.int64)
@@ -623,15 +623,10 @@ class _PhaseWalk(vo.LaneISA):
         by then, exactly as the interpreter's timed path observes.
         """
         sectors = self.memlog.sectors(self._l2_config.sector_bytes)
-        if self._seen_sectors is None:
-            self._seen_sectors = sectors
-            return 1.0
-        fresh = ~np.isin(sectors, self._seen_sectors, assume_unique=True)
-        new = int(fresh.sum())
-        if new:
-            self._seen_sectors = np.union1d(self._seen_sectors,
-                                            sectors[fresh])
-        return new / sectors.size
+        seen = self._seen_sectors
+        before = len(seen)
+        seen.update(sectors.tolist())     # a step's sectors are unique
+        return (len(seen) - before) / sectors.size
 
     def _spad_elems(self, lanes: np.ndarray, addrs: np.ndarray, size: int,
                     what: int, bytes_each: int):

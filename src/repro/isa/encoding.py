@@ -24,6 +24,11 @@ class FUnit(enum.Enum):
     VLSU = "vector_lsu"
 
 
+#: Issue-bank column of each functional unit (``repro.ndp.subcore``);
+#: column 0 is the dispatch stage.
+FU_COLUMN = {fu: column for column, fu in enumerate(FUnit, start=1)}
+
+
 class OpClass(enum.Enum):
     """Semantic grouping the executor and timing model dispatch on."""
 

@@ -1,11 +1,18 @@
 """Functional executor for the M2NDP RISC-V/RVV subset.
 
-:func:`execute` runs exactly one instruction against a µthread's register
-state and a :class:`MemoryInterface`, returning an :class:`ExecResult`
-describing control flow and the memory accesses performed.  Timing is the
-caller's job (``repro.ndp.subcore``): the executor moves real data
-immediately so kernels compute correct results, while the returned access
-descriptors let the timing model charge cache/DRAM/scratchpad latencies.
+:func:`bind` turns one instruction into ``run(regs, mem) -> ExecResult``:
+the mnemonic and the operand fields are resolved once, so running it reads
+nothing from the :class:`Instruction`.  :func:`decode` binds a whole
+program once (memoized on the :class:`~repro.isa.assembler.Program`) and
+pairs each ``run`` with its instruction's issue column and latency in
+cycles; the interpreter and the point engine's walk step through that.
+:func:`execute` is ``bind(inst)(regs, mem)``, so every op has exactly one
+implementation.
+
+Timing is the caller's job (``repro.ndp.subcore``): the executor moves real
+data immediately so kernels compute correct results, while the returned
+access descriptors let the timing model charge cache/DRAM/scratchpad
+latencies.
 
 Atomics execute atomically here, so racy bulk-synchronous µthreads still
 produce the correct reductions regardless of how the timing model
@@ -15,11 +22,17 @@ interleaves them — the same guarantee the hardware gives.
 from __future__ import annotations
 
 import struct
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.errors import ExecutionError
-from repro.isa.encoding import Instruction, OpClass
-from repro.isa.registers import UThreadRegisters, to_signed32, to_signed64, to_unsigned64
+from repro.isa.encoding import FU_COLUMN, Instruction, OpClass
+from repro.isa.registers import (
+    _U64_MASK,
+    UThreadRegisters,
+    to_signed32,
+    to_signed64,
+    to_unsigned64,
+)
 from repro.isa.vector import (
     as_signed,
     as_unsigned,
@@ -75,7 +88,11 @@ class MemAccess:
 
 
 class ExecResult:
-    """Effects of one executed instruction (slotted, hot path)."""
+    """Effects of one executed instruction (slotted, hot path).
+
+    Callers only read it: a branch's taken result and the plain / done
+    results are shared between runs.
+    """
 
     __slots__ = ("accesses", "jump_to", "done")
 
@@ -85,6 +102,9 @@ class ExecResult:
         self.jump_to = jump_to
         self.done = done
 
+
+#: What :func:`bind` returns: one instruction, ready to run.
+Run = Callable[[UThreadRegisters, MemoryInterface], ExecResult]
 
 _PLAIN = ExecResult()
 _DONE = ExecResult(done=True)
@@ -207,117 +227,187 @@ AMO_OPS = {
 }
 
 
-def _exec_scalar_alu(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
-    m = inst.mnemonic
+# ---------------------------------------------------------------------------
+# binders: instruction -> run(regs, mem)
+# ---------------------------------------------------------------------------
+
+
+def _unhandled(message: str) -> Run:
+    """``run`` for an instruction no binder knows: it raises when run,
+    never when bound."""
+
+    def run(regs, mem):
+        raise ExecutionError(message)
+    return run
+
+
+def _x_write(rd: int, value) -> Run:
+    """``run`` writing ``value(x, f)`` to ``x[rd]`` with ``write_x``'s
+    rule: wrapped to signed 64 bits, computed and discarded for x0."""
+
+    def run(regs, mem):
+        v = value(regs.x, regs.f)
+        if rd:
+            regs.x[rd] = to_signed64(v)
+        return _PLAIN
+    return run
+
+
+def _f_write(rd: int, value) -> Run:
+    """``run`` writing ``float(value(x, f))`` to ``f[rd]``."""
+
+    def run(regs, mem):
+        regs.f[rd] = float(value(regs.x, regs.f))
+        return _PLAIN
+    return run
+
+
+def _bind_scalar_alu(inst: Instruction) -> Run:
+    m, rd, rs1, rs2, rs3, imm = (inst.mnemonic, inst.rd, inst.rs1, inst.rs2,
+                                 inst.rs3, inst.imm)
     if m in _INT_BINOPS:
-        result = _INT_BINOPS[m](regs.x[inst.rs1], regs.x[inst.rs2])
-        regs.write_x(inst.rd, result)
-    elif m in _INT_IMMOPS:
-        result = _INT_BINOPS[_INT_IMMOPS[m]](regs.x[inst.rs1], inst.imm)
-        regs.write_x(inst.rd, result)
-    elif m in ("addw", "mulw"):
-        base = "add" if m == "addw" else "mul"
-        result = to_signed32(_INT_BINOPS[base](regs.x[inst.rs1], regs.x[inst.rs2]))
-        regs.write_x(inst.rd, result)
-    elif m == "li":
-        regs.write_x(inst.rd, inst.imm)
-    elif m == "lui":
-        regs.write_x(inst.rd, inst.imm << 12)
-    elif m == "mv":
-        regs.write_x(inst.rd, regs.x[inst.rs1])
-    elif m == "neg":
-        regs.write_x(inst.rd, -regs.x[inst.rs1])
-    elif m == "seqz":
-        regs.write_x(inst.rd, int(regs.x[inst.rs1] == 0))
-    elif m == "snez":
-        regs.write_x(inst.rd, int(regs.x[inst.rs1] != 0))
-    elif m in _FP_BINOPS:
-        regs.write_f(inst.rd, _FP_BINOPS[m](regs.f[inst.rs1], regs.f[inst.rs2]))
-    elif m in _FP_COMPARES:
-        regs.write_x(inst.rd, _FP_COMPARES[m](regs.f[inst.rs1], regs.f[inst.rs2]))
-    elif m == "fmadd.d":
-        regs.write_f(
-            inst.rd,
-            regs.f[inst.rs1] * regs.f[inst.rs2] + regs.f[inst.rs3],
-        )
-    elif m == "fsqrt.d":
-        value = regs.f[inst.rs1]
-        if value < 0:
-            raise ExecutionError("fsqrt of negative value")
-        regs.write_f(inst.rd, value ** 0.5)
-    elif m == "fmv.d":
-        regs.write_f(inst.rd, regs.f[inst.rs1])
-    elif m == "fmv.x.d":
-        regs.write_x(inst.rd, _U64.unpack(_F64.pack(regs.f[inst.rs1]))[0])
-    elif m == "fmv.d.x":
-        regs.write_f(inst.rd, _F64.unpack(_U64.pack(to_unsigned64(regs.x[inst.rs1])))[0])
-    elif m in ("fcvt.d.l", "fcvt.s.l"):
-        regs.write_f(inst.rd, float(regs.x[inst.rs1]))
-    elif m == "fcvt.l.d":
-        regs.write_x(inst.rd, int(regs.f[inst.rs1]))
-    else:  # pragma: no cover - table and dispatch kept in sync by tests
-        raise ExecutionError(f"unhandled ALU mnemonic {m}")
-    return _PLAIN
+        op = _INT_BINOPS[m]
+        return _x_write(rd, lambda x, f: op(x[rs1], x[rs2]))
+    if m in _INT_IMMOPS:
+        op = _INT_BINOPS[_INT_IMMOPS[m]]
+        return _x_write(rd, lambda x, f: op(x[rs1], imm))
+    if m in ("addw", "mulw"):
+        op = _INT_BINOPS["add" if m == "addw" else "mul"]
+        return _x_write(rd, lambda x, f: to_signed32(op(x[rs1], x[rs2])))
+    if m == "li":
+        return _x_write(rd, lambda x, f: imm)
+    if m == "lui":
+        return _x_write(rd, lambda x, f: imm << 12)
+    if m == "mv":
+        return _x_write(rd, lambda x, f: x[rs1])
+    if m == "neg":
+        return _x_write(rd, lambda x, f: -x[rs1])
+    if m == "seqz":
+        return _x_write(rd, lambda x, f: int(x[rs1] == 0))
+    if m == "snez":
+        return _x_write(rd, lambda x, f: int(x[rs1] != 0))
+    if m in _FP_BINOPS:
+        op = _FP_BINOPS[m]
+        return _f_write(rd, lambda x, f: op(f[rs1], f[rs2]))
+    if m in _FP_COMPARES:
+        op = _FP_COMPARES[m]
+        return _x_write(rd, lambda x, f: op(f[rs1], f[rs2]))
+    if m == "fmadd.d":
+        return _f_write(rd, lambda x, f: f[rs1] * f[rs2] + f[rs3])
+    if m == "fsqrt.d":
+        def sqrt(x, f):
+            value = f[rs1]
+            if value < 0:
+                raise ExecutionError("fsqrt of negative value")
+            return value ** 0.5
+        return _f_write(rd, sqrt)
+    if m == "fmv.d":
+        return _f_write(rd, lambda x, f: f[rs1])
+    if m == "fmv.x.d":
+        return _x_write(rd, lambda x, f: _U64.unpack(_F64.pack(f[rs1]))[0])
+    if m == "fmv.d.x":
+        return _f_write(
+            rd, lambda x, f: _F64.unpack(_U64.pack(to_unsigned64(x[rs1])))[0])
+    if m in ("fcvt.d.l", "fcvt.s.l"):
+        return _f_write(rd, lambda x, f: float(x[rs1]))
+    if m == "fcvt.l.d":
+        return _x_write(rd, lambda x, f: int(f[rs1]))
+    return _unhandled(f"unhandled ALU mnemonic {m}")
 
 
-def _exec_load(inst: Instruction, regs: UThreadRegisters,
-               mem: MemoryInterface) -> ExecResult:
-    addr = to_unsigned64(regs.x[inst.rs1] + inst.imm)
-    m = inst.mnemonic
+def _bind_load(inst: Instruction) -> Run:
+    m, rd, rs1, imm = inst.mnemonic, inst.rd, inst.rs1, inst.imm
     if m in FP_LOADS:
         size = FP_LOADS[m]
-        raw = mem.load(addr, size)
-        value = _F32.unpack(raw)[0] if size == 4 else _F64.unpack(raw)[0]
-        regs.write_f(inst.rd, value)
-    else:
-        size = LOAD_SIGNED.get(m) or LOAD_UNSIGNED[m]
-        raw = mem.load(addr, size)
-        value = int.from_bytes(raw, "little", signed=m in LOAD_SIGNED)
-        regs.write_x(inst.rd, value)
-    return ExecResult(accesses=(MemAccess(addr, size, is_write=False),))
+        unpack = (_F32 if size == 4 else _F64).unpack
+
+        def run(regs, mem):
+            addr = (regs.x[rs1] + imm) & _U64_MASK
+            regs.f[rd] = unpack(mem.load(addr, size))[0]
+            return ExecResult((MemAccess(addr, size, False),))
+        return run
+
+    size = LOAD_SIGNED.get(m) or LOAD_UNSIGNED.get(m)
+    if size is None:
+        return _unhandled(f"unhandled load mnemonic {m}")
+    signed = m in LOAD_SIGNED
+
+    def run(regs, mem):
+        x = regs.x
+        addr = (x[rs1] + imm) & _U64_MASK
+        value = int.from_bytes(mem.load(addr, size), "little", signed=signed)
+        if rd:
+            # every load width fits signed 64 bits: write_x's wrap is a no-op
+            x[rd] = value
+        return ExecResult((MemAccess(addr, size, False),))
+    return run
 
 
-def _exec_store(inst: Instruction, regs: UThreadRegisters,
-                mem: MemoryInterface) -> ExecResult:
-    addr = to_unsigned64(regs.x[inst.rs1] + inst.imm)
-    m = inst.mnemonic
+def _bind_store(inst: Instruction) -> Run:
+    m, rs1, rs2, imm = inst.mnemonic, inst.rs1, inst.rs2, inst.imm
     if m in FP_STORES:
         size = FP_STORES[m]
-        value = regs.f[inst.rs2]
-        raw = _F32.pack(value) if size == 4 else _F64.pack(value)
-    else:
-        size = STORES[m]
-        raw = (regs.x[inst.rs2] & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    mem.store(addr, raw)
-    return ExecResult(accesses=(MemAccess(addr, size, is_write=True),))
+        pack = (_F32 if size == 4 else _F64).pack
+
+        def run(regs, mem):
+            addr = (regs.x[rs1] + imm) & _U64_MASK
+            mem.store(addr, pack(regs.f[rs2]))
+            return ExecResult((MemAccess(addr, size, True),))
+        return run
+
+    size = STORES.get(m)
+    if size is None:
+        return _unhandled(f"unhandled store mnemonic {m}")
+    mask = (1 << (8 * size)) - 1
+
+    def run(regs, mem):
+        x = regs.x
+        addr = (x[rs1] + imm) & _U64_MASK
+        mem.store(addr, (x[rs2] & mask).to_bytes(size, "little"))
+        return ExecResult((MemAccess(addr, size, True),))
+    return run
 
 
-def _exec_amo(inst: Instruction, regs: UThreadRegisters,
-              mem: MemoryInterface) -> ExecResult:
-    op, size, is_float = AMO_OPS[inst.mnemonic]
-    addr = to_unsigned64(regs.x[inst.rs1] + inst.imm)
+def _bind_amo(inst: Instruction) -> Run:
+    spec = AMO_OPS.get(inst.mnemonic)
+    if spec is None:
+        return _unhandled(f"unhandled AMO mnemonic {inst.mnemonic}")
+    op, size, is_float = spec
+    rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
     if is_float:
-        operand = regs.f[inst.rs2]
-        old = mem.amo(op, addr, operand, size, True)
-        regs.write_f(inst.rd, old)
-    else:
-        operand = regs.x[inst.rs2]
+        def run(regs, mem):
+            addr = (regs.x[rs1] + imm) & _U64_MASK
+            regs.f[rd] = float(mem.amo(op, addr, regs.f[rs2], size, True))
+            return ExecResult((MemAccess(addr, size, True, True),))
+        return run
+
+    def run(regs, mem):
+        x = regs.x
+        addr = (x[rs1] + imm) & _U64_MASK
+        operand = x[rs2]
         if size == 4:
             operand = to_signed32(operand)
-        old = mem.amo(op, addr, operand, size, False)
-        regs.write_x(inst.rd, old)
-    return ExecResult(accesses=(MemAccess(addr, size, is_write=True, is_amo=True),))
+        regs.write_x(rd, mem.amo(op, addr, operand, size, False))
+        return ExecResult((MemAccess(addr, size, True, True),))
+    return run
 
 
-def _exec_branch(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
-    m = inst.mnemonic
+def _bind_branch(inst: Instruction) -> Run:
+    m, rs1, rs2 = inst.mnemonic, inst.rs1, inst.rs2
+    taken = ExecResult(jump_to=inst.target)
     if m == "j":
-        return ExecResult(jump_to=inst.target)
+        return lambda regs, mem: taken
     if m in _BRANCHES:
-        taken = _BRANCHES[m](regs.x[inst.rs1], regs.x[inst.rs2])
-    else:
-        taken = _BRANCHES_Z[m](regs.x[inst.rs1])
-    return ExecResult(jump_to=inst.target) if taken else _PLAIN
+        cond = _BRANCHES[m]
+
+        def run(regs, mem):
+            x = regs.x
+            return taken if cond(x[rs1], x[rs2]) else _PLAIN
+        return run
+    if m in _BRANCHES_Z:
+        cond_z = _BRANCHES_Z[m]
+        return lambda regs, mem: taken if cond_z(regs.x[rs1]) else _PLAIN
+    return _unhandled(f"unhandled branch mnemonic {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,277 +471,368 @@ def _read_v(regs: UThreadRegisters, idx: int, count: int) -> list[int]:
     return values[:count]
 
 
-def _exec_vset(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
-    sew = inst.imm
-    requested = regs.x[inst.rs1]
-    if requested < 0:
-        raise ExecutionError(f"vsetvli with negative AVL {requested}")
-    vl = min(requested, vlmax(sew))
-    regs.sew = sew
-    regs.vl = vl
-    regs.write_x(inst.rd, vl)
-    return _PLAIN
+def _bind_vset(inst: Instruction) -> Run:
+    sew, rd, rs1 = inst.imm, inst.rd, inst.rs1
 
-
-def _exec_vload(inst: Instruction, regs: UThreadRegisters,
-                mem: MemoryInterface) -> ExecResult:
-    sew = inst.size * 8
-    vl = _vl_of(regs, sew)
-    if vl == 0:
-        regs.write_v(inst.rd, [])
+    def run(regs, mem):
+        requested = regs.x[rs1]
+        if requested < 0:
+            raise ExecutionError(f"vsetvli with negative AVL {requested}")
+        vl = min(requested, vlmax(sew))
+        regs.sew = sew
+        regs.vl = vl
+        regs.write_x(rd, vl)
         return _PLAIN
-    addr = to_unsigned64(regs.x[inst.rs1] + inst.imm)
-    raw = mem.load(addr, vl * inst.size)
-    regs.write_v(inst.rd, unpack_elements(raw, sew))
-    return ExecResult(accesses=(MemAccess(addr, vl * inst.size, is_write=False),))
+    return run
 
 
-def _exec_vstore(inst: Instruction, regs: UThreadRegisters,
-                 mem: MemoryInterface) -> ExecResult:
-    sew = inst.size * 8
-    vl = _vl_of(regs, sew)
-    if vl == 0:
-        return _PLAIN
-    addr = to_unsigned64(regs.x[inst.rs1] + inst.imm)
-    values = _read_v(regs, inst.rd, vl)
-    mem.store(addr, pack_elements(values, sew))
-    return ExecResult(accesses=(MemAccess(addr, vl * inst.size, is_write=True),))
+def _bind_vload(inst: Instruction) -> Run:
+    size, rd, rs1, imm = inst.size, inst.rd, inst.rs1, inst.imm
+    sew = size * 8
+
+    def run(regs, mem):
+        vl = _vl_of(regs, sew)
+        if vl == 0:
+            regs.write_v(rd, [])
+            return _PLAIN
+        addr = to_unsigned64(regs.x[rs1] + imm)
+        raw = mem.load(addr, vl * size)
+        regs.write_v(rd, unpack_elements(raw, sew))
+        return ExecResult((MemAccess(addr, vl * size, False),))
+    return run
 
 
-def _exec_vgather(inst: Instruction, regs: UThreadRegisters,
-                  mem: MemoryInterface) -> ExecResult:
+def _bind_vstore(inst: Instruction) -> Run:
+    size, rd, rs1, imm = inst.size, inst.rd, inst.rs1, inst.imm
+    sew = size * 8
+
+    def run(regs, mem):
+        vl = _vl_of(regs, sew)
+        if vl == 0:
+            return _PLAIN
+        addr = to_unsigned64(regs.x[rs1] + imm)
+        mem.store(addr, pack_elements(_read_v(regs, rd, vl), sew))
+        return ExecResult((MemAccess(addr, vl * size, True),))
+    return run
+
+
+def _bind_vgather(inst: Instruction) -> Run:
     """Indexed load: vd[i] = mem[x[rs1] + offsets[i]] (offsets in bytes)."""
-    sew = inst.size * 8
-    vl = _vl_of(regs, sew)
-    base = to_unsigned64(regs.x[inst.rs1])
-    offsets = _read_v(regs, inst.rs2, vl)
-    out: list[int] = []
-    accesses: list[MemAccess] = []
-    for off in offsets:
-        addr = to_unsigned64(base + off)
-        raw = mem.load(addr, inst.size)
-        out.append(int.from_bytes(raw, "little"))
-        accesses.append(MemAccess(addr, inst.size, is_write=False))
-    regs.write_v(inst.rd, out)
-    return ExecResult(accesses=tuple(accesses))
+    size, rd, rs1, rs2 = inst.size, inst.rd, inst.rs1, inst.rs2
+    sew = size * 8
+
+    def run(regs, mem):
+        vl = _vl_of(regs, sew)
+        base = to_unsigned64(regs.x[rs1])
+        out: list[int] = []
+        accesses: list[MemAccess] = []
+        for off in _read_v(regs, rs2, vl):
+            addr = to_unsigned64(base + off)
+            out.append(int.from_bytes(mem.load(addr, size), "little"))
+            accesses.append(MemAccess(addr, size, False))
+        regs.write_v(rd, out)
+        return ExecResult(tuple(accesses))
+    return run
 
 
-def _exec_vscatter(inst: Instruction, regs: UThreadRegisters,
-                   mem: MemoryInterface) -> ExecResult:
-    sew = inst.size * 8
-    vl = _vl_of(regs, sew)
-    base = to_unsigned64(regs.x[inst.rs1])
-    offsets = _read_v(regs, inst.rs2, vl)
-    values = _read_v(regs, inst.rd, vl)
-    accesses: list[MemAccess] = []
-    for off, value in zip(offsets, values):
-        addr = to_unsigned64(base + off)
-        mem.store(addr, pack_elements([value], sew))
-        accesses.append(MemAccess(addr, inst.size, is_write=True))
-    return ExecResult(accesses=tuple(accesses))
+def _bind_vscatter(inst: Instruction) -> Run:
+    size, rd, rs1, rs2 = inst.size, inst.rd, inst.rs1, inst.rs2
+    sew = size * 8
+
+    def run(regs, mem):
+        vl = _vl_of(regs, sew)
+        base = to_unsigned64(regs.x[rs1])
+        offsets = _read_v(regs, rs2, vl)
+        values = _read_v(regs, rd, vl)
+        accesses: list[MemAccess] = []
+        for off, value in zip(offsets, values):
+            addr = to_unsigned64(base + off)
+            mem.store(addr, pack_elements([value], sew))
+            accesses.append(MemAccess(addr, size, True))
+        return ExecResult(tuple(accesses))
+    return run
 
 
-def _exec_vamo(inst: Instruction, regs: UThreadRegisters,
-               mem: MemoryInterface) -> ExecResult:
+def _bind_vamo(inst: Instruction) -> Run:
     """Indexed atomic add (v-amo): mem[base + off[i]] += vs3[i]."""
-    sew = inst.size * 8
-    vl = _vl_of(regs, sew)
-    base = to_unsigned64(regs.x[inst.rs1])
-    offsets = _read_v(regs, inst.rs2, vl)
-    values = _read_v(regs, inst.rd, vl)
-    accesses: list[MemAccess] = []
-    for off, value in zip(offsets, values):
-        addr = to_unsigned64(base + off)
-        mem.amo("add", addr, as_signed(value, sew), inst.size, False)
-        accesses.append(MemAccess(addr, inst.size, is_write=True, is_amo=True))
-    return ExecResult(accesses=tuple(accesses))
+    size, rd, rs1, rs2 = inst.size, inst.rd, inst.rs1, inst.rs2
+    sew = size * 8
+
+    def run(regs, mem):
+        vl = _vl_of(regs, sew)
+        base = to_unsigned64(regs.x[rs1])
+        offsets = _read_v(regs, rs2, vl)
+        values = _read_v(regs, rd, vl)
+        accesses: list[MemAccess] = []
+        for off, value in zip(offsets, values):
+            addr = to_unsigned64(base + off)
+            mem.amo("add", addr, as_signed(value, sew), size, False)
+            accesses.append(MemAccess(addr, size, True, True))
+        return ExecResult(tuple(accesses))
+    return run
 
 
-def _exec_valu(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
-    m = inst.mnemonic
-    sew = regs.sew
-    vl = _vl_of(regs, sew)
+def _bind_valu(inst: Instruction) -> Run:
+    """Vector ALU ops: ``body(regs, sew, vl)`` at the µthread's current
+    SEW and vector length, both read when the instruction runs."""
+    m, rd, rs1, rs2, imm = inst.mnemonic, inst.rd, inst.rs1, inst.rs2, inst.imm
 
     if m in _V_INT_BINOPS:
         op = _V_INT_BINOPS[m]
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        regs.write_v(inst.rd, [
-            as_unsigned(op(as_signed(a, sew), as_signed(b, sew)), sew)
-            for a, b in zip(va, vb)
-        ])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            regs.write_v(rd, [
+                as_unsigned(op(as_signed(a, sew), as_signed(b, sew)), sew)
+                for a, b in zip(va, vb)
+            ])
     elif m in _V_INT_SCALAR:
         op = _V_INT_SCALAR[m]
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = regs.x[inst.rs2]
-        regs.write_v(inst.rd, [
-            as_unsigned(op(as_signed(a, sew), scalar), sew) for a in va
-        ])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = regs.x[rs2]
+            regs.write_v(rd, [
+                as_unsigned(op(as_signed(a, sew), scalar), sew) for a in va
+            ])
     elif m in _V_INT_IMM:
         op = _V_INT_IMM[m]
-        va = _read_v(regs, inst.rs1, vl)
-        regs.write_v(inst.rd, [
-            as_unsigned(op(as_signed(a, sew), inst.imm), sew) for a in va
-        ])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            regs.write_v(rd, [
+                as_unsigned(op(as_signed(a, sew), imm), sew) for a in va
+            ])
     elif m == "vmacc.vv":
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        vd = _read_v(regs, inst.rd, vl)
-        regs.write_v(inst.rd, [
-            as_unsigned(as_signed(d, sew) + as_signed(a, sew) * as_signed(b, sew), sew)
-            for d, a, b in zip(vd, va, vb)
-        ])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            vd = _read_v(regs, rd, vl)
+            regs.write_v(rd, [
+                as_unsigned(as_signed(d, sew)
+                            + as_signed(a, sew) * as_signed(b, sew), sew)
+                for d, a, b in zip(vd, va, vb)
+            ])
     elif m in _V_FP_BINOPS:
         op = _V_FP_BINOPS[m]
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        regs.write_v(inst.rd, [
-            float_to_bits(op(bits_to_float(a, sew), bits_to_float(b, sew)), sew)
-            for a, b in zip(va, vb)
-        ])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            regs.write_v(rd, [
+                float_to_bits(op(bits_to_float(a, sew), bits_to_float(b, sew)),
+                              sew)
+                for a, b in zip(va, vb)
+            ])
     elif m in _V_FP_SCALAR:
         op = _V_FP_SCALAR[m]
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = regs.f[inst.rs2]
-        regs.write_v(inst.rd, [
-            float_to_bits(op(bits_to_float(a, sew), scalar), sew) for a in va
-        ])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = regs.f[rs2]
+            regs.write_v(rd, [
+                float_to_bits(op(bits_to_float(a, sew), scalar), sew)
+                for a in va
+            ])
     elif m == "vfmacc.vf":
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = regs.f[inst.rs2]
-        vd = _read_v(regs, inst.rd, vl)
-        regs.write_v(inst.rd, [
-            float_to_bits(
-                bits_to_float(d, sew) + bits_to_float(a, sew) * scalar, sew
-            )
-            for d, a in zip(vd, va)
-        ])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = regs.f[rs2]
+            vd = _read_v(regs, rd, vl)
+            regs.write_v(rd, [
+                float_to_bits(
+                    bits_to_float(d, sew) + bits_to_float(a, sew) * scalar, sew
+                )
+                for d, a in zip(vd, va)
+            ])
     elif m == "vfmacc.vv":
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        vd = _read_v(regs, inst.rd, vl)
-        regs.write_v(inst.rd, [
-            float_to_bits(
-                bits_to_float(d, sew) + bits_to_float(a, sew) * bits_to_float(b, sew),
-                sew,
-            )
-            for d, a, b in zip(vd, va, vb)
-        ])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            vd = _read_v(regs, rd, vl)
+            regs.write_v(rd, [
+                float_to_bits(
+                    bits_to_float(d, sew)
+                    + bits_to_float(a, sew) * bits_to_float(b, sew),
+                    sew,
+                )
+                for d, a, b in zip(vd, va, vb)
+            ])
     elif m in _V_INT_COMPARES:
         op = _V_INT_COMPARES[m]
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = regs.x[inst.rs2]
-        regs.write_v(inst.rd, [op(as_signed(a, sew), scalar) for a in va])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = regs.x[rs2]
+            regs.write_v(rd, [op(as_signed(a, sew), scalar) for a in va])
     elif m in _V_FP_COMPARES:
         op = _V_FP_COMPARES[m]
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = regs.f[inst.rs2]
-        regs.write_v(inst.rd, [op(bits_to_float(a, sew), scalar) for a in va])
+
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = regs.f[rs2]
+            regs.write_v(rd, [op(bits_to_float(a, sew), scalar) for a in va])
     elif m == "vmand.mm":
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        regs.write_v(inst.rd, [int(bool(a) and bool(b)) for a, b in zip(va, vb)])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            regs.write_v(rd, [int(bool(a) and bool(b)) for a, b in zip(va, vb)])
     elif m == "vmor.mm":
-        va = _read_v(regs, inst.rs1, vl)
-        vb = _read_v(regs, inst.rs2, vl)
-        regs.write_v(inst.rd, [int(bool(a) or bool(b)) for a, b in zip(va, vb)])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            vb = _read_v(regs, rs2, vl)
+            regs.write_v(rd, [int(bool(a) or bool(b)) for a, b in zip(va, vb)])
     elif m == "vmerge.vxm":
-        va = _read_v(regs, inst.rs1, vl)
-        scalar = as_unsigned(regs.x[inst.rs2], sew)
-        mask = _read_v(regs, 0, vl)
-        regs.write_v(inst.rd, [
-            scalar if mask[i] else va[i] for i in range(vl)
-        ])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            scalar = as_unsigned(regs.x[rs2], sew)
+            mask = _read_v(regs, 0, vl)
+            regs.write_v(rd, [scalar if mask[i] else va[i] for i in range(vl)])
     elif m == "vmerge.vim":
-        va = _read_v(regs, inst.rs1, vl)
-        value = as_unsigned(inst.imm, sew)
-        mask = _read_v(regs, 0, vl)
-        regs.write_v(inst.rd, [
-            value if mask[i] else va[i] for i in range(vl)
-        ])
+        def body(regs, sew, vl):
+            va = _read_v(regs, rs1, vl)
+            value = as_unsigned(imm, sew)
+            mask = _read_v(regs, 0, vl)
+            regs.write_v(rd, [value if mask[i] else va[i] for i in range(vl)])
     elif m == "vmv.v.i":
-        regs.write_v(inst.rd, [as_unsigned(inst.imm, sew)] * vl)
+        def body(regs, sew, vl):
+            regs.write_v(rd, [as_unsigned(imm, sew)] * vl)
     elif m == "vmv.v.x":
-        regs.write_v(inst.rd, [as_unsigned(regs.x[inst.rs1], sew)] * vl)
+        def body(regs, sew, vl):
+            regs.write_v(rd, [as_unsigned(regs.x[rs1], sew)] * vl)
     elif m == "vmv.v.v":
-        regs.write_v(inst.rd, list(_read_v(regs, inst.rs1, vl)))
+        def body(regs, sew, vl):
+            regs.write_v(rd, list(_read_v(regs, rs1, vl)))
     elif m == "vid.v":
-        regs.write_v(inst.rd, list(range(vl)))
+        def body(regs, sew, vl):
+            regs.write_v(rd, list(range(vl)))
     elif m == "vfmv.v.f":
-        regs.write_v(inst.rd, [float_to_bits(regs.f[inst.rs1], sew)] * vl)
+        def body(regs, sew, vl):
+            regs.write_v(rd, [float_to_bits(regs.f[rs1], sew)] * vl)
     elif m == "vmv.x.s":
-        values = regs.v[inst.rs1]
-        regs.write_x(inst.rd, as_signed(values[0], sew) if values else 0)
+        def body(regs, sew, vl):
+            values = regs.v[rs1]
+            regs.write_x(rd, as_signed(values[0], sew) if values else 0)
     elif m == "vmv.s.x":
-        values = list(regs.v[inst.rd])
-        if not values:
-            values = [0]
-        values[0] = as_unsigned(regs.x[inst.rs1], sew)
-        regs.write_v(inst.rd, values)
+        def body(regs, sew, vl):
+            values = list(regs.v[rd])
+            if not values:
+                values = [0]
+            values[0] = as_unsigned(regs.x[rs1], sew)
+            regs.write_v(rd, values)
     elif m == "vfmv.f.s":
-        values = regs.v[inst.rs1]
-        regs.write_f(inst.rd, bits_to_float(values[0], sew) if values else 0.0)
-    else:  # pragma: no cover
-        raise ExecutionError(f"unhandled vector mnemonic {m}")
-    return _PLAIN
+        def body(regs, sew, vl):
+            values = regs.v[rs1]
+            regs.write_f(rd, bits_to_float(values[0], sew) if values else 0.0)
+    else:
+        def body(regs, sew, vl):
+            raise ExecutionError(f"unhandled vector mnemonic {m}")
+
+    def run(regs, mem):
+        sew = regs.sew
+        body(regs, sew, _vl_of(regs, sew))
+        return _PLAIN
+    return run
 
 
-def _exec_vred(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
+def _bind_vred(inst: Instruction) -> Run:
     """Reductions: vd[0] = reduce(va) OP-combined with vb[0] (RVV .vs)."""
-    m = inst.mnemonic
-    sew = regs.sew
-    vl = _vl_of(regs, sew)
-    va = _read_v(regs, inst.rs1, vl)
-    vb = _read_v(regs, inst.rs2, max(vl, 1))
-    seed = vb[0] if vb else 0
+    m, rd, rs1, rs2 = inst.mnemonic, inst.rd, inst.rs1, inst.rs2
 
     if m == "vredsum.vs":
-        total = as_signed(seed, sew) + sum(as_signed(a, sew) for a in va)
-        result = as_unsigned(total, sew)
+        def reduce(seed, va, sew):
+            total = as_signed(seed, sew) + sum(as_signed(a, sew) for a in va)
+            return as_unsigned(total, sew)
     elif m == "vredmax.vs":
-        result = as_unsigned(
-            max([as_signed(seed, sew)] + [as_signed(a, sew) for a in va]), sew
-        )
+        def reduce(seed, va, sew):
+            return as_unsigned(
+                max([as_signed(seed, sew)] + [as_signed(a, sew) for a in va]),
+                sew)
     elif m == "vredmin.vs":
-        result = as_unsigned(
-            min([as_signed(seed, sew)] + [as_signed(a, sew) for a in va]), sew
-        )
+        def reduce(seed, va, sew):
+            return as_unsigned(
+                min([as_signed(seed, sew)] + [as_signed(a, sew) for a in va]),
+                sew)
     elif m == "vfredusum.vs":
-        total = bits_to_float(seed, sew) + sum(bits_to_float(a, sew) for a in va)
-        result = float_to_bits(total, sew)
+        def reduce(seed, va, sew):
+            total = (bits_to_float(seed, sew)
+                     + sum(bits_to_float(a, sew) for a in va))
+            return float_to_bits(total, sew)
     elif m == "vfredmax.vs":
-        values = [bits_to_float(seed, sew)] + [bits_to_float(a, sew) for a in va]
-        result = float_to_bits(max(values), sew)
-    else:  # pragma: no cover
-        raise ExecutionError(f"unhandled reduction {m}")
-    regs.write_v(inst.rd, [result])
+        def reduce(seed, va, sew):
+            values = ([bits_to_float(seed, sew)]
+                      + [bits_to_float(a, sew) for a in va])
+            return float_to_bits(max(values), sew)
+    else:
+        def reduce(seed, va, sew):
+            raise ExecutionError(f"unhandled reduction {m}")
+
+    def run(regs, mem):
+        sew = regs.sew
+        vl = _vl_of(regs, sew)
+        va = _read_v(regs, rs1, vl)
+        vb = _read_v(regs, rs2, max(vl, 1))
+        regs.write_v(rd, [reduce(vb[0] if vb else 0, va, sew)])
+        return _PLAIN
+    return run
+
+
+# ---------------------------------------------------------------------------
+# bind / execute / decode
+# ---------------------------------------------------------------------------
+
+
+def _plain(regs, mem) -> ExecResult:
     return _PLAIN
 
 
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
+def _done(regs, mem) -> ExecResult:
+    return _DONE
 
-_DISPATCH = {
-    OpClass.ALU: lambda inst, regs, mem: _exec_scalar_alu(inst, regs),
-    OpClass.VALU_OP: lambda inst, regs, mem: _exec_valu(inst, regs),
-    OpClass.BRANCH: lambda inst, regs, mem: _exec_branch(inst, regs),
-    OpClass.LOAD: _exec_load,
-    OpClass.STORE: _exec_store,
-    OpClass.AMO: _exec_amo,
-    OpClass.VLOAD: _exec_vload,
-    OpClass.VSTORE: _exec_vstore,
-    OpClass.VGATHER: _exec_vgather,
-    OpClass.VSCATTER: _exec_vscatter,
-    OpClass.VAMO: _exec_vamo,
-    OpClass.VRED: lambda inst, regs, mem: _exec_vred(inst, regs),
-    OpClass.VSET: lambda inst, regs, mem: _exec_vset(inst, regs),
-    OpClass.FENCE: lambda inst, regs, mem: _PLAIN,
-    OpClass.RET: lambda inst, regs, mem: _DONE,
+
+_BINDERS = {
+    OpClass.ALU: _bind_scalar_alu,
+    OpClass.VALU_OP: _bind_valu,
+    OpClass.BRANCH: _bind_branch,
+    OpClass.LOAD: _bind_load,
+    OpClass.STORE: _bind_store,
+    OpClass.AMO: _bind_amo,
+    OpClass.VLOAD: _bind_vload,
+    OpClass.VSTORE: _bind_vstore,
+    OpClass.VGATHER: _bind_vgather,
+    OpClass.VSCATTER: _bind_vscatter,
+    OpClass.VAMO: _bind_vamo,
+    OpClass.VRED: _bind_vred,
+    OpClass.VSET: _bind_vset,
+    OpClass.FENCE: lambda inst: _plain,
+    OpClass.RET: lambda inst: _done,
 }
+
+
+def bind(inst: Instruction) -> Run:
+    """``run(regs, mem)`` executing ``inst``: mutates ``regs``/memory and
+    reports the effects.  Binding raises nothing an instruction would
+    raise only when run (fsqrt of a negative value, a negative AVL)."""
+    return _BINDERS[inst.op_class](inst)
 
 
 def execute(inst: Instruction, regs: UThreadRegisters,
             mem: MemoryInterface) -> ExecResult:
     """Execute one instruction; mutate ``regs``/memory; report effects."""
-    return _DISPATCH[inst.op_class](inst, regs, mem)
+    return bind(inst)(regs, mem)
+
+
+def decode(program) -> tuple[tuple[Run, int, int], ...]:
+    """``(run, fu_column, latency_cycles)`` per instruction of a
+    :class:`~repro.isa.assembler.Program`, bound once and memoized on it.
+
+    The latency stays in cycles: one program runs at several NDP clocks
+    (the frequency sweep), and each sub-core multiplies by its own period.
+    """
+    code = getattr(program, "_decoded", None)
+    if code is None:
+        code = program._decoded = tuple(
+            (bind(inst), FU_COLUMN[inst.unit], inst.latency_cycles)
+            for inst in program.instructions)
+    return code

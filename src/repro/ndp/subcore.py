@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.config import NDPConfig
 from repro.errors import SimulationError
-from repro.isa.encoding import FUnit, Instruction
+from repro.isa.encoding import FU_COLUMN, FUnit
 
-#: Bank column of each functional unit; column 0 is the dispatch stage.  A
-#: row of per-column operation counts is how the engines describe an
-#: instruction mix to :meth:`IssueBank.charge` / :meth:`SubCore.service_batch`.
-FU_COLUMN = {fu: column for column, fu in enumerate(FUnit, start=1)}
+#: Bank columns: the dispatch stage, then one per functional unit
+#: (``FU_COLUMN``).  A row of per-column operation counts is how the engines
+#: describe an instruction mix to :meth:`IssueBank.charge` /
+#: :meth:`SubCore.service_batch`.
 ISSUE_COLUMNS = 1 + len(FU_COLUMN)
 
 
@@ -47,6 +47,10 @@ class IssueBank:
         self.cost = self.period_ns / self.widths
         self.vt = np.zeros(
             (config.num_units, config.subcores_per_unit, ISSUE_COLUMNS))
+        #: ``vt`` flattened, as a float64 memoryview: it reads and writes
+        #: the same doubles as Python floats, without numpy's per-scalar
+        #: overhead (the interpreter issues through it once an instruction)
+        self.flat = memoryview(self.vt.reshape(-1))
 
     def charge(self, unit_base: int, num_units: int, start_ns: float,
                ops: np.ndarray) -> None:
@@ -65,40 +69,43 @@ class SubCore:
 
     def __init__(self, bank: IssueBank, unit: int, index: int) -> None:
         self.period_ns = bank.period_ns
-        self._vt = bank.vt[unit, index]
+        self._vt = bank.flat
+        #: offset of this sub-core's row in ``bank.flat``
+        self._row = (unit * bank.vt.shape[1] + index) * ISSUE_COLUMNS
         self._cost = bank.cost.tolist()
 
-    def issue(self, inst: Instruction, ready_ns: float) -> tuple[float, float]:
-        """Issue one instruction from a thread ready at ``ready_ns``.
+    def issue(self, column: int, latency_cycles: int,
+              ready_ns: float) -> tuple[float, float]:
+        """Issue one instruction on FU ``column`` (``FU_COLUMN``, as
+        :func:`repro.isa.executor.decode` gives it) from a thread ready at
+        ``ready_ns``.
 
         Returns ``(start_ns, exec_done_ns)``: the thread's next instruction
         may issue at ``exec_done_ns`` (in-order, no intra-thread overlap);
         for memory ops the caller adds the memory-system latency on top.
 
-        Hot path, once per simulated instruction: ``item`` / item
-        assignment, so Python floats (never ``np.float64``) reach the
-        event queue.
+        Hot path, once per simulated instruction; ``bank.flat`` hands out
+        Python floats, so no ``np.float64`` reaches the event queue.
         """
-        vt, cost = self._vt, self._cost
-        column = FU_COLUMN[inst.unit]
+        vt, cost, row = self._vt, self._cost, self._row
         start = ready_ns
-        busy = vt.item(0)
+        busy = vt[row]
         if busy > start:
             start = busy
-        busy = vt.item(column)
+        busy = vt[row + column]
         if busy > start:
             start = busy
-        vt[0] = start + cost[0]
-        vt[column] = start + cost[column]
-        return start, start + inst.latency_cycles * self.period_ns
+        vt[row] = start + cost[0]
+        vt[row + column] = start + cost[column]
+        return start, start + latency_cycles * self.period_ns
 
     def service_batch(self, arrival_ns: float, ops) -> None:
         """Scalar form of :meth:`IssueBank.charge` for this sub-core alone:
         ``ops`` is one row of counts (the point engine charges each lane's
         instruction stream here)."""
-        vt, cost = self._vt, self._cost
+        vt, cost, row = self._vt, self._cost, self._row
         for column, count in enumerate(ops):
             if count > 0:
-                busy = vt.item(column)
+                busy = vt[row + column]
                 start = arrival_ns if arrival_ns > busy else busy
-                vt[column] = start + count * cost[column]
+                vt[row + column] = start + count * cost[column]

@@ -14,7 +14,7 @@ from repro.cluster import make_cluster_platform
 from repro.config import NDPConfig
 from repro.errors import SimulationError
 from repro.host.api import pack_args
-from repro.isa.encoding import FUnit, Instruction, OpClass
+from repro.isa.encoding import FUnit
 from repro.kernels.vecadd import VECADD
 from repro.ndp.generator import ARG_SLOT_BYTES
 from repro.ndp.subcore import FU_COLUMN, ISSUE_COLUMNS, IssueBank, SubCore
@@ -58,12 +58,12 @@ class ReferenceGrid:
                     if count:
                         server.service_batch(start, count)
 
-    def issue(self, unit, sub, inst, ready):
+    def issue(self, unit, sub, fu_unit, latency, ready):
         row = self.servers[unit][sub]
-        dispatch, fu = row[0], row[FU_COLUMN[inst.unit]]
+        dispatch, fu = row[0], row[FU_COLUMN[fu_unit]]
         start = max(ready, dispatch.next_free(ready), fu.next_free(ready))
         assert dispatch.issue(start) == start and fu.issue(start) == start
-        return start, start + inst.latency_cycles * self.period
+        return start, start + latency * self.period
 
     def vt(self) -> np.ndarray:
         return np.array([[[server.busy_until for server in row]
@@ -81,10 +81,6 @@ def simt_spread(totals: np.ndarray, num_units: int, subcores: int):
     base, rem = np.divmod(totals, n_sub)
     return (base + (np.arange(n_sub)[:, None] < rem)).reshape(
         num_units, subcores, -1)
-
-
-def instruction(fu: FUnit, latency: int) -> Instruction:
-    return Instruction("op", OpClass.ALU, fu, latency)
 
 
 class TestColumns:
@@ -158,7 +154,7 @@ class TestRowView:
         bank = IssueBank(CONFIG)
         subcore = SubCore(bank, 0, 0)
         bank.charge(0, 1, 2.0, issue_ops(5, {FUnit.SALU: 5}))
-        start, done = subcore.issue(instruction(FUnit.SALU, 2), 0.25)
+        start, done = subcore.issue(FU_COLUMN[FUnit.SALU], 2, 0.25)
         assert type(start) is float and type(done) is float
         assert start == bank.cost.item(1) * 5 + 2.0
 
@@ -177,12 +173,13 @@ class TestRowView:
             if kind <= 1:       # the interpreter's per-instruction issue
                 u = int(rng.integers(CONFIG.num_units))
                 s = int(rng.integers(CONFIG.subcores_per_unit))
-                inst = instruction(fus[rng.integers(len(fus))],
-                                   int(rng.integers(1, 9)))
+                fu = fus[rng.integers(len(fus))]
+                latency = int(rng.integers(1, 9))
                 # threads are ready at arbitrary times, also in the past
                 ready = now - float(rng.integers(0, 3))
-                assert subcores[u][s].issue(inst, ready) == grid.issue(
-                    u, s, inst, ready)
+                assert subcores[u][s].issue(
+                    FU_COLUMN[fu], latency, ready) == grid.issue(
+                    u, s, fu, latency, ready)
             elif kind == 2:     # the point engine's per-lane charge
                 u = int(rng.integers(CONFIG.num_units))
                 fu_ops = {fus[i]: int(rng.integers(0, 5))
