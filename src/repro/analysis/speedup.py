@@ -44,18 +44,3 @@ class SpeedupTable:
         values = [row.speedup(config) for row in self.rows
                   if config in row.config_ns]
         return geometric_mean(values)
-
-    def render(self) -> str:
-        """Plain-text table in the paper's layout (rows x configs)."""
-        configs = self.configs()
-        header = f"{'workload':<16}" + "".join(f"{c:>16}" for c in configs)
-        lines = [self.title, header, "-" * len(header)]
-        for row in self.rows:
-            cells = "".join(
-                f"{row.speedup(c):>16.2f}" if c in row.config_ns else f"{'-':>16}"
-                for c in configs
-            )
-            lines.append(f"{row.workload:<16}" + cells)
-        gmeans = "".join(f"{self.gmean(c):>16.2f}" for c in configs)
-        lines.append(f"{'GMEAN':<16}" + gmeans)
-        return "\n".join(lines)

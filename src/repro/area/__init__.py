@@ -3,7 +3,6 @@
 from repro.area.model import (
     AreaBreakdown,
     alu_area_reduction_vs_sm,
-    gpu_sm_area,
     iso_area_sm_count,
     m2ndp_total_area,
     ndp_unit_area,
@@ -13,7 +12,6 @@ from repro.area.model import (
 __all__ = [
     "AreaBreakdown",
     "alu_area_reduction_vs_sm",
-    "gpu_sm_area",
     "iso_area_sm_count",
     "m2ndp_total_area",
     "ndp_unit_area",

@@ -33,8 +33,6 @@ MM2_PER_TLB_ENTRY = 0.00001
 GPU_SM_REGFILE_KIB = 256
 GPU_SM_ALUS = 184                     # FP32 + INT32 lanes
 GPU_SM_MM2 = 1.63                     # derived: 26.4 mm² / 16.2 SMs
-# GPU register files are denser (heavily banked, fewer ports per bank).
-GPU_MM2_PER_KIB_RF = 0.70 / 256
 
 
 @dataclass
@@ -70,20 +68,6 @@ def m2ndp_total_area(config: NDPConfig | None = None) -> float:
     """All NDP units of the device (paper: 26.4 mm² for 32 units)."""
     cfg = config if config is not None else NDPConfig()
     return ndp_unit_area(cfg).total_mm2 * cfg.num_units
-
-
-def gpu_sm_area() -> AreaBreakdown:
-    """An Ampere-class SM under the same methodology."""
-    register_file = GPU_SM_REGFILE_KIB * GPU_MM2_PER_KIB_RF
-    l1_shared = 128 * MM2_PER_KIB_CACHE
-    alus = GPU_SM_ALUS * MM2_PER_VECTOR_ALU_LANE
-    parts = {
-        "register_file": register_file,
-        "l1_shared": l1_shared,
-        "alus": alus,
-        "frontend_other": GPU_SM_MM2 - register_file - l1_shared - alus,
-    }
-    return AreaBreakdown(parts=parts)
 
 
 def iso_area_sm_count(config: NDPConfig | None = None) -> float:

@@ -99,8 +99,7 @@ class ShardMap:
     def owner_of(self, addr: int) -> int:
         """Device holding the authoritative copy of ``addr``.
 
-        Replicated ranges report device 0 (any copy is authoritative; use
-        :meth:`is_local` for placement-aware locality checks).
+        Replicated ranges report device 0 (any copy is authoritative).
         """
         if not self.contains(addr):
             raise ConfigError(
@@ -117,11 +116,6 @@ class ShardMap:
         if self.remap:
             owner = self.remap.get(owner, owner)
         return owner
-
-    def is_local(self, addr: int, device: int) -> bool:
-        if self.placement == "replicated":
-            return True
-        return self.owner_of(addr) == device
 
     def owner_segments(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
         """Split [lo, hi) into maximal same-owner runs: (owner, lo, hi).

@@ -2,8 +2,8 @@
 
 Mirrors the single-device :class:`~repro.host.api.M2NDPRuntime` surface
 (``alloc`` / ``alloc_array`` / ``register_kernel`` / ``launch_kernel`` /
-``launch_async`` / ``run_kernel`` / ``wait_all``) so existing workloads run
-unmodified on 1..N devices.  The moving parts:
+``launch_async`` / ``run_kernel``) so existing workloads run unmodified on
+1..N devices.  The moving parts:
 
 * Every device shares **one functional byte store** (the cluster's logical
   address space — allocations are made in lockstep on all devices, so an
@@ -143,14 +143,6 @@ class ClusterInstance:
     def runtime_ns(self) -> float:
         """Makespan: first sub-launch start to last sub-launch completion."""
         return self.complete_ns - self.start_ns
-
-    @property
-    def instructions(self) -> int:
-        return sum(i.instructions for i in self.instances)
-
-    @property
-    def uthreads_total(self) -> int:
-        return sum(i.uthreads_total for i in self.instances)
 
 
 class _AggregateStats:
@@ -594,12 +586,6 @@ class ClusterRuntime:
 
     # ------------------------------------------------------------------
 
-    def wait_all(self) -> float:
-        """Drain the shared simulator (finish all outstanding work)."""
-        self.sim.run()
-        self._sync_now()
-        return self.now
-
     def aggregate_stats(self) -> _AggregateStats:
         """Summing view over all device registries plus the cluster's own
         (switch bytes, sub-launch and P2P counters)."""
@@ -637,10 +623,6 @@ class ClusterPlatform:
     @property
     def devices(self) -> list[M2NDPDevice]:
         return self.runtime.devices
-
-    @property
-    def switch(self) -> CXLSwitch:
-        return self.runtime.switch
 
     @property
     def stats(self) -> _AggregateStats:

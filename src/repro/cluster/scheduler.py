@@ -66,14 +66,6 @@ class SubLaunch:
     #: partition).
     partition: str | None = None
 
-    @property
-    def size(self) -> int:
-        return self.bound - self.base
-
-    @property
-    def remote_bytes(self) -> int:
-        return sum(self.remote.values())
-
 
 class LaunchScheduler:
     """Splits launches across ``num_devices`` under a fan-out policy."""
@@ -88,9 +80,9 @@ class LaunchScheduler:
         self.max_sublaunches = max_sublaunches
         #: Live sub-launches per device, maintained by the cluster runtime.
         self.outstanding = [0] * num_devices
-        #: Routability mask: False for DOWN or draining devices.  All-True
-        #: for a healthy cluster, in which case assignment is identical to
-        #: the fault-free scheduler.
+        #: Routability mask: False for DOWN devices.  All-True for a
+        #: healthy cluster, in which case assignment is identical to the
+        #: fault-free scheduler.
         self.routable = [True] * num_devices
         self.num_routable = num_devices
         # Round-robin position persists *across* plan() calls: a stream of
@@ -109,8 +101,8 @@ class LaunchScheduler:
         self.outstanding[device] -= 1
 
     def set_routable(self, device: int, ok: bool) -> bool:
-        """Mark ``device`` (un)routable (DOWN device, planned drain);
-        returns True when the mask actually changed."""
+        """Mark ``device`` (un)routable (a DOWN device); returns True when
+        the mask actually changed."""
         if not 0 <= device < self.num_devices:
             raise ConfigError(f"no device {device} to (un)route")
         if self.routable[device] == ok:
@@ -138,7 +130,7 @@ class LaunchScheduler:
             )
         if self.num_routable == 0:
             raise DeviceUnavailable(
-                "no routable device for launch (all DOWN or draining)",
+                "no routable device for launch (all DOWN)",
                 devices=tuple(range(self.num_devices)),
             )
         # Every sub-launch of a partition-pinned pool binds to the shard's

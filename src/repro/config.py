@@ -257,14 +257,6 @@ class NDPConfig:
         return self.regfile_bytes_per_unit // self.subcores_per_unit
 
     @property
-    def total_uthread_slots(self) -> int:
-        return (
-            self.num_units
-            * self.subcores_per_unit
-            * self.uthread_slots_per_subcore
-        )
-
-    @property
     def clock(self):
         from repro.sim.clock import Clock
 
@@ -390,12 +382,6 @@ class CPUConfig:
     l2_latency_ns: float = 3.75     # 12 cycles
     l3_latency_ns: float = 23.1     # 74 cycles
     issue_width: int = 4
-
-    @property
-    def clock(self):
-        from repro.sim.clock import Clock
-
-        return Clock.from_ghz(self.freq_ghz)
 
 
 def cpu_ndp_config() -> CPUConfig:

@@ -136,8 +136,3 @@ class HDMCoherence:
         self._invalidated.update(int(line) for line in bi_lines)
         self.stats.add(f"{self.prefix}.back_invalidations", len(picked))
         return arrivals
-
-    # ------------------------------------------------------------------
-
-    def reset(self) -> None:
-        self._invalidated.clear()

@@ -76,21 +76,7 @@ class CXLLink:
         self.stats.add(f"{self.prefix}.link_retries")
         return extra_ns
 
-    # -- convenience round trips -------------------------------------------
-
-    def read_round_trip(self, now_ns: float, addr: int, size: int = 64) -> float:
-        """Host read of ``size`` bytes: request down, data response up."""
-        request = CXLPacket(PacketType.MEM_RD, addr, size)
-        at_device = self.send_to_device(now_ns, request)
-        response = CXLPacket(PacketType.MEM_RD_RESP, addr, size, data=b"\0" * size)
-        return self.send_to_host(at_device, response)
-
-    def write_round_trip(self, now_ns: float, addr: int, data: bytes) -> float:
-        """Host write: data down, ACK (NDR) up."""
-        request = CXLPacket(PacketType.MEM_WR, addr, len(data), data=data)
-        at_device = self.send_to_device(now_ns, request)
-        ack = CXLPacket(PacketType.MEM_WR_ACK, addr, 0)
-        return self.send_to_host(at_device, ack)
+    # -- back-invalidation snoops -----------------------------------------
 
     def back_invalidate_round_trip(self, now_ns: float, addr: int,
                                    dirty: bool) -> float:
@@ -131,15 +117,3 @@ class CXLLink:
                        response.wire_bytes * count)
         self.stats.add(f"{self.prefix}.down_msgs", count)
         return ready
-
-    # ------------------------------------------------------------------
-
-    def bytes_moved(self) -> float:
-        return self.stats.get(f"{self.prefix}.down_bytes") + self.stats.get(
-            f"{self.prefix}.up_bytes"
-        )
-
-    def reset(self) -> None:
-        self._down.reset()
-        self._up.reset()
-        self._flap = None

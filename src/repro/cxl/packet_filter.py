@@ -68,11 +68,6 @@ class PacketFilter:
         self._entries[asid] = entry
         return entry
 
-    def remove(self, asid: int) -> None:
-        if asid not in self._entries:
-            raise ProtocolError(f"no filter entry for ASID {asid:#x}")
-        del self._entries[asid]
-
     # ------------------------------------------------------------------
 
     def match(self, addr: int) -> FilterEntry | None:
@@ -81,21 +76,3 @@ class PacketFilter:
             if entry.contains(addr):
                 return entry
         return None
-
-    def lookup_asid(self, asid: int) -> FilterEntry | None:
-        return self._entries.get(asid)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def num_entries(self) -> int:
-        return len(self._entries)
-
-    @property
-    def storage_bytes(self) -> int:
-        """SRAM cost of the current table (18 B per entry, §III-B)."""
-        return len(self._entries) * ENTRY_BYTES
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.max_entries * ENTRY_BYTES

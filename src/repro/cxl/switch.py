@@ -109,12 +109,3 @@ class CXLSwitch:
                 f"num_memories {num_memories} outside [1, {self.num_downstream}]"
             )
         return sum(p.bytes_per_ns for p in self.downstream[:num_memories])
-
-    def reset(self) -> None:
-        self.upstream.reset()
-        for port in self.downstream:
-            port.reset()
-        self._flaps.clear()
-        # Byte counters restart with the bandwidth servers: a reused switch
-        # must not carry a previous run's traffic into the next one.
-        self.stats.clear_prefix(f"{self.prefix}.")

@@ -76,7 +76,7 @@ class LaunchFailed(LaunchError):
 
 
 class DeviceUnavailable(LaunchError):
-    """No routable device can take the launch (all DOWN or draining)."""
+    """No routable device can take the launch (all DOWN)."""
 
     def __init__(self, message: str, devices: tuple[int, ...] = ()):
         super().__init__(message)

@@ -12,9 +12,9 @@ instruction it issues on a known FU column and runs a bound handler, with
 no dispatch on the instruction.
 
 :class:`InterpreterBackend` is also the backend interface: the device and
-controller call ``register_execution`` / ``unregister_execution`` /
-``active_executions``, and :class:`~repro.exec.batched.BatchedBackend`
-overrides ``register_execution`` and falls back to this one.
+controller call ``register_execution`` / ``unregister_execution``, and
+:class:`~repro.exec.batched.BatchedBackend` overrides
+``register_execution`` and falls back to this one.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ class InterpreterBackend:
     # ------------------------------------------------------------------
     # backend interface
     # ------------------------------------------------------------------
-
-    @property
-    def active_executions(self) -> list[KernelExecution]:
-        """Kernel executions currently being driven by this backend."""
-        return self._active
 
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:

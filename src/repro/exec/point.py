@@ -37,7 +37,7 @@ that resolves every spec against the **live** launch (its
 mutates nothing.  Any change to a leaf drops the function
 (``PointFamily.insert``) and the next replay compiles again;
 ``print(family.source)`` shows the text.  Phase B commits the stores
-and AMOs and charges timing.  Reaching a guard outcome with no recorded
+and charges timing.  Reaching a guard outcome with no recorded
 subtree means the live launch takes a path never walked before — the
 replay aborts cleanly and a fresh walk records it into the trie; a
 verified-byte mismatch means the recorded data went stale — the family
@@ -76,7 +76,6 @@ no wider than the device — see ``BatchedBackend.register_execution``).
 from __future__ import annotations
 
 import linecache
-import struct
 import zlib
 
 from repro.isa.executor import (
@@ -97,20 +96,14 @@ from repro.isa.registers import (
     to_unsigned64,
 )
 from repro.errors import TranslationFault
-from repro.mem.scratchpad import _apply_amo
 from repro.ndp.generator import SPAWN_LATENCY_NS
 from repro.ndp.subcore import ISSUE_COLUMNS
 from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
 
-_F32 = struct.Struct("<f")
-_F64 = struct.Struct("<d")
-
 #: Sentinels for reproducible-constant float / vector taints.
 _FCONST = "fc"
 _VCONST = "vc"
-
-_AMO_SIGNED = True  # int AMO olds are packed signed (device._AMO_INT)
 
 #: Every Nth successful replay of a path re-charges its memory events
 #: through the live L1/L2/DRAM servers and re-records the per-step
@@ -198,9 +191,7 @@ class _RecordingMemory:
         self.events.append(("st", vaddr, len(data), bytes(data)))
 
     def amo(self, op: str, vaddr: int, operand, size: int, is_float: bool):
-        old = self.real.amo(op, vaddr, operand, size, is_float)
-        self.events.append(("amo", vaddr, size, old, op, operand, is_float))
-        return old
+        return self.real.amo(op, vaddr, operand, size, is_float)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +389,6 @@ class _LaneWalk:
                     info = taint.loads[k]
                     verify = info[2] if info[3] else None
                     accesses.append(("ld", addr, size, k, signed, verify))
-                elif access[0] == "amo":
-                    _, addr, size, k, op, is_float, op_spec = access
-                    info = taint.loads[k]
-                    verify = info[2] if info[3] else None
-                    accesses.append(("amo", addr, size, k, op, is_float,
-                                     op_spec, verify))
                 else:
                     accesses.append(access)
             frozen.append(("mem", step[1], tuple(accesses)))
@@ -578,53 +563,6 @@ def _rec_store(walk: _LaneWalk, inst, result, pre) -> bool:
     return True
 
 
-def _rec_amo(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    _, vaddr, size, old, op, operand, is_float = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
-    if addr is None:
-        return False
-    if is_float:
-        ot = taint.f[inst.rs2]
-        if ot is _FCONST:
-            op_spec = ("lit", operand)
-        elif ot is None:
-            return False
-        else:
-            taint.promote(ot)
-            op_spec = ("lit", operand)
-    else:
-        ot = taint.x[inst.rs2]
-        if isinstance(ot, int):
-            op_spec = ("lit", operand)
-        elif ot is None:
-            return False
-        elif _is_lin(ot):
-            op_spec = ("expr", ot)
-        else:
-            taint.promote(ot[1])
-            op_spec = ("lit", operand)
-    k = len(taint.loads)
-    taint.loads.append([size, _AMO_SIGNED, _pack_amo_old(old, size, is_float),
-                        False])
-    if is_float:
-        taint.f[inst.rd] = frozenset((k,))
-    else:
-        _set_x(taint, inst.rd, _mk_lin(0, {("ld", k): 1}))
-    taint.steps.append(
-        ("mem", pre, (("amo", addr, size, k, op, is_float, op_spec),)))
-    return True
-
-
-def _pack_amo_old(old, size: int, is_float: bool) -> bytes:
-    """Recorded AMO old value as raw memory bytes (for verified replay)."""
-    if is_float:
-        return _F32.pack(old) if size == 4 else _F64.pack(old)
-    return (old & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-
-
 def _rec_vset(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     t = taint.x[inst.rs1]
@@ -723,14 +661,13 @@ def _rec_nop(walk, inst, result, pre) -> bool:
     return True
 
 
-#: An op class without a recorder (indexed gathers/scatters, vector AMOs,
-#: reductions) leaves its lane walking uncached.
+#: An op class without a recorder (scalar and vector AMOs, indexed
+#: gathers/scatters, reductions) leaves its lane walking uncached.
 _RECORDERS = {
     OpClass.ALU: _rec_alu,
     OpClass.BRANCH: _rec_branch,
     OpClass.LOAD: _rec_load,
     OpClass.STORE: _rec_store,
-    OpClass.AMO: _rec_amo,
     OpClass.VSET: _rec_vset,
     OpClass.VLOAD: _rec_vload,
     OpClass.VSTORE: _rec_vstore,
@@ -745,7 +682,6 @@ _RECORDERS = {
 # ---------------------------------------------------------------------------
 
 _SIGNED = "(({} + 0x8000000000000000) & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000"
-_SIGNED32 = "(({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
 _UNSIGNED = "({}) & 0xFFFFFFFFFFFFFFFF"
 
 #: guard mnemonic -> (comparison, signed operands); equality reads the
@@ -767,29 +703,20 @@ def _forward(raw: bytes, vaddr: int, base: int, data: bytes) -> bytes:
     return raw[:lo - vaddr] + data[lo - base:hi - base] + raw[hi - vaddr:]
 
 
-def _amo_bytes(op: str, old_raw: bytes, operand, is_float: bool) -> bytes:
-    """The bytes an AMO leaves behind, for later reads on the same path."""
-    size = len(old_raw)
-    old = ((_F32 if size == 4 else _F64).unpack(old_raw)[0] if is_float
-           else int.from_bytes(old_raw, "little", signed=True))
-    return _pack_amo_old(_apply_amo(op, old, operand), size, is_float)
-
-
 class _FamilyCompiler:
     """Emits one family's trie as a straight-line Python function.
 
     The text holds only the trie's ints and what its mnemonics select
     (addresses, sizes, coefficients, cycle counts, comparison operators);
-    verified bytes, store literals, AMO operands and the leaf entries are
-    bound by reference through the function's namespace.
+    verified bytes, store literals and the leaf entries are bound by
+    reference through the function's namespace.
     """
 
     def __init__(self) -> None:
         self.lines = ["def replay(load, x1, x2, x3, spad_lo, spad_hi, refresh):",
                       "    c = []; tl = []; sb = gb = gc = 0"]
         self.namespace = {"StaleTrace": StaleTrace, "MemAccess": MemAccess,
-                          "PathMismatch": _PathMismatch, "forward": _forward,
-                          "amo_bytes": _amo_bytes}
+                          "PathMismatch": _PathMismatch, "forward": _forward}
         self.serial = 0                  # one number per emitted access
         # what is known at this point of the path being emitted
         self.signed: dict[int, bool] = {}    # load k -> its value is signed
@@ -823,16 +750,6 @@ class _FamilyCompiler:
             terms.append(tok if coef == 1 else f"{int(coef)} * {tok}")
         return " + ".join(terms)
 
-    def read(self, k: int, signed: bool, addr: str, size: int, verify,
-             what: str, depth: int) -> None:
-        self.signed[k] = signed
-        self.emit(depth, f"r{k} = load({addr}, {size})")
-        for base, data in self.writes:
-            self.emit(depth, f"r{k} = forward(r{k}, {addr}, {base}, {data})")
-        if verify is not None:
-            self.emit(depth, f"if r{k} != {self.bind(verify)}: "
-                             f"raise StaleTrace('point path {what} went stale')")
-
     def access(self, access: tuple, depth: int) -> str:
         """One memory access; returns its refresh ``MemAccess`` event."""
         kind, spec, size = access[0], access[1], int(access[2])
@@ -844,38 +761,30 @@ class _FamilyCompiler:
         self.emit(depth, f"if spad_lo <= {addr} < spad_hi: sb += {size}")
         self.emit(depth, f"else: gb += {size}; gc += 1")
         if kind == "ld":
-            self.read(int(access[3]), bool(access[4]), addr, size, access[5],
-                      "data", depth)
+            k, verify = int(access[3]), access[5]
+            self.signed[k] = bool(access[4])
+            self.emit(depth, f"r{k} = load({addr}, {size})")
+            for base, written in self.writes:
+                self.emit(depth, f"r{k} = forward(r{k}, {addr}, {base}, "
+                                 f"{written})")
+            if verify is not None:
+                self.emit(depth, f"if r{k} != {self.bind(verify)}: "
+                                 f"raise StaleTrace('point path data went "
+                                 f"stale')")
             return f"MemAccess({addr}, {size}, False)"
-        if kind == "st":
-            value = access[3]
-            if value[0] == "lit":
-                data = self.bind(value[1])
-            elif value[0] == "pass":
-                data = f"r{int(value[1])}"
-            else:                        # scalar store: at most 8 bytes
-                width = int(value[2])
-                self.emit(depth, f"{data} = (({self.lin(value[1], depth)}) & "
-                                 f"{(1 << (8 * width)) - 1})"
-                                 f".to_bytes({width}, 'little')")
-            self.emit(depth, f"c.append(('st', {addr}, {data}))")
-            self.writes.append((addr, data))
-            return f"MemAccess({addr}, {size}, True)"
-        _, _, _, k, op, is_float, operand, verify = access
-        k, op, is_float = int(k), self.bind(op), bool(is_float)
-        self.read(k, _AMO_SIGNED, addr, size, verify, "AMO old", depth)
-        if operand[0] == "lit":
-            value = self.bind(operand[1])
-        else:
-            value = f"o{self.serial}"
-            wrap = _SIGNED32 if size == 4 else _SIGNED
-            self.emit(depth, f"{value} = "
-                             + wrap.format(self.lin(operand[1], depth)))
-        self.emit(depth, f"c.append(('amo', {addr}, {size}, {op}, {value}, "
-                         f"{is_float}))")
-        self.emit(depth, f"{data} = amo_bytes({op}, r{k}, {value}, {is_float})")
+        value = access[3]
+        if value[0] == "lit":
+            data = self.bind(value[1])
+        elif value[0] == "pass":
+            data = f"r{int(value[1])}"
+        else:                            # scalar store: at most 8 bytes
+            width = int(value[2])
+            self.emit(depth, f"{data} = (({self.lin(value[1], depth)}) & "
+                             f"{(1 << (8 * width)) - 1})"
+                             f".to_bytes({width}, 'little')")
+        self.emit(depth, f"c.append(({addr}, {data}))")
         self.writes.append((addr, data))
-        return f"MemAccess({addr}, {size}, True, True)"
+        return f"MemAccess({addr}, {size}, True)"
 
     def operand(self, spec: tuple, signed: bool, depth: int) -> str:
         if spec[0] == "lit":
@@ -950,7 +859,7 @@ def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
     subtree (a control path never walked before) or the replay touches an
     unmapped page, and :class:`StaleTrace` when verified bytes changed
     (invalidate the family + retrace) — both before anything is committed
-    or charged.  On success the stores/AMOs are committed, timing is
+    or charged.  On success the stores are committed, timing is
     charged, and (completion_ns, matched path entry) returned.
     """
     memory = unit.memory_for(asid)
@@ -967,11 +876,8 @@ def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
         raise _PathMismatch from None
 
     # -- phase B: commit + timing (resolve order == commit order) -------
-    for commit in commits:
-        if commit[0] == "st":
-            memory.store(commit[1], commit[2])
-        else:
-            memory.amo(commit[3], commit[1], commit[4], commit[2], commit[5])
+    for vaddr, data in commits:
+        memory.store(vaddr, data)
     family.replays += 1
     entry.replays += 1
     if refresh:

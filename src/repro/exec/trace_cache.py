@@ -542,9 +542,6 @@ class TraceCache:
         verified bytes somewhere in it)."""
         self._entries.pop(key, None)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     # -- point-launch path families (structural keys: disjoint slots) ---
 
     def lookup_point(self, key: tuple,

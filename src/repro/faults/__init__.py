@@ -9,7 +9,6 @@ recovery paths).
 from repro.faults.health import (
     DEGRADED,
     DOWN,
-    DRAINING,
     HEALTH_STATES,
     UP,
     HealthMonitor,
@@ -20,7 +19,6 @@ from repro.faults.plan import (
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
-    generate_fault_plan,
 )
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "DEFAULT_RETRY_NS",
     "DEGRADED",
     "DOWN",
-    "DRAINING",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultInjector",
@@ -36,5 +33,4 @@ __all__ = [
     "HEALTH_STATES",
     "HealthMonitor",
     "UP",
-    "generate_fault_plan",
 ]

@@ -11,9 +11,6 @@ States:
 ``UP``        responding normally; the scheduler routes to it.
 ``DEGRADED``  responding but impaired (stall window, flapping link);
               still routable — work placed there just runs slower.
-``DRAINING``  healthy but being quiesced (planned maintenance or
-              autoscaler scale-down): no *new* work is routed, in-flight
-              work finishes.
 ``DOWN``      failed and detected; never routed to, shards failed over.
 
 A scope is a whole device or one hardware partition of it.  Every
@@ -28,11 +25,10 @@ from repro.sim.stats import StatsRegistry
 
 UP = "up"
 DEGRADED = "degraded"
-DRAINING = "draining"
 DOWN = "down"
 
 #: All health states (doc / validation order: healthiest first).
-HEALTH_STATES = (UP, DEGRADED, DRAINING, DOWN)
+HEALTH_STATES = (UP, DEGRADED, DOWN)
 
 
 class HealthMonitor:

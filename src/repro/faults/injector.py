@@ -324,13 +324,6 @@ class FaultInjector:
                 return (base, size)
         return None
 
-    def clear_poison(self, base: int | None = None) -> None:
-        """Scrub poisoned ranges (all of them when ``base`` is None)."""
-        if base is None:
-            self._poison.clear()
-        else:
-            self._poison = [e for e in self._poison if e[0] != base]
-
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:

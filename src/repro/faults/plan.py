@@ -1,11 +1,8 @@
 """Fault plans: deterministic scripts of what breaks, where, and when.
 
 A :class:`FaultPlan` is an immutable schedule of :class:`FaultEvent`\\ s
-in simulated time.  Plans are either written by hand (tests, the
-resilience drivers: "kill device 2 at t=50 µs") or generated from the
-cluster's seeded RNG streams (:func:`generate_fault_plan`), so a fault
-campaign is reproducible bit-for-bit from ``ClusterConfig.seed``
-exactly like arrivals and tenant data are.
+in simulated time, scripted by hand ("kill device 2 at t=50 µs"), so a
+fault campaign replays bit-for-bit like arrivals and tenant data do.
 
 Event kinds, mirroring the failure modes CXL's RAS machinery exists for:
 
@@ -141,11 +138,6 @@ class FaultEvent:
             raise ConfigError(f"{self.kind} needs a device index >= 0")
 
     @property
-    def until_ns(self) -> float:
-        """End of the fault's window (== ``at_ns`` for instant faults)."""
-        return self.at_ns + self.duration_ns
-
-    @property
     def scope(self) -> str:
         """``"partition"`` when partition-scoped, else ``"device"``."""
         return "device" if self.partition is None else "partition"
@@ -169,10 +161,6 @@ class FaultPlan:
     def none(cls) -> "FaultPlan":
         """The zero-fault plan: arming it must be a behavioral no-op."""
         return cls(())
-
-    @property
-    def empty(self) -> bool:
-        return not self.events
 
     def of_kind(self, kind: str) -> tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if e.kind == kind)
@@ -205,46 +193,3 @@ class FaultPlan:
             )
         return self
 
-
-def generate_fault_plan(rng, horizon_ns: float, num_devices: int,
-                        kill_rate_per_s: float = 0.0,
-                        stall_rate_per_s: float = 0.0,
-                        stall_ns: float = 20_000.0,
-                        flap_rate_per_s: float = 0.0,
-                        flap_ns: float = 10_000.0,
-                        max_kills: int | None = None) -> FaultPlan:
-    """Draw a random fault campaign over ``[0, horizon_ns)`` from ``rng``.
-
-    ``rng`` should come from :func:`repro.serve.arrivals.stream_rng` (e.g.
-    ``stream_rng(seed, "faults")``) so the campaign is part of the run's
-    deterministic seed universe.  Rates are per *wall of simulated
-    seconds*; each class draws a Poisson count over the horizon, then
-    uniform timestamps and uniform device targets.  At most
-    ``num_devices - 1`` kills are kept (clipped to ``max_kills``) so the
-    cluster always has a survivor.
-    """
-    if horizon_ns <= 0:
-        raise ConfigError("fault horizon must be positive")
-    horizon_s = horizon_ns * 1e-9
-    events: list[FaultEvent] = []
-
-    cap = num_devices - 1 if max_kills is None else min(max_kills,
-                                                        num_devices - 1)
-    kills = min(int(rng.poisson(kill_rate_per_s * horizon_s)), cap)
-    victims = rng.permutation(num_devices)[:kills]
-    for device in victims:
-        events.append(FaultEvent(
-            "device_fail", at_ns=float(rng.uniform(0, horizon_ns)),
-            device=int(device),
-        ))
-    for _ in range(int(rng.poisson(stall_rate_per_s * horizon_s))):
-        events.append(FaultEvent(
-            "device_stall", at_ns=float(rng.uniform(0, horizon_ns)),
-            device=int(rng.integers(num_devices)), duration_ns=stall_ns,
-        ))
-    for _ in range(int(rng.poisson(flap_rate_per_s * horizon_s))):
-        events.append(FaultEvent(
-            "link_flap", at_ns=float(rng.uniform(0, horizon_ns)),
-            device=int(rng.integers(num_devices)), duration_ns=flap_ns,
-        ))
-    return FaultPlan(tuple(events)).validate_against(num_devices)

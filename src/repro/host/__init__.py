@@ -8,7 +8,7 @@ from repro.host.api import (
     pack_args,
 )
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
-from repro.host.dsa import ALL_PES, DomainSpecificPE, pe_for_workload
+from repro.host.dsa import ALL_PES, DomainSpecificPE
 from repro.host.gpu import (
     GPUDevice,
     GPUKernelResult,
@@ -57,6 +57,5 @@ __all__ = [
     "make_gpu_ndp",
     "make_offload_path",
     "pack_args",
-    "pe_for_workload",
     "timeline",
 ]

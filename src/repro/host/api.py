@@ -97,10 +97,6 @@ class LaunchHandle:
     instance_id: int | None = None
     complete_ns: float | None = None  # host-observed completion
 
-    @property
-    def finished(self) -> bool:
-        return self.complete_ns is not None
-
 
 class HDMAllocator:
     """Bump allocator over the device's HDM with identity virtual mapping."""
@@ -344,12 +340,6 @@ class M2NDPRuntime:
             raise LaunchError(f"ndpShootdownTlbEntry failed with {value}", value)
 
     # ------------------------------------------------------------------
-
-    def wait_all(self) -> float:
-        """Drain the simulator (finish all outstanding work); returns time."""
-        self.sim.run()
-        self.now = max(self.now, self.sim.now)
-        return self.now
 
     def run_kernel(self, source: str | KernelProgram, pool_base: int,
                    pool_bound: int, args: bytes = b"",

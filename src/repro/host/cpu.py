@@ -13,7 +13,7 @@ explicit (substituting for ZSim, see DESIGN.md):
 
 Two interfaces:
 
-* analytic :meth:`scan_bandwidth` / :meth:`scan_time_ns` for streaming
+* analytic :meth:`scan_bandwidth` for streaming
   scans (OLAP Evaluate), including the single-thread case that dominates
   the paper's baseline Evaluate phase;
 * :class:`CoreRequestPool`, a discrete-event pool of cores serving
@@ -29,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.config import CPUConfig, CXLConfig
+from repro.config import CPUConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import Distribution
 
@@ -43,11 +43,6 @@ class MemoryTarget:
     name: str
     load_to_use_ns: float
     bandwidth_bytes_per_ns: float     # ceiling (link or DRAM)
-
-    @classmethod
-    def cxl(cls, config: CXLConfig | None = None) -> "MemoryTarget":
-        cfg = config if config is not None else CXLConfig()
-        return cls("cxl", cfg.load_to_use_ns, cfg.bw_per_dir_bytes_per_ns)
 
     @classmethod
     def device_internal(cls, bandwidth: float = 409.6,
@@ -73,15 +68,6 @@ class HostCPUModel:
         n = min(n, self.config.num_cores)
         return min(n * self.core_stream_bandwidth(memory),
                    memory.bandwidth_bytes_per_ns)
-
-    def scan_time_ns(self, total_bytes: int, memory: MemoryTarget,
-                     threads: int | None = None,
-                     compute_ns_per_byte: float = 0.0) -> float:
-        """Time to stream ``total_bytes`` applying light per-byte compute."""
-        bw = self.scan_bandwidth(memory, threads)
-        n = min(threads or self.config.num_cores, self.config.num_cores)
-        compute = total_bytes * compute_ns_per_byte / max(n, 1)
-        return max(total_bytes / bw, compute)
 
     def pointer_chase_ns(self, depth: int, memory: MemoryTarget,
                          compute_ns: float = 0.0) -> float:

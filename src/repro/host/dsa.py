@@ -40,9 +40,6 @@ class DomainSpecificPE:
         return bytes_touched / (internal_bw_bytes_per_ns
                                 * self.streaming_efficiency)
 
-    def supports(self, workload: str) -> bool:
-        return workload in self.workloads
-
 
 #: PE catalog.  Efficiencies reflect the paper's observation that
 #: domain-specific PEs "sometimes exhibited higher row buffer locality and
@@ -53,8 +50,3 @@ RECNMP = DomainSpecificPE("RecNMP", 0.93, ("dlrm", "sls"))
 CXL_PNM = DomainSpecificPE("CXL-PNM", 0.91, ("opt", "llm", "gemv"))
 
 ALL_PES = (CXL_ANNS, CMS, RECNMP, CXL_PNM)
-
-
-def pe_for_workload(workload: str) -> list[DomainSpecificPE]:
-    """All catalog PEs that can run ``workload``."""
-    return [pe for pe in ALL_PES if pe.supports(workload)]

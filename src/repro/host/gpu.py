@@ -212,14 +212,6 @@ class GPUKernelResult:
     start_ns: float = 0.0
     complete_ns: float = 0.0
 
-    @property
-    def kernel_ns(self) -> float:
-        return self.complete_ns - self.start_ns
-
-    @property
-    def total_ns(self) -> float:
-        return self.kernel_ns + self.launch_overhead_ns
-
 
 class GPUDevice:
     """A GPU (or GPU-NDP block): SMs + memory system + TB dispatcher."""

@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.host.api import LaunchHandle, M2Call, M2NDPRuntime, pack_args
+from repro.host.api import LaunchHandle, M2Call, pack_args
 from repro.ndp.controller import FUNC_LAUNCH
 
 #: One-way latency defaults (§IV-A / Fig 5): x = 75 ns CXL.mem,
@@ -67,17 +67,15 @@ def timeline(mechanism: str, kernel_ns: float,
 
 
 class OffloadPath:
-    """Launches kernels on a device through a particular mechanism."""
+    """Launches kernels on a device through a particular mechanism.
+
+    Each subclass implements ``launch(runtime, kernel_id, pool_base,
+    pool_bound, args=b"", stride=32, at_ns=0.0, on_complete=None)``,
+    returning the :class:`~repro.host.api.LaunchHandle`.
+    """
 
     name = "abstract"
     supports_concurrency = True
-
-    def launch(self, runtime: M2NDPRuntime, kernel_id: int, pool_base: int,
-               pool_bound: int, args: bytes = b"", stride: int = 32,
-               at_ns: float = 0.0,
-               on_complete: Callable[[LaunchHandle], None] | None = None,
-               ) -> LaunchHandle:
-        raise NotImplementedError
 
 
 class M2FuncOffload(OffloadPath):

@@ -3,12 +3,11 @@
 from repro.isa.assembler import (
     KernelProgram,
     Program,
-    assemble,
     assemble_kernel,
     parse_operand,
 )
-from repro.isa.encoding import FUnit, Instruction, OpClass, OPCODES, OpSpec, spec_for
-from repro.isa.executor import ExecResult, MemAccess, MemoryInterface, execute
+from repro.isa.encoding import FUnit, Instruction, OpClass, OPCODES, OpSpec
+from repro.isa.executor import ExecResult, MemAccess, MemoryInterface
 from repro.isa.registers import (
     RegisterUsage,
     UThreadRegisters,
@@ -32,11 +31,8 @@ __all__ = [
     "RegisterUsage",
     "UThreadRegisters",
     "VLEN_BITS",
-    "assemble",
     "assemble_kernel",
-    "execute",
     "parse_operand",
-    "spec_for",
     "to_signed32",
     "to_signed64",
     "to_unsigned64",

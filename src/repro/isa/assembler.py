@@ -122,10 +122,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    @property
-    def static_instruction_count(self) -> int:
-        return len(self.instructions)
-
 
 @dataclass
 class KernelProgram:
@@ -343,21 +339,6 @@ _SECTION_ALIASES = {
     ".final": "final",
     ".finalizer": "final",
 }
-
-
-def assemble(text: str, name: str = "program") -> Program:
-    """Assemble a single instruction sequence (no section directives)."""
-    builder = _SectionBuilder(name)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_line(raw)
-        if not line:
-            continue
-        if line.startswith("."):
-            raise AssemblerError(
-                "section directives need assemble_kernel()", line_no, raw
-            )
-        builder.lines.append((line_no, line))
-    return _assemble_section(builder)
 
 
 def assemble_kernel(text: str, name: str = "kernel") -> KernelProgram:

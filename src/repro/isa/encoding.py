@@ -288,10 +288,3 @@ OPCODES: dict[str, OpSpec] = {
     "vmv.s.x": OpSpec("vx", OpClass.VALU_OP, FUnit.VALU, LAT_SIMPLE),
     "vfmv.f.s": OpSpec("ra", OpClass.VALU_OP, FUnit.VALU, LAT_SIMPLE),
 }
-
-
-def spec_for(mnemonic: str) -> OpSpec:
-    try:
-        return OPCODES[mnemonic]
-    except KeyError:
-        raise KeyError(f"unknown mnemonic {mnemonic!r}") from None

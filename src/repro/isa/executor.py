@@ -6,8 +6,8 @@ nothing from the :class:`Instruction`.  :func:`decode` binds a whole
 program once (memoized on the :class:`~repro.isa.assembler.Program`) and
 pairs each ``run`` with its instruction's issue column and latency in
 cycles; the interpreter and the point engine's walk step through that.
-:func:`execute` is ``bind(inst)(regs, mem)``, so every op has exactly one
-implementation.
+``bind(inst)(regs, mem)`` runs one instruction, so every op has exactly
+one implementation.
 
 Timing is the caller's job (``repro.ndp.subcore``): the executor moves real
 data immediately so kernels compute correct results, while the returned
@@ -779,7 +779,7 @@ def _bind_vred(inst: Instruction) -> Run:
 
 
 # ---------------------------------------------------------------------------
-# bind / execute / decode
+# bind / decode
 # ---------------------------------------------------------------------------
 
 
@@ -815,12 +815,6 @@ def bind(inst: Instruction) -> Run:
     reports the effects.  Binding raises nothing an instruction would
     raise only when run (fsqrt of a negative value, a negative AVL)."""
     return _BINDERS[inst.op_class](inst)
-
-
-def execute(inst: Instruction, regs: UThreadRegisters,
-            mem: MemoryInterface) -> ExecResult:
-    """Execute one instruction; mutate ``regs``/memory; report effects."""
-    return bind(inst)(regs, mem)
 
 
 def decode(program) -> tuple[tuple[Run, int, int], ...]:

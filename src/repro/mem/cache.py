@@ -68,11 +68,11 @@ class SectorStream:
     ``addrs[i]`` is a sector-aligned address, ``writes[i]`` whether access
     ``i`` writes it; ``config`` gives the sector and line sizes of the
     caches it is charged to.  A stream is immutable and outlives any cache
-    state — no fill, eviction or ``invalidate_all`` invalidates it — so
-    the trace cache keeps one per traced phase and charges it on every
-    replay.  Both derivations are lazy and done once: :attr:`touches`, and
-    :meth:`placement` per *set count* (one trace-cache entry is replayed
-    on every partition of its device; their L2s differ in nothing else).
+    state — no fill or eviction invalidates it — so the trace cache keeps
+    one per traced phase and charges it on every replay.  Both derivations
+    are lazy and done once: :attr:`touches`, and :meth:`placement` per
+    *set count* (one trace-cache entry is replayed on every partition of
+    its device; their L2s differ in nothing else).
     Index arrays take the narrowest signed dtype: beside its own 9 B an
     access retains 4-6 B, a line 6-10 B + 12-14 B per placement.
     """
@@ -400,19 +400,5 @@ class SectorCache:
 
     # ------------------------------------------------------------------
 
-    def invalidate_all(self) -> int:
-        """Drop every line (instruction-cache flush on unregister, §III-F)."""
-        dropped = self.resident_lines()
-        self._tag = self._valid = self._dirty = self._stamp = None
-        return dropped
-
     def resident_lines(self) -> int:
         return 0 if self._tag is None else int(np.count_nonzero(self._tag))
-
-    def hit_rate(self) -> float:
-        hits = self.stats.get(self._read_hits) \
-            + self.stats.get(self._write_hits)
-        misses = self.stats.get(self._read_misses) \
-            + self.stats.get(self._write_misses)
-        total = hits + misses
-        return hits / total if total else 0.0

@@ -217,19 +217,6 @@ class DRAMModel:
     def peak_bw_bytes_per_ns(self) -> float:
         return self.config.total_bw_bytes_per_ns
 
-    def bytes_accessed(self) -> float:
-        return self.stats.get(self._bytes)
-
-    def achieved_bandwidth(self, elapsed_ns: float) -> float:
-        """Average bytes/ns moved over ``elapsed_ns``."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.bytes_accessed() / elapsed_ns
-
-    def utilization(self, elapsed_ns: float) -> float:
-        """Fraction of peak bandwidth achieved over ``elapsed_ns``."""
-        return self.achieved_bandwidth(elapsed_ns) / self.peak_bw_bytes_per_ns
-
     def typical_random_latency_ns(self) -> float:
         """Closed-bank access latency + transfer of one burst (for analytic
         host models that need a scalar latency)."""

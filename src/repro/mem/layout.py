@@ -71,20 +71,6 @@ class AddressLayout:
         row = (sid // self.config.banks_per_channel) // self.granules_per_row
         return channel, bank, row
 
-    def split_by_granule(self, addr: int, size: int) -> list[tuple[int, int]]:
-        """Split [addr, addr+size) into (addr, size) pieces within granules."""
-        if size <= 0:
-            return []
-        pieces: list[tuple[int, int]] = []
-        pos = addr
-        end = addr + size
-        while pos < end:
-            boundary = (pos // self.granule + 1) * self.granule
-            chunk_end = min(end, boundary)
-            pieces.append((pos, chunk_end - pos))
-            pos = chunk_end
-        return pieces
-
     def split_by_access(self, addr: int, size: int) -> list[tuple[int, int]]:
         """Split into device access-granularity bursts (32 B LPDDR5, 64 B DDR5)."""
         grain = self.config.access_granularity

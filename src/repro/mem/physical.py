@@ -6,8 +6,8 @@ the M2func region all live here.  Timing is modeled elsewhere (``dram.py``,
 ``cache.py``); this module only stores bytes.
 
 Storage is paged so a 256 GB address space costs memory only for pages
-actually written.  Typed accessors cover the widths the RISC-V executor
-needs, and numpy helpers bulk-load workload arrays.
+actually written.  Byte and 64-bit word accessors serve the workload
+drivers, and numpy helpers bulk-load workload arrays.
 """
 
 from __future__ import annotations
@@ -20,22 +20,11 @@ from repro.errors import MemoryError_
 
 PAGE_SIZE = 4096
 
-_STRUCT = {
-    ("u", 1): struct.Struct("<B"),
-    ("u", 2): struct.Struct("<H"),
-    ("u", 4): struct.Struct("<I"),
-    ("u", 8): struct.Struct("<Q"),
-    ("i", 1): struct.Struct("<b"),
-    ("i", 2): struct.Struct("<h"),
-    ("i", 4): struct.Struct("<i"),
-    ("i", 8): struct.Struct("<q"),
-    ("f", 4): struct.Struct("<f"),
-    ("f", 8): struct.Struct("<d"),
-}
+_U64 = struct.Struct("<Q")
 
 
 class PhysicalMemory:
-    """Sparse little-endian byte store with typed and bulk accessors."""
+    """Sparse little-endian byte store with word and bulk accessors."""
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
         self.capacity_bytes = capacity_bytes
@@ -92,67 +81,13 @@ class PhysicalMemory:
             self._page(page_idx)[offset:offset + chunk] = data[pos:pos + chunk]
             pos += chunk
 
-    # -- typed scalar access --------------------------------------------------
-
-    def _read_typed(self, kind: str, size: int, addr: int):
-        return _STRUCT[(kind, size)].unpack(self.read_bytes(addr, size))[0]
-
-    def _write_typed(self, kind: str, size: int, addr: int, value) -> None:
-        self.write_bytes(addr, _STRUCT[(kind, size)].pack(value))
-
-    def read_u8(self, addr: int) -> int:
-        return self._read_typed("u", 1, addr)
-
-    def read_u16(self, addr: int) -> int:
-        return self._read_typed("u", 2, addr)
-
-    def read_u32(self, addr: int) -> int:
-        return self._read_typed("u", 4, addr)
+    # -- 64-bit words ---------------------------------------------------------
 
     def read_u64(self, addr: int) -> int:
-        return self._read_typed("u", 8, addr)
-
-    def read_i8(self, addr: int) -> int:
-        return self._read_typed("i", 1, addr)
-
-    def read_i16(self, addr: int) -> int:
-        return self._read_typed("i", 2, addr)
-
-    def read_i32(self, addr: int) -> int:
-        return self._read_typed("i", 4, addr)
-
-    def read_i64(self, addr: int) -> int:
-        return self._read_typed("i", 8, addr)
-
-    def read_f32(self, addr: int) -> float:
-        return self._read_typed("f", 4, addr)
-
-    def read_f64(self, addr: int) -> float:
-        return self._read_typed("f", 8, addr)
-
-    def write_u8(self, addr: int, value: int) -> None:
-        self._write_typed("u", 1, addr, value & 0xFF)
-
-    def write_u16(self, addr: int, value: int) -> None:
-        self._write_typed("u", 2, addr, value & 0xFFFF)
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self._write_typed("u", 4, addr, value & 0xFFFFFFFF)
+        return _U64.unpack(self.read_bytes(addr, 8))[0]
 
     def write_u64(self, addr: int, value: int) -> None:
-        self._write_typed("u", 8, addr, value & 0xFFFFFFFFFFFFFFFF)
-
-    def write_i32(self, addr: int, value: int) -> None:
-        self._write_typed("i", 4, addr, value)
-
-    def write_i64(self, addr: int, value: int) -> None:
-        self._write_typed("i", 8, addr, value)
-
-    def write_f32(self, addr: int, value: float) -> None:
-        self._write_typed("f", 4, addr, value)
-
-    def write_f64(self, addr: int, value: float) -> None:
-        self._write_typed("f", 8, addr, value)
+        self.write_bytes(addr, _U64.pack(value & 0xFFFFFFFFFFFFFFFF))
 
     # -- numpy bulk access ----------------------------------------------------
 
@@ -271,10 +206,3 @@ class PhysicalMemory:
         if crossing.any():
             for row in np.nonzero(crossing)[0]:
                 self.write_bytes(int(paddrs[row]), data[row].tobytes())
-
-    # -- bookkeeping ------------------------------------------------------------
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of page storage actually allocated."""
-        return len(self._pages) * PAGE_SIZE

@@ -95,13 +95,6 @@ class Scratchpad:
         self.stats.add(self._bytes, 2 * size)
         return old
 
-    # ------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Zero the scratchpad in place (no caller in ``src/``: kernel
-        instances share it, each in its own argument slot)."""
-        self._data[:] = bytes(self.size_bytes)
-
 
 def write_rows(scratchpads: list[Scratchpad], rows: np.ndarray, vaddr: int,
                data: bytes) -> None:

@@ -367,10 +367,6 @@ class M2NDPDevice:
     # µthread execution (delegated to the backend)
     # ------------------------------------------------------------------
 
-    @property
-    def active_executions(self) -> list[KernelExecution]:
-        return self.backend.active_executions
-
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:
         self.backend.register_execution(execution, now_ns)

@@ -44,33 +44,6 @@ class KernelDescriptor:
     usage: RegisterUsage
     name: str = ""
 
-    @classmethod
-    def from_program(
-        cls,
-        kernel_id: int,
-        program: KernelProgram,
-        scratchpad_bytes: int = 0,
-        usage: RegisterUsage | None = None,
-    ) -> "KernelDescriptor":
-        """Build a descriptor, deriving register usage from the code when the
-        caller (compiler) does not specify it."""
-        derived = program.usage
-        if usage is not None:
-            if (usage.int_regs < derived.int_regs
-                    or usage.float_regs < derived.float_regs
-                    or usage.vector_regs < derived.vector_regs):
-                raise LaunchError(
-                    f"declared registers {usage} below code requirements {derived}"
-                )
-            derived = usage
-        return cls(
-            kernel_id=kernel_id,
-            program=program,
-            scratchpad_bytes=scratchpad_bytes,
-            usage=derived,
-            name=program.name,
-        )
-
     def rf_bytes_per_uthread(self, vector_bytes: int) -> int:
         return self.usage.bytes_required(vector_bytes)
 

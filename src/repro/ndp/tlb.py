@@ -36,8 +36,8 @@ class PageTable:
     """Per-ASID forward page table (vpn -> ppn).
 
     ``on_change`` (if given) fires whenever an *existing* translation is
-    replaced or removed — the events that can invalidate addresses someone
-    already translated.  Adding a fresh vpn is not a change in that sense,
+    replaced — the event that can invalidate addresses someone already
+    translated.  Adding a fresh vpn is not a change in that sense,
     so allocations never fire it; the device uses the callback to version
     its translations for the execution trace cache.
     """
@@ -75,12 +75,6 @@ class PageTable:
             raise TranslationFault(self.asid, vpn << PAGE_SHIFT)
         return entry
 
-    def unmap(self, vpn: int) -> bool:
-        removed = self._map.pop(vpn, None) is not None
-        if removed and self._on_change is not None:
-            self._on_change()
-        return removed
-
     def __len__(self) -> int:
         return len(self._map)
 
@@ -114,11 +108,6 @@ class TLB:
     def shootdown(self, asid: int, vpn: int) -> bool:
         """Invalidate one mapping (ndpShootdownTlbEntry, Table II)."""
         return self._entries.pop((asid, vpn), None) is not None
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class DRAMTLB:

@@ -50,10 +50,6 @@ class UThread:
         self.regs.write_x(2, self.offset)
         self.regs.write_x(3, self.args_vaddr)
 
-    @property
-    def finished(self) -> bool:
-        return self.pc >= len(self.program.instructions)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<µthread k{self.instance.instance_id} {self.phase.value} "

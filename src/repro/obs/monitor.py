@@ -195,10 +195,6 @@ class SLOMonitor:
         except KeyError:
             return []                 # nothing served yet
 
-    def burn_state(self, tenant: str) -> tuple[float, float, bool]:
-        """(fast_burn, slow_burn, active) as of the last evaluate."""
-        return self._state.get(tenant, (0.0, 0.0, False))
-
     def _horizon_deltas(self, tenant: str, horizon_ns: float,
                         now_ns: float) -> dict[str, float]:
         """Summed counter deltas for one tenant over the trailing horizon.

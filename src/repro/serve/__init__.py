@@ -50,7 +50,6 @@ from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.engine import (
     HOST_DISPATCH_NS,
     ServingEngine,
-    serve,
 )
 from repro.serve.qos import (
     QOS_CLASSES,
@@ -104,7 +103,6 @@ __all__ = [
     "TokenBucket",
     "TraceArrivals",
     "make_arrival_process",
-    "serve",
     "stream_rng",
     "validate_serve_scheduler",
 ]

@@ -122,7 +122,11 @@ class ArrivalSpec:
 
 
 class ArrivalProcess:
-    """Generates one stream's arrival timestamps (ns, absolute)."""
+    """Generates one stream's arrival timestamps (ns, absolute).
+
+    Each kind implements ``_initial(epoch_ns)``: the arrival times known
+    before the run starts.
+    """
 
     #: Closed-loop processes return new arrivals from completion feedback.
     open_loop = True
@@ -146,9 +150,6 @@ class ArrivalProcess:
     def exhausted(self) -> bool:
         """True once every arrival this process will ever emit is out."""
         return self.generated >= self.spec.total_requests
-
-    def _initial(self, epoch_ns: float) -> np.ndarray:
-        raise NotImplementedError
 
 
 class PoissonArrivals(ArrivalProcess):

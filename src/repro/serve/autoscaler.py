@@ -24,7 +24,11 @@ from repro.sim.stats import IntervalSampler
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Hysteresis scaling policy (disabled by default: fixed full set)."""
+    """Hysteresis scaling policy (disabled by default: fixed full set).
+
+    Scaling moves only the concurrency cap: every device stays routable,
+    and in-flight work is never quiesced onto fewer devices.
+    """
 
     enabled: bool = False
     min_devices: int = 1
@@ -32,11 +36,6 @@ class AutoscalePolicy:
     interval_ns: float = 50_000.0
     high_watermark: float = 0.85
     low_watermark: float = 0.30
-    #: Opt-in graceful drain on scale-down: instead of only lowering the
-    #: concurrency cap, the engine quiesces specific devices (stop routing
-    #: new sub-launches, let in-flight work finish) and un-drains them on
-    #: scale-up — the planned-maintenance lifecycle driven by load.
-    drain: bool = False
 
     def __post_init__(self) -> None:
         if self.min_devices < 1:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from repro import knobs
 from repro.cluster.runtime import ClusterPlatform
 from repro.errors import ConfigError, DeviceUnavailable, PoisonError
-from repro.faults.health import DRAINING, UP
 from repro.obs import tracer as obs_tracer
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS, Monitoring
 from repro.obs.timeline import UtilizationSampler
@@ -195,10 +194,6 @@ class ServingEngine:
         self._last_tick_ns = 0.0
         self._tick_scheduled = False
         self._flush_at: dict[str, float] = {}
-        #: Devices *this engine* took out of routing -> fully quiesced
-        #: yet?  (False while their in-flight work finishes.)
-        #: Fault-detected DOWN devices are the injector's, never here.
-        self._drains: dict[int, bool] = {}
         self._ran = False
         #: Resolved once in :meth:`run`; None = tracing off (and then no
         #: utilization sampler either).
@@ -218,8 +213,8 @@ class ServingEngine:
     def capacity(self) -> int:
         """Concurrent-launch cap under the current active device set.
 
-        Capped by the scheduler's routable count so failed/draining
-        devices stop backing in-flight slots; identical to
+        Capped by the scheduler's routable count so failed devices stop
+        backing in-flight slots; identical to
         ``active x inflight_per_device`` while the cluster is healthy.
         """
         usable = min(self.autoscaler.active,
@@ -428,14 +423,13 @@ class ServingEngine:
             if hedged and not failed:
                 self.stats.hedged_won(spec.name)
             self._complete(launch, handle.complete_ns, handle.failure, handle)
-            self._check_drains(handle.complete_ns)
             self._pump()
 
         try:
             primary = issue(now + HOST_DISPATCH_NS, False)
         except DeviceUnavailable as exc:
-            # every device is DOWN or draining: fail the batch through
-            # the retry machinery rather than crashing the run loop
+            # every device is DOWN: fail the batch through the retry
+            # machinery rather than crashing the run loop
             self._complete(launch, now, exc, outcome="unroutable")
             return
         if spec.hedge_delay_ns <= 0 or not workload.hedgeable:
@@ -580,75 +574,6 @@ class ServingEngine:
         self._ensure_tick()
         self._pump()
 
-    # ------------------------------------------------------------------
-    # graceful drain (planned maintenance / autoscale scale-down)
-    # ------------------------------------------------------------------
-
-    def schedule_drain(self, device: int, at_ns: float) -> None:
-        """Planned maintenance: start quiescing ``device`` at ``at_ns``."""
-        if not 0 <= device < self.runtime.num_devices:
-            raise ConfigError(f"cannot drain device {device}: cluster has "
-                              f"{self.runtime.num_devices} devices")
-        self.sim.schedule_at(float(at_ns),
-                             (lambda: self._start_drain(device)))
-
-    def _mark_health(self, device: int, status: str) -> None:
-        """Mirror a drain transition into the fault plan's health view."""
-        if self.runtime.faults is not None:
-            self.runtime.faults.health.mark(device, status, self.sim.now)
-
-    def _start_drain(self, device: int) -> None:
-        now = self.sim.now
-        if device in self._drains:
-            return
-        if not self.runtime.scheduler.set_routable(device, False):
-            return                    # already unroutable (e.g. DOWN)
-        self._drains[device] = False
-        self.runtime.stats.add("recovery.drains_started")
-        self._mark_health(device, DRAINING)
-        if self._tracer is not None:
-            self._tracer.instant("recovery.drain_start", now, device=device)
-        self._check_drains(now)
-
-    def _undrain(self, device: int) -> None:
-        del self._drains[device]
-        self.runtime.scheduler.set_routable(device, True)
-        self._mark_health(device, UP)
-        self.runtime.stats.add("recovery.undrains")
-
-    def _check_drains(self, now: float) -> None:
-        """Promote draining devices with no in-flight work to drained."""
-        for device, quiesced in sorted(self._drains.items()):
-            if (not quiesced
-                    and self.runtime.scheduler.outstanding[device] == 0):
-                self._drains[device] = True
-                self.runtime.stats.add("recovery.drains_completed")
-                if self._tracer is not None:
-                    self._tracer.instant("recovery.drain_complete", now,
-                                         device=device)
-
-    def _sync_autoscale_drain(self, now: float) -> None:
-        """Align drained devices with the autoscaler's active count.
-
-        Scale-down drains the highest-index routable devices (so device
-        0 — the remap fail-over anchor — leaves last); scale-up
-        un-drains the lowest-index drained device first.  Only devices
-        this engine drained are ever un-drained.
-        """
-        scheduler = self.runtime.scheduler
-        want = self.runtime.num_devices - self.autoscaler.active
-        have = len(self._drains)
-        while have < want:
-            candidates = [d for d in range(self.runtime.num_devices)
-                          if scheduler.routable[d]]
-            if len(candidates) <= 1:
-                break                 # never drain the last routable device
-            self._start_drain(candidates[-1])
-            have += 1
-        while have > want and self._drains:
-            self._undrain(min(self._drains))
-            have -= 1
-
     def _feedback(self, state: _TenantState, when: float) -> None:
         """Terminal outcome feedback: closed loops issue their next request."""
         next_arrival = state.process.on_completion(when)
@@ -710,9 +635,6 @@ class ServingEngine:
                        if self.capacity and span > 0 else 0.0)
         self._busy_integral = 0.0
         self.autoscaler.observe(now, min(utilization, 1.0))
-        if self.autoscaler.policy.enabled and self.autoscaler.policy.drain:
-            self._sync_autoscale_drain(now)
-        self._check_drains(now)
         self._mark_windows(now)
         self._tick_scheduled = False
         self._rearm()
@@ -765,9 +687,3 @@ class ServingEngine:
         """Per-tenant result-region bytes (cross-run identity checks)."""
         return {name: state.workload.result_snapshot()
                 for name, state in self.tenants.items()}
-
-
-def serve(platform: ClusterPlatform, tenants: list[TenantSpec],
-          **kwargs) -> ServingReport:
-    """One-shot convenience: build a :class:`ServingEngine` and run it."""
-    return ServingEngine(platform, tenants, **kwargs).run()

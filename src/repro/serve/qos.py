@@ -94,12 +94,6 @@ class Request:
         return QOS_CLASSES.index(self.qos_class)
 
     @property
-    def latency_ns(self) -> float:
-        if self.complete_ns is None:
-            raise ConfigError(f"request {self.tenant}#{self.index} not done")
-        return self.complete_ns - self.arrival_ns
-
-    @property
     def sort_key(self) -> tuple:
         return (self.class_rank, self.deadline_ns, self.seq)
 

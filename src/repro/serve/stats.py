@@ -104,10 +104,6 @@ class TenantReport(_Rates):
         return self.shed_rate_limit + self.shed_queue_full
 
     @property
-    def admitted(self) -> int:
-        return self.offered - self.shed
-
-    @property
     def accounted(self) -> int:
         """Terminal outcomes: must equal ``offered`` after a drained run
         (every offered request is served, shed, expired or failed —
@@ -136,10 +132,6 @@ class TenantReport(_Rates):
     @property
     def p50_ns(self) -> float:
         return self.latency_summary()[0]
-
-    @property
-    def p95_ns(self) -> float:
-        return self.latency_summary()[1]
 
     @property
     def p99_ns(self) -> float:

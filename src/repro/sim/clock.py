@@ -3,7 +3,7 @@
 Every component in Table IV of the paper runs in its own frequency domain
 (NDP units at 2 GHz, host GPU SMs at 1695 MHz, CPU cores at 3.2 GHz, DRAM at
 its own tCK).  The global simulation time is nanoseconds; a :class:`Clock`
-converts between that and component-local cycles.
+gives a domain's cycle time in it.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from repro.errors import ConfigError
 class Clock:
     """A fixed-frequency clock domain.
 
-    >>> ndp = Clock.from_ghz(2.0)
-    >>> ndp.cycles_to_ns(4)
-    2.0
-    >>> ndp.ns_to_cycles(2.0)
-    4.0
+    >>> Clock.from_ghz(2.0).period_ns
+    0.5
     """
 
     freq_ghz: float
@@ -34,27 +31,7 @@ class Clock:
     def from_ghz(cls, freq_ghz: float) -> "Clock":
         return cls(freq_ghz=freq_ghz)
 
-    @classmethod
-    def from_mhz(cls, freq_mhz: float) -> "Clock":
-        return cls(freq_ghz=freq_mhz / 1000.0)
-
-    @classmethod
-    def from_period_ns(cls, period_ns: float) -> "Clock":
-        if period_ns <= 0:
-            raise ConfigError(f"clock period must be positive, got {period_ns}")
-        return cls(freq_ghz=1.0 / period_ns)
-
     @property
     def period_ns(self) -> float:
         """Duration of one cycle in nanoseconds."""
         return 1.0 / self.freq_ghz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        return cycles / self.freq_ghz
-
-    def ns_to_cycles(self, ns: float) -> float:
-        return ns * self.freq_ghz
-
-    def scaled(self, factor: float) -> "Clock":
-        """A clock running ``factor`` times faster (used by Fig 13a sweeps)."""
-        return Clock(freq_ghz=self.freq_ghz * factor)

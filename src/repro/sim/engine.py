@@ -165,10 +165,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._seq, callback))
         self._seq += 1
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the earliest pending event, or None when idle."""
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> bool:
         """Execute the earliest event.  Returns False when the queue is empty."""
         if not self._queue:
@@ -197,13 +193,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind time to zero."""
-        self.now = 0.0
-        self._queue.clear()
-        self._seq = 0
-        self.events_processed = 0
 
 
 class IssueServer:
@@ -257,10 +246,6 @@ class IssueServer:
     def busy_until(self) -> float:
         return self._virtual_time
 
-    def reset(self) -> None:
-        self._virtual_time = 0.0
-        self.ops_issued = 0
-
 
 class BandwidthServer:
     """Virtual-time model of a bandwidth-limited channel (bytes per ns).
@@ -306,7 +291,3 @@ class BandwidthServer:
 
     def occupancy_end(self) -> float:
         return self._busy_until
-
-    def reset(self) -> None:
-        self._busy_until = 0.0
-        self.bytes_transferred = 0

@@ -8,7 +8,6 @@ coherent snapshot after a run.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from collections import defaultdict
@@ -69,14 +68,6 @@ class Distribution:
         if not self.samples:
             raise ValueError("mean of empty distribution")
         return self.total / len(self.samples)
-
-    @property
-    def max(self) -> float:
-        return max(self.samples)
-
-    @property
-    def min(self) -> float:
-        return min(self.samples)
 
     def _sorted_samples(self) -> np.ndarray:
         if self._ordered is None or self._ordered.size != len(self.samples):
@@ -141,14 +132,9 @@ class StatsRegistry:
     def get(self, name: str, default: float = 0.0) -> float:
         return self._counters.get(name, default)
 
-    def observe(self, name: str, value: float) -> None:
-        dist = self._distributions.get(name)
-        if dist is None:
-            dist = self._distributions[name] = Distribution()
-        dist.add(value)
-
     def observe_many(self, name: str, values) -> None:
-        """Bulk form of :meth:`observe` (one :meth:`Distribution.add_many`)."""
+        """Add ``values`` to the distribution ``name`` (one
+        :meth:`Distribution.add_many`), creating it on first use."""
         dist = self._distributions.get(name)
         if dist is None:
             dist = self._distributions[name] = Distribution()
@@ -174,28 +160,6 @@ class StatsRegistry:
         return {key: self._counters[key] for key in sorted(self._counters)
                 if key.startswith(prefix)}
 
-    def to_json(self, prefix: str = "", indent: int = 2) -> str:
-        """The sorted snapshot as a stable JSON document."""
-        return json.dumps(self.snapshot(prefix), indent=indent,
-                          sort_keys=True)
-
-    def clear_prefix(self, prefix: str) -> None:
-        """Drop counters and distributions under ``prefix`` only.
-
-        Components embedded in a shared registry (e.g. a CXL switch inside
-        an experiment's registry) use this from their ``reset()`` so
-        repeated runs don't accumulate stale counts — without wiping the
-        rest of the registry.
-        """
-        for key in [k for k in self._counters if k.startswith(prefix)]:
-            del self._counters[key]
-        for key in [k for k in self._distributions if k.startswith(prefix)]:
-            del self._distributions[key]
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._distributions.clear()
-
     def timeline(self, prefix: str = "",
                  start_ns: float = 0.0) -> "Timeline":
         """Windowed view of counter deltas under ``prefix``.
@@ -219,12 +183,6 @@ class TimelineWindow:
     @property
     def span_ns(self) -> float:
         return self.end_ns - self.start_ns
-
-    def rate_per_s(self, name: str) -> float:
-        """Counter delta expressed as a per-second rate over the window."""
-        if self.span_ns <= 0:
-            return 0.0
-        return self.deltas.get(name, 0.0) / (self.span_ns * 1e-9)
 
     def sum_suffix(self, suffix: str) -> float:
         """Sum of deltas across counters ending with ``suffix`` (e.g. the
@@ -265,26 +223,6 @@ class Timeline:
         self._last_ns = now_ns
         self._last_snapshot = snapshot
         return window
-
-    def series(self, name: str) -> list[tuple[float, float, float]]:
-        """(start_ns, end_ns, delta) for one counter across all windows."""
-        return [(w.start_ns, w.end_ns, w.deltas.get(name, 0.0))
-                for w in self.windows]
-
-    def total(self, name: str) -> float:
-        return sum(w.deltas.get(name, 0.0) for w in self.windows)
-
-    def peak_rate_per_s(self, name: str) -> float:
-        """Highest per-second rate of ``name`` over any closed window."""
-        if not self.windows:
-            return 0.0
-        return max(w.rate_per_s(name) for w in self.windows)
-
-    def peak_rate_suffix_per_s(self, suffix: str) -> float:
-        """Highest summed per-second rate of ``*suffix`` counters."""
-        if not self.windows:
-            return 0.0
-        return max(w.rate_suffix_per_s(suffix) for w in self.windows)
 
 
 @dataclass

@@ -108,8 +108,3 @@ def gpu_spec(data: DLRMData, tb_size: int = 128) -> GPUKernelSpec:
         warp_profile=profile,
         regs_per_thread=24,
     )
-
-
-def bytes_touched(data: DLRMData) -> int:
-    """Embedding traffic of one batch (for analytic baselines)."""
-    return data.batch * data.lookups * data.row_bytes

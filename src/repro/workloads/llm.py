@@ -139,11 +139,3 @@ def gpu_spec(data: GEMVData, tb_size: int = 128) -> GPUKernelSpec:
         warp_profile=profile,
         regs_per_thread=32,
     )
-
-
-def all_reduce_bytes(model: OPTModel, num_devices: int) -> int:
-    """Per-token activation exchange for tensor-parallel scaling (§III-I):
-    each layer all-reduces two hidden-sized vectors across devices."""
-    if num_devices <= 1:
-        return 0
-    return 2 * model.layers * model.hidden * 4 * (num_devices - 1)

@@ -273,7 +273,7 @@ class TestOnePartitionMap:
         handle = cluster.runtimes[0].launch_async(
             kid, addr_a, addr_a + a.nbytes,
             args=pack_args(addr_b, addr_c), partition=tag)
-        cluster.wait_all()
+        cluster.sim.run()
         return handle.call.value
 
     @pytest.mark.parametrize("tag", [None, 0])

@@ -26,9 +26,11 @@ class TestShardMapInterleaved:
 
     def test_is_local_matches_owner(self):
         shard = interleaved()
-        assert shard.is_local(shard.base, 0)
-        assert not shard.is_local(shard.base, 1)
-        assert shard.is_local(shard.base + 4096, 1)
+        assert shard.remote_bytes(shard.base, shard.base + 4096, 0) == {}
+        assert shard.remote_bytes(shard.base, shard.base + 4096, 1) == {
+            0: 4096}
+        assert shard.remote_bytes(shard.base + 4096, shard.base + 8192,
+                                  1) == {}
 
     def test_owner_segments_cover_range_exactly(self):
         shard = interleaved()
@@ -91,7 +93,6 @@ class TestShardMapReplicated:
         shard = ShardMap(base=0, size=4096, placement="replicated",
                          num_devices=4, shard_bytes=4096)
         for device in range(4):
-            assert shard.is_local(0, device)
             assert shard.remote_bytes(0, 4096, device) == {}
         assert shard.owner_segments(0, 4096) == [(-1, 0, 4096)]
         assert shard.device_bytes(2) == 4096

@@ -133,7 +133,7 @@ class TestMultiDeviceCorrectness:
                                  args=pack_args(addr_b, addr_c))
             for _ in range(4)
         ]
-        runtime.wait_all()
+        runtime.sim.run()
         for handle in handles:
             assert handle.finished
         per_device: dict[int, set] = {}

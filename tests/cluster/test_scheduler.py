@@ -25,7 +25,7 @@ def replicated(devices=4, size=16 * 4096):
 
 
 def total_span(subs):
-    return sum(s.size for s in subs)
+    return sum(s.bound - s.base for s in subs)
 
 
 class TestPlanInvariants:
@@ -128,7 +128,7 @@ class TestRoundRobin:
         subs = scheduler.plan(shard, lo, shard.bound, 32)
         assert subs[0].device == 0
         assert subs[0].remote == {1: 4096}
-        total_remote = sum(s.remote_bytes for s in subs)
+        total_remote = sum(sum(s.remote.values()) for s in subs)
         assert total_remote == 7 * 4096     # every chunk lands off-owner
 
 

@@ -62,11 +62,6 @@ class TestCXLLink:
         arrival = link.send_to_device(0.0, packet)
         assert arrival >= link.one_way_ns
 
-    def test_read_round_trip_at_least_two_one_ways(self):
-        link = CXLLink()
-        done = link.read_round_trip(0.0, 0x1000)
-        assert done >= 2 * link.one_way_ns
-
     def test_bandwidth_saturation(self):
         link = CXLLink()
         finish = 0.0
@@ -96,5 +91,8 @@ class TestCXLLink:
 
     def test_bytes_moved_accounting(self):
         link = CXLLink()
-        link.write_round_trip(0.0, 0, b"\0" * 64)
-        assert link.bytes_moved() == HEADER_BYTES * 2 + 64
+        write = CXLPacket(PacketType.MEM_WR, 0, 64, data=b"\0" * 64)
+        link.send_to_host(link.send_to_device(0.0, write),
+                          CXLPacket(PacketType.MEM_WR_ACK, 0, 0))
+        moved = link.stats.get("cxl.down_bytes") + link.stats.get("cxl.up_bytes")
+        assert moved == HEADER_BYTES * 2 + 64

@@ -78,10 +78,6 @@ class TestSelection:
         with pytest.raises(ConfigError):
             make_backend("nope", device=None)
 
-    def test_device_delegates_active_executions(self):
-        platform = make_platform(backend="batched")
-        assert platform.device.active_executions == []
-
 
 class TestVecaddEquivalence:
     N = 4096
@@ -374,7 +370,7 @@ class TestConcurrentLaunches:
             raw, addr_a, addr_a + 48 * 32, args=pack_args(addr_d),
             sync=False,
         )
-        runtime.wait_all()
+        runtime.sim.run()
         # The interpreter launch issues behind the batched launch's bulk
         # sub-core charge — the one place that charge is observable (the
         # raw launch completes at 455.375 without it).
@@ -406,14 +402,17 @@ class TestConcurrentLaunches:
             red = runtime.register_kernel(REDUCE_SUM_I64, scratchpad_bytes=64,
                                           name="reduce")
             for _ in range(2):
+                now = runtime.sim.now
                 runtime.launch_async(red, addr_a, addr_a + n * 8,
-                                     args=pack_args(out), sync=False)
+                                     args=pack_args(out), sync=False,
+                                     at_ns=now)
                 runtime.launch_async(raw, addr_a, addr_a + 48 * 32,
-                                     args=pack_args(addr_d), sync=False)
+                                     args=pack_args(addr_d), sync=False,
+                                     at_ns=now)
                 runtime.launch_async(big, addr_a, addr_a + n * 8,
                                      args=pack_args(addr_b, addr_c),
-                                     sync=False)
-                runtime.wait_all()
+                                     sync=False, at_ns=now)
+                runtime.sim.run()
             stats = platform.stats
             assert stats.get("exec.simt_launches") == 2        # masked
             assert stats.get("exec.fallback_reason.raw") == 2  # interpreter

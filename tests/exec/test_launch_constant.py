@@ -43,8 +43,9 @@ def _calls_over_cached_launches(num_units: int) -> int:
 
     def launch() -> None:
         runtime.launch_async(kid, addr_a, addr_a + a.nbytes,
-                             args=pack_args(addr_b, addr_c), sync=False)
-        runtime.wait_all()
+                             args=pack_args(addr_b, addr_c), sync=False,
+                             at_ns=runtime.sim.now)
+        runtime.sim.run()
 
     launch()    # traces; every launch after it replays
     calls = 0
@@ -104,21 +105,31 @@ def _calls_inside_memory_charge() -> tuple[int, int]:
 
     def launch() -> None:
         runtime.launch_async(kid, addr_a, addr_a + a.nbytes,
-                             args=pack_args(addr_b, addr_c), sync=False)
-        runtime.wait_all()
+                             args=pack_args(addr_b, addr_c), sync=False,
+                             at_ns=runtime.sim.now)
+        runtime.sim.run()
 
+    flush = 1 << 18
+    flush_a = runtime.alloc_array(np.zeros(flush, dtype=np.int64))
+    flush_c = runtime.alloc(8 * flush)
+    stats = platform.stats
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(M2NDPDevice, "l2_dram_access_batch", counted)
         launch()                        # traces and fills the L2
         launch()
-        misses = platform.stats.get("l2.read_misses")
+        misses = stats.get("l2.read_misses")
         launch()                        # replays, all hits
-        assert platform.stats.get("l2.read_misses") == misses
-        platform.device.l2.invalidate_all()
+        assert stats.get("l2.read_misses") == misses
+    # 2 MiB read and 2 MiB written through the 4 MiB L2 evict every line
+    # the launches above left in it
+    runtime.run_kernel(VECADD, flush_a, flush_a + 8 * flush,
+                       args=pack_args(flush_a, flush_c))
+    before = stats.get("l2.read_misses")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M2NDPDevice, "l2_dram_access_batch", counted)
         launch()                        # replays, all misses
-    stats = platform.stats
     assert stats.get("exec.trace_cache_hits") == 3
-    assert stats.get("l2.read_misses") == 2 * misses
+    assert stats.get("l2.read_misses") - before == misses
     return counts[2], counts[3]
 
 

@@ -13,7 +13,6 @@ Python function.  Every scenario here runs three times:
 """
 
 import linecache
-import struct
 import traceback
 
 import numpy as np
@@ -25,10 +24,9 @@ from repro.exec import point
 from repro.exec.trace_cache import MAX_POINT_PATHS, StaleTrace
 from repro.host.api import pack_args
 from repro.isa.executor import _BRANCHES, _BRANCHES_Z, MemAccess
-from repro.isa.registers import to_signed32, to_signed64, to_unsigned64
+from repro.isa.registers import to_signed64, to_unsigned64
 from repro.kernels.kvstore import (KVS_GET, KVS_GET_SCATTER, KVS_SET,
                                    KVS_SET_SCATTER)
-from repro.mem.scratchpad import _apply_amo
 from repro.workloads import kvstore
 from repro.workloads.base import make_platform
 
@@ -68,7 +66,7 @@ def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
                 total += coef * live[tok]
         return total
 
-    timeline, commits, pre_total = [], [], 0
+    timeline, pre_total = [], 0
     node = family.root
     try:
         while True:
@@ -88,7 +86,7 @@ def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
                             raise StaleTrace("point path data went stale")
                         loads[access[3]] = (raw, access[4])
                         events.append(MemAccess(addr, size, is_write=False))
-                    elif kind == "st":
+                    else:
                         spec = access[3]
                         if spec[0] == "lit":
                             raw = spec[1]
@@ -99,36 +97,7 @@ def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
                             raw = ((value & ((1 << (8 * spec[2])) - 1))
                                    .to_bytes(spec[2], "little"))
                         writes.append((addr, raw))
-                        commits.append(("st", addr, raw))
                         events.append(MemAccess(addr, size, is_write=True))
-                    else:
-                        _, _, _, k, op, is_float, op_spec, verify = access
-                        old_raw = read(addr, size)
-                        if verify is not None and old_raw != verify:
-                            raise StaleTrace("point path AMO old went stale")
-                        loads[k] = (old_raw, True)
-                        if op_spec[0] == "lit":
-                            operand = op_spec[1]
-                        else:
-                            operand = to_signed64(resolve(op_spec[1]))
-                            if size == 4:
-                                operand = to_signed32(operand)
-                        commits.append(("amo", addr, size, op, operand,
-                                        is_float))
-                        if is_float:
-                            packer = struct.Struct("<f" if size == 4 else "<d")
-                            new = _apply_amo(op, packer.unpack(old_raw)[0],
-                                             operand)
-                            writes.append((addr, packer.pack(new)))
-                        else:
-                            old = int.from_bytes(old_raw, "little",
-                                                 signed=True)
-                            bits = (_apply_amo(op, old, operand)
-                                    & ((1 << (8 * size)) - 1))
-                            writes.append((addr, bits.to_bytes(size,
-                                                               "little")))
-                        events.append(MemAccess(addr, size, is_write=True,
-                                                is_amo=True))
                 timeline.append((pre, tuple(events)))
                 pre_total += pre
             if node.guard is None:
@@ -149,11 +118,8 @@ def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
     except TranslationFault:
         raise point._PathMismatch from None
 
-    for commit in commits:
-        if commit[0] == "st":
-            memory.store(commit[1], commit[2])
-        else:
-            memory.amo(commit[3], commit[1], commit[4], commit[2], commit[5])
+    for addr, raw in writes:
+        memory.store(addr, raw)
     family.replays += 1
     entry.replays += 1
     if refresh:
@@ -464,6 +430,7 @@ def test_store_then_load_forwards_the_buffered_bytes(monkeypatch):
 
 #: int AMOs with literal and affine operands (4 and 8 bytes), float AMOs
 #: (4 and 8 bytes), and loads behind them that must see the new bytes.
+#: The point engine records no AMO, so these lanes walk uncached.
 AMO_KERNEL = """
 .body
     ld   x4, 0(x3)
@@ -518,9 +485,9 @@ def test_int_and_float_amo_steps(monkeypatch):
             run.read(out, 64 * lanes)
             run.read(blocks, 64 * lanes)
 
-    run = _differential(scenario, monkeypatch, min_hits=lanes)
-    family, = _families(run.platform)
-    assert family.source.count("amo_bytes(") == 6
+    run = _differential(scenario, monkeypatch, min_hits=0)
+    assert run.counters()[0] == 0
+    assert _families(run.platform) == []
     last = np.frombuffer(run.bytes[-1], dtype=np.int64).reshape(lanes, 8)
     assert last[:, 0].tolist() == (np.arange(lanes) - 2 + 9).tolist()
     assert last[:, 5].tolist() == [-16 + (1 << 32), 48, 100, 100, 100]

@@ -124,8 +124,8 @@ class TestOneEntrySeveralCaches:
             handle = runtime.launch_async(
                 kid, addr_a, addr_a + a.nbytes,
                 args=pack_args(addr_b, addr_c), partition=partition,
-                at_ns=cluster.now)
-            cluster.wait_all()
+                at_ns=cluster.sim.now)
+            cluster.sim.run()
             runtimes.append(
                 device.controller.instances[handle.call.value].runtime_ns)
         assert np.array_equal(cluster.read_array(addr_c, np.int64, n), 2 * a)
@@ -248,14 +248,14 @@ class TestInvalidation:
         platform = make_platform(backend="batched")
         runtime = platform.runtime
         flag_addr = runtime.alloc(8)
-        platform.device.physical.write_i64(flag_addr, 1)
+        platform.device.physical.write_u64(flag_addr, 1)
         pool = runtime.alloc(N)
         kid = runtime.register_kernel(source)
         args = pack_args(flag_addr)
         runtime.launch_kernel(kid, pool, pool + N, args=args)
         out = runtime.read_array(pool, np.int64, N // 8)
         assert np.all(out[::4] == 111)
-        platform.device.physical.write_i64(flag_addr, 0)
+        platform.device.physical.write_u64(flag_addr, 0)
         runtime.launch_kernel(kid, pool, pool + N, args=args)
         out = runtime.read_array(pool, np.int64, N // 8)
         assert np.all(out[::4] == 223)
@@ -399,6 +399,7 @@ class TestStepLog:
         log.step(**_global_step())
         with pytest.raises(StaleTrace, match="fewer memory steps"):
             log.finish()
+
 
 class TestBypass:
     def test_simt_kernels_cache_their_mask_schedule(self):

@@ -193,21 +193,6 @@ class TestStallFlapPoison:
         assert excinfo.value.base == addr_a
         assert platform.stats.get("fault.poisoned_launches") == 1
 
-    def test_cleared_poison_launches_again(self):
-        platform = make_cluster_platform(num_devices=4, backend="batched")
-        runtime = platform.runtime
-        a, b, addr_a, addr_b, addr_c = _vecadd_addrs(runtime)
-        runtime.arm_faults(FaultPlan(events=(
-            FaultEvent("poison", at_ns=0.0, base=addr_a, size=64),
-        )))
-        runtime.sim.run()
-        runtime.faults.clear_poison()
-        got_instance = runtime.run_kernel(VECADD, addr_a, addr_a + a.nbytes,
-                                          args=pack_args(addr_b, addr_c))
-        assert got_instance is not None
-        got = runtime.read_array(addr_c, np.int64, N)
-        assert np.array_equal(got, a + b)
-
 
 class TestDegradationWindows:
     """Health transitions and recorder rows of stall / flap windows that

@@ -1,10 +1,9 @@
-"""FaultPlan/FaultEvent validation and seeded plan generation."""
+"""FaultPlan/FaultEvent validation."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import FaultEvent, FaultPlan, generate_fault_plan
+from repro.faults import FaultEvent, FaultPlan
 
 
 class TestFaultEvent:
@@ -24,10 +23,6 @@ class TestFaultEvent:
         with pytest.raises(ConfigError):
             FaultEvent("poison", at_ns=10.0, base=0x1000, size=0)
 
-    def test_until_ns(self):
-        event = FaultEvent("device_stall", at_ns=10.0, duration_ns=5.0)
-        assert event.until_ns == 15.0
-
 
 class TestFaultPlan:
     def test_events_sorted_by_time(self):
@@ -39,10 +34,10 @@ class TestFaultPlan:
         assert [e.at_ns for e in plan.events] == [10.0, 50.0]
 
     def test_none_is_empty(self):
-        assert FaultPlan.none().empty
-        assert not FaultPlan(events=(
+        assert FaultPlan.none().events == ()
+        assert FaultPlan(events=(
             FaultEvent("device_fail", at_ns=1.0),
-        )).empty
+        )).events
 
     def test_of_kind_filters(self):
         plan = FaultPlan(events=(
@@ -76,37 +71,3 @@ class TestFaultPlan:
             plan.validate_against(2)
         assert plan.validate_against(3) is plan
 
-
-class TestGeneratePlan:
-    def test_deterministic_for_seed(self):
-        first = generate_fault_plan(np.random.default_rng(7), 1e6, 4,
-                                    kill_rate_per_s=2e3,
-                                    stall_rate_per_s=5e3,
-                                    flap_rate_per_s=5e3)
-        second = generate_fault_plan(np.random.default_rng(7), 1e6, 4,
-                                     kill_rate_per_s=2e3,
-                                     stall_rate_per_s=5e3,
-                                     flap_rate_per_s=5e3)
-        assert first == second
-
-    def test_seed_changes_plan(self):
-        plans = [generate_fault_plan(np.random.default_rng(seed), 1e6, 4,
-                                     stall_rate_per_s=1e4)
-                 for seed in (1, 2)]
-        assert plans[0] != plans[1]
-
-    def test_zero_rates_give_empty_plan(self):
-        assert generate_fault_plan(np.random.default_rng(1), 1e6, 4).empty
-
-    def test_generated_plan_validates(self):
-        for seed in range(8):
-            plan = generate_fault_plan(np.random.default_rng(seed), 1e6, 4,
-                                       kill_rate_per_s=5e3,
-                                       stall_rate_per_s=5e3,
-                                       flap_rate_per_s=5e3)
-            plan.validate_against(4)
-
-    def test_max_kills_caps_and_keeps_survivor(self):
-        plan = generate_fault_plan(np.random.default_rng(3), 1e6, 2,
-                                   kill_rate_per_s=1e5)
-        assert len(plan.of_kind("device_fail")) <= 1

@@ -1,5 +1,5 @@
-"""Serving-tier resilience: retries, hedging, drain, accounting identity,
-and byte-level determinism under fault plans."""
+"""Serving-tier resilience: retries, hedging, accounting identity and
+byte-level determinism under fault plans."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.faults import FaultEvent, FaultPlan
 from repro.serve import (
     ArrivalSpec,
-    AutoscalePolicy,
     RetryPolicy,
     ServingEngine,
     TenantSpec,
@@ -160,50 +159,6 @@ class TestHedging:
         )
         _, _, report = _run([spec], plan=self.STALLS)
         assert report.tenant("kv").hedged == 0
-
-
-class TestDrain:
-    def test_planned_drain_quiesces_device(self):
-        platform = make_cluster_platform(num_devices=4, backend="batched")
-        platform.runtime.arm_faults(FaultPlan.none())
-        engine = ServingEngine(platform, [_scan_tenant(requests=30)])
-        engine.schedule_drain(3, at_ns=2_000.0)
-        report = engine.run()
-        tenant = report.tenant("scan")
-        assert tenant.served == tenant.offered
-        assert tenant.correct
-        assert platform.stats.get("recovery.drains_started") == 1
-        assert platform.stats.get("recovery.drains_completed") == 1
-        assert not platform.runtime.scheduler.routable[3]
-        assert platform.runtime.scheduler.outstanding[3] == 0
-        assert "dev3:draining" in platform.runtime.faults.health.render()
-
-    def test_drain_validates_device(self):
-        platform = make_cluster_platform(num_devices=2, backend="batched")
-        engine = ServingEngine(platform, [_scan_tenant(requests=4)])
-        with pytest.raises(ConfigError):
-            engine.schedule_drain(7, at_ns=0.0)
-
-    def test_autoscale_drain_cycles(self):
-        platform = make_cluster_platform(num_devices=4, backend="batched")
-        spec = TenantSpec(
-            "scan", "olap",
-            arrivals=ArrivalSpec("poisson", rate_rps=2e5, requests=40),
-            qos_class="interactive", slo_ns=50_000_000.0, size=1 << 16,
-            slices=4,
-        )
-        policy = AutoscalePolicy(enabled=True, min_devices=1,
-                                 interval_ns=10_000.0, high_watermark=0.7,
-                                 low_watermark=0.3, drain=True)
-        engine = ServingEngine(platform, [spec], autoscale=policy)
-        report = engine.run()
-        tenant = report.tenant("scan")
-        assert tenant.served == tenant.offered
-        assert tenant.correct
-        started = platform.stats.get("recovery.drains_started")
-        completed = platform.stats.get("recovery.drains_completed")
-        assert started >= 1
-        assert completed >= 1
 
 
 class TestDeterminism:

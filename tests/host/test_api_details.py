@@ -71,8 +71,8 @@ class TestAllocator:
 
 class TestM2FuncRegion:
     def test_region_registered_in_filter(self, runtime):
-        entry = runtime.device.packet_filter.lookup_asid(runtime.asid)
-        assert entry is not None
+        entry = runtime.device.packet_filter.match(runtime.func_addr(0))
+        assert entry is not None and entry.asid == runtime.asid
         assert entry.bound - entry.base == M2FUNC_REGION_BYTES
 
     def test_two_processes_get_disjoint_regions(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GPUConfig, SystemConfig, lpddr5_cxl_dram
-from repro.host.dsa import ALL_PES, CMS, CXL_PNM, pe_for_workload
+from repro.host.dsa import ALL_PES, CMS, CXL_PNM
 from repro.host.gpu import (
     GPUDevice,
     GPUKernelSpec,
@@ -32,7 +32,7 @@ def uniform_spec(total_warps=64, warps_per_tb=4, instructions=40,
 def run_kernel(device: GPUDevice, spec: GPUKernelSpec) -> float:
     result = device.launch(spec, at_ns=0.0)
     device.sim.run()
-    return result.kernel_ns
+    return result.complete_ns - result.start_ns
 
 
 class TestGPUDevice:
@@ -150,9 +150,9 @@ class TestDomainSpecificPEs:
         assert names == {"CXL-ANNS", "CMS", "RecNMP", "CXL-PNM"}
 
     def test_workload_dispatch(self):
-        assert CMS in pe_for_workload("knn")
-        assert CXL_PNM in pe_for_workload("llm")
-        assert pe_for_workload("unknown-thing") == []
+        assert "knn" in CMS.workloads
+        assert "llm" in CXL_PNM.workloads
+        assert not any("unknown-thing" in pe.workloads for pe in ALL_PES)
 
     def test_runtime_scales_with_bytes(self):
         one = CMS.runtime_ns(1 << 20, 409.6)

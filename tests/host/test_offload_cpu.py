@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import CXLConfig
 from repro.host.api import M2NDPRuntime, pack_args
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
 from repro.host.offload import (
@@ -117,13 +118,6 @@ class TestHostCPUModel:
         memory = MemoryTarget("cxl", 150.0, 64.0)
         assert cpu.scan_bandwidth(memory) == pytest.approx(64.0)
 
-    def test_scan_time_includes_compute(self):
-        cpu = HostCPUModel()
-        memory = MemoryTarget("cxl", 150.0, 64.0)
-        fast = cpu.scan_time_ns(1 << 20, memory)
-        slow = cpu.scan_time_ns(1 << 20, memory, compute_ns_per_byte=100.0)
-        assert slow > fast
-
     def test_pointer_chase_serializes(self):
         cpu = HostCPUModel()
         memory = MemoryTarget("cxl", 150.0, 64.0)
@@ -131,7 +125,9 @@ class TestHostCPUModel:
 
     def test_internal_memory_faster(self):
         cpu = HostCPUModel()
-        cxl = MemoryTarget.cxl()
+        link = CXLConfig()
+        cxl = MemoryTarget("cxl", link.load_to_use_ns,
+                           link.bw_per_dir_bytes_per_ns)
         internal = MemoryTarget.device_internal()
         assert cpu.scan_bandwidth(internal, threads=8) > cpu.scan_bandwidth(
             cxl, threads=8
@@ -157,7 +153,7 @@ class TestCoreRequestPool:
         pool = CoreRequestPool(sim, num_cores=1)
         pool.submit(0.0, 100.0)
         pool.submit(0.0, 100.0)
-        assert pool.latencies.max == 200.0
+        assert max(pool.latencies.samples) == 200.0
 
     def test_callback_scheduled(self):
         sim = Simulator()

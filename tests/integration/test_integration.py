@@ -32,7 +32,7 @@ class TestReductionKernel:
             args=pack_args(result_addr), scratchpad_bytes=0x110,
             name="reduce",
         )
-        assert runtime.device.physical.read_i64(result_addr) == values.sum()
+        assert runtime.read_array(result_addr, np.int64, 1)[0] == values.sum()
         # all three phases spawned µthreads
         assert instance.uthreads_done > instance.num_body_uthreads
 
@@ -49,7 +49,8 @@ class TestReductionKernel:
                 REDUCE_SUM_I64, data_addr, data_addr + n * 8,
                 args=pack_args(result_addr), scratchpad_bytes=0x110,
             )
-            assert runtime.device.physical.read_i64(result_addr) == (trial + 1) * n
+            assert (runtime.read_array(result_addr, np.int64, 1)[0]
+                    == (trial + 1) * n)
 
 
 class TestFloat32Path:

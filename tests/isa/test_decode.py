@@ -12,12 +12,13 @@ import pytest
 from repro.config import default_system
 from repro.errors import ExecutionError
 from repro.host.api import pack_args
-from repro.isa.assembler import assemble, assemble_kernel
+from repro.isa.assembler import assemble_kernel
 from repro.isa.encoding import FU_COLUMN, OPCODES, Instruction
 from repro.isa.executor import bind, decode
 from repro.isa.registers import UThreadRegisters
 from repro.kernels.vecadd import VECADD
 from repro.workloads.base import make_platform
+from tests.isa.test_assembler import assemble
 
 
 def spec_instruction(mnemonic: str, **operands) -> Instruction:

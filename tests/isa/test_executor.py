@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa.assembler import assemble
-from repro.isa.executor import execute
+from repro.isa.executor import bind
 from repro.isa.registers import UThreadRegisters, to_signed64
 from repro.mem.physical import PhysicalMemory
+from tests.isa.test_assembler import assemble
 
 
 class SimpleMemory:
@@ -45,7 +45,7 @@ def run_program(source: str, regs: UThreadRegisters | None = None,
     for _ in range(max_steps):
         if pc >= len(prog.instructions):
             break
-        result = execute(prog.instructions[pc], regs, mem)
+        result = bind(prog.instructions[pc])(regs, mem)
         if result.done:
             break
         pc = result.jump_to if result.jump_to is not None else pc + 1
@@ -105,7 +105,7 @@ class TestScalarArithmetic:
         regs.write_x(5, a)
         regs.write_x(6, b)
         prog = assemble("add x7, x5, x6\nret")
-        execute(prog.instructions[0], regs, SimpleMemory())
+        bind(prog.instructions[0])(regs, SimpleMemory())
         assert regs.x[7] == to_signed64(a + b)
 
 

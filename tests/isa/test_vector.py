@@ -303,8 +303,7 @@ class TestVectorMemory:
             vamoadde32.v v1, (x1), v2
             ret
         """)
-        for i in range(4):
-            assert mem.pm.read_u32(0x3000 + 4 * i) == 2
+        assert struct.unpack("<4I", mem.pm.read_bytes(0x3000, 16)) == (2,) * 4
 
     def test_partial_vl_store(self):
         _, mem = run_program("""
@@ -315,6 +314,5 @@ class TestVectorMemory:
             vse32.v v1, (x1)
             ret
         """)
-        assert mem.pm.read_u32(0x4000) == 9
-        assert mem.pm.read_u32(0x4008) == 9
-        assert mem.pm.read_u32(0x400C) == 0   # beyond vl untouched
+        # the fourth word is beyond vl: untouched
+        assert struct.unpack("<4I", mem.pm.read_bytes(0x4000, 16)) == (9, 9, 9, 0)

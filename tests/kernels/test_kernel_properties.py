@@ -70,7 +70,7 @@ class TestReductionProperty:
         runtime.run_kernel(REDUCE_SUM_I64, addr, addr + n * 8,
                            args=pack_args(result_addr),
                            scratchpad_bytes=0x110)
-        assert runtime.device.physical.read_i64(result_addr) == values.sum()
+        assert runtime.read_array(result_addr, np.int64, 1)[0] == values.sum()
 
 
 class TestFilterProperty:

@@ -54,13 +54,6 @@ class TestBasics:
         assert cache.access(a, 32, is_write=False).full_hit
         assert not cache.access(b, 32, is_write=False).full_hit
 
-    def test_invalidate_all(self):
-        cache = small_cache()
-        cache.access(0, 32, is_write=False)
-        dropped = cache.invalidate_all()
-        assert dropped == 1
-        assert not cache.access(0, 32, is_write=False).full_hit
-
 
 class TestWritePolicies:
     def test_write_through_forwards_every_write(self):
@@ -105,7 +98,8 @@ class TestAccounting:
         cache = small_cache()
         cache.access(0, 32, is_write=False)
         cache.access(0, 32, is_write=False)
-        assert cache.hit_rate() == pytest.approx(0.5)
+        assert cache.stats.get("t.read_hits") == 1
+        assert cache.stats.get("t.read_misses") == 1
 
     def test_resident_lines_bounded(self):
         cache = small_cache()

@@ -87,8 +87,8 @@ class TestBandwidth:
 
     def test_utilization_accounting(self, dram):
         dram.access(0, 32, 0.0, is_write=True)
-        assert dram.bytes_accessed() == 32
-        assert 0 < dram.utilization(100.0) <= 1.0
+        assert dram.stats.get("dram.bytes") == 32
+        assert dram.stats.get("dram.writes") == 1
 
     def test_reset(self, dram):
         dram.access(0, 32, 0.0, is_write=False)
@@ -131,13 +131,3 @@ class TestLayout:
         assert pieces[0][0] <= 100
         assert pieces[-1][0] + pieces[-1][1] >= 164
         assert all(size == 32 for _, size in pieces)
-
-    @given(st.integers(min_value=0, max_value=1 << 30),
-           st.integers(min_value=1, max_value=512))
-    def test_split_by_granule_partitions(self, addr, size):
-        layout = AddressLayout(lpddr5_cxl_dram())
-        pieces = layout.split_by_granule(addr, size)
-        assert sum(s for _, s in pieces) == size
-        assert pieces[0][0] == addr
-        for (a1, s1), (a2, _) in zip(pieces, pieces[1:]):
-            assert a1 + s1 == a2

@@ -53,42 +53,42 @@ class TestRawBytes:
 
 
 class TestTypedAccess:
-    @pytest.mark.parametrize("writer,reader,value", [
-        ("write_u8", "read_u8", 0xAB),
-        ("write_u16", "read_u16", 0xBEEF),
-        ("write_u32", "read_u32", 0xDEADBEEF),
-        ("write_u64", "read_u64", 0x0123456789ABCDEF),
-        ("write_i32", "read_i32", -123456),
-        ("write_i64", "read_i64", -(1 << 40)),
+    @pytest.mark.parametrize("dtype,value", [
+        (np.uint8, 0xAB),
+        (np.uint16, 0xBEEF),
+        (np.uint32, 0xDEADBEEF),
+        (np.uint64, 0x0123456789ABCDEF),
+        (np.int32, -123456),
+        (np.int64, -(1 << 40)),
     ])
-    def test_integer_roundtrip(self, writer, reader, value):
+    def test_integer_roundtrip(self, dtype, value):
         mem = PhysicalMemory()
-        getattr(mem, writer)(0x100, value)
-        assert getattr(mem, reader)(0x100) == value
+        mem.store_array(0x100, np.array([value], dtype=dtype))
+        assert mem.load_array(0x100, dtype, 1)[0] == value
 
     def test_float_roundtrip(self):
         mem = PhysicalMemory()
-        mem.write_f32(0x10, 1.5)
-        mem.write_f64(0x20, -2.25)
-        assert mem.read_f32(0x10) == 1.5
-        assert mem.read_f64(0x20) == -2.25
+        mem.store_array(0x10, np.array([1.5], dtype=np.float32))
+        mem.store_array(0x20, np.array([-2.25], dtype=np.float64))
+        assert mem.load_array(0x10, np.float32, 1)[0] == 1.5
+        assert mem.load_array(0x20, np.float64, 1)[0] == -2.25
 
     def test_unsigned_wrap(self):
         mem = PhysicalMemory()
-        mem.write_u8(0x0, 0x1FF)
-        assert mem.read_u8(0x0) == 0xFF
+        mem.write_u64(0x0, (1 << 64) + 0xFF)
+        assert mem.read_u64(0x0) == 0xFF
 
     def test_signed_reads(self):
         mem = PhysicalMemory()
-        mem.write_u8(0x0, 0xFF)
-        assert mem.read_i8(0x0) == -1
-        mem.write_u16(0x2, 0x8000)
-        assert mem.read_i16(0x2) == -(1 << 15)
+        mem.write_bytes(0x0, b"\xff")
+        assert mem.load_array(0x0, np.int8, 1)[0] == -1
+        mem.write_bytes(0x2, b"\x00\x80")
+        assert mem.load_array(0x2, np.int16, 1)[0] == -(1 << 15)
 
     def test_little_endian_layout(self):
         mem = PhysicalMemory()
-        mem.write_u32(0x0, 0x04030201)
-        assert mem.read_bytes(0x0, 4) == b"\x01\x02\x03\x04"
+        mem.write_u64(0x0, 0x0807060504030201)
+        assert mem.read_bytes(0x0, 8) == bytes(range(1, 9))
 
 
 class TestNumpyAccess:
@@ -108,6 +108,6 @@ class TestNumpyAccess:
 
     def test_resident_bytes_sparse(self):
         mem = PhysicalMemory()
-        mem.write_u8(0, 1)
-        mem.write_u8(100 * PAGE_SIZE, 1)
-        assert mem.resident_bytes == 2 * PAGE_SIZE
+        mem.write_bytes(0, b"\x01")
+        mem.write_bytes(100 * PAGE_SIZE, b"\x01")
+        assert sorted(mem._pages) == [0, 100]

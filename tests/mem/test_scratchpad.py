@@ -30,18 +30,11 @@ class TestReadWrite:
         with pytest.raises(MemoryError_):
             spad.write(SCRATCHPAD_VBASE - 4, b"1234")
 
-    def test_clear(self, spad):
-        spad.write(SCRATCHPAD_VBASE, b"\xff" * 8)
-        spad.clear()
-        assert spad.read(SCRATCHPAD_VBASE, 8) == b"\0" * 8
-
-    def test_clear_keeps_the_row_it_was_given(self):
+    def test_writes_and_amos_land_in_the_row_it_was_given(self):
         rows = np.zeros((2, 256), dtype=np.uint8)
         spad = Scratchpad(size_bytes=256, row=rows[1])
         spad.write(SCRATCHPAD_VBASE + 8, b"\xff" * 8)
         assert rows[1, 8:16].tolist() == [0xFF] * 8 and not rows[0].any()
-        spad.clear()
-        assert not rows.any()
         spad.amo("add", SCRATCHPAD_VBASE, 7, size=8)    # still the same bytes
         assert rows[1, 0] == 7
 

@@ -65,7 +65,7 @@ class TestTableII:
             kid, addr_a, addr_a + n * 8, args=pack_args(addr_b, addr_c),
             sync=True,
         )
-        assert handle.finished
+        assert handle.complete_ns is not None
         instance = device.controller.instances[handle.instance_id]
         assert instance.status is KernelStatus.FINISHED
         out = runtime.read_array(addr_c, np.int64, n)
@@ -80,7 +80,7 @@ class TestTableII:
             sync=False,
         )
         assert handle.instance_id is not None
-        runtime.wait_all()
+        runtime.sim.run()
         status = runtime.poll_kernel_status(handle.instance_id)
         assert status is KernelStatus.FINISHED
 
@@ -115,7 +115,7 @@ class TestConcurrencyAndQueueing:
                                  args=pack_args(addr_b, addr_c))
             for _ in range(4)
         ]
-        runtime.wait_all()
+        runtime.sim.run()
         assert all(h.complete_ns is not None for h in handles)
 
     def test_launch_queue_beyond_max_concurrent(self, platform):
@@ -128,7 +128,7 @@ class TestConcurrencyAndQueueing:
                                  args=pack_args(addr_b, addr_c))
             for _ in range(count)
         ]
-        runtime.wait_all()
+        runtime.sim.run()
         finished = [h for h in handles if h.complete_ns is not None]
         assert len(finished) == count
 
@@ -148,7 +148,7 @@ class TestConcurrencyAndQueueing:
             outs.append((b, addr_c))
             runtime.launch_async(kid, addr_a, addr_a + n * 8,
                                  args=pack_args(addr_b, addr_c))
-        runtime.wait_all()
+        runtime.sim.run()
         for b, addr_c in outs:
             assert np.array_equal(runtime.read_array(addr_c, np.int64, n),
                                   a + b)
@@ -192,5 +192,6 @@ class TestDeviceTiming:
         instance = runtime.run_kernel(
             VECADD, addr_a, addr_a + n * 8, args=pack_args(addr_b, addr_c)
         )
-        utilization = device.dram.utilization(instance.runtime_ns)
+        utilization = (device.stats.get("cxl_dram.bytes") / instance.runtime_ns
+                       / device.dram.peak_bw_bytes_per_ns)
         assert utilization > 0.80

@@ -8,11 +8,16 @@ from repro.ndp.kernel import KernelDescriptor, KernelInstance
 from repro.ndp.uthread import Phase
 
 
+def _descriptor(program) -> KernelDescriptor:
+    return KernelDescriptor(kernel_id=1, program=program, scratchpad_bytes=0,
+                            usage=program.usage)
+
+
 def make_execution(source: str, pool_span: int, stride: int = 32,
                    num_units: int = 4, slots_per_unit: int = 8,
                    on_complete=None) -> KernelExecution:
     program = assemble_kernel(source)
-    kernel = KernelDescriptor.from_program(1, program, scratchpad_bytes=0)
+    kernel = _descriptor(program)
     instance = KernelInstance(
         instance_id=1, kernel=kernel, pool_base=0x1000,
         pool_bound=0x1000 + pool_span, uthread_stride=stride,
@@ -121,18 +126,27 @@ class TestPhases:
 
 class TestDescriptorValidation:
     def test_declared_registers_must_cover_usage(self):
-        from repro.errors import LaunchError
-        from repro.isa.registers import RegisterUsage
+        # ndpRegisterKernel rejects an nInt below what the code uses
+        from repro.host.api import pack_args
+        from repro.ndp.controller import ERR_BAD_ARGS
+        from repro.ndp.device import M2NDPDevice
+        from repro.sim.engine import Simulator
 
         program = assemble_kernel("li x9, 1\nret")
-        with pytest.raises(LaunchError):
-            KernelDescriptor.from_program(
-                1, program, usage=RegisterUsage(int_regs=2)
-            )
+        device = M2NDPDevice(Simulator())
+        device.install_code(0x1000, program)
+        usage = program.usage
+
+        def register(n_int: int) -> int:
+            return device.controller._register(pack_args(
+                0x1000, 0, n_int, usage.float_regs, usage.vector_regs))
+
+        assert register(usage.int_regs - 1) == ERR_BAD_ARGS
+        assert register(usage.int_regs) > 0
 
     def test_rf_bytes_per_uthread(self):
         program = assemble_kernel("vadd.vv v1, v2, v3\nld x4, 0(x3)\nret")
-        kernel = KernelDescriptor.from_program(1, program)
+        kernel = _descriptor(program)
         # 5 int regs * 8 B + 4 vector regs * 32 B
         assert kernel.rf_bytes_per_uthread(32) == 5 * 8 + 4 * 32
 
@@ -140,7 +154,7 @@ class TestDescriptorValidation:
         from repro.errors import LaunchError
 
         program = assemble_kernel(BODY_ONLY)
-        kernel = KernelDescriptor.from_program(1, program)
+        kernel = _descriptor(program)
         with pytest.raises(LaunchError):
             KernelInstance(instance_id=1, kernel=kernel,
                            pool_base=0x2000, pool_bound=0x1000)
@@ -149,7 +163,7 @@ class TestDescriptorValidation:
         from repro.errors import LaunchError
 
         program = assemble_kernel(BODY_ONLY)
-        kernel = KernelDescriptor.from_program(1, program)
+        kernel = _descriptor(program)
         instance = KernelInstance(instance_id=1, kernel=kernel,
                                   pool_base=0, pool_bound=32)
         with pytest.raises(LaunchError):

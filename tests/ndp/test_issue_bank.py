@@ -219,7 +219,7 @@ class TestArgumentBlock:
         handle = cluster.runtimes[0].launch_async(
             kid, addr_a, addr_a + a.nbytes, args=pack_args(addr_b, addr_c),
             partition=1)
-        cluster.wait_all()
+        cluster.sim.run()
         assert handle.call.value > 0
         assert np.array_equal(cluster.read_array(addr_c, np.int64, n), 2 * a)
 

@@ -41,6 +41,12 @@ def _feed(registry, served=0, failed=0, expired=0, shed=0):
     registry.add("serve.t.shed_queue_full", shed)
 
 
+def _burn_state(monitor):
+    """(fast_burn, slow_burn, active) of tenant ``t`` as of the last
+    evaluate; all zero before its first evaluation."""
+    return monitor._state.get("t", (0.0, 0.0, False))
+
+
 def _model_burn(history, now_ns, horizon_ns, budget):
     """Mirror of SLOMonitor._burn_of over _horizon_deltas windows.
 
@@ -76,7 +82,7 @@ class TestBurnMath:
             history.append((now, served, failed + expired))
             fast = _model_burn(history, now, FAST_NS, objective.error_budget)
             slow = _model_burn(history, now, SLOW_NS, objective.error_budget)
-            got_fast, got_slow, active = monitor.burn_state("t")
+            got_fast, got_slow, active = _burn_state(monitor)
             assert got_fast == pytest.approx(fast)
             assert got_slow == pytest.approx(slow)
             expect_active = (fast >= objective.burn_threshold
@@ -95,7 +101,7 @@ class TestBurnMath:
             assert monitor.evaluate(beat * BEAT_NS) == []
         _feed(registry, served=10, failed=5)  # fast burn 3.3x, slow 0.43x
         fired = monitor.evaluate(6 * BEAT_NS)
-        fast, slow, active = monitor.burn_state("t")
+        fast, slow, active = _burn_state(monitor)
         assert fast >= DEFAULT_BURN_THRESHOLD > slow
         assert not active and fired == []
 
@@ -117,13 +123,13 @@ class TestBurnMath:
             if monitor.clears and clear_at is None:
                 clear_at = monitor.clears[-1][2]
         assert monitor.clears == [("burn_rate", "t", clear_at)]
-        assert not monitor.burn_state("t")[2]
+        assert not _burn_state(monitor)[2]
 
     def test_zero_traffic_is_silent(self):
         registry, monitor = _monitor()
         for beat in range(1, 8):
             assert monitor.evaluate(beat * BEAT_NS) == []
-        assert monitor.burn_state("t") == (0.0, 0.0, False)
+        assert _burn_state(monitor) == (0.0, 0.0, False)
 
 
 class TestP99Ceiling:

@@ -43,11 +43,13 @@ def test_window_occupancy_equals_the_full_scan():
     for round_ in range(6):
         # the interpreter-free mix still clamps: the small launch starts
         # before the multi-phase launch's later phase samples
+        now = platform.sim.now
         runtime.launch_async(reduce_, addr_a, addr_a + a.nbytes,
-                             args=pack_args(out), sync=False)
+                             args=pack_args(out), sync=False, at_ns=now)
         runtime.launch_async(vecadd, addr_a, addr_a + a.nbytes,
-                             args=pack_args(addr_b, addr_c), sync=False)
-        runtime.wait_all()
+                             args=pack_args(addr_b, addr_c), sync=False,
+                             at_ns=now)
+        runtime.sim.run()
         # a window boundary inside the round's launches, then one after
         for now in ((marks[-1] + platform.sim.now) / 2, platform.sim.now):
             sampler.mark(now)

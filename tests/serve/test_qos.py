@@ -377,7 +377,7 @@ class TestShedAccounting:
         accounted = (t.served + t.shed_rate_limit + t.shed_queue_full
                      + t.expired)
         assert accounted == t.offered
-        assert t.admitted == t.served + t.expired
+        assert t.offered - t.shed == t.served + t.expired
         assert report.correct
 
     def test_queue_depth_shedding_triggers(self):

@@ -10,21 +10,8 @@ class TestClock:
     def test_ndp_clock_period(self):
         assert Clock.from_ghz(2.0).period_ns == 0.5
 
-    def test_cycles_to_ns_roundtrip(self):
-        clock = Clock.from_ghz(1.695)
-        assert clock.ns_to_cycles(clock.cycles_to_ns(123)) == pytest.approx(123)
-
-    def test_from_mhz(self):
-        assert Clock.from_mhz(1695).freq_ghz == pytest.approx(1.695)
-
-    def test_from_period(self):
-        assert Clock.from_period_ns(0.5).freq_ghz == pytest.approx(2.0)
-
-    def test_scaled(self):
-        assert Clock.from_ghz(2.0).scaled(1.5).freq_ghz == pytest.approx(3.0)
-
     def test_invalid_frequency(self):
         with pytest.raises(ConfigError):
             Clock.from_ghz(0.0)
         with pytest.raises(ConfigError):
-            Clock.from_period_ns(-1.0)
+            Clock.from_ghz(-1.0)

@@ -73,20 +73,6 @@ class TestSimulator:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
-    def test_peek_time(self):
-        sim = Simulator()
-        assert sim.peek_time() is None
-        sim.schedule(4.0, lambda: None)
-        assert sim.peek_time() == 4.0
-
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.peek_time() is None
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(7):
@@ -178,30 +164,6 @@ class TestBandwidthServer:
         for size in sizes:
             finish = server.transfer(0.0, size)
         assert finish >= sum(sizes) / 8.0 - 1e-9
-
-
-class TestServerReset:
-    def test_issue_server_reset_clears_backlog_and_counts(self):
-        server = IssueServer(width=2, period_ns=1.0)
-        for _ in range(8):
-            server.issue(0.0)
-        assert server.busy_until > 0.0
-        assert server.ops_issued == 8
-        server.reset()
-        assert server.busy_until == 0.0
-        assert server.ops_issued == 0
-        # a post-reset op starts immediately again
-        assert server.issue(0.0) == 0.0
-
-    def test_bandwidth_server_reset_clears_occupancy_and_bytes(self):
-        server = BandwidthServer(4.0)
-        server.transfer(0.0, 64)
-        assert server.occupancy_end() > 0.0
-        assert server.bytes_transferred == 64
-        server.reset()
-        assert server.occupancy_end() == 0.0
-        assert server.bytes_transferred == 0
-        assert server.transfer(0.0, 8) == pytest.approx(2.0)
 
 
 class TestRunUntil:

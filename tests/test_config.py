@@ -50,7 +50,8 @@ class TestNDPConfig:
         assert ndp.num_units == 32
         assert ndp.subcores_per_unit == 4
         assert ndp.uthread_slots_per_subcore == 16
-        assert ndp.total_uthread_slots == 2048
+        assert (ndp.num_units * ndp.subcores_per_unit
+                * ndp.uthread_slots_per_subcore) == 2048
         assert ndp.regfile_bytes_per_unit == 48 << 10
         assert ndp.vector_bytes == 32
         assert ndp.max_concurrent_kernels == 48

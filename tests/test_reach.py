@@ -1,0 +1,94 @@
+"""tools/reach.py: which defs a consumer's run reaches, on a toy package."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+
+PACKAGE = '''\
+import functools
+
+
+def used():
+    def inner():
+        return 1
+    return inner()
+
+
+def unused():
+    return 2
+
+
+class Thing:
+    def method(self):
+        return 3
+
+    def idle(self):
+        return 4
+
+    def __repr__(self):
+        return "Thing"
+
+
+@functools.lru_cache(maxsize=None)
+def decorated():
+    return 5
+
+
+def kept():
+    return 6
+'''
+
+CONSUMER = '''\
+import sys
+sys.path.insert(0, {root!r})
+import mod
+mod.used()
+mod.Thing().method()
+mod.decorated()
+mod.kept()
+'''
+
+
+def _reach():
+    spec = importlib.util.spec_from_file_location("reach", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_unreached_defs_of_a_recorded_run(tmp_path):
+    reach = _reach()
+    root, records = tmp_path / "pkg", tmp_path / "records"
+    root.mkdir()
+    records.mkdir()
+    (root / "mod.py").write_text(PACKAGE)
+    consumer = tmp_path / "consumer.py"
+    consumer.write_text(CONSUMER.format(root=str(root)))
+    subprocess.run([sys.executable, str(TOOL), "--record", str(records),
+                    "--", str(consumer)], check=True, timeout=60)
+
+    found = reach.defs(root)
+    # the nested def folds into ``used``; the decorated one starts at its
+    # decorator, which is the line its code object reports
+    assert "mod.py:used.inner" not in found
+    assert found["mod.py:used"][3] == 4
+    decorated = found["mod.py:decorated"]
+    assert PACKAGE.splitlines()[decorated[1] - 1].startswith("@functools")
+
+    keep = {"mod.py:kept": "branch: reached after all",
+            "mod.py:gone": "cli: no such def"}
+    unreached, stale = reach.audit(root, reach.calls(records), keep)
+    assert unreached == {"mod.py:unused": 2, "mod.py:Thing.idle": 2}
+    assert stale == {"mod.py:kept": "reached", "mod.py:gone": "gone"}
+
+
+def test_a_failing_consumer_exits_non_zero(tmp_path):
+    script = tmp_path / "fails.py"
+    script.write_text("raise SystemExit(3)\n")
+    done = subprocess.run([sys.executable, str(TOOL), "--record",
+                           str(tmp_path), "--", str(script)], timeout=60)
+    assert done.returncode == 3
+    assert list(tmp_path.glob("*.txt"))     # the record is still written

@@ -168,10 +168,6 @@ class TestDLRM:
         _, counts = np.unique(idx, return_counts=True)
         assert counts.max() > 5 * counts.mean()
 
-    def test_bytes_touched(self):
-        data = dlrm.generate(256, batch=2, dim=32, lookups=8)
-        assert dlrm.bytes_touched(data) == 2 * 8 * 32 * 4
-
 
 class TestLLM:
     def test_gemv_correct(self):
@@ -190,10 +186,6 @@ class TestLLM:
     def test_extrapolation_factor(self):
         data = llm.generate(llm.OPT_2_7B, sim_hidden=64, sim_layers=2)
         assert data.scale_factor > 100
-
-    def test_all_reduce_bytes(self):
-        assert llm.all_reduce_bytes(llm.OPT_2_7B, 1) == 0
-        assert llm.all_reduce_bytes(llm.OPT_2_7B, 4) > 0
 
 
 class TestKVStore:

@@ -1,0 +1,263 @@
+#!/usr/bin/env python3
+"""Which defs in `src/repro` no consumer reaches.
+
+    python tools/reach.py
+runs every consumer of the package (the figure suite and its README check,
+the knob table check, the eight examples, one traced serving run and its
+report, and m2bench's timed, probe and traced workers at full size) in its
+own subprocess under a call recorder, then prints, module by module, each
+top-level function and method no consumer called, with its line count.  A
+nested def belongs to the def around it; a decorated def is matched on its
+first decorator's line, which is what `co_firstlineno` holds.  Dunders and
+the `KEEP` rows (a def that stays on purpose, and why) are not listed; a
+`KEEP` row that is reached or names no def is printed as stale.  The
+figure suite's output is compared with the committed `FIDELITY.json`.
+Exit 1 when a consumer exits non-zero or the golden differs; the list
+itself gates nothing.  About 5 minutes.
+
+    python tools/reach.py --record DIR -- (SCRIPT | -m MODULE) [ARGS...]
+runs one program under the recorder (`sys.setprofile`) and writes the
+`(co_filename, co_firstlineno, co_name)` of every code object it called
+to a file in DIR.
+"""
+import ast
+import filecmp
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+import threading
+from collections import defaultdict
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+PACKAGE = HERE / "src" / "repro"
+WORKLOADS = ("kv_get_serve", "kv_mixed_serve", "stream_warm_serve",
+             "shape_churn_serve", "cluster_fanout16", "kernel_cold_sweep")
+
+# path:qualname -> why it stays.  Each reason names one of:
+#   cli       a README-documented entry point over the system's own output
+#   paper     a Table II M2func function
+#   isa       the semantics of an OPCODES mnemonic (tests/exec/test_lane_isa)
+#   reference a scalar path a tier-1 test compares the batch path against
+#   golden    reached by tests/obs/test_fault_goldens.py
+#   safety    an error constructor or an invalidation hook
+#   branch    called from a reached def, on a branch no consumer takes
+KEEP = {
+    "obs/incidents.py:render_bundle":
+        "cli: `python -m repro.obs.incidents` renders a bundle",
+    "obs/incidents.py:main": "cli: the incident bundle renderer's entry",
+    "ndp/controller.py:NDPController._unregister":
+        "paper: ndpUnregisterKernel",
+    "ndp/controller.py:NDPController._poll": "paper: ndpPollKernelStatus",
+    "ndp/controller.py:NDPController._shootdown":
+        "paper: ndpShootdownTlbEntry",
+    "ndp/tlb.py:TLB.shootdown": "paper: what ndpShootdownTlbEntry does",
+    "ndp/tlb.py:DRAMTLB.shootdown": "paper: what ndpShootdownTlbEntry does",
+    "host/api.py:M2NDPRuntime.unregister_kernel":
+        "paper: ndpUnregisterKernel",
+    "host/api.py:M2NDPRuntime.poll_kernel_status":
+        "paper: ndpPollKernelStatus",
+    "host/api.py:M2NDPRuntime.shootdown_tlb": "paper: ndpShootdownTlbEntry",
+    "cluster/runtime.py:ClusterRuntime.unregister_kernel":
+        "paper: ndpUnregisterKernel on every device",
+    "isa/executor.py:MemoryInterface.load":
+        "isa: the memory every load mnemonic runs against",
+    "isa/executor.py:MemoryInterface.store":
+        "isa: the memory every store mnemonic runs against",
+    "isa/executor.py:MemoryInterface.amo":
+        "isa: the memory every AMO mnemonic runs against",
+    "isa/executor.py:_int_div": "isa: div",
+    "isa/executor.py:_int_rem": "isa: rem",
+    "isa/executor.py:_bind_vgather": "isa: indexed vector loads",
+    "isa/executor.py:_bind_vscatter": "isa: indexed vector stores",
+    "isa/executor.py:_plain": "isa: fence",
+    "isa/vectorops.py:_magnitudes": "isa: vector mulhu",
+    "isa/vectorops.py:_np_div": "isa: vector div",
+    "isa/vectorops.py:_np_rem": "isa: vector rem",
+    "isa/vectorops.py:_np_mulhu": "isa: vector mulhu",
+    "isa/vectorops.py:LaneISA._splat": "isa: vmv.v.x / vfmv.v.f",
+    "exec/simt.py:_PhaseWalk._exec_vgather": "isa: indexed vector loads",
+    "exec/simt.py:_PhaseWalk._exec_vscatter": "isa: indexed vector stores",
+    "cxl/hdm.py:_line_hash":
+        "reference: HDMCoherence.access (tests/mem/test_batch_paths.py)",
+    "cxl/hdm.py:HDMCoherence._is_host_dirty":
+        "reference: HDMCoherence.access (tests/mem/test_batch_paths.py)",
+    "cxl/hdm.py:HDMCoherence.access":
+        "reference: of access_batch in tests/mem/test_batch_paths.py",
+    "cxl/link.py:CXLLink.back_invalidate_round_trip":
+        "reference: HDMCoherence.access's snoop (test_batch_paths.py)",
+    "sim/engine.py:IssueServer.service_batch":
+        "reference: of IssueBank.charge in tests/ndp/test_issue_bank.py",
+    "sim/engine.py:IssueServer.busy_until":
+        "reference: the state test_issue_bank.py compares IssueBank to",
+    "sim/engine.py:BandwidthServer.occupancy_end":
+        "reference: the state test_batch_paths.py compares the buses to",
+    "mem/cache.py:SectorCache.resident_lines":
+        "reference: the state test_batch_paths.py compares scalar and "
+        "batch caches on",
+    "faults/health.py:HealthMonitor.state": "golden: injector snapshots",
+    "faults/health.py:HealthMonitor.partitions":
+        "golden: injector snapshots",
+    "faults/health.py:HealthMonitor.render": "golden: health rows",
+    "faults/injector.py:FaultInjector._on_poison": "golden: poison rows",
+    "faults/injector.py:FaultInjector.snapshot": "golden: health rows",
+    "isa/executor.py:_unhandled": "safety: a mnemonic with no semantics",
+    "ndp/device.py:M2NDPDevice._bump_translation_version":
+        "safety: a remapped page invalidates cached traces",
+    "exec/trace_cache.py:TraceCache.invalidate":
+        "safety: a stale trace is dropped and retraced",
+    "exec/point.py:_lin_scale": "branch: slli / neg of a traced address",
+    "exec/point.py:_Taint._f_mix": "branch: a point lane's float ops",
+    "exec/point.py:_Taint._v_mix": "branch: a point lane's vector ops",
+    "exec/point.py:_Taint.promote":
+        "branch: a point lane consuming a loaded value non-linearly",
+    "ndp/device.py:M2NDPDevice.dram_tlb_timed_fetch":
+        "branch: a DRAM-TLB miss",
+    "obs/monitor.py:SLOMonitor._horizon_samples":
+        "branch: a p99-ceiling objective",
+    "serve/arrivals.py:DiurnalArrivals._initial":
+        "branch: the diurnal ArrivalSpec kind",
+    "serve/qos.py:RequestQueue.pop": "branch: drop_expired tenants",
+    "serve/stats.py:ServingStats.shed": "branch: admission sheds",
+    "serve/stats.py:ServingStats.expired": "branch: drop_expired tenants",
+}
+
+
+def record(out_dir: str, argv: list[str]) -> None:
+    """Run ``argv`` (a script or ``-m module``) as ``__main__`` and write
+    every code object it called to ``out_dir/<pid>.txt``."""
+    codes = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.setdefault(id(frame.f_code), frame.f_code)
+
+    module = argv[1] if argv[0] == "-m" else None
+    sys.argv = argv[1:] if module else argv
+    sys.path[0] = (os.getcwd() if module
+                   else os.path.dirname(os.path.abspath(argv[0])))
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        if module:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+        else:
+            runpy.run_path(argv[0], run_name="__main__")
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        lines = {f"{os.path.realpath(code.co_filename)}\t"
+                 f"{code.co_firstlineno}\t{code.co_name}"
+                 for code in codes.values()}
+        Path(out_dir, f"{os.getpid()}.txt").write_text("\n".join(lines))
+
+
+def calls(record_dir: Path) -> set[tuple[str, int, str]]:
+    """Every ``(path, first line, name)`` the recorded processes called."""
+    seen = set()
+    for path in Path(record_dir).glob("*.txt"):
+        for line in path.read_text().splitlines():
+            filename, lineno, name = line.split("\t")
+            seen.add((filename, int(lineno), name))
+    return seen
+
+
+def defs(root: Path) -> dict[str, tuple[str, int, str, int]]:
+    """``path:Class.name`` -> ``(file, first line, name, lines)`` for each
+    module-level function and method under ``root``."""
+    found = {}
+
+    def visit(body, path, file, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, path, file, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [decorator.lineno for decorator
+                                             in node.decorator_list])
+                found[f"{path}:{prefix}{node.name}"] = (
+                    file, first, node.name, node.end_lineno - first + 1)
+
+    for file in sorted(root.rglob("*.py")):
+        visit(ast.parse(file.read_text()).body,
+              file.relative_to(root).as_posix(), os.path.realpath(file), "")
+    return found
+
+
+def audit(root: Path, seen: set, keep: dict) -> tuple[dict, dict]:
+    """The unreached defs not in ``keep`` (key -> lines), and the stale
+    ``keep`` rows (key -> ``"reached"`` or ``"gone"``)."""
+    unreached, stale, found = {}, {}, defs(root)
+    for key, (file, first, name, lines) in found.items():
+        reached = (file, first, name) in seen
+        if key in keep:
+            if reached:
+                stale[key] = "reached"
+        elif not reached and not (name.startswith("__")
+                                  and name.endswith("__")):
+            unreached[key] = lines
+    stale.update((key, "gone") for key in keep
+                 if key not in found)
+    return unreached, stale
+
+
+def consumers(scratch: Path) -> list[tuple[list[str], Path]]:
+    """``(argv, cwd)`` of each consumer, in the order they must run."""
+    trace = scratch / "serving.trace.json"
+    report = ["-m", "repro.obs.report", str(trace)]
+    return ([(["benchmarks/figures.py", str(scratch / "FIDELITY.json")], HERE),
+             (["benchmarks/figures.py", "--check", "README.md"], HERE),
+             (["-m", "repro.knobs", "--check", "README.md"], HERE)]
+            + [([f"examples/{example.name}"], HERE)
+               for example in sorted((HERE / "examples").glob("*.py"))]
+            + [(["-m", "repro.experiments.serving", "--trace", "serving"],
+                scratch), (report, HERE), (report + ["--format", "json"], HERE)]
+            + [(["bench/worker.py", mode, "--workload", workload], HERE)
+               for workload in WORKLOADS
+               for mode in ("timed", "probe", "traced")])
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--record"] and sys.argv[3:4] == ["--"]:
+        record(sys.argv[2], sys.argv[4:])
+        return 0
+    env = dict(os.environ, PYTHONPATH=str(HERE / "src"))
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch, records = Path(tmp), Path(tmp, "records")
+        records.mkdir()
+        for argv, cwd in consumers(scratch):
+            done = subprocess.run(
+                [sys.executable, __file__, "--record", str(records), "--",
+                 *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+            print(f"exit {done.returncode}  {' '.join(argv)}", flush=True)
+            if done.returncode:
+                failed.append(" ".join(argv))
+        golden = scratch / "FIDELITY.json"
+        if not (golden.exists() and filecmp.cmp(golden, HERE / "FIDELITY.json",
+                                                shallow=False)):
+            failed.append("cmp FIDELITY.json: the regenerated golden differs")
+        unreached, stale = audit(PACKAGE, calls(records), KEEP)
+    by_module = defaultdict(list)
+    for key, lines in unreached.items():
+        by_module[key.partition(":")[0]].append((key.partition(":")[2], lines))
+    for module, rows in by_module.items():
+        print(f"\n{module}  ({len(rows)} defs, "
+              f"{sum(lines for _, lines in rows)} lines)")
+        for qualname, lines in rows:
+            print(f"  {lines:5d}  {qualname}")
+    found = defs(PACKAGE)
+    print(f"\nunreached: {len(unreached)} defs, {sum(unreached.values())} "
+          f"lines of {len(found)} defs, "
+          f"{sum(row[3] for row in found.values())} lines "
+          f"({len(KEEP)} kept on purpose)")
+    for key, why in stale.items():
+        print(f"stale KEEP row ({why}): {key}")
+    for line in failed:
+        print(f"FAILED: {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
