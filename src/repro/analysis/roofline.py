@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Fig 1a bandwidths, bytes/ns.
-LOCAL_BW = 1024.0
-CXL_BW = 128.0
+from repro.config import CXLConfig, hbm2_gpu_dram
+
+#: Fig 1a bandwidths, bytes/ns: the GPU's HBM2, and two x8 CXL links.
+LOCAL_BW = hbm2_gpu_dram().total_bw_bytes_per_ns
+CXL_BW = 2 * CXLConfig().bw_per_dir_bytes_per_ns
 
 #: Host GPU peak throughput (ops/s ~ FP32 FLOPS of the RTX-3090-class part).
 PEAK_OPS_PER_NS = 35_600.0   # 35.6 TFLOPs
@@ -35,16 +37,15 @@ class RooflinePoint:
     local_eff: float = 1.0
     cxl_eff: float = 1.0
 
-    def performance(self, bw_bytes_per_ns: float, efficiency: float = 1.0,
-                    peak_ops_per_ns: float = PEAK_OPS_PER_NS) -> float:
-        return min(peak_ops_per_ns,
+    def performance(self, bw_bytes_per_ns: float,
+                    efficiency: float = 1.0) -> float:
+        return min(PEAK_OPS_PER_NS,
                    self.ops_per_byte * bw_bytes_per_ns * efficiency)
 
-    def slowdown_on_cxl(self, local_bw: float = LOCAL_BW,
-                        cxl_bw: float = CXL_BW) -> float:
+    def slowdown_on_cxl(self) -> float:
         """How much slower the workload runs with data in CXL memory."""
-        return (self.performance(local_bw, self.local_eff)
-                / self.performance(cxl_bw, self.cxl_eff))
+        return (self.performance(LOCAL_BW, self.local_eff)
+                / self.performance(CXL_BW, self.cxl_eff))
 
 
 #: The six Fig 1a workloads: operational intensity (ops per byte of

@@ -95,19 +95,6 @@ def lpddr5_cxl_dram() -> DRAMConfig:
     )
 
 
-def ddr5_host_dram() -> DRAMConfig:
-    """8-channel DDR5-6400, 409.6 GB/s (host CPU local memory)."""
-    return DRAMConfig(
-        name="DDR5-host",
-        channels=8,
-        banks_per_channel=32,
-        timing=DRAMTiming(tck_ns=0.3125, t_rc=149, t_rcd=46, t_cl=46, t_rp=46),
-        access_granularity=64,
-        channel_bw_bytes_per_ns=51.2,
-        capacity_bytes=512 * GIB,
-    )
-
-
 def hbm2_gpu_dram() -> DRAMConfig:
     """32-channel HBM2, ~1 TB/s (host GPU local memory)."""
     return DRAMConfig(
@@ -214,11 +201,6 @@ class CXLConfig:
         )
 
 
-# Offload mechanism latencies (one-shot overheads, §IV-A).
-CXLIO_DIRECT_MMIO_OVERHEAD_NS = 1_500.0
-CXLIO_RING_BUFFER_OVERHEAD_NS = 4_000.0
-
-
 # ---------------------------------------------------------------------------
 # NDP (M2NDP device)
 # ---------------------------------------------------------------------------
@@ -316,6 +298,89 @@ class ClusterConfig:
 
 
 # ---------------------------------------------------------------------------
+# Comparators (§IV-A): the configurations every speedup and energy ratio is
+# taken against, one row each.  Every value names its source: the paper
+# (Table IV, a section, a reference number, a figure) or ``calibration:``
+# and what it stands for.  What a SystemConfig field already holds (link
+# and DRAM bandwidths, load-to-use latency) is read from there instead.
+# ---------------------------------------------------------------------------
+
+COMPARATORS: dict[str, dict] = {
+    # Host CPU streaming from passive CXL memory; also the KVS baseline.
+    "cpu": {
+        "cores": 64,                    # Table IV: host CPU cores
+        "mlp": 10,                      # calibration: OoO misses in flight
+        "instr_per_row_predicate": 4,   # calibration: Fig 15 host instrs
+        "filter_share": 0.55,           # calibration: Fig 10a Filter bar
+        "etc_share": 0.45,              # calibration: Fig 10a Etc bar
+        "static_w": 120.0,              # calibration: host CPU power, §IV-A
+        "pj_per_instr": 150.0,          # calibration: 7 nm OoO core average
+    },
+    # CPU-NDP: high-end cores inside the expander on its internal DRAM.
+    "cpu_ndp": {
+        "cores": 32,                    # §IV-A: cores inside the expander
+        "mlp": 10,                      # calibration: the host core's MLP
+        "load_to_use_ns": 75.0,         # calibration: internal DRAM, no link
+        "ns_per_row_predicate": 0.25,   # calibration: predicate cost, 1 core
+    },
+    # Host GPU streaming from passive CXL memory.
+    "gpu": {
+        "launch_ns": 300.0,             # calibration: host-local kernel launch
+        "static_w": 100.0,              # calibration: host GPU power (§IV-A)
+        "pj_per_instr": 25.0,           # calibration: SM datapath + collectors
+    },
+    # GPU-NDP: the host GPU's SMs inside the expander; the host GPU idles.
+    "gpu_ndp": {
+        "launch_ns": 1_500.0,           # Fig 5c: CXL.io direct MMIO, y + 2y
+        "freq_ghz": 2.0,                # §IV-A: SM clock inside the device
+        "static_w_per_sm": 2.5,         # calibration: one SM inside the device
+        "host": "gpu",                  # §IV-A: instruction energy, idle host
+    },
+    # M2NDP itself: its energy, and the host half of the Fig 10b KVS path.
+    "m2ndp": {
+        "static_w": 8.0,                # calibration: 32 units at ~0.25 W each
+        "pj_per_instr": 8.0,            # calibration: in-order lane + RF
+        "pj_per_spad_byte": 0.4,        # calibration: scratchpad SRAM access
+        # The NDP path hashes keys on 16 host cores; the host baseline
+        # serves on all of the cpu row's 64.  This asymmetry sits under
+        # Fig 10b's 7.8x against the paper's 4.79x.
+        "kvs_host_cores": 16,           # calibration, unexplained
+    },
+    # The expander: static power and access energies of every configuration.
+    "cxl_mem": {
+        "static_w": 12.0,               # calibration: controller + LPDDR5 idle
+        "pj_per_dram_bit": 4.0,         # calibration: LPDDR5 access energy
+        "pj_per_cxl_bit": 8.0,          # [38]: CXL link energy per bit
+        "idle_host_fraction": 0.3,      # calibration: idle host's static share
+    },
+    # NSU [81]: the host generates every address the NDP units access.
+    "nsu": {
+        "command_bytes": 32,            # [81]: 16 B command + 16 B flit slot
+        "host_issue_per_ns": 4.0,       # calibration: host address generation
+    },
+    # Domain-specific PEs (Fig 14a, §IV-D): the fraction of internal DRAM
+    # bandwidth each sustains.  The paper finds them "sometimes" above
+    # M2NDP's measured 81.6-90 %.
+    "CXL-ANNS": {
+        "streaming_efficiency": 0.92,   # calibration: §IV-D, above M2NDP
+        "workloads": ("ann", "knn"),    # [74]: nearest-neighbour search
+    },
+    "CMS": {
+        "streaming_efficiency": 0.90,   # calibration: §IV-D, above M2NDP
+        "workloads": ("knn", "filter", "olap"),  # [122]: KNN / filter kernels
+    },
+    "RecNMP": {
+        "streaming_efficiency": 0.93,   # calibration: §IV-D, above M2NDP
+        "workloads": ("dlrm", "sls"),   # [77]: recommendation SLS
+    },
+    "CXL-PNM": {
+        "streaming_efficiency": 0.91,   # calibration: §IV-D, above M2NDP
+        "workloads": ("opt", "llm", "gemv"),  # [109]: LLM inference
+    },
+}
+
+
+# ---------------------------------------------------------------------------
 # Host GPU
 # ---------------------------------------------------------------------------
 
@@ -331,7 +396,6 @@ class GPUConfig:
     regfile_bytes_per_sm: int = 256 * KIB
     shared_mem_bytes_per_sm: int = 128 * KIB
     issue_width: int = 4
-    l2_bytes: int = 6 * MIB
 
     @property
     def max_warps_per_sm(self) -> int:
@@ -344,7 +408,9 @@ class GPUConfig:
         return Clock.from_ghz(self.freq_ghz)
 
 
-def gpu_ndp_config(num_sms: float, freq_ghz: float = 2.0) -> GPUConfig:
+def gpu_ndp_config(num_sms: float,
+                   freq_ghz: float = COMPARATORS["gpu_ndp"]["freq_ghz"],
+                   ) -> GPUConfig:
     """GPU-NDP variants (§IV-A): SMs placed inside the CXL device.
 
     Fractional SM counts (the paper's 16.2-SM Iso-Area point) are realized by
@@ -365,31 +431,6 @@ GPU_NDP_ISO_AREA_SMS = 16.2
 
 
 # ---------------------------------------------------------------------------
-# Host CPU
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CPUConfig:
-    """Host CPU (64 OoO cores @ 3.2 GHz) or CPU-NDP (32 cores in-device)."""
-
-    num_cores: int = 64
-    freq_ghz: float = 3.2
-    mlp_per_core: int = 10          # outstanding misses an OoO core sustains
-    l1_bytes: int = 64 * KIB
-    l2_bytes: int = 1 * MIB
-    l3_bytes: int = 96 * MIB
-    l1_latency_ns: float = 1.25     # 4 cycles
-    l2_latency_ns: float = 3.75     # 12 cycles
-    l3_latency_ns: float = 23.1     # 74 cycles
-    issue_width: int = 4
-
-
-def cpu_ndp_config() -> CPUConfig:
-    """CPU-NDP: 32 high-end cores placed inside the CXL memory (§IV-A)."""
-    return CPUConfig(num_cores=32, freq_ghz=2.3, mlp_per_core=10)
-
-
-# ---------------------------------------------------------------------------
 # Whole-system bundle
 # ---------------------------------------------------------------------------
 
@@ -400,9 +441,7 @@ class SystemConfig:
     cxl: CXLConfig = field(default_factory=CXLConfig)
     ndp: NDPConfig = field(default_factory=NDPConfig)
     gpu: GPUConfig = field(default_factory=GPUConfig)
-    cpu: CPUConfig = field(default_factory=CPUConfig)
     cxl_dram: DRAMConfig = field(default_factory=lpddr5_cxl_dram)
-    host_dram: DRAMConfig = field(default_factory=ddr5_host_dram)
     gpu_dram: DRAMConfig = field(default_factory=hbm2_gpu_dram)
     l2: CacheConfig = field(default_factory=memory_side_l2_config)
 

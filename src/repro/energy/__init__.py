@@ -1,19 +1,5 @@
 """Energy model (Fig 15)."""
 
-from repro.energy.model import (
-    EnergyBreakdown,
-    EnergyModel,
-    PJ_PER_CXL_BIT,
-    PJ_PER_DRAM_BIT,
-    PJ_PER_NDP_INSTR,
-    STATIC_W,
-)
+from repro.energy.model import EnergyBreakdown, EnergyModel
 
-__all__ = [
-    "EnergyBreakdown",
-    "EnergyModel",
-    "PJ_PER_CXL_BIT",
-    "PJ_PER_DRAM_BIT",
-    "PJ_PER_NDP_INSTR",
-    "STATIC_W",
-]
+__all__ = ["EnergyBreakdown", "EnergyModel"]

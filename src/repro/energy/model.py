@@ -2,36 +2,19 @@
 
 Energy = dynamic (per-event costs times the simulator's event counts) plus
 static power integrated over runtime, including the idle host during NDP —
-the paper's accounting.  Constants follow the paper's cited sources where
-given (8 pJ/bit CXL link energy [38]) and CACTI/DSENT-class estimates at
-7 nm elsewhere; FIDELITY.json's ``fig15-*`` rows record the resulting
-Fig 15 shapes against the paper's.
+the paper's accounting.  Every power and per-event energy is a
+``config.COMPARATORS`` row: the paper's cited sources where given (8 pJ/bit
+CXL link energy [38]) and CACTI/DSENT-class estimates at 7 nm elsewhere;
+FIDELITY.json's ``fig15-*`` rows record the resulting Fig 15 shapes against
+the paper's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import COMPARATORS
 from repro.sim.stats import StatsRegistry
-
-# Per-event dynamic energies, in picojoules.
-PJ_PER_CXL_BIT = 8.0              # [38]
-PJ_PER_DRAM_BIT = 4.0             # LPDDR5 access energy class
-PJ_PER_NDP_INSTR = 8.0            # small in-order lane + RF access
-PJ_PER_GPU_INSTR = 25.0           # SM datapath + operand collectors
-PJ_PER_CPU_INSTR = 150.0          # big OoO core average
-PJ_PER_SPAD_BYTE = 0.4
-PJ_PER_CACHE_BYTE = 0.6
-
-# Static power, in watts.
-STATIC_W = {
-    "host_cpu": 120.0,
-    "host_gpu": 100.0,
-    "cxl_mem": 12.0,
-    "m2ndp_units": 8.0,        # 32 units at ~0.25 W each
-    "gpu_ndp_sm": 2.5,         # per SM inside the device
-    "cpu_ndp_core": 3.0,       # per high-end core inside the device
-}
 
 
 @dataclass
@@ -54,56 +37,47 @@ class EnergyBreakdown:
 class EnergyModel:
     """Computes energy for the configurations the paper compares."""
 
-    def ndp_run(self, stats: StatsRegistry, runtime_ns: float,
-                host_idle: bool = True) -> EnergyBreakdown:
-        """Energy of an M2NDP kernel run from the device's stat counters."""
+    def ndp_run(self, stats: StatsRegistry,
+                runtime_ns: float) -> EnergyBreakdown:
+        """Energy of an M2NDP kernel run from the device's stat counters,
+        with the host CPU idling beside it."""
+        ndp, mem = COMPARATORS["m2ndp"], COMPARATORS["cxl_mem"]
         seconds = runtime_ns * 1e-9
         parts = {
-            "ndp_instr": stats.get("ndp.instructions") * PJ_PER_NDP_INSTR,
-            "dram": stats.get("cxl_dram.bytes") * 8 * PJ_PER_DRAM_BIT,
-            "scratchpad": stats.get("ndp.spad_traffic_bytes") * PJ_PER_SPAD_BYTE,
+            "ndp_instr": stats.get("ndp.instructions") * ndp["pj_per_instr"],
+            "dram": stats.get("cxl_dram.bytes") * 8 * mem["pj_per_dram_bit"],
+            "scratchpad": (stats.get("ndp.spad_traffic_bytes")
+                           * ndp["pj_per_spad_byte"]),
             "cxl_link": (stats.get("cxl.down_bytes") + stats.get("cxl.up_bytes"))
-            * 8 * PJ_PER_CXL_BIT,
+            * 8 * mem["pj_per_cxl_bit"],
         }
         dynamic = sum(parts.values()) * 1e-12
-        static = (STATIC_W["cxl_mem"] + STATIC_W["m2ndp_units"]) * seconds
-        if host_idle:
-            static += 0.3 * STATIC_W["host_cpu"] * seconds  # idle host floor
+        static = (mem["static_w"] + ndp["static_w"]) * seconds
+        # the idle host floor is added after the product (comparator_run
+        # adds it inside): the two sums round differently
+        static += (mem["idle_host_fraction"] * COMPARATORS["cpu"]["static_w"]
+                   * seconds)
         return EnergyBreakdown(dynamic_j=dynamic, static_j=static, parts=parts)
 
-    def host_cpu_run(self, bytes_moved: float, instructions: float,
-                     runtime_ns: float) -> EnergyBreakdown:
-        """Baseline: host CPU pulling data over the CXL link."""
+    def comparator_run(self, name: str, bytes_moved: float,
+                       instructions: float, runtime_ns: float,
+                       num_sms: float = 0) -> EnergyBreakdown:
+        """Energy of the ``COMPARATORS`` row ``name``: the host CPU or GPU
+        (``"cpu"``, ``"gpu"``) pulling its data over the CXL link, or GPU-NDP
+        (``"gpu_ndp"``): ``num_sms`` of its host's SMs inside the device,
+        no link traffic, and the host idling."""
+        row, mem = COMPARATORS[name], COMPARATORS["cxl_mem"]
+        host = COMPARATORS[row.get("host", name)]
+        in_device = host is not row
         seconds = runtime_ns * 1e-9
         parts = {
-            "cpu_instr": instructions * PJ_PER_CPU_INSTR,
-            "dram": bytes_moved * 8 * PJ_PER_DRAM_BIT,
-            "cxl_link": bytes_moved * 8 * PJ_PER_CXL_BIT,
+            "instr": instructions * host["pj_per_instr"],
+            "dram": bytes_moved * 8 * mem["pj_per_dram_bit"],
+            "cxl_link": 0 if in_device else (bytes_moved * 8
+                                             * mem["pj_per_cxl_bit"]),
         }
         dynamic = sum(parts.values()) * 1e-12
-        static = (STATIC_W["host_cpu"] + STATIC_W["cxl_mem"]) * seconds
-        return EnergyBreakdown(dynamic_j=dynamic, static_j=static, parts=parts)
-
-    def host_gpu_run(self, bytes_moved: float, instructions: float,
-                     runtime_ns: float) -> EnergyBreakdown:
-        seconds = runtime_ns * 1e-9
-        parts = {
-            "gpu_instr": instructions * PJ_PER_GPU_INSTR,
-            "dram": bytes_moved * 8 * PJ_PER_DRAM_BIT,
-            "cxl_link": bytes_moved * 8 * PJ_PER_CXL_BIT,
-        }
-        dynamic = sum(parts.values()) * 1e-12
-        static = (STATIC_W["host_gpu"] + STATIC_W["cxl_mem"]) * seconds
-        return EnergyBreakdown(dynamic_j=dynamic, static_j=static, parts=parts)
-
-    def gpu_ndp_run(self, bytes_moved: float, instructions: float,
-                    runtime_ns: float, num_sms: float) -> EnergyBreakdown:
-        seconds = runtime_ns * 1e-9
-        parts = {
-            "gpu_instr": instructions * PJ_PER_GPU_INSTR,
-            "dram": bytes_moved * 8 * PJ_PER_DRAM_BIT,
-        }
-        dynamic = sum(parts.values()) * 1e-12
-        static = (STATIC_W["cxl_mem"] + num_sms * STATIC_W["gpu_ndp_sm"]
-                  + 0.3 * STATIC_W["host_gpu"]) * seconds
+        host_share = mem["idle_host_fraction"] if in_device else 1
+        static = (mem["static_w"] + num_sms * row.get("static_w_per_sm", 0)
+                  + host_share * host["static_w"]) * seconds
         return EnergyBreakdown(dynamic_j=dynamic, static_j=static, parts=parts)

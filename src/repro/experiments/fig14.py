@@ -4,13 +4,11 @@
 from __future__ import annotations
 
 from repro.config import CXLConfig
-from repro.cxl.switch import CXLSwitch
+from repro.cxl.switch import SWITCH_HOP_NS, CXLSwitch
 from repro.experiments.common import ExperimentResult
 from repro.host.dsa import ALL_PES
 from repro.workloads import dlrm, llm, olap
 from repro.workloads.base import make_platform, scale
-
-INTERNAL_BW = 409.6
 
 
 def run_fig14a(scale_name: str = "small") -> ExperimentResult:
@@ -51,7 +49,7 @@ def run_fig14a(scale_name: str = "small") -> ExperimentResult:
     for pe in ALL_PES:
         workload = next(w for w in pe.workloads if w in domains)
         ndp_ns, bytes_touched = domains[workload]
-        pe_ns = pe.runtime_ns(int(bytes_touched), INTERNAL_BW)
+        pe_ns = pe.runtime_ns(int(bytes_touched))
         normalized = ndp_ns / pe_ns     # PE performance relative to M2NDP
         gaps.append(normalized)
         result.add(pe=pe.name, workload=workload,
@@ -86,7 +84,7 @@ def run_fig14b(workload_bytes: int = 64 << 20) -> ExperimentResult:
         switch = CXLSwitch(num_downstream=8)
         bw = switch.in_switch_ndp_bandwidth(n)
         # per-port transfers interleave; the last flit pays the hop latency
-        runtime = workload_bytes / bw + 2 * (cxl.one_way_ns + 70.0)
+        runtime = workload_bytes / bw + 2 * (cxl.one_way_ns + SWITCH_HOP_NS)
         if base_ns is None:
             base_ns = runtime
         result.add(memories=n, agg_bw_gbps=bw, runtime_us=runtime / 1e3,

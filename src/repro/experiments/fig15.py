@@ -8,7 +8,7 @@ counts, static energy from runtime (§IV-A energy methodology)."""
 from __future__ import annotations
 
 from repro.area import model as area
-from repro.config import GPU_NDP_ISO_AREA_SMS
+from repro.config import COMPARATORS, GPU_NDP_ISO_AREA_SMS
 from repro.energy.model import EnergyModel
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig10 import _gpu_configs, _run_gpu, build_cases
@@ -31,9 +31,11 @@ def run_fig15_olap(scale_name: str = "small") -> ExperimentResult:
         base_ns = olap.baseline_evaluate_ns(data)
         bytes_moved = data.rows * data.query.bytes_per_row
 
-        base_energy = model.host_cpu_run(
-            bytes_moved=bytes_moved,
-            instructions=data.rows * 4 * len(data.query.predicates),
+        base_energy = model.comparator_run(
+            "cpu", bytes_moved=bytes_moved,
+            instructions=(data.rows
+                          * COMPARATORS["cpu"]["instr_per_row_predicate"]
+                          * len(data.query.predicates)),
             runtime_ns=base_ns,
         )
         ndp_energy = model.ndp_run(platform.stats, ndp.runtime_ns)
@@ -85,9 +87,11 @@ def run_fig15_gpu(scale_name: str = "small",
         ) * sweeps
         bytes_moved = max(ndp.dram_bytes, 1.0)
 
-        base_energy = model.host_gpu_run(bytes_moved, instructions, base_ns)
-        iso_energy = model.gpu_ndp_run(bytes_moved, instructions, iso_ns,
-                                       GPU_NDP_ISO_AREA_SMS)
+        base_energy = model.comparator_run("gpu", bytes_moved, instructions,
+                                           base_ns)
+        iso_energy = model.comparator_run("gpu_ndp", bytes_moved,
+                                          instructions, iso_ns,
+                                          GPU_NDP_ISO_AREA_SMS)
         # the platform's stats went with run_ndp's platform; the energy
         # model reads the same counters off the result
         ndp_energy = model.ndp_run({

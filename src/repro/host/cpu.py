@@ -1,7 +1,7 @@
 """Host CPU baseline and CPU-NDP models.
 
 The paper's CPU numbers are shaped by three quantities this model makes
-explicit (substituting for ZSim, see DESIGN.md):
+explicit, in place of the paper's ZSim runs:
 
 * per-core memory-level parallelism (MLP): an OoO core sustains ~10
   outstanding line misses, so its streaming bandwidth against a memory with
@@ -20,7 +20,8 @@ Two interfaces:
   latency-bound requests (KVStore), from which P95 latencies emerge.
 
 ``CPU-NDP`` is the same model with cores placed inside the CXL device:
-internal DRAM latency, no link in the path (§IV-A).
+internal DRAM latency, no link in the path (§IV-A).  Both read their
+numbers from their ``config.COMPARATORS`` rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.config import CPUConfig
+from repro.config import COMPARATORS, default_system
 from repro.sim.engine import Simulator
 from repro.sim.stats import Distribution
 
@@ -45,27 +46,28 @@ class MemoryTarget:
     bandwidth_bytes_per_ns: float     # ceiling (link or DRAM)
 
     @classmethod
-    def device_internal(cls, bandwidth: float = 409.6,
-                        latency_ns: float = 60.0) -> "MemoryTarget":
+    def device_internal(cls) -> "MemoryTarget":
         """Seen by CPU-NDP cores inside the CXL memory expander."""
-        return cls("internal", latency_ns, bandwidth)
+        return cls("internal", COMPARATORS["cpu_ndp"]["load_to_use_ns"],
+                   default_system().cxl_dram.total_bw_bytes_per_ns)
 
 
 class HostCPUModel:
-    """Analytic multicore streaming model."""
+    """Analytic multicore streaming model of the ``COMPARATORS`` row
+    ``name`` (``"cpu"`` or ``"cpu_ndp"``)."""
 
-    def __init__(self, config: CPUConfig | None = None) -> None:
-        self.config = config if config is not None else CPUConfig()
+    def __init__(self, name: str = "cpu") -> None:
+        self.row = COMPARATORS[name]
 
     def core_stream_bandwidth(self, memory: MemoryTarget) -> float:
         """One core's streaming bandwidth (bytes/ns), MLP-limited."""
-        return self.config.mlp_per_core * CACHELINE / memory.load_to_use_ns
+        return self.row["mlp"] * CACHELINE / memory.load_to_use_ns
 
     def scan_bandwidth(self, memory: MemoryTarget,
                        threads: int | None = None) -> float:
         """Aggregate streaming bandwidth with ``threads`` cores (default all)."""
-        n = self.config.num_cores if threads is None else threads
-        n = min(n, self.config.num_cores)
+        n = self.row["cores"] if threads is None else threads
+        n = min(n, self.row["cores"])
         return min(n * self.core_stream_bandwidth(memory),
                    memory.bandwidth_bytes_per_ns)
 

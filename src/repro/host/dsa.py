@@ -15,13 +15,15 @@ general-purpose unit running the same kernel; the paper measures M2NDP
 within 6.5 % of them on average.  We model each PE as a bandwidth-saturating
 engine with a per-design streaming efficiency (fraction of peak internal
 DRAM bandwidth sustained), which is the one microarchitectural quantity
-that separated them in the paper's study.
+that separated them in the paper's study.  Each design is a
+``config.COMPARATORS`` row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import COMPARATORS, default_system
 from repro.errors import ConfigError
 
 
@@ -33,20 +35,16 @@ class DomainSpecificPE:
     streaming_efficiency: float      # fraction of internal DRAM bw sustained
     workloads: tuple[str, ...]
 
-    def runtime_ns(self, bytes_touched: int,
-                   internal_bw_bytes_per_ns: float) -> float:
+    def runtime_ns(self, bytes_touched: int) -> float:
         if bytes_touched <= 0:
             raise ConfigError("bytes_touched must be positive")
-        return bytes_touched / (internal_bw_bytes_per_ns
+        return bytes_touched / (default_system().cxl_dram.total_bw_bytes_per_ns
                                 * self.streaming_efficiency)
 
 
-#: PE catalog.  Efficiencies reflect the paper's observation that
-#: domain-specific PEs "sometimes exhibited higher row buffer locality and
-#: utilized memory BW slightly better" than M2NDP's measured ~81.6-90 %.
-CXL_ANNS = DomainSpecificPE("CXL-ANNS", 0.92, ("ann", "knn"))
-CMS = DomainSpecificPE("CMS", 0.90, ("knn", "filter", "olap"))
-RECNMP = DomainSpecificPE("RecNMP", 0.93, ("dlrm", "sls"))
-CXL_PNM = DomainSpecificPE("CXL-PNM", 0.91, ("opt", "llm", "gemv"))
+CXL_ANNS = DomainSpecificPE("CXL-ANNS", **COMPARATORS["CXL-ANNS"])
+CMS = DomainSpecificPE("CMS", **COMPARATORS["CMS"])
+RECNMP = DomainSpecificPE("RecNMP", **COMPARATORS["RecNMP"])
+CXL_PNM = DomainSpecificPE("CXL-PNM", **COMPARATORS["CXL-PNM"])
 
 ALL_PES = (CXL_ANNS, CMS, RECNMP, CXL_PNM)

@@ -1,7 +1,7 @@
 """GPU model: host baseline (passive CXL memory) and GPU-NDP variants.
 
-Substituting for Accel-Sim (DESIGN.md), this models the effects the paper's
-GPU results hinge on:
+In place of the paper's Accel-Sim runs, this models the effects its GPU
+results hinge on:
 
 * **warp-granularity FGMT** on each SM: 4 warp schedulers issue one
   instruction per warp per cycle; a warp's instructions serialize;
@@ -19,7 +19,8 @@ GPU results hinge on:
 Workload modules provide a :class:`GPUKernelSpec` whose ``warp_profile``
 callback is computed from the *actual generated data* (e.g. CSR row lengths
 drive per-warp work skew for PGRANK), so divergence effects are not
-hand-tuned constants.
+hand-tuned constants.  Launch overheads and the GPU-NDP clock are the
+``config.COMPARATORS`` rows ``gpu`` and ``gpu_ndp``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.config import GPUConfig, SystemConfig
+from repro.config import COMPARATORS, CXLConfig, GPUConfig, SystemConfig
 from repro.mem.dram import DRAMModel
 from repro.cxl.link import CXLLink
 from repro.cxl.protocol import CXLPacket, PacketType
@@ -36,11 +37,6 @@ from repro.sim.engine import IssueServer, Simulator
 from repro.sim.stats import IntervalSampler, StatsRegistry
 
 SECTOR = 32
-
-#: Default kernel-launch overhead for GPU-NDP configurations (CXL.io direct
-#: MMIO, §IV-A).  The host-local baseline GPU pays a small local launch cost.
-CXLIO_DR_LAUNCH_NS = 1_500.0
-LOCAL_LAUNCH_NS = 300.0
 
 
 @dataclass
@@ -219,7 +215,8 @@ class GPUDevice:
     def __init__(self, sim: Simulator, config: GPUConfig,
                  memsys: GPUMemorySystem,
                  stats: StatsRegistry | None = None,
-                 launch_overhead_ns: float = LOCAL_LAUNCH_NS) -> None:
+                 launch_overhead_ns: float = COMPARATORS["gpu"]["launch_ns"],
+                 ) -> None:
         self.sim = sim
         self.config = config
         self.memsys = memsys
@@ -358,15 +355,19 @@ def make_gpu_baseline(sim: Simulator, system: SystemConfig,
     stats = stats if stats is not None else StatsRegistry()
     dram = DRAMModel(system.cxl_dram, stats, "gpubase_dram")
     link = CXLLink(system.cxl, stats, "gpubase_cxl")
-    extra = max(0.0, (system.cxl.load_to_use_ns - 150.0) / 2.0)
+    # the model was calibrated at the default load-to-use; a longer one
+    # adds half its excess to each direction
+    calibrated = CXLConfig().load_to_use_ns
+    extra = max(0.0, (system.cxl.load_to_use_ns - calibrated) / 2.0)
     memsys = GPUMemorySystem(dram, link, ltu_extra_ns=extra)
     return GPUDevice(sim, system.gpu, memsys, stats,
-                     launch_overhead_ns=LOCAL_LAUNCH_NS)
+                     launch_overhead_ns=COMPARATORS["gpu"]["launch_ns"])
 
 
 def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
                  stats: StatsRegistry | None = None,
-                 freq_ghz: float = 2.0) -> GPUDevice:
+                 freq_ghz: float = COMPARATORS["gpu_ndp"]["freq_ghz"],
+                 ) -> GPUDevice:
     """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A)."""
     from repro.config import gpu_ndp_config
 
@@ -375,4 +376,4 @@ def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
     dram = DRAMModel(system.cxl_dram, stats, "gpundp_dram")
     memsys = GPUMemorySystem(dram, link=None)
     return GPUDevice(sim, config, memsys, stats,
-                     launch_overhead_ns=CXLIO_DR_LAUNCH_NS)
+                     launch_overhead_ns=COMPARATORS["gpu_ndp"]["launch_ns"])

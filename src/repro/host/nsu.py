@@ -11,20 +11,17 @@ Runtime model::
 
     t = max(internal work, command traffic over the link, host issue rate)
 
-where command traffic = one descriptor (address + opcode, ~16 B) per NDP
-memory access plus returned results for loads.
+where command traffic = one descriptor per NDP memory access plus
+returned results for loads.  The descriptor (``COMPARATORS["nsu"]``) is a
+16 B address/opcode/tag plus its 16 B flit-slot overhead: roughly the data
+size of the 32 B access it requests, which is why the link saturates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CXLConfig
-
-#: Link bytes per offloaded access descriptor: a 16 B address/opcode/tag
-#: descriptor plus its 16 B flit-slot overhead — roughly the data size of
-#: the 32 B access it requests, which is why the link saturates.
-COMMAND_BYTES = 32
+from repro.config import COMPARATORS, default_system
 
 
 @dataclass
@@ -39,19 +36,14 @@ class NSUWorkload:
 class NSUModel:
     """Analytic runtime for the host-address-generation NDP baseline."""
 
-    def __init__(self, config: CXLConfig | None = None,
-                 internal_bw_bytes_per_ns: float = 409.6,
-                 host_issue_rate_per_ns: float = 4.0) -> None:
-        self.config = config if config is not None else CXLConfig()
-        self.internal_bw = internal_bw_bytes_per_ns
-        self.host_issue_rate = host_issue_rate_per_ns
-
     def runtime_ns(self, workload: NSUWorkload) -> float:
-        link_bw = self.config.bw_per_dir_bytes_per_ns
-        command_ns = workload.ndp_accesses * COMMAND_BYTES / link_bw
+        row, system = COMPARATORS["nsu"], default_system()
+        link_bw = system.cxl.bw_per_dir_bytes_per_ns
+        command_ns = workload.ndp_accesses * row["command_bytes"] / link_bw
         result_ns = workload.result_bytes / link_bw
-        internal_ns = workload.read_bytes / self.internal_bw
-        host_ns = workload.ndp_accesses / self.host_issue_rate
+        internal_ns = (workload.read_bytes
+                       / system.cxl_dram.total_bw_bytes_per_ns)
+        host_ns = workload.ndp_accesses / row["host_issue_per_ns"]
         return max(command_ns + result_ns, internal_ns, host_ns) + (
-            self.config.load_to_use_ns  # pipeline fill
+            system.cxl.load_to_use_ns  # pipeline fill
         )

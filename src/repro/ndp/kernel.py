@@ -21,10 +21,6 @@ from repro.isa.registers import RegisterUsage
 #: (32 B for LPDDR5), §III-D advantage A4.
 DEFAULT_UTHREAD_STRIDE = 32
 
-#: Kernel arguments are copied into each NDP unit's scratchpad at this
-#: offset when the kernel launches (§III-G).
-ARGS_SPAD_OFFSET = 0
-
 
 class KernelStatus(enum.Enum):
     """Return values of ndpPollKernelStatus (Table II)."""

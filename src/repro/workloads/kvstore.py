@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import COMPARATORS
 from repro.host.api import M2NDPRuntime, pack_args
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
 from repro.host.offload import OffloadPath
@@ -190,8 +191,8 @@ class KVSRunResult:
         return self.served / (elapsed_ns * 1e-9) if elapsed_ns > 0 else 0.0
 
 
-def run_ndp(platform: Platform, data: KVStoreData, path: OffloadPath,
-            host_cores: int = 16) -> KVSRunResult:
+def run_ndp(platform: Platform, data: KVStoreData,
+            path: OffloadPath) -> KVSRunResult:
     """Serve the trace through NDP kernels launched via ``path``."""
     runtime = platform.runtime
     sim = platform.sim
@@ -200,7 +201,7 @@ def run_ndp(platform: Platform, data: KVStoreData, path: OffloadPath,
     set_kid = runtime.register_kernel(KVS_SET, name="kvs_set")
 
     results_addr = runtime.alloc(len(data.requests) * 128, align=128)
-    pool = CoreRequestPool(sim, host_cores)
+    pool = CoreRequestPool(sim, COMPARATORS["m2ndp"]["kvs_host_cores"])
     latencies = Distribution()
     get_checks: list[tuple[int, int]] = []   # (result slot, expected seed)
     mutated = {
@@ -272,14 +273,15 @@ def _prewrite_node(runtime: M2NDPRuntime, node_addr: int,
 # ---------------------------------------------------------------------------
 
 def run_baseline(platform: Platform, data: KVStoreData,
-                 ltu_ns: float | None = None,
-                 host_cores: int = 64) -> KVSRunResult:
-    """Host serves requests itself; each chain hop is a dependent CXL read."""
+                 ltu_ns: float | None = None) -> KVSRunResult:
+    """Host serves requests itself, on every host core; each chain hop is a
+    dependent CXL read."""
     sim = platform.sim
-    ltu = ltu_ns if ltu_ns is not None else platform.system.cxl.load_to_use_ns
+    cxl = platform.system.cxl
+    ltu = ltu_ns if ltu_ns is not None else cxl.load_to_use_ns
     cpu = HostCPUModel()
-    memory = MemoryTarget("cxl", ltu, 64.0)
-    pool = CoreRequestPool(sim, host_cores)
+    memory = MemoryTarget("cxl", ltu, cxl.bw_per_dir_bytes_per_ns)
+    pool = CoreRequestPool(sim, cpu.row["cores"])
     latencies = Distribution()
 
     for req in data.requests:

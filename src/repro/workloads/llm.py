@@ -7,7 +7,7 @@ cache — memory-bound streaming of the whole model per token.  We simulate
 a *scaled-down* transformer layer faithfully (real GEMV kernel, real data)
 and extrapolate to the full model size by the weight-byte ratio; since
 numerator and denominator scale identically for NDP and baselines, the
-paper's speedups are preserved (see DESIGN.md substitutions).
+paper's speedups are preserved.
 
 Model shapes from [143]:
   OPT-2.7B: 32 layers, hidden 2560, ffn 4x

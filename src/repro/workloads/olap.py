@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import COMPARATORS, CXLConfig, default_system
 from repro.host.api import pack_args
 from repro.host.cpu import HostCPUModel, MemoryTarget
 from repro.kernels.olap import EVAL_LT_I32, EVAL_RANGE_F64, EVAL_RANGE_I32, MASK_AND
@@ -209,47 +210,46 @@ def run_ndp_evaluate(platform: Platform, data: OLAPData) -> NDPRunResult:
 
 
 # ---------------------------------------------------------------------------
-# baselines (§IV-A): host CPU with passive CXL memory; CPU-NDP; Ideal NDP
+# baselines (§IV-A): host CPU with passive CXL memory; CPU-NDP; Ideal NDP.
+# Their parameters are the config.COMPARATORS rows "cpu" and "cpu_ndp".
 # ---------------------------------------------------------------------------
 
-def baseline_evaluate_ns(data: OLAPData, cpu: HostCPUModel | None = None,
-                         ltu_ns: float = 150.0) -> float:
+def baseline_evaluate_ns(data: OLAPData,
+                         ltu_ns: float = CXLConfig().load_to_use_ns) -> float:
     """Host-CPU Evaluate over CXL.
 
     The baseline engine (Polars-style) evaluates each query's filter as a
     latency-bound single-threaded column sweep over the CXL link; per-row
-    branchy predicate evaluation adds CPU time (see DESIGN.md calibration
-    notes).
+    branchy predicate evaluation adds CPU time (the query's calibrated
+    ``baseline_cpi_ns``).
     """
-    cpu = cpu if cpu is not None else HostCPUModel()
     query = data.query
-    memory = MemoryTarget("cxl", ltu_ns, 64.0)
-    stream_ns = data.rows * query.bytes_per_row / cpu.scan_bandwidth(
-        memory, threads=1
-    )
+    memory = MemoryTarget("cxl", ltu_ns,
+                          default_system().cxl.bw_per_dir_bytes_per_ns)
+    stream_ns = (data.rows * query.bytes_per_row
+                 / HostCPUModel().scan_bandwidth(memory, threads=1))
     compute_ns = data.rows * len(query.predicates) * query.baseline_cpi_ns
     return stream_ns + compute_ns
 
 
-def cpu_ndp_evaluate_ns(data: OLAPData, cpu: HostCPUModel | None = None) -> float:
-    """CPU-NDP: 32 high-end cores inside the device (§IV-A)."""
-    from repro.config import cpu_ndp_config
-
-    cpu = cpu if cpu is not None else HostCPUModel(cpu_ndp_config())
-    memory = MemoryTarget.device_internal(bandwidth=409.6, latency_ns=75.0)
+def cpu_ndp_evaluate_ns(data: OLAPData) -> float:
+    """CPU-NDP: high-end cores inside the device (§IV-A)."""
+    cpu = HostCPUModel("cpu_ndp")
     query = data.query
-    stream_ns = data.rows * query.bytes_per_row / cpu.scan_bandwidth(memory)
-    compute_ns = data.rows * len(query.predicates) * 0.25 / cpu.config.num_cores
+    stream_ns = data.rows * query.bytes_per_row / cpu.scan_bandwidth(
+        MemoryTarget.device_internal())
+    compute_ns = (data.rows * len(query.predicates)
+                  * cpu.row["ns_per_row_predicate"] / cpu.row["cores"])
     return max(stream_ns, compute_ns)
 
 
-def ideal_ndp_evaluate_ns(data: OLAPData,
-                          internal_bw: float = 409.6) -> float:
+def ideal_ndp_evaluate_ns(data: OLAPData) -> float:
     """Ideal NDP: 100 % of internal DRAM bandwidth (§IV-C)."""
     query = data.query
     # reads every predicate column + writes/reads masks for combining
     mask_traffic = (2 * len(query.predicates)) * data.rows
-    return (data.rows * query.bytes_per_row + mask_traffic) / internal_bw
+    return ((data.rows * query.bytes_per_row + mask_traffic)
+            / default_system().cxl_dram.total_bw_bytes_per_ns)
 
 
 def full_query_phases_ns(data: OLAPData, evaluate_ns: float,
@@ -262,8 +262,8 @@ def full_query_phases_ns(data: OLAPData, evaluate_ns: float,
     query = data.query
     baseline_total = baseline_eval_ns / query.evaluate_fraction
     other = baseline_total - baseline_eval_ns
-    filter_ns = other * 0.55
-    etc_ns = other * 0.45
+    filter_ns = other * COMPARATORS["cpu"]["filter_share"]
+    etc_ns = other * COMPARATORS["cpu"]["etc_share"]
     return {
         "evaluate": evaluate_ns,
         "filter": filter_ns,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import GPUConfig, SystemConfig, lpddr5_cxl_dram
+from repro.config import COMPARATORS, GPUConfig, SystemConfig, lpddr5_cxl_dram
 from repro.host.dsa import ALL_PES, CMS, CXL_PNM
 from repro.host.gpu import (
     GPUDevice,
@@ -133,14 +133,16 @@ class TestNSU:
         workload = NSUWorkload(ndp_accesses=1 << 20,
                                read_bytes=32 << 20, result_bytes=0)
         runtime = nsu.runtime_ns(workload)
-        link_time = (1 << 20) * 32 / 64.0
+        link_time = ((1 << 20) * COMPARATORS["nsu"]["command_bytes"]
+                     / SystemConfig().cxl.bw_per_dir_bytes_per_ns)
         assert runtime >= link_time
 
     def test_worse_than_internal_execution(self):
         nsu = NSUModel()
         workload = NSUWorkload(ndp_accesses=1 << 20,
                                read_bytes=32 << 20, result_bytes=0)
-        internal_only = (32 << 20) / 409.6
+        internal_only = ((32 << 20)
+                         / SystemConfig().cxl_dram.total_bw_bytes_per_ns)
         assert nsu.runtime_ns(workload) > internal_only
 
 
@@ -155,9 +157,12 @@ class TestDomainSpecificPEs:
         assert not any("unknown-thing" in pe.workloads for pe in ALL_PES)
 
     def test_runtime_scales_with_bytes(self):
-        one = CMS.runtime_ns(1 << 20, 409.6)
-        two = CMS.runtime_ns(2 << 20, 409.6)
+        one = CMS.runtime_ns(1 << 20)
+        two = CMS.runtime_ns(2 << 20)
         assert two == pytest.approx(2 * one)
+        assert one == pytest.approx(
+            (1 << 20) / (SystemConfig().cxl_dram.total_bw_bytes_per_ns
+                         * CMS.streaming_efficiency))
 
     def test_efficiencies_below_unity(self):
         assert all(0.5 < pe.streaming_efficiency <= 1.0 for pe in ALL_PES)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import CXLConfig
+from repro.config import COMPARATORS, CXLConfig
 from repro.host.api import M2NDPRuntime, pack_args
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
 from repro.host.offload import (
@@ -129,6 +129,8 @@ class TestHostCPUModel:
         cxl = MemoryTarget("cxl", link.load_to_use_ns,
                            link.bw_per_dir_bytes_per_ns)
         internal = MemoryTarget.device_internal()
+        assert internal.load_to_use_ns == (
+            COMPARATORS["cpu_ndp"]["load_to_use_ns"])
         assert cpu.scan_bandwidth(internal, threads=8) > cpu.scan_bandwidth(
             cxl, threads=8
         )

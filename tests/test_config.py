@@ -3,13 +3,11 @@
 import pytest
 
 from repro.config import (
-    CPUConfig,
+    COMPARATORS,
     CXLConfig,
     GPUConfig,
     NDPConfig,
     SystemConfig,
-    cpu_ndp_config,
-    ddr5_host_dram,
     default_system,
     gpu_ndp_config,
     hbm2_gpu_dram,
@@ -29,11 +27,6 @@ class TestDRAMPresets:
         assert dram.capacity_bytes == 256 << 30
         t = dram.timing
         assert (t.t_rc, t.t_rcd, t.t_cl, t.t_rp) == (48, 15, 20, 15)
-
-    def test_ddr5_table_iv(self):
-        dram = ddr5_host_dram()
-        assert dram.total_bw_bytes_per_ns == pytest.approx(409.6)
-        assert dram.access_granularity == 64
 
     def test_hbm2_bandwidth(self):
         assert hbm2_gpu_dram().total_bw_bytes_per_ns == pytest.approx(1024.0)
@@ -79,12 +72,12 @@ class TestGPUConfig:
 
 class TestCPUConfig:
     def test_defaults(self):
-        cpu = CPUConfig()
-        assert cpu.num_cores == 64
-        assert cpu.freq_ghz == 3.2
+        cpu = COMPARATORS["cpu"]
+        assert cpu["cores"] == 64
+        assert cpu["mlp"] == 10
 
     def test_cpu_ndp_uses_32_cores(self):
-        assert cpu_ndp_config().num_cores == 32
+        assert COMPARATORS["cpu_ndp"]["cores"] == 32
 
 
 class TestCacheConfigs:

@@ -56,8 +56,8 @@ class TestEnergyModel:
         stats = self._ndp_stats()
         ndp = model.ndp_run(stats, runtime_ns=200_000.0)
         # baseline moves the same data over the link, runs ~50x longer
-        cpu = model.host_cpu_run(bytes_moved=64e6, instructions=16e6,
-                                 runtime_ns=10_000_000.0)
+        cpu = model.comparator_run("cpu", bytes_moved=64e6,
+                                   instructions=16e6, runtime_ns=10_000_000.0)
         assert ndp.total_j < cpu.total_j
         reduction = 1.0 - ndp.total_j / cpu.total_j
         assert reduction > 0.5   # paper: 83.9% average for OLAP
@@ -76,8 +76,8 @@ class TestEnergyModel:
 
     def test_gpu_ndp_static_scales_with_sms(self):
         model = EnergyModel()
-        small = model.gpu_ndp_run(64e6, 1e6, 1e6, num_sms=8)
-        big = model.gpu_ndp_run(64e6, 1e6, 1e6, num_sms=128)
+        small = model.comparator_run("gpu_ndp", 64e6, 1e6, 1e6, num_sms=8)
+        big = model.comparator_run("gpu_ndp", 64e6, 1e6, 1e6, num_sms=128)
         assert big.static_j > small.static_j
 
 

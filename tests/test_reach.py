@@ -92,3 +92,16 @@ def test_a_failing_consumer_exits_non_zero(tmp_path):
                            str(tmp_path), "--", str(script)], timeout=60)
     assert done.returncode == 3
     assert list(tmp_path.glob("*.txt"))     # the record is still written
+
+
+def test_unreferenced_constants_of_a_tree(tmp_path):
+    reach = _reach()
+    package, consumer = tmp_path / "pkg", tmp_path / "consumer"
+    package.mkdir()
+    consumer.mkdir()
+    (package / "mod.py").write_text(
+        "USED = 1\nUNUSED = 2\nA, _PAIR = 3, 4\nTABLE: dict = {}\n"
+        "lower = 5\n\n\ndef f():\n    INNER = 6\n    return USED + A\n")
+    (consumer / "use.py").write_text("from pkg.mod import TABLE\n")
+    assert reach.unreferenced_constants(package, [package, consumer]) == [
+        "mod.py:UNUSED", "mod.py:_PAIR"]

@@ -10,8 +10,11 @@ top-level function and method no consumer called, with its line count.  A
 nested def belongs to the def around it; a decorated def is matched on its
 first decorator's line, which is what `co_firstlineno` holds.  Dunders and
 the `KEEP` rows (a def that stays on purpose, and why) are not listed; a
-`KEEP` row that is reached or names no def is printed as stale.  The
-figure suite's output is compared with the committed `FIDELITY.json`.
+`KEEP` row that is reached or names no def is printed as stale.  It also
+prints each module-level UPPER_CASE constant of `src/repro` that no `.py`
+file under `src/`, `benchmarks/`, `bench/`, `examples/` or `tools/` names
+outside its own assignment (a static word match).  The figure suite's
+output is compared with the committed `FIDELITY.json`.
 Exit 1 when a consumer exits non-zero or the golden differs; the list
 itself gates nothing.  About 5 minutes.
 
@@ -23,16 +26,19 @@ to a file in DIR.
 import ast
 import filecmp
 import os
+import re
 import runpy
 import subprocess
 import sys
 import tempfile
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 PACKAGE = HERE / "src" / "repro"
+SCANNED = ("src", "benchmarks", "bench", "examples", "tools")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 WORKLOADS = ("kv_get_serve", "kv_mixed_serve", "stream_warm_serve",
              "shape_churn_serve", "cluster_fanout16", "kernel_cold_sweep")
 
@@ -202,6 +208,28 @@ def audit(root: Path, seen: set, keep: dict) -> tuple[dict, dict]:
     return unreached, stale
 
 
+def unreferenced_constants(root: Path, trees: list[Path]) -> list[str]:
+    """``path:NAME`` of each module-level UPPER_CASE assignment under
+    ``root`` whose name no file under ``trees`` spells more often than it
+    is assigned."""
+    found = {}
+    for file in sorted(root.rglob("*.py")):
+        module = file.relative_to(root).as_posix()
+        for node in ast.parse(file.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for name in ast.walk(node):     # the stored names are targets
+                if (isinstance(name, ast.Name)
+                        and isinstance(name.ctx, ast.Store)
+                        and CONSTANT.fullmatch(name.id)):
+                    found[f"{module}:{name.id}"] = name.id
+    words = Counter(word for tree in trees for file in tree.rglob("*.py")
+                    for word in re.findall(r"\w+", file.read_text()))
+    assigned = Counter(found.values())
+    return [key for key, name in found.items()
+            if words[name] <= assigned[name]]
+
+
 def consumers(scratch: Path) -> list[tuple[list[str], Path]]:
     """``(argv, cwd)`` of each consumer, in the order they must run."""
     trace = scratch / "serving.trace.json"
@@ -254,6 +282,10 @@ def main() -> int:
           f"({len(KEEP)} kept on purpose)")
     for key, why in stale.items():
         print(f"stale KEEP row ({why}): {key}")
+    constants = unreferenced_constants(PACKAGE, [HERE / d for d in SCANNED])
+    for key in constants:
+        print(f"unreferenced constant: {key}")
+    print(f"unreferenced constants: {len(constants)}")
     for line in failed:
         print(f"FAILED: {line}")
     return 1 if failed else 0
