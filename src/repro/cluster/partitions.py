@@ -18,11 +18,11 @@ unit / channel / L2-set shares always sum *exactly* to the device totals
 (every resource belongs to exactly one partition — nothing shared,
 nothing lost), with every partition guaranteed at least one of each.
 
-The map is resolved once at platform construction (``REPRO_PARTITIONS``
-or ``make_cluster_platform(partitions=...)``) and threaded everywhere a
-resource decision happens: device timing models, launch queues, shard
-placement, fan-out scheduling, fault scoping and the serving tier's
-admission caps.  Every device is partitioned: an unset spec resolves to
+The map is resolved once at platform construction (the ``partitions=``
+argument of ``ClusterRuntime`` / ``make_cluster_platform``, else
+``ClusterConfig.partitions``) and threaded everywhere a resource decision
+happens: device timing models, launch queues, shard placement, fan-out
+scheduling, fault scoping and the serving tier's admission caps.  Every device is partitioned: an unset spec resolves to
 the one-partition map (``SPX_SPEC`` — MI300's default SPX mode *is* a
 partition, the single one), whose partition owns every unit, channel
 and L2 set and whose timing models are the device's own.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: Shown by validation errors, mirroring REPRO_EXEC_BACKEND's pattern.
+#: Shown by validation errors.
 PARTITION_SPEC_EXAMPLES = ('"rt:1,batch:3"', '"rt,batch"',
                            '"rt:2,batch:5,spare:1"')
 
@@ -72,7 +72,7 @@ def _apportion(total: int, weights: list[int]) -> list[int]:
 
 
 def parse_partition_spec(spec: str,
-                         source: str = "REPRO_PARTITIONS"
+                         source: str = "partitions"
                          ) -> tuple[tuple[str, int], ...]:
     """Parse ``"name[:weight],..."`` into ``((name, weight), ...)``."""
 
@@ -221,7 +221,7 @@ class PartitionMap:
 
 
 def resolve_partitions(spec: str | None, config,
-                       source: str = "REPRO_PARTITIONS"
+                       source: str = "partitions"
                        ) -> PartitionMap:
     """Resolve a partition spec against a :class:`SystemConfig`.
 

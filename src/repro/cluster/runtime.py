@@ -22,21 +22,21 @@ Mirrors the single-device :class:`~repro.host.api.M2NDPRuntime` surface
 * Completion is aggregated: a :class:`ClusterLaunchHandle` finishes when
   the slowest sub-launch does.
 
-The execution backend, scheduler policy and partition spec are knobs
-(:mod:`repro.knobs`, README "Knobs"): explicit argument > environment
-variable > config default, validated at construction.  The launch timeout
-knob is read from the environment only; a caller that needs another value
-assigns the ``launch_timeout_ns`` attribute.
+The execution backend is the ``backend=`` argument; the scheduler policy
+and partition spec are ``ClusterConfig`` fields that the ``scheduler=`` /
+``partitions=`` arguments override; all are validated at construction.
+The launch watchdog is off until a caller assigns ``launch_timeout_ns``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from repro import knobs
 from repro.cluster.partitions import PartitionMap, resolve_partitions
 from repro.cluster.placement import ClusterAllocator, ShardMap
 from repro.cluster.scheduler import LaunchScheduler, SubLaunch
@@ -49,6 +49,7 @@ from repro.errors import (
     PoisonError,
     SimulationError,
 )
+from repro.exec.base import DEFAULT_BACKEND
 from repro.host.api import LaunchHandle, M2NDPRuntime
 from repro.isa.assembler import KernelProgram, assemble_kernel
 from repro.obs import tracer as obs_tracer
@@ -176,22 +177,20 @@ class ClusterRuntime:
         self,
         system: SystemConfig | None = None,
         cluster: ClusterConfig | None = None,
-        backend: str | None = None,
+        backend: str = DEFAULT_BACKEND,
         scheduler: str | None = None,
         partitions: str | None = None,
     ) -> None:
         self.sim = Simulator()
         self.system = system if system is not None else default_system()
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
-        policy = knobs.resolve("REPRO_CLUSTER_SCHEDULER", scheduler,
-                               fallback=self.cluster_config.scheduler,
-                               arg="scheduler")
+        if scheduler is None:
+            scheduler = self.cluster_config.scheduler
         #: Resolved :class:`PartitionMap` applied uniformly to every
         #: device; an unset or empty spec is the one-partition map.
         self.partitions: PartitionMap = resolve_partitions(
-            knobs.resolve("REPRO_PARTITIONS", partitions,
-                          fallback=self.cluster_config.partitions,
-                          arg="partitions"),
+            partitions if partitions is not None
+            else self.cluster_config.partitions,
             self.system,
         )
         n = self.cluster_config.num_devices
@@ -219,12 +218,8 @@ class ClusterRuntime:
             default_placement=self.cluster_config.placement,
             default_shard_bytes=self.cluster_config.shard_bytes,
         )
-        self.scheduler = LaunchScheduler(policy, n)
-        #: A positive value arms a per-launch watchdog: a launch still
-        #: pending that many simulated ns after issue fails with a typed
-        #: :class:`~repro.errors.LaunchFailed` (reason ``timeout``)
-        #: instead of deadlocking the event loop on a stuck device.
-        self.launch_timeout_ns = knobs.resolve("REPRO_LAUNCH_TIMEOUT_NS")
+        self.scheduler = LaunchScheduler(scheduler, n)
+        self.launch_timeout_ns = 0.0
         #: Armed FaultInjector, or None — the healthy-cluster default, in
         #: which every fault hook below short-circuits.
         self.faults = None
@@ -244,6 +239,22 @@ class ClusterRuntime:
     @property
     def num_devices(self) -> int:
         return len(self.devices)
+
+    @property
+    def launch_timeout_ns(self) -> float:
+        """Launch watchdog, 0 (off) by default: a positive value fails a
+        launch still pending that many simulated ns after issue with a
+        typed :class:`~repro.errors.LaunchFailed` (reason ``timeout``)
+        instead of deadlocking the event loop on a stuck device."""
+        return self._launch_timeout_ns
+
+    @launch_timeout_ns.setter
+    def launch_timeout_ns(self, value: float) -> None:
+        if isinstance(value, bool) or not isinstance(value, Real) \
+                or not 0 <= value < math.inf:
+            raise ConfigError(f"launch_timeout_ns must be a finite number "
+                              f">= 0, got {value!r}")
+        self._launch_timeout_ns = float(value)
 
     @property
     def device(self) -> M2NDPDevice:
@@ -329,11 +340,7 @@ class ClusterRuntime:
         # instances of them must not overlap on one device, so their
         # sub-launches are chained per device.  Body-only kernels read only
         # the argument block and run concurrently.
-        self._serialize_per_device[kids[0]] = (
-            kernel.initializer is not None
-            or kernel.finalizer is not None
-            or len(kernel.bodies) > 1
-        )
+        self._serialize_per_device[kids[0]] = kernel.phased
         self._sync_now()
         return kids[0]
 
@@ -418,8 +425,9 @@ class ClusterRuntime:
         for queue in queues:
             self._issue_sub(handle, kids, queue, 0, args, stride, start,
                             tracer, launch_span)
-        if self.launch_timeout_ns > 0:
-            deadline = start + self.launch_timeout_ns
+        timeout = self._launch_timeout_ns
+        if timeout > 0:
+            deadline = start + timeout
 
             def watchdog() -> None:
                 if handle.finished:
@@ -429,7 +437,7 @@ class ClusterRuntime:
                     self.monitoring.record("fault.timeout", deadline)
                 handle._fail(deadline, LaunchFailed(
                     f"cluster launch still pending "
-                    f"{self.launch_timeout_ns:g} ns after issue",
+                    f"{timeout:g} ns after issue",
                     reason="timeout",
                 ))
 
@@ -635,15 +643,15 @@ def make_cluster_platform(num_devices: int = 2,
                           placement: str | None = None,
                           scheduler: str | None = None,
                           shard_bytes: int | None = None,
-                          backend: str | None = None,
+                          backend: str = DEFAULT_BACKEND,
                           partitions: str | None = None) -> ClusterPlatform:
     """Build a fresh simulator + N-expander cluster bundle.
 
     Keyword conveniences (``placement`` / ``scheduler`` / ``shard_bytes``)
     override the corresponding :class:`ClusterConfig` fields; a full
     ``cluster`` config wins over ``num_devices``.  ``partitions`` is a
-    hardware partition spec (``"rt:1,batch:3"``) applied to every device,
-    resolved like every knob (README "Knobs").
+    hardware partition spec (``"rt:1,batch:3"``) applied to every device;
+    it and ``scheduler`` override the ``ClusterConfig`` field of that name.
     """
     if cluster is None:
         cluster = ClusterConfig(

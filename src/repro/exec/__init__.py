@@ -29,13 +29,13 @@ backends; the second extends the first:
 Backend selection
 -----------------
 
-* The backend is resolved in one place, ``M2NDPDevice``: an explicit
-  ``backend=`` argument (to the device,
-  :func:`repro.workloads.base.make_platform` or
-  :func:`repro.cluster.make_cluster_platform`) > the
-  ``REPRO_EXEC_BACKEND`` knob (:mod:`repro.knobs`, README "Knobs") > its
-  declared default, ``batched``.  Every figure driver runs the default; the ``engines``
-  driver pins both backends, so the environment cannot move it.
+* The backend is chosen in one place, the ``backend=`` argument of
+  ``M2NDPDevice`` (passed through by
+  :func:`repro.workloads.base.make_platform`,
+  :func:`repro.cluster.make_cluster_platform` and ``ClusterRuntime``),
+  whose default is ``batched`` (:data:`repro.exec.base.DEFAULT_BACKEND`).
+  Every figure driver runs the default; the ``engines`` driver pins
+  both backends.
 * Inside the batched backend, launches route by *shape* alone — no
   environment variable reroutes a shape to a different engine: bulk
   branch-uniform launches take the launch-uniform trace/replay walk;

@@ -9,8 +9,8 @@ models and for signalling completion through the execution's callbacks.
 :class:`~repro.exec.interpreter.InterpreterBackend` is the base class and
 the reference; :class:`~repro.exec.batched.BatchedBackend` extends it and
 falls back to it per launch.  The device constructs its backend with
-:func:`make_backend` from the ``REPRO_EXEC_BACKEND`` knob (explicit
-``backend=`` > environment > the declared default, ``batched``).
+:func:`make_backend` from its ``backend=`` argument, whose default is
+:data:`DEFAULT_BACKEND`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.exec.interpreter import InterpreterBackend
 
+#: The ``backend=`` default of every device and platform factory.
+DEFAULT_BACKEND = "batched"
+
 
 def _backends() -> dict[str, type["InterpreterBackend"]]:
     # imported here: the backends import repro.ndp, which imports this module
@@ -30,15 +33,13 @@ def _backends() -> dict[str, type["InterpreterBackend"]]:
     return {"interpreter": InterpreterBackend, "batched": BatchedBackend}
 
 
-def backend_names() -> list[str]:
-    return sorted(_backends())
-
-
 def make_backend(name: str, device) -> "InterpreterBackend":
     """Instantiate the backend ``name`` for ``device``."""
-    backend = _backends().get(name)
+    backends = _backends()
+    backend = backends.get(name)
     if backend is None:
         raise ConfigError(
-            f"unknown execution backend {name!r}; choose from {backend_names()}"
+            f"unknown execution backend {name!r} (from backend); "
+            f"choose from {sorted(backends)}"
         )
     return backend(device)

@@ -433,8 +433,7 @@ class BatchedBackend(InterpreterBackend):
         """Static routing: why the launch needs per-lane (masked or point)
         execution, or None when the launch-uniform walk may try it."""
         program = execution.instance.kernel.program
-        if (program.initializer is not None or program.finalizer is not None
-                or len(program.bodies) != 1):
+        if program.phased:
             return "phases"
         for inst in program.bodies[0].instructions:
             slug = _UNBATCHABLE.get(inst.op_class)

@@ -1190,21 +1190,12 @@ class SimtPlan:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> "SimtPlan":
-        program = self.execution.instance.kernel.program
-        phases: list[tuple[Phase, object]] = []
-        if program.initializer is not None:
-            phases.append((Phase.INITIALIZER, program.initializer))
-        for body in program.bodies:
-            phases.append((Phase.BODY, body))
-        if program.finalizer is not None:
-            phases.append((Phase.FINALIZER, program.finalizer))
-
         entry_profiles = self.entry.profiles if self.entry is not None else None
         try:
             # Only phases that actually spawn lanes are executed (and
             # recorded), so cached profiles index by *executed* phase.
             executed = []
-            for kind, section in phases:
+            for kind, section, _ in self.execution.phases:
                 n, x1, x2, unit_of_lane = self._phase_lanes(kind)
                 if n:
                     executed.append((section, n, x1, x2, unit_of_lane))

@@ -6,8 +6,8 @@ The engines time a launch by roofline or recorded replay, so their
 equal.  The headline says how close per kernel, ``<kernel>_err = |engine
 / reference - 1|`` (running fast is as wrong as running slow), with its
 ``_fallbacks`` to the interpreter, the mean ``agreement`` (min / max) and
-``correct``.  Both backends are pinned, so ``REPRO_EXEC_BACKEND`` cannot
-move it; every other driver runs the default.  The first nine kernels
+``correct``.  It pins both backends; every other driver runs the
+default, ``batched``.  The first nine kernels
 restate m2bench's ``kernel_cold_sweep`` probe (``bench/workloads.py``'s
 ``SWEEP`` at probe size, ``PROBE_SEED``, ``STRUCTURE_SALT``); vecadd and
 gemv are ``tests/exec/test_backends.py``'s.

@@ -85,7 +85,7 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
     result.notes = (
         "at small scale neither engine reproduces the fine-grained "
         "ablation: w/o fine-grained reads 1.000 on the batched engine and "
-        "1.000-1.012 on the interpreter (REPRO_EXEC_BACKEND=interpreter), "
+        "1.000-1.012 on the interpreter (backend=\"interpreter\"), "
         "against the paper's up to 1.506; w/o addr opt reads 1.0001-1.0016 "
         "batched and 0.868-1.067 on the interpreter, where DLRM runs faster "
         "with four extra instructions per µthread (unexplained); w/o M2func "

@@ -65,7 +65,7 @@ def _adversary(requests: int, partition: str | None) -> TenantSpec:
 
 
 def _run(tenants, num_devices: int, partitions: str | None,
-         plan: FaultPlan | None = None, monitoring: bool | None = None):
+         plan: FaultPlan | None = None, monitoring: bool = True):
     platform = make_cluster_platform(num_devices=num_devices,
                                      partitions=partitions)
     injector = (platform.runtime.arm_faults(plan)

@@ -149,6 +149,13 @@ class KernelProgram:
         return out
 
     @property
+    def phased(self) -> bool:
+        """More than one phase (an initializer, a finalizer or several
+        bodies): state crosses a barrier in the per-unit scratchpad."""
+        return (self.initializer is not None or self.finalizer is not None
+                or len(self.bodies) != 1)
+
+    @property
     def static_instruction_count(self) -> int:
         return sum(len(s) for s in self.sections())
 

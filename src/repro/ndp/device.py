@@ -3,10 +3,9 @@
 Owns the physical memory (HDM), the banked LPDDR5 DRAM model, the
 memory-side L2, the CXL link + packet filter, the NDP controller and the 32
 NDP units.  Kernel launches are *executed* by a backend from
-:mod:`repro.exec` (the ``backend`` constructor argument, else the
-``REPRO_EXEC_BACKEND`` knob, else its declared default ``batched``): the
-batched engines or the per-instruction interpreter they fall back to and
-are measured against.  The device itself only provides the shared
+:mod:`repro.exec` (the ``backend`` constructor argument, default
+``batched``): the batched engines or the per-instruction interpreter
+they fall back to and are measured against.  The device itself only provides the shared
 memory-system services and the host-facing CXL.mem entry points.
 
 Every device is split into >= 1 hardware :class:`DevicePartition`
@@ -23,14 +22,13 @@ from functools import partial
 
 import numpy as np
 
-from repro import knobs
 from repro.config import SystemConfig
 from repro.cxl.hdm import HDMCoherence
 from repro.cxl.link import CXLLink
 from repro.cxl.packet_filter import PacketFilter
 from repro.cxl.protocol import CXLPacket, PacketType
 from repro.errors import LaunchError, ProtocolError
-from repro.exec.base import make_backend
+from repro.exec.base import DEFAULT_BACKEND, make_backend
 from repro.isa.assembler import KernelProgram
 from repro.mem.dram import DRAMModel
 from repro.mem.cache import SectorCache
@@ -97,7 +95,7 @@ class M2NDPDevice:
         spawn_granularity: int = 1,
         dirty_fraction: float = 0.0,
         queue_capacity: int = 4096,
-        backend: str | None = None,
+        backend: str = DEFAULT_BACKEND,
         physical: PhysicalMemory | None = None,
     ) -> None:
         self.sim = sim
@@ -136,8 +134,7 @@ class M2NDPDevice:
             NDPUnit(i, self.config.ndp, self, self.stats, spawn_granularity)
             for i in range(self.config.ndp.num_units)
         ]
-        self.backend = make_backend(
-            knobs.resolve("REPRO_EXEC_BACKEND", backend, arg="backend"), self)
+        self.backend = make_backend(backend, self)
         #: Hardware partitions, always >= 1: a device starts as the
         #: one-partition map and a cluster re-carves it at construction.
         self.partitions: list[DevicePartition]

@@ -149,13 +149,15 @@ class KernelExecution:
         )
 
         program = instance.kernel.program
-        self._phases: list[tuple[Phase, Program, int]] = []
+        #: (phase, section, body index) in launch order: initializer,
+        #: bodies, finalizer.
+        self.phases: list[tuple[Phase, Program, int]] = []
         if program.initializer is not None:
-            self._phases.append((Phase.INITIALIZER, program.initializer, 0))
+            self.phases.append((Phase.INITIALIZER, program.initializer, 0))
         for body_index, body in enumerate(program.bodies):
-            self._phases.append((Phase.BODY, body, body_index))
+            self.phases.append((Phase.BODY, body, body_index))
         if program.finalizer is not None:
-            self._phases.append((Phase.FINALIZER, program.finalizer, 0))
+            self.phases.append((Phase.FINALIZER, program.finalizer, 0))
         self._phase_idx = -1
         self._plan: _PhasePlan | None = None
 
@@ -165,20 +167,21 @@ class KernelExecution:
         self.instance.status = KernelStatus.RUNNING
         self.instance.start_ns = now_ns
         self._advance_phase()
-        total = sum(
-            _PhasePlan(p, prog, bi, self.num_units, self.slots_per_unit,
-                       self.instance).total
-            for p, prog, bi in self._phases
-        )
-        self.instance.uthreads_total = total
+        # a body spawns a µthread per pool slice, the other phases one
+        # per µthread slot (the totals of :class:`_PhasePlan`)
+        bodies = len(self.instance.kernel.program.bodies)
+        self.instance.uthreads_total = (
+            bodies * self.instance.num_body_uthreads
+            + (len(self.phases) - bodies) * self.num_units
+            * self.slots_per_unit)
 
     def _advance_phase(self) -> bool:
         """Move to the next phase; returns False when the kernel is done."""
         self._phase_idx += 1
-        if self._phase_idx >= len(self._phases):
+        if self._phase_idx >= len(self.phases):
             self._plan = None
             return False
-        phase, program, body_index = self._phases[self._phase_idx]
+        phase, program, body_index = self.phases[self._phase_idx]
         self._plan = _PhasePlan(
             phase, program, body_index, self.num_units, self.slots_per_unit,
             self.instance,
@@ -218,7 +221,7 @@ class KernelExecution:
         machinery must see nothing pending, or a concurrent interpreter
         refill would execute the launch a second time.
         """
-        self._phase_idx = len(self._phases)
+        self._phase_idx = len(self.phases)
         self._plan = None
 
     def finish_now(self, now_ns: float) -> None:

@@ -10,8 +10,8 @@ for the utilization timelines.  Timestamps are *simulated* nanoseconds
 scaled to the format's microseconds.
 
 ``run_manifest`` builds the reproducibility sidecar written next to
-``BENCH_*.json``: config + seed, git revision, the ``REPRO_*``
-environment, a deterministically sorted counter snapshot
+``BENCH_*.json``: config + seed, git revision, a deterministically
+sorted counter snapshot
 (:meth:`~repro.sim.stats.StatsRegistry.snapshot`) and per-name span
 aggregates.  ``write_trace`` / ``write_manifest`` put both on disk.
 """
@@ -24,11 +24,10 @@ import os
 import subprocess
 import sys
 
-from repro import knobs
 from repro.obs.tracer import HOST_PID, Span, Tracer
 
 #: Manifest schema tag (bump on incompatible layout changes).
-MANIFEST_SCHEMA = "repro-run-manifest-v1"
+MANIFEST_SCHEMA = "repro-run-manifest-v2"
 
 
 def _process_names(spans: list[Span]) -> dict[int, str]:
@@ -158,22 +157,16 @@ def run_manifest(tracer: Tracer | None = None, stats=None, config=None,
     ``partitions`` takes the cluster's
     :class:`~repro.cluster.partitions.PartitionMap`; the key is absent
     when none is given.
-    ``env_unknown`` lists set ``REPRO_*`` variables that no knob reads
-    (a typo is otherwise silent); absent when there are none.
     """
-    env, unknown = knobs.environment()
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "python": sys.version.split()[0],
         "git_rev": git_revision(),
         "seed": seed,
-        "env": env,
         "config": _config_dict(config),
         "counters": stats.snapshot() if stats is not None else {},
         "span_aggregates": tracer.aggregates() if tracer is not None else {},
     }
-    if unknown:
-        manifest["env_unknown"] = unknown
     if partitions:
         manifest["partitions"] = partitions.describe()
     if extra:

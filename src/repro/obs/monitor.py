@@ -29,8 +29,8 @@ when retries keep the burn rate under threshold.
 
 The monitor is one of three parts of :class:`Monitoring`, the one
 object a serving engine, its cluster runtime and the fault injector hold
-(``engine.monitoring`` / ``runtime.monitoring``; None when
-``REPRO_MONITOR=0``, :mod:`repro.knobs`): a flight recorder, this
+(``engine.monitoring`` / ``runtime.monitoring``; None when the engine
+is built with ``monitoring=False``): a flight recorder, this
 monitor reading it, and an incident reporter snapshotting both.
 """
 

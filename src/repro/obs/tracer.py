@@ -34,23 +34,49 @@ and "off" has exactly one representation: :func:`tracer_of` returns
 ``None``.  Instrumented code resolves ``tracer = tracer_of(sim)`` once
 per run / launch and guards every span with ``if tracer is not None:`` —
 a local load and branch, nothing else; nothing outside this module reads
-``ENABLED``.  ``REPRO_TRACE`` is resolved once, at import
-(:mod:`repro.knobs`, README "Knobs").
+``ENABLED``.
+
+``REPRO_TRACE`` is the package's one environment variable, read once, at
+import, by :func:`read_environment` — the only reader of ``os.environ``
+in the package.  It can only turn tracing on, and tracing never changes
+a simulated number.  Every other setting is an argument or a config
+field, so the same read refuses any other ``REPRO_*`` variable: a stale
+one fails loudly instead of being silently ignored.
 """
 
 from __future__ import annotations
 
-from repro import knobs
+import os
+from collections.abc import Mapping
+
+from repro.errors import ConfigError
 
 #: pid of the serving/cluster host process in exported traces; devices
 #: are pid ``1 + device_index`` (``M2NDPDevice.trace_pid``).
 HOST_PID = 0
 
 
+def read_environment(environ: Mapping[str, str]) -> bool:
+    """The ``REPRO_TRACE`` flag of ``environ`` (``'0'``, the default, or
+    ``'1'``); any other ``REPRO_*`` name in it is a :class:`ConfigError`."""
+    stray = sorted(name for name in environ
+                   if name.startswith("REPRO_") and name != "REPRO_TRACE")
+    if stray:
+        raise ConfigError(
+            f"{', '.join(stray)}: not read by this package; REPRO_TRACE is "
+            f"its only environment variable and every other setting is an "
+            f"argument (README \"Settings\")")
+    raw = environ.get("REPRO_TRACE", "0")
+    if raw not in ("0", "1"):
+        raise ConfigError(f"REPRO_TRACE must be '0' or '1', got {raw!r} "
+                          f"(from REPRO_TRACE environment variable)")
+    return raw == "1"
+
+
 #: Module-level enabled flag, read by :func:`tracer_of` only;
 #: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, the
 #: tests' on/off passes).
-ENABLED: bool = knobs.resolve("REPRO_TRACE")
+ENABLED: bool = read_environment(os.environ)
 
 
 def enabled() -> bool:

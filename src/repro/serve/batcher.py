@@ -42,25 +42,31 @@ batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 from repro.errors import ConfigError
-from repro.knobs import KNOBS
 from repro.serve.qos import Request, RequestQueue
 
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Max-batch / max-wait coalescing knobs (``max_batch=1`` disables)."""
+    """Max-batch / max-wait coalescing policy (``max_batch=1`` disables)."""
 
-    max_batch: int = KNOBS["REPRO_SERVE_MAX_BATCH"].default
-    max_wait_ns: float = KNOBS["REPRO_SERVE_MAX_WAIT_NS"].default
+    max_batch: int = 8
+    max_wait_ns: float = 2000.0
 
     def __post_init__(self) -> None:
-        KNOBS["REPRO_SERVE_MAX_BATCH"].accept(self.max_batch,
-                                              "max_batch argument")
-        KNOBS["REPRO_SERVE_MAX_WAIT_NS"].accept(self.max_wait_ns,
-                                                "max_wait_ns argument")
+        batch, wait = self.max_batch, self.max_wait_ns
+        if isinstance(batch, bool) or not isinstance(batch, int) \
+                or batch < 1:
+            raise ConfigError(f"max_batch argument must be an integer "
+                              f">= 1, got {batch!r}")
+        if isinstance(wait, bool) or not isinstance(wait, Real) \
+                or not 0 <= wait < math.inf:
+            raise ConfigError(f"max_wait_ns argument must be a finite "
+                              f"number >= 0, got {wait!r}")
 
 
 @dataclass

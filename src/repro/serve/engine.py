@@ -30,8 +30,8 @@ Tracing follows :mod:`repro.obs.tracer`'s one off-discipline: the engine
 resolves ``tracer_of(sim)`` once in :meth:`ServingEngine.run` and every
 span site tests ``self._tracer is not None``.
 
-The scheduler, batch policy and monitoring switch are knobs
-(:mod:`repro.knobs`, README "Knobs"), resolved at construction.
+The scheduler, batch policy and monitoring switch are constructor
+arguments, checked at construction.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro import knobs
 from repro.cluster.runtime import ClusterPlatform
 from repro.errors import ConfigError, DeviceUnavailable, PoisonError
 from repro.obs import tracer as obs_tracer
@@ -51,6 +50,7 @@ from repro.serve.arrivals import make_arrival_process, stream_rng
 from repro.serve.autoscaler import AutoscalePolicy, Autoscaler
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
 from repro.serve.qos import (
+    DEFAULT_SERVE_SCHEDULER,
     DEFAULT_STARVATION_NS,
     QoSScheduler,
     Request,
@@ -110,13 +110,13 @@ class ServingEngine:
         self,
         platform: ClusterPlatform,
         tenants: list[TenantSpec],
-        scheduler: str | None = None,
-        batch: BatchPolicy | None = None,
+        scheduler: str | None = DEFAULT_SERVE_SCHEDULER,
+        batch: BatchPolicy = BatchPolicy(),
         autoscale: AutoscalePolicy = AutoscalePolicy(),
         inflight_per_device: int = DEFAULT_INFLIGHT_PER_DEVICE,
         starvation_ns: float = DEFAULT_STARVATION_NS,
         stats_window_ns: float | None = None,
-        monitoring: bool | None = None,
+        monitoring: bool = True,
         objectives: dict | None = None,
         incident_dir: str | None = None,
     ) -> None:
@@ -127,23 +127,22 @@ class ServingEngine:
             raise ConfigError(f"duplicate tenant names: {names}")
         if inflight_per_device <= 0:
             raise ConfigError("inflight_per_device must be positive")
+        if not isinstance(monitoring, bool):
+            raise ConfigError(f"monitoring must be True or False, "
+                              f"got {monitoring!r}")
 
         self.platform = platform
         self.sim = platform.sim
         self.runtime = platform.runtime
         seed = self.runtime.cluster_config.seed
 
+        # None is a caller forwarding no choice of its own: the default
         self.scheduler = QoSScheduler(
-            policy=knobs.resolve("REPRO_SERVE_SCHEDULER", scheduler,
-                                 arg="scheduler"),
+            policy=(scheduler if scheduler is not None
+                    else DEFAULT_SERVE_SCHEDULER),
             weights={s.name: s.weight for s in tenants},
             starvation_ns=starvation_ns,
         )
-        if batch is None:
-            batch = BatchPolicy(
-                max_batch=knobs.resolve("REPRO_SERVE_MAX_BATCH"),
-                max_wait_ns=knobs.resolve("REPRO_SERVE_MAX_WAIT_NS"),
-            )
         self.batcher = DynamicBatcher(batch)
         self.autoscaler = Autoscaler(autoscale, self.runtime.num_devices)
         # the engine runs one periodic tick driving both the utilization
@@ -152,8 +151,9 @@ class ServingEngine:
         # without having to touch the autoscale policy
         if stats_window_ns is None:
             stats_window_ns = autoscale.interval_ns
-        if stats_window_ns <= 0:
-            raise ConfigError("stats_window_ns must be positive")
+        if not stats_window_ns > 0:
+            raise ConfigError(f"stats_window_ns must be a number > 0, "
+                              f"got {stats_window_ns!r}")
         self._tick_interval = stats_window_ns
         self.inflight_per_device = inflight_per_device
         self.admission = AdmissionController()
@@ -170,7 +170,7 @@ class ServingEngine:
         self.tenants = {spec.name: _TenantState(platform, spec, seed)
                         for spec in tenants}
 
-        # Always-on monitoring stack (REPRO_MONITOR=0 disables it, and
+        # Always-on monitoring stack (monitoring=False disables it, and
         # then *nothing* of it exists: no ring appends, no monitor beats —
         # byte-identical to the unmonitored engine).  The monitor only
         # reads counters, so enabling it never changes workload results.
@@ -178,7 +178,7 @@ class ServingEngine:
         # of an engine that ran before on the same platform.
         self._monitor_scheduled = False
         self.monitoring: Monitoring | None = None
-        if knobs.resolve("REPRO_MONITOR", monitoring, arg="monitoring"):
+        if monitoring:
             self.monitoring = Monitoring(self.runtime, names, objectives,
                                          incident_dir)
         self.runtime.monitoring = self.monitoring

@@ -33,8 +33,9 @@ from repro.errors import ConfigError
 #: Latency classes, in priority order.
 QOS_CLASSES = ("interactive", "batch")
 
-#: Valid serving scheduler policies.
+#: Valid serving scheduler policies, and the default one.
 SERVE_SCHEDULERS = ("fifo", "wfq")
+DEFAULT_SERVE_SCHEDULER = "wfq"
 
 #: A batch-class request waiting this long is promoted to the interactive
 #: band (starvation freedom under interactive overload).
@@ -161,7 +162,7 @@ class RequestQueue:
 class QoSScheduler:
     """Picks which tenant's queue to serve next (see module docstring)."""
 
-    policy: str = "wfq"
+    policy: str = DEFAULT_SERVE_SCHEDULER
     weights: dict[str, float] = field(default_factory=dict)
     starvation_ns: float = DEFAULT_STARVATION_NS
     _finish: dict[str, float] = field(default_factory=dict)

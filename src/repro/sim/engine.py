@@ -149,18 +149,22 @@ class Simulator:
 
         Hot path: a nonnegative delay added to ``now`` can never land in
         the past, so the heap push is done directly with a single guard
-        instead of re-validating through :meth:`schedule_at`.
+        instead of re-validating through :meth:`schedule_at`.  Both guards
+        are written ``not x >= bound`` so a NaN, which compares False
+        either way and would break the heap order, is refused too.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule at delay {delay}: must be a number >= 0")
         heapq.heappush(self._queue, (self.now + delay, self._seq, callback))
         self._seq += 1
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` at an absolute timestamp."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
+                f"cannot schedule at {time}: must be a number >= the "
+                f"current time {self.now}"
             )
         heapq.heappush(self._queue, (time, self._seq, callback))
         self._seq += 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import SystemConfig, default_system
+from repro.exec.base import DEFAULT_BACKEND
 from repro.host.api import M2NDPRuntime
 from repro.ndp.device import M2NDPDevice
 from repro.sim.engine import Simulator
@@ -41,15 +42,11 @@ def make_platform(system: SystemConfig | None = None,
                   dirty_fraction: float = 0.0,
                   queue_capacity: int = 4096,
                   asid: int = 0x7,
-                  backend: str | None = None) -> Platform:
+                  backend: str = DEFAULT_BACKEND) -> Platform:
     """Build a fresh simulator/device/runtime bundle.
 
     ``backend`` selects the µthread execution backend ("batched" or
-    "interpreter", see :mod:`repro.exec`); ``None`` leaves the choice to
-    the device, which resolves the ``REPRO_EXEC_BACKEND`` knob (README
-    "Knobs", default ``batched``).  An explicit ``backend`` argument always
-    wins: a caller that pins a backend, as the ``engines`` driver pins
-    both, must not be overridden from the environment.
+    "interpreter", see :mod:`repro.exec`).
     """
     system = system if system is not None else default_system()
     sim = Simulator()

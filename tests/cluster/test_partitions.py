@@ -54,21 +54,18 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             _pmap(spec)
 
-    def test_env_knob_validated_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "nope:0")
+    def test_env_knob_validated_at_construction(self):
         with pytest.raises(ConfigError) as err:
-            make_cluster_platform(num_devices=1)
-        assert "REPRO_PARTITIONS" in str(err.value)
+            make_cluster_platform(num_devices=1, partitions="nope:0")
+        assert "from partitions:" in str(err.value)
 
-    def test_env_knob_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "a:1,b:1")
-        platform = make_cluster_platform(num_devices=1)
+    def test_env_knob_applies(self):
+        platform = make_cluster_platform(num_devices=1, partitions="a:1,b:1")
         assert platform.runtime.partitions.names == ("a", "b")
 
-    def test_empty_env_disables(self, monkeypatch):
+    def test_empty_env_disables(self):
         """Unset / empty = the one-partition map owning the whole device."""
-        monkeypatch.setenv("REPRO_PARTITIONS", "")
-        platform = make_cluster_platform(num_devices=1)
+        platform = make_cluster_platform(num_devices=1, partitions="")
         pmap = platform.runtime.partitions
         assert len(pmap) == 1
         only = pmap.default
@@ -79,9 +76,10 @@ class TestSpecParsing:
         assert device.partitions[0].l2 is device.l2
         assert device.partitions[0].dram is device.dram
 
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "a:1,b:1")
-        platform = make_cluster_platform(num_devices=1, partitions="x:1,y:3")
+    def test_argument_beats_env(self):
+        # the argument overrides the config field
+        cluster = ClusterConfig(num_devices=1, partitions="a:1,b:1")
+        platform = make_cluster_platform(cluster=cluster, partitions="x:1,y:3")
         assert platform.runtime.partitions.names == ("x", "y")
 
     def test_cluster_config_field_validated(self):

@@ -214,27 +214,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ClusterConfig(seed=-1)
 
-    def test_env_scheduler_validated_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_SCHEDULER", "fifo")
-        with pytest.raises(ConfigError, match="REPRO_CLUSTER_SCHEDULER"):
-            ClusterRuntime()
+    def test_env_scheduler_validated_at_construction(self):
+        with pytest.raises(ConfigError, match="'fifo' \\(from scheduler\\)"):
+            ClusterRuntime(scheduler="fifo")
 
-    def test_env_scheduler_applied(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_SCHEDULER", "round_robin")
-        runtime = ClusterRuntime()
+    def test_env_scheduler_applied(self):
+        runtime = ClusterRuntime(cluster=ClusterConfig(scheduler="round_robin"))
         assert runtime.scheduler.policy == "round_robin"
 
-    def test_explicit_scheduler_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_SCHEDULER", "round_robin")
-        runtime = ClusterRuntime(scheduler="least_outstanding")
+    def test_explicit_scheduler_beats_env(self):
+        # the argument overrides the config field
+        runtime = ClusterRuntime(cluster=ClusterConfig(scheduler="round_robin"),
+                                 scheduler="least_outstanding")
         assert runtime.scheduler.policy == "least_outstanding"
 
-    def test_env_backend_validated_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "jit")
-        with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
-            ClusterRuntime()
-        with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
-            make_platform()
+    def test_env_backend_validated_at_construction(self):
+        with pytest.raises(ConfigError, match="from backend"):
+            ClusterRuntime(backend="jit")
+        with pytest.raises(ConfigError, match="from backend"):
+            make_platform(backend="jit")
 
     def test_unknown_kernel_id_rejected(self):
         runtime = ClusterRuntime(cluster=ClusterConfig(num_devices=2))

@@ -45,30 +45,29 @@ class TestSelection:
         platform = make_platform(backend="batched")
         assert isinstance(platform.device.backend, BatchedBackend)
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
-        for platform in (make_platform(), make_cluster_platform()):
+    def test_env_var_sets_default(self):
+        # the argument is the one way to choose: both factories pass it on
+        for platform in (make_platform(backend="interpreter"),
+                         make_cluster_platform(backend="interpreter")):
             assert not isinstance(platform.device.backend, BatchedBackend)
             assert isinstance(platform.device.backend, InterpreterBackend)
 
     def test_explicit_backend_beats_env_var(self, monkeypatch):
-        # The engines driver pins both backends; the environment must not
-        # silently override those pins.
+        # A set variable moves nothing: neither a pinned backend nor the
+        # default.
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
-        platform = make_platform(backend="batched")
-        assert isinstance(platform.device.backend, BatchedBackend)
+        for platform in (make_platform(backend="batched"), make_platform()):
+            assert isinstance(platform.device.backend, BatchedBackend)
 
-    def test_bare_device_honours_env_var(self, monkeypatch):
-        # the README precedence holds where the backend is made, not only
-        # in the platform factories
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "interpreter")
-        bare = M2NDPDevice(Simulator())
+    def test_bare_device_honours_env_var(self):
+        # the argument is checked where the backend is made, not only in
+        # the platform factories
+        bare = M2NDPDevice(Simulator(), backend="interpreter")
         assert not isinstance(bare.backend, BatchedBackend)
         pinned = M2NDPDevice(Simulator(), backend="batched")
         assert isinstance(pinned.backend, BatchedBackend)
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "jit")
-        with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
-            M2NDPDevice(Simulator())
+        with pytest.raises(ConfigError, match="'jit' \\(from backend\\)"):
+            M2NDPDevice(Simulator(), backend="jit")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

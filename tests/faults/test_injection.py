@@ -246,18 +246,20 @@ class TestDegradationWindows:
 
 
 class TestLaunchTimeout:
-    def test_resolver_precedence(self, monkeypatch):
-        # the environment, else the declared default (off); callers that
-        # need another value set the attribute, as the watchdog test does
-        assert ClusterRuntime().launch_timeout_ns == 0.0
-        monkeypatch.setenv("REPRO_LAUNCH_TIMEOUT_NS", "2500")
-        assert ClusterRuntime().launch_timeout_ns == 2500.0
+    def test_resolver_precedence(self):
+        # off by default; callers that need another value set the
+        # attribute, as the watchdog test does
+        runtime = ClusterRuntime()
+        assert runtime.launch_timeout_ns == 0.0
+        runtime.launch_timeout_ns = 2500
+        assert runtime.launch_timeout_ns == 2500.0
 
-    def test_resolver_rejects_garbage(self, monkeypatch):
-        for bad in ("soon", "-5"):
-            monkeypatch.setenv("REPRO_LAUNCH_TIMEOUT_NS", bad)
-            with pytest.raises(ConfigError, match="REPRO_LAUNCH_TIMEOUT_NS"):
-                ClusterRuntime()
+    def test_resolver_rejects_garbage(self):
+        runtime = ClusterRuntime()
+        for bad in ("soon", -5, float("nan"), float("inf"), True):
+            with pytest.raises(ConfigError, match="launch_timeout_ns"):
+                runtime.launch_timeout_ns = bad
+        assert runtime.launch_timeout_ns == 0.0
 
     def test_watchdog_fails_slow_launch(self):
         platform = make_cluster_platform(num_devices=4, backend="batched")

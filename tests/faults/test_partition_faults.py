@@ -272,7 +272,7 @@ class TestPartitionHealth:
 # serving-tier containment (end to end)
 # ---------------------------------------------------------------------------
 
-def _serve(events, monitoring=None):
+def _serve(events, monitoring=True):
     platform = make_cluster_platform(num_devices=2, backend="batched",
                                      partitions=SPEC)
     injector = (platform.runtime.arm_faults(FaultPlan(events=tuple(events)))

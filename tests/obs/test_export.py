@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.obs.export import (
     MANIFEST_SCHEMA,
     run_manifest,
@@ -10,7 +13,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.report import build_report, parse_events
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, read_environment
 
 
 def _sample_tracer() -> Tracer:
@@ -110,8 +113,7 @@ class TestChromeTrace:
 
 
 class TestManifest:
-    def test_schema_and_sorted_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_schema_and_sorted_counters(self):
         from repro.sim.stats import StatsRegistry
         stats = StatsRegistry()
         stats.add("z.last")
@@ -122,17 +124,19 @@ class TestManifest:
         assert manifest["seed"] == 42
         assert manifest["experiment"] == "unit"
         assert list(manifest["counters"]) == ["a.first", "z.last"]
-        assert manifest["env"]["REPRO_TRACE"] == "1"
+        assert "env" not in manifest
         assert "serve.request" in manifest["span_aggregates"]
 
-    def test_unregistered_repro_variables_are_recorded(self, monkeypatch):
+    def test_unregistered_repro_variables_are_recorded(self):
+        # no setting is left to record: a typo'd or retired variable
+        # fails at import instead, naming every stray one
+        with pytest.raises(ConfigError) as err:
+            read_environment({"REPRO_SERVE_MAXBATCH": "4",
+                              "REPRO_SERVE_MAX_BATCH": "4",
+                              "REPRO_TRACE": "0"})
+        assert str(err.value).startswith(
+            "REPRO_SERVE_MAXBATCH, REPRO_SERVE_MAX_BATCH: not read")
         assert "env_unknown" not in run_manifest()
-        monkeypatch.setenv("REPRO_SERVE_MAXBATCH", "4")      # typo'd knob
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
-        manifest = run_manifest()
-        assert manifest["env_unknown"] == ["REPRO_SERVE_MAXBATCH"]
-        assert list(manifest["env"]) == [
-            "REPRO_SERVE_MAXBATCH", "REPRO_SERVE_MAX_BATCH"]
 
     def test_write_manifest_is_stable_json(self, tmp_path):
         path = str(tmp_path / "m.json")

@@ -166,10 +166,9 @@ class TestObservationOnly:
     def test_monitoring_never_changes_results(self):
         assert self._signature(True) == self._signature(False)
 
-    def test_monitor_off_builds_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR", "0")
+    def test_monitor_off_builds_nothing(self):
         platform = make_cluster_platform(num_devices=4, backend="batched")
-        engine = ServingEngine(platform, [_scan_tenant()])
+        engine = ServingEngine(platform, [_scan_tenant()], monitoring=False)
         assert engine.monitoring is None
         assert platform.runtime.monitoring is None
         report = engine.run()

@@ -273,28 +273,21 @@ class TestEnvKnobs:
         platform = make_cluster_platform(num_devices=1, backend="batched")
         return ServingEngine(platform, [TenantSpec("t", "vecadd")], **kwargs)
 
-    def test_scheduler_env_resolved_and_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "fifo")
-        assert self._engine().scheduler.policy == "fifo"
-        # explicit wins
-        assert self._engine(scheduler="wfq").scheduler.policy == "wfq"
-        monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "lottery")
-        with pytest.raises(ConfigError, match="REPRO_SERVE_SCHEDULER"):
-            self._engine()
+    def test_scheduler_env_resolved_and_validated(self):
+        assert self._engine().scheduler.policy == "wfq"
+        # a caller forwarding no choice of its own (m2bench) gets the default
+        assert self._engine(scheduler=None).scheduler.policy == "wfq"
+        assert self._engine(scheduler="fifo").scheduler.policy == "fifo"
+        with pytest.raises(ConfigError, match="'lottery' \\(from scheduler\\)"):
+            self._engine(scheduler="lottery")
 
-    def test_batch_env_resolved_and_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_NS", "1500")
-        policy = self._engine().batcher.policy
-        assert policy.max_batch == 4 and policy.max_wait_ns == 1500.0
+    def test_batch_env_resolved_and_validated(self):
+        assert self._engine().batcher.policy == BatchPolicy(8, 2000.0)
         explicit = BatchPolicy(max_batch=2, max_wait_ns=0.0)
         assert self._engine(batch=explicit).batcher.policy is explicit
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "many")
-        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
-            self._engine()
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "0")
-        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
-            self._engine()
+        for bad in ("many", 0):
+            with pytest.raises(ConfigError, match="max_batch argument"):
+                self._engine(batch=BatchPolicy(max_batch=bad))
 
     def test_batch_policy_rejects_non_finite_wait(self):
         for wait in (float("nan"), float("inf"), -1.0):
@@ -302,6 +295,24 @@ class TestEnvKnobs:
                 BatchPolicy(max_wait_ns=wait)
         with pytest.raises(ConfigError, match="max_batch argument"):
             BatchPolicy(max_batch=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch", 2.7), ("max_batch", True), ("max_batch", 4.0),
+        ("max_wait_ns", True), ("max_wait_ns", "1500"),
+    ])
+    def test_batch_policy_rejects_fractional_and_boolean_values(
+            self, field, value):
+        # a fractional width would reach range() in RequestQueue.head_run
+        with pytest.raises(ConfigError, match=f"{field} argument"):
+            BatchPolicy(**{field: value})
+
+    def test_monitoring_must_be_a_bool(self):
+        with pytest.raises(ConfigError, match="monitoring must be"):
+            self._engine(monitoring="yes")
+
+    def test_nan_stats_window_rejected(self):
+        with pytest.raises(ConfigError, match="stats_window_ns"):
+            self._engine(stats_window_ns=float("nan"))
 
     def test_tenant_validation(self):
         with pytest.raises(ConfigError):

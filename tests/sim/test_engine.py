@@ -46,6 +46,21 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    def test_nan_timestamp_rejected(self):
+        # NaN compares False both ways, so a `< 0` guard would let it
+        # into the heap: 5, nan, 1, 3, 2, 4 would fire as 1, 4, 2, 3, nan, 5
+        nan = float("nan")
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        fired = []
+        for delay in (5.0, 1.0, 3.0, 2.0, 4.0):
+            sim.schedule(delay, lambda d=delay: fired.append((d, sim.now)))
+        sim.run()
+        assert fired == [(d, d) for d in (1.0, 2.0, 3.0, 4.0, 5.0)]
+
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []

@@ -3,8 +3,7 @@
 
     python tools/reach.py
 runs every consumer of the package (the figure suite and its README check,
-the knob table check, the eight examples, one traced serving run and its
-report, and m2bench's timed, probe and traced workers at full size) in its
+the eight examples, one traced serving run and its report, and m2bench's timed, probe and traced workers at full size) in its
 own subprocess under a call recorder, then prints, module by module, each
 top-level function and method no consumer called, with its line count.  A
 nested def belongs to the def around it; a decorated def is matched on its
@@ -235,8 +234,7 @@ def consumers(scratch: Path) -> list[tuple[list[str], Path]]:
     trace = scratch / "serving.trace.json"
     report = ["-m", "repro.obs.report", str(trace)]
     return ([(["benchmarks/figures.py", str(scratch / "FIDELITY.json")], HERE),
-             (["benchmarks/figures.py", "--check", "README.md"], HERE),
-             (["-m", "repro.knobs", "--check", "README.md"], HERE)]
+             (["benchmarks/figures.py", "--check", "README.md"], HERE)]
             + [([f"examples/{example.name}"], HERE)
                for example in sorted((HERE / "examples").glob("*.py"))]
             + [(["-m", "repro.experiments.serving", "--trace", "serving"],
