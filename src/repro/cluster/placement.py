@@ -21,8 +21,10 @@ Addresses are *cluster-logical*: the same numeric address is valid on every
 device (allocations are made in lockstep on all of them), so a ShardMap is
 pure arithmetic over ``(addr - base)``.  The scheduler uses it to split
 launches along ownership boundaries and to charge
-:meth:`repro.cxl.switch.CXLSwitch.peer_to_peer` for the bytes a sub-launch
-touches on a remote shard.
+:meth:`repro.cxl.switch.CXLSwitch.peer_to_peer` for the bytes of the
+sub-launch's *pool* range held on a remote shard.  That is an
+approximation: gathers from other allocations (DLRM's table, GEMV's
+weights, SSSP's CSR arrays) never cross the switch.
 """
 
 from __future__ import annotations

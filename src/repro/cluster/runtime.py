@@ -16,8 +16,9 @@ Mirrors the single-device :class:`~repro.host.api.M2NDPRuntime` surface
 * A :class:`~repro.cluster.scheduler.LaunchScheduler` splits each logical
   launch into per-device sub-launches (using the launch ABI's offset-bias
   extension so µthread ``x2`` offsets stay pool-relative), and the runtime
-  charges :meth:`CXLSwitch.peer_to_peer` for bytes a sub-launch must pull
-  from a remote shard plus :meth:`CXLSwitch.host_to_device` for the M2func
+  charges :meth:`CXLSwitch.peer_to_peer` for the bytes of a sub-launch's
+  pool range held on a remote shard (gathers from other allocations are
+  not charged) plus :meth:`CXLSwitch.host_to_device` for the M2func
   fan-out itself.
 * Completion is aggregated: a :class:`ClusterLaunchHandle` finishes when
   the slowest sub-launch does.
@@ -123,8 +124,8 @@ class ClusterInstance:
     """Aggregate of one logical launch's per-device kernel instances.
 
     Presents the :class:`~repro.ndp.kernel.KernelInstance` accessors the
-    workloads read (``runtime_ns`` as the cluster-wide makespan), so
-    ``run_kernel`` callers work unchanged.
+    workloads read (``runtime_ns`` as the cluster-wide makespan, counters
+    summed), so ``run_kernel`` callers work unchanged.
     """
 
     handle: ClusterLaunchHandle
@@ -144,6 +145,19 @@ class ClusterInstance:
     def runtime_ns(self) -> float:
         """Makespan: first sub-launch start to last sub-launch completion."""
         return self.complete_ns - self.start_ns
+
+    @property
+    def total_latency_ns(self) -> float:
+        """Logical launch issue to completion: fan-out and queueing included."""
+        return self.handle.complete_ns - self.handle.issued_ns
+
+    @property
+    def instructions(self) -> int:
+        return sum(i.instructions for i in self.instances)
+
+    @property
+    def uthreads_done(self) -> int:
+        return sum(i.uthreads_done for i in self.instances)
 
 
 class _AggregateStats:

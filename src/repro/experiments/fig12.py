@@ -6,14 +6,15 @@ address optimization → SIMT-style index arithmetic (extra per-µthread
 instructions).
 
 (b) Scaling to 1-8 CXL-M2NDP devices with SW-partitioned data (§III-I):
-per-device kernels shrink linearly; OPT adds an all-reduce over the switch.
+each workload runs unmodified on a cluster of replicated expanders behind
+one switch; OPT adds an all-reduce over that switch.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.cxl.switch import CXLSwitch
+from repro.cluster import make_cluster_platform
 from repro.experiments.common import ExperimentResult
 from repro.host.offload import CXL_IO_ONE_WAY_NS
 from repro.kernels.dlrm import DLRM_SLS
@@ -131,67 +132,49 @@ def run_fig12b(scale_name: str = "small") -> ExperimentResult:
         "fig12b", "Scaling with multiple CXL-M2NDP devices (model parallel)"
     )
 
+    dlrm_data = dlrm.generate(preset.dlrm_rows,
+                              batch=preset.dlrm_batch_cap * 4, dim=128,
+                              lookups=24)
     workloads = {
-        "DLRM-B256": ("dlrm", "dlrm", dlrm.generate(
-            preset.dlrm_rows, batch=preset.dlrm_batch_cap * 4, dim=128,
-            lookups=24)),
-        "OPT-2.7B": ("opt27b", "llm", llm.generate(
+        f"DLRM-B{dlrm_data.batch}": ("dlrm", dlrm.run_ndp, dlrm_data),
+        "OPT-2.7B": ("opt27b", llm.run_ndp, llm.generate(
             llm.OPT_2_7B, sim_hidden=preset.llm_hidden,
             sim_layers=preset.llm_layers)),
-        "OPT-30B": ("opt30b", "llm", llm.generate(
+        "OPT-30B": ("opt30b", llm.run_ndp, llm.generate(
             llm.OPT_30B, sim_hidden=int(preset.llm_hidden * 1.25),
             sim_layers=preset.llm_layers)),
     }
-    for name, (key, kind, data) in workloads.items():
-        single = _partitioned_run(kind, data, fraction=1.0)
-        row = {"workload": name}
+    for name, (key, run, data) in workloads.items():
+        runtime_ns = {}
         for n in (1, 2, 4, 8):
-            per_device = _partitioned_run(kind, data, fraction=1.0 / n)
-            total = per_device + _allreduce_ns(kind, data, n)
-            row[f"x{n}"] = single / total
-        result.add(**row)
-        result.headline[f"speedup_8dev_{key}"] = row["x8"]
+            # Replicated: the data is read-only (placement.py's case for
+            # model weights), and no other placement splits the pool over
+            # all n devices at `small`: OPT's 12 KB output pool, cut at
+            # the 4 KB granule, spans 3 devices blocked or interleaved.
+            platform = make_cluster_platform(n, placement="replicated")
+            ns = run(platform, data).runtime_ns
+            if run is llm.run_ndp:
+                # ring all-reduce after the launch, sized to the model slice
+                rows, hidden = data.weights.shape
+                hop_bytes = 2 * max(1, rows // (12 * hidden)) * hidden * 4
+                start = done = platform.sim.now
+                for step in range(n - 1):
+                    done = platform.runtime.switch.peer_to_peer(
+                        done, step, step + 1, hop_bytes)
+                ns += done - start
+            runtime_ns[n] = ns
+        result.add(workload=name, **{f"x{n}": runtime_ns[1] / ns
+                                     for n, ns in runtime_ns.items()})
+        result.headline[f"speedup_8dev_{key}"] = result.rows[-1]["x8"]
     for n in (1, 2, 8):
         result.headline[f"x{n}_min"] = min(result.column(f"x{n}"))
     result.headline["x4_over_x2_min"] = min(
         row["x4"] / row["x2"] for row in result.rows)
     result.notes = (
-        "at bench scale the fixed launch/drain costs and the all-reduce cap "
-        "the 8-device point; near-linear needs paper-scale kernels")
+        "x1 is the 1-device cluster run; at bench scale the fixed launch "
+        "cost and, for OPT, the ring all-reduce cap the 8-device point "
+        "near 2x, where the scaling driver's streams run superlinear "
+        "because aggregate L2 capacity helps bandwidth-bound sweeps; "
+        "P2P is charged for pool bytes only, so DLRM's table gathers and "
+        "OPT's weight reads never cross the switch")
     return result
-
-
-def _partitioned_run(kind: str, data, fraction: float) -> float:
-    """Run one device's share of the partitioned workload."""
-    platform = make_platform()
-    if kind == "dlrm":
-        batch = max(1, int(data.batch * fraction))
-        part = dlrm.generate(data.table.shape[0], batch=batch,
-                             dim=data.dim, lookups=data.lookups)
-        return dlrm.run_ndp(platform, part).runtime_ns
-    rows = data.weights.shape[0]
-    part_rows = max(32, int(rows * fraction) // 8 * 8)
-    sub = llm.GEMVData(
-        weights=data.weights[:part_rows],
-        x=data.x,
-        reference=data.reference[:part_rows],
-        model=data.model,
-        sim_bytes=data.weights[:part_rows].nbytes,
-    )
-    return llm.run_ndp(platform, sub).runtime_ns
-
-
-def _allreduce_ns(kind: str, data, num_devices: int) -> float:
-    """All-reduce of partial activations over the CXL switch (P2P)."""
-    if kind != "llm" or num_devices <= 1:
-        return 0.0
-    switch = CXLSwitch(num_downstream=num_devices)
-    # scaled to the simulated model slice, not the full model
-    sim_hidden = data.weights.shape[1]
-    sim_layers = max(1, data.weights.shape[0] // (12 * sim_hidden))
-    bytes_per_hop = 2 * sim_layers * sim_hidden * 4
-    done = 0.0
-    for step in range(num_devices - 1):
-        done = switch.peer_to_peer(done, step % num_devices,
-                                   (step + 1) % num_devices, bytes_per_hop)
-    return done

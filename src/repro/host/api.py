@@ -349,9 +349,10 @@ class M2NDPRuntime:
         kid = self.register_kernel(source, scratchpad_bytes, name=name)
         handle = self.launch_kernel(kid, pool_base, pool_bound, args,
                                     sync=True, stride=stride)
+        return self.instances_of(handle)
+
+    def instances_of(self, handle: LaunchHandle):
+        """Resolve a finished handle's kernel instance."""
         if handle.instance_id is None:
-            raise LaunchError(
-                f"synchronous launch of kernel {kid} finished without "
-                "an instance id"
-            )
+            raise LaunchError("launch finished without an instance id")
         return self.device.controller.instances[handle.instance_id]

@@ -179,7 +179,7 @@ def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
             args=pack_args(ci_addr, w_addr, dist_addr, n, flag_addr),
             sync=True,
         )
-        instance = runtime.device.controller.instances[handle.instance_id]
+        instance = runtime.instances_of(handle)
         total_ns += instance.runtime_ns
         instructions += instance.instructions
         uthreads += instance.uthreads_done

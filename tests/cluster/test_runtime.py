@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import ClusterRuntime, make_cluster_platform
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, LaunchError
+from repro.experiments import engines
 from repro.host.api import pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD
@@ -62,12 +63,26 @@ class TestSingleDeviceEquivalence:
         assert single.dram_bytes == clustered.dram_bytes
 
     def test_single_device_timing_close_to_plain_runtime(self):
-        # identical modulo the switch hop on the launch path
+        # runtime_ns runs from device start to completion, after the
+        # switch hop on the launch path, so the two are equal
         _, single_ns = _run_vecadd(make_platform(backend="batched"))
         _, cluster_ns = _run_vecadd(
             make_cluster_platform(num_devices=1, backend="batched")
         )
-        assert cluster_ns == pytest.approx(single_ns, rel=0.05)
+        assert cluster_ns == single_ns
+
+    @pytest.mark.parametrize("kernel,run,make_data", engines.KERNELS,
+                             ids=[kernel for kernel, _, _ in engines.KERNELS])
+    def test_every_kernel_matches_the_single_device(self, kernel, run,
+                                                    make_data):
+        # every workload runs unmodified on a cluster, and a 1-device
+        # cluster is the single device
+        single = run(make_platform(), make_data())
+        clustered = run(make_cluster_platform(num_devices=1), make_data())
+        fields = ("correct", "runtime_ns", "instructions", "uthreads",
+                  "dram_bytes")
+        assert ({f: getattr(clustered, f) for f in fields}
+                == {f: getattr(single, f) for f in fields})
 
 
 class TestMultiDeviceCorrectness:
