@@ -56,9 +56,10 @@ Backend selection
   land in ``exec.batched_launches`` / ``exec.simt_launches``.
 * Repeated launches of the same shape skip tracing entirely through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
-  ``exec.trace_cache_misses``) — including divergent/atomic SIMT traces,
-  which are verified against their recorded mask schedule on every
-  replay.
+  ``exec.trace_cache_misses``; a byte budget per device, its evictions
+  in ``exec.trace_cache_evictions``) — including divergent/atomic SIMT
+  traces, which are verified against their recorded mask schedule on
+  every replay.
 """
 
 from repro.exec.base import make_backend

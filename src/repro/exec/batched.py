@@ -425,7 +425,7 @@ class BatchedBackend(InterpreterBackend):
 
     def __init__(self, device) -> None:
         super().__init__(device)
-        self.trace_cache = TraceCache()
+        self.trace_cache = TraceCache(device.stats)
 
     # ------------------------------------------------------------------
 

@@ -35,9 +35,15 @@ or active lanes, a remapped page (the device's ``translation_version``)
 — invalidates the entry and falls back to a full trace, so the cache can
 change wall-clock time but never results.
 
-:data:`TRACE_CACHE_CAPACITY` bounds the number of retained entries
-(LRU).  A cache whose ``capacity`` is 0 evicts every entry as it is
-stored, so every launch takes the full trace path: that is the uncached
+:data:`TRACE_CACHE_BYTES` bounds the recorded bytes a device retains,
+not its entry count: one entry of a 1 Mi-lane launch outweighs a
+thousand 256-lane ones, and a device serving more small shapes than an
+entry bound would evict each just before it recurs.  An entry's size is
+summed once, when it is stored (:func:`recorded_bytes`); the least
+recently used entries are evicted while the total exceeds the budget,
+each counted in ``exec.trace_cache_evictions``, and an entry larger than
+the whole budget is not kept.  A cache whose ``capacity`` is 0 keeps no
+entry, so every launch takes the full trace path: that is the uncached
 reference the tests compare a hit against.
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
@@ -59,13 +65,21 @@ import numpy as np
 
 from repro.mem.cache import SectorStream
 
-#: LRU bound on retained entries per device.
-TRACE_CACHE_CAPACITY = 64
+#: LRU bound on the recorded bytes retained per device.  A serving
+#: device's live shapes are small (96 vecadd slices of 1 Ki elements
+#: retain 15 KB each); the largest working set a figure driver replays
+#: is 24 MB per device (resilience, entries up to 9.2 MB), which the
+#: budget holds without an eviction.
+TRACE_CACHE_BYTES = 32 << 20
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
 #: depth x first-mismatch-word paths, well under this).
 MAX_POINT_PATHS = 16
+
+#: Nominal retained size of one point path: a few dozen small step tuples
+#: (``PointPathEntry.steps``), charged per leaf of its family's trie.
+POINT_PATH_BYTES = 4 << 10
 
 
 class StaleTrace(Exception):
@@ -229,6 +243,8 @@ class PointFamily:
     replay: object = None
     source: str = ""
     compiles: int = 0
+    #: bytes charged against the cache's budget (set by the cache)
+    nbytes: int = 0
 
     def insert(self, steps: list, entry: PointPathEntry) -> bool:
         """Merge one recorded path into the trie.
@@ -500,14 +516,43 @@ class TraceEntry:
     translation_version: int
     engine: str
     profiles: list[PhaseProfile] = field(default_factory=list)
+    #: bytes charged against the cache's budget (set by the cache)
+    nbytes: int = 0
+
+
+def recorded_bytes(entry: TraceEntry) -> int:
+    """Bytes of the arrays a traced launch's entry retains: each memory
+    step's addresses and lanes (an array shared by two fields — ``paddrs
+    is vaddrs`` under identity translation — counts once), the merged
+    sector stream, and the masked walk's per-lane profile arrays."""
+    seen: dict[int, int] = {}
+    for profile in entry.profiles:
+        arrays = [profile.ops, profile.lat_cycles, profile.unit_of_lane,
+                  profile.mem_lat, profile.stream.addrs,
+                  profile.stream.writes]
+        for step in profile.steps:
+            arrays += (step.vaddrs, step.paddrs, step.lanes, step.spad)
+        for array in arrays:
+            if isinstance(array, np.ndarray):
+                seen[id(array)] = array.nbytes
+    return sum(seen.values())
 
 
 class TraceCache:
-    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
+    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape,
+    bounded by the recorded bytes it retains (``capacity``).
 
-    def __init__(self) -> None:
-        self.capacity = TRACE_CACHE_CAPACITY
-        self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
+    ``stats`` gets ``exec.trace_cache_evictions``: entries dropped to keep
+    within the budget, an entry too large to keep at all included.
+    """
+
+    def __init__(self, stats) -> None:
+        self.capacity = TRACE_CACHE_BYTES
+        #: recorded bytes of the retained entries
+        self.nbytes = 0
+        self._stats = stats
+        self._entries: OrderedDict[tuple, TraceEntry | PointFamily] = \
+            OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -519,28 +564,37 @@ class TraceCache:
         if entry is None:
             return None
         if entry.translation_version != translation_version:
-            del self._entries[key]
+            self.invalidate(key)
             return None
         self._entries.move_to_end(key)
         return entry
 
-    def _put(self, key: tuple, entry) -> None:
+    def _put(self, key: tuple, entry, nbytes: int) -> None:
+        self.invalidate(key)
+        if nbytes > self.capacity:
+            self._stats.add("exec.trace_cache_evictions")
+            return
+        while self.nbytes + nbytes > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+            self._stats.add("exec.trace_cache_evictions")
+        entry.nbytes = nbytes
+        self.nbytes += nbytes
         self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
     def lookup(self, key: tuple, translation_version: int) -> TraceEntry | None:
         """Return a fresh entry or None; stale entries are dropped here."""
         return self._fresh(key, translation_version)
 
     def store(self, key: tuple, entry: TraceEntry) -> None:
-        self._put(key, entry)
+        self._put(key, entry, recorded_bytes(entry))
 
     def invalidate(self, key: tuple) -> None:
         """Drop a slot: a stale trace, or a whole point family (stale
         verified bytes somewhere in it)."""
-        self._entries.pop(key, None)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.nbytes -= entry.nbytes
 
     # -- point-launch path families (structural keys: disjoint slots) ---
 
@@ -556,4 +610,4 @@ class TraceCache:
             # first path, or a structural conflict: start the family afresh
             family = PointFamily(translation_version, code_hash=key[1])
             family.insert(entry.steps, entry)
-        self._put(key, family)
+        self._put(key, family, family.leaves * POINT_PATH_BYTES)

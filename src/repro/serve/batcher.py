@@ -22,11 +22,10 @@ batcher exploits that under a classic **max-batch / max-wait** policy:
 
 Beyond amortizing the per-launch overheads (M2func fan-out, host
 dispatch), merging collapses many distinct per-slice launch shapes into a
-few wide ones, which is precisely what the cross-launch trace cache
-(:mod:`repro.exec.trace_cache`) wants: a tenant cycling through more
-slices than the cache holds thrashes it unbatched, and hits again once
-batched (``tests/serve/test_serving_engine.py::TestBatchingEquivalence``
-asserts the hit-rate and throughput gain).
+few wide ones, so the cross-launch trace cache
+(:mod:`repro.exec.trace_cache`) traces a fraction of the shapes it would
+unbatched (``tests/serve/test_serving_engine.py::TestBatchingEquivalence``
+asserts that and the throughput gain).
 
 ``"scatter"`` — point-lookup workloads (KVStore GETs — one µthread
 walking one bucket chain, every request a different pool region and key)

@@ -203,6 +203,7 @@ class ServingEngine:
         self._cache_base = (
             self.platform.stats.get("exec.trace_cache_hits"),
             self.platform.stats.get("exec.trace_cache_misses"),
+            self.platform.stats.get("exec.trace_cache_evictions"),
         )
 
     # ------------------------------------------------------------------
@@ -679,6 +680,9 @@ class ServingEngine:
                               - self._cache_base[0]),
             trace_cache_misses=(cluster_stats.get("exec.trace_cache_misses")
                                 - self._cache_base[1]),
+            trace_cache_evictions=(
+                cluster_stats.get("exec.trace_cache_evictions")
+                - self._cache_base[2]),
         )
 
     # ------------------------------------------------------------------

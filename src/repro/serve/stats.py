@@ -263,6 +263,7 @@ class ServingReport(_Rates):
     scale_downs: int = 0
     trace_cache_hits: float = 0.0
     trace_cache_misses: float = 0.0
+    trace_cache_evictions: float = 0.0
 
     @property
     def served(self) -> int:
@@ -333,7 +334,8 @@ class ServingReport(_Rates):
             f"goodput {self.goodput_rps:,.0f} rps), p99 {self.p99_ns:,.0f} ns, "
             f"{self.launches} launches (mean batch {self.mean_batch:.1f}), "
             f"trace cache {self.trace_cache_hits:.0f}H/"
-            f"{self.trace_cache_misses:.0f}M"
+            f"{self.trace_cache_misses:.0f}M/"
+            f"{self.trace_cache_evictions:.0f}E"
         )
         if self.scale_ups or self.scale_downs:
             peak = max(v for _, v in self.active_device_series)

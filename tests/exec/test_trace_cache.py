@@ -1,4 +1,4 @@
-"""Cross-launch trace cache: hits, misses, invalidation, capacity.
+"""Cross-launch trace cache: hits, misses, invalidation, byte budget.
 
 The cache may only ever change wall-clock time.  Every test therefore
 checks functional outputs alongside the hit/miss counters, and the
@@ -11,10 +11,20 @@ import pytest
 
 from repro.cluster import make_cluster_platform
 from repro.config import NDPConfig, SystemConfig
-from repro.exec.trace_cache import StaleTrace, StepLog
+from repro.exec.trace_cache import (
+    MemStep,
+    PhaseProfile,
+    StaleTrace,
+    StepLog,
+    TraceCache,
+    TraceEntry,
+    recorded_bytes,
+)
 from repro.host.api import pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD
+from repro.mem.cache import SectorStream
+from repro.sim.stats import StatsRegistry
 from repro.workloads.base import make_platform
 
 N = 4096
@@ -422,22 +432,130 @@ class TestBypass:
         assert platform.stats.get("exec.simt_launches") == 2
 
     def test_capacity_zero_disables_cache(self):
-        # every entry is evicted as it is stored: each launch retraces
+        # no entry fits a budget of 0 bytes: each launch retraces
         platform = _uncached(make_platform(backend="batched"))
         runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(platform)
         args = pack_args(addr_b, addr_c)
         for _ in range(3):
             _launch(runtime, kid, addr_a, a.nbytes, args)
-        assert len(platform.device.backend.trace_cache) == 0
+        cache = platform.device.backend.trace_cache
+        assert (len(cache), cache.nbytes) == (0, 0)
         assert _cache_stats(platform) == (0, 3)
+        assert platform.stats.get("exec.trace_cache_evictions") == 3
         assert platform.stats.get("exec.batched_launches") == 3
         assert np.array_equal(runtime.read_array(addr_c, np.int64, N), a + b)
 
     def test_capacity_is_bounded(self):
+        # a byte budget of two full-size entries: each shorter launch
+        # that follows evicts the least recently used one
         platform = make_platform(backend="batched")
-        platform.device.backend.trace_cache.capacity = 2
+        cache = platform.device.backend.trace_cache
         runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(platform)
         for offset in range(4):
             args = pack_args(addr_b, addr_c)
             _launch(runtime, kid, addr_a, a.nbytes - 32 * offset, args)
-        assert len(platform.device.backend.trace_cache) == 2
+            if offset == 0:
+                cache.capacity = 2 * cache.nbytes
+        assert len(cache) == 2
+        assert cache.nbytes <= cache.capacity
+        assert platform.stats.get("exec.trace_cache_evictions") == 2
+
+
+def _sized_entry(accesses: int, translation_version: int = 0) -> TraceEntry:
+    """A recorded entry of ``9 * accesses`` bytes: one phase whose merged
+    stream has ``accesses`` sector accesses (8 B address + 1 B flag)."""
+    stream = SectorStream(np.zeros(accesses, dtype=np.int64),
+                          np.zeros(accesses, dtype=bool), SystemConfig().l2)
+    profile = PhaseProfile(n=1, ops=np.zeros(0, dtype=np.int64),
+                           stream=stream)
+    return TraceEntry(translation_version, "batched", [profile])
+
+
+class TestByteBudget:
+    """``TraceCache.capacity`` bounds recorded bytes, not entries."""
+
+    @staticmethod
+    def _cache(capacity: int) -> TraceCache:
+        cache = TraceCache(StatsRegistry())
+        cache.capacity = capacity
+        return cache
+
+    def test_recorded_bytes_count_a_shared_array_once(self):
+        addrs = np.arange(8, dtype=np.int64) * 32
+        entry = _sized_entry(10)
+        # identity translation: the step's paddrs *is* its vaddrs
+        entry.profiles[0].steps.append(MemStep("load", 8, addrs, addrs))
+        assert recorded_bytes(entry) == 90 + addrs.nbytes
+        entry.profiles[0].steps.append(
+            MemStep("store", 8, addrs, addrs.copy()))
+        assert recorded_bytes(entry) == 90 + 2 * addrs.nbytes
+
+    def test_retained_bytes_never_exceed_the_budget(self):
+        cache = self._cache(1000)
+        rng = np.random.default_rng(7)
+        for key in range(200):
+            cache.store(("k", key), _sized_entry(int(rng.integers(1, 60))))
+            assert cache.nbytes <= cache.capacity
+            assert cache.nbytes == sum(
+                entry.nbytes for entry in cache._entries.values())
+        evictions = cache._stats.get("exec.trace_cache_evictions")
+        assert evictions == 200 - len(cache) > 0
+
+    def test_eviction_is_least_recently_used_first(self):
+        cache = self._cache(3 * 9 * 10)         # three 90 B entries
+        for key in "abc":
+            cache.store(key, _sized_entry(10))
+        assert cache.lookup("a", 0) is not None  # "b" is now the oldest
+        cache.store("d", _sized_entry(10))
+        assert cache.lookup("b", 0) is None
+        assert all(cache.lookup(key, 0) is not None for key in "acd")
+        # one entry twice the size evicts the two least recent: "a", "c"
+        cache.store("e", _sized_entry(20))
+        assert [key for key in "acde" if cache.lookup(key, 0)] == ["d", "e"]
+        assert cache._stats.get("exec.trace_cache_evictions") == 3
+
+    def test_entry_larger_than_the_budget_is_not_retained(self):
+        cache = self._cache(100)
+        cache.store("small", _sized_entry(10))
+        cache.store("huge", _sized_entry(12))    # 108 B > 100 B
+        assert cache.lookup("huge", 0) is None
+        # ... and flushes nothing to make room it could never have
+        assert cache.lookup("small", 0) is not None
+        assert (len(cache), cache.nbytes) == (1, 90)
+        assert cache._stats.get("exec.trace_cache_evictions") == 1
+
+    def test_stale_and_invalidated_entries_release_their_bytes(self):
+        cache = self._cache(1000)
+        cache.store("a", _sized_entry(10))
+        cache.store("b", _sized_entry(20))
+        assert cache.lookup("a", translation_version=1) is None
+        cache.invalidate("b")
+        assert (len(cache), cache.nbytes) == (0, 0)
+        assert "exec.trace_cache_evictions" not in \
+            cache._stats.snapshot()
+
+    def test_capacity_zero_retains_nothing(self):
+        cache = self._cache(0)
+        for key in range(3):
+            cache.store(key, _sized_entry(1))
+        assert (len(cache), cache.nbytes) == (0, 0)
+
+    def test_more_live_slices_than_64_all_hit_after_the_first_cycle(self):
+        # one device cycling over 96 distinct vecadd slices: every slice
+        # is a key of its own and recurs every 96 launches, so an
+        # entry-count bound of 64 would evict each just before it is due
+        slices, lanes = 96, 64              # the batched walk's minimum
+        n = slices * lanes * 4              # vecadd: 4 x i64 per µthread
+        platform = make_platform(backend="batched")
+        runtime, kid, a, b, addr_a, addr_b, addr_c = _setup_vecadd(
+            platform, n=n)
+        span = n * 8 // slices
+        for _ in range(3):
+            for s in range(slices):
+                off = s * span
+                _launch(runtime, kid, addr_a + off, span,
+                        pack_args(addr_b + off, addr_c + off))
+        assert _cache_stats(platform) == (2 * slices, slices)
+        assert platform.stats.get("exec.batched_launches") == 3 * slices
+        assert "exec.trace_cache_evictions" not in platform.stats.snapshot()
+        assert np.array_equal(runtime.read_array(addr_c, np.int64, n), a + b)

@@ -7,7 +7,8 @@ the parent tree and in this one, alternating which goes first, and prints
 each side's `units_per_wall_s` readings, median and quartiles, the pairs the
 change won and the ROADMAP rule for a claimed gain: >= 10 pairs, >= 9/10 won,
 medians apart by more than the parent's quartile distance, `sim_digest_pass1`
-equal on every reading.  What a gain may have been bought with is read from
+equal on every reading (when they differ, each side's distinct digests follow
+the verdict).  What a gain may have been bought with is read from
 the same runs: each side's median `setup_s` and `peak_rss_mb`, and whether the
 change's is inside the `BENCHMARK.json` bound.  Both trees are byte-compiled
 first, so neither side's `setup_s` pays for stale or missing `.pyc` files.
@@ -67,14 +68,14 @@ def main() -> int:
     for tree in trees.values():
         compile_tree(tree)
     readings = {side: [] for side in trees}
-    digests = set()
+    digests = {side: set() for side in trees}
     with tempfile.TemporaryDirectory() as scratch:
         for pair in range(args.pairs):
             for side in sorted(trees, reverse=bool(pair % 2)):
                 metrics, digest = reading(trees[side], args,
                                           Path(scratch, f"{side}.json"))
                 readings[side].append(metrics)
-                digests.add(digest)
+                digests[side].add(digest)
             print(f"pair {pair + 1}: parent {readings['parent'][-1][RATE]:.4g}"
                   f"  change {readings['change'][-1][RATE]:.4g}", flush=True)
     rates = {side: [metrics[RATE] for metrics in taken]
@@ -87,12 +88,17 @@ def main() -> int:
               + " ".join(f"{rate:.4g}" for rate in rates[side]))
     wins = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
     (p_q1, p_median, p_q3), (_, c_median, _) = quartiles.values()
-    same = len(digests) == 1
+    same = len(set.union(*digests.values())) == 1
     gain = (same and args.pairs >= 10 and wins >= 0.9 * args.pairs
             and c_median - p_median > p_q3 - p_q1)
     print(f"wins {wins}/{args.pairs}  ratio {c_median / p_median:.2f}x  "
           f"digests {'equal' if same else 'DIFFER'}  "
           f"gain {'holds' if gain else 'not shown'}")
+    if not same:
+        # one digest per side: the change moved the sim deterministically;
+        # more than one on a side: that side does not reproduce
+        for side, seen in digests.items():
+            print(f"{side} sim_digest_pass1: {' '.join(sorted(seen))}")
     bounds = {metric["name"]: metric["bound"] for metric in json.loads(
         (HERE / "BENCHMARK.json").read_text())["end_to_end"]}
     for name in COSTS:

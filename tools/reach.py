@@ -111,8 +111,6 @@ KEEP = {
     "isa/executor.py:_unhandled": "safety: a mnemonic with no semantics",
     "ndp/device.py:M2NDPDevice._bump_translation_version":
         "safety: a remapped page invalidates cached traces",
-    "exec/trace_cache.py:TraceCache.invalidate":
-        "safety: a stale trace is dropped and retraced",
     "exec/point.py:_lin_scale": "branch: slli / neg of a traced address",
     "exec/point.py:_Taint._f_mix": "branch: a point lane's float ops",
     "exec/point.py:_Taint._v_mix": "branch: a point lane's vector ops",
