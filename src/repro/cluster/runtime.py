@@ -31,9 +31,7 @@ The launch watchdog is off until a caller assigns ``launch_timeout_ns``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -44,11 +42,13 @@ from repro.cluster.scheduler import LaunchScheduler, SubLaunch
 from repro.config import ClusterConfig, SystemConfig, default_system
 from repro.cxl.switch import CXLSwitch
 from repro.errors import (
+    NONNEGATIVE,
     ConfigError,
     LaunchError,
     LaunchFailed,
     PoisonError,
     SimulationError,
+    check,
 )
 from repro.exec.base import DEFAULT_BACKEND
 from repro.host.api import LaunchHandle, M2NDPRuntime
@@ -264,11 +264,8 @@ class ClusterRuntime:
 
     @launch_timeout_ns.setter
     def launch_timeout_ns(self, value: float) -> None:
-        if isinstance(value, bool) or not isinstance(value, Real) \
-                or not 0 <= value < math.inf:
-            raise ConfigError(f"launch_timeout_ns must be a finite number "
-                              f">= 0, got {value!r}")
-        self._launch_timeout_ns = float(value)
+        check("ClusterRuntime", "launch_timeout_ns", value, NONNEGATIVE)
+        self._launch_timeout_ns = value
 
     @property
     def device(self) -> M2NDPDevice:

@@ -8,8 +8,11 @@ nanoseconds, all frequencies GHz, all bandwidths bytes/ns (== GB/s).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from repro.errors import ConfigError
+from repro.errors import (AT_LEAST_ONE, COUNT, NONNEGATIVE, POSITIVE,
+                          ConfigError, Domain, check_fields, setting)
+from repro.sim.clock import Clock
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -24,17 +27,14 @@ GIB = 1024 * MIB
 class DRAMTiming:
     """DRAM timing parameters, in device clocks (converted via ``tck_ns``)."""
 
-    tck_ns: float
-    t_rc: int
-    t_rcd: int
-    t_cl: int
-    t_rp: int
+    tck_ns: float = setting(POSITIVE)
+    t_rc: int = setting(AT_LEAST_ONE)
+    t_rcd: int = setting(AT_LEAST_ONE)
+    t_cl: int = setting(AT_LEAST_ONE)
+    t_rp: int = setting(AT_LEAST_ONE)
 
     def __post_init__(self) -> None:
-        if self.tck_ns <= 0:
-            raise ConfigError("tCK must be positive")
-        if min(self.t_rc, self.t_rcd, self.t_cl, self.t_rp) <= 0:
-            raise ConfigError("DRAM timing parameters must be positive")
+        check_fields(self)
         if self.t_rc < self.t_rcd + self.t_rp:
             raise ConfigError("tRC must cover tRCD + tRP")
 
@@ -63,18 +63,18 @@ class DRAMConfig:
     """One DRAM subsystem (a set of channels behind memory controllers)."""
 
     name: str
-    channels: int
-    banks_per_channel: int
+    channels: int = setting(AT_LEAST_ONE)
+    banks_per_channel: int = setting(AT_LEAST_ONE)
     timing: DRAMTiming
-    access_granularity: int       # bytes moved by one column access
-    channel_bw_bytes_per_ns: float
-    capacity_bytes: int
-    row_bytes: int = 2 * KIB      # row-buffer coverage per channel
+    access_granularity: int = setting(AT_LEAST_ONE)  # bytes per column access
+    channel_bw_bytes_per_ns: float = setting(POSITIVE)
+    capacity_bytes: int = setting(AT_LEAST_ONE)
+    #: row-buffer coverage per channel
+    row_bytes: int = setting(AT_LEAST_ONE, 2 * KIB)
 
     def __post_init__(self) -> None:
-        if self.channels <= 0 or self.banks_per_channel <= 0:
-            raise ConfigError("channel/bank counts must be positive")
-        if self.access_granularity <= 0 or self.row_bytes < self.access_granularity:
+        check_fields(self)
+        if self.row_bytes < self.access_granularity:
             raise ConfigError("bad access granularity / row size")
 
     @property
@@ -115,13 +115,14 @@ def hbm2_gpu_dram() -> DRAMConfig:
 @dataclass(frozen=True)
 class CacheConfig:
     name: str
-    size_bytes: int
-    ways: int
-    line_bytes: int
-    sector_bytes: int
-    hit_latency_ns: float
+    size_bytes: int = setting(AT_LEAST_ONE)
+    ways: int = setting(AT_LEAST_ONE)
+    line_bytes: int = setting(AT_LEAST_ONE)
+    sector_bytes: int = setting(AT_LEAST_ONE)
+    hit_latency_ns: float = setting(NONNEGATIVE)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.size_bytes % (self.ways * self.line_bytes) != 0:
             raise ConfigError(f"{self.name}: size not divisible by ways*line")
         if self.line_bytes % self.sector_bytes != 0:
@@ -164,15 +165,16 @@ def ndp_l1d_config() -> CacheConfig:
 class CXLConfig:
     """CXL 3.0 x8 link with configurable load-to-use latency profile."""
 
-    bw_per_dir_bytes_per_ns: float = 64.0
-    flit_bytes: int = 256
-    load_to_use_ns: float = 150.0
+    bw_per_dir_bytes_per_ns: float = setting(POSITIVE, 64.0)
+    flit_bytes: int = setting(AT_LEAST_ONE, 256)
+    load_to_use_ns: float = setting(POSITIVE, 150.0)
     # Fixed component of LtU that is *not* the link round trip: host cache
     # miss path + device-side controller + DRAM access.  Derived so that the
     # default profile decomposes as  LtU = fixed + 2 * one_way.
-    port_to_port_round_trip_ns: float = 70.0
+    port_to_port_round_trip_ns: float = setting(POSITIVE, 70.0)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.load_to_use_ns <= self.port_to_port_round_trip_ns:
             raise ConfigError("LtU must exceed the port-to-port round trip")
 
@@ -209,24 +211,24 @@ class CXLConfig:
 class NDPConfig:
     """M2NDP configuration (Table IV, bottom block)."""
 
-    num_units: int = 32
-    subcores_per_unit: int = 4
-    uthread_slots_per_subcore: int = 16
-    issue_width: int = 4
-    freq_ghz: float = 2.0
-    regfile_bytes_per_unit: int = 48 * KIB
-    scratchpad_bytes: int = 128 * KIB
-    max_concurrent_kernels: int = 48
-    vector_bits: int = 256
-    scalar_alus_per_subcore: int = 2
-    vector_alus_per_subcore: int = 1
-    itlb_entries: int = 256
-    dtlb_entries: int = 256
+    num_units: int = setting(AT_LEAST_ONE, 32)
+    subcores_per_unit: int = setting(AT_LEAST_ONE, 4)
+    uthread_slots_per_subcore: int = setting(AT_LEAST_ONE, 16)
+    issue_width: int = setting(AT_LEAST_ONE, 4)
+    freq_ghz: float = setting(POSITIVE, 2.0)
+    regfile_bytes_per_unit: int = setting(AT_LEAST_ONE, 48 * KIB)
+    scratchpad_bytes: int = setting(AT_LEAST_ONE, 128 * KIB)
+    max_concurrent_kernels: int = setting(AT_LEAST_ONE, 48)
+    vector_bits: int = setting(
+        Domain("an integer >= 64", int, lambda n: n >= 64), 256)
+    scalar_alus_per_subcore: int = setting(AT_LEAST_ONE, 2)
+    vector_alus_per_subcore: int = setting(AT_LEAST_ONE, 1)
+    itlb_entries: int = setting(AT_LEAST_ONE, 256)
+    dtlb_entries: int = setting(AT_LEAST_ONE, 256)
     l1d: CacheConfig = field(default_factory=ndp_l1d_config)
 
     def __post_init__(self) -> None:
-        if self.num_units <= 0 or self.subcores_per_unit <= 0:
-            raise ConfigError("NDP unit/sub-core counts must be positive")
+        check_fields(self)
         if self.vector_bits % 64 != 0:
             raise ConfigError("vector width must be a multiple of 64 bits")
 
@@ -238,10 +240,8 @@ class NDPConfig:
     def regfile_bytes_per_subcore(self) -> int:
         return self.regfile_bytes_per_unit // self.subcores_per_unit
 
-    @property
-    def clock(self):
-        from repro.sim.clock import Clock
-
+    @cached_property
+    def clock(self) -> Clock:
         return Clock.from_ghz(self.freq_ghz)
 
 
@@ -259,9 +259,9 @@ class ClusterConfig:
     fan-out policy splitting logical launches into per-device sub-launches.
     """
 
-    num_devices: int = 2
+    num_devices: int = setting(AT_LEAST_ONE, 2)
     placement: str = "interleaved"
-    shard_bytes: int = 0
+    shard_bytes: int = setting(COUNT, 0)
     scheduler: str = "locality"
     #: Hardware partition spec applied to every device ("rt:1,batch:3"),
     #: or None / "" = unset: the one-partition map; see
@@ -270,7 +270,7 @@ class ClusterConfig:
     #: Root seed for every per-stream random generator (traffic arrivals,
     #: tenant data) so cluster traffic and serving runs are reproducible
     #: bit-for-bit across processes; see repro.serve.arrivals.stream_rng.
-    seed: int = 0xC0FFEE
+    seed: int = setting(COUNT, 0xC0FFEE)
 
     def __post_init__(self) -> None:
         # Lazy imports: placement/scheduler live above config in the
@@ -278,8 +278,7 @@ class ClusterConfig:
         from repro.cluster.placement import PLACEMENTS
         from repro.cluster.scheduler import validate_scheduler_name
 
-        if self.num_devices <= 0:
-            raise ConfigError("cluster needs at least one device")
+        check_fields(self)
         if self.placement not in PLACEMENTS:
             raise ConfigError(
                 f"unknown placement {self.placement!r}; "
@@ -291,10 +290,6 @@ class ClusterConfig:
             from repro.cluster.partitions import parse_partition_spec
             parse_partition_spec(self.partitions,
                                  source="ClusterConfig.partitions")
-        if self.shard_bytes < 0:
-            raise ConfigError("shard_bytes must be >= 0 (0 = auto)")
-        if self.seed < 0:
-            raise ConfigError("cluster seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +383,24 @@ COMPARATORS: dict[str, dict] = {
 class GPUConfig:
     """Host GPU (≈ RTX 3090) or GPU-NDP (SMs inside the CXL device)."""
 
-    num_sms: int = 82
-    freq_ghz: float = 1.695
-    warp_size: int = 32
-    max_threads_per_sm: int = 1536
-    max_threadblocks_per_sm: int = 32
-    regfile_bytes_per_sm: int = 256 * KIB
-    shared_mem_bytes_per_sm: int = 128 * KIB
-    issue_width: int = 4
+    num_sms: int = setting(AT_LEAST_ONE, 82)
+    freq_ghz: float = setting(POSITIVE, 1.695)
+    warp_size: int = setting(AT_LEAST_ONE, 32)
+    max_threads_per_sm: int = setting(AT_LEAST_ONE, 1536)
+    max_threadblocks_per_sm: int = setting(AT_LEAST_ONE, 32)
+    regfile_bytes_per_sm: int = setting(AT_LEAST_ONE, 256 * KIB)
+    shared_mem_bytes_per_sm: int = setting(AT_LEAST_ONE, 128 * KIB)
+    issue_width: int = setting(AT_LEAST_ONE, 4)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def max_warps_per_sm(self) -> int:
         return self.max_threads_per_sm // self.warp_size
 
-    @property
-    def clock(self):
-        from repro.sim.clock import Clock
-
+    @cached_property
+    def clock(self) -> Clock:
         return Clock.from_ghz(self.freq_ghz)
 
 

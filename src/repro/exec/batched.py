@@ -115,8 +115,6 @@ _UNBATCHABLE = {
 #: Uniform-walk fallback classes the SIMT engine can absorb.
 _RETRY_SIMT_SLUGS = {"divergent", "scratchpad", "vconfig"}
 
-_Fallback = LaunchFallback
-
 
 # ---------------------------------------------------------------------------
 # vectorized launch-uniform functional walk
@@ -206,7 +204,7 @@ class _BatchReplay(vo.LaneISA):
             return int(a)
         first = a.flat[0]
         if not np.all(a == first):
-            raise _Fallback(f"µthread-divergent {what}", slug)
+            raise LaunchFallback(f"µthread-divergent {what}", slug)
         return int(first)
 
     # -- memory -----------------------------------------------------------
@@ -218,8 +216,8 @@ class _BatchReplay(vo.LaneISA):
         if in_spad.all():
             return True
         if in_spad.any():
-            raise _Fallback("mixed scratchpad/global access vector",
-                            "scratchpad")
+            raise LaunchFallback("mixed scratchpad/global access vector",
+                                 "scratchpad")
         return False
 
     def _load(self, lanes, addr, size: int) -> np.ndarray:
@@ -230,8 +228,8 @@ class _BatchReplay(vo.LaneISA):
                     or int(addr.max()) + size > self._args_hi):
                 # outside the argument block: per-unit state (unit 0's copy
                 # is not representative), so hand the launch back
-                raise _Fallback("scratchpad load outside the argument block",
-                                "scratchpad")
+                raise LaunchFallback(
+                    "scratchpad load outside the argument block", "scratchpad")
             # the block's slot rotates per instance: addresses not compared
             self.memlog.step("load", size, None, spad=True)
             # stat-free view: a mid-walk fallback must leave no counters
@@ -247,7 +245,7 @@ class _BatchReplay(vo.LaneISA):
             lo, hi = int(paddrs.min()), int(paddrs.max()) + size
             if any(s_lo < hi and lo < s_hi
                    for s_lo, s_hi in self._store_spans):
-                raise _Fallback(
+                raise LaunchFallback(
                     "load overlaps a buffered store (RAW via memory)", "raw")
             return paddrs
 
@@ -258,7 +256,8 @@ class _BatchReplay(vo.LaneISA):
         """Buffer a store of (..., size) uint8 rows at per-µthread addrs."""
         addr = np.asarray(addr, dtype=np.int64)
         if self._classify(addr):
-            raise _Fallback("scratchpad store in kernel body", "scratchpad")
+            raise LaunchFallback("scratchpad store in kernel body",
+                                 "scratchpad")
         size = data.shape[-1]
 
         def translate() -> np.ndarray:
@@ -288,7 +287,7 @@ class _BatchReplay(vo.LaneISA):
             try:
                 while pc < count:
                     if self._executed >= MAX_TRACE_STEPS:
-                        raise _Fallback("trace exceeds step cap", "cap")
+                        raise LaunchFallback("trace exceeds step cap", "cap")
                     inst = instructions[pc]
                     self._executed += 1
                     if record:
@@ -304,7 +303,7 @@ class _BatchReplay(vo.LaneISA):
                         self._step(inst, None, None)
                         pc += 1
             except UnsupportedVectorOp as exc:
-                raise _Fallback(str(exc)) from None
+                raise LaunchFallback(str(exc)) from None
         self.memlog.finish()
         if record:
             self.entry = self._build_entry()
@@ -337,7 +336,7 @@ class _BatchReplay(vo.LaneISA):
         requested = self._uniform_int(np.asarray(self.xr[inst.rs1]),
                                       "vsetvli AVL", "vconfig")
         if requested < 0:
-            raise _Fallback(f"vsetvli with negative AVL {requested}")
+            raise LaunchFallback(f"vsetvli with negative AVL {requested}")
         vl = min(requested, vlmax(sew))
         self.sew = sew
         self.vl = vl

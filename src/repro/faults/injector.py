@@ -37,7 +37,7 @@ and ``runtime_ns`` are byte-identical to a run without the module.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, LaunchFailed
+from repro.errors import POSITIVE, ConfigError, LaunchFailed, check
 from repro.faults.health import DEGRADED, DOWN, UP, HealthMonitor
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import tracer as obs_tracer
@@ -52,8 +52,7 @@ class FaultInjector:
 
     def __init__(self, runtime, plan: FaultPlan,
                  heartbeat_ns: float = DEFAULT_HEARTBEAT_NS) -> None:
-        if heartbeat_ns <= 0:
-            raise ConfigError("heartbeat_ns must be positive")
+        check("FaultInjector", "heartbeat_ns", heartbeat_ns, POSITIVE)
         plan.validate_against(runtime.num_devices)
         for event in plan.events:
             if event.partition is not None:

@@ -32,10 +32,9 @@ view, the SLO monitor and the incident reporter all read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import COUNT, NONNEGATIVE, ConfigError, check_fields, setting
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,13 @@ class FaultEvent:
     """One scheduled fault."""
 
     kind: str
-    at_ns: float
-    device: int = 0               # target expander / switch port
-    duration_ns: float = 0.0      # stall / flap window length
-    base: int = 0                 # poison range start
-    size: int = 0                 # poison range length (bytes)
-    extra_ns: float = DEFAULT_RETRY_NS   # per-packet retry charge (flap)
+    at_ns: float = setting(NONNEGATIVE)
+    device: int = setting(COUNT, 0)     # target expander / switch port
+    duration_ns: float = setting(NONNEGATIVE, 0.0)  # stall / flap window
+    base: int = setting(COUNT, 0)       # poison range start
+    size: int = setting(COUNT, 0)       # poison range length (bytes)
+    #: per-packet retry charge (flap)
+    extra_ns: float = setting(NONNEGATIVE, DEFAULT_RETRY_NS)
     #: Hardware partition the fault is scoped to (``device_fail`` /
     #: ``device_stall`` / ``poison`` only): the blast radius shrinks from
     #: the whole expander to that partition — its units stop answering /
@@ -126,16 +126,11 @@ class FaultEvent:
                 f"{self.kind} cannot be {self.scope}-scoped: it hits a "
                 f"resource every partition on the device shares"
             )
-        if not math.isfinite(self.at_ns) or self.at_ns < 0:
-            raise ConfigError(
-                f"fault at_ns must be finite and >= 0, got {self.at_ns}"
-            )
+        check_fields(self)
         if self.kind in ("device_stall", "link_flap") and self.duration_ns <= 0:
             raise ConfigError(f"{self.kind} needs a positive duration_ns")
         if self.kind == "poison" and self.size <= 0:
             raise ConfigError("poison needs a positive size")
-        if self.kind != "poison" and self.device < 0:
-            raise ConfigError(f"{self.kind} needs a device index >= 0")
 
     @property
     def scope(self) -> str:

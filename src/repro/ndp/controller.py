@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cxl.packet_filter import FilterEntry
-from repro.errors import ProtocolError
+from repro.errors import AT_LEAST_ONE, ProtocolError, check
 from repro.mem.scratchpad import write_rows
 from repro.ndp.generator import KernelExecution
 from repro.ndp.kernel import KernelDescriptor, KernelInstance, KernelStatus
@@ -104,17 +104,12 @@ class ReadResponse:
     waiting_instance: int | None = None
 
 
-@dataclass
-class _ProcessState:
-    """Per-ASID M2func bookkeeping."""
-
-    last_launched: int | None = None    # latest instance id per Table II note
-
-
 class NDPController:
     """Decodes M2func calls and manages kernels on one M2NDP device."""
 
     def __init__(self, device, queue_capacity: int = 4096) -> None:
+        check("NDPController", "queue_capacity", queue_capacity,
+              AT_LEAST_ONE)
         self.device = device
         self.queue_capacity = queue_capacity
         self.kernels: dict[int, KernelDescriptor] = {}
@@ -125,7 +120,6 @@ class NDPController:
         self.active: dict[int, KernelExecution] = {}
         self._next_kernel_id = 1
         self._next_instance_id = 1
-        self._process_state: dict[int, _ProcessState] = {}
         self._completion_waiters: dict[int, list[Callable[[float], None]]] = {}
 
     # ------------------------------------------------------------------
@@ -272,8 +266,6 @@ class NDPController:
         )
         self._next_instance_id += 1
         self.instances[instance.instance_id] = instance
-        state = self._process_state.setdefault(asid, _ProcessState())
-        state.last_launched = instance.instance_id
         if part.running < self.device.config.ndp.max_concurrent_kernels:
             self._start_instance(instance, now_ns)
         else:

@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import (POSITIVE, POSITIVE_OR_INF, ConfigError, Domain,
+                          check, check_fields, setting)
 from repro.faults.plan import LIFECYCLE
 from repro.obs.recorder import FlightRecorder
 from repro.sim.stats import Distribution, StatsRegistry
@@ -72,26 +73,14 @@ class SLObjective:
     (infinite by default: attainment-only).
     """
 
-    attainment_floor: float = 0.9
-    p99_ceiling_ns: float = math.inf
-    burn_threshold: float = DEFAULT_BURN_THRESHOLD
+    #: A floor of 1.0 would leave no error budget to burn.
+    attainment_floor: float = setting(Domain("a number in [0, 1)", float,
+                                             lambda x: 0 <= x < 1), 0.9)
+    p99_ceiling_ns: float = setting(POSITIVE_OR_INF, math.inf)
+    burn_threshold: float = setting(POSITIVE, DEFAULT_BURN_THRESHOLD)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.attainment_floor < 1.0:
-            raise ConfigError(
-                f"attainment_floor must be in [0, 1), got "
-                f"{self.attainment_floor} (a floor of 1.0 leaves no "
-                f"error budget to burn)"
-            )
-        if self.p99_ceiling_ns <= 0:
-            raise ConfigError(
-                f"p99_ceiling_ns must be positive, got {self.p99_ceiling_ns}"
-            )
-        if not math.isfinite(self.burn_threshold) or self.burn_threshold <= 0:
-            raise ConfigError(
-                f"burn_threshold must be finite and > 0, got "
-                f"{self.burn_threshold}"
-            )
+        check_fields(self)
 
     @property
     def error_budget(self) -> float:
@@ -158,8 +147,8 @@ class SLOMonitor:
                  fast_window_ns: float = DEFAULT_FAST_WINDOW_NS,
                  slow_window_ns: float = DEFAULT_SLOW_WINDOW_NS,
                  start_ns: float = 0.0) -> None:
-        if fast_window_ns <= 0 or slow_window_ns <= 0:
-            raise ConfigError("monitor windows must be positive")
+        check("SLOMonitor", "fast_window_ns", fast_window_ns, POSITIVE)
+        check("SLOMonitor", "slow_window_ns", slow_window_ns, POSITIVE)
         if fast_window_ns > slow_window_ns:
             raise ConfigError(
                 f"fast window ({fast_window_ns} ns) must not exceed the "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import ConfigError
+from repro.errors import AT_LEAST_ONE, check
 
 #: Ring size: 256 holds the fault -> detect -> recover neighbourhood of
 #: an incident on a small cluster without growing a long healthy run.
@@ -65,8 +65,7 @@ class FlightRecorder:
     """Bounded ring of :class:`EventRecord` (oldest evicted first)."""
 
     def __init__(self, capacity: int = RECORDER_CAPACITY) -> None:
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
+        check("FlightRecorder", "capacity", capacity, AT_LEAST_ONE)
         self.capacity = capacity
         self._ring: deque[EventRecord] = deque(maxlen=capacity)
         self._seq = 0

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import (AT_LEAST_ONE, FRACTION, NONNEGATIVE, POSITIVE,
+                          ConfigError, check, check_fields, setting)
 
 #: Valid arrival process names (TenantSpec / ArrivalSpec validation).
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal", "closed", "trace")
@@ -64,17 +65,18 @@ class ArrivalSpec:
     """Declarative description of one tenant's arrival process."""
 
     process: str = "poisson"
-    rate_rps: float = 1e5         # mean rate (calm-phase rate for bursty)
-    requests: int = 100           # total arrivals generated
+    #: mean rate (calm-phase rate for bursty)
+    rate_rps: float = setting(POSITIVE, 1e5)
+    requests: int = setting(AT_LEAST_ONE, 100)   # total arrivals generated
     #: bursty: burst-phase rate and mean dwell per phase
-    burst_rate_rps: float = 0.0
-    dwell_ns: float = 100_000.0
-    #: diurnal: sinusoid swing (0..1 of rate_rps) and period
-    amplitude: float = 0.5
-    period_ns: float = 1e6
+    burst_rate_rps: float = setting(NONNEGATIVE, 0.0)
+    dwell_ns: float = setting(POSITIVE, 100_000.0)
+    #: diurnal: sinusoid swing (share of rate_rps) and period
+    amplitude: float = setting(FRACTION, 0.5)
+    period_ns: float = setting(POSITIVE, 1e6)
     #: closed loop: concurrent clients and mean think time
-    clients: int = 4
-    think_ns: float = 10_000.0
+    clients: int = setting(AT_LEAST_ONE, 4)
+    think_ns: float = setting(NONNEGATIVE, 10_000.0)
     #: trace: explicit arrival offsets (ns since epoch), nondecreasing
     times: tuple[float, ...] = ()
 
@@ -84,33 +86,16 @@ class ArrivalSpec:
                 f"unknown arrival process {self.process!r}; "
                 f"choose from {list(ARRIVAL_PROCESSES)}"
             )
+        check_fields(self)
+        for time in self.times:
+            check("ArrivalSpec", "times", time, NONNEGATIVE)
         if self.process == "trace":
             if not self.times:
                 raise ConfigError("trace arrivals need at least one time")
             if any(b < a for a, b in zip(self.times, self.times[1:])):
                 raise ConfigError("trace arrival times must be nondecreasing")
-            if any(t < 0 for t in self.times):
-                raise ConfigError("trace arrival times must be >= 0")
-            return
-        if self.requests <= 0:
-            raise ConfigError("arrival spec needs a positive request count")
-        if self.rate_rps <= 0:
-            raise ConfigError("arrival spec needs a positive rate")
-        if self.process == "bursty":
-            if self.burst_rate_rps < self.rate_rps:
-                raise ConfigError("burst rate must be >= the calm rate")
-            if self.dwell_ns <= 0:
-                raise ConfigError("bursty dwell time must be positive")
-        if self.process == "diurnal":
-            if not 0.0 <= self.amplitude <= 1.0:
-                raise ConfigError("diurnal amplitude must be in [0, 1]")
-            if self.period_ns <= 0:
-                raise ConfigError("diurnal period must be positive")
-        if self.process == "closed":
-            if self.clients <= 0:
-                raise ConfigError("closed loop needs at least one client")
-            if self.think_ns < 0:
-                raise ConfigError("think time must be >= 0")
+        if self.process == "bursty" and self.burst_rate_rps < self.rate_rps:
+            raise ConfigError("burst rate must be >= the calm rate")
 
     @property
     def total_requests(self) -> int:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import (AT_LEAST_ONE, COUNT, FLAG, FRACTION, POSITIVE,
+                          ConfigError, check_fields, setting)
 from repro.sim.stats import IntervalSampler
 
 
@@ -30,21 +31,18 @@ class AutoscalePolicy:
     and in-flight work is never quiesced onto fewer devices.
     """
 
-    enabled: bool = False
-    min_devices: int = 1
-    max_devices: int = 0          # 0 = the whole cluster
-    interval_ns: float = 50_000.0
-    high_watermark: float = 0.85
-    low_watermark: float = 0.30
+    enabled: bool = setting(FLAG, False)
+    min_devices: int = setting(AT_LEAST_ONE, 1)
+    max_devices: int = setting(COUNT, 0)          # 0 = the whole cluster
+    interval_ns: float = setting(POSITIVE, 50_000.0)
+    high_watermark: float = setting(FRACTION, 0.85)
+    low_watermark: float = setting(FRACTION, 0.30)
 
     def __post_init__(self) -> None:
-        if self.min_devices < 1:
-            raise ConfigError("autoscaler needs min_devices >= 1")
+        check_fields(self)
         if self.max_devices and self.max_devices < self.min_devices:
             raise ConfigError("autoscaler max_devices below min_devices")
-        if self.interval_ns <= 0:
-            raise ConfigError("autoscaler interval must be positive")
-        if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
+        if self.low_watermark >= self.high_watermark:
             raise ConfigError(
                 "autoscaler watermarks need 0 <= low < high <= 1"
             )

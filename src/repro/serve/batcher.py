@@ -41,11 +41,10 @@ batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
-from repro.errors import ConfigError
+from repro.errors import (AT_LEAST_ONE, NONNEGATIVE, ConfigError, check_fields,
+                          setting)
 from repro.serve.qos import Request, RequestQueue
 
 
@@ -53,19 +52,11 @@ from repro.serve.qos import Request, RequestQueue
 class BatchPolicy:
     """Max-batch / max-wait coalescing policy (``max_batch=1`` disables)."""
 
-    max_batch: int = 8
-    max_wait_ns: float = 2000.0
+    max_batch: int = setting(AT_LEAST_ONE, 8)
+    max_wait_ns: float = setting(NONNEGATIVE, 2000.0)
 
     def __post_init__(self) -> None:
-        batch, wait = self.max_batch, self.max_wait_ns
-        if isinstance(batch, bool) or not isinstance(batch, int) \
-                or batch < 1:
-            raise ConfigError(f"max_batch argument must be an integer "
-                              f">= 1, got {batch!r}")
-        if isinstance(wait, bool) or not isinstance(wait, Real) \
-                or not 0 <= wait < math.inf:
-            raise ConfigError(f"max_wait_ns argument must be a finite "
-                              f"number >= 0, got {wait!r}")
+        check_fields(self)
 
 
 @dataclass

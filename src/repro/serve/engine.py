@@ -41,7 +41,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.cluster.runtime import ClusterPlatform
-from repro.errors import ConfigError, DeviceUnavailable, PoisonError
+from repro.errors import (AT_LEAST_ONE, FLAG, POSITIVE, ConfigError,
+                          DeviceUnavailable, PoisonError, check)
 from repro.obs import tracer as obs_tracer
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS, Monitoring
 from repro.obs.timeline import UtilizationSampler
@@ -125,11 +126,9 @@ class ServingEngine:
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate tenant names: {names}")
-        if inflight_per_device <= 0:
-            raise ConfigError("inflight_per_device must be positive")
-        if not isinstance(monitoring, bool):
-            raise ConfigError(f"monitoring must be True or False, "
-                              f"got {monitoring!r}")
+        check("ServingEngine", "inflight_per_device", inflight_per_device,
+              AT_LEAST_ONE)
+        check("ServingEngine", "monitoring", monitoring, FLAG)
 
         self.platform = platform
         self.sim = platform.sim
@@ -151,9 +150,7 @@ class ServingEngine:
         # without having to touch the autoscale policy
         if stats_window_ns is None:
             stats_window_ns = autoscale.interval_ns
-        if not stats_window_ns > 0:
-            raise ConfigError(f"stats_window_ns must be a number > 0, "
-                              f"got {stats_window_ns!r}")
+        check("ServingEngine", "stats_window_ns", stats_window_ns, POSITIVE)
         self._tick_interval = stats_window_ns
         self.inflight_per_device = inflight_per_device
         self.admission = AdmissionController()

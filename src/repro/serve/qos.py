@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import POSITIVE, ConfigError, check, check_fields, setting
 
 #: Latency classes, in priority order.
 QOS_CLASSES = ("interactive", "batch")
@@ -164,19 +164,15 @@ class QoSScheduler:
 
     policy: str = DEFAULT_SERVE_SCHEDULER
     weights: dict[str, float] = field(default_factory=dict)
-    starvation_ns: float = DEFAULT_STARVATION_NS
+    starvation_ns: float = setting(POSITIVE, DEFAULT_STARVATION_NS)
     _finish: dict[str, float] = field(default_factory=dict)
     _vtime: float = 0.0
 
     def __post_init__(self) -> None:
         validate_serve_scheduler(self.policy)
         for tenant, weight in self.weights.items():
-            if weight <= 0:
-                raise ConfigError(
-                    f"tenant {tenant!r} needs a positive weight, got {weight}"
-                )
-        if self.starvation_ns <= 0:
-            raise ConfigError("starvation promotion threshold must be > 0")
+            check("QoSScheduler", f"weights[{tenant!r}]", weight, POSITIVE)
+        check_fields(self)
 
     # ------------------------------------------------------------------
 

@@ -20,10 +20,10 @@ data, safe here because GET result-slot writes are idempotent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import (COUNT, FLAG, NONNEGATIVE, Domain, check_fields,
+                          setting)
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,20 @@ class RetryPolicy:
     """Per-tenant retry budget (default: no retries)."""
 
     #: Additional attempts after the first (0 disables retries).
-    max_retries: int = 0
+    max_retries: int = setting(COUNT, 0)
     #: Delay before the first retry; attempt ``k`` waits
     #: ``backoff_ns * backoff_factor**k`` (+ jitter).
-    backoff_ns: float = 1_000.0
-    backoff_factor: float = 2.0
+    backoff_ns: float = setting(NONNEGATIVE, 1_000.0)
+    backoff_factor: float = setting(Domain("a finite number >= 1", float,
+                                           lambda x: x >= 1), 2.0)
     #: Uniform jitter in [0, jitter_ns) added per retry, drawn from the
     #: tenant's seeded stream — deterministic, but decorrelates tenants.
-    jitter_ns: float = 0.0
+    jitter_ns: float = setting(NONNEGATIVE, 0.0)
     #: Never schedule a retry that would fire past the request's deadline.
-    deadline_aware: bool = True
+    deadline_aware: bool = setting(FLAG, True)
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError("retry budget must be >= 0")
-        if (not math.isfinite(self.backoff_ns) or self.backoff_ns < 0
-                or self.jitter_ns < 0):
-            raise ConfigError("retry backoff and jitter must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("retry backoff_factor must be >= 1")
+        check_fields(self)
 
     def delay_ns(self, attempt: int, rng) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""

@@ -60,7 +60,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import (AT_LEAST_ONE, COUNT, FLAG, FRACTION, NONNEGATIVE,
+                          POSITIVE, POSITIVE_OR_INF, ConfigError, Domain,
+                          check_fields, setting)
 from repro.host.api import pack_args
 from repro.kernels.kvstore import (
     KVS_GET,
@@ -84,58 +86,42 @@ class TenantSpec:
     kind: str
     arrivals: ArrivalSpec = field(default_factory=ArrivalSpec)
     qos_class: str = "interactive"
-    weight: float = 1.0
+    weight: float = setting(POSITIVE, 1.0)
     #: Relative SLO deadline per request; inf = no SLO.
-    slo_ns: float = math.inf
-    #: Admission limits (0 disables each gate).
-    rate_limit_rps: float = 0.0
-    burst: float = 32.0
-    max_queue_depth: int = 0
+    slo_ns: float = setting(POSITIVE_OR_INF, math.inf)
+    #: Admission limits (0 disables each gate; ``burst`` is the token
+    #: bucket's cap).
+    rate_limit_rps: float = setting(NONNEGATIVE, 0.0)
+    burst: float = setting(Domain("a finite number >= 1", float,
+                                  lambda x: x >= 1), 32.0)
+    max_queue_depth: int = setting(COUNT, 0)
     #: Requests past their deadline before dispatch are dropped (counted
     #: ``expired``) instead of served uselessly late.
-    drop_expired: bool = False
+    drop_expired: bool = setting(FLAG, False)
     #: vecadd: elements per request; olap: rows per request; kvstore:
     #: items in the tenant's table (0 = kind default).
-    size: int = 0
+    size: int = setting(COUNT, 0)
     #: Working-set slices requests cycle through (vecadd / olap).
-    slices: int = 8
+    slices: int = setting(AT_LEAST_ONE, 8)
     placement: str | None = None
     #: Pin every allocation (and therefore every launch) to one hardware
     #: partition.  None = unpinned.
     partition: str | None = None
     #: kvstore only: fraction of requests that are GETs (the rest are
     #: SETs that overwrite existing keys in place).
-    get_fraction: float = 1.0
+    get_fraction: float = setting(FRACTION, 1.0)
     #: Retry budget for launches lost to faults (default: none).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Hedged requests: > 0 issues a duplicate launch if the primary has
     #: not completed within this delay (replicated point reads only; the
     #: first completion wins).  0 disables hedging.
-    hedge_delay_ns: float = 0.0
+    hedge_delay_ns: float = setting(NONNEGATIVE, 0.0)
 
     def __post_init__(self) -> None:
         row = self._row               # raises on an unknown kind
         validate_qos_class(self.qos_class,
                            source=f"tenant {self.name!r} qos_class")
-        if self.weight <= 0:
-            raise ConfigError(f"tenant {self.name!r} needs a positive weight")
-        if self.slo_ns <= 0:
-            raise ConfigError(f"tenant {self.name!r} needs a positive SLO")
-        if self.slices <= 0:
-            raise ConfigError(f"tenant {self.name!r} needs >= 1 slice")
-        if self.size < 0 or self.rate_limit_rps < 0 or self.max_queue_depth < 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: sizes and limits must be >= 0"
-            )
-        if not math.isfinite(self.hedge_delay_ns) or self.hedge_delay_ns < 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: hedge_delay_ns must be >= 0"
-            )
-        if not 0.0 <= self.get_fraction <= 1.0:
-            raise ConfigError(
-                f"tenant {self.name!r}: get_fraction must be in [0, 1], "
-                f"got {self.get_fraction}"
-            )
+        check_fields(self, f"TenantSpec {self.name!r}")
         if self.get_fraction < 1.0 and not row.mixes_ops:
             raise ConfigError(
                 f"tenant {self.name!r}: get_fraction applies to kvstore "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import POSITIVE, check_fields, setting
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,10 @@ class Clock:
     0.5
     """
 
-    freq_ghz: float
+    freq_ghz: float = setting(POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.freq_ghz <= 0:
-            raise ConfigError(f"clock frequency must be positive, got {self.freq_ghz}")
+        check_fields(self)
 
     @classmethod
     def from_ghz(cls, freq_ghz: float) -> "Clock":

@@ -44,9 +44,6 @@ def hash_key(k0: int, k1: int, k2: int, buckets: int) -> int:
     return h % buckets
 
 
-_hash_key = hash_key
-
-
 @dataclass
 class KVRequest:
     arrival_ns: float
@@ -75,7 +72,7 @@ def generate(items: int, requests: int, get_fraction: float,
     buckets = max(64, items // 2)
     keys = gen.integers(1, 1 << 63, (items, KEY_WORDS), dtype=np.uint64)
     bucket_of = np.array(
-        [_hash_key(int(k[0]), int(k[1]), int(k[2]), buckets) for k in keys],
+        [hash_key(int(k[0]), int(k[1]), int(k[2]), buckets) for k in keys],
         dtype=np.int64,
     )
     # chain position: i-th key hashed to a bucket sits at depth i
@@ -212,7 +209,7 @@ def run_ndp(platform: Platform, data: KVStoreData,
 
     def make_launch(req: KVRequest, slot_addr: int, arrival: float):
         def after_hash(hash_done_ns: float) -> None:
-            bucket_ptr = table.buckets_addr + 8 * _hash_key(
+            bucket_ptr = table.buckets_addr + 8 * hash_key(
                 *req.key, data.buckets
             )
             if req.is_get:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, lpddr5_cxl_dram, memory_side_l2_config
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.mem import dram as dram_module
 from repro.mem.cache import SectorCache, SectorStream
 from repro.mem.dram import DRAMModel
@@ -368,8 +368,13 @@ class TestManyQueuesOnePass:
         assert len(passes) == 6
 
     def test_dram_rejects_non_positive_bandwidth(self):
+        with pytest.raises(ConfigError, match="channel_bw_bytes_per_ns"):
+            replace(lpddr5_cxl_dram(), channel_bw_bytes_per_ns=0.0)
+        # the model keeps its own guard for a config built around the check
+        config = lpddr5_cxl_dram()
+        object.__setattr__(config, "channel_bw_bytes_per_ns", 0.0)
         with pytest.raises(SimulationError, match="positive bandwidth"):
-            DRAMModel(replace(lpddr5_cxl_dram(), channel_bw_bytes_per_ns=0.0))
+            DRAMModel(config)
 
 
 class TestPhysicalRowRuns:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import make_cluster_platform
 from repro.config import NDPConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.host.api import pack_args
 from repro.isa.encoding import FUnit
 from repro.kernels.vecadd import VECADD
@@ -94,8 +94,13 @@ class TestColumns:
         assert bank.cost.tolist() == [s._cost for s in grid.servers[0][0]]
 
     def test_non_positive_width_rejected(self):
+        with pytest.raises(ConfigError, match="issue_width"):
+            NDPConfig(issue_width=0)
+        # the bank keeps its own guard for a config built around the check
+        config = NDPConfig()
+        object.__setattr__(config, "issue_width", 0)
         with pytest.raises(SimulationError):
-            IssueBank(NDPConfig(issue_width=0))
+            IssueBank(config)
 
 
 class TestBulkCharge:

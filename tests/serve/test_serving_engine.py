@@ -347,7 +347,8 @@ class TestEnvKnobs:
             BatchPolicy(**{field: value})
 
     def test_monitoring_must_be_a_bool(self):
-        with pytest.raises(ConfigError, match="monitoring must be"):
+        with pytest.raises(ConfigError, match="monitoring argument of "
+                                              "ServingEngine must be"):
             self._engine(monitoring="yes")
 
     def test_nan_stats_window_rejected(self):
