@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.errors import (AT_LEAST_ONE, COUNT, NONNEGATIVE, POSITIVE,
-                          ConfigError, Domain, check_fields, setting)
+                          ConfigError, Domain, check, check_fields, setting)
 from repro.sim.clock import Clock
 
 KIB = 1024
@@ -412,9 +412,9 @@ def gpu_ndp_config(num_sms: float,
     Fractional SM counts (the paper's 16.2-SM Iso-Area point) are realized by
     rounding down and scaling frequency to preserve aggregate throughput.
     """
+    check("gpu_ndp_config", "num_sms", num_sms,
+          Domain("a finite number >= 1", float, lambda x: x >= 1))
     whole = int(num_sms)
-    if whole <= 0:
-        raise ConfigError("need at least one SM")
     eff_freq = freq_ghz * (num_sms / whole)
     return GPUConfig(num_sms=whole, freq_ghz=eff_freq)
 

@@ -517,6 +517,9 @@ class BatchedBackend(InterpreterBackend):
             try:
                 plan = plan_cls(device, execution).run()
             except LaunchFallback as exc:
+                # the traceback holds the walk's frames and, through their
+                # callers, the platform: a kept fallback must not pin it
+                exc.__traceback__ = exc.__context__ = exc.__cause__ = None
                 return exc
             stats.add("exec.trace_cache_misses")
             cache.store(key, plan.entry)

@@ -6,10 +6,16 @@ a long memory access, finishes, or hits the burst cap; then an event is
 scheduled at its next ready time.  Short accesses (scratchpad / L1 hits)
 continue inline, so the event count is proportional to DRAM accesses, not
 instructions — that is what makes a pure-Python cycle-level model feasible.
-A thread steps through its program's decoded form
-(:func:`repro.isa.executor.decode`, bound once per program): per
-instruction it issues on a known FU column and runs a bound handler, with
-no dispatch on the instruction.
+
+A burst is one call of a function generated per program
+(:func:`compile_burst`, memoized on the
+:class:`~repro.isa.assembler.Program` as :func:`~repro.isa.executor.decode`
+is): straight-line code per basic block with :meth:`SubCore.issue
+<repro.ndp.subcore.SubCore.issue>`'s arithmetic inline, entered at any pc.
+Scalar ALU, branch, load, store and AMO instructions are the executor's
+templates (:func:`~repro.isa.executor.scalar_statements`) as text; every
+other op calls its bound ``run``.  Timing is the same instruction by
+instruction as issuing and running each one in turn.
 
 :class:`InterpreterBackend` is also the backend interface: the device and
 controller call ``register_execution`` / ``unregister_execution``, and
@@ -19,9 +25,17 @@ controller call ``register_execution`` / ``unregister_execution``, and
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
-from repro.isa.executor import decode
+from repro.isa.encoding import FU_COLUMN, OpClass
+from repro.isa.executor import (
+    SCALAR_NAMESPACE,
+    bind,
+    branch_test,
+    run_generated,
+    scalar_statements,
+)
 from repro.ndp.generator import SPAWN_LATENCY_NS, KernelExecution
 from repro.ndp.uthread import UThread
 from repro.obs import tracer as obs_tracer
@@ -33,15 +47,132 @@ BURST_CAP = 256
 INLINE_WINDOW_NS = 8.0
 
 
+def _leaders(instructions) -> list[int]:
+    """First pc of every basic block: 0, each branch target, and each pc
+    after a branch or ``ret``."""
+    count = len(instructions)
+    leaders = {0}
+    for pc, inst in enumerate(instructions):
+        if inst.op_class in (OpClass.BRANCH, OpClass.RET):
+            leaders.add(pc + 1)
+            if inst.target is not None and 0 <= inst.target < count:
+                leaders.add(inst.target)
+    return sorted(pc for pc in leaders if pc < count)
+
+
+def _instruction_lines(pc: int, inst, namespace: dict) -> list[str]:
+    """One instruction's code after its issue: ``d`` is its exec-done time,
+    and it leaves ``t`` at the thread's next ready time or exits."""
+    memory_exit = (f"if c - d > {INLINE_WINDOW_NS!r}: "
+                   f"return False, {pc + 1}, c, n")
+    op_class = inst.op_class
+    if op_class is OpClass.RET:
+        return [f"return True, {pc}, d, n"]
+    if op_class is OpClass.FENCE:
+        return ["t = d"]
+    if op_class is OpClass.BRANCH:
+        if inst.mnemonic == "j":
+            return ["t = d", f"pc = {inst.target}", "continue"]
+        test = branch_test(inst)
+        if test is not None:
+            return ["t = d", f"if {test}:", f"    pc = {inst.target}",
+                    "    continue"]
+    code = (scalar_statements(inst)
+            if op_class in (OpClass.ALU, OpClass.LOAD, OpClass.STORE,
+                            OpClass.AMO) else None)
+    if code is not None:
+        body, access = code
+        if access is None:
+            return body + ["t = d"]
+        size, is_write, is_amo = access
+        return body + [f"c = access(a, {size}, {is_write}, {is_amo}, d, asid)",
+                       memory_exit, "t = c"]
+    # vector ops and everything the templates do not hold: the bound run
+    run = f"R{pc}"
+    namespace[run] = bind(inst)
+    return [f"r = {run}(regs, mem)", "if r.accesses:",
+            "    c = accesses(r.accesses, d, asid)", f"    {memory_exit}",
+            "    t = c", "else:", "    t = d"]
+
+
+def compile_burst(program):
+    """The burst function of ``program``, generated once and memoized on it.
+
+    ``burst(pc, t, regs, mem, core, access, accesses, asid)`` runs the
+    thread whose registers are ``regs`` from ``pc``, ready at ``t``, on
+    sub-core ``core``, charging memory through ``access`` (one scalar
+    access, :meth:`~repro.ndp.unit.NDPUnit.timed_access`) and ``accesses``
+    (:meth:`~repro.ndp.unit.NDPUnit.timed_accesses`).  It returns
+    ``(finished, pc, t, executed)``: a finished thread ends at ``t``, any
+    other is ready at ``t``.  It exits after :data:`BURST_CAP`
+    instructions, after an access that completes more than
+    :data:`INLINE_WINDOW_NS` after issue, at ``ret``, and past the last
+    instruction, and times each instruction as issuing it
+    (:meth:`~repro.ndp.subcore.SubCore.issue`) and then running its bound
+    ``run`` does.
+    """
+    burst = getattr(program, "_burst", None)
+    if burst is not None:
+        return burst
+    instructions = program.instructions
+    count = len(instructions)
+    namespace = dict(SCALAR_NAMESPACE)
+    columns = sorted({FU_COLUMN[inst.unit] for inst in instructions} | {0})
+    latencies = sorted({inst.latency_cycles for inst in instructions})
+    lines = ["def burst(pc, t, regs, mem, core, access, accesses, asid):",
+             "    x = regs.x",
+             "    f = regs.f",
+             "    vt, row, cost, period = (core._vt, core._row, core._cost, "
+             "core.period_ns)"]
+    lines += [f"    r{c} = row + {c}; c{c} = cost[{c}]" for c in columns]
+    lines += [f"    l{cycles} = {cycles} * period" for cycles in latencies]
+    lines += ["    n = 0", "    while True:"]
+    leaders = _leaders(instructions)
+    for start, stop in zip(leaders, leaders[1:] + [count]):
+        lines.append(f"        if pc <= {stop - 1}:")
+        for pc in range(start, stop):
+            inst = instructions[pc]
+            column, cycles = FU_COLUMN[inst.unit], inst.latency_cycles
+            lines += [f"            if pc <= {pc}:"] + [
+                f"                {line}" for line in (
+                    [f"if n == {BURST_CAP}: return False, {pc}, t, n",
+                     "n += 1",
+                     # SubCore.issue: dispatch stage, then the FU column
+                     "s = t",
+                     "v = vt[r0]",
+                     "if v > s: s = v",
+                     f"v = vt[r{column}]",
+                     "if v > s: s = v",
+                     "vt[r0] = s + c0",
+                     f"vt[r{column}] = s + c{column}",
+                     f"d = s + l{cycles}"]
+                    + _instruction_lines(pc, inst, namespace))]
+        last = instructions[stop - 1]
+        if not (last.op_class is OpClass.RET or last.mnemonic == "j"):
+            lines.append(f"            pc = {stop}")     # fall through
+    lines += [f"        if n == {BURST_CAP}: return False, {count}, t, n",
+              f"        return True, {count}, t, n"]
+    source = "\n".join(lines) + "\n"
+    run_generated(source, f"burst:{program.name}:{count}", namespace)
+    burst = program._burst = namespace["burst"]
+    return burst
+
+
 class InterpreterBackend:
     """Per-instruction functional + timed execution of every µthread."""
 
     name = "interpreter"
 
     def __init__(self, device) -> None:
-        self.device = device
+        # weak: the device owns its backend, so a dropped device is freed
+        # by reference counting, not by the next full collection
+        self._device = weakref.ref(device)
         self._active: list[KernelExecution] = []
         self._fill_cursor = 0
+
+    @property
+    def device(self):
+        return self._device()
 
     # ------------------------------------------------------------------
     # backend interface
@@ -121,50 +252,17 @@ class InterpreterBackend:
 
     def _run_thread(self, thread: UThread,
                     execution: KernelExecution) -> None:
-        device = self.device
+        device = self._device()
         unit = device.units[thread.unit_index]
-        issue = unit.subcores[thread.allocation.subcore_index].issue
         asid = thread.instance.asid
-        memory = unit.memory_for(asid)
-        code = decode(thread.program)
-        count = len(code)
-        regs = thread.regs
-        t = thread.ready_ns
-        # pc and the instruction count live in locals; they are written
-        # back to the thread whenever it yields or finishes
-        pc = thread.pc
-        executed = thread.instructions_executed
-
-        for _ in range(BURST_CAP):
-            if pc >= count:
-                thread.pc, thread.instructions_executed = pc, executed
-                self._finish_thread(thread, execution, unit, t)
-                return
-            run, column, cycles = code[pc]
-            exec_done = issue(column, cycles, t)[1]
-            result = run(regs, memory)
-            executed += 1
-
-            if result.done:
-                thread.pc, thread.instructions_executed = pc, executed
-                self._finish_thread(thread, execution, unit, exec_done)
-                return
-            pc = result.jump_to if result.jump_to is not None else pc + 1
-
-            if result.accesses:
-                completion = unit.timed_accesses(result.accesses, exec_done, asid)
-                if completion - exec_done <= INLINE_WINDOW_NS:
-                    t = completion
-                    continue
-                thread.pc, thread.instructions_executed = pc, executed
-                thread.ready_ns = completion
-                device.sim.schedule_at(
-                    completion, partial(self._run_thread, thread, execution)
-                )
-                return
-            t = exec_done
-
-        thread.pc, thread.instructions_executed = pc, executed
+        finished, thread.pc, t, executed = compile_burst(thread.program)(
+            thread.pc, thread.ready_ns, thread.regs, unit.memory_for(asid),
+            unit.subcores[thread.allocation.subcore_index],
+            unit.timed_access, unit.timed_accesses, asid)
+        thread.instructions_executed += executed
+        if finished:
+            self._finish_thread(thread, execution, unit, t)
+            return
         thread.ready_ns = t
         device.sim.schedule_at(t, partial(self._run_thread, thread, execution))
 

@@ -75,11 +75,11 @@ no wider than the device — see ``BatchedBackend.register_execution``).
 
 from __future__ import annotations
 
-import linecache
-import zlib
-
 from repro.isa.executor import (
     _BRANCHES,
+    BRANCH_OPS,
+    SIGNED64,
+    UNSIGNED64,
     _V_FP_COMPARES,
     _V_FP_SCALAR,
     _V_INT_COMPARES,
@@ -88,6 +88,7 @@ from repro.isa.executor import (
     LOAD_SIGNED,
     MemAccess,
     decode,
+    run_generated,
 )
 from repro.isa.encoding import OpClass
 from repro.isa.registers import (
@@ -681,19 +682,6 @@ _RECORDERS = {
 # verified replay (hit path): the family's trie, compiled
 # ---------------------------------------------------------------------------
 
-_SIGNED = "(({} + 0x8000000000000000) & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000"
-_UNSIGNED = "({}) & 0xFFFFFFFFFFFFFFFF"
-
-#: guard mnemonic -> (comparison, signed operands); equality reads the
-#: same either way and takes the cheaper unsigned form
-_GUARD_OPS = {
-    "beq": ("==", False), "bne": ("!=", False), "blt": ("<", True),
-    "bge": (">=", True), "bltu": ("<", False), "bgeu": (">=", False),
-    "beqz": ("==", False), "bnez": ("!=", False), "blez": ("<=", True),
-    "bgez": (">=", True), "bltz": ("<", True), "bgtz": (">", True),
-}
-
-
 def _forward(raw: bytes, vaddr: int, base: int, data: bytes) -> bytes:
     """``raw`` (read at ``vaddr``) as a read behind the path's own earlier
     write of ``data`` at ``base`` sees it: store-buffer forwarding."""
@@ -757,7 +745,7 @@ class _FamilyCompiler:
         addr, data = f"a{self.serial}", f"d{self.serial}"
         self.emit(depth, f"{addr} = " + (
             str(to_unsigned64(spec)) if isinstance(spec, int)
-            else _UNSIGNED.format(self.lin(spec, depth))))
+            else UNSIGNED64.format(self.lin(spec, depth))))
         self.emit(depth, f"if spad_lo <= {addr} < spad_hi: sb += {size}")
         self.emit(depth, f"else: gb += {size}; gc += 1")
         if kind == "ld":
@@ -790,7 +778,7 @@ class _FamilyCompiler:
         if spec[0] == "lit":
             return str(to_signed64(spec[1]) if signed
                        else to_unsigned64(spec[1]))
-        return "(" + (_SIGNED if signed else _UNSIGNED).format(
+        return "(" + (SIGNED64 if signed else UNSIGNED64).format(
             self.lin(spec[1], depth)) + ")"
 
     def node(self, node, depth: int) -> None:
@@ -807,7 +795,8 @@ class _FamilyCompiler:
                                f"c, sb, gb, gc, tl")
                 return
             m, a, b = node.guard
-            compare, signed = _GUARD_OPS[m]
+            # a guard compares as the executor's branch does
+            compare, signed = BRANCH_OPS[m]
             test = (f"{self.operand(a, signed, depth)} {compare} "
                     + ("0" if b is None else self.operand(b, signed, depth)))
             taken, fallen = node.children.get(True), node.children.get(False)
@@ -832,18 +821,15 @@ def compile_family(family):
     ``replay(load, x1, x2, x3, spad_lo, spad_hi, refresh)`` is phase A and
     returns the matched leaf's ``(entry, pre_cycles, commits, spad_bytes,
     global_bytes, global_accesses, timeline)``.  The text stays on the
-    family under a file name of its own (kernel, leaves, text checksum):
-    :mod:`linecache` serves it to tracebacks, and ``pstats``, which keys
-    rows by file name, keeps families apart in a profile.
+    family under a file name of its own (kernel, leaves, text checksum;
+    :func:`~repro.isa.executor.run_generated`), so a profile keeps
+    families apart.
     """
     compiler = _FamilyCompiler()
     compiler.node(family.root, 1)
     source = "\n".join(compiler.lines) + "\n"
-    filename = (f"<point-family:{to_unsigned64(family.code_hash):x}:"
-                f"{family.leaves}:{zlib.crc32(source.encode()):08x}>")
-    exec(compile(source, filename, "exec"), compiler.namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
+    run_generated(source, f"point-family:{to_unsigned64(family.code_hash):x}"
+                          f":{family.leaves}", compiler.namespace)
     family.source = source
     family.compiles += 1
     family.replay = compiler.namespace["replay"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.config import COMPARATORS, CXLConfig, GPUConfig, SystemConfig
+from repro.config import COMPARATORS, GPUConfig, SystemConfig
 from repro.mem.dram import DRAMModel
 from repro.cxl.link import CXLLink
 from repro.cxl.protocol import CXLPacket, PacketType
@@ -76,11 +76,9 @@ class GPUKernelSpec:
 class GPUMemorySystem:
     """Memory path for GPU warps: optional CXL link + a DRAM model."""
 
-    def __init__(self, dram: DRAMModel, link: CXLLink | None = None,
-                 ltu_extra_ns: float = 0.0) -> None:
+    def __init__(self, dram: DRAMModel, link: CXLLink | None = None) -> None:
         self.dram = dram
         self.link = link
-        self.ltu_extra_ns = ltu_extra_ns
         self._cursor = 0
 
     def access(self, now_ns: float, sectors: int, is_write: bool) -> float:
@@ -100,13 +98,11 @@ class GPUMemorySystem:
             return now_ns + 1.0      # posted write
         request = CXLPacket(PacketType.MEM_RD, 0, 16)
         arrival = self.link.send_to_device(now_ns, request)
-        data_ready = self.dram.access(
-            self._next_addr(size), size, arrival + self.ltu_extra_ns, False
-        )
+        data_ready = self.dram.access(self._next_addr(size), size, arrival,
+                                      False)
         response = CXLPacket(PacketType.MEM_RD_RESP, 0, size, data=b"")
         # approximate wire occupancy without materializing payloads
-        finish = self.link.send_to_host(data_ready, response)
-        return finish + self.ltu_extra_ns
+        return self.link.send_to_host(data_ready, response)
 
     def _next_addr(self, size: int) -> int:
         """Streaming address generator: walks the space so the banked DRAM
@@ -354,12 +350,9 @@ def make_gpu_baseline(sim: Simulator, system: SystemConfig,
     """Host GPU with workload data in passive CXL memory."""
     stats = stats if stats is not None else StatsRegistry()
     dram = DRAMModel(system.cxl_dram, stats, "gpubase_dram")
+    # a longer load-to-use is the link's (``SystemConfig.with_ltu``)
     link = CXLLink(system.cxl, stats, "gpubase_cxl")
-    # the model was calibrated at the default load-to-use; a longer one
-    # adds half its excess to each direction
-    calibrated = CXLConfig().load_to_use_ns
-    extra = max(0.0, (system.cxl.load_to_use_ns - calibrated) / 2.0)
-    memsys = GPUMemorySystem(dram, link, ltu_extra_ns=extra)
+    memsys = GPUMemorySystem(dram, link)
     return GPUDevice(sim, system.gpu, memsys, stats,
                      launch_overhead_ns=COMPARATORS["gpu"]["launch_ns"])
 

@@ -11,7 +11,6 @@ from repro.isa.executor import ExecResult, MemAccess, MemoryInterface
 from repro.isa.registers import (
     RegisterUsage,
     UThreadRegisters,
-    to_signed32,
     to_signed64,
     to_unsigned64,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "VLEN_BITS",
     "assemble_kernel",
     "parse_operand",
-    "to_signed32",
     "to_signed64",
     "to_unsigned64",
     "vlmax",

@@ -5,9 +5,17 @@ the mnemonic and the operand fields are resolved once, so running it reads
 nothing from the :class:`Instruction`.  :func:`decode` binds a whole
 program once (memoized on the :class:`~repro.isa.assembler.Program`) and
 pairs each ``run`` with its instruction's issue column and latency in
-cycles; the interpreter and the point engine's walk step through that.
-``bind(inst)(regs, mem)`` runs one instruction, so every op has exactly
-one implementation.
+cycles; the point engine's lane walk steps through that.
+
+The scalar ALU, branch, load, store and AMO semantics are one table of
+expression templates (:data:`SCALAR_ALU`, :data:`BRANCH_OPS` and the
+memory-op tables, made statements by :func:`scalar_statements` /
+:func:`branch_test`).  ``bind`` builds its scalar ``run`` from them
+(compiled statements, or a branch predicate generated from
+:data:`BRANCH_OPS`), the interpreter's compiled bursts
+(:func:`repro.exec.interpreter.compile_burst`) inline the same text, and
+the point compiler's guards read :data:`BRANCH_OPS`; vector ops are bound
+closures.  So every op has exactly one implementation.
 
 Timing is the caller's job (``repro.ndp.subcore``): the executor moves real
 data immediately so kernels compute correct results, while the returned
@@ -21,18 +29,14 @@ interleaves them — the same guarantee the hardware gives.
 
 from __future__ import annotations
 
+import linecache
 import struct
+import zlib
 from typing import Callable, Protocol
 
 from repro.errors import ExecutionError
 from repro.isa.encoding import FU_COLUMN, Instruction, OpClass
-from repro.isa.registers import (
-    _U64_MASK,
-    UThreadRegisters,
-    to_signed32,
-    to_signed64,
-    to_unsigned64,
-)
+from repro.isa.registers import UThreadRegisters, to_unsigned64
 from repro.isa.vector import (
     as_signed,
     as_unsigned,
@@ -110,64 +114,92 @@ _PLAIN = ExecResult()
 _DONE = ExecResult(done=True)
 
 # ---------------------------------------------------------------------------
-# scalar integer / FP ALU
+# scalar semantics: one table of expression templates
 # ---------------------------------------------------------------------------
 
-_INT_BINOPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "sll": lambda a, b: a << (b & 63),
-    "srl": lambda a, b: to_unsigned64(a) >> (b & 63),
-    "sra": lambda a, b: a >> (b & 63),
-    "slt": lambda a, b: int(a < b),
-    "sltu": lambda a, b: int(to_unsigned64(a) < to_unsigned64(b)),
-    "mul": lambda a, b: a * b,
-    "mulhu": lambda a, b: (to_unsigned64(a) * to_unsigned64(b)) >> 64,
-    "div": lambda a, b: _int_div(a, b),
-    "divu": lambda a, b: _unsigned_div(a, b),
-    "rem": lambda a, b: _int_rem(a, b),
-    "remu": lambda a, b: _unsigned_rem(a, b),
+#: Templates wrapping an integer expression to signed / unsigned 64 bits
+#: (``to_signed64`` / ``to_unsigned64`` as text; the point compiler's
+#: replay code uses them too).
+SIGNED64 = "(({} + 0x8000000000000000) & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000"
+UNSIGNED64 = "({}) & 0xFFFFFFFFFFFFFFFF"
+#: and to signed 32 bits (the ``.w`` instructions)
+_SIGNED32 = "(({} + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+
+#: The scalar ALU: mnemonic -> (destination file, operands, template).
+#: ``{0}``, ``{1}``, ``{2}`` are the operands in order, each ``x1`` /
+#: ``x2`` (``x[rs1]`` / ``x[rs2]``), ``f1`` / ``f2`` / ``f3``
+#: (``f[rs1..3]``) or ``imm``.  Writing the result follows ``write_x`` /
+#: ``write_f``: an x result is wrapped to signed 64 bits (and computed,
+#: then dropped, for x0), an f result is taken as ``float``.
+SCALAR_ALU = {
+    "add": ("x", "x1 x2", "{0} + {1}"),
+    "sub": ("x", "x1 x2", "{0} - {1}"),
+    "and": ("x", "x1 x2", "{0} & {1}"),
+    "or": ("x", "x1 x2", "{0} | {1}"),
+    "xor": ("x", "x1 x2", "{0} ^ {1}"),
+    "sll": ("x", "x1 x2", "{0} << ({1} & 63)"),
+    "srl": ("x", "x1 x2", "(" + UNSIGNED64.format("{0}") + ") >> ({1} & 63)"),
+    "sra": ("x", "x1 x2", "{0} >> ({1} & 63)"),
+    "slt": ("x", "x1 x2", "int({0} < {1})"),
+    "sltu": ("x", "x1 x2", "int((" + UNSIGNED64.format("{0}") + ") < ("
+             + UNSIGNED64.format("{1}") + "))"),
+    "mul": ("x", "x1 x2", "{0} * {1}"),
+    "mulhu": ("x", "x1 x2", "((" + UNSIGNED64.format("{0}") + ") * ("
+              + UNSIGNED64.format("{1}") + ")) >> 64"),
+    "div": ("x", "x1 x2", "_int_div({0}, {1})"),
+    "divu": ("x", "x1 x2", "_unsigned_div({0}, {1})"),
+    "rem": ("x", "x1 x2", "_int_rem({0}, {1})"),
+    "remu": ("x", "x1 x2", "_unsigned_rem({0}, {1})"),
+    "addw": ("x", "x1 x2", _SIGNED32.format("{0} + {1}")),
+    "mulw": ("x", "x1 x2", _SIGNED32.format("{0} * {1}")),
+    "addi": ("x", "x1 imm", "{0} + {1}"),
+    "andi": ("x", "x1 imm", "{0} & {1}"),
+    "ori": ("x", "x1 imm", "{0} | {1}"),
+    "xori": ("x", "x1 imm", "{0} ^ {1}"),
+    "slli": ("x", "x1 imm", "{0} << ({1} & 63)"),
+    "srli": ("x", "x1 imm", "(" + UNSIGNED64.format("{0}") + ") >> ({1} & 63)"),
+    "srai": ("x", "x1 imm", "{0} >> ({1} & 63)"),
+    "slti": ("x", "x1 imm", "int({0} < {1})"),
+    "sltiu": ("x", "x1 imm", "int((" + UNSIGNED64.format("{0}") + ") < ("
+              + UNSIGNED64.format("{1}") + "))"),
+    "li": ("x", "imm", "{0}"),
+    "lui": ("x", "imm", "{0} << 12"),
+    "mv": ("x", "x1", "{0}"),
+    "neg": ("x", "x1", "-{0}"),
+    "seqz": ("x", "x1", "int({0} == 0)"),
+    "snez": ("x", "x1", "int({0} != 0)"),
+    "fadd.s": ("f", "f1 f2", "{0} + {1}"),
+    "fadd.d": ("f", "f1 f2", "{0} + {1}"),
+    "fsub.s": ("f", "f1 f2", "{0} - {1}"),
+    "fsub.d": ("f", "f1 f2", "{0} - {1}"),
+    "fmul.s": ("f", "f1 f2", "{0} * {1}"),
+    "fmul.d": ("f", "f1 f2", "{0} * {1}"),
+    "fdiv.s": ("f", "f1 f2", "_fp_div({0}, {1})"),
+    "fdiv.d": ("f", "f1 f2", "_fp_div({0}, {1})"),
+    "fmax.d": ("f", "f1 f2", "max({0}, {1})"),
+    "fmin.d": ("f", "f1 f2", "min({0}, {1})"),
+    "flt.d": ("x", "f1 f2", "int({0} < {1})"),
+    "fle.d": ("x", "f1 f2", "int({0} <= {1})"),
+    "feq.d": ("x", "f1 f2", "int({0} == {1})"),
+    "fmadd.d": ("f", "f1 f2 f3", "{0} * {1} + {2}"),
+    "fsqrt.d": ("f", "f1", "_fsqrt({0})"),
+    "fmv.d": ("f", "f1", "{0}"),
+    "fmv.x.d": ("x", "f1", "_U64.unpack(_F64.pack({0}))[0]"),
+    "fmv.d.x": ("f", "x1", "_F64.unpack(_U64.pack("
+                + UNSIGNED64.format("{0}") + "))[0]"),
+    "fcvt.d.l": ("f", "x1", "float({0})"),
+    "fcvt.s.l": ("f", "x1", "float({0})"),
+    "fcvt.l.d": ("x", "f1", "int({0})"),
 }
 
-_INT_IMMOPS = {
-    "addi": "add", "andi": "and", "ori": "or", "xori": "xor",
-    "slli": "sll", "srli": "srl", "srai": "sra",
-    "slti": "slt", "sltiu": "sltu",
-}
-
-_FP_BINOPS = {
-    "fadd.s": lambda a, b: a + b, "fadd.d": lambda a, b: a + b,
-    "fsub.s": lambda a, b: a - b, "fsub.d": lambda a, b: a - b,
-    "fmul.s": lambda a, b: a * b, "fmul.d": lambda a, b: a * b,
-    "fdiv.s": lambda a, b: _fp_div(a, b), "fdiv.d": lambda a, b: _fp_div(a, b),
-    "fmax.d": max, "fmin.d": min,
-}
-
-_FP_COMPARES = {
-    "flt.d": lambda a, b: int(a < b),
-    "fle.d": lambda a, b: int(a <= b),
-    "feq.d": lambda a, b: int(a == b),
-}
-
-_BRANCHES = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-    "bltu": lambda a, b: to_unsigned64(a) < to_unsigned64(b),
-    "bgeu": lambda a, b: to_unsigned64(a) >= to_unsigned64(b),
-}
-
-_BRANCHES_Z = {
-    "beqz": lambda a: a == 0,
-    "bnez": lambda a: a != 0,
-    "blez": lambda a: a <= 0,
-    "bgez": lambda a: a >= 0,
-    "bltz": lambda a: a < 0,
-    "bgtz": lambda a: a > 0,
+#: Conditional branches: mnemonic -> (comparison, signed operands).  A
+#: ``z`` form compares ``x[rs1]`` with 0.  Equality reads the same either
+#: way and takes the cheaper unsigned form.
+BRANCH_OPS = {
+    "beq": ("==", False), "bne": ("!=", False), "blt": ("<", True),
+    "bge": (">=", True), "bltu": ("<", False), "bgeu": (">=", False),
+    "beqz": ("==", False), "bnez": ("!=", False), "blez": ("<=", True),
+    "bgez": (">=", True), "bltz": ("<", True), "bgtz": (">", True),
 }
 
 
@@ -200,6 +232,12 @@ def _fp_div(a: float, b: float) -> float:
     return a / b
 
 
+def _fsqrt(value: float) -> float:
+    if value < 0:
+        raise ExecutionError("fsqrt of negative value")
+    return value ** 0.5
+
+
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -228,168 +266,149 @@ AMO_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# binders: instruction -> run(regs, mem)
+# the tables as code: statements over locals x, f, mem
 # ---------------------------------------------------------------------------
 
-
-def _unhandled(message: str) -> Run:
-    """``run`` for an instruction no binder knows: it raises when run,
-    never when bound."""
-
-    def run(regs, mem):
-        raise ExecutionError(message)
-    return run
-
-
-def _x_write(rd: int, value) -> Run:
-    """``run`` writing ``value(x, f)`` to ``x[rd]`` with ``write_x``'s
-    rule: wrapped to signed 64 bits, computed and discarded for x0."""
-
-    def run(regs, mem):
-        v = value(regs.x, regs.f)
-        if rd:
-            regs.x[rd] = to_signed64(v)
-        return _PLAIN
-    return run
+#: Names the generated scalar code reads besides ``x``, ``f`` and ``mem``.
+SCALAR_NAMESPACE = {
+    "_int_div": _int_div, "_int_rem": _int_rem,
+    "_unsigned_div": _unsigned_div, "_unsigned_rem": _unsigned_rem,
+    "_fp_div": _fp_div, "_fsqrt": _fsqrt,
+    "_F32": _F32, "_F64": _F64, "_U64": _U64,
+}
 
 
-def _f_write(rd: int, value) -> Run:
-    """``run`` writing ``float(value(x, f))`` to ``f[rd]``."""
+def run_generated(source: str, label: str, namespace: dict) -> dict:
+    """Execute generated ``source`` into ``namespace`` and return it.
 
-    def run(regs, mem):
-        regs.f[rd] = float(value(regs.x, regs.f))
-        return _PLAIN
-    return run
-
-
-def _bind_scalar_alu(inst: Instruction) -> Run:
-    m, rd, rs1, rs2, rs3, imm = (inst.mnemonic, inst.rd, inst.rs1, inst.rs2,
-                                 inst.rs3, inst.imm)
-    if m in _INT_BINOPS:
-        op = _INT_BINOPS[m]
-        return _x_write(rd, lambda x, f: op(x[rs1], x[rs2]))
-    if m in _INT_IMMOPS:
-        op = _INT_BINOPS[_INT_IMMOPS[m]]
-        return _x_write(rd, lambda x, f: op(x[rs1], imm))
-    if m in ("addw", "mulw"):
-        op = _INT_BINOPS["add" if m == "addw" else "mul"]
-        return _x_write(rd, lambda x, f: to_signed32(op(x[rs1], x[rs2])))
-    if m == "li":
-        return _x_write(rd, lambda x, f: imm)
-    if m == "lui":
-        return _x_write(rd, lambda x, f: imm << 12)
-    if m == "mv":
-        return _x_write(rd, lambda x, f: x[rs1])
-    if m == "neg":
-        return _x_write(rd, lambda x, f: -x[rs1])
-    if m == "seqz":
-        return _x_write(rd, lambda x, f: int(x[rs1] == 0))
-    if m == "snez":
-        return _x_write(rd, lambda x, f: int(x[rs1] != 0))
-    if m in _FP_BINOPS:
-        op = _FP_BINOPS[m]
-        return _f_write(rd, lambda x, f: op(f[rs1], f[rs2]))
-    if m in _FP_COMPARES:
-        op = _FP_COMPARES[m]
-        return _x_write(rd, lambda x, f: op(f[rs1], f[rs2]))
-    if m == "fmadd.d":
-        return _f_write(rd, lambda x, f: f[rs1] * f[rs2] + f[rs3])
-    if m == "fsqrt.d":
-        def sqrt(x, f):
-            value = f[rs1]
-            if value < 0:
-                raise ExecutionError("fsqrt of negative value")
-            return value ** 0.5
-        return _f_write(rd, sqrt)
-    if m == "fmv.d":
-        return _f_write(rd, lambda x, f: f[rs1])
-    if m == "fmv.x.d":
-        return _x_write(rd, lambda x, f: _U64.unpack(_F64.pack(f[rs1]))[0])
-    if m == "fmv.d.x":
-        return _f_write(
-            rd, lambda x, f: _F64.unpack(_U64.pack(to_unsigned64(x[rs1])))[0])
-    if m in ("fcvt.d.l", "fcvt.s.l"):
-        return _f_write(rd, lambda x, f: float(x[rs1]))
-    if m == "fcvt.l.d":
-        return _x_write(rd, lambda x, f: int(f[rs1]))
-    return _unhandled(f"unhandled ALU mnemonic {m}")
+    The code gets a file name of its own, ``<label:checksum>``, and
+    :mod:`linecache` serves its text, so tracebacks and profiles show the
+    generated lines (``pstats`` keys rows by file name).
+    """
+    filename = f"<{label}:{zlib.crc32(source.encode()):08x}>"
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    return namespace
 
 
-def _bind_load(inst: Instruction) -> Run:
-    m, rd, rs1, imm = inst.mnemonic, inst.rd, inst.rs1, inst.imm
+def _x_store(rd, value: str) -> str:
+    """``write_x(rd, value)`` as a statement."""
+    return f"x[{rd}] = {SIGNED64.format(f'({value})')}" if rd else value
+
+
+def _compare(mnemonic: str, a: str, b: str) -> str | None:
+    """:data:`BRANCH_OPS` ``[mnemonic]`` over operand texts ``a`` and
+    ``b``; None for a mnemonic it does not hold."""
+    spec = BRANCH_OPS.get(mnemonic)
+    if spec is None:
+        return None
+    compare, signed = spec
+    if not signed and compare not in ("==", "!="):
+        a, b = UNSIGNED64.format(a), UNSIGNED64.format(b)
+    return f"({a}) {compare} ({b})"
+
+
+def branch_test(inst: Instruction) -> str | None:
+    """The taken condition of a conditional branch over ``x``; None for a
+    mnemonic :data:`BRANCH_OPS` does not hold."""
+    return _compare(inst.mnemonic, f"x[{inst.rs1}]",
+                    "0" if inst.mnemonic.endswith("z") else f"x[{inst.rs2}]")
+
+
+def scalar_statements(inst: Instruction) -> tuple[list[str], tuple | None] | None:
+    """``(statements, access)`` executing a scalar ALU, load, store or AMO
+    instruction over locals ``x``, ``f`` and ``mem``, from the tables
+    above; None for a mnemonic they do not hold.
+
+    ``access`` is None for the ALU, else ``(size, is_write, is_amo)`` of
+    the one memory access, whose address the statements leave in ``a``.
+    """
+    m, rd = inst.mnemonic, inst.rd
+    spec = SCALAR_ALU.get(m)
+    if spec is not None:
+        dest, operands, template = spec
+        fields = {"x1": f"x[{inst.rs1}]", "x2": f"x[{inst.rs2}]",
+                  "f1": f"f[{inst.rs1}]", "f2": f"f[{inst.rs2}]",
+                  "f3": f"f[{inst.rs3}]", "imm": f"({inst.imm})"}
+        value = template.format(*(fields[op] for op in operands.split()))
+        return ([_x_store(rd, value) if dest == "x"
+                 else f"f[{rd}] = float({value})"], None)
+    address = f"a = {UNSIGNED64.format(f'x[{inst.rs1}] + ({inst.imm})')}"
+    if m in LOAD_SIGNED or m in LOAD_UNSIGNED:
+        size = LOAD_SIGNED.get(m) or LOAD_UNSIGNED[m]
+        # every load width fits signed 64 bits: write_x's wrap is a no-op
+        value = (f"int.from_bytes(mem.load(a, {size}), 'little', "
+                 f"signed={m in LOAD_SIGNED})")
+        return [address, f"x[{rd}] = {value}" if rd else value], \
+            (size, False, False)
     if m in FP_LOADS:
         size = FP_LOADS[m]
-        unpack = (_F32 if size == 4 else _F64).unpack
-
-        def run(regs, mem):
-            addr = (regs.x[rs1] + imm) & _U64_MASK
-            regs.f[rd] = unpack(mem.load(addr, size))[0]
-            return ExecResult((MemAccess(addr, size, False),))
-        return run
-
-    size = LOAD_SIGNED.get(m) or LOAD_UNSIGNED.get(m)
-    if size is None:
-        return _unhandled(f"unhandled load mnemonic {m}")
-    signed = m in LOAD_SIGNED
-
-    def run(regs, mem):
-        x = regs.x
-        addr = (x[rs1] + imm) & _U64_MASK
-        value = int.from_bytes(mem.load(addr, size), "little", signed=signed)
-        if rd:
-            # every load width fits signed 64 bits: write_x's wrap is a no-op
-            x[rd] = value
-        return ExecResult((MemAccess(addr, size, False),))
-    return run
-
-
-def _bind_store(inst: Instruction) -> Run:
-    m, rs1, rs2, imm = inst.mnemonic, inst.rs1, inst.rs2, inst.imm
+        return [address, f"f[{rd}] = _F{8 * size}.unpack(mem.load(a, "
+                         f"{size}))[0]"], (size, False, False)
+    if m in STORES:
+        size = STORES[m]
+        return [address, f"mem.store(a, (x[{inst.rs2}] & "
+                         f"{(1 << (8 * size)) - 1}).to_bytes({size}, "
+                         f"'little'))"], (size, True, False)
     if m in FP_STORES:
         size = FP_STORES[m]
-        pack = (_F32 if size == 4 else _F64).pack
+        return [address, f"mem.store(a, _F{8 * size}.pack(f[{inst.rs2}]))"], \
+            (size, True, False)
+    if m in AMO_OPS:
+        op, size, is_float = AMO_OPS[m]
+        if is_float:
+            update = (f"f[{rd}] = float(mem.amo({op!r}, a, f[{inst.rs2}], "
+                      f"{size}, True))")
+        else:
+            operand = f"x[{inst.rs2}]"
+            if size == 4:
+                operand = _SIGNED32.format(operand)
+            update = _x_store(
+                rd, f"mem.amo({op!r}, a, {operand}, {size}, False)")
+        return [address, update], (size, True, True)
+    return None
 
-        def run(regs, mem):
-            addr = (regs.x[rs1] + imm) & _U64_MASK
-            mem.store(addr, pack(regs.f[rs2]))
-            return ExecResult((MemAccess(addr, size, True),))
-        return run
 
-    size = STORES.get(m)
-    if size is None:
-        return _unhandled(f"unhandled store mnemonic {m}")
-    mask = (1 << (8 * size)) - 1
+#: generated ``run`` functions by source text: equal instructions share one
+_RUNS: dict[str, Run] = {}
 
-    def run(regs, mem):
-        x = regs.x
-        addr = (x[rs1] + imm) & _U64_MASK
-        mem.store(addr, (x[rs2] & mask).to_bytes(size, "little"))
-        return ExecResult((MemAccess(addr, size, True),))
+
+def _generated_run(body: list[str], ret: str) -> Run:
+    """``run(regs, mem)`` executing ``body`` and returning ``ret``."""
+    source = "\n".join(
+        ["def run(regs, mem):", "    x = regs.x", "    f = regs.f"]
+        + [f"    {line}" for line in body] + [f"    return {ret}"])
+    run = _RUNS.get(source)
+    if run is None:
+        namespace = run_generated(
+            source + "\n", "scalar-op",
+            dict(SCALAR_NAMESPACE, _PLAIN=_PLAIN, ExecResult=ExecResult,
+                 MemAccess=MemAccess))
+        run = _RUNS[source] = namespace["run"]
     return run
 
 
-def _bind_amo(inst: Instruction) -> Run:
-    spec = AMO_OPS.get(inst.mnemonic)
-    if spec is None:
-        return _unhandled(f"unhandled AMO mnemonic {inst.mnemonic}")
-    op, size, is_float = spec
-    rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
-    if is_float:
-        def run(regs, mem):
-            addr = (regs.x[rs1] + imm) & _U64_MASK
-            regs.f[rd] = float(mem.amo(op, addr, regs.f[rs2], size, True))
-            return ExecResult((MemAccess(addr, size, True, True),))
-        return run
+def _bind_scalar(inst: Instruction) -> Run:
+    code = scalar_statements(inst)
+    if code is None:
+        kind = {OpClass.ALU: "ALU", OpClass.AMO: "AMO"}.get(
+            inst.op_class, inst.op_class.value)
+        return _unhandled(f"unhandled {kind} mnemonic {inst.mnemonic}")
+    body, access = code
+    if access is None:
+        return _generated_run(body, "_PLAIN")
+    size, is_write, is_amo = access
+    return _generated_run(
+        body, f"ExecResult((MemAccess(a, {size}, {is_write}, {is_amo}),))")
 
-    def run(regs, mem):
-        x = regs.x
-        addr = (x[rs1] + imm) & _U64_MASK
-        operand = x[rs2]
-        if size == 4:
-            operand = to_signed32(operand)
-        regs.write_x(rd, mem.amo(op, addr, operand, size, False))
-        return ExecResult((MemAccess(addr, size, True, True),))
-    return run
+
+#: :data:`BRANCH_OPS` as predicates over register values: ``(a, b)``, or
+#: ``(a,)`` for a ``z`` form.
+_BRANCHES = {m: eval(f"lambda a, b: {_compare(m, 'a', 'b')}")
+             for m in BRANCH_OPS if not m.endswith("z")}
+_BRANCHES_Z = {m: eval(f"lambda a: {_compare(m, 'a', '0')}")
+               for m in BRANCH_OPS if m.endswith("z")}
 
 
 def _bind_branch(inst: Instruction) -> Run:
@@ -408,6 +427,20 @@ def _bind_branch(inst: Instruction) -> Run:
         cond_z = _BRANCHES_Z[m]
         return lambda regs, mem: taken if cond_z(regs.x[rs1]) else _PLAIN
     return _unhandled(f"unhandled branch mnemonic {m}")
+
+
+# ---------------------------------------------------------------------------
+# binders: instruction -> run(regs, mem)
+# ---------------------------------------------------------------------------
+
+
+def _unhandled(message: str) -> Run:
+    """``run`` for an instruction no binder knows: it raises when run,
+    never when bound."""
+
+    def run(regs, mem):
+        raise ExecutionError(message)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +825,12 @@ def _done(regs, mem) -> ExecResult:
 
 
 _BINDERS = {
-    OpClass.ALU: _bind_scalar_alu,
+    OpClass.ALU: _bind_scalar,
     OpClass.VALU_OP: _bind_valu,
     OpClass.BRANCH: _bind_branch,
-    OpClass.LOAD: _bind_load,
-    OpClass.STORE: _bind_store,
-    OpClass.AMO: _bind_amo,
+    OpClass.LOAD: _bind_scalar,
+    OpClass.STORE: _bind_scalar,
+    OpClass.AMO: _bind_scalar,
     OpClass.VLOAD: _bind_vload,
     OpClass.VSTORE: _bind_vstore,
     OpClass.VGATHER: _bind_vgather,
@@ -819,7 +852,8 @@ def bind(inst: Instruction) -> Run:
 
 def decode(program) -> tuple[tuple[Run, int, int], ...]:
     """``(run, fu_column, latency_cycles)`` per instruction of a
-    :class:`~repro.isa.assembler.Program`, bound once and memoized on it.
+    :class:`~repro.isa.assembler.Program`, bound once and memoized on it
+    (the point engine's lane walk steps through it).
 
     The latency stays in cycles: one program runs at several NDP clocks
     (the frequency sweep), and each sub-core multiplies by its own period.

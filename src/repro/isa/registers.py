@@ -36,12 +36,6 @@ def to_unsigned64(value: int) -> int:
     return value & _U64_MASK
 
 
-def to_signed32(value: int) -> int:
-    """Wrap to signed 32-bit (for .w instructions)."""
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value >= (1 << 31) else value
-
-
 @dataclass
 class RegisterUsage:
     """Architectural registers a kernel actually touches.

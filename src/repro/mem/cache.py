@@ -33,10 +33,6 @@ class AccessResult:
     missing_sectors: list[tuple[int, int]] = field(default_factory=list)
     writebacks: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def full_hit(self) -> bool:
-        return not self.missing_sectors
-
 
 @dataclass
 class BatchAccessResult:
@@ -150,8 +146,9 @@ class SectorCache:
     clock value of the line's last touch (0 on a free way; stamps of
     occupied ways are unique).  A way's position carries no meaning.  The
     arrays are allocated, zeroed, on the first access, so a cache nothing
-    uses costs nothing.  :meth:`access` and :meth:`access_batch` are two
-    entry points over this one state.
+    uses costs nothing.  :meth:`lookup` (one sector; :meth:`access` loops
+    over it) and :meth:`access_batch` are two entry points over this one
+    state.
     """
 
     def __init__(
@@ -188,82 +185,102 @@ class SectorCache:
         self._valid = np.zeros(shape, dtype=self._bits.dtype)
         self._dirty = np.zeros(shape, dtype=self._bits.dtype)
         self._stamp = np.zeros(shape, dtype=np.int64)
+        # the same four arrays flat, as memoryviews: the scalar path reads
+        # and writes them as Python ints, without numpy's per-scalar cost
+        self._ftag, self._fvalid, self._fdirty, self._fstamp = (
+            memoryview(state.reshape(-1)) for state in
+            (self._tag, self._valid, self._dirty, self._stamp))
 
     # ------------------------------------------------------------------
 
-    def _sectors_touched(self, addr: int, size: int) -> list[int]:
-        """Sector-aligned addresses covered by [addr, addr+size)."""
+    def access(self, addr: int, size: int, is_write: bool) -> AccessResult:
+        """Look up every sector in [addr, addr+size); fill misses.
+
+        All lookups come first; the caller then charges the writebacks,
+        then the fills (``missing_sectors``)."""
         sector = self.config.sector_bytes
         first = (addr // sector) * sector
         last = ((addr + max(size, 1) - 1) // sector) * sector
-        return list(range(first, last + sector, sector))
-
-    def access(self, addr: int, size: int, is_write: bool) -> AccessResult:
-        """Look up every sector in [addr, addr+size); fill misses."""
-        if self._tag is None:
-            self._allocate()
         result = AccessResult()
-        for sector_addr in self._sectors_touched(addr, size):
-            self._access_sector(sector_addr, is_write, result)
+        for sector_addr in range(first, last + sector, sector):
+            victims = self.lookup(sector_addr, is_write)
+            if victims is None:
+                result.hit_sectors += 1
+                if is_write and not self.write_back:
+                    # write-through: data goes to next level as well
+                    result.missing_sectors.append((sector_addr, sector))
+                continue
+            result.writebacks.extend((victim, sector) for victim in victims)
+            result.missing_sectors.append((sector_addr, sector))
         return result
 
-    def _access_sector(self, sector_addr: int, is_write: bool, result: AccessResult) -> None:
-        sector_bytes = self.config.sector_bytes
+    def lookup(self, sector_addr: int, is_write: bool) -> tuple[int, ...] | None:
+        """The per-sector rule: look up one sector-aligned address, fill
+        it on a miss, and count the outcome.
+
+        Returns None on a hit: a write-back cache absorbs it, a
+        write-through one still passes a write on.  Otherwise the next
+        level supplies the sector (or takes a write this cache does not
+        allocate), and the return value holds the addresses of the dirty
+        sectors of the line evicted to make room, each written back
+        before the fill (almost always none).
+        """
+        if self._tag is None:
+            self._allocate()
         line_id, offset = divmod(sector_addr, self.config.line_bytes)
         tag, s = divmod(line_id, self._num_sets)
-        bit = 1 << (offset // sector_bytes)
-        # one row as native ints: list scans beat numpy calls at <= 16 ways
-        tags = self._tag[s].tolist()
+        bit = 1 << (offset // self.config.sector_bytes)
+        ways = self.config.ways
+        base = s * ways
+        ftag, fvalid, fdirty, fstamp = (self._ftag, self._fvalid,
+                                        self._fdirty, self._fstamp)
+        # one set as native ints: list scans beat numpy calls at <= 16 ways
+        tags = ftag[base:base + ways].tolist()
         if tag + 1 in tags:
-            way = tags.index(tag + 1)
-            valid = self._valid.item(s, way)
+            way = base + tags.index(tag + 1)
+            valid = fvalid[way]
         else:
             way, valid = -1, 0
 
         if valid & bit:
             self.stats.add(self._write_hits if is_write else self._read_hits)
-            result.hit_sectors += 1
             self._clock += 1
-            self._stamp[s, way] = self._clock
-            if is_write:
-                if self.write_back:
-                    self._dirty[s, way] |= bit
-                else:
-                    # write-through: data goes to next level as well
-                    result.missing_sectors.append((sector_addr, sector_bytes))
-            return
+            fstamp[way] = self._clock
+            if is_write and self.write_back:
+                fdirty[way] |= bit
+            return None
 
         self.stats.add(self._write_misses if is_write else self._read_misses)
         if is_write and not self.write_allocate:
             # no-write-allocate: forward the write, do not install the line
-            result.missing_sectors.append((sector_addr, sector_bytes))
-            return
+            return ()
 
+        victims = ()
         if way < 0:
             if 0 in tags:
-                way = tags.index(0)
+                way = base + tags.index(0)
             else:
                 # the scalar LRU rule: a full set evicts its oldest stamp
-                way = int(self._stamp[s].argmin())
-                dirty = self._dirty.item(s, way)
+                stamps = fstamp[base:base + ways].tolist()
+                way = base + stamps.index(min(stamps))
+                dirty = fdirty[way]
                 if self.write_back and dirty:
-                    line_addr = ((tags[way] - 1) * self._num_sets + s) \
+                    sector = self.config.sector_bytes
+                    line = ((ftag[way] - 1) * self._num_sets + s) \
                         * self.config.line_bytes
-                    result.writebacks.extend(
-                        (line_addr + idx * sector_bytes, sector_bytes)
-                        for idx in range(self.sectors_per_line)
-                        if dirty & (1 << idx)
-                    )
+                    victims = tuple(line + idx * sector
+                                    for idx in range(self.sectors_per_line)
+                                    if dirty & (1 << idx))
                     self.stats.add(self._writebacks)
                 self.stats.add(self._evictions)
-                self._dirty[s, way] = 0
-            self._tag[s, way] = tag + 1
-        self._valid[s, way] = valid | bit
+                fdirty[way] = 0
+            ftag[way] = tag + 1
+        fvalid[way] = valid | bit
         if is_write and self.write_back:
-            self._dirty[s, way] |= bit
+            fdirty[way] |= bit
         self._clock += 1
-        self._stamp[s, way] = self._clock
-        result.missing_sectors.append((sector_addr, sector_bytes))
+        fstamp[way] = self._clock
+        return victims
 
     # ------------------------------------------------------------------
 

@@ -33,8 +33,9 @@ class DRAMModel:
     banks_per_channel + bank``: ``_open_row`` (-1 = precharged),
     ``_ready_ns`` (earliest time the bank accepts a command) and
     ``_last_activate_ns``; the channel data buses are a fourth,
-    ``_bus_busy_until[channel]``.  :meth:`access` and :meth:`access_batch`
-    read and write the same arrays.
+    ``_bus_busy_until[channel]``.  :meth:`burst` (one burst; :meth:`access`
+    loops over it) and :meth:`access_batch` read and write the same
+    arrays.
     """
 
     def __init__(
@@ -54,7 +55,15 @@ class DRAMModel:
         if config.channel_bw_bytes_per_ns <= 0:
             raise SimulationError("DRAM channels need positive bandwidth")
         self._bus_busy_until = np.empty(config.channels, dtype=np.float64)
-        # counter names, bound once: _burst runs per scalar burst
+        # flat views of the same four arrays for the per-burst rule
+        self._frow, self._fready, self._factivate, self._fbus = (
+            memoryview(state) for state in
+            (self._open_row, self._ready_ns, self._last_activate_ns,
+             self._bus_busy_until))
+        self._banks_per_channel = config.banks_per_channel
+        self._grain = config.access_granularity
+        self._burst_ns = self._grain / config.channel_bw_bytes_per_ns
+        # counter names, bound once: burst runs per scalar burst
         self._row_hits = f"{stats_prefix}.row_hits"
         self._row_misses = f"{stats_prefix}.row_misses"
         self._row_conflicts = f"{stats_prefix}.row_conflicts"
@@ -69,25 +78,38 @@ class DRAMModel:
         """Perform a timed access; returns completion time of the last burst.
 
         Bursts to different banks/channels proceed in parallel, so the
-        completion time is the max over per-burst completions.
+        completion time is the max over per-burst completions.  Every
+        burst ends after ``now_ns``, so an access inside one burst (a
+        sector, a DRAM-TLB entry) is that burst's completion.
         """
+        if 0 < size <= self._grain - addr % self._grain:
+            return self.burst(addr, now_ns, is_write)
         completion = now_ns
-        for base, grain in self.layout.split_by_access(addr, size):
-            completion = max(completion, self._burst(base, grain, now_ns, is_write))
+        for base, _grain in self.layout.split_by_access(addr, size):
+            completion = max(completion, self.burst(base, now_ns, is_write))
         return completion
 
-    def _burst(self, addr: int, size: int, now_ns: float, is_write: bool) -> float:
-        coords = self.layout.coordinates(addr)
-        bank = coords.channel * self.config.banks_per_channel + coords.bank
+    def burst(self, addr: int, now_ns: float, is_write: bool) -> float:
+        """The per-burst rule: the device burst (``access_granularity``
+        bytes) holding ``addr``, arriving at ``now_ns``; returns when its
+        data has crossed the channel bus.
+
+        Reads and writes the bank and bus state through flat memoryviews
+        of the arrays :meth:`access_batch` uses, as Python scalars.
+        """
+        channel, bank, row = self.layout.coordinates(addr)
+        bank += channel * self._banks_per_channel
         timing = self.config.timing
 
-        start = max(now_ns, self._ready_ns.item(bank))
-        open_row = self._open_row.item(bank)
-        if open_row == coords.row:
+        start = self._fready[bank]
+        if now_ns > start:
+            start = now_ns
+        open_row = self._frow[bank]
+        if open_row == row:
             cas_done = start + timing.row_hit_ns
             self.stats.add(self._row_hits)
         else:
-            gate = self._last_activate_ns.item(bank) + timing.t_rc_ns
+            gate = self._factivate[bank] + timing.t_rc_ns
             if open_row < 0:
                 activate = max(start, gate)
                 self.stats.add(self._row_misses)
@@ -95,17 +117,16 @@ class DRAMModel:
                 precharged = start + timing.row_conflict_extra_ns
                 activate = max(precharged, gate)
                 self.stats.add(self._row_conflicts)
-            self._last_activate_ns[bank] = activate
-            self._open_row[bank] = coords.row
+            self._factivate[bank] = activate
+            self._frow[bank] = row
             cas_done = activate + timing.row_miss_ns
-        busy = self._bus_busy_until.item(coords.channel)
-        finish = (cas_done if cas_done > busy else busy) \
-            + size / self.config.channel_bw_bytes_per_ns
-        self._bus_busy_until[coords.channel] = finish
-        self._ready_ns[bank] = cas_done  # the next CAS can pipeline behind it
+        busy = self._fbus[channel]
+        finish = (cas_done if cas_done > busy else busy) + self._burst_ns
+        self._fbus[channel] = finish
+        self._fready[bank] = cas_done  # the next CAS can pipeline behind it
 
         self.stats.add(self._writes if is_write else self._reads)
-        self.stats.add(self._bytes, size)
+        self.stats.add(self._bytes, self._grain)
         return finish
 
     # ------------------------------------------------------------------

@@ -13,21 +13,11 @@ streaming workloads hit DRAM rows and saturate all channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import DRAMConfig
 
 INTERLEAVE_GRANULE = 256
-
-
-@dataclass(frozen=True)
-class DRAMCoordinates:
-    channel: int
-    bank: int
-    row: int
-    column_offset: int  # byte offset of the granule within its row
 
 
 def _fold_hash(value: int) -> int:
@@ -42,27 +32,24 @@ class AddressLayout:
         self.config = config
         self.granule = granule
         self.granules_per_row = max(1, config.row_bytes // granule)
+        self._channels = config.channels
+        self._banks = config.banks_per_channel
 
-    def coordinates(self, addr: int) -> DRAMCoordinates:
+    def coordinates(self, addr: int) -> tuple[int, int, int]:
+        """``(channel, bank, row)`` of ``addr``: the bank is numbered within
+        its channel."""
         gid = addr // self.granule
-        channel = _fold_hash(gid) % self.config.channels
-        sid = gid // self.config.channels
-        bank = sid % self.config.banks_per_channel
-        within_bank = sid // self.config.banks_per_channel
-        row = within_bank // self.granules_per_row
-        col_granule = within_bank % self.granules_per_row
-        column_offset = col_granule * self.granule + addr % self.granule
-        return DRAMCoordinates(channel, bank, row, column_offset)
+        channels, banks = self._channels, self._banks
+        sid = gid // channels
+        return (_fold_hash(gid) % channels, sid % banks,
+                (sid // banks) // self.granules_per_row)
 
     def coordinates_batch(
         self, addrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`coordinates`: (channel, bank, row) arrays.
-
-        Column offsets are omitted (the timing model only consumes the
-        first three), so one pass over a whole sector stream replaces one
-        Python call per access.
-        """
+        """Vectorized :meth:`coordinates`: (channel, bank, row) arrays, so
+        one pass over a whole sector stream replaces one Python call per
+        access."""
         gid = addrs // self.granule
         folded = gid ^ (gid >> 7) ^ (gid >> 14) ^ (gid >> 21)
         channel = folded % self.config.channels

@@ -25,6 +25,7 @@ offset 4<<5           ndpShootdownTlbEntry(asid, vpn)   [privileged]
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,7 +111,8 @@ class NDPController:
     def __init__(self, device, queue_capacity: int = 4096) -> None:
         check("NDPController", "queue_capacity", queue_capacity,
               AT_LEAST_ONE)
-        self.device = device
+        # weak: the device owns its controller, not the other way round
+        self._device = weakref.ref(device)
         self.queue_capacity = queue_capacity
         self.kernels: dict[int, KernelDescriptor] = {}
         self.instances: dict[int, KernelInstance] = {}
@@ -121,6 +123,10 @@ class NDPController:
         self._next_kernel_id = 1
         self._next_instance_id = 1
         self._completion_waiters: dict[int, list[Callable[[float], None]]] = {}
+
+    @property
+    def device(self):
+        return self._device()
 
     # ------------------------------------------------------------------
     # M2func entry points (called by the device's packet path)

@@ -15,7 +15,6 @@ the whole device, sharing the device's own L2/DRAM models.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import replace as _dc_replace
 from functools import partial
@@ -33,7 +32,6 @@ from repro.isa.assembler import KernelProgram
 from repro.mem.dram import DRAMModel
 from repro.mem.cache import SectorCache
 from repro.mem.physical import PhysicalMemory
-from repro.mem.scratchpad import _apply_amo
 from repro.ndp.controller import NDPController, ReadResponse
 from repro.ndp.generator import KernelExecution
 from repro.ndp.subcore import IssueBank
@@ -44,9 +42,6 @@ from repro.sim.stats import StatsRegistry
 
 #: Device-internal fixed overhead on the CXL request path (port + filter).
 DEVICE_PORT_NS = 10.0
-
-_AMO_INT = {4: struct.Struct("<i"), 8: struct.Struct("<q")}
-_AMO_FLT = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
 
 
 class DevicePartition:
@@ -69,10 +64,13 @@ class DevicePartition:
     """
 
     def __init__(self, share, dram: DRAMModel, l2: SectorCache,
-                 private: bool) -> None:
+                 private: bool, coherence: HDMCoherence) -> None:
         self.share = share
         self.dram = dram
         self.l2 = l2
+        self.coherence = coherence
+        self._l2_hit_ns = l2.config.hit_latency_ns
+        self._sector_bytes = l2.config.sector_bytes
         #: owns timing models (and ``partition.<name>.*`` counters) of its
         #: own rather than aliasing the device's
         self.private = private
@@ -82,6 +80,43 @@ class DevicePartition:
         self.num_units = share.num_units
         self.queue: deque = deque()     # KernelInstances waiting to start
         self.running = 0                # started, not yet completed
+
+    def l2_dram_access(self, paddr: int, size: int, now_ns: float,
+                       is_write: bool) -> float:
+        """Timed access through this partition's L2 into its DRAM.
+
+        Reads of lines the host may hold dirty first pay an HDM-DB
+        back-invalidation round trip (Fig 13b); the BI blocks only the
+        requesting µthread, so FGMT hides most of it.  A one-sector
+        access (every NDP unit's) takes the flat path: one
+        :meth:`SectorCache.lookup`, and on a miss the victim's writebacks,
+        then the fill.  A wider one looks up every sector first, then
+        charges all writebacks, then all fills.
+        """
+        l2, dram = self.l2, self.dram
+        if not is_write and self.coherence.dirty_fraction > 0.0:
+            now_ns = self.coherence.access(paddr, size, now_ns)
+        done = now_ns + self._l2_hit_ns
+        sector = self._sector_bytes
+        first = paddr - paddr % sector
+        if paddr + size <= first + sector:
+            victims = l2.lookup(first, is_write)
+            if victims is None:     # the write-back L2 absorbs a hit
+                return done
+            for victim in victims:
+                dram.access(victim, sector, done, True)
+            # every DRAM access ends after it arrives
+            return dram.access(first, sector, done, is_write)
+        result = l2.access(paddr, size, is_write)
+        for wb_addr, wb_size in result.writebacks:
+            dram.access(wb_addr, wb_size, done, is_write=True)
+        completion = done
+        for sector_addr, sector_size in result.missing_sectors:
+            completion = max(
+                completion,
+                dram.access(sector_addr, sector_size, done, is_write),
+            )
+        return completion
 
 
 class M2NDPDevice:
@@ -183,7 +218,7 @@ class M2NDPDevice:
                     self.stats, f"l2.{share.name}",
                     write_allocate=True, write_back=True,
                 )
-            part = DevicePartition(share, dram, l2, private)
+            part = DevicePartition(share, dram, l2, private, self.coherence)
             self.partitions.append(part)
             for u in share.units:
                 self.units[u].partition = part
@@ -207,47 +242,11 @@ class M2NDPDevice:
         """Place kernel code in HDM (we keep the decoded form alongside)."""
         self.code_registry[code_loc] = program
 
-    def global_amo(self, op: str, paddr: int, operand, size: int,
-                   is_float: bool):
-        """Functional atomic read-modify-write on HDM (done at the L2)."""
-        packer = (_AMO_FLT if is_float else _AMO_INT)[size]
-        old = packer.unpack(self.physical.read_bytes(paddr, size))[0]
-        new = _apply_amo(op, old, operand)
-        if not is_float:
-            bits = 8 * size
-            new &= (1 << bits) - 1
-            new -= (1 << bits) if new >= (1 << (bits - 1)) else 0
-        self.physical.write_bytes(paddr, packer.pack(new))
-        self.stats.add("ndp.global_atomics")
-        return old
-
-    def l2_dram_access(self, paddr: int, size: int, now_ns: float,
-                       is_write: bool, partition: DevicePartition) -> float:
-        """Timed access through ``partition``'s L2 into its DRAM.
-
-        Reads of lines the host may hold dirty first pay an HDM-DB
-        back-invalidation round trip (Fig 13b); the BI blocks only the
-        requesting µthread, so FGMT hides most of it.
-        """
-        l2, dram = partition.l2, partition.dram
-        if not is_write and self.coherence.dirty_fraction > 0.0:
-            now_ns = self.coherence.access(paddr, size, now_ns)
-        result = l2.access(paddr, size, is_write)
-        done = now_ns + self.config.l2.hit_latency_ns
-        for wb_addr, wb_size in result.writebacks:
-            dram.access(wb_addr, wb_size, done, is_write=True)
-        completion = done
-        for sector_addr, sector_size in result.missing_sectors:
-            completion = max(
-                completion,
-                dram.access(sector_addr, sector_size, done, is_write),
-            )
-        return completion
-
     def l2_dram_access_batch(self, stream, arrivals_ns,
                              partition: DevicePartition) -> float:
-        """Bulk counterpart of :meth:`l2_dram_access` for a sector stream
-        (a :class:`~repro.mem.cache.SectorStream`, one arrival per access).
+        """Bulk counterpart of :meth:`DevicePartition.l2_dram_access` for a
+        sector stream (a :class:`~repro.mem.cache.SectorStream`, one
+        arrival per access).
 
         One vectorized pass charges HDM back-invalidation (reads of
         host-dirty lines), the memory-side L2 and the banked DRAM for a
@@ -315,8 +314,8 @@ class M2NDPDevice:
                                          arrival + DEVICE_PORT_NS)
         else:
             self.physical.write_bytes(addr, data)
-            self.l2_dram_access(addr, len(data), arrival + DEVICE_PORT_NS,
-                                is_write=True, partition=self.host_partition)
+            self.host_partition.l2_dram_access(
+                addr, len(data), arrival + DEVICE_PORT_NS, is_write=True)
         ack = CXLPacket(PacketType.MEM_WR_ACK, addr, 0)
         return self.link.send_to_host(arrival + DEVICE_PORT_NS, ack)
 
@@ -336,9 +335,8 @@ class M2NDPDevice:
                 self._respond(response.data, response.ready_ns, addr, callback)
             return
         data = self.physical.read_bytes(addr, size)
-        ready = self.l2_dram_access(addr, size, arrival + DEVICE_PORT_NS,
-                                    is_write=False,
-                                    partition=self.host_partition)
+        ready = self.host_partition.l2_dram_access(
+            addr, size, arrival + DEVICE_PORT_NS, is_write=False)
         self._respond(data, ready, addr, callback)
 
     def _defer_read(self, response: ReadResponse, addr: int, size: int,

@@ -65,7 +65,11 @@ class IssueBank:
 
 
 class SubCore:
-    """Issue timing for one NDP sub-core: one row of the device's bank."""
+    """Issue timing for one NDP sub-core: one row of the device's bank.
+
+    :meth:`issue` is the scalar reference; the interpreter's compiled
+    bursts inline its arithmetic over ``_vt``, ``_row`` and ``_cost``.
+    """
 
     def __init__(self, bank: IssueBank, unit: int, index: int) -> None:
         self.period_ns = bank.period_ns
@@ -83,9 +87,8 @@ class SubCore:
         Returns ``(start_ns, exec_done_ns)``: the thread's next instruction
         may issue at ``exec_done_ns`` (in-order, no intra-thread overlap);
         for memory ops the caller adds the memory-system latency on top.
-
-        Hot path, once per simulated instruction; ``bank.flat`` hands out
-        Python floats, so no ``np.float64`` reaches the event queue.
+        ``bank.flat`` hands out Python floats, so no ``np.float64``
+        reaches the event queue.
         """
         vt, cost, row = self._vt, self._cost, self._row
         start = ready_ns

@@ -14,6 +14,7 @@ hashed-placement model.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -35,17 +36,19 @@ class Translation:
 class PageTable:
     """Per-ASID forward page table (vpn -> ppn).
 
-    ``on_change`` (if given) fires whenever an *existing* translation is
-    replaced — the event that can invalidate addresses someone already
-    translated.  Adding a fresh vpn is not a change in that sense,
-    so allocations never fire it; the device uses the callback to version
-    its translations for the execution trace cache.
+    ``on_change`` (if given, a bound method) fires whenever an *existing*
+    translation is replaced — the event that can invalidate addresses
+    someone already translated.  Adding a fresh vpn is not a change in that
+    sense, so allocations never fire it; the device uses the callback to
+    version its translations for the execution trace cache.  The table
+    holds the method weakly, so it never keeps its device alive.
     """
 
     def __init__(self, asid: int, on_change=None) -> None:
         self.asid = asid
         self._map: dict[int, Translation] = {}
-        self._on_change = on_change
+        self._on_change = (None if on_change is None
+                           else weakref.WeakMethod(on_change))
 
     def map_page(self, vpn: int, ppn: int, writable: bool = True) -> None:
         previous = self._map.get(vpn)
@@ -53,7 +56,9 @@ class PageTable:
         if (previous is not None
                 and (previous.ppn != ppn or previous.writable != writable)
                 and self._on_change is not None):
-            self._on_change()
+            callback = self._on_change()
+            if callback is not None:
+                callback()
 
     def map_range(self, vaddr: int, paddr: int, size: int,
                   writable: bool = True) -> None:

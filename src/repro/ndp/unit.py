@@ -17,16 +17,19 @@ I/D TLBs.  It provides two views of memory:
 
 from __future__ import annotations
 
+import struct
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.config import NDPConfig
 from repro.errors import MemoryError_
 from repro.isa.executor import MemAccess
 from repro.mem.cache import SectorCache
-from repro.mem.scratchpad import Scratchpad
+from repro.mem.physical import PhysicalMemory
+from repro.mem.scratchpad import Scratchpad, _apply_amo
 from repro.ndp.occupancy import UnitOccupancy
 from repro.ndp.subcore import SubCore
-from repro.ndp.tlb import ATS_LATENCY_NS, PAGE_SHIFT, TLB
+from repro.ndp.tlb import ATS_LATENCY_NS, PAGE_SHIFT, TLB, PageTable
 from repro.sim.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -38,17 +41,20 @@ CROSSBAR_NS = 2.0
 #: Extra cycle for the L2's atomic ALU on global atomics.
 ATOMIC_OP_NS = 0.5
 
+_AMO_INT = {4: struct.Struct("<i"), 8: struct.Struct("<q")}
+_AMO_FLT = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
+
 
 class UnitMemory:
     """Functional memory view for µthreads of one kernel on one unit."""
 
-    def __init__(self, unit: "NDPUnit", asid: int) -> None:
-        self.unit = unit
+    def __init__(self, physical: PhysicalMemory, page_table: PageTable,
+                 spad: Scratchpad, stats: StatsRegistry, asid: int) -> None:
         self.asid = asid
-        device = unit.device
-        self._physical = device.physical
-        self._page_table = device.page_table(asid)
-        self._spad = unit.scratchpad
+        self._physical = physical
+        self._page_table = page_table
+        self._spad = spad
+        self._stats = stats
 
     def _translate(self, vaddr: int) -> int:
         translation = self._page_table.lookup(vaddr >> PAGE_SHIFT)
@@ -68,9 +74,18 @@ class UnitMemory:
     def amo(self, op: str, vaddr: int, operand, size: int, is_float: bool):
         if self._spad.contains(vaddr):
             return self._spad.amo(op, vaddr, operand, size, is_float)
-        return self.unit.device.global_amo(
-            op, self._translate(vaddr), operand, size, is_float
-        )
+        # a global atomic: read-modify-write on HDM, done at the L2
+        paddr = self._translate(vaddr)
+        packer = (_AMO_FLT if is_float else _AMO_INT)[size]
+        old = packer.unpack(self._physical.read_bytes(paddr, size))[0]
+        new = _apply_amo(op, old, operand)
+        if not is_float:
+            bits = 8 * size
+            new &= (1 << bits) - 1
+            new -= (1 << bits) if new >= (1 << (bits - 1)) else 0
+        self._physical.write_bytes(paddr, packer.pack(new))
+        self._stats.add("ndp.global_atomics")
+        return old
 
 
 class NDPUnit:
@@ -86,7 +101,9 @@ class NDPUnit:
     ) -> None:
         self.index = index
         self.config = config
-        self.device = device
+        # weak: the device owns its units; the hot path reaches L2/DRAM
+        # through ``partition`` and only a DRAM-TLB walk needs the device
+        self._device = weakref.ref(device)
         self.stats = stats
         self.subcores = [SubCore(device.issue_bank, index, s)
                          for s in range(config.subcores_per_unit)]
@@ -123,13 +140,17 @@ class NDPUnit:
         self._spad_base = self.scratchpad.base_vaddr
         self._spad_end = self.scratchpad.base_vaddr + config.scratchpad_bytes
         self._spad_latency = self.scratchpad.latency_ns
+        self._sector_bytes = config.l1d.sector_bytes
 
     # ------------------------------------------------------------------
 
     def memory_for(self, asid: int) -> UnitMemory:
         memory = self._memories.get(asid)
         if memory is None:
-            memory = self._memories[asid] = UnitMemory(self, asid)
+            device = self._device()
+            memory = self._memories[asid] = UnitMemory(
+                device.physical, device.page_table(asid), self.scratchpad,
+                self.stats, asid)
         return memory
 
     # ------------------------------------------------------------------
@@ -142,7 +163,7 @@ class NDPUnit:
         entry = self.dtlb.lookup(asid, vpn)
         ready = now_ns
         if entry is None:
-            device = self.device
+            device = self._device()
             translation, dram_access = device.dram_tlb.lookup(
                 asid, vpn, device.page_table(asid)
             )
@@ -154,57 +175,64 @@ class NDPUnit:
         paddr = (entry.ppn << PAGE_SHIFT) | (vaddr & ((1 << PAGE_SHIFT) - 1))
         return paddr, ready
 
-    def timed_access(self, access: MemAccess, issue_ns: float, asid: int) -> float:
-        """Charge the full memory-system latency of one access."""
-        if self._spad_base <= access.vaddr < self._spad_end:
-            self.stats.add("ndp.spad_traffic_bytes", access.size)
+    def timed_access(self, vaddr: int, size: int, is_write: bool,
+                     is_amo: bool, issue_ns: float, asid: int) -> float:
+        """Charge the full memory-system latency of one access.
+
+        Each sector the access covers is one :meth:`SectorCache.lookup`
+        in the L1 and at most one one-sector
+        :meth:`DevicePartition.l2_dram_access`; a scalar load, store or
+        AMO covers one sector.
+        """
+        if self._spad_base <= vaddr < self._spad_end:
+            self.stats.add("ndp.spad_traffic_bytes", size)
             return issue_ns + self._spad_latency
 
-        paddr, ready = self._translate_timed(access.vaddr, asid, issue_ns)
-        self.stats.add("ndp.global_traffic_bytes", access.size)
+        paddr, ready = self._translate_timed(vaddr, asid, issue_ns)
+        self.stats.add("ndp.global_traffic_bytes", size)
         self.stats.add("ndp.global_accesses")
+        partition = self.partition
 
-        if access.is_amo:
+        if is_amo:
             # Global atomics execute at the memory-side L2 (§III-E/F).
-            return self.device.l2_dram_access(
-                paddr, access.size, ready + CROSSBAR_NS, is_write=True,
-                partition=self.partition,
+            return partition.l2_dram_access(
+                paddr, size, ready + CROSSBAR_NS, is_write=True,
             ) + ATOMIC_OP_NS
 
-        l1_result = self.l1d.access(paddr, access.size, access.is_write)
+        # the L1 is write-through and no-write-allocate: each sector is
+        # its own lookup, then its own L2/DRAM charge on a write or a miss
         l1_done = ready + self._l1_hit_ns
-        if access.is_write:
-            # Write-through, posted: charge L2/DRAM bandwidth in the
-            # background, let the µthread continue after L1 accepts it.
-            for sector_addr, sector_size in l1_result.missing_sectors:
-                self.device.l2_dram_access(
-                    sector_addr, sector_size, l1_done + CROSSBAR_NS,
-                    is_write=True, partition=self.partition,
-                )
-            return l1_done
-
-        if l1_result.full_hit:
-            return l1_done
+        l1d = self.l1d
+        sector = self._sector_bytes
+        first = paddr - paddr % sector
         completion = l1_done
-        for sector_addr, sector_size in l1_result.missing_sectors:
-            done = self.device.l2_dram_access(
-                sector_addr, sector_size, l1_done + CROSSBAR_NS,
-                is_write=False, partition=self.partition,
-            )
-            completion = max(completion, done + CROSSBAR_NS)
+        for sector_addr in range(first, paddr + max(size, 1), sector):
+            hit = l1d.lookup(sector_addr, is_write) is None
+            if is_write:
+                # posted: the write charges L2/DRAM bandwidth in the
+                # background; the µthread continues once the L1 accepts it
+                partition.l2_dram_access(sector_addr, sector,
+                                         l1_done + CROSSBAR_NS, is_write=True)
+            elif not hit:
+                done = partition.l2_dram_access(
+                    sector_addr, sector, l1_done + CROSSBAR_NS,
+                    is_write=False,
+                ) + CROSSBAR_NS
+                if done > completion:
+                    completion = done
         return completion
 
     def timed_accesses(self, accesses: tuple[MemAccess, ...], issue_ns: float,
                        asid: int) -> float:
         """A µthread's memory instruction completes when all its element
         accesses complete (vector gathers issue one per element)."""
-        if len(accesses) == 1:
-            return self.timed_access(accesses[0], issue_ns, asid)
         completion = issue_ns
         element_issue = issue_ns
         for access in accesses:
             # the VLSU issues element accesses back to back
-            done = self.timed_access(access, element_issue, asid)
+            done = self.timed_access(access.vaddr, access.size,
+                                     access.is_write, access.is_amo,
+                                     element_issue, asid)
             if done > completion:
                 completion = done
             element_issue += self._period_ns

@@ -65,10 +65,8 @@ class AdmissionController:
 
     def configure(self, tenant: str, rate_limit_rps: float = 0.0,
                   burst: float = 32.0, max_queue_depth: int = 0) -> None:
-        if rate_limit_rps < 0 or max_queue_depth < 0:
-            raise ConfigError(
-                f"tenant {tenant!r}: rate limit and queue depth must be >= 0"
-            )
+        """Gate ``tenant``; 0 disables a gate.  The limits are a
+        :class:`~repro.serve.tenant.TenantSpec`'s, checked there."""
         if rate_limit_rps > 0:
             self._buckets[tenant] = TokenBucket(
                 rate_per_ns=rate_limit_rps * 1e-9, burst=burst

@@ -105,6 +105,15 @@ class TestGPUDevice:
         internal_ns = run_kernel(internal, spec)
         assert base_ns > internal_ns
 
+    @pytest.mark.parametrize("ltu_ns, read_ns", [
+        (150.0, 95.375), (300.0, 245.375), (600.0, 545.375)])
+    def test_load_to_use_is_charged_once(self, ltu_ns, read_ns):
+        # SystemConfig.with_ltu lengthens the link's round trip; the GPU's
+        # memory path adds nothing on top: each 150 ns of LtU is 150 ns
+        gpu = make_gpu_baseline(Simulator(), SystemConfig().with_ltu(ltu_ns))
+        assert gpu.memsys.access(0.0, 1, is_write=False) == \
+            pytest.approx(read_ns, abs=1e-9)
+
     def test_mlp_speeds_up_streaming(self):
         def spec_with_mlp(mlp):
             def profile(_):

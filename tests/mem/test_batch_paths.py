@@ -225,8 +225,8 @@ class TestSectorCacheBatch:
         assert s1.counters("l2") == s2.counters("l2")
         # sector 9 of line 4 is resident on both, sector 15 is not
         for cache in (c1, c2):
-            assert cache.access(4 * 512 + 9 * 32, 32, False).full_hit
-            assert not cache.access(4 * 512 + 15 * 32, 32, False).full_hit
+            assert not cache.access(4 * 512 + 9 * 32, 32, False).missing_sectors
+            assert cache.access(4 * 512 + 15 * 32, 32, False).missing_sectors
 
 
 class TestDRAMBatch:
@@ -357,13 +357,13 @@ class TestManyQueuesOnePass:
                 continue
             for a, t, w in zip(addrs.tolist(), arrivals.tolist(),
                                writes.tolist()):
-                coords = model.layout.coordinates(a)
+                channel, bank, _row = model.layout.coordinates(a)
                 bus = BandwidthServer(cfg.channel_bw_bytes_per_ns)
-                bus.transfer(float(model._bus_busy_until[coords.channel]), 0)
+                bus.transfer(float(model._bus_busy_until[channel]), 0)
                 finish = model.access(a, 32, t, w)
-                bank = coords.channel * cfg.banks_per_channel + coords.bank
+                bank += channel * cfg.banks_per_channel
                 assert bus.transfer(float(model._ready_ns[bank]), 32) == finish
-                assert model._bus_busy_until[coords.channel] \
+                assert model._bus_busy_until[channel] \
                     == bus.occupancy_end()
         assert len(passes) == 6
 

@@ -19,22 +19,22 @@ class TestBasics:
     def test_first_read_misses_then_hits(self):
         cache = small_cache()
         miss = cache.access(0x100, 32, is_write=False)
-        assert not miss.full_hit
+        assert miss.missing_sectors
         hit = cache.access(0x100, 32, is_write=False)
-        assert hit.full_hit
+        assert not hit.missing_sectors
 
     def test_sector_granularity(self):
         cache = small_cache()
         cache.access(0x100, 32, is_write=False)
         # a different sector of the same line still misses
         result = cache.access(0x120, 32, is_write=False)
-        assert not result.full_hit
+        assert result.missing_sectors
 
     def test_multi_sector_access(self):
         cache = small_cache()
         result = cache.access(0x100, 128, is_write=False)
         assert len(result.missing_sectors) == 4
-        assert cache.access(0x100, 128, is_write=False).full_hit
+        assert not cache.access(0x100, 128, is_write=False).missing_sectors
 
     def test_unaligned_access_touches_both_sectors(self):
         cache = small_cache()
@@ -51,8 +51,8 @@ class TestBasics:
         cache.access(b, 32, is_write=False)
         cache.access(a, 32, is_write=False)      # touch a; b becomes LRU
         cache.access(c, 32, is_write=False)      # evicts b
-        assert cache.access(a, 32, is_write=False).full_hit
-        assert not cache.access(b, 32, is_write=False).full_hit
+        assert not cache.access(a, 32, is_write=False).missing_sectors
+        assert cache.access(b, 32, is_write=False).missing_sectors
 
 
 class TestWritePolicies:
@@ -125,7 +125,7 @@ class TestAccounting:
         cache = small_cache()
         for addr in addresses:
             cache.access(addr, 32, is_write=False)
-            assert cache.access(addr, 32, is_write=False).full_hit
+            assert not cache.access(addr, 32, is_write=False).missing_sectors
 
 
 class TestConfigValidation:

@@ -34,12 +34,12 @@ class TestBasicTiming:
 
     def test_conflict_slower_than_hit(self, dram):
         layout = dram.layout
-        base = layout.coordinates(0)
+        channel, bank, row = layout.coordinates(0)
         # find an address in the same channel+bank but a different row
         conflict_addr = None
         for addr in range(256, 1 << 24, 256):
             c = layout.coordinates(addr)
-            if (c.channel, c.bank) == (base.channel, base.bank) and c.row != base.row:
+            if c[:2] == (channel, bank) and c[2] != row:
                 conflict_addr = addr
                 break
         assert conflict_addr is not None
@@ -75,7 +75,7 @@ class TestBandwidth:
         same_bank = [0]
         for addr in range(256, 1 << 26, 256):
             c = layout.coordinates(addr)
-            if (c.channel, c.bank) == (base.channel, base.bank):
+            if c[:2] == base[:2]:
                 same_bank.append(addr)
             if len(same_bank) >= 64:
                 break
@@ -116,13 +116,13 @@ class TestLayout:
 
     def test_channels_spread(self):
         layout = AddressLayout(lpddr5_cxl_dram())
-        channels = {layout.coordinates(i * 256).channel for i in range(256)}
+        channels = {layout.coordinates(i * 256)[0] for i in range(256)}
         assert len(channels) == layout.config.channels
 
     def test_strided_pattern_spreads(self):
         """Hashed interleaving avoids channel camping on 8 KB strides."""
         layout = AddressLayout(lpddr5_cxl_dram())
-        channels = [layout.coordinates(i * 8192).channel for i in range(64)]
+        channels = [layout.coordinates(i * 8192)[0] for i in range(64)]
         assert len(set(channels)) > 8
 
     def test_split_by_access_covers_range(self):

@@ -56,8 +56,3 @@ class TestAdmissionController:
         controller.configure("t", rate_limit_rps=1e6, burst=1.0)
         assert controller.admit("t", 0.0, queue_depth=0) == ADMIT
         assert controller.admit("t", 0.0, queue_depth=0) == SHED_RATE_LIMIT
-
-    def test_negative_limits_rejected(self):
-        controller = AdmissionController()
-        with pytest.raises(ConfigError):
-            controller.configure("t", rate_limit_rps=-1.0)

@@ -21,6 +21,7 @@ from repro.config import (
     DRAMTiming,
     GPUConfig,
     NDPConfig,
+    gpu_ndp_config,
 )
 from repro.errors import FLAG, ConfigError, Domain, check
 from repro.faults.plan import FaultEvent
@@ -107,6 +108,14 @@ PROBES = [
     (lambda v: _monitor(fast_window_ns=v), "fast_window_ns", NAN),
     (lambda v: FlightRecorder(v), "capacity", True),
     (lambda v: FlightRecorder(v), "capacity", 1.5),
+    # the serving engine configures admission from these limits alone
+    (lambda v: TenantSpec("t", "vecadd", rate_limit_rps=v),
+     "rate_limit_rps", -1.0),
+    (lambda v: TenantSpec("t", "vecadd", max_queue_depth=v),
+     "max_queue_depth", -1),
+    (lambda v: gpu_ndp_config(v), "num_sms", NAN),
+    (lambda v: gpu_ndp_config(v), "num_sms", INF),
+    (lambda v: gpu_ndp_config(v), "num_sms", True),
 ]
 
 

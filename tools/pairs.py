@@ -4,17 +4,17 @@
     python3 tools/pairs.py --parent ../parent --workload kv_mixed_serve
 runs `python3 bench/run.py --workload W --seconds 20 --trace 0 --seed S` in
 the parent tree and in this one, alternating which goes first, and prints
-each side's `units_per_wall_s` readings, median and quartiles, the pairs the
-change won and the ROADMAP rule for a claimed gain: >= 10 pairs, >= 9/10 won,
-medians apart by more than the parent's quartile distance, `sim_digest_pass1`
-equal on every reading (when they differ, each side's distinct digests follow
-the verdict).  What a gain may have been bought with is read from
-the same runs: each side's median `setup_s` and `peak_rss_mb`, and whether the
-change's is inside the `BENCHMARK.json` bound.  Both trees are byte-compiled
-first, so neither side's `setup_s` pays for stale or missing `.pyc` files.
-Exit 1 on unequal digests or a failed run, else 0 (a gain not shown, or a
-cost over its bound, is a verdict, not an error).  `--quick`: CI self-test
-size.
+one verdict per end-to-end metric of `BENCHMARK.json`, in the direction its
+`better` names: each side's readings, median and quartiles, the pairs the
+change won, and the ROADMAP rule for a claimed gain (>= 10 pairs, >= 9/10
+won, medians apart by more than the parent's quartile distance,
+`sim_digest_pass1` equal on every reading): "holds" or "not shown".  Each
+verdict also says whether the change's median is inside the metric's bound
+of the parent's.  When the digests differ, each side's distinct digests
+follow.  Both trees are byte-compiled first, so neither side's `setup_s`
+pays for stale or missing `.pyc` files.  Exit 1 on unequal digests or a
+failed run, else 0 (a gain not shown, or a cost over its bound, is a
+verdict, not an error).  `--quick`: CI self-test size.
 """
 import argparse
 import json
@@ -26,8 +26,10 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-RATE = "units_per_wall_s"
-COSTS = ("setup_s", "peak_rss_mb")      # lower is better, bounded
+#: name -> (better, bound) of every end-to-end metric
+METRICS = {metric["name"]: (metric["better"], metric["bound"])
+           for metric in json.loads(
+               (HERE / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def compile_tree(tree: Path) -> None:
@@ -51,8 +53,36 @@ def reading(tree: Path, args, out: Path) -> tuple[dict[str, float], str]:
     if line["failed"]:
         sys.exit(f"{line['failed']} failed operations in {tree}")
     entry = json.loads(out.read_text())["workloads"][args.workload]
-    return ({name: line["metrics"][name]["value"] for name in (RATE, *COSTS)},
+    return ({name: line["metrics"][name]["value"] for name in METRICS},
             entry["sim_digest_pass1"])
+
+
+def verdict(name: str, readings: dict, same: bool, pairs: int) -> str:
+    """One metric's line: medians, quartiles, wins, gain and bound."""
+    better, bound = METRICS[name]
+    sign = 1 if better == "higher" else -1
+    values = {side: [metrics[name] for metrics in taken]
+              for side, taken in readings.items()}
+    quartiles = {side: (statistics.quantiles(series, n=4, method="inclusive")
+                        if pairs > 1 else series * 3)
+                 for side, series in values.items()}
+    (p_q1, p_median, p_q3), (_, c_median, _) = (quartiles["parent"],
+                                                quartiles["change"])
+    wins = sum(sign * (c - p) > 0
+               for p, c in zip(values["parent"], values["change"]))
+    gain = (same and pairs >= 10 and wins >= 0.9 * pairs
+            and sign * (c_median - p_median) > p_q3 - p_q1)
+    ratio = c_median / p_median if p_median else float("nan")
+    inside = sign * (c_median - p_median) >= -bound * abs(p_median)
+    sides = "\n".join(
+        f"  {side}: median {quartiles[side][1]:.4g}  q1-q3 "
+        f"{quartiles[side][0]:.4g}-{quartiles[side][2]:.4g}  "
+        + " ".join(f"{value:.4g}" for value in values[side])
+        for side in ("parent", "change"))
+    return (f"{name} ({better} is better)\n{sides}\n"
+            f"  wins {wins}/{pairs}  ratio {ratio:.3f}x  "
+            f"gain {'holds' if gain else 'not shown'}  "
+            f"bound {bound:.1%}: {'inside' if inside else 'OVER'}")
 
 
 def main() -> int:
@@ -76,38 +106,19 @@ def main() -> int:
                                           Path(scratch, f"{side}.json"))
                 readings[side].append(metrics)
                 digests[side].add(digest)
-            print(f"pair {pair + 1}: parent {readings['parent'][-1][RATE]:.4g}"
-                  f"  change {readings['change'][-1][RATE]:.4g}", flush=True)
-    rates = {side: [metrics[RATE] for metrics in taken]
-             for side, taken in readings.items()}
-    quartiles = {side: (statistics.quantiles(values, n=4, method="inclusive")
-                        if args.pairs > 1 else values * 3)
-                 for side, values in rates.items()}
-    for side, (q1, median, q3) in quartiles.items():
-        print(f"{side}: median {median:.4g}  q1-q3 {q1:.4g}-{q3:.4g}  "
-              + " ".join(f"{rate:.4g}" for rate in rates[side]))
-    wins = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
-    (p_q1, p_median, p_q3), (_, c_median, _) = quartiles.values()
+            print(f"pair {pair + 1}: " + "  ".join(
+                f"{name} {readings['parent'][-1][name]:.4g} -> "
+                f"{readings['change'][-1][name]:.4g}" for name in METRICS),
+                flush=True)
     same = len(set.union(*digests.values())) == 1
-    gain = (same and args.pairs >= 10 and wins >= 0.9 * args.pairs
-            and c_median - p_median > p_q3 - p_q1)
-    print(f"wins {wins}/{args.pairs}  ratio {c_median / p_median:.2f}x  "
-          f"digests {'equal' if same else 'DIFFER'}  "
-          f"gain {'holds' if gain else 'not shown'}")
+    print(f"digests {'equal' if same else 'DIFFER'}")
+    for name in METRICS:
+        print(verdict(name, readings, same, args.pairs))
     if not same:
         # one digest per side: the change moved the sim deterministically;
         # more than one on a side: that side does not reproduce
         for side, seen in digests.items():
             print(f"{side} sim_digest_pass1: {' '.join(sorted(seen))}")
-    bounds = {metric["name"]: metric["bound"] for metric in json.loads(
-        (HERE / "BENCHMARK.json").read_text())["end_to_end"]}
-    for name in COSTS:
-        parent, change = (statistics.median(m[name] for m in readings[side])
-                          for side in ("parent", "change"))
-        inside = change <= parent * (1 + bounds[name])
-        print(f"{name}: parent {parent:.4g}  change {change:.4g}  "
-              f"{change / parent - 1:+.1%} (bound +{bounds[name]:.0%}: "
-              f"{'inside' if inside else 'OVER'})")
     return 0 if same else 1
 
 

@@ -75,6 +75,7 @@ KEEP = {
         "isa: the memory every AMO mnemonic runs against",
     "isa/executor.py:_int_div": "isa: div",
     "isa/executor.py:_int_rem": "isa: rem",
+    "isa/executor.py:_fsqrt": "isa: fsqrt.d",
     "isa/executor.py:_bind_vgather": "isa: indexed vector loads",
     "isa/executor.py:_bind_vscatter": "isa: indexed vector stores",
     "isa/executor.py:_plain": "isa: fence",
@@ -99,6 +100,11 @@ KEEP = {
         "reference: the state test_issue_bank.py compares IssueBank to",
     "sim/engine.py:BandwidthServer.occupancy_end":
         "reference: the state test_batch_paths.py compares the buses to",
+    "mem/cache.py:SectorCache.access":
+        "reference: of access_batch in tests/mem/test_batch_paths.py",
+    "ndp/subcore.py:SubCore.issue":
+        "reference: of the interpreter's compiled bursts "
+        "(tests/exec/test_interpreter_bursts.py)",
     "mem/cache.py:SectorCache.resident_lines":
         "reference: the state test_batch_paths.py compares scalar and "
         "batch caches on",
