@@ -47,7 +47,10 @@ class Scratchpad:
         self._bytes = f"{stats_prefix}.bytes"
         #: the bytes: ``row`` of the device's ``[num_units, size_bytes]``
         #: array (bulk access goes there, see :func:`write_rows`), else a
-        #: row of its own; ``np.zeros`` pages materialize on first write
+        #: row of its own.  ``np.zeros`` pages materialize on first write:
+        #: 4 KiB ones, but from 4 MiB up numpy asks for transparent huge
+        #: pages and one write materializes 2 MiB (the device's array is
+        #: an anonymous mapping that refuses them)
         self._data = memoryview(
             row if row is not None else np.zeros(size_bytes, np.uint8))
 

@@ -15,6 +15,7 @@ the whole device, sharing the device's own L2/DRAM models.
 
 from __future__ import annotations
 
+import mmap
 from collections import deque
 from dataclasses import replace as _dc_replace
 from functools import partial
@@ -161,10 +162,18 @@ class M2NDPDevice:
         self.controller = NDPController(self, queue_capacity=queue_capacity)
         #: issue-stage virtual times of every unit's sub-cores, one array
         self.issue_bank = IssueBank(self.config.ndp)
-        #: every unit's scratchpad bytes, one row each
-        self.scratchpads = np.zeros(
-            (self.config.ndp.num_units, self.config.ndp.scratchpad_bytes),
-            dtype=np.uint8)
+        #: every unit's scratchpad bytes, one row each.  An anonymous
+        #: mapping, not ``np.zeros``: numpy advises allocations of 4 MiB
+        #: or more ``MADV_HUGEPAGE``, so under transparent huge pages a
+        #: launch's few argument bytes per row would make 2 MiB pages
+        #: resident.  Here only the 4 KiB pages a launch writes are.
+        units = self.config.ndp.num_units
+        row_bytes = self.config.ndp.scratchpad_bytes
+        spad_map = mmap.mmap(-1, units * row_bytes)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            spad_map.madvise(mmap.MADV_NOHUGEPAGE)
+        self.scratchpads = np.frombuffer(spad_map, np.uint8).reshape(
+            units, row_bytes)
         self.units = [
             NDPUnit(i, self.config.ndp, self, self.stats, spawn_granularity)
             for i in range(self.config.ndp.num_units)

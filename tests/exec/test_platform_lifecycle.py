@@ -3,16 +3,19 @@
 The device owns its units, controller, backend and page tables; none of
 them points back at it strongly, and a fallback keeps no traceback.  So
 with the cyclic collector off, deleting the platform after a launch on
-any engine route frees the device, and a kernel sweep holds one platform
-at a time.
+any engine route frees the device and its scratchpad mapping, and a
+kernel sweep holds one platform at a time.  A cluster platform frees
+every one of its devices the same way.
 """
 
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.cluster import make_cluster_platform
 from repro.host.api import pack_args
 from repro.host.offload import make_offload_path
 from repro.kernels.vecadd import VECADD
@@ -43,27 +46,35 @@ def _sssp(platform):
     assert graph.run_ndp_sssp(platform, graph.generate(256, 8, salt=2)).correct
 
 
-#: route -> (backend, the launch, the counter that shows the route ran)
+#: route -> (the platform, the launch, the counter that shows the route ran)
 ROUTES = {
-    "uniform_walk": ("batched", _vecadd, "exec.batched_launches"),
-    "masked_walk": ("batched", _histogram, "exec.simt_launches"),
-    "point_engine": ("batched", _kv_get, "exec.point_launches"),
-    "interpreter": ("interpreter", _vecadd, "ndp.uthreads_finished"),
-    "raw_fallback": ("batched", _sssp, "exec.fallback_reason.raw"),
+    "uniform_walk": (make_platform, _vecadd, "exec.batched_launches"),
+    "masked_walk": (make_platform, _histogram, "exec.simt_launches"),
+    "point_engine": (make_platform, _kv_get, "exec.point_launches"),
+    "interpreter": (partial(make_platform, backend="interpreter"), _vecadd,
+                    "ndp.uthreads_finished"),
+    "raw_fallback": (make_platform, _sssp, "exec.fallback_reason.raw"),
+    "cluster": (partial(make_cluster_platform, 4), _vecadd,
+                "exec.batched_launches"),
 }
+
+
+def _devices(platform):
+    return getattr(platform, "devices", [platform.device])
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_dropped_platform_is_freed_without_a_collection(route):
-    backend, launch, counter = ROUTES[route]
+    build, launch, counter = ROUTES[route]
     gc.collect()
     gc.disable()
     try:
-        platform = make_platform(backend=backend)
+        platform = build()
         launch(platform)
         assert platform.stats.get(counter) >= 1
-        device = weakref.ref(platform.device)
+        refs = [weakref.ref(obj) for device in _devices(platform)
+                for obj in (device, device.scratchpads)]
         del platform
-        assert device() is None
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
