@@ -1,4 +1,4 @@
-"""Point-launch engine: taint-traced walk + verified symbolic replay.
+"""Point-launch engine: taint-traced walk + symbolic replay.
 
 Tiny launches (n <= the device's lane width, one µthread per unit) are
 the M2NDP serving case the paper optimizes for — millions of KVS GETs,
@@ -8,16 +8,25 @@ fresh register files) costs orders of magnitude more than the handful of
 instructions the kernel runs.  This module executes such launches as a
 plain synchronous per-lane walk (stepping through the scalar executor's
 :func:`repro.isa.executor.decode`, committing memory immediately like
-the interpreter) while *taint-tracing* every value it computes:
+the interpreter) while *taint-tracing* the integer and vector registers:
 
 * plain ``int``  — a value reproducible from the kernel code alone;
 * ``('lin', const, bases)`` — an affine expression over the launch bases
   ``x1`` (mapped address), ``x2`` (offset), ``x3`` (argument block) and
-  earlier load results ``('ld', k)``;
-* ``('mix', ks)`` — reproducible given the exact bytes of loads ``ks``
-  (promoted to *verified* loads when consumed);
-* ``None`` — unreproducible; the lane's trace is abandoned (the walk
-  still runs to completion, it just isn't cached).
+  earlier load results ``('ld', k)``, kept through ``add``/``sub``/
+  ``addi``/``slli``/``neg``/``mv``/``li``/``lui``;
+* ``None`` — the result of any other integer op: the lane stays
+  cacheable until an address, a stored value or a branch reads it;
+* a vector register is a constant or the untouched bytes of one vector
+  load ``('vld', k)``, which a vector store of the same size passes
+  through.
+
+A floating-point op, load or store, a vector-ALU op, a ``vsetvli`` whose
+AVL is not a code constant, and every op class without a recorder (AMOs,
+gathers/scatters, reductions) make the lane uncacheable: it still runs
+to completion, it just walks again on every launch.  No loaded bytes are
+verified at replay: a recorded load only feeds affine addresses, stored
+values and guards, all re-resolved from the live bytes.
 
 The recorded path — memory events with symbolic address/value specs,
 plus **relational branch guards** ``('br', mnem, a, b, taken)`` — is
@@ -30,8 +39,7 @@ one linear pass per lane, no per-path retry loop.  Replay runs in two
 phases.  Phase A is **compiled**: :func:`compile_family` walks the trie
 once and emits one straight-line Python function per family — an access
 is a literal line, a guard a nested ``if`` whose unrecorded outcome
-raises, verified bytes are compared against constants bound by
-reference, a read behind the path's own stores is forwarded from them —
+raises, a read behind the path's own stores is forwarded from them —
 that resolves every spec against the **live** launch (its
 ``x1``/``x2``/``x3``, its argument block, current memory contents) and
 mutates nothing.  Any change to a leaf drops the function
@@ -39,10 +47,10 @@ mutates nothing.  Any change to a leaf drops the function
 ``print(family.source)`` shows the text.  Phase B commits the stores
 and charges timing.  Reaching a guard outcome with no recorded
 subtree means the live launch takes a path never walked before — the
-replay aborts cleanly and a fresh walk records it into the trie; a
-verified-byte mismatch means the recorded data went stale — the family
-is invalidated and retraced (:class:`~repro.exec.trace_cache.StaleTrace`).
-Either way results are byte-identical to the interpreter by construction.
+replay aborts cleanly and a fresh walk records it into the trie.  A
+family is dropped only when the device's translation version changes
+or a new path conflicts with its trie.  Either way results are
+byte-identical to the interpreter by construction.
 
 Because guards are relational (``bne x10, x5`` replays as "are the live
 node-key bytes equal to the live argument-key bytes?"), one cached GET
@@ -80,11 +88,8 @@ from repro.isa.executor import (
     BRANCH_OPS,
     SIGNED64,
     UNSIGNED64,
-    _V_FP_COMPARES,
-    _V_FP_SCALAR,
-    _V_INT_COMPARES,
-    _V_INT_SCALAR,
     FP_LOADS,
+    FP_STORES,
     LOAD_SIGNED,
     MemAccess,
     decode,
@@ -100,10 +105,9 @@ from repro.errors import TranslationFault
 from repro.ndp.generator import SPAWN_LATENCY_NS
 from repro.ndp.subcore import ISSUE_COLUMNS
 from repro.exec.simt import LaunchTail
-from repro.exec.trace_cache import PointPathEntry, StaleTrace, point_key
+from repro.exec.trace_cache import PointPathEntry, point_key
 
-#: Sentinels for reproducible-constant float / vector taints.
-_FCONST = "fc"
+#: Sentinel for a vector register reproducible from the kernel code.
 _VCONST = "vc"
 
 #: Every Nth successful replay of a path re-charges its memory events
@@ -125,10 +129,6 @@ class _PathMismatch(Exception):
 # ('lin', const, bases) with bases a tuple of (token, coef); tokens are
 # 'x1' / 'x2' / 'x3' (live launch registers) or ('ld', k) (load event k,
 # resolved from its replayed bytes).  A plain int is the degenerate lin.
-
-
-def _is_lin(t) -> bool:
-    return isinstance(t, int) or (isinstance(t, tuple) and t[0] == "lin")
 
 
 def _lin_parts(t):
@@ -156,16 +156,6 @@ def _lin_scale(a, factor: int):
     const, bases = _lin_parts(a)
     return _mk_lin(const * factor,
                    {tok: c * factor for tok, c in bases.items()})
-
-
-def _lin_ld_only(t):
-    """The load set of a lin over load bases only; None if x-based."""
-    if isinstance(t, int):
-        return frozenset()
-    for tok, _ in t[2]:
-        if not isinstance(tok, tuple):
-            return None
-    return frozenset(tok[1] for tok, _ in t[2])
 
 
 # ---------------------------------------------------------------------------
@@ -201,104 +191,42 @@ class _RecordingMemory:
 
 
 class _Taint:
-    """Per-lane symbolic state mirroring the architectural registers."""
+    """Per-lane symbolic state mirroring the x and v registers."""
 
-    __slots__ = ("x", "f", "v", "loads", "steps", "cycles", "ok")
+    __slots__ = ("x", "v", "loads", "steps", "ok")
 
     def __init__(self) -> None:
         self.x = [0] * 32
         self.x[1] = _mk_lin(0, {"x1": 1})
         self.x[2] = _mk_lin(0, {"x2": 1})
         self.x[3] = _mk_lin(0, {"x3": 1})
-        self.f = [_FCONST] * 32
         self.v = [_VCONST] * 32
-        #: per load event: [size, signed, bytes, verify]
-        self.loads: list[list] = []
+        #: byte size of each load event so far
+        self.loads: list[int] = []
         self.steps: list[tuple] = []
-        self.cycles = 0
         self.ok = True
 
-    # -- taint source readers (promote-on-consume helpers) --------------
+    def addr_spec(self, rs1: int, imm: int, live_addr: int):
+        """Spec of a memory access's address, or None if unreproducible."""
+        t = self.x[rs1]
+        if isinstance(t, tuple):
+            return _lin_add(t, imm)
+        return None if t is None else live_addr
 
-    def _x_mix(self, idx: int):
-        """Load set making x[idx] reproducible; None if impossible."""
-        t = self.x[idx]
-        if t is None:
-            return None
-        if _is_lin(t):
-            return _lin_ld_only(t)
-        return t[1]                      # ('mix', ks)
+    def load(self, pre: int, addr, size: int, signed: bool) -> int:
+        """Record one load event; returns its index ``k``."""
+        k = len(self.loads)
+        self.loads.append(size)
+        self.steps.append(("mem", pre, (("ld", addr, size, k, signed),)))
+        return k
 
-    def _f_mix(self, idx: int):
-        t = self.f[idx]
-        if t is _FCONST:
-            return frozenset()
-        return t                         # frozenset | None
-
-    def _v_mix(self, idx: int):
-        t = self.v[idx]
-        if t is _VCONST:
-            return frozenset()
-        if isinstance(t, tuple):         # ('vld', k)
-            return frozenset((t[1],))
-        return t                         # frozenset | None
-
-    def promote(self, ks) -> None:
-        for k in ks:
-            self.loads[k][3] = True
-
-    # -- consumption specs ----------------------------------------------
-
-    def value_spec(self, taint, raw: bytes):
-        """Spec reproducing a store's bytes, or None if impossible."""
-        if taint is None:
-            return None
-        if isinstance(taint, int) or taint is _FCONST or taint is _VCONST:
-            return ("lit", raw)
-        if _is_lin(taint):
-            # any lin, over loads or launch registers, resolves live
-            return ("expr", taint, len(raw))
-        ks = taint[1] if not isinstance(taint, frozenset) else taint
-        if ks is None:
-            return None
-        self.promote(ks)
-        return ("lit", raw)
-
-    def addr_spec(self, taint, live_addr: int):
-        if taint is None:
-            return None
-        if isinstance(taint, int):
-            return live_addr
-        if _is_lin(taint):
-            return taint
-        ks = taint[1] if isinstance(taint, tuple) else taint
-        if ks is None:
-            return None
-        self.promote(ks)
-        return live_addr
-
-    def guard_spec(self, idx: int, live_value: int):
-        """Operand spec for a branch guard, or _FAIL sentinel (None)."""
-        t = self.x[idx]
-        if t is None:
-            return None
-        if isinstance(t, int):
-            return ("lit", live_value)
-        if _is_lin(t):
-            return ("expr", t)
-        ks = t[1]
-        self.promote(ks)
-        return ("lit", live_value)
+    def store(self, pre: int, addr, size: int, value) -> None:
+        self.steps.append(("mem", pre, (("st", addr, size, value),)))
 
 
-def _mix_result(sets):
-    """Union load sets; None if any input is unreproducible."""
-    out = set()
-    for s in sets:
-        if s is None:
-            return None
-        out |= s
-    return frozenset(out)
+def _operand(taint, live: int) -> tuple:
+    """A guard operand: the live value of a code constant, else its lin."""
+    return ("lit", live) if isinstance(taint, int) else ("expr", taint)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +272,9 @@ class _LaneWalk:
             mem.events.clear()
             result = run(regs, mem)
             if taint.ok:
-                if not self._record(instructions[pc], result, cyc):
+                inst = instructions[pc]
+                handler = _RECORDERS.get(inst.op_class)
+                if handler is None or not handler(self, inst, result, cyc):
                     taint.ok = False
             if result.accesses:
                 t += cyc * period
@@ -359,7 +289,7 @@ class _LaneWalk:
         t += cyc * period
         entry = None
         if taint.ok:
-            steps = self._freeze_steps()
+            steps = taint.steps
             mem_steps = sum(1 for s in steps if s[0] == "mem")
             if mem_steps == len(self.lat):
                 entry = PointPathEntry(
@@ -373,206 +303,89 @@ class _LaneWalk:
                 )
         return t, entry
 
-    # -- recording ------------------------------------------------------
-
-    def _freeze_steps(self) -> list:
-        """Attach verify bytes to load records once promotion settled."""
-        taint = self.taint
-        frozen = []
-        for step in taint.steps:
-            if step[0] != "mem":
-                frozen.append(step)
-                continue
-            accesses = []
-            for access in step[2]:
-                if access[0] == "ld":
-                    _, addr, size, k, signed = access
-                    info = taint.loads[k]
-                    verify = info[2] if info[3] else None
-                    accesses.append(("ld", addr, size, k, signed, verify))
-                else:
-                    accesses.append(access)
-            frozen.append(("mem", step[1], tuple(accesses)))
-        return frozen
-
-    def _record(self, inst, result, pre_cycles: int) -> bool:
-        """Update taint for one executed instruction; False = uncacheable."""
-        op = inst.op_class
-        handler = _RECORDERS.get(op)
-        if handler is None:
-            return False
-        return handler(self, inst, result, pre_cycles)
-
 
 # -- per-opclass taint recorders (module functions for dispatch speed) ---
-
-
-def _set_x(taint, rd, value):
-    if rd:
-        taint.x[rd] = value
+#
+# Each returns False to make the lane uncacheable.
 
 
 def _rec_alu(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    regs = walk.regs
     m = inst.mnemonic
-    x = taint.x
-    if m == "add" or m == "sub":
-        a, b = x[inst.rs1], x[inst.rs2]
-        if _is_lin(a) and _is_lin(b):
-            _set_x(taint, inst.rd, _lin_add(a, b, -1 if m == "sub" else 1))
-            return True
-        return _rec_nl_x(taint, regs, inst.rd,
-                         (taint._x_mix(inst.rs1), taint._x_mix(inst.rs2)))
-    if m == "addi":
-        a = x[inst.rs1]
-        if _is_lin(a):
-            _set_x(taint, inst.rd, _lin_add(a, inst.imm))
-            return True
-        return _rec_nl_x(taint, regs, inst.rd, (taint._x_mix(inst.rs1),))
-    if m == "slli":
-        a = x[inst.rs1]
-        if _is_lin(a):
-            _set_x(taint, inst.rd, _lin_scale(a, 1 << (inst.imm & 63)))
-            return True
-        return _rec_nl_x(taint, regs, inst.rd, (taint._x_mix(inst.rs1),))
-    if m == "mv":
-        _set_x(taint, inst.rd, x[inst.rs1])
-        return True
-    if m == "neg":
-        a = x[inst.rs1]
-        if _is_lin(a):
-            _set_x(taint, inst.rd, _lin_scale(a, -1))
-            return True
-        return _rec_nl_x(taint, regs, inst.rd, (taint._x_mix(inst.rs1),))
+    if m[0] == "f":                      # every scalar FP mnemonic
+        return False
+    x = walk.taint.x
     if m in ("li", "lui"):
-        _set_x(taint, inst.rd, int(regs.x[inst.rd]))
-        return True
-    # remaining scalar ALU forms: classify sources by bank
-    x_dest = True
-    srcs = []
-    if m in ("and", "or", "xor", "sll", "srl", "sra", "slt", "sltu",
-             "mul", "mulhu", "div", "divu", "rem", "remu", "addw", "mulw"):
-        srcs = [taint._x_mix(inst.rs1), taint._x_mix(inst.rs2)]
-    elif m in ("andi", "ori", "xori", "srli", "srai", "slti", "sltiu",
-               "seqz", "snez"):
-        srcs = [taint._x_mix(inst.rs1)]
-    elif m in ("flt.d", "fle.d", "feq.d"):
-        srcs = [taint._f_mix(inst.rs1), taint._f_mix(inst.rs2)]
-    elif m in ("fmv.x.d", "fcvt.l.d"):
-        srcs = [taint._f_mix(inst.rs1)]
-    elif m in ("fmv.d.x", "fcvt.d.l", "fcvt.s.l"):
-        x_dest = False
-        srcs = [taint._x_mix(inst.rs1)]
-    elif m in ("fmv.d", "fsqrt.d"):
-        x_dest = False
-        srcs = [taint._f_mix(inst.rs1)]
-    elif m == "fmadd.d":
-        x_dest = False
-        srcs = [taint._f_mix(inst.rs1), taint._f_mix(inst.rs2),
-                taint._f_mix(inst.rs3)]
+        value = int(walk.regs.x[inst.rd])
+    elif m == "mv":
+        value = x[inst.rs1]
+    elif x[inst.rs1] is None:
+        value = None
+    elif m == "add" or m == "sub":
+        b = x[inst.rs2]
+        value = (None if b is None
+                 else _lin_add(x[inst.rs1], b, -1 if m == "sub" else 1))
+    elif m == "addi":
+        value = _lin_add(x[inst.rs1], inst.imm)
+    elif m == "slli":
+        value = _lin_scale(x[inst.rs1], 1 << (inst.imm & 63))
+    elif m == "neg":
+        value = _lin_scale(x[inst.rs1], -1)
     else:
-        # FP binops (fadd.d etc.) write f[rd] from f sources
-        x_dest = False
-        srcs = [taint._f_mix(inst.rs1), taint._f_mix(inst.rs2)]
-    if x_dest:
-        return _rec_nl_x(taint, regs, inst.rd, srcs)
-    ks = _mix_result(srcs)
-    taint.f[inst.rd] = _FCONST if ks == frozenset() else ks
-    return True
-
-
-def _rec_nl_x(taint, regs, rd, srcs) -> bool:
-    ks = _mix_result(srcs)
-    if ks is None:
-        _set_x(taint, rd, None)
-        return True                      # lane stays cacheable; value dead-ends
-    if ks:
-        _set_x(taint, rd, ("mix", ks))
-    else:
-        _set_x(taint, rd, int(regs.x[rd]))
+        value = None                     # not affine: a dead end
+    if inst.rd:
+        x[inst.rd] = value
     return True
 
 
 def _rec_branch(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    regs = walk.regs
     m = inst.mnemonic
     if m == "j":
         return True
-    taken = result.jump_to is not None
-    if m in _BRANCHES:
-        ta, tb = taint.x[inst.rs1], taint.x[inst.rs2]
-        if isinstance(ta, int) and isinstance(tb, int):
-            return True                  # outcome is code-determined
-        a = taint.guard_spec(inst.rs1, int(regs.x[inst.rs1]))
-        b = taint.guard_spec(inst.rs2, int(regs.x[inst.rs2]))
-        if a is None or b is None:
-            return False
-        # fully-promoted operands need no guard: verified loads pin them
-        if a[0] == "lit" and b[0] == "lit":
-            return True
-        taint.steps.append(("br", m, a, b, taken))
-        return True
-    if isinstance(taint.x[inst.rs1], int):
-        return True
-    a = taint.guard_spec(inst.rs1, int(regs.x[inst.rs1]))
-    if a is None:
+    x, live = walk.taint.x, walk.regs.x
+    two = m in _BRANCHES
+    a = x[inst.rs1]
+    b = x[inst.rs2] if two else 0
+    if a is None or b is None:
         return False
-    if a[0] == "lit":
-        return True
-    taint.steps.append(("br", m, a, None, taken))
+    if isinstance(a, int) and isinstance(b, int):
+        return True                      # outcome is code-determined
+    walk.taint.steps.append((
+        "br", m, _operand(a, int(live[inst.rs1])),
+        _operand(b, int(live[inst.rs2])) if two else None,
+        result.jump_to is not None))
     return True
 
 
 def _rec_load(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    event = walk.mem.events[0]
-    _, vaddr, size, raw = event
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
-    if addr is None:
-        return False
     m = inst.mnemonic
-    k = len(taint.loads)
-    signed = m in LOAD_SIGNED
-    taint.loads.append([size, signed, raw, False])
-    if m in FP_LOADS:
-        taint.f[inst.rd] = frozenset((k,))
-    else:
-        _set_x(taint, inst.rd, _mk_lin(0, {("ld", k): 1}))
-    taint.steps.append(("mem", pre, (("ld", addr, size, k, signed),)))
+    taint = walk.taint
+    _, vaddr, size, _ = walk.mem.events[0]
+    addr = taint.addr_spec(inst.rs1, inst.imm, vaddr)
+    if m in FP_LOADS or addr is None:
+        return False
+    k = taint.load(pre, addr, size, m in LOAD_SIGNED)
+    if inst.rd:
+        taint.x[inst.rd] = _mk_lin(0, {("ld", k): 1})
     return True
 
 
 def _rec_store(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
-    if addr is None:
+    addr = taint.addr_spec(inst.rs1, inst.imm, vaddr)
+    value = taint.x[inst.rs2]
+    if inst.mnemonic in FP_STORES or addr is None or value is None:
         return False
-    m = inst.mnemonic
-    src_taint = (taint.f[inst.rs2] if m in ("fsw", "fsd")
-                 else taint.x[inst.rs2])
-    value = taint.value_spec(src_taint, raw)
-    if value is None:
-        return False
-    taint.steps.append(("mem", pre, (("st", addr, size, value),)))
+    taint.store(pre, addr, size, ("lit", raw) if isinstance(value, int)
+                else ("expr", value, len(raw)))
     return True
 
 
 def _rec_vset(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    t = taint.x[inst.rs1]
-    if not isinstance(t, int):
-        ks = taint._x_mix(inst.rs1)
-        if ks is None:
-            return False
-        taint.promote(ks)
-    _set_x(taint, inst.rd, int(walk.regs.x[inst.rd]))
+    if not isinstance(walk.taint.x[inst.rs1], int):
+        return False                     # the AVL is not a code constant
+    if inst.rd:
+        walk.taint.x[inst.rd] = int(walk.regs.x[inst.rd])
     return True
 
 
@@ -581,16 +394,11 @@ def _rec_vload(walk: _LaneWalk, inst, result, pre) -> bool:
     if not walk.mem.events:              # vl == 0
         taint.v[inst.rd] = _VCONST
         return True
-    _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    _, vaddr, size, _ = walk.mem.events[0]
+    addr = taint.addr_spec(inst.rs1, inst.imm, vaddr)
     if addr is None:
         return False
-    k = len(taint.loads)
-    taint.loads.append([size, False, raw, False])
-    taint.v[inst.rd] = ("vld", k)
-    taint.steps.append(("mem", pre, (("ld", addr, size, k, False),)))
+    taint.v[inst.rd] = ("vld", taint.load(pre, addr, size, False))
     return True
 
 
@@ -599,62 +407,17 @@ def _rec_vstore(walk: _LaneWalk, inst, result, pre) -> bool:
     if not walk.mem.events:
         return True
     _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = taint.addr_spec(inst.rs1, inst.imm, vaddr)
     if addr is None:
         return False
     vt = taint.v[inst.rd]
-    if isinstance(vt, tuple) and vt[0] == "vld":
-        k = vt[1]
-        if taint.loads[k][0] == size and not taint.loads[k][3]:
-            # byte passthrough: store the load's live bytes untouched
-            taint.steps.append(("mem", pre, (("st", addr, size,
-                                              ("pass", k)),)))
-            return True
-    value = taint.value_spec(vt, raw)
-    if value is None:
-        return False
-    taint.steps.append(("mem", pre, (("st", addr, size, value),)))
-    return True
-
-
-def _rec_valu(walk: _LaneWalk, inst, result, pre) -> bool:
-    taint = walk.taint
-    m = inst.mnemonic
-    if m in ("vmv.v.i", "vid.v"):
-        taint.v[inst.rd] = _VCONST
-        return True
-    srcs = []
-    if m in ("vmv.v.x", "vmv.s.x"):
-        srcs.append(taint._x_mix(inst.rs1))
-    elif m == "vfmv.v.f":
-        srcs.append(taint._f_mix(inst.rs1))
+    if vt is _VCONST:
+        taint.store(pre, addr, size, ("lit", raw))
+    elif taint.loads[vt[1]] == size:
+        # byte passthrough: store the load's live bytes untouched
+        taint.store(pre, addr, size, ("pass", vt[1]))
     else:
-        srcs.append(taint._v_mix(inst.rs1))
-    if m in _V_INT_SCALAR or m in _V_INT_COMPARES or m == "vmerge.vxm":
-        srcs.append(taint._x_mix(inst.rs2))
-    elif m in _V_FP_SCALAR or m in _V_FP_COMPARES or m == "vfmacc.vf":
-        srcs.append(taint._f_mix(inst.rs2))
-    elif m.endswith(".vv") or m.endswith(".mm"):
-        srcs.append(taint._v_mix(inst.rs2))
-    if m in ("vmacc.vv", "vfmacc.vf", "vfmacc.vv", "vmv.s.x"):
-        srcs.append(taint._v_mix(inst.rd))
-    if m in ("vmerge.vxm", "vmerge.vim"):
-        srcs.append(taint._v_mix(0))
-    ks = _mix_result(srcs)
-    if m == "vmv.x.s":
-        if ks is None:
-            _set_x(taint, inst.rd, None)
-        elif ks:
-            _set_x(taint, inst.rd, ("mix", ks))
-        else:
-            _set_x(taint, inst.rd, int(walk.regs.x[inst.rd]))
-        return True
-    if m == "vfmv.f.s":
-        taint.f[inst.rd] = _FCONST if ks == frozenset() else ks
-        return True
-    taint.v[inst.rd] = _VCONST if ks == frozenset() else ks
+        return False
     return True
 
 
@@ -662,8 +425,9 @@ def _rec_nop(walk, inst, result, pre) -> bool:
     return True
 
 
-#: An op class without a recorder (scalar and vector AMOs, indexed
-#: gathers/scatters, reductions) leaves its lane walking uncached.
+#: An op class without a recorder (scalar and vector AMOs, vector ALU
+#: ops, indexed gathers/scatters, reductions) leaves its lane walking
+#: uncached.
 _RECORDERS = {
     OpClass.ALU: _rec_alu,
     OpClass.BRANCH: _rec_branch,
@@ -672,14 +436,13 @@ _RECORDERS = {
     OpClass.VSET: _rec_vset,
     OpClass.VLOAD: _rec_vload,
     OpClass.VSTORE: _rec_vstore,
-    OpClass.VALU_OP: _rec_valu,
     OpClass.FENCE: _rec_nop,
     OpClass.RET: _rec_nop,
 }
 
 
 # ---------------------------------------------------------------------------
-# verified replay (hit path): the family's trie, compiled
+# replay (hit path): the family's trie, compiled
 # ---------------------------------------------------------------------------
 
 def _forward(raw: bytes, vaddr: int, base: int, data: bytes) -> bytes:
@@ -696,14 +459,14 @@ class _FamilyCompiler:
 
     The text holds only the trie's ints and what its mnemonics select
     (addresses, sizes, coefficients, cycle counts, comparison operators);
-    verified bytes, store literals and the leaf entries are bound by
-    reference through the function's namespace.
+    store literals and the leaf entries are bound by reference through
+    the function's namespace.
     """
 
     def __init__(self) -> None:
         self.lines = ["def replay(load, x1, x2, x3, spad_lo, spad_hi, refresh):",
                       "    c = []; tl = []; sb = gb = gc = 0"]
-        self.namespace = {"StaleTrace": StaleTrace, "MemAccess": MemAccess,
+        self.namespace = {"MemAccess": MemAccess,
                           "PathMismatch": _PathMismatch, "forward": _forward}
         self.serial = 0                  # one number per emitted access
         # what is known at this point of the path being emitted
@@ -749,16 +512,12 @@ class _FamilyCompiler:
         self.emit(depth, f"if spad_lo <= {addr} < spad_hi: sb += {size}")
         self.emit(depth, f"else: gb += {size}; gc += 1")
         if kind == "ld":
-            k, verify = int(access[3]), access[5]
+            k = int(access[3])
             self.signed[k] = bool(access[4])
             self.emit(depth, f"r{k} = load({addr}, {size})")
             for base, written in self.writes:
                 self.emit(depth, f"r{k} = forward(r{k}, {addr}, {base}, "
                                  f"{written})")
-            if verify is not None:
-                self.emit(depth, f"if r{k} != {self.bind(verify)}: "
-                                 f"raise StaleTrace('point path data went "
-                                 f"stale')")
             return f"MemAccess({addr}, {size}, False)"
         value = access[3]
         if value[0] == "lit":
@@ -843,9 +602,7 @@ def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
 
     Raises :class:`_PathMismatch` when a guard outcome has no recorded
     subtree (a control path never walked before) or the replay touches an
-    unmapped page, and :class:`StaleTrace` when verified bytes changed
-    (invalidate the family + retrace) — both before anything is committed
-    or charged.  On success the stores are committed, timing is
+    unmapped page, before anything is committed or charged.  On success the stores are committed, timing is
     charged, and (completion_ns, matched path entry) returned.
     """
     memory = unit.memory_for(asid)
@@ -936,9 +693,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                                              period)
             except _PathMismatch:
                 pass
-            except StaleTrace:
-                cache.invalidate(key)
-                family = None
             else:
                 hits += 1
                 if identity != entry.exemplar:

@@ -141,8 +141,10 @@ def point_key(execution) -> tuple:
     *length* only.  Pool base, offset bias and the argument bytes are
     excluded because the cached path stores them symbolically (see
     :mod:`repro.exec.point`) and re-resolves them against the live
-    launch; relational branch guards + verified load bytes ensure a path
-    only replays when it reproduces the launch's exact control flow.
+    launch; relational branch guards over affine operands ensure a path
+    only replays when it reproduces the launch's exact control flow, and
+    a lane whose path reads a loaded word any other way is not cached,
+    so no loaded bytes are verified.
     """
     instance = execution.instance
     return ("point", kernel_code_hash(instance.kernel.program),
@@ -153,7 +155,7 @@ def point_key(execution) -> tuple:
 class PointPathEntry:
     """One recorded control-flow path of a point launch's body walk.
 
-    ``steps`` is the ordered event stream the verified replay consumes:
+    ``steps`` is the ordered event stream the replay consumes:
     ``('mem', pre_cycles, accesses)`` items interleaved with
     ``('br', mnemonic, a_spec, b_spec, taken)`` relational guards.
     Access/operand specs are either concrete values or ``('lin', ...)``
@@ -227,7 +229,8 @@ class PointFamily:
     Replays run ``replay``, the straight-line function
     :func:`repro.exec.point.compile_family` generates from the trie: a
     leaf change (:meth:`insert`) drops it, the next replay compiles again,
-    and a stale or remapped family is dropped whole by the cache.
+    and a remapped family or one a new path conflicts with is dropped
+    whole by the cache.
     ``print(family.source)`` shows the text; tracebacks and profiles name
     it by the family's own ``<point-family:…>`` file name.
     """
@@ -251,9 +254,11 @@ class PointFamily:
 
         Returns False on a structural conflict — the new path shares a
         guard-outcome prefix with a cached one but records different
-        steps (e.g. different verified bytes), which deterministic
+        steps (e.g. a different store literal), which deterministic
         control flow makes vanishingly rare; the caller drops the
-        family and starts fresh.
+        family and starts fresh.  With a translation-version change
+        this is the only way a family is dropped: its paths verify no
+        loaded bytes, so none goes stale.
         """
         if self.leaves >= MAX_POINT_PATHS:
             return True                  # full: keep the established paths
@@ -281,7 +286,7 @@ class PointFamily:
             elif node.entry is not None:
                 if i != len(steps):
                     return False
-                node.entry = entry       # re-recorded after staleness
+                node.entry = entry       # the same path, walked again
                 return True
             else:                        # empty root: first path
                 fresh = _build_trie(steps, i, entry)
@@ -590,8 +595,8 @@ class TraceCache:
         self._put(key, entry, recorded_bytes(entry))
 
     def invalidate(self, key: tuple) -> None:
-        """Drop a slot: a stale trace, or a whole point family (stale
-        verified bytes somewhere in it)."""
+        """Drop a slot: a stale trace, a slot being replaced, or a whole
+        point family whose translation version changed."""
         entry = self._entries.pop(key, None)
         if entry is not None:
             self.nbytes -= entry.nbytes

@@ -37,6 +37,8 @@ and ``runtime_ns`` are byte-identical to a run without the module.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import POSITIVE, ConfigError, LaunchFailed, check
 from repro.faults.health import DEGRADED, DOWN, UP, HealthMonitor
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -57,7 +59,9 @@ class FaultInjector:
         for event in plan.events:
             if event.partition is not None:
                 runtime.partitions.share(event.partition)   # validates it
-        self.runtime = runtime
+        # weak: the runtime holds its injector (``runtime.faults``), so
+        # a dropped runtime is freed by reference counting
+        self._runtime = weakref.ref(runtime)
         self.plan = plan
         self.heartbeat_ns = heartbeat_ns
         self.stats = runtime.stats
@@ -84,6 +88,10 @@ class FaultInjector:
             d: {} for d in range(runtime.num_devices)
         }
         self._armed = False
+
+    @property
+    def runtime(self):
+        return self._runtime()
 
     # ------------------------------------------------------------------
     # arming

@@ -29,11 +29,19 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class DomainSpecificPE:
-    """A fixed-function NDP design and the workloads it supports."""
+    """A fixed-function NDP design; its numbers are read from its
+    ``config.COMPARATORS`` row on every call, so a changed row shows."""
 
     name: str
-    streaming_efficiency: float      # fraction of internal DRAM bw sustained
-    workloads: tuple[str, ...]
+
+    @property
+    def streaming_efficiency(self) -> float:
+        """Fraction of internal DRAM bandwidth the PE sustains."""
+        return COMPARATORS[self.name]["streaming_efficiency"]
+
+    @property
+    def workloads(self) -> tuple[str, ...]:
+        return COMPARATORS[self.name]["workloads"]
 
     def runtime_ns(self, bytes_touched: int) -> float:
         if bytes_touched <= 0:
@@ -42,9 +50,9 @@ class DomainSpecificPE:
                                 * self.streaming_efficiency)
 
 
-CXL_ANNS = DomainSpecificPE("CXL-ANNS", **COMPARATORS["CXL-ANNS"])
-CMS = DomainSpecificPE("CMS", **COMPARATORS["CMS"])
-RECNMP = DomainSpecificPE("RecNMP", **COMPARATORS["RecNMP"])
-CXL_PNM = DomainSpecificPE("CXL-PNM", **COMPARATORS["CXL-PNM"])
+CXL_ANNS = DomainSpecificPE("CXL-ANNS")
+CMS = DomainSpecificPE("CMS")
+RECNMP = DomainSpecificPE("RecNMP")
+CXL_PNM = DomainSpecificPE("CXL-PNM")
 
 ALL_PES = (CXL_ANNS, CMS, RECNMP, CXL_PNM)

@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+import weakref
 
 from repro.faults.plan import LIFECYCLE
 
@@ -58,7 +59,9 @@ class IncidentReporter:
     def __init__(self, runtime, recorder, monitor,
                  out_dir: str | None = None,
                  cooldown_ns: float = DEFAULT_COOLDOWN_NS) -> None:
-        self.runtime = runtime
+        # weak: the runtime holds the monitoring stack that holds the
+        # reporter, so a dropped runtime is freed by reference counting
+        self._runtime = weakref.ref(runtime)
         self.recorder = recorder
         self.monitor = monitor
         self.out_dir = out_dir
@@ -67,6 +70,10 @@ class IncidentReporter:
         self.paths: list[str] = []
         self._seq = 0
         self._last_fire: dict[tuple, float] = {}
+
+    @property
+    def runtime(self):
+        return self._runtime()
 
     # ------------------------------------------------------------------
     # triggers

@@ -5,7 +5,8 @@ them points back at it strongly, and a fallback keeps no traceback.  So
 with the cyclic collector off, deleting the platform after a launch on
 any engine route frees the device and its scratchpad mapping, and a
 kernel sweep holds one platform at a time.  A cluster platform frees
-every one of its devices the same way.
+every one of its devices the same way, also after a monitored serving
+run: the incident reporter reaches the runtime through a weak reference.
 """
 
 import gc
@@ -19,6 +20,7 @@ from repro.cluster import make_cluster_platform
 from repro.host.api import pack_args
 from repro.host.offload import make_offload_path
 from repro.kernels.vecadd import VECADD
+from repro.serve import ArrivalSpec, ServingEngine, TenantSpec
 from repro.workloads import graph, histogram, kvstore
 from repro.workloads.base import make_platform
 
@@ -46,6 +48,15 @@ def _sssp(platform):
     assert graph.run_ndp_sssp(platform, graph.generate(256, 8, salt=2)).correct
 
 
+def _monitored_serving(platform):
+    spec = TenantSpec("t", "vecadd", size=256, slices=4,
+                      arrivals=ArrivalSpec("poisson", rate_rps=1e6,
+                                           requests=6))
+    engine = ServingEngine(platform, [spec], monitoring=True)
+    engine.run()
+    assert platform.runtime.monitoring is engine.monitoring is not None
+
+
 #: route -> (the platform, the launch, the counter that shows the route ran)
 ROUTES = {
     "uniform_walk": (make_platform, _vecadd, "exec.batched_launches"),
@@ -56,6 +67,8 @@ ROUTES = {
     "raw_fallback": (make_platform, _sssp, "exec.fallback_reason.raw"),
     "cluster": (partial(make_cluster_platform, 4), _vecadd,
                 "exec.batched_launches"),
+    "monitored_serving": (partial(make_cluster_platform, 2),
+                          _monitored_serving, "serve.t.served"),
 }
 
 

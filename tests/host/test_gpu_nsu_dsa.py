@@ -175,3 +175,13 @@ class TestDomainSpecificPEs:
 
     def test_efficiencies_below_unity(self):
         assert all(0.5 < pe.streaming_efficiency <= 1.0 for pe in ALL_PES)
+
+    def test_runtime_reads_the_comparator_row_at_call_time(self,
+                                                           monkeypatch):
+        # a perturbed COMPARATORS value moves the PE it belongs to
+        before = CMS.runtime_ns(1 << 20)
+        efficiency = COMPARATORS["CMS"]["streaming_efficiency"]
+        monkeypatch.setitem(COMPARATORS["CMS"], "streaming_efficiency",
+                            efficiency / 2)
+        assert CMS.runtime_ns(1 << 20) == pytest.approx(2 * before)
+        assert CXL_PNM.runtime_ns(1 << 20) < CMS.runtime_ns(1 << 20)

@@ -85,6 +85,15 @@ def test_unreached_defs_of_a_recorded_run(tmp_path):
     assert stale == {"mod.py:kept": "reached", "mod.py:gone": "gone"}
 
 
+def test_a_keep_row_naming_no_def_exits_non_zero(capsys):
+    reach = _reach()
+    assert reach.verdict({"mod.py:kept": "reached"}, []) == 0
+    assert reach.verdict({"mod.py:gone": "gone"}, []) == 1
+    out = capsys.readouterr().out
+    assert "stale KEEP row (reached): mod.py:kept" in out
+    assert "FAILED: KEEP row names no def: mod.py:gone" in out
+
+
 def test_a_failing_consumer_exits_non_zero(tmp_path):
     script = tmp_path / "fails.py"
     script.write_text("raise SystemExit(3)\n")

@@ -14,8 +14,9 @@ prints each module-level UPPER_CASE constant of `src/repro` that no `.py`
 file under `src/`, `benchmarks/`, `bench/`, `examples/` or `tools/` names
 outside its own assignment (a static word match).  The figure suite's
 output is compared with the committed `FIDELITY.json`.
-Exit 1 when a consumer exits non-zero or the golden differs; the list
-itself gates nothing.  About 5 minutes.
+Exit 1 when a consumer exits non-zero, the golden differs or a `KEEP` row
+names no def; the list itself and a reached `KEEP` row gate nothing.
+About 5 minutes.
 
     python tools/reach.py --record DIR -- (SCRIPT | -m MODULE) [ARGS...]
 runs one program under the recorder (`sys.setprofile`) and writes the
@@ -118,10 +119,6 @@ KEEP = {
     "ndp/device.py:M2NDPDevice._bump_translation_version":
         "safety: a remapped page invalidates cached traces",
     "exec/point.py:_lin_scale": "branch: slli / neg of a traced address",
-    "exec/point.py:_Taint._f_mix": "branch: a point lane's float ops",
-    "exec/point.py:_Taint._v_mix": "branch: a point lane's vector ops",
-    "exec/point.py:_Taint.promote":
-        "branch: a point lane consuming a loaded value non-linearly",
     "ndp/device.py:M2NDPDevice.dram_tlb_timed_fetch":
         "branch: a DRAM-TLB miss",
     "obs/monitor.py:SLOMonitor._horizon_samples":
@@ -282,12 +279,20 @@ def main() -> int:
           f"lines of {len(found)} defs, "
           f"{sum(row[3] for row in found.values())} lines "
           f"({len(KEEP)} kept on purpose)")
-    for key, why in stale.items():
-        print(f"stale KEEP row ({why}): {key}")
     constants = unreferenced_constants(PACKAGE, [HERE / d for d in SCANNED])
     for key in constants:
         print(f"unreferenced constant: {key}")
     print(f"unreferenced constants: {len(constants)}")
+    return verdict(stale, failed)
+
+
+def verdict(stale: dict, failed: list[str]) -> int:
+    """Print each stale ``KEEP`` row and each failure; 1 on a failure or
+    on a row that names no def (a reached row is only a warning)."""
+    for key, why in stale.items():
+        print(f"stale KEEP row ({why}): {key}")
+    failed = failed + [f"KEEP row names no def: {key}"
+                       for key, why in stale.items() if why == "gone"]
     for line in failed:
         print(f"FAILED: {line}")
     return 1 if failed else 0
