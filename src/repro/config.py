@@ -17,6 +17,9 @@ from repro.sim.clock import Clock
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
+#: bytes per channel-interleave step: fine-grained hashed interleaving
+#: (§IV-A); every DRAM burst lies inside one granule
+INTERLEAVE_GRANULE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,11 @@ class DRAMConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if INTERLEAVE_GRANULE % self.access_granularity:
+            raise ConfigError(
+                "access_granularity argument of DRAMConfig must divide the "
+                f"{INTERLEAVE_GRANULE} B interleave granule, got "
+                f"{self.access_granularity!r}")
         if self.row_bytes < self.access_granularity:
             raise ConfigError("bad access granularity / row size")
 

@@ -336,10 +336,15 @@ class SectorCache:
         (bit, repeat, line_inv, write_count,
          valid_or, dirty_or, first_occ, last_touch) = stream.touches
 
-        match = self._tag[sets] == tags[:, None]
-        resident = match.any(axis=1)
-        way = match.argmax(axis=1)              # meaningful where resident
-        valid_pre = np.where(resident, self._valid[sets, way], 0)
+        # a line matches at most one way of its set: one flat scan finds
+        # every resident line (ascending) and its way
+        found = np.flatnonzero(self._tag[sets] == tags[:, None])
+        old = found // ways
+        old_at = (sets[old], found - old * ways)
+        resident = np.zeros(sets.size, dtype=bool)
+        resident[old] = True
+        valid_pre = np.zeros(sets.size, dtype=self._valid.dtype)
+        valid_pre[old] = self._valid[old_at]
         hit = repeat | ((valid_pre[line_inv] & bit) != 0)
         hits = int(np.count_nonzero(hit))
         write_hits = int(np.count_nonzero(hit & stream.writes))
@@ -355,8 +360,6 @@ class SectorCache:
         stamp = np.add(last_touch, self._clock + 1, dtype=np.int64)
         self._clock += n
 
-        old = np.flatnonzero(resident)
-        old_at = (sets[old], way[old])
         self._valid[old_at] |= valid_or[old]
         self._dirty[old_at] |= dirty_or[old]
         self._stamp[old_at] = stamp[old]

@@ -141,12 +141,17 @@ class DRAMModel:
         per-bank open-row chain), the same bank CAS pipelining and channel
         data-bus occupancy, and the same stats — solved with segmented
         max-plus recurrences instead of a Python loop per burst, bank or
-        channel (the buses: one :func:`~repro.sim.engine.virtual_queues_finish`
-        pass, its padded array at worst ``channels x n`` floats — 4 MB when
-        16 384 bursts all pick one of 32 channels).  Each
+        channel.  The banks: each touched bank's accesses, in stream order,
+        are one segment of :func:`~repro.sim.engine.segmented_queue_finish`,
+        its length read off one ``bincount``; an access is a hit, a miss or
+        a conflict as one code that indexes the three latencies.  The
+        buses: one :func:`~repro.sim.engine.virtual_queues_finish` pass,
+        its padded array at worst ``channels x n`` floats — 4 MB when
+        16 384 bursts all pick one of 32 channels.  Each
         access must fit one device burst (``addr % granularity + size <=
         granularity``), which holds for the sector streams the batched
-        execution backend charges.  The one approximation: the tRC
+        execution backend charges; the address itself is mapped, as the
+        burst's would be.  The one approximation: the tRC
         activate-to-activate gate is applied between *consecutive*
         activates of a bank; an activate separated from the previous one
         by intervening row hits is not re-gated (the hits' CAS latencies
@@ -158,36 +163,35 @@ class DRAMModel:
         n = int(addrs.size)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        grain = self.config.access_granularity
         timing = self.config.timing
-        bursts = (addrs // grain) * grain
-        channel, bank, row = self.layout.coordinates_batch(bursts)
-        gid = channel * self.config.banks_per_channel + bank
+        # the layout divides by its interleave granule, a multiple of the
+        # burst (``DRAMConfig`` checks it): no rounding to the burst first
+        channel, bank, row = self.layout.coordinates_batch(addrs)
+        gid = channel * self._banks_per_channel + bank
 
-        # numpy sorts keys of <= 16 bits by radix
-        order = np.argsort(gid.astype(
-            np.min_scalar_type(self._open_row.size - 1)), kind="stable")
-        g_s = gid[order]
+        # stream order grouped by bank; numpy sorts keys of <= 16 bits by
+        # radix.  Each touched bank's chain is one segment
+        banks = self._open_row.size
+        order = np.argsort(gid.astype(np.min_scalar_type(banks - 1)),
+                           kind="stable")
+        per_bank = np.bincount(gid, minlength=banks)
+        touched = np.flatnonzero(per_bank)
+        lengths = per_bank[touched]
+        ends = np.cumsum(lengths) - 1
+        starts = ends - (lengths - 1)
         row_s = row[order]
         t_s = np.asarray(arrivals_ns, dtype=np.float64)[order]
-        starts = np.flatnonzero(np.diff(g_s, prepend=g_s[0] - 1))
-        marker = np.zeros(n, dtype=np.int64)
-        marker[starts] = 1
-        seg_of = np.cumsum(marker) - 1
-        touched = g_s[starts]
 
-        # row classification along each bank's access chain
+        # row classification along each bank's access chain: code 0 a hit,
+        # 1 a miss (the bank was precharged), 2 a conflict
         prev_row = np.empty(n, dtype=np.int64)
         prev_row[1:] = row_s[:-1]
         prev_row[starts] = self._open_row[touched]
-        hit = row_s == prev_row
-        closed = np.zeros(n, dtype=bool)
-        closed[starts] = prev_row[starts] < 0
-        conflict = ~hit & ~closed
-        miss_type = ~hit
-
-        a = np.where(hit, timing.row_hit_ns, timing.row_miss_ns)
-        a = a + np.where(conflict, timing.row_conflict_extra_ns, 0.0)
+        miss_type = row_s != prev_row
+        code = miss_type.view(np.int8) * np.int8(2)
+        code[starts] -= prev_row[starts] < 0
+        a = np.array([timing.row_hit_ns, timing.row_miss_ns,
+                      timing.row_miss_ns + timing.row_conflict_extra_ns])[code]
         prev_miss = np.empty(n, dtype=bool)
         prev_miss[1:] = miss_type[:-1]
         prev_miss[starts] = False
@@ -200,10 +204,9 @@ class DRAMModel:
         gated = self._last_activate_ns[touched] + timing.t_rc_ns \
             + timing.row_miss_ns - b[starts]
         np.maximum(init, gated, out=init, where=miss_type[starts])
-        cas_s = segmented_queue_finish(t_s + a, b, seg_of, init)
+        cas_s = segmented_queue_finish(t_s + a, b, lengths, init)
 
         # write final bank state back (last access / last activate per bank)
-        ends = np.append(starts[1:], n) - 1
         act_idx = np.where(miss_type, np.arange(n), -1)
         last_act = np.maximum.reduceat(act_idx, starts)
         self._open_row[touched] = row_s[ends]
@@ -215,18 +218,18 @@ class DRAMModel:
         # channel data buses, in original stream order
         cas = np.empty(n, dtype=np.float64)
         cas[order] = cas_s
-        finish = virtual_queues_finish(
-            cas, grain / self.config.channel_bw_bytes_per_ns, channel,
-            self._bus_busy_until)
+        finish = virtual_queues_finish(cas, self._burst_ns, channel,
+                                       self._bus_busy_until)
 
+        hits, misses, conflicts = np.bincount(code, minlength=3).tolist()
         writes = int(np.count_nonzero(is_write))
         for name, count in (
-            (self._row_hits, int(np.count_nonzero(hit))),
-            (self._row_misses, int(np.count_nonzero(closed))),
-            (self._row_conflicts, int(np.count_nonzero(conflict))),
+            (self._row_hits, hits),
+            (self._row_misses, misses),
+            (self._row_conflicts, conflicts),
             (self._writes, writes),
             (self._reads, n - writes),
-            (self._bytes, n * grain),
+            (self._bytes, n * self._grain),
         ):
             if count:
                 self.stats.add(name, count)

@@ -293,7 +293,11 @@ class M2NDPDevice:
             writes = np.concatenate([
                 np.ones(n_wb, dtype=bool), is_write[result.fill_idx],
             ])
-            order = np.argsort(keys, kind="stable")
+            # keys are < 2n and repeat: numpy radix-sorts <= 16-bit keys,
+            # stably
+            order = np.argsort(
+                keys.astype(np.min_scalar_type(2 * sector_addrs.size)),
+                kind="stable")
             finishes = dram.access_batch(
                 addrs[order], sector_bytes, times[order], writes[order]
             )

@@ -60,8 +60,9 @@ def virtual_queues_finish(arrivals: np.ndarray, cost: float,
     :meth:`BandwidthServer.charge_batch`) per server: a stable sort by
     server — on keys narrowed to the server count, which numpy sorts by
     radix — gives each arrival its rank in its queue, and the queues are
-    the rows of one ``-inf``-padded ``[servers, longest queue]`` array so
-    every running max is one accumulate.  That array is the worst case:
+    the rows of one ``-inf``-padded ``[servers, longest queue]`` array,
+    written and read through one flat index, so every running max is one
+    accumulate.  That array is the worst case:
     ``servers x n`` floats when every arrival picks one server.
     """
     n = arrivals.size
@@ -73,10 +74,13 @@ def virtual_queues_finish(arrivals: np.ndarray, cost: float,
     first = np.cumsum(queued) - queued
     rank = np.arange(n) - first[queue]
     cum = (rank + 1) * cost
-    slack = np.full((servers, int(queued.max())), -np.inf)
-    slack[queue, rank] = arrivals[order] - (cum - cost)
-    running = np.maximum.accumulate(slack, axis=1)[queue, rank]
-    finish_sorted = cum + np.maximum(running, busy_until[queue])
+    longest = int(queued.max())
+    at = queue * longest + rank
+    slack = np.full(servers * longest, -np.inf)
+    slack[at] = arrivals[order] - (cum - cost)
+    grid = slack.reshape(servers, longest)
+    np.maximum.accumulate(grid, axis=1, out=grid)
+    finish_sorted = cum + np.maximum(slack[at], busy_until[queue])
     used = np.flatnonzero(queued)
     busy_until[used] = finish_sorted[(first + queued - 1)[used]]
     finish = np.empty(n, dtype=np.float64)
@@ -86,40 +90,39 @@ def virtual_queues_finish(arrivals: np.ndarray, cost: float,
 
 def segmented_queue_finish(arrivals_plus_service: np.ndarray,
                            chain_costs: np.ndarray,
-                           segment_ids: np.ndarray,
+                           segment_lengths: np.ndarray,
                            segment_init: np.ndarray) -> np.ndarray:
     """Max-plus queue recurrence solved independently per segment.
 
-    Elements must be grouped so each segment is contiguous and
-    ``segment_ids`` is nondecreasing (0..S-1).  Within a segment this solves
+    The elements are the segments laid end to end: segment ``s`` is the
+    next ``segment_lengths[s]`` (>= 1) elements, and its state before the
+    first is ``segment_init[s]``.  Within a segment this solves
 
         done[i] = max(arrivals_plus_service[i],
                       done[i-1] + chain_costs[i]),   done[-1] = init[s]
 
     which models a pipelined resource (a DRAM bank, a channel bus) whose
     per-element completion depends on both its own arrival path and the
-    previous element's completion.  The running max is computed for all
-    segments at once by offsetting each segment into its own disjoint value
-    band before ``np.maximum.accumulate`` (segments are short-lived virtual
-    time windows, so the offset costs no precision that matters at ns
-    scale).
+    previous element's completion; chain costs are durations (>= 0).  The
+    running max is computed for all segments at once by offsetting each
+    segment into its own disjoint value band before
+    ``np.maximum.accumulate`` (segments are short-lived virtual time
+    windows, so the offset costs no precision that matters at ns scale).
     """
     n = arrivals_plus_service.size
     if n == 0:
         return np.empty(0, dtype=np.float64)
     cum = np.cumsum(chain_costs)
-    starts = np.flatnonzero(np.diff(segment_ids, prepend=segment_ids[0] - 1))
-    base = np.zeros(n, dtype=np.float64)
-    base[starts] = cum[starts] - chain_costs[starts]
-    seg_base = np.maximum.accumulate(np.where(base > 0, base, 0.0))
+    starts = np.cumsum(segment_lengths) - segment_lengths
     # within-segment cumulative chain cost
-    local_cum = cum - seg_base
+    local_cum = cum - np.repeat(cum[starts] - chain_costs[starts],
+                                segment_lengths)
     slack = arrivals_plus_service - local_cum
     # fold each segment's initial state into its first element
-    slack[starts] = np.maximum(slack[starts], segment_init[segment_ids[starts]])
+    slack[starts] = np.maximum(slack[starts], segment_init)
     span = float(slack.max() - slack.min()) + 1.0
-    shifted = slack + segment_ids * span
-    running = np.maximum.accumulate(shifted) - segment_ids * span
+    band = np.repeat(np.arange(segment_lengths.size), segment_lengths) * span
+    running = np.maximum.accumulate(slack + band) - band
     return local_cum + running
 
 # Events are plain (time, seq, callback) tuples: tuple comparison in the

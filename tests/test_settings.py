@@ -22,6 +22,7 @@ from repro.config import (
     GPUConfig,
     NDPConfig,
     gpu_ndp_config,
+    lpddr5_cxl_dram,
 )
 from repro.errors import FLAG, ConfigError, Domain, check
 from repro.faults.plan import FaultEvent
@@ -116,6 +117,9 @@ PROBES = [
     (lambda v: gpu_ndp_config(v), "num_sms", NAN),
     (lambda v: gpu_ndp_config(v), "num_sms", INF),
     (lambda v: gpu_ndp_config(v), "num_sms", True),
+    # a burst must lie inside one 256 B interleave granule
+    (lambda v: dataclasses.replace(lpddr5_cxl_dram(), access_granularity=v),
+     "access_granularity", 48),
 ]
 
 

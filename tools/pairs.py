@@ -11,7 +11,11 @@ won, medians apart by more than the parent's quartile distance,
 `sim_digest_pass1` equal on every reading): "holds" or "not shown".  Each
 verdict also says whether the change's median is inside the metric's bound
 of the parent's.  When the digests differ, each side's distinct digests
-follow.  Both trees are byte-compiled first, so neither side's `setup_s`
+follow.  Every reading also counts the minor page faults of `bench/run.py`
+and its workers (the `RUSAGE_CHILDREN` `ru_minflt` delta around it): the
+pair lines show them and each side's median follows the verdicts, so a
+change that makes the program fault pages in again shows beside its
+cost.  Both trees are byte-compiled first, so neither side's `setup_s`
 pays for stale or missing `.pyc` files.  Exit 1 on unequal digests or a
 failed run, else 0 (a gain not shown, or a cost over its bound, is a
 verdict, not an error).  `--quick`: CI self-test size.
@@ -19,6 +23,7 @@ verdict, not an error).  `--quick`: CI self-test size.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,12 +46,17 @@ def compile_tree(tree: Path) -> None:
                    cwd=tree, env=env, check=True)
 
 
-def reading(tree: Path, args, out: Path) -> tuple[dict[str, float], str]:
+def reading(tree: Path, args,
+            out: Path) -> tuple[dict[str, float], str, int]:
+    """One `bench/run.py` run: its end-to-end metrics, `sim_digest_pass1`
+    and minor page faults."""
     size = ["--quick"] if args.quick else ["--seconds", "20"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--trace", "0", "--out", str(out), *size],
         cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if done.returncode:
         sys.exit(f"bench/run.py failed in {tree}:\n{done.stderr}")
     line = json.loads(done.stdout.splitlines()[-1])
@@ -54,7 +64,7 @@ def reading(tree: Path, args, out: Path) -> tuple[dict[str, float], str]:
         sys.exit(f"{line['failed']} failed operations in {tree}")
     entry = json.loads(out.read_text())["workloads"][args.workload]
     return ({name: line["metrics"][name]["value"] for name in METRICS},
-            entry["sim_digest_pass1"])
+            entry["sim_digest_pass1"], faults)
 
 
 def verdict(name: str, readings: dict, same: bool, pairs: int) -> str:
@@ -99,21 +109,27 @@ def main() -> int:
         compile_tree(tree)
     readings = {side: [] for side in trees}
     digests = {side: set() for side in trees}
+    faults = {side: [] for side in trees}
     with tempfile.TemporaryDirectory() as scratch:
         for pair in range(args.pairs):
             for side in sorted(trees, reverse=bool(pair % 2)):
-                metrics, digest = reading(trees[side], args,
-                                          Path(scratch, f"{side}.json"))
+                metrics, digest, faulted = reading(
+                    trees[side], args, Path(scratch, f"{side}.json"))
                 readings[side].append(metrics)
                 digests[side].add(digest)
+                faults[side].append(faulted)
             print(f"pair {pair + 1}: " + "  ".join(
                 f"{name} {readings['parent'][-1][name]:.4g} -> "
-                f"{readings['change'][-1][name]:.4g}" for name in METRICS),
-                flush=True)
+                f"{readings['change'][-1][name]:.4g}" for name in METRICS)
+                + f"  minor_faults {faults['parent'][-1]} -> "
+                f"{faults['change'][-1]}", flush=True)
     same = len(set.union(*digests.values())) == 1
     print(f"digests {'equal' if same else 'DIFFER'}")
     for name in METRICS:
         print(verdict(name, readings, same, args.pairs))
+    print("minor_faults per reading (bench/run.py and its workers): "
+          + "  ".join(f"{side} median {statistics.median(faults[side]):.0f}"
+                      for side in ("parent", "change")))
     if not same:
         # one digest per side: the change moved the sim deterministically;
         # more than one on a side: that side does not reproduce
