@@ -18,11 +18,12 @@ Functional guarantees
 * **Byte-identical memory results** vs the interpreter for every launch
   the engine accepts.  Stores are buffered per phase and committed at the
   phase barrier; AMOs are applied immediately in deterministic lane order,
-  grouped by address (``np.add.at``-style segmented prefix reductions), so
-  commutative integer reductions land on exactly the bytes the
-  interpreter's sequential interleaving produces.  Scratchpads execute on
-  per-unit shadow copies (lane -> NDP unit mapping mirrors the
-  generator's), written back only on success.
+  grouped by address (one reduction per address; per-element old values
+  only when a register receives them), so commutative integer reductions
+  land on exactly the bytes the interpreter's sequential interleaving
+  produces.  Scratchpads execute on per-unit shadows of the byte range
+  the launch writes (lane -> NDP unit mapping mirrors the generator's),
+  written back only on success.
 * **Hazard detection, not hazard emulation.**  Cross-lane communication
   through memory within one phase (a load overlapping another lane's
   buffered store or applied AMO, conflicting cross-lane stores,
@@ -363,14 +364,14 @@ class _IntervalLog:
             ends = np.concatenate(self._his)
             order = np.argsort(starts, kind="stable")
             self._starts = starts[order]
-            self._end_max = np.maximum.accumulate(ends[order])
+            # _end_max[i]: the furthest end of the first i intervals (none
+            # for i = 0, so a query that no start precedes overlaps nothing)
+            self._end_max = np.concatenate(
+                ([np.iinfo(np.int64).min], np.maximum.accumulate(ends[order])))
         idx = np.searchsorted(self._starts, np.asarray(his, dtype=np.int64),
                               side="left")
-        cand = idx > 0
-        if not cand.any():
-            return False
-        return bool((self._end_max[idx[cand] - 1]
-                     > np.asarray(los, dtype=np.int64)[cand]).any())
+        return bool((self._end_max[idx]
+                     > np.asarray(los, dtype=np.int64)).any())
 
 
 class _PhaseHazards:
@@ -595,13 +596,17 @@ class _PhaseWalk(vo.LaneISA):
                   amo_float: bool = False):
         """Split one access vector into scratchpad and global elements,
         then record it (translating the global ones) or verify it against
-        the cached phase; returns the step plus each side's selectors."""
+        the cached phase; returns the step plus each side's selectors:
+        the scratchpad one is None without such elements and a slice when
+        every element is one (no copies), the global one index array."""
         spad = (addrs >= self._spad_lo) & (addrs < self._spad_hi)
-        if spad.any():
-            s_sel, g_sel = np.nonzero(spad)[0], np.nonzero(~spad)[0]
-        else:
+        if not spad.any():
             spad = None
-            s_sel, g_sel = np.empty(0, dtype=np.int64), np.arange(addrs.size)
+            s_sel, g_sel = None, np.arange(addrs.size)
+        elif spad.all():
+            s_sel, g_sel = slice(None), np.empty(0, dtype=np.int64)
+        else:
+            s_sel, g_sel = np.nonzero(spad)[0], np.nonzero(~spad)[0]
 
         def translate() -> np.ndarray:
             if not g_sel.size:
@@ -630,44 +635,46 @@ class _PhaseWalk(vo.LaneISA):
 
     def _spad_elems(self, lanes: np.ndarray, addrs: np.ndarray, size: int,
                     what: int, bytes_each: int):
-        """Window offsets and hazard-log keys of a step's scratchpad
-        elements, charging what each such access pays: per-unit counter
-        deltas (flushed on success only; ``what``: 0=reads, 1=writes,
-        2=atomics), traffic bytes and — when tracing — the latency."""
+        """Units, window offsets and hazard-log keys of a step's
+        scratchpad elements, charging what each such access pays: per-unit
+        counter deltas (flushed on success only; ``what``: 0=reads,
+        1=writes, 2=atomics), traffic bytes and — when tracing — the
+        latency."""
         offs = addrs - np.int64(self._spad_lo)
         if (offs < 0).any() or (offs + size > self._spad_size).any():
             raise LaunchFallback("scratchpad access outside window",
                                  "scratchpad")
         units = self.unit_of_lane[lanes]
-        for u, c in zip(*np.unique(units, return_counts=True)):
-            row = self._spad_counters.setdefault(int(u), [0, 0, 0, 0])
-            row[what] += int(c)
-            row[3] += int(c) * bytes_each
+        counts = np.bincount(units)
+        for u in np.flatnonzero(counts).tolist():
+            row = self._spad_counters.setdefault(u, [0, 0, 0, 0])
+            row[what] += int(counts[u])
+            row[3] += int(counts[u]) * bytes_each
         self._spad_bytes += int(lanes.size) * size
         if self._verify is None:
             self._mem_lat_add(lanes, self._spad_latency)
         # scratchpads are per unit: the hazard logs see disjoint intervals
-        return offs, units.astype(np.int64) * np.int64(self._spad_size) + offs
+        syn = units * np.int64(self._spad_size)
+        syn += offs
+        return units, offs, syn
 
-    def _spad_gather(self, lanes: np.ndarray, offs: np.ndarray,
+    @staticmethod
+    def _by_unit(units: np.ndarray):
+        """(plan-local unit, its elements' indices) per unit in ``units``."""
+        for u in np.flatnonzero(np.bincount(units)).tolist():
+            yield u, np.flatnonzero(units == u)
+
+    def _spad_gather(self, units: np.ndarray, offs: np.ndarray,
                      size: int) -> np.ndarray:
-        out = np.empty((lanes.size, size), dtype=np.uint8)
-        units = self.unit_of_lane[lanes]
-        cols = np.arange(size)
-        for u in np.unique(units):
-            sel = np.nonzero(units == u)[0]
-            view = self.plan.spad_view(int(u), write=False)
-            out[sel] = view[offs[sel][:, None] + cols]
+        out = np.empty((offs.size, size), dtype=np.uint8)
+        for u, sel in self._by_unit(units):
+            out[sel] = self.plan.spad(u).gather_rows(offs[sel], size)
         return out
 
-    def _spad_scatter(self, lanes: np.ndarray, offs: np.ndarray,
+    def _spad_scatter(self, units: np.ndarray, offs: np.ndarray,
                       rows: np.ndarray) -> None:
-        units = self.unit_of_lane[lanes]
-        cols = np.arange(rows.shape[-1])
-        for u in np.unique(units):
-            sel = np.nonzero(units == u)[0]
-            view = self.plan.spad_view(int(u), write=True)
-            view[offs[sel][:, None] + cols] = rows[sel]
+        for u, sel in self._by_unit(units):
+            self.plan.spad(u).scatter_rows(offs[sel], rows[sel])
 
     def _check_intra_store(self, lanes: np.ndarray, los: np.ndarray,
                            size: int, rows: np.ndarray) -> None:
@@ -695,13 +702,14 @@ class _PhaseWalk(vo.LaneISA):
         step, s_sel, g_sel = self._mem_step("load", size, lanes, addrs)
         paddrs = step.paddrs
         out = np.empty((addrs.size, size), dtype=np.uint8)
-        if s_sel.size:
-            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
-                                         0, size)
+        if s_sel is not None:
+            units, offs, syn = self._spad_elems(
+                lanes[s_sel], addrs[s_sel], size, 0, size)
             if self._verify is None:
-                self.hazards_spad.check_load(syn, syn + size)
-                self.hazards_spad.loads.add(syn, syn + size)
-            out[s_sel] = self._spad_gather(lanes[s_sel], offs, size)
+                his = syn + size
+                self.hazards_spad.check_load(syn, his)
+                self.hazards_spad.loads.add(syn, his)
+            out[s_sel] = self._spad_gather(units, offs, size)
         if g_sel.size:
             out[g_sel] = self.plan.device.physical.gather_rows(paddrs, size)
             self._global_bytes += int(g_sel.size) * size
@@ -723,17 +731,19 @@ class _PhaseWalk(vo.LaneISA):
         size = rows.shape[-1]
         step, s_sel, g_sel = self._mem_step("store", size, lanes, addrs)
         paddrs = step.paddrs
-        if s_sel.size:
-            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
-                                         1, size)
-            self._check_intra_store(lanes[s_sel], syn, size, rows[s_sel])
+        if s_sel is not None:
+            s_lanes, s_rows = lanes[s_sel], rows[s_sel]
+            units, offs, syn = self._spad_elems(s_lanes, addrs[s_sel], size,
+                                                1, size)
+            self._check_intra_store(s_lanes, syn, size, s_rows)
             if self._verify is None:
-                self.hazards_spad.check_store(syn, syn + size)
-                self.hazards_spad.stores.add(syn, syn + size)
+                his = syn + size
+                self.hazards_spad.check_store(syn, his)
+                self.hazards_spad.stores.add(syn, his)
             # scratchpad writes apply immediately (to the shadow): later
             # same-lane reads are program order, cross-lane reads are
             # hazard-checked above
-            self._spad_scatter(lanes[s_sel], offs, rows[s_sel])
+            self._spad_scatter(units, offs, s_rows)
         if g_sel.size:
             # the data-dependent half of the conflict rule is re-checked
             # even on cached replays (addresses are verified, data is not)
@@ -750,8 +760,9 @@ class _PhaseWalk(vo.LaneISA):
 
     def _amo(self, lanes: np.ndarray, addrs: np.ndarray, operands,
              op: str, size: int, is_float: bool,
-             consumed: bool = False):
-        """Apply one AMO step in lane order; returns old values (e,).
+             consumed: bool = False, want_olds: bool = False):
+        """Apply one AMO step in lane order; returns the old values (e,)
+        when ``want_olds`` (a register receives them), else None.
 
         ``consumed`` marks AMOs whose returned old value some later
         instruction reads: under contention those olds depend on the
@@ -763,28 +774,40 @@ class _PhaseWalk(vo.LaneISA):
         paddrs = step.paddrs
         sensitive = is_float or op == "swap" or consumed
         amo_key = (op, size)
-        olds = (np.empty(addrs.size, dtype=np.float64) if is_float
-                else np.empty(addrs.size, dtype=np.int64))
-        if s_sel.size:
-            offs, syn = self._spad_elems(lanes[s_sel], addrs[s_sel], size,
-                                         2, 2 * size)
+        operands = np.asarray(operands)
+        olds = None
+        if want_olds:
+            olds = np.empty(addrs.size,
+                            dtype=np.float64 if is_float else np.int64)
+        if s_sel is not None:
+            units, offs, syn = self._spad_elems(
+                lanes[s_sel], addrs[s_sel], size, 2, 2 * size)
             if self._verify is None:
-                self.hazards_spad.check_amo(syn, syn + size, amo_key,
-                                            sensitive)
-                self.hazards_spad.add_amo(syn, syn + size, amo_key,
-                                          sensitive)
-            olds[s_sel] = self._apply_amo_grouped(
-                syn, np.asarray(operands)[s_sel], op, size, is_float,
-                sensitive, spad_lanes=lanes[s_sel], spad_offs=offs)
+                his = syn + size
+                self.hazards_spad.check_amo(syn, his, amo_key, sensitive)
+                self.hazards_spad.add_amo(syn, his, amo_key, sensitive)
+            s_ops = operands[s_sel]
+            if want_olds:
+                s_olds = np.empty_like(olds, shape=offs.size)
+            for u, sel in self._by_unit(units):
+                part = self._apply_amo(
+                    self.plan.spad(u), offs[sel], s_ops[sel], op, size,
+                    is_float, sensitive, want_olds)
+                if want_olds:
+                    s_olds[sel] = part
+            if want_olds:
+                olds[s_sel] = s_olds
         if g_sel.size:
             if self._verify is None:
                 self.hazards_global.check_amo(paddrs, paddrs + size,
                                               amo_key, sensitive)
                 self.hazards_global.add_amo(paddrs, paddrs + size,
                                             amo_key, sensitive)
-            olds[g_sel] = self._apply_amo_grouped(
-                paddrs, np.asarray(operands)[g_sel], op, size, is_float,
-                sensitive)
+            part = self._apply_amo(
+                self.plan.device.physical, paddrs, operands[g_sel], op, size,
+                is_float, sensitive, want_olds, undo=self.plan.undo)
+            if want_olds:
+                olds[g_sel] = part
             self._atomics += int(g_sel.size)
             self._global_bytes += int(g_sel.size) * size
             self._global_accesses += int(g_sel.size)
@@ -796,87 +819,87 @@ class _PhaseWalk(vo.LaneISA):
                     + frac * self._dram_lat)
         return olds
 
-    def _apply_amo_grouped(self, addrs: np.ndarray, operands: np.ndarray,
-                           op: str, size: int, is_float: bool,
-                           sensitive: bool,
-                           spad_lanes: np.ndarray | None = None,
-                           spad_offs: np.ndarray | None = None) -> np.ndarray:
-        """Lane-ordered, grouped-by-address read-modify-write.
+    def _apply_amo(self, memory, addrs: np.ndarray, operands: np.ndarray,
+                   op: str, size: int, is_float: bool, sensitive: bool,
+                   want_olds: bool, undo: list | None = None):
+        """Lane-ordered, grouped-by-address read-modify-write of one
+        address space: ``memory`` is the physical store (``undo`` gets its
+        old rows) or one unit's scratchpad shadow, each read and written
+        through ``gather_rows`` / ``scatter_rows``.
 
-        Returns per-element old values.  Grouping by address makes the
-        application order deterministic (ascending lane within each
-        address); for the commutative integer ops the final bytes equal
-        any interleaving, including the interpreter's.  Multi-lane groups
-        of order-sensitive steps (swap, float adds, any AMO whose old
-        value is consumed downstream) are rejected — their result depends
-        on scheduling the engine does not model.
+        Each address's final value is one reduction over its elements.
+        Per-element old values — returned only when ``want_olds`` — apply
+        in ascending element (lane) order within each address; for the
+        commutative integer ops the final bytes equal any interleaving,
+        including the interpreter's.  Multi-lane groups of order-sensitive
+        steps (swap, float adds, any AMO whose old value is consumed
+        downstream) are rejected — their result depends on scheduling the
+        engine does not model.
         """
-        e = addrs.size
-        order = np.argsort(addrs, kind="stable")
-        pa = addrs[order]
-        ops_sorted = np.asarray(operands)[order]
-        starts = np.ones(e, dtype=bool)
-        starts[1:] = pa[1:] != pa[:-1]
-        start_idx = np.nonzero(starts)[0]
-        uniq = pa[start_idx]
-        gid = np.cumsum(starts) - 1
-        multi = np.diff(np.append(start_idx, e)) > 1
-        if multi.any() and self.n > 1 and sensitive:
+        uniq, first, inverse = np.unique(addrs, return_index=True,
+                                         return_inverse=True)
+        multi = uniq.size < addrs.size
+        if multi and self.n > 1 and sensitive:
             raise LaunchFallback(
                 "order-sensitive atomic contention "
                 "(swap / float / consumed old value)", "atomic")
 
         # read the current values
-        if spad_lanes is None:
-            rows = self.plan.device.physical.gather_rows(uniq, size)
-            self.plan.undo.append((uniq.copy(), rows.copy()))
-        else:
-            sl = spad_lanes[order][start_idx]
-            so = spad_offs[order][start_idx]
-            rows = self._spad_gather(sl, so, size)
+        rows = memory.gather_rows(uniq, size)
+        if undo is not None:
+            undo.append((uniq, rows))
         sew = size * 8
         if is_float:
             init = vo.bits_to_float(vo.from_le_bytes(rows), sew)
         else:
             init = vo.sign_extend(vo.from_le_bytes(rows), sew)
 
-        olds_sorted = np.empty(e, dtype=np.float64 if is_float else np.int64)
-        finals = np.empty(uniq.size, dtype=olds_sorted.dtype)
-        if not is_float and op == "add":
-            ops64 = ops_sorted.astype(np.int64)
-            csum = np.cumsum(ops64)
-            base = csum[start_idx] - ops64[start_idx]
-            excl = csum - ops64 - base[gid]
-            olds_sorted = vo.sign_extend(
-                vo.to_pattern(init[gid] + excl, sew), sew)
-            finals = vo.sign_extend(
-                vo.to_pattern(init + csum[np.append(start_idx[1:] - 1, e - 1)]
-                              - base, sew), sew)
-        elif not multi.any():
-            olds_sorted = init[gid]
-            finals = self._amo_scalar(op, init, ops_sorted, sew, is_float)
+        olds = None
+        if op == "add" and not is_float:
+            ops64 = operands.astype(np.int64)
+            sums = np.zeros(uniq.size, dtype=np.int64)
+            np.add.at(sums, inverse, ops64)
+            finals = vo.sign_extend(vo.to_pattern(init + sums, sew), sew)
+            if want_olds:
+                # an element's old value: its address's initial value plus
+                # the operands of the elements before it there
+                order = np.argsort(inverse, kind="stable")
+                ops_sorted = ops64[order]
+                csum = np.cumsum(ops_sorted)
+                gid = inverse[order]
+                start_idx = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
+                base = csum[start_idx] - ops_sorted[start_idx]
+                olds = np.empty_like(init, shape=addrs.size)
+                olds[order] = vo.sign_extend(vo.to_pattern(
+                    init[gid] + (csum - ops_sorted - base[gid]), sew), sew)
+        elif not multi:
+            finals = self._amo_scalar(op, init, operands[first], sew,
+                                      is_float)
+            if want_olds:
+                olds = init[inverse]
         else:
-            # rare: multi-lane min/max/or/and groups — small ordered loop
-            bounds = np.append(start_idx, e)
+            # rare: multi-lane min/max/or/and groups, or one lane's float
+            # adds or swaps — small ordered loop
+            order = np.argsort(inverse, kind="stable")
+            bounds = np.r_[0, np.cumsum(np.bincount(inverse))]
+            finals = np.empty_like(init)
+            olds_sorted = np.empty_like(init, shape=addrs.size)
             for g in range(uniq.size):
                 val = init[g]
                 for j in range(bounds[g], bounds[g + 1]):
                     olds_sorted[j] = val
                     nxt = self._amo_scalar(
-                        op, np.asarray([val]), np.asarray([ops_sorted[j]]),
-                        sew, is_float)
+                        op, np.asarray([val]),
+                        np.asarray([operands[order[j]]]), sew, is_float)
                     val = nxt[0]
                 finals[g] = val
+            if want_olds:
+                olds = np.empty_like(olds_sorted)
+                olds[order] = olds_sorted
         # write the new values back
-        out_rows = vo.to_le_bytes(
+        memory.scatter_rows(uniq, vo.to_le_bytes(
             vo.float_to_bits(finals, sew) if is_float
-            else vo.to_pattern(finals, sew), size)
-        if spad_lanes is None:
-            self.plan.device.physical.scatter_rows(uniq, out_rows)
-        else:
-            self._spad_scatter(sl, so, out_rows)
-        olds = np.empty_like(olds_sorted)
-        olds[order] = olds_sorted
+            else vo.to_pattern(finals, sew), size))
         return olds
 
     @staticmethod
@@ -907,8 +930,9 @@ class _PhaseWalk(vo.LaneISA):
     def _mem_lat_add(self, lanes: np.ndarray, amount: float) -> None:
         # one latency charge per lane per step; multi-element accesses of
         # one lane issue back to back, adding a period per extra element
-        uniq, counts = np.unique(lanes, return_counts=True)
-        self._mem_lat[uniq] += amount + (counts - 1) * self._period
+        counts = np.bincount(lanes, minlength=self.n)
+        hit = np.flatnonzero(counts)
+        self._mem_lat[hit] += amount + (counts[hit] - 1) * self._period
 
     # -- main walk ---------------------------------------------------------
 
@@ -1019,15 +1043,16 @@ class _PhaseWalk(vo.LaneISA):
         if is_float:
             operands = self.fr[inst.rs2][lanes]
             olds = self._amo(lanes, addrs, operands, op, size, True,
-                             consumed)
+                             consumed, want_olds=True)
             self._wf(inst.rd, self._spread(olds, lanes), m)
         else:
             operands = self.xr[inst.rs2][lanes]
             if size == 4:
                 operands = vo.sign_extend(vo.to_pattern(operands, 32), 32)
             olds = self._amo(lanes, addrs, operands, op, size, False,
-                             consumed)
-            self._wx(inst.rd, self._spread(olds, lanes), m)
+                             consumed, want_olds=bool(inst.rd))
+            if inst.rd:
+                self._wx(inst.rd, self._spread(olds, lanes), m)
 
     # -- vector ------------------------------------------------------------
 
@@ -1051,9 +1076,9 @@ class _PhaseWalk(vo.LaneISA):
         """Per-element (lanes, addrs) for indexed vector memory ops,
         lane-major — the canonical application order."""
         lanes = self._active(mask)
-        base = self.xr[inst.rs1][lanes]
-        offsets = self._read_v(inst.rs2, vl)[lanes].astype(np.int64)
-        addrs = (base[:, None] + offsets).reshape(-1)
+        addrs = self._read_v(inst.rs2, vl)[lanes].view(np.int64)
+        addrs += self.xr[inst.rs1][lanes][:, None]
+        addrs = addrs.reshape(-1)
         flat_lanes = np.repeat(lanes, vl)
         return flat_lanes, addrs
 
@@ -1127,6 +1152,61 @@ class _PhaseWalk(vo.LaneISA):
 # ---------------------------------------------------------------------------
 
 
+class _ShadowRow:
+    """One unit's scratchpad row as a launch sees it.
+
+    ``buf`` is the launch's copy of the row's bytes ``[lo, lo + buf.size)``:
+    every byte the launch wrote, and the rest of their pages as the row
+    holds them.  Bytes outside it are read from the row itself, which
+    nothing writes before :meth:`commit`.
+    """
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+        self.lo = 0
+        self.buf = row[:0].copy()
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the copy to cover ``[lo, hi)``, in whole pages."""
+        old_lo, old = self.lo, self.buf
+        if old.size:
+            if old_lo <= lo and hi <= old_lo + old.size:
+                return
+            lo, hi = min(lo, old_lo), max(hi, old_lo + old.size)
+        lo -= lo % PAGE_SIZE
+        hi = min(hi - hi % -PAGE_SIZE, self.row.size)
+        self.lo, self.buf = lo, self.row[lo:hi].copy()
+        if old.size:
+            self.buf[old_lo - lo:old_lo - lo + old.size] = old
+
+    def gather_rows(self, offs: np.ndarray, size: int) -> np.ndarray:
+        """``size`` bytes at each row offset; (e, size) uint8."""
+        cols = np.arange(size)
+        while True:
+            lo, hi = self.lo, self.lo + self.buf.size
+            inside = (offs >= lo) & (offs + size <= hi)
+            if inside.all():
+                return self.buf[(offs - lo)[:, None] + cols]
+            straddle = ~inside & (offs < hi) & (offs + size > lo)
+            if not straddle.any():
+                break
+            self._cover(int(offs[straddle].min()),
+                        int(offs[straddle].max()) + size)
+        out = self.row[offs[:, None] + cols]
+        if inside.any():
+            out[inside] = self.buf[(offs[inside] - lo)[:, None] + cols]
+        return out
+
+    def scatter_rows(self, offs: np.ndarray, rows: np.ndarray) -> None:
+        """Write each row at its offset; later rows win on overlap."""
+        size = rows.shape[-1]
+        self._cover(int(offs.min()), int(offs.max()) + size)
+        self.buf[(offs - self.lo)[:, None] + np.arange(size)] = rows
+
+    def commit(self) -> None:
+        self.row[self.lo:self.lo + self.buf.size] = self.buf
+
+
 class SimtPlan:
     """Run one launch through the masked engine, phase by phase.
 
@@ -1135,7 +1215,12 @@ class SimtPlan:
     phase's buffered global stores commit at its barrier (with undo
     records), scratchpad effects accumulate on per-unit shadows, and a
     fallback or stale-trace abort anywhere rolls the whole launch back so
-    the interpreter re-executes it from pristine state.  With a cached
+    the interpreter re-executes it from pristine state.  A unit's shadow
+    (:class:`_ShadowRow`) holds only the byte range the launch writes in
+    that unit's row, widened to whole pages: a write grows the range to
+    cover itself, a read wholly outside it comes from the real row, a read
+    straddling its edge grows it first, and ``commit`` writes back that
+    range only.  With a cached
     :class:`TraceEntry` the walk is a verified replay; either way
     ``entry`` holds the launch's cacheable schedule once ``run`` returns.
     """
@@ -1149,22 +1234,18 @@ class SimtPlan:
         self.entry = entry
         self.translator = Translator(
             device.page_table(execution.instance.asid))
-        self.spad_shadows: dict[int, np.ndarray] = {}
+        self.spad_shadows: dict[int, _ShadowRow] = {}
         self.undo: list[tuple[np.ndarray, np.ndarray]] = []
         self.profiles: list[PhaseProfile] = []
 
     # -- scratchpad shadows ------------------------------------------------
 
-    def spad_view(self, unit: int, write: bool) -> np.ndarray:
+    def spad(self, unit: int) -> _ShadowRow:
         """``unit`` is plan-local; shadows map to the physical unit."""
         shadow = self.spad_shadows.get(unit)
-        if shadow is not None:
-            return shadow
-        real = self.device.scratchpads[self.execution.unit_base + unit]
-        if not write:
-            return real
-        shadow = real.copy()
-        self.spad_shadows[unit] = shadow
+        if shadow is None:
+            shadow = self.spad_shadows[unit] = _ShadowRow(
+                self.device.scratchpads[self.execution.unit_base + unit])
         return shadow
 
     # -- lane layouts (mirror repro.ndp.generator._PhasePlan) ---------------
@@ -1231,8 +1312,8 @@ class SimtPlan:
         """Launch success: write scratchpad shadows back, flush counters."""
         stats = self.device.stats
         unit_base = self.execution.unit_base
-        for unit, shadow in self.spad_shadows.items():
-            self.device.scratchpads[unit_base + unit] = shadow
+        for shadow in self.spad_shadows.values():
+            shadow.commit()
         for profile in self.profiles:
             for unit, (reads, writes, atomics, bytes_) in (
                     profile.spad_counters.items()):

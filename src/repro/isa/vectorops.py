@@ -65,7 +65,9 @@ def sign_extend(patterns: np.ndarray, sew: int) -> np.ndarray:
     if sew == 64:
         return vals
     shift = np.int64(64 - sew)
-    return (vals << shift) >> shift
+    vals <<= shift
+    vals >>= shift
+    return vals
 
 
 def to_pattern(vals, sew: int) -> np.ndarray:

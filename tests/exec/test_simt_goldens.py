@@ -26,7 +26,7 @@ from repro.workloads.base import make_platform
 
 GOLDENS = {
     "amo-old-values":
-        "49739e2c98bb0020e54d22a1fa771c41678bf48b2bb81c14b21b7a9b14f2af4e",
+        "bfd8a51413ca6c2f134d6ab62a6b7712d2bf473154f0ff8d18255e9d2f7a3fa4",
     "histo256-8192":
         "bf888fe82ec3727940b500e1ea87288427db6300bc2e01ca5efbefd1ec06f17e",
     "histo4096-16384":
@@ -46,8 +46,9 @@ AMO_LANES = 256
 #: lane's scratchpad cell; each lane's old values from that cell and from
 #: its own global cell are stored, so a later instruction reads them (the
 #: walk's "consumed" path, which must stay uncontended).  The shared-cell
-#: max is contended with the old value discarded, and the shared-cell add
-#: writes its old value to a register nothing reads.
+#: max and or are contended with the old value discarded; the shared-cell
+#: add and min are contended and write their old values to registers
+#: nothing reads.
 AMO_KERNEL = """
 .init
     li   x4, 8
@@ -82,6 +83,14 @@ init_done:
     slli x12, x12, 2
     add  x12, x22, x12
     amoadd.w x13, x6, 64(x12)
+    andi x15, x24, 3
+    slli x15, x15, 3
+    add  x15, x22, x15
+    amomin.d x16, x6, 96(x15)
+    andi x17, x24, 1
+    slli x17, x17, 3
+    add  x17, x22, x17
+    amoor.d x0, x6, 80(x17)
     add  x14, x21, x2
     sd   x7, 0(x14)
     sd   x10, 8(x14)

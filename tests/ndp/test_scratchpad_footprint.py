@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.mem.scratchpad import SCRATCHPAD_VBASE, write_rows
+from repro.workloads import histogram
 from repro.workloads.base import make_platform
 
 PAGEMAP = "/proc/self/pagemap"
@@ -28,6 +29,11 @@ PAGE = os.sysconf("SC_PAGE_SIZE")
 
 #: 32 rows of one 4 KiB page each is 128 KiB; a single 2 MiB page is not
 MAX_RESIDENT_BYTES = 512 * 1024
+
+#: A HISTO launch writes its bins at scratchpad offsets 0x100-0x4100 of
+#: each unit (5 pages) besides the argument block (1 page): 768 KiB over
+#: 32 rows.  A launch that wrote back whole rows would leave 4 MiB.
+MAX_HISTO_RESIDENT_BYTES = 1 << 20
 
 
 def _resident_bytes(array: np.ndarray) -> int:
@@ -65,3 +71,15 @@ def test_argument_write_makes_only_its_pages_resident(device):
     resident = _resident_bytes(device.scratchpads)
     assert resident <= MAX_RESIDENT_BYTES, f"{resident // 1024} KiB resident"
     assert all(spad.read(SCRATCHPAD_VBASE, 64) == args for spad in units)
+
+
+@pytest.mark.skipif(not os.access(PAGEMAP, os.R_OK),
+                    reason="needs a readable /proc/self/pagemap")
+def test_histo_launch_makes_only_its_bins_resident():
+    platform = make_platform()
+    result = histogram.run_ndp(platform, histogram.generate(1 << 12, 4096))
+    assert result.correct
+    assert platform.stats.get("exec.simt_launches") == 1
+    resident = _resident_bytes(platform.device.scratchpads)
+    assert resident <= MAX_HISTO_RESIDENT_BYTES, (
+        f"{resident // 1024} KiB resident")
