@@ -108,10 +108,20 @@ class HDMAllocator:
         self._cursor = base
 
     def alloc(self, size: int, align: int = 4096) -> int:
-        """Reserve ``size`` bytes; maps pages identity and warms the DRAM-TLB."""
+        """Reserve ``size`` bytes below the DRAM-TLB region at the top of
+        device memory; maps pages identity and warms the DRAM-TLB."""
         if size <= 0:
             raise LaunchError(f"allocation size must be positive, got {size}")
+        if align <= 0 or align & (align - 1):
+            raise LaunchError(
+                f"alignment must be a positive power of two, got {align}")
         addr = (self._cursor + align - 1) // align * align
+        limit = (self.device.config.cxl_dram.capacity_bytes
+                 - self.device.dram_tlb.region_bytes)
+        if addr + size > limit:
+            raise LaunchError(
+                f"allocation of {size:#x} bytes at {addr:#x} runs past the "
+                f"DRAM-TLB region at {limit:#x}")
         self._cursor = addr + size
         table = self.device.page_table(self.asid)
         table.map_identity(addr, size)

@@ -24,21 +24,6 @@ from repro.host.api import pack_args
 from repro.workloads import graph, histogram, spmv
 from repro.workloads.base import make_platform
 
-GOLDENS = {
-    "amo-old-values":
-        "bfd8a51413ca6c2f134d6ab62a6b7712d2bf473154f0ff8d18255e9d2f7a3fa4",
-    "histo256-8192":
-        "bf888fe82ec3727940b500e1ea87288427db6300bc2e01ca5efbefd1ec06f17e",
-    "histo4096-16384":
-        "2c99fad039aeb6357a60f474154e0d695d95c20877b9bcb230b864c9f2fe1a6a",
-    "histo4096-4096":
-        "c56aec8084ac41cfa69bb5f8dbe044ac3abf93a1e67e36b8bb7b63c74d462907",
-    "pagerank-probe":
-        "51ff09f26acfeae0a5504ca040ecb77881636f7cc421e678c2ba9162b0eb6c35",
-    "spmv-512x8":
-        "877b47f8ecb4e6b49e54cf4ac108897d61ae61fe6b1a23b37a92c889dede05d3",
-}
-
 #: Body µthreads of the scalar-AMO kernel: 8 per NDP unit.
 AMO_LANES = 256
 
@@ -185,5 +170,5 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_masked_walk_matches_its_golden(case):
-    assert run_case(case) == GOLDENS[case]
+def test_masked_walk_matches_its_golden(case, golden):
+    golden(run_case(case))

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.cluster import make_cluster_platform
 from repro.errors import LaunchError, SimulationError
 from repro.host.api import (
     HDM_HEAP_BASE,
     M2FUNC_REGION_BYTES,
+    HDMAllocator,
     M2NDPRuntime,
     pack_args,
 )
 from repro.ndp.device import M2NDPDevice
+from repro.ndp.tlb import PageTable
 from repro.sim.engine import Simulator
 
 
@@ -62,6 +65,37 @@ class TestAllocator:
     def test_zero_size_rejected(self, runtime):
         with pytest.raises(LaunchError):
             runtime.alloc(0)
+
+    @pytest.mark.parametrize("align", [0, -4096, 3, 4097])
+    def test_align_not_a_power_of_two_rejected(self, runtime, align):
+        with pytest.raises(LaunchError, match="power of two"):
+            runtime.alloc(64, align=align)
+        assert runtime.alloc(64) == HDM_HEAP_BASE
+
+    def test_cluster_alloc_rejects_a_bad_align(self):
+        runtime = make_cluster_platform(num_devices=2).runtime
+        with pytest.raises(LaunchError, match="power of two"):
+            runtime.alloc(64, align=0)
+
+    def test_heap_stops_below_the_dram_tlb_region(self, runtime):
+        device = runtime.device
+        limit = (device.config.cxl_dram.capacity_bytes
+                 - device.dram_tlb.region_bytes)
+        allocator = HDMAllocator(device, runtime.asid, base=limit - 8192)
+        with pytest.raises(LaunchError, match="DRAM-TLB"):
+            allocator.alloc(8193)
+        assert allocator.alloc(8192) == limit - 8192
+        with pytest.raises(LaunchError, match="DRAM-TLB"):
+            allocator.alloc(1)
+
+    def test_oversized_alloc_fails_before_mapping_a_page(self, runtime,
+                                                         monkeypatch):
+        def no_mapping(*args):
+            raise AssertionError("a page was mapped")
+
+        monkeypatch.setattr(PageTable, "map_page", no_mapping)
+        with pytest.raises(LaunchError, match="DRAM-TLB"):
+            runtime.alloc(1 << 45)
 
     def test_array_roundtrip(self, runtime):
         data = np.linspace(0, 1, 777, dtype=np.float64)

@@ -22,33 +22,21 @@ from repro.sim.stats import StatsRegistry
 SECTOR = 32
 LINE = 128
 
-# (seed, ways, sets, footprint / capacity, pattern) -> sha256
-GOLDENS = {
-    (11, 2, 2, 2, "random"):
-        "f82346a1bac42c6999f79d64fd38c4d48ce36fd79693a4ae6aad4d663e0aaab5",
-    (12, 2, 16, 6, "random"):
-        "e19e85b2bc5ca8237137139e11cc7080ead13016a24367de933de537b1ea790b",
-    (13, 4, 4, 2, "random"):
-        "9f52e897e2d4a1dcac36522df92f9f1f4f9f2fa404e08a5ec0fb2b47d20b30ed",
-    (14, 4, 8, 6, "random"):
-        "54a340f1cb3a8b034b0e712472cb18da6aef76fa6a5b10f0a91ab174b58e846c",
-    (15, 8, 2, 20, "random"):
-        "41e526038e689e4c373171e33c9569cbdb60b96441201f432c3a154f506899a0",
-    (16, 8, 16, 2, "random"):
-        "40036f11d35d332fd52fcb30b7c7976c9687a540b712358f1cac30f6bfd8c070",
-    (17, 4, 16, 20, "random"):
-        "28798feee3fad296b07da2b96ff9359420ded0b29fb3ed17bff26ff457d8efd8",
-    (21, 2, 4, 6, "sequential"):
-        "490ec94f62583e82983791bf183fea10c6d8d422fb770773e14f9efe0f18bf6b",
-    (22, 4, 2, 2, "sequential"):
-        "24382b33e9d092ff77152b4f77915b1639fcf9ab0f08b3e961da1d79502bffc3",
-    (23, 4, 16, 6, "sequential"):
-        "a4b0c829bf3ed6dd1180135bf23fddcaa6237cb7c29f98e4dfed42e58a34b8db",
-    (24, 8, 4, 20, "sequential"):
-        "748384c13214da45ce900d1726fd4556e4c07368206d2e1b6521eb95ff5cf183",
-    (25, 8, 8, 2, "sequential"):
-        "b8c6cffcb51beab4573f9e74e84b61e6eb3fd999fa47600eacb0c1b9062b3c4f",
-}
+# (seed, ways, sets, footprint / capacity, pattern)
+CASES = [
+    (11, 2, 2, 2, "random"),
+    (12, 2, 16, 6, "random"),
+    (13, 4, 4, 2, "random"),
+    (14, 4, 8, 6, "random"),
+    (15, 8, 2, 20, "random"),
+    (16, 8, 16, 2, "random"),
+    (17, 4, 16, 20, "random"),
+    (21, 2, 4, 6, "sequential"),
+    (22, 4, 2, 2, "sequential"),
+    (23, 4, 16, 6, "sequential"),
+    (24, 8, 4, 20, "sequential"),
+    (25, 8, 8, 2, "sequential"),
+]
 
 
 def _stream(gen, pattern, footprint_sectors, n, cursor):
@@ -96,6 +84,6 @@ def _digest(seed, ways, sets, multiple, pattern):
     return sha.hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDENS), ids=lambda c: "-".join(map(str, c)))
-def test_batch_eviction_matches_recorded_golden(case):
-    assert _digest(*case) == GOLDENS[case]
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
+def test_batch_eviction_matches_recorded_golden(case, golden):
+    golden(_digest(*case))

@@ -23,18 +23,6 @@ from repro.ndp.device import M2NDPDevice
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 
-GOLDENS = {
-    "spread":
-        "b0884337363244a66caee42a68ed636ac1afa1e0c68159fe32f29fe8ad019800",
-    "hot-channel":
-        "27b074fdc4ce390778fbfb083be2b04f22f097f48656ecf47e61f85f35f4ecc2",
-    "scalar-opened-rows":
-        "581dd694788037a97dc1121c0494ce38cae022c350aa878e02c89be4a8f1e1f4",
-    "l2-writebacks":
-        "911a137d0c1d8517f339f140aa32d9947b3dd67b9af876f7aaaa3ca36186ae90",
-}
-
-
 def _state_digest(sha, model: DRAMModel, prefix: str) -> None:
     for state in (model._open_row, model._ready_ns,
                   model._last_activate_ns, model._bus_busy_until):
@@ -120,12 +108,12 @@ def _l2_writeback_digest() -> str:
 
 @pytest.mark.parametrize("case", ["spread", "hot-channel",
                                   "scalar-opened-rows"])
-def test_dram_batch_is_bit_identical(case):
-    assert _dram_digest(case) == GOLDENS[case]
+def test_dram_batch_is_bit_identical(case, golden):
+    golden(_dram_digest(case))
 
 
-def test_l2_dram_charge_is_bit_identical():
-    assert _l2_writeback_digest() == GOLDENS["l2-writebacks"]
+def test_l2_dram_charge_is_bit_identical(golden):
+    golden(_l2_writeback_digest())
 
 
 def test_coordinates_batch_equals_coordinates_up_to_2_40():
