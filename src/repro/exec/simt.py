@@ -78,7 +78,7 @@ from repro.obs import tracer as obs_tracer
 #: Safety cap on the dynamic trace length of one launch walk.
 MAX_TRACE_STEPS = 200_000
 
-_PAGE_MASK = PAGE_SIZE - 1
+_PAGE_MASK = (1 << PAGE_SHIFT) - 1
 
 #: Fallback classes the backend counts under ``exec.fallback_reason.<slug>``.
 FALLBACK_SLUGS = ("phases", "atomic", "gather", "divergent", "scratchpad",

@@ -72,7 +72,7 @@ def sign_extend(patterns: np.ndarray, sew: int) -> np.ndarray:
 
 def to_pattern(vals, sew: int) -> np.ndarray:
     """Wrap (possibly signed) values into uint64 patterns of width sew."""
-    out = np.asarray(vals).astype(np.int64).astype(np.uint64)
+    out = np.asarray(vals).astype(np.int64).view(np.uint64)
     if sew < 64:
         out = out & np.uint64((1 << sew) - 1)
     return out

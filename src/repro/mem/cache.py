@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.config import CacheConfig
-from repro.mem.physical import PAGE_SIZE
 from repro.sim.stats import StatsRegistry
 
 
@@ -83,8 +82,10 @@ class SectorStream:
 
     @cached_property
     def page_count(self) -> int:
-        """Distinct pages the stream touches."""
-        return int(np.unique(self.addrs // PAGE_SIZE).size)
+        """Distinct translation pages (:mod:`repro.ndp.tlb`) the stream
+        touches: one on-chip TLB fill each."""
+        from repro.ndp.tlb import PAGE_SHIFT    # repro.ndp imports this module
+        return int(np.unique(self.addrs >> PAGE_SHIFT).size)
 
     @cached_property
     def touches(self) -> tuple:

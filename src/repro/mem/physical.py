@@ -6,8 +6,13 @@ the M2func region all live here.  Timing is modeled elsewhere (``dram.py``,
 ``cache.py``); this module only stores bytes.
 
 Storage is paged so a 256 GB address space costs memory only for pages
-actually written.  Byte and 64-bit word accessors serve the workload
-drivers, and numpy helpers bulk-load workload arrays.
+actually written.  Each page is a memoryview of its own 4096-byte uint8
+array (``page.obj``): the byte accessors slice the memoryview, the row
+accessors index the array.  Every access that spans pages walks them in
+:meth:`PhysicalMemory._chunks` and copies each byte once: a run of rows
+or an array is read straight into the array returned and written from a
+view of its bytes.  Scattered rows are grouped by page in
+:meth:`PhysicalMemory._by_page`, so one fancy index serves a page's rows.
 """
 
 from __future__ import annotations
@@ -22,15 +27,16 @@ PAGE_SIZE = 4096
 
 _U64 = struct.Struct("<Q")
 
+#: What a page that was never written reads as.
+_ZERO = memoryview(bytes(PAGE_SIZE))
+
 
 class PhysicalMemory:
     """Sparse little-endian byte store with word and bulk accessors."""
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
         self.capacity_bytes = capacity_bytes
-        self._pages: dict[int, bytearray] = {}
-
-    # -- raw byte access ----------------------------------------------------
+        self._pages: dict[int, memoryview] = {}
 
     def _check_range(self, addr: int, size: int) -> None:
         if addr < 0 or size < 0:
@@ -41,45 +47,53 @@ class PhysicalMemory:
                 f"{self.capacity_bytes:#x}"
             )
 
-    def _page(self, index: int) -> bytearray:
+    def _page(self, index: int) -> memoryview:
         page = self._pages.get(index)
         if page is None:
-            page = self._pages[index] = bytearray(PAGE_SIZE)
+            page = self._pages[index] = memoryview(
+                np.zeros(PAGE_SIZE, dtype=np.uint8))
         return page
 
-    def read_bytes(self, addr: int, size: int) -> bytes:
+    def _chunks(self, addr: int, size: int, create: bool = False):
+        """Walk the pages ``[addr, addr + size)`` covers, in order: yields
+        ``(pos, chunk)``, ``chunk`` a memoryview of the page bytes that
+        hold range bytes ``[pos, pos + len(chunk))``.  A never-written
+        page yields read-only zeros, unless ``create`` makes it."""
         self._check_range(addr, size)
-        # fast path: access within one page (the overwhelmingly common case)
-        offset = addr % PAGE_SIZE
-        if offset + size <= PAGE_SIZE:
-            page = self._pages.get(addr // PAGE_SIZE)
-            if page is None:
-                return bytes(size)
-            return bytes(page[offset:offset + size])
-        out = bytearray(size)
         pos = 0
         while pos < size:
-            page_idx, offset = divmod(addr + pos, PAGE_SIZE)
-            chunk = min(size - pos, PAGE_SIZE - offset)
-            page = self._pages.get(page_idx)
-            if page is not None:
-                out[pos:pos + chunk] = page[offset:offset + chunk]
-            pos += chunk
-        return bytes(out)
+            index, offset = divmod(addr + pos, PAGE_SIZE)
+            n = min(size - pos, PAGE_SIZE - offset)
+            page = self._page(index) if create else self._pages.get(index, _ZERO)
+            yield pos, page[offset:offset + n]
+            pos += n
 
-    def write_bytes(self, addr: int, data: bytes | bytearray) -> None:
+    def _read_into(self, addr: int, dst: memoryview) -> None:
+        """Fill ``dst``, a writable byte memoryview, from ``addr``."""
+        for pos, chunk in self._chunks(addr, len(dst)):
+            dst[pos:pos + len(chunk)] = chunk
+
+    # -- raw byte access ----------------------------------------------------
+
+    def read_bytes(self, addr: int, size: int) -> bytes:
+        offset = addr % PAGE_SIZE
+        if offset + size <= PAGE_SIZE:    # within one page: the common case
+            self._check_range(addr, size)
+            page = self._pages.get(addr // PAGE_SIZE, _ZERO)
+            return page[offset:offset + size].tobytes()
+        return b"".join(chunk for _, chunk in self._chunks(addr, size))
+
+    def write_bytes(self, addr: int, data) -> None:
+        """Write ``data``: bytes, a bytearray or a 1-d uint8 array."""
         size = len(data)
-        self._check_range(addr, size)
         offset = addr % PAGE_SIZE
         if offset + size <= PAGE_SIZE:
+            self._check_range(addr, size)
             self._page(addr // PAGE_SIZE)[offset:offset + size] = data
             return
-        pos = 0
-        while pos < size:
-            page_idx, offset = divmod(addr + pos, PAGE_SIZE)
-            chunk = min(size - pos, PAGE_SIZE - offset)
-            self._page(page_idx)[offset:offset + chunk] = data[pos:pos + chunk]
-            pos += chunk
+        src = memoryview(data)
+        for pos, chunk in self._chunks(addr, size, create=True):
+            chunk[:] = src[pos:pos + len(chunk)]
 
     # -- 64-bit words ---------------------------------------------------------
 
@@ -93,30 +107,15 @@ class PhysicalMemory:
 
     def store_array(self, addr: int, array: np.ndarray) -> int:
         """Copy ``array`` into memory at ``addr``; returns bytes written."""
-        data = np.ascontiguousarray(array).tobytes()
-        self.write_bytes(addr, data)
-        return len(data)
+        raw = memoryview(np.ascontiguousarray(array)).cast("B")
+        self.write_bytes(addr, raw)
+        return raw.nbytes
 
     def load_array(self, addr: int, dtype, count: int) -> np.ndarray:
         """Read ``count`` items of ``dtype`` starting at ``addr``."""
-        dt = np.dtype(dtype)
-        raw = self.read_bytes(addr, dt.itemsize * count)
-        return np.frombuffer(raw, dtype=dt).copy()
-
-    def page_array(self, index: int, create: bool = False) -> np.ndarray | None:
-        """Writable uint8 view of one backing page, for vectorized access.
-
-        Returns ``None`` for a page that was never written (reads as zeros)
-        unless ``create`` is set.  Views alias the page storage: writes are
-        immediately visible to the byte accessors.
-        """
-        self._check_range(index * PAGE_SIZE, PAGE_SIZE)
-        page = self._pages.get(index)
-        if page is None:
-            if not create:
-                return None
-            page = self._page(index)
-        return np.frombuffer(page, dtype=np.uint8)
+        out = np.empty(count, dtype=dtype)
+        self._read_into(addr, memoryview(out).cast("B"))
+        return out
 
     # -- vectorized row access (batched execution backend) --------------------
 
@@ -128,81 +127,59 @@ class PhysicalMemory:
         return paddrs.shape[0] > 0 and bool(
             (paddrs[1:] - paddrs[:-1] == size).all())
 
-    def gather_rows(self, paddrs: np.ndarray, size: int) -> np.ndarray:
-        """Read ``size`` bytes at each physical address; (n, size) uint8.
+    @staticmethod
+    def _by_page(paddrs: np.ndarray, size: int):
+        """Group rows, none of which crosses a page, by page: yields
+        ``(page index, rows, offsets)`` per page in ascending order — the
+        page's row positions in ``paddrs``, in order (a later row stays
+        later), and their ``(k, size)`` byte offsets into the page."""
+        pages = paddrs // PAGE_SIZE
+        rows = np.argsort(pages, kind="stable")
+        pages = pages[rows]
+        starts = np.flatnonzero(np.diff(pages, prepend=-1)).tolist()
+        col = np.arange(size)
+        for lo, hi in zip(starts, starts[1:] + [rows.size]):
+            sel = rows[lo:hi]
+            yield int(pages[lo]), sel, (paddrs[sel] % PAGE_SIZE)[:, None] + col
 
-        A contiguous run (:meth:`_is_run`) is one :meth:`read_bytes` —
-        O(pages) slice copies and no index array.  Otherwise rows are
-        grouped by backing page so one numpy fancy-index serves every
-        same-page row; page-crossing rows fall back to :meth:`read_bytes`.
-        Unwritten pages read as zeros.
+    def gather_rows(self, paddrs: np.ndarray, size: int) -> np.ndarray:
+        """Read ``size`` bytes at each physical address; (n, size) uint8
+        (``(size,)`` for a 0-d address).
+
+        A contiguous run (:meth:`_is_run`) is read like one array.
+        Otherwise rows are grouped by page (:meth:`_by_page`), or read one
+        by one when a row crosses a page.  Unwritten pages read as zeros.
         """
         if paddrs.ndim == 0:
-            return np.frombuffer(
-                self.read_bytes(int(paddrs), size), dtype=np.uint8
-            ).copy()
+            return self.load_array(int(paddrs), np.uint8, size)
         n = paddrs.shape[0]
         if self._is_run(paddrs, size):
-            return np.frombuffer(
-                self.read_bytes(int(paddrs[0]), n * size), dtype=np.uint8
-            ).reshape(n, size).copy()
+            return self.load_array(
+                int(paddrs[0]), np.uint8, n * size).reshape(n, size)
         out = np.zeros((n, size), dtype=np.uint8)
-        offsets = paddrs % PAGE_SIZE
-        crossing = offsets + size > PAGE_SIZE
-        if crossing.any():
-            for row in np.nonzero(crossing)[0]:
-                out[row] = np.frombuffer(
-                    self.read_bytes(int(paddrs[row]), size), dtype=np.uint8
-                )
-        rows = np.nonzero(~crossing)[0]
-        if not rows.size:
+        if (paddrs % PAGE_SIZE + size > PAGE_SIZE).any():
+            for row, addr in zip(out, paddrs.tolist()):
+                self._read_into(addr, memoryview(row))
             return out
-        pages = paddrs[rows] // PAGE_SIZE
-        if pages.size > 1 and not (pages[1:] >= pages[:-1]).all():
-            order = np.argsort(pages, kind="stable")
-            rows, pages = rows[order], pages[order]
-        uniq, starts = np.unique(pages, return_index=True)
-        bounds = list(starts[1:]) + [rows.size]
-        col = np.arange(size)
-        lo = 0
-        for page, hi in zip(uniq, bounds):
-            sel = rows[lo:hi]
-            lo = hi
-            buf = self.page_array(int(page))
-            if buf is None:
-                continue  # unwritten pages read as zeros
-            offs = (paddrs[sel] % PAGE_SIZE)[:, None] + col
-            out[sel] = buf[offs]
+        for index, rows, offsets in self._by_page(paddrs, size):
+            page = self._pages.get(index)
+            if page is not None:
+                out[rows] = page.obj[offsets]
         return out
 
     def scatter_rows(self, paddrs: np.ndarray, data: np.ndarray) -> None:
         """Write each (paddr, row-of-bytes) pair; later rows win on overlap.
 
-        A contiguous run (:meth:`_is_run`, which cannot overlap) is one
-        :meth:`write_bytes`; anything else takes the page-grouped path.
+        A contiguous run (:meth:`_is_run`, which cannot overlap) is written
+        like one array; other rows are grouped by page (:meth:`_by_page`),
+        or written one by one, in order, when a row crosses a page.
         """
         size = data.shape[-1]
         if self._is_run(paddrs, size):
-            self.write_bytes(int(paddrs[0]), data.tobytes())
-            return
-        offsets = paddrs % PAGE_SIZE
-        crossing = offsets + size > PAGE_SIZE
-        rows = np.nonzero(~crossing)[0]
-        if rows.size:
-            pages = paddrs[rows] // PAGE_SIZE
-            if pages.size > 1 and not (pages[1:] >= pages[:-1]).all():
-                order = np.argsort(pages, kind="stable")
-                rows, pages = rows[order], pages[order]
-            uniq, starts = np.unique(pages, return_index=True)
-            bounds = list(starts[1:]) + [rows.size]
-            col = np.arange(size)
-            lo = 0
-            for page, hi in zip(uniq, bounds):
-                sel = rows[lo:hi]
-                lo = hi
-                buf = self.page_array(int(page), create=True)
-                offs = (paddrs[sel] % PAGE_SIZE)[:, None] + col
-                buf[offs] = data[sel]
-        if crossing.any():
-            for row in np.nonzero(crossing)[0]:
-                self.write_bytes(int(paddrs[row]), data[row].tobytes())
+            self.write_bytes(int(paddrs[0]), data.reshape(-1))
+        elif (paddrs % PAGE_SIZE + size > PAGE_SIZE).any():
+            for row, addr in zip(data, paddrs.tolist()):
+                self.write_bytes(addr, row)
+        else:
+            for index, rows, offsets in self._by_page(paddrs, size):
+                self._page(index).obj[offsets] = data[rows]

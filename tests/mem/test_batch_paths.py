@@ -427,6 +427,58 @@ class TestPhysicalRowRuns:
         assert mem.read_bytes(100, 12) == bytes(
             [16, 17, 18, 19, 20, 21, 22, 23, 12, 13, 14, 15])
 
+    def test_later_in_page_row_wins_over_a_crossing_row(self):
+        mem = PhysicalMemory()
+        rows = np.array([[1] * 8, [2] * 8], dtype=np.uint8)
+        # row 0 crosses into page 1; row 1 rewrites its first six bytes
+        mem.scatter_rows(np.array([PAGE_SIZE - 6, PAGE_SIZE - 8]), rows)
+        assert mem.read_bytes(PAGE_SIZE - 8, 10) == bytes([2] * 8 + [1] * 2)
+
+    # addresses cluster at both ends of pages 0-2, so rows cross pages
+    # and overlap often; a small pool makes repeated addresses common
+    ADDRS = st.builds(lambda page, offset: page * PAGE_SIZE + offset,
+                      st.integers(0, 2),
+                      st.one_of(st.integers(0, 24),
+                                st.integers(PAGE_SIZE - 24, PAGE_SIZE - 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 40),
+           shape=st.sampled_from(["run", "reversed", "pool"]),
+           written=st.sets(st.integers(0, 4)))
+    def test_rows_match_per_row_bytes(self, data, size, shape, written):
+        if shape == "pool":
+            pool = data.draw(st.lists(self.ADDRS, min_size=1, max_size=5))
+            addrs = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                       max_size=12))
+        else:
+            n = data.draw(st.integers(1, 12))
+            addrs = data.draw(self.ADDRS) + size * np.arange(n)
+            addrs = addrs[::-1] if shape == "reversed" else addrs
+        paddrs = np.array(addrs, dtype=np.int64)
+        gen = np.random.default_rng(size)
+        rows = gen.integers(0, 256, (paddrs.size, size), dtype=np.uint8)
+        mem, reference = PhysicalMemory(), PhysicalMemory()
+        for page in sorted(written):    # pages not listed were never written
+            image = gen.integers(0, 256, PAGE_SIZE, dtype=np.uint8).tobytes()
+            mem.write_bytes(page * PAGE_SIZE, image)
+            reference.write_bytes(page * PAGE_SIZE, image)
+
+        pages = set(mem._pages)
+        got = mem.gather_rows(paddrs, size)
+        assert got.shape == (paddrs.size, size)
+        assert got.tobytes() == b"".join(
+            mem.read_bytes(int(a), size) for a in paddrs)
+        one = mem.gather_rows(paddrs[0].reshape(()), size)     # 0-d form
+        assert one.shape == (size,)
+        assert one.tobytes() == mem.read_bytes(int(paddrs[0]), size)
+        assert set(mem._pages) == pages                 # reads create nothing
+
+        mem.scatter_rows(paddrs, rows)
+        for addr, row in zip(paddrs, rows):             # later rows win
+            reference.write_bytes(int(addr), row.tobytes())
+        assert {i: bytes(p) for i, p in mem._pages.items()} \
+            == {i: bytes(p) for i, p in reference._pages.items()}
+
 
 class TestCoherenceBatch:
     def test_batch_bi_count_matches_scalar(self):
