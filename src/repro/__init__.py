@@ -24,40 +24,8 @@ Quickstart::
     # ... allocate arrays, then runtime.run_kernel(asm, pool, args)
 """
 
-import ctypes
-
-#: glibc ``mallopt`` parameters (``<malloc.h>``)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap(libc=None) -> None:
-    """Let glibc's heap keep the pages freed numpy temporaries leave.
-
-    By default glibc serves a block of 128 KiB or more with ``mmap`` and
-    returns it on free, and trims the heap top after a free: every fresh
-    temporary of the L2/DRAM charge is faulted in again, page by page.
-    Blocks below 4 MiB now come from the heap, which keeps up to 32 MiB
-    of free space at its top.  4 MiB is numpy's own huge-page cutoff, so
-    no heap block is advised ``MADV_HUGEPAGE`` and arrays of 4 MiB or
-    more stay on ``mmap``; 32 MiB is above the largest per-launch
-    transient of a kernel sweep.  Without ``mallopt`` (not glibc) this
-    does nothing.
-    """
-    try:
-        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
-
-
-_keep_freed_heap()
-
-from repro.config import SystemConfig, default_system  # noqa: E402
-from repro.errors import ReproError  # noqa: E402
+from repro.config import SystemConfig, default_system
+from repro.errors import ReproError
 
 __version__ = "1.0.0"
 

@@ -387,7 +387,7 @@ def merge_streams(
         np.full(len(sectors), is_write) for sectors, is_write in streams
     ])
     order = np.argsort(positions, kind="stable")
-    return addrs[order].astype(np.int64), writes[order]
+    return addrs[order].astype(np.int64, copy=False), writes[order]
 
 
 class StepLog:

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.config import CacheConfig
+from repro.sim.workspace import SHARED_INTS, Workspace
 from repro.sim.stats import StatsRegistry
 
 
@@ -37,16 +38,19 @@ class AccessResult:
 class BatchAccessResult:
     """Outcome of one :meth:`SectorCache.access_batch` stream.
 
-    ``fill_idx`` are batch positions whose sector must be supplied by the
-    next level (in stream order); ``wb_idx``/``wb_addrs`` pair each dirty
-    evicted sector with the batch position of the allocation that evicted
-    it, so the caller can interleave writeback traffic at the right time.
+    ``hit_mask`` marks the batch positions that hit; every other one's
+    sector must be supplied by the next level.  ``wb_idx``/``wb_addrs`` pair each dirty evicted sector with
+    the batch position of the allocation that evicted it, so the caller
+    can interleave writeback traffic at the right time.  The three arrays
+    are the cache's working arrays: valid until its next batch.
     """
 
     hit_mask: np.ndarray
-    fill_idx: np.ndarray
     wb_idx: np.ndarray
     wb_addrs: np.ndarray
+
+
+_NONE = np.empty(0, dtype=np.int64)     # no writebacks (never written)
 
 
 def _sector_bits(sectors_per_line: int) -> np.ndarray:
@@ -65,7 +69,7 @@ class SectorStream:
     caches it is charged to.  A stream is immutable and outlives any cache
     state — no fill or eviction invalidates it — so the trace cache keeps
     one per traced phase and charges it on every replay.  Both derivations
-    are lazy and done once: :attr:`touches`, and :meth:`placement` per
+    are lazy and done once: :meth:`touches`, and :meth:`placement` per
     *set count* (one trace-cache entry is replayed on every partition of
     its device; their L2s differ in nothing else).
     Index arrays take the narrowest signed dtype: beside its own 9 B an
@@ -78,6 +82,7 @@ class SectorStream:
         self.writes = np.asarray(writes, dtype=bool)
         self.sector_bytes = config.sector_bytes
         self.line_bytes = config.line_bytes
+        self._touches: tuple | None = None
         self._placements: dict[int, tuple] = {}
 
     @cached_property
@@ -87,48 +92,58 @@ class SectorStream:
         from repro.ndp.tlb import PAGE_SHIFT    # repro.ndp imports this module
         return int(np.unique(self.addrs >> PAGE_SHIFT).size)
 
-    @cached_property
-    def touches(self) -> tuple:
+    def touches(self, workspace: Workspace) -> tuple:
         """In this order — per access: ``bit`` (the sector's bit in its
         line), ``repeat`` (an earlier access touched the sector),
         ``line_inv`` (its line, numbered by ascending address); the
         ``write_count``; per line: ``valid_or`` / ``dirty_or`` (sectors
-        touched / written), ``first_occ`` / ``last_touch`` (positions)."""
+        touched / written), ``first_occ`` / ``last_touch`` (positions).
+        Derived on the first call, with the stream-length temporaries in
+        ``workspace``."""
+        if self._touches is not None:
+            return self._touches
         n = self.addrs.size
         spl = self.line_bytes // self.sector_bytes
-        sector_ids = self.addrs // self.sector_bytes
-        bit = _sector_bits(spl)[sector_ids % spl]
+        sector_ids, order, by_sector, count = workspace.take(
+            SHARED_INTS[2], n, np.int64, rows=4)
+        np.floor_divide(self.addrs, self.sector_bytes, out=sector_ids)
         # one stable sort groups the accesses by sector, and so by line:
         # a sector's first access is the head of its group
-        order = np.argsort(sector_ids, kind="stable")
-        by_sector = sector_ids[order]
-        by_line = by_sector // spl
-        new_sector = np.ones(n, dtype=bool)
+        workspace.argsort(sector_ids, int(sector_ids.max()) + 1 if n else 1,
+                          order)
+        sector_ids.take(order, out=by_sector, mode="clip")
+        bit = _sector_bits(spl)[np.remainder(sector_ids, spl,
+                                             out=sector_ids)]
+        new_sector, new_line = workspace.take("stream.bool", n, bool, rows=2)
+        new_sector[:1] = True
         np.not_equal(by_sector[1:], by_sector[:-1], out=new_sector[1:])
-        new_line = np.ones(n, dtype=bool)
+        by_line = np.floor_divide(by_sector, spl, out=by_sector)
+        new_line[:1] = True
         np.not_equal(by_line[1:], by_line[:-1], out=new_line[1:])
         starts = np.flatnonzero(new_line)
-        repeat = np.ones(n, dtype=bool)
-        repeat[order[new_sector]] = False
+        repeat = np.empty(n, dtype=bool)
+        repeat[order] = np.logical_not(new_sector, out=new_sector)
         line_inv = np.empty(n, dtype=np.min_scalar_type(-starts.size))
-        line_inv[order] = np.cumsum(new_line) - 1
+        line_inv[order] = np.subtract(new_line.cumsum(out=count), 1,
+                                      out=count)
         position = order.astype(np.min_scalar_type(-n))
         bit_by_line = bit[order]
-        return (bit, repeat, line_inv, int(np.count_nonzero(self.writes)),
-                np.bitwise_or.reduceat(bit_by_line, starts),
-                np.bitwise_or.reduceat(bit_by_line * self.writes[order],
-                                       starts),
-                np.minimum.reduceat(position, starts),
-                np.maximum.reduceat(position, starts))
+        self._touches = (
+            bit, repeat, line_inv, int(np.count_nonzero(self.writes)),
+            np.bitwise_or.reduceat(bit_by_line, starts),
+            np.bitwise_or.reduceat(bit_by_line * self.writes[order], starts),
+            np.minimum.reduceat(position, starts),
+            np.maximum.reduceat(position, starts))
+        return self._touches
 
-    def placement(self, num_sets: int) -> tuple:
+    def placement(self, num_sets: int, workspace: Workspace) -> tuple:
         """``(sets, tags, set_order)`` of the stream's lines among
         ``num_sets`` sets: each line's set and ``tag + 1``, and all lines
         by (set, first touch).  First touches are unique, so a subset
         taken in this order is in the order sorting the subset gives."""
         placed = self._placements.get(num_sets)
         if placed is None:
-            *_, first_occ, _ = self.touches
+            *_, first_occ, _ = self.touches(workspace)
             lines = self.addrs[first_occ] // self.line_bytes
             sets = (lines % num_sets).astype(np.min_scalar_type(-num_sets))
             placed = self._placements[num_sets] = (
@@ -149,7 +164,8 @@ class SectorCache:
     arrays are allocated, zeroed, on the first access, so a cache nothing
     uses costs nothing.  :meth:`lookup` (one sector; :meth:`access` loops
     over it) and :meth:`access_batch` are two entry points over this one
-    state.
+    state.  ``workspace`` holds :meth:`access_batch`'s working arrays (a
+    fresh one if None; a device passes its simulator's).
     """
 
     def __init__(
@@ -159,6 +175,7 @@ class SectorCache:
         stats_prefix: str = "cache",
         write_allocate: bool = True,
         write_back: bool = True,
+        workspace: Workspace | None = None,
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
@@ -168,6 +185,7 @@ class SectorCache:
         self.sectors_per_line = config.line_bytes // config.sector_bytes
         self._num_sets = config.num_sets
         self._bits = _sector_bits(self.sectors_per_line)
+        self._work = workspace if workspace is not None else Workspace()
         # counter names, bound once: the scalar path runs per sector
         self._read_hits = f"{stats_prefix}.read_hits"
         self._write_hits = f"{stats_prefix}.write_hits"
@@ -186,11 +204,13 @@ class SectorCache:
         self._valid = np.zeros(shape, dtype=self._bits.dtype)
         self._dirty = np.zeros(shape, dtype=self._bits.dtype)
         self._stamp = np.zeros(shape, dtype=np.int64)
-        # the same four arrays flat, as memoryviews: the scalar path reads
-        # and writes them as Python ints, without numpy's per-scalar cost
+        # the same four arrays flat (the batch path's fancy indexes), and
+        # as memoryviews: the scalar path reads and writes them as Python
+        # ints, without numpy's per-scalar cost
+        self._flat = tuple(state.reshape(-1) for state in
+                           (self._tag, self._valid, self._dirty, self._stamp))
         self._ftag, self._fvalid, self._fdirty, self._fstamp = (
-            memoryview(state.reshape(-1)) for state in
-            (self._tag, self._valid, self._dirty, self._stamp))
+            memoryview(state) for state in self._flat)
 
     # ------------------------------------------------------------------
 
@@ -318,7 +338,9 @@ class SectorCache:
         cache can differ slightly from calling :meth:`access` per element;
         below capacity the two paths agree exactly.  Only meaningful for
         write-allocate write-back caches (the memory-side L2); other
-        configurations keep the scalar path.
+        configurations keep the scalar path.  The working arrays, the
+        result's included, come from the cache's workspace: the result is
+        valid until its next batch.
         """
         if not (self.write_allocate and self.write_back):
             raise NotImplementedError(
@@ -331,24 +353,46 @@ class SectorCache:
         if self._tag is None:
             self._allocate()
         n = stream.addrs.size
-        wb_idx = wb_addrs = np.empty(0, dtype=np.int64)
+        work = self._work
         ways = cfg.ways
-        sets, tags, set_order = stream.placement(self._num_sets)
+        tag, valid, dirty, stamp_of = self._flat
+        sets, tags, set_order = stream.placement(self._num_sets, work)
         (bit, repeat, line_inv, write_count,
-         valid_or, dirty_or, first_occ, last_touch) = stream.touches
+         valid_or, dirty_or, first_occ, last_touch) = stream.touches(work)
+        lines = sets.size
+        # the stream keeps its index arrays narrow, and numpy indexes with
+        # int64 ones: each is copied once here, not converted on each use
+        line_sets, by_set, way, stamp = work.take(SHARED_INTS[1], lines,
+                                                  np.int64, rows=4)
+        line_sets[...] = sets
 
-        # a line matches at most one way of its set: one flat scan finds
-        # every resident line (ascending) and its way
-        found = np.flatnonzero(self._tag[sets] == tags[:, None])
-        old = found // ways
-        old_at = (sets[old], found - old * ways)
-        resident = np.zeros(sets.size, dtype=bool)
-        resident[old] = True
-        valid_pre = np.zeros(sets.size, dtype=self._valid.dtype)
-        valid_pre[old] = self._valid[old_at]
-        hit = repeat | ((valid_pre[line_inv] & bit) != 0)
-        hits = int(np.count_nonzero(hit))
-        write_hits = int(np.count_nonzero(hit & stream.writes))
+        # a line matches at most one way of its set: one scan finds every
+        # resident line (ascending) and its way
+        held = self._tag.take(line_sets, axis=0, mode="clip",
+                              out=work.take(SHARED_INTS[0], ways, np.int64,
+                                            rows=lines))
+        match = np.equal(held, tags[:, None],
+                         out=work.take("l2.match", ways, bool, rows=lines))
+        resident, is_new = work.take("l2.line_flags", lines, bool, rows=2)
+        np.logical_or.reduce(match, axis=1, out=resident)
+        old = work.compress("l2.old", resident, work.iota(lines))
+        old_at, base = work.take("l2.old_at", old.size, np.int64, rows=2)
+        match.argmax(axis=1, out=way).take(old, out=old_at, mode="clip")
+        line_sets.take(old, out=base, mode="clip")
+        np.add(old_at, np.multiply(base, ways, out=base), out=old_at)
+        bits = work.take("l2.bits", lines + n, valid.dtype)
+        valid_pre, hit_bits = bits[:lines], bits[lines:]
+        valid_pre[...] = 0
+        valid_pre[old] = valid[old_at]
+        line_index = work.take("l2.line", n, np.int64)
+        line_index[...] = line_inv
+        valid_pre.take(line_index, out=hit_bits, mode="clip")
+        np.bitwise_and(hit_bits, bit, out=hit_bits)
+        hit, write_hit = work.take("l2.hit", n, bool, rows=2)
+        np.logical_or(repeat, np.not_equal(hit_bits, 0, out=hit), out=hit)
+        hits = int(np.add.reduce(hit))
+        write_hits = int(np.add.reduce(np.logical_and(hit, stream.writes,
+                                                      out=write_hit)))
         for name, count in (
             (self._read_hits, hits - write_hits),
             (self._write_hits, write_hits),
@@ -358,66 +402,158 @@ class SectorCache:
             if count:
                 self.stats.add(name, count)
 
-        stamp = np.add(last_touch, self._clock + 1, dtype=np.int64)
+        stamp[...] = last_touch
+        np.add(stamp, self._clock + 1, out=stamp)
         self._clock += n
 
-        self._valid[old_at] |= valid_or[old]
-        self._dirty[old_at] |= dirty_or[old]
-        self._stamp[old_at] = stamp[old]
+        valid[old_at] |= valid_or[old]
+        dirty[old_at] |= dirty_or[old]
+        stamp_of[old_at] = stamp[old]
 
-        if old.size < sets.size:
+        wb_idx = wb_addrs = _NONE
+        if old.size < lines:
             # new lines grouped by set, in first-touch order within a set
-            new = set_order[~resident[set_order]]
-            new_sets = sets[new]
-            boundary = np.concatenate(([True], new_sets[1:] != new_sets[:-1]))
-            starts = np.flatnonzero(boundary)
-            group = np.cumsum(boundary) - 1
-            rank = np.arange(new.size) - starts[group]
-            group_sets = new_sets[starts]
-            count = np.diff(starts, append=new.size)
-            free = ways - np.count_nonzero(self._tag[group_sets], axis=1)
-            # the batch LRU rule: free ways (stamp 0) first, then victims
-            by_age = np.argsort(self._stamp[group_sets], axis=1,
-                                kind="stable")
+            by_set[...] = set_order
+            resident.take(by_set, out=is_new, mode="clip")
+            new = work.compress("l2.new", np.logical_not(is_new, out=is_new),
+                                by_set)
+            k = new.size
+            new_sets, group, rank, limit = work.take(SHARED_INTS[2], k,
+                                                     np.int64, rows=4)
+            line_sets.take(new, out=new_sets, mode="clip")
+            boundary, flags = work.take("l2.new_flags", k, bool, rows=2)
+            boundary[0] = True
+            np.not_equal(new_sets[1:], new_sets[:-1], out=boundary[1:])
+            starts = work.compress("l2.starts", boundary, work.iota(k))
+            boundary.cumsum(out=group)
+            np.subtract(group, 1, out=group)
+            starts.take(group, out=rank, mode="clip")
+            np.subtract(work.iota(k), rank, out=rank)
+            # per touched set: its number, new lines and free ways
+            group_sets, count, free = work.take("l2.groups", starts.size,
+                                                np.int64, rows=3)
+            new_sets.take(starts, out=group_sets, mode="clip")
+            np.negative(starts, out=count)
+            count[:-1] += starts[1:]
+            count[-1] += k
+            # the batch LRU rule: free ways (stamp 0) first, then victims.
+            # by_age is each touched set's ways by ascending stamp, ties in
+            # way order: the ways packed under their stamps, sorted in place
+            by_age = self._tag.take(group_sets, axis=0, mode="clip",
+                                    out=held[:starts.size])
+            np.add.reduce(np.equal(by_age, 0, out=match[:starts.size]),
+                          axis=1, out=free)
+            self._stamp.take(group_sets, axis=0, mode="clip", out=by_age)
+            way_bits = ((ways - 1) | 1).bit_length()
+            np.left_shift(by_age, way_bits, out=by_age)
+            np.bitwise_or(by_age, work.iota(ways), out=by_age)
+            by_age.sort(axis=1)
+            by_age = np.bitwise_and(by_age, (1 << way_bits) - 1,
+                                    out=by_age).reshape(-1)
 
-            evictor = np.flatnonzero(rank >= free[group])
+            free.take(group, out=limit, mode="clip")
+            evictor = work.compress(
+                "l2.evictor", np.greater_equal(rank, limit, out=flags),
+                work.iota(k))
+            skipped = np.maximum(np.subtract(count, ways, out=count), 0,
+                                 out=count).take(group, out=limit,
+                                                 mode="clip")
+            # each new line's row of by_age, as a flat offset
+            row = np.multiply(group, ways, out=group)
             if evictor.size:
-                # rank < ways evicts the way at that position of by_age;
-                # rank >= ways evicts the new line `ways` ranks earlier
-                from_way = rank[evictor] < ways
-                ev = evictor[from_way]
-                victim_at = (new_sets[ev], by_age[group[ev], rank[ev]])
-                earlier = new[evictor[~from_way] - ways]
-                victim_tag = np.empty(evictor.size, dtype=np.int64)
-                victim_tag[from_way] = self._tag[victim_at]
-                victim_tag[~from_way] = tags[earlier]      # both: tag + 1
-                victim_dirty = np.empty(evictor.size, dtype=self._bits.dtype)
-                victim_dirty[from_way] = self._dirty[victim_at]
-                victim_dirty[~from_way] = dirty_or[earlier]
-                self.stats.add(self._evictions, int(evictor.size))
-                rows, sector = np.nonzero(victim_dirty[:, None] & self._bits)
-                if rows.size:
-                    self.stats.add(self._writebacks,
-                                   int(np.count_nonzero(victim_dirty)))
-                    victim_line = (victim_tag - 1) * self._num_sets \
-                        + new_sets[evictor]
-                    wb_idx = first_occ[new[evictor]][rows].astype(np.int64)
-                    wb_addrs = victim_line[rows] * cfg.line_bytes \
-                        + sector * cfg.sector_bytes
+                wb_idx, wb_addrs = self._evict(evictor, new, new_sets, rank,
+                                               row, by_age, tags, dirty_or,
+                                               first_occ)
 
-            # survivors (a set's last `ways` new lines) take the freed ways
-            skipped = np.maximum(count - ways, 0)[group]
-            keep = np.flatnonzero(rank >= skipped)
-            keep_at = (new_sets[keep],
-                       by_age[group[keep], rank[keep] - skipped[keep]])
-            kept = new[keep]
-            self._tag[keep_at] = tags[kept]
-            self._valid[keep_at] = valid_or[kept]
-            self._dirty[keep_at] = dirty_or[kept]
-            self._stamp[keep_at] = stamp[kept]
+            # survivors (a set's last `ways` new lines) take the freed ways:
+            # the way at rank - skipped of the line's by_age row
+            keep = work.compress(
+                "l2.keep", np.greater_equal(rank, skipped, out=flags),
+                work.iota(k))
+            np.add(row, np.subtract(rank, skipped, out=rank), out=row)
+            at, line, value = work.take("l2.kept", keep.size, np.int64,
+                                        rows=3)
+            by_age.take(row.take(keep, out=at, mode="clip"), out=line,
+                        mode="clip")
+            new_sets.take(keep, out=at, mode="clip")
+            np.add(np.multiply(at, ways, out=at), line, out=at)
+            new.take(keep, out=line, mode="clip")
+            tag[at] = tags.take(line, out=value, mode="clip")
+            stamp_of[at] = stamp.take(line, out=value, mode="clip")
+            kept_bits = work.take("l2.kept_bits", keep.size, valid.dtype)
+            valid[at] = valid_or.take(line, out=kept_bits, mode="clip")
+            dirty[at] = dirty_or.take(line, out=kept_bits, mode="clip")
 
-        return BatchAccessResult(hit_mask=hit, fill_idx=np.flatnonzero(~hit),
-                                 wb_idx=wb_idx, wb_addrs=wb_addrs)
+        return BatchAccessResult(hit_mask=hit, wb_idx=wb_idx,
+                                 wb_addrs=wb_addrs)
+
+    def _evict(self, evictor, new, new_sets, rank, row, by_age, tags,
+               dirty_or, first_occ) -> tuple[np.ndarray, np.ndarray]:
+        """The victims of :meth:`access_batch`'s new lines at positions
+        ``evictor`` of its new-line order: rank < ways evicts the way at
+        that rank of the line's ``by_age`` row, rank >= ways the new line
+        ``ways`` ranks earlier (both carry ``tag + 1``).  Counts them and
+        returns ``(wb_idx, wb_addrs)`` of their dirty sectors."""
+        work = self._work
+        tag, _valid, dirty, _stamp = self._flat
+        ways, spl = self.config.ways, self.sectors_per_line
+        e = evictor.size
+        self.stats.add(self._evictions, e)
+        position, at, victim_set, earlier, victim_tag = work.take(
+            "l2.victims", e, np.int64, rows=5)
+        from_way = work.take("l2.from_way", e, bool)
+        # a victim way: the rank, clipped to the ways (a rank past them
+        # evicts a new line instead), into the line's by_age row
+        rank.take(evictor, out=position, mode="clip")
+        np.less(position, ways, out=from_way)
+        np.minimum(position, ways - 1, out=position)
+        np.add(position, row.take(evictor, out=at, mode="clip"),
+               out=position)
+        by_age.take(position, out=at, mode="clip")
+        np.add(at, np.multiply(new_sets.take(evictor, out=victim_set,
+                                             mode="clip"), ways,
+                               out=position), out=at)
+        # a victim new line: `ways` ranks earlier (clipped at the first)
+        new.take(np.maximum(np.subtract(evictor, ways, out=position), 0,
+                            out=position), out=earlier, mode="clip")
+        tags.take(earlier, out=victim_tag, mode="clip")
+        np.copyto(victim_tag, tag.take(at, out=position, mode="clip"),
+                  where=from_way)
+        victim_dirty, way_dirty = work.take("l2.victim_dirty", e,
+                                            dirty.dtype, rows=2)
+        dirty_or.take(earlier, out=victim_dirty, mode="clip")
+        np.copyto(victim_dirty, dirty.take(at, out=way_dirty, mode="clip"),
+                  where=from_way)
+
+        sectors = np.not_equal(np.bitwise_and(
+            victim_dirty[:, None], self._bits,
+            out=work.take("l2.sector_bits", spl, dirty.dtype, rows=e)), 0,
+            out=work.take("l2.sectors", spl, bool, rows=e))
+        dirty_at = work.compress("l2.dirty_at", sectors.reshape(-1),
+                                 work.iota(e * spl))
+        w = dirty_at.size
+        if not w:
+            return _NONE, _NONE
+        self.stats.add(self._writebacks, int(np.add.reduce(
+            np.not_equal(victim_dirty, 0, out=from_way))))
+        rows, sector = work.take("l2.dirty_rows", w, np.int64, rows=2)
+        np.floor_divide(dirty_at, spl, out=rows)
+        np.subtract(dirty_at, np.multiply(rows, spl, out=sector), out=sector)
+        # the victim's line, and the first touch of the line evicting it
+        np.subtract(victim_tag, 1, out=victim_tag)
+        np.multiply(victim_tag, self._num_sets, out=victim_tag)
+        victim_line = np.add(victim_tag, victim_set, out=victim_tag)
+        first = work.take("l2.first_occ", first_occ.size, np.int64)
+        first[...] = first_occ
+        first.take(new.take(evictor, out=victim_set, mode="clip"),
+                   out=earlier, mode="clip")
+        wb_idx, wb_addrs = work.take("l2.writebacks", w, np.int64, rows=2)
+        earlier.take(rows, out=wb_idx, mode="clip")
+        victim_line.take(rows, out=wb_addrs, mode="clip")
+        np.multiply(wb_addrs, self.config.line_bytes, out=wb_addrs)
+        np.add(wb_addrs, np.multiply(sector, self.config.sector_bytes,
+                                     out=sector), out=wb_addrs)
+        return wb_idx, wb_addrs
 
     # ------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.config import DRAMConfig
 from repro.errors import SimulationError
 from repro.mem.layout import AddressLayout
 from repro.sim.engine import segmented_queue_finish, virtual_queues_finish
+from repro.sim.workspace import SHARED_INTS, Workspace
 from repro.sim.stats import StatsRegistry
 
 
@@ -35,7 +36,8 @@ class DRAMModel:
     ``_last_activate_ns``; the channel data buses are a fourth,
     ``_bus_busy_until[channel]``.  :meth:`burst` (one burst; :meth:`access`
     loops over it) and :meth:`access_batch` read and write the same
-    arrays.
+    arrays.  ``workspace`` holds :meth:`access_batch`'s working arrays
+    (a fresh one if None).
     """
 
     def __init__(
@@ -43,6 +45,7 @@ class DRAMModel:
         config: DRAMConfig,
         stats: StatsRegistry | None = None,
         stats_prefix: str = "dram",
+        workspace: Workspace | None = None,
     ) -> None:
         self.config = config
         self.layout = AddressLayout(config)
@@ -63,6 +66,7 @@ class DRAMModel:
         self._banks_per_channel = config.banks_per_channel
         self._grain = config.access_granularity
         self._burst_ns = self._grain / config.channel_bw_bytes_per_ns
+        self._work = workspace if workspace is not None else Workspace()
         # counter names, bound once: burst runs per scalar burst
         self._row_hits = f"{stats_prefix}.row_hits"
         self._row_misses = f"{stats_prefix}.row_misses"
@@ -147,7 +151,13 @@ class DRAMModel:
         a conflict as one code that indexes the three latencies.  The
         buses: one :func:`~repro.sim.engine.virtual_queues_finish` pass,
         its padded array at worst ``channels x n`` floats — 4 MB when
-        16 384 bursts all pick one of 32 channels.  Each
+        16 384 bursts all pick one of 32 channels.  Every array of the
+        batch's length comes from the model's workspace (a device's is its
+        simulator's, see :mod:`repro.sim.workspace`), filled with ``out=``;
+        the bank order is one in-place sort of bank ids packed above their
+        positions.  So a steady-state batch allocates nothing of its
+        length, and needs no allocator setting to skip faulting pages in
+        again.  Each
         access must fit one device burst (``addr % granularity + size <=
         granularity``), which holds for the sector streams the batched
         execution backend charges; the address itself is mapped, as the
@@ -157,46 +167,56 @@ class DRAMModel:
         by intervening row hits is not re-gated (the hits' CAS latencies
         almost always cover tRC anyway).
 
-        Returns per-access completion times; bank and bus state are left
-        exactly as a matching sequence of scalar calls would leave them.
+        Returns per-access completion times, a view of the workspace valid
+        until the model's next batch; bank and bus state are left exactly
+        as a matching sequence of scalar calls would leave them.
         """
         n = int(addrs.size)
         if n == 0:
             return np.empty(0, dtype=np.float64)
+        work = self._work
         timing = self.config.timing
+        order, row_s, code = work.take(SHARED_INTS[1], n, np.int64,
+                                       rows=3)
+        t_s, a, b = work.take("dram.float", n, rows=3)
+        miss_type, gate = work.take("dram.bool", n, bool, rows=2)
         # the layout divides by its interleave granule, a multiple of the
         # burst (``DRAMConfig`` checks it): no rounding to the burst first
-        channel, bank, row = self.layout.coordinates_batch(addrs)
-        gid = channel * self._banks_per_channel + bank
+        channel, bank, row = self.layout.coordinates_batch(addrs, work)
+        gid = np.add(np.multiply(channel, self._banks_per_channel, out=code),
+                     bank, out=bank)
 
-        # stream order grouped by bank; numpy sorts keys of <= 16 bits by
-        # radix.  Each touched bank's chain is one segment
+        # stream order grouped by bank: each touched bank's chain is one
+        # segment
         banks = self._open_row.size
-        order = np.argsort(gid.astype(np.min_scalar_type(banks - 1)),
-                           kind="stable")
+        work.argsort(gid, banks, order)
         per_bank = np.bincount(gid, minlength=banks)
         touched = np.flatnonzero(per_bank)
         lengths = per_bank[touched]
         ends = np.cumsum(lengths) - 1
         starts = ends - (lengths - 1)
-        row_s = row[order]
-        t_s = np.asarray(arrivals_ns, dtype=np.float64)[order]
+        row.take(order, out=row_s, mode="clip")
+        np.asarray(arrivals_ns, dtype=np.float64).take(order, out=t_s,
+                                                       mode="clip")
 
         # row classification along each bank's access chain: code 0 a hit,
         # 1 a miss (the bank was precharged), 2 a conflict
-        prev_row = np.empty(n, dtype=np.int64)
+        prev_row = row
         prev_row[1:] = row_s[:-1]
         prev_row[starts] = self._open_row[touched]
-        miss_type = row_s != prev_row
-        code = miss_type.view(np.int8) * np.int8(2)
+        np.not_equal(row_s, prev_row, out=miss_type)
+        code[...] = miss_type
+        np.left_shift(code, 1, out=code)
         code[starts] -= prev_row[starts] < 0
-        a = np.array([timing.row_hit_ns, timing.row_miss_ns,
-                      timing.row_miss_ns + timing.row_conflict_extra_ns])[code]
-        prev_miss = np.empty(n, dtype=bool)
-        prev_miss[1:] = miss_type[:-1]
-        prev_miss[starts] = False
-        b = a.copy()
-        np.maximum(b, timing.t_rc_ns, out=b, where=miss_type & prev_miss)
+        hits, misses, conflicts = np.bincount(code, minlength=3).tolist()
+        np.array([timing.row_hit_ns, timing.row_miss_ns,
+                  timing.row_miss_ns + timing.row_conflict_extra_ns]).take(
+            code, out=a, mode="clip")
+        gate[1:] = miss_type[:-1]
+        gate[starts] = False
+        b[...] = a
+        np.maximum(b, timing.t_rc_ns, out=b,
+                   where=np.logical_and(gate, miss_type, out=gate))
 
         # a bank whose chain opens with an activate is tRC-gated by its
         # last activate before the batch
@@ -204,10 +224,13 @@ class DRAMModel:
         gated = self._last_activate_ns[touched] + timing.t_rc_ns \
             + timing.row_miss_ns - b[starts]
         np.maximum(init, gated, out=init, where=miss_type[starts])
-        cas_s = segmented_queue_finish(t_s + a, b, lengths, init)
+        cas_s = segmented_queue_finish(np.add(t_s, a, out=t_s), b, lengths,
+                                       init, work)
 
         # write final bank state back (last access / last activate per bank)
-        act_idx = np.where(miss_type, np.arange(n), -1)
+        act_idx = code
+        act_idx[...] = -1
+        np.copyto(act_idx, work.iota(n), where=miss_type)
         last_act = np.maximum.reduceat(act_idx, starts)
         self._open_row[touched] = row_s[ends]
         self._ready_ns[touched] = cas_s[ends]
@@ -216,12 +239,11 @@ class DRAMModel:
             cas_s[last_act[activated]] - timing.row_miss_ns
 
         # channel data buses, in original stream order
-        cas = np.empty(n, dtype=np.float64)
+        cas = a
         cas[order] = cas_s
         finish = virtual_queues_finish(cas, self._burst_ns, channel,
-                                       self._bus_busy_until)
+                                       self._bus_busy_until, work)
 
-        hits, misses, conflicts = np.bincount(code, minlength=3).tolist()
         writes = int(np.count_nonzero(is_write))
         for name, count in (
             (self._row_hits, hits),

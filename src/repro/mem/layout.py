@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import INTERLEAVE_GRANULE, DRAMConfig
+from repro.sim.workspace import SHARED_INTS, Workspace
 
 
 def _fold_hash(value: int) -> int:
@@ -42,20 +43,31 @@ class AddressLayout:
                 (sid // banks) // self.granules_per_row)
 
     def coordinates_batch(
-        self, addrs: np.ndarray
+        self, addrs: np.ndarray, workspace: Workspace | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`coordinates`: (channel, bank, row) arrays, so
-        one pass over a whole sector stream replaces one Python call per
-        access.  A remainder is ``x - (x // m) * m``, equal to numpy's
-        ``%`` on integers and several times faster."""
+        """Vectorized :meth:`coordinates`: (channel, bank, row) int64
+        arrays, so one pass over a whole sector stream replaces one Python
+        call per access.  A remainder is ``x - (x // m) * m``, equal to
+        numpy's ``%`` on integers and several times faster.  The arrays
+        come from ``workspace`` (fresh ones without it)."""
+        work = Workspace() if workspace is None else workspace
+        n = addrs.size
         channels, banks = self._channels, self._banks
-        gid = addrs // INTERLEAVE_GRANULE
-        folded = gid ^ (gid >> 7) ^ (gid >> 14) ^ (gid >> 21)
-        channel = folded - (folded // channels) * channels
-        sid = gid // channels
-        sid_row = sid // banks
-        return (channel, sid - sid_row * banks,
-                sid_row // self.granules_per_row)
+        sid, channel, row, spare = work.take(SHARED_INTS[0], n, np.int64,
+                                             rows=4)
+        np.floor_divide(addrs, INTERLEAVE_GRANULE, out=sid)   # the granule
+        np.bitwise_xor(np.right_shift(sid, 7, out=channel), sid, out=channel)
+        for shift in (14, 21):
+            np.bitwise_xor(channel, np.right_shift(sid, shift, out=row),
+                           out=channel)
+        np.multiply(np.floor_divide(channel, channels, out=row), channels,
+                    out=row)
+        np.subtract(channel, row, out=channel)
+        np.floor_divide(sid, channels, out=sid)
+        np.floor_divide(sid, banks, out=row)
+        bank = np.subtract(sid, np.multiply(row, banks, out=spare), out=sid)
+        np.floor_divide(row, self.granules_per_row, out=row)
+        return channel, bank, row
 
     def split_by_access(self, addr: int, size: int) -> list[tuple[int, int]]:
         """Split into device access-granularity bursts (32 B LPDDR5, 64 B DDR5)."""

@@ -89,7 +89,8 @@ class PhysicalMemory:
         offset = addr % PAGE_SIZE
         if offset + size <= PAGE_SIZE:
             self._check_range(addr, size)
-            self._page(addr // PAGE_SIZE)[offset:offset + size] = data
+            if size:            # an empty write creates no page
+                self._page(addr // PAGE_SIZE)[offset:offset + size] = data
             return
         src = memoryview(data)
         for pos, chunk in self._chunks(addr, size, create=True):

@@ -144,9 +144,11 @@ class M2NDPDevice:
         # (DRAM banks, L2, link) — see repro.cluster.runtime.
         self.physical = (physical if physical is not None
                          else PhysicalMemory(self.config.cxl_dram.capacity_bytes))
-        self.dram = DRAMModel(self.config.cxl_dram, self.stats, "cxl_dram")
+        self.dram = DRAMModel(self.config.cxl_dram, self.stats, "cxl_dram",
+                              workspace=sim.workspace)
         self.l2 = SectorCache(self.config.l2, self.stats, "l2",
-                              write_allocate=True, write_back=True)
+                              write_allocate=True, write_back=True,
+                              workspace=sim.workspace)
         self.link = CXLLink(self.config.cxl, self.stats, "cxl")
         self.packet_filter = PacketFilter()
         self.coherence = HDMCoherence(self.link, dirty_fraction, self.stats)
@@ -217,6 +219,7 @@ class M2NDPDevice:
                 dram = DRAMModel(
                     _dc_replace(dram_cfg, channels=share.channels),
                     self.stats, f"cxl_dram.{share.name}",
+                    workspace=self.sim.workspace,
                 )
                 l2 = SectorCache(
                     _dc_replace(
@@ -226,6 +229,7 @@ class M2NDPDevice:
                     ),
                     self.stats, f"l2.{share.name}",
                     write_allocate=True, write_back=True,
+                    workspace=self.sim.workspace,
                 )
             part = DevicePartition(share, dram, l2, private, self.coherence)
             self.partitions.append(part)
@@ -278,32 +282,59 @@ class M2NDPDevice:
                     sector_addrs[reads], sector_bytes, arrivals[reads]
                 )
         result = l2.access_batch(stream)
-        done = arrivals + self.config.l2.hit_latency_ns
-        completion = float(done.max())
-        n_wb = result.wb_idx.size
-        if result.fill_idx.size or n_wb:
-            # interleave eviction writebacks just before the fill of the
-            # access that evicted them, as the scalar loop does
-            keys = np.concatenate([result.wb_idx * 2,
-                                   result.fill_idx * 2 + 1])
-            addrs = np.concatenate([result.wb_addrs,
-                                    sector_addrs[result.fill_idx]])
-            times = np.concatenate([done[result.wb_idx],
-                                    done[result.fill_idx]])
-            writes = np.concatenate([
-                np.ones(n_wb, dtype=bool), is_write[result.fill_idx],
-            ])
-            # keys are < 2n and repeat: numpy radix-sorts <= 16-bit keys,
-            # stably
-            order = np.argsort(
-                keys.astype(np.min_scalar_type(2 * sector_addrs.size)),
-                kind="stable")
-            finishes = dram.access_batch(
-                addrs[order], sector_bytes, times[order], writes[order]
-            )
-            fills = (keys[order] & 1) == 1
-            if fills.any():
-                completion = max(completion, float(finishes[fills].max()))
+        n = sector_addrs.size
+        work = self.sim.workspace
+        # an access is done with the L2 hit latency after it arrives (the
+        # latest one too: adding a constant keeps the order)
+        hit_ns = self.config.l2.hit_latency_ns
+        completion = float(arrivals.max()) + hit_ns
+        hit, wb_idx = result.hit_mask, result.wb_idx
+        n_fill = n - int(np.add.reduce(hit))
+        n_wb = wb_idx.size
+        if n_fill or n_wb:
+            # one DRAM batch in stream order, as the scalar loop charges
+            # it: the writebacks an access's fill evicts, then the fill.
+            # Fill i lands after the fills before it and the writebacks
+            # at or before it; every hit lands on the spare last slot
+            m = n_fill + n_wb
+            slot, wbs = work.take("charge.int", n, np.int64, rows=2)
+            slot[...] = hit
+            np.subtract(1, slot, out=slot)
+            slot.cumsum(out=slot)
+            np.subtract(slot, 1, out=slot)
+            wb_slot = work.take("charge.wb_slot", n_wb, np.int64)
+            if n_wb:
+                # an evicting access is a fill: the fills before it, plus
+                # its writeback's rank among those stable by access
+                by_access, access, fills_before = work.take(
+                    "charge.wb", n_wb, np.int64, rows=3)
+                work.argsort(wb_idx, n, by_access)
+                wb_idx.take(by_access, out=access, mode="clip")
+                slot.take(access, out=fills_before, mode="clip")
+                wb_slot[by_access] = np.add(fills_before, work.iota(n_wb),
+                                            out=fills_before)
+                wbs[...] = 0
+                np.add.at(wbs, wb_idx, 1)
+                np.add(slot, wbs.cumsum(out=wbs), out=slot)
+            np.copyto(slot, m, where=hit)
+            addrs = work.take("charge.addrs", m + 1, np.int64)
+            times = work.take("charge.times", m + 1)
+            writes, fills = work.take("charge.bool", m + 1, bool, rows=2)
+            addrs[slot] = sector_addrs
+            times[slot] = arrivals
+            writes[slot] = is_write
+            fills[slot] = True
+            addrs[wb_slot] = result.wb_addrs
+            times[wb_slot] = arrivals.take(wb_idx, mode="clip", out=work.take(
+                "charge.wb_times", n_wb))
+            writes[wb_slot] = True
+            fills[wb_slot] = False
+            times = np.add(times[:m], hit_ns, out=times[:m])
+            finishes = dram.access_batch(addrs[:m], sector_bytes, times,
+                                         writes[:m])
+            if n_fill:
+                completion = max(completion, float(finishes.max(
+                    where=fills[:m], initial=-np.inf)))
         return completion
 
     def dram_tlb_timed_fetch(self, asid: int, vpn: int, now_ns: float) -> float:

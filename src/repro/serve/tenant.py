@@ -272,16 +272,20 @@ class _SliceSweep:
             self._touched.update(range(request.slice_lo, request.slice_hi))
 
     def verify(self) -> bool:
+        """Every served slice holds the oracle's result for its slice of
+        the inputs (the oracles are elementwise)."""
         n = self.n
-        expected = self.sweep.oracle(*self.inputs)
         produced = self.runtime.read_array(
-            self.addrs[-1], self.sweep.out_dtype, n * self.slices
-        ).astype(expected.dtype)
-        return all(
-            np.array_equal(produced[s * n:(s + 1) * n],
-                           expected[s * n:(s + 1) * n])
-            for s in self._touched
-        )
+            self.addrs[-1], self.sweep.out_dtype, n * self.slices)
+        for s in self._touched:
+            part = slice(s * n, (s + 1) * n)
+            expected = self.sweep.oracle(*(array[part]
+                                           for array in self.inputs))
+            if not np.array_equal(
+                    produced[part].astype(expected.dtype, copy=False),
+                    expected):
+                return False
+        return True
 
     def result_snapshot(self) -> bytes:
         return bytes(self.runtime.physical.read_bytes(

@@ -25,6 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.workspace import SHARED_INTS, Workspace
 
 
 def virtual_queue_finish(arrivals: np.ndarray, costs: np.ndarray,
@@ -47,43 +48,64 @@ def virtual_queue_finish(arrivals: np.ndarray, costs: np.ndarray,
     return cum + np.maximum(np.maximum.accumulate(slack), busy_until)
 
 
+#: the working arrays :func:`virtual_queues_finish` and
+#: :func:`segmented_queue_finish` share (a workspace's charges run one at a
+#: time): what either returns is valid until the next call of either
+_QUEUE_INTS, _QUEUE_FLOATS = SHARED_INTS[2], "queue.float"
+
+
 def virtual_queues_finish(arrivals: np.ndarray, cost: float,
                           server: np.ndarray,
-                          busy_until: np.ndarray) -> np.ndarray:
+                          busy_until: np.ndarray,
+                          workspace: Workspace | None = None) -> np.ndarray:
     """:func:`virtual_queue_finish` for many servers in one pass.
 
-    Arrival ``i`` joins the FIFO of server ``server[i]`` (array order is
-    arrival order), every transfer costs ``cost``, and ``busy_until[s]``
-    is server ``s``'s state: read, and advanced in place for the servers
-    the batch uses.  Element for element the float operations of one
-    :func:`virtual_queue_finish` (equivalently one
+    Arrival ``i`` joins the FIFO of server ``server[i]`` (int64; array
+    order is arrival order), every transfer costs ``cost``, and
+    ``busy_until[s]`` is server ``s``'s state: read, and advanced in place
+    for the servers the batch uses.  Element for element the float
+    operations of one :func:`virtual_queue_finish` (equivalently one
     :meth:`BandwidthServer.charge_batch`) per server: a stable sort by
-    server — on keys narrowed to the server count, which numpy sorts by
-    radix — gives each arrival its rank in its queue, and the queues are
-    the rows of one ``-inf``-padded ``[servers, longest queue]`` array,
+    server gives each arrival its rank in its queue, and the queues are
+    the rows of one ``-inf``-padded ``[servers, longest queue]`` grid,
     written and read through one flat index, so every running max is one
-    accumulate.  That array is the worst case:
-    ``servers x n`` floats when every arrival picks one server.
+    accumulate.  The working arrays, the returned finish times included,
+    come from ``workspace`` (fresh ones without it).  The grid is kept there
+    only while it is at most twice the batch: when most arrivals pick one
+    server it is up to ``servers x n`` floats, made for that batch alone.
     """
+    work = Workspace() if workspace is None else workspace
     n = arrivals.size
     servers = busy_until.size
-    order = np.argsort(server.astype(np.min_scalar_type(servers - 1)),
-                       kind="stable")
-    queue = server[order]
+    order, queue, at = work.take(_QUEUE_INTS, n, np.int64, rows=3)
+    cum, value, finish = work.take(_QUEUE_FLOATS, n, rows=3)
+    work.argsort(server, servers, order)
+    server.take(order, out=queue, mode="clip")
     queued = np.bincount(queue, minlength=servers)
     first = np.cumsum(queued) - queued
-    rank = np.arange(n) - first[queue]
-    cum = (rank + 1) * cost
     longest = int(queued.max())
-    at = queue * longest + rank
-    slack = np.full(servers * longest, -np.inf)
-    slack[at] = arrivals[order] - (cum - cost)
+    # an arrival's rank in its queue, then its place in the grid
+    iota = work.iota(n)
+    np.subtract(iota, first.take(queue, out=at, mode="clip"), out=at)
+    cum[...] = np.add(at, 1, out=at)
+    np.multiply(cum, cost, out=cum)
+    (np.arange(servers) * longest - first).take(queue, out=at, mode="clip")
+    np.add(at, iota, out=at)
+    size = servers * longest
+    slack = work.take("queue.grid", size) if size <= 2 * n \
+        else np.empty(size)
+    slack[...] = -np.inf
+    arrivals.take(order, out=value, mode="clip")
+    slack[at] = np.subtract(value, np.subtract(cum, cost, out=finish),
+                            out=value)
     grid = slack.reshape(servers, longest)
     np.maximum.accumulate(grid, axis=1, out=grid)
-    finish_sorted = cum + np.maximum(slack[at], busy_until[queue])
+    slack.take(at, out=value, mode="clip")
+    busy_until.take(queue, out=finish, mode="clip")
+    finish_sorted = np.add(cum, np.maximum(value, finish, out=value),
+                           out=value)
     used = np.flatnonzero(queued)
     busy_until[used] = finish_sorted[(first + queued - 1)[used]]
-    finish = np.empty(n, dtype=np.float64)
     finish[order] = finish_sorted
     return finish
 
@@ -91,7 +113,8 @@ def virtual_queues_finish(arrivals: np.ndarray, cost: float,
 def segmented_queue_finish(arrivals_plus_service: np.ndarray,
                            chain_costs: np.ndarray,
                            segment_lengths: np.ndarray,
-                           segment_init: np.ndarray) -> np.ndarray:
+                           segment_init: np.ndarray,
+                           workspace: Workspace | None = None) -> np.ndarray:
     """Max-plus queue recurrence solved independently per segment.
 
     The elements are the segments laid end to end: segment ``s`` is the
@@ -108,22 +131,36 @@ def segmented_queue_finish(arrivals_plus_service: np.ndarray,
     segment into its own disjoint value band before
     ``np.maximum.accumulate`` (segments are short-lived virtual time
     windows, so the offset costs no precision that matters at ns scale).
+    The working arrays, the returned one included, come from ``workspace``
+    (fresh ones without it).
     """
     n = arrivals_plus_service.size
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    cum = np.cumsum(chain_costs)
+    work = Workspace() if workspace is None else workspace
+    cum, local_cum, slack = work.take(_QUEUE_FLOATS, n, rows=3)
+    chain_costs.cumsum(out=cum)
     starts = np.cumsum(segment_lengths) - segment_lengths
+    # each element's segment number: a cumsum over the segment heads
+    segment = work.take(_QUEUE_INTS, n, np.int64)
+    segment[...] = 0
+    segment[starts[1:]] = 1
+    segment.cumsum(out=segment)
     # within-segment cumulative chain cost
-    local_cum = cum - np.repeat(cum[starts] - chain_costs[starts],
-                                segment_lengths)
-    slack = arrivals_plus_service - local_cum
+    (cum[starts] - chain_costs[starts]).take(segment, out=local_cum,
+                                             mode="clip")
+    np.subtract(cum, local_cum, out=local_cum)
+    np.subtract(arrivals_plus_service, local_cum, out=slack)
     # fold each segment's initial state into its first element
     slack[starts] = np.maximum(slack[starts], segment_init)
     span = float(slack.max() - slack.min()) + 1.0
-    band = np.repeat(np.arange(segment_lengths.size), segment_lengths) * span
-    running = np.maximum.accumulate(slack + band) - band
-    return local_cum + running
+    band = cum
+    band[...] = segment
+    np.multiply(band, span, out=band)
+    np.add(slack, band, out=slack)
+    np.maximum.accumulate(slack, out=slack)
+    np.subtract(slack, band, out=slack)
+    return np.add(local_cum, slack, out=slack)
 
 # Events are plain (time, seq, callback) tuples: tuple comparison in the
 # heap is much cheaper than a dataclass __lt__ on this hot path.
@@ -142,6 +179,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: the working arrays of every vectorized L2/DRAM charge run in
+        #: this simulation: one set per platform, freed with it
+        self.workspace = Workspace()
         self._queue: list[tuple[float, int, Callable[[], Any]]] = []
         self._seq = 0
         self._running = False

@@ -49,7 +49,7 @@ class TestSectorCacheBatch:
         writes[::3] = True
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
         res = c2.access_batch(SectorStream(addrs, writes, cfg))
-        assert addrs[res.fill_idx].tolist() == fills_ref
+        assert addrs[~res.hit_mask].tolist() == fills_ref
         assert wb_ref == []
         assert res.wb_addrs.size == 0
         assert s1.counters("l2") == s2.counters("l2")
@@ -62,7 +62,7 @@ class TestSectorCacheBatch:
         writes = gen.random(8000) < 0.4
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
         res = c2.access_batch(SectorStream(addrs, writes, cfg))
-        assert addrs[res.fill_idx].tolist() == fills_ref
+        assert addrs[~res.hit_mask].tolist() == fills_ref
         assert s1.counters("l2") == s2.counters("l2")
         assert c1.resident_lines() == c2.resident_lines()
 
@@ -74,7 +74,7 @@ class TestSectorCacheBatch:
         writes[1::2] = True
         fills_ref, wb_ref = _drive_scalar(c1, addrs, writes)
         res = c2.access_batch(SectorStream(addrs, writes, small))
-        assert addrs[res.fill_idx].tolist() == fills_ref
+        assert addrs[~res.hit_mask].tolist() == fills_ref
         # writeback events match as (position, sector) multisets: the
         # batch path groups victims per set before emitting
         got = sorted(zip(res.wb_idx.tolist(), res.wb_addrs.tolist()))
@@ -94,7 +94,7 @@ class TestSectorCacheBatch:
         fills_ref, _ = _drive_scalar(c1, addrs, reads)
         res = c2.access_batch(stream)
         assert fills_ref == []
-        assert res.fill_idx.size == 0
+        assert res.hit_mask.all()
         assert s1.counters("l2") == s2.counters("l2")
 
     def test_rejects_write_through_configs(self):
@@ -124,7 +124,7 @@ class TestSectorCacheBatch:
             fills_ref, wb_ref = _drive_scalar(ref, addrs, writes)
             if use_batch:
                 res = mixed.access_batch(SectorStream(addrs, writes, cfg))
-                fills, wbs = addrs[res.fill_idx].tolist(), list(
+                fills, wbs = addrs[~res.hit_mask].tolist(), list(
                     zip(res.wb_idx.tolist(), res.wb_addrs.tolist()))
             else:
                 fills, wbs = _drive_scalar(mixed, addrs, writes)
@@ -163,7 +163,7 @@ class TestSectorCacheBatch:
                         _drive_scalar(cache, *arrays(other))
             want = fresh.access_batch(SectorStream(*arrays(accesses), cfg))
             got = reused.access_batch(stream)
-            for field in ("hit_mask", "fill_idx", "wb_idx", "wb_addrs"):
+            for field in ("hit_mask", "wb_idx", "wb_addrs"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), field
             assert s_reused.counters("l2") == s_fresh.counters("l2")
@@ -202,8 +202,8 @@ class TestSectorCacheBatch:
         cache, _, stats, _ = _cache_pair(cfg)
         res = cache.access_batch(SectorStream(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), cfg))
-        assert [a.size for a in (res.hit_mask, res.fill_idx, res.wb_idx,
-                                 res.wb_addrs)] == [0, 0, 0, 0]
+        assert [a.size for a in (res.hit_mask, res.wb_idx,
+                                 res.wb_addrs)] == [0, 0, 0]
         assert stats.counters("l2") == {} and cache.resident_lines() == 0
 
     def test_sixteen_sectors_per_line(self):
@@ -333,10 +333,11 @@ class TestManyQueuesOnePass:
         model = DRAMModel(cfg, StatsRegistry())
         passes = []
 
-        def checked(arrivals, cost, server, busy_until):
+        def checked(arrivals, cost, server, busy_until, workspace):
             want_busy = busy_until.copy()
             want = _server_per_queue(arrivals, cost, server, want_busy)
-            got = virtual_queues_finish(arrivals, cost, server, busy_until)
+            got = virtual_queues_finish(arrivals, cost, server, busy_until,
+                                        workspace)
             assert busy_until is model._bus_busy_until
             assert np.array_equal(got, want)
             assert np.array_equal(busy_until, want_busy)

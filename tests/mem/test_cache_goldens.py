@@ -64,7 +64,7 @@ def _digest(seed, ways, sets, multiple, pattern):
         res = cache.access_batch(SectorStream(addrs, writes, cfg))
         order = np.argsort(res.wb_idx, kind="stable")
         for arr in (res.hit_mask.astype(np.uint8),
-                    res.fill_idx.astype(np.int64),
+                    np.flatnonzero(~res.hit_mask),
                     res.wb_idx[order].astype(np.int64),
                     res.wb_addrs[order].astype(np.int64)):
             sha.update(arr.tobytes())

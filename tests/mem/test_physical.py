@@ -25,6 +25,17 @@ class TestRawBytes:
         mem.write_bytes(addr, b"abcdef")
         assert mem.read_bytes(addr, 6) == b"abcdef"
 
+    def test_empty_write_creates_no_page(self):
+        mem = PhysicalMemory()
+        mem.write_bytes(5000, b"")
+        mem.store_array(2 * PAGE_SIZE, np.empty(0))
+        assert mem._pages == {}
+
+    def test_empty_write_still_checks_its_address(self):
+        with pytest.raises(MemoryError_):
+            PhysicalMemory(capacity_bytes=PAGE_SIZE).write_bytes(
+                PAGE_SIZE + 1, b"")
+
     def test_capacity_enforced(self):
         mem = PhysicalMemory(capacity_bytes=0x100)
         with pytest.raises(MemoryError_):
