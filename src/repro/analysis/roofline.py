@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CXLConfig, hbm2_gpu_dram
+from repro.config import CXLConfig, hbm2_gpu_memory
 
 #: Fig 1a bandwidths, bytes/ns: the GPU's HBM2, and two x8 CXL links.
-LOCAL_BW = hbm2_gpu_dram().total_bw_bytes_per_ns
+LOCAL_BW = hbm2_gpu_memory().total_bw_bytes_per_ns
 CXL_BW = 2 * CXLConfig().bw_per_dir_bytes_per_ns
 
 #: Host GPU peak throughput (ops/s ~ FP32 FLOPS of the RTX-3090-class part).

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import KIB, NDPConfig
+from repro.config import KIB, GPUConfig, NDPConfig
+from repro.isa.vector import VLEN_BITS
 
 # mm^2 per KiB of SRAM at 7 nm (CACTI 6.5 scaled).  The multiported RF
 # array is calibrated on the paper's 48 KB = 0.25 mm²; the unified
@@ -29,8 +30,7 @@ MM2_PER_VECTOR_ALU_LANE = 0.0003      # per 32-bit lane
 MM2_FIXED_PER_SUBCORE = 0.002         # decode, dispatch, LSU queues
 MM2_PER_TLB_ENTRY = 0.00001
 
-# Ampere GA102 SM at comparable node.
-GPU_SM_REGFILE_KIB = 256
+# Ampere GA102 SM at comparable node (its register file: GPUConfig's).
 GPU_SM_ALUS = 184                     # FP32 + INT32 lanes
 GPU_SM_MM2 = 1.63                     # derived: 26.4 mm² / 16.2 SMs
 
@@ -49,7 +49,7 @@ def ndp_unit_area(config: NDPConfig | None = None) -> AreaBreakdown:
     cfg = config if config is not None else NDPConfig()
     subcores = cfg.subcores_per_unit
     slots = subcores * cfg.uthread_slots_per_subcore
-    vector_lanes = cfg.vector_bits // 32
+    vector_lanes = VLEN_BITS // 32
     parts = {
         "register_file": cfg.regfile_bytes_per_unit / KIB * MM2_PER_KIB_SRAM,
         "l1_scratchpad": cfg.scratchpad_bytes / KIB * MM2_PER_KIB_CACHE,
@@ -78,7 +78,7 @@ def iso_area_sm_count(config: NDPConfig | None = None) -> float:
 def register_file_reduction_vs_sm(config: NDPConfig | None = None) -> float:
     """Fraction by which the per-unit RF is smaller than an SM's (paper: 81 %)."""
     cfg = config if config is not None else NDPConfig()
-    return 1.0 - (cfg.regfile_bytes_per_unit / KIB) / GPU_SM_REGFILE_KIB
+    return 1.0 - cfg.regfile_bytes_per_unit / GPUConfig().regfile_bytes_per_sm
 
 
 def alu_area_reduction_vs_sm(config: NDPConfig | None = None) -> float:
@@ -88,7 +88,7 @@ def alu_area_reduction_vs_sm(config: NDPConfig | None = None) -> float:
         cfg.subcores_per_unit * cfg.scalar_alus_per_subcore * MM2_PER_SCALAR_ALU
         + cfg.subcores_per_unit * MM2_PER_SCALAR_SFU
         + cfg.subcores_per_unit * cfg.vector_alus_per_subcore
-        * (cfg.vector_bits // 32) * MM2_PER_VECTOR_ALU_LANE
+        * (VLEN_BITS // 32) * MM2_PER_VECTOR_ALU_LANE
     )
     sm_alu = GPU_SM_ALUS * MM2_PER_VECTOR_ALU_LANE
     return 1.0 - ndp_alu / sm_alu

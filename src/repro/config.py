@@ -12,6 +12,7 @@ from functools import cached_property
 
 from repro.errors import (AT_LEAST_ONE, COUNT, NONNEGATIVE, POSITIVE,
                           ConfigError, Domain, check, check_fields, setting)
+from repro.isa.vector import VLEN_BITS
 from repro.sim.clock import Clock
 
 KIB = 1024
@@ -103,7 +104,7 @@ def lpddr5_cxl_dram() -> DRAMConfig:
     )
 
 
-def hbm2_gpu_dram() -> DRAMConfig:
+def hbm2_gpu_memory() -> DRAMConfig:
     """32-channel HBM2, ~1 TB/s (host GPU local memory)."""
     return DRAMConfig(
         name="HBM2-GPU",
@@ -174,7 +175,6 @@ class CXLConfig:
     """CXL 3.0 x8 link with configurable load-to-use latency profile."""
 
     bw_per_dir_bytes_per_ns: float = setting(POSITIVE, 64.0)
-    flit_bytes: int = setting(AT_LEAST_ONE, 256)
     load_to_use_ns: float = setting(POSITIVE, 150.0)
     # Fixed component of LtU that is *not* the link round trip: host cache
     # miss path + device-side controller + DRAM access.  Derived so that the
@@ -227,8 +227,6 @@ class NDPConfig:
     regfile_bytes_per_unit: int = setting(AT_LEAST_ONE, 48 * KIB)
     scratchpad_bytes: int = setting(AT_LEAST_ONE, 128 * KIB)
     max_concurrent_kernels: int = setting(AT_LEAST_ONE, 48)
-    vector_bits: int = setting(
-        Domain("an integer >= 64", int, lambda n: n >= 64), 256)
     scalar_alus_per_subcore: int = setting(AT_LEAST_ONE, 2)
     vector_alus_per_subcore: int = setting(AT_LEAST_ONE, 1)
     itlb_entries: int = setting(AT_LEAST_ONE, 256)
@@ -237,12 +235,11 @@ class NDPConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.vector_bits % 64 != 0:
-            raise ConfigError("vector width must be a multiple of 64 bits")
 
     @property
     def vector_bytes(self) -> int:
-        return self.vector_bits // 8
+        """One vector register: ``isa.vector.VLEN_BITS`` (Table IV)."""
+        return VLEN_BITS // 8
 
     @property
     def regfile_bytes_per_subcore(self) -> int:
@@ -306,16 +303,18 @@ class ClusterConfig:
 # (Table IV, a section, a reference number, a figure) or ``calibration:``
 # and what it stands for.  What a SystemConfig field already holds (link
 # and DRAM bandwidths, load-to-use latency) is read from there instead.
+# Every value moves some result over its plausible range; one that moves
+# none is deleted (``tools/perturb.py`` re-runs drivers with one value
+# changed and prints the headline keys that moved).
 # ---------------------------------------------------------------------------
 
 COMPARATORS: dict[str, dict] = {
-    # Host CPU streaming from passive CXL memory; also the KVS baseline.
+    # Host CPU streaming from passive CXL memory; also the KVS baseline's
+    # cores and the NDP path's key hashing.
     "cpu": {
         "cores": 64,                    # Table IV: host CPU cores
         "mlp": 10,                      # calibration: OoO misses in flight
         "instr_per_row_predicate": 4,   # calibration: Fig 15 host instrs
-        "filter_share": 0.55,           # calibration: Fig 10a Filter bar
-        "etc_share": 0.45,              # calibration: Fig 10a Etc bar
         "static_w": 120.0,              # calibration: host CPU power, §IV-A
         "pj_per_instr": 150.0,          # calibration: 7 nm OoO core average
     },
@@ -324,6 +323,8 @@ COMPARATORS: dict[str, dict] = {
         "cores": 32,                    # §IV-A: cores inside the expander
         "mlp": 10,                      # calibration: the host core's MLP
         "load_to_use_ns": 75.0,         # calibration: internal DRAM, no link
+        # Hidden under the scan at 0.25: the predicates bind from 0.47 ns
+        # (1.88x) on q14 and q1_x, and from 0.625 ns (2.5x) on q6.
         "ns_per_row_predicate": 0.25,   # calibration: predicate cost, 1 core
     },
     # Host GPU streaming from passive CXL memory.
@@ -339,15 +340,11 @@ COMPARATORS: dict[str, dict] = {
         "static_w_per_sm": 2.5,         # calibration: one SM inside the device
         "host": "gpu",                  # §IV-A: instruction energy, idle host
     },
-    # M2NDP itself: its energy, and the host half of the Fig 10b KVS path.
+    # M2NDP itself: its energy.
     "m2ndp": {
         "static_w": 8.0,                # calibration: 32 units at ~0.25 W each
         "pj_per_instr": 8.0,            # calibration: in-order lane + RF
         "pj_per_spad_byte": 0.4,        # calibration: scratchpad SRAM access
-        # The NDP path hashes keys on 16 host cores; the host baseline
-        # serves on all of the cpu row's 64.  This asymmetry sits under
-        # Fig 10b's 7.8x against the paper's 4.79x.
-        "kvs_host_cores": 16,           # calibration, unexplained
     },
     # The expander: static power and access energies of every configuration.
     "cxl_mem": {
@@ -359,7 +356,6 @@ COMPARATORS: dict[str, dict] = {
     # NSU [81]: the host generates every address the NDP units access.
     "nsu": {
         "command_bytes": 32,            # [81]: 16 B command + 16 B flit slot
-        "host_issue_per_ns": 4.0,       # calibration: host address generation
     },
     # Domain-specific PEs (Fig 14a, §IV-D): the fraction of internal DRAM
     # bandwidth each sustains.  The paper finds them "sometimes" above
@@ -446,7 +442,6 @@ class SystemConfig:
     ndp: NDPConfig = field(default_factory=NDPConfig)
     gpu: GPUConfig = field(default_factory=GPUConfig)
     cxl_dram: DRAMConfig = field(default_factory=lpddr5_cxl_dram)
-    gpu_dram: DRAMConfig = field(default_factory=hbm2_gpu_dram)
     l2: CacheConfig = field(default_factory=memory_side_l2_config)
 
     def with_ltu(self, ltu_ns: float) -> "SystemConfig":

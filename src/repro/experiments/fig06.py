@@ -11,9 +11,11 @@ threadblock and merges each through global memory.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.config import GPU_NDP_ISO_AREA_SMS
 from repro.experiments.common import ExperimentResult
-from repro.host.gpu import make_gpu_ndp
+from repro.host.gpu import WARP_SIZE, make_gpu_ndp
 from repro.workloads import graph, histogram
 from repro.workloads.base import make_platform, scale
 
@@ -37,11 +39,11 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
         "fig6a", "Active context ratio over time (PGRANK main kernel)"
     )
     means = {"ndp_unit": ndp_mean}
-    for tb_size in (32, 64, 128):
+    for warps in (1, 2, 4):            # 32- to 128-thread blocks
         gpu_platform = make_platform()
         gpu = make_gpu_ndp(gpu_platform.sim, gpu_platform.system,
                            GPU_NDP_ISO_AREA_SMS)
-        spec = graph.gpu_spec_pagerank(data, tb_size=tb_size)
+        spec = replace(graph.gpu_spec_pagerank(data), warps_per_tb=warps)
         gpu.launch(spec, at_ns=0.0)
         gpu_platform.sim.run()
         gend = max(gpu_platform.sim.now, 1.0)
@@ -49,7 +51,7 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
             sm.sampler.time_weighted_mean(gpu.launch_overhead_ns, gend)
             for sm in gpu.sms
         ) / len(gpu.sms)
-        means[f"sm_tb{tb_size}"] = sm_mean
+        means[f"sm_tb{warps * WARP_SIZE}"] = sm_mean
 
     for idx, (t, ratio) in enumerate(ndp_series):
         result.add(time_frac=idx / max(steps - 1, 1), ndp_ratio=ratio)

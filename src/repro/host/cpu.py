@@ -81,16 +81,15 @@ class CoreRequestPool:
     """Discrete-event pool of cores serving fixed-service-time requests.
 
     Requests queue FCFS for the first free core; P95 latency under load
-    emerges from queueing.  Used for the KVStore host baseline and the
-    host-side hash stage in the NDP configurations.
+    emerges from queueing.  ``_heap`` holds each core's free time.  Used
+    for the KVStore host baseline and the host-side hash stage in the NDP
+    configurations, both on the ``cpu`` row's cores.
     """
 
     def __init__(self, sim: Simulator, num_cores: int) -> None:
         self.sim = sim
         self.num_cores = num_cores
-        self._core_free_ns = [0.0] * num_cores
-        self._heap = list(self._core_free_ns)
-        heapq.heapify(self._heap)
+        self._heap = [0.0] * num_cores
         self.latencies = Distribution()
 
     def submit(self, arrival_ns: float, service_ns: float,

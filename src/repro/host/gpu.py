@@ -37,6 +37,10 @@ from repro.sim.engine import IssueServer, Simulator
 from repro.sim.stats import IntervalSampler, StatsRegistry
 
 SECTOR = 32
+#: Threads per warp of every workload's kernel: the host GPU's.
+WARP_SIZE = GPUConfig().warp_size
+#: Warps per thread block of every workload's kernel (128 threads).
+WARPS_PER_TB = 128 // WARP_SIZE
 
 
 @dataclass

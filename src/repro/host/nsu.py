@@ -9,12 +9,14 @@ bottleneck because all addresses cross it.
 
 Runtime model::
 
-    t = max(internal work, command traffic over the link, host issue rate)
+    t = max(internal work, command traffic over the link) + load-to-use
 
 where command traffic = one descriptor per NDP memory access plus
 returned results for loads.  The descriptor (``COMPARATORS["nsu"]``) is a
 16 B address/opcode/tag plus its 16 B flit-slot overhead: roughly the data
 size of the 32 B access it requests, which is why the link saturates.
+The host's address generation is not a term: at 0.5 ns of link time per
+access, it would bind only below 2 addresses/ns.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class NSUModel:
         result_ns = workload.result_bytes / link_bw
         internal_ns = (workload.read_bytes
                        / system.cxl_dram.total_bw_bytes_per_ns)
-        host_ns = workload.ndp_accesses / row["host_issue_per_ns"]
-        return max(command_ns + result_ns, internal_ns, host_ns) + (
+        return max(command_ns + result_ns, internal_ns) + (
             system.cxl.load_to_use_ns  # pipeline fill
         )

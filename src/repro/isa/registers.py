@@ -73,7 +73,7 @@ class UThreadRegisters:
 
     __slots__ = ("x", "f", "v", "vl", "sew")
 
-    def __init__(self, vlen_bits: int = 256):
+    def __init__(self):
         self.x: list[int] = [0] * NUM_X_REGS
         self.f: list[float] = [0.0] * NUM_F_REGS
         self.v: list[list] = [_EMPTY_VREG] * NUM_V_REGS

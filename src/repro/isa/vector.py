@@ -20,7 +20,7 @@ _INT_PACK = {8: struct.Struct("<B"), 16: struct.Struct("<H"),
              32: struct.Struct("<I"), 64: struct.Struct("<Q")}
 
 
-def vlmax(sew: int, vlen_bits: int = VLEN_BITS) -> int:
+def vlmax(sew: int) -> int:
     """Elements per vector register at the given element width.
 
     >>> vlmax(64)
@@ -30,7 +30,7 @@ def vlmax(sew: int, vlen_bits: int = VLEN_BITS) -> int:
     """
     if sew not in (8, 16, 32, 64):
         raise ExecutionError(f"unsupported SEW {sew}")
-    return vlen_bits // sew
+    return VLEN_BITS // sew
 
 
 def mask_bits(sew: int) -> int:

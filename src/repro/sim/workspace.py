@@ -43,14 +43,18 @@ class Workspace:
         """The first ``n`` elements of working array ``name`` (contents
         undefined), or with ``rows`` the first ``rows * n`` as a
         ``[rows, n]`` array, to unpack into ``rows`` arrays of ``n``.  A
-        longer request doubles the array, or more."""
+        longer request doubles the array, or more; a request in another
+        dtype replaces it (two devices of one platform may size their L2
+        sector masks differently)."""
         size = n if rows is None else rows * n
         try:
             array = self._arrays[name]
         except KeyError:
             array = None
-        if array is None or array.size < size:
-            grown = size if array is None else max(size, 2 * array.size)
+        if array is None or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(size, dtype=dtype)
+        elif array.size < size:
+            grown = max(size, 2 * array.size)
             array = self._arrays[name] = np.empty(grown, dtype=dtype)
         view = array[:size]
         if rows is not None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.host.api import pack_args
-from repro.host.gpu import GPUKernelSpec, WarpProfile
+from repro.host.gpu import (WARP_SIZE, WARPS_PER_TB, GPUKernelSpec,
+                            WarpProfile)
 from repro.kernels.dlrm import DLRM_SLS
 from repro.workloads.base import NDPRunResult, Platform, rng
 
@@ -88,10 +89,10 @@ def run_ndp(platform: Platform, data: DLRMData,
     )
 
 
-def gpu_spec(data: DLRMData, tb_size: int = 128) -> GPUKernelSpec:
+def gpu_spec(data: DLRMData) -> GPUKernelSpec:
     """One warp gathers/accumulates 32 f32 lanes of one request's output;
     each lookup is one 128 B (4-sector) coalesced load."""
-    warps_per_request = max(1, data.dim // 32)
+    warps_per_request = max(1, data.dim // WARP_SIZE)
     total_warps = data.batch * warps_per_request
 
     def profile(_warp: int) -> WarpProfile:
@@ -104,7 +105,7 @@ def gpu_spec(data: DLRMData, tb_size: int = 128) -> GPUKernelSpec:
     return GPUKernelSpec(
         name=f"dlrm_b{data.batch}.gpu",
         total_warps=total_warps,
-        warps_per_tb=tb_size // 32,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=24,
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.host.api import pack_args
-from repro.host.gpu import GPUKernelSpec, WarpProfile
+from repro.host.gpu import (WARP_SIZE, WARPS_PER_TB, GPUKernelSpec,
+                            WarpProfile)
 from repro.kernels.graph import PAGERANK_ITER, SSSP_RELAX
 from repro.workloads.base import NDPRunResult, Platform, rng
 from repro.workloads.spmv import CSRMatrix, generate_csr
@@ -207,14 +208,14 @@ def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
 # GPU baselines
 # ---------------------------------------------------------------------------
 
-def gpu_spec_pagerank(data: GraphData, tb_size: int = 128) -> GPUKernelSpec:
+def gpu_spec_pagerank(data: GraphData) -> GPUKernelSpec:
     """Node-parallel gather: one thread per node, warp time tracks its
     longest in-edge list (from the actual transposed CSR)."""
     lengths = np.diff(data.in_csr.row_ptr)
-    total_warps = (data.n_nodes + 31) // 32
+    total_warps = (data.n_nodes + WARP_SIZE - 1) // WARP_SIZE
 
     def profile(warp: int) -> WarpProfile:
-        rows = lengths[warp * 32:(warp + 1) * 32]
+        rows = lengths[warp * WARP_SIZE:(warp + 1) * WARP_SIZE]
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
@@ -228,18 +229,18 @@ def gpu_spec_pagerank(data: GraphData, tb_size: int = 128) -> GPUKernelSpec:
     return GPUKernelSpec(
         name="pgrank.gpu",
         total_warps=total_warps,
-        warps_per_tb=tb_size // 32,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=28,
     )
 
 
-def gpu_spec_sssp(data: GraphData, tb_size: int = 128) -> GPUKernelSpec:
+def gpu_spec_sssp(data: GraphData) -> GPUKernelSpec:
     lengths = np.diff(data.out_csr.row_ptr)
-    total_warps = (data.n_nodes + 31) // 32
+    total_warps = (data.n_nodes + WARP_SIZE - 1) // WARP_SIZE
 
     def profile(warp: int) -> WarpProfile:
-        rows = lengths[warp * 32:(warp + 1) * 32]
+        rows = lengths[warp * WARP_SIZE:(warp + 1) * WARP_SIZE]
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
@@ -253,7 +254,7 @@ def gpu_spec_sssp(data: GraphData, tb_size: int = 128) -> GPUKernelSpec:
     return GPUKernelSpec(
         name="sssp.gpu",
         total_warps=total_warps,
-        warps_per_tb=tb_size // 32,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=24,
     )

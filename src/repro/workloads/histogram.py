@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.host.api import pack_args
-from repro.host.gpu import GPUKernelSpec, WarpProfile
+from repro.host.gpu import (WARP_SIZE, WARPS_PER_TB, GPUKernelSpec,
+                            WarpProfile)
 from repro.kernels.histogram import HISTOGRAM
 from repro.workloads.base import NDPRunResult, Platform, rng
 
@@ -73,24 +74,23 @@ def run_ndp(platform: Platform, data: HistogramData,
     )
 
 
-def gpu_spec(data: HistogramData, tb_size: int = 128,
+def gpu_spec(data: HistogramData,
              elements_per_thread: int = 4) -> GPUKernelSpec:
     """CUDA-samples-style histogram: TB-private shared-memory bins, merged
     into global bins when the TB retires.
 
     The TB-scope shared memory costs show up per warp: zero-initializing
     the private bins, a __syncthreads barrier, and the global-atomic merge
-    of ``nbins / tb_size`` bins per thread (Fig 6b's traffic and the
+    of ``nbins / threads per TB`` bins per thread (Fig 6b's traffic and the
     HISTO4096 blowup of §IV-C).
     """
     threads = (len(data.values) + elements_per_thread - 1) // elements_per_thread
-    total_warps = (threads + 31) // 32
-    warps_per_tb = tb_size // 32
+    total_warps = (threads + WARP_SIZE - 1) // WARP_SIZE
     # per element: load + mask + shift + shared atomic + loop ≈ 6 instrs,
     # plus SIMT index-calculation overhead (§III-D A1)
     instr_per_warp = elements_per_thread * 8
     loads_per_warp = elements_per_thread  # 128 B coalesced = 4 sectors each
-    bins_per_thread = max(1, data.nbins // tb_size)
+    bins_per_thread = max(1, data.nbins // (WARPS_PER_TB * WARP_SIZE))
     # init (shared writes) + merge loop instructions
     overhead_instr = bins_per_thread * 2 + bins_per_thread * 4 + 8
     # merge: each thread's bins_per_thread global atomics; a warp's 32
@@ -107,7 +107,7 @@ def gpu_spec(data: HistogramData, tb_size: int = 128,
     return GPUKernelSpec(
         name=f"histo{data.nbins}.gpu",
         total_warps=total_warps,
-        warps_per_tb=warps_per_tb,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=16,
         shared_mem_per_tb=data.nbins * 4,

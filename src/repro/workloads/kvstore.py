@@ -198,7 +198,7 @@ def run_ndp(platform: Platform, data: KVStoreData,
     set_kid = runtime.register_kernel(KVS_SET, name="kvs_set")
 
     results_addr = runtime.alloc(len(data.requests) * 128, align=128)
-    pool = CoreRequestPool(sim, COMPARATORS["m2ndp"]["kvs_host_cores"])
+    pool = CoreRequestPool(sim, COMPARATORS["cpu"]["cores"])
     latencies = Distribution()
     get_checks: list[tuple[int, int]] = []   # (result slot, expected seed)
     mutated = {

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.host.api import pack_args
-from repro.host.gpu import GPUKernelSpec, WarpProfile
+from repro.host.gpu import (WARP_SIZE, WARPS_PER_TB, GPUKernelSpec,
+                            WarpProfile)
 from repro.kernels.gemv import GEMV_F32
 from repro.workloads.base import NDPRunResult, Platform, rng
 
@@ -118,12 +119,12 @@ def run_ndp(platform: Platform, data: GEMVData) -> NDPRunResult:
     )
 
 
-def gpu_spec(data: GEMVData, tb_size: int = 128) -> GPUKernelSpec:
+def gpu_spec(data: GEMVData) -> GPUKernelSpec:
     """Row-per-thread GEMV: a warp owns 32 weight rows, so it must stream
     32 * dim * 4 bytes — one 128 B coalesced load per dim step."""
     n_rows, dim = data.weights.shape
-    total_warps = (n_rows + 31) // 32
-    loads_per_warp = (32 * dim * 4) // 128    # whole-warp row traffic
+    total_warps = (n_rows + WARP_SIZE - 1) // WARP_SIZE
+    loads_per_warp = (WARP_SIZE * dim * 4) // 128    # whole-warp row traffic
 
     def profile(_warp: int) -> WarpProfile:
         return WarpProfile(
@@ -135,7 +136,7 @@ def gpu_spec(data: GEMVData, tb_size: int = 128) -> GPUKernelSpec:
     return GPUKernelSpec(
         name=f"{data.model.name}.gpu",
         total_warps=total_warps,
-        warps_per_tb=tb_size // 32,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=32,
     )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.host.api import pack_args
-from repro.host.gpu import GPUKernelSpec, WarpProfile
+from repro.host.gpu import (WARP_SIZE, WARPS_PER_TB, GPUKernelSpec,
+                            WarpProfile)
 from repro.kernels.spmv import SPMV_CSR
 from repro.workloads.base import NDPRunResult, Platform, rng
 
@@ -109,15 +110,15 @@ def run_ndp(platform: Platform, data: SPMVData) -> NDPRunResult:
     )
 
 
-def gpu_spec(data: SPMVData, tb_size: int = 128) -> GPUKernelSpec:
+def gpu_spec(data: SPMVData) -> GPUKernelSpec:
     """CSR-scalar SpMV: one thread per row; warp time tracks its longest
     row (intra-warp divergence), computed from the real row lengths."""
     m = data.matrix
     lengths = m.row_lengths()
-    total_warps = (m.n_rows + 31) // 32
+    total_warps = (m.n_rows + WARP_SIZE - 1) // WARP_SIZE
 
     def profile(warp: int) -> WarpProfile:
-        rows = lengths[warp * 32:(warp + 1) * 32]
+        rows = lengths[warp * WARP_SIZE:(warp + 1) * WARP_SIZE]
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
@@ -133,7 +134,7 @@ def gpu_spec(data: SPMVData, tb_size: int = 128) -> GPUKernelSpec:
     return GPUKernelSpec(
         name="spmv.gpu",
         total_warps=total_warps,
-        warps_per_tb=tb_size // 32,
+        warps_per_tb=WARPS_PER_TB,
         warp_profile=profile,
         regs_per_thread=24,
     )

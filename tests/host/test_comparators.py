@@ -82,3 +82,17 @@ def test_every_row_value_names_its_source():
 def test_gpu_ndp_launch_is_the_direct_mmio_offload():
     assert COMPARATORS["gpu_ndp"]["launch_ns"] == (
         offload.timeline("cxl_io_dr", 0).overhead_ns)
+
+
+def test_every_key_has_a_reader_outside_the_table():
+    """Each row name and value key of ``COMPARATORS`` is a string literal
+    somewhere in ``src/repro`` outside ``config.py``: a key nothing reads
+    moves no result."""
+    literals = {node.value for path in PACKAGE.rglob("*.py")
+                if path != PACKAGE / "config.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    keys = set(COMPARATORS) | {key for row in COMPARATORS.values()
+                               for key in row}
+    assert sorted(keys - literals) == []

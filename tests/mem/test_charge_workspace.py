@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import lpddr5_cxl_dram
+from repro.config import CacheConfig, SystemConfig, lpddr5_cxl_dram
 from repro.mem.cache import SectorStream
 from repro.mem.dram import DRAMModel
 from repro.ndp.device import M2NDPDevice
@@ -86,6 +86,25 @@ def test_l2_dram_charge_allocates_nothing_of_the_batch_length():
         == np.count_nonzero(~streams[0].writes)
     assert device.stats.get("l2.writebacks") > 0
     assert rise < LIMIT, rise
+
+
+def test_devices_with_other_sector_masks_share_one_workspace():
+    # a 128 B line's sector masks are uint8, a 512 B line's uint16: the
+    # second device's charge must not reuse the first's uint8 arrays
+    sim = Simulator()
+    narrow = M2NDPDevice(sim)
+    l2 = narrow.config.l2
+    addrs = np.arange(64, dtype=np.int64) * l2.sector_bytes
+    narrow.l2.access_batch(SectorStream(addrs, np.ones(64, bool), l2))
+    cfg = CacheConfig("w", 2 * 2 * 512, 2, 512, 32, 1.0)
+    wide = M2NDPDevice(sim, SystemConfig(l2=cfg))
+    # dirty sectors 0 and 15 of line 0, then lines 2 and 4 of its set:
+    # line 4 evicts line 0, which writes both sectors back
+    addrs = np.array([0, 15 * 32, 2 * 512, 4 * 512 + 9 * 32], dtype=np.int64)
+    writes = np.array([True, True, False, False])
+    wide.l2.access_batch(SectorStream(addrs[:2], writes[:2], cfg))
+    second = wide.l2.access_batch(SectorStream(addrs[2:], writes[2:], cfg))
+    assert second.wb_addrs.tolist() == [0, 15 * 32]
 
 
 # rounds of the cycle above in a fresh interpreter; prints the minor

@@ -1,7 +1,11 @@
 """Tests for the Table IV configuration presets."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     COMPARATORS,
     CXLConfig,
@@ -10,7 +14,7 @@ from repro.config import (
     SystemConfig,
     default_system,
     gpu_ndp_config,
-    hbm2_gpu_dram,
+    hbm2_gpu_memory,
     lpddr5_cxl_dram,
     memory_side_l2_config,
     ndp_l1d_config,
@@ -29,7 +33,7 @@ class TestDRAMPresets:
         assert (t.t_rc, t.t_rcd, t.t_cl, t.t_rp) == (48, 15, 20, 15)
 
     def test_hbm2_bandwidth(self):
-        assert hbm2_gpu_dram().total_bw_bytes_per_ns == pytest.approx(1024.0)
+        assert hbm2_gpu_memory().total_bw_bytes_per_ns == pytest.approx(1024.0)
 
     def test_timing_validation(self):
         from repro.config import DRAMTiming
@@ -112,3 +116,33 @@ class TestSystemConfig:
         system = default_system()
         with pytest.raises(Exception):
             system.cxl.load_to_use_ns = 999.0
+
+
+def test_every_config_field_has_a_reader():
+    """Each field of a ``config.py`` dataclass is read as ``.name``
+    somewhere in ``src/repro`` outside its class's ``__post_init__`` (a
+    ``config.py`` property counts): a field nothing reads moves no
+    result."""
+    package = Path(repro.__file__).parent
+    classes = [node for node in ast.parse(
+        (package / "config.py").read_text()).body
+        if isinstance(node, ast.ClassDef)]
+    reads: dict[str, set[tuple]] = {}
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                reads.setdefault(node.attr, set()).add(
+                    (path, node.lineno, node.col_offset))
+    unread = []
+    for cls in classes:
+        checks = {(package / "config.py", node.lineno, node.col_offset)
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef)
+                  and method.name == "__post_init__"
+                  for node in ast.walk(method)
+                  if isinstance(node, ast.Attribute)}
+        unread += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign)
+                   and not reads.get(stmt.target.id, set()) - checks]
+    assert unread == []
