@@ -18,9 +18,9 @@ logical range, under one of three placements:
     weights) that any expander must reach without a switch hop.
 
 Addresses are *cluster-logical*: the same numeric address is valid on every
-device (allocations are made in lockstep on all of them), so a ShardMap is
-pure arithmetic over ``(addr - base)``.  The scheduler uses it to split
-launches along ownership boundaries and to charge
+device (the platform's one allocator maps each range on all of them), so a
+ShardMap is pure arithmetic over ``(addr - base)``.  The scheduler uses it
+to split launches along ownership boundaries and to charge
 :meth:`repro.cxl.switch.CXLSwitch.peer_to_peer` for the bytes of the
 sub-launch's *pool* range held on a remote shard.  That is an
 approximation: gathers from other allocations (DLRM's table, GEMV's
@@ -29,9 +29,14 @@ weights, SSSP's CSR arrays) never cross the switch.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.host.api import HDMAllocator
 
 #: Valid placement policy names (ClusterConfig validates against this).
 PLACEMENTS = ("interleaved", "blocked", "replicated")
@@ -215,20 +220,21 @@ class ShardMap:
 
 @dataclass
 class ClusterAllocator:
-    """Bump allocator over the cluster's logical address space.
+    """The :class:`ShardMap` of every live range of the cluster's one
+    :class:`~repro.host.api.HDMAllocator`.
 
-    Mirrors the per-device :class:`~repro.host.api.HDMAllocator` bump
-    discipline but drives all device allocators in lockstep so every device
-    maps the same logical range; the placement decides which device's DRAM
-    is *charged* for which bytes (functional contents are shared, see
-    :mod:`repro.cluster.runtime`).
+    The HDM allocator maps each range on every device; the placement
+    decides which device's DRAM is *charged* for which bytes (functional
+    contents are shared, see :mod:`repro.cluster.runtime`).  ``maps`` is
+    kept sorted by base, so :meth:`map_for` bisects.
     """
 
-    device_allocators: list
+    allocator: HDMAllocator
     num_devices: int
     default_placement: str = "interleaved"
     default_shard_bytes: int = 0          # 0 = auto per allocation
     maps: list[ShardMap] = field(default_factory=list)
+    _bases: list[int] = field(default_factory=list, repr=False)
 
     def alloc(self, size: int, align: int = 4096,
               placement: str | None = None,
@@ -239,20 +245,27 @@ class ClusterAllocator:
         granule = (shard_bytes if shard_bytes
                    else self.default_shard_bytes
                    or auto_shard_bytes(size, self.num_devices))
-        addrs = [alloc.alloc(size, align) for alloc in self.device_allocators]
-        if len(set(addrs)) != 1:
-            raise ConfigError(
-                f"cluster allocators out of lockstep: {addrs}"
-            )
-        shard = ShardMap(base=addrs[0], size=size, placement=placement,
+        base = self.allocator.alloc(size, align)
+        shard = ShardMap(base=base, size=size, placement=placement,
                          num_devices=self.num_devices, shard_bytes=granule,
                          partition=partition)
-        self.maps.append(shard)
+        index = bisect_left(self._bases, base)
+        self._bases.insert(index, base)
+        self.maps.insert(index, shard)
         return shard
+
+    def free(self, base: int) -> None:
+        """Give the range at ``base`` back and forget its map (an address
+        no live range starts at raises ``LaunchError``)."""
+        self.allocator.free(base)
+        index = bisect_left(self._bases, base)
+        if index < len(self._bases) and self._bases[index] == base:
+            del self._bases[index]
+            del self.maps[index]
 
     def map_for(self, addr: int) -> ShardMap | None:
         """The allocation containing ``addr`` (e.g. a launch's pool base)."""
-        for shard in reversed(self.maps):
-            if shard.contains(addr):
-                return shard
+        index = bisect_right(self._bases, addr) - 1
+        if index >= 0 and self.maps[index].contains(addr):
+            return self.maps[index]
         return None

@@ -6,13 +6,15 @@ Mirrors the single-device :class:`~repro.host.api.M2NDPRuntime` surface
 1..N devices.  The moving parts:
 
 * Every device shares **one functional byte store** (the cluster's logical
-  address space — allocations are made in lockstep on all devices, so an
-  address means the same thing everywhere) while keeping its **own timing
-  models**: DRAM banks, memory-side L2, CXL link, NDP units and execution
-  backend.  Sharding is therefore a *timing* concern, which is exactly what
-  the paper's §III-I software partitioning is.
-* A :class:`~repro.cluster.placement.ClusterAllocator` records each
-  allocation's :class:`~repro.cluster.placement.ShardMap`.
+  address space — the platform's one
+  :class:`~repro.host.api.HDMAllocator` maps every range on all devices,
+  so an address means the same thing everywhere) while keeping its **own
+  timing models**: DRAM banks, memory-side L2, CXL link, NDP units and
+  execution backend.  Sharding is therefore a *timing* concern, which is
+  exactly what the paper's §III-I software partitioning is.
+* A :class:`~repro.cluster.placement.ClusterAllocator` records each live
+  allocation's :class:`~repro.cluster.placement.ShardMap`; ``free`` gives
+  a range back.
 * A :class:`~repro.cluster.scheduler.LaunchScheduler` splits each logical
   launch into per-device sub-launches (using the launch ABI's offset-bias
   extension so µthread ``x2`` offsets stay pool-relative), and the runtime
@@ -51,7 +53,7 @@ from repro.errors import (
     check,
 )
 from repro.exec.base import DEFAULT_BACKEND
-from repro.host.api import LaunchHandle, M2NDPRuntime
+from repro.host.api import HDMAllocator, LaunchHandle, M2NDPRuntime
 from repro.isa.assembler import KernelProgram, assemble_kernel
 from repro.obs import tracer as obs_tracer
 from repro.mem.physical import PhysicalMemory
@@ -226,9 +228,13 @@ class ClusterRuntime:
             M2NDPRuntime(device, asid=CLUSTER_BASE_ASID + i)
             for i, device in enumerate(self.devices)
         ]
+        # one allocator for the platform: the device runtimes share it
+        allocator = HDMAllocator([(rt.device, rt.asid)
+                                  for rt in self.runtimes])
+        for rt in self.runtimes:
+            rt.allocator = allocator
         self.allocator = ClusterAllocator(
-            device_allocators=[rt.allocator for rt in self.runtimes],
-            num_devices=n,
+            allocator, num_devices=n,
             default_placement=self.cluster_config.placement,
             default_shard_bytes=self.cluster_config.shard_bytes,
         )
@@ -298,7 +304,7 @@ class ClusterRuntime:
         return injector
 
     # ------------------------------------------------------------------
-    # memory (lockstep allocation + shared functional store)
+    # memory (one allocator + shared functional store)
     # ------------------------------------------------------------------
 
     def alloc(self, size: int, align: int = 4096,
@@ -318,6 +324,9 @@ class ClusterRuntime:
                           partition=partition)
         self.physical.store_array(addr, array)
         return addr
+
+    def free(self, addr: int) -> None:
+        self.allocator.free(addr)
 
     def read_array(self, addr: int, dtype, count: int) -> np.ndarray:
         return self.physical.load_array(addr, dtype, count)
@@ -592,13 +601,8 @@ class ClusterRuntime:
 
     def instances_of(self, handle: ClusterLaunchHandle) -> ClusterInstance:
         """Resolve a finished handle's per-device kernel instances."""
-        instances = []
-        for sub, sub_handle in zip(handle.plan, handle.subs):
-            if (sub_handle is None or sub_handle.instance_id is None
-                    or sub_handle.instance_id < 0):
-                continue
-            controller = self.devices[sub.device].controller
-            instances.append(controller.instances[sub_handle.instance_id])
+        instances = [sub.instance for sub in handle.subs
+                     if sub is not None and sub.instance is not None]
         if not instances:
             raise LaunchError("cluster launch produced no kernel instances")
         return ClusterInstance(handle=handle, instances=instances)

@@ -409,15 +409,17 @@ class GPUConfig:
 
 
 def gpu_ndp_config(num_sms: float,
-                   freq_ghz: float = COMPARATORS["gpu_ndp"]["freq_ghz"],
-                   ) -> GPUConfig:
+                   freq_ghz: float | None = None) -> GPUConfig:
     """GPU-NDP variants (§IV-A): SMs placed inside the CXL device.
 
     Fractional SM counts (the paper's 16.2-SM Iso-Area point) are realized by
     rounding down and scaling frequency to preserve aggregate throughput.
+    ``freq_ghz`` defaults to the ``COMPARATORS`` row as it is at the call.
     """
     check("gpu_ndp_config", "num_sms", num_sms,
           Domain("a finite number >= 1", float, lambda x: x >= 1))
+    if freq_ghz is None:
+        freq_ghz = COMPARATORS["gpu_ndp"]["freq_ghz"]
     whole = int(num_sms)
     eff_freq = freq_ghz * (num_sms / whole)
     return GPUConfig(num_sms=whole, freq_ghz=eff_freq)

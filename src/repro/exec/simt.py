@@ -74,6 +74,7 @@ from repro.ndp.tlb import PAGE_SHIFT
 from repro.ndp.unit import ATOMIC_OP_NS, CROSSBAR_NS
 from repro.ndp.uthread import Phase
 from repro.obs import tracer as obs_tracer
+from repro.sim.stats import record_all
 
 #: Safety cap on the dynamic trace length of one launch walk.
 MAX_TRACE_STEPS = 200_000
@@ -160,15 +161,9 @@ class LaunchTail:
                 instance=execution.instance.instance_id, **span_args)
 
     def occupy(self, at_ns: float, ratio: float) -> None:
-        """``IntervalSampler.record`` on every unit of the window; the
-        samplers its monotonic clamp leaves alone share one point tuple."""
-        point = (at_ns, ratio)
-        for unit in self.units:
-            points = unit.occupancy.sampler.points
-            if points and at_ns < points[-1][0]:
-                points.append((points[-1][0], ratio))
-            else:
-                points.append(point)
+        """Record the launch's slot occupancy on every unit of the window."""
+        record_all([unit.occupancy.sampler for unit in self.units],
+                   at_ns, ratio)
 
     def pace(self, start: float, window: float, lanes: int, ratio: float,
              profile, phase_span: str | None = None) -> float:

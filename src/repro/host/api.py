@@ -17,13 +17,14 @@ Two calling styles:
 
 The runtime also plays the role of the host driver and allocator: it
 registers the process's M2func region in the packet filter (the one-time
-CXL.io step), allocates HDM with identity virtual mappings, and pre-warms
-the DRAM-TLB as the paper's methodology assumes.
+CXL.io step), allocates and frees HDM with identity virtual mappings, and
+pre-warms the DRAM-TLB as the paper's methodology assumes.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,7 +47,7 @@ from repro.ndp.controller import (
     LAUNCH_FLAG_SYNC,
 )
 from repro.ndp.device import M2NDPDevice
-from repro.ndp.kernel import KernelStatus
+from repro.ndp.kernel import KernelInstance, KernelStatus
 
 #: Host-side latency of an uncached store/load reaching the CXL port
 #: (no cache-miss machinery for the uncacheable M2func region).
@@ -96,16 +97,39 @@ class LaunchHandle:
     call: M2Call
     instance_id: int | None = None
     complete_ns: float | None = None  # host-observed completion
+    #: The launched instance: the controller drops an asynchronous one
+    #: once its completion is delivered, the handle keeps it.
+    instance: KernelInstance | None = None
 
 
 class HDMAllocator:
-    """Bump allocator over the device's HDM with identity virtual mapping."""
+    """First-fit range allocator over HDM with identity virtual mapping.
 
-    def __init__(self, device: M2NDPDevice, asid: int,
+    One per platform: it keeps the free ranges once and maps every range
+    it hands out on each ``(device, asid)`` of ``spaces``, so the devices
+    of a cluster see one address space.  The free list is sorted and
+    coalesced, and the range of an allocation starts where its free range
+    did (its alignment padding goes and comes back with it), so with
+    nothing freed it hands out what a bump allocator would, and freeing
+    the top range lowers the cursor again.
+    """
+
+    def __init__(self, spaces: list[tuple[M2NDPDevice, int]],
                  base: int = HDM_HEAP_BASE) -> None:
-        self.device = device
-        self.asid = asid
-        self._cursor = base
+        self.spaces = list(spaces)
+        #: Allocations stay below every device's DRAM-TLB region.
+        self.limit = min(device.config.cxl_dram.capacity_bytes
+                         - device.dram_tlb.region_bytes
+                         for device, _ in self.spaces)
+        #: Free ranges ``(lo, hi)``, sorted, none adjacent to the next.
+        self._free: list[tuple[int, int]] = (
+            [(base, self.limit)] if base < self.limit else [])
+        #: Live allocation address -> the range ``(lo, hi)`` it took.
+        self._live: dict[int, tuple[int, int]] = {}
+        # one functional store per distinct PhysicalMemory (a cluster's
+        # devices share theirs)
+        self._stores = list({id(device.physical): device.physical
+                             for device, _ in self.spaces}.values())
 
     def alloc(self, size: int, align: int = 4096) -> int:
         """Reserve ``size`` bytes below the DRAM-TLB region at the top of
@@ -115,18 +139,45 @@ class HDMAllocator:
         if align <= 0 or align & (align - 1):
             raise LaunchError(
                 f"alignment must be a positive power of two, got {align}")
-        addr = (self._cursor + align - 1) // align * align
-        limit = (self.device.config.cxl_dram.capacity_bytes
-                 - self.device.dram_tlb.region_bytes)
-        if addr + size > limit:
+        for index, (lo, hi) in enumerate(self._free):
+            addr = (lo + align - 1) // align * align
+            if addr + size <= hi:
+                break
+        else:
             raise LaunchError(
-                f"allocation of {size:#x} bytes at {addr:#x} runs past the "
-                f"DRAM-TLB region at {limit:#x}")
-        self._cursor = addr + size
-        table = self.device.page_table(self.asid)
-        table.map_identity(addr, size)
-        self.device.dram_tlb.warm_range(self.asid, addr, size, table)
+                f"allocation of {size:#x} bytes finds no free range below "
+                f"the DRAM-TLB region at {self.limit:#x}")
+        end = addr + size
+        if end < hi:
+            self._free[index] = (end, hi)
+        else:
+            del self._free[index]
+        self._live[addr] = (lo, end)
+        for device, asid in self.spaces:
+            table = device.page_table(asid)
+            table.map_identity(addr, size)
+            device.dram_tlb.warm_range(asid, addr, size, table)
         return addr
+
+    def free(self, addr: int) -> None:
+        """Give back the allocation at ``addr``: its range reads zero again
+        and returns to the free list.  Its pages stay mapped, so a later
+        allocation over them remaps each page as it was, which leaves every
+        device's ``translation_version`` (and so its trace cache) alone."""
+        taken = self._live.pop(addr, None)
+        if taken is None:
+            raise LaunchError(
+                f"free of {addr:#x}, which no live allocation starts at")
+        lo, hi = taken
+        for store in self._stores:
+            store.clear(lo, hi - lo)
+        index = bisect_left(self._free, (lo,))
+        if index < len(self._free) and self._free[index][0] == hi:
+            hi = self._free.pop(index)[1]
+        if index and self._free[index - 1][1] == lo:
+            index -= 1
+            lo = self._free.pop(index)[0]
+        self._free.insert(index, (lo, hi))
 
 
 def pack_args(*values: int) -> bytes:
@@ -151,7 +202,7 @@ class M2NDPRuntime:
         self.filter_entry = device.packet_filter.insert(
             asid, base, base + M2FUNC_REGION_BYTES
         )
-        self.allocator = HDMAllocator(device, asid)
+        self.allocator = HDMAllocator([(device, asid)])
         self.now = 0.0
         self._next_code_loc = 0x0100_0000 + asid * 0x0010_0000
         # Launch doorbell slots: each in-flight launch call needs its own
@@ -165,6 +216,9 @@ class M2NDPRuntime:
 
     def alloc(self, size: int, align: int = 4096) -> int:
         return self.allocator.alloc(size, align)
+
+    def free(self, addr: int) -> None:
+        self.allocator.free(addr)
 
     def alloc_array(self, array: np.ndarray, align: int = 4096) -> int:
         addr = self.alloc(array.nbytes, align)
@@ -324,6 +378,8 @@ class M2NDPRuntime:
             if resolved.value is None or resolved.value < 0:
                 return
             handle.instance_id = resolved.value
+            handle.instance = self.device.controller.instances[
+                handle.instance_id]
             if sync:
                 # the return-value read only responded once the kernel
                 # had finished
@@ -363,6 +419,6 @@ class M2NDPRuntime:
 
     def instances_of(self, handle: LaunchHandle):
         """Resolve a finished handle's kernel instance."""
-        if handle.instance_id is None:
-            raise LaunchError("launch finished without an instance id")
-        return self.device.controller.instances[handle.instance_id]
+        if handle.instance is None:
+            raise LaunchError("launch finished without an instance")
+        return handle.instance

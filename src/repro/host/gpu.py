@@ -363,9 +363,9 @@ def make_gpu_baseline(sim: Simulator, system: SystemConfig,
 
 def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
                  stats: StatsRegistry | None = None,
-                 freq_ghz: float = COMPARATORS["gpu_ndp"]["freq_ghz"],
-                 ) -> GPUDevice:
-    """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A)."""
+                 freq_ghz: float | None = None) -> GPUDevice:
+    """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A);
+    ``freq_ghz`` as :func:`~repro.config.gpu_ndp_config` takes it."""
     from repro.config import gpu_ndp_config
 
     stats = stats if stats is not None else StatsRegistry()

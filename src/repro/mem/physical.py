@@ -6,13 +6,15 @@ the M2func region all live here.  Timing is modeled elsewhere (``dram.py``,
 ``cache.py``); this module only stores bytes.
 
 Storage is paged so a 256 GB address space costs memory only for pages
-actually written.  Each page is a memoryview of its own 4096-byte uint8
-array (``page.obj``): the byte accessors slice the memoryview, the row
-accessors index the array.  Every access that spans pages walks them in
-:meth:`PhysicalMemory._chunks` and copies each byte once: a run of rows
-or an array is read straight into the array returned and written from a
-view of its bytes.  Scattered rows are grouped by page in
-:meth:`PhysicalMemory._by_page`, so one fancy index serves a page's rows.
+actually written, and :meth:`PhysicalMemory.clear` drops them again when
+the allocator takes a range back.  Each page is a memoryview of its own
+4096-byte uint8 array (``page.obj``): the byte accessors slice the
+memoryview, the row accessors index the array.  Every access that spans
+pages walks them in :meth:`PhysicalMemory._chunks` and copies each byte
+once: a run of rows or an array is read straight into the array returned
+and written from a view of its bytes.  Scattered rows are grouped by page
+in :meth:`PhysicalMemory._by_page`, so one fancy index serves a page's
+rows.
 """
 
 from __future__ import annotations
@@ -95,6 +97,15 @@ class PhysicalMemory:
         src = memoryview(data)
         for pos, chunk in self._chunks(addr, size, create=True):
             chunk[:] = src[pos:pos + len(chunk)]
+
+    def clear(self, addr: int, size: int) -> None:
+        """Make ``[addr, addr + size)`` read zero again: drop each page the
+        range covers whole and zero its bytes in a page it shares."""
+        for pos, chunk in self._chunks(addr, size):
+            if len(chunk) == PAGE_SIZE:
+                self._pages.pop((addr + pos) // PAGE_SIZE, None)
+            elif not chunk.readonly:      # a never-written page reads zero
+                chunk[:] = _ZERO[:len(chunk)]
 
     # -- 64-bit words ---------------------------------------------------------
 

@@ -8,7 +8,9 @@ a subsequent CXL.mem *read* of the same address retrieves it.
 
 Synchronous launches defer that read's response until the kernel instance
 completes; asynchronous launches respond immediately and are later polled
-with ``ndpPollKernelStatus``.
+with ``ndpPollKernelStatus``.  The controller keeps a synchronous instance
+for good, an asynchronous one until its completion has been delivered to
+its waiters: so a reused device holds no record per finished launch.
 
 Call encodings (all fields little-endian u64 in the write payload):
 
@@ -115,6 +117,8 @@ class NDPController:
         self._device = weakref.ref(device)
         self.queue_capacity = queue_capacity
         self.kernels: dict[int, KernelDescriptor] = {}
+        #: Synchronous instances, and asynchronous ones whose completion
+        #: has not been delivered yet (see :meth:`_deliver`).
         self.instances: dict[int, KernelInstance] = {}
         #: Started executions by instance id; the launch queue and the
         #: running count they are admitted against live on each
@@ -176,9 +180,19 @@ class NDPController:
                               callback: Callable[[float], None]) -> None:
         instance = self.instances.get(instance_id)
         if instance is not None and instance.status is KernelStatus.FINISHED:
-            callback(instance.complete_ns or 0.0)
+            self._deliver(instance, [callback], instance.complete_ns or 0.0)
             return
         self._completion_waiters.setdefault(instance_id, []).append(callback)
+
+    def _deliver(self, instance: KernelInstance,
+                 waiters: list[Callable[[float], None]],
+                 now_ns: float) -> None:
+        """Run a finished instance's waiters, then drop it if it is
+        asynchronous (its launch handle keeps it)."""
+        for callback in waiters:
+            callback(now_ns)
+        if not instance.synchronous:
+            self.instances.pop(instance.instance_id, None)
 
     # ------------------------------------------------------------------
     # Table II functions
@@ -284,9 +298,11 @@ class NDPController:
         except ProtocolError:
             return ERR_BAD_ARGS
         instance = self.instances.get(instance_id)
-        if instance is None:
-            return ERR_GENERIC
-        return instance.status.value
+        if instance is not None:
+            return instance.status.value
+        if 0 < instance_id < self._next_instance_id:
+            return KernelStatus.FINISHED.value    # delivered and dropped
+        return ERR_GENERIC
 
     def _shootdown(self, data: bytes) -> int:
         try:
@@ -339,8 +355,9 @@ class NDPController:
         part.running -= 1
         if part.private:
             self.device.stats.add(f"partition.{part.name}.kernels_completed")
-        for callback in self._completion_waiters.pop(instance.instance_id, []):
-            callback(now_ns)
+        waiters = self._completion_waiters.pop(instance.instance_id, None)
+        if waiters:
+            self._deliver(instance, waiters, now_ns)
         max_active = self.device.config.ndp.max_concurrent_kernels
         if part.queue and part.running < max_active:
             self._start_instance(part.queue.popleft(), now_ns)

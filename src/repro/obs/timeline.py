@@ -69,10 +69,8 @@ class UtilizationSampler:
                 + deltas.get("cxl.down_bytes", 0.0)
             occupancy = 0.0
             for unit in device.units:
-                points = unit.occupancy.sampler.points
-                if points:
-                    occupancy += unit.occupancy.sampler.time_weighted_mean(
-                        self._last_ns[i], now_ns)
+                occupancy += unit.occupancy.sampler.time_weighted_mean(
+                    self._last_ns[i], now_ns)
             occupancy /= max(len(device.units), 1)
 
             peak = span * device.dram.peak_bw_bytes_per_ns

@@ -25,6 +25,10 @@ Event flow, all in simulated time on the cluster's shared simulator:
 6. **Accounting** — :class:`ServingStats` streams per-tenant latency
    distributions, SLO attainment, shed counts and windowed throughput
    into the cluster's :class:`~repro.sim.stats.StatsRegistry`.
+7. **Give back** — once the report is built and verified, the engine
+   snapshots each tenant's result region and frees every range its
+   tenants allocated, so the next engine on the platform gets the same
+   bases (and hits the traces this one left).
 
 Tracing follows :mod:`repro.obs.tracer`'s one off-discipline: the engine
 resolves ``tracer_of(sim)`` once in :meth:`ServingEngine.run` and every
@@ -164,8 +168,14 @@ class ServingEngine:
         self.stats = ServingStats(self.runtime.stats, tenants)
         # Workload setup below steps the simulator (M2func registration);
         # tenant states must be built before arrivals are scheduled.
+        maps = self.runtime.allocator.maps
+        known = {id(shard) for shard in maps}
         self.tenants = {spec.name: _TenantState(platform, spec, seed)
                         for spec in tenants}
+        #: Bases of the ranges the tenants allocated; :meth:`run` frees
+        #: them after taking :attr:`_snapshots`.
+        self._owned = [shard.base for shard in maps if id(shard) not in known]
+        self._snapshots: dict[str, bytes] = {}
 
         # Always-on monitoring stack (monitoring=False disables it, and
         # then *nothing* of it exists: no ring appends, no monitor beats —
@@ -262,7 +272,12 @@ class ServingEngine:
                 )
         self._ensure_tick()
         self.sim.run()
-        return self._finish()
+        report = self._finish()
+        self._snapshots = {name: state.workload.result_snapshot()
+                           for name, state in self.tenants.items()}
+        for base in self._owned:
+            self.runtime.free(base)
+        return report
 
     def _arrive(self, state: _TenantState) -> None:
         now = self.sim.now
@@ -670,7 +685,7 @@ class ServingEngine:
             span_ns=span,
             aggregate=self.stats.aggregate,
             timeline=self.stats.timeline,
-            active_device_series=list(self.autoscaler.series.points),
+            active_device_series=self.autoscaler.series.points,
             scale_ups=self.autoscaler.scale_ups,
             scale_downs=self.autoscaler.scale_downs,
             trace_cache_hits=(cluster_stats.get("exec.trace_cache_hits")
@@ -685,6 +700,8 @@ class ServingEngine:
     # ------------------------------------------------------------------
 
     def result_snapshots(self) -> dict[str, bytes]:
-        """Per-tenant result-region bytes (cross-run identity checks)."""
-        return {name: state.workload.result_snapshot()
-                for name, state in self.tenants.items()}
+        """Per-tenant result-region bytes (cross-run identity checks), as
+        :meth:`run` read them before it gave the tenants' memory back."""
+        if not self._ran:
+            raise ConfigError("result snapshots exist once the engine ran")
+        return dict(self._snapshots)

@@ -9,7 +9,8 @@ coherent snapshot after a run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -225,23 +226,28 @@ class Timeline:
         return window
 
 
-@dataclass
 class IntervalSampler:
     """Time series of (time, value) points, for Fig 6a-style plots.
 
     The ratio of active µthread contexts over time is recorded by sampling
     a gauge whenever it changes; :meth:`series` resamples onto a uniform
-    grid for table output.
+    grid for table output.  A launch records one point on each of its
+    units (:func:`record_all`), so the points live in one float64
+    :mod:`array`, time and value in turn, that ``extend`` grows
+    geometrically: 16 B a point.
     """
 
-    points: list[tuple[float, float]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self._flat = array("d")
+        self._last = -math.inf
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The ``(time, value)`` points, in the order recorded."""
+        return list(zip(self._flat[0::2], self._flat[1::2]))
 
     def record(self, time_ns: float, value: float) -> None:
-        # Virtual-time execution can complete work slightly out of order;
-        # clamp to keep the series monotonic.
-        if self.points and time_ns < self.points[-1][0]:
-            time_ns = self.points[-1][0]
-        self.points.append((time_ns, value))
+        record_all((self,), time_ns, value)
 
     def series(self, start_ns: float, end_ns: float, steps: int) -> list[tuple[float, float]]:
         """Step-function resample onto ``steps`` uniform buckets."""
@@ -249,13 +255,14 @@ class IntervalSampler:
             raise ValueError("steps must be positive")
         if end_ns <= start_ns:
             raise ValueError("end must be after start")
+        points = self.points
         out: list[tuple[float, float]] = []
         idx = 0
-        current = self.points[0][1] if self.points else 0.0
+        current = points[0][1] if points else 0.0
         for step in range(steps):
             t = start_ns + (end_ns - start_ns) * step / (steps - 1 if steps > 1 else 1)
-            while idx < len(self.points) and self.points[idx][0] <= t:
-                current = self.points[idx][1]
+            while idx < len(points) and points[idx][0] <= t:
+                current = points[idx][1]
                 idx += 1
             out.append((t, current))
         return out
@@ -264,20 +271,35 @@ class IntervalSampler:
         """Average value over [start, end] treating points as a step function."""
         if end_ns <= start_ns:
             raise ValueError("end must be after start")
-        # points are time-ordered: skip straight to the first one inside
-        # the window (a monitored run asks once per window, so a scan from
-        # point 0 would be quadratic in launches)
-        points = self.points
-        first = bisect_left(points, (start_ns,))
+        # points are time-ordered: read only those inside the window (a
+        # monitored run asks once per window, so a scan from point 0 would
+        # be quadratic in launches); the views are released before the
+        # next record can grow the array
+        with memoryview(self._flat) as flat, flat[0::2] as times:
+            first = bisect_left(times, start_ns)
+            last = bisect_right(times, end_ns, first)
+            current = flat[2 * first - 1] if first else 0.0
+            window = flat[2 * first:2 * last].tolist()
         area = 0.0
-        current = points[first - 1][1] if first else 0.0
         prev_t = start_ns
-        for index in range(first, len(points)):
-            t, v = points[index]
-            if t > end_ns:
-                break
+        for t, v in zip(window[0::2], window[1::2]):
             area += current * (t - prev_t)
             prev_t = t
             current = v
         area += current * (end_ns - prev_t)
         return area / (end_ns - start_ns)
+
+
+def record_all(samplers, time_ns: float, value: float) -> None:
+    """:meth:`IntervalSampler.record` the point on each of ``samplers``.
+
+    Virtual-time execution can complete work slightly out of order, so a
+    point earlier than a sampler's last one is clamped to that time to
+    keep its series monotonic."""
+    point = (time_ns, value)
+    for sampler in samplers:
+        if time_ns < sampler._last:
+            sampler._flat.extend((sampler._last, value))
+        else:
+            sampler._flat.extend(point)
+            sampler._last = time_ns

@@ -23,6 +23,7 @@ from repro.host.api import pack_args
 from repro.kernels.vecadd import VECADD
 from repro.ndp.controller import ERR_BAD_ARGS
 from repro.serve import ArrivalSpec, ServingEngine, TenantSpec
+from tests.obs.test_serving_trace import recorded_launches
 
 import numpy as np
 
@@ -290,6 +291,7 @@ class TestOnePartitionMap:
         ``partition.solo.*`` beside the device-wide pair)."""
         def run(spec):
             platform = make_cluster_platform(num_devices=2, partitions=spec)
+            launches = recorded_launches(platform.runtime)
             engine = ServingEngine(platform, [
                 TenantSpec("scan", "olap", size=1 << 12, slices=4,
                            arrivals=ArrivalSpec(rate_rps=2e5, requests=12)),
@@ -298,8 +300,10 @@ class TestOnePartitionMap:
             ], monitoring=False)
             report = engine.run()
             assert report.correct
-            runtimes_ns = [inst.runtime_ns for device in platform.devices
-                           for inst in device.controller.instances.values()]
+            runtimes_ns = [
+                inst.runtime_ns for handle in launches
+                for inst in platform.runtime.instances_of(handle).instances]
+            assert runtimes_ns
             return (runtimes_ns, report.span_ns,
                     engine.result_snapshots(), platform.stats.snapshot())
 

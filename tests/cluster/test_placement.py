@@ -8,7 +8,7 @@ from repro.cluster.placement import (
     ShardMap,
     auto_shard_bytes,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, LaunchError
 
 
 def interleaved(base=0x1000, size=16 * 4096, devices=4, granule=4096):
@@ -128,40 +128,55 @@ class TestAutoShardBytes:
 
 
 class _FakeAllocator:
+    """The HDM allocator's contract, over a bump cursor: ``alloc``
+    returns a base, ``free`` takes a live one back."""
+
     def __init__(self, start=0x2000):
         self.cursor = start
+        self.live: dict[int, int] = {}
 
     def alloc(self, size, align=4096):
         addr = (self.cursor + align - 1) // align * align
         self.cursor = addr + size
+        self.live[addr] = size
         return addr
+
+    def free(self, addr):
+        if self.live.pop(addr, None) is None:
+            raise LaunchError(f"free of {addr:#x}")
 
 
 class TestClusterAllocator:
-    def test_lockstep_same_addresses(self):
-        alloc = ClusterAllocator([_FakeAllocator(), _FakeAllocator()],
-                                 num_devices=2)
+    def test_one_range_per_allocation(self):
+        alloc = ClusterAllocator(_FakeAllocator(), num_devices=2)
         shard = alloc.alloc(8192)
         assert shard.base == 0x2000
         assert alloc.alloc(4096).base == shard.bound
 
-    def test_out_of_lockstep_rejected(self):
-        alloc = ClusterAllocator([_FakeAllocator(0), _FakeAllocator(0x100000)],
-                                 num_devices=2)
-        with pytest.raises(ConfigError):
-            alloc.alloc(4096)
-
     def test_map_for_finds_containing_allocation(self):
-        alloc = ClusterAllocator([_FakeAllocator()], num_devices=1)
+        alloc = ClusterAllocator(_FakeAllocator(), num_devices=1)
         first = alloc.alloc(8192)
         second = alloc.alloc(8192)
         assert alloc.map_for(first.base + 100) is first
         assert alloc.map_for(second.base) is second
         assert alloc.map_for(second.bound + 4096) is None
+        assert alloc.map_for(first.base - 1) is None
+
+    def test_free_forgets_the_map(self):
+        inner = _FakeAllocator()
+        alloc = ClusterAllocator(inner, num_devices=2)
+        first, second = alloc.alloc(8192), alloc.alloc(8192)
+        alloc.free(first.base)
+        assert alloc.maps == [second]
+        assert alloc.map_for(first.base) is None
+        assert first.base not in inner.live
+        with pytest.raises(LaunchError):
+            alloc.free(first.base)
+        assert alloc.maps == [second]
 
     def test_placement_and_granule_overrides(self):
-        alloc = ClusterAllocator([_FakeAllocator(), _FakeAllocator()],
-                                 num_devices=2, default_placement="blocked")
+        alloc = ClusterAllocator(_FakeAllocator(), num_devices=2,
+                                 default_placement="blocked")
         assert alloc.alloc(8192).placement == "blocked"
         shard = alloc.alloc(8192, placement="replicated", shard_bytes=8192)
         assert shard.placement == "replicated"

@@ -382,11 +382,10 @@ class TestConcurrentLaunches:
         assert _batched_stats(platform) == (1, 1)
 
     def test_occupancy_samples_equal_a_record_per_unit(self, monkeypatch):
-        # LaunchTail.occupy shares one point tuple across its unit window;
-        # every unit's series must read back as if each sampler had
-        # ``record``ed for itself — including the monotonic clamp, hit
-        # when a launch starts before a multi-phase launch's (future)
-        # phase samples.
+        # LaunchTail.occupy records on every unit of its window; every
+        # unit's series must read back as if each sampler had ``record``ed
+        # for itself — including the monotonic clamp, hit when a launch
+        # starts before a multi-phase launch's (future) phase samples.
         def run(platform):
             runtime = platform.runtime
             n = 4096
@@ -435,6 +434,4 @@ class TestConcurrentLaunches:
         reference = run(make_platform(backend="batched"))
         assert clamped
         assert shared == reference
-        assert shared[0][-1] is shared[-1][-1]
-        assert reference[0][-1] is not reference[-1][-1]
 

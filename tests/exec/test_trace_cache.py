@@ -136,8 +136,7 @@ class TestOneEntrySeveralCaches:
                 args=pack_args(addr_b, addr_c), partition=partition,
                 at_ns=cluster.sim.now)
             cluster.sim.run()
-            runtimes.append(
-                device.controller.instances[handle.call.value].runtime_ns)
+            runtimes.append(handle.instance.runtime_ns)
         assert np.array_equal(cluster.read_array(addr_c, np.int64, n), 2 * a)
         return runtimes, device.stats.get("exec.trace_cache_hits_batched")
 

@@ -84,13 +84,21 @@ def test_gpu_ndp_launch_is_the_direct_mmio_offload():
         offload.timeline("cxl_io_dr", 0).overhead_ns)
 
 
+def _outside_the_table(tree):
+    """``tree``'s nodes, without the ``COMPARATORS`` assignment's."""
+    for node in ast.iter_child_nodes(tree):
+        if not (isinstance(node, ast.AnnAssign)
+                and getattr(node.target, "id", None) == "COMPARATORS"):
+            yield from ast.walk(node)
+
+
 def test_every_key_has_a_reader_outside_the_table():
     """Each row name and value key of ``COMPARATORS`` is a string literal
-    somewhere in ``src/repro`` outside ``config.py``: a key nothing reads
-    moves no result."""
+    somewhere in ``src/repro`` outside the table itself (``config.py``'s
+    own ``gpu_ndp_config`` reads one): a key nothing reads moves no
+    result."""
     literals = {node.value for path in PACKAGE.rglob("*.py")
-                if path != PACKAGE / "config.py"
-                for node in ast.walk(ast.parse(path.read_text()))
+                for node in _outside_the_table(ast.parse(path.read_text()))
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, str)}
     keys = set(COMPARATORS) | {key for row in COMPARATORS.values()

@@ -36,6 +36,16 @@ class TestRawBytes:
             PhysicalMemory(capacity_bytes=PAGE_SIZE).write_bytes(
                 PAGE_SIZE + 1, b"")
 
+    def test_clear_drops_whole_pages_and_zeroes_shared_bytes(self):
+        mem = PhysicalMemory()
+        mem.write_bytes(PAGE_SIZE - 8, b"\xff" * (2 * PAGE_SIZE + 16))
+        mem.clear(PAGE_SIZE - 4, 2 * PAGE_SIZE + 8)   # pages 0-3, 1-2 whole
+        assert sorted(mem._pages) == [0, 3]
+        assert mem.read_bytes(PAGE_SIZE - 8, 2 * PAGE_SIZE + 16) == (
+            b"\xff" * 4 + bytes(2 * PAGE_SIZE + 8) + b"\xff" * 4)
+        mem.clear(9 * PAGE_SIZE, 16)                  # never written
+        assert sorted(mem._pages) == [0, 3]
+
     def test_capacity_enforced(self):
         mem = PhysicalMemory(capacity_bytes=0x100)
         with pytest.raises(MemoryError_):

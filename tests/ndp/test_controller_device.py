@@ -81,6 +81,9 @@ class TestTableII:
         )
         assert handle.instance_id is not None
         runtime.sim.run()
+        # delivered, so the controller dropped it; the handle keeps it
+        assert handle.instance_id not in device.controller.instances
+        assert runtime.instances_of(handle).status is KernelStatus.FINISHED
         status = runtime.poll_kernel_status(handle.instance_id)
         assert status is KernelStatus.FINISHED
 

@@ -230,7 +230,7 @@ class TestArgumentBlock:
 
         ndp = device.config.ndp
         # the block as the controller received it (the host pads it)
-        args = device.controller.instances[handle.call.value].args
+        args = handle.instance.args
         slot = handle.call.value % ndp.max_concurrent_kernels
         offset = ndp.scratchpad_bytes - (slot + 1) * ARG_SLOT_BYTES
         expected = np.zeros(ndp.scratchpad_bytes, dtype=np.uint8)

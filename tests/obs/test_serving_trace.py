@@ -30,11 +30,27 @@ def _tenants(requests: int = 10) -> list[TenantSpec]:
     ]
 
 
+def recorded_launches(runtime) -> list:
+    """Collects every logical launch issued on ``runtime`` from now on:
+    a controller keeps no finished asynchronous instance, its launch
+    handle does."""
+    launches = []
+    issue = runtime.launch_async
+
+    def recording(*args, **kwargs):
+        launches.append(issue(*args, **kwargs))
+        return launches[-1]
+
+    runtime.launch_async = recording
+    return launches
+
+
 def _run(trace: bool):
     prior = obs_tracer.ENABLED
     obs_tracer.set_enabled(trace)
     try:
         platform = make_cluster_platform(num_devices=2, backend="batched")
+        launches = recorded_launches(platform.runtime)
         engine = ServingEngine(
             platform, _tenants(), scheduler="wfq",
             batch=BatchPolicy(max_batch=4, max_wait_ns=2_000.0),
@@ -43,7 +59,7 @@ def _run(trace: bool):
         tracer = obs_tracer.tracer_of(platform.sim) if trace else None
     finally:
         obs_tracer.set_enabled(prior)
-    return platform, engine, report, tracer
+    return platform, engine, report, tracer, launches
 
 
 def _signature(report) -> dict:
@@ -62,7 +78,7 @@ def traced_run():
 
 class TestRequestTree:
     def test_every_parent_link_resolves(self, traced_run):
-        _, _, _, tracer = traced_run
+        _, _, _, tracer, _ = traced_run
         spans = tracer.finalize()
         ids = {s.span_id for s in spans}
         assert spans
@@ -70,7 +86,7 @@ class TestRequestTree:
             assert span.parent_id is None or span.parent_id in ids
 
     def test_request_spans_form_single_tree_across_devices(self, traced_run):
-        _, _, report, tracer = traced_run
+        _, _, report, tracer, _ = traced_run
         spans = tracer.finalize()
         by_id = {s.span_id: s for s in spans}
 
@@ -97,7 +113,7 @@ class TestRequestTree:
         assert any(pids >= {0, 1, 2} for pids in pids_by_root.values())
 
     def test_exec_spans_adopted_under_their_sub_launch(self, traced_run):
-        _, _, _, tracer = traced_run
+        _, _, _, tracer, _ = traced_run
         spans = tracer.finalize()
         by_id = {s.span_id: s for s in spans}
         execs = [s for s in spans if s.name in EXEC_SPANS]
@@ -112,16 +128,18 @@ class TestRequestTree:
             assert span.tid == parent.tid
 
     def test_exec_spans_cover_the_traced_launches_runtime(self, traced_run):
-        platform, _, _, tracer = traced_run
+        platform, _, _, tracer, launches = traced_run
         exec_ns: dict[tuple[int, int], float] = {}
         for span in tracer.finalize():
             if span.name in EXEC_SPANS and span.instance_key is not None:
                 exec_ns[span.instance_key] = (
                     exec_ns.get(span.instance_key, 0.0) + span.duration_ns)
         covered = runtime = 0.0
-        for device in platform.devices:
-            for iid, inst in device.controller.instances.items():
-                spanned = exec_ns.get((device.trace_pid, iid))
+        for handle in launches:
+            for sub, sub_handle in zip(handle.plan, handle.subs):
+                inst = sub_handle.instance
+                pid = platform.devices[sub.device].trace_pid
+                spanned = exec_ns.get((pid, inst.instance_id))
                 if (spanned is None or inst.start_ns is None
                         or inst.complete_ns is None):
                     continue
@@ -131,7 +149,7 @@ class TestRequestTree:
         assert covered / runtime >= 0.9
 
     def test_utilization_sampler_ran(self, traced_run):
-        _, engine, _, _ = traced_run
+        _, engine, _, _, _ = traced_run
         assert engine._util is not None
         samples = engine._util.counter_samples()
         assert samples
@@ -143,7 +161,7 @@ class TestRequestTree:
 
 class TestExportedTrace:
     def test_chrome_schema_holds_on_real_run(self, traced_run):
-        _, engine, _, tracer = traced_run
+        _, engine, _, tracer, _ = traced_run
         payload = to_chrome_trace(tracer,
                                   counters=engine._util.counter_samples())
         events = payload["traceEvents"]
@@ -165,7 +183,7 @@ class TestExportedTrace:
         assert not any(stacks.values())
 
     def test_report_parses_and_attributes_tenants(self, traced_run):
-        _, _, report, tracer = traced_run
+        _, _, report, tracer, _ = traced_run
         roots = parse_events(to_chrome_trace(tracer)["traceEvents"])
         built = build_report(roots)
         assert set(built["tenants"]) == {"web", "bulk"}
@@ -175,9 +193,9 @@ class TestExportedTrace:
 
 class TestTracingIsPureObservation:
     def test_off_runs_identical_and_on_run_matches(self, traced_run):
-        _, engine_on, report_on, _ = traced_run
-        _, engine_a, report_a, _ = _run(False)
-        _, engine_b, report_b, _ = _run(False)
+        _, engine_on, report_on, _, _ = traced_run
+        _, engine_a, report_a, _, _ = _run(False)
+        _, engine_b, report_b, _, _ = _run(False)
         # off vs off: the workload itself is deterministic
         assert engine_a.result_snapshots() == engine_b.result_snapshots()
         assert _signature(report_a) == _signature(report_b)
@@ -186,5 +204,5 @@ class TestTracingIsPureObservation:
         assert _signature(report_a) == _signature(report_on)
 
     def test_disabled_run_allocates_no_tracer(self):
-        platform, _, _, _ = _run(False)
+        platform, _, _, _, _ = _run(False)
         assert not hasattr(platform.sim, "_obs_tracer")

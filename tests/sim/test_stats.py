@@ -211,6 +211,16 @@ class TestIntervalSampler:
         sampler.record(3.0, 2.0)   # clamped to 5.0
         assert sampler.points[-1][0] == 5.0
 
+    def test_points_read_back_as_recorded_across_growth(self):
+        sampler, expected, last = IntervalSampler(), [], 0.0
+        for i in range(1000):
+            t = float(i * 7 % 13 + i)              # out of order at times
+            sampler.record(t, i / 3)
+            last = max(last, t)
+            expected.append((last, i / 3))
+        assert sampler.points == expected
+        assert sampler._flat.itemsize * 2 == 16       # a point
+
     @given(
         times=st.lists(st.floats(0.0, 100.0), max_size=40),
         window=st.tuples(st.floats(-5.0, 105.0), st.floats(0.01, 50.0)),

@@ -20,6 +20,8 @@ from repro.config import (
     ndp_l1d_config,
 )
 from repro.errors import ConfigError
+from repro.host.gpu import make_gpu_ndp
+from repro.sim.engine import Simulator
 
 
 class TestDRAMPresets:
@@ -68,6 +70,13 @@ class TestGPUConfig:
         config = gpu_ndp_config(16.2)
         assert config.num_sms == 16
         assert config.freq_ghz == pytest.approx(2.0 * 16.2 / 16)
+
+    def test_gpu_ndp_reads_the_comparator_row_at_call_time(self,
+                                                           monkeypatch):
+        monkeypatch.setitem(COMPARATORS["gpu_ndp"], "freq_ghz", 1.0)
+        assert gpu_ndp_config(16.2).freq_ghz == pytest.approx(16.2 / 16)
+        device = make_gpu_ndp(Simulator(), default_system(), 16.2)
+        assert device.config.freq_ghz == pytest.approx(16.2 / 16)
 
     def test_gpu_ndp_rejects_zero(self):
         with pytest.raises(ConfigError):
