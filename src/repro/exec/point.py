@@ -37,13 +37,20 @@ of guard outcomes share trie nodes, so a replay resolves each shared
 step exactly once and each guard's *live* outcome selects the subtree —
 one linear pass per lane, no per-path retry loop.  Replay runs in two
 phases.  Phase A is **compiled**: :func:`compile_family` walks the trie
-once and emits one straight-line Python function per family — an access
-is a literal line, a guard a nested ``if`` whose unrecorded outcome
-raises, a read behind the path's own stores is forwarded from them —
-that resolves every spec against the **live** launch (its
-``x1``/``x2``/``x3``, its argument block, current memory contents) and
-mutates nothing.  Any change to a leaf drops the function
-(``PointFamily.insert``) and the next replay compiles again;
+once and emits one straight-line Python function per family that
+resolves every spec against the **live** launch (its ``x1``/``x2``/
+``x3``, its argument block, current memory contents) and mutates
+nothing.  A guard is a nested ``if`` whose unrecorded outcome raises; a
+read behind the path's own stores is forwarded from them; a load is
+:class:`~repro.ndp.unit.UnitMemory`'s flat path written out inline —
+one ``dict.get`` on the page table's map, then a slice of the physical
+page (unpacked straight into an int where only the value is used), with
+the last page looked up kept for the next load.  A page the scratchpad
+window overlaps, an unmapped page, a page-crossing load and the
+capacity's last partial page call the unit memory's ``load`` instead, so
+a ``TranslationFault`` still ends the replay as a clean miss.  Any change
+to a leaf drops the function (``PointFamily.insert``) and the next
+replay compiles again, taking the old text out of :mod:`linecache`;
 ``print(family.source)`` shows the text.  Phase B commits the stores
 and charges timing.  Reaching a guard outcome with no recorded
 subtree means the live launch takes a path never walked before — the
@@ -66,9 +73,10 @@ apply the recorded deltas instead of re-walking the L1/L2/DRAM servers
 (the dominant per-hit cost), re-charging live and re-recording every
 ``_REFRESH_PERIOD``-th replay so hit latencies track the warm memory
 system; traffic counters (``ndp.global_traffic_bytes`` etc.) are
-tallied exactly on every replay.  Cross-launch issue pressure is still
-applied as one scalar ``SubCore.service_batch`` charge per lane, on the
-lane's row of the device's issue bank.
+tallied exactly on every replay and added to the stats once per launch.
+Cross-launch issue pressure is still applied as one scalar
+``SubCore.service_batch`` charge per lane, on the lane's row of the
+device's issue bank.
 
 The deltas are the whole kv gap to the interpreter: charged live on
 every replay (``_REFRESH_PERIOD = 1``), m2bench's probe reads
@@ -83,6 +91,8 @@ no wider than the device — see ``BatchedBackend.register_execution``).
 
 from __future__ import annotations
 
+import struct
+
 from repro.isa.executor import (
     _BRANCHES,
     BRANCH_OPS,
@@ -93,6 +103,7 @@ from repro.isa.executor import (
     LOAD_SIGNED,
     MemAccess,
     decode,
+    forget_generated,
     run_generated,
 )
 from repro.isa.encoding import OpClass
@@ -102,13 +113,20 @@ from repro.isa.registers import (
     to_unsigned64,
 )
 from repro.errors import TranslationFault
+from repro.mem.physical import _ZERO, PAGE_SIZE
 from repro.ndp.generator import SPAWN_LATENCY_NS
 from repro.ndp.subcore import ISSUE_COLUMNS
+from repro.ndp.tlb import PAGE_SHIFT
 from repro.exec.simt import LaunchTail
 from repro.exec.trace_cache import PointPathEntry, point_key
 
 #: Sentinel for a vector register reproducible from the kernel code.
 _VCONST = "vc"
+
+#: (size, signed) -> (its name in a compiled replay, the unpacker of a
+#: little-endian word of that width)
+_UNPACK = {(struct.calcsize(c), c.islower()):
+           (f"u_{c}", struct.Struct("<" + c).unpack_from) for c in "bBhHiIqQ"}
 
 #: Every Nth successful replay of a path re-charges its memory events
 #: through the live L1/L2/DRAM servers and re-records the per-step
@@ -454,6 +472,16 @@ def _forward(raw: bytes, vaddr: int, base: int, data: bytes) -> bytes:
     return raw[:lo - vaddr] + data[lo - base:hi - base] + raw[hi - vaddr:]
 
 
+def _passed_loads(node) -> set[int]:
+    """Each load whose bytes a store in the subtree passes through."""
+    passed = {access[3][1] for _, _, accesses in node.mems
+              for access in accesses
+              if access[0] == "st" and access[3][0] == "pass"}
+    for child in node.children.values():
+        passed |= _passed_loads(child)
+    return passed
+
+
 class _FamilyCompiler:
     """Emits one family's trie as a straight-line Python function.
 
@@ -463,17 +491,27 @@ class _FamilyCompiler:
     the function's namespace.
     """
 
-    def __init__(self) -> None:
-        self.lines = ["def replay(load, x1, x2, x3, spad_lo, spad_hi, refresh):",
-                      "    c = []; tl = []; sb = gb = gc = 0"]
-        self.namespace = {"MemAccess": MemAccess,
-                          "PathMismatch": _PathMismatch, "forward": _forward}
+    def __init__(self, root) -> None:
+        self.lines = [
+            "def replay(memory, x1, x2, x3, refresh):",
+            "    load = memory.load; tmap = memory.page_map",
+            "    pages = memory.pages; npg = memory.page_limit",
+            "    spad_lo = memory.spad_lo; spad_hi = memory.spad_hi",
+            f"    s0 = spad_lo >> {PAGE_SHIFT}; "
+            f"s1 = (spad_hi - 1) >> {PAGE_SHIFT}",
+            "    c = []; tl = []; sb = sn = 0; vp = -1; pg = None"]
+        self.namespace = {"MemAccess": MemAccess, "ZERO": _ZERO,
+                          "PathMismatch": _PathMismatch, "forward": _forward,
+                          **dict(_UNPACK.values())}
         self.serial = 0                  # one number per emitted access
+        #: loads whose bytes a store passes through, somewhere in the trie
+        self.passed = _passed_loads(root)
         # what is known at this point of the path being emitted
-        self.signed: dict[int, bool] = {}    # load k -> its value is signed
+        self.unpacks: dict[int, str] = {}    # load k -> its bytes' unpacker
         self.values: set[int] = set()        # loads whose int ``v{k}`` exists
         self.writes: list[tuple] = []        # (address, data) names, in order
         self.pre = 0                         # instruction cycles so far
+        self.bytes = self.accesses = 0       # bytes and accesses so far
 
     def bind(self, obj) -> str:
         name = f"K{len(self.namespace)}"
@@ -493,8 +531,7 @@ class _FamilyCompiler:
                 k = int(tok[1])
                 if k not in self.values:
                     self.values.add(k)
-                    self.emit(depth, f"v{k} = int.from_bytes(r{k}, 'little', "
-                                     f"signed={self.signed[k]})")
+                    self.emit(depth, f"v{k} = {self.unpacks[k]}(r{k})[0]")
                 tok = f"v{k}"
             elif tok not in ("x1", "x2", "x3"):
                 raise ValueError(f"unknown base token {tok!r}")
@@ -509,16 +546,17 @@ class _FamilyCompiler:
         self.emit(depth, f"{addr} = " + (
             str(to_unsigned64(spec)) if isinstance(spec, int)
             else UNSIGNED64.format(self.lin(spec, depth))))
-        self.emit(depth, f"if spad_lo <= {addr} < spad_hi: sb += {size}")
-        self.emit(depth, f"else: gb += {size}; gc += 1")
+        self.bytes += size
+        self.accesses += 1
         if kind == "ld":
             k = int(access[3])
-            self.signed[k] = bool(access[4])
-            self.emit(depth, f"r{k} = load({addr}, {size})")
+            self.load(addr, size, k, bool(access[4]), depth)
             for base, written in self.writes:
                 self.emit(depth, f"r{k} = forward(r{k}, {addr}, {base}, "
                                  f"{written})")
             return f"MemAccess({addr}, {size}, False)"
+        self.emit(depth, f"if spad_lo <= {addr} < spad_hi: "
+                         f"sb += {size}; sn += 1")
         value = access[3]
         if value[0] == "lit":
             data = self.bind(value[1])
@@ -532,6 +570,41 @@ class _FamilyCompiler:
         self.emit(depth, f"c.append(({addr}, {data}))")
         self.writes.append((addr, data))
         return f"MemAccess({addr}, {size}, True)"
+
+    def load(self, addr: str, size: int, k: int, signed: bool,
+             depth: int) -> None:
+        """Load ``k``: ``memory.load(addr, size)``, inline —
+        :meth:`UnitMemory.load <repro.ndp.unit.UnitMemory.load>`'s one
+        ``dict.get`` and page slice, memoized per page in ``vp`` (the
+        last vpn) and ``pg`` (its page, or None where ``load`` must
+        decide: an unmapped page, one past the capacity's last whole
+        page, or one the scratchpad window overlaps).  Such a page and a
+        page-crossing access call ``load``, and only they can be a
+        scratchpad access.  A scalar load whose bytes no store passes
+        through or forwards into is read straight into its int
+        ``v{k}``, else into the bytes ``r{k}``."""
+        unpack = _UNPACK.get((size, signed))
+        if unpack is not None:           # every scalar load width
+            self.unpacks[k] = unpack[0]
+        if unpack is None or k in self.passed or self.writes:
+            target, fast, slow = (f"r{k}", f"pg[o:o + {size}].tobytes()",
+                                  f"load({addr}, {size})")
+        else:
+            self.values.add(k)
+            target, fast, slow = (f"v{k}", f"{unpack[0]}(pg, o)[0]",
+                                  f"{unpack[0]}(load({addr}, {size}))[0]")
+        for line in (
+                f"if {addr} >> {PAGE_SHIFT} != vp:",
+                f"    vp = {addr} >> {PAGE_SHIFT}; e = tmap.get(vp)",
+                "    pg = (pages.get(e.ppn, ZERO) if e is not None"
+                " and 0 <= e.ppn < npg and not s0 <= vp <= s1 else None)",
+                f"o = {addr} & {PAGE_SIZE - 1}",
+                f"if pg is not None and o <= {PAGE_SIZE - size}: "
+                f"{target} = {fast}",
+                "else:",
+                f"    {target} = {slow}",
+                f"    if spad_lo <= {addr} < spad_hi: sb += {size}; sn += 1"):
+            self.emit(depth, line)
 
     def operand(self, spec: tuple, signed: bool, depth: int) -> str:
         if spec[0] == "lit":
@@ -551,7 +624,8 @@ class _FamilyCompiler:
             if node.guard is None:
                 self.emit(depth, "raise PathMismatch" if node.entry is None
                           else f"return {self.bind(node.entry)}, {self.pre}, "
-                               f"c, sb, gb, gc, tl")
+                               f"c, sb, {self.bytes} - sb, "
+                               f"{self.accesses} - sn, tl")
                 return
             m, a, b = node.guard
             # a guard compares as the executor's branch does
@@ -560,11 +634,13 @@ class _FamilyCompiler:
                     + ("0" if b is None else self.operand(b, signed, depth)))
             taken, fallen = node.children.get(True), node.children.get(False)
             if taken is not None and fallen is not None:
-                here = (dict(self.signed), set(self.values),
-                        list(self.writes), self.pre)
+                here = (dict(self.unpacks), set(self.values),
+                        list(self.writes), self.pre, self.bytes,
+                        self.accesses)
                 self.emit(depth, f"if {test}:")
                 self.node(taken, depth + 1)
-                self.signed, self.values, self.writes, self.pre = here
+                (self.unpacks, self.values, self.writes, self.pre, self.bytes,
+                 self.accesses) = here
                 self.emit(depth, "else:")
                 self.node(fallen, depth + 1)
                 return
@@ -577,33 +653,43 @@ class _FamilyCompiler:
 def compile_family(family):
     """Generate, compile and install ``family.replay`` from its trie.
 
-    ``replay(load, x1, x2, x3, spad_lo, spad_hi, refresh)`` is phase A and
+    ``replay(memory, x1, x2, x3, refresh)`` is phase A: it reads through
+    ``memory`` (the lane's :class:`~repro.ndp.unit.UnitMemory`) and
     returns the matched leaf's ``(entry, pre_cycles, commits, spad_bytes,
     global_bytes, global_accesses, timeline)``.  The text stays on the
     family under a file name of its own (kernel, leaves, text checksum;
     :func:`~repro.isa.executor.run_generated`), so a profile keeps
-    families apart.
+    families apart; a recompile takes the superseded text out of
+    :mod:`linecache`.
     """
-    compiler = _FamilyCompiler()
+    compiler = _FamilyCompiler(family.root)
     compiler.node(family.root, 1)
     source = "\n".join(compiler.lines) + "\n"
+    if family.filename:
+        forget_generated(family.filename)
     run_generated(source, f"point-family:{to_unsigned64(family.code_hash):x}"
                           f":{family.leaves}", compiler.namespace)
+    replay = family.replay = compiler.namespace["replay"]
     family.source = source
+    family.filename = replay.__code__.co_filename
     family.compiles += 1
-    family.replay = compiler.namespace["replay"]
-    return family.replay
+    return replay
 
 
 def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
-                 asid: int, period: float) -> tuple[float, PointPathEntry]:
+                 asid: int, period: float,
+                 traffic: list) -> tuple[float, PointPathEntry]:
     """Replay one lane (live registers ``x1``/``x2``/``x3``) through the
     family's compiled trie.
 
     Raises :class:`_PathMismatch` when a guard outcome has no recorded
     subtree (a control path never walked before) or the replay touches an
-    unmapped page, before anything is committed or charged.  On success the stores are committed, timing is
-    charged, and (completion_ns, matched path entry) returned.
+    unmapped page, before anything is committed or charged.  On success
+    the stores are committed, timing is charged, and (completion_ns,
+    matched path entry) returned.  A refresh replay's traffic counters
+    are charged with its live timing; any other replay adds its
+    scratchpad bytes, global bytes and global accesses to ``traffic``,
+    which the launch adds to the stats once.
     """
     memory = unit.memory_for(asid)
     # a refresh replay rebuilds MemAccess events and charges them live,
@@ -613,14 +699,14 @@ def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
     replay = family.replay or compile_family(family)
     try:
         (entry, pre_total, commits, spad_bytes, glob_bytes, glob_count,
-         timeline) = replay(memory.load, x1, x2, x3, unit._spad_base,
-                            unit._spad_end, refresh)
+         timeline) = replay(memory, x1, x2, x3, refresh)
     except TranslationFault:
         raise _PathMismatch from None
 
     # -- phase B: commit + timing (resolve order == commit order) -------
+    store = memory.store
     for vaddr, data in commits:
-        memory.store(vaddr, data)
+        store(vaddr, data)
     family.replays += 1
     entry.replays += 1
     if refresh:
@@ -634,12 +720,9 @@ def _replay_lane(unit, family, x1: int, x2: int, x3: int, t0: float,
         entry.lat = new_lat
         entry.lat_sum = sum(new_lat)
     else:
-        stats = unit.stats
-        if spad_bytes:
-            stats.add("ndp.spad_traffic_bytes", spad_bytes)
-        if glob_count:
-            stats.add("ndp.global_traffic_bytes", glob_bytes)
-            stats.add("ndp.global_accesses", glob_count)
+        traffic[0] += spad_bytes
+        traffic[1] += glob_bytes
+        traffic[2] += glob_count
         t = t0 + pre_total * period + entry.lat_sum
     return t + entry.tail_cycles * period, entry
 
@@ -680,6 +763,8 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     lane_done: list[float] = []
     total_inst = 0
     hits = misses = gen_hits = 0
+    #: the replays' scratchpad bytes, global bytes and global accesses
+    traffic = [0, 0, 0]
 
     for lane in range(n):
         unit = exec_units[lane % num_units]
@@ -690,7 +775,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
             try:
                 done_t, entry = _replay_lane(unit, family, x1, x2,
                                              execution.args_vaddr, t0, asid,
-                                             period)
+                                             period, traffic)
             except _PathMismatch:
                 pass
             else:
@@ -712,6 +797,12 @@ def attempt_point(backend, execution, now_ns: float) -> None:
         unit.subcores[0].service_batch(t0, lane_ops)
         lane_done.append(done_t)
 
+    spad_bytes, glob_bytes, glob_count = traffic
+    if spad_bytes:
+        stats.add("ndp.spad_traffic_bytes", spad_bytes)
+    if glob_count:
+        stats.add("ndp.global_traffic_bytes", glob_bytes)
+        stats.add("ndp.global_accesses", glob_count)
     stats.add("exec.simt_launches")
     stats.add("exec.point_launches")
     if hits:

@@ -242,9 +242,11 @@ class PointFamily:
     leaves: int = 0
     #: successful replays across the family (drives latency refresh)
     replays: int = 0
-    #: compiled trie, its text, and how often it was (re)generated
+    #: compiled trie, its text and file name, and how often it was
+    #: (re)generated
     replay: object = None
     source: str = ""
+    filename: str = ""
     compiles: int = 0
     #: bytes charged against the cache's budget (set by the cache)
     nbytes: int = 0

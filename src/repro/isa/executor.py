@@ -278,6 +278,11 @@ SCALAR_NAMESPACE = {
 }
 
 
+#: generated file name -> how many :func:`run_generated` calls made it
+#: and no :func:`forget_generated` call gave it up yet
+_HOLDERS: dict[str, int] = {}
+
+
 def run_generated(source: str, label: str, namespace: dict) -> dict:
     """Execute generated ``source`` into ``namespace`` and return it.
 
@@ -289,7 +294,19 @@ def run_generated(source: str, label: str, namespace: dict) -> dict:
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                  filename)
+    _HOLDERS[filename] = _HOLDERS.get(filename, 0) + 1
     return namespace
+
+
+def forget_generated(filename: str) -> None:
+    """One holder of the code :func:`run_generated` named ``filename``
+    dropped it; the last one takes its text out of :mod:`linecache` (two
+    holders of the same text share one name)."""
+    left = _HOLDERS.pop(filename) - 1
+    if left:
+        _HOLDERS[filename] = left
+    else:
+        linecache.cache.pop(filename, None)
 
 
 def _x_store(rd, value: str) -> str:

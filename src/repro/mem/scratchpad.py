@@ -56,9 +56,6 @@ class Scratchpad:
 
     # ------------------------------------------------------------------
 
-    def contains(self, vaddr: int) -> bool:
-        return self.base_vaddr <= vaddr < self.base_vaddr + self.size_bytes
-
     def _offset(self, vaddr: int, size: int) -> int:
         offset = vaddr - self.base_vaddr
         if offset < 0 or offset + size > self.size_bytes:

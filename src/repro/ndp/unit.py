@@ -4,19 +4,23 @@ An NDP unit (Fig 7) owns four sub-cores, a 128 KB scratchpad/L1D, and
 I/D TLBs.  It provides two views of memory:
 
 * :class:`UnitMemory` — the *functional* interface handed to the ISA
-  executor: routes scratchpad-window addresses to the unit's scratchpad and
-  everything else through the page table to the device's physical memory.
+  executor, the point walk and the point replay: routes scratchpad-window
+  addresses to the unit's scratchpad and everything else through the page
+  table to the device's physical memory, in one flat scalar path (one
+  ``dict.get`` to translate, one page slice to read or write).
 
 * :meth:`NDPUnit.timed_access` — the *timing* path: scratchpad latency, TLB
-  / DRAM-TLB translation cost, write-through L1, the memory-side L2 and the
-  banked DRAM model, plus HDM back-invalidation when the host holds a dirty
-  copy.  Stores are posted (non-blocking past L1) but still charge L2/DRAM
-  bandwidth; loads block their µthread until data returns — other µthreads
-  keep issuing, which is how FGMT hides the latency.
+  / DRAM-TLB translation cost (a DTLB hit inline), write-through L1, the
+  memory-side L2 and the banked DRAM model, plus HDM back-invalidation when
+  the host holds a dirty copy.  Stores are posted (non-blocking past L1)
+  but still charge L2/DRAM bandwidth; loads block their µthread until data
+  returns — other µthreads keep issuing, which is how FGMT hides the
+  latency.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import weakref
 from typing import TYPE_CHECKING
@@ -25,7 +29,7 @@ from repro.config import NDPConfig
 from repro.errors import MemoryError_
 from repro.isa.executor import MemAccess
 from repro.mem.cache import SectorCache
-from repro.mem.physical import PhysicalMemory
+from repro.mem.physical import _ZERO, PAGE_SIZE, PhysicalMemory
 from repro.mem.scratchpad import Scratchpad, _apply_amo
 from repro.ndp.occupancy import UnitOccupancy
 from repro.ndp.subcore import SubCore
@@ -41,12 +45,26 @@ CROSSBAR_NS = 2.0
 #: Extra cycle for the L2's atomic ALU on global atomics.
 ATOMIC_OP_NS = 0.5
 
+_PAGE_MASK = PAGE_SIZE - 1
+
 _AMO_INT = {4: struct.Struct("<i"), 8: struct.Struct("<q")}
 _AMO_FLT = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
 
 
 class UnitMemory:
-    """Functional memory view for µthreads of one kernel on one unit."""
+    """Functional memory view for µthreads of one kernel on one unit.
+
+    One flat scalar path serves the interpreter's bursts, the point walk
+    and the point replay's commits: the scratchpad window is a bounds
+    test, the translation one ``dict.get`` on the page table's map, and
+    an access that stays inside one page wholly below the capacity reads
+    or writes that physical page directly.  A page-crossing access, the
+    capacity's last partial page and an unmapped page go through
+    :meth:`PageTable.lookup` and :class:`PhysicalMemory`, which raise
+    as they always do.  The compiled point replay inlines the same load
+    from ``page_map``, ``pages`` and ``page_limit``
+    (:class:`repro.exec.point._FamilyCompiler`).
+    """
 
     def __init__(self, physical: PhysicalMemory, page_table: PageTable,
                  spad: Scratchpad, stats: StatsRegistry, asid: int) -> None:
@@ -55,35 +73,55 @@ class UnitMemory:
         self._page_table = page_table
         self._spad = spad
         self._stats = stats
-
-    def _translate(self, vaddr: int) -> int:
-        translation = self._page_table.lookup(vaddr >> PAGE_SHIFT)
-        return (translation.ppn << PAGE_SHIFT) | (vaddr & ((1 << PAGE_SHIFT) - 1))
+        self.spad_lo = spad.base_vaddr
+        self.spad_hi = spad.base_vaddr + spad.size_bytes
+        #: vpn -> Translation and ppn -> page: the tables themselves (a
+        #: translation's 4 KiB page is :class:`PhysicalMemory`'s page)
+        self.page_map = page_table._map
+        self.pages = physical._pages
+        #: every page below this index lies whole inside the capacity
+        capacity = physical.capacity_bytes
+        self.page_limit = (math.inf if capacity is None
+                           else capacity // PAGE_SIZE)
 
     def load(self, vaddr: int, size: int) -> bytes:
-        if self._spad.contains(vaddr):
+        if self.spad_lo <= vaddr < self.spad_hi:
             return self._spad.read(vaddr, size)
-        return self._physical.read_bytes(self._translate(vaddr), size)
+        vpn = vaddr >> PAGE_SHIFT       # unmapped: the lookup raises
+        ppn = (self.page_map.get(vpn) or self._page_table.lookup(vpn)).ppn
+        offset = vaddr & _PAGE_MASK
+        if offset + size <= PAGE_SIZE and 0 <= ppn < self.page_limit:
+            return self.pages.get(ppn, _ZERO)[offset:offset + size].tobytes()
+        return self._physical.read_bytes((ppn << PAGE_SHIFT) | offset, size)
 
     def store(self, vaddr: int, data: bytes) -> None:
-        if self._spad.contains(vaddr):
+        if self.spad_lo <= vaddr < self.spad_hi:
             self._spad.write(vaddr, data)
-        else:
-            self._physical.write_bytes(self._translate(vaddr), data)
+            return
+        vpn = vaddr >> PAGE_SHIFT
+        ppn = (self.page_map.get(vpn) or self._page_table.lookup(vpn)).ppn
+        offset = vaddr & _PAGE_MASK
+        size = len(data)
+        if 0 < size <= PAGE_SIZE - offset and 0 <= ppn < self.page_limit:
+            page = self.pages.get(ppn)
+            if page is None:
+                page = self._physical._page(ppn)
+            page[offset:offset + size] = data
+        else:             # an empty write creates no page: PhysicalMemory
+            self._physical.write_bytes((ppn << PAGE_SHIFT) | offset, data)
 
     def amo(self, op: str, vaddr: int, operand, size: int, is_float: bool):
-        if self._spad.contains(vaddr):
+        if self.spad_lo <= vaddr < self.spad_hi:
             return self._spad.amo(op, vaddr, operand, size, is_float)
         # a global atomic: read-modify-write on HDM, done at the L2
-        paddr = self._translate(vaddr)
         packer = (_AMO_FLT if is_float else _AMO_INT)[size]
-        old = packer.unpack(self._physical.read_bytes(paddr, size))[0]
+        old = packer.unpack(self.load(vaddr, size))[0]
         new = _apply_amo(op, old, operand)
         if not is_float:
             bits = 8 * size
             new &= (1 << bits) - 1
             new -= (1 << bits) if new >= (1 << (bits - 1)) else 0
-        self._physical.write_bytes(paddr, packer.pack(new))
+        self.store(vaddr, packer.pack(new))
         self._stats.add("ndp.global_atomics")
         return old
 
@@ -129,6 +167,7 @@ class NDPUnit:
         )
         self.dtlb = TLB(config.dtlb_entries)
         self.itlb = TLB(config.itlb_entries)
+        self._dtlb_entries = self.dtlb._entries
         #: The hardware partition this unit belongs to, bound by
         #: ``device.configure_partitions``: every global access goes
         #: through that partition's L2/DRAM.
@@ -188,7 +227,17 @@ class NDPUnit:
             self.stats.add("ndp.spad_traffic_bytes", size)
             return issue_ns + self._spad_latency
 
-        paddr, ready = self._translate_timed(vaddr, asid, issue_ns)
+        # a DTLB hit inline (TLB.lookup's LRU move and count); a miss
+        # walks the DRAM-TLB in _translate_timed
+        key = (asid, vaddr >> PAGE_SHIFT)
+        entry = self._dtlb_entries.get(key)
+        if entry is not None:
+            self._dtlb_entries.move_to_end(key)
+            self.dtlb.hits += 1
+            paddr = (entry.ppn << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
+            ready = issue_ns
+        else:
+            paddr, ready = self._translate_timed(vaddr, asid, issue_ns)
         self.stats.add("ndp.global_traffic_bytes", size)
         self.stats.add("ndp.global_accesses")
         partition = self.partition

@@ -333,7 +333,7 @@ class _PointStore:
         #: (is_get, scattered) -> kernel id
         self.kids = {(True, False): runtime.register_kernel(
             KVS_GET, name=f"{spec.name}.get")}
-        #: (result slot, value a GET must have fetched | None for a SET)
+        #: (request index, value a GET must have fetched | None for a SET)
         self._checks: list[tuple[int, int | None]] = []
         # SETs overwrite existing keys: each SET's node (key + canonical
         # value) is host-prewritten once at setup, so re-planning a retry
@@ -404,21 +404,25 @@ class _PointStore:
         for request in requests:
             req = self.data.requests[request.index]
             self._checks.append(
-                (self.slots_addr + request.index * _SLOT_BYTES,
-                 req.value_seed if req.is_get else None))
+                (request.index, req.value_seed if req.is_get else None))
 
     def verify(self) -> bool:
         # Every slot must report status 1: "found" for a GET, which must
         # also have fetched its value, and "updated" for a SET — every
         # serving SET targets an existing key, so an "inserted" (2) would
         # mean an order-dependent chain mutation and a broken
-        # byte-identity guarantee.
-        physical = self.runtime.physical
-        return all(
-            physical.read_u64(slot + 64) == 1
-            and (seed is None or physical.read_u64(slot) == seed)
-            for slot, seed in self._checks
-        )
+        # byte-identity guarantee.  Word 8 of a slot is its status, word
+        # 0 the value's first word; all slots come from one read.
+        if not self._checks:
+            return True
+        slots = np.frombuffer(self.result_snapshot(), "<u8").reshape(
+            self.num_requests, _SLOT_BYTES // 8)
+        index, seeds = zip(*self._checks)
+        checked = slots[list(index)]
+        is_get = np.array([seed is not None for seed in seeds])
+        fetched = np.array([seed or 0 for seed in seeds], np.uint64)
+        return bool(((checked[:, 8] == 1)
+                     & (~is_get | (checked[:, 0] == fetched))).all())
 
     def result_snapshot(self) -> bytes:
         return bytes(self.runtime.physical.read_bytes(

@@ -71,16 +71,18 @@ def generate(items: int, requests: int, get_fraction: float,
     gen = rng(salt + items)
     buckets = max(64, items // 2)
     keys = gen.integers(1, 1 << 63, (items, KEY_WORDS), dtype=np.uint64)
-    bucket_of = np.array(
-        [hash_key(int(k[0]), int(k[1]), int(k[2]), buckets) for k in keys],
-        dtype=np.int64,
-    )
+    # Python ints from .tolist(), not numpy scalars one element at a time
+    key_of = [tuple(row) for row in keys.tolist()]
+    bucket_of = np.array([hash_key(*key, buckets) for key in key_of],
+                         dtype=np.int64)
     # chain position: i-th key hashed to a bucket sits at depth i
-    chain_position = np.zeros(items, dtype=np.int64)
     depth_seen: dict[int, int] = {}
-    for i, b in enumerate(bucket_of):
-        chain_position[i] = depth_seen.get(int(b), 0)
-        depth_seen[int(b)] = chain_position[i] + 1
+    position_of = []
+    for b in bucket_of.tolist():
+        depth = depth_seen.get(b, 0)
+        position_of.append(depth)
+        depth_seen[b] = depth + 1
+    chain_position = np.array(position_of, dtype=np.int64)
 
     zipf = gen.zipf(1.2, size=requests)
     target_items = ((zipf - 1) % items).astype(np.int64)
@@ -88,14 +90,10 @@ def generate(items: int, requests: int, get_fraction: float,
     arrivals = np.cumsum(gen.exponential(interarrival_ns, requests))
 
     reqs = [
-        KVRequest(
-            arrival_ns=float(arrivals[i]),
-            is_get=bool(is_get[i]),
-            key=tuple(int(w) for w in keys[target_items[i]]),
-            chain_position=int(chain_position[target_items[i]]),
-            value_seed=int(target_items[i]),
-        )
-        for i in range(requests)
+        KVRequest(arrival_ns=arrival, is_get=get, key=key_of[item],
+                  chain_position=position_of[item], value_seed=item)
+        for arrival, get, item in zip(arrivals.tolist(), is_get.tolist(),
+                                      target_items.tolist())
     ]
     return KVStoreData(items=items, buckets=buckets, keys=keys,
                        bucket_of=bucket_of, chain_position=chain_position,

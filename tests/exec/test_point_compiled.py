@@ -14,6 +14,7 @@ Python function.  Every scenario here runs three times:
 
 import linecache
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from repro.workloads.base import make_platform
 # ---------------------------------------------------------------------------
 
 
-def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
+def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period,
+                           traffic):
     """Phase A as an interpreter over the trie; phase B as shipped."""
     memory = unit.memory_for(asid)
     live = {"x1": x1, "x2": x2, "x3": x3}
@@ -131,12 +133,9 @@ def _reference_replay_lane(unit, family, x1, x2, x3, t0, asid, period):
         entry.lat = new_lat
         entry.lat_sum = sum(new_lat)
     else:
-        stats = unit.stats
-        if spad_bytes:
-            stats.add("ndp.spad_traffic_bytes", spad_bytes)
-        if glob_count:
-            stats.add("ndp.global_traffic_bytes", glob_bytes)
-            stats.add("ndp.global_accesses", glob_count)
+        traffic[0] += spad_bytes
+        traffic[1] += glob_bytes
+        traffic[2] += glob_count
         t = t0 + pre_total * period + entry.lat_sum
     return t + entry.tail_cycles * period, entry
 
@@ -671,6 +670,37 @@ def test_recompiles_exactly_once_per_leaf_change(monkeypatch):
         f"<point-family:{to_unsigned64(family.code_hash):x}:3:")
 
 
+def test_a_recompile_takes_the_superseded_text_out_of_linecache():
+    # two platforms grow the same family through the same texts: a text
+    # leaves linecache when the last family showing it recompiles
+    def run():
+        platform = make_platform(backend="batched")
+        runtime = platform.runtime
+        words = runtime.alloc_array(np.array([0, 1, 2], dtype=np.int64))
+        out = runtime.alloc(32)
+        kid = runtime.register_kernel(LOOP_KERNEL)
+
+        def launch(i):
+            for _ in range(2):           # a walk records, a replay compiles
+                runtime.launch_kernel(kid, out, out + 32,
+                                      args=pack_args(words + 8 * i))
+            family, = _families(platform)
+            assert "".join(linecache.getlines(family.filename)) == \
+                family.source
+            return family.filename
+        return launch
+
+    first, second = run(), run()
+    one = first(0)
+    assert second(0) == one              # one text, shown by both
+    two = first(1)
+    assert two != one and one in linecache.cache
+    assert second(1) == two
+    assert one not in linecache.cache
+    first(2)
+    assert two in linecache.cache        # the second platform still shows it
+
+
 def test_unmapped_page_mid_replay_is_a_clean_miss():
     # the replay stores, then loads through a pointer that is not mapped:
     # nothing may be committed, counted or charged before the miss
@@ -695,17 +725,20 @@ def test_unmapped_page_mid_replay_is_a_clean_miss():
     asid = runtime.asid
     period = platform.device.config.ndp.clock.period_ns
 
+    traffic = [0, 0, 0]
     done, entry = point._replay_lane(unit, family, out + 32, 5, args_good,
-                                     0.0, asid, period)
+                                     0.0, asid, period, traffic)
     assert runtime.read_array(out + 32, np.int64, 2).tolist() == [11, 5]
 
     before = (runtime.device.physical.read_bytes(out, 64),
-              platform.stats.snapshot(), family.replays, entry.replays)
+              platform.stats.snapshot(), family.replays, entry.replays,
+              list(traffic))
     with pytest.raises(point._PathMismatch):
-        point._replay_lane(unit, family, out, 9, args_bad, 0.0, asid, period)
+        point._replay_lane(unit, family, out, 9, args_bad, 0.0, asid, period,
+                           traffic)
     assert before == (runtime.device.physical.read_bytes(out, 64),
                       platform.stats.snapshot(), family.replays,
-                      entry.replays)
+                      entry.replays, traffic)
 
 
 #: A load feeding an affine store, and a code constant stored as a
@@ -738,14 +771,18 @@ def test_generated_code_is_findable():
     assert len(set(names)) == 2
     for family, name in zip((first, second), names):
         assert "".join(linecache.getlines(name)) == family.source
-        assert family.source.startswith("def replay(load, x1, x2, x3, ")
+        assert family.source.startswith(
+            "def replay(memory, x1, x2, x3, refresh):")
 
     def broken_load(vaddr, size):
         raise RuntimeError("boom")
 
+    # nothing mapped: the inline read leaves the first load to ``load``
+    memory = types.SimpleNamespace(load=broken_load, page_map={}, pages={},
+                                   page_limit=0, spad_lo=0, spad_hi=0)
     with pytest.raises(RuntimeError) as caught:
-        first.replay(broken_load, 0, 0, 0, 0, 0, False)
+        first.replay(memory, 0, 0, 0, False)
     text = "".join(traceback.format_exception(caught.value))
-    assert names[0] in text and "r0 = load(a1, 8)" in text
+    assert names[0] in text and "v0 = u_q(load(a1, 8))[0]" in text
     # constants travel by reference: no bytes literal in the text
     assert "b'" not in first.source and 'b"' not in first.source

@@ -18,12 +18,6 @@ class TestReadWrite:
         spad.write(SCRATCHPAD_VBASE + 16, b"abcd")
         assert spad.read(SCRATCHPAD_VBASE + 16, 4) == b"abcd"
 
-    def test_contains(self, spad):
-        assert spad.contains(SCRATCHPAD_VBASE)
-        assert spad.contains(SCRATCHPAD_VBASE + 4095)
-        assert not spad.contains(SCRATCHPAD_VBASE + 4096)
-        assert not spad.contains(SCRATCHPAD_VBASE - 1)
-
     def test_out_of_window_rejected(self, spad):
         with pytest.raises(MemoryError_):
             spad.read(SCRATCHPAD_VBASE + 4090, 8)

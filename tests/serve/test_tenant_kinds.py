@@ -91,3 +91,36 @@ def test_snapshot_identical_batched_and_unbatched(kind):
     assert single.launches == REQUESTS
     assert fused.launches < REQUESTS      # the kind's fuse mode engaged
     assert fused_bytes == single_bytes
+
+
+def test_kv_oracle_checks_every_status_and_only_get_values():
+    # a SET's slot reports its status only; a GET's slot also the value
+    # it fetched (both come from the one result_snapshot read)
+    platform = make_cluster_platform(num_devices=2, backend="batched")
+    spec = TenantSpec("t", "kvstore", size=64, get_fraction=0.5,
+                      arrivals=ArrivalSpec("poisson", rate_rps=1e9,
+                                           requests=REQUESTS))
+    workload = TenantWorkload(platform, spec, seed=7)
+    impl = workload.impl
+    for index in range(REQUESTS):
+        batch = [_request(workload, index)]
+        plan = workload.plan(batch)
+        platform.runtime.launch_kernel(plan.kernel_id, plan.base, plan.bound,
+                                       plan.args, stride=plan.stride)
+        workload.note_served(batch)
+    assert workload.verify()
+    is_get = [r.is_get for r in impl.data.requests]
+    get, put = is_get.index(True), is_get.index(False)
+    physical = platform.runtime.physical
+
+    def slot(index):
+        return impl.slots_addr + index * 128
+
+    physical.write_u64(slot(put), 12345)          # a SET's value word
+    assert workload.verify()
+    physical.write_u64(slot(put) + 64, 2)         # "inserted", not "updated"
+    assert not workload.verify()
+    physical.write_u64(slot(put) + 64, 1)
+    assert workload.verify()
+    physical.write_u64(slot(get), physical.read_u64(slot(get)) + 1)
+    assert not workload.verify()
