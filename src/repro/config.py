@@ -310,13 +310,32 @@ class ClusterConfig:
 
 COMPARATORS: dict[str, dict] = {
     # Host CPU streaming from passive CXL memory; also the KVS baseline's
-    # cores and the NDP path's key hashing.
+    # cores, both KVS paths' key hashing, and the OLAP baseline's per-query
+    # Evaluate cost and phase split (§IV-B).
     "cpu": {
         "cores": 64,                    # Table IV: host CPU cores
         "mlp": 10,                      # calibration: OoO misses in flight
         "instr_per_row_predicate": 4,   # calibration: Fig 15 host instrs
         "static_w": 120.0,              # calibration: host CPU power, §IV-A
         "pj_per_instr": 150.0,          # calibration: 7 nm OoO core average
+        "kvs_hash_ns": 150.0,           # calibration: hash a 24 B key + dispatch
+        # Branchy evaluation of one predicate on one row, one core.
+        "ns_per_row_predicate": {       # calibration: Fig 10a Evaluate speedups
+            "q6": 0.9,                  # calibration: 3 predicates, one f64
+            "q14": 2.2,                 # calibration: 1 predicate, 1-month range
+            "q1_1": 0.7,                # calibration: 3 i32 predicates, 1 year
+            "q1_2": 0.6,                # calibration: 3 i32 predicates, 1 month
+            "q1_3": 0.65,               # calibration: 3 i32 predicates, 1 week
+        },
+        # The Evaluate phase's share of the whole query; Filter and Etc,
+        # the rest, stay on the host.
+        "evaluate_fraction": {          # calibration: Fig 10a stacked bars
+            "q6": 0.48,                 # calibration: Fig 10a, Q6's bar
+            "q14": 0.52,                # calibration: Fig 10a, Q14's bar
+            "q1_1": 0.45,               # calibration: Fig 10a, Q1.1's bar
+            "q1_2": 0.42,               # calibration: Fig 10a, Q1.2's bar
+            "q1_3": 0.43,               # calibration: Fig 10a, Q1.3's bar
+        },
     },
     # CPU-NDP: high-end cores inside the expander on its internal DRAM.
     "cpu_ndp": {
@@ -335,7 +354,7 @@ COMPARATORS: dict[str, dict] = {
     },
     # GPU-NDP: the host GPU's SMs inside the expander; the host GPU idles.
     "gpu_ndp": {
-        "launch_ns": 1_500.0,           # Fig 5c: CXL.io direct MMIO, y + 2y
+        "launch": "cxl_io_dr",          # Fig 5c: CXL.io direct MMIO registers
         "freq_ghz": 2.0,                # §IV-A: SM clock inside the device
         "static_w_per_sm": 2.5,         # calibration: one SM inside the device
         "host": "gpu",                  # §IV-A: instruction energy, idle host
@@ -346,12 +365,19 @@ COMPARATORS: dict[str, dict] = {
         "pj_per_instr": 8.0,            # calibration: in-order lane + RF
         "pj_per_spad_byte": 0.4,        # calibration: scratchpad SRAM access
     },
-    # The expander: static power and access energies of every configuration.
+    # The expander: static power and access energies of every configuration,
+    # and one CXL.mem trip of an M2func offload (Fig 5a).
     "cxl_mem": {
         "static_w": 12.0,               # calibration: controller + LPDDR5 idle
         "pj_per_dram_bit": 4.0,         # calibration: LPDDR5 access energy
         "pj_per_cxl_bit": 8.0,          # [38]: CXL link energy per bit
         "idle_host_fraction": 0.3,      # calibration: idle host's static share
+        "one_way_ns": 75.0,             # Fig 5: x, one-way CXL.mem latency
+    },
+    # CXL.io, the path of the ring-buffer and direct-MMIO offloads (Fig 5b,
+    # 5c; ``host.offload.HOPS`` counts each mechanism's one-way trips).
+    "cxl_io": {
+        "one_way_ns": 500.0,            # Fig 5: y, one-way CXL.io (~1 µs DMA)
     },
     # NSU [81]: the host generates every address the NDP units access.
     "nsu": {

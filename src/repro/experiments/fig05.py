@@ -1,15 +1,16 @@
 """Fig 5: NDP offloading timelines — M2func vs CXL.io ring buffer vs
-direct MMIO, with the paper's example latencies (x=75 ns, y=500 ns,
-z=6.4 µs DLRM(SLS)-B32 kernel)."""
+direct MMIO, with the paper's example latencies (x and y, the
+``COMPARATORS`` rows ``cxl_mem`` and ``cxl_io``; z = 6.4 µs, a
+DLRM(SLS)-B32 kernel)."""
 
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
-from repro.host.offload import timeline
+from repro.host.offload import HOPS, timeline
 
 
-def run_fig5(kernel_ns: float = 6_400.0, x_ns: float = 75.0,
-             y_ns: float = 500.0) -> ExperimentResult:
+def run_fig5(kernel_ns: float = 6_400.0, x_ns: float | None = None,
+             y_ns: float | None = None) -> ExperimentResult:
     result = ExperimentResult(
         "fig5", "Offloading scheme timelines (z + overhead decomposition)"
     )
@@ -24,14 +25,12 @@ def run_fig5(kernel_ns: float = 6_400.0, x_ns: float = 75.0,
             total_ns=tl.total_ns,
         )
     m2 = lines["m2func"]
-    # The communication reduction counts round trips at equal per-hop
-    # latency (2 one-ways vs 3 and 8); the end-to-end reduction uses the
-    # real x/y latencies.
-    equal = {name: timeline(name, 0.0, y_ns, y_ns)
-             for name in ("m2func", "cxl_io_rb", "cxl_io_dr")}
+    # The communication reduction counts one-way trips, as if every trip
+    # took the same time; the end-to-end reduction uses the real x and y.
+    trips = {name: before + after for name, (_, before, after) in HOPS.items()}
     comm_red = {
-        name: 1.0 - equal["m2func"].overhead_ns / tl.overhead_ns
-        for name, tl in equal.items() if name != "m2func"
+        name: 1.0 - trips["m2func"] / count
+        for name, count in trips.items() if name != "m2func"
     }
     e2e_red = {
         name: 1.0 - m2.total_ns / tl.total_ns

@@ -16,7 +16,7 @@ import re
 
 from repro.cluster import make_cluster_platform
 from repro.experiments.common import ExperimentResult
-from repro.host.offload import CXL_IO_ONE_WAY_NS
+from repro.host.offload import timeline
 from repro.kernels.dlrm import DLRM_SLS
 from repro.kernels.graph import PAGERANK_ITER
 from repro.kernels.histogram import HISTOGRAM
@@ -70,7 +70,7 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
         no_addr = run(make_platform(), _inflate_addressing(kernel))
         # w/o M2func: same kernel, launched through the ring buffer — adds
         # the Fig 5b pre/post overheads to every launch.
-        rb_overhead = 8 * CXL_IO_ONE_WAY_NS
+        rb_overhead = timeline("cxl_io_rb", 0.0).overhead_ns
         result.add(
             workload=workload,
             wo_m2func=(base.runtime_ns + rb_overhead * base.instance_count)

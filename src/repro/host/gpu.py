@@ -19,8 +19,10 @@ results hinge on:
 Workload modules provide a :class:`GPUKernelSpec` whose ``warp_profile``
 callback is computed from the *actual generated data* (e.g. CSR row lengths
 drive per-warp work skew for PGRANK), so divergence effects are not
-hand-tuned constants.  Launch overheads and the GPU-NDP clock are the
-``config.COMPARATORS`` rows ``gpu`` and ``gpu_ndp``.
+hand-tuned constants.  The host GPU's launch overhead and the GPU-NDP
+clock are the ``config.COMPARATORS`` rows ``gpu`` and ``gpu_ndp``; GPU-NDP
+launches through the Fig 5 offload its row names
+(:func:`~repro.host.offload.timeline`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.config import COMPARATORS, GPUConfig, SystemConfig
 from repro.mem.dram import DRAMModel
 from repro.cxl.link import CXLLink
 from repro.cxl.protocol import CXLPacket, PacketType
+from repro.host.offload import timeline
 from repro.sim.engine import IssueServer, Simulator
 from repro.sim.stats import IntervalSampler, StatsRegistry
 
@@ -214,9 +217,8 @@ class GPUDevice:
 
     def __init__(self, sim: Simulator, config: GPUConfig,
                  memsys: GPUMemorySystem,
-                 stats: StatsRegistry | None = None,
-                 launch_overhead_ns: float = COMPARATORS["gpu"]["launch_ns"],
-                 ) -> None:
+                 stats: StatsRegistry | None = None, *,
+                 launch_overhead_ns: float) -> None:
         self.sim = sim
         self.config = config
         self.memsys = memsys
@@ -372,5 +374,6 @@ def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
     config = gpu_ndp_config(num_sms, freq_ghz)
     dram = DRAMModel(system.cxl_dram, stats, "gpundp_dram")
     memsys = GPUMemorySystem(dram, link=None)
+    launch = timeline(COMPARATORS["gpu_ndp"]["launch"], 0.0)
     return GPUDevice(sim, config, memsys, stats,
-                     launch_overhead_ns=COMPARATORS["gpu_ndp"]["launch_ns"])
+                     launch_overhead_ns=launch.overhead_ns)

@@ -15,7 +15,9 @@ time z:
 
 The mechanism objects wrap a live device and reproduce end-to-end launch
 timing in simulation; :func:`timeline` is the closed-form Fig 5 model used
-by the fig5 bench.
+by the fig5 bench.  It and the CXL.io paths' overheads read the trips from
+:data:`HOPS`, and x and y from the ``config.COMPARATORS`` rows ``cxl_mem``
+and ``cxl_io`` as they are at the call.
 """
 
 from __future__ import annotations
@@ -24,13 +26,17 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.config import COMPARATORS
 from repro.host.api import LaunchHandle, M2Call, pack_args
 from repro.ndp.controller import FUNC_LAUNCH
 
-#: One-way latency defaults (§IV-A / Fig 5): x = 75 ns CXL.mem,
-#: y = 500 ns CXL.io (from ~1 µs DMA).
-CXL_MEM_ONE_WAY_NS = 75.0
-CXL_IO_ONE_WAY_NS = 500.0
+#: Fig 5: per mechanism, the ``COMPARATORS`` row of the link it crosses
+#: and its one-way trips on that link before and after the kernel.
+HOPS: dict[str, tuple[str, int, int]] = {
+    "m2func": ("cxl_mem", 1, 1),       # Fig 5a: write + ack, read + response
+    "cxl_io_rb": ("cxl_io", 5, 3),     # Fig 5b: doorbell + 2 DMAs, twice
+    "cxl_io_dr": ("cxl_io", 1, 2),     # Fig 5c: register write; poll
+}
 
 
 @dataclass(frozen=True)
@@ -50,20 +56,19 @@ class OffloadTimeline:
         return self.pre_kernel_ns + self.post_kernel_ns
 
 
-def timeline(mechanism: str, kernel_ns: float,
-             x_ns: float = CXL_MEM_ONE_WAY_NS,
-             y_ns: float = CXL_IO_ONE_WAY_NS) -> OffloadTimeline:
-    """Fig 5's analytic timelines: total = z+2x / z+8y / z+3y."""
-    if mechanism == "m2func":
-        return OffloadTimeline(pre_kernel_ns=x_ns, post_kernel_ns=x_ns,
-                               kernel_ns=kernel_ns)
-    if mechanism == "cxl_io_rb":
-        return OffloadTimeline(pre_kernel_ns=5 * y_ns, post_kernel_ns=3 * y_ns,
-                               kernel_ns=kernel_ns)
-    if mechanism == "cxl_io_dr":
-        return OffloadTimeline(pre_kernel_ns=y_ns, post_kernel_ns=2 * y_ns,
-                               kernel_ns=kernel_ns)
-    raise ValueError(f"unknown offload mechanism {mechanism!r}")
+def timeline(mechanism: str, kernel_ns: float, x_ns: float | None = None,
+             y_ns: float | None = None) -> OffloadTimeline:
+    """Fig 5's analytic timelines: total = z+2x / z+8y / z+3y; ``x_ns`` and
+    ``y_ns`` default to the table's x and y as they are at the call."""
+    if mechanism not in HOPS:
+        raise ValueError(f"unknown offload mechanism {mechanism!r}")
+    link, before, after = HOPS[mechanism]
+    one_way_ns = x_ns if link == "cxl_mem" else y_ns
+    if one_way_ns is None:
+        one_way_ns = COMPARATORS[link]["one_way_ns"]
+    return OffloadTimeline(pre_kernel_ns=before * one_way_ns,
+                           post_kernel_ns=after * one_way_ns,
+                           kernel_ns=kernel_ns)
 
 
 class OffloadPath:
@@ -92,11 +97,17 @@ class M2FuncOffload(OffloadPath):
 
 
 class _CXLioPath(OffloadPath):
-    """Shared logic for the CXL.io paths: fixed pre/post overheads around a
-    direct controller launch (these paths bypass the packet filter)."""
+    """Shared logic for the CXL.io paths: the mechanism's Fig 5 pre/post
+    overheads around a direct controller launch (these paths bypass the
+    packet filter)."""
 
-    pre_ns = 0.0
-    post_ns = 0.0
+    @property
+    def pre_ns(self) -> float:
+        return timeline(self.name, 0.0).pre_kernel_ns
+
+    @property
+    def post_ns(self) -> float:
+        return timeline(self.name, 0.0).post_kernel_ns
 
     def _gate(self, at_ns: float, start_fn: Callable[[float], None]) -> None:
         """Admission control; default is no restriction."""
@@ -145,23 +156,19 @@ class _CXLioPath(OffloadPath):
 
 
 class CXLioRingBufferOffload(_CXLioPath):
-    """Ring-buffer scheme (Fig 5b): ~2.5 µs before, ~1.5 µs after."""
+    """Ring-buffer scheme (Fig 5b): concurrent kernels allowed."""
 
     name = "cxl_io_rb"
     supports_concurrency = True
-    pre_ns = 5 * CXL_IO_ONE_WAY_NS
-    post_ns = 3 * CXL_IO_ONE_WAY_NS
 
 
 class CXLioDirectOffload(_CXLioPath):
-    """Direct MMIO registers (Fig 5c): ~0.5 µs before, ~1 µs after, and the
-    single register pair serializes launches: the next kernel may only be
-    written once the previous one's completion has been observed."""
+    """Direct MMIO registers (Fig 5c): the single register pair serializes
+    launches: the next kernel may only be written once the previous one's
+    completion has been observed."""
 
     name = "cxl_io_dr"
     supports_concurrency = False
-    pre_ns = CXL_IO_ONE_WAY_NS
-    post_ns = 2 * CXL_IO_ONE_WAY_NS
 
     def __init__(self) -> None:
         self._register_free = True

@@ -1,7 +1,8 @@
 """KVStore workload (§IV-B): simplified Redis over a CXL-resident hash
 table, driven by YCSB-like traces.
 
-The host computes the key hash (compute-bound); the bucket walk, key
+The host computes the key hash (compute-bound, the ``cpu`` row's
+``kvs_hash_ns`` a request, on either path); the bucket walk, key
 compare and value copy are offloaded as a fine-grained one-µthread NDP
 kernel.  Baseline: the host walks the chain itself over CXL.mem, paying
 full load-to-use latency per dependent access.
@@ -29,10 +30,6 @@ from repro.workloads.base import Platform, rng
 NODE_BYTES = 128
 KEY_WORDS = 3
 VALUE_BYTES = 64
-
-#: Host-side hash + request handling compute per request (SHA-like hash of
-#: a 24 B key plus dispatch).
-HOST_HASH_NS = 150.0
 
 
 def hash_key(k0: int, k1: int, k2: int, buckets: int) -> int:
@@ -196,7 +193,9 @@ def run_ndp(platform: Platform, data: KVStoreData,
     set_kid = runtime.register_kernel(KVS_SET, name="kvs_set")
 
     results_addr = runtime.alloc(len(data.requests) * 128, align=128)
-    pool = CoreRequestPool(sim, COMPARATORS["cpu"]["cores"])
+    cpu = COMPARATORS["cpu"]
+    pool = CoreRequestPool(sim, cpu["cores"])
+    hash_ns = cpu["kvs_hash_ns"]
     latencies = Distribution()
     get_checks: list[tuple[int, int]] = []   # (result slot, expected seed)
     mutated = {
@@ -236,7 +235,7 @@ def run_ndp(platform: Platform, data: KVStoreData,
         callback = make_launch(req, slot, arrival)
         sim.schedule_at(
             arrival,
-            (lambda a=arrival, cb=callback: pool.submit(a, HOST_HASH_NS, cb)),
+            (lambda a=arrival, cb=callback: pool.submit(a, hash_ns, cb)),
         )
 
     sim.run()
@@ -277,12 +276,13 @@ def run_baseline(platform: Platform, data: KVStoreData,
     cpu = HostCPUModel()
     memory = MemoryTarget("cxl", ltu, cxl.bw_per_dir_bytes_per_ns)
     pool = CoreRequestPool(sim, cpu.row["cores"])
+    hash_ns = cpu.row["kvs_hash_ns"]
     latencies = Distribution()
 
     for req in data.requests:
         # bucket head + one node header per chain hop + the value line
         depth = 1 + req.chain_position + 1 + 1
-        service = HOST_HASH_NS + cpu.pointer_chase_ns(depth, memory)
+        service = hash_ns + cpu.pointer_chase_ns(depth, memory)
 
         def done(when_ns: float, r=req) -> None:
             latencies.add(when_ns - r.arrival_ns)

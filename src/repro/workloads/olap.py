@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CXLConfig, default_system
+from repro.config import COMPARATORS, default_system
 from repro.host.api import pack_args
 from repro.host.cpu import HostCPUModel, MemoryTarget
 from repro.kernels.olap import EVAL_LT_I32, EVAL_RANGE_F64, EVAL_RANGE_I32, MASK_AND
@@ -41,18 +41,12 @@ class Predicate:
 
 @dataclass(frozen=True)
 class OLAPQuery:
-    """A query with its Evaluate predicates and baseline phase split.
-
-    ``evaluate_fraction`` is the share of baseline runtime spent in the
-    offloaded Evaluate phase (drives the Fig 10a stacked bars);
-    ``baseline_cpi_ns`` is per-row-per-predicate branchy evaluation cost on
-    the host CPU.
-    """
+    """A query with its Evaluate predicates.  The host baseline's cost of
+    evaluating it is the ``config.COMPARATORS["cpu"]`` row's, keyed by
+    ``name``."""
 
     name: str
     predicates: tuple[Predicate, ...]
-    evaluate_fraction: float
-    baseline_cpi_ns: float = 1.0
 
     @property
     def bytes_per_row(self) -> int:
@@ -69,16 +63,12 @@ QUERIES: dict[str, OLAPQuery] = {
             Predicate("l_discount", "range_f64", 0.05, 0.07),
             Predicate("l_quantity", "lt_i32", 0, 24),
         ),
-        evaluate_fraction=0.48,
-        baseline_cpi_ns=0.9,
     ),
     "q14": OLAPQuery(
         name="q14",
         predicates=(
             Predicate("l_shipdate", "range_i32", 850, 880),       # 1 month
         ),
-        evaluate_fraction=0.52,
-        baseline_cpi_ns=2.2,
     ),
     "q1_1": OLAPQuery(
         name="q1_1",
@@ -87,8 +77,6 @@ QUERIES: dict[str, OLAPQuery] = {
             Predicate("lo_discount", "range_i32", 1, 4),
             Predicate("lo_quantity", "lt_i32", 0, 25),
         ),
-        evaluate_fraction=0.45,
-        baseline_cpi_ns=0.7,
     ),
     "q1_2": OLAPQuery(
         name="q1_2",
@@ -97,8 +85,6 @@ QUERIES: dict[str, OLAPQuery] = {
             Predicate("lo_discount", "range_i32", 4, 7),
             Predicate("lo_quantity", "range_i32", 26, 36),
         ),
-        evaluate_fraction=0.42,
-        baseline_cpi_ns=0.6,
     ),
     "q1_3": OLAPQuery(
         name="q1_3",
@@ -107,8 +93,6 @@ QUERIES: dict[str, OLAPQuery] = {
             Predicate("lo_discount", "range_i32", 5, 8),
             Predicate("lo_quantity", "range_i32", 26, 36),
         ),
-        evaluate_fraction=0.43,
-        baseline_cpi_ns=0.65,
     ),
 }
 
@@ -215,20 +199,24 @@ def run_ndp_evaluate(platform: Platform, data: OLAPData) -> NDPRunResult:
 # ---------------------------------------------------------------------------
 
 def baseline_evaluate_ns(data: OLAPData,
-                         ltu_ns: float = CXLConfig().load_to_use_ns) -> float:
+                         ltu_ns: float | None = None) -> float:
     """Host-CPU Evaluate over CXL.
 
     The baseline engine (Polars-style) evaluates each query's filter as a
-    latency-bound single-threaded column sweep over the CXL link; per-row
-    branchy predicate evaluation adds CPU time (the query's calibrated
-    ``baseline_cpi_ns``).
+    latency-bound single-threaded column sweep over the CXL link
+    (``ltu_ns`` defaults to the default system's load-to-use); per-row
+    branchy predicate evaluation adds CPU time (the ``cpu`` row's
+    ``ns_per_row_predicate`` of the query).
     """
     query = data.query
-    memory = MemoryTarget("cxl", ltu_ns,
-                          default_system().cxl.bw_per_dir_bytes_per_ns)
+    cxl = default_system().cxl
+    ltu = ltu_ns if ltu_ns is not None else cxl.load_to_use_ns
+    cpu = HostCPUModel()
+    memory = MemoryTarget("cxl", ltu, cxl.bw_per_dir_bytes_per_ns)
     stream_ns = (data.rows * query.bytes_per_row
-                 / HostCPUModel().scan_bandwidth(memory, threads=1))
-    compute_ns = data.rows * len(query.predicates) * query.baseline_cpi_ns
+                 / cpu.scan_bandwidth(memory, threads=1))
+    compute_ns = (data.rows * len(query.predicates)
+                  * cpu.row["ns_per_row_predicate"][query.name])
     return stream_ns + compute_ns
 
 
@@ -258,10 +246,11 @@ def full_query_phases_ns(data: OLAPData, evaluate_ns: float,
     (Fig 10a's normalized runtime).
 
     The Filter and Etc phases stay on the host, so their time, ``host``,
-    is inherited from the baseline via the query's evaluate_fraction.
+    is inherited from the baseline via the ``cpu`` row's
+    ``evaluate_fraction`` of the query.
     """
-    query = data.query
-    baseline_total = baseline_eval_ns / query.evaluate_fraction
+    fraction = COMPARATORS["cpu"]["evaluate_fraction"][data.query.name]
+    baseline_total = baseline_eval_ns / fraction
     host_ns = baseline_total - baseline_eval_ns
     return {
         "evaluate": evaluate_ns,

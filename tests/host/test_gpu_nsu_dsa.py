@@ -72,7 +72,8 @@ class TestGPUDevice:
         sim = Simulator()
         stats = StatsRegistry()
         dram = DRAMModel(lpddr5_cxl_dram(), stats)
-        gpu = GPUDevice(sim, config, GPUMemorySystem(dram), stats)
+        gpu = GPUDevice(sim, config, GPUMemorySystem(dram), stats,
+                        launch_overhead_ns=COMPARATORS["gpu"]["launch_ns"])
         spec = uniform_spec(total_warps=64, warps_per_tb=4,
                             shared_mem_per_tb=config.shared_mem_bytes_per_sm)
         # only one TB fits at a time
@@ -86,7 +87,8 @@ class TestGPUDevice:
         sim = Simulator()
         stats = StatsRegistry()
         dram = DRAMModel(lpddr5_cxl_dram(), stats)
-        gpu = GPUDevice(sim, config, GPUMemorySystem(dram), stats)
+        gpu = GPUDevice(sim, config, GPUMemorySystem(dram), stats,
+                        launch_overhead_ns=COMPARATORS["gpu"]["launch_ns"])
         sm = gpu.sms[0]
         admitted = 0
         while sm.can_host_tb(spec):

@@ -6,12 +6,7 @@ import pytest
 from repro.config import COMPARATORS, CXLConfig
 from repro.host.api import M2NDPRuntime, pack_args
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
-from repro.host.offload import (
-    CXL_IO_ONE_WAY_NS,
-    CXL_MEM_ONE_WAY_NS,
-    make_offload_path,
-    timeline,
-)
+from repro.host.offload import make_offload_path, timeline
 from repro.kernels.vecadd import VECADD
 from repro.ndp.device import M2NDPDevice
 from repro.sim.engine import Simulator
@@ -20,9 +15,11 @@ from repro.sim.engine import Simulator
 class TestTimelines:
     def test_fig5_totals(self):
         z = 6_400.0
-        assert timeline("m2func", z).total_ns == z + 2 * CXL_MEM_ONE_WAY_NS
-        assert timeline("cxl_io_rb", z).total_ns == z + 8 * CXL_IO_ONE_WAY_NS
-        assert timeline("cxl_io_dr", z).total_ns == z + 3 * CXL_IO_ONE_WAY_NS
+        x = COMPARATORS["cxl_mem"]["one_way_ns"]
+        y = COMPARATORS["cxl_io"]["one_way_ns"]
+        assert timeline("m2func", z).total_ns == z + 2 * x
+        assert timeline("cxl_io_rb", z).total_ns == z + 8 * y
+        assert timeline("cxl_io_dr", z).total_ns == z + 3 * y
 
     def test_m2func_has_lowest_overhead(self):
         z = 1000.0

@@ -67,5 +67,41 @@ def test_cli_names_a_value_that_moves_nothing(capsys):
 
 
 def test_cli_refuses_a_key_outside_the_table():
-    with pytest.raises(SystemExit):
-        _tool().main(["cpu.no_such_key", "1", "--experiments", "area"])
+    # nor a path that names a whole per-case table, an entry under a
+    # value, a missing entry or a whole row
+    for path in ("cpu.no_such_key", "cpu.evaluate_fraction",
+                 "cpu.cores.q6", "cpu.evaluate_fraction.q99", "cpu"):
+        with pytest.raises(SystemExit):
+            _tool().main([path, "1", "--experiments", "area"])
+
+
+def test_cli_changes_one_nested_entry_and_restores_it(monkeypatch, capsys):
+    """``ROW.KEY.SUB`` changes one entry of a per-case table, and puts it
+    back also when a driver raises on the changed value."""
+    from repro import experiments
+    from repro.config import COMPARATORS
+    fractions = COMPARATORS["cpu"]["evaluate_fraction"]
+    before = dict(fractions)
+
+    def reader():
+        return SimpleNamespace(headline={"q6": fractions["q6"],
+                                         "q14": fractions["q14"]})
+
+    def fragile():
+        if fractions["q6"] != before["q6"]:
+            raise RuntimeError("bad value")
+        return SimpleNamespace(headline={})
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "reader", reader)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fragile", fragile)
+    tool = _tool()
+    path = "cpu.evaluate_fraction.q6"
+    assert tool.main([path, "0.1", "--experiments", "reader"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path} = {before['q6']!r} (default)", f"{path} = 0.1:",
+        f"  reader.headline.q6: {before['q6']!r} -> 0.1"]
+    with pytest.raises(RuntimeError):
+        tool.main([path, "0.1", "--experiments", "fragile"])
+    assert COMPARATORS["cpu"]["evaluate_fraction"] is fractions
+    assert fractions == before
+

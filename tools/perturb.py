@@ -2,16 +2,21 @@
 """Which headline keys one ``config.COMPARATORS`` value moves.
 
     python3 tools/perturb.py ROW.KEY V1 [V2 ...] --experiments ID [ID ...]
+    python3 tools/perturb.py ROW.KEY.SUB V1 [V2 ...] --experiments ID ...
 
 runs each experiment ``ID`` of ``repro.experiments.EXPERIMENTS`` in this
 process, at the keyword arguments ``benchmarks/figures.py`` runs it at
 (``POINTS``): once with the table as it is, then once with
 ``COMPARATORS[ROW][KEY]`` set to each value ``V`` (a Python literal such
-as ``16`` or ``0.5``; anything else is taken as a string).  The row is
-restored afterwards, also when a driver raises.  Per value it prints each
-headline leaf that differs from the default run, as
-``id.headline.key: default -> value``, or "no leaf moved".  A value that
-a module copies at import (a default argument) does not move with the
+as ``16`` or ``0.5``; anything else is taken as a string).  Where a key
+holds one value per case (the ``cpu`` row's per-query OLAP values),
+``ROW.KEY.SUB`` names one entry, ``COMPARATORS[ROW][KEY][SUB]``, and only
+that entry changes.  The value is restored afterwards, also when a driver
+raises.  Per value it prints each headline leaf that differs from the
+default run, as ``id.headline.key: default -> value``, or "no leaf
+moved".  A value that a module copies at import (a default argument)
+would not move with the table; a tier-1 test
+(``tests/host/test_comparators.py``) keeps every default argument off the
 table.  Standard library plus ``repro``; a driver takes seconds (fig10c
 about half a minute), and every value runs all of them again.
 """
@@ -63,6 +68,19 @@ def perturb(table: dict, key: str, values: list, drivers: dict,
     return moved
 
 
+def locate(table: dict, path: str) -> tuple[dict, str]:
+    """The dict holding the value at the dotted ``path`` of ``table``
+    (``ROW.KEY`` or ``ROW.KEY.SUB``), and the value's key in it; a
+    ``KeyError`` unless ``path`` names one value that is not a dict."""
+    *outer, key = path.split(".")
+    for part in outer:
+        table = table.get(part) if isinstance(table, dict) else None
+    if (not outer or not isinstance(table, dict) or key not in table
+            or isinstance(table[key], dict)):
+        raise KeyError(path)
+    return table, key
+
+
 def _literal(text: str):
     try:
         return ast.literal_eval(text)
@@ -84,14 +102,15 @@ def main(argv=None) -> int:
     parser.add_argument("--experiments", nargs="+", required=True,
                         metavar="ID", choices=list(EXPERIMENTS))
     args = parser.parse_args(argv)
-    row, _, key = args.value.rpartition(".")
-    if key not in COMPARATORS.get(row, {}):
-        parser.error(f"{args.value!r} is not a COMPARATORS value; rows: "
+    try:
+        table, key = locate(COMPARATORS, args.value)
+    except KeyError:
+        parser.error(f"{args.value!r} is not a COMPARATORS value (ROW.KEY, "
+                     f"or ROW.KEY.SUB inside a per-case table); rows: "
                      f"{', '.join(COMPARATORS)}")
     drivers = {exp_id: EXPERIMENTS[exp_id] for exp_id in args.experiments}
-    print(f"{args.value} = {COMPARATORS[row][key]!r} (default)")
-    for value, moved in perturb(COMPARATORS[row], key, args.values,
-                                drivers, POINTS):
+    print(f"{args.value} = {table[key]!r} (default)")
+    for value, moved in perturb(table, key, args.values, drivers, POINTS):
         print(f"{args.value} = {value!r}:")
         for leaf, (before, after) in moved.items():
             print(f"  {leaf}: {before!r} -> {after!r}")
