@@ -44,9 +44,9 @@ class AreaBreakdown:
         return sum(self.parts.values())
 
 
-def ndp_unit_area(config: NDPConfig | None = None) -> AreaBreakdown:
+def ndp_unit_area() -> AreaBreakdown:
     """Area of one NDP unit (paper: 0.83 mm²)."""
-    cfg = config if config is not None else NDPConfig()
+    cfg = NDPConfig()
     subcores = cfg.subcores_per_unit
     slots = subcores * cfg.uthread_slots_per_subcore
     vector_lanes = VLEN_BITS // 32
@@ -64,26 +64,25 @@ def ndp_unit_area(config: NDPConfig | None = None) -> AreaBreakdown:
     return AreaBreakdown(parts=parts)
 
 
-def m2ndp_total_area(config: NDPConfig | None = None) -> float:
+def m2ndp_total_area() -> float:
     """All NDP units of the device (paper: 26.4 mm² for 32 units)."""
-    cfg = config if config is not None else NDPConfig()
-    return ndp_unit_area(cfg).total_mm2 * cfg.num_units
+    return ndp_unit_area().total_mm2 * NDPConfig().num_units
 
 
-def iso_area_sm_count(config: NDPConfig | None = None) -> float:
+def iso_area_sm_count() -> float:
     """SMs that fit in the M2NDP area budget (paper: 16.2)."""
-    return m2ndp_total_area(config) / GPU_SM_MM2
+    return m2ndp_total_area() / GPU_SM_MM2
 
 
-def register_file_reduction_vs_sm(config: NDPConfig | None = None) -> float:
+def register_file_reduction_vs_sm() -> float:
     """Fraction by which the per-unit RF is smaller than an SM's (paper: 81 %)."""
-    cfg = config if config is not None else NDPConfig()
-    return 1.0 - cfg.regfile_bytes_per_unit / GPUConfig().regfile_bytes_per_sm
+    return (1.0 - NDPConfig().regfile_bytes_per_unit
+            / GPUConfig().regfile_bytes_per_sm)
 
 
-def alu_area_reduction_vs_sm(config: NDPConfig | None = None) -> float:
+def alu_area_reduction_vs_sm() -> float:
     """ALU area saved vs an SM (paper: 69 %)."""
-    cfg = config if config is not None else NDPConfig()
+    cfg = NDPConfig()
     ndp_alu = (
         cfg.subcores_per_unit * cfg.scalar_alus_per_subcore * MM2_PER_SCALAR_ALU
         + cfg.subcores_per_unit * MM2_PER_SCALAR_SFU

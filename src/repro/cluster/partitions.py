@@ -220,9 +220,7 @@ class PartitionMap:
         }
 
 
-def resolve_partitions(spec: str | None, config,
-                       source: str = "partitions"
-                       ) -> PartitionMap:
+def resolve_partitions(spec: str | None, config) -> PartitionMap:
     """Resolve a partition spec against a :class:`SystemConfig`.
 
     An unset (``None`` / empty) spec resolves to the one-partition map.
@@ -230,13 +228,13 @@ def resolve_partitions(spec: str | None, config,
     more partitions than the device has units / channels to give.
     """
     spec = spec or SPX_SPEC
-    entries = parse_partition_spec(spec, source)
+    entries = parse_partition_spec(spec)
     ndp, dram, l2 = config.ndp, config.cxl_dram, config.l2
     n = len(entries)
     limit = min(ndp.num_units, dram.channels, l2.num_sets)
     if n > limit:
         raise ConfigError(
-            f"partition spec {spec!r} from {source} names {n} partitions "
+            f"partition spec {spec!r} from partitions names {n} partitions "
             f"but the device can host at most {limit} "
             f"({ndp.num_units} units, {dram.channels} channels, "
             f"{l2.num_sets} L2 sets); examples: "

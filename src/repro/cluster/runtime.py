@@ -180,9 +180,9 @@ class _AggregateStats:
                 merged[key] = merged.get(key, 0.0) + value
         return merged
 
-    def snapshot(self, prefix: str = "") -> dict[str, float]:
+    def snapshot(self) -> dict[str, float]:
         """Deterministically sorted merged counters (manifest-stable)."""
-        merged = self.counters(prefix)
+        merged = self.counters()
         return {key: merged[key] for key in sorted(merged)}
 
 
@@ -191,14 +191,13 @@ class ClusterRuntime:
 
     def __init__(
         self,
-        system: SystemConfig | None = None,
         cluster: ClusterConfig | None = None,
         backend: str = DEFAULT_BACKEND,
         scheduler: str | None = None,
         partitions: str | None = None,
     ) -> None:
         self.sim = Simulator()
-        self.system = system if system is not None else default_system()
+        self.system = default_system()
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
         if scheduler is None:
             scheduler = self.cluster_config.scheduler
@@ -284,21 +283,17 @@ class ClusterRuntime:
     # fault injection
     # ------------------------------------------------------------------
 
-    def arm_faults(self, plan, heartbeat_ns: float | None = None):
+    def arm_faults(self, plan):
         """Bind a :class:`~repro.faults.plan.FaultPlan` to this cluster.
 
         Returns the armed :class:`~repro.faults.injector.FaultInjector`
         (lazy import: ``faults`` depends on ``cluster``, not vice versa).
         Arming a zero-fault plan is a strict behavioral no-op.
         """
-        from repro.faults.injector import DEFAULT_HEARTBEAT_NS, FaultInjector
+        from repro.faults.injector import FaultInjector
         if self.faults is not None:
             raise ConfigError("cluster already has a fault plan armed")
-        injector = FaultInjector(
-            self, plan,
-            heartbeat_ns=(heartbeat_ns if heartbeat_ns is not None
-                          else DEFAULT_HEARTBEAT_NS),
-        )
+        injector = FaultInjector(self, plan)
         injector.arm()
         self.faults = injector
         return injector
@@ -653,32 +648,29 @@ class ClusterPlatform:
 
 
 def make_cluster_platform(num_devices: int = 2,
-                          system: SystemConfig | None = None,
                           cluster: ClusterConfig | None = None,
                           placement: str | None = None,
                           scheduler: str | None = None,
-                          shard_bytes: int | None = None,
                           backend: str = DEFAULT_BACKEND,
                           partitions: str | None = None) -> ClusterPlatform:
     """Build a fresh simulator + N-expander cluster bundle.
 
-    Keyword conveniences (``placement`` / ``scheduler`` / ``shard_bytes``)
-    override the corresponding :class:`ClusterConfig` fields; a full
-    ``cluster`` config wins over ``num_devices``.  ``partitions`` is a
-    hardware partition spec (``"rt:1,batch:3"``) applied to every device;
-    it and ``scheduler`` override the ``ClusterConfig`` field of that name.
+    Keyword conveniences (``placement`` / ``scheduler``) override the
+    corresponding :class:`ClusterConfig` fields; a full ``cluster`` config
+    wins over ``num_devices``.  ``partitions`` is a hardware partition
+    spec (``"rt:1,batch:3"``) applied to every device; it and
+    ``scheduler`` override the ``ClusterConfig`` field of that name.
     """
     if cluster is None:
         cluster = ClusterConfig(
             num_devices=num_devices,
             placement=placement if placement is not None else "interleaved",
-            shard_bytes=shard_bytes if shard_bytes is not None else 0,
         )
-    elif placement is not None or shard_bytes is not None:
+    elif placement is not None:
         raise ConfigError(
             "pass either a full ClusterConfig or per-field overrides, not both"
         )
-    runtime = ClusterRuntime(system=system, cluster=cluster,
+    runtime = ClusterRuntime(cluster=cluster,
                              backend=backend, scheduler=scheduler,
                              partitions=partitions)
     return ClusterPlatform(sim=runtime.sim, runtime=runtime,

@@ -70,14 +70,12 @@ class SubLaunch:
 class LaunchScheduler:
     """Splits launches across ``num_devices`` under a fan-out policy."""
 
-    def __init__(self, policy: str, num_devices: int,
-                 max_sublaunches: int = MAX_SUBLAUNCHES) -> None:
+    def __init__(self, policy: str, num_devices: int) -> None:
         validate_scheduler_name(policy)
         if num_devices <= 0:
             raise ConfigError("scheduler needs at least one device")
         self.policy = policy
         self.num_devices = num_devices
-        self.max_sublaunches = max_sublaunches
         #: Live sub-launches per device, maintained by the cluster runtime.
         self.outstanding = [0] * num_devices
         #: Routability mask: False for DOWN devices.  All-True for a
@@ -191,7 +189,7 @@ class LaunchScheduler:
                 continue
             expanded.extend(self._even_spans(seg_lo, seg_hi, stride))
         chunks = self._realign(expanded, lo, hi, stride)
-        if len(chunks) > self.max_sublaunches:
+        if len(chunks) > MAX_SUBLAUNCHES:
             # Too fine a shard map: fall back to one even span per device
             # (correctness is unaffected; remote bytes are still charged).
             chunks = self._realign(

@@ -42,14 +42,12 @@ class HDMCoherence:
         link: CXLLink | None,
         dirty_fraction: float = 0.0,
         stats: StatsRegistry | None = None,
-        stats_prefix: str = "hdm",
     ) -> None:
         if not 0.0 <= dirty_fraction <= 1.0:
             raise ValueError(f"dirty fraction must be in [0,1], got {dirty_fraction}")
         self.link = link
         self.dirty_fraction = dirty_fraction
         self.stats = stats if stats is not None else StatsRegistry()
-        self.prefix = stats_prefix
         self._invalidated: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -79,7 +77,7 @@ class HDMCoherence:
                     ready, line_id * LINE_BYTES, dirty=True
                 )
                 self._invalidated.add(line_id)
-                self.stats.add(f"{self.prefix}.back_invalidations")
+                self.stats.add("hdm.back_invalidations")
                 ready = done
         return ready
 
@@ -134,5 +132,5 @@ class HDMCoherence:
                                                 dirty=True)
         np.maximum.at(arrivals, bi_owners, ready)
         self._invalidated.update(int(line) for line in bi_lines)
-        self.stats.add(f"{self.prefix}.back_invalidations", len(picked))
+        self.stats.add("hdm.back_invalidations", len(picked))
         return arrivals

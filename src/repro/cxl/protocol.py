@@ -38,14 +38,13 @@ class CXLPacket:
     """One CXL.mem message.
 
     ``addr`` is a host physical address (HPA).  ``data`` carries write
-    payloads / read responses.  ``tag`` correlates requests and responses.
+    payloads / read responses.
     """
 
     ptype: PacketType
     addr: int
     size: int = 64
     data: bytes | None = None
-    tag: int = 0
 
     @property
     def wire_bytes(self) -> int:

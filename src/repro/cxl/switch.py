@@ -34,13 +34,11 @@ class CXLSwitch:
         num_downstream: int,
         config: CXLConfig | None = None,
         stats: StatsRegistry | None = None,
-        stats_prefix: str = "switch",
     ) -> None:
         if num_downstream <= 0:
             raise ConfigError("switch needs at least one downstream port")
         self.config = config if config is not None else CXLConfig()
         self.stats = stats if stats is not None else StatsRegistry()
-        self.prefix = stats_prefix
         bw = self.config.bw_per_dir_bytes_per_ns
         self.upstream = BandwidthServer(bw)
         self.downstream = [BandwidthServer(bw) for _ in range(num_downstream)]
@@ -58,7 +56,7 @@ class CXLSwitch:
         """Host → device through the switch (adds the hop latency)."""
         up_done = self.upstream.transfer(now_ns, size)
         down_done = self.downstream[port].transfer(up_done, size)
-        self.stats.add(f"{self.prefix}.host_bytes", size)
+        self.stats.add("switch.host_bytes", size)
         done = down_done + self.config.one_way_ns + SWITCH_HOP_NS
         if self._flaps:
             done += self._flap_penalty(now_ns, port)
@@ -71,7 +69,7 @@ class CXLSwitch:
             raise ConfigError("P2P requires two distinct ports")
         src_done = self.downstream[src_port].transfer(now_ns, size)
         dst_done = self.downstream[dst_port].transfer(src_done, size)
-        self.stats.add(f"{self.prefix}.p2p_bytes", size)
+        self.stats.add("switch.p2p_bytes", size)
         done = dst_done + 2 * self.config.one_way_ns + SWITCH_HOP_NS
         if self._flaps:
             done += self._flap_penalty(now_ns, src_port)
@@ -86,7 +84,7 @@ class CXLSwitch:
         if not 0 <= port < self.num_downstream:
             raise ConfigError(f"no downstream port {port}")
         self._flaps[port] = (until_ns, extra_ns)
-        self.stats.add(f"{self.prefix}.link_flaps")
+        self.stats.add("switch.link_flaps")
 
     def _flap_penalty(self, now_ns: float, port: int) -> float:
         entry = self._flaps.get(port)
@@ -96,7 +94,7 @@ class CXLSwitch:
         if now_ns >= until_ns:
             del self._flaps[port]      # window over: lazy cleanup
             return 0.0
-        self.stats.add(f"{self.prefix}.link_retries")
+        self.stats.add("switch.link_retries")
         return extra_ns
 
     # ------------------------------------------------------------------

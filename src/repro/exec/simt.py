@@ -553,11 +553,11 @@ class _PhaseWalk(vo.LaneISA):
         self.vr[idx] = np.where(m[:, None], v, self._read_v(idx, k))
 
     def _uniform(self, arr: np.ndarray, m: np.ndarray | None,
-                 what: str, slug: str = "vconfig") -> int:
+                 what: str) -> int:
         vals = arr if m is None else arr[m]
         first = vals[0] if vals.size else 0
         if vals.size and not np.all(vals == first):
-            raise LaunchFallback(f"µthread-divergent {what}", slug)
+            raise LaunchFallback(f"µthread-divergent {what}", "vconfig")
         return int(first)
 
     def _cur_vl(self, m: np.ndarray | None) -> int:

@@ -121,7 +121,6 @@ class GPUWorkloadCase:
     name: str
     run_ndp: Callable[[], NDPRunResult]
     gpu_specs: Callable[[], list[GPUKernelSpec]]
-    launches: int = 1
 
 
 def _run_gpu(device_factory: Callable[[Simulator], GPUDevice],

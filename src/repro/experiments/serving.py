@@ -150,9 +150,9 @@ def run_serving_autoscale(requests: int = 96,
 
 
 def run_serving_traced(prefix: str = "serving",
-                       requests: int = 48,
-                       num_devices: int = 2) -> tuple[str, str]:
-    """One traced wfq+batching serving run; exports trace + manifest.
+                       requests: int = 48) -> tuple[str, str]:
+    """One traced wfq+batching serving run on two devices; exports trace
+    + manifest.
 
     Enables tracing for the duration of the run, writes
     ``<prefix>.trace.json`` (Chrome trace-event / Perfetto) and
@@ -162,7 +162,7 @@ def run_serving_traced(prefix: str = "serving",
     was_enabled = obs.enabled()
     obs.set_enabled(True)
     try:
-        platform = make_cluster_platform(num_devices=num_devices)
+        platform = make_cluster_platform(num_devices=2)
         engine = ServingEngine(
             platform, default_tenants(requests), scheduler="wfq",
             batch=BatchPolicy(max_batch=8, max_wait_ns=2_000.0),
@@ -180,7 +180,7 @@ def run_serving_traced(prefix: str = "serving",
             partitions=platform.runtime.partitions,
             extra={
                 "experiment": "serving_traced",
-                "num_devices": num_devices,
+                "num_devices": 2,
                 "backend": platform.device.backend.name,
                 "served": report.served,
                 "span_ns": report.span_ns,

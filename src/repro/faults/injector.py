@@ -24,7 +24,7 @@ device stays routable, only the partition's in-flight work fails, and
 its pinned allocations fail over to a spare partition.
 
 Detection is heartbeat-quantized: a device killed at *t* is noticed at
-the next heartbeat boundary after *t* (``heartbeat_ns`` granularity),
+the next heartbeat boundary after *t* (``DEFAULT_HEARTBEAT_NS`` granularity),
 which is when all of the above runs.  Everything is observable as
 ``fault.*`` / ``recovery.*`` counters, flight-recorder rows and, under
 ``REPRO_TRACE=1``, trace instants and recovery spans, named by the
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import weakref
 
-from repro.errors import POSITIVE, ConfigError, LaunchFailed, check
+from repro.errors import ConfigError, LaunchFailed
 from repro.faults.health import DEGRADED, DOWN, UP, HealthMonitor
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import tracer as obs_tracer
 
-#: Default heartbeat interval: how stale the host's view of a device may
+#: Heartbeat interval: how stale the host's view of a device may
 #: be before a failure is noticed (detection latency ceiling).
 DEFAULT_HEARTBEAT_NS = 5_000.0
 
@@ -52,9 +52,7 @@ DEFAULT_HEARTBEAT_NS = 5_000.0
 class FaultInjector:
     """Binds a fault plan to a cluster runtime (see module docstring)."""
 
-    def __init__(self, runtime, plan: FaultPlan,
-                 heartbeat_ns: float = DEFAULT_HEARTBEAT_NS) -> None:
-        check("FaultInjector", "heartbeat_ns", heartbeat_ns, POSITIVE)
+    def __init__(self, runtime, plan: FaultPlan) -> None:
         plan.validate_against(runtime.num_devices)
         for event in plan.events:
             if event.partition is not None:
@@ -63,7 +61,6 @@ class FaultInjector:
         # a dropped runtime is freed by reference counting
         self._runtime = weakref.ref(runtime)
         self.plan = plan
-        self.heartbeat_ns = heartbeat_ns
         self.stats = runtime.stats
         self.health = HealthMonitor(runtime.num_devices, stats=self.stats)
         self.epoch_ns = runtime.sim.now
@@ -134,8 +131,8 @@ class FaultInjector:
     def _on_device_fail(self, event: FaultEvent) -> None:
         now = self.runtime.sim.now
         # the host notices at the next heartbeat boundary after the death
-        beats = int((now - self.epoch_ns) // self.heartbeat_ns) + 1
-        detect_at = self.epoch_ns + beats * self.heartbeat_ns
+        beats = int((now - self.epoch_ns) // DEFAULT_HEARTBEAT_NS) + 1
+        detect_at = self.epoch_ns + beats * DEFAULT_HEARTBEAT_NS
         # blast radius of a partition-scoped kill: one partition's units
         # stop answering; the rest of the device (other partitions'
         # private L2/DRAM models) never sees the fault

@@ -189,14 +189,11 @@ def pack_args(*values: int) -> bytes:
 class M2NDPRuntime:
     """Per-process handle to one CXL-M2NDP device."""
 
-    def __init__(self, device: M2NDPDevice, asid: int = 0x7,
-                 m2func_base: int | None = None) -> None:
+    def __init__(self, device: M2NDPDevice, asid: int = 0x7) -> None:
         self.device = device
         self.sim = device.sim
         self.asid = asid
-        base = m2func_base if m2func_base is not None else (
-            M2FUNC_DEFAULT_BASE + asid * M2FUNC_REGION_BYTES
-        )
+        base = M2FUNC_DEFAULT_BASE + asid * M2FUNC_REGION_BYTES
         # One-time driver step over CXL.io: insert the region into the
         # packet filter.  After this, CXL.io is never used again (§III-B).
         self.filter_entry = device.packet_filter.insert(

@@ -71,10 +71,9 @@ class HostCPUModel:
         return min(n * self.core_stream_bandwidth(memory),
                    memory.bandwidth_bytes_per_ns)
 
-    def pointer_chase_ns(self, depth: int, memory: MemoryTarget,
-                         compute_ns: float = 0.0) -> float:
+    def pointer_chase_ns(self, depth: int, memory: MemoryTarget) -> float:
         """Serialized dependent accesses (hash-bucket walks)."""
-        return depth * memory.load_to_use_ns + compute_ns
+        return depth * memory.load_to_use_ns
 
 
 class CoreRequestPool:

@@ -71,9 +71,6 @@ class GPUKernelSpec:
     warp_profile: Callable[[int], WarpProfile]
     regs_per_thread: int = 32
     shared_mem_per_tb: int = 0
-    #: extra global traffic when a TB retires (e.g. merging its private
-    #: shared-memory histogram into global bins), in bytes
-    tb_flush_bytes: int = 0
 
     @property
     def total_tbs(self) -> int:
@@ -332,9 +329,6 @@ class _KernelRun:
         tb.warps_outstanding -= 1
         now = max(now_ns, self.device.sim.now)
         if tb.warps_outstanding == 0:
-            if self.spec.tb_flush_bytes:
-                sm.memsys.access(now, self.spec.tb_flush_bytes // SECTOR, True)
-                sm.stats.add("gpu.tb_flush_bytes", self.spec.tb_flush_bytes)
             warps = min(self.spec.warps_per_tb,
                         self.spec.total_warps - tb.tb_id * self.spec.warps_per_tb)
             sm.retire_tb(self.spec, warps, now)
@@ -351,10 +345,9 @@ class _KernelRun:
 # factory helpers for the named configurations of §IV-A
 # ---------------------------------------------------------------------------
 
-def make_gpu_baseline(sim: Simulator, system: SystemConfig,
-                      stats: StatsRegistry | None = None) -> GPUDevice:
+def make_gpu_baseline(sim: Simulator, system: SystemConfig) -> GPUDevice:
     """Host GPU with workload data in passive CXL memory."""
-    stats = stats if stats is not None else StatsRegistry()
+    stats = StatsRegistry()
     dram = DRAMModel(system.cxl_dram, stats, "gpubase_dram")
     # a longer load-to-use is the link's (``SystemConfig.with_ltu``)
     link = CXLLink(system.cxl, stats, "gpubase_cxl")
@@ -364,13 +357,12 @@ def make_gpu_baseline(sim: Simulator, system: SystemConfig,
 
 
 def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
-                 stats: StatsRegistry | None = None,
                  freq_ghz: float | None = None) -> GPUDevice:
     """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A);
     ``freq_ghz`` as :func:`~repro.config.gpu_ndp_config` takes it."""
     from repro.config import gpu_ndp_config
 
-    stats = stats if stats is not None else StatsRegistry()
+    stats = StatsRegistry()
     config = gpu_ndp_config(num_sms, freq_ghz)
     dram = DRAMModel(system.cxl_dram, stats, "gpundp_dram")
     memsys = GPUMemorySystem(dram, link=None)

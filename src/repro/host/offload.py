@@ -75,8 +75,8 @@ class OffloadPath:
     """Launches kernels on a device through a particular mechanism.
 
     Each subclass implements ``launch(runtime, kernel_id, pool_base,
-    pool_bound, args=b"", stride=32, at_ns=0.0, on_complete=None)``,
-    returning the :class:`~repro.host.api.LaunchHandle`.
+    pool_bound, args=b"", at_ns=0.0, on_complete=None)``, returning the
+    :class:`~repro.host.api.LaunchHandle`; every launch has stride 32.
     """
 
     name = "abstract"
@@ -89,10 +89,10 @@ class M2FuncOffload(OffloadPath):
     name = "m2func"
 
     def launch(self, runtime, kernel_id, pool_base, pool_bound, args=b"",
-               stride=32, at_ns=0.0, on_complete=None) -> LaunchHandle:
+               at_ns=0.0, on_complete=None) -> LaunchHandle:
         return runtime.launch_async(
             kernel_id, pool_base, pool_bound, args, sync=False,
-            stride=stride, at_ns=at_ns, on_complete=on_complete,
+            at_ns=at_ns, on_complete=on_complete,
         )
 
 
@@ -117,13 +117,13 @@ class _CXLioPath(OffloadPath):
         pass
 
     def launch(self, runtime, kernel_id, pool_base, pool_bound, args=b"",
-               stride=32, at_ns=0.0, on_complete=None) -> LaunchHandle:
+               at_ns=0.0, on_complete=None) -> LaunchHandle:
         device = runtime.device
         call = M2Call(func=-1, issued_ns=at_ns)
         handle = LaunchHandle(call=call)
 
         def do_launch() -> None:
-            payload = pack_args(0, kernel_id, pool_base, pool_bound, stride,
+            payload = pack_args(0, kernel_id, pool_base, pool_bound, 32,
                                 len(args)) + args
             launch_addr = runtime.func_addr(FUNC_LAUNCH)
             device.controller.handle_write(

@@ -34,12 +34,11 @@ class Scratchpad:
         latency_ns: float = 2.0,
         stats: StatsRegistry | None = None,
         stats_prefix: str = "scratchpad",
-        base_vaddr: int = SCRATCHPAD_VBASE,
         row: np.ndarray | None = None,
     ) -> None:
         self.size_bytes = size_bytes
         self.latency_ns = latency_ns
-        self.base_vaddr = base_vaddr
+        self.base_vaddr = SCRATCHPAD_VBASE
         self.stats = stats if stats is not None else StatsRegistry()
         self._reads = f"{stats_prefix}.reads"
         self._writes = f"{stats_prefix}.writes"

@@ -127,7 +127,6 @@ class M2NDPDevice:
         self,
         sim: Simulator,
         config: SystemConfig | None = None,
-        stats: StatsRegistry | None = None,
         spawn_granularity: int = 1,
         dirty_fraction: float = 0.0,
         queue_capacity: int = 4096,
@@ -136,7 +135,7 @@ class M2NDPDevice:
     ) -> None:
         self.sim = sim
         self.config = config if config is not None else SystemConfig()
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = StatsRegistry()
 
         # ``physical`` may be shared between devices: a multi-expander
         # cluster keeps one functional byte store for the whole logical

@@ -30,7 +30,6 @@ ATS_LATENCY_NS = 1_000.0  # host page-walk via PCIe ATS (§II-B)
 class Translation:
     vpn: int
     ppn: int
-    writable: bool = True
 
 
 class PageTable:
@@ -50,25 +49,22 @@ class PageTable:
         self._on_change = (None if on_change is None
                            else weakref.WeakMethod(on_change))
 
-    def map_page(self, vpn: int, ppn: int, writable: bool = True) -> None:
+    def map_page(self, vpn: int, ppn: int) -> None:
         previous = self._map.get(vpn)
-        self._map[vpn] = Translation(vpn=vpn, ppn=ppn, writable=writable)
-        if (previous is not None
-                and (previous.ppn != ppn or previous.writable != writable)
+        self._map[vpn] = Translation(vpn=vpn, ppn=ppn)
+        if (previous is not None and previous.ppn != ppn
                 and self._on_change is not None):
             callback = self._on_change()
             if callback is not None:
                 callback()
 
-    def map_range(self, vaddr: int, paddr: int, size: int,
-                  writable: bool = True) -> None:
+    def map_range(self, vaddr: int, paddr: int, size: int) -> None:
         """Map a contiguous range (both addresses must be page aligned)."""
         if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
             raise TranslationFault(self.asid, vaddr)
         pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
         for i in range(pages):
-            self.map_page((vaddr >> PAGE_SHIFT) + i, (paddr >> PAGE_SHIFT) + i,
-                          writable)
+            self.map_page((vaddr >> PAGE_SHIFT) + i, (paddr >> PAGE_SHIFT) + i)
 
     def map_identity(self, vaddr: int, size: int) -> None:
         self.map_range(vaddr & ~(PAGE_SIZE - 1), vaddr & ~(PAGE_SIZE - 1),

@@ -124,12 +124,12 @@ def write_trace(tracer: Tracer, path: str, counters=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def git_revision(repo_dir: str | None = None) -> str | None:
-    """Current git commit hash, or ``None`` outside a checkout."""
+def git_revision() -> str | None:
+    """The commit this package's checkout is at, or ``None`` outside one."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=repo_dir or os.path.dirname(os.path.abspath(__file__)),
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):

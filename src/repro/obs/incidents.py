@@ -17,7 +17,7 @@ and what they cost each tenant.
 
 Bundles contain only simulated timestamps and deterministic counters —
 no wall clock, no hostnames — so identical runs produce byte-identical
-bundles.  A per-trigger-key cooldown (default one heartbeat) collapses
+bundles.  A per-trigger-key cooldown (one heartbeat) collapses
 the alert storm of a single fault into one bundle.
 
 Render a bundle with ``python -m repro.obs.incidents <bundle.json>``
@@ -38,9 +38,12 @@ from repro.faults.plan import LIFECYCLE
 #: Bundle schema tag (bump on breaking layout changes).
 INCIDENT_SCHEMA = "repro-incident-v1"
 
-#: Default per-trigger-key refractory period: one fault-detection
-#: heartbeat, so cascading symptoms of one fault share one bundle.
-DEFAULT_COOLDOWN_NS = 5_000.0
+#: Per-trigger-key refractory period: one fault-detection heartbeat,
+#: so cascading symptoms of one fault share one bundle.
+COOLDOWN_NS = 5_000.0
+
+#: A symptom alert this long after a fault ends is still charged to it.
+CORRELATION_WINDOW_NS = 50_000.0
 
 #: Ring-event kinds that make up the incident timeline: every stage of
 #: every fault's lifecycle, plus the symptoms it causes.
@@ -57,15 +60,13 @@ class IncidentReporter:
     """Builds (and optionally writes) incident bundles on triggers."""
 
     def __init__(self, runtime, recorder, monitor,
-                 out_dir: str | None = None,
-                 cooldown_ns: float = DEFAULT_COOLDOWN_NS) -> None:
+                 out_dir: str | None = None) -> None:
         # weak: the runtime holds the monitoring stack that holds the
         # reporter, so a dropped runtime is freed by reference counting
         self._runtime = weakref.ref(runtime)
         self.recorder = recorder
         self.monitor = monitor
         self.out_dir = out_dir
-        self.cooldown_ns = cooldown_ns
         self.bundles: list[dict] = []
         self.paths: list[str] = []
         self._seq = 0
@@ -110,7 +111,7 @@ class IncidentReporter:
     def _fire(self, key: tuple, trigger: dict,
               now_ns: float) -> dict | None:
         last = self._last_fire.get(key)
-        if last is not None and now_ns - last < self.cooldown_ns:
+        if last is not None and now_ns - last < COOLDOWN_NS:
             return None
         self._last_fire[key] = now_ns
         bundle = self._build(trigger, now_ns)
@@ -250,15 +251,14 @@ def correlate(injector, ring: list[dict], alerts) -> list[dict]:
     return rows
 
 
-def grade_against_plan(injector, alerts, *,
-                       correlation_window_ns: float = 50_000.0) -> dict:
+def grade_against_plan(injector, alerts) -> dict:
     """Alert precision/recall + MTTD against the armed fault schedule.
 
     Recall: fraction of planned faults caught by at least one typed
     alert of the matching kind and device.  Precision: fraction of all
     alerts attributable to a planned fault — typed alerts must match
     kind+device, symptom alerts (burn rate, p99) count as attributed
-    when they land within ``correlation_window_ns`` after any fault.
+    when they land within ``CORRELATION_WINDOW_NS`` after any fault.
     Both are 1.0 vacuously when there is nothing to miss or no alerts
     to misfire.
     """
@@ -284,7 +284,7 @@ def grade_against_plan(injector, alerts, *,
             ok = any(
                 epoch + e.at_ns <= alert.at_ns
                 <= epoch + e.at_ns + max(e.duration_ns,
-                                         0.0) + correlation_window_ns
+                                         0.0) + CORRELATION_WINDOW_NS
                 for e in events
             )
         else:

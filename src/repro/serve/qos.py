@@ -42,10 +42,10 @@ DEFAULT_SERVE_SCHEDULER = "wfq"
 DEFAULT_STARVATION_NS = 100_000.0
 
 
-def validate_serve_scheduler(name: str, source: str = "scheduler") -> str:
+def validate_serve_scheduler(name: str) -> str:
     if name not in SERVE_SCHEDULERS:
         raise ConfigError(
-            f"unknown serving scheduler {name!r} (from {source}); "
+            f"unknown serving scheduler {name!r} (from scheduler); "
             f"choose from {list(SERVE_SCHEDULERS)}"
         )
     return name

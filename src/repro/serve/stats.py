@@ -205,9 +205,9 @@ class ServingStats:
         self._bump(tenant, "launches")
         self._bump(tenant, "batched_requests", batch_size)
 
-    def retried(self, tenant: str, count: int = 1) -> None:
-        self.reports[tenant].retried += count
-        self._bump(tenant, "retried", float(count))
+    def retried(self, tenant: str) -> None:
+        self.reports[tenant].retried += 1
+        self._bump(tenant, "retried")
 
     def hedged(self, tenant: str) -> None:
         self.reports[tenant].hedged += 1
@@ -217,10 +217,10 @@ class ServingStats:
         self.reports[tenant].hedged_won += 1
         self._bump(tenant, "hedged_won")
 
-    def failed(self, tenant: str, count: int = 1) -> None:
+    def failed(self, tenant: str) -> None:
         """Terminal failure: every attempt for the request was lost."""
-        self.reports[tenant].failed += count
-        self._bump(tenant, "failed", float(count))
+        self.reports[tenant].failed += 1
+        self._bump(tenant, "failed")
 
     def served_batch(self, tenant: str, latencies: list[float],
                      complete_ns_list: list[float],

@@ -206,7 +206,8 @@ class _Sweep:
 
 
 def _vecadd_inputs(gen, total: int) -> list[np.ndarray]:
-    a = np.arange(total, dtype=np.int64) * int(gen.integers(1, 9))
+    a = np.arange(total, dtype=np.int64)
+    a *= int(gen.integers(1, 9))
     return [a, a[::-1].copy()]
 
 

@@ -41,7 +41,6 @@ def make_platform(system: SystemConfig | None = None,
                   spawn_granularity: int = 1,
                   dirty_fraction: float = 0.0,
                   queue_capacity: int = 4096,
-                  asid: int = 0x7,
                   backend: str = DEFAULT_BACKEND) -> Platform:
     """Build a fresh simulator/device/runtime bundle.
 
@@ -58,7 +57,7 @@ def make_platform(system: SystemConfig | None = None,
         queue_capacity=queue_capacity,
         backend=backend,
     )
-    runtime = M2NDPRuntime(device, asid=asid)
+    runtime = M2NDPRuntime(device)
     return Platform(sim=sim, device=device, runtime=runtime, system=system)
 
 

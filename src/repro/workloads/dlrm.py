@@ -22,10 +22,10 @@ from repro.workloads.base import NDPRunResult, Platform, rng
 LOOKUPS_PER_REQUEST = 80   # [77]
 
 
-def zipf_indices(gen: np.random.Generator, n_rows: int, count: int,
-                 alpha: float = 1.05) -> np.ndarray:
-    """Zipfian-ish row popularity (Criteo-like reuse skew)."""
-    raw = gen.zipf(alpha, size=count)
+def zipf_indices(gen: np.random.Generator, n_rows: int,
+                 count: int) -> np.ndarray:
+    """Zipfian-ish row popularity (Criteo-like reuse skew, alpha 1.05)."""
+    raw = gen.zipf(1.05, size=count)
     return ((raw - 1) % n_rows).astype(np.int64)
 
 

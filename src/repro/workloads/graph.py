@@ -134,9 +134,10 @@ def run_ndp_pagerank(platform: Platform, data: GraphData,
 # SSSP (Bellman-Ford sweeps)
 # ---------------------------------------------------------------------------
 
-def reference_sssp(data: GraphData, source: int = 0) -> np.ndarray:
+def reference_sssp(data: GraphData) -> np.ndarray:
+    """Bellman-Ford distances from node 0."""
     dist = np.full(data.n_nodes, INF_DIST, dtype=np.int64)
-    dist[source] = 0
+    dist[0] = 0
     csr = data.out_csr
     for _ in range(data.n_nodes):
         changed = False
@@ -154,8 +155,8 @@ def reference_sssp(data: GraphData, source: int = 0) -> np.ndarray:
     return dist
 
 
-def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
-                 max_sweeps: int = 64) -> NDPRunResult:
+def run_ndp_sssp(platform: Platform, data: GraphData) -> NDPRunResult:
+    """SSSP from node 0: relax sweeps until none changes, at most 64."""
     runtime = platform.runtime
     csr = data.out_csr
     n = data.n_nodes
@@ -163,7 +164,7 @@ def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
     ci_addr = runtime.alloc_array(csr.col_idx)
     w_addr = runtime.alloc_array(data.weights)
     dist = np.full(n, INF_DIST, dtype=np.int32)
-    dist[source] = 0
+    dist[0] = 0
     dist_addr = runtime.alloc_array(dist)
     flag_addr = runtime.alloc(8)
     start_bytes = platform.stats.get("cxl_dram.bytes")
@@ -173,7 +174,7 @@ def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
     uthreads = 0
     sweeps = 0
     kid = runtime.register_kernel(SSSP_RELAX, name="sssp")
-    for _ in range(max_sweeps):
+    for _ in range(64):
         runtime.device.physical.write_u64(flag_addr, 0)
         handle = runtime.launch_kernel(
             kid, rp_addr, rp_addr + n * 8,
@@ -189,7 +190,7 @@ def run_ndp_sssp(platform: Platform, data: GraphData, source: int = 0,
             break
 
     produced = runtime.read_array(dist_addr, np.int32, n).astype(np.int64)
-    correct = bool(np.array_equal(produced, reference_sssp(data, source)))
+    correct = bool(np.array_equal(produced, reference_sssp(data)))
 
     return NDPRunResult(
         name="sssp",

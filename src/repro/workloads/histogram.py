@@ -74,8 +74,7 @@ def run_ndp(platform: Platform, data: HistogramData,
     )
 
 
-def gpu_spec(data: HistogramData,
-             elements_per_thread: int = 4) -> GPUKernelSpec:
+def gpu_spec(data: HistogramData) -> GPUKernelSpec:
     """CUDA-samples-style histogram: TB-private shared-memory bins, merged
     into global bins when the TB retires.
 
@@ -84,6 +83,7 @@ def gpu_spec(data: HistogramData,
     of ``nbins / threads per TB`` bins per thread (Fig 6b's traffic and the
     HISTO4096 blowup of §IV-C).
     """
+    elements_per_thread = 4
     threads = (len(data.values) + elements_per_thread - 1) // elements_per_thread
     total_warps = (threads + WARP_SIZE - 1) // WARP_SIZE
     # per element: load + mask + shift + shared atomic + loop ≈ 6 instrs,

@@ -97,14 +97,16 @@ def generate(items: int, requests: int, get_fraction: float,
                        requests=reqs, mix_name=mix_name)
 
 
-def kvs_a(items: int, requests: int, salt: int = 0,
+def kvs_a(items: int, requests: int,
           interarrival_ns: float = 500.0) -> KVStoreData:
-    return generate(items, requests, 0.5, "KVS_A", salt, interarrival_ns)
+    return generate(items, requests, 0.5, "KVS_A",
+                    interarrival_ns=interarrival_ns)
 
 
-def kvs_b(items: int, requests: int, salt: int = 0,
+def kvs_b(items: int, requests: int,
           interarrival_ns: float = 500.0) -> KVStoreData:
-    return generate(items, requests, 0.95, "KVS_B", salt, interarrival_ns)
+    return generate(items, requests, 0.95, "KVS_B",
+                    interarrival_ns=interarrival_ns)
 
 
 # ---------------------------------------------------------------------------

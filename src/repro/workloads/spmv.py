@@ -42,20 +42,18 @@ class SPMVData:
     reference: np.ndarray
 
 
-def generate_csr(n_rows: int, avg_degree: int, salt: int = 0,
-                 n_cols: int | None = None) -> CSRMatrix:
-    """Power-law (lognormal) row degrees, uniform column targets."""
+def generate_csr(n_rows: int, avg_degree: int, salt: int = 0) -> CSRMatrix:
+    """Square: power-law (lognormal) row degrees, uniform column targets."""
     gen = rng(salt + n_rows)
-    n_cols = n_cols if n_cols is not None else n_rows
     raw = gen.lognormal(mean=np.log(max(avg_degree, 1)), sigma=1.0, size=n_rows)
-    degrees = np.clip(raw.astype(np.int64), 0, n_cols)
+    degrees = np.clip(raw.astype(np.int64), 0, n_rows)
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(degrees, out=row_ptr[1:])
     nnz = int(row_ptr[-1])
-    col_idx = gen.integers(0, n_cols, nnz, dtype=np.int32)
+    col_idx = gen.integers(0, n_rows, nnz, dtype=np.int32)
     values = gen.normal(0.0, 1.0, nnz).astype(np.float32)
     return CSRMatrix(row_ptr=row_ptr, col_idx=col_idx, values=values,
-                     n_rows=n_rows, n_cols=n_cols)
+                     n_rows=n_rows, n_cols=n_rows)
 
 
 def generate(n_rows: int, avg_degree: int, salt: int = 0) -> SPMVData:

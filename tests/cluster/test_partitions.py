@@ -29,7 +29,7 @@ import numpy as np
 
 
 def _pmap(spec: str, num_devices: int = 1) -> PartitionMap:
-    return resolve_partitions(spec, SystemConfig(), source="test")
+    return resolve_partitions(spec, SystemConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class TestApportionment:
         ns, ws = parts
         spec = ",".join(f"{n}:{w}" for n, w in zip(ns, ws))
         system = SystemConfig()
-        pmap = resolve_partitions(spec, system, source="test")
+        pmap = resolve_partitions(spec, system)
         total_bw = sum(s.bandwidth_bytes_per_ns for s in pmap.shares)
         device_bw = (system.cxl_dram.channels
                      * pmap.shares[0].channel_bw_bytes_per_ns)

@@ -29,10 +29,10 @@ from repro.obs.monitor import Monitoring
 N = 4096
 
 
-def _armed_platform(events, num_devices=4, **kwargs):
+def _armed_platform(events, num_devices=4):
     platform = make_cluster_platform(num_devices=num_devices,
                                      backend="batched")
-    platform.runtime.arm_faults(FaultPlan(events=tuple(events)), **kwargs)
+    platform.runtime.arm_faults(FaultPlan(events=tuple(events)))
     return platform
 
 

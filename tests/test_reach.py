@@ -1,4 +1,5 @@
-"""tools/reach.py: which defs a consumer's run reaches, on a toy package."""
+"""tools/reach.py: which defs a consumer's run reaches, which constants
+and defaulted parameters no file uses, on a toy package."""
 
 import importlib.util
 import subprocess
@@ -114,3 +115,33 @@ def test_unreferenced_constants_of_a_tree(tmp_path):
     (consumer / "use.py").write_text("from pkg.mod import TABLE\n")
     assert reach.unreferenced_constants(package, [package, consumer]) == [
         "mod.py:UNUSED", "mod.py:_PAIR"]
+
+
+def test_unpassed_parameters_of_a_tree(tmp_path):
+    reach = _reach()
+    package, consumer = tmp_path / "pkg", tmp_path / "consumer"
+    package.mkdir()
+    consumer.mkdir()
+    (package / "mod.py").write_text(
+        "def by_keyword(a, b=1, c=2):\n    return a\n\n\n"
+        "def by_position(a, b=1, c=2):\n    return a\n\n\n"
+        "def by_star(a, b=1):\n    return a\n\n\n"
+        "class Thing:\n"
+        "    def __init__(self, size=8, name=None):\n"
+        "        self.size = size\n\n"
+        "    def hook(self, when=0.0):\n"
+        "        return when\n\n\n"
+        "def driver(scale=1):\n    return scale\n")
+    (consumer / "use.py").write_text(
+        "from pkg.mod import Thing, by_keyword, by_position, by_star\n"
+        "by_keyword(0, c=3)\n"
+        "by_position(0, 1)\n"
+        "by_star(0, **{'b': 2})\n"
+        "Thing(16)\n"
+        "alias = Thing().hook\n"
+        "for make in (by_keyword,):\n"
+        "    make(0, b=4)\n"
+        "alias(1.0)\n")
+    assert reach.unpassed_parameters(package, [consumer],
+                                     exclude={"driver"}) == [
+        "mod.py:by_position(c)", "mod.py:Thing.__init__(name)"]

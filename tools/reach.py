@@ -12,10 +12,14 @@ the `KEEP` rows (a def that stays on purpose, and why) are not listed; a
 `KEEP` row that is reached or names no def is printed as stale.  It also
 prints each module-level UPPER_CASE constant of `src/repro` that no `.py`
 file under `src/`, `benchmarks/`, `bench/`, `examples/` or `tools/` names
-outside its own assignment (a static word match).  The figure suite's
-output is compared with the committed `FIDELITY.json`.
+outside its own assignment (a static word match), and each defaulted
+parameter of a def in `src/repro` (not of an `EXPERIMENTS` driver) that
+no call in those files passes, by keyword, by position or through
+`*`/`**` (a static match by name, printed as `unpassed parameter:
+path:qualname(name)`: one value in use, so a constant in all but name).
+The figure suite's output is compared with the committed `FIDELITY.json`.
 Exit 1 when a consumer exits non-zero, the golden differs or a `KEEP` row
-names no def; the list itself and a reached `KEEP` row gate nothing.
+names no def; the lists themselves and a reached `KEEP` row gate nothing.
 About 5 minutes.
 
     python tools/reach.py --record DIR -- (SCRIPT | -m MODULE) [ARGS...]
@@ -170,24 +174,31 @@ def calls(record_dir: Path) -> set[tuple[str, int, str]]:
     return seen
 
 
+def _functions(root: Path):
+    """``(file, path:Class.name, node, class name or None)`` for each
+    module-level function and method under ``root``."""
+    def visit(body, file, key, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, file, f"{key}{node.name}.",
+                                 node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield file, f"{key}{node.name}", node, cls
+
+    for file in sorted(root.rglob("*.py")):
+        yield from visit(ast.parse(file.read_text()).body, file,
+                         f"{file.relative_to(root).as_posix()}:", None)
+
+
 def defs(root: Path) -> dict[str, tuple[str, int, str, int]]:
     """``path:Class.name`` -> ``(file, first line, name, lines)`` for each
     module-level function and method under ``root``."""
     found = {}
-
-    def visit(body, path, file, prefix):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(node.body, path, file, f"{prefix}{node.name}.")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno] + [decorator.lineno for decorator
-                                             in node.decorator_list])
-                found[f"{path}:{prefix}{node.name}"] = (
-                    file, first, node.name, node.end_lineno - first + 1)
-
-    for file in sorted(root.rglob("*.py")):
-        visit(ast.parse(file.read_text()).body,
-              file.relative_to(root).as_posix(), os.path.realpath(file), "")
+    for file, key, node, _ in _functions(root):
+        first = min([node.lineno] + [decorator.lineno for decorator
+                                     in node.decorator_list])
+        found[key] = (os.path.realpath(file), first, node.name,
+                      node.end_lineno - first + 1)
     return found
 
 
@@ -228,6 +239,151 @@ def unreferenced_constants(root: Path, trees: list[Path]) -> list[str]:
     assigned = Counter(found.values())
     return [key for key, name in found.items()
             if words[name] <= assigned[name]]
+
+
+def _name(node) -> str | None:
+    """The name a call through ``node`` goes by: ``f`` of ``f`` or ``x.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _walk(node, scope="", bases=()):
+    """Every node under ``node`` with the name of the def it is in ("" at
+    module level) and the base names of its class."""
+    yield node, scope, bases
+    if isinstance(node, ast.ClassDef):
+        bases = tuple(filter(None, map(_name, node.bases)))
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, scope, bases)
+
+
+def _signatures(root: Path):
+    """``(path:qualname, call name, def name, positional names, defaulted
+    names)`` of each module-level function and method under ``root``; a
+    method's positional names start after ``self``, and ``__init__`` is
+    called by its class's name."""
+    found = []
+    for _, key, node, cls in _functions(root):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if cls and "staticmethod" not in map(_name, node.decorator_list):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [arg for arg, default in zip(args.kwonlyargs,
+                                                  args.kw_defaults)
+                      if default is not None]
+        found.append((key, cls if node.name == "__init__" else node.name,
+                      node.name, [arg.arg for arg in positional],
+                      [arg.arg for arg in defaulted]))
+    return found
+
+
+def _key(node, scope: str):
+    """Where ``node`` binds: a bare name in its def, an attribute (or a
+    module-level name) everywhere."""
+    if isinstance(node, ast.Name):
+        return scope, node.id
+    return ("", node.attr) if isinstance(node, ast.Attribute) else None
+
+
+def _values(node, scope: str):
+    """The keys ``node`` may stand for: a name, or the names in a tuple,
+    list, set or dict literal (its values)."""
+    if _key(node, scope):
+        yield _key(node, scope)
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for element in node.elts:
+            yield from _values(element, scope)
+    elif isinstance(node, ast.Dict):
+        for value in node.values:
+            yield from _values(value, scope)
+
+
+def unpassed_parameters(root: Path, trees: list[Path],
+                        exclude=frozenset()) -> list[str]:
+    """``path:qualname(name)`` of each defaulted parameter of a def under
+    ``root`` (but not of a def named in ``exclude``) that no call in a
+    file under ``trees`` passes, by keyword, by position or through
+    ``*``/``**``.  A call matches every def of its name (``super().__init__``
+    the bases' ``__init__``).  A call through a name bound to others (by
+    assignment, as a loop variable or as an argument; ``table[key](...)``
+    through ``table``) passes what it passes to them too."""
+    signatures = _signatures(root)
+    params = defaultdict(list)
+    for _, name, scope, names, _ in signatures:
+        params[name].append((scope, names))
+    passed = defaultdict(set)   # call name -> what its calls pass
+    through = defaultdict(set)  # key -> what calls through it pass
+    bound = defaultdict(set)    # key -> the keys it may stand for
+    for tree in trees:
+        for file in sorted(tree.rglob("*.py")):
+            for node, scope, bases in _walk(ast.parse(file.read_text())):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if _key(target, scope):
+                            bound[_key(target, scope)].update(
+                                _values(node.value, scope))
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    for target in ast.walk(node.target):
+                        if isinstance(target, ast.Name):
+                            bound[scope, target.id].update(
+                                _values(node.iter, scope))
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if any(isinstance(arg, ast.Starred) for arg in node.args) or \
+                        any(kw.arg is None for kw in node.keywords):
+                    got = {"*"}
+                else:
+                    got = set(range(len(node.args)))
+                    got.update(kw.arg for kw in node.keywords)
+                if isinstance(func, ast.Subscript):
+                    func = func.value
+                name = _name(func)
+                if name == "__init__" and isinstance(func.value, ast.Call) \
+                        and _name(func.value.func) == "super":
+                    for base in bases:
+                        passed[base] |= got
+                    continue
+                passed[name] |= got
+                if _key(func, scope):
+                    through[_key(func, scope)] |= got
+                for callee, names in params[name]:
+                    for i, arg in enumerate(node.args[:len(names)]):
+                        bound[callee, names[i]].update(_values(arg, scope))
+                    for kw in node.keywords:
+                        if kw.arg:
+                            bound[callee, kw.arg].update(
+                                _values(kw.value, scope))
+    grown = True
+    while grown:
+        grown = False
+        for alias, keys in bound.items():
+            got = through[alias]
+            for scope, name in keys:
+                for sink in (through[scope, name], through["", name],
+                             passed[name]):
+                    if not got <= sink:
+                        sink |= got
+                        grown = True
+    return [f"{key}({arg})"
+            for key, name, _, names, defaulted in signatures
+            if name not in exclude and "*" not in passed[name]
+            for arg in defaulted
+            if arg not in passed[name]
+            and not (arg in names and names.index(arg) in passed[name])]
+
+
+def experiment_drivers(registry: Path) -> set[str]:
+    """The names of the functions ``EXPERIMENTS`` maps ids to."""
+    for node in ast.parse(registry.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                _name(node.targets[0]) == "EXPERIMENTS":
+            return set(map(_name, node.value.values))
+    return set()
 
 
 def consumers(scratch: Path) -> list[tuple[list[str], Path]]:
@@ -283,6 +439,12 @@ def main() -> int:
     for key in constants:
         print(f"unreferenced constant: {key}")
     print(f"unreferenced constants: {len(constants)}")
+    unpassed = unpassed_parameters(
+        PACKAGE, [HERE / d for d in SCANNED],
+        experiment_drivers(PACKAGE / "experiments" / "__init__.py"))
+    for key in unpassed:
+        print(f"unpassed parameter: {key}")
+    print(f"unpassed parameters: {len(unpassed)}")
     return verdict(stale, failed)
 
 
