@@ -3,7 +3,8 @@
 The paper reports, per NDP unit: 0.25 mm² of register files, 0.45 mm² of
 unified L1/scratchpad, 0.002 mm² per µthread slot, 0.83 mm² total with
 FPnew-class compute units [99]; 32 units cost 26.4 mm².  The GPU Iso-Area
-comparison point (16.2 Ampere SMs) comes from the same methodology.
+point is derived: fig6a, fig10c and fig15 give GPU-NDP `iso_area_sm_count`
+SMs, what fits in this area (the paper's 16.2 is only the score's reference).
 
 This module reproduces those numbers from structural parameters so the
 ablations (e.g. "81 % smaller register file than an SM", "69 % less ALU

@@ -53,7 +53,8 @@ from repro.errors import (
     check,
 )
 from repro.exec.base import DEFAULT_BACKEND
-from repro.host.api import HDMAllocator, LaunchHandle, M2NDPRuntime
+from repro.host.api import (HDMAllocator, LaunchHandle, M2NDPRuntime,
+                            launch_payload)
 from repro.isa.assembler import KernelProgram, assemble_kernel
 from repro.obs import tracer as obs_tracer
 from repro.mem.physical import PhysicalMemory
@@ -66,10 +67,6 @@ from repro.sim.stats import StatsRegistry
 #: device's M2func region (base + asid * 64 KB) is distinct in the shared
 #: functional store — concurrent sub-launch return values cannot collide.
 CLUSTER_BASE_ASID = 0x10
-
-#: M2func launch payload: 6-word header + bias word + argument bytes; used
-#: to charge the fan-out write through the switch's host path.
-LAUNCH_WIRE_BYTES = 56
 
 
 @dataclass
@@ -490,16 +487,14 @@ class ClusterRuntime:
                 tracer.record("cxl.p2p", at_ns, done, parent=trace_parent,
                               pid=1 + sub.device, tid=sub_lane,
                               owner=owner, bytes=nbytes)
-        # the M2func fan-out write itself crosses the switch (a launch
-        # over a pinned allocation carries the partition tag: one extra
-        # header word)
+        # the M2func fan-out write itself crosses the switch: the payload
+        # launch_async builds below, its length read here
         part_index = (None if sub.partition is None
                       else self.partitions.index_of(sub.partition))
-        wire_bytes = LAUNCH_WIRE_BYTES + (0 if part_index is None else 8)
+        payload = launch_payload(kids[sub.device], sub.base, sub.bound, args,
+                                 False, stride, sub.offset_bias, part_index)
         pre_fanout = ready
-        ready = self.switch.host_to_device(
-            ready, sub.device, wire_bytes + len(args)
-        )
+        ready = self.switch.host_to_device(ready, sub.device, len(payload))
         self.scheduler.note_issued(sub.device)
         self.stats.add("cluster.sub_launches")
         if self.monitoring is not None:
@@ -509,7 +504,7 @@ class ClusterRuntime:
         if tracer is not None:
             tracer.record("cxl.fanout", pre_fanout, ready,
                           parent=trace_parent, pid=1 + sub.device,
-                          tid=sub_lane, bytes=wire_bytes + len(args))
+                          tid=sub_lane, bytes=len(payload))
             sub_span = tracer.begin(
                 "cluster.sub_launch", ready, parent=trace_parent,
                 pid=1 + sub.device, tid=sub_lane,

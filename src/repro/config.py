@@ -438,8 +438,8 @@ def gpu_ndp_config(num_sms: float,
                    freq_ghz: float | None = None) -> GPUConfig:
     """GPU-NDP variants (§IV-A): SMs placed inside the CXL device.
 
-    Fractional SM counts (the paper's 16.2-SM Iso-Area point) are realized by
-    rounding down and scaling frequency to preserve aggregate throughput.
+    A fractional SM count (the Iso-Area point the area model derives) is
+    rounded down, and the frequency scaled to keep aggregate throughput.
     ``freq_ghz`` defaults to the ``COMPARATORS`` row as it is at the call.
     """
     check("gpu_ndp_config", "num_sms", num_sms,
@@ -455,7 +455,6 @@ def gpu_ndp_config(num_sms: float,
 GPU_NDP_ISO_FLOPS_SMS = 8
 GPU_NDP_4X_FLOPS_SMS = 32
 GPU_NDP_16X_FLOPS_SMS = 128
-GPU_NDP_ISO_AREA_SMS = 16.2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.config import GPU_NDP_ISO_AREA_SMS
+from repro.area import model as area
 from repro.experiments.common import ExperimentResult
 from repro.host.gpu import WARP_SIZE, make_gpu_ndp
 from repro.workloads import graph, histogram
@@ -42,7 +42,7 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
     for warps in (1, 2, 4):            # 32- to 128-thread blocks
         gpu_platform = make_platform()
         gpu = make_gpu_ndp(gpu_platform.sim, gpu_platform.system,
-                           GPU_NDP_ISO_AREA_SMS)
+                           area.iso_area_sm_count())
         spec = replace(graph.gpu_spec_pagerank(data), warps_per_tb=warps)
         gpu.launch(spec, at_ns=0.0)
         gpu_platform.sim.run()

@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.speedup import SpeedupRow, SpeedupTable
-from repro.config import (
-    GPU_NDP_16X_FLOPS_SMS,
-    GPU_NDP_4X_FLOPS_SMS,
-    GPU_NDP_ISO_AREA_SMS,
-    GPU_NDP_ISO_FLOPS_SMS,
-)
+from repro.area import model as area
+from repro.config import (GPU_NDP_16X_FLOPS_SMS, GPU_NDP_4X_FLOPS_SMS,
+                          GPU_NDP_ISO_FLOPS_SMS, default_system)
 from repro.experiments.common import ExperimentResult
 from repro.host.gpu import GPUDevice, GPUKernelSpec, make_gpu_baseline, make_gpu_ndp
 from repro.host.nsu import NSUModel, NSUWorkload
@@ -26,7 +23,6 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import geometric_mean
 from repro.workloads import dlrm, graph, histogram, kvstore, llm, spmv
 from repro.workloads import olap
-from repro.config import default_system
 from repro.workloads.base import NDPRunResult, make_platform, scale
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def _gpu_configs(system) -> dict[str, Callable[[Simulator], GPUDevice]]:
         "gpu_ndp_4x": lambda sim: make_gpu_ndp(sim, system, GPU_NDP_4X_FLOPS_SMS),
         "gpu_ndp_16x": lambda sim: make_gpu_ndp(sim, system, GPU_NDP_16X_FLOPS_SMS),
         "gpu_ndp_iso_area": lambda sim: make_gpu_ndp(
-            sim, system, GPU_NDP_ISO_AREA_SMS),
+            sim, system, area.iso_area_sm_count()),
     }
 
 

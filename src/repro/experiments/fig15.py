@@ -8,7 +8,7 @@ counts, static energy from runtime (§IV-A energy methodology)."""
 from __future__ import annotations
 
 from repro.area import model as area
-from repro.config import COMPARATORS, GPU_NDP_ISO_AREA_SMS
+from repro.config import COMPARATORS
 from repro.energy.model import EnergyModel
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig10 import _gpu_configs, _run_gpu, build_cases
@@ -91,7 +91,7 @@ def run_fig15_gpu(scale_name: str = "small",
                                            base_ns)
         iso_energy = model.comparator_run("gpu_ndp", bytes_moved,
                                           instructions, iso_ns,
-                                          GPU_NDP_ISO_AREA_SMS)
+                                          area.iso_area_sm_count())
         # the platform's stats went with run_ndp's platform; the energy
         # model reads the same counters off the result
         ndp_energy = model.ndp_run({

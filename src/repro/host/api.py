@@ -186,6 +186,30 @@ def pack_args(*values: int) -> bytes:
                        *[v & 0xFFFFFFFFFFFFFFFF for v in values])
 
 
+def launch_payload(kernel_id: int, pool_base: int, pool_bound: int,
+                   args: bytes, sync: bool, stride: int, offset_bias: int,
+                   partition: int | None) -> bytes:
+    """The ndpLaunchKernel write, built here only (``NDPController._launch``
+    parses it; a cluster charges its switch this length): the 6-word Table
+    II header, one word per extension in use, then ``args``.
+
+    ``offset_bias`` (cluster extension, see :mod:`repro.cluster`) shifts
+    every body µthread's ``x2`` so a sub-launch over a slice of a larger
+    logical pool computes the same offsets a whole-pool launch would.
+    ``partition`` (hardware-partitioning extension, see
+    :mod:`repro.cluster.partitions`) tags the launch with the index of the
+    partition it is pinned to; untagged launches run in the default one."""
+    header = [LAUNCH_FLAG_SYNC if sync else 0, kernel_id, pool_base,
+              pool_bound, stride, len(args)]
+    if offset_bias:
+        header[0] |= LAUNCH_FLAG_OFFSET_BIAS
+        header.append(offset_bias)
+    if partition is not None:
+        header[0] |= LAUNCH_FLAG_PARTITION
+        header.append(partition)
+    return pack_args(*header) + args
+
+
 class M2NDPRuntime:
     """Per-process handle to one CXL-M2NDP device."""
 
@@ -336,25 +360,9 @@ class M2NDPRuntime:
                      offset_bias: int = 0,
                      partition: int | None = None) -> LaunchHandle:
         """ndpLaunchKernel (non-blocking): callbacks fire from sim events.
-
-        ``offset_bias`` (cluster extension, see :mod:`repro.cluster`) shifts
-        every body µthread's ``x2`` so a sub-launch over a slice of a larger
-        logical pool computes the same offsets a whole-pool launch would.
-        ``partition`` (hardware-partitioning extension, see
-        :mod:`repro.cluster.partitions`) tags the launch with the index of
-        the partition it is pinned to; untagged launches run in the
-        device's default partition.  With both left at their defaults the
-        payload is byte-identical to the plain Table II call.
-        """
-        flags = LAUNCH_FLAG_SYNC if sync else 0
-        header = [flags, kernel_id, pool_base, pool_bound, stride, len(args)]
-        if offset_bias:
-            header[0] |= LAUNCH_FLAG_OFFSET_BIAS
-            header.append(offset_bias)
-        if partition is not None:
-            header[0] |= LAUNCH_FLAG_PARTITION
-            header.append(partition)
-        payload = pack_args(*header) + args
+        The write carries :func:`launch_payload`."""
+        payload = launch_payload(kernel_id, pool_base, pool_bound, args,
+                                 sync, stride, offset_bias, partition)
         if not self._free_launch_slots:
             raise SimulationError(
                 f"all {FUNC_LAUNCH_SLOTS} launch doorbell slots in flight; "

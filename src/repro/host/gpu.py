@@ -27,7 +27,7 @@ launches through the Fig 5 offload its row names
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 

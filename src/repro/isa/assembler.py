@@ -35,10 +35,10 @@ Comments start with ``//``, ``#`` or ``;``.  Labels end with ``:``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AssemblerError
-from repro.isa.encoding import Instruction, OpClass, OPCODES
+from repro.isa.encoding import Instruction, OPCODES
 from repro.isa.registers import RegisterUsage
 
 _ABI_X = {

@@ -14,7 +14,7 @@ to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ExecutionError
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cxl.packet_filter import FilterEntry

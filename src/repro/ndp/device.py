@@ -27,7 +27,7 @@ from repro.cxl.hdm import HDMCoherence
 from repro.cxl.link import CXLLink
 from repro.cxl.packet_filter import PacketFilter
 from repro.cxl.protocol import CXLPacket, PacketType
-from repro.errors import LaunchError, ProtocolError
+from repro.errors import ProtocolError
 from repro.exec.base import DEFAULT_BACKEND, make_backend
 from repro.isa.assembler import KernelProgram
 from repro.mem.dram import DRAMModel

@@ -11,7 +11,7 @@ reports (0 finished / 1 running / 2 pending).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import LaunchError
 from repro.isa.assembler import KernelProgram

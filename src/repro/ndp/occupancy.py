@@ -14,7 +14,7 @@ refilled once *all* of them drain (inter-warp divergence waste, §III-D A2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import LaunchError
 from repro.sim.stats import IntervalSampler

@@ -23,7 +23,6 @@ from repro.errors import TranslationFault
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 DRAM_TLB_ENTRY_BYTES = 16
-ATS_LATENCY_NS = 1_000.0  # host page-walk via PCIe ATS (§II-B)
 
 
 @dataclass(frozen=True)

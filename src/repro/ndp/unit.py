@@ -26,14 +26,13 @@ import weakref
 from typing import TYPE_CHECKING
 
 from repro.config import NDPConfig
-from repro.errors import MemoryError_
 from repro.isa.executor import MemAccess
 from repro.mem.cache import SectorCache
 from repro.mem.physical import _ZERO, PAGE_SIZE, PhysicalMemory
 from repro.mem.scratchpad import Scratchpad, _apply_amo
 from repro.ndp.occupancy import UnitOccupancy
 from repro.ndp.subcore import SubCore
-from repro.ndp.tlb import ATS_LATENCY_NS, PAGE_SHIFT, TLB, PageTable
+from repro.ndp.tlb import PAGE_SHIFT, TLB, PageTable
 from repro.sim.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only

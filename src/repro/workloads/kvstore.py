@@ -15,7 +15,7 @@ Hash-table node layout (128 B): key 24 B @0, value 64 B @32, next @96.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

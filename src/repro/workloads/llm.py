@@ -27,19 +27,21 @@ from repro.kernels.gemv import GEMV_F32
 from repro.workloads.base import NDPRunResult, Platform, rng
 
 
+FFN_MULT = 4        # both OPT models' FFN width over their hidden size
+CONTEXT = 1024      # the tokens their KV cache holds
+
+
 @dataclass(frozen=True)
 class OPTModel:
     name: str
     layers: int
     hidden: int
-    ffn_mult: int = 4
-    context: int = 1024
 
     @property
     def weight_bytes_per_layer(self) -> int:
         h = self.hidden
         # QKV (3 h*h) + attention out (h*h) + FFN up (4h*h) + FFN down (h*4h)
-        return (3 * h * h + h * h + 2 * self.ffn_mult * h * h) * 4
+        return (3 * h * h + h * h + 2 * FFN_MULT * h * h) * 4
 
     @property
     def total_weight_bytes(self) -> int:
@@ -47,7 +49,7 @@ class OPTModel:
 
     @property
     def kv_cache_bytes(self) -> int:
-        return 2 * self.layers * self.context * self.hidden * 4
+        return 2 * self.layers * CONTEXT * self.hidden * 4
 
 
 OPT_2_7B = OPTModel(name="OPT-2.7B", layers=32, hidden=2560)
@@ -75,7 +77,7 @@ def generate(model: OPTModel, sim_hidden: int, sim_layers: int,
     """Scaled-down weights: ``sim_layers`` layers of hidden ``sim_hidden``
     flattened into one GEMV with the same byte count."""
     gen = rng(salt + model.layers)
-    per_layer_rows = 3 * sim_hidden + sim_hidden + 2 * model.ffn_mult * sim_hidden
+    per_layer_rows = 3 * sim_hidden + sim_hidden + 2 * FFN_MULT * sim_hidden
     n_rows = per_layer_rows * sim_layers
     weights = gen.normal(0.0, 0.05, (n_rows, sim_hidden)).astype(np.float32)
     x = gen.normal(0.0, 1.0, sim_hidden).astype(np.float32)

@@ -22,7 +22,7 @@ from repro.config import COMPARATORS, default_system
 from repro.host.api import pack_args
 from repro.host.cpu import HostCPUModel, MemoryTarget
 from repro.kernels.olap import EVAL_LT_I32, EVAL_RANGE_F64, EVAL_RANGE_I32, MASK_AND
-from repro.workloads.base import NDPRunResult, Platform, ScalePreset, rng
+from repro.workloads.base import NDPRunResult, Platform, rng
 
 
 @dataclass(frozen=True)

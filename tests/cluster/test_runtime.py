@@ -8,8 +8,10 @@ from repro.cluster import ClusterRuntime, make_cluster_platform
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, LaunchError
 from repro.experiments import engines
-from repro.host.api import pack_args
+from repro.host.api import M2NDPRuntime, pack_args
 from repro.kernels.reduction import REDUCE_SUM_I64
+from repro.ndp.controller import (FUNC_LAUNCH, LAUNCH_FLAG_OFFSET_BIAS,
+                                  LAUNCH_FLAG_PARTITION)
 from repro.kernels.vecadd import VECADD
 from repro.workloads import olap
 from repro.workloads.base import make_platform
@@ -210,6 +212,65 @@ class TestP2PCharging:
                                            args=pack_args(addr_b, addr_c))
             times[scheduler] = handle.complete_ns - handle.issued_ns
         assert times["round_robin"] > times["locality"]
+
+
+class TestFanoutCharge:
+    """The switch carries each sub-launch's M2func write as the runtime
+    wrote it: bias and partition words only when present."""
+
+    @staticmethod
+    def _launch_bytes(monkeypatch, platform, run) -> tuple[int, list]:
+        built = []
+        call_async = M2NDPRuntime.call_async
+
+        def spy(self, func, payload, *args, **kwargs):
+            if func == FUNC_LAUNCH:
+                built.append(payload)
+            return call_async(self, func, payload, *args, **kwargs)
+
+        monkeypatch.setattr(M2NDPRuntime, "call_async", spy)
+        before = platform.stats.get("switch.host_bytes")
+        run()
+        return platform.stats.get("switch.host_bytes") - before, built
+
+    def test_multi_device_fanout_charges_the_payloads_built(self,
+                                                            monkeypatch):
+        platform = make_cluster_platform(num_devices=4, backend="batched")
+        runtime = platform.runtime
+        a, b = _vecadd_inputs()
+        addr_a = runtime.alloc_array(a)
+        addr_b = runtime.alloc_array(b)
+        addr_c = runtime.alloc(a.nbytes)
+        kid = runtime.register_kernel(VECADD, name="v")
+        charged, built = self._launch_bytes(
+            monkeypatch, platform, lambda: runtime.launch_kernel(
+                kid, addr_a, addr_a + a.nbytes,
+                args=pack_args(addr_b, addr_c)))
+        biased = [bool(int.from_bytes(payload[:8], "little")
+                       & LAUNCH_FLAG_OFFSET_BIAS) for payload in built]
+        # the sub-launch that starts the pool sends no bias word
+        assert biased.count(False) == 1 and len(biased) > 1
+        assert charged == sum(map(len, built))
+
+    def test_partition_tagged_launch_charges_the_payload_built(self,
+                                                               monkeypatch):
+        platform = make_cluster_platform(num_devices=1,
+                                         partitions="rt:1,batch:3")
+        runtime = platform.runtime
+        a = np.arange(1024, dtype=np.int64)
+        addr_a = runtime.alloc_array(a, partition="batch")
+        addr_b = runtime.alloc_array(a, partition="batch")
+        addr_c = runtime.alloc(a.nbytes, partition="batch")
+        kid = runtime.register_kernel(VECADD, name="v")
+        charged, built = self._launch_bytes(
+            monkeypatch, platform, lambda: runtime.launch_kernel(
+                kid, addr_a, addr_a + a.nbytes,
+                args=pack_args(addr_b, addr_c)))
+        (payload,) = built
+        flags = int.from_bytes(payload[:8], "little")
+        assert flags & LAUNCH_FLAG_PARTITION
+        assert not flags & LAUNCH_FLAG_OFFSET_BIAS
+        assert charged == len(payload) == 7 * 8 + 16
 
 
 class TestValidation:

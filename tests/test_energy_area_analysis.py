@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.roofline import fig1a_table, max_slowdown, mean_slowdown
 from repro.analysis.speedup import SpeedupRow, SpeedupTable
+from repro.area import model as area_model
 from repro.area.model import (
     alu_area_reduction_vs_sm,
     iso_area_sm_count,
@@ -11,7 +12,11 @@ from repro.area.model import (
     ndp_unit_area,
     register_file_reduction_vs_sm,
 )
+from repro.config import default_system, gpu_ndp_config
 from repro.energy.model import EnergyModel
+from repro.experiments import fig06, fig10, fig15
+from repro.host.gpu import make_gpu_ndp
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 
 
@@ -35,6 +40,34 @@ class TestAreaModel:
     def test_iso_area_sm_count(self):
         """Paper: the M2NDP budget fits 16.2 Ampere SMs."""
         assert iso_area_sm_count() == pytest.approx(16.2, rel=0.1)
+
+    def test_iso_area_figures_read_the_area_model(self, monkeypatch):
+        """fig6a, fig10c and fig15 give GPU-NDP(Iso-Area) the SM count
+        the area model derives, and fig15 charges its energy for it."""
+        sms = 12.5
+        monkeypatch.setattr(area_model, "iso_area_sm_count", lambda: sms)
+        configs, energy_sms = [], []
+        charge = EnergyModel.comparator_run
+
+        def make(sim, system, num_sms, freq_ghz=None):
+            device = make_gpu_ndp(sim, system, num_sms, freq_ghz)
+            configs.append(device.config)
+            return device
+
+        def comparator_run(model, name, *args):
+            if name == "gpu_ndp":
+                energy_sms.append(args[-1])
+            return charge(model, name, *args)
+
+        monkeypatch.setattr(EnergyModel, "comparator_run", comparator_run)
+        for module in (fig06, fig10):
+            monkeypatch.setattr(module, "make_gpu_ndp", make)
+        fig06.run_fig6a("tiny")
+        fig10._gpu_configs(default_system())["gpu_ndp_iso_area"](Simulator())
+        fig15.run_fig15_gpu("tiny", workloads=("SPMV",))
+        # fig6a's three TB sizes, fig10c's config, fig15's Iso-Area run
+        assert configs == [gpu_ndp_config(sms)] * 5
+        assert energy_sms == [sms]
 
     def test_rf_reduction_81_percent(self):
         assert register_file_reduction_vs_sm() == pytest.approx(0.81, abs=0.02)

@@ -1,5 +1,5 @@
-"""tools/reach.py: which defs a consumer's run reaches, which constants
-and defaulted parameters no file uses, on a toy package."""
+"""tools/reach.py: which defs a consumer's run reaches, which constants,
+defaulted parameters and imports no file uses, on a toy package."""
 
 import importlib.util
 import subprocess
@@ -145,3 +145,37 @@ def test_unpassed_parameters_of_a_tree(tmp_path):
     assert reach.unpassed_parameters(package, [consumer],
                                      exclude={"driver"}) == [
         "mod.py:by_position(c)", "mod.py:Thing.__init__(name)"]
+
+
+def test_unused_imports_of_a_tree(tmp_path):
+    reach = _reach()
+    package, consumer = tmp_path / "pkg", tmp_path / "consumer"
+    (package / "sub").mkdir(parents=True)
+    consumer.mkdir()
+    (package / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import TYPE_CHECKING\n"
+        "from math import pi, tau, e\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n\n\n"
+        "@dataclass\n"
+        "class Thing:\n"
+        "    where: Path\n\n\n"
+        "def f():\n"
+        "    import re\n"
+        "    return os.sep\n")
+    (package / "sub" / "__init__.py").write_text(
+        "from pkg.mod import Thing, f\n"
+        "from pkg.mod import dataclass\n"
+        "__all__ = ['Thing']\n")
+    # re-exports: one taken by a from-import, one through a module alias
+    (consumer / "use.py").write_text(
+        "from pkg.mod import pi\n"
+        "from pkg import mod as m\n"
+        "print(pi, m.tau)\n")
+    assert reach.unused_imports(package, [package, consumer]) == [
+        "mod.py:codec", "mod.py:field", "mod.py:e", "mod.py:re",
+        "sub/__init__.py:f", "sub/__init__.py:dataclass"]

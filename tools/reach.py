@@ -16,7 +16,10 @@ outside its own assignment (a static word match), and each defaulted
 parameter of a def in `src/repro` (not of an `EXPERIMENTS` driver) that
 no call in those files passes, by keyword, by position or through
 `*`/`**` (a static match by name, printed as `unpassed parameter:
-path:qualname(name)`: one value in use, so a constant in all but name).
+path:qualname(name)`: one value in use, so a constant in all but name),
+and each name an import in `src/repro` binds that its module never reads
+and no scanned file takes from it (`unused import: path:name`; an
+`__init__.py` reads what its `__all__` lists).
 The figure suite's output is compared with the committed `FIDELITY.json`.
 Exit 1 when a consumer exits non-zero, the golden differs or a `KEEP` row
 names no def; the lists themselves and a reached `KEEP` row gate nothing.
@@ -241,6 +244,55 @@ def unreferenced_constants(root: Path, trees: list[Path]) -> list[str]:
             if words[name] <= assigned[name]]
 
 
+def unused_imports(root: Path, trees: list[Path]) -> list[str]:
+    """``path:name`` of each name an import under ``root`` binds that its
+    module never reads and no file under ``trees`` takes from it (by a
+    ``from`` import, or as an attribute of a name bound to the module).
+    A ``__future__`` import binds none, and the names an ``__init__.py``
+    lists in ``__all__`` count as read."""
+    taken = set()   # (module, name) some file takes from the module
+    for tree in trees:
+        for file in tree.rglob("*.py"):
+            nodes = list(ast.walk(ast.parse(file.read_text())))
+            bound = {}
+            for node in nodes:
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    for alias in node.names:
+                        taken.add((node.module, alias.name))
+                        bound[alias.asname or alias.name] = \
+                            f"{node.module}.{alias.name}"
+                elif isinstance(node, ast.Import):
+                    bound.update((alias.asname, alias.name)
+                                 for alias in node.names if alias.asname)
+            taken.update((bound[node.value.id], node.attr) for node in nodes
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in bound)
+    found = []
+    for file in sorted(root.rglob("*.py")):
+        tree = ast.parse(file.read_text())
+        path = file.relative_to(root.parent).with_suffix("").parts
+        module = ".".join(path[:-1] if path[-1] == "__init__" else path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        if file.name == "__init__.py":
+            read.update(name for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and _name(node.targets[0]) == "__all__"
+                        for name in ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read and (module, name) not in taken:
+                        found.append(
+                            f"{file.relative_to(root).as_posix()}:{name}")
+    return found
+
+
 def _name(node) -> str | None:
     """The name a call through ``node`` goes by: ``f`` of ``f`` or ``x.f``."""
     if isinstance(node, ast.Name):
@@ -445,6 +497,10 @@ def main() -> int:
     for key in unpassed:
         print(f"unpassed parameter: {key}")
     print(f"unpassed parameters: {len(unpassed)}")
+    unused = unused_imports(PACKAGE, [HERE / d for d in SCANNED])
+    for key in unused:
+        print(f"unused import: {key}")
+    print(f"unused imports: {len(unused)}")
     return verdict(stale, failed)
 
 
