@@ -146,18 +146,12 @@ class PartitionMap:
     spec: str
     shares: tuple[PartitionShare, ...]
     total_units: int
-    total_channels: int
-    total_l2_sets: int
 
     def __post_init__(self) -> None:
-        # The apportionment invariant the property tests pin down:
-        # shares partition each resource exactly.
+        # The apportionment invariant the property tests pin down for
+        # units, channels and L2 sets: shares partition each exactly.
         if sum(s.num_units for s in self.shares) != self.total_units:
             raise ConfigError("partition unit shares do not sum to device")
-        if sum(s.channels for s in self.shares) != self.total_channels:
-            raise ConfigError("partition channel shares do not sum to device")
-        if sum(s.l2_sets for s in self.shares) != self.total_l2_sets:
-            raise ConfigError("partition L2-set shares do not sum to device")
 
     def __len__(self) -> int:
         return len(self.shares)
@@ -263,6 +257,4 @@ def resolve_partitions(spec: str | None, config) -> PartitionMap:
         spec=spec,
         shares=tuple(shares),
         total_units=ndp.num_units,
-        total_channels=dram.channels,
-        total_l2_sets=l2.num_sets,
     )

@@ -434,20 +434,17 @@ class GPUConfig:
         return Clock.from_ghz(self.freq_ghz)
 
 
-def gpu_ndp_config(num_sms: float,
-                   freq_ghz: float | None = None) -> GPUConfig:
+def gpu_ndp_config(num_sms: float) -> GPUConfig:
     """GPU-NDP variants (§IV-A): SMs placed inside the CXL device.
 
     A fractional SM count (the Iso-Area point the area model derives) is
     rounded down, and the frequency scaled to keep aggregate throughput.
-    ``freq_ghz`` defaults to the ``COMPARATORS`` row as it is at the call.
+    The frequency is the ``COMPARATORS`` row's as it is at the call.
     """
     check("gpu_ndp_config", "num_sms", num_sms,
           Domain("a finite number >= 1", float, lambda x: x >= 1))
-    if freq_ghz is None:
-        freq_ghz = COMPARATORS["gpu_ndp"]["freq_ghz"]
     whole = int(num_sms)
-    eff_freq = freq_ghz * (num_sms / whole)
+    eff_freq = COMPARATORS["gpu_ndp"]["freq_ghz"] * (num_sms / whole)
     return GPUConfig(num_sms=whole, freq_ghz=eff_freq)
 
 

@@ -73,9 +73,7 @@ class HDMCoherence:
         last = (addr + max(size, 1) - 1) // LINE_BYTES
         for line_id in range(first, last + 1):
             if self._is_host_dirty(line_id):
-                done = self.link.back_invalidate_round_trip(
-                    ready, line_id * LINE_BYTES, dirty=True
-                )
+                done = self.link.back_invalidate_round_trip(ready, dirty=True)
                 self._invalidated.add(line_id)
                 self.stats.add("hdm.back_invalidations")
                 ready = done

@@ -78,15 +78,15 @@ class CXLLink:
 
     # -- back-invalidation snoops -----------------------------------------
 
-    def back_invalidate_round_trip(self, now_ns: float, addr: int,
+    def back_invalidate_round_trip(self, now_ns: float,
                                    dirty: bool) -> float:
         """Device-initiated BI snoop; dirty lines return 64 B of data."""
-        snoop = CXLPacket(PacketType.BI_SNP, addr, 0)
+        snoop = CXLPacket(PacketType.BI_SNP, 0)
         at_host = self.send_to_host(now_ns, snoop)
         if dirty:
-            response = CXLPacket(PacketType.MEM_WR, addr, 64, data=b"\0" * 64)
+            response = CXLPacket(PacketType.MEM_WR, 64, data=b"\0" * 64)
         else:
-            response = CXLPacket(PacketType.BI_RSP, addr, 0)
+            response = CXLPacket(PacketType.BI_RSP, 0)
         return self.send_to_device(at_host, response)
 
     def back_invalidate_batch(self, arrivals_ns, dirty: bool = True):
@@ -102,11 +102,11 @@ class CXLLink:
         count = arrivals_ns.size
         if count == 0:
             return arrivals_ns.copy()
-        snoop = CXLPacket(PacketType.BI_SNP, 0, 0)
+        snoop = CXLPacket(PacketType.BI_SNP, 0)
         if dirty:
-            response = CXLPacket(PacketType.MEM_WR, 0, 64, data=b"\0" * 64)
+            response = CXLPacket(PacketType.MEM_WR, 64, data=b"\0" * 64)
         else:
-            response = CXLPacket(PacketType.BI_RSP, 0, 0)
+            response = CXLPacket(PacketType.BI_RSP, 0)
         at_host = self._up.charge_batch(
             arrivals_ns, snoop.wire_bytes) + self.one_way_ns
         ready = self._down.charge_batch(

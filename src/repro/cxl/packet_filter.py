@@ -20,6 +20,9 @@ from repro.errors import ProtocolError
 #: Storage cost per filter entry: 64-bit base + 64-bit bound + 16-bit ASID.
 ENTRY_BYTES = 18
 
+#: Regions the table holds (one per registered process).
+MAX_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class FilterEntry:
@@ -44,18 +47,15 @@ class FilterEntry:
 class PacketFilter:
     """Range-match table mapping request addresses to M2func regions."""
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: dict[int, FilterEntry] = {}
 
     # ------------------------------------------------------------------
 
     def insert(self, asid: int, base: int, bound: int) -> FilterEntry:
         """Register a process's M2func region (privileged, via CXL.io)."""
-        if len(self._entries) >= self.max_entries and asid not in self._entries:
-            raise ProtocolError(
-                f"packet filter full ({self.max_entries} entries)"
-            )
+        if len(self._entries) >= MAX_ENTRIES and asid not in self._entries:
+            raise ProtocolError(f"packet filter full ({MAX_ENTRIES} entries)")
         entry = FilterEntry(asid=asid, base=base, bound=bound)
         for other in self._entries.values():
             if other.asid != asid and not (

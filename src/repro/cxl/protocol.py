@@ -35,14 +35,11 @@ HEADER_BYTES = 16
 
 @dataclass(frozen=True)
 class CXLPacket:
-    """One CXL.mem message.
-
-    ``addr`` is a host physical address (HPA).  ``data`` carries write
-    payloads / read responses.
-    """
+    """One CXL.mem message; ``data`` carries write payloads / read
+    responses.  What crosses the link is its size, so it names no
+    address."""
 
     ptype: PacketType
-    addr: int
     size: int = 64
     data: bytes | None = None
 

@@ -50,9 +50,9 @@ window overlaps, an unmapped page, a page-crossing load and the
 capacity's last partial page call the unit memory's ``load`` instead, so
 a ``TranslationFault`` still ends the replay as a clean miss.  Any change
 to a leaf drops the function (``PointFamily.insert``) and the next
-replay compiles again, taking the old text out of :mod:`linecache`;
-``print(family.source)`` shows the text.  Phase B commits the stores
-and charges timing.  Reaching a guard outcome with no recorded
+replay compiles again, taking the old text out of :mod:`linecache`,
+which holds the text under the family's file name.  Phase B commits the
+stores and charges timing.  Reaching a guard outcome with no recorded
 subtree means the live launch takes a path never walked before — the
 replay aborts cleanly and a fresh walk records it into the trie.  A
 family is dropped only when the device's translation version changes
@@ -670,7 +670,6 @@ def compile_family(family):
     run_generated(source, f"point-family:{to_unsigned64(family.code_hash):x}"
                           f":{family.leaves}", compiler.namespace)
     replay = family.replay = compiler.namespace["replay"]
-    family.source = source
     family.filename = replay.__code__.co_filename
     family.compiles += 1
     return replay

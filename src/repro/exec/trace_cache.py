@@ -231,8 +231,8 @@ class PointFamily:
     leaf change (:meth:`insert`) drops it, the next replay compiles again,
     and a remapped family or one a new path conflicts with is dropped
     whole by the cache.
-    ``print(family.source)`` shows the text; tracebacks and profiles name
-    it by the family's own ``<point-family:…>`` file name.
+    Tracebacks and profiles name the text by the family's own
+    ``<point-family:…>`` file name, under which :mod:`linecache` holds it.
     """
 
     translation_version: int
@@ -242,10 +242,9 @@ class PointFamily:
     leaves: int = 0
     #: successful replays across the family (drives latency refresh)
     replays: int = 0
-    #: compiled trie, its text and file name, and how often it was
+    #: compiled trie, its text's file name, and how often it was
     #: (re)generated
     replay: object = None
-    source: str = ""
     filename: str = ""
     compiles: int = 0
     #: bytes charged against the cache's budget (set by the cache)

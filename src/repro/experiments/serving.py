@@ -31,6 +31,10 @@ from repro.serve import (
     TenantSpec,
 )
 
+#: Requests per tenant of the traced run (``--trace``).
+TRACED_REQUESTS = 48
+
+
 #: The default mixed-tenant population (sizes are test-scale; the offered
 #: rates saturate a 2-device cluster so queueing discipline matters).
 def default_tenants(requests: int = 48) -> list[TenantSpec]:
@@ -149,8 +153,7 @@ def run_serving_autoscale(requests: int = 96,
     return result
 
 
-def run_serving_traced(prefix: str = "serving",
-                       requests: int = 48) -> tuple[str, str]:
+def run_serving_traced(prefix: str = "serving") -> tuple[str, str]:
     """One traced wfq+batching serving run on two devices; exports trace
     + manifest.
 
@@ -164,7 +167,7 @@ def run_serving_traced(prefix: str = "serving",
     try:
         platform = make_cluster_platform(num_devices=2)
         engine = ServingEngine(
-            platform, default_tenants(requests), scheduler="wfq",
+            platform, default_tenants(TRACED_REQUESTS), scheduler="wfq",
             batch=BatchPolicy(max_batch=8, max_wait_ns=2_000.0),
         )
         report = engine.run()

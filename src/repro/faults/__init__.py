@@ -15,15 +15,14 @@ from repro.faults.health import (
 )
 from repro.faults.injector import DEFAULT_HEARTBEAT_NS, FaultInjector
 from repro.faults.plan import (
-    DEFAULT_RETRY_NS,
     FAULT_KINDS,
+    RETRY_NS,
     FaultEvent,
     FaultPlan,
 )
 
 __all__ = [
     "DEFAULT_HEARTBEAT_NS",
-    "DEFAULT_RETRY_NS",
     "DEGRADED",
     "DOWN",
     "FAULT_KINDS",
@@ -32,5 +31,6 @@ __all__ = [
     "FaultPlan",
     "HEALTH_STATES",
     "HealthMonitor",
+    "RETRY_NS",
     "UP",
 ]

@@ -17,7 +17,7 @@ Event kinds, mirroring the failure modes CXL's RAS machinery exists for:
 ``link_flap``
     The device's switch port loses link for ``duration_ns``; packets
     crossing the port in the window are retried and charged
-    ``extra_ns`` each (CXL link CRC/retry, §RAS).
+    ``RETRY_NS`` each (CXL link CRC/retry, §RAS).
 ``poison``
     ``[base, base + size)`` is marked poisoned at ``at_ns``: launches
     whose pool region (or remote prefetch) touches the range fault with
@@ -91,9 +91,9 @@ LIFECYCLE = {
 #: Valid fault-event kinds.
 FAULT_KINDS = tuple(dict.fromkeys(kind for kind, _ in LIFECYCLE))
 
-#: Default extra latency charged per packet retried through a flapping
-#: link (a handful of CRC retries at link latency each).
-DEFAULT_RETRY_NS = 500.0
+#: Extra latency charged per packet retried through a flapping link (a
+#: handful of CRC retries at link latency each).
+RETRY_NS = 500.0
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ class FaultEvent:
     duration_ns: float = setting(NONNEGATIVE, 0.0)  # stall / flap window
     base: int = setting(COUNT, 0)       # poison range start
     size: int = setting(COUNT, 0)       # poison range length (bytes)
-    #: per-packet retry charge (flap)
-    extra_ns: float = setting(NONNEGATIVE, DEFAULT_RETRY_NS)
     #: Hardware partition the fault is scoped to (``device_fail`` /
     #: ``device_stall`` / ``poison`` only): the blast radius shrinks from
     #: the whole expander to that partition — its units stop answering /

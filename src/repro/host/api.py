@@ -114,8 +114,7 @@ class HDMAllocator:
     the top range lowers the cursor again.
     """
 
-    def __init__(self, spaces: list[tuple[M2NDPDevice, int]],
-                 base: int = HDM_HEAP_BASE) -> None:
+    def __init__(self, spaces: list[tuple[M2NDPDevice, int]]) -> None:
         self.spaces = list(spaces)
         #: Allocations stay below every device's DRAM-TLB region.
         self.limit = min(device.config.cxl_dram.capacity_bytes
@@ -123,7 +122,8 @@ class HDMAllocator:
                          for device, _ in self.spaces)
         #: Free ranges ``(lo, hi)``, sorted, none adjacent to the next.
         self._free: list[tuple[int, int]] = (
-            [(base, self.limit)] if base < self.limit else [])
+            [(HDM_HEAP_BASE, self.limit)] if HDM_HEAP_BASE < self.limit
+            else [])
         #: Live allocation address -> the range ``(lo, hi)`` it took.
         self._live: dict[int, tuple[int, int]] = {}
         # one functional store per distinct PhysicalMemory (a cluster's
@@ -237,9 +237,6 @@ class M2NDPRuntime:
 
     def alloc(self, size: int, align: int = 4096) -> int:
         return self.allocator.alloc(size, align)
-
-    def free(self, addr: int) -> None:
-        self.allocator.free(addr)
 
     def alloc_array(self, array: np.ndarray, align: int = 4096) -> int:
         addr = self.alloc(array.nbytes, align)

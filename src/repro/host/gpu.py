@@ -57,7 +57,6 @@ class WarpProfile:
 
     instructions: int
     mem_ops: list[tuple[int, bool]]   # (sectors touched, is_write)
-    active_lane_ratio: float = 1.0
     mlp: int = 1
 
 
@@ -96,15 +95,15 @@ class GPUMemorySystem:
         # Passive CXL memory: request over the link, DRAM on the device,
         # data back over the link.
         if is_write:
-            packet = CXLPacket(PacketType.MEM_WR, 0, size, data=b"")
+            packet = CXLPacket(PacketType.MEM_WR, size, data=b"")
             arrival = self.link.send_to_device(now_ns, packet)
             self.dram.access(self._next_addr(size), size, arrival, True)
             return now_ns + 1.0      # posted write
-        request = CXLPacket(PacketType.MEM_RD, 0, 16)
+        request = CXLPacket(PacketType.MEM_RD, 16)
         arrival = self.link.send_to_device(now_ns, request)
         data_ready = self.dram.access(self._next_addr(size), size, arrival,
                                       False)
-        response = CXLPacket(PacketType.MEM_RD_RESP, 0, size, data=b"")
+        response = CXLPacket(PacketType.MEM_RD_RESP, size, data=b"")
         # approximate wire occupancy without materializing payloads
         return self.link.send_to_host(data_ready, response)
 
@@ -356,14 +355,14 @@ def make_gpu_baseline(sim: Simulator, system: SystemConfig) -> GPUDevice:
                      launch_overhead_ns=COMPARATORS["gpu"]["launch_ns"])
 
 
-def make_gpu_ndp(sim: Simulator, system: SystemConfig, num_sms: float,
-                 freq_ghz: float | None = None) -> GPUDevice:
-    """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A);
-    ``freq_ghz`` as :func:`~repro.config.gpu_ndp_config` takes it."""
+def make_gpu_ndp(sim: Simulator, system: SystemConfig,
+                 num_sms: float) -> GPUDevice:
+    """GPU-NDP: SMs inside the CXL device on internal LPDDR5 (§IV-A),
+    configured by :func:`~repro.config.gpu_ndp_config`."""
     from repro.config import gpu_ndp_config
 
     stats = StatsRegistry()
-    config = gpu_ndp_config(num_sms, freq_ghz)
+    config = gpu_ndp_config(num_sms)
     dram = DRAMModel(system.cxl_dram, stats, "gpundp_dram")
     memsys = GPUMemorySystem(dram, link=None)
     launch = timeline(COMPARATORS["gpu_ndp"]["launch"], 0.0)

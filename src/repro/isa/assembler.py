@@ -115,7 +115,6 @@ class Program:
     """A fully assembled instruction sequence (one kernel section)."""
 
     instructions: list[Instruction]
-    labels: dict[str, int]
     usage: RegisterUsage
     name: str = "program"
 
@@ -219,7 +218,7 @@ def _assemble_section(builder: _SectionBuilder) -> Program:
             raise AssemblerError(f"undefined label {label!r}", line_no, line)
         instructions[idx].target = labels[label]
 
-    return Program(instructions=instructions, labels=labels, usage=usage,
+    return Program(instructions=instructions, usage=usage,
                    name=builder.name)
 
 

@@ -349,7 +349,7 @@ class M2NDPDevice:
 
     def host_write(self, now_ns: float, addr: int, data: bytes) -> float:
         """A host CXL.mem write arrives; returns the host-visible ack time."""
-        packet = CXLPacket(PacketType.MEM_WR, addr, len(data), data=data)
+        packet = CXLPacket(PacketType.MEM_WR, len(data), data=data)
         arrival = self.link.send_to_device(now_ns, packet)
         entry = self.packet_filter.match(addr)
         if entry is not None:
@@ -359,14 +359,14 @@ class M2NDPDevice:
             self.physical.write_bytes(addr, data)
             self.host_partition.l2_dram_access(
                 addr, len(data), arrival + DEVICE_PORT_NS, is_write=True)
-        ack = CXLPacket(PacketType.MEM_WR_ACK, addr, 0)
+        ack = CXLPacket(PacketType.MEM_WR_ACK, 0)
         return self.link.send_to_host(arrival + DEVICE_PORT_NS, ack)
 
     def host_read(self, now_ns: float, addr: int, size: int,
                   callback) -> None:
         """A host CXL.mem read; ``callback(data, host_time)`` fires when the
         response reaches the host (possibly deferred for sync launches)."""
-        packet = CXLPacket(PacketType.MEM_RD, addr, size)
+        packet = CXLPacket(PacketType.MEM_RD, size)
         arrival = self.link.send_to_device(now_ns, packet)
         entry = self.packet_filter.match(addr)
         if entry is not None:
@@ -397,7 +397,7 @@ class M2NDPDevice:
 
     def _respond(self, data: bytes, ready_ns: float, addr: int,
                  callback) -> None:
-        packet = CXLPacket(PacketType.MEM_RD_RESP, addr, len(data), data=data)
+        packet = CXLPacket(PacketType.MEM_RD_RESP, len(data), data=data)
         at_host = self.link.send_to_host(max(ready_ns, self.sim.now), packet)
         self.sim.schedule_at(at_host, partial(callback, data, at_host))
 

@@ -23,6 +23,8 @@ from repro.errors import TranslationFault
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 DRAM_TLB_ENTRY_BYTES = 16
+#: Hashed entries of the in-DRAM TLB region at the top of device memory.
+DRAM_TLB_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ class DRAMTLB:
     DRAM access / ATS latency.
     """
 
-    def __init__(self, region_entries: int = 1 << 20) -> None:
-        self.region_entries = region_entries
+    def __init__(self) -> None:
         self._entries: dict[int, tuple[int, int, Translation]] = {}
         self.hits = 0
         self.cold_misses = 0
@@ -128,11 +129,11 @@ class DRAMTLB:
 
     def _slot(self, asid: int, vpn: int) -> int:
         h = (vpn * 0x9E3779B97F4A7C15 + asid * 0x2545F4914F6CDD1D)
-        return (h ^ (h >> 23)) % self.region_entries
+        return (h ^ (h >> 23)) % DRAM_TLB_ENTRIES
 
     @property
     def region_bytes(self) -> int:
-        return self.region_entries * DRAM_TLB_ENTRY_BYTES
+        return DRAM_TLB_ENTRIES * DRAM_TLB_ENTRY_BYTES
 
     def lookup(self, asid: int, vpn: int, page_table: PageTable) -> tuple[Translation, bool]:
         """Return (translation, was_cold_miss); fill the entry if needed."""

@@ -34,8 +34,6 @@ from repro.obs.monitor import (
     Alert,
     Monitoring,
     SLOMonitor,
-    SLObjective,
-    default_objectives,
 )
 from repro.obs.recorder import EventRecord, FlightRecorder
 from repro.obs.timeline import UtilizationSampler
@@ -55,11 +53,9 @@ __all__ = [
     "HOST_PID",
     "Monitoring",
     "SLOMonitor",
-    "SLObjective",
     "Span",
     "Tracer",
     "UtilizationSampler",
-    "default_objectives",
     "enabled",
     "run_manifest",
     "set_enabled",

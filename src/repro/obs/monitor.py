@@ -1,11 +1,11 @@
 """SLO monitor: multi-window burn-rate alerting over sim-time windows.
 
-The Google-SRE alerting pattern, scaled to simulated time: each tenant
-has an :class:`SLObjective` (attainment floor + p99 ceiling), the floor
-implies an *error budget* (``1 - floor``), and the monitor watches the
-rate at which the budget is being spent over two sliding windows — a
-fast one that makes alerts prompt and a slow one that makes them
-stick — firing only when **both** exceed the burn threshold.  A short
+The Google-SRE alerting pattern, scaled to simulated time: every tenant
+has the one objective (``ATTAINMENT_FLOOR``, plus ``P99_CEILING_NS``),
+the floor implies an *error budget* (``1 - floor``), and the monitor
+watches the rate at which the budget is being spent over two sliding
+windows — a fast one that makes alerts prompt and a slow one that makes
+them stick — firing only when **both** exceed ``BURN_THRESHOLD``.  A short
 blip inside an otherwise healthy hour spends little budget and stays
 quiet; a sustained failure trips both windows within one heartbeat of
 the fast window filling.
@@ -17,9 +17,9 @@ cannot change workload results, and it never touches the wall clock, so
 the alert stream is byte-identical across identical runs.
 
 The production 5-minute/1-hour windows of the SRE book map to
-5 µs / 60 µs here (``DEFAULT_FAST_WINDOW_NS`` / ``_SLOW_WINDOW_NS``,
-the same 1:12 ratio) because the serving runs themselves span tens of
-microseconds of simulated time; both are constructor arguments.
+5 µs / 60 µs here (``FAST_WINDOW_NS`` / ``SLOW_WINDOW_NS``, the same
+1:12 ratio) because the serving runs themselves span tens of
+microseconds of simulated time.
 
 Availability alerting rides the :class:`~repro.obs.recorder.
 FlightRecorder`: every fault *detection* the injector records surfaces
@@ -39,20 +39,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import (POSITIVE, POSITIVE_OR_INF, ConfigError, Domain,
-                          check, check_fields, setting)
 from repro.faults.plan import LIFECYCLE
 from repro.obs.recorder import FlightRecorder
 from repro.sim.stats import Distribution, StatsRegistry
 
 #: Sliding-window spans (simulated ns).  The SRE fast/slow pair at the
 #: simulator's microsecond scale; ratio 1:12 like 5 min : 1 h.
-DEFAULT_FAST_WINDOW_NS = 5_000.0
-DEFAULT_SLOW_WINDOW_NS = 60_000.0
+FAST_WINDOW_NS = 5_000.0
+SLOW_WINDOW_NS = 60_000.0
 
-#: Default burn threshold: alert when the budget burns at >= 2x the
-#: sustainable rate in both windows.
-DEFAULT_BURN_THRESHOLD = 2.0
+#: The promised fraction of requests served within SLO; its complement
+#: is the error budget the burn rate is measured against.
+ATTAINMENT_FLOOR = 0.9
+
+#: Windowed p99 latency objective; infinite: attainment only, no p99
+#: alert.
+P99_CEILING_NS = math.inf
+
+#: Alert when the budget burns at >= 2x the sustainable rate in both
+#: windows.
+BURN_THRESHOLD = 2.0
 
 #: Default monitor evaluation cadence (matches the fault injector's
 #: heartbeat, so an alert lands at most one beat after a detection).
@@ -61,30 +67,6 @@ DEFAULT_MONITOR_INTERVAL_NS = 5_000.0
 #: Detection ring kind -> (alert kind, severity) for availability alerts.
 _DETECTION_ALERTS = {lifecycle.detect: (lifecycle.alert, lifecycle.severity)
                      for lifecycle in LIFECYCLE.values()}
-
-
-@dataclass(frozen=True)
-class SLObjective:
-    """Per-tenant service-level objective.
-
-    ``attainment_floor`` is the promised fraction of requests served
-    within SLO; its complement is the error budget the burn rate is
-    measured against.  ``p99_ceiling_ns`` adds a latency objective
-    (infinite by default: attainment-only).
-    """
-
-    #: A floor of 1.0 would leave no error budget to burn.
-    attainment_floor: float = setting(Domain("a number in [0, 1)", float,
-                                             lambda x: 0 <= x < 1), 0.9)
-    p99_ceiling_ns: float = setting(POSITIVE_OR_INF, math.inf)
-    burn_threshold: float = setting(POSITIVE, DEFAULT_BURN_THRESHOLD)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-
-    @property
-    def error_budget(self) -> float:
-        return 1.0 - self.attainment_floor
 
 
 @dataclass(frozen=True)
@@ -132,7 +114,7 @@ class _Window:
 
 
 class SLOMonitor:
-    """Evaluates per-tenant objectives on a sim-time heartbeat.
+    """Evaluates each tenant's objective on a sim-time heartbeat.
 
     Call :meth:`evaluate` at each beat; it closes a timeline window,
     slides the fast/slow horizons over the retained windows and returns
@@ -141,23 +123,10 @@ class SLOMonitor:
     The full history stays on :attr:`alerts` / :attr:`clears`.
     """
 
-    def __init__(self, registry: StatsRegistry,
-                 objectives: dict[str, SLObjective],
-                 recorder: FlightRecorder, *,
-                 fast_window_ns: float = DEFAULT_FAST_WINDOW_NS,
-                 slow_window_ns: float = DEFAULT_SLOW_WINDOW_NS,
-                 start_ns: float = 0.0) -> None:
-        check("SLOMonitor", "fast_window_ns", fast_window_ns, POSITIVE)
-        check("SLOMonitor", "slow_window_ns", slow_window_ns, POSITIVE)
-        if fast_window_ns > slow_window_ns:
-            raise ConfigError(
-                f"fast window ({fast_window_ns} ns) must not exceed the "
-                f"slow window ({slow_window_ns} ns)"
-            )
+    def __init__(self, registry: StatsRegistry, tenants,
+                 recorder: FlightRecorder, *, start_ns: float = 0.0) -> None:
         self.registry = registry
-        self.objectives = dict(objectives)
-        self.fast_window_ns = float(fast_window_ns)
-        self.slow_window_ns = float(slow_window_ns)
+        self.tenants = list(tenants)
         self.recorder = recorder
         self._timeline = registry.timeline("serve.", start_ns=start_ns)
         self._windows: list[_Window] = []
@@ -165,7 +134,7 @@ class SLOMonitor:
         #: starting at what the registry already holds: like the counter
         #: timeline above, the monitor sees only what lands after it.
         self._lat_seen: dict[str, int] = {
-            t: len(self._latencies(t)) for t in objectives}
+            t: len(self._latencies(t)) for t in self.tenants}
         #: Recorder sequence watermark (fault events already alerted).
         self._rec_seen = 0
         #: (kind, tenant) -> active, for transition-edge alerting.
@@ -257,7 +226,7 @@ class SLOMonitor:
         """Close a window at ``now_ns`` and return newly-fired alerts."""
         window = self._timeline.mark(now_ns)
         samples: dict[str, list[float]] = {}
-        for tenant in self.objectives:
+        for tenant in self.tenants:
             stored = self._latencies(tenant)
             seen = self._lat_seen[tenant]
             if len(stored) > seen:
@@ -265,20 +234,18 @@ class SLOMonitor:
                 self._lat_seen[tenant] = len(stored)
         self._windows.append(_Window(window.start_ns, window.end_ns,
                                      window.deltas, samples))
-        horizon_lo = now_ns - self.slow_window_ns
+        horizon_lo = now_ns - SLOW_WINDOW_NS
         while self._windows and self._windows[0].end_ns <= horizon_lo:
             self._windows.pop(0)
 
         fired: list[Alert] = []
-        for tenant, objective in self.objectives.items():
+        budget = 1.0 - ATTAINMENT_FLOOR
+        for tenant in self.tenants:
             fast = self._burn_of(
-                self._horizon_deltas(tenant, self.fast_window_ns, now_ns),
-                objective.error_budget)
+                self._horizon_deltas(tenant, FAST_WINDOW_NS, now_ns), budget)
             slow = self._burn_of(
-                self._horizon_deltas(tenant, self.slow_window_ns, now_ns),
-                objective.error_budget)
-            threshold = objective.burn_threshold
-            active = fast >= threshold and slow >= threshold
+                self._horizon_deltas(tenant, SLOW_WINDOW_NS, now_ns), budget)
+            active = fast >= BURN_THRESHOLD and slow >= BURN_THRESHOLD
             self._state[tenant] = (fast, slow, active)
             self._transition(
                 "burn_rate", tenant, active, now_ns, fired,
@@ -287,18 +254,17 @@ class SLOMonitor:
                     fast_burn=f, slow_burn=s,
                     detail=f"error budget burning at {f:.2f}x (fast) / "
                            f"{s:.2f}x (slow)"))
-            if math.isfinite(objective.p99_ceiling_ns):
+            if math.isfinite(P99_CEILING_NS):
                 window_samples = self._horizon_samples(
-                    tenant, self.fast_window_ns, now_ns)
+                    tenant, FAST_WINDOW_NS, now_ns)
                 p99 = (Distribution(window_samples).percentile(99.0)
                        if window_samples else 0.0)
                 self._transition(
-                    "p99", tenant, p99 > objective.p99_ceiling_ns,
-                    now_ns, fired,
+                    "p99", tenant, p99 > P99_CEILING_NS, now_ns, fired,
                     lambda t=tenant, v=p99: Alert(
                         "p99", now_ns, "ticket", tenant=t, value=v,
                         detail=f"windowed p99 {v:.0f} ns over ceiling "
-                               f"{objective.p99_ceiling_ns:.0f} ns"))
+                               f"{P99_CEILING_NS:.0f} ns"))
 
         for record in self.recorder.events(
                 kinds=tuple(_DETECTION_ALERTS), since_seq=self._rec_seen):
@@ -315,11 +281,6 @@ class SLOMonitor:
         return fired
 
 
-def default_objectives(tenant_names) -> dict[str, SLObjective]:
-    """One default objective per tenant (attainment-only)."""
-    return {name: SLObjective() for name in tenant_names}
-
-
 class Monitoring:
     """The monitoring stack, built, held and switched as one object.
 
@@ -327,28 +288,19 @@ class Monitoring:
     an :class:`IncidentReporter` snapshotting both, plus the hooks their
     callers use: :attr:`record` (the ring's bound ``record``, so a hot
     path pays one call), :meth:`beat`, :attr:`launch_failed` and
-    :attr:`fault_detected`.  ``objectives`` overrides the default
-    objective of the tenants it names; the monitor's first window starts
-    at the runtime's current sim time.
+    :attr:`fault_detected`.  The monitor's first window starts at the
+    runtime's current sim time.
     """
 
     def __init__(self, runtime, tenant_names,
-                 objectives: dict[str, SLObjective] | None = None,
                  incident_dir: str | None = None) -> None:
         # lazy: ``repro.obs`` imports this module, and importing the
         # renderer with the package would make ``python -m
         # repro.obs.incidents`` warn that it was already imported
         from repro.obs.incidents import IncidentReporter
 
-        slos = default_objectives(tenant_names)
-        if objectives:
-            unknown = set(objectives) - set(slos)
-            if unknown:
-                raise ConfigError(
-                    f"objectives for unknown tenants: {sorted(unknown)}")
-            slos.update(objectives)
         self.recorder = FlightRecorder()
-        self.monitor = SLOMonitor(runtime.stats, slos, self.recorder,
+        self.monitor = SLOMonitor(runtime.stats, tenant_names, self.recorder,
                                   start_ns=runtime.sim.now)
         self.reporter = IncidentReporter(runtime, self.recorder,
                                          self.monitor, out_dir=incident_dir)

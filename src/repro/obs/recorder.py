@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import AT_LEAST_ONE, check
-
 #: Ring size: 256 holds the fault -> detect -> recover neighbourhood of
 #: an incident on a small cluster without growing a long healthy run.
 RECORDER_CAPACITY = 256
@@ -64,10 +62,9 @@ class EventRecord:
 class FlightRecorder:
     """Bounded ring of :class:`EventRecord` (oldest evicted first)."""
 
-    def __init__(self, capacity: int = RECORDER_CAPACITY) -> None:
-        check("FlightRecorder", "capacity", capacity, AT_LEAST_ONE)
-        self.capacity = capacity
-        self._ring: deque[EventRecord] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.capacity = RECORDER_CAPACITY
+        self._ring: deque[EventRecord] = deque(maxlen=RECORDER_CAPACITY)
         self._seq = 0
         #: Records evicted to make room (ring was full when they aged out).
         self.dropped = 0

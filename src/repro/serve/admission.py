@@ -6,10 +6,10 @@ before it may queue.  Two independent gates:
 * **token bucket** — the tenant's contracted rate: ``rate_limit_rps``
   tokens/s refill up to a ``burst`` cap; an arrival with no token is shed
   (``rate_limit``).  A zero rate limit disables the gate.
-* **queue depth** — when the tenant already has ``max_queue_depth``
+* **queue depth** — when a tenant already has ``MAX_QUEUE_DEPTH``
   requests waiting, further arrivals are shed (``queue_full``) instead of
-  growing an unbounded backlog whose tail latency is meaningless.  Zero
-  disables the gate.
+  growing an unbounded backlog whose tail latency is meaningless.  It is
+  0, which disables the gate.
 
 Both sheds are terminal and *accounted*: together with requests that
 expire past their deadline before dispatch, every offered request ends in
@@ -28,6 +28,9 @@ from repro.errors import ConfigError
 ADMIT = "admitted"
 SHED_RATE_LIMIT = "shed_rate_limit"
 SHED_QUEUE_FULL = "shed_queue_full"
+
+#: Waiting requests at which a tenant's next arrival is shed; 0: no cap.
+MAX_QUEUE_DEPTH = 0
 
 
 @dataclass
@@ -61,18 +64,16 @@ class AdmissionController:
 
     def __init__(self) -> None:
         self._buckets: dict[str, TokenBucket] = {}
-        self._depth_caps: dict[str, int] = {}
 
     def configure(self, tenant: str, rate_limit_rps: float = 0.0,
-                  burst: float = 32.0, max_queue_depth: int = 0) -> None:
-        """Gate ``tenant``; 0 disables a gate.  The limits are a
-        :class:`~repro.serve.tenant.TenantSpec`'s, checked there."""
+                  burst: float = 32.0) -> None:
+        """Rate-limit ``tenant``; a zero rate disables the gate.  The
+        limits are a :class:`~repro.serve.tenant.TenantSpec`'s, checked
+        there."""
         if rate_limit_rps > 0:
             self._buckets[tenant] = TokenBucket(
                 rate_per_ns=rate_limit_rps * 1e-9, burst=burst
             )
-        if max_queue_depth > 0:
-            self._depth_caps[tenant] = max_queue_depth
 
     def admit(self, tenant: str, now_ns: float, queue_depth: int) -> str:
         """Verdict for one arrival: ADMIT or a shed reason.
@@ -81,8 +82,7 @@ class AdmissionController:
         a token, so the tenant's contracted rate is not burned on requests
         that could never be served.
         """
-        cap = self._depth_caps.get(tenant)
-        if cap is not None and queue_depth >= cap:
+        if MAX_QUEUE_DEPTH and queue_depth >= MAX_QUEUE_DEPTH:
             return SHED_QUEUE_FULL
         bucket = self._buckets.get(tenant)
         if bucket is not None and not bucket.try_take(now_ns):

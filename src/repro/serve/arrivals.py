@@ -18,8 +18,8 @@ Five processes cover the serving scenarios the literature measures:
     Stresses admission control and autoscaling.
 ``diurnal``
     Nonhomogeneous Poisson whose instantaneous rate follows a sinusoid
-    (``rate_rps`` mean, ``amplitude`` swing over ``period_ns``), sampled
-    by thinning — a compressed day/night load curve.
+    (``rate_rps`` mean, ``DIURNAL_AMPLITUDE`` swing over ``period_ns``),
+    sampled by thinning — a compressed day/night load curve.
 ``closed``
     Closed-loop client population: ``clients`` concurrent clients each
     issue, wait for the completion, think ``think_ns`` (exponential), and
@@ -41,11 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import (AT_LEAST_ONE, FRACTION, NONNEGATIVE, POSITIVE,
-                          ConfigError, check, check_fields, setting)
+from repro.errors import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, ConfigError,
+                          check, check_fields, setting)
 
 #: Valid arrival process names (TenantSpec / ArrivalSpec validation).
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal", "closed", "trace")
+
+#: Diurnal sinusoid swing, as a share of ``rate_rps``.
+DIURNAL_AMPLITUDE = 0.5
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -71,8 +74,7 @@ class ArrivalSpec:
     #: bursty: burst-phase rate and mean dwell per phase
     burst_rate_rps: float = setting(NONNEGATIVE, 0.0)
     dwell_ns: float = setting(POSITIVE, 100_000.0)
-    #: diurnal: sinusoid swing (share of rate_rps) and period
-    amplitude: float = setting(FRACTION, 0.5)
+    #: diurnal: sinusoid period
     period_ns: float = setting(POSITIVE, 1e6)
     #: closed loop: concurrent clients and mean think time
     clients: int = setting(AT_LEAST_ONE, 4)
@@ -173,14 +175,14 @@ class DiurnalArrivals(ArrivalProcess):
 
     def _initial(self, epoch_ns: float) -> np.ndarray:
         spec = self.spec
-        peak = spec.rate_rps * (1.0 + spec.amplitude)
+        peak = spec.rate_rps * (1.0 + DIURNAL_AMPLITUDE)
         out: list[float] = []
         t = epoch_ns
         omega = 2.0 * np.pi / spec.period_ns
         while len(out) < spec.requests:
             t += float(self.gen.exponential(1e9 / peak))
             rate = spec.rate_rps * (
-                1.0 + spec.amplitude * np.sin(omega * (t - epoch_ns))
+                1.0 + DIURNAL_AMPLITUDE * np.sin(omega * (t - epoch_ns))
             )
             if self.gen.random() * peak < rate:
                 out.append(t)

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import (AT_LEAST_ONE, FLAG, FRACTION, POSITIVE,
-                          ConfigError, check_fields, setting)
+from repro.errors import (AT_LEAST_ONE, FLAG, POSITIVE, ConfigError,
+                          check_fields, setting)
 from repro.sim.stats import IntervalSampler
+
+#: Utilization above which the set grows, and below which it shrinks.
+HIGH_WATERMARK = 0.85
+LOW_WATERMARK = 0.30
 
 
 @dataclass(frozen=True)
@@ -34,15 +38,9 @@ class AutoscalePolicy:
     enabled: bool = setting(FLAG, False)
     min_devices: int = setting(AT_LEAST_ONE, 1)
     interval_ns: float = setting(POSITIVE, 50_000.0)
-    high_watermark: float = setting(FRACTION, 0.85)
-    low_watermark: float = setting(FRACTION, 0.30)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.low_watermark >= self.high_watermark:
-            raise ConfigError(
-                "autoscaler watermarks need 0 <= low < high <= 1"
-            )
 
 
 class Autoscaler:
@@ -68,12 +66,12 @@ class Autoscaler:
         """Feed one interval's utilization; returns the new active count."""
         if not self.policy.enabled:
             return self.active
-        if (utilization > self.policy.high_watermark
+        if (utilization > HIGH_WATERMARK
                 and self.active < self.num_devices):
             self.active += 1
             self.scale_ups += 1
             self.series.record(now_ns, float(self.active))
-        elif (utilization < self.policy.low_watermark
+        elif (utilization < LOW_WATERMARK
                 and self.active > self.policy.min_devices):
             self.active -= 1
             self.scale_downs += 1

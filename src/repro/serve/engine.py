@@ -71,6 +71,10 @@ HOST_DISPATCH_NS = 150.0
 #: Default concurrent launches per active device.
 DEFAULT_INFLIGHT_PER_DEVICE = 4
 
+#: Drop queued requests already past their deadline (counted
+#: ``expired``) instead of serving them uselessly late.
+DROP_EXPIRED = False
+
 
 class _TenantState:
     """Engine-side runtime state for one tenant."""
@@ -122,7 +126,6 @@ class ServingEngine:
         starvation_ns: float = DEFAULT_STARVATION_NS,
         stats_window_ns: float | None = None,
         monitoring: bool = True,
-        objectives: dict | None = None,
         incident_dir: str | None = None,
     ) -> None:
         if not tenants:
@@ -161,7 +164,7 @@ class ServingEngine:
         for spec in tenants:
             self.admission.configure(
                 spec.name, rate_limit_rps=spec.rate_limit_rps,
-                burst=spec.burst, max_queue_depth=spec.max_queue_depth,
+                burst=spec.burst,
             )
 
         self.queue = RequestQueue()
@@ -186,8 +189,7 @@ class ServingEngine:
         self._monitor_scheduled = False
         self.monitoring: Monitoring | None = None
         if monitoring:
-            self.monitoring = Monitoring(self.runtime, names, objectives,
-                                         incident_dir)
+            self.monitoring = Monitoring(self.runtime, names, incident_dir)
         self.runtime.monitoring = self.monitoring
 
         self._seq = 0                 # global admission order
@@ -351,7 +353,7 @@ class ServingEngine:
 
     def _expire_heads(self, state: _TenantState, now: float) -> None:
         """Drop queue-head requests already past their deadline."""
-        if not state.spec.drop_expired:
+        if not DROP_EXPIRED:
             return
         tenant = state.spec.name
         while (self.queue.depth(tenant)

@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import (AT_LEAST_ONE, COUNT, FLAG, FRACTION, NONNEGATIVE,
+from repro.errors import (AT_LEAST_ONE, COUNT, FRACTION, NONNEGATIVE,
                           POSITIVE, POSITIVE_OR_INF, ConfigError, Domain,
                           check_fields, setting)
 from repro.host.api import pack_args
@@ -89,15 +89,11 @@ class TenantSpec:
     weight: float = setting(POSITIVE, 1.0)
     #: Relative SLO deadline per request; inf = no SLO.
     slo_ns: float = setting(POSITIVE_OR_INF, math.inf)
-    #: Admission limits (0 disables each gate; ``burst`` is the token
-    #: bucket's cap).
+    #: Token-bucket rate limit (0 disables the gate) and the bucket's
+    #: cap.
     rate_limit_rps: float = setting(NONNEGATIVE, 0.0)
     burst: float = setting(Domain("a finite number >= 1", float,
                                   lambda x: x >= 1), 32.0)
-    max_queue_depth: int = setting(COUNT, 0)
-    #: Requests past their deadline before dispatch are dropped (counted
-    #: ``expired``) instead of served uselessly late.
-    drop_expired: bool = setting(FLAG, False)
     #: vecadd: elements per request; olap: rows per request; kvstore:
     #: items in the tenant's table (0 = kind default).
     size: int = setting(COUNT, 0)

@@ -150,7 +150,7 @@ class StatsRegistry:
         """Snapshot of all counters whose name starts with ``prefix``."""
         return {k: v for k, v in self._counters.items() if k.startswith(prefix)}
 
-    def snapshot(self, prefix: str = "") -> dict[str, float]:
+    def snapshot(self) -> dict[str, float]:
         """Counter snapshot with **deterministically sorted** keys.
 
         Counter insertion order depends on execution interleaving, so raw
@@ -158,8 +158,7 @@ class StatsRegistry:
         benchmark JSON and run manifests serialize this view instead so
         they diff stably.
         """
-        return {key: self._counters[key] for key in sorted(self._counters)
-                if key.startswith(prefix)}
+        return {key: self._counters[key] for key in sorted(self._counters)}
 
     def timeline(self, prefix: str = "",
                  start_ns: float = 0.0) -> "Timeline":

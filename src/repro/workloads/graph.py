@@ -220,12 +220,9 @@ def gpu_spec_pagerank(data: GraphData) -> GPUKernelSpec:
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
-        mean = float(rows.mean())
         instructions = 12 + longest * 9
         mem_ops = [(8, False)] * longest + [(1, True)]
-        return WarpProfile(instructions=instructions, mem_ops=mem_ops,
-                           active_lane_ratio=mean / longest if longest else 1.0,
-                           mlp=2)
+        return WarpProfile(instructions=instructions, mem_ops=mem_ops, mlp=2)
 
     return GPUKernelSpec(
         name="pgrank.gpu",
@@ -245,12 +242,9 @@ def gpu_spec_sssp(data: GraphData) -> GPUKernelSpec:
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
-        mean = float(rows.mean())
         instructions = 10 + longest * 11
         mem_ops = [(8, False)] * longest
-        return WarpProfile(instructions=instructions, mem_ops=mem_ops,
-                           active_lane_ratio=mean / longest if longest else 1.0,
-                           mlp=2)
+        return WarpProfile(instructions=instructions, mem_ops=mem_ops, mlp=2)
 
     return GPUKernelSpec(
         name="sssp.gpu",

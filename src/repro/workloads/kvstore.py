@@ -119,7 +119,6 @@ class KVTable:
     nodes_addr: int
     spare_addr: int          # preallocated nodes for SET inserts
     spare_used: int = 0
-    node_of_item: np.ndarray | None = None
 
 
 def setup_table(runtime: M2NDPRuntime, data: KVStoreData,
@@ -142,12 +141,10 @@ def setup_table(runtime: M2NDPRuntime, data: KVStoreData,
     spare_addr = runtime.alloc(spare_nodes * NODE_BYTES, align=128, **kwargs)
 
     heads = np.zeros(data.buckets, dtype=np.uint64)
-    node_of_item = np.zeros(data.items, dtype=np.uint64)
     blob = bytearray(data.items * NODE_BYTES)
     value = bytearray(VALUE_BYTES)
     for i in range(data.items):
         addr = nodes_addr + i * NODE_BYTES
-        node_of_item[i] = addr
         base = i * NODE_BYTES
         for w in range(KEY_WORDS):
             blob[base + 8 * w:base + 8 * w + 8] = int(data.keys[i, w]).to_bytes(8, "little")
@@ -159,7 +156,7 @@ def setup_table(runtime: M2NDPRuntime, data: KVStoreData,
     device.physical.write_bytes(nodes_addr, bytes(blob))
     device.physical.store_array(buckets_addr, heads)
     return KVTable(buckets_addr=buckets_addr, nodes_addr=nodes_addr,
-                   spare_addr=spare_addr, node_of_item=node_of_item)
+                   spare_addr=spare_addr)
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,11 @@ def gpu_spec(data: SPMVData) -> GPUKernelSpec:
         if len(rows) == 0:
             return WarpProfile(instructions=4, mem_ops=[])
         longest = int(rows.max())
-        mean = float(rows.mean())
         # SIMT lockstep: every lane walks `longest` iterations
         instructions = 8 + longest * 10
         # each iteration: col idx + value (coalesced-ish) + x gather
         mem_ops = [(8, False)] * longest + [(1, True)]
-        active = mean / longest if longest else 1.0
-        return WarpProfile(instructions=instructions, mem_ops=mem_ops,
-                           active_lane_ratio=active, mlp=2)
+        return WarpProfile(instructions=instructions, mem_ops=mem_ops, mlp=2)
 
     return GPUKernelSpec(
         name="spmv.gpu",

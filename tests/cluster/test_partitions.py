@@ -70,8 +70,9 @@ class TestSpecParsing:
         pmap = platform.runtime.partitions
         assert len(pmap) == 1
         only = pmap.default
+        system = platform.device.config
         assert (only.num_units, only.channels, only.l2_sets) == (
-            pmap.total_units, pmap.total_channels, pmap.total_l2_sets)
+            pmap.total_units, system.cxl_dram.channels, system.l2.num_sets)
         device = platform.device
         assert len(device.partitions) == 1
         assert device.partitions[0].l2 is device.l2
@@ -115,8 +116,9 @@ class TestApportionment:
         spec = ",".join(f"{n}:{w}" for n, w in zip(ns, ws))
         pmap = _pmap(spec)
         assert sum(s.num_units for s in pmap.shares) == pmap.total_units
-        assert sum(s.channels for s in pmap.shares) == pmap.total_channels
-        assert sum(s.l2_sets for s in pmap.shares) == pmap.total_l2_sets
+        system = SystemConfig()
+        assert sum(s.channels for s in pmap.shares) == system.cxl_dram.channels
+        assert sum(s.l2_sets for s in pmap.shares) == system.l2.num_sets
         for share in pmap.shares:
             assert share.num_units >= 1
             assert share.channels >= 1
@@ -155,9 +157,7 @@ class TestApportionment:
         pmap = _pmap("a:1,b:1")
         with pytest.raises(ConfigError):
             PartitionMap(spec=pmap.spec, shares=pmap.shares,
-                         total_units=pmap.total_units + 1,
-                         total_channels=pmap.total_channels,
-                         total_l2_sets=pmap.total_l2_sets)
+                         total_units=pmap.total_units + 1)
 
 
 # ---------------------------------------------------------------------------

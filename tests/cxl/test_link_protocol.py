@@ -22,19 +22,19 @@ class TestPortLatency:
 
 class TestPacketWireBytes:
     def test_read_request_is_header_only(self):
-        packet = CXLPacket(PacketType.MEM_RD, 0x1000, 64)
+        packet = CXLPacket(PacketType.MEM_RD, 64)
         assert packet.wire_bytes == HEADER_BYTES
 
     def test_write_carries_payload(self):
-        packet = CXLPacket(PacketType.MEM_WR, 0x1000, 64, data=b"\0" * 64)
+        packet = CXLPacket(PacketType.MEM_WR, 64, data=b"\0" * 64)
         assert packet.wire_bytes == HEADER_BYTES + 64
 
     def test_read_response_carries_data(self):
-        packet = CXLPacket(PacketType.MEM_RD_RESP, 0, 64, data=b"\0" * 64)
+        packet = CXLPacket(PacketType.MEM_RD_RESP, 64, data=b"\0" * 64)
         assert packet.wire_bytes == HEADER_BYTES + 64
 
     def test_ack_is_small(self):
-        packet = CXLPacket(PacketType.MEM_WR_ACK, 0, 0)
+        packet = CXLPacket(PacketType.MEM_WR_ACK, 0)
         assert packet.wire_bytes == HEADER_BYTES
 
 
@@ -58,7 +58,7 @@ class TestCXLConfig:
 class TestCXLLink:
     def test_one_way_latency_applied(self):
         link = CXLLink()
-        packet = CXLPacket(PacketType.MEM_RD, 0, 64)
+        packet = CXLPacket(PacketType.MEM_RD, 64)
         arrival = link.send_to_device(0.0, packet)
         assert arrival >= link.one_way_ns
 
@@ -67,7 +67,7 @@ class TestCXLLink:
         finish = 0.0
         n, size = 200, 256
         for _ in range(n):
-            packet = CXLPacket(PacketType.MEM_WR, 0, size, data=b"\0" * size)
+            packet = CXLPacket(PacketType.MEM_WR, size, data=b"\0" * size)
             finish = link.send_to_device(0.0, packet)
         wire = HEADER_BYTES + size
         expected_min = n * wire / link.config.bw_per_dir_bytes_per_ns
@@ -75,24 +75,24 @@ class TestCXLLink:
 
     def test_directions_independent(self):
         link = CXLLink()
-        big = CXLPacket(PacketType.MEM_WR, 0, 4096, data=b"\0" * 4096)
+        big = CXLPacket(PacketType.MEM_WR, 4096, data=b"\0" * 4096)
         for _ in range(100):
             link.send_to_device(0.0, big)
         # upstream unaffected by downstream congestion
-        response = CXLPacket(PacketType.MEM_RD_RESP, 0, 64, data=b"\0" * 64)
+        response = CXLPacket(PacketType.MEM_RD_RESP, 64, data=b"\0" * 64)
         assert link.send_to_host(0.0, response) <= 40.0
 
     def test_back_invalidate_dirty_slower_than_clean(self):
         link = CXLLink()
-        clean = link.back_invalidate_round_trip(0.0, 0, dirty=False)
+        clean = link.back_invalidate_round_trip(0.0, dirty=False)
         link2 = CXLLink()
-        dirty = link2.back_invalidate_round_trip(0.0, 0, dirty=True)
+        dirty = link2.back_invalidate_round_trip(0.0, dirty=True)
         assert dirty >= clean
 
     def test_bytes_moved_accounting(self):
         link = CXLLink()
-        write = CXLPacket(PacketType.MEM_WR, 0, 64, data=b"\0" * 64)
+        write = CXLPacket(PacketType.MEM_WR, 64, data=b"\0" * 64)
         link.send_to_host(link.send_to_device(0.0, write),
-                          CXLPacket(PacketType.MEM_WR_ACK, 0, 0))
+                          CXLPacket(PacketType.MEM_WR_ACK, 0))
         moved = link.stats.get("cxl.down_bytes") + link.stats.get("cxl.up_bytes")
         assert moved == HEADER_BYTES * 2 + 64

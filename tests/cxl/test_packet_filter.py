@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cxl import packet_filter
 from repro.cxl.packet_filter import ENTRY_BYTES, FilterEntry, PacketFilter
 from repro.errors import ProtocolError
 
@@ -56,8 +57,9 @@ class TestPacketFilter:
         assert filt.match(0x40000).asid == 7
         assert filt.match(0x10000) is None
 
-    def test_capacity_enforced(self):
-        filt = PacketFilter(max_entries=2)
+    def test_capacity_enforced(self, monkeypatch):
+        monkeypatch.setattr(packet_filter, "MAX_ENTRIES", 2)
+        filt = PacketFilter()
         filt.insert(1, 0x10000, 0x11000)
         filt.insert(2, 0x20000, 0x21000)
         with pytest.raises(ProtocolError):

@@ -100,7 +100,7 @@ def test_inlined_mnemonic_matches_bind_and_issue(mnemonic):
         code = [inst] + ([Instruction("ret", OpClass.RET, spec.unit, 1),
                           Instruction("fence", OpClass.FENCE, spec.unit, 1)]
                          if branch else [])
-        program = Program(code, {}, RegisterUsage())
+        program = Program(code, RegisterUsage())
 
         regs = _regs(burst_side, a, b, memory)
         side = burst_side

@@ -417,9 +417,10 @@ def test_store_then_load_forwards_the_buffered_bytes(monkeypatch):
 
     run = _differential(scenario, monkeypatch, min_hits=lanes)
     family, = _families(run.platform)
-    assert "forward(" in family.source
+    text = "".join(linecache.getlines(family.filename))
+    assert "forward(" in text
     # the merge is emitted only behind a store on the same path
-    assert family.source.index("forward(") > family.source.index("c.append(")
+    assert text.index("forward(") > text.index("c.append(")
     got = np.frombuffer(run.bytes[0], dtype=np.int64).reshape(lanes, 4)[:, 0]
     lane = np.arange(lanes)
     stored = (lane << 33) + 77           # x2 = 32 * lane, shifted by 28
@@ -685,8 +686,8 @@ def test_a_recompile_takes_the_superseded_text_out_of_linecache():
                 runtime.launch_kernel(kid, out, out + 32,
                                       args=pack_args(words + 8 * i))
             family, = _families(platform)
-            assert "".join(linecache.getlines(family.filename)) == \
-                family.source
+            assert "".join(linecache.getlines(family.filename)).startswith(
+                "def replay(")
             return family.filename
         return launch
 
@@ -770,8 +771,8 @@ def test_generated_code_is_findable():
     names = [f.replay.__code__.co_filename for f in (first, second)]
     assert len(set(names)) == 2
     for family, name in zip((first, second), names):
-        assert "".join(linecache.getlines(name)) == family.source
-        assert family.source.startswith(
+        assert name == family.filename
+        assert "".join(linecache.getlines(name)).startswith(
             "def replay(memory, x1, x2, x3, refresh):")
 
     def broken_load(vaddr, size):
@@ -785,4 +786,5 @@ def test_generated_code_is_findable():
     text = "".join(traceback.format_exception(caught.value))
     assert names[0] in text and "v0 = u_q(load(a1, 8))[0]" in text
     # constants travel by reference: no bytes literal in the text
-    assert "b'" not in first.source and 'b"' not in first.source
+    first_text = "".join(linecache.getlines(names[0]))
+    assert "b'" not in first_text and 'b"' not in first_text

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import make_cluster_platform
 from repro.errors import LaunchError, SimulationError
+from repro.host import api
 from repro.host.api import (
     HDM_HEAP_BASE,
     M2FUNC_REGION_BYTES,
@@ -82,12 +83,13 @@ class TestAllocator:
         with pytest.raises(LaunchError, match="power of two"):
             runtime.alloc(64, align=0)
 
-    def test_heap_stops_below_the_dram_tlb_region(self, runtime):
+    def test_heap_stops_below_the_dram_tlb_region(self, runtime,
+                                                  monkeypatch):
         device = runtime.device
         limit = (device.config.cxl_dram.capacity_bytes
                  - device.dram_tlb.region_bytes)
-        allocator = HDMAllocator([(device, runtime.asid)],
-                                 base=limit - 8192)
+        monkeypatch.setattr(api, "HDM_HEAP_BASE", limit - 8192)
+        allocator = HDMAllocator([(device, runtime.asid)])
         with pytest.raises(LaunchError, match="DRAM-TLB"):
             allocator.alloc(8193)
         assert allocator.alloc(8192) == limit - 8192
@@ -169,7 +171,7 @@ class TestFree:
 
         def free(base):
             size, align, _ = live.pop(base)
-            runtime.free(base)
+            runtime.allocator.free(base)
             freed.append(base)
             assert physical.read_bytes(base, size) == bytes(size)
             return size, align
@@ -182,18 +184,19 @@ class TestFree:
                 bases = sorted(live)
                 if how == "unknown":
                     with pytest.raises(LaunchError):
-                        runtime.free(HDM_HEAP_BASE - 8 * (pick + 1))
+                        runtime.allocator.free(HDM_HEAP_BASE - 8 * (pick + 1))
                 elif how == "double":
                     gone = [base for base in freed if base not in live]
                     if gone:
                         with pytest.raises(LaunchError):
-                            runtime.free(gone[pick % len(gone)])
+                            runtime.allocator.free(gone[pick % len(gone)])
                 elif how == "interior":
                     inner = [base for base in bases if live[base][0] > 1]
                     if inner:
                         base = inner[pick % len(inner)]
                         with pytest.raises(LaunchError):
-                            runtime.free(base + 1 + pick % (live[base][0] - 1))
+                            runtime.allocator.free(
+                                base + 1 + pick % (live[base][0] - 1))
                 elif bases and how == "live":
                     free(bases[pick % len(bases)])
                 elif bases:                      # the top range
@@ -225,7 +228,7 @@ class TestFree:
         physical = platform.device.physical
         devices = _devices(platform)
         bases = [runtime.alloc(size, align=align) for size, align in requests]
-        runtime.free(bases[-1])                 # the top range comes back
+        runtime.allocator.free(bases[-1])                 # the top range comes back
         assert runtime.alloc(*requests[-1]) == bases[-1]
         for base, (size, _) in zip(bases, requests):
             physical.write_bytes(base, b"\xff" * size)
@@ -234,7 +237,7 @@ class TestFree:
         versions = [device.translation_version for device in devices]
         order.shuffle(shuffled := list(bases))
         for base in shuffled:
-            runtime.free(base)
+            runtime.allocator.free(base)
         for base, (size, _) in zip(bases, requests):
             assert physical.read_bytes(base, size) == bytes(size)
         assert [runtime.alloc(size, align=align)

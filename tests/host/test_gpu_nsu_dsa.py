@@ -97,13 +97,15 @@ class TestGPUDevice:
         # 256 regs * 4 B * 256 threads = 256 KB per TB: exactly one fits
         assert admitted == 1
 
-    def test_cxl_baseline_slower_than_internal(self):
+    def test_cxl_baseline_slower_than_internal(self, monkeypatch):
         spec = uniform_spec(total_warps=512, mem_ops=16)
         sim1 = Simulator()
         baseline = make_gpu_baseline(sim1, SystemConfig())
         base_ns = run_kernel(baseline, spec)
         sim2 = Simulator()
-        internal = make_gpu_ndp(sim2, SystemConfig(), 82, freq_ghz=1.695)
+        # the baseline's 82 SMs at its clock, moved inside the device
+        monkeypatch.setitem(COMPARATORS["gpu_ndp"], "freq_ghz", 1.695)
+        internal = make_gpu_ndp(sim2, SystemConfig(), 82)
         internal_ns = run_kernel(internal, spec)
         assert base_ns > internal_ns
 

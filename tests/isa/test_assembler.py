@@ -81,7 +81,7 @@ class TestAssemble:
             ret
         """)
         branch = prog.instructions[2]
-        assert branch.target == prog.labels["loop"] == 1
+        assert branch.target == 1          # the instruction ``loop`` labels
 
     def test_forward_reference(self):
         prog = assemble("""

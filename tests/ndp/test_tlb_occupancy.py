@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LaunchError, TranslationFault
+from repro.ndp import tlb
 from repro.ndp.occupancy import SubcoreOccupancy, UnitOccupancy
 from repro.ndp.tlb import (
     DRAM_TLB_ENTRY_BYTES,
@@ -85,13 +86,17 @@ class TestTLB:
 
 
 class TestDRAMTLB:
+    @pytest.fixture(autouse=True)
+    def small_region(self, monkeypatch):
+        monkeypatch.setattr(tlb, "DRAM_TLB_ENTRIES", 1 << 12)
+
     def test_entry_cost_is_16_bytes(self):
         assert DRAM_TLB_ENTRY_BYTES == 16
         # 0.4% overhead for 4 KB pages (paper §III-H)
         assert DRAM_TLB_ENTRY_BYTES / PAGE_SIZE == pytest.approx(0.0039, abs=1e-4)
 
     def test_cold_then_warm(self):
-        dtlb = DRAMTLB(region_entries=1 << 12)
+        dtlb = DRAMTLB()
         table = PageTable(asid=1)
         table.map_page(7, 70)
         _, cold = dtlb.lookup(1, 7, table)
@@ -100,7 +105,7 @@ class TestDRAMTLB:
         assert cold is False and translation.ppn == 70
 
     def test_warm_range(self):
-        dtlb = DRAMTLB(region_entries=1 << 12)
+        dtlb = DRAMTLB()
         table = PageTable(asid=1)
         table.map_identity(0x100000, 4 * PAGE_SIZE)
         count = dtlb.warm_range(1, 0x100000, 4 * PAGE_SIZE, table)
@@ -109,7 +114,7 @@ class TestDRAMTLB:
         assert cold is False
 
     def test_shootdown(self):
-        dtlb = DRAMTLB(region_entries=1 << 12)
+        dtlb = DRAMTLB()
         table = PageTable(asid=1)
         table.map_page(7, 70)
         dtlb.lookup(1, 7, table)

@@ -3,8 +3,6 @@ the armed fault plan, CLI rendering, and the observation-only invariant."""
 
 import json
 
-import pytest
-
 from repro.cluster import make_cluster_platform
 from repro.faults import FaultEvent, FaultPlan
 from repro.faults.injector import DEFAULT_HEARTBEAT_NS
@@ -196,14 +194,6 @@ class TestObservationOnly:
 
 
 class TestEngineKnobs:
-    def test_unknown_objective_tenant_rejected(self):
-        from repro.errors import ConfigError
-        from repro.obs.monitor import SLObjective
-        platform = make_cluster_platform(num_devices=4, backend="batched")
-        with pytest.raises(ConfigError, match="ghost"):
-            ServingEngine(platform, [_scan_tenant()], monitoring=True,
-                          objectives={"ghost": SLObjective()})
-
     def test_recorder_capacity_bounds_engine_ring(self):
         platform = make_cluster_platform(num_devices=4, backend="batched")
         platform.runtime.arm_faults(KILL_MID_TRAFFIC)

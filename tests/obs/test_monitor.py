@@ -1,4 +1,4 @@
-"""SLOMonitor: burn-rate math, transition alerting, fault alerts, knobs."""
+"""SLOMonitor: burn-rate math, transition alerting, fault alerts."""
 
 import math
 
@@ -6,32 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.obs.monitor import (
-    DEFAULT_BURN_THRESHOLD,
-    Alert,
-    SLObjective,
-    SLOMonitor,
-    default_objectives,
-)
+from repro.obs import monitor as monitor_module
+from repro.obs.monitor import ATTAINMENT_FLOOR, BURN_THRESHOLD, Alert, SLOMonitor
 from repro.obs.recorder import FlightRecorder
 from repro.sim.stats import StatsRegistry
 
 BEAT_NS = 1_000.0
 FAST_NS = 2_000.0
 SLOW_NS = 6_000.0
+BUDGET = 1.0 - ATTAINMENT_FLOOR
 
 
-def _monitor(objective=None, recorder=None, **kwargs):
+@pytest.fixture(scope="class")
+def windows():
+    """Windows of a few beats (the monitor's are 5 and 60 beats)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitor_module, "FAST_WINDOW_NS", FAST_NS)
+        patch.setattr(monitor_module, "SLOW_WINDOW_NS", SLOW_NS)
+        yield
+
+
+def _monitor(recorder=None):
     registry = StatsRegistry()
-    objectives = {"t": objective or SLObjective()}
     if recorder is None:
         recorder = FlightRecorder()
-    monitor = SLOMonitor(registry, objectives, recorder,
-                         fast_window_ns=kwargs.pop("fast", FAST_NS),
-                         slow_window_ns=kwargs.pop("slow", SLOW_NS),
-                         **kwargs)
-    return registry, monitor
+    return registry, SLOMonitor(registry, ["t"], recorder)
 
 
 def _feed(registry, served=0, failed=0, expired=0, shed=0):
@@ -62,6 +61,7 @@ def _model_burn(history, now_ns, horizon_ns, budget):
     return (bad / total) / budget
 
 
+@pytest.mark.usefixtures("windows")
 class TestBurnMath:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
@@ -71,8 +71,7 @@ class TestBurnMath:
         """The defining property: burn state matches the window model and
         the alert is active exactly when fast AND slow burns clear the
         threshold."""
-        objective = SLObjective()
-        registry, monitor = _monitor(objective)
+        registry, monitor = _monitor()
         history = []
         was_active = False
         for beat, (served, failed, expired) in enumerate(traffic, start=1):
@@ -80,13 +79,12 @@ class TestBurnMath:
             now = beat * BEAT_NS
             fired = monitor.evaluate(now)
             history.append((now, served, failed + expired))
-            fast = _model_burn(history, now, FAST_NS, objective.error_budget)
-            slow = _model_burn(history, now, SLOW_NS, objective.error_budget)
+            fast = _model_burn(history, now, FAST_NS, BUDGET)
+            slow = _model_burn(history, now, SLOW_NS, BUDGET)
             got_fast, got_slow, active = _burn_state(monitor)
             assert got_fast == pytest.approx(fast)
             assert got_slow == pytest.approx(slow)
-            expect_active = (fast >= objective.burn_threshold
-                            and slow >= objective.burn_threshold)
+            expect_active = fast >= BURN_THRESHOLD and slow >= BURN_THRESHOLD
             assert active == expect_active
             # transition-edge semantics: fires only on inactive -> active
             burn_fired = [a for a in fired if a.kind == "burn_rate"]
@@ -94,15 +92,16 @@ class TestBurnMath:
                                        and not was_active else 0)
             was_active = expect_active
 
-    def test_fast_spike_with_healthy_history_stays_quiet(self):
-        registry, monitor = _monitor(fast=BEAT_NS)
+    def test_fast_spike_with_healthy_history_stays_quiet(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "FAST_WINDOW_NS", BEAT_NS)
+        registry, monitor = _monitor()
         for beat in range(1, 6):             # healthy history fills slow
             _feed(registry, served=20)
             assert monitor.evaluate(beat * BEAT_NS) == []
         _feed(registry, served=10, failed=5)  # fast burn 3.3x, slow 0.43x
         fired = monitor.evaluate(6 * BEAT_NS)
         fast, slow, active = _burn_state(monitor)
-        assert fast >= DEFAULT_BURN_THRESHOLD > slow
+        assert fast >= BURN_THRESHOLD > slow
         assert not active and fired == []
 
     def test_sustained_failure_fires_once_then_clears(self):
@@ -132,10 +131,14 @@ class TestBurnMath:
         assert _burn_state(monitor) == (0.0, 0.0, False)
 
 
+@pytest.mark.usefixtures("windows")
 class TestP99Ceiling:
+    @pytest.fixture(autouse=True)
+    def ceiling(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "P99_CEILING_NS", 1_000.0)
+
     def test_windowed_p99_over_ceiling_pages_ticket(self):
-        objective = SLObjective(p99_ceiling_ns=1_000.0)
-        registry, monitor = _monitor(objective)
+        registry, monitor = _monitor()
         registry.observe_many("serve.t.latency_ns", [500.0] * 10)
         _feed(registry, served=10)
         assert monitor.evaluate(BEAT_NS) == []
@@ -146,9 +149,9 @@ class TestP99Ceiling:
         assert fired[0].severity == "ticket"
         assert fired[0].value > 1_000.0
 
-    def test_p99_alert_clears_when_tail_recovers(self):
-        objective = SLObjective(p99_ceiling_ns=1_000.0)
-        registry, monitor = _monitor(objective, fast=BEAT_NS)
+    def test_p99_alert_clears_when_tail_recovers(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "FAST_WINDOW_NS", BEAT_NS)
+        registry, monitor = _monitor()
         registry.observe_many("serve.t.latency_ns", [5_000.0] * 4)
         monitor.evaluate(BEAT_NS)
         registry.observe_many("serve.t.latency_ns", [100.0] * 4)
@@ -156,9 +159,10 @@ class TestP99Ceiling:
         assert ("p99", "t", 2 * BEAT_NS) in monitor.clears
 
 
+@pytest.mark.usefixtures("windows")
 class TestFaultAlerts:
     def test_detection_records_surface_as_typed_alerts(self):
-        recorder = FlightRecorder(capacity=16)
+        recorder = FlightRecorder()
         registry, monitor = _monitor(recorder=recorder)
         recorder.record("fault.detect", 700.0, device=1)
         recorder.record("fault.stall", 800.0, device=2)
@@ -172,7 +176,7 @@ class TestFaultAlerts:
         assert fired[0].at_ns == BEAT_NS
 
     def test_recorder_watermark_prevents_duplicate_alerts(self):
-        recorder = FlightRecorder(capacity=16)
+        recorder = FlightRecorder()
         registry, monitor = _monitor(recorder=recorder)
         recorder.record("fault.poison", 500.0, device=None)
         assert [a.kind for a in monitor.evaluate(BEAT_NS)] == ["poison"]
@@ -182,13 +186,14 @@ class TestFaultAlerts:
             == ["device_degraded"]
 
     def test_non_fault_records_do_not_alert(self):
-        recorder = FlightRecorder(capacity=16)
+        recorder = FlightRecorder()
         registry, monitor = _monitor(recorder=recorder)
         recorder.record("serve.launch", 100.0, tenant="t", batch=4)
         recorder.record("sched.issue", 200.0, device=0)
         assert monitor.evaluate(BEAT_NS) == []
 
 
+@pytest.mark.usefixtures("windows")
 class TestDeterminism:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
@@ -206,35 +211,6 @@ class TestDeterminism:
 
 
 class TestValidation:
-    def test_objective_floor_must_leave_budget(self):
-        with pytest.raises(ConfigError, match="attainment_floor"):
-            SLObjective(attainment_floor=1.0)
-        with pytest.raises(ConfigError, match="attainment_floor"):
-            SLObjective(attainment_floor=-0.1)
-
-    def test_objective_rejects_bad_ceiling_and_threshold(self):
-        with pytest.raises(ConfigError, match="p99_ceiling_ns"):
-            SLObjective(p99_ceiling_ns=0.0)
-        with pytest.raises(ConfigError, match="burn_threshold"):
-            SLObjective(burn_threshold=0.0)
-        with pytest.raises(ConfigError, match="burn_threshold"):
-            SLObjective(burn_threshold=math.inf)
-
-    def test_monitor_rejects_inverted_windows(self):
-        registry = StatsRegistry()
-        with pytest.raises(ConfigError, match="must not exceed"):
-            SLOMonitor(registry, {"t": SLObjective()}, FlightRecorder(),
-                       fast_window_ns=10_000.0, slow_window_ns=5_000.0)
-        with pytest.raises(ConfigError, match="positive"):
-            SLOMonitor(registry, {"t": SLObjective()}, FlightRecorder(),
-                       fast_window_ns=0.0)
-
-    def test_default_objectives_inherit_threshold(self):
-        slos = default_objectives(["a", "b"])
-        assert set(slos) == {"a", "b"}
-        assert all(o == SLObjective() for o in slos.values())
-        assert DEFAULT_BURN_THRESHOLD == SLObjective().burn_threshold == 2.0
-
     def test_alert_to_dict_shapes(self):
         burn = Alert("burn_rate", 10.0, "page", tenant="t",
                      fast_burn=3.0, slow_burn=2.5)
@@ -254,12 +230,13 @@ class TestReusedPlatform:
     """A second engine on one platform shares the registry — and the
     tenant's latency distribution — with the first."""
 
-    def _two_runs(self, ceiling_ns, incident_dir):
+    def _two_runs(self, ceiling_ns, incident_dir, monkeypatch):
         from repro.cluster import make_cluster_platform
         from repro.serve import (ArrivalSpec, BatchPolicy, ServingEngine,
                                  TenantSpec)
 
         incident_dir.mkdir()      # the slow run rightly alerts: bundles
+        monkeypatch.setattr(monitor_module, "P99_CEILING_NS", ceiling_ns)
         platform = make_cluster_platform(num_devices=1, backend="batched")
 
         def run(requests, rate_rps):
@@ -270,7 +247,6 @@ class TestReusedPlatform:
             engine = ServingEngine(
                 platform, [spec], monitoring=True, inflight_per_device=1,
                 batch=BatchPolicy(max_batch=1),
-                objectives={"t": SLObjective(p99_ceiling_ns=ceiling_ns)},
                 incident_dir=str(incident_dir))
             return engine, engine.run()
 
@@ -278,8 +254,10 @@ class TestReusedPlatform:
         engine, fast = run(8, 1e4)        # sparse: served on arrival
         return slow, engine, fast
 
-    def test_first_window_holds_only_this_runs_latencies(self, tmp_path):
-        slow, _, fast = self._two_runs(math.inf, tmp_path / "dry")
+    def test_first_window_holds_only_this_runs_latencies(self, tmp_path,
+                                                         monkeypatch):
+        slow, _, fast = self._two_runs(math.inf, tmp_path / "dry",
+                                       monkeypatch)
         slow_lat, fast_lat = slow.aggregate.samples, fast.aggregate.samples
         assert (len(slow_lat), len(fast_lat)) == (40, 8)
         # the runs are deterministic, so a ceiling picked from the dry
@@ -287,7 +265,8 @@ class TestReusedPlatform:
         ceiling = 2.0 * max(fast_lat)
         assert sorted(slow_lat)[len(slow_lat) // 2] > ceiling
 
-        _, engine, fast_again = self._two_runs(ceiling, tmp_path / "real")
+        _, engine, fast_again = self._two_runs(ceiling, tmp_path / "real",
+                                               monkeypatch)
         assert fast_again.aggregate.samples == fast_lat
         assert [a for a in engine.monitoring.monitor.alerts
                 if a.kind == "p99"] == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.serve import admission
 from repro.serve.admission import (
     ADMIT,
     SHED_QUEUE_FULL,
@@ -43,10 +44,10 @@ class TestAdmissionController:
         controller = AdmissionController()
         assert controller.admit("free", 0.0, queue_depth=10 ** 6) == ADMIT
 
-    def test_queue_depth_checked_before_tokens(self):
+    def test_queue_depth_checked_before_tokens(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_QUEUE_DEPTH", 2)
         controller = AdmissionController()
-        controller.configure("t", rate_limit_rps=1e6, burst=1.0,
-                             max_queue_depth=2)
+        controller.configure("t", rate_limit_rps=1e6, burst=1.0)
         assert controller.admit("t", 0.0, queue_depth=2) == SHED_QUEUE_FULL
         # the full-queue shed must not have burned the single token
         assert controller.admit("t", 0.0, queue_depth=0) == ADMIT

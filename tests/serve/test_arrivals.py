@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.serve import arrivals
 from repro.serve.arrivals import (
     ArrivalSpec,
     ClosedLoopArrivals,
@@ -70,15 +71,17 @@ class TestBursty:
 
 
 class TestDiurnal:
-    def test_count_and_monotone(self):
+    def test_count_and_monotone(self, monkeypatch):
+        monkeypatch.setattr(arrivals, "DIURNAL_AMPLITUDE", 0.8)
         times = _times(ArrivalSpec("diurnal", rate_rps=1e6, requests=256,
-                                   amplitude=0.8, period_ns=1e5))
+                                   period_ns=1e5))
         assert len(times) == 256
         assert np.all(np.diff(times) >= 0)
 
-    def test_peak_phase_denser_than_trough(self):
+    def test_peak_phase_denser_than_trough(self, monkeypatch):
+        monkeypatch.setattr(arrivals, "DIURNAL_AMPLITUDE", 0.9)
         spec = ArrivalSpec("diurnal", rate_rps=1e6, requests=4000,
-                           amplitude=0.9, period_ns=1e6)
+                           period_ns=1e6)
         times = _times(spec)
         phase = np.mod(times, spec.period_ns) / spec.period_ns
         peak = np.sum((phase > 0.1) & (phase < 0.4))     # sin > 0 half
@@ -138,10 +141,6 @@ class TestValidation:
     def test_burst_below_base_rate(self):
         with pytest.raises(ConfigError):
             ArrivalSpec("bursty", rate_rps=1e6, burst_rate_rps=1e5)
-
-    def test_bad_amplitude(self):
-        with pytest.raises(ConfigError):
-            ArrivalSpec("diurnal", amplitude=1.5)
 
     def test_decreasing_trace(self):
         with pytest.raises(ConfigError):

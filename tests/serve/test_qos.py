@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import make_cluster_platform
 from repro.errors import ConfigError
+from repro.serve import admission, engine
 from repro.serve import (
     ArrivalSpec,
     BatchPolicy,
@@ -357,16 +358,16 @@ class TestStarvationFreedom:
 
 
 class TestShedAccounting:
-    def test_sheds_and_expiries_sum_to_offered(self):
+    def test_sheds_and_expiries_sum_to_offered(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_QUEUE_DEPTH", 6)
+        monkeypatch.setattr(engine, "DROP_EXPIRED", True)
         platform = make_cluster_platform(num_devices=1, backend="batched")
         tenants = [
             TenantSpec("throttled", "vecadd",
                        arrivals=ArrivalSpec("poisson", rate_rps=2e7,
                                             requests=120),
                        size=1 << 10, slices=4,
-                       rate_limit_rps=2e6, burst=4,
-                       max_queue_depth=6,
-                       slo_ns=50_000.0, drop_expired=True),
+                       rate_limit_rps=2e6, burst=4, slo_ns=50_000.0),
         ]
         report = ServingEngine(platform, tenants, scheduler="wfq",
                                batch=BatchPolicy(max_batch=1),
@@ -380,12 +381,13 @@ class TestShedAccounting:
         assert t.offered - t.shed == t.served + t.expired
         assert report.correct
 
-    def test_queue_depth_shedding_triggers(self):
+    def test_queue_depth_shedding_triggers(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_QUEUE_DEPTH", 5)
         platform = make_cluster_platform(num_devices=1, backend="batched")
         tenants = [
             TenantSpec("flooded", "vecadd",
                        arrivals=ArrivalSpec("trace", times=(0.0,) * 40),
-                       size=1 << 10, slices=4, max_queue_depth=5),
+                       size=1 << 10, slices=4),
         ]
         report = ServingEngine(platform, tenants,
                                batch=BatchPolicy(max_batch=1),

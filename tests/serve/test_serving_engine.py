@@ -301,8 +301,6 @@ class TestAutoscaler:
         with pytest.raises(ConfigError):
             AutoscalePolicy(min_devices=0)
         with pytest.raises(ConfigError):
-            AutoscalePolicy(low_watermark=0.9, high_watermark=0.5)
-        with pytest.raises(ConfigError):
             Autoscaler(AutoscalePolicy(enabled=True, min_devices=8),
                        num_devices=4)
 

@@ -172,10 +172,12 @@ class TestStatsRegistry:
         assert list(snap) == ["a.hits", "m.misses", "z.bytes"]
 
     def test_snapshot_prefix_filter(self):
+        """The prefix filter is ``counters``'; the snapshot is all of them."""
         stats = StatsRegistry()
         stats.add("dram.reads", 2.0)
         stats.add("cxl.bytes", 9.0)
-        assert stats.snapshot("dram.") == {"dram.reads": 2.0}
+        assert stats.counters("dram.") == {"dram.reads": 2.0}
+        assert stats.snapshot() == {"cxl.bytes": 9.0, "dram.reads": 2.0}
 
     def test_observe_many_matches_observe_loop(self):
         loop, bulk = StatsRegistry(), StatsRegistry()

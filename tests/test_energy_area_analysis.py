@@ -49,8 +49,8 @@ class TestAreaModel:
         configs, energy_sms = [], []
         charge = EnergyModel.comparator_run
 
-        def make(sim, system, num_sms, freq_ghz=None):
-            device = make_gpu_ndp(sim, system, num_sms, freq_ghz)
+        def make(sim, system, num_sms):
+            device = make_gpu_ndp(sim, system, num_sms)
             configs.append(device.config)
             return device
 

@@ -1,5 +1,7 @@
 """tools/reach.py: which defs a consumer's run reaches, which constants,
-defaulted parameters and imports no file uses, on a toy package."""
+defaulted parameters, imports and dataclass fields no file uses, on a toy
+package; and that its static lists on ``src/repro`` hold only the rows of
+its survivor table."""
 
 import importlib.util
 import subprocess
@@ -179,3 +181,77 @@ def test_unused_imports_of_a_tree(tmp_path):
     assert reach.unused_imports(package, [package, consumer]) == [
         "mod.py:codec", "mod.py:field", "mod.py:e", "mod.py:re",
         "sub/__init__.py:f", "sub/__init__.py:dataclass"]
+
+
+FIELDS = '''\
+from dataclasses import dataclass, field, replace
+
+
+@dataclass
+class Spec:
+    name: str
+    by_position: int = 3
+    only_tests: int = 1
+    by_call: int = 2
+    by_replace: int = 4
+    by_write: float = 5.0
+    rows: list = field(default_factory=list)
+
+    def __post_init__(self):
+        assert self.only_tests >= 0
+
+
+@dataclass
+class Other:
+    idle: int = 0
+
+    def total(self, spec):
+        return spec.name + spec.by_call
+
+
+def build():
+    spec = Spec("s", 2, by_call=2)
+    spec.by_write = 6.0
+    return replace(spec, by_replace=7), Other().total(spec)
+'''
+
+
+def test_unset_fields_of_a_tree(tmp_path):
+    reach = _reach()
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "mod.py").write_text(FIELDS)
+    (package / "config.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Model:\n    width: int = 8\n")
+    (tests / "test_mod.py").write_text(
+        "from pkg.mod import Other, Spec\n"
+        "Spec('t', only_tests=0)\nOther(idle=1)\n")
+    # a field only a test sets is listed; one set by a call, by position,
+    # by replace() or by an attribute write is not; a per-instance
+    # container is state, and config.py is left to its reader tests
+    assert reach.unset_fields(package, [package]) == [
+        "mod.py:Spec.only_tests", "mod.py:Other.idle"]
+    assert reach.unset_fields(package, [package, tests]) == []
+
+
+def test_unread_fields_of_a_tree(tmp_path):
+    reach = _reach()
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(FIELDS)
+    # ``by_call`` and ``name`` are read by another class; a check in the
+    # class's own __post_init__ is no read
+    assert reach.unread_fields(package, [package]) == [
+        "mod.py:Spec.by_position", "mod.py:Spec.only_tests",
+        "mod.py:Spec.by_replace", "mod.py:Spec.by_write", "mod.py:Spec.rows",
+        "mod.py:Other.idle"]
+
+
+def test_package_lists_are_the_survivors():
+    """Every line of the static lists on ``src/repro`` has a `SURVIVORS`
+    row, and every row still names a line: an option, field or import
+    only a test uses goes, or gets a row with its reason."""
+    reach = _reach()
+    assert sorted(reach.static_lines()) == sorted(reach.SURVIVORS)

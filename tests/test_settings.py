@@ -26,8 +26,6 @@ from repro.config import (
 )
 from repro.errors import FLAG, ConfigError, Domain, check
 from repro.faults.plan import FaultEvent
-from repro.obs.monitor import SLObjective, SLOMonitor
-from repro.obs.recorder import FlightRecorder
 from repro.serve import ServingEngine, TenantSpec
 from repro.serve.arrivals import ArrivalSpec
 from repro.serve.autoscaler import AutoscalePolicy
@@ -35,7 +33,6 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.qos import QoSScheduler
 from repro.serve.resilience import RetryPolicy
 from repro.sim.clock import Clock
-from repro.sim.stats import StatsRegistry
 from repro.workloads.base import make_platform
 
 NAN, INF = math.nan, math.inf
@@ -43,18 +40,13 @@ NAN, INF = math.nan, math.inf
 SETTINGS_CLASSES = [
     DRAMTiming, DRAMConfig, CacheConfig, CXLConfig, NDPConfig, GPUConfig,
     ClusterConfig, Clock, ArrivalSpec, TenantSpec, RetryPolicy,
-    AutoscalePolicy, BatchPolicy, QoSScheduler, SLObjective, FaultEvent,
+    AutoscalePolicy, BatchPolicy, QoSScheduler, FaultEvent,
 ]
 
 
 def _engine(**kwargs):
     platform = make_cluster_platform(num_devices=1)
     return ServingEngine(platform, [TenantSpec("t", "vecadd")], **kwargs)
-
-
-def _monitor(**kwargs):
-    return SLOMonitor(StatsRegistry(), {"t": SLObjective()},
-                      FlightRecorder(), **kwargs)
 
 
 #: (build(value), the argument's name, a value outside its domain)
@@ -75,21 +67,20 @@ PROBES = [
     (lambda v: TenantSpec("t", "vecadd", burst=v), "burst", -1.0),
     (lambda v: TenantSpec("t", "vecadd", rate_limit_rps=v),
      "rate_limit_rps", NAN),
-    (lambda v: TenantSpec("t", "vecadd", max_queue_depth=v),
-     "max_queue_depth", 1.5),
+    (lambda v: TenantSpec("t", "vecadd", hedge_delay_ns=v),
+     "hedge_delay_ns", NAN),
     (lambda v: RetryPolicy(max_retries=v), "max_retries", 1.5),
     (lambda v: RetryPolicy(backoff_factor=v), "backoff_factor", NAN),
     (lambda v: RetryPolicy(jitter_ns=v), "jitter_ns", NAN),
     (lambda v: RetryPolicy(jitter_ns=v), "jitter_ns", INF),
     (lambda v: AutoscalePolicy(interval_ns=v), "interval_ns", NAN),
     (lambda v: AutoscalePolicy(min_devices=v), "min_devices", 1.5),
-    (lambda v: SLObjective(p99_ceiling_ns=v), "p99_ceiling_ns", NAN),
+    (lambda v: ArrivalSpec("diurnal", period_ns=v), "period_ns", NAN),
     (lambda v: FaultEvent("device_stall", at_ns=0.0, duration_ns=v),
      "duration_ns", NAN),
     (lambda v: FaultEvent("device_fail", at_ns=0.0, device=v), "device",
      1.5),
-    (lambda v: FaultEvent("link_flap", at_ns=0.0, duration_ns=10.0,
-                          extra_ns=v), "extra_ns", NAN),
+    (lambda v: FaultEvent("poison", at_ns=0.0, size=v), "size", 1.5),
     (lambda v: ClusterConfig(num_devices=v), "num_devices", 1.5),
     (lambda v: ClusterConfig(shard_bytes=v), "shard_bytes", NAN),
     (lambda v: CXLConfig(load_to_use_ns=v), "load_to_use_ns", NAN),
@@ -106,14 +97,13 @@ PROBES = [
     (lambda v: _engine(inflight_per_device=v), "inflight_per_device", 1.5),
     (lambda v: _engine(inflight_per_device=v), "inflight_per_device", True),
     (lambda v: _engine(starvation_ns=v), "starvation_ns", NAN),
-    (lambda v: _monitor(fast_window_ns=v), "fast_window_ns", NAN),
-    (lambda v: FlightRecorder(v), "capacity", True),
-    (lambda v: FlightRecorder(v), "capacity", 1.5),
+    (lambda v: BatchPolicy(max_wait_ns=v), "max_wait_ns", NAN),
+    (lambda v: ArrivalSpec("closed", clients=v), "clients", True),
+    (lambda v: ArrivalSpec("closed", clients=v), "clients", 1.5),
     # the serving engine configures admission from these limits alone
     (lambda v: TenantSpec("t", "vecadd", rate_limit_rps=v),
      "rate_limit_rps", -1.0),
-    (lambda v: TenantSpec("t", "vecadd", max_queue_depth=v),
-     "max_queue_depth", -1),
+    (lambda v: TenantSpec("t", "vecadd", burst=v), "burst", 0.5),
     (lambda v: gpu_ndp_config(v), "num_sms", NAN),
     (lambda v: gpu_ndp_config(v), "num_sms", INF),
     (lambda v: gpu_ndp_config(v), "num_sms", True),
@@ -158,8 +148,7 @@ def test_only_documented_fields_admit_infinity():
     infinite = {(cls.__name__, spec.name) for cls in SETTINGS_CLASSES
                 for spec in _numeric_fields(cls)
                 if spec.metadata["domain"].infinite}
-    assert infinite == {("TenantSpec", "slo_ns"),
-                        ("SLObjective", "p99_ceiling_ns")}
+    assert infinite == {("TenantSpec", "slo_ns")}
 
 
 def test_message_names_owner_domain_and_value():
@@ -176,4 +165,3 @@ def test_message_names_owner_domain_and_value():
 def test_values_are_stored_as_passed():
     assert type(BatchPolicy(max_wait_ns=100).max_wait_ns) is int
     assert TenantSpec("t", "vecadd", slo_ns=INF).slo_ns == INF
-    assert SLObjective(p99_ceiling_ns=INF).p99_ceiling_ns == INF

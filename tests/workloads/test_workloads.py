@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.host.gpu import WARP_SIZE
 from repro.host.offload import make_offload_path
 from repro.workloads import dlrm, graph, histogram, kvstore, llm, olap, spmv
 from repro.workloads.base import make_platform, scale
@@ -107,9 +108,14 @@ class TestSPMV:
     def test_gpu_divergence_from_real_rows(self):
         data = spmv.generate(TINY.nodes, TINY.avg_degree)
         spec = spmv.gpu_spec(data)
-        ratios = [spec.warp_profile(w).active_lane_ratio
-                  for w in range(min(spec.total_warps, 16))]
-        assert any(r < 1.0 for r in ratios)   # skew exists
+        lengths = data.matrix.row_lengths()
+        skewed = False
+        for w in range(min(spec.total_warps, 16)):
+            rows = lengths[w * WARP_SIZE:(w + 1) * WARP_SIZE]
+            # SIMT lockstep: every lane walks the warp's longest row
+            assert len(spec.warp_profile(w).mem_ops) == rows.max() + 1
+            skewed |= bool(rows.mean() < rows.max())
+        assert skewed                          # skew exists
 
 
 class TestGraph:

@@ -19,11 +19,17 @@ no call in those files passes, by keyword, by position or through
 path:qualname(name)`: one value in use, so a constant in all but name),
 and each name an import in `src/repro` binds that its module never reads
 and no scanned file takes from it (`unused import: path:name`; an
-`__init__.py` reads what its `__all__` lists).
+`__init__.py` reads what its `__all__` lists).  Outside `config.py` (whose
+model inputs have reader tests of their own) it prints each defaulted
+dataclass field that no call of its class, `replace()` or attribute write
+in those files sets (`unset field: path:Class.name`), and each field that
+no file reads outside its class's own `__post_init__` (`unread field:`).
+A line the `SURVIVORS` table names is printed with its reason.
 The figure suite's output is compared with the committed `FIDELITY.json`.
 Exit 1 when a consumer exits non-zero, the golden differs or a `KEEP` row
-names no def; the lists themselves and a reached `KEEP` row gate nothing.
-About 5 minutes.
+names no def; the lists themselves and a reached `KEEP` row gate nothing
+here (tests/test_reach.py holds each list to its `SURVIVORS` rows).
+About 5 minutes; `static_lines()` alone takes about 2 s.
 
     python tools/reach.py --record DIR -- (SCRIPT | -m MODULE) [ARGS...]
 runs one program under the recorder (`sys.setprofile`) and writes the
@@ -32,6 +38,7 @@ to a file in DIR.
 """
 import ast
 import filecmp
+import functools
 import os
 import re
 import runpy
@@ -46,6 +53,8 @@ HERE = Path(__file__).resolve().parents[1]
 PACKAGE = HERE / "src" / "repro"
 SCANNED = ("src", "benchmarks", "bench", "examples", "tools")
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+KINDS = ("unreferenced constant", "unpassed parameter", "unused import",
+         "unset field", "unread field")
 WORKLOADS = ("kv_get_serve", "kv_mixed_serve", "stream_warm_serve",
              "shape_churn_serve", "cluster_fanout16", "kernel_cold_sweep")
 
@@ -129,12 +138,32 @@ KEEP = {
     "ndp/device.py:M2NDPDevice.dram_tlb_timed_fetch":
         "branch: a DRAM-TLB miss",
     "obs/monitor.py:SLOMonitor._horizon_samples":
-        "branch: a p99-ceiling objective",
+        "branch: a finite P99_CEILING_NS",
     "serve/arrivals.py:DiurnalArrivals._initial":
         "branch: the diurnal ArrivalSpec kind",
-    "serve/qos.py:RequestQueue.pop": "branch: drop_expired tenants",
+    "serve/qos.py:RequestQueue.pop": "branch: DROP_EXPIRED set",
     "serve/stats.py:ServingStats.shed": "branch: admission sheds",
-    "serve/stats.py:ServingStats.expired": "branch: drop_expired tenants",
+    "serve/stats.py:ServingStats.expired": "branch: DROP_EXPIRED set",
+}
+
+# A line of the static lists -> why what it names stays.  Each list holds
+# exactly these rows (tests/test_reach.py), so an option, field or import
+# that only a test uses fails tier-1 until it goes or gets a row here.
+SURVIVORS = {
+    "unpassed parameter: faults/health.py:HealthMonitor.state(partition)":
+        "a query, not a setting: it picks the scope to read (a DOWN "
+        "device downs its partitions), as the partition-fault tests do",
+    "unread field: exec/trace_cache.py:PointFamily.compiles":
+        "the whole-text recompile count test_point_compiled.py pins "
+        "(ROADMAP H2 step 2 deletes the recompiles)",
+    "unread field: host/api.py:M2Call.ack_ns":
+        "the M2func write's ack (a call is a write, then a read); "
+        "test_api_details.py orders it before the read's completion",
+    "unread field: mem/cache.py:AccessResult.hit_sectors":
+        "part of the scalar cache result test_cache_goldens.py hashes",
+    "unread field: workloads/kvstore.py:KVTable.nodes_addr":
+        "where the table's nodes start; test_point_compiled.py reads "
+        "them back after kv launches",
 }
 
 
@@ -177,6 +206,12 @@ def calls(record_dir: Path) -> set[tuple[str, int, str]]:
     return seen
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(file: Path) -> ast.Module:
+    """``file``'s syntax tree, parsed once per run."""
+    return ast.parse(file.read_text())
+
+
 def _functions(root: Path):
     """``(file, path:Class.name, node, class name or None)`` for each
     module-level function and method under ``root``."""
@@ -189,7 +224,7 @@ def _functions(root: Path):
                 yield file, f"{key}{node.name}", node, cls
 
     for file in sorted(root.rglob("*.py")):
-        yield from visit(ast.parse(file.read_text()).body, file,
+        yield from visit(_parse(file).body, file,
                          f"{file.relative_to(root).as_posix()}:", None)
 
 
@@ -229,7 +264,7 @@ def unreferenced_constants(root: Path, trees: list[Path]) -> list[str]:
     found = {}
     for file in sorted(root.rglob("*.py")):
         module = file.relative_to(root).as_posix()
-        for node in ast.parse(file.read_text()).body:
+        for node in _parse(file).body:
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
             for name in ast.walk(node):     # the stored names are targets
@@ -253,7 +288,7 @@ def unused_imports(root: Path, trees: list[Path]) -> list[str]:
     taken = set()   # (module, name) some file takes from the module
     for tree in trees:
         for file in tree.rglob("*.py"):
-            nodes = list(ast.walk(ast.parse(file.read_text())))
+            nodes = list(ast.walk(_parse(file)))
             bound = {}
             for node in nodes:
                 if isinstance(node, ast.ImportFrom) and node.module:
@@ -270,7 +305,7 @@ def unused_imports(root: Path, trees: list[Path]) -> list[str]:
                          and node.value.id in bound)
     found = []
     for file in sorted(root.rglob("*.py")):
-        tree = ast.parse(file.read_text())
+        tree = _parse(file)
         path = file.relative_to(root.parent).with_suffix("").parts
         module = ".".join(path[:-1] if path[-1] == "__init__" else path)
         read = {node.id for node in ast.walk(tree)
@@ -300,16 +335,16 @@ def _name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def _walk(node, scope="", bases=()):
+def _walk(node, scope="", cls=None):
     """Every node under ``node`` with the name of the def it is in ("" at
-    module level) and the base names of its class."""
-    yield node, scope, bases
+    module level) and the class it is in (None outside one)."""
+    yield node, scope, cls
     if isinstance(node, ast.ClassDef):
-        bases = tuple(filter(None, map(_name, node.bases)))
+        cls = node
     elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
     for child in ast.iter_child_nodes(node):
-        yield from _walk(child, scope, bases)
+        yield from _walk(child, scope, cls)
 
 
 def _signatures(root: Path):
@@ -354,16 +389,13 @@ def _values(node, scope: str):
             yield from _values(value, scope)
 
 
-def unpassed_parameters(root: Path, trees: list[Path],
-                        exclude=frozenset()) -> list[str]:
-    """``path:qualname(name)`` of each defaulted parameter of a def under
-    ``root`` (but not of a def named in ``exclude``) that no call in a
-    file under ``trees`` passes, by keyword, by position or through
-    ``*``/``**``.  A call matches every def of its name (``super().__init__``
+def _passed(trees: list[Path], signatures) -> dict[str, set]:
+    """Call name -> what the calls of that name in a file under ``trees``
+    pass: keywords, positions, or ``"*"`` for a ``*``/``**`` call.  A call
+    matches every def of its name in ``signatures`` (``super().__init__``
     the bases' ``__init__``).  A call through a name bound to others (by
     assignment, as a loop variable or as an argument; ``table[key](...)``
     through ``table``) passes what it passes to them too."""
-    signatures = _signatures(root)
     params = defaultdict(list)
     for _, name, scope, names, _ in signatures:
         params[name].append((scope, names))
@@ -372,7 +404,7 @@ def unpassed_parameters(root: Path, trees: list[Path],
     bound = defaultdict(set)    # key -> the keys it may stand for
     for tree in trees:
         for file in sorted(tree.rglob("*.py")):
-            for node, scope, bases in _walk(ast.parse(file.read_text())):
+            for node, scope, cls in _walk(_parse(file)):
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
                         if _key(target, scope):
@@ -397,7 +429,8 @@ def unpassed_parameters(root: Path, trees: list[Path],
                 name = _name(func)
                 if name == "__init__" and isinstance(func.value, ast.Call) \
                         and _name(func.value.func) == "super":
-                    for base in bases:
+                    for base in filter(None, map(_name, cls.bases
+                                                 if cls else ())):
                         passed[base] |= got
                     continue
                 passed[name] |= got
@@ -421,12 +454,120 @@ def unpassed_parameters(root: Path, trees: list[Path],
                     if not got <= sink:
                         sink |= got
                         grown = True
+    return passed
+
+
+def _unset(passed: set, names: list[str], defaulted: list[str]):
+    """The ``defaulted`` names no call that passed ``passed`` sets."""
+    if "*" in passed:
+        return []
+    return [arg for arg in defaulted if arg not in passed
+            and not (arg in names and names.index(arg) in passed)]
+
+
+def unpassed_parameters(root: Path, trees: list[Path],
+                        exclude=frozenset()) -> list[str]:
+    """``path:qualname(name)`` of each defaulted parameter of a def under
+    ``root`` (but not of a def named in ``exclude``) that no call in a
+    file under ``trees`` passes, by keyword, by position or through
+    ``*``/``**`` (matched as `_passed` says)."""
+    signatures = _signatures(root)
+    passed = _passed(trees, signatures)
     return [f"{key}({arg})"
             for key, name, _, names, defaulted in signatures
-            if name not in exclude and "*" not in passed[name]
-            for arg in defaulted
-            if arg not in passed[name]
-            and not (arg in names and names.index(arg) in passed[name])]
+            if name not in exclude
+            for arg in _unset(passed[name], names, defaulted)]
+
+
+def _dataclasses(root: Path, skip=()):
+    """``(file, class node, field names, defaulted field names)`` of each
+    ``@dataclass`` under ``root``, but not in a module ``skip`` names.  A
+    ``field(default_factory=...)`` is not defaulted: each instance gets an
+    object of its own (state it fills, such as a list), not a value."""
+    for file in sorted(root.rglob("*.py")):
+        if file.relative_to(root).as_posix() in skip:
+            continue
+        for node in ast.walk(_parse(file)):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    _name(getattr(decorator, "func", decorator))
+                    == "dataclass" for decorator in node.decorator_list)):
+                continue
+            names, defaulted = [], []
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and \
+                        isinstance(item.target, ast.Name):
+                    names.append(item.target.id)
+                    value = item.value
+                    if value is not None and not (
+                            isinstance(value, ast.Call)
+                            and _name(value.func) == "field"
+                            and "default" not in {kw.arg for kw
+                                                  in value.keywords}):
+                        defaulted.append(item.target.id)
+            yield file, node, names, defaulted
+
+
+def unset_fields(root: Path, trees: list[Path],
+                 skip=("config.py",)) -> list[str]:
+    """``path:Class.name`` of each defaulted field of a dataclass under
+    ``root`` (not in a module ``skip`` names) that no file under ``trees``
+    sets: no call of the class passes it (as `_passed` matches calls), no
+    ``replace()`` call names it (a ``**`` one names every field), and no
+    attribute write, ``setattr`` or ``__setattr__`` of that name exists."""
+    classes = list(_dataclasses(root, skip))
+    passed = _passed(trees, [(None, node.name, "__init__", names, defaulted)
+                             for _, node, names, defaulted in classes])
+    written = set()
+    for tree in trees:
+        for file in sorted(tree.rglob("*.py")):
+            replace = {"replace"}
+            for node in ast.walk(_parse(file)):
+                if isinstance(node, ast.ImportFrom) and \
+                        node.module == "dataclasses":
+                    replace.update(alias.asname for alias in node.names
+                                   if alias.name == "replace")
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store):
+                    written.add(node.attr)
+                elif isinstance(node, ast.Call):
+                    name = _name(node.func)
+                    if name in replace:
+                        written.update(kw.arg or "*" for kw in node.keywords)
+                    elif name in ("setattr", "__setattr__") and \
+                            len(node.args) > 1 and \
+                            isinstance(node.args[1], ast.Constant):
+                        written.add(node.args[1].value)
+    return [f"{file.relative_to(root).as_posix()}:{node.name}.{arg}"
+            for file, node, names, defaulted in classes
+            if "*" not in written
+            for arg in _unset(passed[node.name], names, defaulted)
+            if arg not in written]
+
+
+def unread_fields(root: Path, trees: list[Path],
+                  skip=("config.py",)) -> list[str]:
+    """``path:Class.name`` of each field of a dataclass under ``root`` (not
+    in a module ``skip`` names) that no file under ``trees`` reads, by an
+    attribute load of that name or by ``getattr`` with it.  A read in the
+    class's own ``__post_init__`` (which checks or derives) is not one."""
+    # name -> (class node or None, def name); ``_parse`` parses a file
+    # once, so a class node here is the very node ``_dataclasses`` yields
+    readers = defaultdict(set)
+    for tree in trees:
+        for file in sorted(tree.rglob("*.py")):
+            for node, scope, cls in _walk(_parse(file)):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    readers[node.attr].add((cls, scope))
+                elif isinstance(node, ast.Call) and \
+                        _name(node.func) == "getattr" and \
+                        len(node.args) > 1 and \
+                        isinstance(node.args[1], ast.Constant):
+                    readers[node.args[1].value].add((cls, scope))
+    return [f"{file.relative_to(root).as_posix()}:{node.name}.{name}"
+            for file, node, names, _ in _dataclasses(root, skip)
+            for name in names
+            if not readers[name] - {(node, "__post_init__")}]
 
 
 def experiment_drivers(registry: Path) -> set[str]:
@@ -487,21 +628,29 @@ def main() -> int:
           f"lines of {len(found)} defs, "
           f"{sum(row[3] for row in found.values())} lines "
           f"({len(KEEP)} kept on purpose)")
-    constants = unreferenced_constants(PACKAGE, [HERE / d for d in SCANNED])
-    for key in constants:
-        print(f"unreferenced constant: {key}")
-    print(f"unreferenced constants: {len(constants)}")
-    unpassed = unpassed_parameters(
-        PACKAGE, [HERE / d for d in SCANNED],
-        experiment_drivers(PACKAGE / "experiments" / "__init__.py"))
-    for key in unpassed:
-        print(f"unpassed parameter: {key}")
-    print(f"unpassed parameters: {len(unpassed)}")
-    unused = unused_imports(PACKAGE, [HERE / d for d in SCANNED])
-    for key in unused:
-        print(f"unused import: {key}")
-    print(f"unused imports: {len(unused)}")
+    lines = static_lines()
+    for line in lines:
+        kept = f"  (kept: {SURVIVORS[line]})" if line in SURVIVORS else ""
+        print(line + kept)
+    counts = Counter(line.partition(":")[0] for line in lines)
+    for kind in KINDS:
+        print(f"{kind}s: {counts[kind]}")
+    for line in SURVIVORS.keys() - set(lines):
+        print(f"stale survivor row: {line}")
     return verdict(stale, failed)
+
+
+def static_lines() -> list[str]:
+    """Every line of the static lists of ``src/repro``, ``kind: key``."""
+    trees = [HERE / d for d in SCANNED]
+    drivers = experiment_drivers(PACKAGE / "experiments" / "__init__.py")
+    lists = (unreferenced_constants(PACKAGE, trees),
+             unpassed_parameters(PACKAGE, trees, drivers),
+             unused_imports(PACKAGE, trees),
+             unset_fields(PACKAGE, trees),
+             unread_fields(PACKAGE, trees))
+    return [f"{kind}: {key}" for kind, keys in zip(KINDS, lists)
+            for key in keys]
 
 
 def verdict(stale: dict, failed: list[str]) -> int:
