@@ -17,6 +17,11 @@ from repro.cxl.protocol import CXLPacket, PacketType
 from repro.sim.engine import BandwidthServer
 from repro.sim.stats import StatsRegistry
 
+#: Extra latency charged per packet retried through a flapping link (a
+#: handful of CRC retries at link latency each), on a device link and on
+#: its switch port alike.
+RETRY_NS = 500.0
+
 
 class CXLLink:
     """Bidirectional CXL link between one host port and one device port."""
@@ -32,9 +37,9 @@ class CXLLink:
         self.prefix = stats_prefix
         self._down = BandwidthServer(self.config.bw_per_dir_bytes_per_ns)  # host→dev
         self._up = BandwidthServer(self.config.bw_per_dir_bytes_per_ns)    # dev→host
-        #: Active flap window (until_ns, extra_ns); None for a healthy
-        #: link, keeping the per-packet paths zero-overhead.
-        self._flap: tuple[float, float] | None = None
+        #: End of the active flap window; None for a healthy link,
+        #: keeping the per-packet paths zero-overhead.
+        self._flap: float | None = None
 
     # ------------------------------------------------------------------
 
@@ -62,19 +67,18 @@ class CXLLink:
 
     # -- RAS: link flap windows (CXL CRC/retry) ----------------------------
 
-    def start_flap(self, until_ns: float, extra_ns: float) -> None:
+    def start_flap(self, until_ns: float) -> None:
         """Open a flap window: packets sent before ``until_ns`` are retried
-        and charged ``extra_ns`` each (CXL link CRC/retry)."""
-        self._flap = (until_ns, extra_ns)
+        and charged :data:`RETRY_NS` each (CXL link CRC/retry)."""
+        self._flap = until_ns
         self.stats.add(f"{self.prefix}.link_flaps")
 
     def _flap_penalty(self, now_ns: float) -> float:
-        until_ns, extra_ns = self._flap
-        if now_ns >= until_ns:
+        if now_ns >= self._flap:
             self._flap = None          # window over: lazy cleanup
             return 0.0
         self.stats.add(f"{self.prefix}.link_retries")
-        return extra_ns
+        return RETRY_NS
 
     # -- back-invalidation snoops -----------------------------------------
 

@@ -16,6 +16,7 @@ Two scaling modes from the paper:
 from __future__ import annotations
 
 from repro.config import CXLConfig
+from repro.cxl.link import RETRY_NS
 from repro.errors import ConfigError
 from repro.sim.engine import BandwidthServer
 from repro.sim.stats import StatsRegistry
@@ -42,9 +43,9 @@ class CXLSwitch:
         bw = self.config.bw_per_dir_bytes_per_ns
         self.upstream = BandwidthServer(bw)
         self.downstream = [BandwidthServer(bw) for _ in range(num_downstream)]
-        #: Active link-flap windows: port -> (until_ns, extra_ns).  Empty
+        #: Active link-flap windows: port -> until_ns.  Empty
         #: for a healthy fabric, so the transfer paths stay zero-overhead.
-        self._flaps: dict[int, tuple[float, float]] = {}
+        self._flaps: dict[int, float] = {}
 
     @property
     def num_downstream(self) -> int:
@@ -78,24 +79,23 @@ class CXLSwitch:
 
     # -- RAS: link flap windows (CXL CRC/retry) ------------------------
 
-    def start_flap(self, port: int, until_ns: float, extra_ns: float) -> None:
+    def start_flap(self, port: int, until_ns: float) -> None:
         """Open a flap window on ``port``: packets crossing it before
-        ``until_ns`` are retried and charged ``extra_ns`` each."""
+        ``until_ns`` are retried and charged :data:`RETRY_NS` each."""
         if not 0 <= port < self.num_downstream:
             raise ConfigError(f"no downstream port {port}")
-        self._flaps[port] = (until_ns, extra_ns)
+        self._flaps[port] = until_ns
         self.stats.add("switch.link_flaps")
 
     def _flap_penalty(self, now_ns: float, port: int) -> float:
-        entry = self._flaps.get(port)
-        if entry is None:
+        until_ns = self._flaps.get(port)
+        if until_ns is None:
             return 0.0
-        until_ns, extra_ns = entry
         if now_ns >= until_ns:
             del self._flaps[port]      # window over: lazy cleanup
             return 0.0
         self.stats.add("switch.link_retries")
-        return extra_ns
+        return RETRY_NS
 
     # ------------------------------------------------------------------
 

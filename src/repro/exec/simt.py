@@ -161,7 +161,9 @@ class LaunchTail:
                 instance=execution.instance.instance_id, **span_args)
 
     def occupy(self, at_ns: float, ratio: float) -> None:
-        """Record the launch's slot occupancy on every unit of the window."""
+        """Record the launch's slot occupancy on every unit of the window:
+        it adds to each unit's running integral, and is kept as a point
+        only on a unit whose step series is attached."""
         record_all([unit.occupancy.sampler for unit in self.units],
                    at_ns, ratio)
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 from repro.area import model as area
 from repro.experiments.common import ExperimentResult
 from repro.host.gpu import WARP_SIZE, make_gpu_ndp
+from repro.ndp.occupancy import OccupancySeries
 from repro.workloads import graph, histogram
 from repro.workloads.base import make_platform, scale
 
@@ -28,11 +29,13 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
     # M2NDP: run one PageRank iteration, sample per-unit occupancy.
     # Unpinned since the SIMT engine: the masked walk records per-phase
     # occupancy ratios into the same samplers the per-µthread engine
-    # feeds, so the figure runs on the default backend.
+    # feeds, so the figure runs on the default backend.  The plotted
+    # step series is kept only because it is attached before the run.
     platform = make_platform()
+    plotted = OccupancySeries(platform.device.units)
     ndp_run = graph.run_ndp_pagerank(platform, data, iterations=1)
     end = max(platform.sim.now, 1.0)
-    ndp_series = platform.device.total_active_ratio_series(0.0, end, steps)
+    ndp_series = plotted.ratio_series(0.0, end, steps)
     ndp_mean = _weighted_mean(platform, end)
 
     result = ExperimentResult(
@@ -69,10 +72,8 @@ def run_fig6a(scale_name: str = "small", steps: int = 10) -> ExperimentResult:
 
 
 def _weighted_mean(platform, end_ns: float) -> float:
-    values = [
-        unit.occupancy.sampler.time_weighted_mean(0.0, end_ns)
-        for unit in platform.device.units
-    ]
+    values = [unit.occupancy.sampler.mean(end_ns)
+              for unit in platform.device.units]
     return sum(values) / len(values)
 
 

@@ -16,7 +16,6 @@ from repro.faults.health import (
 from repro.faults.injector import DEFAULT_HEARTBEAT_NS, FaultInjector
 from repro.faults.plan import (
     FAULT_KINDS,
-    RETRY_NS,
     FaultEvent,
     FaultPlan,
 )
@@ -31,6 +30,5 @@ __all__ = [
     "FaultPlan",
     "HEALTH_STATES",
     "HealthMonitor",
-    "RETRY_NS",
     "UP",
 ]

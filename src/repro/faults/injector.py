@@ -41,7 +41,7 @@ import weakref
 
 from repro.errors import ConfigError, LaunchFailed
 from repro.faults.health import DEGRADED, DOWN, UP, HealthMonitor
-from repro.faults.plan import RETRY_NS, FaultEvent, FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import tracer as obs_tracer
 
 #: Heartbeat interval: how stale the host's view of a device may
@@ -169,9 +169,8 @@ class FaultInjector:
 
     def _on_link_flap(self, event: FaultEvent) -> None:
         until = self.runtime.sim.now + event.duration_ns
-        self.runtime.switch.start_flap(event.device, until, RETRY_NS)
-        self.runtime.devices[event.device].link.start_flap(until,
-                                                           RETRY_NS)
+        self.runtime.switch.start_flap(event.device, until)
+        self.runtime.devices[event.device].link.start_flap(until)
         self._inject(event, duration_ns=event.duration_ns)
         self._degrade(event)
 

@@ -17,7 +17,7 @@ Event kinds, mirroring the failure modes CXL's RAS machinery exists for:
 ``link_flap``
     The device's switch port loses link for ``duration_ns``; packets
     crossing the port in the window are retried and charged
-    ``RETRY_NS`` each (CXL link CRC/retry, §RAS).
+    :data:`repro.cxl.link.RETRY_NS` each (CXL link CRC/retry, §RAS).
 ``poison``
     ``[base, base + size)`` is marked poisoned at ``at_ns``: launches
     whose pool region (or remote prefetch) touches the range fault with
@@ -90,10 +90,6 @@ LIFECYCLE = {
 
 #: Valid fault-event kinds.
 FAULT_KINDS = tuple(dict.fromkeys(kind for kind, _ in LIFECYCLE))
-
-#: Extra latency charged per packet retried through a flapping link (a
-#: handful of CRC retries at link latency each).
-RETRY_NS = 500.0
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.cxl.link import CXLLink
 from repro.cxl.protocol import CXLPacket, PacketType
 from repro.host.offload import timeline
 from repro.sim.engine import IssueServer, Simulator
-from repro.sim.stats import IntervalSampler, StatsRegistry
+from repro.sim.stats import StatsRegistry, StepSeries
 
 SECTOR = 32
 #: Threads per warp of every workload's kernel: the host GPU's.
@@ -152,7 +152,7 @@ class StreamingMultiprocessor:
         self.tbs_active = 0
         self.shared_mem_used = 0
         self.regs_used = 0
-        self.sampler = IntervalSampler()
+        self.sampler = StepSeries()
 
     # -- resource accounting -------------------------------------------------
 

@@ -411,20 +411,3 @@ class M2NDPDevice:
 
     def unregister_execution(self, execution: KernelExecution) -> None:
         self.backend.unregister_execution(execution)
-
-    # ------------------------------------------------------------------
-    # introspection helpers for experiments
-    # ------------------------------------------------------------------
-
-    def total_active_ratio_series(self, start_ns: float, end_ns: float,
-                                  steps: int = 50) -> list[tuple[float, float]]:
-        """Device-wide Fig 6a series: mean of per-unit active ratios."""
-        per_unit = [
-            unit.occupancy.sampler.series(start_ns, end_ns, steps)
-            for unit in self.units
-        ]
-        out: list[tuple[float, float]] = []
-        for i in range(steps):
-            t = per_unit[0][i][0]
-            out.append((t, sum(series[i][1] for series in per_unit) / len(per_unit)))
-        return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import LaunchError
-from repro.sim.stats import IntervalSampler
+from repro.sim.stats import IntervalSampler, StepSeries
 
 
 @dataclass
@@ -78,7 +78,12 @@ class SubcoreOccupancy:
 
 
 class UnitOccupancy:
-    """Occupancy across the sub-cores of one NDP unit, with Fig 6a sampling."""
+    """Occupancy across the sub-cores of one NDP unit, with Fig 6a sampling.
+
+    :attr:`sampler` integrates the active ratio over time (Fig 6a's
+    mean); the step series behind Fig 6a's plot is kept only while an
+    :class:`OccupancySeries` is attached.
+    """
 
     def __init__(self, num_subcores: int, slots_per_subcore: int,
                  rf_bytes_per_subcore: int, spawn_granularity: int = 1) -> None:
@@ -118,3 +123,46 @@ class UnitOccupancy:
         self.subcores[allocation.subcore_index].release(
             allocation.slot_index, allocation.rf_bytes
         )
+
+
+class OccupancySeries:
+    """The per-unit active-ratio step series of some units, kept while
+    attached.
+
+    Built before the run it reads (the way a ``Monitoring`` stack is
+    attached to a runtime): it attaches a :class:`StepSeries` to each
+    unit's sampler, so from then on every point recorded on those units
+    is kept, 16 B a point, until :meth:`detach`.  Fig 6a plots it, and a
+    traced serving run's utilization windows read it.
+    """
+
+    def __init__(self, units) -> None:
+        self.units = list(units)
+        self.series: list[StepSeries] = [
+            unit.occupancy.sampler.attach_series() for unit in self.units]
+
+    def detach(self) -> None:
+        """Stop keeping points (the series read so far stay readable)."""
+        for unit in self.units:
+            unit.occupancy.sampler.series = None
+
+    def ratio_series(self, start_ns: float, end_ns: float,
+                     steps: int) -> list[tuple[float, float]]:
+        """Fig 6a's series: the units' mean active ratio at ``steps``
+        uniform instants."""
+        per_unit = [series.series(start_ns, end_ns, steps)
+                    for series in self.series]
+        out: list[tuple[float, float]] = []
+        for i in range(steps):
+            t = per_unit[0][i][0]
+            out.append((t, sum(series[i][1] for series in per_unit)
+                        / len(per_unit)))
+        return out
+
+    def window_mean(self, start_ns: float, end_ns: float) -> float:
+        """The units' mean of their time-weighted active ratio over
+        ``[start, end]`` (0 without units)."""
+        mean = 0.0
+        for series in self.series:
+            mean += series.time_weighted_mean(start_ns, end_ns)
+        return mean / max(len(self.series), 1)

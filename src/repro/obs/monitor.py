@@ -11,8 +11,8 @@ quiet; a sustained failure trips both windows within one heartbeat of
 the fast window filling.
 
 Everything is driven from :meth:`~repro.sim.stats.StatsRegistry.
-timeline` counter deltas and the per-tenant latency distributions the
-serving tier already streams — the monitor only *reads*, so enabling it
+timeline` counter deltas and the per-tenant latency stores the serving
+engine keeps — the monitor only *reads*, so enabling it
 cannot change workload results, and it never touches the wall clock, so
 the alert stream is byte-identical across identical runs.
 
@@ -123,18 +123,22 @@ class SLOMonitor:
     The full history stays on :attr:`alerts` / :attr:`clears`.
     """
 
-    def __init__(self, registry: StatsRegistry, tenants,
+    def __init__(self, registry: StatsRegistry,
+                 latencies: dict[str, Distribution],
                  recorder: FlightRecorder, *, start_ns: float = 0.0) -> None:
         self.registry = registry
-        self.tenants = list(tenants)
+        #: Each tenant's latency store, kept by whoever serves it (a
+        #: serving engine's reports), not by the registry.
+        self.latencies = latencies
+        self.tenants = list(latencies)
         self.recorder = recorder
         self._timeline = registry.timeline("serve.", start_ns=start_ns)
         self._windows: list[_Window] = []
-        #: Per-tenant watermark into the latency distribution's samples,
-        #: starting at what the registry already holds: like the counter
-        #: timeline above, the monitor sees only what lands after it.
+        #: Per-tenant watermark into the latency store, starting at what
+        #: it already holds: like the counter timeline above, the monitor
+        #: sees only what lands after it.
         self._lat_seen: dict[str, int] = {
-            t: len(self._latencies(t)) for t in self.tenants}
+            t: latencies[t].count for t in self.tenants}
         #: Recorder sequence watermark (fault events already alerted).
         self._rec_seen = 0
         #: (kind, tenant) -> active, for transition-edge alerting.
@@ -144,14 +148,6 @@ class SLOMonitor:
         self.clears: list[tuple[str, str, float]] = []
 
     # ------------------------------------------------------------------
-
-    def _latencies(self, tenant: str) -> list[float]:
-        """Every latency the registry holds for ``tenant``, oldest first."""
-        try:
-            return self.registry.distribution(
-                f"serve.{tenant}.latency_ns").samples
-        except KeyError:
-            return []                 # nothing served yet
 
     def _horizon_deltas(self, tenant: str, horizon_ns: float,
                         now_ns: float) -> dict[str, float]:
@@ -227,7 +223,7 @@ class SLOMonitor:
         window = self._timeline.mark(now_ns)
         samples: dict[str, list[float]] = {}
         for tenant in self.tenants:
-            stored = self._latencies(tenant)
+            stored = self.latencies[tenant].samples
             seen = self._lat_seen[tenant]
             if len(stored) > seen:
                 samples[tenant] = stored[seen:]
@@ -292,7 +288,7 @@ class Monitoring:
     runtime's current sim time.
     """
 
-    def __init__(self, runtime, tenant_names,
+    def __init__(self, runtime, latencies: dict[str, Distribution],
                  incident_dir: str | None = None) -> None:
         # lazy: ``repro.obs`` imports this module, and importing the
         # renderer with the package would make ``python -m
@@ -300,7 +296,7 @@ class Monitoring:
         from repro.obs.incidents import IncidentReporter
 
         self.recorder = FlightRecorder()
-        self.monitor = SLOMonitor(runtime.stats, tenant_names, self.recorder,
+        self.monitor = SLOMonitor(runtime.stats, latencies, self.recorder,
                                   start_ns=runtime.sim.now)
         self.reporter = IncidentReporter(runtime, self.recorder,
                                          self.monitor, out_dir=incident_dir)

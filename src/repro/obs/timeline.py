@@ -1,14 +1,18 @@
 """Utilization timelines: windowed resource sampling for traced runs.
 
 Builds on the existing :class:`~repro.sim.stats.Timeline` machinery (one
-counter-delta snapshot per window) plus the per-unit occupancy samplers
-the backends already feed from the bulk charge paths — recording a
-window costs one dict snapshot per device, paid only while tracing.
+counter-delta snapshot per window) plus the per-unit occupancy points
+the backends record from the bulk charge paths, which an attached
+:class:`~repro.ndp.occupancy.OccupancySeries` keeps — recording a
+window costs one dict snapshot per device, and keeping the points 16 B
+a point, both paid only while tracing.
 
 Per device and window the sampler derives:
 
 * ``subcore.occupancy`` — time-weighted mean of the units' µthread-slot
-  occupancy (the backends record it at launch start/finish);
+  occupancy (the backends record it at launch start/finish; a window
+  reads it from the points, as a launch may record a phase start past
+  the window's end);
 * ``l2.hit_rate`` — read+write hits over accesses, from the ``l2.*``
   counter deltas;
 * ``dram.busy`` — fraction of peak internal-DRAM bandwidth moved
@@ -23,6 +27,7 @@ Per device and window the sampler derives:
 
 from __future__ import annotations
 
+from repro.ndp.occupancy import OccupancySeries
 from repro.sim.stats import Timeline
 
 
@@ -30,9 +35,12 @@ class UtilizationSampler:
     """Windowed device-resource series for one platform.
 
     ``devices`` is any iterable of :class:`~repro.ndp.device.M2NDPDevice`
-    (a single-device platform passes ``[platform.device]``).  Call
-    :meth:`mark` at window boundaries — the serving engine drives it from
-    its periodic tick — then :meth:`counter_samples` / :meth:`summary`.
+    (a single-device platform passes ``[platform.device]``); build it
+    before the launches it windows, as it attaches each device's
+    :class:`~repro.ndp.occupancy.OccupancySeries` (:meth:`detach` ends
+    that).  Call :meth:`mark` at window boundaries — the serving engine
+    drives it from its periodic tick — then :meth:`counter_samples` /
+    :meth:`summary`.
     """
 
     def __init__(self, devices, start_ns: float = 0.0) -> None:
@@ -41,14 +49,16 @@ class UtilizationSampler:
             device.stats.timeline("", start_ns=start_ns)
             for device in self.devices
         ]
+        self._occupancy = [OccupancySeries(device.units)
+                           for device in self.devices]
         self._last_ns = [start_ns] * len(self.devices)
         #: (name, pid, t_ns, value) rows, in mark order.
         self.samples: list[tuple[str, int, float, float]] = []
 
     def mark(self, now_ns: float) -> None:
         """Close one window on every device and append its samples."""
-        for i, (device, timeline) in enumerate(
-                zip(self.devices, self._timelines)):
+        for i, (device, timeline, occupancy) in enumerate(
+                zip(self.devices, self._timelines, self._occupancy)):
             if now_ns <= self._last_ns[i]:
                 # zero-length (or rewound) window: nothing accumulated,
                 # and the ratio math below would divide by a zero span —
@@ -67,11 +77,7 @@ class UtilizationSampler:
             dram_bytes = deltas.get("cxl_dram.bytes", 0.0)
             link_bytes = deltas.get("cxl.up_bytes", 0.0) \
                 + deltas.get("cxl.down_bytes", 0.0)
-            occupancy = 0.0
-            for unit in device.units:
-                occupancy += unit.occupancy.sampler.time_weighted_mean(
-                    self._last_ns[i], now_ns)
-            occupancy /= max(len(device.units), 1)
+            occupancy = occupancy.window_mean(self._last_ns[i], now_ns)
 
             peak = span * device.dram.peak_bw_bytes_per_ns
             rows = (
@@ -84,6 +90,12 @@ class UtilizationSampler:
             for name, value in rows:
                 self.samples.append((name, pid, now_ns, value))
             self._last_ns[i] = now_ns
+
+    def detach(self) -> None:
+        """Stop keeping the devices' occupancy points (after the last
+        :meth:`mark`)."""
+        for occupancy in self._occupancy:
+            occupancy.detach()
 
     def counter_samples(self) -> list[tuple[str, int, float, float]]:
         """Rows for :func:`repro.obs.export.to_chrome_trace`'s counters."""

@@ -112,7 +112,8 @@ class ArrivalProcess:
     """Generates one stream's arrival timestamps (ns, absolute).
 
     Each kind implements ``_initial(epoch_ns)``: the arrival times known
-    before the run starts.
+    before the run starts, in nondecreasing order (the serving engine
+    schedules each one when the one before it fires).
     """
 
     #: Closed-loop processes return new arrivals from completion feedback.
@@ -124,7 +125,7 @@ class ArrivalProcess:
         self.generated = 0
 
     def initial(self, epoch_ns: float) -> np.ndarray:
-        """Arrival times known before the run starts."""
+        """Arrival times known before the run starts, nondecreasing."""
         times = self._initial(epoch_ns)
         self.generated += len(times)
         return times

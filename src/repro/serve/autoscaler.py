@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import (AT_LEAST_ONE, FLAG, POSITIVE, ConfigError,
                           check_fields, setting)
-from repro.sim.stats import IntervalSampler
+from repro.sim.stats import StepSeries
 
 #: Utilization above which the set grows, and below which it shrinks.
 HIGH_WATERMARK = 0.85
@@ -59,7 +59,7 @@ class Autoscaler:
         self.scale_ups = 0
         self.scale_downs = 0
         #: (time, active devices) step series for reports.
-        self.series = IntervalSampler()
+        self.series = StepSeries()
         self.series.record(0.0, float(self.active))
 
     def observe(self, now_ns: float, utilization: float) -> int:

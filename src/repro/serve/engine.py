@@ -22,9 +22,10 @@ Event flow, all in simulated time on the cluster's shared simulator:
    among its issued copies — one, unless a hedge timer enters a
    duplicate — and ends in one place (``_complete``), whether it was
    served, failed, or could not be routed at all.
-6. **Accounting** — :class:`ServingStats` streams per-tenant latency
-   distributions, SLO attainment, shed counts and windowed throughput
-   into the cluster's :class:`~repro.sim.stats.StatsRegistry`.
+6. **Accounting** — :class:`ServingStats` keeps per-tenant latency
+   distributions (the engine's own, ending with it) and streams SLO
+   attainment, shed counts and windowed throughput into the cluster's
+   :class:`~repro.sim.stats.StatsRegistry` as counters.
 7. **Give back** — once the report is built and verified, the engine
    snapshots each tenant's result region and frees every range its
    tenants allocated, so the next engine on the platform gets the same
@@ -43,6 +44,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.cluster.runtime import ClusterPlatform
 from repro.errors import (AT_LEAST_ONE, FLAG, POSITIVE, ConfigError,
@@ -90,6 +93,13 @@ class _TenantState:
         #: arrival stream, so retries replay byte-identically per seed).
         self.retry_rng = stream_rng(seed, spec.name + "#retry")
         self.issued = 0               # next request index
+        #: The arrival times known before the run (float64, in order),
+        #: the sequence number reserved for the first of them and the
+        #: next one to schedule: one of them is in the simulator's queue
+        #: at a time (:meth:`ServingEngine._schedule_arrival`).
+        self.arrival_times = np.empty(0)
+        self.first_seq = 0
+        self.next_arrival = 0
 
     @property
     def more_arrivals(self) -> bool:
@@ -189,7 +199,11 @@ class ServingEngine:
         self._monitor_scheduled = False
         self.monitoring: Monitoring | None = None
         if monitoring:
-            self.monitoring = Monitoring(self.runtime, names, incident_dir)
+            self.monitoring = Monitoring(
+                self.runtime,
+                {name: report.latencies
+                 for name, report in self.stats.reports.items()},
+                incident_dir)
         self.runtime.monitoring = self.monitoring
 
         self._seq = 0                 # global admission order
@@ -267,11 +281,10 @@ class ServingEngine:
                                             start_ns=epoch)
         self.stats.start(epoch)
         for state in self.tenants.values():
-            for when in state.process.initial(epoch):
-                self.sim.schedule_at(
-                    float(when),
-                    (lambda s=state: self._arrive(s)),
-                )
+            state.arrival_times = np.asarray(state.process.initial(epoch),
+                                             dtype=np.float64)
+            state.first_seq = self.sim.reserve(state.arrival_times.size)
+            self._schedule_arrival(state)
         self._ensure_tick()
         self.sim.run()
         report = self._finish()
@@ -280,6 +293,22 @@ class ServingEngine:
         for base in self._owned:
             self.runtime.free(base)
         return report
+
+    def _schedule_arrival(self, state: _TenantState) -> None:
+        """Put the tenant's next known arrival in the simulator's queue,
+        under its reserved sequence number: the queue holds one arrival
+        per tenant, not all of them, and ties break as before.  Only the
+        queue refers to the callback."""
+        index = state.next_arrival
+        if index < state.arrival_times.size:
+            state.next_arrival = index + 1
+            self.sim.schedule_reserved(
+                float(state.arrival_times[index]), state.first_seq + index,
+                lambda: self._known_arrival(state))
+
+    def _known_arrival(self, state: _TenantState) -> None:
+        self._schedule_arrival(state)
+        self._arrive(state)
 
     def _arrive(self, state: _TenantState) -> None:
         now = self.sim.now
@@ -671,6 +700,8 @@ class ServingEngine:
                 "serving run drained with work still queued or in flight"
             )
         self._mark_windows(now)
+        if self._util is not None:
+            self._util.detach()
         if self.monitoring is not None:
             # close the monitor's final window so tail outcomes (the
             # last completions, a detection on the run's final beat)

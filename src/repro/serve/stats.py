@@ -1,15 +1,16 @@
-"""Serving statistics: per-tenant SLO accounting into the StatsRegistry.
+"""Serving statistics: per-tenant SLO accounting.
 
 Every terminal request outcome lands in exactly one per-tenant counter
 (``serve.<tenant>.served`` / ``.shed_rate_limit`` / ``.shed_queue_full``
-/ ``.expired``), and a :class:`~repro.sim.stats.Timeline` over the
-``serve.`` prefix captures windowed throughput without hand-rolled
-interval math.  A served latency is recorded in two places: the tenant's
-registry distribution ``serve.<tenant>.latency_ns`` — the one per-tenant
-store, which the ``SLOMonitor`` reads and of which
-:attr:`TenantReport.latencies` is this run's window — and
-:attr:`ServingStats.aggregate`, the cross-tenant stream in completion
-order.  The final
+/ ``.expired``) of the platform's
+:class:`~repro.sim.stats.StatsRegistry`, and a
+:class:`~repro.sim.stats.Timeline` over the ``serve.`` prefix captures
+windowed throughput without hand-rolled interval math.  A served
+latency is kept by the engine, in two places: the tenant's
+:attr:`TenantReport.latencies`, which the engine's ``SLOMonitor`` reads
+too, and :attr:`ServingStats.aggregate`, the cross-tenant stream in
+completion order.  Both end with the engine's run: the registry, which
+outlives it, gets counters only.  The final
 :class:`ServingReport` renders the table serving papers print: p50/p95/
 p99, SLO attainment, goodput, shed counts — per tenant and aggregate.
 """
@@ -73,31 +74,13 @@ class TenantReport(_Rates):
     correct: bool = True
     first_arrival_ns: float = math.inf
     last_completion_ns: float = 0.0
-    #: Where this tenant's latencies are kept: the registry's
-    #: ``serve.<name>.latency_ns`` distribution once
-    #: :meth:`ServingStats.start` binds it (a private one for a
-    #: standalone report), and this run's window ``[_base, _end)`` of its
-    #: samples — open-ended until a ``ServingStats`` counts into it, so a
-    #: finished report stays put when a later engine on the same platform
-    #: appends to the same distribution.
-    _store: Distribution = field(default_factory=Distribution, repr=False,
-                                 compare=False)
-    _base: int = field(default=0, repr=False, compare=False)
-    _end: float = field(default=math.inf, repr=False, compare=False)
+    #: This run's latencies in completion order.
+    latencies: Distribution = field(default_factory=Distribution,
+                                    repr=False, compare=False)
 
     @property
     def served(self) -> int:
-        return min(self._store.count, self._end) - self._base
-
-    @property
-    def latencies(self) -> Distribution:
-        """This run's latencies in completion order: its window of the
-        store — the store itself while the window spans it (the one
-        engine of a platform), so nothing is copied."""
-        lo, hi = self._base, self._base + self.served
-        if (lo, hi) == (0, self._store.count):
-            return self._store
-        return Distribution(self._store.samples[lo:hi])
+        return self.latencies.count
 
     @property
     def shed(self) -> int:
@@ -164,11 +147,6 @@ class ServingStats:
         registration) advances the simulator before serving starts, and
         that dead time must not dilute the first window's rates."""
         self.timeline = self.registry.timeline("serve.", start_ns=epoch_ns)
-        for name, report in self.reports.items():
-            key = f"serve.{name}.latency_ns"
-            self.registry.observe_many(key, ())       # create if absent
-            report._store = self.registry.distribution(key)
-            report._base = report._end = report._store.count
 
     def mark_window(self, now_ns: float) -> None:
         if self.timeline is None:
@@ -227,17 +205,15 @@ class ServingStats:
                      within_slo: list[bool]) -> None:
         """Land a whole batch's completions, in list order.
 
-        A latency is kept twice: in the tenant's registry distribution
-        (which the report's ``latencies`` and the ``SLOMonitor`` both
-        read) and in :attr:`aggregate`, the one cross-tenant stream in
-        completion order.  Splitting a batch over several calls is
-        equivalent to one call.
+        A latency is kept twice: in the tenant's report (which the
+        ``SLOMonitor`` reads too) and in :attr:`aggregate`, the one
+        cross-tenant stream in completion order.  Splitting a batch over
+        several calls is equivalent to one call.
         """
         if not latencies:
             return
         report = self.reports[tenant]
-        report._store.add_many(latencies)
-        report._end = report._store.count
+        report.latencies.add_many(latencies)
         report.completion_times.extend(complete_ns_list)
         peak = max(complete_ns_list)
         report.last_completion_ns = max(report.last_completion_ns, peak)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -330,8 +331,9 @@ class _PointStore:
         #: (is_get, scattered) -> kernel id
         self.kids = {(True, False): runtime.register_kernel(
             KVS_GET, name=f"{spec.name}.get")}
-        #: (request index, value a GET must have fetched | None for a SET)
-        self._checks: list[tuple[int, int | None]] = []
+        #: The indices of the requests served, in serving order; verify
+        #: reads each one's op and value from ``data``.
+        self._served = array("q")
         # SETs overwrite existing keys: each SET's node (key + canonical
         # value) is host-prewritten once at setup, so re-planning a retry
         # or replaying a hedge writes identical bytes.
@@ -398,10 +400,7 @@ class _PointStore:
         )
 
     def note_served(self, requests: list[Request]) -> None:
-        for request in requests:
-            req = self.data.requests[request.index]
-            self._checks.append(
-                (request.index, req.value_seed if req.is_get else None))
+        self._served.extend(request.index for request in requests)
 
     def verify(self) -> bool:
         # Every slot must report status 1: "found" for a GET, which must
@@ -410,14 +409,15 @@ class _PointStore:
         # mean an order-dependent chain mutation and a broken
         # byte-identity guarantee.  Word 8 of a slot is its status, word
         # 0 the value's first word; all slots come from one read.
-        if not self._checks:
+        if not self._served:
             return True
         slots = np.frombuffer(self.result_snapshot(), "<u8").reshape(
             self.num_requests, _SLOT_BYTES // 8)
-        index, seeds = zip(*self._checks)
-        checked = slots[list(index)]
-        is_get = np.array([seed is not None for seed in seeds])
-        fetched = np.array([seed or 0 for seed in seeds], np.uint64)
+        checked = slots[np.frombuffer(self._served, np.int64)]
+        served = [self.data.requests[i] for i in self._served]
+        is_get = np.array([req.is_get for req in served])
+        fetched = np.array([req.value_seed if req.is_get else 0
+                            for req in served], np.uint64)
         return bool(((checked[:, 8] == 1)
                      & (~is_get | (checked[:, 0] == fetched))).all())
 

@@ -6,6 +6,7 @@ from repro.sim.stats import (
     Distribution,
     IntervalSampler,
     StatsRegistry,
+    StepSeries,
     geometric_mean,
 )
 
@@ -17,5 +18,6 @@ __all__ = [
     "IssueServer",
     "Simulator",
     "StatsRegistry",
+    "StepSeries",
     "geometric_mean",
 ]

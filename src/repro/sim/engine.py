@@ -212,6 +212,32 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._seq, callback))
         self._seq += 1
 
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers; returns the first.
+
+        An event later scheduled with one of them
+        (:meth:`schedule_reserved`) breaks a time tie as if it had been
+        scheduled now: a stream of known times can then keep only its
+        next event in the queue, each firing scheduling the one after,
+        and still run in the order that scheduling all of them up front
+        would give.
+        """
+        first = self._seq
+        self._seq += count
+        return first
+
+    def schedule_reserved(self, time: float, seq: int,
+                          callback: Callable[[], Any]) -> None:
+        """:meth:`schedule_at` under a sequence number from
+        :meth:`reserve` (through :meth:`schedule_at` itself, so whatever
+        wraps it sees this event too)."""
+        next_seq = self._seq
+        self._seq = seq
+        try:
+            self.schedule_at(time, callback)
+        finally:
+            self._seq = next_seq
+
     def step(self) -> bool:
         """Execute the earliest event.  Returns False when the queue is empty."""
         if not self._queue:

@@ -30,15 +30,20 @@ def geometric_mean(values: list[float]) -> float:
 class Distribution:
     """Streaming collection of scalar samples with summary accessors.
 
-    Percentile queries share one cached ``np.sort`` of the sample set
-    (invalidated on :meth:`add`) and interpolate vectorized — serving
-    reports asking for p50/p95/p99 over tens of thousands of latencies
-    pay one O(n log n) sort total, not one Python sort per quantile.
+    The samples are one float64 :mod:`array` (8 B a sample), in the
+    order added.  Percentile queries share one cached ``np.sort`` of
+    them (invalidated on :meth:`add`) and interpolate vectorized —
+    serving reports asking for p50/p95/p99 over tens of thousands of
+    latencies pay one O(n log n) sort total, not one Python sort per
+    quantile.
     """
 
-    samples: list[float] = field(default_factory=list)
+    samples: array = ()
     _ordered: np.ndarray | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.samples = array("d", self.samples)
 
     def add(self, value: float) -> None:
         self.samples.append(value)
@@ -47,13 +52,14 @@ class Distribution:
     def add_many(self, values) -> None:
         """Bulk ingestion of an array/iterable of samples.
 
-        One ``extend`` instead of a Python ``add()`` loop (the serving
-        engine lands a whole scatter batch's latencies at once); the
-        percentile sort cache is invalidated exactly as :meth:`add` does.
+        One copy of the values' bytes instead of a Python ``add()`` loop
+        (the serving engine lands a whole scatter batch's latencies at
+        once); the percentile sort cache is invalidated exactly as
+        :meth:`add` does.
         """
-        arr = np.asarray(values, dtype=np.float64).ravel()
+        arr = np.ascontiguousarray(values, dtype=np.float64).ravel()
         if arr.size:
-            self.samples.extend(arr.tolist())
+            self.samples.frombytes(arr.tobytes())
             self._ordered = None
 
     @property
@@ -72,8 +78,8 @@ class Distribution:
 
     def _sorted_samples(self) -> np.ndarray:
         if self._ordered is None or self._ordered.size != len(self.samples):
-            self._ordered = np.sort(
-                np.asarray(self.samples, dtype=np.float64))
+            # a copy: the view of the array's buffer ends with the line
+            self._ordered = np.sort(np.frombuffer(self.samples))
         return self._ordered
 
     def percentiles(self, pcts) -> list[float]:
@@ -116,35 +122,23 @@ class Distribution:
 
 
 class StatsRegistry:
-    """Hierarchical counter / distribution sink.
+    """Hierarchical counter sink.
 
     Counter names are dotted paths such as ``"dram.row_hits"`` or
     ``"cxl.tx_bytes"``; components increment them and experiments read a
-    flat snapshot.
+    flat snapshot.  It keeps counters only: a store of samples belongs to
+    whoever reads it (a serving engine keeps its tenants' latencies), so
+    a platform's registry does not grow with the requests it served.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = defaultdict(float)
-        self._distributions: dict[str, Distribution] = {}
 
     def add(self, name: str, amount: float = 1.0) -> None:
         self._counters[name] += amount
 
     def get(self, name: str, default: float = 0.0) -> float:
         return self._counters.get(name, default)
-
-    def observe_many(self, name: str, values) -> None:
-        """Add ``values`` to the distribution ``name`` (one
-        :meth:`Distribution.add_many`), creating it on first use."""
-        dist = self._distributions.get(name)
-        if dist is None:
-            dist = self._distributions[name] = Distribution()
-        dist.add_many(values)
-
-    def distribution(self, name: str) -> Distribution:
-        if name not in self._distributions:
-            raise KeyError(f"no distribution named {name!r}")
-        return self._distributions[name]
 
     def counters(self, prefix: str = "") -> dict[str, float]:
         """Snapshot of all counters whose name starts with ``prefix``."""
@@ -225,15 +219,16 @@ class Timeline:
         return window
 
 
-class IntervalSampler:
+class StepSeries:
     """Time series of (time, value) points, for Fig 6a-style plots.
 
-    The ratio of active µthread contexts over time is recorded by sampling
-    a gauge whenever it changes; :meth:`series` resamples onto a uniform
-    grid for table output.  A launch records one point on each of its
-    units (:func:`record_all`), so the points live in one float64
-    :mod:`array`, time and value in turn, that ``extend`` grows
-    geometrically: 16 B a point.
+    A gauge's points, read as a step function: :meth:`series` resamples
+    them onto a uniform grid for table output, and
+    :meth:`time_weighted_mean` averages any window.  The points live in
+    one float64 :mod:`array`, time and value in turn, that ``extend``
+    grows geometrically: 16 B a point, kept for as long as the series
+    is.  A point earlier than the last one is clamped to its time (see
+    :func:`record_all`).
     """
 
     def __init__(self) -> None:
@@ -246,7 +241,10 @@ class IntervalSampler:
         return list(zip(self._flat[0::2], self._flat[1::2]))
 
     def record(self, time_ns: float, value: float) -> None:
-        record_all((self,), time_ns, value)
+        if time_ns < self._last:
+            time_ns = self._last
+        self._last = time_ns
+        self._flat.extend((time_ns, value))
 
     def series(self, start_ns: float, end_ns: float, steps: int) -> list[tuple[float, float]]:
         """Step-function resample onto ``steps`` uniform buckets."""
@@ -289,16 +287,63 @@ class IntervalSampler:
         return area / (end_ns - start_ns)
 
 
+class IntervalSampler:
+    """A gauge's running time integral: its mean over ``[0, end]``.
+
+    The ratio of active µthread contexts of an NDP unit is recorded
+    whenever it changes (:func:`record_all`); the sampler keeps the time
+    and value of the last point and the area under the step function up
+    to it, 24 B however long it runs.  Its one reader, Fig 6a's mean,
+    reads :meth:`mean`.  A reader that needs the points themselves (Fig
+    6a's plot, a traced run's utilization windows) attaches a
+    :class:`StepSeries` as :attr:`series` before the points it reads are
+    recorded: it gets each point as clamped, for as long as it stays
+    attached.  Time starts at 0, like a simulator's clock.
+    """
+
+    __slots__ = ("_last", "_value", "_area", "series")
+
+    def __init__(self) -> None:
+        self._last = 0.0
+        self._value = 0.0
+        self._area = 0.0
+        #: The attached point store, or None: no point is kept.
+        self.series: StepSeries | None = None
+
+    def record(self, time_ns: float, value: float) -> None:
+        record_all((self,), time_ns, value)
+
+    def attach_series(self) -> StepSeries:
+        """The attached :class:`StepSeries`, attached now if none is."""
+        if self.series is None:
+            self.series = StepSeries()
+        return self.series
+
+    def mean(self, end_ns: float) -> float:
+        """Time-weighted mean over ``[0, end]``, ``end`` at or after the
+        last point.  The area is summed in the order
+        :meth:`StepSeries.time_weighted_mean` sums it from 0, so the two
+        agree to the bit."""
+        if not end_ns >= self._last or end_ns <= 0.0:
+            raise ValueError(
+                f"mean to {end_ns} ns: must be > 0 and at or after the "
+                f"last point ({self._last} ns)")
+        return (self._area + self._value * (end_ns - self._last)) / end_ns
+
+
 def record_all(samplers, time_ns: float, value: float) -> None:
     """:meth:`IntervalSampler.record` the point on each of ``samplers``.
 
     Virtual-time execution can complete work slightly out of order, so a
     point earlier than a sampler's last one is clamped to that time to
     keep its series monotonic."""
-    point = (time_ns, value)
     for sampler in samplers:
-        if time_ns < sampler._last:
-            sampler._flat.extend((sampler._last, value))
+        last = sampler._last
+        if time_ns < last:
+            at = last
         else:
-            sampler._flat.extend(point)
-            sampler._last = time_ns
+            at = sampler._last = time_ns
+        sampler._area += sampler._value * (at - last)
+        sampler._value = value
+        if sampler.series is not None:
+            sampler.series.record(at, value)

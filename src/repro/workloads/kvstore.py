@@ -41,7 +41,7 @@ def hash_key(k0: int, k1: int, k2: int, buckets: int) -> int:
     return h % buckets
 
 
-@dataclass
+@dataclass(slots=True)
 class KVRequest:
     arrival_ns: float
     is_get: bool

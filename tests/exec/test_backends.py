@@ -20,6 +20,7 @@ from repro.kernels.olap import EVAL_RANGE_I32, MASK_AND
 from repro.kernels.reduction import REDUCE_SUM_I64
 from repro.kernels.vecadd import VECADD, VECADD_F32
 from repro.ndp.device import M2NDPDevice
+from repro.ndp.occupancy import OccupancySeries
 from repro.sim.engine import Simulator
 from repro.workloads import olap
 from repro.workloads.base import make_platform
@@ -388,6 +389,7 @@ class TestConcurrentLaunches:
         # starts before a multi-phase launch's (future) phase samples.
         def run(platform):
             runtime = platform.runtime
+            kept = OccupancySeries(platform.device.units)
             n = 4096
             a = np.arange(n, dtype=np.int64)
             addr_a = runtime.alloc_array(a)
@@ -415,8 +417,7 @@ class TestConcurrentLaunches:
             assert stats.get("exec.simt_launches") == 2        # masked
             assert stats.get("exec.fallback_reason.raw") == 2  # interpreter
             assert stats.get("exec.batched_launches") == 2     # uniform
-            return [unit.occupancy.sampler.points
-                    for unit in platform.device.units]
+            return [series.points for series in kept.series]
 
         shared = run(make_platform(backend="batched"))
 
@@ -426,8 +427,8 @@ class TestConcurrentLaunches:
             nonlocal clamped
             for unit in tail.units:
                 sampler = unit.occupancy.sampler
-                clamped += bool(sampler.points
-                                and at_ns < sampler.points[-1][0])
+                clamped += bool(sampler.series.points
+                                and at_ns < sampler.series.points[-1][0])
                 sampler.record(at_ns, ratio)
 
         monkeypatch.setattr(LaunchTail, "occupy", occupy)

@@ -147,3 +147,44 @@ def test_a_reused_platform_reaches_a_steady_state():
     assert states[1][3] == [0, 0]
     assert all(state[4] >= 0.95 for state in states[1:])
     assert (traced[-1] - traced[1]) / 3 < STEADY_GROWTH_BYTES
+
+
+KV_TENANTS = [
+    TenantSpec(name, "kvstore", size=64, get_fraction=0.5,
+               arrivals=ArrivalSpec("poisson", rate_rps=2e7, requests=48))
+    for name in ("kv", "kv2")]
+
+
+def test_a_reused_kvstore_platform_keeps_nothing_per_request():
+    """What a serving pass leaves on its platform does not grow with the
+    requests it served: the units keep no occupancy point, the registry
+    keeps counters only, and the simulator's queue holds one arrival per
+    tenant at a time, not the whole stream."""
+    platform = make_cluster_platform(1)
+    sim = platform.sim
+    step = sim.step
+    engines, most_pending = [], []
+
+    def step_counting_arrivals():
+        busy = step()
+        # a new engine steps the simulator to register its kernels
+        for state in engines[-1].tenants.values() if engines else ():
+            seqs = range(state.first_seq,
+                         state.first_seq + state.arrival_times.size)
+            most_pending.append(
+                sum(seq in seqs for _t, seq, _cb in sim._queue))
+        return busy
+
+    sim.step = step_counting_arrivals
+    counters = []
+    for _ in range(2):
+        engines.append(ServingEngine(platform, KV_TENANTS))
+        report = engines[-1].run()
+        assert report.correct and report.served == report.offered == 96
+        counters.append(len(platform.stats.snapshot()))
+        units = [unit for device in platform.devices
+                 for unit in device.units]
+        assert all(unit.occupancy.sampler.series is None for unit in units)
+        assert vars(platform.runtime.stats).keys() == {"_counters"}
+    assert counters[0] == counters[1]
+    assert max(most_pending) == 1

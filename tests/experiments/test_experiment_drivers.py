@@ -49,6 +49,16 @@ class TestRegistry:
             for seed in ("0", "4242")]
         assert outputs[0] == outputs[1] and "comm_reduction_min" in outputs[0]
 
+    def test_a_driver_run_as_main_is_not_imported_first(self):
+        # the package's registry is lazy: importing every driver with the
+        # package would run ``serving`` twice (runpy's RuntimeWarning)
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.serving", "--help"],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(ROOT / "src")})
+        assert run.returncode == 0, run.stderr
+
 
 class TestExperimentResult:
     def test_scorecard_tolerance_boundary(self, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.obs import monitor as monitor_module
 from repro.obs.monitor import ATTAINMENT_FLOOR, BURN_THRESHOLD, Alert, SLOMonitor
 from repro.obs.recorder import FlightRecorder
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Distribution, StatsRegistry
 
 BEAT_NS = 1_000.0
 FAST_NS = 2_000.0
@@ -30,7 +30,7 @@ def _monitor(recorder=None):
     registry = StatsRegistry()
     if recorder is None:
         recorder = FlightRecorder()
-    return registry, SLOMonitor(registry, ["t"], recorder)
+    return registry, SLOMonitor(registry, {"t": Distribution()}, recorder)
 
 
 def _feed(registry, served=0, failed=0, expired=0, shed=0):
@@ -139,10 +139,10 @@ class TestP99Ceiling:
 
     def test_windowed_p99_over_ceiling_pages_ticket(self):
         registry, monitor = _monitor()
-        registry.observe_many("serve.t.latency_ns", [500.0] * 10)
+        monitor.latencies["t"].add_many([500.0] * 10)
         _feed(registry, served=10)
         assert monitor.evaluate(BEAT_NS) == []
-        registry.observe_many("serve.t.latency_ns", [5_000.0] * 10)
+        monitor.latencies["t"].add_many([5_000.0] * 10)
         _feed(registry, served=10)
         fired = monitor.evaluate(2 * BEAT_NS)
         assert [a.kind for a in fired] == ["p99"]
@@ -152,9 +152,9 @@ class TestP99Ceiling:
     def test_p99_alert_clears_when_tail_recovers(self, monkeypatch):
         monkeypatch.setattr(monitor_module, "FAST_WINDOW_NS", BEAT_NS)
         registry, monitor = _monitor()
-        registry.observe_many("serve.t.latency_ns", [5_000.0] * 4)
+        monitor.latencies["t"].add_many([5_000.0] * 4)
         monitor.evaluate(BEAT_NS)
-        registry.observe_many("serve.t.latency_ns", [100.0] * 4)
+        monitor.latencies["t"].add_many([100.0] * 4)
         monitor.evaluate(2 * BEAT_NS)
         assert ("p99", "t", 2 * BEAT_NS) in monitor.clears
 
@@ -227,8 +227,9 @@ class TestValidation:
 
 
 class TestReusedPlatform:
-    """A second engine on one platform shares the registry — and the
-    tenant's latency distribution — with the first."""
+    """A second engine on one platform shares the registry with the
+    first, but not the tenant's latency store: each engine keeps its
+    own."""
 
     def _two_runs(self, ceiling_ns, incident_dir, monkeypatch):
         from repro.cluster import make_cluster_platform

@@ -12,7 +12,7 @@ from repro.workloads.base import make_platform
 
 
 def _full_scan_mean(points, start_ns: float, end_ns: float) -> float:
-    """``IntervalSampler.time_weighted_mean`` as a scan from point 0."""
+    """``StepSeries.time_weighted_mean`` as a scan from point 0."""
     area, current, prev_t = 0.0, 0.0, start_ns
     for t, v in points:
         if t < start_ns:
@@ -62,6 +62,6 @@ def test_window_occupancy_equals_the_full_scan():
     for start, end, got in zip(marks, marks[1:], occupancy):
         expected = 0.0
         for unit in device.units:
-            expected += _full_scan_mean(unit.occupancy.sampler.points,
-                                        start, end)
+            expected += _full_scan_mean(
+                unit.occupancy.sampler.series.points, start, end)
         assert got == expected / len(device.units)

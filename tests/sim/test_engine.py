@@ -106,6 +106,38 @@ class TestSimulator:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12),
+           st.lists(st.integers(0, 4), max_size=12))
+    def test_reserved_chain_fires_as_if_scheduled_up_front(self, gaps,
+                                                           others):
+        # a stream of known (tied) times, scheduled one at a time under
+        # reserved numbers, interleaves with other (tied) events exactly
+        # as scheduling the whole stream first would
+        times = [float(sum(gaps[:i + 1])) for i in range(len(gaps))]
+
+        def run(chained):
+            sim, fired = Simulator(), []
+            if chained:
+                first = sim.reserve(len(times))
+
+                def arrive(i):
+                    if i + 1 < len(times):
+                        sim.schedule_reserved(times[i + 1], first + i + 1,
+                                              lambda: arrive(i + 1))
+                    fired.append(("stream", i))
+
+                sim.schedule_reserved(times[0], first, lambda: arrive(0))
+            else:
+                for i, t in enumerate(times):
+                    sim.schedule_at(t, lambda i=i: fired.append(("stream", i)))
+            for j, t in enumerate(others):
+                sim.schedule_at(float(t),
+                                lambda j=j: fired.append(("other", j)))
+            sim.run()
+            return fired, sim._seq
+
+        assert run(True) == run(False)
+
 
 class TestIssueServer:
     def test_idle_op_starts_immediately(self):

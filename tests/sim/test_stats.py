@@ -108,7 +108,7 @@ class TestDistributionAddMany:
         dist = Distribution()
         dist.add_many([1.0, 2.0])
         dist.add_many(np.arange(4, dtype=np.float64).reshape(2, 2))
-        assert dist.samples == [1.0, 2.0, 0.0, 1.0, 2.0, 3.0]
+        assert dist.samples.tolist() == [1.0, 2.0, 0.0, 1.0, 2.0, 3.0]
 
     def test_empty_is_noop(self):
         dist = Distribution()
@@ -154,16 +154,6 @@ class TestStatsRegistry:
         stats.add("cxl.bytes")
         assert set(stats.counters("dram.")) == {"dram.reads", "dram.writes"}
 
-    def test_observe_distribution(self):
-        stats = StatsRegistry()
-        stats.observe_many("lat", [1.0])
-        stats.observe_many("lat", [3.0])
-        assert stats.distribution("lat").mean == 2.0
-
-    def test_unknown_distribution_raises(self):
-        with pytest.raises(KeyError):
-            StatsRegistry().distribution("nope")
-
     def test_snapshot_sorted_regardless_of_insertion(self):
         stats = StatsRegistry()
         for key in ("z.bytes", "a.hits", "m.misses"):
@@ -179,49 +169,45 @@ class TestStatsRegistry:
         assert stats.counters("dram.") == {"dram.reads": 2.0}
         assert stats.snapshot() == {"cxl.bytes": 9.0, "dram.reads": 2.0}
 
-    def test_observe_many_matches_observe_loop(self):
-        loop, bulk = StatsRegistry(), StatsRegistry()
-        values = [4.0, 2.0, 8.0]
-        for v in values:
-            loop.observe_many("lat", [v])
-        bulk.observe_many("lat", values)
-        assert (bulk.distribution("lat").samples
-                == loop.distribution("lat").samples)
-        bulk.observe_many("lat", [1.0])
-        assert bulk.distribution("lat").count == 4
+
+def _attached():
+    """A sampler and the step series attached to it."""
+    sampler = IntervalSampler()
+    return sampler, sampler.attach_series()
 
 
 class TestIntervalSampler:
     def test_series_step_function(self):
-        sampler = IntervalSampler()
+        sampler, series = _attached()
         sampler.record(0.0, 0.0)
         sampler.record(10.0, 1.0)
-        series = sampler.series(0.0, 20.0, 5)
-        values = [v for _, v in series]
+        steps = series.series(0.0, 20.0, 5)
+        values = [v for _, v in steps]
         assert values == [0.0, 0.0, 1.0, 1.0, 1.0]
 
     def test_time_weighted_mean(self):
-        sampler = IntervalSampler()
+        sampler, series = _attached()
         sampler.record(0.0, 0.0)
         sampler.record(5.0, 1.0)
         # 0 for half the window, 1 for the other half
-        assert sampler.time_weighted_mean(0.0, 10.0) == pytest.approx(0.5)
+        assert series.time_weighted_mean(0.0, 10.0) == pytest.approx(0.5)
+        assert sampler.mean(10.0) == pytest.approx(0.5)
 
     def test_out_of_order_clamped(self):
-        sampler = IntervalSampler()
+        sampler, series = _attached()
         sampler.record(5.0, 1.0)
         sampler.record(3.0, 2.0)   # clamped to 5.0
-        assert sampler.points[-1][0] == 5.0
+        assert series.points[-1][0] == 5.0
 
     def test_points_read_back_as_recorded_across_growth(self):
-        sampler, expected, last = IntervalSampler(), [], 0.0
+        (sampler, series), expected, last = _attached(), [], 0.0
         for i in range(1000):
             t = float(i * 7 % 13 + i)              # out of order at times
             sampler.record(t, i / 3)
             last = max(last, t)
             expected.append((last, i / 3))
-        assert sampler.points == expected
-        assert sampler._flat.itemsize * 2 == 16       # a point
+        assert series.points == expected
+        assert series._flat.itemsize * 2 == 16        # a point
 
     @given(
         times=st.lists(st.floats(0.0, 100.0), max_size=40),
@@ -231,17 +217,17 @@ class TestIntervalSampler:
     @settings(max_examples=200, deadline=None)
     def test_time_weighted_mean_equals_the_full_scan(self, times, window,
                                                      on_a_point):
-        sampler = IntervalSampler()
+        sampler, series = _attached()
         for i, t in enumerate(times):
             sampler.record(t, (i * 7 % 5) / 4)         # clamps into order
         start, span = window
-        if on_a_point and sampler.points:   # the ``t == start`` boundary
-            start = sampler.points[len(sampler.points) // 2][0]
+        if on_a_point and series.points:    # the ``t == start`` boundary
+            start = series.points[len(series.points) // 2][0]
         end = start + span
 
         # the scan from point 0 that the bisected start replaced
         area, current, prev_t = 0.0, 0.0, start
-        for t, v in sampler.points:
+        for t, v in series.points:
             if t < start:
                 current = v
                 continue
@@ -250,14 +236,36 @@ class TestIntervalSampler:
             area += current * (t - prev_t)
             prev_t, current = t, v
         area += current * (end - prev_t)
-        assert sampler.time_weighted_mean(start, end) == area / (end - start)
+        assert series.time_weighted_mean(start, end) == area / (end - start)
+
+    @given(times=st.lists(st.floats(0.0, 100.0), max_size=40),
+           tail=st.floats(0.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_the_series_mean_from_zero_to_the_bit(self, times,
+                                                          tail):
+        # what fig 6a's headline reads (the integral) against what the
+        # points it no longer keeps would give
+        sampler, series = _attached()
+        for i, t in enumerate(times):
+            sampler.record(t, (i * 7 % 5) / 4)
+        end = max(times, default=0.0) + tail + 1.0
+        assert sampler.mean(end) == series.time_weighted_mean(0.0, end)
+
+    def test_keeps_no_point_unless_a_series_is_attached(self):
+        sampler = IntervalSampler()
+        for i in range(100):
+            sampler.record(float(i), i % 3 / 2)
+        assert sampler.series is None
+        assert not hasattr(sampler, "__dict__")
+        with pytest.raises(ValueError):
+            sampler.mean(50.0)              # before the last point
 
     def test_series_validation(self):
-        sampler = IntervalSampler()
+        _, series = _attached()
         with pytest.raises(ValueError):
-            sampler.series(0.0, 0.0, 5)
+            series.series(0.0, 0.0, 5)
         with pytest.raises(ValueError):
-            sampler.series(0.0, 1.0, 0)
+            series.series(0.0, 1.0, 0)
 
 
 class TestTimeline:

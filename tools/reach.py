@@ -643,7 +643,7 @@ def main() -> int:
 def static_lines() -> list[str]:
     """Every line of the static lists of ``src/repro``, ``kind: key``."""
     trees = [HERE / d for d in SCANNED]
-    drivers = experiment_drivers(PACKAGE / "experiments" / "__init__.py")
+    drivers = experiment_drivers(PACKAGE / "experiments" / "registry.py")
     lists = (unreferenced_constants(PACKAGE, trees),
              unpassed_parameters(PACKAGE, trees, drivers),
              unused_imports(PACKAGE, trees),
