@@ -18,6 +18,7 @@ p99, SLO attainment, goodput, shed counts — per tenant and aggregate.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from repro.serve.admission import SHED_QUEUE_FULL, SHED_RATE_LIMIT
@@ -70,7 +71,9 @@ class TenantReport(_Rates):
     hedged: int = 0
     hedged_won: int = 0
     failed: int = 0
-    completion_times: list[float] = field(default_factory=list)
+    #: Completion times (ns) in completion order, float64 like the
+    #: latencies beside them.
+    completion_times: array = field(default_factory=lambda: array("d"))
     correct: bool = True
     first_arrival_ns: float = math.inf
     last_completion_ns: float = 0.0

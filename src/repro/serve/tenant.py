@@ -413,13 +413,15 @@ class _PointStore:
             return True
         slots = np.frombuffer(self.result_snapshot(), "<u8").reshape(
             self.num_requests, _SLOT_BYTES // 8)
-        checked = slots[np.frombuffer(self._served, np.int64)]
-        served = [self.data.requests[i] for i in self._served]
-        is_get = np.array([req.is_get for req in served])
-        fetched = np.array([req.value_seed if req.is_get else 0
-                            for req in served], np.uint64)
-        return bool(((checked[:, 8] == 1)
-                     & (~is_get | (checked[:, 0] == fetched))).all())
+        served = np.frombuffer(self._served, np.int64)
+        requests = self.data.requests
+        is_get = np.fromiter((requests[i].is_get for i in self._served),
+                             bool, served.size)
+        fetched = np.fromiter(
+            (requests[i].value_seed if requests[i].is_get else 0
+             for i in self._served), np.uint64, served.size)
+        return bool(((slots[served, 8] == 1)
+                     & (~is_get | (slots[served, 0] == fetched))).all())
 
     def result_snapshot(self) -> bytes:
         return bytes(self.runtime.physical.read_bytes(

@@ -48,7 +48,7 @@ def test_chunked_batches_equal_one_call_per_run(chunk):
         assert got.latencies.samples == want.latencies.samples
         assert got.latencies.samples.tolist() == [row[1] for row in mine]
         assert got.completion_times == want.completion_times
-        assert got.completion_times == [row[2] for row in mine]
+        assert got.completion_times.tolist() == [row[2] for row in mine]
         assert got.served == want.served == len(mine)
         assert got.slo_met == want.slo_met == sum(row[3] for row in mine)
         assert got.latency_summary() == want.latency_summary()
