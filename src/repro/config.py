@@ -365,14 +365,12 @@ COMPARATORS: dict[str, dict] = {
         "pj_per_instr": 8.0,            # calibration: in-order lane + RF
         "pj_per_spad_byte": 0.4,        # calibration: scratchpad SRAM access
     },
-    # The expander: static power and access energies of every configuration,
-    # and one CXL.mem trip of an M2func offload (Fig 5a).
+    # The expander: static power and access energies of every configuration.
     "cxl_mem": {
         "static_w": 12.0,               # calibration: controller + LPDDR5 idle
         "pj_per_dram_bit": 4.0,         # calibration: LPDDR5 access energy
         "pj_per_cxl_bit": 8.0,          # [38]: CXL link energy per bit
         "idle_host_fraction": 0.3,      # calibration: idle host's static share
-        "one_way_ns": 75.0,             # Fig 5: x, one-way CXL.mem latency
     },
     # CXL.io, the path of the ring-buffer and direct-MMIO offloads (Fig 5b,
     # 5c; ``host.offload.HOPS`` counts each mechanism's one-way trips).

@@ -1,6 +1,6 @@
 """Fig 5: NDP offloading timelines — M2func vs CXL.io ring buffer vs
-direct MMIO, with the paper's example latencies (x and y, the
-``COMPARATORS`` rows ``cxl_mem`` and ``cxl_io``; z = 6.4 µs, a
+direct MMIO, with the paper's example latencies (x, half the CXL.mem
+load-to-use; y, the ``COMPARATORS`` row ``cxl_io``; z = 6.4 µs, a
 DLRM(SLS)-B32 kernel)."""
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ time z:
 The mechanism objects wrap a live device and reproduce end-to-end launch
 timing in simulation; :func:`timeline` is the closed-form Fig 5 model used
 by the fig5 bench.  It and the CXL.io paths' overheads read the trips from
-:data:`HOPS`, and x and y from the ``config.COMPARATORS`` rows ``cxl_mem``
-and ``cxl_io`` as they are at the call.
+:data:`HOPS`.  x is the host-visible one-way CXL.mem trip, half of Table
+IV's load-to-use (``CXLConfig().load_to_use_ns / 2``); y is the
+``config.COMPARATORS`` row ``cxl_io`` as it is at the call.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.config import COMPARATORS
+from repro.config import COMPARATORS, CXLConfig
 from repro.host.api import LaunchHandle, M2Call, pack_args
 from repro.ndp.controller import FUNC_LAUNCH
 
-#: Fig 5: per mechanism, the ``COMPARATORS`` row of the link it crosses
-#: and its one-way trips on that link before and after the kernel.
+#: Fig 5: per mechanism, the link it crosses and its one-way trips on
+#: that link before and after the kernel.
 HOPS: dict[str, tuple[str, int, int]] = {
     "m2func": ("cxl_mem", 1, 1),       # Fig 5a: write + ack, read + response
     "cxl_io_rb": ("cxl_io", 5, 3),     # Fig 5b: doorbell + 2 DMAs, twice
@@ -65,7 +66,9 @@ def timeline(mechanism: str, kernel_ns: float, x_ns: float | None = None,
     link, before, after = HOPS[mechanism]
     one_way_ns = x_ns if link == "cxl_mem" else y_ns
     if one_way_ns is None:
-        one_way_ns = COMPARATORS[link]["one_way_ns"]
+        # x: the host-visible CXL.mem trip, half of Table IV's load-to-use
+        one_way_ns = (CXLConfig().load_to_use_ns / 2 if link == "cxl_mem"
+                      else COMPARATORS[link]["one_way_ns"])
     return OffloadTimeline(pre_kernel_ns=before * one_way_ns,
                            post_kernel_ns=after * one_way_ns,
                            kernel_ns=kernel_ns)

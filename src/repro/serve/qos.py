@@ -60,7 +60,7 @@ def validate_qos_class(name: str, source: str = "qos_class") -> str:
     return name
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One tenant request from arrival to completion."""
 

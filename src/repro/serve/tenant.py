@@ -317,13 +317,11 @@ class _PointStore:
             mix_name="GET" if frac >= 1.0 else f"GET{round(frac * 100)}",
             salt=int(gen.integers(0, 1 << 16)),
         )
-        set_indices = [i for i, r in enumerate(self.data.requests)
-                       if not r.is_get]
+        #: The SETs' request indices: the i-th SET's node is the i-th
+        #: spare node.
+        self._set_indices = set_indices = np.flatnonzero(~self.data.is_get)
         self.table = kvstore.setup_table(
-            runtime, self.data,
-            spare_nodes=max(1, len(set_indices)),
-            **kw,
-        )
+            runtime, self.data, spare_nodes=max(1, set_indices.size), **kw)
         self.anchor_addr = self.table.buckets_addr
         # one result slot per request; slots are verified post-run
         self.slots_addr = runtime.alloc(self.num_requests * _SLOT_BYTES,
@@ -337,20 +335,20 @@ class _PointStore:
         # SETs overwrite existing keys: each SET's node (key + canonical
         # value) is host-prewritten once at setup, so re-planning a retry
         # or replaying a hedge writes identical bytes.
-        self._set_node: dict[int, int] = {}
-        if set_indices:
+        if set_indices.size:
             self.kids[False, False] = runtime.register_kernel(
                 KVS_SET, name=f"{spec.name}.set")
-            for ordinal, i in enumerate(set_indices):
+            keys = self.data.keys.tolist()
+            for ordinal, item in enumerate(
+                    self.data.item[set_indices].tolist()):
                 node = self.table.spare_addr + ordinal * kvstore.NODE_BYTES
-                kvstore._prewrite_node(runtime, node, self.data.requests[i])
-                self._set_node[i] = node
+                kvstore._prewrite_node(runtime, node, keys[item], item)
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
         self.kids[True, True] = runtime.register_kernel(
             KVS_GET_SCATTER, name=f"{spec.name}.get_scatter")
-        if set_indices:
+        if set_indices.size:
             self.kids[False, True] = runtime.register_kernel(
                 KVS_SET_SCATTER, name=f"{spec.name}.set_scatter")
         # retried requests are re-planned into fresh ring entries, so the
@@ -365,24 +363,26 @@ class _PointStore:
         return (index, index + 1)         # identity: one slot per request
 
     def batch_group(self, index: int) -> int:
-        return 0 if self.data.requests[index].is_get else 1
+        return 0 if self.data.is_get[index] else 1
 
     def plan(self, requests: list[Request]) -> LaunchPlan:
         # Batches are op-homogeneous (batch_group): GETs and SETs never
         # share a launch.
-        data = self.data
-        is_get = data.requests[requests[0].index].is_get
-        buckets_addr = self.table.buckets_addr
-        entries = []
-        for request in requests:
-            req = data.requests[request.index]
-            words = [buckets_addr + 8 * kvstore.hash_key(*req.key,
-                                                         data.buckets),
-                     *req.key]
-            if not is_get:
-                words.append(self._set_node[request.index])
-            words.append(self.slots_addr + request.index * _SLOT_BYTES)
-            entries.append(words)
+        data, table = self.data, self.table
+        index = [request.index for request in requests]
+        rows = np.array(index)
+        item = data.item[rows]
+        is_get = bool(data.is_get[index[0]])
+        # per request: bucket pointer, key words, a SET's node, result slot
+        entries = [[table.buckets_addr + 8 * bucket, *key]
+                   for bucket, key in zip(data.bucket_of[item].tolist(),
+                                          data.keys[item].tolist())]
+        if not is_get:
+            for words, ordinal in zip(entries, np.searchsorted(
+                    self._set_indices, rows).tolist()):
+                words.append(table.spare_addr + kvstore.NODE_BYTES * ordinal)
+        for words, i in zip(entries, index):
+            words.append(self.slots_addr + _SLOT_BYTES * i)
         if len(entries) == 1:
             *words, slot = entries[0]
             return LaunchPlan(self.kids[is_get, False], slot, slot + 32,
@@ -414,12 +414,8 @@ class _PointStore:
         slots = np.frombuffer(self.result_snapshot(), "<u8").reshape(
             self.num_requests, _SLOT_BYTES // 8)
         served = np.frombuffer(self._served, np.int64)
-        requests = self.data.requests
-        is_get = np.fromiter((requests[i].is_get for i in self._served),
-                             bool, served.size)
-        fetched = np.fromiter(
-            (requests[i].value_seed if requests[i].is_get else 0
-             for i in self._served), np.uint64, served.size)
+        is_get = self.data.is_get[served]
+        fetched = self.data.item[served].astype(np.uint64)
         return bool(((slots[served, 8] == 1)
                      & (~is_get | (slots[served, 0] == fetched))).all())
 

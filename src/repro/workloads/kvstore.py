@@ -10,6 +10,12 @@ full load-to-use latency per dependent access.
 Workload mixes follow YCSB: KVS_A = 50 % GET / 50 % SET,
 KVS_B = 95 % GET / 5 % SET, zipfian key popularity [37].
 
+:class:`KVStoreData` is columns.  The table is per item: ``keys``
+([items, 3] u64), ``bucket_of`` and ``chain_position``.  The trace is
+per request: ``arrival_ns``, ``is_get`` and ``item``.  A request's key
+words, bucket and chain depth are its item's row of the table, and its
+value seed (the value's first word) is the item itself.
+
 Hash-table node layout (128 B): key 24 B @0, value 64 B @32, next @96.
 """
 
@@ -29,35 +35,27 @@ from repro.workloads.base import Platform, rng
 
 NODE_BYTES = 128
 KEY_WORDS = 3
-VALUE_BYTES = 64
+
+#: Per key word, its multiplier in the key hash.
+_HASH_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 1], np.uint64)
 
 
-def hash_key(k0: int, k1: int, k2: int, buckets: int) -> int:
-    """The host-side key hash (also used by the serving tier)."""
-    h = (k0 * 0x9E3779B97F4A7C15 + k1 * 0xC2B2AE3D27D4EB4F + k2) & (
-        0xFFFFFFFFFFFFFFFF
-    )
-    h ^= h >> 29
-    return h % buckets
-
-
-@dataclass(slots=True)
-class KVRequest:
-    arrival_ns: float
-    is_get: bool
-    key: tuple[int, int, int]
-    chain_position: int          # depth of the key in its bucket (0-based)
-    value_seed: int = 0
+def hash_key(keys: np.ndarray, buckets: int) -> np.ndarray:
+    """The host-side key hash of each key (rows of ``KEY_WORDS`` u64
+    words) as its bucket: the words' mixed sum mod 2**64, folded."""
+    h = (keys * _HASH_MIX).sum(axis=-1, dtype=np.uint64)
+    return ((h ^ (h >> 29)) % np.uint64(buckets)).astype(np.int64)
 
 
 @dataclass
 class KVStoreData:
-    items: int
     buckets: int
     keys: np.ndarray             # [items, 3] u64
     bucket_of: np.ndarray        # [items]
     chain_position: np.ndarray   # [items] depth within bucket
-    requests: list[KVRequest]
+    arrival_ns: np.ndarray       # [requests] f64, open-loop arrival
+    is_get: np.ndarray           # [requests] bool
+    item: np.ndarray             # [requests] i64, the key's table row
     mix_name: str
 
 
@@ -68,10 +66,7 @@ def generate(items: int, requests: int, get_fraction: float,
     gen = rng(salt + items)
     buckets = max(64, items // 2)
     keys = gen.integers(1, 1 << 63, (items, KEY_WORDS), dtype=np.uint64)
-    # Python ints from .tolist(), not numpy scalars one element at a time
-    key_of = [tuple(row) for row in keys.tolist()]
-    bucket_of = np.array([hash_key(*key, buckets) for key in key_of],
-                         dtype=np.int64)
+    bucket_of = hash_key(keys, buckets)
     # chain position: i-th key hashed to a bucket sits at depth i
     depth_seen: dict[int, int] = {}
     position_of = []
@@ -79,22 +74,15 @@ def generate(items: int, requests: int, get_fraction: float,
         depth = depth_seen.get(b, 0)
         position_of.append(depth)
         depth_seen[b] = depth + 1
-    chain_position = np.array(position_of, dtype=np.int64)
 
     zipf = gen.zipf(1.2, size=requests)
-    target_items = ((zipf - 1) % items).astype(np.int64)
+    item = ((zipf - 1) % items).astype(np.int64)
     is_get = gen.random(requests) < get_fraction
-    arrivals = np.cumsum(gen.exponential(interarrival_ns, requests))
-
-    reqs = [
-        KVRequest(arrival_ns=arrival, is_get=get, key=key_of[item],
-                  chain_position=position_of[item], value_seed=item)
-        for arrival, get, item in zip(arrivals.tolist(), is_get.tolist(),
-                                      target_items.tolist())
-    ]
-    return KVStoreData(items=items, buckets=buckets, keys=keys,
-                       bucket_of=bucket_of, chain_position=chain_position,
-                       requests=reqs, mix_name=mix_name)
+    arrival_ns = np.cumsum(gen.exponential(interarrival_ns, requests))
+    return KVStoreData(buckets=buckets, keys=keys, bucket_of=bucket_of,
+                       chain_position=np.array(position_of, dtype=np.int64),
+                       arrival_ns=arrival_ns, is_get=is_get, item=item,
+                       mix_name=mix_name)
 
 
 def kvs_a(items: int, requests: int,
@@ -136,25 +124,22 @@ def setup_table(runtime: M2NDPRuntime, data: KVStoreData,
     kwargs = {} if placement is None else {"placement": placement}
     if partition is not None:
         kwargs["partition"] = partition
+    items = len(data.keys)
     buckets_addr = runtime.alloc(data.buckets * 8, **kwargs)
-    nodes_addr = runtime.alloc(data.items * NODE_BYTES, align=128, **kwargs)
+    nodes_addr = runtime.alloc(items * NODE_BYTES, align=128, **kwargs)
     spare_addr = runtime.alloc(spare_nodes * NODE_BYTES, align=128, **kwargs)
 
-    heads = np.zeros(data.buckets, dtype=np.uint64)
-    blob = bytearray(data.items * NODE_BYTES)
-    value = bytearray(VALUE_BYTES)
-    for i in range(data.items):
-        addr = nodes_addr + i * NODE_BYTES
-        base = i * NODE_BYTES
-        for w in range(KEY_WORDS):
-            blob[base + 8 * w:base + 8 * w + 8] = int(data.keys[i, w]).to_bytes(8, "little")
-        value[0:8] = (i & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        blob[base + 32:base + 32 + VALUE_BYTES] = value
-        bucket = int(data.bucket_of[i])
-        blob[base + 96:base + 104] = int(heads[bucket]).to_bytes(8, "little")
-        heads[bucket] = addr
-    device.physical.write_bytes(nodes_addr, bytes(blob))
-    device.physical.store_array(buckets_addr, heads)
+    # one row of u64 words per node; the value's first word is its item
+    nodes = np.zeros((items, NODE_BYTES // 8), dtype="<u8")
+    nodes[:, :KEY_WORDS] = data.keys
+    nodes[:, 4] = np.arange(items)
+    heads, next_node = [0] * data.buckets, []
+    for i, bucket in enumerate(data.bucket_of.tolist()):
+        next_node.append(heads[bucket])
+        heads[bucket] = nodes_addr + i * NODE_BYTES
+    nodes[:, 12] = next_node
+    device.physical.store_array(nodes_addr, nodes)
+    device.physical.store_array(buckets_addr, np.array(heads, dtype="<u8"))
     return KVTable(buckets_addr=buckets_addr, nodes_addr=nodes_addr,
                    spare_addr=spare_addr)
 
@@ -191,31 +176,29 @@ def run_ndp(platform: Platform, data: KVStoreData,
     get_kid = runtime.register_kernel(KVS_GET, name="kvs_get")
     set_kid = runtime.register_kernel(KVS_SET, name="kvs_set")
 
-    results_addr = runtime.alloc(len(data.requests) * 128, align=128)
+    results_addr = runtime.alloc(data.item.size * 128, align=128)
     cpu = COMPARATORS["cpu"]
     pool = CoreRequestPool(sim, cpu["cores"])
     hash_ns = cpu["kvs_hash_ns"]
     latencies = Distribution()
     get_checks: list[tuple[int, int]] = []   # (result slot, expected seed)
-    mutated = {
-        req.key for req in data.requests if not req.is_get
-    }
+    mutated = set(data.item[~data.is_get].tolist())
+    keys, bucket_of = data.keys.tolist(), data.bucket_of.tolist()
     # kernel registration stepped the simulator; the trace starts after it
     epoch = sim.now
 
-    def make_launch(req: KVRequest, slot_addr: int, arrival: float):
+    def make_launch(get: bool, item: int, slot_addr: int, arrival: float):
         def after_hash(hash_done_ns: float) -> None:
-            bucket_ptr = table.buckets_addr + 8 * hash_key(
-                *req.key, data.buckets
-            )
-            if req.is_get:
-                args = pack_args(bucket_ptr, *req.key)
+            key = keys[item]
+            bucket_ptr = table.buckets_addr + 8 * bucket_of[item]
+            if get:
+                args = pack_args(bucket_ptr, *key)
                 kid = get_kid
             else:
                 node = table.spare_addr + table.spare_used * NODE_BYTES
                 table.spare_used += 1
-                _prewrite_node(runtime, node, req)
-                args = pack_args(bucket_ptr, *req.key, node)
+                _prewrite_node(runtime, node, key, item)
+                args = pack_args(bucket_ptr, *key, node)
                 kid = set_kid
 
             def done(handle) -> None:
@@ -226,12 +209,14 @@ def run_ndp(platform: Platform, data: KVStoreData,
 
         return after_hash
 
-    for i, req in enumerate(data.requests):
+    for i, (get, item, arrival_ns) in enumerate(zip(
+            data.is_get.tolist(), data.item.tolist(),
+            data.arrival_ns.tolist())):
         slot = results_addr + i * 128
-        if req.is_get and req.key not in mutated:
-            get_checks.append((slot, req.value_seed))
-        arrival = epoch + req.arrival_ns
-        callback = make_launch(req, slot, arrival)
+        if get and item not in mutated:
+            get_checks.append((slot, item))
+        arrival = epoch + arrival_ns
+        callback = make_launch(get, item, slot, arrival)
         sim.schedule_at(
             arrival,
             (lambda a=arrival, cb=callback: pool.submit(a, hash_ns, cb)),
@@ -252,12 +237,12 @@ def run_ndp(platform: Platform, data: KVStoreData,
 
 
 def _prewrite_node(runtime: M2NDPRuntime, node_addr: int,
-                   req: KVRequest) -> None:
+                   key_words, value: int) -> None:
     """Host prepares a SET's node (key + value) before offloading."""
     device = runtime.device
-    for w, word in enumerate(req.key):
+    for w, word in enumerate(key_words):
         device.physical.write_u64(node_addr + 8 * w, word)
-    device.physical.write_u64(node_addr + 32, req.value_seed)
+    device.physical.write_u64(node_addr + 32, value)
     device.physical.write_u64(node_addr + 96, 0)
 
 
@@ -278,17 +263,18 @@ def run_baseline(platform: Platform, data: KVStoreData,
     hash_ns = cpu.row["kvs_hash_ns"]
     latencies = Distribution()
 
-    for req in data.requests:
+    chain_position = data.chain_position.tolist()
+    for arrival, item in zip(data.arrival_ns.tolist(), data.item.tolist()):
         # bucket head + one node header per chain hop + the value line
-        depth = 1 + req.chain_position + 1 + 1
+        depth = 1 + chain_position[item] + 1 + 1
         service = hash_ns + cpu.pointer_chase_ns(depth, memory)
 
-        def done(when_ns: float, r=req) -> None:
-            latencies.add(when_ns - r.arrival_ns)
+        def done(when_ns: float, a=arrival) -> None:
+            latencies.add(when_ns - a)
 
         sim.schedule_at(
-            req.arrival_ns,
-            (lambda r=req, s=service, cb=done: pool.submit(r.arrival_ns, s, cb)),
+            arrival,
+            (lambda a=arrival, s=service, cb=done: pool.submit(a, s, cb)),
         )
 
     sim.run()

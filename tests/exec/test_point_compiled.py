@@ -223,13 +223,14 @@ def _kv_data() -> kvstore.KVStoreData:
     gen = np.random.default_rng(7)
     keys = gen.integers(1, 1 << 63, (KEYS, kvstore.KEY_WORDS),
                         dtype=np.uint64)
-    bucket_of = np.array([kvstore.hash_key(*(int(w) for w in k), BUCKETS)
-                          for k in keys], dtype=np.int64)
+    bucket_of = kvstore.hash_key(keys, BUCKETS)
+    none = np.zeros(0)
     return kvstore.KVStoreData(
-        items=PRESENT, buckets=BUCKETS, keys=keys[:PRESENT],
+        buckets=BUCKETS, keys=keys[:PRESENT],
         bucket_of=bucket_of[:PRESENT],
-        chain_position=np.zeros(PRESENT, dtype=np.int64), requests=[],
-        mix_name="test"), keys, bucket_of
+        chain_position=np.zeros(PRESENT, dtype=np.int64),
+        arrival_ns=none, is_get=none.astype(bool),
+        item=none.astype(np.int64), mix_name="test"), keys, bucket_of
 
 
 def _kv_scenario(ops):
@@ -251,8 +252,7 @@ def _kv_scenario(ops):
             else:
                 node = table.spare_addr + table.spare_used * 128
                 table.spare_used += 1
-                kvstore._prewrite_node(runtime, node, kvstore.KVRequest(
-                    0.0, False, key, 0, value_seed=1000 + i))
+                kvstore._prewrite_node(runtime, node, key, 1000 + i)
                 args, kid = pack_args(bucket_ptr, *key, node), set_kid
             run.launch(kid, slot, slot + 32, args=args)
             run.read(slot, 72)
@@ -311,9 +311,8 @@ class TestKVStoreSequences:
                     else:
                         node = table.spare_addr + table.spare_used * 128
                         table.spare_used += 1
-                        kvstore._prewrite_node(
-                            runtime, node, kvstore.KVRequest(
-                                0.0, False, tuple(words[1:]), 0, key_id))
+                        kvstore._prewrite_node(runtime, node, words[1:],
+                                               key_id)
                         words += [node, slots + 128 * lane]
                     runtime.device.physical.write_bytes(
                         ring + 64 * lane, pack_args(*words))

@@ -154,14 +154,13 @@ def test_every_key_has_a_reader_outside_the_table():
 
 
 #: Each value the host-side comparators gained from outside the table (the
-#: OLAP baseline's per-query values, the KVS hash cost, Fig 5's x and y)
+#: OLAP baseline's per-query values, the KVS hash cost, Fig 5's y)
 #: and a driver that reads it.
 MOVED_INTO_THE_TABLE = (
     [(f"cpu.{key}.{query}", "fig10a")
      for key in ("ns_per_row_predicate", "evaluate_fraction")
      for query in QUERIES]
-    + [("cpu.kvs_hash_ns", "fig10b"), ("cxl_mem.one_way_ns", "fig5"),
-       ("cxl_io.one_way_ns", "fig12a")])
+    + [("cpu.kvs_hash_ns", "fig10b"), ("cxl_io.one_way_ns", "fig12a")])
 
 #: The drivers' arguments: the ``tiny`` scale keeps all the runs within a
 #: few seconds (fig5 is a closed form).

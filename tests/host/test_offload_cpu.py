@@ -6,6 +6,7 @@ import pytest
 from repro.config import COMPARATORS, CXLConfig
 from repro.host.api import M2NDPRuntime, pack_args
 from repro.host.cpu import CoreRequestPool, HostCPUModel, MemoryTarget
+from repro.host import offload
 from repro.host.offload import make_offload_path, timeline
 from repro.kernels.vecadd import VECADD
 from repro.ndp.device import M2NDPDevice
@@ -15,11 +16,17 @@ from repro.sim.engine import Simulator
 class TestTimelines:
     def test_fig5_totals(self):
         z = 6_400.0
-        x = COMPARATORS["cxl_mem"]["one_way_ns"]
+        x = CXLConfig().load_to_use_ns / 2
         y = COMPARATORS["cxl_io"]["one_way_ns"]
         assert timeline("m2func", z).total_ns == z + 2 * x
         assert timeline("cxl_io_rb", z).total_ns == z + 8 * y
         assert timeline("cxl_io_dr", z).total_ns == z + 3 * y
+
+    def test_x_is_half_the_load_to_use(self, monkeypatch):
+        monkeypatch.setattr(offload, "CXLConfig",
+                            lambda: CXLConfig(load_to_use_ns=300.0))
+        assert timeline("m2func", 0.0).overhead_ns == 300.0
+        assert timeline("m2func", 0.0, x_ns=10.0).overhead_ns == 20.0
 
     def test_m2func_has_lowest_overhead(self):
         z = 1000.0

@@ -109,7 +109,7 @@ def test_kv_oracle_checks_every_status_and_only_get_values():
                                        plan.args, stride=plan.stride)
         workload.note_served(batch)
     assert workload.verify()
-    is_get = [r.is_get for r in impl.data.requests]
+    is_get = impl.data.is_get.tolist()
     get, put = is_get.index(True), is_get.index(False)
     physical = platform.runtime.physical
 

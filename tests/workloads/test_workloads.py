@@ -3,6 +3,7 @@ produces numerically correct results through the full NDP stack."""
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,14 @@ class TestLLM:
         assert data.scale_factor > 100
 
 
+def _scalar_hash(k0: int, k1: int, k2: int, buckets: int) -> int:
+    """The key hash on Python ints, one key at a time."""
+    h = (k0 * 0x9E3779B97F4A7C15 + k1 * 0xC2B2AE3D27D4EB4F + k2) & (
+        0xFFFFFFFFFFFFFFFF)
+    h ^= h >> 29
+    return h % buckets
+
+
 class TestKVStore:
     def test_ndp_gets_correct(self):
         platform = make_platform()
@@ -204,8 +213,8 @@ class TestKVStore:
     def test_mixes(self):
         a = kvstore.kvs_a(100, 1000)
         b = kvstore.kvs_b(100, 1000)
-        a_gets = sum(r.is_get for r in a.requests) / len(a.requests)
-        b_gets = sum(r.is_get for r in b.requests) / len(b.requests)
+        a_gets = a.is_get.sum() / a.is_get.size
+        b_gets = b.is_get.sum() / b.is_get.size
         assert abs(a_gets - 0.5) < 0.1
         assert abs(b_gets - 0.95) < 0.05
 
@@ -216,6 +225,30 @@ class TestKVStore:
         for i, b in enumerate(data.bucket_of):
             assert data.chain_position[i] == seen.get(int(b), 0)
             seen[int(b)] = data.chain_position[i] + 1
+
+    def test_array_hash_is_the_scalar_formula(self):
+        keys = np.array([[0, 0, 0], [1, 2, 3], [2**63 - 1, 2**63, 2**63 + 1],
+                         [2**64 - 1, 2**64 - 1, 2**64 - 1],
+                         [2**64 - 1, 0, 2**63], [2**63, 2**64 - 2, 1]],
+                        dtype=np.uint64)
+        keys = np.vstack([keys, np.random.default_rng(3).integers(
+            0, 2**64 - 1, (64, kvstore.KEY_WORDS), dtype=np.uint64,
+            endpoint=True)])
+        for buckets in (1, 7, 64, 256, 1000, 2**32 + 15):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kvstore.hash_key(keys, buckets)
+            assert got.dtype == np.int64
+            assert got.tolist() == [_scalar_hash(*row, buckets)
+                                    for row in keys.tolist()]
+
+    def test_bucket_of_each_item_is_its_keys_hash(self):
+        data = kvstore.kvs_a(200, 500)
+        assert (data.bucket_of[data.item]
+                == kvstore.hash_key(data.keys[data.item],
+                                    data.buckets)).all()
+        assert (data.bucket_of == kvstore.hash_key(data.keys,
+                                                   data.buckets)).all()
 
     def test_baseline_p95_grows_with_latency(self):
         data = kvstore.kvs_a(TINY.kv_items, 200)
